@@ -8,7 +8,9 @@
 //! this reproduction's `NURD-WS` row, which runs NURD under the default
 //! warm refit policy so warm-vs-cold accuracy is tracked wherever Table 3
 //! is produced. Each entry builds fresh per-job predictor instances, as
-//! the paper trains one model per job.
+//! the paper trains one model per job. The PU learners themselves
+//! (PU-EN, PU-BG) live in [`pu`]; every other family adapts a crate of
+//! its own.
 //!
 //! # Example
 //!
@@ -21,6 +23,7 @@
 //! ```
 
 mod outlier_adapter;
+pub mod pu;
 mod pu_adapter;
 mod registry;
 mod supervised;

@@ -12,7 +12,7 @@
 //! # Example
 //!
 //! ```
-//! use nurd_pu::PuEn;
+//! use nurd_baselines::pu::PuEn;
 //!
 //! # fn main() -> Result<(), nurd_ml::MlError> {
 //! let labeled: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 * 0.1]).collect();

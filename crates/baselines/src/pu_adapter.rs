@@ -1,7 +1,7 @@
 //! PU-learning adapters: the labeled class is the finished tasks.
 
+use crate::pu::{PuBagging, PuEn};
 use nurd_data::{Checkpoint, OnlinePredictor};
-use nurd_pu::{PuBagging, PuEn};
 
 /// PU-EN online: labeled = finished, unlabeled = running; a running task
 /// whose corrected finished-class probability falls below 0.5 is flagged.

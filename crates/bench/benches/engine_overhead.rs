@@ -1,35 +1,27 @@
 //! Per-event engine overhead and the scoring hot path, isolated:
 //!
-//! * `engine_overhead/predictor/{noop,nurd_flat,nurd_pointer}` — the
-//!   same staggered fleet served end to end by (a) a no-op predictor
-//!   (pure event application + pooled barrier assembly, the engine's
-//!   floor), (b) full NURD on the flattened structure-of-arrays path
-//!   (`flat_scoring = true`, the default), and (c) full NURD walking the
-//!   pointer trees (`flat_scoring = false`). The noop/nurd gap is the
-//!   model cost; the flat/pointer gap is what the SoA layout buys on the
-//!   full serving stack (refits included, so it is diluted — see the
-//!   kernel group for the undiluted ratio).
-//! * `engine_overhead/scoring/{flat,pointer}` — the batch-prediction
-//!   kernel alone: one fitted latency head scoring the same feature
-//!   batch through [`nurd_ml::FlatForest::predict_view_into`] (branchless
-//!   SoA walk into reused scratch) vs the pointer-tree
-//!   [`nurd_ml::GradientBoosting::predict_view`]. Bit-identical outputs
-//!   are asserted before timing, and the measured speedup is printed;
-//!   the tentpole target is ≥ 1.5× here.
-//! * `engine_overhead/scoring/flat_l{1,4,8}` — the same kernel at pinned
-//!   lane widths ([`nurd_ml::FlatForest::set_lanes`]): `flat_l1` is the
-//!   scalar one-row-per-step walk (the pre-lane kernel), `flat_l4` /
-//!   `flat_l8` interleave 4 / 8 rows per tree step. Every width is
-//!   asserted bit-identical to the pointer walk before timing; the lane
-//!   tentpole target is ≥ 1.3× for the best width over `flat_l1`.
+//! * `engine_overhead/predictor/{noop,nurd_flat}` — the same staggered
+//!   fleet served end to end by (a) a no-op predictor (pure event
+//!   application + pooled barrier assembly, the engine's floor) and
+//!   (b) full NURD. The gap is the model cost.
+//! * `engine_overhead/scoring/{pointer,flat_l1,flat_l4,flat_l8}` — the
+//!   batch-prediction kernel alone: one fitted latency head scoring the
+//!   same feature batch through the pointer-tree
+//!   [`nurd_ml::GradientBoosting::predict_view`] (the test oracle, timed
+//!   as the yardstick) and through
+//!   [`nurd_ml::FlatForest::predict_view_into`] at pinned lane widths
+//!   ([`nurd_ml::FlatForest::set_lanes`]): `flat_l1` walks one row per
+//!   tree step, `flat_l4` (the default) / `flat_l8` interleave 4 / 8.
+//!   Every width is asserted bit-identical to the pointer walk before
+//!   timing.
 //! * `engine_overhead/deque/{owner_only,contended_steal}` — the
 //!   work-stealing [`nurd_runtime::Deque`] under its two regimes: the
 //!   uncontended owner push/pop cycle the pool's common path takes, and
 //!   the same cycle with persistent stealer threads racing the owner for
 //!   every item (the Chase–Lev CAS path).
 //!
-//! Determinism cover: `tests/hot_path_equivalence.rs` proves all three
-//! predictor variants produce bit-identical flags/reports, so every
+//! Determinism cover: `tests/hot_path_equivalence.rs` holds the served
+//! scores to the pointer walk bit-for-bit at every lane width, so every
 //! ratio below is free of accuracy caveats.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -72,13 +64,11 @@ impl OnlinePredictor for Noop {
     }
 }
 
-fn nurd_factory(flat: bool) -> PredictorFactory {
-    Box::new(move |_spec| {
-        Box::new(NurdPredictor::new(
-            NurdConfig::default()
-                .with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default()))
-                .with_flat_scoring(flat),
-        ))
+fn nurd_factory() -> PredictorFactory {
+    Box::new(|_spec| {
+        Box::new(NurdPredictor::new(NurdConfig::default().with_refit_policy(
+            RefitPolicy::Warm(WarmRefitConfig::default()),
+        )))
     })
 }
 
@@ -117,26 +107,20 @@ fn bench_engine_overhead(c: &mut Criterion) {
     let events = fleet();
     let pool = ThreadPool::new(SHARDS);
 
-    // Correctness guardrail: the NURD variants must actually score and
-    // flag (a silently dead predictor would make the overhead gap
-    // meaningless), and flat must equal pointer report-for-report.
-    let flat_report = run_fleet(&events, nurd_factory(true), &pool);
-    let pointer_report = run_fleet(&events, nurd_factory(false), &pool);
-    assert_eq!(
-        flat_report, pointer_report,
-        "flat and pointer engine reports diverged — see tests/hot_path_equivalence.rs"
-    );
-    let flagged: usize = flat_report
+    // Correctness guardrail: NURD must actually score and flag (a
+    // silently dead predictor would make the overhead gap meaningless).
+    let report = run_fleet(&events, nurd_factory(), &pool);
+    let flagged: usize = report
         .jobs
         .iter()
         .map(|r| r.outcome.flagged_at.iter().flatten().count())
         .sum();
-    let scored: usize = flat_report.jobs.iter().map(|r| r.checkpoints_scored).sum();
+    let scored: usize = report.jobs.iter().map(|r| r.checkpoints_scored).sum();
     assert!(flagged > 0, "NURD flagged nothing — bench would be vacuous");
     eprintln!(
         "engine_overhead workload: {} jobs, {} events, {} checkpoints scored, {} tasks flagged",
-        flat_report.jobs.len(),
-        flat_report.events,
+        report.jobs.len(),
+        report.events,
         scored,
         flagged,
     );
@@ -147,14 +131,11 @@ fn bench_engine_overhead(c: &mut Criterion) {
         b.iter(|| run_fleet(&events, Box::new(|_spec| Box::new(Noop)), &pool));
     });
     group.bench_function(BenchmarkId::new("predictor", "nurd_flat"), |b| {
-        b.iter(|| run_fleet(&events, nurd_factory(true), &pool));
-    });
-    group.bench_function(BenchmarkId::new("predictor", "nurd_pointer"), |b| {
-        b.iter(|| run_fleet(&events, nurd_factory(false), &pool));
+        b.iter(|| run_fleet(&events, nurd_factory(), &pool));
     });
 
     // The scoring kernel alone: one fitted head, one resident batch,
-    // flat vs pointer. Model shape matches the serving default (50
+    // pointer walk vs each lane width. Model shape matches the serving default (50
     // rounds, depth 3); the batch is a plausible running-set size.
     let (xs, ys) = synthetic_rows(2000, 8);
     let rows: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
@@ -171,18 +152,12 @@ fn bench_engine_overhead(c: &mut Criterion) {
     };
     let model = GradientBoosting::fit_view(MatrixView::RowSlices(&rows), &ys, SquaredLoss, &gbt)
         .expect("fit");
-    let flat = model.flatten();
     let batch: Vec<&[f64]> = rows[..256].to_vec();
     let mut scratch = Vec::new();
-    flat.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch);
     let pointer_preds = model.predict_view(MatrixView::RowSlices(&batch));
-    assert_eq!(
-        scratch, pointer_preds,
-        "flat kernel is not bit-identical to the pointer walk"
-    );
 
     // Unmeasured speedup probe printed next to the criterion estimates,
-    // so the ≥1.5× tentpole target is visible in the bench log itself.
+    // so the kernel ratios are visible in the bench log itself.
     fn time(mut f: impl FnMut()) -> f64 {
         let iters = 2000;
         for _ in 0..200 {
@@ -194,19 +169,9 @@ fn bench_engine_overhead(c: &mut Criterion) {
         }
         start.elapsed().as_secs_f64() / f64::from(iters)
     }
-    let t_flat = time(|| {
-        flat.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch);
-        std::hint::black_box(&mut scratch);
-    });
     let t_pointer = time(|| {
         std::hint::black_box(model.predict_view(MatrixView::RowSlices(&batch)));
     });
-    eprintln!(
-        "scoring kernel (50 trees × depth 3 × 256 rows): flat {:.1}µs, pointer {:.1}µs, speedup {:.2}x",
-        t_flat * 1e6,
-        t_pointer * 1e6,
-        t_pointer / t_flat,
-    );
 
     // Lane-width sweep over the same model/batch, each width guarded by
     // a bit-identity assertion against the pointer walk before timing.
@@ -239,7 +204,8 @@ fn bench_engine_overhead(c: &mut Criterion) {
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("lane sweep nonempty");
     eprintln!(
-        "lane sweep (same kernel): {} — best L={} at {:.2}x over the scalar L=1 walk",
+        "scoring kernel (50 trees × depth 3 × 256 rows): pointer {:.1}µs, {} — best L={} at {:.2}x over L=1, {:.2}x over pointer",
+        t_pointer * 1e6,
         lane_times
             .iter()
             .map(|(l, t)| format!("L{l} {:.1}µs", t * 1e6))
@@ -247,11 +213,9 @@ fn bench_engine_overhead(c: &mut Criterion) {
             .join(", "),
         best_lanes,
         t_l1 / best_t,
+        t_pointer / best_t,
     );
 
-    group.bench_function(BenchmarkId::new("scoring", "flat"), |b| {
-        b.iter(|| flat.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch));
-    });
     group.bench_function(BenchmarkId::new("scoring", "pointer"), |b| {
         b.iter(|| model.predict_view(MatrixView::RowSlices(&batch)));
     });

@@ -1,15 +1,13 @@
-//! Streaming-engine throughput, two sweeps over one staggered-arrival
-//! fleet workload:
+//! Streaming-engine throughput over one fleet workload:
 //!
-//! * `serve_throughput/shards/{1,2,4,8}` — the caller-driven engine
-//!   (single pushing thread, `drain_sync` parallelism only), scaling
-//!   shard count and pool size. The PR-3/PR-4-era baseline.
-//! * `serve_throughput/producers/{1,2,4}` — **service mode**: the same
-//!   events partitioned across N real producer threads pushing through
-//!   cloned `EngineHandle`s into the background drain service (4 shards,
+//! * `serve_throughput/producers/{1,2,4}` — **service mode**: the events
+//!   partitioned across N real producer threads pushing through cloned
+//!   `EngineHandle`s into the background drain service (4 shards,
 //!   machine-sized drain workers, bounded queues under `Block`). This
 //!   measures the concurrent ingestion path end to end: blocking sends,
-//!   per-shard MPSC channels, drain workers parking/unparking.
+//!   per-shard MPSC channels, drain workers parking/unparking. The fleet
+//!   benchmark (`benchmark/`) drives one producer; this sweep is the
+//!   multi-producer cover it does not have.
 //!
 //! Workload: a 10-job Google-style fleet (~100–140 tasks each, 12
 //! checkpoints) lowered to streaming `TaskEvent`s — jobs admitted
@@ -25,34 +23,28 @@
 //! machine's cores — on a single-core container every variant measures
 //! roughly the sequential cost plus scheduling overhead.
 //!
-//! A correctness line (macro-F1, flags, events/sec at 1 shard, plus the
-//! overload counters, which must be zero for the unbounded config) is
-//! printed before timing so a silently broken engine can't post good
-//! numbers; the producers variant additionally asserts zero lost events
-//! under `Block`.
+//! A correctness line (macro-F1, flags, events/sec, overload counters)
+//! is printed before timing at every producer count, and zero lost
+//! events under `Block` is asserted, so a silently broken engine can't
+//! post good numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::TaskEvent;
-use nurd_runtime::ThreadPool;
 use nurd_serve::{
-    Engine, EngineConfig, EngineReport, EngineService, FsyncPolicy, OverloadPolicy,
-    PersistenceConfig, PredictorFactory, ServiceConfig,
+    EngineConfig, EngineReport, EngineService, FsyncPolicy, OverloadPolicy, PersistenceConfig,
+    PredictorFactory, ServiceConfig,
 };
 use nurd_trace::{SuiteConfig, TraceStyle};
 
 const JOBS: usize = 10;
-const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const PRODUCER_SWEEP: [usize; 3] = [1, 2, 4];
-/// Shards for the producer sweep (the shard sweep's sweet spot).
+/// Shards for the producer sweep.
 const SERVICE_SHARDS: usize = 4;
 /// Bounded ingress for the producer sweep: small enough that the burst
 /// saturates it, so blocking sends are part of what is measured.
 const SERVICE_QUEUE: usize = 1024;
-/// Arrival spread (in stream-clock units) — wide enough that early jobs
-/// finalize while late ones are still arriving.
-const ARRIVAL_SPREAD: f64 = 600.0;
 
 fn fleet_jobs() -> Vec<nurd_data::JobTrace> {
     let cfg = SuiteConfig::new(TraceStyle::Google)
@@ -61,10 +53,6 @@ fn fleet_jobs() -> Vec<nurd_data::JobTrace> {
         .with_checkpoints(12)
         .with_seed(0x5E8E);
     nurd_trace::generate_suite(&cfg)
-}
-
-fn fleet() -> Vec<TaskEvent> {
-    nurd_trace::staggered_fleet_events(&fleet_jobs(), 0.9, ARRIVAL_SPREAD, 0x5E8E)
 }
 
 /// The producer partition: jobs split round-robin, each producer's
@@ -79,19 +67,6 @@ fn factory() -> PredictorFactory {
             RefitPolicy::Warm(WarmRefitConfig::default()),
         )))
     })
-}
-
-fn run_fleet(events: &[TaskEvent], shards: usize, pool: &ThreadPool) -> EngineReport {
-    let engine = Engine::new(
-        EngineConfig {
-            shards,
-            warmup_fraction: 0.04,
-            ..EngineConfig::default()
-        },
-        factory(),
-    );
-    engine.push_all_sync(events.iter().cloned());
-    engine.finish(pool)
 }
 
 fn run_service(streams: &[Vec<TaskEvent>]) -> EngineReport {
@@ -121,59 +96,36 @@ fn run_service(streams: &[Vec<TaskEvent>]) -> EngineReport {
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {
-    let events = fleet();
-
-    // Correctness guardrail printed next to the timings.
-    let reference_pool = ThreadPool::new(1);
-    let start = std::time::Instant::now();
-    let report = run_fleet(&events, 1, &reference_pool);
-    let elapsed = start.elapsed().as_secs_f64();
-    let flagged: usize = report
-        .jobs
-        .iter()
-        .map(|r| r.outcome.flagged_at.iter().flatten().count())
-        .sum();
-    eprintln!(
-        "serve_throughput workload: {} jobs (mid-stream admission), {} events, macro-F1 {:.3}, \
-         {} tasks flagged, {:.0} events/s at 1 shard, overload {:?}",
-        report.jobs.len(),
-        report.events,
-        report.macro_f1(),
-        flagged,
-        report.events as f64 / elapsed,
-        report.overload,
-    );
-    assert_eq!(
-        report.jobs.len(),
-        JOBS,
-        "streaming admission lost jobs — bench would be vacuous"
-    );
-    assert!(
-        flagged > 0,
-        "engine flagged nothing — bench would be vacuous"
-    );
-    assert_eq!(
-        report.overload.lost_events(),
-        0,
-        "unbounded config must not lose events"
-    );
-
     let mut group = c.benchmark_group("serve_throughput");
     group.sample_size(10);
-    for shards in SHARD_SWEEP {
-        let pool = ThreadPool::new(shards);
-        group.bench_function(BenchmarkId::new("shards", shards), |b| {
-            b.iter(|| run_fleet(&events, shards, &pool));
-        });
-    }
-
-    // Service mode: N producer threads vs the background drain loop.
     for producers in PRODUCER_SWEEP {
         let streams = producer_streams(producers);
         // One unmeasured run to assert the mode is healthy at this
-        // producer count (zero losses, every job reported).
+        // producer count (zero losses, every job reported, tasks flag),
+        // printed next to the timings.
+        let start = std::time::Instant::now();
         let check = run_service(&streams);
+        let elapsed = start.elapsed().as_secs_f64();
+        let flagged: usize = check
+            .jobs
+            .iter()
+            .map(|r| r.outcome.flagged_at.iter().flatten().count())
+            .sum();
+        eprintln!(
+            "serve_throughput workload, {producers} producers: {} jobs (mid-stream admission), \
+             {} events, macro-F1 {:.3}, {} tasks flagged, {:.0} events/s, overload {:?}",
+            check.jobs.len(),
+            check.events,
+            check.macro_f1(),
+            flagged,
+            check.events as f64 / elapsed,
+            check.overload,
+        );
         assert_eq!(check.jobs.len(), JOBS, "service mode lost jobs");
+        assert!(
+            flagged > 0,
+            "engine flagged nothing — bench would be vacuous"
+        );
         assert_eq!(check.overload.lost_events(), 0, "Block lost events");
         group.bench_function(BenchmarkId::new("producers", producers), |b| {
             b.iter(|| run_service(&streams));

@@ -28,26 +28,12 @@ pub struct NurdConfig {
     /// (the paper's protocol) or warm-started from the previous
     /// checkpoint's ensemble and bin layout. See [`RefitPolicy`].
     pub refit_policy: RefitPolicy,
-    /// Score running tasks through the flattened structure-of-arrays
-    /// ensemble ([`nurd_ml::FlatForest`], rebuilt once per refit) instead
-    /// of walking the pointer trees per task. The two paths are
-    /// **bit-identical** (property-tested), so this knob trades nothing
-    /// but wall-clock time; it exists so benches can isolate the layout's
-    /// effect. Default `true`.
-    pub flat_scoring: bool,
     /// Rows the flat scoring kernels walk per tree step (one of
     /// [`nurd_ml::SUPPORTED_LANES`]; see [`nurd_ml::FlatForest::set_lanes`]).
     /// Wider = more independent walk chains in flight per core; scores are
     /// **bit-identical** at every width. Default
     /// [`nurd_ml::DEFAULT_LANES`].
     pub scoring_lanes: usize,
-    /// Minimum running-set size before a barrier's score batch is split
-    /// into lane-aligned chunks and fanned onto the shared thread pool —
-    /// only when the engine has granted this predictor within-job
-    /// parallelism (`set_parallelism`, `gbt.tree.n_threads > 1`). Below
-    /// it, chunking overhead beats the win. Scores stay **bit-identical**
-    /// at any thread count. Default 64.
-    pub parallel_score_min: usize,
 }
 
 /// How the latency head is refit at each checkpoint.
@@ -151,9 +137,7 @@ impl Default for NurdConfig {
             },
             refit_every: 1,
             refit_policy: RefitPolicy::AlwaysCold,
-            flat_scoring: true,
             scoring_lanes: nurd_ml::DEFAULT_LANES,
-            parallel_score_min: 64,
         }
     }
 }
@@ -225,15 +209,6 @@ impl NurdConfig {
         self
     }
 
-    /// Enables or disables flat-layout scoring (see
-    /// [`NurdConfig::flat_scoring`]); predictions are bit-identical either
-    /// way.
-    #[must_use]
-    pub fn with_flat_scoring(mut self, flat: bool) -> Self {
-        self.flat_scoring = flat;
-        self
-    }
-
     /// Sets the lane width of the flat scoring kernels (see
     /// [`NurdConfig::scoring_lanes`]); predictions are bit-identical at
     /// every width.
@@ -251,21 +226,6 @@ impl NurdConfig {
         self.scoring_lanes = lanes;
         self
     }
-
-    /// Sets the minimum batch size for pool-parallel barrier scoring
-    /// (see [`NurdConfig::parallel_score_min`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min` is zero (use a large value, not 0, to effectively
-    /// disable splitting — 0 would claim "always split", including
-    /// empty batches).
-    #[must_use]
-    pub fn with_parallel_score_min(mut self, min: usize) -> Self {
-        assert!(min > 0, "parallel_score_min must be >= 1");
-        self.parallel_score_min = min;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +241,6 @@ mod tests {
         assert_eq!(cfg.refit_every, 1);
         assert_eq!(cfg.refit_policy, RefitPolicy::AlwaysCold);
         assert_eq!(cfg.scoring_lanes, nurd_ml::DEFAULT_LANES);
-        assert_eq!(cfg.parallel_score_min, 64);
     }
 
     #[test]
@@ -300,12 +259,6 @@ mod tests {
     #[should_panic(expected = "scoring_lanes must be one of")]
     fn scoring_lanes_validated() {
         let _ = NurdConfig::default().with_scoring_lanes(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel_score_min must be >= 1")]
-    fn parallel_score_min_validated() {
-        let _ = NurdConfig::default().with_parallel_score_min(0);
     }
 
     #[test]

@@ -35,6 +35,14 @@
 //! `nurd-baselines` reuse the same state machine. See `ARCHITECTURE.md`
 //! (repo root) for the full data-flow picture.
 //!
+//! # Scoring
+//!
+//! Each refit flattens `h_t` into a [`nurd_ml::FlatForest`] and every
+//! running task is scored through it — the only scoring path.
+//! [`NurdPredictor::latency_model`] exposes the fitted head read-only, so
+//! tests can hold the served [`AdjustedPrediction::raw`] to its pointer
+//! walk ([`nurd_ml::GradientBoosting::predict_view`]) bit for bit.
+//!
 //! # Example
 //!
 //! ```

@@ -7,6 +7,12 @@ use nurd_ml::{FlatForest, GradientBoosting, LogisticRegression, SquaredLoss};
 use crate::refit::WarmRefitState;
 use crate::{calibration, weighting, NurdConfig, RefitPolicy, RefitStats};
 
+/// Minimum running-set size before a barrier's score batch is split into
+/// lane-aligned chunks and fanned onto the shared thread pool (only when
+/// the engine has granted within-job parallelism). Below it, chunking
+/// overhead beats the win.
+const PARALLEL_SCORE_MIN: usize = 64;
+
 /// Per-task diagnostic record produced by [`NurdPredictor::score_running`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdjustedPrediction {
@@ -40,14 +46,6 @@ pub struct NurdPredictor {
     propensity_model: Option<LogisticRegression>,
     checkpoints_seen: usize,
     fit_failures: usize,
-    /// Batches scored through the flattened SoA kernel (diagnostic; lets
-    /// smoke gates assert the hot path was actually exercised).
-    flat_batches: usize,
-    /// Lane groups harvested from flat copies already torn down (each
-    /// refit rebuilds `flat`, so the live forest's counter alone would
-    /// forget every pre-refit group). [`NurdPredictor::lane_chunks`]
-    /// reports this plus the live forest's count.
-    lane_chunks: usize,
     name: &'static str,
     /// Scratch buffers refilled in place at every checkpoint so the
     /// per-checkpoint refit allocates nothing beyond first use: the
@@ -63,7 +61,7 @@ pub struct NurdPredictor {
     /// Flattened structure-of-arrays copy of the current latency head
     /// (see [`FlatForest`]): *derived* state, rebuilt after every refit
     /// and lazily after a restore — never serialized. `None` until the
-    /// first fit or when [`crate::NurdConfig::flat_scoring`] is off.
+    /// first fit.
     flat: Option<FlatForest>,
     /// Cross-checkpoint state for warm [`RefitPolicy`] variants: the
     /// absorbed finished set, its quantization, and the latency model it
@@ -94,8 +92,6 @@ impl NurdPredictor {
             propensity_model: None,
             checkpoints_seen: 0,
             fit_failures: 0,
-            flat_batches: 0,
-            lane_chunks: 0,
             name,
             scratch_x_all: FeatureMatrix::new(),
             scratch_labels: Vec::new(),
@@ -121,38 +117,24 @@ impl NurdPredictor {
         self.fit_failures
     }
 
-    /// Number of running-set batches scored through the flattened
-    /// structure-of-arrays kernel so far ([`crate::NurdConfig::flat_scoring`]);
-    /// stays zero on the pointer-tree path. Diagnostic only — smoke gates
-    /// use it to assert the hot path is actually exercised.
-    #[must_use]
-    pub fn flat_batches(&self) -> usize {
-        self.flat_batches
-    }
-
-    /// Number of full lane groups the multi-lane scoring kernels have
-    /// processed for this job so far (across every flat rebuild); stays
-    /// zero with `scoring_lanes == 1`, on the pointer-tree path, and for
-    /// batches narrower than the lane width. Diagnostic only — the
-    /// lane-width twin of [`NurdPredictor::flat_batches`], used by smoke
-    /// gates to assert the lane kernels actually ran.
-    #[must_use]
-    pub fn lane_chunks(&self) -> usize {
-        self.lane_chunks + self.flat.as_ref().map_or(0, FlatForest::lane_chunks)
-    }
-
-    /// Folds the live flat copy's lane-group count into the harvested
-    /// total; must be called before any `self.flat = None` teardown so
-    /// [`NurdPredictor::lane_chunks`] never moves backwards.
-    fn harvest_lane_chunks(&mut self) {
-        self.lane_chunks += self.flat.as_ref().map_or(0, FlatForest::lane_chunks);
-    }
-
     /// Warm/cold refit counters for the current job; all-zero under
     /// [`RefitPolicy::AlwaysCold`], whose refits bypass the warm state.
     #[must_use]
     pub fn refit_stats(&self) -> RefitStats {
         self.warm.stats()
+    }
+
+    /// The current latency head `h_t` (wherever the refit policy keeps
+    /// it); `None` before the first successful fit. Scoring runs on a
+    /// flattened copy of this model — its pointer walk,
+    /// [`GradientBoosting::predict_view`], is the reference the
+    /// differential tests hold [`AdjustedPrediction::raw`] against.
+    #[must_use]
+    pub fn latency_model(&self) -> Option<&GradientBoosting<SquaredLoss>> {
+        match self.config.refit_policy {
+            RefitPolicy::AlwaysCold => self.latency_model.as_ref(),
+            _ => self.warm.model(),
+        }
     }
 
     /// Scores every running task at this checkpoint, returning the full
@@ -177,19 +159,14 @@ impl NurdPredictor {
 
         // Refit h_t and g_t (line 11). `refit_every` > 1 reuses stale models
         // between refits, an ablation knob beyond the paper.
-        let have_latency_model = match self.config.refit_policy {
-            RefitPolicy::AlwaysCold => self.latency_model.is_some(),
-            _ => self.warm.model().is_some(),
-        };
         let refit = self
             .checkpoints_seen
             .is_multiple_of(self.config.refit_every.max(1))
-            || !have_latency_model;
+            || self.latency_model().is_none();
         self.checkpoints_seen += 1;
         if refit {
             // Invalidated up front so an early return on a failed fit can
             // never leave the flat cache pointing at a superseded ensemble.
-            self.harvest_lane_chunks();
             self.flat = None;
             match &self.config.refit_policy {
                 // The historical from-scratch path, kept byte-identical:
@@ -258,31 +235,17 @@ impl NurdPredictor {
         // Keep the flattened inference copy in sync: rebuilt after every
         // refit and lazily after a restore (the flat layout is derived
         // state, never serialized or snapshotted).
-        if self.config.flat_scoring {
-            if refit || self.flat.is_none() {
-                let model = match self.config.refit_policy {
-                    RefitPolicy::AlwaysCold => self.latency_model.as_ref(),
-                    _ => self.warm.model(),
-                };
-                let lanes = self.config.scoring_lanes;
-                self.flat = model.map(|m| m.flatten().with_lanes(lanes));
-            }
-        } else {
-            self.harvest_lane_chunks();
-            self.flat = None;
+        if self.flat.is_none() {
+            let lanes = self.config.scoring_lanes;
+            self.flat = self.latency_model().map(|m| m.flatten().with_lanes(lanes));
         }
-        let h = match self.config.refit_policy {
-            RefitPolicy::AlwaysCold => self.latency_model.as_ref(),
-            _ => self.warm.model(),
-        };
-        let (Some(h), Some(g)) = (h, &self.propensity_model) else {
+        let (Some(flat), Some(g)) = (&self.flat, &self.propensity_model) else {
             return Vec::new();
         };
 
         // Batch scoring over the zero-copy running-task view: one
         // structure-of-arrays pass per model into reused scratch, so the
-        // steady state allocates nothing here. The pointer-tree path stays
-        // selectable (`flat_scoring = false`) and is bit-identical.
+        // steady state allocates nothing here.
         //
         // When the engine has granted this job within-job parallelism
         // (`set_parallelism` → `gbt.tree.n_threads`, the same plumbing
@@ -291,26 +254,16 @@ impl NurdPredictor {
         // lane-aligned chunks scored concurrently on the shared pool —
         // still bit-identical (disjoint output slices, per-row
         // accumulation untouched; see `predict_view_into_pooled`).
-        match &self.flat {
-            Some(flat) => {
-                let threads = self.config.gbt.tree.n_threads;
-                if threads > 1 && x_run.len() >= self.config.parallel_score_min {
-                    flat.predict_view_into_pooled(
-                        MatrixView::RowSlices(&x_run),
-                        nurd_runtime::global(),
-                        threads,
-                        &mut self.scratch_raw,
-                    );
-                } else {
-                    flat.predict_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_raw);
-                }
-                self.flat_batches += 1;
-            }
-            None => {
-                self.scratch_raw.clear();
-                self.scratch_raw
-                    .extend(h.predict_view(MatrixView::RowSlices(&x_run)));
-            }
+        let threads = self.config.gbt.tree.n_threads;
+        if threads > 1 && x_run.len() >= PARALLEL_SCORE_MIN {
+            flat.predict_view_into_pooled(
+                MatrixView::RowSlices(&x_run),
+                nurd_runtime::global(),
+                threads,
+                &mut self.scratch_raw,
+            );
+        } else {
+            flat.predict_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_raw);
         }
         g.predict_proba_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_prop);
         checkpoint
@@ -347,19 +300,16 @@ impl OnlinePredictor for NurdPredictor {
         self.propensity_model = None;
         self.checkpoints_seen = 0;
         self.fit_failures = 0;
-        self.flat_batches = 0;
-        self.lane_chunks = 0;
         self.flat = None;
         self.warm.reset();
     }
 
     /// Routes the serving engine's hint to [`nurd_ml::TreeConfig::n_threads`],
     /// which fans the latency head's quantization and histogram fills onto
-    /// the shared pool — and, for barriers whose running set reaches
-    /// [`NurdConfig::parallel_score_min`], splits the flat scoring batch
-    /// into lane-aligned chunks scored on the same pool. Both are
-    /// bit-identical at every thread count, so honoring the hint can
-    /// never change a prediction.
+    /// the shared pool — and, for barriers with at least 64 running
+    /// tasks, splits the flat scoring batch into lane-aligned chunks
+    /// scored on the same pool. Both are bit-identical at every thread
+    /// count, so honoring the hint can never change a prediction.
     fn set_parallelism(&mut self, threads: usize) {
         self.config.gbt.tree.n_threads = threads;
     }
@@ -447,11 +397,7 @@ impl OnlinePredictor for NurdPredictor {
         self.checkpoints_seen = checkpoints_seen;
         self.fit_failures = fit_failures;
         self.warm = warm;
-        // Derived from the restored model at the next scoring pass. Like
-        // `flat_batches`, the lane counter is diagnostic local state, not
-        // part of the snapshot — but the groups this process already ran
-        // are still harvested so the counter never moves backwards.
-        self.harvest_lane_chunks();
+        // Derived from the restored model at the next scoring pass.
         self.flat = None;
         true
     }

@@ -36,7 +36,6 @@
 //! workspace-level `hot_path_equivalence` suite.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nurd_linalg::MatrixView;
 use nurd_runtime::ThreadPool;
@@ -59,7 +58,7 @@ pub const SUPPORTED_LANES: [usize; 4] = [1, 2, 4, 8];
 /// [`FlatForest::from_trees`] for raw trees), rebuild it whenever the
 /// source ensemble is refit, and score batches through
 /// [`FlatForest::predict_binned_batch`] / [`FlatForest::predict_view_into`].
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct FlatForest {
     /// Split feature per node (`0` at leaves — never routed on, but kept a
     /// valid index so the fixed-depth walk's loads stay in bounds).
@@ -88,55 +87,9 @@ pub struct FlatForest {
     /// `0` stored at leaves — indexes below this.
     min_width: u32,
     /// Rows the batch kernels walk per tree step (one of
-    /// [`SUPPORTED_LANES`]; see [`FlatForest::set_lanes`]).
+    /// [`SUPPORTED_LANES`]; see [`FlatForest::set_lanes`]). The derived
+    /// `Default`'s `0` walks one row per step, like `1`.
     lanes: u32,
-    /// Full lane groups processed by the multi-lane kernels — the
-    /// counter CI gates observe to prove the lane path actually ran
-    /// (the lane-width twin of `NurdPredictor::flat_batches`). Atomic so
-    /// pool-parallel scoring can share one forest across threads; the
-    /// value is exact (every group is counted once), only its
-    /// observation point races.
-    lane_chunks: AtomicUsize,
-}
-
-impl Default for FlatForest {
-    fn default() -> Self {
-        FlatForest {
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            split_bin: Vec::new(),
-            children: Vec::new(),
-            value: Vec::new(),
-            roots: Vec::new(),
-            depths: Vec::new(),
-            base_score: 0.0,
-            learning_rate: 0.0,
-            binned_capable: false,
-            min_width: 0,
-            lanes: DEFAULT_LANES as u32,
-            lane_chunks: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl Clone for FlatForest {
-    fn clone(&self) -> Self {
-        FlatForest {
-            feature: self.feature.clone(),
-            threshold: self.threshold.clone(),
-            split_bin: self.split_bin.clone(),
-            children: self.children.clone(),
-            value: self.value.clone(),
-            roots: self.roots.clone(),
-            depths: self.depths.clone(),
-            base_score: self.base_score,
-            learning_rate: self.learning_rate,
-            binned_capable: self.binned_capable,
-            min_width: self.min_width,
-            lanes: self.lanes,
-            lane_chunks: AtomicUsize::new(self.lane_chunks.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl FlatForest {
@@ -149,6 +102,7 @@ impl FlatForest {
             base_score,
             learning_rate,
             binned_capable: true,
+            lanes: DEFAULT_LANES as u32,
             ..FlatForest::default()
         }
     }
@@ -282,15 +236,6 @@ impl FlatForest {
         self
     }
 
-    /// How many full lane groups the multi-lane kernels have processed
-    /// (0 whenever `lanes == 1` or every batch was narrower than the
-    /// lane width) — the observable CI gates use to prove the lane path
-    /// ran.
-    #[must_use]
-    pub fn lane_chunks(&self) -> usize {
-        self.lane_chunks.load(Ordering::Relaxed)
-    }
-
     /// Ensemble score for a single raw-feature sample — bit-identical to
     /// the pointer path `base + lr · Σ_t tree_t.predict(x)`.
     ///
@@ -344,7 +289,7 @@ impl FlatForest {
     /// depend only on `(rows, max_chunks, lane width)` — never on
     /// scheduling — and each chunk writes its own disjoint output
     /// slice. Chunk sizes are rounded up to a lane multiple so only the
-    /// final chunk runs remainder rows through the scalar kernel.
+    /// final chunk has remainder rows.
     ///
     /// Falls back to the sequential path on a single-thread pool, with
     /// `max_chunks <= 1`, when the batch is smaller than one chunk, or
@@ -488,9 +433,8 @@ impl FlatForest {
     }
 
     /// Raw-feature batch walker: dispatches to the lane kernel compiled
-    /// for this forest's lane width (remainder rows and `lanes == 1`
-    /// take the scalar kernel). The per-row accumulation order is the
-    /// same on every path, so the choice is invisible in the output.
+    /// for this forest's lane width. The per-row accumulation order is
+    /// the same at every width, so the choice is invisible in the output.
     fn accumulate_rows<'a>(
         &self,
         row: impl Fn(usize) -> &'a [f64],
@@ -498,25 +442,32 @@ impl FlatForest {
         scores: &mut [f64],
     ) {
         match self.lanes {
-            8 => self.accumulate_rows_lanes::<8>(&row, scale, scores),
-            4 => self.accumulate_rows_lanes::<4>(&row, scale, scores),
-            2 => self.accumulate_rows_lanes::<2>(&row, scale, scores),
-            _ => self.accumulate_rows_scalar(&row, scale, scores),
+            8 => self.accumulate_rows_lanes::<8>(&row, 0, scale, scores),
+            4 => self.accumulate_rows_lanes::<4>(&row, 0, scale, scores),
+            2 => self.accumulate_rows_lanes::<2>(&row, 0, scale, scores),
+            _ => self.accumulate_rows_lanes::<1>(&row, 0, scale, scores),
         }
     }
 
-    /// Multi-row interleaved raw-feature walker: full groups of `L`
+    /// Multi-row interleaved raw-feature walker over rows
+    /// `first_row .. first_row + scores.len()`: full groups of `L`
     /// consecutive rows descend every tree *together*, one step per row
     /// per iteration, as `L` independent dependency chains
     /// (`[usize; L]` cursors) the CPU can overlap — the walk is latency-
     /// bound on dependent loads, so interleaving is where the speedup
-    /// comes from. Each lane keeps its own `f64` accumulator and adds
-    /// leaf values in ensemble order, exactly like the scalar kernel, so
-    /// outputs are **bit-identical** at every lane width. The trailing
-    /// `scores.len() % L` rows run through the scalar kernel.
+    /// comes from. Each lane keeps its own `f64` accumulator in a
+    /// register across the whole ensemble and adds leaf values in
+    /// ensemble order (one score store per row, not one read-modify-write
+    /// per tree), so outputs are **bit-identical** at every lane width.
+    /// The trailing `scores.len() % L` rows re-enter at `L = 1`, where
+    /// the lane arrays collapse to the plain one-row walk. The row-fetch
+    /// closure is monomorphized per view variant; `first_row` is an
+    /// explicit offset because wrapping the closure for the remainder
+    /// call would nest closure types without bound.
     fn accumulate_rows_lanes<'a, const L: usize>(
         &self,
         row: &impl Fn(usize) -> &'a [f64],
+        first_row: usize,
         scale: f64,
         scores: &mut [f64],
     ) {
@@ -559,12 +510,12 @@ impl FlatForest {
         let full = scores.len() / L;
         for g in 0..full {
             let base = g * L;
-            let feats: [&[f64]; L] = std::array::from_fn(|l| row(base + l));
+            let feats: [&[f64]; L] = std::array::from_fn(|l| row(first_row + base + l));
             for (l, f) in feats.iter().enumerate() {
                 assert!(
                     f.len() >= min_width,
                     "row {} is narrower ({}) than the forest's split features ({min_width})",
-                    base + l,
+                    first_row + base + l,
                     f.len()
                 );
             }
@@ -572,6 +523,8 @@ impl FlatForest {
             for (t, &root) in self.roots.iter().enumerate() {
                 let mut idx = [root as usize; L];
                 let depth = self.depths[t] as usize;
+                // The depth match makes the common shallow walks fully
+                // unrolled fixed-trip sequences.
                 // SAFETY: row widths were checked against `min_width`
                 // above; `root`/`depth` come from this forest's tables.
                 unsafe {
@@ -585,93 +538,16 @@ impl FlatForest {
                     }
                 }
                 // Per lane: one addition per tree, ensemble order — the
-                // identical FP sequence the scalar kernel performs.
+                // identical FP sequence at every lane width.
                 for l in 0..L {
                     acc[l] += scale * value[idx[l]];
                 }
             }
             scores[base..base + L].copy_from_slice(&acc);
         }
-        if full > 0 {
-            self.lane_chunks.fetch_add(full, Ordering::Relaxed);
-        }
         let done = full * L;
         if done < scores.len() {
-            self.accumulate_rows_scalar(&|i| row(done + i), scale, &mut scores[done..]);
-        }
-    }
-
-    /// Single-row (scalar) raw-feature walker — the `lanes == 1` kernel
-    /// and the remainder path of the lane kernels. The row-fetch closure
-    /// is monomorphized per view variant, so the inner loop is pure
-    /// indexed loads plus one branchless select per step. The walk is
-    /// dispatched on the tree's depth so the common shallow depths get a
-    /// fully unrolled step sequence.
-    fn accumulate_rows_scalar<'a>(
-        &self,
-        row: &impl Fn(usize) -> &'a [f64],
-        scale: f64,
-        scores: &mut [f64],
-    ) {
-        /// One fixed-depth descent, no per-step bounds checks.
-        ///
-        /// # Safety
-        ///
-        /// `features.len() >= forest.min_width`, and `root` must be one of
-        /// `forest.roots` (then every step stays on indices `push_tree`
-        /// wrote: `children` entries and roots are valid node indices, and
-        /// every reachable node's `feature` — `0` at self-looping leaves —
-        /// is below `min_width`).
-        #[inline(always)]
-        unsafe fn walk(forest: &FlatForest, features: &[f64], root: usize, depth: usize) -> usize {
-            let mut idx = root;
-            for _ in 0..depth {
-                // SAFETY: the caller's contract above.
-                unsafe {
-                    let x = *features.get_unchecked(*forest.feature.get_unchecked(idx) as usize);
-                    let go_left = x <= *forest.threshold.get_unchecked(idx);
-                    idx = *forest
-                        .children
-                        .get_unchecked(2 * idx + 1 - usize::from(go_left))
-                        as usize;
-                }
-            }
-            idx
-        }
-        let min_width = self.min_width as usize;
-        let value = self.value.as_slice();
-        // Row-outer: the row slice and the running sum live in registers
-        // across the whole ensemble (one score store per row instead of
-        // one read-modify-write per tree), and the per-row tree walks are
-        // independent load chains the CPU overlaps. The addition sequence
-        // per score element is unchanged from tree-outer (tree order), so
-        // the result is bit-identical. The depth match makes the common
-        // shallow walks fully unrolled fixed-trip sequences.
-        for (i, s) in scores.iter_mut().enumerate() {
-            let features = row(i);
-            assert!(
-                features.len() >= min_width,
-                "row {i} is narrower ({}) than the forest's split features ({min_width})",
-                features.len()
-            );
-            let mut acc = *s;
-            for (t, &root) in self.roots.iter().enumerate() {
-                let root = root as usize;
-                // SAFETY: the row width was checked against `min_width`
-                // above; `root`/`depth` come from this forest's tables.
-                let idx = unsafe {
-                    match self.depths[t] as usize {
-                        0 => root,
-                        1 => walk(self, features, root, 1),
-                        2 => walk(self, features, root, 2),
-                        3 => walk(self, features, root, 3),
-                        4 => walk(self, features, root, 4),
-                        d => walk(self, features, root, d),
-                    }
-                };
-                acc += scale * value[idx];
-            }
-            *s = acc;
+            self.accumulate_rows_lanes::<1>(row, first_row + done, scale, &mut scores[done..]);
         }
     }
 
@@ -713,22 +589,22 @@ impl FlatForest {
             "every bin-code column must span all {} rows",
             binned.rows()
         );
-        // Safety preconditions for both kernels below are established by
+        // Safety preconditions for the kernel below are established by
         // the asserts above: `cols.len() >= min_width`, every column
         // spans all rows, and `first_row + scores.len() <= rows`.
         match self.lanes {
             8 => self.accumulate_binned_lanes::<8>(&cols, first_row, scale, scores),
             4 => self.accumulate_binned_lanes::<4>(&cols, first_row, scale, scores),
             2 => self.accumulate_binned_lanes::<2>(&cols, first_row, scale, scores),
-            _ => self.accumulate_binned_scalar(&cols, first_row, scale, scores),
+            _ => self.accumulate_binned_lanes::<1>(&cols, first_row, scale, scores),
         }
     }
 
     /// Multi-row interleaved binned walker: the bin-code twin of
     /// [`FlatForest::accumulate_rows_lanes`] — `L` consecutive rows
     /// descend each tree together as independent cursor chains, each
-    /// lane accumulating in ensemble order (bit-identical to the scalar
-    /// kernel), remainder rows falling back to it.
+    /// lane accumulating in ensemble order (bit-identical at every lane
+    /// width), remainder rows re-entering at `L = 1`.
     ///
     /// Caller (`accumulate_binned_from`) has already validated `cols`
     /// against `min_width` and the row range against the matrix.
@@ -798,86 +674,9 @@ impl FlatForest {
             }
             scores[base..base + L].copy_from_slice(&acc);
         }
-        if full > 0 {
-            self.lane_chunks.fetch_add(full, Ordering::Relaxed);
-        }
         let done = full * L;
         if done < scores.len() {
-            self.accumulate_binned_scalar(cols, first_row + done, scale, &mut scores[done..]);
-        }
-    }
-
-    /// Single-row binned walker — the `lanes == 1` kernel and the
-    /// remainder path of [`FlatForest::accumulate_binned_lanes`].
-    ///
-    /// Caller (`accumulate_binned_from`) has already validated `cols`
-    /// against `min_width` and the row range against the matrix.
-    fn accumulate_binned_scalar(
-        &self,
-        cols: &[&[u8]],
-        first_row: usize,
-        scale: f64,
-        scores: &mut [f64],
-    ) {
-        /// One fixed-depth descent, no per-step bounds checks.
-        ///
-        /// # Safety
-        ///
-        /// `cols.len() >= forest.min_width` with every column at least
-        /// `row + 1` long, and `root` must be one of `forest.roots` (then
-        /// every step stays on indices `push_tree` wrote: `children`
-        /// entries and roots are valid node indices, and every reachable
-        /// node's `feature` — `0` at self-looping leaves — is below
-        /// `min_width`).
-        #[inline(always)]
-        unsafe fn walk(
-            forest: &FlatForest,
-            cols: &[&[u8]],
-            row: usize,
-            root: usize,
-            depth: usize,
-        ) -> usize {
-            let mut idx = root;
-            for _ in 0..depth {
-                // SAFETY: the caller's contract above.
-                unsafe {
-                    let code = *cols
-                        .get_unchecked(*forest.feature.get_unchecked(idx) as usize)
-                        .get_unchecked(row);
-                    let go_right = code > *forest.split_bin.get_unchecked(idx);
-                    idx = *forest
-                        .children
-                        .get_unchecked(2 * idx + usize::from(go_right))
-                        as usize;
-                }
-            }
-            idx
-        }
-        let value = self.value.as_slice();
-        // Row-outer with a register accumulator, same shape (and the same
-        // bit-identity argument) as the raw-feature walker above.
-        for (j, s) in scores.iter_mut().enumerate() {
-            let row = first_row + j;
-            let mut acc = *s;
-            for (t, &root) in self.roots.iter().enumerate() {
-                let root = root as usize;
-                // SAFETY: the matrix width was checked against `min_width`
-                // and every column's length against `binned.rows()` by the
-                // caller (`row < binned.rows()` by its range assert);
-                // `root` and `depth` come from this forest's tables.
-                let idx = unsafe {
-                    match self.depths[t] as usize {
-                        0 => root,
-                        1 => walk(self, cols, row, root, 1),
-                        2 => walk(self, cols, row, root, 2),
-                        3 => walk(self, cols, row, root, 3),
-                        4 => walk(self, cols, row, root, 4),
-                        d => walk(self, cols, row, root, d),
-                    }
-                };
-                acc += scale * value[idx];
-            }
-            *s = acc;
+            self.accumulate_binned_lanes::<1>(cols, first_row + done, scale, &mut scores[done..]);
         }
     }
 }
@@ -926,9 +725,9 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_are_bit_identical_and_counter_observable() {
+    fn lane_widths_are_bit_identical() {
         // 37 rows: indivisible by every lane width, so each kernel runs
-        // full groups *and* a scalar remainder.
+        // full groups *and* a one-row remainder.
         let x = rows(37, 3, 23);
         let y = targets(&x);
         let cfg = GbtConfig {
@@ -940,7 +739,7 @@ mod tests {
         let scalar = model.flatten().with_lanes(1);
         let raw1 = scalar.predict_view(MatrixView::Rows(&x));
         let bin1 = scalar.predict_binned_batch(&binned, 0..x.len());
-        assert_eq!(scalar.lane_chunks(), 0, "lanes == 1 never counts groups");
+        assert_eq!(raw1, model.predict_view(MatrixView::Rows(&x)));
         for lanes in [2usize, 4, 8] {
             let flat = model.flatten().with_lanes(lanes);
             assert_eq!(flat.lanes(), lanes);
@@ -954,15 +753,13 @@ mod tests {
                 bin1,
                 "binned kernel at {lanes} lanes"
             );
-            // One full-group count per kernel invocation (raw + binned).
-            assert_eq!(flat.lane_chunks(), 2 * (x.len() / lanes));
         }
     }
 
     #[test]
     fn lane_kernels_handle_tiny_batches() {
         // Batches narrower than the lane width must run entirely on the
-        // scalar remainder path, bit-identically.
+        // one-row remainder path, bit-identically.
         let x = rows(20, 2, 29);
         let y = targets(&x);
         let cfg = GbtConfig {
@@ -979,7 +776,6 @@ mod tests {
                 "batch of {n} rows"
             );
         }
-        assert_eq!(flat.lane_chunks(), 0, "no full group ever formed");
     }
 
     #[test]

@@ -63,8 +63,12 @@
 //! node layout with self-looping leaves walked a fixed number of steps per
 //! row, **bit-identical** to the pointer-tree paths (property-tested).
 //! Every boosting round's score update and every warm-start replay run
-//! through its batch kernels, and `nurd-core` scores whole barriers with
-//! one [`FlatForest::predict_binned_batch`]-style pass per model.
+//! through its batch kernels, and `nurd-core` scores whole barriers only
+//! through [`FlatForest::predict_view_into`] — the pointer walk
+//! ([`GradientBoosting::predict_view`]) is kept as the reference the
+//! differential tests compare against, not as a serving path. One
+//! const-generic kernel per input kind (raw rows, bin codes) serves every
+//! lane width, `L = 1` included.
 //!
 //! # Example
 //!

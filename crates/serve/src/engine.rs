@@ -9,9 +9,9 @@
 //!   plus the [`nurd_runtime::Notifier`] idle drain workers park on.
 //! * [`EngineHandle`] — cloneable, `Send + Sync` producer handle;
 //!   [`EngineHandle::push`] takes `&self` and is safe from any thread.
-//! * [`Engine`] — the single-threaded compatibility shim over the same
-//!   core (caller-driven [`Engine::drain_sync`] instead of a background
-//!   service). New code should prefer [`EngineService`](crate::EngineService).
+//! * [`Engine`] — the same core with a caller-driven
+//!   [`Engine::drain_sync`] instead of a background service, for tests
+//!   that must pick the drain points themselves.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -50,8 +50,8 @@ pub type MitigatorFactory = Box<dyn Fn(&JobSpec) -> Box<dyn MitigationPolicy + S
 /// shard's *oversized* jobs (≥ [`BalanceConfig::min_tasks`] tasks)
 /// within-job parallelism via [`OnlinePredictor::set_parallelism`] —
 /// fanning their model refits **and their barrier score batches** (once
-/// the running set reaches the predictor's `parallel_score_min`, split
-/// into lane-aligned chunks) across [`BalanceConfig::threads`] workers
+/// the running set is large enough for the predictor to split it into
+/// lane-aligned chunks) across [`BalanceConfig::threads`] workers
 /// of the shared [`nurd_runtime::global`] pool. This attacks the skew a
 /// shard count cannot: one giant job pins one shard (a job never spans
 /// shards — that is the determinism argument), so the only lever left is
@@ -1094,16 +1094,10 @@ impl EngineHandle {
     }
 }
 
-/// The single-threaded engine shim: the PR-4-era caller-driven API over
-/// the concurrent `EngineCore`. Prefer
-/// [`EngineService`](crate::EngineService) for new code — it runs the
-/// drain loop for you on background workers and gives every producer a
-/// blocking [`EngineHandle::push`]. This wrapper remains for call sites
-/// and tests written against the synchronous push → drain → observe
-/// cycle; the migration is mechanical (`push` → [`Engine::push_sync`],
-/// `drain` → [`Engine::drain_sync`]), and all state-observing methods
-/// ([`Engine::stats`], [`Engine::job_phase`], [`Engine::take_finalized`])
-/// are unchanged.
+/// The caller-driven engine: the same `EngineCore` as
+/// [`EngineService`](crate::EngineService), drained only when the caller
+/// says so — which is what lets a test count `ShedOldest`/`RejectNew`
+/// losses exactly.
 ///
 /// # Example
 ///
@@ -1232,24 +1226,6 @@ impl Engine {
     /// undrained; see [`EngineHandle::push`]).
     pub fn drain_sync(&self, pool: &ThreadPool) {
         self.core.drain_all(pool);
-    }
-
-    /// Deprecated alias of [`Engine::push_sync`].
-    #[deprecated(note = "use push_sync, or EngineService + EngineHandle::push for service mode")]
-    pub fn push(&mut self, event: TaskEvent) {
-        self.push_sync(event);
-    }
-
-    /// Deprecated alias of [`Engine::push_all_sync`].
-    #[deprecated(note = "use push_all_sync, or EngineService + EngineHandle for service mode")]
-    pub fn push_all(&mut self, events: impl IntoIterator<Item = TaskEvent>) {
-        self.push_all_sync(events);
-    }
-
-    /// Deprecated alias of [`Engine::drain_sync`].
-    #[deprecated(note = "use drain_sync, or EngineService's background drain loop")]
-    pub fn drain(&mut self, pool: &ThreadPool) {
-        self.drain_sync(pool);
     }
 
     /// Takes the reports of jobs finalized since the last take (job-id
@@ -1544,17 +1520,6 @@ mod tests {
         assert!(engine.take_finalized().is_empty(), "take drains");
         // finish() does not repeat a taken report.
         assert!(engine.finish(&pool).jobs.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_aliases_still_work() {
-        let pool = ThreadPool::new(1);
-        let mut engine = Engine::new(EngineConfig::default(), factory());
-        engine.push(TaskEvent::JobStart { spec: spec(1) });
-        engine.push_all(tiny_events(1));
-        engine.drain(&pool);
-        assert_eq!(engine.job_phase(1), Some(JobPhase::Finalized));
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl nurd_codec::Checkpointable for FinalizeReason {
     }
 }
 
-/// What [`Engine::push`](crate::Engine::push) does when the target
+/// What [`EngineHandle::push`](crate::EngineHandle::push) does when the target
 /// shard's ingress queue is at [`EngineConfig::queue_capacity`](crate::EngineConfig::queue_capacity).
 ///
 /// Only [`OverloadPolicy::Block`] preserves the engine's determinism

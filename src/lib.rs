@@ -64,6 +64,7 @@
 //! paper-vs-measured results.
 
 pub use nurd_baselines as baselines;
+pub use nurd_baselines::pu;
 pub use nurd_core as core;
 pub use nurd_data as data;
 pub use nurd_health as health;
@@ -71,7 +72,6 @@ pub use nurd_linalg as linalg;
 pub use nurd_mitigate as mitigate;
 pub use nurd_ml as ml;
 pub use nurd_outlier as outlier;
-pub use nurd_pu as pu;
 pub use nurd_runtime as runtime;
 pub use nurd_serve as serve;
 pub use nurd_sim as sim;

@@ -1,22 +1,42 @@
-//! Differential acceptance for the flattened scoring hot path: the
-//! structure-of-arrays batch kernels ([`nurd::ml::FlatForest`], pooled
-//! barrier scratch in the serving engine) must be **bit-identical** to
-//! the pointer-tree reference on every observable — per-task score
-//! breakdowns, sequential replay outcomes, and whole engine reports —
-//! across refit policies, shard counts, and the barrier edge cases
-//! (single-task jobs, all-flagged barriers, truncated streams).
+//! Differential acceptance for the scoring hot path. `nurd-core` scores
+//! only through the flattened structure-of-arrays kernels
+//! ([`nurd::ml::FlatForest`], pooled barrier scratch in the serving
+//! engine); these tests hold that one path to two fixed references:
+//!
+//! 1. the **pointer walk** of the predictor's own latency head
+//!    ([`NurdPredictor::latency_model`] →
+//!    [`nurd::ml::GradientBoosting::predict_view`]), which every
+//!    [`AdjustedPrediction::raw`] must equal bit for bit at every
+//!    checkpoint ([`PointerChecked`] asserts it from inside the run);
+//! 2. sequential [`replay_job`] under `scoring_lanes = 1`, which every
+//!    engine report must equal —
+//!
+//! across refit policies, shard counts, lane widths, pooled scoring, and
+//! the barrier edge cases (single-task jobs, all-flagged barriers,
+//! truncated streams).
 
-use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
-use nurd::data::{Checkpoint, FinishedTask, JobSpec, OnlinePredictor, RunningTask, TaskEvent};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use nurd::core::{AdjustedPrediction, NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
+use nurd::data::{
+    Checkpoint, FinishedTask, JobSpec, JobTrace, OnlinePredictor, RunningTask, StreamContext,
+    TaskEvent,
+};
+use nurd::linalg::MatrixView;
 use nurd::runtime::ThreadPool;
-use nurd::serve::{Engine, EngineConfig, EngineReport, PredictorFactory};
-use nurd::sim::{replay_job, ReplayConfig};
+use nurd::serve::{Engine, EngineConfig, EngineReport, FinalizeReason, PredictorFactory};
+use nurd::sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
 const QUANTILE: f64 = 0.9;
 const WARMUP: f64 = 0.04;
+const REPLAY: ReplayConfig = ReplayConfig {
+    quantile: QUANTILE,
+    warmup_fraction: WARMUP,
+};
 
-fn suite(style: TraceStyle, jobs: usize, seed: u64) -> Vec<nurd::data::JobTrace> {
+fn suite(style: TraceStyle, jobs: usize, seed: u64) -> Vec<JobTrace> {
     let cfg = SuiteConfig::new(style)
         .with_jobs(jobs)
         .with_task_range(50, 70)
@@ -25,10 +45,8 @@ fn suite(style: TraceStyle, jobs: usize, seed: u64) -> Vec<nurd::data::JobTrace>
     nurd::trace::generate_suite(&cfg)
 }
 
-fn config(flat: bool, policy: RefitPolicy) -> NurdConfig {
-    NurdConfig::default()
-        .with_refit_policy(policy)
-        .with_flat_scoring(flat)
+fn config(policy: RefitPolicy) -> NurdConfig {
+    NurdConfig::default().with_refit_policy(policy)
 }
 
 fn policies() -> [RefitPolicy; 2] {
@@ -38,12 +56,100 @@ fn policies() -> [RefitPolicy; 2] {
     ]
 }
 
-fn nurd_factory(flat: bool, policy: RefitPolicy) -> PredictorFactory {
-    Box::new(move |_spec: &JobSpec| Box::new(NurdPredictor::new(config(flat, policy.clone()))))
+/// Reference (ii): the job replayed sequentially, one row per tree step.
+fn reference_outcome(job: &JobTrace, policy: RefitPolicy) -> ReplayOutcome {
+    let mut reference = NurdPredictor::new(config(policy).with_scoring_lanes(1));
+    replay_job(job, &mut reference, &REPLAY)
+}
+
+/// Reference (i), asserted on the spot: `raw` of every scored task equals
+/// the pointer walk of the predictor's own latency head over the same
+/// running rows.
+fn assert_raw_is_pointer_walk(
+    predictor: &NurdPredictor,
+    checkpoint: &Checkpoint<'_>,
+    scores: &[AdjustedPrediction],
+) {
+    if scores.is_empty() {
+        return;
+    }
+    let oracle = predictor
+        .latency_model()
+        .expect("scored without a latency head")
+        .predict_view(MatrixView::RowSlices(&checkpoint.running_feature_rows()));
+    assert_eq!(scores.len(), oracle.len());
+    for (score, expect) in scores.iter().zip(&oracle) {
+        assert_eq!(
+            score.raw.to_bits(),
+            expect.to_bits(),
+            "task {} at checkpoint {}: served {} vs pointer walk {}",
+            score.id,
+            checkpoint.ordinal,
+            score.raw,
+            expect
+        );
+    }
+}
+
+/// A [`NurdPredictor`] that checks reference (i) at every checkpoint it
+/// scores, wherever it is driven from (replay or an engine shard), and
+/// records the largest batch it saw. Flags exactly what
+/// [`NurdPredictor::predict`] flags.
+struct PointerChecked {
+    inner: NurdPredictor,
+    threshold: f64,
+    largest_batch: Arc<AtomicUsize>,
+}
+
+impl PointerChecked {
+    fn new(config: NurdConfig, largest_batch: Arc<AtomicUsize>) -> Self {
+        PointerChecked {
+            inner: NurdPredictor::new(config),
+            threshold: f64::INFINITY,
+            largest_batch,
+        }
+    }
+}
+
+impl OnlinePredictor for PointerChecked {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn begin_stream(&mut self, ctx: &StreamContext) {
+        self.threshold = ctx.threshold;
+        self.inner.begin_stream(ctx);
+    }
+
+    fn set_parallelism(&mut self, threads: usize) {
+        self.inner.set_parallelism(threads);
+    }
+
+    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+        let scores = self.inner.score_running(checkpoint);
+        assert_raw_is_pointer_walk(&self.inner, checkpoint, &scores);
+        self.largest_batch
+            .fetch_max(scores.len(), Ordering::Relaxed);
+        scores
+            .into_iter()
+            .filter(|p| p.adjusted >= self.threshold)
+            .map(|p| p.id)
+            .collect()
+    }
+}
+
+fn checked_factory(config: NurdConfig, largest_batch: &Arc<AtomicUsize>) -> PredictorFactory {
+    let largest_batch = Arc::clone(largest_batch);
+    Box::new(move |_spec: &JobSpec| {
+        Box::new(PointerChecked::new(
+            config.clone(),
+            Arc::clone(&largest_batch),
+        ))
+    })
 }
 
 fn run_engine(
-    jobs: &[nurd::data::JobTrace],
+    jobs: &[JobTrace],
     events: Vec<TaskEvent>,
     shards: usize,
     pool: &ThreadPool,
@@ -61,33 +167,51 @@ fn run_engine(
         engine.admit(JobSpec::of_trace(job, QUANTILE));
     }
     engine.push_all_sync(events);
-    engine.finish(pool)
+    let report = engine.finish(pool);
+    // The engine quarantines a panicking predictor instead of unwinding,
+    // so a failed pointer check inside a shard surfaces here.
+    assert!(
+        report
+            .jobs
+            .iter()
+            .all(|j| j.finalized != FinalizeReason::Poisoned),
+        "a predictor panicked inside the engine (see the assertion above)"
+    );
+    report
 }
 
-/// Sequential replay: the flat path and the pointer path produce the
-/// same `ReplayOutcome` bit for bit, on both trace styles and under both
-/// refit families — and the comparison is not vacuous (tasks do flag).
+fn assert_jobs_match_reference(report: &EngineReport, jobs: &[JobTrace], policy: &RefitPolicy) {
+    for job in jobs {
+        let got = report.job(job.job_id()).expect("job reported");
+        assert_eq!(
+            got.outcome,
+            reference_outcome(job, policy.clone()),
+            "job {} diverged from sequential replay ({policy:?})",
+            job.job_id()
+        );
+    }
+}
+
+/// Sequential replay: at the default lane width every raw score equals
+/// the pointer walk at every checkpoint, and the `ReplayOutcome` equals
+/// the one-row-per-step reference bit for bit, on both trace styles and
+/// under both refit families — and the comparison is not vacuous (tasks
+/// do flag).
 #[test]
 fn replay_outcomes_identical_under_flat_and_pointer_scoring() {
-    let replay_cfg = ReplayConfig {
-        quantile: QUANTILE,
-        warmup_fraction: WARMUP,
-    };
     let mut total_flags = 0usize;
     for style in [TraceStyle::Google, TraceStyle::Alibaba] {
         for job in suite(style, 3, 0xF1A7) {
             for policy in policies() {
-                let mut flat = NurdPredictor::new(config(true, policy.clone()));
-                let mut pointer = NurdPredictor::new(config(false, policy.clone()));
-                let out_flat = replay_job(&job, &mut flat, &replay_cfg);
-                let out_pointer = replay_job(&job, &mut pointer, &replay_cfg);
+                let mut checked = PointerChecked::new(config(policy.clone()), Arc::default());
+                let outcome = replay_job(&job, &mut checked, &REPLAY);
                 assert_eq!(
-                    out_flat,
-                    out_pointer,
-                    "flat and pointer scoring diverged on job {} ({style:?}, {policy:?})",
+                    outcome,
+                    reference_outcome(&job, policy.clone()),
+                    "replay diverged from the reference on job {} ({style:?}, {policy:?})",
                     job.job_id()
                 );
-                total_flags += out_flat.flagged_at.iter().flatten().count();
+                total_flags += outcome.flagged_at.iter().flatten().count();
             }
         }
     }
@@ -97,10 +221,13 @@ fn replay_outcomes_identical_under_flat_and_pointer_scoring() {
     );
 }
 
-/// The full per-task score breakdown — raw prediction, propensity,
-/// weight, adjusted latency — is bit-identical between the two paths at
-/// every checkpoint, including across warm-start refits of the same
-/// predictor instance.
+/// Every checkpoint's raw predictions are the pointer walk of the model
+/// that produced them — across warm-start refits of the same predictor
+/// instance, and on a fresh instance restored from the previous
+/// checkpoint's snapshot, whose full breakdown (raw, propensity, weight,
+/// adjusted) must also equal the live instance's. With `refit_every = 2`
+/// the restored instance scores a non-refit checkpoint, so its flat copy
+/// comes from the lazy rebuild rather than from a refit.
 #[test]
 fn score_breakdowns_identical_at_every_checkpoint() {
     // Finished tasks accrue checkpoint by checkpoint so each call refits
@@ -118,171 +245,154 @@ fn score_breakdowns_identical_at_every_checkpoint() {
         vec![7.0, -5.0, 3.0],
     ];
     for policy in policies() {
-        let mut flat = NurdPredictor::new(config(true, policy.clone()));
-        let mut pointer = NurdPredictor::new(config(false, policy.clone()));
-        for (ordinal, take) in [10usize, 25, 40, 60].into_iter().enumerate() {
-            let checkpoint = Checkpoint {
-                ordinal,
-                time: 10.0 * (ordinal + 1) as f64,
-                finished: finished[..take]
-                    .iter()
-                    .enumerate()
-                    .map(|(id, (f, l))| FinishedTask {
-                        id,
-                        features: f,
-                        latency: *l,
-                    })
-                    .collect(),
-                running: running
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| RunningTask {
-                        id: finished.len() + i,
-                        features: f,
-                    })
-                    .collect(),
+        for refit_every in [1usize, 2] {
+            let cfg = NurdConfig {
+                refit_every,
+                ..config(policy.clone())
             };
-            let a = flat.score_running(&checkpoint);
-            let b = pointer.score_running(&checkpoint);
-            assert_eq!(a.len(), running.len());
-            assert_eq!(
-                a, b,
-                "score breakdowns diverged at checkpoint {ordinal} under {policy:?}"
-            );
+            let mut live = NurdPredictor::new(cfg.clone());
+            let mut snapshot: Option<Vec<u8>> = None;
+            for (ordinal, take) in [10usize, 25, 40, 60].into_iter().enumerate() {
+                let checkpoint = Checkpoint {
+                    ordinal,
+                    time: 10.0 * (ordinal + 1) as f64,
+                    finished: finished[..take]
+                        .iter()
+                        .enumerate()
+                        .map(|(id, (f, l))| FinishedTask {
+                            id,
+                            features: f,
+                            latency: *l,
+                        })
+                        .collect(),
+                    running: running
+                        .iter()
+                        .enumerate()
+                        .map(|(i, f)| RunningTask {
+                            id: finished.len() + i,
+                            features: f,
+                        })
+                        .collect(),
+                };
+                let scores = live.score_running(&checkpoint);
+                assert_eq!(scores.len(), running.len());
+                assert_raw_is_pointer_walk(&live, &checkpoint, &scores);
+                if let Some(bytes) = &snapshot {
+                    let mut restored = NurdPredictor::new(cfg.clone());
+                    assert!(restored.restore_state(bytes), "snapshot must restore");
+                    let again = restored.score_running(&checkpoint);
+                    assert_raw_is_pointer_walk(&restored, &checkpoint, &again);
+                    assert_eq!(
+                        again, scores,
+                        "restored predictor diverged at checkpoint {ordinal} \
+                         ({policy:?}, refit_every {refit_every})"
+                    );
+                }
+                snapshot = live.snapshot_state();
+                assert!(snapshot.is_some());
+            }
         }
     }
 }
 
-/// End to end through the concurrent engine: with flat scoring on, shard
-/// counts {1, 2, 8} all produce the identical report, that report equals
-/// the pointer-path engine's, and every job's outcome equals sequential
-/// replay.
+/// End to end through the concurrent engine: shard counts {1, 2, 8} all
+/// produce the identical report, every barrier's raw scores equal the
+/// pointer walk, and every job's outcome equals sequential replay.
 #[test]
 fn engine_reports_flat_equals_pointer_at_all_shard_counts() {
     let jobs = suite(TraceStyle::Google, 3, 0xF1A8);
     let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
-    let replay_cfg = ReplayConfig {
-        quantile: QUANTILE,
-        warmup_fraction: WARMUP,
-    };
+    let batch = Arc::new(AtomicUsize::new(0));
     for policy in policies() {
-        let pointer = run_engine(
-            &jobs,
-            events.clone(),
-            1,
-            &pool,
-            nurd_factory(false, policy.clone()),
-        );
-        for shards in [1usize, 2, 8] {
-            let flat = run_engine(
-                &jobs,
-                events.clone(),
-                shards,
-                &pool,
-                nurd_factory(true, policy.clone()),
-            );
+        let factory = || checked_factory(config(policy.clone()), &batch);
+        let single = run_engine(&jobs, events.clone(), 1, &pool, factory());
+        assert_jobs_match_reference(&single, &jobs, &policy);
+        for shards in [2usize, 8] {
+            let sharded = run_engine(&jobs, events.clone(), shards, &pool, factory());
             assert_eq!(
-                flat, pointer,
-                "flat engine at {shards} shards diverged from the pointer engine ({policy:?})"
+                sharded, single,
+                "engine at {shards} shards diverged from one shard ({policy:?})"
             );
-        }
-        for job in &jobs {
-            let mut reference = NurdPredictor::new(config(true, policy.clone()));
-            let expected = replay_job(job, &mut reference, &replay_cfg);
-            let got = pointer.job(job.job_id()).expect("job reported");
-            assert_eq!(got.outcome, expected, "engine diverged from replay");
         }
     }
+    assert!(batch.load(Ordering::Relaxed) > 0, "no barrier ever scored");
 }
 
 /// Lane-width sweep end to end: every supported lane width (1, 2, 4, 8 —
 /// including widths that leave remainder rows on these 50–70-task jobs)
-/// produces an engine report bit-identical to the pointer-scoring
-/// engine's, under both refit families.
+/// scores the pointer walk at every barrier and produces the same engine
+/// report, equal to sequential replay, under both refit families.
 #[test]
 fn lane_width_sweep_matches_pointer_engine() {
     let jobs = suite(TraceStyle::Google, 3, 0xF1AC);
     let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
+    let batch = Arc::new(AtomicUsize::new(0));
     for policy in policies() {
-        let pointer = run_engine(
-            &jobs,
-            events.clone(),
-            1,
-            &pool,
-            nurd_factory(false, policy.clone()),
-        );
-        for lanes in nurd::ml::SUPPORTED_LANES {
-            let lane_policy = policy.clone();
-            let factory: PredictorFactory = Box::new(move |_spec: &JobSpec| {
-                Box::new(NurdPredictor::new(
-                    config(true, lane_policy.clone()).with_scoring_lanes(lanes),
-                ))
-            });
-            let flat = run_engine(&jobs, events.clone(), 2, &pool, factory);
+        let reports: Vec<EngineReport> = nurd::ml::SUPPORTED_LANES
+            .into_iter()
+            .map(|lanes| {
+                let cfg = config(policy.clone()).with_scoring_lanes(lanes);
+                run_engine(
+                    &jobs,
+                    events.clone(),
+                    2,
+                    &pool,
+                    checked_factory(cfg, &batch),
+                )
+            })
+            .collect();
+        assert_jobs_match_reference(&reports[0], &jobs, &policy);
+        for (lanes, report) in nurd::ml::SUPPORTED_LANES.into_iter().zip(&reports) {
             assert_eq!(
-                flat, pointer,
-                "lane width {lanes} diverged from the pointer engine ({policy:?})"
+                report, &reports[0],
+                "lane width {lanes} diverged from lane width 1 ({policy:?})"
             );
         }
     }
+    // Full lane groups formed at every width, not just remainders.
+    assert!(batch.load(Ordering::Relaxed) > 8);
 }
 
 /// Pool-parallel barrier scoring: predictors granted within-job
-/// parallelism (`n_threads` ∈ {2, 4}, `parallel_score_min` forced to 1 so
-/// every barrier takes the pooled path) produce engine reports
-/// bit-identical to the sequential pointer engine at shard counts
-/// {1, 2, 8} — and the pooled lane kernels demonstrably ran.
+/// parallelism (`n_threads` ∈ {2, 4}) on jobs whose barriers carry well
+/// over 64 running rows — so the batch is split across the pool — score
+/// the pointer walk at every barrier and produce engine reports equal to
+/// sequential single-thread replay at shard counts {1, 2, 8}.
 #[test]
 fn pool_parallel_scoring_matches_pointer_engine_at_all_shard_counts() {
-    let jobs = suite(TraceStyle::Google, 3, 0xF1AD);
+    let cfg = SuiteConfig::new(TraceStyle::Google)
+        .with_jobs(2)
+        .with_task_range(120, 150)
+        .with_checkpoints(6)
+        .with_seed(0xF1AD);
+    let jobs = nurd::trace::generate_suite(&cfg);
     let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
-    let parallel_config = |threads: usize| {
-        let mut cfg = config(true, RefitPolicy::AlwaysCold).with_parallel_score_min(1);
-        cfg.gbt.tree.n_threads = threads;
-        cfg
-    };
-    let pointer = run_engine(
-        &jobs,
-        events.clone(),
-        1,
-        &pool,
-        nurd_factory(false, RefitPolicy::AlwaysCold),
-    );
+    let policy = RefitPolicy::AlwaysCold;
     for threads in [2usize, 4] {
+        let batch = Arc::new(AtomicUsize::new(0));
+        let mut cfg = config(policy.clone());
+        cfg.gbt.tree.n_threads = threads;
         for shards in [1usize, 2, 8] {
-            let factory: PredictorFactory = Box::new(move |_spec: &JobSpec| {
-                Box::new(NurdPredictor::new(parallel_config(threads)))
-            });
-            let parallel = run_engine(&jobs, events.clone(), shards, &pool, factory);
-            assert_eq!(
-                parallel, pointer,
-                "pooled scoring at {threads} threads / {shards} shards \
-                 diverged from the sequential pointer engine"
+            let report = run_engine(
+                &jobs,
+                events.clone(),
+                shards,
+                &pool,
+                checked_factory(cfg.clone(), &batch),
             );
+            assert_jobs_match_reference(&report, &jobs, &policy);
         }
+        // Not vacuous: the pooled path is chosen from the batch size and
+        // the granted threads alone, and both were over the bar.
+        assert!(
+            batch.load(Ordering::Relaxed) >= 64,
+            "largest barrier had {} running rows — the pooled path never ran",
+            batch.load(Ordering::Relaxed)
+        );
     }
-
-    // Not vacuous: a sequential replay under the same grant drives the
-    // lane kernels (observable via the predictor's chunk counter) and
-    // still matches the ungranted predictor bit for bit.
-    let replay_cfg = ReplayConfig {
-        quantile: QUANTILE,
-        warmup_fraction: WARMUP,
-    };
-    let mut granted = NurdPredictor::new(parallel_config(2));
-    let mut plain = NurdPredictor::new(config(true, RefitPolicy::AlwaysCold));
-    for job in &jobs {
-        let a = replay_job(job, &mut granted, &replay_cfg);
-        let b = replay_job(job, &mut plain, &replay_cfg);
-        assert_eq!(a, b, "granted replay diverged on job {}", job.job_id());
-    }
-    assert!(
-        granted.lane_chunks() > 0,
-        "lane kernels never ran under the parallelism grant — test is vacuous"
-    );
 }
 
 /// Degenerate barrier shapes — a single-task job (warmup quorum of one,
@@ -299,28 +409,15 @@ fn single_task_jobs_match_replay() {
     assert!(jobs.iter().any(|j| j.task_count() == 1));
     let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
+    let policy = RefitPolicy::AlwaysCold;
     let report = run_engine(
         &jobs,
         events,
         2,
         &pool,
-        nurd_factory(true, RefitPolicy::AlwaysCold),
+        checked_factory(config(policy.clone()), &Arc::default()),
     );
-    let replay_cfg = ReplayConfig {
-        quantile: QUANTILE,
-        warmup_fraction: WARMUP,
-    };
-    for job in &jobs {
-        let mut reference = NurdPredictor::new(config(true, RefitPolicy::AlwaysCold));
-        let expected = replay_job(job, &mut reference, &replay_cfg);
-        let got = report.job(job.job_id()).expect("job reported");
-        assert_eq!(
-            got.outcome,
-            expected,
-            "single-task-range job {} diverged from replay",
-            job.job_id()
-        );
-    }
+    assert_jobs_match_reference(&report, &jobs, &policy);
 }
 
 /// Flags everything it sees: after the first scoring barrier every task
@@ -343,13 +440,9 @@ fn all_flagged_barriers_match_replay() {
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
     let factory: PredictorFactory = Box::new(|_spec: &JobSpec| Box::new(FlagAll));
     let report = run_engine(&jobs, events, 2, &pool, factory);
-    let replay_cfg = ReplayConfig {
-        quantile: QUANTILE,
-        warmup_fraction: WARMUP,
-    };
     let mut flagged = 0usize;
     for job in &jobs {
-        let expected = replay_job(job, &mut FlagAll, &replay_cfg);
+        let expected = replay_job(job, &mut FlagAll, &REPLAY);
         let got = report.job(job.job_id()).expect("job reported");
         assert_eq!(got.outcome, expected, "FlagAll engine diverged from replay");
         flagged += expected.flagged_at.iter().flatten().count();
@@ -369,24 +462,18 @@ fn truncated_stream_finalize_is_deterministic_and_prefix_consistent() {
     let cut = events.len() * 2 / 3;
     let truncated: Vec<TaskEvent> = events[..cut].to_vec();
 
-    let full = run_engine(
-        &jobs,
-        events,
-        2,
-        &pool,
-        nurd_factory(true, RefitPolicy::AlwaysCold),
-    );
-    let run = |shards: usize| {
+    let run = |events: Vec<TaskEvent>, shards: usize| {
         run_engine(
             &jobs,
-            truncated.clone(),
+            events,
             shards,
             &pool,
-            nurd_factory(true, RefitPolicy::AlwaysCold),
+            checked_factory(config(RefitPolicy::AlwaysCold), &Arc::default()),
         )
     };
-    let a = run(1);
-    let b = run(2);
+    let full = run(events, 2);
+    let a = run(truncated.clone(), 1);
+    let b = run(truncated, 2);
     assert_eq!(a, b, "truncated finalize depends on shard count");
 
     for job in &jobs {
