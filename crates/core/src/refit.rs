@@ -60,7 +60,7 @@ pub struct WarmRefitState {
     /// Raw per-row scores of the current model over the absorbed rows —
     /// the cache that lets a warm refit replay the previous ensemble only
     /// over rows appended since the last fit (see
-    /// [`GradientBoosting::warm_start_cached`]).
+    /// [`GradientBoosting::warm_boost`]).
     scores: Vec<f64>,
     /// Rows the current model was fit over (for the no-new-data skip).
     fitted_rows: usize,
@@ -303,16 +303,12 @@ fn refit_fields(
 
     match warm {
         Some(w) => {
+            // Boost onto the installed model in place — no clone of the
+            // ensemble. `warm_boost` validates before it touches anything,
+            // so a failed warm refit leaves the previous model serving.
             let b = binned.as_ref().expect("warm requires binning");
-            let prev = model.as_ref().expect("warm requires a model");
-            *model = Some(GradientBoosting::warm_start_cached(
-                prev,
-                b,
-                y,
-                w.warm_rounds,
-                gbt,
-                scores,
-            )?);
+            let prev = model.as_mut().expect("warm requires a model");
+            prev.warm_boost(b, y, w.warm_rounds, gbt, scores)?;
             stats.warm_fits += 1;
         }
         None => {
@@ -593,6 +589,48 @@ mod tests {
             Err(MlError::InvalidConfig(_))
         ));
         assert_eq!(state.stats().cold_fits + state.stats().warm_fits, 0);
+    }
+
+    #[test]
+    fn failed_warm_refit_leaves_the_previous_model_installed() {
+        // The warm path boosts onto the installed model in place, so a
+        // refit that fails must fail before touching it.
+        let ts = tasks(120);
+        let mut state = WarmRefitState::new();
+        let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+        let gbt = GbtConfig::default();
+        state.absorb(&checkpoint(&ts, 40));
+        state.refit(&gbt, &policy).unwrap();
+        let before = state.model().unwrap().clone();
+        let probe: Vec<Vec<f64>> = ts.iter().map(|(f, _)| f.clone()).collect();
+
+        state.absorb(&checkpoint(&ts, 60));
+        let bad = GbtConfig {
+            subsample: 0.0,
+            ..GbtConfig::default()
+        };
+        assert!(matches!(
+            state.refit(&bad, &policy),
+            Err(MlError::InvalidConfig(_))
+        ));
+        let after = state.model().expect("previous model still installed");
+        assert_eq!(after.tree_count(), before.tree_count());
+        assert_eq!(after.predict_batch(&probe), before.predict_batch(&probe));
+        assert_eq!(state.stats().warm_fits, 0);
+
+        // The state is still consistent: the next good refit warms from it
+        // exactly as if the failed call had never happened.
+        state.refit(&gbt, &policy).unwrap();
+        let mut twin = WarmRefitState::new();
+        twin.absorb(&checkpoint(&ts, 40));
+        twin.refit(&gbt, &policy).unwrap();
+        twin.absorb(&checkpoint(&ts, 60));
+        twin.refit(&gbt, &policy).unwrap();
+        assert_eq!(state.stats(), twin.stats());
+        assert_eq!(
+            state.model().unwrap().predict_batch(&probe),
+            twin.model().unwrap().predict_batch(&probe)
+        );
     }
 
     #[test]

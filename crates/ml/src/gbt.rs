@@ -11,19 +11,25 @@
 //!   [`nurd_linalg::FeatureMatrix`]) — rows are never cloned;
 //! * under the default [`TreeGrowth::Histogram`](crate::TreeGrowth)
 //!   growth, features are quantized into a [`BinnedMatrix`] **once per
-//!   fit** and every round trains on it via
-//!   [`RegressionTree::fit_binned`];
+//!   fit**, and **one tree grower** serves every round of that fit: the
+//!   feature layout, the pooled node histograms (kept all-zero between
+//!   uses, with present-bin bitmaps so a node costs the cells it holds)
+//!   and the in-place row partition buffer are set up once, so a round
+//!   allocates nothing but the finished tree (see the grower section of
+//!   `tree.rs`'s module docs). The trees are bit-for-bit those of a fresh
+//!   [`RegressionTree::fit_binned`] per round;
 //! * per-round score updates replay the freshly fit tree over `u8` bin
 //!   codes ([`RegressionTree::predict_binned`]) — raw `f64` features are
 //!   never touched inside a histogram-mode fit;
 //! * row subsampling selects *indices* into the shared binned matrix; the
 //!   `subsample == 1.0` case short-circuits to a precomputed identity
 //!   index list;
-//! * across checkpoints, [`GradientBoosting::warm_start`] boosts a few
-//!   new rounds from the previous ensemble over a binned matrix grown in
-//!   place by [`BinnedMatrix::append_from`], instead of refitting from
-//!   scratch ([`GradientBoosting::fit_binned`] covers the cold half of
-//!   that path).
+//! * across checkpoints, [`GradientBoosting::warm_boost`] boosts a few
+//!   new rounds onto the previous ensemble **in place**, over a binned
+//!   matrix grown in place by [`BinnedMatrix::append_from`], instead of
+//!   refitting from scratch ([`GradientBoosting::warm_start`] is the
+//!   by-reference form that leaves the previous ensemble untouched;
+//!   [`GradientBoosting::fit_binned`] covers the cold half of that path).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -32,7 +38,7 @@ use rand::SeedableRng;
 use nurd_linalg::MatrixView;
 
 use crate::binned::BinnedMatrix;
-use crate::tree::{RegressionTree, TreeConfig, TreeGrowth};
+use crate::tree::{RegressionTree, TreeConfig, TreeGrower, TreeGrowth};
 use crate::MlError;
 
 /// A twice-differentiable training loss for [`GradientBoosting`].
@@ -188,7 +194,7 @@ impl<L: Loss> GradientBoosting<L> {
             config.seed,
             &mut scores,
             &mut trees,
-        )?;
+        );
 
         Ok(GradientBoosting {
             loss,
@@ -257,7 +263,7 @@ impl<L: Loss> GradientBoosting<L> {
             config.seed,
             scores,
             &mut trees,
-        )?;
+        );
         Ok(GradientBoosting {
             loss,
             base_score,
@@ -329,6 +335,31 @@ impl<L: Loss> GradientBoosting<L> {
     where
         L: Clone,
     {
+        let mut next = prev.clone();
+        next.warm_boost(binned, y, extra_rounds, config, scores)?;
+        Ok(next)
+    }
+
+    /// [`GradientBoosting::warm_start_cached`] **in place**: boosts
+    /// `extra_rounds` new trees onto `self` instead of onto a clone of the
+    /// whole ensemble — the form the per-checkpoint refit uses, where the
+    /// previous model is not wanted afterwards. Same `binned`/`scores`
+    /// contract, same trees.
+    ///
+    /// Every input is validated before anything is touched: on `Err`,
+    /// `self` and `scores` are exactly as they were.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GradientBoosting::warm_start_cached`].
+    pub fn warm_boost(
+        &mut self,
+        binned: &BinnedMatrix,
+        y: &[f64],
+        extra_rounds: usize,
+        config: &GbtConfig,
+        scores: &mut Vec<f64>,
+    ) -> Result<(), MlError> {
         if binned.rows() == 0 {
             return Err(MlError::EmptyTrainingSet);
         }
@@ -345,7 +376,7 @@ impl<L: Loss> GradientBoosting<L> {
             });
         }
         check_gbt_config(config)?;
-        if prev.trees.iter().any(|t| !t.supports_binned_predict()) {
+        if self.trees.iter().any(|t| !t.supports_binned_predict()) {
             return Err(MlError::InvalidConfig(
                 "warm_start requires a histogram-grown previous ensemble".into(),
             ));
@@ -357,35 +388,29 @@ impl<L: Loss> GradientBoosting<L> {
         // bit-identical to the historical per-row `predict_binned` sum.
         let cached = scores.len();
         if cached < binned.rows() {
-            prev.flatten()
+            self.flatten()
                 .predict_binned_extend(binned, cached..binned.rows(), scores);
         }
 
-        let mut trees = prev.trees.clone();
-        trees.reserve(extra_rounds);
+        self.trees.reserve(extra_rounds);
         // Decorrelate warm-round subsampling from the cold fit's stream
         // (and from earlier warm stages) while staying deterministic.
         let seed = config
             .seed
-            .wrapping_add((trees.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            .wrapping_add((self.trees.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         boost_rounds(
             Some(binned),
             None,
             y,
-            &prev.loss,
+            &self.loss,
             config,
             extra_rounds,
-            prev.learning_rate,
+            self.learning_rate,
             seed,
             scores,
-            &mut trees,
-        )?;
-        Ok(GradientBoosting {
-            loss: prev.loss.clone(),
-            base_score: prev.base_score,
-            learning_rate: prev.learning_rate,
-            trees,
-        })
+            &mut self.trees,
+        );
+        Ok(())
     }
 
     /// Raw additive score `f(x)` (the latency for squared loss, a logit for
@@ -482,8 +507,10 @@ fn check_gbt_config(config: &GbtConfig) -> Result<(), MlError> {
 /// The boosting round loop shared by cold fits and warm starts: appends
 /// `rounds` trees to `trees`, keeping `scores` (raw per-row ensemble
 /// scores) in sync. Histogram mode (`binned` present) never touches raw
-/// features — per-round score updates traverse trees over `u8` bin codes
-/// via [`RegressionTree::predict_binned`]; exact mode reads `x`.
+/// features: one [`TreeGrower`] serves every round, and per-round score
+/// updates traverse the new tree over `u8` bin codes; exact mode reads
+/// `x`. Inputs are validated by the callers (`scores`, `y` and the matrix
+/// agree on the row count, which is nonzero), so the loop cannot fail.
 #[allow(clippy::too_many_arguments)]
 fn boost_rounds<L: Loss>(
     binned: Option<&BinnedMatrix>,
@@ -496,7 +523,7 @@ fn boost_rounds<L: Loss>(
     seed: u64,
     scores: &mut [f64],
     trees: &mut Vec<RegressionTree>,
-) -> Result<(), MlError> {
+) {
     let n = scores.len();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut all_rows: Vec<usize> = (0..n).collect();
@@ -504,6 +531,7 @@ fn boost_rounds<L: Loss>(
 
     let mut grads = vec![0.0; n];
     let mut hess = vec![0.0; n];
+    let mut grower = binned.map(|binned| TreeGrower::new(binned, &config.tree));
     // One flat single-tree scratch recycled across rounds: the per-round
     // score update walks the freshly fit tree over all rows through the
     // structure-of-arrays kernel instead of re-walking the pointer tree
@@ -524,8 +552,8 @@ fn boost_rounds<L: Loss>(
             grads[i] = g;
             hess[i] = h.max(1e-12);
         }
-        let tree = match binned {
-            Some(binned) => RegressionTree::fit_binned(binned, &grads, &hess, rows, &config.tree)?,
+        let tree = match &mut grower {
+            Some(grower) => grower.grow(&grads, &hess, rows),
             None => {
                 let x = x.expect("exact growth requires a raw matrix view");
                 RegressionTree::fit_exact_rows(x, &grads, &hess, rows.to_vec(), &config.tree)
@@ -542,7 +570,6 @@ fn boost_rounds<L: Loss>(
         }
         trees.push(tree);
     }
-    Ok(())
 }
 
 /// Only ensembles over stateless (`Default`) losses are checkpointable —
@@ -790,6 +817,44 @@ mod tests {
             GradientBoosting::warm_start_cached(&prev, &binned, &y, 2, &cfg, &mut stale),
             Err(MlError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn warm_boost_is_warm_start_cached_in_place() {
+        let (x, y) = growing_set(160);
+        let cfg = GbtConfig {
+            subsample: 0.8,
+            ..GbtConfig::default()
+        };
+        let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..120]), cfg.tree.max_bins);
+        let mut cache = Vec::new();
+        let prev =
+            GradientBoosting::fit_binned_cached(&binned, &y[..120], SquaredLoss, &cfg, &mut cache)
+                .unwrap();
+        binned.append_from(MatrixView::Rows(&x));
+
+        let mut by_value_cache = cache.clone();
+        let by_value =
+            GradientBoosting::warm_start_cached(&prev, &binned, &y, 6, &cfg, &mut by_value_cache)
+                .unwrap();
+        let mut in_place = prev.clone();
+        in_place
+            .warm_boost(&binned, &y, 6, &cfg, &mut cache)
+            .unwrap();
+        assert_eq!(in_place.trees, by_value.trees);
+        assert_eq!(cache, by_value_cache);
+
+        // A rejected call touches neither the model nor the cache.
+        let bad = GbtConfig {
+            learning_rate: 0.0,
+            ..cfg
+        };
+        assert!(matches!(
+            in_place.warm_boost(&binned, &y, 6, &bad, &mut cache),
+            Err(MlError::InvalidConfig(_))
+        ));
+        assert_eq!(in_place.trees, by_value.trees);
+        assert_eq!(cache, by_value_cache);
     }
 
     #[test]

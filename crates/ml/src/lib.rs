@@ -49,9 +49,10 @@
 //!   only appended rows are re-coded against the existing bin edges, and
 //!   a Kolmogorov–Smirnov drift statistic reports when those edges have
 //!   gone stale;
-//! * [`GradientBoosting::warm_start`] boosts a few new rounds onto a
-//!   previous ensemble over such a grown matrix
-//!   ([`GradientBoosting::fit_binned`] is the matching cold entry);
+//! * [`GradientBoosting::warm_boost`] boosts a few new rounds onto a
+//!   previous ensemble, in place, over such a grown matrix
+//!   ([`GradientBoosting::warm_start`] does the same onto a copy;
+//!   [`GradientBoosting::fit_binned`] is the matching cold entry);
 //! * [`RegressionTree::predict_binned`] replays trees over contiguous
 //!   `u8` bin codes — raw `f64` features are never touched in a
 //!   histogram-mode fit. Histogram construction itself uses LightGBM-style

@@ -15,8 +15,7 @@
 //!   at most [`TreeConfig::max_bins`] bins once per fit (see
 //!   [`BinnedMatrix`]), then finds splits by accumulating per-bin
 //!   gradient/hessian sums in one linear pass per node and scanning bin
-//!   boundaries. Split finding costs `O(n·d)` per level with sequential
-//!   access over contiguous `u8` codes — and, with
+//!   boundaries, with sequential access over contiguous `u8` codes. With
 //!   [`TreeConfig::hist_subtraction`] (the default), only the smaller
 //!   child of each split is accumulated while the sibling's histogram is
 //!   derived as `parent − child`, LightGBM-style, cutting per-level
@@ -31,6 +30,45 @@
 //!   node) and considers every midpoint between adjacent distinct values.
 //!   Kept for accuracy-sensitive comparisons and as the reference
 //!   implementation the histogram path is property-tested against.
+//!
+//! # The grower: a node costs what it holds
+//!
+//! NURD's fits are small and many (about 80 rows × 17 features × 50
+//! rounds, at every checkpoint of every job), and below 256 rows every
+//! distinct value is its own bin — so a matrix has about as many bins as
+//! it has cells, while the mean node of a depth-3 tree holds a few dozen
+//! rows. A design that zeroes, subtracts and scans *every bin* at every
+//! node spends nearly all its time on cells that are empty. The binned
+//! path is therefore a `TreeGrower`, built once per fit
+//! ([`crate::GradientBoosting`] keeps one across all boosting rounds;
+//! [`RegressionTree::fit_binned`] is the one-shot form):
+//!
+//! * **What is pooled.** The feature layout, the node histograms (at most
+//!   `depth + 1` live), the row-index buffer that nodes partition stably
+//!   in place, and the node scratch of the tree being grown. Growing a
+//!   tree allocates only the two exact-size vectors the finished
+//!   [`RegressionTree`] owns.
+//! * **Present-bin bitmaps.** Each node histogram carries one bit per
+//!   cell, set iff the cell holds a row. A fill sets bits; the sibling
+//!   subtraction walks the small child's set bits; the split scan walks
+//!   set bits in ascending bin order (`trailing_zeros`) instead of
+//!   testing every cell for `n == 0`. Everything after the fill costs
+//!   `O(present cells)`, and a child that the depth limit makes a leaf
+//!   gets no histogram at all.
+//! * **Zero-on-release is the invariant.** A histogram returned to the
+//!   pool is zeroed *at its set bits only* and its bitmap cleared, so a
+//!   pooled histogram is always all-zero and the next node accumulates
+//!   into it without a memset. A cell the subtraction empties is zeroed on
+//!   the spot and leaves the bitmap, which keeps "bit set ⇔ `n > 0`" true
+//!   for derived histograms as well.
+//! * **The order of accumulation is unchanged.** A cell still sums its
+//!   rows in the order the caller listed them (the in-place partition is
+//!   stable), the scan still folds present bins left to right and keeps
+//!   the first strictly best gain, and node totals are still summed in
+//!   row order. A zeroed cell is indistinguishable from a fresh one, so
+//!   every tree is bit-for-bit the tree that freshly zeroed dense
+//!   histograms grow — the dense algorithm lives on as the oracle of the
+//!   grower's property tests.
 
 use nurd_linalg::MatrixView;
 
@@ -207,18 +245,17 @@ impl RegressionTree {
             )),
             TreeGrowth::Histogram => {
                 let binned = BinnedMatrix::build_for(x, config);
-                Ok(Self::grow_binned(
-                    &binned, gradients, hessians, indices, config,
-                ))
+                Ok(TreeGrower::new(&binned, config).grow(gradients, hessians, &indices))
             }
         }
     }
 
     /// Fits a tree over a subset (`rows`) of a pre-quantized matrix.
     ///
-    /// This is the boosting hot path: [`crate::GradientBoosting`] builds
-    /// the [`BinnedMatrix`] once per `fit` and every round trains on an
-    /// index subset — no row materialization, no re-quantization.
+    /// A one-shot grower: no row materialization, no re-quantization.
+    /// [`crate::GradientBoosting`] goes one step further and keeps a single
+    /// grower (feature layout, pooled histograms, row buffer) alive across
+    /// all the rounds of a fit; the trees are the same either way.
     /// `gradients`/`hessians` are indexed by *matrix row id* (length
     /// `binned.rows()`).
     ///
@@ -246,13 +283,7 @@ impl RegressionTree {
         if config.max_depth == 0 {
             return Err(MlError::InvalidConfig("max_depth must be >= 1".into()));
         }
-        Ok(Self::grow_binned(
-            binned,
-            gradients,
-            hessians,
-            rows.to_vec(),
-            config,
-        ))
+        Ok(TreeGrower::new(binned, config).grow(gradients, hessians, rows))
     }
 
     /// Exact growth over an index subset; inputs already validated.
@@ -274,44 +305,6 @@ impl RegressionTree {
         RegressionTree {
             nodes: builder.nodes,
             split_bins: Vec::new(),
-        }
-    }
-
-    fn grow_binned(
-        binned: &BinnedMatrix,
-        gradients: &[f64],
-        hessians: &[f64],
-        rows: Vec<usize>,
-        config: &TreeConfig,
-    ) -> Self {
-        // One flat histogram buffer per live node: features laid out at
-        // `offsets[f]`, so the whole node histogram is a single allocation
-        // the subtraction pass can walk linearly.
-        let mut offsets = Vec::with_capacity(binned.features() + 1);
-        let mut total = 0usize;
-        for f in 0..binned.features() {
-            offsets.push(total);
-            total += binned.feature_bins(f).n_bins();
-        }
-        offsets.push(total);
-        let mut builder = HistogramBuilder {
-            binned,
-            gradients,
-            hessians,
-            config,
-            par: config.parallelism(),
-            nodes: Vec::new(),
-            split_bins: Vec::new(),
-            offsets,
-            total_bins: total,
-            pool: Vec::new(),
-        };
-        let mut root_hist = builder.acquire();
-        builder.fill_hist(&rows, &mut root_hist);
-        builder.build(rows, 0, root_hist);
-        RegressionTree {
-            nodes: builder.nodes,
-            split_bins: builder.split_bins,
         }
     }
 
@@ -671,192 +664,376 @@ impl ExactBuilder<'_> {
 /// One histogram cell: gradient sum, hessian sum, sample count. Kept as a
 /// single struct so the accumulation loop touches one cache line per
 /// sample instead of three parallel arrays.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct HistBin {
     g: f64,
     h: f64,
     n: u32,
 }
 
-/// The binned builder (`TreeGrowth::Histogram`).
+/// Cells covered by one word of a [`NodeHist`]'s present-bin bitmap.
+const WORD: usize = u64::BITS as usize;
+
+/// One node's histogram over every splittable feature, with a
+/// **present-bin bitmap**: bit `c % 64` of `present[c / 64]` is set iff
+/// `cells[c].n > 0`. Each feature's cells are padded to a whole number of
+/// words (see [`FeatureSlot`]), so word `w` always covers cells
+/// `64·w .. 64·w + 64` and every whole-histogram pass is one flat walk
+/// over the set bits — the cost of a node is the cells it holds, not the
+/// bins the matrix has.
 ///
-/// Each node owns one flat histogram covering every feature (laid out at
-/// `offsets[f]`). The root's histogram is accumulated directly; below it,
-/// only the **smaller** child of each split is accumulated and the
-/// sibling is derived by the LightGBM subtraction trick
-/// `sibling = parent − child` (sample counts exactly, gradient/hessian
-/// sums up to addition-reordering ulps), so each level costs
-/// `O(min(n_l, n_r) · d)` accumulation instead of `O(n · d)`. Buffers are
-/// recycled through a small pool: at most `depth + 1` histograms are ever
-/// live.
-struct HistogramBuilder<'a> {
-    binned: &'a BinnedMatrix,
+/// Invariant between uses (in the grower's pool): every cell is
+/// `HistBin::default()` and every bitmap word is zero.
+#[derive(Debug)]
+struct NodeHist {
+    cells: Vec<HistBin>,
+    present: Vec<u64>,
+}
+
+impl NodeHist {
+    fn zeroed(words: usize) -> Self {
+        NodeHist {
+            cells: vec![HistBin::default(); words * WORD],
+            present: vec![0; words],
+        }
+    }
+
+    /// Restores the pool invariant by zeroing exactly the present cells.
+    fn clear(&mut self) {
+        for (word, cells) in self
+            .present
+            .iter_mut()
+            .zip(self.cells.chunks_exact_mut(WORD))
+        {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                cells[bits.trailing_zeros() as usize] = HistBin::default();
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    fn is_clear(&self) -> bool {
+        self.present.iter().all(|&word| word == 0)
+            && self.cells.iter().all(|cell| *cell == HistBin::default())
+    }
+
+    /// The LightGBM subtraction `self −= child`, where `child` holds a
+    /// subset of this node's rows: only the child's present cells can
+    /// change. A cell the child empties (`n` reaches 0) is zeroed and
+    /// leaves the present set — what remains of its `g`/`h` is rounding
+    /// residue of rows that are no longer here, which no scan ever read
+    /// (scans skip `n == 0` cells) and no later subtraction could turn
+    /// back into a present cell.
+    fn subtract(&mut self, child: &NodeHist) {
+        let words = self.present.iter_mut().zip(&child.present);
+        let cells = self
+            .cells
+            .chunks_exact_mut(WORD)
+            .zip(child.cells.chunks_exact(WORD));
+        for ((word, &child_word), (cells, child_cells)) in words.zip(cells) {
+            let mut bits = child_word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (cell, c) = (&mut cells[b], &child_cells[b]);
+                cell.g -= c.g;
+                cell.h -= c.h;
+                cell.n -= c.n;
+                if cell.n == 0 {
+                    *cell = HistBin::default();
+                    *word &= !(1 << b);
+                }
+            }
+        }
+    }
+}
+
+/// Where one splittable feature lives in every [`NodeHist`]: its bitmap
+/// words, and the 64 cells under each of them.
+#[derive(Debug, Clone)]
+struct FeatureSlot {
+    feature: usize,
+    words: std::ops::Range<usize>,
+}
+
+impl FeatureSlot {
+    fn cells(&self) -> std::ops::Range<usize> {
+        self.words.start * WORD..self.words.end * WORD
+    }
+}
+
+/// Per-row gradient/hessian statistics of the tree being grown, indexed by
+/// matrix row id.
+#[derive(Clone, Copy)]
+struct RowStats<'a> {
     gradients: &'a [f64],
     hessians: &'a [f64],
+}
+
+impl RowStats<'_> {
+    /// Node totals summed in row order (not from histogram cells), so leaf
+    /// weights stay bit-identical to the exact builder's.
+    fn sums(&self, rows: &[usize]) -> (f64, f64) {
+        rows.iter().fold((0.0, 0.0), |(g, h), &i| {
+            (g + self.gradients[i], h + self.hessians[i])
+        })
+    }
+}
+
+/// The binned grower (`TreeGrowth::Histogram`): everything about growing
+/// trees over one [`BinnedMatrix`] that does not depend on the gradients,
+/// built **once per fit** and reused by every boosting round. The module
+/// docs ("The grower") say what is pooled and why the trees are bit-for-bit
+/// those of freshly zeroed dense histograms.
+///
+/// The root's histogram is accumulated directly; below it, only the
+/// **smaller** child of each split is accumulated and the sibling is
+/// derived as `parent − child` ([`NodeHist::subtract`]; sample counts
+/// exactly, gradient/hessian sums up to addition-reordering ulps). A node
+/// is the range `idx[lo..hi]` of the row buffer, its children
+/// `idx[lo..mid]` and `idx[mid..hi]`, each in the order the rows were
+/// handed in.
+pub(crate) struct TreeGrower<'a> {
+    binned: &'a BinnedMatrix,
     config: &'a TreeConfig,
     /// Per-feature fill fan-out resolved from [`TreeConfig::n_threads`]
     /// (`None` = sequential fills).
     par: Option<(&'static nurd_runtime::ThreadPool, usize)>,
+    /// Features with at least two bins, ascending, with their cell ranges.
+    slots: Vec<FeatureSlot>,
+    /// Bitmap words per node histogram.
+    words: usize,
+    /// Recycled node histograms (all-zero, empty bitmaps).
+    pool: Vec<NodeHist>,
+    /// The rows of the tree being grown, partitioned in place.
+    idx: Vec<usize>,
+    /// Right-child rows parked during a partition.
+    staging: Vec<usize>,
+    /// The tree being grown; copied out exact-size at the end of `grow`.
     nodes: Vec<Node>,
     /// Parallel to `nodes`: left-routed bin cap per split (`u8::MAX` at
     /// leaves); becomes [`RegressionTree::split_bins`].
     split_bins: Vec<u8>,
-    /// Flat histogram layout: feature `f`'s bins live at
-    /// `offsets[f]..offsets[f + 1]`.
-    offsets: Vec<usize>,
-    total_bins: usize,
-    /// Recycled node-histogram buffers.
-    pool: Vec<Vec<HistBin>>,
 }
 
-impl HistogramBuilder<'_> {
-    fn acquire(&mut self) -> Vec<HistBin> {
-        self.pool
-            .pop()
-            .unwrap_or_else(|| vec![HistBin::default(); self.total_bins])
-    }
-
-    fn release(&mut self, buf: Vec<HistBin>) {
-        self.pool.push(buf);
-    }
-
+impl<'a> TreeGrower<'a> {
     /// Node size below which parallel fills are never worth the task
     /// overhead (a fill is one add per row per feature).
     const PAR_MIN_ROWS: usize = 4096;
 
-    /// Accumulates the node histogram for every feature in one pass per
-    /// feature over contiguous `u8` codes — the dominant per-node cost the
-    /// subtraction trick halves. Features fill disjoint cell ranges, so
-    /// the parallel fan-out (big nodes, `par` set) produces bit-identical
-    /// histograms to the sequential loop.
-    fn fill_hist(&self, indices: &[usize], hist: &mut [HistBin]) {
-        hist.fill(HistBin::default());
+    pub(crate) fn new(binned: &'a BinnedMatrix, config: &'a TreeConfig) -> Self {
+        let mut slots = Vec::with_capacity(binned.features());
+        let mut words = 0;
+        for feature in 0..binned.features() {
+            let n_bins = binned.feature_bins(feature).n_bins();
+            if n_bins >= 2 {
+                let end = words + n_bins.div_ceil(WORD);
+                slots.push(FeatureSlot {
+                    feature,
+                    words: words..end,
+                });
+                words = end;
+            }
+        }
+        TreeGrower {
+            binned,
+            config,
+            par: config.parallelism(),
+            slots,
+            words,
+            pool: Vec::new(),
+            idx: Vec::new(),
+            staging: Vec::new(),
+            nodes: Vec::new(),
+            split_bins: Vec::new(),
+        }
+    }
+
+    /// Grows one tree over `rows` (matrix row ids, non-empty) against
+    /// per-row statistics of length `binned.rows()`.
+    pub(crate) fn grow(
+        &mut self,
+        gradients: &[f64],
+        hessians: &[f64],
+        rows: &[usize],
+    ) -> RegressionTree {
+        debug_assert!(!rows.is_empty());
+        debug_assert_eq!(gradients.len(), self.binned.rows());
+        debug_assert_eq!(hessians.len(), self.binned.rows());
+        let stats = RowStats {
+            gradients,
+            hessians,
+        };
+        self.idx.clear();
+        self.idx.extend_from_slice(rows);
+        self.nodes.clear();
+        self.split_bins.clear();
+        let mut root = self.acquire();
+        self.fill_hist(stats, &self.idx, &mut root);
+        self.build(stats, 0, rows.len(), 0, root);
+        RegressionTree {
+            nodes: self.nodes.clone(),
+            split_bins: self.split_bins.clone(),
+        }
+    }
+
+    fn acquire(&mut self) -> NodeHist {
+        let hist = self
+            .pool
+            .pop()
+            .unwrap_or_else(|| NodeHist::zeroed(self.words));
+        debug_assert!(
+            hist.is_clear(),
+            "a pooled histogram must be all-zero with an empty bitmap"
+        );
+        hist
+    }
+
+    fn release(&mut self, mut hist: NodeHist) {
+        hist.clear();
+        self.pool.push(hist);
+    }
+
+    /// Accumulates `rows` into `hist` (which must be clear), one pass per
+    /// feature over contiguous `u8` codes. Features fill disjoint cell and
+    /// bitmap ranges, so the parallel fan-out (big nodes, `par` set)
+    /// produces bit-identical histograms to the sequential loop.
+    fn fill_hist(&self, stats: RowStats<'_>, rows: &[usize], hist: &mut NodeHist) {
         if let Some((pool, tasks)) = self.par {
-            if indices.len() >= Self::PAR_MIN_ROWS && self.binned.features() >= 2 {
-                self.fill_hist_parallel(pool, tasks, indices, hist);
+            if rows.len() >= Self::PAR_MIN_ROWS && self.slots.len() >= 2 {
+                self.fill_hist_parallel(pool, tasks, stats, rows, hist);
                 return;
             }
         }
-        for f in 0..self.binned.features() {
-            // Single-bin (constant / all-NaN) features can never split;
-            // best_split skips them, so their statistics are never read —
-            // don't pay a pass over the rows for them. Their cells stay
-            // zero in every node, which keeps the subtraction pass
-            // (parent − child over the whole buffer) consistent.
-            if self.binned.feature_bins(f).n_bins() < 2 {
-                continue;
-            }
-            self.fill_feature(f, indices, &mut hist[self.offsets[f]..self.offsets[f + 1]]);
+        for slot in &self.slots {
+            self.fill_feature(
+                stats,
+                slot.feature,
+                rows,
+                &mut hist.cells[slot.cells()],
+                &mut hist.present[slot.words.clone()],
+            );
         }
     }
 
-    /// One feature's accumulation pass into its own cell range.
-    fn fill_feature(&self, f: usize, indices: &[usize], cells: &mut [HistBin]) {
-        let codes = self.binned.codes(f);
-        for &i in indices {
-            let cell = &mut cells[codes[i] as usize];
-            cell.g += self.gradients[i];
-            cell.h += self.hessians[i];
+    /// One feature's accumulation pass into its own cells and bitmap
+    /// words. Each cell sums its rows in the order `rows` lists them.
+    fn fill_feature(
+        &self,
+        stats: RowStats<'_>,
+        feature: usize,
+        rows: &[usize],
+        cells: &mut [HistBin],
+        present: &mut [u64],
+    ) {
+        let codes = self.binned.codes(feature);
+        // Seen bins collect in a local array (codes are `u8`, so four
+        // words cover them) and are merged into the bitmap once.
+        let mut seen = [0u64; BinnedMatrix::MAX_BINS / WORD];
+        for &i in rows {
+            let code = codes[i];
+            let cell = &mut cells[usize::from(code)];
+            cell.g += stats.gradients[i];
+            cell.h += stats.hessians[i];
             cell.n += 1;
+            seen[usize::from(code) / WORD] |= 1 << (usize::from(code) % WORD);
+        }
+        for (word, seen) in present.iter_mut().zip(seen) {
+            *word |= seen;
         }
     }
 
-    /// Splits `hist` into per-feature slices and fans the fills out as at
-    /// most `tasks` chunks on `pool`. Skips single-bin features exactly
-    /// like the sequential loop (their already-zeroed cells are the
-    /// contract the subtraction pass relies on).
+    /// Splits `hist` into per-feature cell and bitmap slices and fans the
+    /// fills out as at most `tasks` chunks on `pool`.
     fn fill_hist_parallel(
         &self,
         pool: &nurd_runtime::ThreadPool,
         tasks: usize,
-        indices: &[usize],
-        hist: &mut [HistBin],
+        stats: RowStats<'_>,
+        rows: &[usize],
+        hist: &mut NodeHist,
     ) {
-        let mut per_feature: Vec<(usize, &mut [HistBin])> =
-            Vec::with_capacity(self.binned.features());
-        let mut rest = hist;
-        for f in 0..self.binned.features() {
-            let width = self.offsets[f + 1] - self.offsets[f];
-            let (cells, tail) = rest.split_at_mut(width);
-            rest = tail;
-            if self.binned.feature_bins(f).n_bins() >= 2 {
-                per_feature.push((f, cells));
-            }
-        }
-        if per_feature.is_empty() {
-            return;
+        let mut per_feature = Vec::with_capacity(self.slots.len());
+        let (mut cells, mut present) = (hist.cells.as_mut_slice(), hist.present.as_mut_slice());
+        for slot in &self.slots {
+            let (slot_cells, rest) = cells.split_at_mut(slot.words.len() * WORD);
+            cells = rest;
+            let (slot_present, rest) = present.split_at_mut(slot.words.len());
+            present = rest;
+            per_feature.push((slot.feature, slot_cells, slot_present));
         }
         let per = per_feature.len().div_ceil(tasks.min(per_feature.len()));
         pool.scope(|s| {
             let mut remaining = per_feature;
             while !remaining.is_empty() {
-                let chunk: Vec<(usize, &mut [HistBin])> =
-                    remaining.drain(..per.min(remaining.len())).collect();
+                let chunk: Vec<_> = remaining.drain(..per.min(remaining.len())).collect();
                 s.spawn(move || {
-                    for (f, cells) in chunk {
-                        self.fill_feature(f, indices, cells);
+                    for (feature, cells, present) in chunk {
+                        self.fill_feature(stats, feature, rows, cells, present);
                     }
                 });
             }
         });
     }
 
-    /// Builds the subtree over `indices`, whose per-feature histograms
-    /// have already been accumulated (or derived) into `hist`; returns the
-    /// node index. Consumes `hist` back into the pool.
-    fn build(&mut self, indices: Vec<usize>, depth: usize, hist: Vec<HistBin>) -> usize {
-        // Node totals are summed in row order (not from histogram cells)
-        // so leaf weights stay bit-identical to the exact builder's.
-        let (g_sum, h_sum) = indices.iter().fold((0.0, 0.0), |(g, h), &i| {
-            (g + self.gradients[i], h + self.hessians[i])
-        });
-        let leaf_weight = -g_sum / (h_sum + self.config.lambda);
-
-        if depth >= self.config.max_depth || indices.len() < 2 {
-            self.release(hist);
-            return self.push_leaf(leaf_weight);
-        }
-        let Some(split) = self.best_split(&hist, g_sum, h_sum) else {
-            self.release(hist);
-            return self.push_leaf(leaf_weight);
-        };
-        if split.gain <= self.config.min_split_gain {
-            self.release(hist);
-            return self.push_leaf(leaf_weight);
-        }
-
-        let codes = self.binned.codes(split.feature);
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-            .into_iter()
-            .partition(|&i| codes[i] <= split.left_bin);
-
-        // Accumulate the smaller child; derive the sibling from the parent
-        // buffer (which the sibling then owns). With subtraction disabled,
-        // both children are accumulated directly — the reference path.
-        let small_is_left = left_idx.len() <= right_idx.len();
-        let small = if small_is_left { &left_idx } else { &right_idx };
-        let large = if small_is_left { &right_idx } else { &left_idx };
-        let mut small_hist = self.acquire();
-        self.fill_hist(small, &mut small_hist);
-        let mut large_hist = hist;
-        if self.config.hist_subtraction {
-            for (cell, s) in large_hist.iter_mut().zip(&small_hist) {
-                cell.g -= s.g;
-                cell.h -= s.h;
-                cell.n -= s.n;
+    /// Stably partitions `idx[lo..hi]` on `code <= left_bin`: left rows
+    /// compact to the front in order, right rows park in `staging` and
+    /// are copied back behind them in order. Returns the boundary.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, left_bin: u8) -> usize {
+        let codes = self.binned.codes(feature);
+        self.staging.clear();
+        let mut mid = lo;
+        for at in lo..hi {
+            let i = self.idx[at];
+            if codes[i] <= left_bin {
+                self.idx[mid] = i;
+                mid += 1;
+            } else {
+                self.staging.push(i);
             }
-        } else {
-            self.fill_hist(large, &mut large_hist);
         }
-        let (left_hist, right_hist) = if small_is_left {
-            (small_hist, large_hist)
+        self.idx[mid..hi].copy_from_slice(&self.staging);
+        mid
+    }
+
+    /// Builds the subtree over `idx[lo..hi]` (above the depth limit), whose
+    /// histogram has already been accumulated or derived into `hist`;
+    /// returns the node index. Consumes `hist` back into the pool.
+    fn build(
+        &mut self,
+        stats: RowStats<'_>,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        hist: NodeHist,
+    ) -> usize {
+        debug_assert!(depth < self.config.max_depth);
+        let (g_sum, h_sum) = stats.sums(&self.idx[lo..hi]);
+        let split = if hi - lo < 2 {
+            None
         } else {
-            (large_hist, small_hist)
+            self.best_split(&hist, g_sum, h_sum)
+        };
+        let Some(split) = split else {
+            self.release(hist);
+            return self.push_leaf(-g_sum / (h_sum + self.config.lambda));
         };
 
+        let mid = self.partition(lo, hi, split.feature, split.left_bin);
         let placeholder = self.push_leaf(0.0);
-        let left = self.build(left_idx, depth + 1, left_hist);
-        let right = self.build(right_idx, depth + 1, right_hist);
+        let (left, right) = if depth + 1 >= self.config.max_depth {
+            // Both children are leaves by depth: nothing would ever scan
+            // their histograms, so none are built.
+            self.release(hist);
+            (self.leaf(stats, lo, mid), self.leaf(stats, mid, hi))
+        } else {
+            let (left_hist, right_hist) = self.child_hists(stats, lo, mid, hi, hist);
+            (
+                self.build(stats, lo, mid, depth + 1, left_hist),
+                self.build(stats, mid, hi, depth + 1, right_hist),
+            )
+        };
         self.nodes[placeholder] = Node::Split {
             feature: split.feature,
             threshold: split.threshold,
@@ -867,64 +1044,105 @@ impl HistogramBuilder<'_> {
         placeholder
     }
 
+    /// The histograms of the children `idx[lo..mid]` and `idx[mid..hi]` of
+    /// the node `parent` describes: the smaller child is accumulated, the
+    /// sibling derived from the parent buffer (which it then owns). With
+    /// subtraction disabled both are accumulated directly — the reference
+    /// path.
+    fn child_hists(
+        &mut self,
+        stats: RowStats<'_>,
+        lo: usize,
+        mid: usize,
+        hi: usize,
+        parent: NodeHist,
+    ) -> (NodeHist, NodeHist) {
+        let small_is_left = mid - lo <= hi - mid;
+        let (small, large) = if small_is_left {
+            (lo..mid, mid..hi)
+        } else {
+            (mid..hi, lo..mid)
+        };
+        let mut small_hist = self.acquire();
+        self.fill_hist(stats, &self.idx[small], &mut small_hist);
+        let mut large_hist = parent;
+        if self.config.hist_subtraction {
+            large_hist.subtract(&small_hist);
+        } else {
+            large_hist.clear();
+            self.fill_hist(stats, &self.idx[large], &mut large_hist);
+        }
+        if small_is_left {
+            (small_hist, large_hist)
+        } else {
+            (large_hist, small_hist)
+        }
+    }
+
+    /// A leaf over `idx[lo..hi]`.
+    fn leaf(&mut self, stats: RowStats<'_>, lo: usize, hi: usize) -> usize {
+        let (g_sum, h_sum) = stats.sums(&self.idx[lo..hi]);
+        self.push_leaf(-g_sum / (h_sum + self.config.lambda))
+    }
+
     fn push_leaf(&mut self, weight: f64) -> usize {
         self.nodes.push(Node::Leaf { weight });
         self.split_bins.push(u8::MAX);
         self.nodes.len() - 1
     }
 
-    /// Scans every feature's bin boundaries in the precomputed node
-    /// histogram. Unlike the pre-subtraction builder there is no
-    /// accumulation here — `hist` already holds the node's statistics.
-    fn best_split(&self, hist: &[HistBin], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+    /// Scans the boundaries between bins *present in this node*, feature
+    /// by feature in ascending bin order: the candidate set (and, in the
+    /// one-bin-per-value regime, the thresholds) then matches the exact
+    /// builder sample-for-sample. The first strictly best gain wins, if it
+    /// clears [`TreeConfig::min_split_gain`].
+    fn best_split(&self, hist: &NodeHist, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
         let lambda = self.config.lambda;
         let parent_score = g_sum * g_sum / (h_sum + lambda);
         let mut best: Option<BestSplit> = None;
 
-        for feature in 0..self.binned.features() {
-            let bins = self.binned.feature_bins(feature);
-            let n_bins = bins.n_bins();
-            if n_bins < 2 {
-                continue;
-            }
-            let cells = &hist[self.offsets[feature]..self.offsets[feature + 1]];
-
-            // Scan boundaries between bins *present in this node*: the
-            // candidate set (and, in the one-bin-per-value regime, the
-            // thresholds) then matches the exact builder sample-for-sample.
+        for slot in &self.slots {
+            let bins = self.binned.feature_bins(slot.feature);
+            let cells = &hist.cells[slot.cells()];
             let mut g_left = 0.0;
             let mut h_left = 0.0;
             let mut last_present: Option<usize> = None;
-            for (b, cell) in cells.iter().enumerate() {
-                if cell.n == 0 {
-                    continue;
-                }
-                if let Some(prev) = last_present {
-                    let h_right = h_sum - h_left;
-                    if h_left >= self.config.min_child_weight
-                        && h_right >= self.config.min_child_weight
-                    {
-                        let g_right = g_sum - g_left;
-                        let gain = 0.5
-                            * (g_left * g_left / (h_left + lambda)
-                                + g_right * g_right / (h_right + lambda)
-                                - parent_score);
-                        if best.as_ref().is_none_or(|cur| gain > cur.gain) {
-                            best = Some(BestSplit {
-                                feature,
-                                threshold: 0.5 * (bins.max_of(prev) + bins.min_of(b)),
-                                gain,
-                                left_bin: prev as u8,
-                            });
+            for (w, &word) in hist.present[slot.words.clone()].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let b = w * WORD + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if let Some(prev) = last_present {
+                        let h_right = h_sum - h_left;
+                        if h_left >= self.config.min_child_weight
+                            && h_right >= self.config.min_child_weight
+                        {
+                            let g_right = g_sum - g_left;
+                            let gain = 0.5
+                                * (g_left * g_left / (h_left + lambda)
+                                    + g_right * g_right / (h_right + lambda)
+                                    - parent_score);
+                            if best.as_ref().is_none_or(|cur| gain > cur.gain) {
+                                best = Some(BestSplit {
+                                    feature: slot.feature,
+                                    threshold: 0.5 * (bins.max_of(prev) + bins.min_of(b)),
+                                    gain,
+                                    left_bin: prev as u8,
+                                });
+                            }
                         }
                     }
+                    let cell = &cells[b];
+                    g_left += cell.g;
+                    h_left += cell.h;
+                    last_present = Some(b);
                 }
-                g_left += cell.g;
-                h_left += cell.h;
-                last_present = Some(b);
             }
         }
-        best
+        match best {
+            Some(split) if split.gain <= self.config.min_split_gain => None,
+            best => best,
+        }
     }
 }
 
@@ -932,6 +1150,9 @@ impl HistogramBuilder<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn squared_loss_grads(y: &[f64]) -> (Vec<f64>, Vec<f64>) {
         // Gradient of 1/2 (f - y)^2 at f = 0 is -y; hessian is 1.
@@ -1237,6 +1458,249 @@ mod tests {
         }
     }
 
+    /// The algorithm the grower replaced, kept as its oracle: every node
+    /// owns a freshly zeroed dense histogram over all bins, the sibling is
+    /// derived by subtracting the whole buffer, and the scan skips `n == 0`
+    /// cells one by one. The grower must reproduce it bit for bit.
+    struct DenseReference<'a> {
+        binned: &'a BinnedMatrix,
+        stats: RowStats<'a>,
+        config: &'a TreeConfig,
+        offsets: Vec<usize>,
+        nodes: Vec<Node>,
+        split_bins: Vec<u8>,
+    }
+
+    impl DenseReference<'_> {
+        fn grow(
+            binned: &BinnedMatrix,
+            gradients: &[f64],
+            hessians: &[f64],
+            rows: &[usize],
+            config: &TreeConfig,
+        ) -> RegressionTree {
+            let mut offsets = vec![0];
+            for f in 0..binned.features() {
+                offsets.push(offsets[f] + binned.feature_bins(f).n_bins());
+            }
+            let mut reference = DenseReference {
+                binned,
+                stats: RowStats {
+                    gradients,
+                    hessians,
+                },
+                config,
+                offsets,
+                nodes: Vec::new(),
+                split_bins: Vec::new(),
+            };
+            let root = reference.fill(rows);
+            reference.build(rows.to_vec(), 0, root);
+            RegressionTree {
+                nodes: reference.nodes,
+                split_bins: reference.split_bins,
+            }
+        }
+
+        fn fill(&self, rows: &[usize]) -> Vec<HistBin> {
+            let mut hist = vec![HistBin::default(); *self.offsets.last().unwrap()];
+            for f in 0..self.binned.features() {
+                if self.binned.feature_bins(f).n_bins() < 2 {
+                    continue;
+                }
+                let codes = self.binned.codes(f);
+                for &i in rows {
+                    let cell = &mut hist[self.offsets[f] + codes[i] as usize];
+                    cell.g += self.stats.gradients[i];
+                    cell.h += self.stats.hessians[i];
+                    cell.n += 1;
+                }
+            }
+            hist
+        }
+
+        fn push(&mut self, node: Node) -> usize {
+            self.nodes.push(node);
+            self.split_bins.push(u8::MAX);
+            self.nodes.len() - 1
+        }
+
+        fn build(&mut self, rows: Vec<usize>, depth: usize, hist: Vec<HistBin>) -> usize {
+            let (g_sum, h_sum) = self.stats.sums(&rows);
+            let weight = -g_sum / (h_sum + self.config.lambda);
+            if depth >= self.config.max_depth || rows.len() < 2 {
+                return self.push(Node::Leaf { weight });
+            }
+            let split = match self.best_split(&hist, g_sum, h_sum) {
+                Some(split) if split.gain > self.config.min_split_gain => split,
+                _ => return self.push(Node::Leaf { weight }),
+            };
+            let codes = self.binned.codes(split.feature);
+            let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
+                rows.into_iter().partition(|&i| codes[i] <= split.left_bin);
+            let small_is_left = left_rows.len() <= right_rows.len();
+            let (small, large) = if small_is_left {
+                (&left_rows, &right_rows)
+            } else {
+                (&right_rows, &left_rows)
+            };
+            let small_hist = self.fill(small);
+            let large_hist = if self.config.hist_subtraction {
+                let mut derived = hist;
+                for (cell, s) in derived.iter_mut().zip(&small_hist) {
+                    cell.g -= s.g;
+                    cell.h -= s.h;
+                    cell.n -= s.n;
+                }
+                derived
+            } else {
+                self.fill(large)
+            };
+            let (left_hist, right_hist) = if small_is_left {
+                (small_hist, large_hist)
+            } else {
+                (large_hist, small_hist)
+            };
+            let at = self.push(Node::Leaf { weight: 0.0 });
+            let left = self.build(left_rows, depth + 1, left_hist);
+            let right = self.build(right_rows, depth + 1, right_hist);
+            self.nodes[at] = Node::Split {
+                feature: split.feature,
+                threshold: split.threshold,
+                left,
+                right,
+            };
+            self.split_bins[at] = split.left_bin;
+            at
+        }
+
+        fn best_split(&self, hist: &[HistBin], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+            let lambda = self.config.lambda;
+            let parent_score = g_sum * g_sum / (h_sum + lambda);
+            let mut best: Option<BestSplit> = None;
+            for feature in 0..self.binned.features() {
+                let bins = self.binned.feature_bins(feature);
+                let cells = &hist[self.offsets[feature]..self.offsets[feature + 1]];
+                let (mut g_left, mut h_left) = (0.0, 0.0);
+                let mut last_present: Option<usize> = None;
+                for (b, cell) in cells.iter().enumerate() {
+                    if cell.n == 0 {
+                        continue;
+                    }
+                    if let Some(prev) = last_present {
+                        let h_right = h_sum - h_left;
+                        if h_left >= self.config.min_child_weight
+                            && h_right >= self.config.min_child_weight
+                        {
+                            let g_right = g_sum - g_left;
+                            let gain = 0.5
+                                * (g_left * g_left / (h_left + lambda)
+                                    + g_right * g_right / (h_right + lambda)
+                                    - parent_score);
+                            if best.as_ref().is_none_or(|cur| gain > cur.gain) {
+                                best = Some(BestSplit {
+                                    feature,
+                                    threshold: 0.5 * (bins.max_of(prev) + bins.min_of(b)),
+                                    gain,
+                                    left_bin: prev as u8,
+                                });
+                            }
+                        }
+                    }
+                    g_left += cell.g;
+                    h_left += cell.h;
+                    last_present = Some(b);
+                }
+            }
+            best
+        }
+    }
+
+    /// Three informative columns plus a constant and an all-NaN one (both
+    /// single-bin: no cells, never split). `distinct` bounds the values a
+    /// column can take: at most `max_bins` puts every value in its own
+    /// bin, more forces quantile bins. A few NaNs ride the last bin.
+    fn grower_fixture(rng: &mut StdRng, n: usize, distinct: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| {
+                let mut row: Vec<f64> = (0..3)
+                    .map(|f| rng.gen_range(0..distinct) as f64 * (0.5 + f as f64) - 40.0)
+                    .collect();
+                if rng.gen_range(0..50) == 0 {
+                    row[1] = f64::NAN;
+                }
+                row.extend([7.25, f64::NAN]);
+                row
+            })
+            .collect()
+    }
+
+    fn assert_same_tree(got: &RegressionTree, want: &RegressionTree, what: &str) {
+        assert_eq!(got.nodes, want.nodes, "{what}");
+        assert_eq!(got.split_bins, want.split_bins, "{what}");
+    }
+
+    /// Grows `trees` trees over random row subsets (random order, random
+    /// gradients and hessians) through **one** grower, and asserts each
+    /// equals the tree a fresh grower and the dense oracle grow from the
+    /// same inputs; afterwards every pooled histogram must be clear.
+    fn assert_reused_grower_is_fresh_and_dense(
+        rng: &mut StdRng,
+        binned: &BinnedMatrix,
+        config: &TreeConfig,
+        trees: usize,
+        min_rows: usize,
+    ) {
+        let n = binned.rows();
+        let mut reused = TreeGrower::new(binned, config);
+        let mut rows: Vec<usize> = (0..n).collect();
+        for tree in 0..trees {
+            rows.shuffle(rng);
+            let take = rng.gen_range(min_rows..n + 1);
+            let g: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
+            let h: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..2.0)).collect();
+            let what = format!("tree {tree} over {take} of {n} rows, {config:?}");
+            let got = reused.grow(&g, &h, &rows[..take]);
+            let fresh = TreeGrower::new(binned, config).grow(&g, &h, &rows[..take]);
+            assert_same_tree(&got, &fresh, &what);
+            let dense = DenseReference::grow(binned, &g, &h, &rows[..take], config);
+            assert_same_tree(&got, &dense, &what);
+        }
+        assert!(!reused.pool.is_empty());
+        assert!(
+            reused.pool.iter().all(NodeHist::is_clear),
+            "release must leave pooled histograms all-zero with empty bitmaps"
+        );
+    }
+
+    #[test]
+    fn reused_grower_matches_fresh_under_parallel_fills() {
+        // Above PAR_MIN_ROWS the root and the large children fill through
+        // the pool (n_threads = 4): per-feature cell and bitmap slices are
+        // disjoint, so pooled buffers come back exactly as clean.
+        let mut rng = StdRng::seed_from_u64(0x9120);
+        let n = TreeGrower::PAR_MIN_ROWS + 1500;
+        let x = grower_fixture(&mut rng, n, 900);
+        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+        for n_threads in [1, 4] {
+            for hist_subtraction in [true, false] {
+                let config = TreeConfig {
+                    max_depth: 4,
+                    hist_subtraction,
+                    n_threads,
+                    ..TreeConfig::default()
+                };
+                assert_reused_grower_is_fresh_and_dense(
+                    &mut rng,
+                    &binned,
+                    &config,
+                    20,
+                    TreeGrower::PAR_MIN_ROWS,
+                );
+            }
+        }
+    }
+
     proptest! {
         /// Leaf predictions stay within the hull of the Newton-optimal
         /// per-sample weights (for unit hessians, within [-max|g|, max|g|]).
@@ -1344,6 +1808,39 @@ mod tests {
                     (a - b).abs() <= 1e-9 * scale,
                     "direct {a} vs subtraction {b}"
                 );
+            }
+        }
+
+        /// **One grower per fit ≡ one grower per tree ≡ dense histograms**,
+        /// in both bin regimes (every distinct value its own bin; more
+        /// than 256 distinct values, so quantile bins) and with histogram
+        /// subtraction on and off: pooling histograms across trees and
+        /// walking present bins only must not change one bit of any tree.
+        #[test]
+        fn prop_reused_grower_equals_fresh_and_dense(
+            seed in 0u64..1_000_000,
+            depth in 1usize..6,
+            quantile_regime in 0u8..2) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, distinct) = if quantile_regime == 1 {
+                (rng.gen_range(400..600), 5000)
+            } else {
+                (rng.gen_range(20..160), 40)
+            };
+            let x = grower_fixture(&mut rng, n, distinct);
+            let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+            let mut column: Vec<f64> = x.iter().map(|row| row[0]).collect();
+            column.sort_by(f64::total_cmp);
+            column.dedup();
+            let one_bin_per_value = binned.feature_bins(0).n_bins() == column.len();
+            prop_assert_eq!(one_bin_per_value, quantile_regime == 0);
+            for hist_subtraction in [true, false] {
+                let config = TreeConfig {
+                    max_depth: depth,
+                    hist_subtraction,
+                    ..TreeConfig::default()
+                };
+                assert_reused_grower_is_fresh_and_dense(&mut rng, &binned, &config, 20, 1);
             }
         }
     }

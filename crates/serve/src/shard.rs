@@ -631,7 +631,10 @@ impl JobState {
                 if !state.predictor.restore_state(&blob) {
                     return Err(RecoverError::PredictorRestore(job));
                 }
-                let task_count = dec.take_len(16)?;
+                // The smallest task — no feature snapshot yet — is an empty
+                // `Vec` length, two `Option` tags and one `bool`: a larger
+                // guard rejects a job admitted but not yet described.
+                let task_count = dec.take_len(8 + 1 + 1 + 1)?;
                 let mut tasks = Vec::with_capacity(task_count);
                 for _ in 0..task_count {
                     tasks.push(TaskState {

@@ -318,6 +318,74 @@ proptest! {
     }
 }
 
+/// A job between its `JobStart` and its first checkpoint holds tasks with
+/// no feature snapshot yet, 11 bytes each on the wire. `JobState::decode`
+/// used to demand 16 per task, so a snapshot holding such a job failed
+/// with `LengthOverrun` and was skipped whole — every job in it fell back
+/// to WAL replay, or was lost once the older WAL had been pruned. The
+/// snapshot must load as written: no fallback, both jobs resumed.
+#[test]
+fn snapshot_holding_a_just_admitted_job_recovers_every_job() {
+    let jobs = suite(21, 2);
+    let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+    let replay_cfg = ReplayConfig {
+        quantile: QUANTILE,
+        warmup_fraction: WARMUP,
+    };
+    let expected: Vec<(u64, ReplayOutcome)> = jobs
+        .iter()
+        .map(|job| {
+            let mut reference =
+                NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
+            (job.job_id(), replay_job(job, &mut reference, &replay_cfg))
+        })
+        .collect();
+    let streams: Vec<Vec<TaskEvent>> = jobs
+        .iter()
+        .map(|job| nurd_data::job_stream(job, QUANTILE))
+        .collect();
+    assert!(matches!(streams[1][0], TaskEvent::JobStart { .. }));
+
+    let dir = scratch_dir("admitted");
+    let mut persistence = PersistenceConfig::new(&dir);
+    persistence.fsync = FsyncPolicy::Always;
+    let doomed = EngineService::start_persistent(
+        engine_config(2),
+        service_config(),
+        persistence,
+        nurd_factory(policy.clone()),
+    )
+    .unwrap();
+    // Job 0 is mid-stream; job 1 has been admitted and nothing more.
+    let prefix = vec![
+        streams[0][..streams[0].len() / 2].to_vec(),
+        streams[1][..1].to_vec(),
+    ];
+    run_producers(&doomed, prefix, &BTreeMap::new());
+    doomed.quiesce();
+    doomed.checkpoint().unwrap();
+    drop(doomed); // the crash: the checkpoint above is all there is
+
+    let (revived, recover) = EngineService::recover(
+        PersistenceConfig::new(&dir),
+        engine_config(2),
+        service_config(),
+        nurd_factory(policy),
+    )
+    .unwrap();
+    assert_eq!(recover.recovery_fallbacks, 0, "the snapshot must decode");
+    assert!(recover.snapshot_generation.is_some());
+    assert_eq!(recover.wal_events_replayed, 0);
+    assert_eq!(recover.resumed_jobs, 2);
+    assert_eq!(recover.events_seen[&jobs[1].job_id()], 1);
+
+    run_producers(&revived, streams, &recover.events_seen);
+    revived.quiesce();
+    let reports = collect_reports(&revived);
+    assert_outcomes_match(&reports, &expected, "just-admitted job in the snapshot");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// History-mode recovery: `FlagAll` has no `snapshot_state`, so the
 /// engine persists each live job's accepted events and replays them
 /// through a factory-fresh predictor at decode time. Crash mid-stream,

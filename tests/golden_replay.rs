@@ -1,0 +1,103 @@
+//! Golden bit-identity of the refit path: a fixed small fleet replayed
+//! sequentially under both refit policies must hash to constants recorded
+//! **on the commit before the pooled `TreeGrower`** replaced the per-tree
+//! histogram builder in `nurd-ml` (PR 13). The constants therefore predate
+//! the grower: they pin every later change to tree growth, boosting or the
+//! warm-refit state machine to the models that builder produced, bit for
+//! bit — a changed split, leaf weight or verdict anywhere moves a hash.
+//!
+//! The fleet covers both bin regimes of the histogram path: Google-style
+//! jobs (~100 tasks, node model on) keep every feature under 256 distinct
+//! values, so each value is its own bin; Alibaba-style jobs of ≥ 600 tasks
+//! push the continuous features past 256 distinct values into quantile
+//! bins.
+
+use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
+use nurd::data::JobTrace;
+use nurd::sim::{replay_job, ReplayConfig, ReplayOutcome};
+use nurd::trace::{NodeModelConfig, SuiteConfig, TraceStyle};
+
+const REPLAY: ReplayConfig = ReplayConfig {
+    quantile: 0.9,
+    warmup_fraction: 0.04,
+};
+
+fn fleet() -> Vec<JobTrace> {
+    let google = SuiteConfig::new(TraceStyle::Google)
+        .with_jobs(6)
+        .with_task_range(100, 140)
+        .with_checkpoints(12)
+        .with_seed(0x601D)
+        .with_node_model(NodeModelConfig::default());
+    let alibaba = SuiteConfig::new(TraceStyle::Alibaba)
+        .with_jobs(2)
+        .with_task_range(600, 700)
+        .with_checkpoints(16)
+        .with_seed(0xA11B);
+    let mut jobs = nurd::trace::generate_suite(&google);
+    jobs.extend(nurd::trace::generate_suite(&alibaba));
+    jobs
+}
+
+/// FNV-1a over every field of the outcome, floats by bit pattern.
+fn fold(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+fn hash_outcome(hash: &mut u64, outcome: &ReplayOutcome) {
+    fold(hash, outcome.threshold.to_bits());
+    fold(hash, outcome.flagged_at.len() as u64);
+    for flagged in &outcome.flagged_at {
+        fold(hash, flagged.map_or(u64::MAX, |ordinal| ordinal as u64));
+    }
+    let c = &outcome.confusion;
+    for count in [
+        c.true_positives,
+        c.false_positives,
+        c.false_negatives,
+        c.true_negatives,
+    ] {
+        fold(hash, count as u64);
+    }
+    fold(hash, outcome.f1_timeline.len() as u64);
+    for f1 in &outcome.f1_timeline {
+        fold(hash, f1.to_bits());
+    }
+    fold(hash, outcome.warmup_checkpoint as u64);
+}
+
+fn fleet_hash(jobs: &[JobTrace], policy: &RefitPolicy) -> (u64, usize) {
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut flagged = 0;
+    for job in jobs {
+        let mut predictor =
+            NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
+        let outcome = replay_job(job, &mut predictor, &REPLAY);
+        flagged += outcome.flagged_ids().len();
+        hash_outcome(&mut hash, &outcome);
+    }
+    (hash, flagged)
+}
+
+#[test]
+fn replay_outcomes_match_the_pre_grower_constants() {
+    let jobs = fleet();
+    assert_eq!(jobs.len(), 8);
+    assert!(jobs[6..].iter().all(|j| j.task_count() >= 600));
+
+    let (cold, cold_flagged) = fleet_hash(&jobs, &RefitPolicy::AlwaysCold);
+    let (warm, warm_flagged) = fleet_hash(&jobs, &RefitPolicy::Warm(WarmRefitConfig::default()));
+    // A fleet on which nothing flags would make the hashes vacuous.
+    assert!(cold_flagged > 0 && warm_flagged > 0);
+    assert_eq!(
+        (cold, warm),
+        (GOLDEN_ALWAYS_COLD, GOLDEN_WARM),
+        "ReplayOutcome hashes moved: cold {cold:#018x}, warm {warm:#018x}"
+    );
+}
+
+const GOLDEN_ALWAYS_COLD: u64 = 0x94CC_1CAB_23F9_3B12;
+const GOLDEN_WARM: u64 = 0xD92D_0B82_1813_E4EC;
