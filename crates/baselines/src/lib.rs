@@ -22,6 +22,8 @@
 //! assert_eq!(predictor.name(), "NURD");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod outlier_adapter;
 pub mod pu;
 mod pu_adapter;

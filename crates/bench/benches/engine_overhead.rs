@@ -14,11 +14,6 @@
 //!   tree step, `flat_l4` (the default) / `flat_l8` interleave 4 / 8.
 //!   Every width is asserted bit-identical to the pointer walk before
 //!   timing.
-//! * `engine_overhead/deque/{owner_only,contended_steal}` — the
-//!   work-stealing [`nurd_runtime::Deque`] under its two regimes: the
-//!   uncontended owner push/pop cycle the pool's common path takes, and
-//!   the same cycle with persistent stealer threads racing the owner for
-//!   every item (the Chase–Lev CAS path).
 //!
 //! Determinism cover: `tests/hot_path_equivalence.rs` holds the served
 //! scores to the pointer walk bit-for-bit at every lane width, so every
@@ -30,7 +25,7 @@ use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::{Checkpoint, OnlinePredictor, TaskEvent};
 use nurd_linalg::MatrixView;
 use nurd_ml::{FlatForest, GbtConfig, GradientBoosting, SquaredLoss, TreeConfig};
-use nurd_runtime::{Deque, ThreadPool};
+use nurd_runtime::ThreadPool;
 use nurd_serve::{Engine, EngineConfig, EngineReport, PredictorFactory};
 use nurd_trace::{SuiteConfig, TraceStyle};
 
@@ -224,57 +219,6 @@ fn bench_engine_overhead(c: &mut Criterion) {
             b.iter(|| forest.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch));
         });
     }
-
-    // The work-stealing deque in isolation: 256 pushes then a full drain
-    // per iteration — first with the owner alone (the pool's common
-    // path: pop never leaves the fast path), then with two persistent
-    // stealer threads racing the owner for every item, forcing the
-    // Chase–Lev CAS on the shared slots.
-    group.bench_function(BenchmarkId::new("deque", "owner_only"), |b| {
-        let deque: Deque<u64> = Deque::new();
-        b.iter(|| {
-            for i in 0..256u64 {
-                deque.push(i);
-            }
-            let mut sum = 0u64;
-            while let Some(v) = deque.pop() {
-                sum += v;
-            }
-            std::hint::black_box(sum)
-        });
-    });
-    group.bench_function(BenchmarkId::new("deque", "contended_steal"), |b| {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let deque: Deque<u64> = Deque::new();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let stealer = deque.stealer();
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut sum = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        match stealer.steal() {
-                            Some(v) => sum += v,
-                            None => std::hint::spin_loop(),
-                        }
-                    }
-                    std::hint::black_box(sum);
-                });
-            }
-            b.iter(|| {
-                for i in 0..256u64 {
-                    deque.push(i);
-                }
-                let mut sum = 0u64;
-                while let Some(v) = deque.pop() {
-                    sum += v;
-                }
-                std::hint::black_box(sum)
-            });
-            stop.store(true, Ordering::Relaxed);
-        });
-    });
     group.finish();
 }
 

@@ -10,6 +10,8 @@
 //! recorded baselines and the regeneration workflow for `BENCH_ml.json`
 //! are documented in this crate's `README.md`.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 

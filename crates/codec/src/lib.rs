@@ -26,6 +26,7 @@
 //! crate only promises that a value encoded by version `N` of a
 //! `Checkpointable` impl decodes bit-identically under the same impl.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

@@ -53,6 +53,8 @@
 //! assert_eq!(nurd.name(), "NURD");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod calibration;
 mod config;
 mod model;

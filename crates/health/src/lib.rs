@@ -36,6 +36,7 @@
 //! past `Healthy` — one unlucky task is not evidence. `docs/OPERATIONS.md`
 //! is the operator's guide to the knobs and verdict triage.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

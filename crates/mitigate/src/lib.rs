@@ -30,6 +30,7 @@
 //! the oracle never loses to no-mitigation, the action log is
 //! bit-identical at shard counts {1, 2, 8}).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod harness;

@@ -464,6 +464,7 @@ impl FlatForest {
     /// closure is monomorphized per view variant; `first_row` is an
     /// explicit offset because wrapping the closure for the remainder
     /// call would nest closure types without bound.
+    #[allow(unsafe_code)]
     fn accumulate_rows_lanes<'a, const L: usize>(
         &self,
         row: &impl Fn(usize) -> &'a [f64],
@@ -608,6 +609,7 @@ impl FlatForest {
     ///
     /// Caller (`accumulate_binned_from`) has already validated `cols`
     /// against `min_width` and the row range against the matrix.
+    #[allow(unsafe_code)]
     fn accumulate_binned_lanes<const L: usize>(
         &self,
         cols: &[&[u8]],

@@ -86,6 +86,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 mod binned;
 mod error;
 mod flat;

@@ -28,6 +28,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod abod;
 mod cblof;
 mod hbos;

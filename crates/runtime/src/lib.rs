@@ -1,18 +1,15 @@
-//! A small, dependency-free work-stealing thread pool with scoped
-//! fork-join, shared by every compute layer of the NURD workspace.
+//! A small, dependency-free fork-join thread pool with scoped tasks,
+//! shared by every compute layer of the NURD workspace.
 //!
 //! The build container has no crates.io access, so this crate plays the
-//! role rayon would: it is built on `std::thread` and std atomics. The
-//! design is the classic work-stealing shape:
+//! role rayon would: it is built on `std::thread`, `Mutex` and `Condvar`.
 //!
-//! * every worker **owns** a lock-free Chase–Lev [`Deque`] of pending
-//!   tasks — the owner pushes and pops LIFO at the bottom (cache-warm,
-//!   depth-first), thieves hold [`Stealer`] handles and CAS-steal FIFO
-//!   from the top (breadth-first, grabs the biggest subtrees). The hot
-//!   scheduling path takes no lock;
-//! * a mutexed **injector** queue receives tasks spawned from threads
-//!   outside the pool (many producers, so the single-owner Chase–Lev
-//!   push end does not apply there);
+//! * a pool has **one run queue** — a mutexed FIFO that idle workers
+//!   sleep on. There are no per-worker queues and no work stealing,
+//!   because every spawn in this workspace comes from a thread outside
+//!   the pool it targets (the drain coordinator onto its private pool,
+//!   a drain worker's fit and scoring chunks onto [`global`]); stealing
+//!   would schedule traffic that does not exist;
 //! * [`ThreadPool::scope`] provides *scoped* fork-join: closures spawned
 //!   inside a scope may borrow from the caller's stack, and the scope
 //!   does not return until every spawned task has finished (panics are
@@ -61,13 +58,13 @@
 //! assert_eq!(*sums.lock().unwrap(), 499.5 * 1000.0);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod channel;
-mod deque;
 mod notify;
 mod pool;
 
 pub use channel::{Channel, SendError, TrySendError};
-pub use deque::{Deque, Stealer};
 pub use notify::Notifier;
 pub use pool::Scope;
 pub use pool::{global, ThreadPool};

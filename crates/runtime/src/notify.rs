@@ -6,8 +6,7 @@
 //! point: producers [`unpark`](Notifier::unpark) after every enqueue, and
 //! an idle worker [`park`](Notifier::park)s against the epoch it observed
 //! *before* its last scan, so a wake-up that races the scan is never
-//! lost (the same generation-counter discipline as the pool's internal
-//! sleep state in [`crate::ThreadPool`]).
+//! lost.
 //!
 //! The protocol:
 //!

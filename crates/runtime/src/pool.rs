@@ -1,156 +1,57 @@
 //! The thread pool, scoped fork-join, and chunked parallel-for.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
-
-use crate::{Deque, Stealer};
 
 /// A unit of queued work. Scoped tasks are lifetime-erased into this
 /// `'static` form; soundness is restored by [`ThreadPool::scope`], which
 /// never returns before every task it spawned has run to completion.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// The ingress queue for tasks spawned from threads *outside* the pool.
-///
-/// This is deliberately **not** a Chase–Lev [`Deque`]: that algorithm's
-/// push end is single-owner by contract, while the injector is pushed by
-/// arbitrary producer threads. A plain mutexed FIFO is correct here and
-/// cheap enough — external spawns are the rare path (per scoring batch /
-/// per refit, not per task), and workers fall back to it only after
-/// their own lock-free deque is empty.
-struct Injector<T> {
-    queue: Mutex<VecDeque<T>>,
-}
-
-impl<T> Injector<T> {
-    fn new() -> Self {
-        Injector {
-            queue: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    fn push(&self, item: T) {
-        self.queue
-            .lock()
-            .expect("injector poisoned")
-            .push_back(item);
-    }
-
-    fn steal(&self) -> Option<T> {
-        self.queue.lock().expect("injector poisoned").pop_front()
-    }
-}
-
-/// Wake-up bookkeeping: every task push bumps `generation` under the
-/// mutex, so a worker that observed empty queues at generation `g` can
-/// sleep until the generation moves — the push-then-notify and
-/// check-then-wait orders can never interleave into a lost wake-up.
-struct SleepState {
-    generation: u64,
+/// Everything the scheduler knows, behind [`Shared::queue`].
+struct RunQueue {
+    tasks: VecDeque<Task>,
     shutdown: bool,
 }
 
+/// The pool's one run queue: a mutexed FIFO and the condvar idle workers
+/// sleep on.
+///
+/// There are deliberately no per-worker queues and no stealing. Every
+/// spawn the workspace makes comes from a thread *outside* the pool it
+/// targets — the drain coordinator spawns onto its private pool, a drain
+/// worker's fit or scoring chunks go to [`global`] — so a per-worker
+/// queue would never be pushed to and never stolen from (counted: zero
+/// own-queue pushes and zero steals over all four `BENCHMARK.json`
+/// workloads). Tasks are whole drain loops or whole chunks, so the lock
+/// is taken per chunk, not per row.
 struct Shared {
-    /// Tasks injected from threads outside the pool.
-    injector: Injector<Task>,
-    /// Steal handles onto each worker's Chase–Lev deque. The owner ends
-    /// live on the workers' stacks (see [`worker_loop`]); everyone else
-    /// reaches a worker's queue only through these.
-    stealers: Vec<Stealer<Task>>,
-    sleep: Mutex<SleepState>,
+    queue: Mutex<RunQueue>,
+    /// Signalled once per pushed task, and broadcast on shutdown.
     wake: Condvar,
 }
 
 impl Shared {
-    /// Bumps the generation and wakes sleeping workers.
-    fn notify(&self) {
-        let mut state = self.sleep.lock().expect("sleep state poisoned");
-        state.generation = state.generation.wrapping_add(1);
-        drop(state);
-        self.wake.notify_all();
+    fn lock(&self) -> MutexGuard<'_, RunQueue> {
+        self.queue.lock().expect("run queue poisoned")
     }
 
-    /// Grabs a task as worker `me` would: own deque first (LIFO pop),
-    /// then the injector, then the other workers' deques (FIFO steals).
-    /// `me == None` is an external helper thread: injector, then steals.
-    ///
-    /// Idle-scan audit (the `Deque::len` contract): this scan never
-    /// consults `len()`/`is_empty()` — emptiness is only ever concluded
-    /// from a failed `pop`/`steal` *attempt*, and a `None` that races a
-    /// concurrent push is repaired by the generation sleep protocol in
-    /// [`worker_loop`] (the push's `notify` bumps the generation the
-    /// sleeper pinned before its re-check). Nothing in the pool relies
-    /// on the advisory counters being exact.
-    fn find_task(&self, me: Option<(usize, &Deque<Task>)>) -> Option<Task> {
-        if let Some((_, own)) = me {
-            if let Some(t) = own.pop() {
-                return Some(t);
-            }
-        }
-        if let Some(t) = self.injector.steal() {
-            return Some(t);
-        }
-        let n = self.stealers.len();
-        let mine = me.map(|(i, _)| i);
-        let start = mine.map_or(0, |i| i + 1);
-        for off in 0..n {
-            let j = (start + off) % n;
-            if Some(j) == mine {
-                continue;
-            }
-            if let Some(t) = self.stealers[j].steal() {
-                return Some(t);
-            }
-        }
-        None
+    fn push(&self, task: Task) {
+        self.lock().tasks.push_back(task);
+        self.wake.notify_one();
+    }
+
+    fn try_pop(&self) -> Option<Task> {
+        self.lock().tasks.pop_front()
     }
 }
 
-/// Pool-worker identity stashed in TLS: which pool, which worker index,
-/// and a pointer to the worker's own stack-resident [`Deque`] so tasks
-/// spawned from inside the worker can push straight onto it.
-#[derive(Clone, Copy)]
-struct WorkerTls {
-    /// `Arc::as_ptr` of the pool's `Shared`, as an identity token.
-    pool: usize,
-    index: usize,
-    /// Points into the live `worker_loop` frame of *this* thread. Only
-    /// dereferenced from this same thread, while `worker_loop` is on the
-    /// stack below us — see the SAFETY comments at the deref sites.
-    deque: *const Deque<Task>,
-}
-
-thread_local! {
-    /// Worker identity for pool worker threads, so tasks spawned from
-    /// inside a worker land on that worker's own deque.
-    static WORKER: Cell<Option<WorkerTls>> = const { Cell::new(None) };
-}
-
-/// The calling thread's deque handle for `shared`'s pool, if the caller
-/// is one of its workers.
-///
-/// The returned reference is tied to the TLS pointer set by
-/// [`worker_loop`]; see the SAFETY argument there.
-fn own_deque(shared: &Shared) -> Option<(usize, &Deque<Task>)> {
-    let tls = WORKER.with(Cell::get)?;
-    if tls.pool != std::ptr::from_ref(shared) as usize {
-        return None;
-    }
-    // SAFETY: the TLS entry was set by `worker_loop` on this very
-    // thread, pointing at a deque owned by its stack frame. Everything
-    // the pool runs on a worker (tasks, and scopes/spawns made from
-    // inside tasks) executes synchronously *inside* that frame, so the
-    // frame — and the deque — outlive any borrow we hand out here.
-    Some((tls.index, unsafe { &*tls.deque }))
-}
-
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size fork-join thread pool.
 ///
 /// `threads` counts **total** concurrency including the thread that calls
 /// [`ThreadPool::scope`] / [`ThreadPool::par_for_chunks`]: the pool spawns
@@ -182,26 +83,19 @@ impl ThreadPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let workers = threads - 1;
-        // Each worker *owns* its Chase–Lev deque (the algorithm's push/pop
-        // end is single-owner); the pool keeps only the steal handles.
-        let deques: Vec<Deque<Task>> = (0..workers).map(|_| Deque::new()).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers: deques.iter().map(Deque::stealer).collect(),
-            sleep: Mutex::new(SleepState {
-                generation: 0,
+            queue: Mutex::new(RunQueue {
+                tasks: VecDeque::new(),
                 shutdown: false,
             }),
             wake: Condvar::new(),
         });
-        let handles = deques
-            .into_iter()
-            .enumerate()
-            .map(|(index, deque)| {
+        let handles = (0..workers)
+            .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("nurd-runtime-{index}"))
-                    .spawn(move || worker_loop(&shared, index, deque))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -309,9 +203,10 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.sleep.lock().expect("sleep state poisoned");
-            state.shutdown = true;
+        // Poisoned only if a thread panicked holding the lock; workers
+        // then exit on their own `expect`, and `Drop` must not panic.
+        if let Ok(mut queue) = self.shared.queue.lock() {
+            queue.shutdown = true;
         }
         self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
@@ -320,45 +215,17 @@ impl Drop for ThreadPool {
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, index: usize, deque: Deque<Task>) {
-    // Publish this worker's identity — including a pointer to the deque
-    // now owned by this stack frame — so `Scope::spawn` and
-    // `help_until_done`, when called from tasks running here, can reach
-    // the owner end. The pointer never escapes this thread (TLS), and
-    // every deref happens inside `task()` calls below, i.e. while this
-    // frame is live.
-    WORKER.with(|w| {
-        w.set(Some(WorkerTls {
-            pool: Arc::as_ptr(shared) as usize,
-            index,
-            deque: std::ptr::addr_of!(deque),
-        }));
-    });
-    let me = Some((index, &deque));
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.lock();
     loop {
-        if let Some(task) = shared.find_task(me) {
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
             task();
-            continue;
-        }
-        // Record the generation *before* re-checking the queues: any push
-        // that raced with the check bumps it and the wait falls through.
-        let seen = {
-            let state = shared.sleep.lock().expect("sleep state poisoned");
-            if state.shutdown {
-                return;
-            }
-            state.generation
-        };
-        if let Some(task) = shared.find_task(me) {
-            task();
-            continue;
-        }
-        let mut state = shared.sleep.lock().expect("sleep state poisoned");
-        while state.generation == seen && !state.shutdown {
-            state = shared.wake.wait(state).expect("sleep condvar poisoned");
-        }
-        if state.shutdown {
+            queue = shared.lock();
+        } else if queue.shutdown {
             return;
+        } else {
+            queue = shared.wake.wait(queue).expect("run queue poisoned");
         }
     }
 }
@@ -406,6 +273,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     /// guaranteed to have finished when that call returns. A panicking
     /// task does not tear down the pool — the payload is captured and
     /// resumed on the scope's caller.
+    #[allow(unsafe_code)]
     pub fn spawn<F>(&'scope self, f: F)
     where
         F: FnOnce() + Send + 'scope,
@@ -424,22 +292,14 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         // `Box<dyn FnOnce>` is lifetime-independent.
         let task: Task =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
-        match own_deque(&self.shared) {
-            // Spawning from a worker of this pool: push onto its own
-            // deque (LIFO — cache-warm, depth-first). Sound because we
-            // *are* the owner thread here (see `own_deque`).
-            Some((_, own)) => own.push(task),
-            _ => self.shared.injector.push(task),
-        }
-        self.shared.notify();
+        self.shared.push(task);
     }
 
     /// Runs pool tasks on the calling thread until every task spawned in
     /// this scope has completed.
     fn help_until_done(&self) {
-        let me = own_deque(&self.shared);
         loop {
-            if let Some(task) = self.shared.find_task(me) {
+            if let Some(task) = self.shared.try_pop() {
                 task();
                 continue;
             }
@@ -447,8 +307,8 @@ impl<'scope, 'env> Scope<'scope, 'env> {
             if *pending == 0 {
                 return;
             }
-            // Our remaining tasks are running on other threads (queues
-            // are empty): sleep until the last one flips the latch. New
+            // Our remaining tasks are running on other threads (the queue
+            // is empty): sleep until the last one flips the latch. New
             // tasks they spawn are executed by awake workers.
             let _pending = self
                 .state
@@ -517,9 +377,9 @@ mod tests {
         pool.scope(|outer| {
             for _ in 0..4 {
                 outer.spawn(|| {
-                    // A task running on a worker opens its own scope; the
-                    // worker helps drain it without deadlocking.
-                    global().scope(|inner| {
+                    // A task running on a worker opens a scope on its own
+                    // pool; the worker helps drain it without deadlocking.
+                    pool.scope(|inner| {
                         for _ in 0..8 {
                             inner.spawn(|| {
                                 total.fetch_add(1, Ordering::Relaxed);

@@ -110,6 +110,7 @@
 //! assert_eq!(report.jobs.len(), 3);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;

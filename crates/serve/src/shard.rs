@@ -165,6 +165,7 @@ struct BarrierScratch {
 /// Moves the raw capacity of an *emptied* `Vec` across a change of its
 /// element type's lifetime parameters only (e.g. `FinishedTask<'static>`
 /// → `FinishedTask<'a>` and back).
+#[allow(unsafe_code)]
 fn recycle_capacity<A, B>(mut v: Vec<A>) -> Vec<B> {
     assert!(
         std::mem::size_of::<A>() == std::mem::size_of::<B>()

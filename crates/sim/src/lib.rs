@@ -36,6 +36,8 @@
 //! assert_eq!(outcome.confusion.true_positives, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod metrics;
 mod mitigation;
 mod replay;

@@ -24,6 +24,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cox;
 mod grabit;
 mod normal;

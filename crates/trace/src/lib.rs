@@ -29,6 +29,8 @@
 //! assert_eq!(jobs[0].feature_dim(), 15);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod dist;
 mod features;

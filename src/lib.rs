@@ -29,7 +29,7 @@
 //!   under `Block`) with adaptive shard balancing, bit-for-bit equal to
 //!   sequential replay (see `docs/OPERATIONS.md` for running it).
 //! * [`runtime`] — the dependency-free concurrency substrate behind
-//!   [`serve`] and the parallel ML loops: work-stealing thread pool,
+//!   [`serve`] and the parallel ML loops: fork-join thread pool,
 //!   bounded MPSC `Channel`, park/unpark `Notifier`.
 //! * [`trace`] — the synthetic Google/Alibaba-style trace substrate,
 //!   including interleaved multi-job event streams (`trace::fleet_events`,
@@ -62,6 +62,8 @@
 //! See `README.md` for the experiment harness, `DESIGN.md` for the system
 //! inventory and substitution rationale, and `EXPERIMENTS.md` for
 //! paper-vs-measured results.
+
+#![forbid(unsafe_code)]
 
 pub use nurd_baselines as baselines;
 pub use nurd_baselines::pu;
