@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use nurd_linalg::MatrixView;
 use nurd_ml::{
     GbtConfig, GradientBoosting, LogisticConfig, LogisticRegression, RegressionTree, SquaredLoss,
     TreeConfig, TreeGrowth,
@@ -87,6 +88,34 @@ fn bench_logistic_fit(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| LogisticRegression::fit(&x, &labels, &config).unwrap());
         });
+    }
+    // The two shapes the propensity refit `g_t` serves: a giant
+    // Alibaba-style job (thousands of tasks, 4 features) and a
+    // Google-style one (~120 tasks, 17 features). Labels are
+    // finished-vs-running: near-separable on a progress-like feature, a
+    // few rows on the wrong side. `warm` seeds from a fit on the first
+    // 95 % of rows, as each checkpoint's refit is seeded from the last.
+    for &(n, d) in &[(2000usize, 4usize), (120, 17)] {
+        let (x, _) = training_set(n, d);
+        let labels: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(i, row)| f64::from((row[0] + 0.15 * row[d - 1] > 0.6) != (i % 37 == 0)))
+            .collect();
+        let config = LogisticConfig {
+            balanced: true,
+            ..LogisticConfig::default()
+        };
+        let prefix = n * 95 / 100;
+        let previous = LogisticRegression::fit(&x[..prefix], &labels[..prefix], &config).unwrap();
+        for (start, seed) in [("cold", None), ("warm", Some(&previous))] {
+            group.bench_function(BenchmarkId::new(start, format!("{n}x{d}")), |b| {
+                b.iter(|| {
+                    LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &labels, &config, seed)
+                        .unwrap()
+                });
+            });
+        }
     }
     group.finish();
 }

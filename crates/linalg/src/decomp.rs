@@ -199,23 +199,30 @@ impl Cholesky {
                 cols: a.cols(),
             });
         }
-        let mut l = Matrix::zeros(n, n);
+        // Row-major factor; row `i` is written against the finished rows
+        // above it, each cell subtracting its products in ascending `k`.
+        let mut l = vec![0.0; n * n];
         for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a.get(i, j);
-                for k in 0..j {
-                    sum -= l.get(i, k) * l.get(j, k);
+            let (above, rest) = l.split_at_mut(i * n);
+            let row_i = &mut rest[..n];
+            let a_row = a.row(i);
+            for (j, row_j) in above.chunks_exact(n).enumerate() {
+                let mut sum = a_row[j];
+                for (lik, ljk) in row_i[..j].iter().zip(&row_j[..j]) {
+                    sum -= lik * ljk;
                 }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite);
-                    }
-                    l.set(i, j, sum.sqrt());
-                } else {
-                    l.set(i, j, sum / l.get(j, j));
-                }
+                row_i[j] = sum / row_j[j];
             }
+            let mut sum = a_row[i];
+            for lik in &row_i[..i] {
+                sum -= lik * lik;
+            }
+            if sum <= 0.0 {
+                return Err(LinalgError::NotPositiveDefinite);
+            }
+            row_i[i] = sum.sqrt();
         }
+        let l = Matrix::from_flat(n, n, l).expect("buffer was sized n × n");
         Ok(Cholesky { l })
     }
 
@@ -230,9 +237,6 @@ impl Cholesky {
     /// # Errors
     ///
     /// [`LinalgError::ShapeMismatch`] if `b.len()` differs from the dimension.
-    // Triangular substitution reads `y[j]`/`x[j]` against row `i` of the
-    // factor; explicit indices mirror the textbook recurrences.
-    #[allow(clippy::needless_range_loop)]
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let n = self.l.rows();
         if b.len() != n {
@@ -244,20 +248,23 @@ impl Cholesky {
         // L y = b
         let mut y = vec![0.0; n];
         for i in 0..n {
+            let row = self.l.row(i);
             let mut acc = b[i];
-            for j in 0..i {
-                acc -= self.l.get(i, j) * y[j];
+            for (lij, yj) in row[..i].iter().zip(&y[..i]) {
+                acc -= lij * yj;
             }
-            y[i] = acc / self.l.get(i, i);
+            y[i] = acc / row[i];
         }
-        // Lᵀ x = y
+        // Lᵀ x = y: row `i` of `Lᵀ` is column `i` of `L`, every `n`-th
+        // cell of the row-major factor, read below the diagonal.
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
+            let column = self.l.as_slice()[i..].iter().step_by(n);
             let mut acc = y[i];
-            for j in (i + 1)..n {
-                acc -= self.l.get(j, i) * x[j];
+            for (lji, xj) in column.zip(&x).skip(i + 1) {
+                acc -= lji * xj;
             }
-            x[i] = acc / self.l.get(i, i);
+            x[i] = acc / self.l.row(i)[i];
         }
         Ok(x)
     }
@@ -375,6 +382,56 @@ mod tests {
         assert_close(chol.log_determinant(), 36.0f64.ln(), 1e-12);
     }
 
+    /// `Cholesky::{decompose, solve}` as they were written through
+    /// `Matrix::get`/`set`, kept as the oracle for the slice form.
+    #[allow(clippy::needless_range_loop)]
+    mod elementwise {
+        use crate::{LinalgError, Matrix};
+
+        pub(super) fn decompose(a: &Matrix) -> Result<Matrix, LinalgError> {
+            let n = a.rows();
+            let mut l = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut sum = a.get(i, j);
+                    for k in 0..j {
+                        sum -= l.get(i, k) * l.get(j, k);
+                    }
+                    if i == j {
+                        if sum <= 0.0 {
+                            return Err(LinalgError::NotPositiveDefinite);
+                        }
+                        l.set(i, j, sum.sqrt());
+                    } else {
+                        l.set(i, j, sum / l.get(j, j));
+                    }
+                }
+            }
+            Ok(l)
+        }
+
+        pub(super) fn solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+            let n = l.rows();
+            let mut y = vec![0.0; n];
+            for i in 0..n {
+                let mut acc = b[i];
+                for j in 0..i {
+                    acc -= l.get(i, j) * y[j];
+                }
+                y[i] = acc / l.get(i, i);
+            }
+            let mut x = vec![0.0; n];
+            for i in (0..n).rev() {
+                let mut acc = y[i];
+                for j in (i + 1)..n {
+                    acc -= l.get(j, i) * x[j];
+                }
+                x[i] = acc / l.get(i, i);
+            }
+            x
+        }
+    }
+
     proptest! {
         /// Random SPD matrices (A = B·Bᵀ + n·I) factor and solve correctly.
         #[test]
@@ -392,6 +449,36 @@ mod tests {
             let back = spd.matvec(&x).unwrap();
             for (a, b) in back.iter().zip(rhs.iter()) {
                 prop_assert!((a - b).abs() < 1e-7);
+            }
+        }
+
+        /// The slice-walking factorization and solve against the
+        /// `get`/`set` form they replaced: the same factor, pivot failure
+        /// and solution, bit for bit, on SPD (`ridge`) and rank-deficient
+        /// (`B·Bᵀ`, `B` of `rank` columns) matrices.
+        #[test]
+        fn prop_cholesky_matches_elementwise_form(
+            n in 1usize..24,
+            rank in 1usize..24,
+            ridge in 0u8..2,
+            cells in proptest::collection::vec(-2.0..2.0f64, 24 * 24),
+            rhs in proptest::collection::vec(-5.0..5.0f64, 24),
+        ) {
+            let rank = rank.min(n);
+            let b = Matrix::from_flat(n, rank, cells[..n * rank].to_vec()).unwrap();
+            let mut a = b.matmul(&b.transpose()).unwrap();
+            if ridge == 1 {
+                a = a.add(&Matrix::identity(n).scaled(n as f64)).unwrap();
+            }
+            match (Cholesky::decompose(&a), elementwise::decompose(&a)) {
+                (Ok(chol), Ok(expected)) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(chol.factor().as_slice()), bits(expected.as_slice()));
+                    let x = chol.solve(&rhs[..n]).unwrap();
+                    prop_assert_eq!(bits(&x), bits(&elementwise::solve(&expected, &rhs[..n])));
+                }
+                (Err(got), Err(expected)) => prop_assert_eq!(got, expected),
+                (got, expected) => panic!("{got:?} vs {expected:?}"),
             }
         }
 

@@ -1,4 +1,38 @@
 //! L2-regularized logistic regression fit by IRLS (Newton-Raphson).
+//!
+//! # What a point caches
+//!
+//! NURD refits this model at every checkpoint, so the Newton loop is
+//! serving-path code. It works on *points*: a coefficient vector `β`
+//! together with, for every row, the linear score `zᵢ = β·xᵢ` and
+//! `eᵢ = exp(−|zᵢ|)`, and the penalized log-likelihood those sum to.
+//! `eᵢ` is the one transcendental both halves of an iteration need: the
+//! objective's stable `ln(1 + eᶻ) = max(z, 0) + ln(1 + e)` and the
+//! Newton pass's `σ(z)` (`1/(1+e)` above zero, `e/(1+e)` below —
+//! `sigmoid` itself is written through the same `sigmoid_from_exp`, so the
+//! two agree by construction). The line search evaluates the objective
+//! into a second, candidate point; accepting a step swaps the two, and
+//! the next Newton pass reads `pᵢ` from the accepted point's `(zᵢ, eᵢ)`
+//! instead of taking the dot product and the `exp` again. Each row's
+//! transcendentals are evaluated once per point.
+//!
+//! # Why the equal-candidate `break` is exact
+//!
+//! At convergence the Newton step is smaller than the spacing of floats
+//! around `β`, and `β + α·step` rounds back to `β`. The objective is a
+//! pure function of its coefficients, so at a candidate `to_bits`-equal
+//! to `β` it is the current objective exactly, and the strict-ascent test
+//! `>` cannot pass. Halving `α` (a power of two) only shrinks each
+//! `α·stepⱼ` toward zero without changing its sign, and floating-point
+//! addition is monotone, so every later candidate rounds to `β` as well:
+//! the remaining halvings of the 30-step search would all be rejected.
+//! The search stops there as *not accepted* — the outcome the full
+//! search reaches — and evaluates nothing. A candidate that differs from
+//! `β` in any bit of any coefficient is still evaluated.
+//!
+//! The fitted coefficients and iteration counts are bit-identical to the
+//! loop this replaced, which `mod reference` keeps (under `cfg(test)`)
+//! as the oracle of `prop_irls_bit_identical_to_reference`.
 
 use nurd_linalg::{Cholesky, Matrix, MatrixView};
 
@@ -129,47 +163,8 @@ impl LogisticRegression {
             return Err(MlError::InvalidConfig("labels must be 0.0 or 1.0".into()));
         }
 
-        let n = x.rows();
-        // Standardize features so IRLS is well-conditioned. The working
-        // copy is one contiguous row-major buffer (stride `d`), filled
-        // column by column straight from the view.
-        let mut xs = vec![0.0; n * d];
-        let mut means = vec![0.0; d];
-        let mut stds = vec![0.0; d];
-        let mut column: Vec<f64> = Vec::with_capacity(n);
-        for j in 0..d {
-            x.gather_column(j, &mut column);
-            let mean = column.iter().sum::<f64>() / n as f64;
-            let var = column.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-            // Same floor convention as `nurd_linalg::standardize_columns`:
-            // constant columns map to zero rather than NaN.
-            let mut std = var.sqrt();
-            if std < 1e-12 {
-                std = 1.0;
-            }
-            means[j] = mean;
-            stds[j] = std;
-            for (i, &v) in column.iter().enumerate() {
-                xs[i * d + j] = (v - mean) / std;
-            }
-        }
-        // Per-sample weights: uniform, or inverse class frequency.
-        let sample_weights: Vec<f64> = if config.balanced {
-            let n_pos = y.iter().filter(|&&v| v == 1.0).count().max(1) as f64;
-            let n_neg = (y.len() - n_pos as usize).max(1) as f64;
-            let total = y.len() as f64;
-            y.iter()
-                .map(|&v| {
-                    if v == 1.0 {
-                        total / (2.0 * n_pos)
-                    } else {
-                        total / (2.0 * n_neg)
-                    }
-                })
-                .collect()
-        } else {
-            vec![1.0; n]
-        };
+        let (xs, means, stds) = standardize(x, d);
+        let sample_weights = sample_weights(y, config.balanced);
 
         // Augment with intercept column: index d is the bias. A warm seed
         // starts Newton at the previous optimum remapped into the current
@@ -215,6 +210,97 @@ fn remap_seed(
     beta.iter().all(|v| v.is_finite()).then_some(beta)
 }
 
+/// Standardizes the columns of `x` so IRLS is well-conditioned. Returns
+/// the working copy — one contiguous row-major buffer (stride `d`), filled
+/// column by column straight from the view — and each column's mean and
+/// standard deviation.
+fn standardize(x: MatrixView<'_>, d: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let n = x.rows();
+    let mut xs = vec![0.0; n * d];
+    let mut means = vec![0.0; d];
+    let mut stds = vec![0.0; d];
+    let mut column: Vec<f64> = Vec::with_capacity(n);
+    for j in 0..d {
+        x.gather_column(j, &mut column);
+        let mean = column.iter().sum::<f64>() / n as f64;
+        let var = column.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
+        // Same floor convention as `nurd_linalg::standardize_columns`:
+        // constant columns map to zero rather than NaN.
+        let mut std = var.sqrt();
+        if std < 1e-12 {
+            std = 1.0;
+        }
+        means[j] = mean;
+        stds[j] = std;
+        for (i, &v) in column.iter().enumerate() {
+            xs[i * d + j] = (v - mean) / std;
+        }
+    }
+    (xs, means, stds)
+}
+
+/// Per-sample weights: uniform, or inverse class frequency (each sample
+/// of class `c` weighs `n / (2 n_c)`).
+fn sample_weights(y: &[f64], balanced: bool) -> Vec<f64> {
+    if !balanced {
+        return vec![1.0; y.len()];
+    }
+    // Count both classes before clamping: an absent class must not
+    // shrink the other one's count.
+    let positives = y.iter().filter(|&&v| v == 1.0).count();
+    let n_pos = positives.max(1) as f64;
+    let n_neg = (y.len() - positives).max(1) as f64;
+    let total = y.len() as f64;
+    y.iter()
+        .map(|&v| {
+            if v == 1.0 {
+                total / (2.0 * n_pos)
+            } else {
+                total / (2.0 * n_neg)
+            }
+        })
+        .collect()
+}
+
+/// One evaluated coefficient vector: `β` with, per row, the linear score
+/// `zᵢ = β·xᵢ` and `eᵢ = exp(−|zᵢ|)`, and the objective they sum to.
+struct Point {
+    beta: Vec<f64>,
+    z: Vec<f64>,
+    e: Vec<f64>,
+    objective: f64,
+}
+
+impl Point {
+    /// `beta` over `n` rows, not yet evaluated.
+    fn at(beta: Vec<f64>, n: usize) -> Self {
+        Point {
+            beta,
+            z: vec![0.0; n],
+            e: vec![0.0; n],
+            objective: 0.0,
+        }
+    }
+
+    /// Fills `z`, `e` and `objective` for the current `beta`: the weighted
+    /// penalized Bernoulli log-likelihood
+    /// `Σ wᵢ [y·z − ln(1 + eᶻ)] − ½λ‖w‖²` (intercept unpenalized), with
+    /// the stable `ln(1 + eᶻ) = max(z, 0) + ln(1 + e^{−|z|})`. `xs` is
+    /// row-major with stride `d`.
+    fn evaluate(&mut self, xs: &[f64], d: usize, y: &[f64], sample_weights: &[f64], l2: f64) {
+        let (weights, intercept) = (&self.beta[..d], self.beta[d]);
+        let mut ll = 0.0;
+        for (i, row) in xs.chunks_exact(d).enumerate() {
+            let z = intercept + nurd_linalg::dot(weights, row);
+            let e = (-z.abs()).exp();
+            ll += sample_weights[i] * (y[i] * z - (z.max(0.0) + e.ln_1p()));
+            self.z[i] = z;
+            self.e[i] = e;
+        }
+        self.objective = ll - 0.5 * l2 * nurd_linalg::dot(weights, weights);
+    }
+}
+
 /// Damped, line-searched IRLS (Newton-Raphson) on the penalized
 /// log-likelihood, started from `beta`. Returns the solution and the
 /// number of Newton iterations taken.
@@ -227,56 +313,70 @@ fn irls(
     beta: Vec<f64>,
 ) -> Result<(Vec<f64>, usize), MlError> {
     let n = y.len();
-    let mut beta = beta;
+    let mut point = Point::at(beta, n);
+    point.evaluate(xs, d, y, sample_weights, config.l2);
+    let mut candidate = Point::at(vec![0.0; d + 1], n);
+    let mut grad = vec![0.0; d + 1];
+    // Upper triangle of the Hessian, row after row: row `a` holds columns
+    // `a..=d`, column `d` being the intercept.
+    let mut packed = vec![0.0; (d + 1) * (d + 2) / 2];
+    let mut hess = Matrix::zeros(d + 1, d + 1);
     let mut iterations = 0;
-    let mut objective = penalized_log_likelihood(xs, d, y, sample_weights, &beta, config.l2);
     for _iter in 0..config.max_iter {
         iterations += 1;
-        // Gradient and Hessian of the penalized log-likelihood.
-        let mut grad = vec![0.0; d + 1];
-        let mut hess = Matrix::zeros(d + 1, d + 1);
-        for i in 0..n {
-            let row = &xs[i * d..(i + 1) * d];
-            let z = beta[d] + nurd_linalg::dot(&beta[..d], row);
-            let p = crate::sigmoid(z);
+        // Gradient and Hessian of the penalized log-likelihood. Every
+        // cell sums its rows in ascending order.
+        grad.fill(0.0);
+        packed.fill(0.0);
+        for (i, row) in xs.chunks_exact(d).enumerate() {
+            let p = crate::metrics::sigmoid_from_exp(point.z[i], point.e[i]);
             let sw = sample_weights[i];
             let w = (sw * p * (1.0 - p)).max(1e-9);
             let resid = sw * (y[i] - p);
-            for a in 0..d {
-                grad[a] += resid * row[a];
-                for b in a..d {
-                    let v = hess.get(a, b) + w * row[a] * row[b];
-                    hess.set(a, b, v);
+            // Walk the packed rows by splitting them off the front: row
+            // `a` is its `d − a` feature columns, then the intercept's.
+            let mut cells = packed.as_mut_slice();
+            for (a, (g, &xa)) in grad.iter_mut().zip(row).enumerate() {
+                *g += resid * xa;
+                let wa = w * xa;
+                let (features, rest) = cells.split_at_mut(d - a);
+                for (cell, &xb) in features.iter_mut().zip(&row[a..]) {
+                    *cell += wa * xb;
                 }
-                let v = hess.get(a, d) + w * row[a];
-                hess.set(a, d, v);
+                rest[0] += wa;
+                cells = &mut rest[1..];
             }
             grad[d] += resid;
-            let v = hess.get(d, d) + w;
-            hess.set(d, d, v);
+            cells[0] += w;
         }
-        for a in 0..d {
-            grad[a] -= config.l2 * beta[a];
-            let v = hess.get(a, a) + config.l2;
-            hess.set(a, a, v);
-            for b in 0..a {
-                hess.set(a, b, hess.get(b, a));
+        for (g, &b) in grad.iter_mut().zip(&point.beta[..d]) {
+            *g -= config.l2 * b;
+        }
+        let mut row_start = 0;
+        for a in 0..=d {
+            if a < d {
+                packed[row_start] += config.l2;
             }
-        }
-        for b in 0..d {
-            hess.set(d, b, hess.get(b, d));
+            for (b, &v) in (a..=d).zip(&packed[row_start..]) {
+                hess.set(a, b, v);
+                hess.set(b, a, v);
+            }
+            row_start += d + 1 - a;
         }
 
         // Damped Cholesky solve: add ridge until positive definite.
         let mut damping = 0.0;
         let step = loop {
-            let damped = if damping == 0.0 {
-                hess.clone()
+            let factored = if damping == 0.0 {
+                Cholesky::decompose(&hess)
             } else {
-                hess.add(&Matrix::identity(d + 1).scaled(damping))
-                    .expect("shapes match")
+                Cholesky::decompose(
+                    &hess
+                        .add(&Matrix::identity(d + 1).scaled(damping))
+                        .expect("shapes match"),
+                )
             };
-            match Cholesky::decompose(&damped) {
+            match factored {
                 Ok(chol) => {
                     break chol.solve(&grad).map_err(|e| {
                         MlError::OptimizationFailed(format!("newton solve failed: {e}"))
@@ -300,13 +400,18 @@ fn irls(
         let mut accepted = false;
         let mut max_update = 0.0f64;
         for _ in 0..30 {
-            let candidate: Vec<f64> = beta.iter().zip(&step).map(|(b, s)| b + alpha * s).collect();
-            let cand_obj =
-                penalized_log_likelihood(xs, d, y, sample_weights, &candidate, config.l2);
-            if cand_obj > objective {
+            for ((c, b), s) in candidate.beta.iter_mut().zip(&point.beta).zip(&step) {
+                *c = b + alpha * s;
+            }
+            // The step no longer moves β: the objective there is
+            // `point.objective` itself, and no smaller α moves it either.
+            if bit_equal(&candidate.beta, &point.beta) {
+                break;
+            }
+            candidate.evaluate(xs, d, y, sample_weights, config.l2);
+            if candidate.objective > point.objective {
                 max_update = step.iter().fold(0.0, |m, s| m.max((alpha * s).abs()));
-                beta = candidate;
-                objective = cand_obj;
+                std::mem::swap(&mut point, &mut candidate);
                 accepted = true;
                 break;
             }
@@ -316,7 +421,11 @@ fn irls(
             break; // converged (no ascent direction improves the objective)
         }
     }
-    Ok((beta, iterations))
+    Ok((point.beta, iterations))
+}
+
+fn bit_equal(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 impl LogisticRegression {
@@ -392,28 +501,6 @@ impl LogisticRegression {
     }
 }
 
-/// Weighted penalized Bernoulli log-likelihood
-/// `Σ wᵢ [y·z − ln(1 + eᶻ)] − ½λ‖w‖²` (intercept unpenalized), evaluated
-/// with the stable `ln(1+eᶻ)` form. `xs` is row-major with stride `d`.
-fn penalized_log_likelihood(
-    xs: &[f64],
-    d: usize,
-    y: &[f64],
-    sample_weights: &[f64],
-    beta: &[f64],
-    l2: f64,
-) -> f64 {
-    debug_assert_eq!(beta.len(), d + 1);
-    let mut ll = 0.0;
-    for ((row, &yi), &sw) in xs.chunks_exact(d).zip(y).zip(sample_weights) {
-        let z = beta[d] + nurd_linalg::dot(&beta[..d], row);
-        // ln(1 + e^z) = max(z, 0) + ln(1 + e^{-|z|})
-        let log1pexp = z.max(0.0) + (-z.abs()).exp().ln_1p();
-        ll += sw * (yi * z - log1pexp);
-    }
-    ll - 0.5 * l2 * nurd_linalg::dot(&beta[..d], &beta[..d])
-}
-
 impl nurd_codec::Checkpointable for LogisticRegression {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
         self.weights.encode(enc);
@@ -434,10 +521,166 @@ impl nurd_codec::Checkpointable for LogisticRegression {
     }
 }
 
+/// The IRLS this module ran before points cached `z` and `exp(−|z|)`
+/// (PR 15), verbatim — one objective pass per candidate, a second dot
+/// product and `exp` per row in the Newton pass, the Hessian through
+/// `Matrix::get`/`set`, all 30 halvings of a stalled line search — kept
+/// as the oracle `prop_irls_bit_identical_to_reference` holds [`irls`]
+/// to. Its only additions are the two lines that fill the [`Witness`].
+///
+/// [`irls`]: super::irls
+#[cfg(test)]
+mod reference {
+    use super::{LogisticConfig, MlError};
+    use nurd_linalg::{Cholesky, Matrix};
+
+    /// What a run of the oracle met, so the property can show it covered
+    /// the paths the rewrite changed.
+    #[derive(Debug, Default)]
+    pub(super) struct Witness {
+        /// A line search evaluated a candidate bit-equal to `β` — where
+        /// the rewrite `break`s instead.
+        pub(super) stalled: bool,
+        /// A line search accepted a step at `α < 1`.
+        pub(super) backtracked: bool,
+    }
+
+    /// Damped, line-searched IRLS (Newton-Raphson) on the penalized
+    /// log-likelihood, started from `beta`. Returns the solution and the
+    /// number of Newton iterations taken.
+    pub(super) fn irls(
+        xs: &[f64],
+        d: usize,
+        y: &[f64],
+        sample_weights: &[f64],
+        config: &LogisticConfig,
+        beta: Vec<f64>,
+        witness: &mut Witness,
+    ) -> Result<(Vec<f64>, usize), MlError> {
+        let n = y.len();
+        let mut beta = beta;
+        let mut iterations = 0;
+        let mut objective = penalized_log_likelihood(xs, d, y, sample_weights, &beta, config.l2);
+        for _iter in 0..config.max_iter {
+            iterations += 1;
+            // Gradient and Hessian of the penalized log-likelihood.
+            let mut grad = vec![0.0; d + 1];
+            let mut hess = Matrix::zeros(d + 1, d + 1);
+            for i in 0..n {
+                let row = &xs[i * d..(i + 1) * d];
+                let z = beta[d] + nurd_linalg::dot(&beta[..d], row);
+                let p = crate::metrics::reference::sigmoid(z);
+                let sw = sample_weights[i];
+                let w = (sw * p * (1.0 - p)).max(1e-9);
+                let resid = sw * (y[i] - p);
+                for a in 0..d {
+                    grad[a] += resid * row[a];
+                    for b in a..d {
+                        let v = hess.get(a, b) + w * row[a] * row[b];
+                        hess.set(a, b, v);
+                    }
+                    let v = hess.get(a, d) + w * row[a];
+                    hess.set(a, d, v);
+                }
+                grad[d] += resid;
+                let v = hess.get(d, d) + w;
+                hess.set(d, d, v);
+            }
+            for a in 0..d {
+                grad[a] -= config.l2 * beta[a];
+                let v = hess.get(a, a) + config.l2;
+                hess.set(a, a, v);
+                for b in 0..a {
+                    hess.set(a, b, hess.get(b, a));
+                }
+            }
+            for b in 0..d {
+                hess.set(d, b, hess.get(b, d));
+            }
+
+            // Damped Cholesky solve: add ridge until positive definite.
+            let mut damping = 0.0;
+            let step = loop {
+                let damped = if damping == 0.0 {
+                    hess.clone()
+                } else {
+                    hess.add(&Matrix::identity(d + 1).scaled(damping))
+                        .expect("shapes match")
+                };
+                match Cholesky::decompose(&damped) {
+                    Ok(chol) => {
+                        break chol.solve(&grad).map_err(|e| {
+                            MlError::OptimizationFailed(format!("newton solve failed: {e}"))
+                        })?
+                    }
+                    Err(_) => {
+                        damping = if damping == 0.0 { 1e-6 } else { damping * 10.0 };
+                        if damping > 1e6 {
+                            return Err(MlError::OptimizationFailed(
+                                "hessian is singular beyond repair".into(),
+                            ));
+                        }
+                    }
+                }
+            };
+
+            // Backtracking line search on the penalized log-likelihood:
+            // a raw Newton step explodes once the sigmoid saturates under
+            // (near-)perfect separation, so only accept ascent steps.
+            let mut alpha = 1.0;
+            let mut accepted = false;
+            let mut max_update = 0.0f64;
+            for _ in 0..30 {
+                let candidate: Vec<f64> =
+                    beta.iter().zip(&step).map(|(b, s)| b + alpha * s).collect();
+                let cand_obj =
+                    penalized_log_likelihood(xs, d, y, sample_weights, &candidate, config.l2);
+                witness.stalled |= super::bit_equal(&candidate, &beta);
+                if cand_obj > objective {
+                    witness.backtracked |= alpha < 1.0;
+                    max_update = step.iter().fold(0.0, |m, s| m.max((alpha * s).abs()));
+                    beta = candidate;
+                    objective = cand_obj;
+                    accepted = true;
+                    break;
+                }
+                alpha *= 0.5;
+            }
+            if !accepted || max_update < config.tol {
+                break; // converged (no ascent direction improves the objective)
+            }
+        }
+        Ok((beta, iterations))
+    }
+
+    /// Weighted penalized Bernoulli log-likelihood
+    /// `Σ wᵢ [y·z − ln(1 + eᶻ)] − ½λ‖w‖²` (intercept unpenalized), evaluated
+    /// with the stable `ln(1+eᶻ)` form. `xs` is row-major with stride `d`.
+    fn penalized_log_likelihood(
+        xs: &[f64],
+        d: usize,
+        y: &[f64],
+        sample_weights: &[f64],
+        beta: &[f64],
+        l2: f64,
+    ) -> f64 {
+        debug_assert_eq!(beta.len(), d + 1);
+        let mut ll = 0.0;
+        for ((row, &yi), &sw) in xs.chunks_exact(d).zip(y).zip(sample_weights) {
+            let z = beta[d] + nurd_linalg::dot(&beta[..d], row);
+            // ln(1 + e^z) = max(z, 0) + ln(1 + e^{-|z|})
+            let log1pexp = z.max(0.0) + (-z.abs()).exp().ln_1p();
+            ll += sw * (yi * z - log1pexp);
+        }
+        ll - 0.5 * l2 * nurd_linalg::dot(&beta[..d], &beta[..d])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
 
     #[test]
     fn separable_data_orders_probabilities() {
@@ -599,6 +842,181 @@ mod tests {
         for row in &x {
             assert_eq!(warm.predict_proba(row), cold.predict_proba(row));
         }
+    }
+
+    #[test]
+    fn balanced_weights_count_classes_before_clamping() {
+        // A single-class label vector weighs every sample n / (2n): the
+        // absent class's clamp to 1 must not eat into the present count.
+        for label in [0.0, 1.0] {
+            assert_eq!(sample_weights(&[label; 5], true), vec![0.5; 5]);
+        }
+        assert_eq!(
+            sample_weights(&[1.0, 0.0, 0.0, 0.0], true),
+            vec![2.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]
+        );
+        assert_eq!(sample_weights(&[1.0, 0.0], false), vec![1.0, 1.0]);
+    }
+
+    /// `fit_view_warm` with [`reference::irls`] as the solver: the same
+    /// standardization, weights, seed remap and cold fallback around the
+    /// old Newton loop.
+    fn reference_fit(
+        x: &[Vec<f64>],
+        y: &[f64],
+        config: &LogisticConfig,
+        warm: Option<&LogisticRegression>,
+        witness: &mut reference::Witness,
+    ) -> Result<LogisticRegression, MlError> {
+        let d = x[0].len();
+        let (xs, means, stds) = standardize(MatrixView::Rows(x), d);
+        let sw = sample_weights(y, config.balanced);
+        let cold_start = || vec![0.0; d + 1];
+        let (beta, iterations) = match warm.and_then(|prev| remap_seed(prev, &means, &stds, d)) {
+            Some(seed) => reference::irls(&xs, d, y, &sw, config, seed, witness)
+                .or_else(|_| reference::irls(&xs, d, y, &sw, config, cold_start(), witness))?,
+            None => reference::irls(&xs, d, y, &sw, config, cold_start(), witness)?,
+        };
+        Ok(LogisticRegression {
+            weights: beta[..d].to_vec(),
+            intercept: beta[d],
+            feature_means: means,
+            feature_stds: stds,
+            iterations,
+        })
+    }
+
+    /// One random fit problem of the differential property. `shape`
+    /// picks the data: 0 overlapping classes, 1 linearly separable,
+    /// 2 a constant leading column, 3 rows drawn from a handful of
+    /// distinct ones, 4 overlapping with `max_iter = 0`.
+    fn differential_case(
+        rng: &mut proptest::TestRng,
+        shape: u8,
+    ) -> (Vec<Vec<f64>>, Vec<f64>, LogisticConfig) {
+        let n = rng.gen_range(2..200usize);
+        let d = rng.gen_range(1..=18usize);
+        let scales: Vec<f64> = (0..d)
+            .map(|_| 10f64.powf(rng.gen_range(-2.0..3.0)))
+            .collect();
+        let truth: Vec<f64> = (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let distinct = if shape == 3 { n / 8 + 1 } else { n };
+        let pool: Vec<Vec<f64>> = (0..distinct)
+            .map(|_| {
+                scales
+                    .iter()
+                    .map(|s| s * rng.gen_range(-1.0..1.0))
+                    .collect()
+            })
+            .collect();
+        let mut x: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                pool[if shape == 3 {
+                    rng.gen_range(0..distinct)
+                } else {
+                    i
+                }]
+                .clone()
+            })
+            .collect();
+        let noise = if shape == 1 { 0.0 } else { 0.6 };
+        let y: Vec<f64> = x
+            .iter()
+            .map(|row| {
+                let score: f64 = row
+                    .iter()
+                    .zip(&truth)
+                    .zip(&scales)
+                    .map(|((v, w), s)| v * w / s)
+                    .sum();
+                f64::from(score + noise * rng.gen_range(-1.0..1.0) > 0.1)
+            })
+            .collect();
+        if shape == 2 {
+            x.iter_mut().for_each(|row| row[0] = 7.25);
+        }
+        let config = LogisticConfig {
+            balanced: rng.gen_bool(0.5),
+            max_iter: if shape == 4 { 0 } else { 50 },
+            ..LogisticConfig::default()
+        };
+        (x, y, config)
+    }
+
+    /// The rewritten IRLS against the one it replaced ([`reference`]):
+    /// every fitted number bit for bit, over cold fits, fits seeded from
+    /// a model of a prefix of the rows, and fits handed a seed of the
+    /// wrong width.
+    #[test]
+    fn prop_irls_bit_identical_to_reference() {
+        let mut rng = proptest::test_runner::rng_for("nurd_ml::logistic::irls_differential");
+        let mut witness = reference::Witness::default();
+        let mut fell_back_cold = false;
+        for case in 0..400u32 {
+            let shape = (case % 5) as u8;
+            let (x, y, config) = differential_case(&mut rng, shape);
+            let (n, d) = (x.len(), x[0].len());
+            let fit_config = LogisticConfig {
+                max_iter: 50,
+                ..config.clone()
+            };
+            let seed = match case / 5 % 3 {
+                0 => None,
+                1 => {
+                    let prefix = (n * 3 / 4).max(1);
+                    Some(LogisticRegression::fit(&x[..prefix], &y[..prefix], &fit_config).unwrap())
+                }
+                _ => {
+                    let wide: Vec<Vec<f64>> = x
+                        .iter()
+                        .map(|row| [row.as_slice(), &[row[0] * 0.5]].concat())
+                        .collect();
+                    Some(LogisticRegression::fit(&wide, &y, &fit_config).unwrap())
+                }
+            };
+            if let Some(seed) = &seed {
+                let (_, means, stds) = standardize(MatrixView::Rows(&x), d);
+                fell_back_cold |= remap_seed(seed, &means, &stds, d).is_none();
+            }
+            let expected = reference_fit(&x, &y, &config, seed.as_ref(), &mut witness).unwrap();
+            let got =
+                LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &y, &config, seed.as_ref())
+                    .unwrap();
+            let bits = |m: &LogisticRegression| -> Vec<u64> {
+                [
+                    &m.weights[..],
+                    &[m.intercept],
+                    &m.feature_means[..],
+                    &m.feature_stds[..],
+                ]
+                .concat()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+            };
+            assert_eq!(
+                bits(&got),
+                bits(&expected),
+                "case {case}: n {n}, d {d}, shape {shape}"
+            );
+            assert_eq!(
+                got.iterations, expected.iterations,
+                "case {case}: n {n}, d {d}, shape {shape}"
+            );
+        }
+        // The paths the rewrite changed must all have been walked.
+        assert!(
+            witness.stalled,
+            "no line search stalled on a candidate equal to β"
+        );
+        assert!(
+            witness.backtracked,
+            "no line search accepted a step at α < 1"
+        );
+        assert!(
+            fell_back_cold,
+            "no unusable seed fell back to the cold start"
+        );
     }
 
     proptest! {

@@ -6,6 +6,11 @@
 //! warm-refit state machine to the models that builder produced, bit for
 //! bit — a changed split, leaf weight or verdict anywhere moves a hash.
 //!
+//! Those two hashes see verdicts. A third, over the bits of every score
+//! the warm fleet produces, was recorded before the propensity refit's
+//! IRLS was rewritten around cached points (PR 15) and pins `g_t`'s
+//! coefficients to the last bit as well.
+//!
 //! The fleet covers both bin regimes of the histogram path: Google-style
 //! jobs (~100 tasks, node model on) keep every feature under 256 distinct
 //! values, so each value is its own bin; Alibaba-style jobs of ≥ 600 tasks
@@ -13,7 +18,7 @@
 //! bins.
 
 use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
-use nurd::data::JobTrace;
+use nurd::data::{Checkpoint, FinishedTask, JobContext, JobTrace, OnlinePredictor, RunningTask};
 use nurd::sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd::trace::{NodeModelConfig, SuiteConfig, TraceStyle};
 
@@ -99,5 +104,73 @@ fn replay_outcomes_match_the_pre_grower_constants() {
     );
 }
 
+/// FNV-1a over the bits of every score `score_running` produces at every
+/// post-warmup checkpoint of the fleet under `Warm(default)`: the latency
+/// head's raw prediction, the propensity `g_t(x)` and their quotient. The
+/// outcome hashes above see verdicts only, so low-bit drift in a refit
+/// that flips no flag would pass them; this one moves with the last bit
+/// of any coefficient that changes a score.
+fn score_bits_hash(jobs: &[JobTrace]) -> (u64, usize) {
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut scored = 0;
+    for job in jobs {
+        let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+        let mut predictor = NurdPredictor::new(NurdConfig::default().with_refit_policy(policy));
+        predictor.begin_job(&JobContext {
+            threshold: job.straggler_threshold(REPLAY.quantile),
+            task_count: job.task_count(),
+            feature_dim: job.feature_dim(),
+            oracle: job,
+        });
+        for k in job.warmup_checkpoint(REPLAY.warmup_fraction)..job.checkpoint_count() {
+            let time = job.checkpoint_times()[k];
+            let (finished, running): (Vec<_>, Vec<_>) =
+                job.tasks().iter().partition(|task| task.latency() <= time);
+            let checkpoint = Checkpoint {
+                ordinal: k,
+                time,
+                finished: finished
+                    .iter()
+                    .map(|task| FinishedTask {
+                        id: task.id(),
+                        features: task.snapshot(k),
+                        latency: task.latency(),
+                    })
+                    .collect(),
+                running: running
+                    .iter()
+                    .map(|task| RunningTask {
+                        id: task.id(),
+                        features: task.snapshot(k),
+                    })
+                    .collect(),
+            };
+            let scores = predictor.score_running(&checkpoint);
+            fold(&mut hash, scores.len() as u64);
+            for score in &scores {
+                fold(&mut hash, score.raw.to_bits());
+                fold(&mut hash, score.propensity.to_bits());
+                fold(&mut hash, score.adjusted.to_bits());
+            }
+            scored += scores.len();
+        }
+    }
+    (hash, scored)
+}
+
+#[test]
+fn score_bits_match_the_pre_point_cache_constant() {
+    let (hash, scored) = score_bits_hash(&fleet());
+    // Every job must contribute scores, or the hash pins nothing.
+    assert!(scored > 1000, "only {scored} scores hashed");
+    assert_eq!(
+        hash, GOLDEN_WARM_SCORE_BITS,
+        "score bits moved: {hash:#018x} over {scored} scores"
+    );
+}
+
 const GOLDEN_ALWAYS_COLD: u64 = 0x94CC_1CAB_23F9_3B12;
 const GOLDEN_WARM: u64 = 0xD92D_0B82_1813_E4EC;
+/// Recorded on commit `bd5a359` (PR 14), the parent of the IRLS point
+/// cache in `nurd-ml`'s `logistic.rs` (PR 15).
+const GOLDEN_WARM_SCORE_BITS: u64 = 0x4960_5BE2_F508_F0B4;
