@@ -3,16 +3,17 @@
 use nurd_core::{RefitPolicy, RefitStats, WarmRefitState};
 use nurd_data::{Checkpoint, OnlinePredictor, StreamContext};
 use nurd_linalg::MatrixView;
-use nurd_ml::{GbtConfig, GradientBoosting, SquaredLoss};
+use nurd_ml::GbtConfig;
 
 /// Gradient boosting trained on finished tasks with no correction; flags a
 /// running task when the raw prediction crosses `τ_stra`. This is the
 /// paper's demonstration of uncorrected training/test drift: predictions
 /// are biased toward non-stragglers, so TPR is low.
 ///
-/// Consumes the same per-checkpoint refit machinery as NURD itself: under
-/// a warm [`RefitPolicy`] the booster is warm-started across checkpoints
-/// through a [`WarmRefitState`] instead of being refit from scratch.
+/// Consumes the same per-checkpoint refit machinery as NURD itself: a
+/// [`WarmRefitState`] refits the booster under the given [`RefitPolicy`]
+/// (from scratch under the paper's `AlwaysCold`, warm-started across
+/// checkpoints under `Warm`).
 #[derive(Debug, Clone)]
 pub struct GbtrPredictor {
     config: GbtConfig,
@@ -40,8 +41,7 @@ impl GbtrPredictor {
         }
     }
 
-    /// Warm/cold refit counters for the current job (all-zero under
-    /// [`RefitPolicy::AlwaysCold`]).
+    /// Warm/cold refit counters for the current job.
     #[must_use]
     pub fn refit_stats(&self) -> RefitStats {
         self.warm.stats()
@@ -71,34 +71,11 @@ impl OnlinePredictor for GbtrPredictor {
         if checkpoint.finished.len() < 2 || checkpoint.running.is_empty() {
             return Vec::new();
         }
-        let cold_model;
-        let model: &GradientBoosting<SquaredLoss> = match &self.policy {
-            // Historical path: zero-copy row views — the booster bins
-            // straight from the trace storage, no feature cloning.
-            RefitPolicy::AlwaysCold => {
-                let x = checkpoint.finished_feature_rows();
-                let y = checkpoint.finished_latencies();
-                let Ok(m) = GradientBoosting::fit_view(
-                    MatrixView::RowSlices(&x),
-                    &y,
-                    SquaredLoss,
-                    &self.config,
-                ) else {
-                    return Vec::new();
-                };
-                cold_model = m;
-                &cold_model
-            }
-            // Warm path: absorb the finished-set delta and refit
-            // incrementally, exactly as NURD's latency head does.
-            policy => {
-                self.warm.absorb(checkpoint);
-                if self.warm.refit(&self.config, policy).is_err() {
-                    return Vec::new();
-                }
-                self.warm.model().expect("refit succeeded")
-            }
-        };
+        self.warm.ingest(checkpoint, &self.policy);
+        if self.warm.refit(&self.config, &self.policy).is_err() {
+            return Vec::new();
+        }
+        let model = self.warm.model().expect("refit succeeded");
         let run_rows = checkpoint.running_feature_rows();
         let preds = model.predict_view(MatrixView::RowSlices(&run_rows));
         checkpoint

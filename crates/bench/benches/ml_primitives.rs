@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nurd_linalg::MatrixView;
 use nurd_ml::{
     GbtConfig, GradientBoosting, LogisticConfig, LogisticRegression, RegressionTree, SquaredLoss,
-    TreeConfig, TreeGrowth,
+    TreeConfig,
 };
 
 fn training_set(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -25,28 +25,21 @@ fn training_set(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 }
 
 fn bench_tree_fit(c: &mut Criterion) {
-    // Single-tree construction cost, exact vs histogram growth, across the
-    // training-set sizes NURD sees over a job's lifetime. This isolates
-    // the split-finding algorithm itself (depth 6 to give both builders
-    // real work below the root).
+    // Single-tree construction cost across the training-set sizes NURD
+    // sees over a job's lifetime. This isolates quantization plus split
+    // finding (depth 6 to give the grower real work below the root).
     let mut group = c.benchmark_group("tree_fit");
+    let config = TreeConfig {
+        max_depth: 6,
+        ..TreeConfig::default()
+    };
     for &n in &[100usize, 1000, 3000] {
         let (x, y) = training_set(n, 15);
         let grads: Vec<f64> = y.iter().map(|v| -v).collect();
         let hess = vec![1.0; n];
-        for (label, growth) in [
-            ("exact", TreeGrowth::Exact),
-            ("histogram", TreeGrowth::Histogram),
-        ] {
-            let config = TreeConfig {
-                max_depth: 6,
-                growth,
-                ..TreeConfig::default()
-            };
-            group.bench_function(BenchmarkId::new(label, n), |b| {
-                b.iter(|| RegressionTree::fit(&x, &grads, &hess, &config).unwrap());
-            });
-        }
+        group.bench_function(BenchmarkId::new("histogram", n), |b| {
+            b.iter(|| RegressionTree::fit(&x, &grads, &hess, &config).unwrap());
+        });
     }
     group.finish();
 }

@@ -25,17 +25,6 @@ fn bench_replays(c: &mut Criterion) {
             replay_job(&job, &mut p, &replay)
         });
     });
-    group.bench_function("NURD-exact-growth", |b| {
-        // The pre-histogram configuration: exact sort-based split finding
-        // in the latency head — kept benchmarked so the layout/histogram
-        // win stays visible in every perf run.
-        let mut config = NurdConfig::default();
-        config.gbt.tree.growth = nurd_ml::TreeGrowth::Exact;
-        b.iter(|| {
-            let mut p = NurdPredictor::new(config.clone());
-            replay_job(&job, &mut p, &replay)
-        });
-    });
     group.bench_function("NURD-NC", |b| {
         b.iter(|| {
             let mut p = NurdPredictor::new(NurdConfig::without_calibration());

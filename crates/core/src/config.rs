@@ -40,13 +40,14 @@ pub struct NurdConfig {
 ///
 /// Consecutive checkpoints share almost all of their finished set, so a
 /// cold refit re-learns mostly what the previous model already knew. The
-/// warm policies keep the previous checkpoint's [`nurd_ml::BinnedMatrix`]
+/// warm policy keeps the previous checkpoint's [`nurd_ml::BinnedMatrix`]
 /// (bin edges drift slowly; only appended rows are re-quantized) and
-/// boost a few new rounds from the previous ensemble via
-/// [`nurd_ml::GradientBoosting::warm_start`] — recovering nearly all the
+/// boosts a few new rounds onto the previous ensemble via
+/// [`nurd_ml::GradientBoosting::warm_boost`] — recovering nearly all the
 /// accuracy of a cold refit at a fraction of the cost, exactly as the
 /// paper's `refit_every` ablation (stale models degrade gracefully)
-/// predicts.
+/// predicts. Either way the refit runs inside
+/// [`WarmRefitState`](crate::WarmRefitState), the one home of `h_t`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RefitPolicy {
     /// Refit from scratch at every refit checkpoint — bit-for-bit the
@@ -57,16 +58,6 @@ pub enum RefitPolicy {
     /// [`WarmRefitConfig::drift_tolerance`] or the ensemble outgrows
     /// [`WarmRefitConfig::max_trees`].
     Warm(WarmRefitConfig),
-    /// Warm-start, but force a cold refit every `cold_every`-th refit
-    /// regardless of drift — bounds both staleness and ensemble size by
-    /// schedule rather than by measurement.
-    WarmEveryK {
-        /// Cold refit cadence (`2` = alternate cold/warm; must be ≥ 1,
-        /// where `1` degenerates to [`RefitPolicy::AlwaysCold`]).
-        cold_every: usize,
-        /// Parameters of the warm refits in between.
-        warm: WarmRefitConfig,
-    },
 }
 
 /// Tuning for the warm refit path (see [`RefitPolicy`]).
@@ -181,12 +172,12 @@ impl NurdConfig {
     ///
     /// # Panics
     ///
-    /// Panics when a policy's parameters are degenerate: zero
-    /// `warm_rounds`, a `drift_tolerance` outside `(0, 1]`, `max_trees`
-    /// below the cold fit's `n_rounds`, or `cold_every == 0`.
+    /// Panics when the warm policy's parameters are degenerate: zero
+    /// `warm_rounds`, a `drift_tolerance` outside `(0, 1]`, or `max_trees`
+    /// below the cold fit's `n_rounds`.
     #[must_use]
     pub fn with_refit_policy(mut self, policy: RefitPolicy) -> Self {
-        let check_warm = |w: &WarmRefitConfig| {
+        if let RefitPolicy::Warm(w) = &policy {
             assert!(w.warm_rounds > 0, "warm_rounds must be >= 1");
             assert!(
                 w.drift_tolerance > 0.0 && w.drift_tolerance <= 1.0,
@@ -196,14 +187,6 @@ impl NurdConfig {
                 w.max_trees >= self.gbt.n_rounds,
                 "max_trees must cover at least one cold fit"
             );
-        };
-        match &policy {
-            RefitPolicy::AlwaysCold => {}
-            RefitPolicy::Warm(w) => check_warm(w),
-            RefitPolicy::WarmEveryK { cold_every, warm } => {
-                assert!(*cold_every >= 1, "cold_every must be >= 1");
-                check_warm(warm);
-            }
         }
         self.refit_policy = policy;
         self
@@ -269,11 +252,6 @@ mod tests {
             max_trees: 200,
         }));
         assert!(matches!(cfg.refit_policy, RefitPolicy::Warm(_)));
-        let cfg = NurdConfig::default().with_refit_policy(RefitPolicy::WarmEveryK {
-            cold_every: 5,
-            warm: WarmRefitConfig::default(),
-        });
-        assert!(matches!(cfg.refit_policy, RefitPolicy::WarmEveryK { .. }));
     }
 
     #[test]

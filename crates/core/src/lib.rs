@@ -20,20 +20,21 @@
 //! driven by `nurd_sim::replay_job`; [`NurdConfig::without_calibration`]
 //! yields the paper's NURD-NC ablation (`w = z`).
 //!
-//! # Warm-start refits
+//! # Refits
 //!
-//! Because consecutive checkpoints share almost all of their finished
-//! set, the per-checkpoint refit of `h_t` can be *incremental*:
-//! [`RefitPolicy`] (on [`NurdConfig`]) selects between the paper's
-//! always-cold protocol and warm-started refits, where a
-//! [`WarmRefitState`] keeps the previous checkpoint's
-//! [`nurd_ml::BinnedMatrix`] and ensemble alive, absorbs only the newly
-//! finished tasks ([`nurd_data::FinishedDelta`]), and boosts a few new
-//! rounds via [`nurd_ml::GradientBoosting::warm_start`] — falling back
-//! to a cold refit when measured quantile drift or the ensemble-size cap
-//! says so. [`TransferNurdPredictor`] and the GBTR baseline in
-//! `nurd-baselines` reuse the same state machine. See `ARCHITECTURE.md`
-//! (repo root) for the full data-flow picture.
+//! Every refit of `h_t` happens inside a [`WarmRefitState`], which is
+//! where [`RefitPolicy`] (on [`NurdConfig`]) is consumed. Under the paper's
+//! always-cold protocol the state's rows are replaced by the checkpoint's
+//! finished set and fit from scratch. Under the warm policy — consecutive
+//! checkpoints share almost all of their finished set — the state keeps
+//! the previous checkpoint's [`nurd_ml::BinnedMatrix`] and ensemble alive,
+//! absorbs only the newly finished tasks ([`nurd_data::FinishedDelta`]),
+//! and boosts a few new rounds via
+//! [`nurd_ml::GradientBoosting::warm_boost`] — falling back to a cold
+//! refit when measured quantile drift or the ensemble-size cap says so.
+//! [`TransferNurdPredictor`] and the GBTR baseline in `nurd-baselines`
+//! reuse the same state machine. See `ARCHITECTURE.md` (repo root) for the
+//! full data-flow picture.
 //!
 //! # Scoring
 //!

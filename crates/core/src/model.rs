@@ -42,18 +42,16 @@ pub struct NurdPredictor {
     /// δ, fixed at the first prediction checkpoint (Algorithm 1 computes ρ
     /// "before starting prediction"). `None` until then.
     delta: Option<f64>,
-    latency_model: Option<GradientBoosting<SquaredLoss>>,
     propensity_model: Option<LogisticRegression>,
     checkpoints_seen: usize,
     fit_failures: usize,
     name: &'static str,
     /// Scratch buffers refilled in place at every checkpoint so the
     /// per-checkpoint refit allocates nothing beyond first use: the
-    /// finished∪running design matrix for the propensity model, its
-    /// labels, and the finished-task latencies.
+    /// finished∪running design matrix for the propensity model and its
+    /// labels.
     scratch_x_all: FeatureMatrix,
     scratch_labels: Vec<f64>,
-    scratch_y_fin: Vec<f64>,
     /// Reused per-checkpoint output buffers for the batch scoring pass
     /// (raw latency predictions and propensities over the running set).
     scratch_raw: Vec<f64>,
@@ -63,11 +61,8 @@ pub struct NurdPredictor {
     /// and lazily after a restore — never serialized. `None` until the
     /// first fit.
     flat: Option<FlatForest>,
-    /// Cross-checkpoint state for warm [`RefitPolicy`] variants: the
-    /// absorbed finished set, its quantization, and the latency model it
-    /// carries. Unused (and empty) under [`RefitPolicy::AlwaysCold`],
-    /// whose refits go through the historical from-scratch path
-    /// bit-for-bit.
+    /// The latency head `h_t` with its training rows and quantization;
+    /// every refit, under either [`RefitPolicy`], happens in here.
     warm: WarmRefitState,
 }
 
@@ -88,14 +83,12 @@ impl NurdPredictor {
             config,
             threshold: f64::INFINITY,
             delta: None,
-            latency_model: None,
             propensity_model: None,
             checkpoints_seen: 0,
             fit_failures: 0,
             name,
             scratch_x_all: FeatureMatrix::new(),
             scratch_labels: Vec::new(),
-            scratch_y_fin: Vec::new(),
             scratch_raw: Vec::new(),
             scratch_prop: Vec::new(),
             flat: None,
@@ -117,24 +110,19 @@ impl NurdPredictor {
         self.fit_failures
     }
 
-    /// Warm/cold refit counters for the current job; all-zero under
-    /// [`RefitPolicy::AlwaysCold`], whose refits bypass the warm state.
+    /// Warm/cold refit counters for the current job.
     #[must_use]
     pub fn refit_stats(&self) -> RefitStats {
         self.warm.stats()
     }
 
-    /// The current latency head `h_t` (wherever the refit policy keeps
-    /// it); `None` before the first successful fit. Scoring runs on a
-    /// flattened copy of this model — its pointer walk,
-    /// [`GradientBoosting::predict_view`], is the reference the
+    /// The current latency head `h_t`; `None` before the first successful
+    /// fit. Scoring runs on a flattened copy of this model — its pointer
+    /// walk, [`GradientBoosting::predict_view`], is the reference the
     /// differential tests hold [`AdjustedPrediction::raw`] against.
     #[must_use]
     pub fn latency_model(&self) -> Option<&GradientBoosting<SquaredLoss>> {
-        match self.config.refit_policy {
-            RefitPolicy::AlwaysCold => self.latency_model.as_ref(),
-            _ => self.warm.model(),
-        }
+        self.warm.model()
     }
 
     /// Scores every running task at this checkpoint, returning the full
@@ -168,41 +156,22 @@ impl NurdPredictor {
             // Invalidated up front so an early return on a failed fit can
             // never leave the flat cache pointing at a superseded ensemble.
             self.flat = None;
-            match &self.config.refit_policy {
-                // The historical from-scratch path, kept byte-identical:
-                // bin and fit over the checkpoint's own row order.
-                RefitPolicy::AlwaysCold => {
-                    checkpoint.finished_latencies_into(&mut self.scratch_y_fin);
-                    match GradientBoosting::fit_view(
-                        MatrixView::RowSlices(&x_fin),
-                        &self.scratch_y_fin,
-                        SquaredLoss,
-                        &self.config.gbt,
-                    ) {
-                        Ok(m) => self.latency_model = Some(m),
-                        Err(_) => {
-                            self.fit_failures += 1;
-                            return Vec::new();
-                        }
-                    }
-                }
-                // Warm policies: absorb the checkpoint delta into the
-                // persistent state and refit incrementally (cold fallback
-                // on drift / tree-cap / first fit handled inside).
-                policy => {
-                    self.warm.absorb(checkpoint);
-                    if self.warm.refit(&self.config.gbt, policy).is_err() {
-                        self.fit_failures += 1;
-                        return Vec::new();
-                    }
-                }
+            // `h_t`: the policy decides inside the state which rows the
+            // refit trains on and whether it boosts onto the previous
+            // ensemble (cold on the first fit, on drift and at the tree
+            // cap).
+            let policy = &self.config.refit_policy;
+            self.warm.ingest(checkpoint, policy);
+            if self.warm.refit(&self.config.gbt, policy).is_err() {
+                self.fit_failures += 1;
+                return Vec::new();
             }
             // Finished ∪ running design matrix and labels for g_t, filled
             // into the predictor's scratch buffers in place (the row list
             // is pointer-only; feature values are copied exactly once,
             // into the reused column-major scratch). The training set
             // mixes the mutable running side, so g_t is always *refit* on
-            // the full current data — but under a warm policy, IRLS is
+            // the full current data — but under the warm policy, IRLS is
             // *seeded* from the previous checkpoint's coefficients
             // (remapped across the standardization shift) and typically
             // converges in one or two Newton steps instead of several.
@@ -217,7 +186,7 @@ impl NurdPredictor {
                 .extend(std::iter::repeat_n(0.0, x_run.len()));
             let seed = match self.config.refit_policy {
                 RefitPolicy::AlwaysCold => None,
-                _ => self.propensity_model.as_ref(),
+                RefitPolicy::Warm(_) => self.propensity_model.as_ref(),
             };
             match LogisticRegression::fit_view_warm(
                 self.scratch_x_all.view(),
@@ -296,7 +265,6 @@ impl OnlinePredictor for NurdPredictor {
     fn begin_stream(&mut self, ctx: &StreamContext) {
         self.threshold = ctx.threshold;
         self.delta = None;
-        self.latency_model = None;
         self.propensity_model = None;
         self.checkpoints_seen = 0;
         self.fit_failures = 0;
@@ -352,17 +320,16 @@ impl OnlinePredictor for NurdPredictor {
         ScoredPrediction { flagged, scores }
     }
 
-    /// Serializes every fitted quantity — δ, both models, the warm-refit
-    /// scratch, and the checkpoint counters. Configuration, threshold, and
-    /// the scratch buffers are *not* serialized: the factory recreates the
-    /// config and [`OnlinePredictor::begin_stream`] restores the
-    /// threshold, while the scratch matrices are refilled in place at the
-    /// next checkpoint regardless.
+    /// Serializes every fitted quantity — δ, `g_t`, the checkpoint
+    /// counters, and the refit state that holds `h_t`. Configuration,
+    /// threshold, and the scratch buffers are *not* serialized: the
+    /// factory recreates the config and [`OnlinePredictor::begin_stream`]
+    /// restores the threshold, while the scratch matrices are refilled in
+    /// place at the next checkpoint regardless.
     fn snapshot_state(&self) -> Option<Vec<u8>> {
         use nurd_codec::Checkpointable;
         let mut enc = nurd_codec::Encoder::new();
         self.delta.encode(&mut enc);
-        self.latency_model.encode(&mut enc);
         self.propensity_model.encode(&mut enc);
         enc.put_usize(self.checkpoints_seen);
         enc.put_usize(self.fit_failures);
@@ -374,9 +341,6 @@ impl OnlinePredictor for NurdPredictor {
         use nurd_codec::Checkpointable;
         let mut dec = nurd_codec::Decoder::new(bytes);
         let Ok(delta) = Option::<f64>::decode(&mut dec) else {
-            return false;
-        };
-        let Ok(latency_model) = Option::<GradientBoosting<SquaredLoss>>::decode(&mut dec) else {
             return false;
         };
         let Ok(propensity_model) = Option::<LogisticRegression>::decode(&mut dec) else {
@@ -392,7 +356,6 @@ impl OnlinePredictor for NurdPredictor {
             return false;
         }
         self.delta = delta;
-        self.latency_model = latency_model;
         self.propensity_model = propensity_model;
         self.checkpoints_seen = checkpoints_seen;
         self.fit_failures = fit_failures;

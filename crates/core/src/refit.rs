@@ -1,26 +1,33 @@
-//! Warm-start refit orchestration across checkpoints.
+//! The one home of the latency head `h_t`: which rows a refit trains on,
+//! in which order, and whether it boosts onto the previous ensemble.
 //!
-//! NURD refits its latency head at every checkpoint over a finished set
-//! that is almost identical to the previous checkpoint's, so a cold refit
-//! spends most of its time re-learning what the last model already knew.
-//! [`WarmRefitState`] is the per-predictor scratch that exploits this:
+//! Algorithm 1 has one model operation per checkpoint — "refit `h_t` on
+//! the finished tasks" — and [`WarmRefitState`] is where it happens, under
+//! either [`RefitPolicy`](crate::RefitPolicy):
 //!
-//! 1. an **append-only design matrix** ([`nurd_linalg::FeatureMatrix`]) of
-//!    every finished task absorbed so far, fed by
-//!    [`nurd_data::FinishedDelta`] (finished tasks are frozen, so the
-//!    prefix never changes);
-//! 2. a **persistent [`BinnedMatrix`]** grown in place via
-//!    [`BinnedMatrix::append_from`] — only the handful of newly finished
-//!    rows are re-quantized, and a Kolmogorov–Smirnov drift statistic
-//!    guards against stale quantile edges;
-//! 3. the **previous ensemble**, extended by a few rounds per checkpoint
-//!    through [`GradientBoosting::warm_start`] instead of being refit
-//!    from scratch.
+//! * **`AlwaysCold`** (the paper's protocol): [`WarmRefitState::ingest`]
+//!   *replaces* the state's rows by the checkpoint's finished set, in
+//!   checkpoint order, and [`WarmRefitState::refit`] quantizes and fits
+//!   from scratch.
+//! * **`Warm`**: consecutive checkpoints share almost all of their
+//!   finished set, so a cold refit spends most of its time re-learning
+//!   what the last model already knew. The state exploits this with
+//!   1. an **append-only design matrix** ([`nurd_linalg::FeatureMatrix`])
+//!      of every finished task absorbed so far, fed by
+//!      [`nurd_data::FinishedDelta`] (finished tasks are frozen, so the
+//!      prefix never changes);
+//!   2. a **persistent [`BinnedMatrix`]** grown in place via
+//!      [`BinnedMatrix::append_from`] — only the handful of newly finished
+//!      rows are re-quantized, and a Kolmogorov–Smirnov drift statistic
+//!      guards against stale quantile edges;
+//!   3. the **previous ensemble**, extended by a few rounds per checkpoint
+//!      through [`GradientBoosting::warm_boost`] instead of being refit
+//!      from scratch — falling back to the cold fit above on the first
+//!      refit, on drift, and at the tree cap.
 //!
-//! The policy knobs live in [`RefitPolicy`](crate::RefitPolicy); this
-//! module implements the mechanism. [`crate::NurdPredictor`],
-//! [`crate::TransferNurdPredictor`], and the GBTR baseline in
-//! `nurd-baselines` all drive the same state machine.
+//! [`crate::NurdPredictor`], [`crate::TransferNurdPredictor`], and the GBTR
+//! baseline in `nurd-baselines` all drive this one state machine and carry
+//! no policy branch of their own.
 
 use nurd_data::{Checkpoint, FinishedDelta};
 use nurd_linalg::FeatureMatrix;
@@ -28,8 +35,8 @@ use nurd_ml::{BinnedMatrix, GbtConfig, GradientBoosting, MlError, SquaredLoss};
 
 use crate::config::{RefitPolicy, WarmRefitConfig};
 
-/// Counters describing how a [`WarmRefitState`] has been refitting;
-/// useful for benches, tests, and observability.
+/// Counters describing how a [`WarmRefitState`] has been refitting (under
+/// either policy); useful for benches, tests, and observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefitStats {
     /// Full from-scratch fits (including warm-policy fallbacks).
@@ -44,12 +51,12 @@ pub struct RefitStats {
     pub cap_resets: usize,
 }
 
-/// Persistent cross-checkpoint scratch for the warm-start refit path: the
-/// absorbed finished set, its quantization, and the current latency model.
+/// The latency head and everything its next refit needs: the training
+/// rows (the absorbed finished set), their quantization, the fitted
+/// ensemble and its score cache.
 ///
-/// One instance lives inside each predictor that opts into a warm
-/// [`RefitPolicy`](crate::RefitPolicy); [`WarmRefitState::reset`] clears it
-/// between jobs while keeping allocations.
+/// One instance lives inside each predictor; [`WarmRefitState::reset`]
+/// clears it between jobs while keeping allocations.
 #[derive(Debug, Clone, Default)]
 pub struct WarmRefitState {
     x: FeatureMatrix,
@@ -64,8 +71,6 @@ pub struct WarmRefitState {
     scores: Vec<f64>,
     /// Rows the current model was fit over (for the no-new-data skip).
     fitted_rows: usize,
-    /// Refits performed this job (drives `WarmEveryK` scheduling).
-    refits: usize,
     stats: RefitStats,
 }
 
@@ -85,8 +90,23 @@ impl WarmRefitState {
         self.model = None;
         self.scores.clear();
         self.fitted_rows = 0;
-        self.refits = 0;
         self.stats = RefitStats::default();
+    }
+
+    /// Takes in `checkpoint`'s finished set as `policy` prescribes and
+    /// returns how many trailing rows of the state are new. Under
+    /// [`RefitPolicy::AlwaysCold`] the rows are *replaced* by the finished
+    /// set in checkpoint order (every row is new, and the next
+    /// [`WarmRefitState::refit`] never counts as a reuse); under
+    /// [`RefitPolicy::Warm`] this is [`WarmRefitState::absorb`].
+    pub fn ingest(&mut self, checkpoint: &Checkpoint<'_>, policy: &RefitPolicy) -> usize {
+        if matches!(policy, RefitPolicy::AlwaysCold) {
+            self.x.fill_from_rows(std::iter::empty());
+            self.latencies.clear();
+            self.delta.clear();
+            self.fitted_rows = 0;
+        }
+        self.absorb(checkpoint)
     }
 
     /// Absorbs the checkpoint's newly finished tasks into the append-only
@@ -148,7 +168,6 @@ impl WarmRefitState {
             model,
             scores,
             fitted_rows,
-            refits,
             stats,
             ..
         } = self;
@@ -160,7 +179,6 @@ impl WarmRefitState {
             model,
             scores,
             fitted_rows,
-            refits,
             stats,
             gbt,
             policy,
@@ -189,7 +207,6 @@ impl WarmRefitState {
             model,
             scores,
             fitted_rows,
-            refits,
             stats,
             ..
         } = self;
@@ -201,7 +218,6 @@ impl WarmRefitState {
             model,
             scores,
             fitted_rows,
-            refits,
             stats,
             gbt,
             policy,
@@ -221,7 +237,6 @@ fn refit_fields(
     model: &mut Option<GradientBoosting<SquaredLoss>>,
     scores: &mut Vec<f64>,
     fitted_rows: &mut usize,
-    refits: &mut usize,
     stats: &mut RefitStats,
     gbt: &GbtConfig,
     policy: &RefitPolicy,
@@ -241,7 +256,7 @@ fn refit_fields(
     // the pub field or `GbtrPredictor::with_policy` without ever passing
     // through it, and a zero-round warm refit would silently freeze the
     // model forever.
-    if let RefitPolicy::Warm(w) | RefitPolicy::WarmEveryK { warm: w, .. } = policy {
+    if let RefitPolicy::Warm(w) = policy {
         if w.warm_rounds == 0 {
             return Err(MlError::InvalidConfig(
                 "warm_rounds must be >= 1 (0 would freeze the model)".into(),
@@ -256,26 +271,15 @@ fn refit_fields(
     }
 
     // Nothing new to learn: targets immutable and no appended row since
-    // the current model was fit. Checked before the schedule so a reuse
-    // does not consume a `WarmEveryK` cold slot.
+    // the current model was fit.
     if targets_stable && model.is_some() && *fitted_rows == n {
         stats.reuses += 1;
         return Ok(());
     }
 
-    // Which flavour does the schedule ask for this time? `refits` counts
-    // *performed* fits only (incremented on success below), so scheduled
-    // cold refits cannot be skipped by reuses or failed fits.
     let warm_cfg: Option<&WarmRefitConfig> = match policy {
         RefitPolicy::AlwaysCold => None,
         RefitPolicy::Warm(w) => Some(w),
-        RefitPolicy::WarmEveryK { cold_every, warm } => {
-            if refits.is_multiple_of(*cold_every.max(&1)) {
-                None
-            } else {
-                Some(warm)
-            }
-        }
     };
 
     // A warm refit needs a previous model and a binned matrix that is a
@@ -329,7 +333,6 @@ fn refit_fields(
         }
     }
     *fitted_rows = n;
-    *refits += 1;
     Ok(())
 }
 
@@ -389,9 +392,9 @@ impl nurd_codec::Checkpointable for RefitStats {
     }
 }
 
-/// The whole warm-start scratch travels — design matrix, quantization,
-/// ensemble, score cache, counters — so a restored predictor's next refit
-/// takes exactly the warm/cold branch an uninterrupted run would take.
+/// The whole state travels — design matrix, quantization, ensemble, score
+/// cache, counters — so a restored predictor's next refit takes exactly
+/// the warm/cold branch an uninterrupted run would take.
 impl nurd_codec::Checkpointable for WarmRefitState {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
         encode_feature_matrix(&self.x, enc);
@@ -401,7 +404,6 @@ impl nurd_codec::Checkpointable for WarmRefitState {
         self.model.encode(enc);
         self.scores.encode(enc);
         enc.put_usize(self.fitted_rows);
-        enc.put_usize(self.refits);
         self.stats.encode(enc);
     }
 
@@ -414,7 +416,6 @@ impl nurd_codec::Checkpointable for WarmRefitState {
             model: nurd_codec::Checkpointable::decode(dec)?,
             scores: nurd_codec::Checkpointable::decode(dec)?,
             fitted_rows: dec.take_usize()?,
-            refits: dec.take_usize()?,
             stats: nurd_codec::Checkpointable::decode(dec)?,
         })
     }
@@ -540,25 +541,51 @@ mod tests {
     }
 
     #[test]
-    fn warm_every_k_schedules_cold_refits() {
-        let ts = tasks(130);
-        let mut state = WarmRefitState::new();
-        let gbt = GbtConfig::default();
-        let policy = RefitPolicy::WarmEveryK {
-            cold_every: 3,
-            warm: WarmRefitConfig {
-                drift_tolerance: 1.0,
-                ..WarmRefitConfig::default()
-            },
+    fn always_cold_ingest_replaces_rows_in_checkpoint_order_and_never_reuses() {
+        // Task 5 finishes between the checkpoints: checkpoint order puts
+        // it before tasks 6.. that finished earlier, absorb order after.
+        let ts = tasks(40);
+        let pick = |ids: &[usize]| {
+            let mut ckpt = checkpoint(&ts, 0);
+            ckpt.running.clear();
+            ckpt.finished = ids
+                .iter()
+                .map(|&id| FinishedTask {
+                    id,
+                    features: &ts[id].0,
+                    latency: ts[id].1,
+                })
+                .collect();
+            ckpt
         };
-        for k in (10..=130).step_by(10) {
-            state.absorb(&checkpoint(&ts, k));
-            state.refit(&gbt, &policy).unwrap();
-        }
+        let first: Vec<usize> = (0..30).filter(|&id| id != 5).collect();
+        let second: Vec<usize> = (0..30).collect();
+        let gbt = GbtConfig::default();
+        let cold = RefitPolicy::AlwaysCold;
+        let mut state = WarmRefitState::new();
+        assert_eq!(state.ingest(&pick(&first), &cold), 29);
+        state.refit(&gbt, &cold).unwrap();
+        assert_eq!(state.ingest(&pick(&second), &cold), 30, "every row is new");
+        let expect: Vec<f64> = second.iter().map(|&id| ts[id].1).collect();
+        assert_eq!(
+            state.latencies(),
+            expect,
+            "checkpoint order, not absorb order"
+        );
+        state.refit(&gbt, &cold).unwrap();
+        // The same finished set again still fits: the paper protocol
+        // refits at every checkpoint.
+        state.ingest(&pick(&second), &cold);
+        state.refit(&gbt, &cold).unwrap();
         let stats = state.stats();
-        // Refits 0, 3, 6, 9, 12 are cold → 5 cold, 8 warm.
-        assert_eq!(stats.cold_fits, 5, "{stats:?}");
-        assert_eq!(stats.warm_fits, 8, "{stats:?}");
+        assert_eq!((stats.cold_fits, stats.reuses), (3, 0), "{stats:?}");
+
+        // Under the warm policy the same two checkpoints append.
+        let warm = RefitPolicy::Warm(WarmRefitConfig::default());
+        let mut state = WarmRefitState::new();
+        state.ingest(&pick(&first), &warm);
+        assert_eq!(state.ingest(&pick(&second), &warm), 1);
+        assert_eq!(state.latencies()[29], ts[5].1);
     }
 
     #[test]
@@ -577,13 +604,10 @@ mod tests {
             state.refit(&gbt, &frozen),
             Err(MlError::InvalidConfig(_))
         ));
-        let bad_tol = RefitPolicy::WarmEveryK {
-            cold_every: 3,
-            warm: WarmRefitConfig {
-                drift_tolerance: 0.0,
-                ..WarmRefitConfig::default()
-            },
-        };
+        let bad_tol = RefitPolicy::Warm(WarmRefitConfig {
+            drift_tolerance: 0.0,
+            ..WarmRefitConfig::default()
+        });
         assert!(matches!(
             state.refit(&gbt, &bad_tol),
             Err(MlError::InvalidConfig(_))

@@ -16,7 +16,7 @@ use nurd_linalg::MatrixView;
 use nurd_ml::{GradientBoosting, LogisticRegression, MlError, SquaredLoss};
 
 use crate::refit::WarmRefitState;
-use crate::{calibration, weighting, NurdConfig, RefitPolicy};
+use crate::{calibration, weighting, NurdConfig};
 
 /// A latency model distilled from one or more completed jobs, in
 /// scale-free (relative-latency) form.
@@ -71,14 +71,14 @@ pub struct TransferNurdPredictor {
     donor: DonorModel,
     threshold: f64,
     delta: Option<f64>,
-    /// Cross-checkpoint state for warm [`RefitPolicy`] variants (unused
-    /// under [`RefitPolicy::AlwaysCold`]). The residual head's *targets*
-    /// move with the running latency median, but its *rows* are the same
-    /// append-only finished set, so bin reuse and ensemble warm starts
+    /// The residual head and its training rows. Its *targets* move with
+    /// the running latency median, but its *rows* are the finished set
+    /// [`WarmRefitState::ingest`] maintains under either
+    /// [`RefitPolicy`](crate::RefitPolicy), so bin reuse and warm boosts
     /// apply unchanged via [`WarmRefitState::refit_against`].
     warm: WarmRefitState,
-    /// Donor relative predictions cached per absorbed row (the donor is
-    /// frozen, so each row is evaluated exactly once per job).
+    /// Donor relative predictions cached per row of `warm` (the donor is
+    /// frozen, so each row is evaluated once for as long as it stays).
     donor_rel: Vec<f64>,
     /// Residual-target scratch, rebuilt each refit.
     resid_buf: Vec<f64>,
@@ -141,65 +141,43 @@ impl OnlinePredictor for TransferNurdPredictor {
         let scale = sorted[sorted.len() / 2].max(1e-9);
 
         // Residual head: learn what the donor gets wrong on this job.
-        let cold_model;
-        let residual_model: &GradientBoosting<SquaredLoss> = match &self.config.refit_policy {
-            // Historical path: refit the residual head from scratch on the
-            // checkpoint's own rows.
-            RefitPolicy::AlwaysCold => {
-                let residuals: Vec<f64> = x_fin
+        // Take in the finished set as the policy prescribes, evaluate the
+        // (frozen) donor once per new row, rebuild the moving residual
+        // targets cheaply, and refit the head.
+        let policy = &self.config.refit_policy;
+        let added = self.warm.ingest(checkpoint, policy);
+        let n = self.warm.rows();
+        if added > 0 {
+            self.donor_rel.truncate(n - added);
+            let mut row = vec![0.0; self.warm.features().cols()];
+            for r in n - added..n {
+                self.warm.features().row_into(r, &mut row);
+                self.donor_rel.push(self.donor.predict_relative(&row));
+            }
+        }
+        // With no newly finished row, `scale` (median of the same
+        // finished latencies) and the cached donor predictions are
+        // unchanged, so the residual targets are bit-identical to the
+        // previous checkpoint's — reuse the model rather than stacking
+        // warm rounds onto identical data.
+        if added > 0 || self.warm.model().is_none() {
+            self.resid_buf.clear();
+            self.resid_buf.extend(
+                self.warm
+                    .latencies()
                     .iter()
-                    .zip(&y_fin)
-                    .map(|(x, &y)| y - scale * self.donor.predict_relative(x))
-                    .collect();
-                let Ok(m) = GradientBoosting::fit_view(
-                    MatrixView::RowSlices(&x_fin),
-                    &residuals,
-                    SquaredLoss,
-                    &self.config.gbt,
-                ) else {
-                    return Vec::new();
-                };
-                cold_model = m;
-                &cold_model
+                    .zip(&self.donor_rel)
+                    .map(|(&y, &rel)| y - scale * rel),
+            );
+            if self
+                .warm
+                .refit_against(&self.resid_buf, &self.config.gbt, policy)
+                .is_err()
+            {
+                return Vec::new();
             }
-            // Warm path: grow the absorbed set, evaluate the (frozen)
-            // donor once per new row, rebuild the moving residual targets
-            // cheaply, and warm-start the head.
-            policy => {
-                let added = self.warm.absorb(checkpoint);
-                let n = self.warm.rows();
-                if added > 0 {
-                    let mut row = vec![0.0; self.warm.features().cols()];
-                    for r in n - added..n {
-                        self.warm.features().row_into(r, &mut row);
-                        self.donor_rel.push(self.donor.predict_relative(&row));
-                    }
-                }
-                // With no newly finished row, `scale` (median of the same
-                // finished latencies) and the cached donor predictions are
-                // unchanged, so the residual targets are bit-identical to
-                // the previous checkpoint's — reuse the model rather than
-                // stacking warm rounds onto identical data.
-                if added > 0 || self.warm.model().is_none() {
-                    self.resid_buf.clear();
-                    self.resid_buf.extend(
-                        self.warm
-                            .latencies()
-                            .iter()
-                            .zip(&self.donor_rel)
-                            .map(|(&y, &rel)| y - scale * rel),
-                    );
-                    if self
-                        .warm
-                        .refit_against(&self.resid_buf, &self.config.gbt, policy)
-                        .is_err()
-                    {
-                        return Vec::new();
-                    }
-                }
-                self.warm.model().expect("refit succeeded or model cached")
-            }
-        };
+        }
+        let residual_model = self.warm.model().expect("refit succeeded or model cached");
 
         let x_all: Vec<&[f64]> = x_fin.iter().chain(x_run.iter()).copied().collect();
         let mut labels = vec![1.0; x_fin.len()];
@@ -230,7 +208,7 @@ impl OnlinePredictor for TransferNurdPredictor {
             .collect()
     }
 
-    /// Serializes the per-job fitted state: δ, the warm scratch, and the
+    /// Serializes the per-job fitted state: δ, the refit state, and the
     /// cached donor relative predictions. The donor model itself is
     /// *frozen* and comes from the factory, so it does not travel; the
     /// `resid_buf` scratch is rebuilt on the next refit regardless.

@@ -63,13 +63,17 @@ fn mid_job_restore_matches(config: NurdConfig) {
     );
     assert_eq!(restored.delta(), live.delta());
     assert_eq!(restored.refit_stats(), live.refit_stats());
+    // The head travels inside the refit state under either policy, so its
+    // counters do too (three checkpoints, three fits).
+    let stats = restored.refit_stats();
+    assert_eq!(stats.cold_fits + stats.warm_fits, 3, "{stats:?}");
 
-    // Every future checkpoint must flag the identical task set.
+    // Every future checkpoint must score every task identically.
     for (ordinal, k) in [90usize, 100, 110].into_iter().enumerate() {
         let ckpt = checkpoint(&ts, k, 3 + ordinal);
         assert_eq!(
-            live.predict(&ckpt),
-            restored.predict(&ckpt),
+            live.score_running(&ckpt),
+            restored.score_running(&ckpt),
             "restored predictor diverged at checkpoint {ordinal}"
         );
     }

@@ -67,13 +67,6 @@ impl<'a> Checkpoint<'a> {
         self.running.iter().map(|t| t.features).collect()
     }
 
-    /// Appends the observed latencies of the finished tasks to `out`
-    /// (cleared first), reusing its allocation.
-    pub fn finished_latencies_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.finished.iter().map(|t| t.latency));
-    }
-
     /// Observed latencies of the finished tasks, aligned with
     /// [`Checkpoint::finished_features`].
     #[must_use]
@@ -237,9 +230,6 @@ mod tests {
         // Same pointers, not copies.
         assert!(std::ptr::eq(fin_rows[0], fin[0].as_slice()));
         assert!(std::ptr::eq(run_rows[0], run[0].as_slice()));
-        let mut lat = vec![99.0; 8];
-        ckpt.finished_latencies_into(&mut lat);
-        assert_eq!(lat, vec![4.0]);
     }
 
     #[test]

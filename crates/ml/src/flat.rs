@@ -57,7 +57,7 @@ pub const SUPPORTED_LANES: [usize; 4] = [1, 2, 4, 8];
 /// Build one with [`crate::GradientBoosting::flatten`] (or
 /// [`FlatForest::from_trees`] for raw trees), rebuild it whenever the
 /// source ensemble is refit, and score batches through
-/// [`FlatForest::predict_binned_batch`] / [`FlatForest::predict_view_into`].
+/// [`FlatForest::predict_binned_extend`] / [`FlatForest::predict_view_into`].
 #[derive(Debug, Clone, Default)]
 pub struct FlatForest {
     /// Split feature per node (`0` at leaves — never routed on, but kept a
@@ -65,8 +65,7 @@ pub struct FlatForest {
     feature: Vec<u32>,
     /// Raw-feature threshold per node (`+∞` at leaves).
     threshold: Vec<f64>,
-    /// Bin-code threshold per node (`u8::MAX` at leaves, or everywhere on
-    /// ensembles with exact-grown trees — see [`FlatForest::supports_binned`]).
+    /// Bin-code threshold per node (`u8::MAX` at leaves).
     split_bin: Vec<u8>,
     /// Child pairs: `children[2i]` = left, `children[2i+1]` = right;
     /// leaves store their own index twice (the self-loop).
@@ -79,8 +78,6 @@ pub struct FlatForest {
     depths: Vec<u32>,
     base_score: f64,
     learning_rate: f64,
-    /// Whether every flattened tree carried a bin-code cache.
-    binned_capable: bool,
     /// `1 + max split feature index` over all nodes (0 with no splits).
     /// Checked once per row/matrix so the walk itself can elide per-step
     /// bounds checks: every reachable node's `feature` — including the
@@ -101,7 +98,6 @@ impl FlatForest {
         FlatForest {
             base_score,
             learning_rate,
-            binned_capable: true,
             lanes: DEFAULT_LANES as u32,
             ..FlatForest::default()
         }
@@ -124,7 +120,6 @@ impl FlatForest {
         let base = self.feature.len();
         let nodes = tree.nodes();
         let bins = tree.split_bins();
-        self.binned_capable &= tree.supports_binned_predict();
         self.roots.push(base as u32);
         self.depths.push(tree.depth() as u32);
         self.feature.reserve(nodes.len());
@@ -151,7 +146,7 @@ impl FlatForest {
                 } => {
                     self.feature.push(*feature as u32);
                     self.threshold.push(*threshold);
-                    self.split_bin.push(bins.get(i).copied().unwrap_or(u8::MAX));
+                    self.split_bin.push(bins[i]);
                     self.children.push((base + *left) as u32);
                     self.children.push((base + *right) as u32);
                     self.value.push(0.0);
@@ -171,7 +166,6 @@ impl FlatForest {
         self.value.clear();
         self.roots.clear();
         self.depths.clear();
-        self.binned_capable = true;
         self.min_width = 0;
     }
 
@@ -197,13 +191,6 @@ impl FlatForest {
     #[must_use]
     pub fn learning_rate(&self) -> f64 {
         self.learning_rate
-    }
-
-    /// Whether the binned kernels are available (every flattened tree was
-    /// histogram-grown and carries its bin-code cache).
-    #[must_use]
-    pub fn supports_binned(&self) -> bool {
-        self.binned_capable
     }
 
     /// Rows the batch kernels walk per tree step.
@@ -353,9 +340,7 @@ impl FlatForest {
     ///
     /// # Panics
     ///
-    /// Panics when the forest contains exact-grown trees (no bin-code
-    /// cache; see [`FlatForest::supports_binned`]) or `rows` exceeds the
-    /// matrix.
+    /// Panics when `rows` exceeds the matrix.
     pub fn predict_binned_extend(
         &self,
         binned: &BinnedMatrix,
@@ -371,20 +356,6 @@ impl FlatForest {
         }
     }
 
-    /// Batch ensemble scores for the row range `rows` of a binned matrix —
-    /// the whole-barrier scoring entry point. Allocating wrapper over
-    /// [`FlatForest::predict_binned_extend`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`FlatForest::predict_binned_extend`].
-    #[must_use]
-    pub fn predict_binned_batch(&self, binned: &BinnedMatrix, rows: Range<usize>) -> Vec<f64> {
-        let mut out = Vec::with_capacity(rows.len());
-        self.predict_binned_extend(binned, rows, &mut out);
-        out
-    }
-
     /// `scores[i] += scale · leaf_t(row i)` for every tree `t` in ensemble
     /// order, over rows `0..scores.len()` of the binned matrix — the
     /// boosting-round score-update kernel (one freshly fit tree, `scale` =
@@ -398,7 +369,7 @@ impl FlatForest {
     }
 
     /// `scores[i] += scale · leaf_t(row i)` for every tree in ensemble
-    /// order, reading raw features from the view — the exact-growth twin
+    /// order, reading raw features from the view — the raw-feature twin
     /// of [`FlatForest::accumulate_binned`].
     pub fn accumulate_view(&self, xs: MatrixView<'_>, scale: f64, scores: &mut [f64]) {
         // Row-major views get a monomorphized kernel with the row slice
@@ -562,10 +533,6 @@ impl FlatForest {
         scores: &mut [f64],
     ) {
         assert!(
-            self.binned_capable,
-            "binned kernels require histogram-grown trees (bin-code cache)"
-        );
-        assert!(
             first_row + scores.len() <= binned.rows(),
             "row range {}..{} out of bounds for {} matrix rows",
             first_row,
@@ -686,7 +653,7 @@ impl FlatForest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GbtConfig, GradientBoosting, SquaredLoss, TreeConfig, TreeGrowth};
+    use crate::{GbtConfig, GradientBoosting, TreeConfig};
     use proptest::prelude::*;
 
     /// Deterministic pseudo-random rows with mild structure (and exact
@@ -718,6 +685,17 @@ mod tests {
             .collect()
     }
 
+    /// Allocating wrapper over [`FlatForest::predict_binned_extend`].
+    fn predict_binned_batch(
+        flat: &FlatForest,
+        binned: &BinnedMatrix,
+        rows: Range<usize>,
+    ) -> Vec<f64> {
+        let mut out = Vec::with_capacity(rows.len());
+        flat.predict_binned_extend(binned, rows, &mut out);
+        out
+    }
+
     /// A shared pool for the pooled-scoring tests (spawning threads per
     /// proptest case would dominate the suite's runtime).
     fn test_pool() -> &'static ThreadPool {
@@ -737,10 +715,10 @@ mod tests {
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let scalar = model.flatten().with_lanes(1);
         let raw1 = scalar.predict_view(MatrixView::Rows(&x));
-        let bin1 = scalar.predict_binned_batch(&binned, 0..x.len());
+        let bin1 = predict_binned_batch(&scalar, &binned, 0..x.len());
         assert_eq!(raw1, model.predict_view(MatrixView::Rows(&x)));
         for lanes in [2usize, 4, 8] {
             let flat = model.flatten().with_lanes(lanes);
@@ -751,7 +729,7 @@ mod tests {
                 "raw kernel at {lanes} lanes"
             );
             assert_eq!(
-                flat.predict_binned_batch(&binned, 0..x.len()),
+                predict_binned_batch(&flat, &binned, 0..x.len()),
                 bin1,
                 "binned kernel at {lanes} lanes"
             );
@@ -769,7 +747,7 @@ mod tests {
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let flat = model.flatten().with_lanes(8);
         for n in 0..8usize {
             assert_eq!(
@@ -795,7 +773,7 @@ mod tests {
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let slices: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
         for lanes in SUPPORTED_LANES {
             let flat = model.flatten().with_lanes(lanes);
@@ -832,10 +810,9 @@ mod tests {
         let forest = FlatForest::new(2.5, 0.3);
         assert_eq!(forest.predict(&[1.0, 2.0]), 2.5);
         assert_eq!(forest.tree_count(), 0);
-        assert!(forest.supports_binned());
         let x = rows(4, 2, 1);
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 16);
-        assert_eq!(forest.predict_binned_batch(&binned, 0..4), vec![2.5; 4]);
+        assert_eq!(predict_binned_batch(&forest, &binned, 0..4), vec![2.5; 4]);
     }
 
     #[test]
@@ -847,10 +824,10 @@ mod tests {
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let flat = model.flatten();
         assert_eq!(flat.tree_count(), model.tree_count());
-        let batch = flat.predict_binned_batch(&binned, 0..x.len());
+        let batch = predict_binned_batch(&flat, &binned, 0..x.len());
         for (i, row) in x.iter().enumerate() {
             assert_eq!(flat.predict(row), model.predict(row), "raw row {i}");
             assert_eq!(batch[i], model.predict(row), "binned row {i}");
@@ -859,44 +836,6 @@ mod tests {
             flat.predict_view(MatrixView::Rows(&x)),
             model.predict_view(MatrixView::Rows(&x))
         );
-    }
-
-    #[test]
-    fn exact_grown_forest_supports_raw_but_not_binned() {
-        let x = rows(40, 2, 3);
-        let y = targets(&x);
-        let cfg = GbtConfig {
-            n_rounds: 5,
-            tree: TreeConfig {
-                growth: TreeGrowth::Exact,
-                ..TreeConfig::default()
-            },
-            ..GbtConfig::default()
-        };
-        let model = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
-        let flat = model.flatten();
-        assert!(!flat.supports_binned());
-        for row in &x {
-            assert_eq!(flat.predict(row), model.predict(row));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "binned kernels require histogram-grown trees")]
-    fn binned_kernel_rejects_exact_grown_trees() {
-        let x = rows(30, 2, 9);
-        let y = targets(&x);
-        let cfg = GbtConfig {
-            n_rounds: 3,
-            tree: TreeConfig {
-                growth: TreeGrowth::Exact,
-                ..TreeConfig::default()
-            },
-            ..GbtConfig::default()
-        };
-        let model = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
-        let _ = model.flatten().predict_binned_batch(&binned, 0..x.len());
     }
 
     #[test]
@@ -915,9 +854,9 @@ mod tests {
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let flat = model.flatten();
-        let batch = flat.predict_binned_batch(&binned, 0..x.len());
+        let batch = predict_binned_batch(&flat, &binned, 0..x.len());
         for (i, row) in x.iter().enumerate() {
             assert_eq!(batch[i], model.predict(row));
             // Features can be anything for a leaf-only ensemble — even empty.
@@ -939,9 +878,9 @@ mod tests {
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let flat = model.flatten();
-        let batch = flat.predict_binned_batch(&binned, 0..x.len());
+        let batch = predict_binned_batch(&flat, &binned, 0..x.len());
         for (i, row) in x.iter().enumerate() {
             assert_eq!(batch[i], model.predict(row));
         }
@@ -956,11 +895,14 @@ mod tests {
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let flat = model.flatten();
-        let full = flat.predict_binned_batch(&binned, 0..60);
-        assert_eq!(flat.predict_binned_batch(&binned, 20..45), full[20..45]);
-        assert_eq!(flat.predict_binned_batch(&binned, 7..7), Vec::<f64>::new());
+        let full = predict_binned_batch(&flat, &binned, 0..60);
+        assert_eq!(predict_binned_batch(&flat, &binned, 20..45), full[20..45]);
+        assert_eq!(
+            predict_binned_batch(&flat, &binned, 7..7),
+            Vec::<f64>::new()
+        );
         let mut out = vec![-1.0; 3];
         flat.predict_binned_extend(&binned, 10..20, &mut out);
         assert_eq!(out[..3], [-1.0; 3], "extend must not clobber the prefix");
@@ -976,7 +918,7 @@ mod tests {
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let fresh = model.flatten();
         let mut recycled = FlatForest::new(model.base_score(), model.learning_rate());
         // Dirty it first, then recycle — the boosting loop's usage pattern.
@@ -986,16 +928,16 @@ mod tests {
             recycled.push_tree(tree);
         }
         assert_eq!(
-            recycled.predict_binned_batch(&binned, 0..x.len()),
-            fresh.predict_binned_batch(&binned, 0..x.len())
+            predict_binned_batch(&recycled, &binned, 0..x.len()),
+            predict_binned_batch(&fresh, &binned, 0..x.len())
         );
     }
 
     proptest! {
-        /// Differential property (satellite 1): across random data shapes,
-        /// depths, thread hints, and subtraction settings, the flat batch
-        /// kernel, the per-tree binned walk, and the exact-mode raw walk
-        /// agree bit-for-bit on the training matrix.
+        /// Differential property: across random data shapes, depths and
+        /// thread hints, the flat batch kernel, the per-tree binned walk
+        /// and the raw-feature walk agree bit-for-bit on the training
+        /// matrix.
         #[test]
         fn prop_flat_equals_pointer_paths(
             n in 12usize..70,
@@ -1004,10 +946,8 @@ mod tests {
             rounds in 1usize..14,
             max_bins in 2usize..32,
             threads in 1usize..3,
-            subtraction_bit in 0u8..2,
             salt in 0u64..1000,
         ) {
-            let subtraction = subtraction_bit == 1;
             let x = rows(n, d, salt);
             let y = targets(&x);
             let cfg = GbtConfig {
@@ -1015,16 +955,15 @@ mod tests {
                 tree: TreeConfig {
                     max_depth: depth,
                     max_bins,
-                    hist_subtraction: subtraction,
                     n_threads: threads,
                     ..TreeConfig::default()
                 },
                 ..GbtConfig::default()
             };
             let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg.tree);
-            let model = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+            let model = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
             let flat = model.flatten();
-            let batch = flat.predict_binned_batch(&binned, 0..n);
+            let batch = predict_binned_batch(&flat, &binned, 0..n);
             for (i, row) in x.iter().enumerate() {
                 prop_assert_eq!(batch[i], model.predict(row), "row {}", i);
                 prop_assert_eq!(flat.predict(row), model.predict(row), "raw row {}", i);
@@ -1042,7 +981,7 @@ mod tests {
                     lanes
                 );
                 prop_assert_eq!(
-                    lf.predict_binned_batch(&binned, 0..n),
+                    predict_binned_batch(&lf, &binned, 0..n),
                     batch.clone(),
                     "binned kernel, {} lanes",
                     lanes
@@ -1058,11 +997,11 @@ mod tests {
             }
         }
 
-        /// Differential property across a warm-start append: the rebuilt
+        /// Differential property across a warm-boost append: the rebuilt
         /// flat forest stays bit-identical to the grown pointer ensemble,
         /// on both the original prefix and the appended suffix.
         #[test]
-        fn prop_flat_survives_warm_start_rebuild(
+        fn prop_flat_survives_warm_boost_rebuild(
             n in 30usize..80,
             extra in 2usize..12,
             salt in 0u64..500,
@@ -1073,13 +1012,13 @@ mod tests {
             let cfg = GbtConfig { n_rounds: 8, ..GbtConfig::default() };
             let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..split]), cfg.tree.max_bins);
             let prev =
-                GradientBoosting::fit_binned(&binned, &y[..split], SquaredLoss, &cfg).unwrap();
+                GradientBoosting::fit_binned(&binned, &y[..split], &cfg).unwrap();
             binned.append_from(MatrixView::Rows(&x));
-            let grown =
-                GradientBoosting::warm_start(&prev, &binned, &y, extra, &cfg).unwrap();
+            let mut grown = prev;
+            grown.warm_boost(&binned, &y, extra, &cfg, &mut Vec::new()).unwrap();
             let flat = grown.flatten();
             prop_assert_eq!(flat.tree_count(), grown.tree_count());
-            let batch = flat.predict_binned_batch(&binned, 0..n);
+            let batch = predict_binned_batch(&flat, &binned, 0..n);
             for (i, row) in x.iter().enumerate() {
                 prop_assert_eq!(flat.predict(row), grown.predict(row), "raw row {}", i);
             }

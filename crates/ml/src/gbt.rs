@@ -9,27 +9,30 @@
 //! * the training matrix is accepted as a zero-copy [`MatrixView`]
 //!   (row-major slices or a column-major
 //!   [`nurd_linalg::FeatureMatrix`]) — rows are never cloned;
-//! * under the default [`TreeGrowth::Histogram`](crate::TreeGrowth)
-//!   growth, features are quantized into a [`BinnedMatrix`] **once per
-//!   fit**, and **one tree grower** serves every round of that fit: the
-//!   feature layout, the pooled node histograms (kept all-zero between
-//!   uses, with present-bin bitmaps so a node costs the cells it holds)
-//!   and the in-place row partition buffer are set up once, so a round
-//!   allocates nothing but the finished tree (see the grower section of
-//!   `tree.rs`'s module docs). The trees are bit-for-bit those of a fresh
+//! * features are quantized into a [`BinnedMatrix`] **once per fit**, and
+//!   **one tree grower** serves every round of that fit: the feature
+//!   layout, the pooled node histograms (kept all-zero between uses, with
+//!   present-bin bitmaps so a node costs the cells it holds) and the
+//!   in-place row partition buffer are set up once, so a round allocates
+//!   nothing but the finished tree (see the grower section of `tree.rs`'s
+//!   module docs). The trees are bit-for-bit those of a fresh
 //!   [`RegressionTree::fit_binned`] per round;
 //! * per-round score updates replay the freshly fit tree over `u8` bin
 //!   codes ([`RegressionTree::predict_binned`]) — raw `f64` features are
-//!   never touched inside a histogram-mode fit;
+//!   never touched after quantization;
 //! * row subsampling selects *indices* into the shared binned matrix; the
 //!   `subsample == 1.0` case short-circuits to a precomputed identity
-//!   index list;
-//! * across checkpoints, [`GradientBoosting::warm_boost`] boosts a few
-//!   new rounds onto the previous ensemble **in place**, over a binned
-//!   matrix grown in place by [`BinnedMatrix::append_from`], instead of
-//!   refitting from scratch ([`GradientBoosting::warm_start`] is the
-//!   by-reference form that leaves the previous ensemble untouched;
-//!   [`GradientBoosting::fit_binned`] covers the cold half of that path).
+//!   index list.
+//!
+//! There are two fit entries and one way to extend a fit.
+//! [`GradientBoosting::fit_view`] takes raw features and is literally
+//! [`BinnedMatrix::build_for`] followed by
+//! [`GradientBoosting::fit_binned_cached`], which takes a matrix the
+//! caller already quantized (and keeps alive across checkpoints, growing
+//! it in place with [`BinnedMatrix::append_from`]).
+//! [`GradientBoosting::warm_boost`] then boosts a few new rounds onto a
+//! fitted ensemble **in place** over such a grown matrix instead of
+//! refitting from scratch.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -38,7 +41,7 @@ use rand::SeedableRng;
 use nurd_linalg::MatrixView;
 
 use crate::binned::BinnedMatrix;
-use crate::tree::{RegressionTree, TreeConfig, TreeGrower, TreeGrowth};
+use crate::tree::{RegressionTree, TreeConfig, TreeGrower};
 use crate::MlError;
 
 /// A twice-differentiable training loss for [`GradientBoosting`].
@@ -169,68 +172,25 @@ impl<L: Loss> GradientBoosting<L> {
         config: &GbtConfig,
     ) -> Result<Self, MlError> {
         crate::error::check_view(x, y)?;
-        check_gbt_config(config)?;
-
         // Quantize once; every boosting round (and every node of every
         // tree) trains against this shared binned matrix.
-        let binned = match config.tree.growth {
-            TreeGrowth::Histogram if config.n_rounds > 0 => {
-                Some(BinnedMatrix::build_for(x, &config.tree))
-            }
-            _ => None,
-        };
-
-        let base_score = loss.base_score(y);
-        let mut scores = vec![base_score; x.rows()];
-        let mut trees = Vec::with_capacity(config.n_rounds);
-        boost_rounds(
-            binned.as_ref(),
-            Some(x),
-            y,
-            &loss,
-            config,
-            config.n_rounds,
-            config.learning_rate,
-            config.seed,
-            &mut scores,
-            &mut trees,
-        );
-
-        Ok(GradientBoosting {
-            loss,
-            base_score,
-            learning_rate: config.learning_rate,
-            trees,
-        })
+        let binned = BinnedMatrix::build_for(x, &config.tree);
+        Self::fit_binned_cached(&binned, y, loss, config, &mut Vec::new())
     }
 
-    /// Fits the ensemble over a pre-quantized [`BinnedMatrix`] (histogram
-    /// growth implied; `config.tree.growth` is ignored). This is the
-    /// warm-refit hot path: across consecutive checkpoints the caller
-    /// keeps one binned matrix alive, grows it in place with
+    /// Fits the ensemble over a pre-quantized [`BinnedMatrix`] and leaves
+    /// the fitted ensemble's raw per-row scores in `scores` (cleared and
+    /// refilled), so a later [`GradientBoosting::warm_boost`] can continue
+    /// boosting without replaying the whole ensemble. This is the cold
+    /// half of the warm-refit path: across consecutive checkpoints the
+    /// caller keeps one binned matrix alive, grows it in place with
     /// [`BinnedMatrix::append_from`], and skips re-quantization entirely.
     ///
     /// # Errors
     ///
+    /// [`MlError::EmptyTrainingSet`] on a matrix without rows,
     /// [`MlError::DimensionMismatch`] when `y` does not match the matrix
     /// rows, [`MlError::InvalidConfig`] on out-of-range hyperparameters.
-    pub fn fit_binned(
-        binned: &BinnedMatrix,
-        y: &[f64],
-        loss: L,
-        config: &GbtConfig,
-    ) -> Result<Self, MlError> {
-        Self::fit_binned_cached(binned, y, loss, config, &mut Vec::new())
-    }
-
-    /// As [`GradientBoosting::fit_binned`], but additionally leaves the
-    /// fitted ensemble's raw per-row scores in `scores` (cleared and
-    /// refilled), so a later [`GradientBoosting::warm_start_cached`] can
-    /// continue boosting without replaying the whole ensemble.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GradientBoosting::fit_binned`].
     pub fn fit_binned_cached(
         binned: &BinnedMatrix,
         y: &[f64],
@@ -238,23 +198,13 @@ impl<L: Loss> GradientBoosting<L> {
         config: &GbtConfig,
         scores: &mut Vec<f64>,
     ) -> Result<Self, MlError> {
-        if binned.rows() == 0 {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        if y.len() != binned.rows() {
-            return Err(MlError::DimensionMismatch {
-                expected: format!("{} targets", binned.rows()),
-                found: format!("{} targets", y.len()),
-            });
-        }
-        check_gbt_config(config)?;
+        check_binned_fit(binned, y, config)?;
         let base_score = loss.base_score(y);
         scores.clear();
         scores.resize(binned.rows(), base_score);
         let mut trees = Vec::with_capacity(config.n_rounds);
         boost_rounds(
-            Some(binned),
-            None,
+            binned,
             y,
             &loss,
             config,
@@ -272,86 +222,41 @@ impl<L: Loss> GradientBoosting<L> {
         })
     }
 
-    /// Boosts `extra_rounds` **new** trees on top of `prev` instead of
-    /// refitting from scratch — the warm-start refit path. The previous
+    /// Boosts `extra_rounds` **new** trees onto `self`, in place, instead
+    /// of refitting from scratch — the warm-start refit path. The
     /// ensemble's base score, learning rate, and trees are kept; new trees
     /// correct its residuals against the (typically grown) training set in
     /// `binned`/`y`.
     ///
-    /// `binned` must carry the same bin edges the previous ensemble was
-    /// trained against (the invariant [`BinnedMatrix::append_from`]
-    /// preserves and a full rebuild breaks): previous trees are replayed
-    /// over `u8` codes to reconstruct the ensemble's scores, and stale
-    /// edges would silently mis-route rows. `config` supplies the new
-    /// trees' structural parameters and subsampling; the learning rate is
-    /// inherited from `prev` so old and new trees stay on one scale.
+    /// `binned` must carry the same bin edges the ensemble was trained
+    /// against (the invariant [`BinnedMatrix::append_from`] preserves and a
+    /// full rebuild breaks): its trees are replayed over `u8` codes to
+    /// reconstruct the ensemble's scores, and stale edges would silently
+    /// mis-route rows. `config` supplies the new trees' structural
+    /// parameters and subsampling; the learning rate stays the ensemble's
+    /// own so old and new trees share one scale.
     ///
-    /// Warm-starting with `extra_rounds == 0` returns a clone of `prev`.
-    ///
-    /// # Errors
-    ///
-    /// [`MlError::DimensionMismatch`] on a `y`/matrix row mismatch,
-    /// [`MlError::InvalidConfig`] on bad hyperparameters or when `prev`
-    /// contains exact-grown trees (no bin-code cache to replay).
-    pub fn warm_start(
-        prev: &Self,
-        binned: &BinnedMatrix,
-        y: &[f64],
-        extra_rounds: usize,
-        config: &GbtConfig,
-    ) -> Result<Self, MlError>
-    where
-        L: Clone,
-    {
-        Self::warm_start_cached(prev, binned, y, extra_rounds, config, &mut Vec::new())
-    }
-
-    /// As [`GradientBoosting::warm_start`], with an externally cached raw
-    /// score vector: on entry `scores[i]` must hold `prev`'s raw score for
-    /// row `i` over however many leading rows the caller has cached (a
-    /// vector left behind by a previous `warm_start_cached` /
+    /// On entry `scores[i]` must hold the ensemble's raw score for row `i`
+    /// over however many leading rows the caller has cached (a vector left
+    /// behind by a previous `warm_boost` /
     /// [`GradientBoosting::fit_binned_cached`] on the same binning, or
     /// empty); only the uncached suffix — typically the handful of rows
     /// appended since the last checkpoint — is reconstructed by replaying
-    /// `prev` over bin codes. On success `scores` holds the *new*
-    /// ensemble's raw scores for every row, ready for the next call.
-    ///
-    /// This turns the per-checkpoint replay cost from
-    /// `O(ensemble × all rows)` into `O(ensemble × appended rows)`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GradientBoosting::warm_start`], plus
-    /// [`MlError::DimensionMismatch`] when `scores` is longer than the
-    /// matrix has rows (a stale cache from a different binning).
-    pub fn warm_start_cached(
-        prev: &Self,
-        binned: &BinnedMatrix,
-        y: &[f64],
-        extra_rounds: usize,
-        config: &GbtConfig,
-        scores: &mut Vec<f64>,
-    ) -> Result<Self, MlError>
-    where
-        L: Clone,
-    {
-        let mut next = prev.clone();
-        next.warm_boost(binned, y, extra_rounds, config, scores)?;
-        Ok(next)
-    }
-
-    /// [`GradientBoosting::warm_start_cached`] **in place**: boosts
-    /// `extra_rounds` new trees onto `self` instead of onto a clone of the
-    /// whole ensemble — the form the per-checkpoint refit uses, where the
-    /// previous model is not wanted afterwards. Same `binned`/`scores`
-    /// contract, same trees.
+    /// the ensemble over bin codes, which turns the per-checkpoint replay
+    /// cost from `O(ensemble × all rows)` into `O(ensemble × appended
+    /// rows)`. On success `scores` holds the *grown* ensemble's raw scores
+    /// for every row, ready for the next call.
     ///
     /// Every input is validated before anything is touched: on `Err`,
     /// `self` and `scores` are exactly as they were.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GradientBoosting::warm_start_cached`].
+    /// [`MlError::EmptyTrainingSet`] on a matrix without rows,
+    /// [`MlError::DimensionMismatch`] on a `y`/matrix row mismatch or when
+    /// `scores` is longer than the matrix has rows (a stale cache from a
+    /// different binning), [`MlError::InvalidConfig`] on bad
+    /// hyperparameters.
     pub fn warm_boost(
         &mut self,
         binned: &BinnedMatrix,
@@ -360,26 +265,12 @@ impl<L: Loss> GradientBoosting<L> {
         config: &GbtConfig,
         scores: &mut Vec<f64>,
     ) -> Result<(), MlError> {
-        if binned.rows() == 0 {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        if y.len() != binned.rows() {
-            return Err(MlError::DimensionMismatch {
-                expected: format!("{} targets", binned.rows()),
-                found: format!("{} targets", y.len()),
-            });
-        }
+        check_binned_fit(binned, y, config)?;
         if scores.len() > binned.rows() {
             return Err(MlError::DimensionMismatch {
                 expected: format!("at most {} cached scores", binned.rows()),
                 found: format!("{} cached scores", scores.len()),
             });
-        }
-        check_gbt_config(config)?;
-        if self.trees.iter().any(|t| !t.supports_binned_predict()) {
-            return Err(MlError::InvalidConfig(
-                "warm_start requires a histogram-grown previous ensemble".into(),
-            ));
         }
 
         // Replay the previous ensemble over bin codes — u8 compares, no
@@ -399,8 +290,7 @@ impl<L: Loss> GradientBoosting<L> {
             .seed
             .wrapping_add((self.trees.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         boost_rounds(
-            Some(binned),
-            None,
+            binned,
             y,
             &self.loss,
             config,
@@ -471,8 +361,8 @@ impl<L: Loss> GradientBoosting<L> {
 
     /// Flattens the ensemble into the structure-of-arrays inference layout
     /// ([`crate::FlatForest`]) — bit-identical predictions, cache-friendly
-    /// batch traversal. Rebuild after every refit / warm start; the flat
-    /// copy does not track later changes to `self`.
+    /// batch traversal. Rebuild after every refit; the flat copy does not
+    /// track later changes to `self`.
     #[must_use]
     pub fn flatten(&self) -> crate::FlatForest {
         crate::FlatForest::from_trees(self.trees(), self.base_score, self.learning_rate)
@@ -485,7 +375,18 @@ impl<L: Loss> GradientBoosting<L> {
     }
 }
 
-fn check_gbt_config(config: &GbtConfig) -> Result<(), MlError> {
+/// What both binned entries require: a non-empty matrix, one target per
+/// row, and in-range hyperparameters.
+fn check_binned_fit(binned: &BinnedMatrix, y: &[f64], config: &GbtConfig) -> Result<(), MlError> {
+    if binned.rows() == 0 {
+        return Err(MlError::EmptyTrainingSet);
+    }
+    if y.len() != binned.rows() {
+        return Err(MlError::DimensionMismatch {
+            expected: format!("{} targets", binned.rows()),
+            found: format!("{} targets", y.len()),
+        });
+    }
     if !(config.subsample > 0.0 && config.subsample <= 1.0) {
         return Err(MlError::InvalidConfig(format!(
             "subsample must be in (0,1], got {}",
@@ -504,17 +405,16 @@ fn check_gbt_config(config: &GbtConfig) -> Result<(), MlError> {
     Ok(())
 }
 
-/// The boosting round loop shared by cold fits and warm starts: appends
+/// The boosting round loop shared by cold fits and warm boosts: appends
 /// `rounds` trees to `trees`, keeping `scores` (raw per-row ensemble
-/// scores) in sync. Histogram mode (`binned` present) never touches raw
-/// features: one [`TreeGrower`] serves every round, and per-round score
-/// updates traverse the new tree over `u8` bin codes; exact mode reads
-/// `x`. Inputs are validated by the callers (`scores`, `y` and the matrix
-/// agree on the row count, which is nonzero), so the loop cannot fail.
+/// scores) in sync. Raw features are never touched: one [`TreeGrower`]
+/// serves every round, and per-round score updates traverse the new tree
+/// over `u8` bin codes. Inputs are validated by the callers (`scores`, `y`
+/// and the matrix agree on the row count, which is nonzero), so the loop
+/// cannot fail.
 #[allow(clippy::too_many_arguments)]
 fn boost_rounds<L: Loss>(
-    binned: Option<&BinnedMatrix>,
-    x: Option<MatrixView<'_>>,
+    binned: &BinnedMatrix,
     y: &[f64],
     loss: &L,
     config: &GbtConfig,
@@ -531,7 +431,7 @@ fn boost_rounds<L: Loss>(
 
     let mut grads = vec![0.0; n];
     let mut hess = vec![0.0; n];
-    let mut grower = binned.map(|binned| TreeGrower::new(binned, &config.tree));
+    let mut grower = TreeGrower::new(binned, &config.tree);
     // One flat single-tree scratch recycled across rounds: the per-round
     // score update walks the freshly fit tree over all rows through the
     // structure-of-arrays kernel instead of re-walking the pointer tree
@@ -552,22 +452,10 @@ fn boost_rounds<L: Loss>(
             grads[i] = g;
             hess[i] = h.max(1e-12);
         }
-        let tree = match &mut grower {
-            Some(grower) => grower.grow(&grads, &hess, rows),
-            None => {
-                let x = x.expect("exact growth requires a raw matrix view");
-                RegressionTree::fit_exact_rows(x, &grads, &hess, rows.to_vec(), &config.tree)
-            }
-        };
+        let tree = grower.grow(&grads, &hess, rows);
         flat.clear();
         flat.push_tree(&tree);
-        match binned {
-            Some(binned) => flat.accumulate_binned(binned, learning_rate, scores),
-            None => {
-                let x = x.expect("exact growth requires a raw matrix view");
-                flat.accumulate_view(x, learning_rate, scores);
-            }
-        }
+        flat.accumulate_binned(binned, learning_rate, scores);
         trees.push(tree);
     }
 }
@@ -633,40 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_mode_matches_exact_mode_on_nonlinear_interaction() {
-        // Regression guard for the histogram-growth accuracy tradeoff: on
-        // the nonlinear-interaction fixture, histogram-mode train MSE must
-        // stay within 10% of exact-mode.
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for i in 0..12 {
-            for j in 0..12 {
-                x.push(vec![i as f64, j as f64]);
-                y.push((i * j) as f64);
-            }
-        }
-        let cfg_for = |growth| GbtConfig {
-            n_rounds: 150,
-            tree: TreeConfig {
-                max_depth: 4,
-                growth,
-                ..TreeConfig::default()
-            },
-            ..GbtConfig::default()
-        };
-        let exact =
-            GradientBoosting::fit(&x, &y, SquaredLoss, &cfg_for(TreeGrowth::Exact)).unwrap();
-        let hist =
-            GradientBoosting::fit(&x, &y, SquaredLoss, &cfg_for(TreeGrowth::Histogram)).unwrap();
-        let mse_exact = crate::mean_squared_error(&y, &exact.predict_batch(&x));
-        let mse_hist = crate::mean_squared_error(&y, &hist.predict_batch(&x));
-        assert!(
-            mse_hist <= mse_exact * 1.10 + 1e-12,
-            "histogram mse {mse_hist} vs exact mse {mse_exact}"
-        );
-    }
-
-    #[test]
     fn subsample_one_never_shuffles_and_matches_explicit_rounding() {
         // subsample == 1.0 must short-circuit to the identity index list;
         // a fractional subsample that rounds to n must behave identically.
@@ -728,41 +582,67 @@ mod tests {
         (x, y)
     }
 
+    impl GradientBoosting<SquaredLoss> {
+        /// The cold binned entry without a score cache to keep (shared
+        /// with `flat.rs`'s tests).
+        pub(crate) fn fit_binned(
+            binned: &BinnedMatrix,
+            y: &[f64],
+            cfg: &GbtConfig,
+        ) -> Result<Self, MlError> {
+            Self::fit_binned_cached(binned, y, SquaredLoss, cfg, &mut Vec::new())
+        }
+    }
+
+    /// `warm_boost` onto a copy, from `scores` (empty = replay everything).
+    fn boosted(
+        prev: &GradientBoosting<SquaredLoss>,
+        binned: &BinnedMatrix,
+        y: &[f64],
+        extra_rounds: usize,
+        cfg: &GbtConfig,
+        scores: &mut Vec<f64>,
+    ) -> Result<GradientBoosting<SquaredLoss>, MlError> {
+        let mut next = prev.clone();
+        next.warm_boost(binned, y, extra_rounds, cfg, scores)?;
+        Ok(next)
+    }
+
     #[test]
     fn fit_binned_matches_fit_view_bit_for_bit() {
         let (x, y) = growing_set(80);
         let cfg = GbtConfig::default();
         let by_view = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let by_binned = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let by_binned = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         assert_eq!(by_view.predict_batch(&x), by_binned.predict_batch(&x));
     }
 
     #[test]
-    fn warm_start_zero_rounds_is_identity() {
+    fn warm_boost_zero_rounds_is_identity() {
         let (x, y) = growing_set(60);
         let cfg = GbtConfig::default();
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let prev = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
-        let same = GradientBoosting::warm_start(&prev, &binned, &y, 0, &cfg).unwrap();
+        let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
+        let same = boosted(&prev, &binned, &y, 0, &cfg, &mut Vec::new()).unwrap();
         assert_eq!(same.tree_count(), prev.tree_count());
         assert_eq!(prev.predict_batch(&x), same.predict_batch(&x));
     }
 
     #[test]
-    fn warm_start_recovers_cold_accuracy_on_grown_data() {
-        // Fit on the first 150 rows, grow to 200, warm-start a few rounds:
-        // MSE on the full set must land within a few percent of a cold
-        // refit — the claim the warm-refit subsystem rests on.
+    fn warm_boost_recovers_cold_accuracy_on_grown_data() {
+        // Fit on the first 150 rows, grow to 200, boost a few rounds: MSE
+        // on the full set must land within a few percent of a cold refit
+        // — the claim the warm-refit subsystem rests on.
         let (x, y) = growing_set(200);
         let cfg = GbtConfig::default();
         let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..150]), cfg.tree.max_bins);
-        let prev = GradientBoosting::fit_binned(&binned, &y[..150], SquaredLoss, &cfg).unwrap();
+        let prev = GradientBoosting::fit_binned(&binned, &y[..150], &cfg).unwrap();
         let drift = binned.append_from(MatrixView::Rows(&x));
         assert!(drift < 0.2, "mild drift expected, got {drift}");
 
-        let warm = GradientBoosting::warm_start(&prev, &binned, &y, 10, &cfg).unwrap();
-        let cold = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let warm = boosted(&prev, &binned, &y, 10, &cfg, &mut Vec::new()).unwrap();
+        let cold = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let mse_warm = crate::mean_squared_error(&y, &warm.predict_batch(&x));
         let mse_cold = crate::mean_squared_error(&y, &cold.predict_batch(&x));
         let var = nurd_linalg::variance(&y);
@@ -774,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_cached_matches_uncached_replay() {
+    fn warm_boost_from_a_score_cache_matches_full_replay() {
         let (x, y) = growing_set(160);
         let cfg = GbtConfig::default();
         let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..120]), cfg.tree.max_bins);
@@ -785,9 +665,8 @@ mod tests {
         assert_eq!(cache.len(), 120);
         binned.append_from(MatrixView::Rows(&x));
 
-        let uncached = GradientBoosting::warm_start(&prev, &binned, &y, 6, &cfg).unwrap();
-        let cached =
-            GradientBoosting::warm_start_cached(&prev, &binned, &y, 6, &cfg, &mut cache).unwrap();
+        let uncached = boosted(&prev, &binned, &y, 6, &cfg, &mut Vec::new()).unwrap();
+        let cached = boosted(&prev, &binned, &y, 6, &cfg, &mut cache).unwrap();
         assert_eq!(cache.len(), 160, "cache covers every row after the call");
         // The cache holds the boosting trajectory's running scores, which
         // differ from a from-scratch ensemble replay only by float
@@ -797,7 +676,7 @@ mod tests {
         for row in &x {
             assert!(
                 (uncached.predict(row) - cached.predict(row)).abs() <= 1e-9 * scale,
-                "cached vs uncached warm start diverged"
+                "cached vs uncached warm boost diverged"
             );
         }
         // The left-behind cache is the new model's raw score per row.
@@ -814,13 +693,13 @@ mod tests {
         // A cache longer than the matrix is a stale-cache bug: rejected.
         let mut stale = vec![0.0; 200];
         assert!(matches!(
-            GradientBoosting::warm_start_cached(&prev, &binned, &y, 2, &cfg, &mut stale),
+            boosted(&prev, &binned, &y, 2, &cfg, &mut stale),
             Err(MlError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
-    fn warm_boost_is_warm_start_cached_in_place() {
+    fn rejected_warm_boost_touches_neither_model_nor_cache() {
         let (x, y) = growing_set(160);
         let cfg = GbtConfig {
             subsample: 0.8,
@@ -828,65 +707,37 @@ mod tests {
         };
         let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..120]), cfg.tree.max_bins);
         let mut cache = Vec::new();
-        let prev =
+        let mut model =
             GradientBoosting::fit_binned_cached(&binned, &y[..120], SquaredLoss, &cfg, &mut cache)
                 .unwrap();
         binned.append_from(MatrixView::Rows(&x));
+        model.warm_boost(&binned, &y, 6, &cfg, &mut cache).unwrap();
+        let (trees, scores) = (model.trees.clone(), cache.clone());
 
-        let mut by_value_cache = cache.clone();
-        let by_value =
-            GradientBoosting::warm_start_cached(&prev, &binned, &y, 6, &cfg, &mut by_value_cache)
-                .unwrap();
-        let mut in_place = prev.clone();
-        in_place
-            .warm_boost(&binned, &y, 6, &cfg, &mut cache)
-            .unwrap();
-        assert_eq!(in_place.trees, by_value.trees);
-        assert_eq!(cache, by_value_cache);
-
-        // A rejected call touches neither the model nor the cache.
         let bad = GbtConfig {
             learning_rate: 0.0,
             ..cfg
         };
         assert!(matches!(
-            in_place.warm_boost(&binned, &y, 6, &bad, &mut cache),
+            model.warm_boost(&binned, &y, 6, &bad, &mut cache),
             Err(MlError::InvalidConfig(_))
         ));
-        assert_eq!(in_place.trees, by_value.trees);
-        assert_eq!(cache, by_value_cache);
+        assert_eq!(model.trees, trees);
+        assert_eq!(cache, scores);
     }
 
     #[test]
-    fn warm_start_is_deterministic() {
+    fn warm_boost_is_deterministic() {
         let (x, y) = growing_set(90);
         let cfg = GbtConfig {
             subsample: 0.7,
             ..GbtConfig::default()
         };
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let prev = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
-        let a = GradientBoosting::warm_start(&prev, &binned, &y, 5, &cfg).unwrap();
-        let b = GradientBoosting::warm_start(&prev, &binned, &y, 5, &cfg).unwrap();
+        let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
+        let a = boosted(&prev, &binned, &y, 5, &cfg, &mut Vec::new()).unwrap();
+        let b = boosted(&prev, &binned, &y, 5, &cfg, &mut Vec::new()).unwrap();
         assert_eq!(a.predict_batch(&x), b.predict_batch(&x));
-    }
-
-    #[test]
-    fn warm_start_rejects_exact_grown_ensemble() {
-        let (x, y) = growing_set(40);
-        let exact_cfg = GbtConfig {
-            tree: TreeConfig {
-                growth: TreeGrowth::Exact,
-                ..TreeConfig::default()
-            },
-            ..GbtConfig::default()
-        };
-        let prev = GradientBoosting::fit(&x, &y, SquaredLoss, &exact_cfg).unwrap();
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
-        assert!(matches!(
-            GradientBoosting::warm_start(&prev, &binned, &y, 4, &GbtConfig::default()),
-            Err(MlError::InvalidConfig(_))
-        ));
     }
 
     #[test]
@@ -896,27 +747,33 @@ mod tests {
         let empty_rows: Vec<Vec<f64>> = Vec::new();
         let empty = BinnedMatrix::build(MatrixView::Rows(&empty_rows), 256);
         assert!(matches!(
-            GradientBoosting::fit_binned(&empty, &[], SquaredLoss, &GbtConfig::default()),
+            GradientBoosting::fit_binned(&empty, &[], &GbtConfig::default()),
             Err(MlError::EmptyTrainingSet)
         ));
         let (x, y) = growing_set(20);
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
-        let prev =
-            GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &GbtConfig::default()).unwrap();
+        let prev = GradientBoosting::fit_binned(&binned, &y, &GbtConfig::default()).unwrap();
         assert!(matches!(
-            GradientBoosting::warm_start(&prev, &empty, &[], 4, &GbtConfig::default()),
+            boosted(
+                &prev,
+                &empty,
+                &[],
+                4,
+                &GbtConfig::default(),
+                &mut Vec::new()
+            ),
             Err(MlError::EmptyTrainingSet)
         ));
     }
 
     #[test]
-    fn warm_start_rejects_target_length_mismatch() {
+    fn warm_boost_rejects_target_length_mismatch() {
         let (x, y) = growing_set(40);
         let cfg = GbtConfig::default();
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
-        let prev = GradientBoosting::fit_binned(&binned, &y, SquaredLoss, &cfg).unwrap();
+        let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         assert!(matches!(
-            GradientBoosting::warm_start(&prev, &binned, &y[..20], 4, &cfg),
+            boosted(&prev, &binned, &y[..20], 4, &cfg, &mut Vec::new()),
             Err(MlError::DimensionMismatch { .. })
         ));
     }

@@ -11,59 +11,50 @@
 //! * [`LinearSvm`] — Pegasos-trained linear SVM; Wrangler and PU-BG.
 //! * [`KMeans`], [`NearestNeighbors`] — substrates for the outlier detectors.
 //!
-//! # Exact vs. histogram tree growth
+//! # Histogram tree growth
 //!
 //! Because NURD refits the booster at *every checkpoint of every job*,
-//! tree construction dominates end-to-end replay cost. The tree builder
-//! therefore ships two growth strategies behind one API
-//! ([`TreeConfig::growth`]):
-//!
-//! * **Histogram** (default): each feature is quantized into at most
-//!   [`TreeConfig::max_bins`] ≤ 256 bins once per fit ([`BinnedMatrix`]);
-//!   nodes accumulate per-bin gradient/hessian statistics in one linear
-//!   pass over contiguous `u8` codes and scan bin boundaries for the
-//!   split. `O(n·d)` split finding per level; measured ~4× faster
-//!   GBT fits at n = 300 and growing with n. When every feature has at
-//!   most `max_bins` distinct values the trees are *identical* to exact
-//!   growth (property-tested); beyond that, thresholds are restricted to
-//!   quantile bin boundaries — for a single shallow tree on small data
-//!   the one-off quantization cost can outweigh the per-node savings, but
-//!   boosting amortizes it across all rounds.
-//! * **Exact**: the classic per-node, per-feature re-sort enumerating
-//!   every midpoint between adjacent distinct values
-//!   (`O(d · n log n)` per node). Pin `TreeGrowth::Exact` in
-//!   accuracy-sensitive comparisons or to reproduce pre-histogram
-//!   behaviour bit-for-bit.
+//! tree construction dominates end-to-end replay cost. There is one tree
+//! builder: each feature is quantized into at most
+//! [`TreeConfig::max_bins`] ≤ 256 bins once per fit ([`BinnedMatrix`]);
+//! nodes accumulate per-bin gradient/hessian statistics in one linear pass
+//! over contiguous `u8` codes (the larger child of every split is derived
+//! as `parent − sibling`, LightGBM-style) and scan bin boundaries for the
+//! split — `O(n·d)` split finding per level. When every feature has at
+//! most `max_bins` distinct values the candidate thresholds are exactly
+//! the midpoints a sort-based CART enumeration would try; beyond that,
+//! thresholds are restricted to quantile bin boundaries. The sort-based
+//! builder is kept only as a `cfg(test)` oracle of `tree.rs`.
 //!
 //! Training data flows in through `nurd_linalg::MatrixView`, so checkpoint
-//! row slices train zero-copy; see `GradientBoosting::fit_view` and
-//! `RegressionTree::fit_binned` for the hot-path entry points.
+//! row slices train zero-copy. The booster has two fit entries:
+//! [`GradientBoosting::fit_view`] (raw features; quantizes, then calls the
+//! second) and [`GradientBoosting::fit_binned_cached`] (a matrix the caller
+//! already quantized).
 //!
-//! # Warm-start primitives
+//! # Warm-refit primitives
 //!
-//! Three additions let `nurd-core` refit *incrementally* across
+//! Three mechanisms let `nurd-core` refit *incrementally* across
 //! checkpoints instead of from scratch (its `WarmRefitState` is the
-//! orchestrator; these are the mechanisms):
+//! orchestrator):
 //!
 //! * [`BinnedMatrix::append_from`] grows a quantized matrix in place —
 //!   only appended rows are re-coded against the existing bin edges, and
 //!   a Kolmogorov–Smirnov drift statistic reports when those edges have
 //!   gone stale;
 //! * [`GradientBoosting::warm_boost`] boosts a few new rounds onto a
-//!   previous ensemble, in place, over such a grown matrix
-//!   ([`GradientBoosting::warm_start`] does the same onto a copy;
-//!   [`GradientBoosting::fit_binned`] is the matching cold entry);
+//!   fitted ensemble, in place, over such a grown matrix, replaying the
+//!   ensemble only over the rows its score cache does not cover;
 //! * [`RegressionTree::predict_binned`] replays trees over contiguous
-//!   `u8` bin codes — raw `f64` features are never touched in a
-//!   histogram-mode fit. Histogram construction itself uses LightGBM-style
-//!   sibling subtraction (see [`TreeConfig::hist_subtraction`]).
+//!   `u8` bin codes — raw `f64` features are never touched after
+//!   quantization.
 //!
 //! # The flat inference layout
 //!
 //! Fitted ensembles flatten into [`FlatForest`] — a structure-of-arrays
 //! node layout with self-looping leaves walked a fixed number of steps per
 //! row, **bit-identical** to the pointer-tree paths (property-tested).
-//! Every boosting round's score update and every warm-start replay run
+//! Every boosting round's score update and every warm-boost replay run
 //! through its batch kernels, and `nurd-core` scores whole barriers only
 //! through [`FlatForest::predict_view_into`] — the pointer walk
 //! ([`GradientBoosting::predict_view`]) is kept as the reference the
@@ -110,4 +101,4 @@ pub use metrics::{accuracy, f1_score, mean_absolute_error, mean_squared_error, s
 pub use neighbors::NearestNeighbors;
 pub use scaler::StandardScaler;
 pub use svm::{LinearSvm, SvmConfig};
-pub use tree::{RegressionTree, TreeConfig, TreeGrowth};
+pub use tree::{RegressionTree, TreeConfig};

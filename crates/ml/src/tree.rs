@@ -6,30 +6,21 @@
 //! `g_i = f_i - y_i` and unit hessians this reduces to ordinary
 //! variance-reduction CART, so the same tree serves plain regression too.
 //!
-//! # Growth strategies
+//! # Histogram growth
 //!
-//! Two interchangeable split finders sit behind [`RegressionTree::fit`],
-//! selected by [`TreeConfig::growth`]:
-//!
-//! * [`TreeGrowth::Histogram`] (the default) — quantizes each feature into
-//!   at most [`TreeConfig::max_bins`] bins once per fit (see
-//!   [`BinnedMatrix`]), then finds splits by accumulating per-bin
-//!   gradient/hessian sums in one linear pass per node and scanning bin
-//!   boundaries, with sequential access over contiguous `u8` codes. With
-//!   [`TreeConfig::hist_subtraction`] (the default), only the smaller
-//!   child of each split is accumulated while the sibling's histogram is
-//!   derived as `parent − child`, LightGBM-style, cutting per-level
-//!   accumulation to `O(min(n_l, n_r) · d)`. When every feature has at
-//!   most `max_bins` distinct values the result is **identical** to exact
-//!   growth (same thresholds, bit for bit, with subtraction disabled; up
-//!   to equal-gain tie-breaks with it); otherwise thresholds are
-//!   restricted to quantile bin boundaries — the standard histogram
-//!   tradeoff.
-//! * [`TreeGrowth::Exact`] — the classic sort-based CART enumeration:
-//!   every node re-sorts its samples per feature (`O(d · n log n)` per
-//!   node) and considers every midpoint between adjacent distinct values.
-//!   Kept for accuracy-sensitive comparisons and as the reference
-//!   implementation the histogram path is property-tested against.
+//! [`RegressionTree::fit`] quantizes each feature into at most
+//! [`TreeConfig::max_bins`] bins once per fit (see [`BinnedMatrix`]), then
+//! finds splits by accumulating per-bin gradient/hessian sums in one
+//! linear pass per node over contiguous `u8` codes and scanning the
+//! boundaries between bins. Only the smaller child of each split is
+//! accumulated; the sibling's histogram is derived as `parent − child`,
+//! LightGBM-style, cutting per-level accumulation to
+//! `O(min(n_l, n_r) · d)`. When every feature has at most `max_bins`
+//! distinct values the candidate thresholds are exactly the midpoints a
+//! sort-based CART enumeration would try; otherwise they are restricted to
+//! quantile bin boundaries — the standard histogram tradeoff. The
+//! sort-based builder survives under `cfg(test)` as the oracle those
+//! claims are property-tested against.
 //!
 //! # The grower: a node costs what it holds
 //!
@@ -39,7 +30,7 @@
 //! it has cells, while the mean node of a depth-3 tree holds a few dozen
 //! rows. A design that zeroes, subtracts and scans *every bin* at every
 //! node spends nearly all its time on cells that are empty. The binned
-//! path is therefore a `TreeGrower`, built once per fit
+//! builder is therefore a `TreeGrower`, built once per fit
 //! ([`crate::GradientBoosting`] keeps one across all boosting rounds;
 //! [`RegressionTree::fit_binned`] is the one-shot form):
 //!
@@ -75,16 +66,6 @@ use nurd_linalg::MatrixView;
 use crate::binned::BinnedMatrix;
 use crate::MlError;
 
-/// Split-finding strategy for tree construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreeGrowth {
-    /// Per-node sort-based exact enumeration (reference path).
-    Exact,
-    /// Binned histogram split finding (fast path, default).
-    #[default]
-    Histogram,
-}
-
 /// Hyperparameters for a single regression tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeConfig {
@@ -96,28 +77,16 @@ pub struct TreeConfig {
     pub lambda: f64,
     /// Minimum gain required to keep a split (γ).
     pub min_split_gain: f64,
-    /// Split-finding strategy.
-    pub growth: TreeGrowth,
-    /// Maximum bins per feature for histogram growth (clamped to
-    /// `[2, 256]`; ignored by exact growth).
+    /// Maximum bins per feature (clamped to `[2, 256]`).
     pub max_bins: usize,
-    /// LightGBM-style histogram subtraction (histogram growth only): at
-    /// every split, accumulate only the **smaller** child's histograms and
-    /// derive the sibling's as `parent − child`, halving (or better) the
-    /// per-level accumulation work. Gradient/hessian cells of the derived
-    /// sibling can differ from direct accumulation by float-rounding ulps
-    /// (sample counts stay exact); disable to force direct accumulation
-    /// for both children (the reference the subtraction path is
-    /// property-tested against).
-    pub hist_subtraction: bool,
-    /// Threads used for the embarrassingly parallel per-feature passes of
-    /// histogram growth (feature quantization in [`BinnedMatrix::build`]
-    /// and per-node histogram fills): `1` (the default) is strictly
-    /// sequential, `0` uses every core of the machine, `n > 1` uses up to
-    /// `n` threads of the shared [`nurd_runtime::global`] pool. Features
-    /// are processed independently into disjoint outputs, so the fitted
-    /// model is **bit-for-bit identical** at every setting — this knob
-    /// trades nothing but wall-clock time. Exact growth ignores it.
+    /// Threads used for the embarrassingly parallel per-feature passes
+    /// (feature quantization in [`BinnedMatrix::build`] and per-node
+    /// histogram fills): `1` (the default) is strictly sequential, `0`
+    /// uses every core of the machine, `n > 1` uses up to `n` threads of
+    /// the shared [`nurd_runtime::global`] pool. Features are processed
+    /// independently into disjoint outputs, so the fitted model is
+    /// **bit-for-bit identical** at every setting — this knob trades
+    /// nothing but wall-clock time.
     pub n_threads: usize,
 }
 
@@ -128,9 +97,7 @@ impl Default for TreeConfig {
             min_child_weight: 1.0,
             lambda: 1.0,
             min_split_gain: 1e-9,
-            growth: TreeGrowth::Histogram,
             max_bins: BinnedMatrix::MAX_BINS,
-            hist_subtraction: true,
             n_threads: 1,
         }
     }
@@ -189,20 +156,19 @@ pub(crate) enum Node {
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
-    /// Histogram-growth acceleration cache, parallel to `nodes`: for a
-    /// split node, the highest bin code routed left in the
-    /// [`BinnedMatrix`] the tree was trained against (`u8::MAX` at
-    /// leaves). Empty for exact-grown trees. Lets
-    /// [`RegressionTree::predict_binned`] route training-matrix rows by
-    /// comparing `u8` codes instead of dereferencing raw `f64` features.
+    /// Parallel to `nodes` (same length — [`RegressionTree::decode`]
+    /// rejects anything else): for a split node, the highest bin code
+    /// routed left in the [`BinnedMatrix`] the tree was trained against
+    /// (`u8::MAX` at leaves). Lets [`RegressionTree::predict_binned`]
+    /// route training-matrix rows by comparing `u8` codes instead of
+    /// dereferencing raw `f64` features.
     split_bins: Vec<u8>,
 }
 
 /// Structural equality: two trees are equal when their node arrays are —
 /// the `split_bins` cache is derived data tied to one training matrix and
-/// deliberately excluded, so an exact-grown tree can compare equal to the
-/// identical histogram-grown tree (the equivalence the property tests
-/// assert).
+/// deliberately excluded, so the sort-based test oracle's tree can compare
+/// equal to the identical histogram-grown one.
 impl PartialEq for RegressionTree {
     fn eq(&self, other: &Self) -> bool {
         self.nodes == other.nodes
@@ -239,15 +205,8 @@ impl RegressionTree {
     ) -> Result<Self, MlError> {
         check_tree_inputs(x, gradients, hessians, config)?;
         let indices: Vec<usize> = (0..x.rows()).collect();
-        match config.growth {
-            TreeGrowth::Exact => Ok(Self::fit_exact_rows(
-                x, gradients, hessians, indices, config,
-            )),
-            TreeGrowth::Histogram => {
-                let binned = BinnedMatrix::build_for(x, config);
-                Ok(TreeGrower::new(&binned, config).grow(gradients, hessians, &indices))
-            }
-        }
+        let binned = BinnedMatrix::build_for(x, config);
+        Ok(TreeGrower::new(&binned, config).grow(gradients, hessians, &indices))
     }
 
     /// Fits a tree over a subset (`rows`) of a pre-quantized matrix.
@@ -284,28 +243,6 @@ impl RegressionTree {
             return Err(MlError::InvalidConfig("max_depth must be >= 1".into()));
         }
         Ok(TreeGrower::new(binned, config).grow(gradients, hessians, rows))
-    }
-
-    /// Exact growth over an index subset; inputs already validated.
-    pub(crate) fn fit_exact_rows(
-        x: MatrixView<'_>,
-        gradients: &[f64],
-        hessians: &[f64],
-        rows: Vec<usize>,
-        config: &TreeConfig,
-    ) -> Self {
-        let mut builder = ExactBuilder {
-            x,
-            gradients,
-            hessians,
-            config,
-            nodes: Vec::new(),
-        };
-        builder.build(rows, 0);
-        RegressionTree {
-            nodes: builder.nodes,
-            split_bins: Vec::new(),
-        }
     }
 
     /// The tree's output for one sample (a leaf weight; the caller applies
@@ -379,15 +316,9 @@ impl RegressionTree {
     ///
     /// # Panics
     ///
-    /// Panics when the tree was not histogram-grown (no code cache), or if
-    /// `row` is out of bounds for `binned`.
+    /// Panics if `row` is out of bounds for `binned`.
     #[must_use]
     pub fn predict_binned(&self, binned: &BinnedMatrix, row: usize) -> f64 {
-        assert_eq!(
-            self.split_bins.len(),
-            self.nodes.len(),
-            "predict_binned requires a histogram-grown tree"
-        );
         let mut idx = 0;
         loop {
             match &self.nodes[idx] {
@@ -408,21 +339,13 @@ impl RegressionTree {
         }
     }
 
-    /// Whether [`RegressionTree::predict_binned`] is available (the tree
-    /// was histogram-grown and carries its bin-code cache).
-    #[must_use]
-    pub fn supports_binned_predict(&self) -> bool {
-        self.split_bins.len() == self.nodes.len()
-    }
-
     /// Node storage, index order — the flattening access path for
     /// [`crate::FlatForest`].
     pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
-    /// The bin-code cache parallel to [`RegressionTree::nodes`] (empty for
-    /// exact-grown trees).
+    /// The bin-code cache parallel to [`RegressionTree::nodes`].
     pub(crate) fn split_bins(&self) -> &[u8] {
         &self.split_bins
     }
@@ -456,8 +379,10 @@ impl RegressionTree {
 }
 
 /// Nodes serialize with a one-byte tag (`0` leaf, `1` split); the
-/// `split_bins` cache rides along verbatim so a histogram-grown tree keeps
-/// [`RegressionTree::predict_binned`] after a restore.
+/// `split_bins` cache rides along verbatim so a restored tree keeps
+/// [`RegressionTree::predict_binned`]. Decoding is the one place trees
+/// enter from outside the grower, so it is where "one bin code per node"
+/// is checked — the binned kernels index `split_bins` by node.
 impl nurd_codec::Checkpointable for RegressionTree {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
         enc.put_usize(self.nodes.len());
@@ -507,6 +432,12 @@ impl nurd_codec::Checkpointable for RegressionTree {
             });
         }
         let split_bins = dec.take_bytes()?.to_vec();
+        if split_bins.len() != nodes.len() {
+            return Err(nurd_codec::CodecError::LengthOverrun {
+                declared: split_bins.len() as u64,
+                remaining: nodes.len(),
+            });
+        }
         Ok(RegressionTree { nodes, split_bins })
     }
 }
@@ -534,131 +465,8 @@ struct BestSplit {
     feature: usize,
     threshold: f64,
     gain: f64,
-    /// Highest bin code routed left (histogram growth only; `u8::MAX` for
-    /// exact growth, where partitioning uses the threshold directly).
+    /// Highest bin code routed left.
     left_bin: u8,
-}
-
-/// Shared leaf/recursion skeleton: both builders differ only in how they
-/// find the best split and partition the node.
-macro_rules! impl_build {
-    ($builder:ident) => {
-        impl $builder<'_> {
-            /// Builds the subtree over `indices`; returns the node index.
-            fn build(&mut self, indices: Vec<usize>, depth: usize) -> usize {
-                let (g_sum, h_sum) = self.sums(&indices);
-                let leaf_weight = -g_sum / (h_sum + self.config.lambda);
-
-                if depth >= self.config.max_depth || indices.len() < 2 {
-                    return self.push_leaf(leaf_weight);
-                }
-                let Some(split) = self.best_split(&indices, g_sum, h_sum) else {
-                    return self.push_leaf(leaf_weight);
-                };
-                if split.gain <= self.config.min_split_gain {
-                    return self.push_leaf(leaf_weight);
-                }
-
-                let (left_idx, right_idx) = self.partition(indices, &split);
-                // Degenerate partitions cannot happen: thresholds are
-                // midpoints of strictly distinct consecutive values.
-                let placeholder = self.push_leaf(0.0);
-                let left = self.build(left_idx, depth + 1);
-                let right = self.build(right_idx, depth + 1);
-                self.nodes[placeholder] = Node::Split {
-                    feature: split.feature,
-                    threshold: split.threshold,
-                    left,
-                    right,
-                };
-                placeholder
-            }
-
-            fn push_leaf(&mut self, weight: f64) -> usize {
-                self.nodes.push(Node::Leaf { weight });
-                self.nodes.len() - 1
-            }
-
-            fn sums(&self, indices: &[usize]) -> (f64, f64) {
-                indices.iter().fold((0.0, 0.0), |(g, h), &i| {
-                    (g + self.gradients[i], h + self.hessians[i])
-                })
-            }
-        }
-    };
-}
-
-/// The reference sort-based builder (`TreeGrowth::Exact`).
-struct ExactBuilder<'a> {
-    x: MatrixView<'a>,
-    gradients: &'a [f64],
-    hessians: &'a [f64],
-    config: &'a TreeConfig,
-    nodes: Vec<Node>,
-}
-
-impl_build!(ExactBuilder);
-
-impl ExactBuilder<'_> {
-    fn partition(&self, indices: Vec<usize>, split: &BestSplit) -> (Vec<usize>, Vec<usize>) {
-        indices
-            .into_iter()
-            .partition(|&i| self.x.get(i, split.feature) <= split.threshold)
-    }
-
-    fn best_split(&self, indices: &[usize], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
-        let d = self.x.cols();
-        let lambda = self.config.lambda;
-        let parent_score = g_sum * g_sum / (h_sum + lambda);
-        let mut best: Option<BestSplit> = None;
-
-        let mut order: Vec<usize> = indices.to_vec();
-        for feature in 0..d {
-            // NaN input must not panic the sort (a partial_cmp fallback
-            // violates strict total order, which the stdlib sort detects
-            // and aborts on). nan_last_cmp orders every NaN — positive or
-            // negative — last, so NaNs are never split boundaries and
-            // simply ride along in the right child.
-            order.sort_by(|&a, &b| {
-                crate::binned::nan_last_cmp(self.x.get(a, feature), self.x.get(b, feature))
-            });
-            let mut g_left = 0.0;
-            let mut h_left = 0.0;
-            for w in 0..order.len() - 1 {
-                let i = order[w];
-                g_left += self.gradients[i];
-                h_left += self.hessians[i];
-                let v = self.x.get(i, feature);
-                let v_next = self.x.get(order[w + 1], feature);
-                if v_next.is_nan() {
-                    // NaNs sort last: no further finite boundaries exist
-                    // for this feature.
-                    break;
-                }
-                if v == v_next {
-                    continue;
-                }
-                let h_right = h_sum - h_left;
-                if h_left < self.config.min_child_weight || h_right < self.config.min_child_weight {
-                    continue;
-                }
-                let g_right = g_sum - g_left;
-                let gain = 0.5
-                    * (g_left * g_left / (h_left + lambda)
-                        + g_right * g_right / (h_right + lambda)
-                        - parent_score);
-                if best.as_ref().is_none_or(|b| gain > b.gain) {
-                    best = Some(BestSplit {
-                        feature,
-                        threshold: 0.5 * (v + v_next),
-                        gain,
-                        left_bin: u8::MAX,
-                    });
-                }
-            }
-        }
-        best
-    }
 }
 
 /// One histogram cell: gradient sum, hessian sum, sample count. Kept as a
@@ -773,7 +581,7 @@ struct RowStats<'a> {
 
 impl RowStats<'_> {
     /// Node totals summed in row order (not from histogram cells), so leaf
-    /// weights stay bit-identical to the exact builder's.
+    /// weights stay bit-identical to the sort-based oracle's.
     fn sums(&self, rows: &[usize]) -> (f64, f64) {
         rows.iter().fold((0.0, 0.0), |(g, h), &i| {
             (g + self.gradients[i], h + self.hessians[i])
@@ -781,8 +589,8 @@ impl RowStats<'_> {
     }
 }
 
-/// The binned grower (`TreeGrowth::Histogram`): everything about growing
-/// trees over one [`BinnedMatrix`] that does not depend on the gradients,
+/// The tree grower: everything about growing trees over one
+/// [`BinnedMatrix`] that does not depend on the gradients,
 /// built **once per fit** and reused by every boosting round. The module
 /// docs ("The grower") say what is pooled and why the trees are bit-for-bit
 /// those of freshly zeroed dense histograms.
@@ -1046,9 +854,7 @@ impl<'a> TreeGrower<'a> {
 
     /// The histograms of the children `idx[lo..mid]` and `idx[mid..hi]` of
     /// the node `parent` describes: the smaller child is accumulated, the
-    /// sibling derived from the parent buffer (which it then owns). With
-    /// subtraction disabled both are accumulated directly — the reference
-    /// path.
+    /// sibling derived from the parent buffer (which it then owns).
     fn child_hists(
         &mut self,
         stats: RowStats<'_>,
@@ -1058,20 +864,11 @@ impl<'a> TreeGrower<'a> {
         parent: NodeHist,
     ) -> (NodeHist, NodeHist) {
         let small_is_left = mid - lo <= hi - mid;
-        let (small, large) = if small_is_left {
-            (lo..mid, mid..hi)
-        } else {
-            (mid..hi, lo..mid)
-        };
+        let small = if small_is_left { lo..mid } else { mid..hi };
         let mut small_hist = self.acquire();
         self.fill_hist(stats, &self.idx[small], &mut small_hist);
         let mut large_hist = parent;
-        if self.config.hist_subtraction {
-            large_hist.subtract(&small_hist);
-        } else {
-            large_hist.clear();
-            self.fill_hist(stats, &self.idx[large], &mut large_hist);
-        }
+        large_hist.subtract(&small_hist);
         if small_is_left {
             (small_hist, large_hist)
         } else {
@@ -1093,8 +890,8 @@ impl<'a> TreeGrower<'a> {
 
     /// Scans the boundaries between bins *present in this node*, feature
     /// by feature in ascending bin order: the candidate set (and, in the
-    /// one-bin-per-value regime, the thresholds) then matches the exact
-    /// builder sample-for-sample. The first strictly best gain wins, if it
+    /// one-bin-per-value regime, the thresholds) then matches a sort-based
+    /// enumeration sample-for-sample. The first strictly best gain wins, if it
     /// clears [`TreeConfig::min_split_gain`].
     fn best_split(&self, hist: &NodeHist, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
         let lambda = self.config.lambda;
@@ -1259,34 +1056,16 @@ mod tests {
     }
 
     #[test]
-    fn both_growth_modes_pass_reference_cases() {
-        // The named tests above run under the default (histogram) growth;
-        // spot-check the exact path stays equivalent on one of them.
+    fn exact_oracle_agrees_on_a_reference_case() {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..20).map(|i| if i < 10 { 0.0 } else { 10.0 }).collect();
         let (g, h) = squared_loss_grads(&y);
-        let exact = RegressionTree::fit(
-            &x,
-            &g,
-            &h,
-            &TreeConfig {
-                growth: TreeGrowth::Exact,
-                lambda: 0.0,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
-        let hist = RegressionTree::fit(
-            &x,
-            &g,
-            &h,
-            &TreeConfig {
-                growth: TreeGrowth::Histogram,
-                lambda: 0.0,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
+        let cfg = TreeConfig {
+            lambda: 0.0,
+            ..TreeConfig::default()
+        };
+        let exact = ExactBuilder::grow(&x, &g, &h, &cfg);
+        let hist = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
         assert_eq!(exact, hist);
     }
 
@@ -1317,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    fn nan_features_degrade_without_panicking_in_both_growth_modes() {
+    fn nan_features_degrade_without_panicking_in_grower_and_oracle() {
         // Large enough that the stdlib sort detects a non-total-order
         // comparator (the seed's partial_cmp fallback panicked here).
         // Cover both NaN signs: negative NaN (the x86-64 runtime default)
@@ -1329,19 +1108,18 @@ mod tests {
         x[19][1] = neg_nan;
         let g: Vec<f64> = (0..30).map(|i| -(i as f64)).collect();
         let h = vec![1.0; 30];
-        for growth in [TreeGrowth::Exact, TreeGrowth::Histogram] {
-            let cfg = TreeConfig {
-                growth,
-                ..TreeConfig::default()
-            };
-            let tree = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
-            assert!(tree.predict(&[15.0, 0.0]).is_finite(), "{growth:?}");
-            assert!(tree.predict(&x[7]).is_finite(), "{growth:?} on NaN row");
+        let cfg = TreeConfig::default();
+        for (growth, tree) in [
+            ("exact", ExactBuilder::grow(&x, &g, &h, &cfg)),
+            ("histogram", RegressionTree::fit(&x, &g, &h, &cfg).unwrap()),
+        ] {
+            assert!(tree.predict(&[15.0, 0.0]).is_finite(), "{growth}");
+            assert!(tree.predict(&x[7]).is_finite(), "{growth} on NaN row");
             // No split may carry a NaN threshold: every training row must
             // route deterministically.
             for node in 0..tree.node_count() {
                 if let Node::Split { threshold, .. } = tree.nodes[node] {
-                    assert!(threshold.is_finite(), "{growth:?} NaN threshold");
+                    assert!(threshold.is_finite(), "{growth} NaN threshold");
                 }
             }
         }
@@ -1358,7 +1136,6 @@ mod tests {
         let rows: Vec<usize> = (0..60).collect();
         let tree =
             RegressionTree::fit_binned(&binned, &g, &h, &rows, &TreeConfig::default()).unwrap();
-        assert!(tree.supports_binned_predict());
         for (i, row) in x.iter().enumerate() {
             assert_eq!(tree.predict(row), tree.predict_binned(&binned, i));
         }
@@ -1374,19 +1151,29 @@ mod tests {
     }
 
     #[test]
-    fn exact_trees_do_not_support_binned_predict() {
-        let x = vec![vec![0.0], vec![1.0]];
-        let tree = RegressionTree::fit(
-            &x,
-            &[-1.0, 1.0],
-            &[1.0, 1.0],
-            &TreeConfig {
-                growth: TreeGrowth::Exact,
-                ..TreeConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!tree.supports_binned_predict());
+    fn decode_rejects_a_bin_cache_that_does_not_cover_the_nodes() {
+        use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
+        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
+        let (g, h) = squared_loss_grads(&x.iter().map(|r| r[0]).collect::<Vec<_>>());
+        let tree = RegressionTree::fit(&x, &g, &h, &TreeConfig::default()).unwrap();
+        assert!(tree.node_count() > 1);
+        let decode = |tree: &RegressionTree| {
+            let mut enc = Encoder::new();
+            tree.encode(&mut enc);
+            RegressionTree::decode(&mut Decoder::new(enc.as_slice()))
+        };
+        assert_same_tree(&decode(&tree).unwrap(), &tree, "round trip");
+        // The same record with one `split_bins` byte dropped, then added.
+        let mut dropped = tree.clone();
+        dropped.split_bins.pop();
+        let mut added = tree.clone();
+        added.split_bins.push(u8::MAX);
+        for bad in [dropped, added] {
+            assert!(matches!(
+                decode(&bad),
+                Err(CodecError::LengthOverrun { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1419,28 +1206,6 @@ mod tests {
         let sequential = RegressionTree::fit(&x, &g, &h, &seq_cfg).unwrap();
         let parallel = RegressionTree::fit(&x, &g, &h, &par_cfg).unwrap();
         assert_eq!(sequential, parallel);
-        // And with subtraction disabled (direct fills on both children).
-        let direct_par = RegressionTree::fit(
-            &x,
-            &g,
-            &h,
-            &TreeConfig {
-                hist_subtraction: false,
-                ..par_cfg
-            },
-        )
-        .unwrap();
-        let direct_seq = RegressionTree::fit(
-            &x,
-            &g,
-            &h,
-            &TreeConfig {
-                hist_subtraction: false,
-                ..seq_cfg
-            },
-        )
-        .unwrap();
-        assert_eq!(direct_seq, direct_par);
     }
 
     #[test]
@@ -1458,14 +1223,148 @@ mod tests {
         }
     }
 
+    /// The classic sort-based CART enumeration, kept as the oracle the
+    /// histogram path is property-tested against: every node re-sorts its
+    /// samples per feature (`O(d · n log n)` per node) and considers every
+    /// midpoint between adjacent distinct values.
+    struct ExactBuilder<'a> {
+        x: MatrixView<'a>,
+        gradients: &'a [f64],
+        hessians: &'a [f64],
+        config: &'a TreeConfig,
+        nodes: Vec<Node>,
+    }
+
+    impl ExactBuilder<'_> {
+        fn grow(
+            x: &[Vec<f64>],
+            gradients: &[f64],
+            hessians: &[f64],
+            config: &TreeConfig,
+        ) -> RegressionTree {
+            let mut builder = ExactBuilder {
+                x: MatrixView::Rows(x),
+                gradients,
+                hessians,
+                config,
+                nodes: Vec::new(),
+            };
+            builder.build((0..x.len()).collect(), 0);
+            RegressionTree {
+                split_bins: vec![u8::MAX; builder.nodes.len()],
+                nodes: builder.nodes,
+            }
+        }
+
+        /// Builds the subtree over `indices`; returns the node index.
+        fn build(&mut self, indices: Vec<usize>, depth: usize) -> usize {
+            let stats = RowStats {
+                gradients: self.gradients,
+                hessians: self.hessians,
+            };
+            let (g_sum, h_sum) = stats.sums(&indices);
+            let leaf_weight = -g_sum / (h_sum + self.config.lambda);
+
+            if depth >= self.config.max_depth || indices.len() < 2 {
+                return self.push_leaf(leaf_weight);
+            }
+            let Some(split) = self.best_split(&indices, g_sum, h_sum) else {
+                return self.push_leaf(leaf_weight);
+            };
+            if split.gain <= self.config.min_split_gain {
+                return self.push_leaf(leaf_weight);
+            }
+
+            // Degenerate partitions cannot happen: thresholds are
+            // midpoints of strictly distinct consecutive values.
+            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
+                .into_iter()
+                .partition(|&i| self.x.get(i, split.feature) <= split.threshold);
+            let placeholder = self.push_leaf(0.0);
+            let left = self.build(left_idx, depth + 1);
+            let right = self.build(right_idx, depth + 1);
+            self.nodes[placeholder] = Node::Split {
+                feature: split.feature,
+                threshold: split.threshold,
+                left,
+                right,
+            };
+            placeholder
+        }
+
+        fn push_leaf(&mut self, weight: f64) -> usize {
+            self.nodes.push(Node::Leaf { weight });
+            self.nodes.len() - 1
+        }
+
+        fn best_split(&self, indices: &[usize], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
+            let d = self.x.cols();
+            let lambda = self.config.lambda;
+            let parent_score = g_sum * g_sum / (h_sum + lambda);
+            let mut best: Option<BestSplit> = None;
+
+            let mut order: Vec<usize> = indices.to_vec();
+            for feature in 0..d {
+                // NaN input must not panic the sort (a partial_cmp fallback
+                // violates strict total order, which the stdlib sort detects
+                // and aborts on). nan_last_cmp orders every NaN — positive or
+                // negative — last, so NaNs are never split boundaries and
+                // simply ride along in the right child.
+                order.sort_by(|&a, &b| {
+                    crate::binned::nan_last_cmp(self.x.get(a, feature), self.x.get(b, feature))
+                });
+                let mut g_left = 0.0;
+                let mut h_left = 0.0;
+                for w in 0..order.len() - 1 {
+                    let i = order[w];
+                    g_left += self.gradients[i];
+                    h_left += self.hessians[i];
+                    let v = self.x.get(i, feature);
+                    let v_next = self.x.get(order[w + 1], feature);
+                    if v_next.is_nan() {
+                        // NaNs sort last: no further finite boundaries exist
+                        // for this feature.
+                        break;
+                    }
+                    if v == v_next {
+                        continue;
+                    }
+                    let h_right = h_sum - h_left;
+                    if h_left < self.config.min_child_weight
+                        || h_right < self.config.min_child_weight
+                    {
+                        continue;
+                    }
+                    let g_right = g_sum - g_left;
+                    let gain = 0.5
+                        * (g_left * g_left / (h_left + lambda)
+                            + g_right * g_right / (h_right + lambda)
+                            - parent_score);
+                    if best.as_ref().is_none_or(|b| gain > b.gain) {
+                        best = Some(BestSplit {
+                            feature,
+                            threshold: 0.5 * (v + v_next),
+                            gain,
+                            left_bin: u8::MAX,
+                        });
+                    }
+                }
+            }
+            best
+        }
+    }
+
     /// The algorithm the grower replaced, kept as its oracle: every node
     /// owns a freshly zeroed dense histogram over all bins, the sibling is
     /// derived by subtracting the whole buffer, and the scan skips `n == 0`
-    /// cells one by one. The grower must reproduce it bit for bit.
+    /// cells one by one. With `subtraction` the grower must reproduce it
+    /// bit for bit; without, both children are accumulated directly — the
+    /// form whose per-bin sums match [`ExactBuilder`]'s tie-breaking.
     struct DenseReference<'a> {
         binned: &'a BinnedMatrix,
         stats: RowStats<'a>,
         config: &'a TreeConfig,
+        subtraction: bool,
         offsets: Vec<usize>,
         nodes: Vec<Node>,
         split_bins: Vec<u8>,
@@ -1478,6 +1377,7 @@ mod tests {
             hessians: &[f64],
             rows: &[usize],
             config: &TreeConfig,
+            subtraction: bool,
         ) -> RegressionTree {
             let mut offsets = vec![0];
             for f in 0..binned.features() {
@@ -1490,6 +1390,7 @@ mod tests {
                     hessians,
                 },
                 config,
+                subtraction,
                 offsets,
                 nodes: Vec::new(),
                 split_bins: Vec::new(),
@@ -1545,7 +1446,7 @@ mod tests {
                 (&right_rows, &left_rows)
             };
             let small_hist = self.fill(small);
-            let large_hist = if self.config.hist_subtraction {
+            let large_hist = if self.subtraction {
                 let mut derived = hist;
                 for (cell, s) in derived.iter_mut().zip(&small_hist) {
                     cell.g -= s.g;
@@ -1663,7 +1564,7 @@ mod tests {
             let got = reused.grow(&g, &h, &rows[..take]);
             let fresh = TreeGrower::new(binned, config).grow(&g, &h, &rows[..take]);
             assert_same_tree(&got, &fresh, &what);
-            let dense = DenseReference::grow(binned, &g, &h, &rows[..take], config);
+            let dense = DenseReference::grow(binned, &g, &h, &rows[..take], config, true);
             assert_same_tree(&got, &dense, &what);
         }
         assert!(!reused.pool.is_empty());
@@ -1683,21 +1584,18 @@ mod tests {
         let x = grower_fixture(&mut rng, n, 900);
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
         for n_threads in [1, 4] {
-            for hist_subtraction in [true, false] {
-                let config = TreeConfig {
-                    max_depth: 4,
-                    hist_subtraction,
-                    n_threads,
-                    ..TreeConfig::default()
-                };
-                assert_reused_grower_is_fresh_and_dense(
-                    &mut rng,
-                    &binned,
-                    &config,
-                    20,
-                    TreeGrower::PAR_MIN_ROWS,
-                );
-            }
+            let config = TreeConfig {
+                max_depth: 4,
+                n_threads,
+                ..TreeConfig::default()
+            };
+            assert_reused_grower_is_fresh_and_dense(
+                &mut rng,
+                &binned,
+                &config,
+                20,
+                TreeGrower::PAR_MIN_ROWS,
+            );
         }
     }
 
@@ -1731,20 +1629,21 @@ mod tests {
         }
 
         /// **Exact ≡ histogram**: whenever every feature has at most
-        /// `max_bins` distinct values, the two growth strategies must
-        /// produce *identical* trees — same structure, same features,
-        /// bit-for-bit the same thresholds and leaf weights. Features are
-        /// drawn from a small value pool to force that regime while still
-        /// exercising ties, duplicates, and multi-feature interaction.
+        /// `max_bins` distinct values, sort-based enumeration and dense
+        /// histograms must produce *identical* trees — same structure,
+        /// same features, bit-for-bit the same thresholds and leaf
+        /// weights. Features are drawn from a small value pool to force
+        /// that regime while still exercising ties, duplicates, and
+        /// multi-feature interaction.
         ///
-        /// Runs with `hist_subtraction: false`: direct accumulation is the
-        /// reference whose per-bin sums match the exact builder's
-        /// tie-breaking bit-for-bit. The subtraction path derives sibling
-        /// histograms with addition-reordering ulps, which can flip the
-        /// winner between two *equally good* splits (same partition via a
-        /// different feature) — semantically equivalent trees that fail
-        /// structural equality; `prop_subtraction_matches_direct` covers
-        /// that path at prediction level.
+        /// The histogram side accumulates both children directly, whose
+        /// per-bin sums match the exact builder's tie-breaking bit for
+        /// bit. Subtraction derives sibling histograms with
+        /// addition-reordering ulps, which can flip the winner between two
+        /// *equally good* splits (same partition via a different feature)
+        /// — semantically equivalent trees that fail structural equality;
+        /// `prop_subtraction_matches_direct` ties the grower to this
+        /// reference at prediction level.
         #[test]
         fn prop_histogram_equals_exact_when_bins_cover_values(
             pool_picks in proptest::collection::vec(
@@ -1759,28 +1658,21 @@ mod tests {
                 .collect();
             let n = x.len();
             let (g, h) = squared_loss_grads(&ys[..n]);
-            let exact_cfg = TreeConfig {
-                growth: TreeGrowth::Exact,
-                max_depth: depth,
-                ..TreeConfig::default()
-            };
-            let hist_cfg = TreeConfig {
-                growth: TreeGrowth::Histogram,
-                hist_subtraction: false,
-                max_depth: depth,
-                ..TreeConfig::default()
-            };
-            let exact = RegressionTree::fit(&x, &g, &h, &exact_cfg).unwrap();
-            let hist = RegressionTree::fit(&x, &g, &h, &hist_cfg).unwrap();
+            let cfg = TreeConfig { max_depth: depth, ..TreeConfig::default() };
+            let exact = ExactBuilder::grow(&x, &g, &h, &cfg);
+            let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg);
+            let rows: Vec<usize> = (0..n).collect();
+            let hist = DenseReference::grow(&binned, &g, &h, &rows, &cfg, false);
             prop_assert_eq!(&exact, &hist);
         }
 
-        /// **Histogram subtraction ≡ direct accumulation**: deriving the
-        /// larger child as `parent − smaller` must train a model whose
-        /// predictions match the direct-accumulation reference on every
-        /// training row. Tolerance (not bitwise) because the derived
-        /// gradient sums carry addition-reordering ulps that may pick a
-        /// different-but-equal split when two candidates tie exactly.
+        /// **Histogram subtraction ≡ direct accumulation**: the grower,
+        /// which derives the larger child as `parent − smaller`, must
+        /// train a model whose predictions match the direct-accumulation
+        /// reference on every training row. Tolerance (not bitwise)
+        /// because the derived gradient sums carry addition-reordering
+        /// ulps that may pick a different-but-equal split when two
+        /// candidates tie exactly.
         #[test]
         fn prop_subtraction_matches_direct(
             cols in proptest::collection::vec(
@@ -1789,18 +1681,15 @@ mod tests {
             let x: Vec<Vec<f64>> = cols;
             let ys: Vec<f64> = x.iter().map(|r| r[0] * 0.5 - r[1] + r[2] * r[2] * 0.01).collect();
             let (g, h) = squared_loss_grads(&ys);
-            let direct_cfg = TreeConfig {
-                hist_subtraction: false,
+            let cfg = TreeConfig {
                 max_depth: depth,
                 max_bins: 16, // force real quantization, not one-bin-per-value
                 ..TreeConfig::default()
             };
-            let sub_cfg = TreeConfig {
-                hist_subtraction: true,
-                ..direct_cfg.clone()
-            };
-            let direct = RegressionTree::fit(&x, &g, &h, &direct_cfg).unwrap();
-            let sub = RegressionTree::fit(&x, &g, &h, &sub_cfg).unwrap();
+            let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg);
+            let rows: Vec<usize> = (0..x.len()).collect();
+            let direct = DenseReference::grow(&binned, &g, &h, &rows, &cfg, false);
+            let sub = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
             let scale = ys.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             for row in &x {
                 let (a, b) = (direct.predict(row), sub.predict(row));
@@ -1813,9 +1702,9 @@ mod tests {
 
         /// **One grower per fit ≡ one grower per tree ≡ dense histograms**,
         /// in both bin regimes (every distinct value its own bin; more
-        /// than 256 distinct values, so quantile bins) and with histogram
-        /// subtraction on and off: pooling histograms across trees and
-        /// walking present bins only must not change one bit of any tree.
+        /// than 256 distinct values, so quantile bins): pooling histograms
+        /// across trees and walking present bins only must not change one
+        /// bit of any tree.
         #[test]
         fn prop_reused_grower_equals_fresh_and_dense(
             seed in 0u64..1_000_000,
@@ -1834,14 +1723,8 @@ mod tests {
             column.dedup();
             let one_bin_per_value = binned.feature_bins(0).n_bins() == column.len();
             prop_assert_eq!(one_bin_per_value, quantile_regime == 0);
-            for hist_subtraction in [true, false] {
-                let config = TreeConfig {
-                    max_depth: depth,
-                    hist_subtraction,
-                    ..TreeConfig::default()
-                };
-                assert_reused_grower_is_fresh_and_dense(&mut rng, &binned, &config, 20, 1);
-            }
+            let config = TreeConfig { max_depth: depth, ..TreeConfig::default() };
+            assert_reused_grower_is_fresh_and_dense(&mut rng, &binned, &config, 20, 1);
         }
     }
 }

@@ -26,7 +26,7 @@ use nurd_sim::ReplayOutcome;
 
 use crate::lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};
 use crate::observer::HealthObserver;
-use crate::persist::{snapshot_path, wal_path, DonorSeed, PersistenceConfig, RecoverError};
+use crate::persist::{snapshot_path, wal_path, PersistenceConfig, RecoverError};
 use crate::shard::{JobState, Shard, ShardStats};
 use crate::snapshot::{write_snapshot_file, SnapshotData};
 use crate::wal::WalWriter;
@@ -845,8 +845,8 @@ impl EngineCore {
             shard.rotate_wal(wal_path(&persist.config.dir, new_gen, idx))?;
             shard.capture_into(&mut data, &cell.stats);
         }
-        // The observer's state rides the snapshot like the donor cache;
-        // captured after the shard sweep, so it covers every observation
+        // The observer's state rides the snapshot header; captured after
+        // the shard sweep, so it covers every observation
         // from events in WAL generations < new_gen (the WAL suffix past
         // this snapshot is re-observed on replay at recovery).
         data.observer = self
@@ -864,12 +864,12 @@ impl EngineCore {
     /// Decodes a snapshot's job records and installs everything into the
     /// shards (jobs and ledgers routed by this engine's `shard_of`, so a
     /// recovery may change the shard count freely; fleet-wide counters
-    /// land on shard 0). Returns `(resumed live jobs, finalized reports,
-    /// donor seeds)`. Must run before drain workers start.
+    /// land on shard 0). Returns `(resumed live jobs, finalized reports)`.
+    /// Must run before drain workers start.
     pub(crate) fn install_snapshot(
         &self,
         data: SnapshotData,
-    ) -> Result<(usize, usize, usize), RecoverError> {
+    ) -> Result<(usize, usize), RecoverError> {
         let mut jobs = Vec::with_capacity(data.jobs.len());
         for record in &data.jobs {
             let mut dec = nurd_codec::Decoder::new(record);
@@ -898,13 +898,9 @@ impl EngineCore {
             self.lock_shard(self.shard_of(job))
                 .adopt_events_seen(job, count);
         }
-        let donors = data.donors.len();
-        for seed in data.donors {
-            self.lock_shard(0).adopt_donor(seed);
-        }
         // Restore the observer's persisted state (no attached observer =
-        // the blob is dropped, like donor seeds on a non-donating run; a
-        // rejected blob is a typed error, never a half-restored observer).
+        // the blob is dropped; a rejected blob is a typed error, never a
+        // half-restored observer).
         if !data.observer.is_empty() {
             if let Some(observer) = self.observer.get() {
                 if !observer.restore_state(&data.observer) {
@@ -928,7 +924,7 @@ impl EngineCore {
         put(&stats.clones_issued, c.clones_issued);
         put(&stats.quarantines_issued, c.quarantines_issued);
         put(&stats.mitigation_suppressed, c.mitigation_suppressed);
-        Ok((resumed, finalized, donors))
+        Ok((resumed, finalized))
     }
 
     /// Applies recovered WAL events in segment order (generation-major,
@@ -967,18 +963,6 @@ impl EngineCore {
             }
         }
         merged
-    }
-
-    /// Donor-cache seeds currently held, merged across shards,
-    /// signature order.
-    pub(crate) fn donor_seeds(&self) -> Vec<DonorSeed> {
-        let mut seeds: BTreeMap<u64, DonorSeed> = BTreeMap::new();
-        for idx in 0..self.cells.len() {
-            for seed in self.lock_shard(idx).donor_seeds() {
-                seeds.insert(seed.signature, seed);
-            }
-        }
-        seeds.into_values().collect()
     }
 }
 

@@ -110,7 +110,7 @@
 //! assert_eq!(report.jobs.len(), 3);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;
@@ -128,9 +128,6 @@ pub use engine::{
 };
 pub use lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};
 pub use observer::HealthObserver;
-pub use persist::{
-    job_signature, DonorSeed, FaultInjector, FsyncPolicy, PersistenceConfig, RecoverError,
-    RecoverReport,
-};
+pub use persist::{FaultInjector, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport};
 pub use service::{EngineService, ServiceConfig};
 pub use snapshot::{read_snapshot, SnapshotStats};

@@ -19,7 +19,7 @@
 //! order-independent inserts) — `nurd-health`'s aggregator is the
 //! reference implementation.
 //!
-//! Persistence rides the snapshot like the donor cache: the engine calls
+//! Persistence rides the snapshot: the engine calls
 //! [`HealthObserver::snapshot_state`] when writing a snapshot and
 //! [`HealthObserver::restore_state`] when installing one, so a recovered
 //! observer resumes with exactly the state it had at the snapshot point

@@ -24,7 +24,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nurd_codec::{CodecError, FrameError};
-use nurd_data::JobSpec;
 
 /// When WAL appends reach the disk (the durability/throughput dial; see
 /// the crash-recovery runbook in `docs/OPERATIONS.md`).
@@ -249,63 +248,6 @@ pub struct RecoverReport {
     /// survived, so a producer can resume pushing from exactly the next
     /// event (see `examples/recovery_smoke.rs`).
     pub events_seen: BTreeMap<u64, u64>,
-    /// Donor-cache seeds carried over (see [`DonorSeed`]).
-    pub donor_seeds: usize,
-}
-
-/// A finalized job's predictor state, kept in the snapshot keyed by
-/// [`job_signature`] — the storage half of the ROADMAP's transfer-
-/// learning donor cache. Nothing reads these back into factories yet;
-/// they ride the snapshot so a later PR can serve warm donors from disk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DonorSeed {
-    /// [`job_signature`] of the finalized job's spec.
-    pub signature: u64,
-    /// The finalized job's id.
-    pub job: u64,
-    /// [`OnlinePredictor::name`](nurd_data::OnlinePredictor::name) of
-    /// the predictor that produced the state.
-    pub predictor: String,
-    /// The predictor's `snapshot_state` blob at finalization.
-    pub state: Vec<u8>,
-}
-
-impl nurd_codec::Checkpointable for DonorSeed {
-    fn encode(&self, enc: &mut nurd_codec::Encoder) {
-        enc.put_u64(self.signature);
-        enc.put_u64(self.job);
-        enc.put_str(&self.predictor);
-        enc.put_bytes(&self.state);
-    }
-
-    fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(DonorSeed {
-            signature: dec.take_u64()?,
-            job: dec.take_u64()?,
-            predictor: dec.take_str()?.to_owned(),
-            state: dec.take_bytes()?.to_vec(),
-        })
-    }
-}
-
-/// A shape signature for donor matching: jobs with the same task count,
-/// feature width, checkpoint count, and threshold hash alike (job id
-/// deliberately excluded — the whole point is matching *across* jobs).
-#[must_use]
-pub fn job_signature(spec: &JobSpec) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64; // FNV-1a offset basis
-    for word in [
-        spec.task_count as u64,
-        spec.feature_dim as u64,
-        spec.checkpoints as u64,
-        spec.threshold.to_bits(),
-    ] {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 /// `<dir>/snap-<gen>.bin`
@@ -406,19 +348,6 @@ mod tests {
         assert_eq!(parse_wal_name("wal-3-11.log"), Some((3, 11)));
         assert_eq!(parse_wal_name("wal-3.log"), None);
         assert_eq!(parse_wal_name("snap-3.bin"), None);
-    }
-
-    #[test]
-    fn job_signature_ignores_job_id_but_not_shape() {
-        let spec = |job, tasks| JobSpec {
-            job,
-            threshold: 10.0,
-            task_count: tasks,
-            feature_dim: 3,
-            checkpoints: 5,
-        };
-        assert_eq!(job_signature(&spec(1, 50)), job_signature(&spec(2, 50)));
-        assert_ne!(job_signature(&spec(1, 50)), job_signature(&spec(1, 51)));
     }
 
     #[test]

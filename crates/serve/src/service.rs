@@ -37,8 +37,7 @@ use nurd_runtime::ThreadPool;
 
 use crate::engine::{BlockMode, EngineCore, EngineHandle, EngineReport};
 use crate::persist::{
-    scan_dir, snapshot_path, wal_path, DonorSeed, FsyncPolicy, PersistenceConfig, RecoverError,
-    RecoverReport,
+    scan_dir, snapshot_path, wal_path, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
 };
 use crate::snapshot::read_snapshot_data;
 use crate::wal::{read_wal_segment, WalTail};
@@ -479,8 +478,7 @@ impl EngineService {
             }
         }
         let snapshot_generation = loaded.map(|(generation, _)| generation);
-        let (resumed_jobs, finalized_jobs, donor_seeds) =
-            loaded.map_or((0, 0, 0), |(_, counts)| counts);
+        let (resumed_jobs, finalized_jobs) = loaded.map_or((0, 0), |(_, counts)| counts);
 
         // Replay the WAL trail on top: all segments at or past the loaded
         // snapshot's generation (all of them when starting empty),
@@ -518,7 +516,6 @@ impl EngineService {
             resumed_jobs,
             finalized_jobs,
             events_seen,
-            donor_seeds,
         };
         Ok((Self::launch(Arc::new(core), &service), report))
     }
@@ -654,15 +651,6 @@ impl EngineService {
     /// Panics on a non-persistent service — there is nowhere to write.
     pub fn checkpoint(&self) -> std::io::Result<u64> {
         self.core.write_snapshot()
-    }
-
-    /// The donor-cache seeds currently held (finalized jobs' predictor
-    /// states keyed by [`crate::job_signature`]), signature order. Empty
-    /// on a non-persistent service. Storage-only for now: nothing feeds
-    /// these back into factories yet (ROADMAP: transfer learning).
-    #[must_use]
-    pub fn donor_seeds(&self) -> Vec<DonorSeed> {
-        self.core.donor_seeds()
     }
 
     /// Shuts the service down and returns the final report: closes the

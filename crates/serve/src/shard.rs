@@ -15,7 +15,7 @@ use nurd_sim::outcome_from_flags;
 use crate::engine::{JobReport, MitigatorFactory, PredictorFactory};
 use crate::lifecycle::{FinalizeReason, JobPhase, OverloadCounters};
 use crate::observer::HealthObserver;
-use crate::persist::{job_signature, DonorSeed, RecoverError};
+use crate::persist::RecoverError;
 use crate::snapshot::SnapshotData;
 use crate::wal::WalWriter;
 
@@ -133,54 +133,23 @@ pub(crate) struct JobState {
     /// stream, so exposing it to policies and observers preserves the
     /// bit-identical-across-shard-counts guarantee.
     nodes: Option<Vec<u32>>,
-    /// Pooled capacity for the per-barrier checkpoint assembly, so a
-    /// steady-state barrier commit allocates nothing (see
+    /// Pooled capacity for the per-barrier id lists (see
     /// [`BarrierScratch`]). Never serialized: it holds no state, only
     /// reusable allocations.
     scratch: BarrierScratch,
 }
 
-/// Reusable allocation capacity for [`JobState::barrier`].
-///
-/// The checkpoint views borrow feature slices from the job's task table,
-/// so their element types carry a lifetime and cannot be stored in
-/// `JobState` directly. Instead the *emptied* vectors are parked here
-/// under a placeholder `'static` lifetime between barriers — an empty
-/// `Vec` owns raw capacity and no elements, so no borrow ever outlives
-/// the barrier that created it — and [`recycle_capacity`] moves that
-/// capacity back under the short borrow at the next barrier.
+/// Reusable allocation capacity for [`JobState::barrier`]'s two id lists.
+/// The checkpoint's own view vectors borrow feature slices from the job's
+/// task table, so their element types carry that borrow's lifetime and
+/// cannot be parked here; a scored barrier allocates those two afresh.
 #[derive(Default)]
 struct BarrierScratch {
-    /// Finished-task view carcass (capacity only between barriers).
-    finished: Vec<FinishedTask<'static>>,
-    /// Running-task view carcass (capacity only between barriers).
-    running: Vec<RunningTask<'static>>,
     /// Sorted running-task ids, rebuilt in place each barrier.
     running_ids: Vec<usize>,
     /// Tasks first flagged at this barrier (the finished-set delta fed to
     /// observers and mitigation policies), rebuilt in place each barrier.
     newly_flagged: Vec<usize>,
-}
-
-/// Moves the raw capacity of an *emptied* `Vec` across a change of its
-/// element type's lifetime parameters only (e.g. `FinishedTask<'static>`
-/// → `FinishedTask<'a>` and back).
-#[allow(unsafe_code)]
-fn recycle_capacity<A, B>(mut v: Vec<A>) -> Vec<B> {
-    assert!(
-        std::mem::size_of::<A>() == std::mem::size_of::<B>()
-            && std::mem::align_of::<A>() == std::mem::align_of::<B>(),
-        "recycle_capacity requires identical element layout"
-    );
-    v.clear();
-    let capacity = v.capacity();
-    let ptr = v.as_mut_ptr().cast::<B>();
-    std::mem::forget(v);
-    // SAFETY: the vector was emptied above, so no value of type `A` is
-    // ever read back as a `B`; the allocation was made by `Vec<A>` and —
-    // with element size and alignment equality asserted above — has
-    // exactly the layout `Vec<B>` would request for `capacity` elements.
-    unsafe { Vec::from_raw_parts(ptr, 0, capacity) }
 }
 
 impl std::fmt::Debug for Shard {
@@ -381,18 +350,20 @@ impl JobState {
 
         // Assemble the checkpoint exactly as the simulator does: task-id
         // order, flagged tasks in neither list, finished features frozen.
-        // The list vectors are drawn from the job's pooled scratch, so a
-        // steady-state barrier allocates nothing here.
+        // Sized by what can land in each view (completions so far; the
+        // tasks still out), so neither ever regrows.
         let JobState {
             tasks,
             predictor,
             scratch,
+            finished_total,
             ..
         } = self;
-        let mut finished: Vec<FinishedTask<'_>> =
-            recycle_capacity(std::mem::take(&mut scratch.finished));
-        let mut running: Vec<RunningTask<'_>> =
-            recycle_capacity(std::mem::take(&mut scratch.running));
+        // `finished_total` can be restored from a snapshot: never trust it
+        // past the task table it counts into.
+        let done = (*finished_total).min(tasks.len());
+        let mut finished: Vec<FinishedTask<'_>> = Vec::with_capacity(done);
+        let mut running: Vec<RunningTask<'_>> = Vec::with_capacity(tasks.len() - done);
         for (id, state) in tasks.iter().enumerate() {
             if state.flagged_at.is_some() || !state.seen {
                 continue;
@@ -421,14 +392,6 @@ impl JobState {
         self.checkpoints_scored += 1;
         if self.policy.is_none() && observer.is_none() {
             let flagged = predictor.predict(&checkpoint);
-            // Park the emptied view vectors back in the pool *before*
-            // mutating the task table: once cleared and re-lifetimed they
-            // no longer borrow from it.
-            let Checkpoint {
-                finished, running, ..
-            } = checkpoint;
-            scratch.finished = recycle_capacity(finished);
-            scratch.running = recycle_capacity(running);
             for id in flagged {
                 // Same guard as the simulator: only actually-running tasks
                 // can be flagged.
@@ -446,11 +409,6 @@ impl JobState {
         // mitigator or observer never changes what gets flagged, only
         // what gets *done* (or learned) about it.
         let scored = predictor.predict_scored(&checkpoint);
-        let Checkpoint {
-            finished, running, ..
-        } = checkpoint;
-        scratch.finished = recycle_capacity(finished);
-        scratch.running = recycle_capacity(running);
         let mut newly_flagged = std::mem::take(&mut scratch.newly_flagged);
         newly_flagged.clear();
         for id in scored.flagged {
@@ -727,10 +685,6 @@ pub(crate) struct Shard {
     /// popped event (accepted, rejected, stale, or orphan alike), so a
     /// recovered producer knows exactly which suffix to re-push.
     events_seen: BTreeMap<u64, u64>,
-    /// Donor-cache seeds captured at finalization, keyed by
-    /// [`job_signature`] (latest finalization of a shape wins). Only
-    /// populated on persistent engines.
-    donors: BTreeMap<u64, DonorSeed>,
 }
 
 impl Shard {
@@ -744,7 +698,6 @@ impl Shard {
             grant_min_tasks: usize::MAX,
             wal: None,
             events_seen: BTreeMap::new(),
-            donors: BTreeMap::new(),
         }
     }
 
@@ -783,8 +736,8 @@ impl Shard {
     }
 
     /// Serializes this shard's checkpointable state into `data` (live
-    /// jobs, finalized ledger, durable-event counts, donor seeds) and
-    /// folds its deterministic counters into `data.counters`.
+    /// jobs, finalized ledger, durable-event counts) and folds its
+    /// deterministic counters into `data.counters`.
     pub(crate) fn capture_into(&self, data: &mut SnapshotData, stats: &ShardStats) {
         for state in self.jobs.values() {
             let mut enc = Encoder::new();
@@ -797,7 +750,6 @@ impl Shard {
         for (&job, &count) in &self.events_seen {
             *data.events_seen.entry(job).or_insert(0) += count;
         }
-        data.donors.extend(self.donors.values().cloned());
         let load = |c: &AtomicUsize| c.load(Ordering::Relaxed) as u64;
         let counters = &mut data.counters;
         counters.events_processed += load(&stats.events_processed);
@@ -846,16 +798,6 @@ impl Shard {
         *self.events_seen.entry(job).or_insert(0) += count;
     }
 
-    /// Installs a recovered donor seed (keyed by its signature).
-    pub(crate) fn adopt_donor(&mut self, seed: DonorSeed) {
-        self.donors.insert(seed.signature, seed);
-    }
-
-    /// This shard's donor seeds, signature order (observability/tests).
-    pub(crate) fn donor_seeds(&self) -> Vec<DonorSeed> {
-        self.donors.values().cloned().collect()
-    }
-
     /// This shard's per-job durable-event counts.
     pub(crate) fn events_seen(&self) -> &BTreeMap<u64, u64> {
         &self.events_seen
@@ -896,10 +838,8 @@ impl Shard {
     }
 
     /// Moves `job` from live to finalized: emits its report and drops its
-    /// entire state — this is what bounds resident memory to live jobs.
-    /// On persistent engines a healthy finalized job additionally leaves
-    /// its predictor state behind as a [`DonorSeed`] for the snapshot's
-    /// donor cache (poisoned predictors are never donated).
+    /// entire state — this is what bounds resident memory (and snapshot
+    /// size) to live jobs.
     fn finalize(
         &mut self,
         job: u64,
@@ -908,20 +848,6 @@ impl Shard {
         stats: &ShardStats,
     ) {
         if let Some(state) = self.jobs.remove(&job) {
-            if self.wal.is_some() && reason != FinalizeReason::Poisoned {
-                if let Some(blob) = state.predictor.snapshot_state() {
-                    let signature = job_signature(&state.spec);
-                    self.donors.insert(
-                        signature,
-                        DonorSeed {
-                            signature,
-                            job,
-                            predictor: state.predictor.name().to_owned(),
-                            state: blob,
-                        },
-                    );
-                }
-            }
             let report = state.report(reason);
             if let Some(observer) = observer {
                 observer.observe_finalized(&report, state.nodes.as_deref(), &state.straggled());
@@ -1057,5 +983,173 @@ impl Shard {
             self.finalize(job, FinalizeReason::EngineFinish, observer, stats);
         }
         self.take_finalized()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
+
+    const WARMUP: f64 = 0.04;
+    const CHECKPOINTS: usize = 6;
+
+    /// Flags every running task and has no `snapshot_state`, which puts
+    /// its job in history-mode persistence.
+    struct FlagAll;
+    impl OnlinePredictor for FlagAll {
+        fn name(&self) -> &str {
+            "ALL"
+        }
+        fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+            checkpoint.running.iter().map(|r| r.id).collect()
+        }
+    }
+
+    fn factory(history_mode: bool) -> PredictorFactory {
+        Box::new(move |_spec| {
+            if history_mode {
+                Box::new(FlagAll)
+            } else {
+                let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+                Box::new(NurdPredictor::new(
+                    NurdConfig::default().with_refit_policy(policy),
+                ))
+            }
+        })
+    }
+
+    fn spec(task_count: usize) -> JobSpec {
+        JobSpec {
+            job: 7,
+            threshold: 55.0,
+            task_count,
+            feature_dim: 2,
+            checkpoints: CHECKPOINTS,
+        }
+    }
+
+    /// The job's events after admission, one inner `Vec` per lifecycle
+    /// step: the `Submitted` burst, then each checkpoint closed by its
+    /// barrier. Checkpoint `k` is at time `10 (k + 1)`; task `i` of `n`
+    /// takes `15 + 45 i / n`, so nothing has finished at checkpoint 0, the
+    /// warm-up quorum holds from checkpoint 1 and the slowest tasks
+    /// outlive the threshold.
+    fn steps(task_count: usize) -> Vec<Vec<TaskEvent>> {
+        let job = spec(task_count).job;
+        let latency = |task: usize| 15.0 + 45.0 * task as f64 / task_count as f64;
+        let mut steps = vec![(0..task_count)
+            .map(|task| TaskEvent::Submitted { job, task })
+            .collect::<Vec<_>>()];
+        for ordinal in 0..CHECKPOINTS {
+            let time = 10.0 * (ordinal + 1) as f64;
+            let mut step = Vec::new();
+            for task in 0..task_count {
+                let features = vec![task as f64, (task * ordinal % 5) as f64];
+                if latency(task) > time {
+                    step.push(TaskEvent::Progress {
+                        job,
+                        task,
+                        ordinal,
+                        time,
+                        features,
+                    });
+                } else if latency(task) > time - 10.0 {
+                    step.push(TaskEvent::Finished {
+                        job,
+                        task,
+                        ordinal,
+                        time,
+                        features,
+                        latency: latency(task),
+                    });
+                }
+            }
+            step.push(TaskEvent::Barrier { job, ordinal, time });
+            steps.push(step);
+        }
+        steps
+    }
+
+    fn encoded_jobs(shard: &Shard) -> Vec<Vec<u8>> {
+        let mut data = SnapshotData::default();
+        shard.capture_into(&mut data, &ShardStats::default());
+        data.jobs
+    }
+
+    fn apply(shard: &mut Shard, events: &[TaskEvent], factory: &PredictorFactory) {
+        let stats = ShardStats::default();
+        // `live_jobs` is decremented at finalization; start it above zero.
+        stats.add(&stats.live_jobs, 1);
+        shard.apply_batch(events.iter().cloned(), factory, None, None, 0, &stats);
+    }
+
+    /// Serves a `task_count`-task job step by step and, after admission
+    /// and after every step the job is still live at, round-trips its
+    /// `JobState` through the snapshot record: the decoded job must
+    /// re-encode to the same bytes and, served the rest of the stream,
+    /// end in the same report. Returns the phases the job was seen in.
+    fn round_trip_every_step(task_count: usize, history_mode: bool) -> Vec<JobPhase> {
+        let factory = factory(history_mode);
+        let spec = spec(task_count);
+        let steps = steps(task_count);
+        let mut phases = Vec::new();
+        for cut in 0..=steps.len() {
+            let stats = ShardStats::default();
+            let mut shard = Shard::new(WARMUP);
+            shard.adopt_job(
+                JobState::new(spec.clone(), factory(&spec), true, None),
+                &stats,
+            );
+            for step in &steps[..cut] {
+                apply(&mut shard, step, &factory);
+            }
+            let phase = shard.phase_of(spec.job).expect("admitted above");
+            if phase == JobPhase::Finalized {
+                break;
+            }
+            if !phases.contains(&phase) {
+                phases.push(phase);
+            }
+            let what = format!("{task_count} tasks, history {history_mode}, cut {cut}");
+
+            let records = encoded_jobs(&shard);
+            assert_eq!(records.len(), 1, "{what}");
+            let mut dec = Decoder::new(&records[0]);
+            let state = JobState::decode(&mut dec, &factory, None, WARMUP)
+                .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+            assert!(dec.is_empty(), "{what}: trailing bytes");
+            assert_eq!(state.history.is_some(), history_mode, "{what}");
+            let mut twin = Shard::new(WARMUP);
+            twin.adopt_job(state, &stats);
+            assert_eq!(encoded_jobs(&twin), records, "{what}");
+
+            for step in &steps[cut..] {
+                apply(&mut shard, step, &factory);
+                apply(&mut twin, step, &factory);
+            }
+            assert_eq!(
+                twin.finish_reports(None, &stats),
+                shard.finish_reports(None, &stats),
+                "{what}"
+            );
+        }
+        phases
+    }
+
+    #[test]
+    fn job_state_round_trips_at_every_lifecycle_phase_and_size() {
+        use JobPhase::{Admitted, Scoring, Warming};
+        for history_mode in [false, true] {
+            // A job without tasks, or whose only task has finished, is
+            // complete at that barrier and finalizes there — the phases
+            // below are all a snapshot can catch such a job in.
+            assert_eq!(round_trip_every_step(0, history_mode), [Admitted]);
+            assert_eq!(round_trip_every_step(1, history_mode), [Admitted, Warming]);
+            assert_eq!(
+                round_trip_every_step(40, history_mode),
+                [Admitted, Warming, Scoring]
+            );
+        }
     }
 }

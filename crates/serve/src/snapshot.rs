@@ -4,13 +4,14 @@
 //! A snapshot is the engine's entire checkpointable state at one
 //! instant: every live job (spec, predictor state, task bookkeeping),
 //! every not-yet-taken finalized report, the finalized-id ledger, the
-//! per-job durable-event counts, the donor-cache seeds, and the
-//! deterministic counters. On-disk shape:
+//! per-job durable-event counts, and the deterministic counters. Nothing
+//! of a finalized job but its report and its id stays, so the file's size
+//! follows the live jobs, not the jobs ever served. On-disk shape:
 //!
 //! ```text
 //! [8B magic "NURDSNAP"][4B format version LE]
 //! [frame: header — counters, events_seen, finalized ids + reports,
-//!         donor seeds, live-job count]
+//!         observer blob, live-job count]
 //! [frame: job 0][frame: job 1]…              one frame per live job
 //! ```
 //!
@@ -30,7 +31,7 @@ use std::path::Path;
 use nurd_codec::{read_frame, write_frame, Checkpointable, Decoder, Encoder};
 
 use crate::engine::JobReport;
-use crate::persist::{DonorSeed, RecoverError};
+use crate::persist::RecoverError;
 
 /// First 8 bytes of every snapshot file.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NURDSNAP";
@@ -39,8 +40,11 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NURDSNAP";
 /// and each [`JobReport`]) and the mitigation counters below. Version 3
 /// added node-health state: each blob-mode job record carries its node
 /// placement, and the header carries the attached
-/// [`HealthObserver`](crate::HealthObserver)'s state blob.
-pub(crate) const SNAPSHOT_VERSION: u32 = 3;
+/// [`HealthObserver`](crate::HealthObserver)'s state blob. Version 4
+/// dropped the header's donor-seed list (one predictor blob per job ever
+/// finalized, read by nothing) and the `NurdPredictor` blob's second
+/// latency-model slot.
+pub(crate) const SNAPSHOT_VERSION: u32 = 4;
 
 /// The deterministic fleet-wide counters a snapshot carries, so a
 /// recovered engine's accounting continues where the crashed one's
@@ -106,8 +110,6 @@ pub(crate) struct SnapshotData {
     pub(crate) finalized_ids: Vec<u64>,
     /// Finalized reports not yet taken at the snapshot point.
     pub(crate) finalized: Vec<JobReport>,
-    /// Donor-cache seeds (see [`DonorSeed`]).
-    pub(crate) donors: Vec<DonorSeed>,
     /// The attached [`HealthObserver`](crate::HealthObserver)'s state
     /// blob at the snapshot point (empty = none attached, or nothing to
     /// persist).
@@ -131,7 +133,6 @@ pub(crate) fn write_snapshot_file(path: &Path, data: &SnapshotData) -> std::io::
     data.events_seen.encode(&mut header);
     data.finalized_ids.encode(&mut header);
     data.finalized.encode(&mut header);
-    data.donors.encode(&mut header);
     header.put_bytes(&data.observer);
     header.put_usize(data.jobs.len());
     write_frame(&mut out, header.as_slice())?;
@@ -184,7 +185,6 @@ pub(crate) fn read_snapshot_data(path: &Path) -> Result<SnapshotData, RecoverErr
     let events_seen = Checkpointable::decode(&mut dec)?;
     let finalized_ids = Checkpointable::decode(&mut dec)?;
     let finalized = Checkpointable::decode(&mut dec)?;
-    let donors = Checkpointable::decode(&mut dec)?;
     let observer = dec.take_bytes()?.to_vec();
     let job_count = dec.take_usize()?;
     let mut jobs = Vec::with_capacity(job_count.min(1 << 20));
@@ -196,7 +196,6 @@ pub(crate) fn read_snapshot_data(path: &Path) -> Result<SnapshotData, RecoverErr
         events_seen,
         finalized_ids,
         finalized,
-        donors,
         observer,
         jobs,
     })
@@ -212,8 +211,6 @@ pub struct SnapshotStats {
     pub finalized_reports: usize,
     /// Job ids in the finalized ledger (stale-event detection).
     pub finalized_ids: usize,
-    /// Donor-cache seeds riding the snapshot.
-    pub donor_seeds: usize,
     /// Total durably-applied events across all jobs at capture time.
     pub events_recorded: u64,
 }
@@ -229,7 +226,6 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotStats, RecoverError> {
         live_jobs: data.jobs.len(),
         finalized_reports: data.finalized.len(),
         finalized_ids: data.finalized_ids.len(),
-        donor_seeds: data.donors.len(),
         events_recorded: data.events_seen.values().sum(),
     })
 }
@@ -251,7 +247,6 @@ mod tests {
             events_seen,
             finalized_ids: vec![9],
             finalized: Vec::new(),
-            donors: Vec::new(),
             observer: vec![0xAB, 0xCD],
             jobs: vec![vec![1, 2, 3], vec![4, 5]],
         }
@@ -288,14 +283,17 @@ mod tests {
             Err(RecoverError::WrongMagic)
         ));
 
-        // Future format version.
-        let mut future = pristine.clone();
-        future[8..12].copy_from_slice(&99u32.to_le_bytes());
-        std::fs::write(&path, &future).unwrap();
-        assert!(matches!(
-            read_snapshot(&path),
-            Err(RecoverError::UnsupportedVersion(99))
-        ));
+        // A future format version, and the previous one (v3 carried the
+        // donor-seed list this build no longer reads).
+        for version in [99u32, 3] {
+            let mut other = pristine.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &other).unwrap();
+            assert!(matches!(
+                read_snapshot(&path),
+                Err(RecoverError::UnsupportedVersion(v)) if v == version
+            ));
+        }
 
         // Truncation at every prefix is Truncated or WrongMagic — never
         // a panic, never Ok.

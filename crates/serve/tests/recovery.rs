@@ -12,7 +12,7 @@
 //! Around it: history-mode recovery (predictors without
 //! `snapshot_state`), typed corrupt-artifact rejection with fallback to
 //! the previous valid snapshot, idempotent double-close, the `Drop`
-//! guard's WAL flush, and donor-seed persistence.
+//! guard's WAL flush, and a snapshot size that follows live jobs only.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -22,8 +22,8 @@ use std::sync::Arc;
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
 use nurd_serve::{
-    job_signature, read_snapshot, EngineConfig, EngineService, FaultInjector, FsyncPolicy,
-    OverloadPolicy, PersistenceConfig, PredictorFactory, RecoverError, ServiceConfig,
+    read_snapshot, EngineConfig, EngineService, FaultInjector, FsyncPolicy, OverloadPolicy,
+    PersistenceConfig, PredictorFactory, RecoverError, ServiceConfig,
 };
 use nurd_sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -647,54 +647,43 @@ fn drop_guard_flushes_wal_buffers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Satellite (f): finalized jobs' predictor states are kept as donor
-/// seeds keyed by job-shape signature, ride the snapshot, and survive
-/// recovery (storage only — nothing consumes them yet).
-#[test]
-fn donor_seeds_persist_across_recovery() {
-    let jobs = suite(21, 3);
-    let dir = scratch_dir("donor");
-    let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+/// Serves `n_jobs` jobs to finalization on a persistent service, hands
+/// their reports out, and returns the size of a snapshot taken with no
+/// live job left.
+fn idle_snapshot_bytes(n_jobs: usize) -> u64 {
+    let jobs = suite(21, n_jobs);
+    let dir = scratch_dir("idle-size");
     let service = EngineService::start_persistent(
         engine_config(2),
         service_config(),
         PersistenceConfig::new(&dir),
-        nurd_factory(policy.clone()),
+        nurd_factory(RefitPolicy::Warm(WarmRefitConfig::default())),
     )
     .unwrap();
     let streams = nurd_trace::producer_streams(&jobs, 3, QUANTILE, 5);
-    let specs: BTreeMap<u64, JobSpec> = streams
-        .iter()
-        .flatten()
-        .filter_map(|e| match e {
-            TaskEvent::JobStart { spec } => Some((spec.job, spec.clone())),
-            _ => None,
-        })
-        .collect();
     run_producers(&service, streams, &BTreeMap::new());
     service.quiesce();
-    let seeds = service.donor_seeds();
-    assert!(
-        !seeds.is_empty(),
-        "finalized blob-capable jobs must leave donor seeds"
-    );
-    for seed in &seeds {
-        let spec = specs.get(&seed.job).expect("seed for a known job");
-        assert_eq!(seed.signature, job_signature(spec));
-        assert!(!seed.state.is_empty(), "donor state blob must be captured");
-    }
+    assert_eq!(service.take_finalized().len(), n_jobs);
+    let generation = service.checkpoint().unwrap();
+    let path = dir.join(format!("snap-{generation}.bin"));
+    let stats = read_snapshot(&path).unwrap();
+    assert_eq!((stats.live_jobs, stats.finalized_reports), (0, 0));
+    assert_eq!(stats.finalized_ids, n_jobs);
+    let bytes = std::fs::metadata(&path).unwrap().len();
     let _ = service.close();
-
-    let (revived, recover) = EngineService::recover(
-        PersistenceConfig::new(&dir),
-        engine_config(2),
-        service_config(),
-        nurd_factory(policy),
-    )
-    .unwrap();
-    assert_eq!(recover.donor_seeds, seeds.len());
-    let recovered = revived.donor_seeds();
-    assert_eq!(recovered, seeds, "donor seeds must round-trip the snapshot");
-    let _ = revived.close();
     std::fs::remove_dir_all(&dir).ok();
+    bytes
+}
+
+/// A finalized job leaves the snapshot except for its two ledger entries
+/// (its id and its durable-event count): the file must not grow by a
+/// predictor's worth of bytes per job ever served. It did while every
+/// finalized job left a ~80 kB donor seed behind that nothing read.
+#[test]
+fn idle_snapshot_size_does_not_grow_with_jobs_served() {
+    let (few, many) = (idle_snapshot_bytes(4), idle_snapshot_bytes(16));
+    assert!(
+        many < few + 12 * 64,
+        "snapshot with no live job grew from {few} B after 4 jobs to {many} B after 16"
+    );
 }

@@ -1,0 +1,56 @@
+#!/usr/bin/env bash
+# ROADMAP aim 2 ("the same behaviour from the least code") as a command.
+# Prints three counts and fails if (a) or (b) exceeds the value recorded
+# below — a ratchet: a later PR lowers a limit, or justifies raising it in
+# the same diff.
+#
+#   (a) product lines of ml + core + serve: for every file under
+#       crates/{ml,core,serve}/src, the lines above its first `#[cfg(test)]`
+#       (comments and blanks included — the rule ROADMAP's figures use);
+#   (b) `unsafe` keyword sites in product and test sources of every crate
+#       and the root package (comment lines excluded);
+#   (c) `pub` fields across the nine configuration structs.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+MAX_PRODUCT_LINES=9499
+MAX_UNSAFE_SITES=7
+
+product_lines() {
+    awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' "$@"
+}
+
+total=0
+for crate in ml core serve; do
+    lines=$(product_lines crates/"$crate"/src/*.rs)
+    printf 'product lines  %-6s %6d\n' "$crate" "$lines"
+    total=$((total + lines))
+done
+printf 'product lines  %-6s %6d   (limit %d)\n' total "$total" "$MAX_PRODUCT_LINES"
+
+unsafe_sites=$(grep -rnw unsafe --include='*.rs' crates/*/src crates/*/tests src tests examples |
+    grep -vcE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+printf 'unsafe sites          %6d   (limit %d)\n' "$unsafe_sites" "$MAX_UNSAFE_SITES"
+
+config_fields=0
+for config in TreeConfig GbtConfig LogisticConfig NurdConfig WarmRefitConfig \
+    EngineConfig BalanceConfig ServiceConfig PersistenceConfig; do
+    fields=$(cat crates/*/src/*.rs | awk -v name="$config" '
+        $0 ~ "^pub struct " name " \\{" { inside = 1; next }
+        inside && /^}/ { inside = 0 }
+        inside && /^    pub [a-z_]+:/ { n++ }
+        END { print n + 0 }')
+    config_fields=$((config_fields + fields))
+done
+printf 'config pub fields     %6d\n' "$config_fields"
+
+status=0
+if ((total > MAX_PRODUCT_LINES)); then
+    echo "aim2: product lines $total exceed the recorded $MAX_PRODUCT_LINES" >&2
+    status=1
+fi
+if ((unsafe_sites > MAX_UNSAFE_SITES)); then
+    echo "aim2: unsafe sites $unsafe_sites exceed the recorded $MAX_UNSAFE_SITES" >&2
+    status=1
+fi
+exit $status

@@ -11,13 +11,21 @@
 //! IRLS was rewritten around cached points (PR 15) and pins `g_t`'s
 //! coefficients to the last bit as well.
 //!
+//! Two more hold the baselines that share NURD's refit machinery — GBTR
+//! and the transfer predictor under `AlwaysCold` — to what they computed
+//! while each still fit its head through its own `fit_view` arm, before
+//! PR 16 folded both into `WarmRefitState`.
+//!
 //! The fleet covers both bin regimes of the histogram path: Google-style
 //! jobs (~100 tasks, node model on) keep every feature under 256 distinct
 //! values, so each value is its own bin; Alibaba-style jobs of ≥ 600 tasks
 //! push the continuous features past 256 distinct values into quantile
 //! bins.
 
-use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
+use nurd::baselines::GbtrPredictor;
+use nurd::core::{
+    DonorModel, NurdConfig, NurdPredictor, RefitPolicy, TransferNurdPredictor, WarmRefitConfig,
+};
 use nurd::data::{Checkpoint, FinishedTask, JobContext, JobTrace, OnlinePredictor, RunningTask};
 use nurd::sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd::trace::{NodeModelConfig, SuiteConfig, TraceStyle};
@@ -74,17 +82,23 @@ fn hash_outcome(hash: &mut u64, outcome: &ReplayOutcome) {
     fold(hash, outcome.warmup_checkpoint as u64);
 }
 
-fn fleet_hash(jobs: &[JobTrace], policy: &RefitPolicy) -> (u64, usize) {
+/// Hash of every replay outcome of `jobs` under a predictor built per job
+/// by `make`, and how many tasks were flagged.
+fn outcome_hash<P: OnlinePredictor>(jobs: &[JobTrace], make: impl Fn() -> P) -> (u64, usize) {
     let mut hash = 0xCBF2_9CE4_8422_2325;
     let mut flagged = 0;
     for job in jobs {
-        let mut predictor =
-            NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
-        let outcome = replay_job(job, &mut predictor, &REPLAY);
+        let outcome = replay_job(job, &mut make(), &REPLAY);
         flagged += outcome.flagged_ids().len();
         hash_outcome(&mut hash, &outcome);
     }
     (hash, flagged)
+}
+
+fn fleet_hash(jobs: &[JobTrace], policy: &RefitPolicy) -> (u64, usize) {
+    outcome_hash(jobs, || {
+        NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()))
+    })
 }
 
 #[test]
@@ -102,6 +116,33 @@ fn replay_outcomes_match_the_pre_grower_constants() {
         (GOLDEN_ALWAYS_COLD, GOLDEN_WARM),
         "ReplayOutcome hashes moved: cold {cold:#018x}, warm {warm:#018x}"
     );
+}
+
+/// Checkpoint `k` of `job` with every task visible (no flagged-task
+/// exclusion): finished iff its latency has elapsed.
+fn full_checkpoint(job: &JobTrace, k: usize) -> Checkpoint<'_> {
+    let time = job.checkpoint_times()[k];
+    let (finished, running): (Vec<_>, Vec<_>) =
+        job.tasks().iter().partition(|task| task.latency() <= time);
+    Checkpoint {
+        ordinal: k,
+        time,
+        finished: finished
+            .iter()
+            .map(|task| FinishedTask {
+                id: task.id(),
+                features: task.snapshot(k),
+                latency: task.latency(),
+            })
+            .collect(),
+        running: running
+            .iter()
+            .map(|task| RunningTask {
+                id: task.id(),
+                features: task.snapshot(k),
+            })
+            .collect(),
+    }
 }
 
 /// FNV-1a over the bits of every score `score_running` produces at every
@@ -123,29 +164,7 @@ fn score_bits_hash(jobs: &[JobTrace]) -> (u64, usize) {
             oracle: job,
         });
         for k in job.warmup_checkpoint(REPLAY.warmup_fraction)..job.checkpoint_count() {
-            let time = job.checkpoint_times()[k];
-            let (finished, running): (Vec<_>, Vec<_>) =
-                job.tasks().iter().partition(|task| task.latency() <= time);
-            let checkpoint = Checkpoint {
-                ordinal: k,
-                time,
-                finished: finished
-                    .iter()
-                    .map(|task| FinishedTask {
-                        id: task.id(),
-                        features: task.snapshot(k),
-                        latency: task.latency(),
-                    })
-                    .collect(),
-                running: running
-                    .iter()
-                    .map(|task| RunningTask {
-                        id: task.id(),
-                        features: task.snapshot(k),
-                    })
-                    .collect(),
-            };
-            let scores = predictor.score_running(&checkpoint);
+            let scores = predictor.score_running(&full_checkpoint(job, k));
             fold(&mut hash, scores.len() as u64);
             for score in &scores {
                 fold(&mut hash, score.raw.to_bits());
@@ -156,6 +175,58 @@ fn score_bits_hash(jobs: &[JobTrace]) -> (u64, usize) {
         }
     }
     (hash, scored)
+}
+
+/// GBTR cannot flag under the replay protocol (its predictions stay inside
+/// the hull of finished latencies, all below `τ_stra` while checkpoints
+/// are served), so its replay outcomes are blind to its model. This hash
+/// drives it directly instead: every checkpoint of every job, all tasks
+/// visible, at three thresholds low enough for finished latencies to
+/// straddle them; a changed prediction near any of them moves a flag set.
+fn gbtr_flag_hash(jobs: &[JobTrace]) -> (u64, usize) {
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut flagged = 0;
+    for job in jobs {
+        for quantile in [0.25, 0.5, 0.75] {
+            let mut predictor = GbtrPredictor::default();
+            predictor.begin_job(&JobContext {
+                threshold: job.straggler_threshold(quantile),
+                task_count: job.task_count(),
+                feature_dim: job.feature_dim(),
+                oracle: job,
+            });
+            for k in job.warmup_checkpoint(REPLAY.warmup_fraction)..job.checkpoint_count() {
+                let ids = predictor.predict(&full_checkpoint(job, k));
+                fold(&mut hash, ids.len() as u64);
+                for &id in &ids {
+                    fold(&mut hash, id as u64);
+                }
+                flagged += ids.len();
+            }
+        }
+    }
+    (hash, flagged)
+}
+
+#[test]
+fn gbtr_and_transfer_always_cold_match_the_pre_fold_constants() {
+    let jobs = fleet();
+    let (gbtr, gbtr_flagged) = gbtr_flag_hash(&jobs);
+    // The donor is a Google-style job, so only Google-style targets share
+    // its feature width.
+    let donor = DonorModel::from_job(&jobs[0], &NurdConfig::default()).unwrap();
+    let (transfer, transfer_flagged) = outcome_hash(&jobs[1..6], || {
+        TransferNurdPredictor::new(NurdConfig::default(), donor.clone())
+    });
+    assert!(
+        gbtr_flagged > 100 && transfer_flagged > 0,
+        "flagged: GBTR {gbtr_flagged}, transfer {transfer_flagged}"
+    );
+    assert_eq!(
+        (gbtr, transfer),
+        (GOLDEN_GBTR_ALWAYS_COLD, GOLDEN_TRANSFER_ALWAYS_COLD),
+        "hashes moved: GBTR {gbtr:#018x}, transfer {transfer:#018x}"
+    );
 }
 
 #[test]
@@ -174,3 +245,8 @@ const GOLDEN_WARM: u64 = 0xD92D_0B82_1813_E4EC;
 /// Recorded on commit `bd5a359` (PR 14), the parent of the IRLS point
 /// cache in `nurd-ml`'s `logistic.rs` (PR 15).
 const GOLDEN_WARM_SCORE_BITS: u64 = 0x4960_5BE2_F508_F0B4;
+/// Recorded on commit `c6fff91` (the parent of PR 16), while `GbtrPredictor`
+/// and `TransferNurdPredictor` still carried their own `AlwaysCold` arm
+/// (`fit_view` over the checkpoint's rows) beside `WarmRefitState`.
+const GOLDEN_GBTR_ALWAYS_COLD: u64 = 0x9E84_179D_0BC6_348E;
+const GOLDEN_TRANSFER_ALWAYS_COLD: u64 = 0xA5D9_2F3C_2D0A_6B80;
