@@ -1,84 +1,26 @@
-//! Per-event engine overhead and the scoring hot path, isolated:
+//! The scoring hot path, isolated:
+//! `engine_overhead/scoring/{flat_l1,flat_l4,flat_l8}` — one fitted latency
+//! head scoring the same 256-row batch through
+//! [`nurd_ml::FlatForest::predict_view_into`] at pinned lane widths
+//! ([`nurd_ml::FlatForest::set_lanes`]): `flat_l1` walks one row per tree
+//! step, `flat_l4` (the default) / `flat_l8` interleave 4 / 8. Every width
+//! is asserted bit-identical to the safe one-row reference walk
+//! ([`nurd_ml::GradientBoosting::predict_view`]) before it is timed.
 //!
-//! * `engine_overhead/predictor/{noop,nurd_flat}` — the same staggered
-//!   fleet served end to end by (a) a no-op predictor (pure event
-//!   application + pooled barrier assembly, the engine's floor) and
-//!   (b) full NURD. The gap is the model cost.
-//! * `engine_overhead/scoring/{pointer,flat_l1,flat_l4,flat_l8}` — the
-//!   batch-prediction kernel alone: one fitted latency head scoring the
-//!   same feature batch through the pointer-tree
-//!   [`nurd_ml::GradientBoosting::predict_view`] (the test oracle, timed
-//!   as the yardstick) and through
-//!   [`nurd_ml::FlatForest::predict_view_into`] at pinned lane widths
-//!   ([`nurd_ml::FlatForest::set_lanes`]): `flat_l1` walks one row per
-//!   tree step, `flat_l4` (the default) / `flat_l8` interleave 4 / 8.
-//!   Every width is asserted bit-identical to the pointer walk before
-//!   timing.
+//! What a served fleet costs with and without a model — this file's former
+//! `predictor/{noop,nurd_flat}` rows — is the fleet benchmark's
+//! `ingest_floor` and `fleet_google` workloads (`BENCHMARK.json`), served
+//! through `EngineService` rather than the caller-driven `Engine`; the
+//! group keeps its name so the surviving rows keep theirs.
 //!
 //! Determinism cover: `tests/hot_path_equivalence.rs` holds the served
-//! scores to the pointer walk bit-for-bit at every lane width, so every
+//! scores to the reference walk bit-for-bit at every lane width, so every
 //! ratio below is free of accuracy caveats.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
-use nurd_data::{Checkpoint, OnlinePredictor, TaskEvent};
 use nurd_linalg::MatrixView;
 use nurd_ml::{FlatForest, GbtConfig, GradientBoosting, SquaredLoss, TreeConfig};
-use nurd_runtime::ThreadPool;
-use nurd_serve::{Engine, EngineConfig, EngineReport, PredictorFactory};
-use nurd_trace::{SuiteConfig, TraceStyle};
-
-const JOBS: usize = 6;
-const SHARDS: usize = 2;
-const ARRIVAL_SPREAD: f64 = 400.0;
-
-fn fleet_jobs() -> Vec<nurd_data::JobTrace> {
-    let cfg = SuiteConfig::new(TraceStyle::Google)
-        .with_jobs(JOBS)
-        .with_task_range(80, 110)
-        .with_checkpoints(10)
-        .with_seed(0x0E4D);
-    nurd_trace::generate_suite(&cfg)
-}
-
-fn fleet() -> Vec<TaskEvent> {
-    nurd_trace::staggered_fleet_events(&fleet_jobs(), 0.9, ARRIVAL_SPREAD, 0x0E4D)
-}
-
-/// Scores nothing: every barrier still assembles its checkpoint views
-/// from the pooled scratch, so this measures the engine's per-event
-/// floor (ingress, application, barrier assembly, finalization).
-struct Noop;
-impl OnlinePredictor for Noop {
-    fn name(&self) -> &str {
-        "NOOP"
-    }
-    fn predict(&mut self, _c: &Checkpoint<'_>) -> Vec<usize> {
-        Vec::new()
-    }
-}
-
-fn nurd_factory() -> PredictorFactory {
-    Box::new(|_spec| {
-        Box::new(NurdPredictor::new(NurdConfig::default().with_refit_policy(
-            RefitPolicy::Warm(WarmRefitConfig::default()),
-        )))
-    })
-}
-
-fn run_fleet(events: &[TaskEvent], factory: PredictorFactory, pool: &ThreadPool) -> EngineReport {
-    let engine = Engine::new(
-        EngineConfig {
-            shards: SHARDS,
-            warmup_fraction: 0.04,
-            ..EngineConfig::default()
-        },
-        factory,
-    );
-    engine.push_all_sync(events.iter().cloned());
-    engine.finish(pool)
-}
 
 /// Deterministic synthetic regression rows (no RNG in benches).
 fn synthetic_rows(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -99,39 +41,12 @@ fn synthetic_rows(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 }
 
 fn bench_engine_overhead(c: &mut Criterion) {
-    let events = fleet();
-    let pool = ThreadPool::new(SHARDS);
-
-    // Correctness guardrail: NURD must actually score and flag (a
-    // silently dead predictor would make the overhead gap meaningless).
-    let report = run_fleet(&events, nurd_factory(), &pool);
-    let flagged: usize = report
-        .jobs
-        .iter()
-        .map(|r| r.outcome.flagged_at.iter().flatten().count())
-        .sum();
-    let scored: usize = report.jobs.iter().map(|r| r.checkpoints_scored).sum();
-    assert!(flagged > 0, "NURD flagged nothing — bench would be vacuous");
-    eprintln!(
-        "engine_overhead workload: {} jobs, {} events, {} checkpoints scored, {} tasks flagged",
-        report.jobs.len(),
-        report.events,
-        scored,
-        flagged,
-    );
-
     let mut group = c.benchmark_group("engine_overhead");
     group.sample_size(10);
-    group.bench_function(BenchmarkId::new("predictor", "noop"), |b| {
-        b.iter(|| run_fleet(&events, Box::new(|_spec| Box::new(Noop)), &pool));
-    });
-    group.bench_function(BenchmarkId::new("predictor", "nurd_flat"), |b| {
-        b.iter(|| run_fleet(&events, nurd_factory(), &pool));
-    });
 
-    // The scoring kernel alone: one fitted head, one resident batch,
-    // pointer walk vs each lane width. Model shape matches the serving default (50
-    // rounds, depth 3); the batch is a plausible running-set size.
+    // The scoring kernel alone: one fitted head, one resident batch, each
+    // lane width. Model shape matches the serving default (50 rounds,
+    // depth 3); the batch is a plausible running-set size.
     let (xs, ys) = synthetic_rows(2000, 8);
     let rows: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
     let gbt = GbtConfig {
@@ -149,7 +64,7 @@ fn bench_engine_overhead(c: &mut Criterion) {
         .expect("fit");
     let batch: Vec<&[f64]> = rows[..256].to_vec();
     let mut scratch = Vec::new();
-    let pointer_preds = model.predict_view(MatrixView::RowSlices(&batch));
+    let reference = model.predict_view(MatrixView::RowSlices(&batch));
 
     // Unmeasured speedup probe printed next to the criterion estimates,
     // so the kernel ratios are visible in the bench log itself.
@@ -164,22 +79,19 @@ fn bench_engine_overhead(c: &mut Criterion) {
         }
         start.elapsed().as_secs_f64() / f64::from(iters)
     }
-    let t_pointer = time(|| {
-        std::hint::black_box(model.predict_view(MatrixView::RowSlices(&batch)));
-    });
 
     // Lane-width sweep over the same model/batch, each width guarded by
-    // a bit-identity assertion against the pointer walk before timing.
+    // a bit-identity assertion against the reference walk before timing.
     let lane_forests: Vec<(usize, FlatForest)> = [1usize, 4, 8]
         .into_iter()
-        .map(|l| (l, model.flatten().with_lanes(l)))
+        .map(|l| (l, model.forest().clone().with_lanes(l)))
         .collect();
     for (lanes, forest) in &lane_forests {
         let mut out = Vec::new();
         forest.predict_view_into(MatrixView::RowSlices(&batch), &mut out);
         assert_eq!(
-            out, pointer_preds,
-            "lane width {lanes} is not bit-identical to the pointer walk"
+            out, reference,
+            "lane width {lanes} is not bit-identical to the one-row reference walk"
         );
     }
     let lane_times: Vec<(usize, f64)> = lane_forests
@@ -199,8 +111,7 @@ fn bench_engine_overhead(c: &mut Criterion) {
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("lane sweep nonempty");
     eprintln!(
-        "scoring kernel (50 trees × depth 3 × 256 rows): pointer {:.1}µs, {} — best L={} at {:.2}x over L=1, {:.2}x over pointer",
-        t_pointer * 1e6,
+        "scoring kernel (50 trees × depth 3 × 256 rows): {} — best L={} at {:.2}x over L=1",
         lane_times
             .iter()
             .map(|(l, t)| format!("L{l} {:.1}µs", t * 1e6))
@@ -208,12 +119,8 @@ fn bench_engine_overhead(c: &mut Criterion) {
             .join(", "),
         best_lanes,
         t_l1 / best_t,
-        t_pointer / best_t,
     );
 
-    group.bench_function(BenchmarkId::new("scoring", "pointer"), |b| {
-        b.iter(|| model.predict_view(MatrixView::RowSlices(&batch)));
-    });
     for (lanes, forest) in &lane_forests {
         group.bench_function(BenchmarkId::new("scoring", format!("flat_l{lanes}")), |b| {
             b.iter(|| forest.predict_view_into(MatrixView::RowSlices(&batch), &mut scratch));

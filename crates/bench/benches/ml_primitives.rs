@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use nurd_linalg::MatrixView;
 use nurd_ml::{
-    GbtConfig, GradientBoosting, LogisticConfig, LogisticRegression, RegressionTree, SquaredLoss,
-    TreeConfig,
+    GbtConfig, GradientBoosting, LogisticConfig, LogisticRegression, SquaredLoss, TreeConfig,
 };
 
 fn training_set(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -26,19 +25,22 @@ fn training_set(n: usize, d: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 
 fn bench_tree_fit(c: &mut Criterion) {
     // Single-tree construction cost across the training-set sizes NURD
-    // sees over a job's lifetime. This isolates quantization plus split
-    // finding (depth 6 to give the grower real work below the root).
+    // sees over a job's lifetime: a one-round fit, i.e. quantization, one
+    // tree (depth 6 to give the grower real work below the root) and that
+    // round's score update over bin codes.
     let mut group = c.benchmark_group("tree_fit");
-    let config = TreeConfig {
-        max_depth: 6,
-        ..TreeConfig::default()
+    let config = GbtConfig {
+        n_rounds: 1,
+        tree: TreeConfig {
+            max_depth: 6,
+            ..TreeConfig::default()
+        },
+        ..GbtConfig::default()
     };
     for &n in &[100usize, 1000, 3000] {
         let (x, y) = training_set(n, 15);
-        let grads: Vec<f64> = y.iter().map(|v| -v).collect();
-        let hess = vec![1.0; n];
         group.bench_function(BenchmarkId::new("histogram", n), |b| {
-            b.iter(|| RegressionTree::fit(&x, &grads, &hess, &config).unwrap());
+            b.iter(|| GradientBoosting::fit(&x, &y, SquaredLoss, &config).unwrap());
         });
     }
     group.finish();

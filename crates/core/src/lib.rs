@@ -38,11 +38,14 @@
 //!
 //! # Scoring
 //!
-//! Each refit flattens `h_t` into a [`nurd_ml::FlatForest`] and every
-//! running task is scored through it — the only scoring path.
+//! `h_t` *is* a [`nurd_ml::FlatForest`] — the refit grows it in place —
+//! and every running task is scored through its batch kernels by
+//! reference ([`nurd_ml::GradientBoosting::forest`]): the only scoring
+//! path, with no copy to rebuild or invalidate.
 //! [`NurdPredictor::latency_model`] exposes the fitted head read-only, so
-//! tests can hold the served [`AdjustedPrediction::raw`] to its pointer
-//! walk ([`nurd_ml::GradientBoosting::predict_view`]) bit for bit.
+//! tests can hold the served [`AdjustedPrediction::raw`] to its safe
+//! one-row reference walk ([`nurd_ml::GradientBoosting::predict_view`])
+//! bit for bit.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 
 use nurd_data::{Checkpoint, OnlinePredictor, ScoredPrediction, StreamContext, TaskScore};
 use nurd_linalg::{FeatureMatrix, MatrixView};
-use nurd_ml::{FlatForest, GradientBoosting, LogisticRegression, SquaredLoss};
+use nurd_ml::{GradientBoosting, LogisticRegression, SquaredLoss};
 
 use crate::refit::WarmRefitState;
 use crate::{calibration, weighting, NurdConfig, RefitPolicy, RefitStats};
@@ -56,11 +56,6 @@ pub struct NurdPredictor {
     /// (raw latency predictions and propensities over the running set).
     scratch_raw: Vec<f64>,
     scratch_prop: Vec<f64>,
-    /// Flattened structure-of-arrays copy of the current latency head
-    /// (see [`FlatForest`]): *derived* state, rebuilt after every refit
-    /// and lazily after a restore — never serialized. `None` until the
-    /// first fit.
-    flat: Option<FlatForest>,
     /// The latency head `h_t` with its training rows and quantization;
     /// every refit, under either [`RefitPolicy`], happens in here.
     warm: WarmRefitState,
@@ -91,7 +86,6 @@ impl NurdPredictor {
             scratch_labels: Vec::new(),
             scratch_raw: Vec::new(),
             scratch_prop: Vec::new(),
-            flat: None,
             warm: WarmRefitState::new(),
         }
     }
@@ -117,8 +111,9 @@ impl NurdPredictor {
     }
 
     /// The current latency head `h_t`; `None` before the first successful
-    /// fit. Scoring runs on a flattened copy of this model — its pointer
-    /// walk, [`GradientBoosting::predict_view`], is the reference the
+    /// fit. Barriers are scored through the batch kernels of its
+    /// [`GradientBoosting::forest`], by reference; its safe one-row walk,
+    /// [`GradientBoosting::predict_view`], is the reference the
     /// differential tests hold [`AdjustedPrediction::raw`] against.
     #[must_use]
     pub fn latency_model(&self) -> Option<&GradientBoosting<SquaredLoss>> {
@@ -153,9 +148,6 @@ impl NurdPredictor {
             || self.latency_model().is_none();
         self.checkpoints_seen += 1;
         if refit {
-            // Invalidated up front so an early return on a failed fit can
-            // never leave the flat cache pointing at a superseded ensemble.
-            self.flat = None;
             // `h_t`: the policy decides inside the state which rows the
             // refit trains on and whether it boosts onto the previous
             // ensemble (cold on the first fit, on drift and at the tree
@@ -201,16 +193,14 @@ impl NurdPredictor {
                 }
             }
         }
-        // Keep the flattened inference copy in sync: rebuilt after every
-        // refit and lazily after a restore (the flat layout is derived
-        // state, never serialized or snapshotted).
-        if self.flat.is_none() {
-            let lanes = self.config.scoring_lanes;
-            self.flat = self.latency_model().map(|m| m.flatten().with_lanes(lanes));
-        }
-        let (Some(flat), Some(g)) = (&self.flat, &self.propensity_model) else {
+        // The head is scored where it lives: a fit or a restore leaves its
+        // forest at the default lane width, so the configured one is set
+        // (one store) on the way to the kernels.
+        self.warm.set_scoring_lanes(self.config.scoring_lanes);
+        let (Some(h), Some(g)) = (self.warm.model(), &self.propensity_model) else {
             return Vec::new();
         };
+        let forest = h.forest();
 
         // Batch scoring over the zero-copy running-task view: one
         // structure-of-arrays pass per model into reused scratch, so the
@@ -225,14 +215,14 @@ impl NurdPredictor {
         // accumulation untouched; see `predict_view_into_pooled`).
         let threads = self.config.gbt.tree.n_threads;
         if threads > 1 && x_run.len() >= PARALLEL_SCORE_MIN {
-            flat.predict_view_into_pooled(
+            forest.predict_view_into_pooled(
                 MatrixView::RowSlices(&x_run),
                 nurd_runtime::global(),
                 threads,
                 &mut self.scratch_raw,
             );
         } else {
-            flat.predict_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_raw);
+            forest.predict_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_raw);
         }
         g.predict_proba_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_prop);
         checkpoint
@@ -268,7 +258,6 @@ impl OnlinePredictor for NurdPredictor {
         self.propensity_model = None;
         self.checkpoints_seen = 0;
         self.fit_failures = 0;
-        self.flat = None;
         self.warm.reset();
     }
 
@@ -360,8 +349,6 @@ impl OnlinePredictor for NurdPredictor {
         self.checkpoints_seen = checkpoints_seen;
         self.fit_failures = fit_failures;
         self.warm = warm;
-        // Derived from the restored model at the next scoring pass.
-        self.flat = None;
         true
     }
 }

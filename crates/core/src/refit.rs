@@ -33,7 +33,7 @@ use nurd_data::{Checkpoint, FinishedDelta};
 use nurd_linalg::FeatureMatrix;
 use nurd_ml::{BinnedMatrix, GbtConfig, GradientBoosting, MlError, SquaredLoss};
 
-use crate::config::{RefitPolicy, WarmRefitConfig};
+use crate::config::RefitPolicy;
 
 /// Counters describing how a [`WarmRefitState`] has been refitting (under
 /// either policy); useful for benches, tests, and observability.
@@ -152,6 +152,14 @@ impl WarmRefitState {
         self.stats
     }
 
+    /// Sets the lane width the current model's batch kernels score at
+    /// (a no-op before the first fit; a new fit starts at the default).
+    pub(crate) fn set_scoring_lanes(&mut self, lanes: usize) {
+        if let Some(model) = &mut self.model {
+            model.set_lanes(lanes);
+        }
+    }
+
     /// Refits the latency model against the absorbed latencies under
     /// `policy`. Because each row's target is immutable, a refit with no
     /// new rows since the previous one reuses the current model for free.
@@ -161,28 +169,11 @@ impl WarmRefitState {
     /// [`MlError::EmptyTrainingSet`] before any row is absorbed; otherwise
     /// whatever the underlying fit propagates.
     pub fn refit(&mut self, gbt: &GbtConfig, policy: &RefitPolicy) -> Result<(), MlError> {
-        let WarmRefitState {
-            x,
-            latencies,
-            binned,
-            model,
-            scores,
-            fitted_rows,
-            stats,
-            ..
-        } = self;
-        refit_fields(
-            x,
-            latencies,
-            true,
-            binned,
-            model,
-            scores,
-            fitted_rows,
-            stats,
-            gbt,
-            policy,
-        )
+        // The targets are the state's own latencies: lent out for the call.
+        let y = std::mem::take(&mut self.latencies);
+        let fit = self.refit_on(&y, true, gbt, policy);
+        self.latencies = y;
+        fit
     }
 
     /// Refits against caller-supplied targets aligned with the absorbed
@@ -201,139 +192,108 @@ impl WarmRefitState {
         gbt: &GbtConfig,
         policy: &RefitPolicy,
     ) -> Result<(), MlError> {
-        let WarmRefitState {
-            x,
-            binned,
-            model,
-            scores,
-            fitted_rows,
-            stats,
-            ..
-        } = self;
-        refit_fields(
-            x,
-            y,
-            false,
-            binned,
-            model,
-            scores,
-            fitted_rows,
-            stats,
-            gbt,
-            policy,
-        )
+        self.refit_on(y, false, gbt, policy)
     }
-}
 
-/// The policy state machine, operating on disjoint field borrows so both
-/// target sources (owned latencies / caller residuals) share one
-/// implementation.
-#[allow(clippy::too_many_arguments)]
-fn refit_fields(
-    x: &FeatureMatrix,
-    y: &[f64],
-    targets_stable: bool,
-    binned: &mut Option<BinnedMatrix>,
-    model: &mut Option<GradientBoosting<SquaredLoss>>,
-    scores: &mut Vec<f64>,
-    fitted_rows: &mut usize,
-    stats: &mut RefitStats,
-    gbt: &GbtConfig,
-    policy: &RefitPolicy,
-) -> Result<(), MlError> {
-    let n = x.rows();
-    if n == 0 {
-        return Err(MlError::EmptyTrainingSet);
-    }
-    if y.len() != n {
-        return Err(MlError::DimensionMismatch {
-            expected: format!("{n} targets"),
-            found: format!("{} targets", y.len()),
-        });
-    }
-    // Validate here — where the policy is consumed — not only in the
-    // `NurdConfig::with_refit_policy` builder: policies can arrive via
-    // the pub field or `GbtrPredictor::with_policy` without ever passing
-    // through it, and a zero-round warm refit would silently freeze the
-    // model forever.
-    if let RefitPolicy::Warm(w) = policy {
-        if w.warm_rounds == 0 {
-            return Err(MlError::InvalidConfig(
-                "warm_rounds must be >= 1 (0 would freeze the model)".into(),
-            ));
+    /// The policy state machine behind both target sources (owned
+    /// latencies / caller residuals).
+    fn refit_on(
+        &mut self,
+        y: &[f64],
+        targets_stable: bool,
+        gbt: &GbtConfig,
+        policy: &RefitPolicy,
+    ) -> Result<(), MlError> {
+        let n = self.x.rows();
+        if n == 0 {
+            return Err(MlError::EmptyTrainingSet);
         }
-        if !(w.drift_tolerance > 0.0 && w.drift_tolerance <= 1.0) {
-            return Err(MlError::InvalidConfig(format!(
-                "drift_tolerance must be in (0, 1], got {}",
-                w.drift_tolerance
-            )));
+        if y.len() != n {
+            return Err(MlError::DimensionMismatch {
+                expected: format!("{n} targets"),
+                found: format!("{} targets", y.len()),
+            });
         }
-    }
+        // Validate here — where the policy is consumed — not only in the
+        // `NurdConfig::with_refit_policy` builder: policies can arrive via
+        // the pub field or `GbtrPredictor::with_policy` without ever passing
+        // through it, and a zero-round warm refit would silently freeze the
+        // model forever.
+        if let RefitPolicy::Warm(w) = policy {
+            if w.warm_rounds == 0 {
+                return Err(MlError::InvalidConfig(
+                    "warm_rounds must be >= 1 (0 would freeze the model)".into(),
+                ));
+            }
+            if !(w.drift_tolerance > 0.0 && w.drift_tolerance <= 1.0) {
+                return Err(MlError::InvalidConfig(format!(
+                    "drift_tolerance must be in (0, 1], got {}",
+                    w.drift_tolerance
+                )));
+            }
+        }
 
-    // Nothing new to learn: targets immutable and no appended row since
-    // the current model was fit.
-    if targets_stable && model.is_some() && *fitted_rows == n {
-        stats.reuses += 1;
-        return Ok(());
-    }
+        // Nothing new to learn: targets immutable and no appended row since
+        // the current model was fit.
+        if targets_stable && self.model.is_some() && self.fitted_rows == n {
+            self.stats.reuses += 1;
+            return Ok(());
+        }
 
-    let warm_cfg: Option<&WarmRefitConfig> = match policy {
-        RefitPolicy::AlwaysCold => None,
-        RefitPolicy::Warm(w) => Some(w),
-    };
-
-    // A warm refit needs a previous model and a binned matrix that is a
-    // prefix of the current rows with live edges.
-    let mut warm = warm_cfg
-        .filter(|_| model.is_some())
-        .filter(|_| binned.as_ref().is_some_and(|b| b.rows() <= n));
-
-    if let Some(w) = warm {
-        let b = binned.as_mut().expect("checked above");
-        let drift = if b.rows() < n {
-            b.append_from(x.view())
-        } else {
-            b.drift()
+        // A warm refit needs a warm policy, a previous model and a binned
+        // matrix that is a prefix of the current rows (same width, no more
+        // rows) with live edges.
+        let mut warm = match (policy, &mut self.binned, &mut self.model) {
+            (RefitPolicy::Warm(w), Some(b), Some(prev))
+                if b.rows() <= n && b.features() == self.x.cols() =>
+            {
+                Some((w, b, prev))
+            }
+            _ => None,
         };
-        if drift > w.drift_tolerance {
-            stats.drift_rebins += 1;
-            warm = None;
-        } else if model.as_ref().expect("checked above").tree_count() + w.warm_rounds > w.max_trees
-        {
-            stats.cap_resets += 1;
-            warm = None;
+        if let Some((w, b, prev)) = &mut warm {
+            let drift = if b.rows() < n {
+                b.append_from(self.x.view())
+            } else {
+                b.drift()
+            };
+            if drift > w.drift_tolerance {
+                self.stats.drift_rebins += 1;
+                warm = None;
+            } else if prev.tree_count() + w.warm_rounds > w.max_trees {
+                self.stats.cap_resets += 1;
+                warm = None;
+            }
         }
-    }
 
-    match warm {
-        Some(w) => {
-            // Boost onto the installed model in place — no clone of the
-            // ensemble. `warm_boost` validates before it touches anything,
-            // so a failed warm refit leaves the previous model serving.
-            let b = binned.as_ref().expect("warm requires binning");
-            let prev = model.as_mut().expect("warm requires a model");
-            prev.warm_boost(b, y, w.warm_rounds, gbt, scores)?;
-            stats.warm_fits += 1;
+        match warm {
+            Some((w, b, prev)) => {
+                // Boost onto the installed model in place — no clone of the
+                // ensemble. `warm_boost` validates before it touches anything,
+                // so a failed warm refit leaves the previous model serving.
+                prev.warm_boost(b, y, w.warm_rounds, gbt, &mut self.scores)?;
+                self.stats.warm_fits += 1;
+            }
+            None => {
+                // Cold: rebuild the quantization from scratch too, so edges,
+                // codes, and ensemble all reflect exactly the current data —
+                // what a from-scratch fit would produce. `build_for` honors
+                // the `TreeConfig::n_threads` fan-out with identical output.
+                let fresh = BinnedMatrix::build_for(self.x.view(), &gbt.tree);
+                self.model = Some(GradientBoosting::fit_binned_cached(
+                    &fresh,
+                    y,
+                    SquaredLoss,
+                    gbt,
+                    &mut self.scores,
+                )?);
+                self.binned = Some(fresh);
+                self.stats.cold_fits += 1;
+            }
         }
-        None => {
-            // Cold: rebuild the quantization from scratch too, so edges,
-            // codes, and ensemble all reflect exactly the current data —
-            // what a from-scratch fit would produce. `build_for` honors
-            // the `TreeConfig::n_threads` fan-out with identical output.
-            let fresh = BinnedMatrix::build_for(x.view(), &gbt.tree);
-            *model = Some(GradientBoosting::fit_binned_cached(
-                &fresh,
-                y,
-                SquaredLoss,
-                gbt,
-                scores,
-            )?);
-            *binned = Some(fresh);
-            stats.cold_fits += 1;
-        }
+        self.fitted_rows = n;
+        Ok(())
     }
-    *fitted_rows = n;
-    Ok(())
 }
 
 /// Encodes a column-major [`FeatureMatrix`] (dims + columns, bit-exact).
@@ -408,7 +368,7 @@ impl nurd_codec::Checkpointable for WarmRefitState {
     }
 
     fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
-        Ok(WarmRefitState {
+        let state = WarmRefitState {
             x: decode_feature_matrix(dec)?,
             latencies: nurd_codec::Checkpointable::decode(dec)?,
             delta: nurd_codec::Checkpointable::decode(dec)?,
@@ -417,13 +377,25 @@ impl nurd_codec::Checkpointable for WarmRefitState {
             scores: nurd_codec::Checkpointable::decode(dec)?,
             fitted_rows: dec.take_usize()?,
             stats: nurd_codec::Checkpointable::decode(dec)?,
-        })
+        };
+        // The quantization was built from these rows: a different width is
+        // not a state this type ever wrote.
+        match &state.binned {
+            Some(b) if !state.x.is_empty() && b.features() != state.x.cols() => {
+                Err(nurd_codec::CodecError::LengthOverrun {
+                    declared: b.features() as u64,
+                    remaining: state.x.cols(),
+                })
+            }
+            _ => Ok(state),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::WarmRefitConfig;
     use nurd_data::{FinishedTask, RunningTask};
 
     /// A checkpoint whose finished set is the first `k` of `tasks`.
@@ -655,6 +627,53 @@ mod tests {
             state.model().unwrap().predict_batch(&probe),
             twin.model().unwrap().predict_batch(&probe)
         );
+    }
+
+    #[test]
+    fn a_quantization_of_another_width_is_rejected_at_decode_and_never_warmed_onto() {
+        use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
+        let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+        let gbt = GbtConfig::default();
+        let fitted = |ts: &[(Vec<f64>, f64)]| {
+            let mut state = WarmRefitState::new();
+            state.absorb(&checkpoint(ts, 30));
+            state.refit(&gbt, &policy).unwrap();
+            state
+        };
+        let two_wide = tasks(40);
+        let three_wide: Vec<(Vec<f64>, f64)> = two_wide
+            .iter()
+            .map(|(f, lat)| (vec![f[0], f[1], f[0] - f[1]], *lat))
+            .collect();
+        let (narrow, wide) = (fitted(&two_wide), fitted(&three_wide));
+        let decode = |state: &WarmRefitState| {
+            let mut enc = Encoder::new();
+            state.encode(&mut enc);
+            WarmRefitState::decode(&mut Decoder::new(enc.as_slice()))
+        };
+        assert_eq!(decode(&wide).unwrap().stats(), wide.stats());
+
+        // Three-wide rows beside a two-wide quantization: `append_from`
+        // would assert on it at the next warm refit.
+        let mut crossed = WarmRefitState {
+            binned: narrow.binned.clone(),
+            ..wide.clone()
+        };
+        assert!(matches!(
+            decode(&crossed),
+            Err(CodecError::LengthOverrun { .. })
+        ));
+        // With no rows yet there is no width to disagree with, so decode
+        // lets such a state through — and the refit, seeing the widths
+        // differ once rows arrive, fits cold instead of appending.
+        crossed.x.fill_from_rows(std::iter::empty());
+        crossed.latencies.clear();
+        crossed.delta.clear();
+        let mut restored = decode(&crossed).unwrap();
+        restored.absorb(&checkpoint(&three_wide, 35));
+        restored.refit(&gbt, &policy).unwrap();
+        let stats = restored.stats();
+        assert_eq!((stats.cold_fits, stats.warm_fits), (2, 0), "{stats:?}");
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl FeatureBins {
 /// past a tolerance. Reusing the edges also keeps bin codes comparable
 /// across checkpoints, which is what lets a warm-started booster keep
 /// predicting through `u8` codes (see
-/// [`crate::RegressionTree::predict_binned`]).
+/// [`crate::FlatForest::predict_binned_extend`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
     /// Column-major codes: `codes[f * n_rows + i]` is row `i`'s bin for
@@ -525,6 +525,10 @@ impl nurd_codec::Checkpointable for FeatureBins {
 /// Every field travels — including the per-bin `counts` and the
 /// full-build CDF reference — so the drift statistic computed after a
 /// restore is identical to one computed by an uninterrupted process.
+/// Decoding checks what the grower, `append_from` and `drift` index by:
+/// one bin table per feature, every per-bin table of a feature the same
+/// length (at most [`BinnedMatrix::MAX_BINS`]), every code a bin of its
+/// column.
 impl nurd_codec::Checkpointable for BinnedMatrix {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
         enc.put_bytes(&self.codes);
@@ -546,7 +550,7 @@ impl nurd_codec::Checkpointable for BinnedMatrix {
                 remaining: dec.remaining(),
             });
         }
-        Ok(BinnedMatrix {
+        let matrix = BinnedMatrix {
             codes,
             n_rows,
             n_features,
@@ -554,7 +558,34 @@ impl nurd_codec::Checkpointable for BinnedMatrix {
             counts: nurd_codec::Checkpointable::decode(dec)?,
             build_cdf: nurd_codec::Checkpointable::decode(dec)?,
             stale_constant: dec.take_bool()?,
-        })
+        };
+        let overrun = |declared: usize, remaining: usize| nurd_codec::CodecError::LengthOverrun {
+            declared: declared as u64,
+            remaining,
+        };
+        let BinnedMatrix {
+            features,
+            counts,
+            build_cdf,
+            ..
+        } = &matrix;
+        if [features.len(), counts.len(), build_cdf.len()] != [n_features; 3] {
+            return Err(overrun(features.len(), n_features));
+        }
+        for (f, bins) in features.iter().enumerate() {
+            let n_bins = bins.n_bins();
+            let tables_agree = bins.cuts.len() + 1 == n_bins
+                && bins.bin_max.len() == n_bins
+                && counts[f].len() == n_bins
+                && build_cdf[f].len() == n_bins;
+            if !tables_agree || n_bins > Self::MAX_BINS {
+                return Err(overrun(n_bins, Self::MAX_BINS));
+            }
+            if let Some(&code) = matrix.codes(f).iter().find(|&&c| usize::from(c) >= n_bins) {
+                return Err(overrun(usize::from(code), n_bins));
+            }
+        }
+        Ok(matrix)
     }
 }
 

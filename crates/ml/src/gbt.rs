@@ -13,13 +13,14 @@
 //!   **one tree grower** serves every round of that fit: the feature
 //!   layout, the pooled node histograms (kept all-zero between uses, with
 //!   present-bin bitmaps so a node costs the cells it holds) and the
-//!   in-place row partition buffer are set up once, so a round allocates
-//!   nothing but the finished tree (see the grower section of `tree.rs`'s
-//!   module docs). The trees are bit-for-bit those of a fresh
-//!   [`RegressionTree::fit_binned`] per round;
-//! * per-round score updates replay the freshly fit tree over `u8` bin
-//!   codes ([`RegressionTree::predict_binned`]) — raw `f64` features are
-//!   never touched after quantization;
+//!   in-place row partition buffer are set up once (see the grower section
+//!   of `tree.rs`'s module docs). The trees are bit-for-bit those a fresh
+//!   grower per round would grow;
+//! * the ensemble **is** its [`FlatForest`]: the grower appends each
+//!   round's nodes to the forest's arrays, the round's score update walks
+//!   just that tree over `u8` bin codes — raw `f64` features are never
+//!   touched after quantization — and nothing is converted or copied
+//!   afterwards for scoring;
 //! * row subsampling selects *indices* into the shared binned matrix; the
 //!   `subsample == 1.0` case short-circuits to a precomputed identity
 //!   index list.
@@ -33,6 +34,12 @@
 //! [`GradientBoosting::warm_boost`] then boosts a few new rounds onto a
 //! fitted ensemble **in place** over such a grown matrix instead of
 //! refitting from scratch.
+//!
+//! [`GradientBoosting::predict`], [`GradientBoosting::predict_batch`] and
+//! [`GradientBoosting::predict_view`] are the forest's safe one-row walk
+//! ([`FlatForest::predict`]) mapped over rows: bounds-checked and
+//! lane-free, they serve the baselines that score a handful of rows and
+//! double as the reference the `unsafe` batch kernels are tested against.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -41,7 +48,8 @@ use rand::SeedableRng;
 use nurd_linalg::MatrixView;
 
 use crate::binned::BinnedMatrix;
-use crate::tree::{RegressionTree, TreeConfig, TreeGrower};
+use crate::flat::FlatForest;
+use crate::tree::{TreeConfig, TreeGrower};
 use crate::MlError;
 
 /// A twice-differentiable training loss for [`GradientBoosting`].
@@ -142,9 +150,9 @@ impl Default for GbtConfig {
 #[derive(Debug, Clone)]
 pub struct GradientBoosting<L: Loss> {
     loss: L,
-    base_score: f64,
-    learning_rate: f64,
-    trees: Vec<RegressionTree>,
+    /// The trees, with the base score and learning rate they are summed
+    /// under — the one representation grown, scored and serialized.
+    forest: FlatForest,
 }
 
 impl<L: Loss> GradientBoosting<L> {
@@ -202,24 +210,10 @@ impl<L: Loss> GradientBoosting<L> {
         let base_score = loss.base_score(y);
         scores.clear();
         scores.resize(binned.rows(), base_score);
-        let mut trees = Vec::with_capacity(config.n_rounds);
-        boost_rounds(
-            binned,
-            y,
-            &loss,
-            config,
-            config.n_rounds,
-            config.learning_rate,
-            config.seed,
-            scores,
-            &mut trees,
-        );
-        Ok(GradientBoosting {
-            loss,
-            base_score,
-            learning_rate: config.learning_rate,
-            trees,
-        })
+        let mut forest = FlatForest::new(base_score, config.learning_rate);
+        let (rounds, seed) = (config.n_rounds, config.seed);
+        boost_rounds(binned, y, &loss, config, rounds, seed, scores, &mut forest);
+        Ok(GradientBoosting { loss, forest })
     }
 
     /// Boosts `extra_rounds` **new** trees onto `self`, in place, instead
@@ -253,9 +247,10 @@ impl<L: Loss> GradientBoosting<L> {
     /// # Errors
     ///
     /// [`MlError::EmptyTrainingSet`] on a matrix without rows,
-    /// [`MlError::DimensionMismatch`] on a `y`/matrix row mismatch or when
+    /// [`MlError::DimensionMismatch`] on a `y`/matrix row mismatch, when
     /// `scores` is longer than the matrix has rows (a stale cache from a
-    /// different binning), [`MlError::InvalidConfig`] on bad
+    /// different binning) or when the matrix has fewer features than the
+    /// ensemble splits on, [`MlError::InvalidConfig`] on bad
     /// hyperparameters.
     pub fn warm_boost(
         &mut self,
@@ -273,33 +268,28 @@ impl<L: Loss> GradientBoosting<L> {
             });
         }
 
-        // Replay the previous ensemble over bin codes — u8 compares, no
-        // f64 feature loads — for the rows the cache does not cover. The
-        // flat batch kernel accumulates tree-by-tree in ensemble order,
-        // bit-identical to the historical per-row `predict_binned` sum.
+        if !self.forest.fits_width(binned.features()) {
+            return Err(MlError::DimensionMismatch {
+                expected: "a matrix as wide as the ensemble's split features".into(),
+                found: format!("{} features", binned.features()),
+            });
+        }
+
+        // Replay the ensemble over bin codes — u8 compares, no f64 feature
+        // loads — for the rows the cache does not cover.
         let cached = scores.len();
         if cached < binned.rows() {
-            self.flatten()
+            self.forest
                 .predict_binned_extend(binned, cached..binned.rows(), scores);
         }
 
-        self.trees.reserve(extra_rounds);
         // Decorrelate warm-round subsampling from the cold fit's stream
         // (and from earlier warm stages) while staying deterministic.
         let seed = config
             .seed
-            .wrapping_add((self.trees.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        boost_rounds(
-            binned,
-            y,
-            &self.loss,
-            config,
-            extra_rounds,
-            self.learning_rate,
-            seed,
-            scores,
-            &mut self.trees,
-        );
+            .wrapping_add((self.tree_count() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (loss, forest) = (&self.loss, &mut self.forest);
+        boost_rounds(binned, y, loss, config, extra_rounds, seed, scores, forest);
         Ok(())
     }
 
@@ -307,8 +297,7 @@ impl<L: Loss> GradientBoosting<L> {
     /// logistic loss).
     #[must_use]
     pub fn predict(&self, features: &[f64]) -> f64 {
-        let tree_sum: f64 = self.trees.iter().map(|t| t.predict(features)).sum();
-        self.base_score + self.learning_rate * tree_sum
+        self.forest.predict(features)
     }
 
     /// Raw scores for a batch of samples.
@@ -320,12 +309,9 @@ impl<L: Loss> GradientBoosting<L> {
     /// Raw scores for every row of a matrix view (no row copies).
     #[must_use]
     pub fn predict_view(&self, xs: MatrixView<'_>) -> Vec<f64> {
-        (0..xs.rows())
-            .map(|i| {
-                let tree_sum: f64 = self.trees.iter().map(|t| t.predict_at(xs, i)).sum();
-                self.base_score + self.learning_rate * tree_sum
-            })
-            .collect()
+        let mut out = vec![0.0; xs.rows()];
+        self.forest.predict_each(xs, &mut out);
+        out
     }
 
     /// Probability `σ(f(x))`; meaningful when the loss trains a logit
@@ -338,7 +324,7 @@ impl<L: Loss> GradientBoosting<L> {
     /// Number of fitted trees.
     #[must_use]
     pub fn tree_count(&self) -> usize {
-        self.trees.len()
+        self.forest.tree_count()
     }
 
     /// The loss the ensemble was trained with.
@@ -350,28 +336,40 @@ impl<L: Loss> GradientBoosting<L> {
     /// The constant initial score `f₀`.
     #[must_use]
     pub fn base_score(&self) -> f64 {
-        self.base_score
+        self.forest.base_score()
     }
 
     /// The shrinkage each tree's output is scaled by.
     #[must_use]
     pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
+        self.forest.learning_rate()
     }
 
-    /// Flattens the ensemble into the structure-of-arrays inference layout
-    /// ([`crate::FlatForest`]) — bit-identical predictions, cache-friendly
-    /// batch traversal. Rebuild after every refit; the flat copy does not
-    /// track later changes to `self`.
+    /// The ensemble itself: score batches through its kernels
+    /// ([`FlatForest::predict_view_into`]) by reference — there is no
+    /// other copy to keep in sync.
     #[must_use]
-    pub fn flatten(&self) -> crate::FlatForest {
-        crate::FlatForest::from_trees(self.trees(), self.base_score, self.learning_rate)
+    pub fn forest(&self) -> &FlatForest {
+        &self.forest
     }
 
-    /// Tree storage, ensemble order (the order every prediction sum folds
-    /// them in).
-    pub(crate) fn trees(&self) -> &[RegressionTree] {
-        &self.trees
+    /// Sets the lane width of the forest's batch kernels
+    /// ([`FlatForest::set_lanes`]; scores are bit-identical at every
+    /// width). A fit or a decode starts at [`crate::DEFAULT_LANES`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lanes` is one of [`crate::SUPPORTED_LANES`].
+    pub fn set_lanes(&mut self, lanes: usize) {
+        self.forest.set_lanes(lanes);
+    }
+
+    /// A **copy** of [`GradientBoosting::forest`]. Nothing in the
+    /// workspace calls it any more; it is kept because the standalone
+    /// `benchmark/` package does. Prefer the reference.
+    #[must_use]
+    pub fn flatten(&self) -> FlatForest {
+        self.forest.clone()
     }
 }
 
@@ -406,12 +404,12 @@ fn check_binned_fit(binned: &BinnedMatrix, y: &[f64], config: &GbtConfig) -> Res
 }
 
 /// The boosting round loop shared by cold fits and warm boosts: appends
-/// `rounds` trees to `trees`, keeping `scores` (raw per-row ensemble
-/// scores) in sync. Raw features are never touched: one [`TreeGrower`]
-/// serves every round, and per-round score updates traverse the new tree
-/// over `u8` bin codes. Inputs are validated by the callers (`scores`, `y`
-/// and the matrix agree on the row count, which is nonzero), so the loop
-/// cannot fail.
+/// `rounds` trees to `forest` (at the forest's own learning rate), keeping
+/// `scores` (raw per-row ensemble scores) in sync. Raw features are never
+/// touched: one [`TreeGrower`] serves every round, and per-round score
+/// updates traverse the new tree over `u8` bin codes. Inputs are validated
+/// by the callers (`scores`, `y` and the matrix agree on the row count,
+/// which is nonzero), so the loop cannot fail.
 #[allow(clippy::too_many_arguments)]
 fn boost_rounds<L: Loss>(
     binned: &BinnedMatrix,
@@ -419,10 +417,9 @@ fn boost_rounds<L: Loss>(
     loss: &L,
     config: &GbtConfig,
     rounds: usize,
-    learning_rate: f64,
     seed: u64,
     scores: &mut [f64],
-    trees: &mut Vec<RegressionTree>,
+    forest: &mut FlatForest,
 ) {
     let n = scores.len();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -432,11 +429,6 @@ fn boost_rounds<L: Loss>(
     let mut grads = vec![0.0; n];
     let mut hess = vec![0.0; n];
     let mut grower = TreeGrower::new(binned, &config.tree);
-    // One flat single-tree scratch recycled across rounds: the per-round
-    // score update walks the freshly fit tree over all rows through the
-    // structure-of-arrays kernel instead of re-walking the pointer tree
-    // per row (`scores[i] += lr · leaf(i)` either way, bit-for-bit).
-    let mut flat = crate::FlatForest::new(0.0, 1.0);
     for _round in 0..rounds {
         // Subsampling selects indices into the shared matrix — rows
         // are never materialized. With subsample == 1.0 the identity
@@ -452,31 +444,24 @@ fn boost_rounds<L: Loss>(
             grads[i] = g;
             hess[i] = h.max(1e-12);
         }
-        let tree = grower.grow(&grads, &hess, rows);
-        flat.clear();
-        flat.push_tree(&tree);
-        flat.accumulate_binned(binned, learning_rate, scores);
-        trees.push(tree);
+        grower.grow(&grads, &hess, rows, forest);
+        forest.accumulate_last_tree(binned, scores);
     }
 }
 
 /// Only ensembles over stateless (`Default`) losses are checkpointable —
 /// which covers every loss in this workspace; the loss itself carries no
-/// fitted state, so only `base_score`, `learning_rate`, and the trees
-/// travel.
+/// fitted state, so the forest's encoding (`flat.rs`, where the bytes are
+/// validated on the way back in) is the ensemble's.
 impl<L: Loss + Default> nurd_codec::Checkpointable for GradientBoosting<L> {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
-        enc.put_f64(self.base_score);
-        enc.put_f64(self.learning_rate);
-        self.trees.encode(enc);
+        self.forest.encode(enc);
     }
 
     fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
         Ok(GradientBoosting {
             loss: L::default(),
-            base_score: dec.take_f64()?,
-            learning_rate: dec.take_f64()?,
-            trees: nurd_codec::Checkpointable::decode(dec)?,
+            forest: FlatForest::decode(dec)?,
         })
     }
 }
@@ -680,14 +665,11 @@ mod tests {
             );
         }
         // The left-behind cache is the new model's raw score per row.
-        for (i, s) in cache.iter().enumerate() {
-            let replay: f64 = cached.base_score
-                + cached.learning_rate
-                    * cached
-                        .trees
-                        .iter()
-                        .map(|t| t.predict_binned(&binned, i))
-                        .sum::<f64>();
+        let mut replay = Vec::new();
+        cached
+            .forest
+            .predict_binned_extend(&binned, 0..160, &mut replay);
+        for (s, replay) in cache.iter().zip(&replay) {
             assert!((s - replay).abs() <= 1e-9 * scale.max(1.0));
         }
         // A cache longer than the matrix is a stale-cache bug: rejected.
@@ -712,18 +694,37 @@ mod tests {
                 .unwrap();
         binned.append_from(MatrixView::Rows(&x));
         model.warm_boost(&binned, &y, 6, &cfg, &mut cache).unwrap();
-        let (trees, scores) = (model.trees.clone(), cache.clone());
+        let (forest, scores) = (model.forest.clone(), cache.clone());
 
         let bad = GbtConfig {
             learning_rate: 0.0,
-            ..cfg
+            ..cfg.clone()
         };
         assert!(matches!(
             model.warm_boost(&binned, &y, 6, &bad, &mut cache),
             Err(MlError::InvalidConfig(_))
         ));
-        assert_eq!(model.trees, trees);
+        model
+            .forest
+            .assert_same_trees(&forest, true, "after a rejected warm boost");
         assert_eq!(cache, scores);
+
+        // So is a matrix narrower than the features the ensemble splits on
+        // (where the bin-code replay would otherwise panic).
+        let narrow: Vec<Vec<f64>> = x.iter().map(|row| row[..1].to_vec()).collect();
+        let narrow = BinnedMatrix::build(MatrixView::Rows(&narrow), cfg.tree.max_bins);
+        assert!(model
+            .forest
+            .splits()
+            .iter()
+            .any(|&(feature, _)| feature == 1));
+        assert!(matches!(
+            model.warm_boost(&narrow, &y, 6, &cfg, &mut Vec::new()),
+            Err(MlError::DimensionMismatch { .. })
+        ));
+        model
+            .forest
+            .assert_same_trees(&forest, true, "after a too-narrow matrix");
     }
 
     #[test]
@@ -825,6 +826,21 @@ mod tests {
     fn rejects_bad_subsample() {
         let cfg = GbtConfig {
             subsample: 0.0,
+            ..GbtConfig::default()
+        };
+        assert!(matches!(
+            GradientBoosting::fit(&[vec![1.0]], &[1.0], SquaredLoss, &cfg),
+            Err(MlError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_zero_depth() {
+        let cfg = GbtConfig {
+            tree: TreeConfig {
+                max_depth: 0,
+                ..TreeConfig::default()
+            },
             ..GbtConfig::default()
         };
         assert!(matches!(

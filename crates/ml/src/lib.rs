@@ -45,22 +45,27 @@
 //! * [`GradientBoosting::warm_boost`] boosts a few new rounds onto a
 //!   fitted ensemble, in place, over such a grown matrix, replaying the
 //!   ensemble only over the rows its score cache does not cover;
-//! * [`RegressionTree::predict_binned`] replays trees over contiguous
+//! * [`FlatForest::predict_binned_extend`] replays trees over contiguous
 //!   `u8` bin codes — raw `f64` features are never touched after
 //!   quantization.
 //!
-//! # The flat inference layout
+//! # One tree representation
 //!
-//! Fitted ensembles flatten into [`FlatForest`] — a structure-of-arrays
-//! node layout with self-looping leaves walked a fixed number of steps per
-//! row, **bit-identical** to the pointer-tree paths (property-tested).
-//! Every boosting round's score update and every warm-boost replay run
-//! through its batch kernels, and `nurd-core` scores whole barriers only
-//! through [`FlatForest::predict_view_into`] — the pointer walk
-//! ([`GradientBoosting::predict_view`]) is kept as the reference the
-//! differential tests compare against, not as a serving path. One
+//! A fitted ensemble **is** a [`FlatForest`] — a structure-of-arrays node
+//! store with self-looping leaves walked a fixed number of steps per row.
+//! The grower appends each tree's nodes to it, every boosting round's
+//! score update and every warm-boost replay run through its batch kernels,
+//! `nurd-core` scores whole barriers through
+//! [`FlatForest::predict_view_into`] on [`GradientBoosting::forest`] by
+//! reference, and the codec writes it; there is no other tree type and
+//! nothing is converted. [`GradientBoosting::predict_view`] is the forest's
+//! safe one-row walk ([`FlatForest::predict`]) mapped over rows: what the
+//! baselines score with, and the bounds-checked, lane-free reference the
+//! `unsafe` batch kernels are tested **bit-identical** to. One
 //! const-generic kernel per input kind (raw rows, bin codes) serves every
-//! lane width, `L = 1` included.
+//! lane width, `L = 1` included. The forest's decoder is where the
+//! kernels' index invariant is checked for bytes from outside (see
+//! `flat.rs`).
 //!
 //! # Example
 //!
@@ -101,4 +106,4 @@ pub use metrics::{accuracy, f1_score, mean_absolute_error, mean_squared_error, s
 pub use neighbors::NearestNeighbors;
 pub use scaler::StandardScaler;
 pub use svm::{LinearSvm, SvmConfig};
-pub use tree::{RegressionTree, TreeConfig};
+pub use tree::TreeConfig;

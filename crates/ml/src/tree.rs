@@ -1,6 +1,10 @@
-//! CART-style regression trees fit to gradient/hessian statistics.
+//! CART-style regression trees grown from gradient/hessian statistics.
 //!
-//! The tree minimizes the second-order (Newton) objective used by
+//! There is no tree type here: the `TreeGrower` appends each tree it
+//! grows — leaves and splits, in pre-order — straight onto a
+//! [`FlatForest`], the one node store every scorer reads (`flat.rs`).
+//!
+//! A tree minimizes the second-order (Newton) objective used by
 //! XGBoost-style boosting: each leaf's weight is `-G / (H + λ)` and a split's
 //! gain is the reduction in `-G²/(H+λ)` across the partition. With gradients
 //! `g_i = f_i - y_i` and unit hessians this reduces to ordinary
@@ -8,11 +12,10 @@
 //!
 //! # Histogram growth
 //!
-//! [`RegressionTree::fit`] quantizes each feature into at most
-//! [`TreeConfig::max_bins`] bins once per fit (see [`BinnedMatrix`]), then
-//! finds splits by accumulating per-bin gradient/hessian sums in one
-//! linear pass per node over contiguous `u8` codes and scanning the
-//! boundaries between bins. Only the smaller child of each split is
+//! Each feature is quantized into at most [`TreeConfig::max_bins`] bins
+//! once per fit (see [`BinnedMatrix`]); the grower then finds splits by
+//! accumulating per-bin gradient/hessian sums in one linear pass per node
+//! over contiguous `u8` codes and scanning the boundaries between bins. Only the smaller child of each split is
 //! accumulated; the sibling's histogram is derived as `parent − child`,
 //! LightGBM-style, cutting per-level accumulation to
 //! `O(min(n_l, n_r) · d)`. When every feature has at most `max_bins`
@@ -31,14 +34,12 @@
 //! rows. A design that zeroes, subtracts and scans *every bin* at every
 //! node spends nearly all its time on cells that are empty. The binned
 //! builder is therefore a `TreeGrower`, built once per fit
-//! ([`crate::GradientBoosting`] keeps one across all boosting rounds;
-//! [`RegressionTree::fit_binned`] is the one-shot form):
+//! ([`crate::GradientBoosting`] keeps one across all boosting rounds):
 //!
 //! * **What is pooled.** The feature layout, the node histograms (at most
-//!   `depth + 1` live), the row-index buffer that nodes partition stably
-//!   in place, and the node scratch of the tree being grown. Growing a
-//!   tree allocates only the two exact-size vectors the finished
-//!   [`RegressionTree`] owns.
+//!   `depth + 1` live) and the row-index buffer that nodes partition
+//!   stably in place. Growing a tree allocates nothing of its own: its
+//!   nodes land on the end of the forest's arrays.
 //! * **Present-bin bitmaps.** Each node histogram carries one bit per
 //!   cell, set iff the cell holds a row. A fill sets bits; the sibling
 //!   subtraction walks the small child's set bits; the split scan walks
@@ -61,10 +62,8 @@
 //!   histograms grow — the dense algorithm lives on as the oracle of the
 //!   grower's property tests.
 
-use nurd_linalg::MatrixView;
-
 use crate::binned::BinnedMatrix;
-use crate::MlError;
+use crate::flat::FlatForest;
 
 /// Hyperparameters for a single regression tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,345 +119,6 @@ impl TreeConfig {
             n => Some((nurd_runtime::global(), n)),
         }
     }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Node {
-    Leaf {
-        weight: f64,
-    },
-    Split {
-        feature: usize,
-        /// Samples with `x[feature] <= threshold` go left.
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
-/// A fitted regression tree.
-///
-/// # Example
-///
-/// ```
-/// use nurd_ml::{RegressionTree, TreeConfig};
-///
-/// # fn main() -> Result<(), nurd_ml::MlError> {
-/// let x = vec![vec![0.0], vec![1.0], vec![10.0], vec![11.0]];
-/// // Gradients of squared loss at prediction 0: g = -y.
-/// let grads = vec![-1.0, -1.0, -9.0, -9.0];
-/// let hess = vec![1.0; 4];
-/// let tree = RegressionTree::fit(&x, &grads, &hess, &TreeConfig::default())?;
-/// assert!(tree.predict(&[10.5]) > tree.predict(&[0.5]));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct RegressionTree {
-    nodes: Vec<Node>,
-    /// Parallel to `nodes` (same length — [`RegressionTree::decode`]
-    /// rejects anything else): for a split node, the highest bin code
-    /// routed left in the [`BinnedMatrix`] the tree was trained against
-    /// (`u8::MAX` at leaves). Lets [`RegressionTree::predict_binned`]
-    /// route training-matrix rows by comparing `u8` codes instead of
-    /// dereferencing raw `f64` features.
-    split_bins: Vec<u8>,
-}
-
-/// Structural equality: two trees are equal when their node arrays are —
-/// the `split_bins` cache is derived data tied to one training matrix and
-/// deliberately excluded, so the sort-based test oracle's tree can compare
-/// equal to the identical histogram-grown one.
-impl PartialEq for RegressionTree {
-    fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
-    }
-}
-
-impl RegressionTree {
-    /// Fits a tree to per-sample gradients and hessians.
-    ///
-    /// # Errors
-    ///
-    /// [`MlError::EmptyTrainingSet`] / [`MlError::DimensionMismatch`] on
-    /// inconsistent inputs, [`MlError::InvalidConfig`] if `max_depth == 0`.
-    pub fn fit(
-        x: &[Vec<f64>],
-        gradients: &[f64],
-        hessians: &[f64],
-        config: &TreeConfig,
-    ) -> Result<Self, MlError> {
-        Self::fit_view(MatrixView::Rows(x), gradients, hessians, config)
-    }
-
-    /// Fits a tree over any matrix layout (row-major, row slices, or a
-    /// column-major `FeatureMatrix`) without copying the features.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RegressionTree::fit`].
-    pub fn fit_view(
-        x: MatrixView<'_>,
-        gradients: &[f64],
-        hessians: &[f64],
-        config: &TreeConfig,
-    ) -> Result<Self, MlError> {
-        check_tree_inputs(x, gradients, hessians, config)?;
-        let indices: Vec<usize> = (0..x.rows()).collect();
-        let binned = BinnedMatrix::build_for(x, config);
-        Ok(TreeGrower::new(&binned, config).grow(gradients, hessians, &indices))
-    }
-
-    /// Fits a tree over a subset (`rows`) of a pre-quantized matrix.
-    ///
-    /// A one-shot grower: no row materialization, no re-quantization.
-    /// [`crate::GradientBoosting`] goes one step further and keeps a single
-    /// grower (feature layout, pooled histograms, row buffer) alive across
-    /// all the rounds of a fit; the trees are the same either way.
-    /// `gradients`/`hessians` are indexed by *matrix row id* (length
-    /// `binned.rows()`).
-    ///
-    /// # Errors
-    ///
-    /// [`MlError::EmptyTrainingSet`] when `rows` is empty,
-    /// [`MlError::DimensionMismatch`] when gradient/hessian lengths do not
-    /// match the matrix, [`MlError::InvalidConfig`] if `max_depth == 0`.
-    pub fn fit_binned(
-        binned: &BinnedMatrix,
-        gradients: &[f64],
-        hessians: &[f64],
-        rows: &[usize],
-        config: &TreeConfig,
-    ) -> Result<Self, MlError> {
-        if rows.is_empty() {
-            return Err(MlError::EmptyTrainingSet);
-        }
-        if gradients.len() != binned.rows() || hessians.len() != binned.rows() {
-            return Err(MlError::DimensionMismatch {
-                expected: format!("{} gradient/hessian entries", binned.rows()),
-                found: format!("{}/{}", gradients.len(), hessians.len()),
-            });
-        }
-        if config.max_depth == 0 {
-            return Err(MlError::InvalidConfig("max_depth must be >= 1".into()));
-        }
-        Ok(TreeGrower::new(binned, config).grow(gradients, hessians, rows))
-    }
-
-    /// The tree's output for one sample (a leaf weight; the caller applies
-    /// base score and learning rate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is narrower than a split feature index, which
-    /// only happens when predicting with fewer features than training used.
-    #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
-        let mut idx = 0;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf { weight } => return *weight,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    idx = if features[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-    }
-
-    /// The tree's output for row `row` of a matrix view (no row copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view is narrower than a split feature index.
-    #[must_use]
-    pub fn predict_at(&self, x: MatrixView<'_>, row: usize) -> f64 {
-        let mut idx = 0;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf { weight } => return *weight,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    idx = if x.get(row, *feature) <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-    }
-
-    /// The tree's output for row `row` of the binned matrix it was trained
-    /// against (or one that has since grown via
-    /// [`BinnedMatrix::append_from`], which preserves the bin edges): the
-    /// traversal compares `u8` bin codes instead of raw `f64` features,
-    /// which is both branch-cheaper and cache-denser. This is the
-    /// boosting-round score-update hot path.
-    ///
-    /// Routing is identical to [`RegressionTree::predict`] for every value
-    /// quantized by the training edges (thresholds sit strictly between
-    /// adjacent bins); rows appended later may differ from raw-feature
-    /// routing only inside bins that were empty at this node during
-    /// training — a tie-break zone where neither routing is more correct.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds for `binned`.
-    #[must_use]
-    pub fn predict_binned(&self, binned: &BinnedMatrix, row: usize) -> f64 {
-        let mut idx = 0;
-        loop {
-            match &self.nodes[idx] {
-                Node::Leaf { weight } => return *weight,
-                Node::Split {
-                    feature,
-                    left,
-                    right,
-                    ..
-                } => {
-                    idx = if binned.codes(*feature)[row] <= self.split_bins[idx] {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-    }
-
-    /// Node storage, index order — the flattening access path for
-    /// [`crate::FlatForest`].
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// The bin-code cache parallel to [`RegressionTree::nodes`].
-    pub(crate) fn split_bins(&self) -> &[u8] {
-        &self.split_bins
-    }
-
-    /// Number of nodes (splits + leaves).
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of leaves.
-    #[must_use]
-    pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
-    }
-
-    /// Depth of the deepest leaf (root-only tree has depth 0).
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], idx: usize) -> usize {
-            match &nodes[idx] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
-            }
-        }
-        walk(&self.nodes, 0)
-    }
-}
-
-/// Nodes serialize with a one-byte tag (`0` leaf, `1` split); the
-/// `split_bins` cache rides along verbatim so a restored tree keeps
-/// [`RegressionTree::predict_binned`]. Decoding is the one place trees
-/// enter from outside the grower, so it is where "one bin code per node"
-/// is checked — the binned kernels index `split_bins` by node.
-impl nurd_codec::Checkpointable for RegressionTree {
-    fn encode(&self, enc: &mut nurd_codec::Encoder) {
-        enc.put_usize(self.nodes.len());
-        for node in &self.nodes {
-            match node {
-                Node::Leaf { weight } => {
-                    enc.put_u8(0);
-                    enc.put_f64(*weight);
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    enc.put_u8(1);
-                    enc.put_usize(*feature);
-                    enc.put_f64(*threshold);
-                    enc.put_usize(*left);
-                    enc.put_usize(*right);
-                }
-            }
-        }
-        enc.put_bytes(&self.split_bins);
-    }
-
-    fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
-        let n = dec.take_len(9)?; // tag + at least an f64 per node
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(match dec.take_u8()? {
-                0 => Node::Leaf {
-                    weight: dec.take_f64()?,
-                },
-                1 => Node::Split {
-                    feature: dec.take_usize()?,
-                    threshold: dec.take_f64()?,
-                    left: dec.take_usize()?,
-                    right: dec.take_usize()?,
-                },
-                tag => {
-                    return Err(nurd_codec::CodecError::InvalidTag {
-                        what: "tree::Node",
-                        tag,
-                    })
-                }
-            });
-        }
-        let split_bins = dec.take_bytes()?.to_vec();
-        if split_bins.len() != nodes.len() {
-            return Err(nurd_codec::CodecError::LengthOverrun {
-                declared: split_bins.len() as u64,
-                remaining: nodes.len(),
-            });
-        }
-        Ok(RegressionTree { nodes, split_bins })
-    }
-}
-
-fn check_tree_inputs(
-    x: MatrixView<'_>,
-    gradients: &[f64],
-    hessians: &[f64],
-    config: &TreeConfig,
-) -> Result<(), MlError> {
-    crate::error::check_view(x, gradients)?;
-    if hessians.len() != gradients.len() {
-        return Err(MlError::DimensionMismatch {
-            expected: format!("{} hessians", gradients.len()),
-            found: format!("{} hessians", hessians.len()),
-        });
-    }
-    if config.max_depth == 0 {
-        return Err(MlError::InvalidConfig("max_depth must be >= 1".into()));
-    }
-    Ok(())
 }
 
 struct BestSplit {
@@ -618,11 +278,8 @@ pub(crate) struct TreeGrower<'a> {
     idx: Vec<usize>,
     /// Right-child rows parked during a partition.
     staging: Vec<usize>,
-    /// The tree being grown; copied out exact-size at the end of `grow`.
-    nodes: Vec<Node>,
-    /// Parallel to `nodes`: left-routed bin cap per split (`u8::MAX` at
-    /// leaves); becomes [`RegressionTree::split_bins`].
-    split_bins: Vec<u8>,
+    /// Depth of the deepest leaf of the tree being grown.
+    deepest: usize,
 }
 
 impl<'a> TreeGrower<'a> {
@@ -653,19 +310,20 @@ impl<'a> TreeGrower<'a> {
             pool: Vec::new(),
             idx: Vec::new(),
             staging: Vec::new(),
-            nodes: Vec::new(),
-            split_bins: Vec::new(),
+            deepest: 0,
         }
     }
 
     /// Grows one tree over `rows` (matrix row ids, non-empty) against
-    /// per-row statistics of length `binned.rows()`.
+    /// per-row statistics of length `binned.rows()`, appending it to
+    /// `forest` as its new last tree.
     pub(crate) fn grow(
         &mut self,
         gradients: &[f64],
         hessians: &[f64],
         rows: &[usize],
-    ) -> RegressionTree {
+        forest: &mut FlatForest,
+    ) {
         debug_assert!(!rows.is_empty());
         debug_assert_eq!(gradients.len(), self.binned.rows());
         debug_assert_eq!(hessians.len(), self.binned.rows());
@@ -675,15 +333,11 @@ impl<'a> TreeGrower<'a> {
         };
         self.idx.clear();
         self.idx.extend_from_slice(rows);
-        self.nodes.clear();
-        self.split_bins.clear();
-        let mut root = self.acquire();
-        self.fill_hist(stats, &self.idx, &mut root);
-        self.build(stats, 0, rows.len(), 0, root);
-        RegressionTree {
-            nodes: self.nodes.clone(),
-            split_bins: self.split_bins.clone(),
-        }
+        self.deepest = 0;
+        let mut hist = self.acquire();
+        self.fill_hist(stats, &self.idx, &mut hist);
+        self.build(forest, stats, 0, rows.len(), 0, hist);
+        forest.finish_tree(self.deepest);
     }
 
     fn acquire(&mut self) -> NodeHist {
@@ -806,10 +460,12 @@ impl<'a> TreeGrower<'a> {
     }
 
     /// Builds the subtree over `idx[lo..hi]` (above the depth limit), whose
-    /// histogram has already been accumulated or derived into `hist`;
-    /// returns the node index. Consumes `hist` back into the pool.
+    /// histogram has already been accumulated or derived into `hist`, onto
+    /// the end of `forest`; returns the node index. Consumes `hist` back
+    /// into the pool.
     fn build(
         &mut self,
+        forest: &mut FlatForest,
         stats: RowStats<'_>,
         lo: usize,
         hi: usize,
@@ -825,31 +481,39 @@ impl<'a> TreeGrower<'a> {
         };
         let Some(split) = split else {
             self.release(hist);
-            return self.push_leaf(-g_sum / (h_sum + self.config.lambda));
+            self.deepest = self.deepest.max(depth);
+            return forest.push_leaf(-g_sum / (h_sum + self.config.lambda));
         };
 
         let mid = self.partition(lo, hi, split.feature, split.left_bin);
-        let placeholder = self.push_leaf(0.0);
+        // Pre-order: the parent takes its slot before its children and is
+        // patched into a split once they exist.
+        let at = forest.push_leaf(0.0);
         let (left, right) = if depth + 1 >= self.config.max_depth {
             // Both children are leaves by depth: nothing would ever scan
             // their histograms, so none are built.
             self.release(hist);
-            (self.leaf(stats, lo, mid), self.leaf(stats, mid, hi))
+            self.deepest = self.deepest.max(depth + 1);
+            (
+                self.leaf(forest, stats, lo, mid),
+                self.leaf(forest, stats, mid, hi),
+            )
         } else {
             let (left_hist, right_hist) = self.child_hists(stats, lo, mid, hi, hist);
             (
-                self.build(stats, lo, mid, depth + 1, left_hist),
-                self.build(stats, mid, hi, depth + 1, right_hist),
+                self.build(forest, stats, lo, mid, depth + 1, left_hist),
+                self.build(forest, stats, mid, hi, depth + 1, right_hist),
             )
         };
-        self.nodes[placeholder] = Node::Split {
-            feature: split.feature,
-            threshold: split.threshold,
+        forest.set_split(
+            at,
+            split.feature,
+            split.threshold,
+            split.left_bin,
             left,
             right,
-        };
-        self.split_bins[placeholder] = split.left_bin;
-        placeholder
+        );
+        at
     }
 
     /// The histograms of the children `idx[lo..mid]` and `idx[mid..hi]` of
@@ -877,15 +541,9 @@ impl<'a> TreeGrower<'a> {
     }
 
     /// A leaf over `idx[lo..hi]`.
-    fn leaf(&mut self, stats: RowStats<'_>, lo: usize, hi: usize) -> usize {
+    fn leaf(&self, forest: &mut FlatForest, stats: RowStats<'_>, lo: usize, hi: usize) -> usize {
         let (g_sum, h_sum) = stats.sums(&self.idx[lo..hi]);
-        self.push_leaf(-g_sum / (h_sum + self.config.lambda))
-    }
-
-    fn push_leaf(&mut self, weight: f64) -> usize {
-        self.nodes.push(Node::Leaf { weight });
-        self.split_bins.push(u8::MAX);
-        self.nodes.len() - 1
+        forest.push_leaf(-g_sum / (h_sum + self.config.lambda))
     }
 
     /// Scans the boundaries between bins *present in this node*, feature
@@ -946,6 +604,7 @@ impl<'a> TreeGrower<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nurd_linalg::MatrixView;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -954,6 +613,33 @@ mod tests {
     fn squared_loss_grads(y: &[f64]) -> (Vec<f64>, Vec<f64>) {
         // Gradient of 1/2 (f - y)^2 at f = 0 is -y; hessian is 1.
         (y.iter().map(|v| -v).collect(), vec![1.0; y.len()])
+    }
+
+    /// An empty forest at base 0 and rate 1, so that with one tree in it
+    /// [`FlatForest::predict`] is that tree's leaf weight.
+    fn unit_forest() -> FlatForest {
+        FlatForest::new(0.0, 1.0)
+    }
+
+    /// One tree grown by a fresh grower over `rows` of `binned`.
+    fn grow_rows(
+        binned: &BinnedMatrix,
+        g: &[f64],
+        h: &[f64],
+        rows: &[usize],
+        config: &TreeConfig,
+    ) -> FlatForest {
+        let mut forest = unit_forest();
+        TreeGrower::new(binned, config).grow(g, h, rows, &mut forest);
+        assert_eq!(forest.tree_count(), 1);
+        forest
+    }
+
+    /// One tree grown over all of `x`, quantized as `config` asks.
+    fn grow(x: &[Vec<f64>], g: &[f64], h: &[f64], config: &TreeConfig) -> FlatForest {
+        let binned = BinnedMatrix::build_for(MatrixView::Rows(x), config);
+        let rows: Vec<usize> = (0..x.len()).collect();
+        grow_rows(&binned, g, h, &rows, config)
     }
 
     #[test]
@@ -965,7 +651,7 @@ mod tests {
             lambda: 0.0,
             ..TreeConfig::default()
         };
-        let tree = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
+        let tree = grow(&x, &g, &h, &cfg);
         assert!((tree.predict(&[2.0]) - 0.0).abs() < 1e-9);
         assert!((tree.predict(&[15.0]) - 10.0).abs() < 1e-9);
     }
@@ -979,8 +665,8 @@ mod tests {
             lambda: 0.0,
             ..TreeConfig::default()
         };
-        let tree = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
-        assert_eq!(tree.leaf_count(), 1);
+        let tree = grow(&x, &g, &h, &cfg);
+        assert_eq!((tree.leaf_count(), tree.max_depth()), (1, 0));
         assert!((tree.predict(&[0.0]) - 3.0).abs() < 1e-9);
     }
 
@@ -993,8 +679,8 @@ mod tests {
             max_depth: 2,
             ..TreeConfig::default()
         };
-        let tree = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
-        assert!(tree.depth() <= 2);
+        let tree = grow(&x, &g, &h, &cfg);
+        assert_eq!(tree.max_depth(), 2);
         assert!(tree.leaf_count() <= 4);
     }
 
@@ -1008,13 +694,11 @@ mod tests {
             lambda: 0.0,
             ..TreeConfig::default()
         };
-        let tree = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
+        let tree = grow(&x, &g, &h, &cfg);
         // The only useful split (3 vs 1) is blocked on the right child;
         // 2-2 split is allowed.
-        for node in 0..tree.node_count() {
-            if let Node::Split { threshold, .. } = tree.nodes[node] {
-                assert!((threshold - 1.5).abs() < 1e-9);
-            }
+        for (_, threshold) in tree.splits() {
+            assert!((threshold - 1.5).abs() < 1e-9);
         }
     }
 
@@ -1026,33 +710,10 @@ mod tests {
             .collect();
         let y: Vec<f64> = (0..30).map(|i| if i < 15 { -5.0 } else { 5.0 }).collect();
         let (g, h) = squared_loss_grads(&y);
-        let tree = RegressionTree::fit(&x, &g, &h, &TreeConfig::default()).unwrap();
-        match &tree.nodes[0] {
-            Node::Split { feature, .. } => assert_eq!(*feature, 0),
-            Node::Leaf { .. } => panic!("expected a split at the root"),
-        }
-    }
-
-    #[test]
-    fn rejects_zero_depth() {
-        let cfg = TreeConfig {
-            max_depth: 0,
-            ..TreeConfig::default()
-        };
-        let err = RegressionTree::fit(&[vec![1.0]], &[1.0], &[1.0], &cfg).unwrap_err();
-        assert!(matches!(err, MlError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn rejects_hessian_length_mismatch() {
-        let err = RegressionTree::fit(
-            &[vec![1.0], vec![2.0]],
-            &[1.0, 2.0],
-            &[1.0],
-            &TreeConfig::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, MlError::DimensionMismatch { .. }));
+        let tree = grow(&x, &g, &h, &TreeConfig::default());
+        // Pre-order: the root is the first node, so the first split.
+        let root = tree.splits().first().copied();
+        assert_eq!(root.map(|(feature, _)| feature), Some(0));
     }
 
     #[test]
@@ -1064,35 +725,30 @@ mod tests {
             lambda: 0.0,
             ..TreeConfig::default()
         };
-        let exact = ExactBuilder::grow(&x, &g, &h, &cfg);
-        let hist = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
-        assert_eq!(exact, hist);
+        let mut exact = unit_forest();
+        ExactBuilder::grow(&x, &g, &h, &cfg, &mut exact);
+        grow(&x, &g, &h, &cfg).assert_same_trees(&exact, false, "step function");
     }
 
     #[test]
-    fn fit_binned_trains_on_row_subsets() {
+    fn grower_trains_on_row_subsets() {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..20).map(|i| if i < 10 { 0.0 } else { 10.0 }).collect();
-        let (g, h) = squared_loss_grads(&y);
+        let (g, mut h) = squared_loss_grads(&y);
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
-        // Train on the even rows only.
+        // Train on the even rows only: poisoned statistics on the odd ones
+        // must never be read.
         let rows: Vec<usize> = (0..20).step_by(2).collect();
+        for i in (1..20).step_by(2) {
+            h[i] = f64::NAN;
+        }
         let cfg = TreeConfig {
             lambda: 0.0,
             ..TreeConfig::default()
         };
-        let tree = RegressionTree::fit_binned(&binned, &g, &h, &rows, &cfg).unwrap();
+        let tree = grow_rows(&binned, &g, &h, &rows, &cfg);
         assert!((tree.predict(&[2.0]) - 0.0).abs() < 1e-9);
         assert!((tree.predict(&[16.0]) - 10.0).abs() < 1e-9);
-
-        assert!(matches!(
-            RegressionTree::fit_binned(&binned, &g, &h, &[], &cfg),
-            Err(MlError::EmptyTrainingSet)
-        ));
-        assert!(matches!(
-            RegressionTree::fit_binned(&binned, &g[..5], &h[..5], &rows, &cfg),
-            Err(MlError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]
@@ -1109,24 +765,22 @@ mod tests {
         let g: Vec<f64> = (0..30).map(|i| -(i as f64)).collect();
         let h = vec![1.0; 30];
         let cfg = TreeConfig::default();
-        for (growth, tree) in [
-            ("exact", ExactBuilder::grow(&x, &g, &h, &cfg)),
-            ("histogram", RegressionTree::fit(&x, &g, &h, &cfg).unwrap()),
-        ] {
+        let mut exact = unit_forest();
+        ExactBuilder::grow(&x, &g, &h, &cfg, &mut exact);
+        for (growth, tree) in [("exact", exact), ("histogram", grow(&x, &g, &h, &cfg))] {
             assert!(tree.predict(&[15.0, 0.0]).is_finite(), "{growth}");
             assert!(tree.predict(&x[7]).is_finite(), "{growth} on NaN row");
             // No split may carry a NaN threshold: every training row must
             // route deterministically.
-            for node in 0..tree.node_count() {
-                if let Node::Split { threshold, .. } = tree.nodes[node] {
-                    assert!(threshold.is_finite(), "{growth} NaN threshold");
-                }
+            assert!(!tree.splits().is_empty(), "{growth} never split");
+            for (_, threshold) in tree.splits() {
+                assert!(threshold.is_finite(), "{growth} NaN threshold");
             }
         }
     }
 
     #[test]
-    fn predict_binned_matches_predict_on_training_rows() {
+    fn bin_code_routing_matches_raw_routing_on_training_rows() {
         let x: Vec<Vec<f64>> = (0..60)
             .map(|i| vec![(i % 13) as f64, ((i * 7) % 11) as f64])
             .collect();
@@ -1134,46 +788,19 @@ mod tests {
         let (g, h) = squared_loss_grads(&y);
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
         let rows: Vec<usize> = (0..60).collect();
-        let tree =
-            RegressionTree::fit_binned(&binned, &g, &h, &rows, &TreeConfig::default()).unwrap();
+        let tree = grow_rows(&binned, &g, &h, &rows, &TreeConfig::default());
+        let mut coded = Vec::new();
+        tree.predict_binned_extend(&binned, 0..60, &mut coded);
         for (i, row) in x.iter().enumerate() {
-            assert_eq!(tree.predict(row), tree.predict_binned(&binned, i));
+            assert_eq!(tree.predict(row), coded[i]);
         }
         // Rows appended with preserved edges stay routable.
         let mut grown = binned.clone();
         let mut more = x.clone();
         more.push(vec![6.0, 3.0]);
         grown.append_from(MatrixView::Rows(&more));
-        assert_eq!(
-            tree.predict(&[6.0, 3.0]),
-            tree.predict_binned(&grown, more.len() - 1)
-        );
-    }
-
-    #[test]
-    fn decode_rejects_a_bin_cache_that_does_not_cover_the_nodes() {
-        use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
-        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let (g, h) = squared_loss_grads(&x.iter().map(|r| r[0]).collect::<Vec<_>>());
-        let tree = RegressionTree::fit(&x, &g, &h, &TreeConfig::default()).unwrap();
-        assert!(tree.node_count() > 1);
-        let decode = |tree: &RegressionTree| {
-            let mut enc = Encoder::new();
-            tree.encode(&mut enc);
-            RegressionTree::decode(&mut Decoder::new(enc.as_slice()))
-        };
-        assert_same_tree(&decode(&tree).unwrap(), &tree, "round trip");
-        // The same record with one `split_bins` byte dropped, then added.
-        let mut dropped = tree.clone();
-        dropped.split_bins.pop();
-        let mut added = tree.clone();
-        added.split_bins.push(u8::MAX);
-        for bad in [dropped, added] {
-            assert!(matches!(
-                decode(&bad),
-                Err(CodecError::LengthOverrun { .. })
-            ));
-        }
+        tree.predict_binned_extend(&grown, 60..61, &mut coded);
+        assert_eq!(tree.predict(&[6.0, 3.0]), coded[60]);
     }
 
     #[test]
@@ -1203,36 +830,24 @@ mod tests {
             n_threads: 4,
             ..seq_cfg.clone()
         };
-        let sequential = RegressionTree::fit(&x, &g, &h, &seq_cfg).unwrap();
-        let parallel = RegressionTree::fit(&x, &g, &h, &par_cfg).unwrap();
-        assert_eq!(sequential, parallel);
-    }
-
-    #[test]
-    fn predict_at_matches_predict() {
-        let x: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![i as f64, ((i * 7) % 5) as f64])
-            .collect();
-        let y: Vec<f64> = (0..30).map(|i| (i % 4) as f64).collect();
-        let (g, h) = squared_loss_grads(&y);
-        let tree = RegressionTree::fit(&x, &g, &h, &TreeConfig::default()).unwrap();
-        let m = nurd_linalg::FeatureMatrix::from_rows(&x).unwrap();
-        for (i, row) in x.iter().enumerate() {
-            assert_eq!(tree.predict(row), tree.predict_at(MatrixView::Rows(&x), i));
-            assert_eq!(tree.predict(row), tree.predict_at(m.view(), i));
-        }
+        let sequential = grow(&x, &g, &h, &seq_cfg);
+        assert_eq!(sequential.max_depth(), 5);
+        grow(&x, &g, &h, &par_cfg).assert_same_trees(&sequential, true, "n_threads 4 vs 1");
     }
 
     /// The classic sort-based CART enumeration, kept as the oracle the
     /// histogram path is property-tested against: every node re-sorts its
     /// samples per feature (`O(d · n log n)` per node) and considers every
-    /// midpoint between adjacent distinct values.
+    /// midpoint between adjacent distinct values. It emits its nodes
+    /// through the same three [`FlatForest`] calls as the grower (with no
+    /// bin codes to record), so the two are compared array for array.
     struct ExactBuilder<'a> {
         x: MatrixView<'a>,
         gradients: &'a [f64],
         hessians: &'a [f64],
         config: &'a TreeConfig,
-        nodes: Vec<Node>,
+        forest: &'a mut FlatForest,
+        deepest: usize,
     }
 
     impl ExactBuilder<'_> {
@@ -1241,19 +856,18 @@ mod tests {
             gradients: &[f64],
             hessians: &[f64],
             config: &TreeConfig,
-        ) -> RegressionTree {
+            forest: &mut FlatForest,
+        ) {
             let mut builder = ExactBuilder {
                 x: MatrixView::Rows(x),
                 gradients,
                 hessians,
                 config,
-                nodes: Vec::new(),
+                forest,
+                deepest: 0,
             };
             builder.build((0..x.len()).collect(), 0);
-            RegressionTree {
-                split_bins: vec![u8::MAX; builder.nodes.len()],
-                nodes: builder.nodes,
-            }
+            builder.forest.finish_tree(builder.deepest);
         }
 
         /// Builds the subtree over `indices`; returns the node index.
@@ -1266,13 +880,13 @@ mod tests {
             let leaf_weight = -g_sum / (h_sum + self.config.lambda);
 
             if depth >= self.config.max_depth || indices.len() < 2 {
-                return self.push_leaf(leaf_weight);
+                return self.leaf(leaf_weight, depth);
             }
             let Some(split) = self.best_split(&indices, g_sum, h_sum) else {
-                return self.push_leaf(leaf_weight);
+                return self.leaf(leaf_weight, depth);
             };
             if split.gain <= self.config.min_split_gain {
-                return self.push_leaf(leaf_weight);
+                return self.leaf(leaf_weight, depth);
             }
 
             // Degenerate partitions cannot happen: thresholds are
@@ -1280,21 +894,17 @@ mod tests {
             let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
                 .into_iter()
                 .partition(|&i| self.x.get(i, split.feature) <= split.threshold);
-            let placeholder = self.push_leaf(0.0);
+            let at = self.forest.push_leaf(0.0);
             let left = self.build(left_idx, depth + 1);
             let right = self.build(right_idx, depth + 1);
-            self.nodes[placeholder] = Node::Split {
-                feature: split.feature,
-                threshold: split.threshold,
-                left,
-                right,
-            };
-            placeholder
+            self.forest
+                .set_split(at, split.feature, split.threshold, u8::MAX, left, right);
+            at
         }
 
-        fn push_leaf(&mut self, weight: f64) -> usize {
-            self.nodes.push(Node::Leaf { weight });
-            self.nodes.len() - 1
+        fn leaf(&mut self, weight: f64, depth: usize) -> usize {
+            self.deepest = self.deepest.max(depth);
+            self.forest.push_leaf(weight)
         }
 
         fn best_split(&self, indices: &[usize], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
@@ -1359,18 +969,20 @@ mod tests {
     /// derived by subtracting the whole buffer, and the scan skips `n == 0`
     /// cells one by one. With `subtraction` the grower must reproduce it
     /// bit for bit; without, both children are accumulated directly — the
-    /// form whose per-bin sums match [`ExactBuilder`]'s tie-breaking.
+    /// form whose per-bin sums match [`ExactBuilder`]'s tie-breaking. It
+    /// emits through the same [`FlatForest`] calls as the grower.
     struct DenseReference<'a> {
         binned: &'a BinnedMatrix,
         stats: RowStats<'a>,
         config: &'a TreeConfig,
         subtraction: bool,
         offsets: Vec<usize>,
-        nodes: Vec<Node>,
-        split_bins: Vec<u8>,
+        forest: &'a mut FlatForest,
+        deepest: usize,
     }
 
     impl DenseReference<'_> {
+        #[allow(clippy::too_many_arguments)]
         fn grow(
             binned: &BinnedMatrix,
             gradients: &[f64],
@@ -1378,7 +990,8 @@ mod tests {
             rows: &[usize],
             config: &TreeConfig,
             subtraction: bool,
-        ) -> RegressionTree {
+            forest: &mut FlatForest,
+        ) {
             let mut offsets = vec![0];
             for f in 0..binned.features() {
                 offsets.push(offsets[f] + binned.feature_bins(f).n_bins());
@@ -1392,15 +1005,12 @@ mod tests {
                 config,
                 subtraction,
                 offsets,
-                nodes: Vec::new(),
-                split_bins: Vec::new(),
+                forest,
+                deepest: 0,
             };
-            let root = reference.fill(rows);
-            reference.build(rows.to_vec(), 0, root);
-            RegressionTree {
-                nodes: reference.nodes,
-                split_bins: reference.split_bins,
-            }
+            let hist = reference.fill(rows);
+            reference.build(rows.to_vec(), 0, hist);
+            reference.forest.finish_tree(reference.deepest);
         }
 
         fn fill(&self, rows: &[usize]) -> Vec<HistBin> {
@@ -1420,21 +1030,20 @@ mod tests {
             hist
         }
 
-        fn push(&mut self, node: Node) -> usize {
-            self.nodes.push(node);
-            self.split_bins.push(u8::MAX);
-            self.nodes.len() - 1
+        fn leaf(&mut self, weight: f64, depth: usize) -> usize {
+            self.deepest = self.deepest.max(depth);
+            self.forest.push_leaf(weight)
         }
 
         fn build(&mut self, rows: Vec<usize>, depth: usize, hist: Vec<HistBin>) -> usize {
             let (g_sum, h_sum) = self.stats.sums(&rows);
             let weight = -g_sum / (h_sum + self.config.lambda);
             if depth >= self.config.max_depth || rows.len() < 2 {
-                return self.push(Node::Leaf { weight });
+                return self.leaf(weight, depth);
             }
             let split = match self.best_split(&hist, g_sum, h_sum) {
                 Some(split) if split.gain > self.config.min_split_gain => split,
-                _ => return self.push(Node::Leaf { weight }),
+                _ => return self.leaf(weight, depth),
             };
             let codes = self.binned.codes(split.feature);
             let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
@@ -1462,16 +1071,17 @@ mod tests {
             } else {
                 (large_hist, small_hist)
             };
-            let at = self.push(Node::Leaf { weight: 0.0 });
+            let at = self.forest.push_leaf(0.0);
             let left = self.build(left_rows, depth + 1, left_hist);
             let right = self.build(right_rows, depth + 1, right_hist);
-            self.nodes[at] = Node::Split {
-                feature: split.feature,
-                threshold: split.threshold,
+            self.forest.set_split(
+                at,
+                split.feature,
+                split.threshold,
+                split.left_bin,
                 left,
                 right,
-            };
-            self.split_bins[at] = split.left_bin;
+            );
             at
         }
 
@@ -1536,15 +1146,13 @@ mod tests {
             .collect()
     }
 
-    fn assert_same_tree(got: &RegressionTree, want: &RegressionTree, what: &str) {
-        assert_eq!(got.nodes, want.nodes, "{what}");
-        assert_eq!(got.split_bins, want.split_bins, "{what}");
-    }
-
     /// Grows `trees` trees over random row subsets (random order, random
-    /// gradients and hessians) through **one** grower, and asserts each
-    /// equals the tree a fresh grower and the dense oracle grow from the
-    /// same inputs; afterwards every pooled histogram must be clear.
+    /// gradients and hessians) through **one** grower onto **one** forest,
+    /// and asserts that after each the forest equals, array for array and
+    /// bin codes included, the one a fresh grower per tree and the dense
+    /// oracle build up from the same inputs — so reusing the pool, and
+    /// emitting at a nonzero node offset, change nothing; afterwards every
+    /// pooled histogram must be clear.
     fn assert_reused_grower_is_fresh_and_dense(
         rng: &mut StdRng,
         binned: &BinnedMatrix,
@@ -1554,6 +1162,7 @@ mod tests {
     ) {
         let n = binned.rows();
         let mut reused = TreeGrower::new(binned, config);
+        let (mut got, mut fresh, mut dense) = (unit_forest(), unit_forest(), unit_forest());
         let mut rows: Vec<usize> = (0..n).collect();
         for tree in 0..trees {
             rows.shuffle(rng);
@@ -1561,12 +1170,13 @@ mod tests {
             let g: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
             let h: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..2.0)).collect();
             let what = format!("tree {tree} over {take} of {n} rows, {config:?}");
-            let got = reused.grow(&g, &h, &rows[..take]);
-            let fresh = TreeGrower::new(binned, config).grow(&g, &h, &rows[..take]);
-            assert_same_tree(&got, &fresh, &what);
-            let dense = DenseReference::grow(binned, &g, &h, &rows[..take], config, true);
-            assert_same_tree(&got, &dense, &what);
+            reused.grow(&g, &h, &rows[..take], &mut got);
+            TreeGrower::new(binned, config).grow(&g, &h, &rows[..take], &mut fresh);
+            got.assert_same_trees(&fresh, true, &what);
+            DenseReference::grow(binned, &g, &h, &rows[..take], config, true, &mut dense);
+            got.assert_same_trees(&dense, true, &what);
         }
+        assert_eq!(got.tree_count(), trees);
         assert!(!reused.pool.is_empty());
         assert!(
             reused.pool.iter().all(NodeHist::is_clear),
@@ -1608,7 +1218,7 @@ mod tests {
             let x: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64]).collect();
             let (g, h) = squared_loss_grads(&ys);
             let cfg = TreeConfig { lambda: 0.0, ..TreeConfig::default() };
-            let tree = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
+            let tree = grow(&x, &g, &h, &cfg);
             let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             for i in 0..ys.len() {
@@ -1624,8 +1234,9 @@ mod tests {
             let x: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64]).collect();
             let (g, h) = squared_loss_grads(&ys);
             let cfg = TreeConfig { max_depth: depth, ..TreeConfig::default() };
-            let tree = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
-            prop_assert!(tree.depth() <= depth);
+            let tree = grow(&x, &g, &h, &cfg);
+            prop_assert!(tree.max_depth() <= depth);
+            prop_assert!(tree.leaf_count() <= 1 << depth);
         }
 
         /// **Exact ≡ histogram**: whenever every feature has at most
@@ -1659,11 +1270,13 @@ mod tests {
             let n = x.len();
             let (g, h) = squared_loss_grads(&ys[..n]);
             let cfg = TreeConfig { max_depth: depth, ..TreeConfig::default() };
-            let exact = ExactBuilder::grow(&x, &g, &h, &cfg);
+            let (mut exact, mut hist) = (unit_forest(), unit_forest());
+            ExactBuilder::grow(&x, &g, &h, &cfg, &mut exact);
             let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg);
             let rows: Vec<usize> = (0..n).collect();
-            let hist = DenseReference::grow(&binned, &g, &h, &rows, &cfg, false);
-            prop_assert_eq!(&exact, &hist);
+            DenseReference::grow(&binned, &g, &h, &rows, &cfg, false, &mut hist);
+            // The sort-based builder has no bin codes to compare.
+            hist.assert_same_trees(&exact, false, "dense histograms vs sort-based");
         }
 
         /// **Histogram subtraction ≡ direct accumulation**: the grower,
@@ -1688,8 +1301,9 @@ mod tests {
             };
             let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg);
             let rows: Vec<usize> = (0..x.len()).collect();
-            let direct = DenseReference::grow(&binned, &g, &h, &rows, &cfg, false);
-            let sub = RegressionTree::fit(&x, &g, &h, &cfg).unwrap();
+            let mut direct = unit_forest();
+            DenseReference::grow(&binned, &g, &h, &rows, &cfg, false, &mut direct);
+            let sub = grow_rows(&binned, &g, &h, &rows, &cfg);
             let scale = ys.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             for row in &x {
                 let (a, b) = (direct.predict(row), sub.predict(row));
@@ -1703,8 +1317,9 @@ mod tests {
         /// **One grower per fit ≡ one grower per tree ≡ dense histograms**,
         /// in both bin regimes (every distinct value its own bin; more
         /// than 256 distinct values, so quantile bins): pooling histograms
-        /// across trees and walking present bins only must not change one
-        /// bit of any tree.
+        /// across trees, walking present bins only and appending to a
+        /// forest that already holds trees must not change one bit of any
+        /// tree.
         #[test]
         fn prop_reused_grower_equals_fresh_and_dense(
             seed in 0u64..1_000_000,

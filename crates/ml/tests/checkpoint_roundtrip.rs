@@ -4,16 +4,20 @@
 //! an uninterrupted run, so an encode/decode cycle may not perturb a
 //! single prediction bit.
 
-use nurd_codec::{Checkpointable, Decoder, Encoder};
+use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
 use nurd_linalg::MatrixView;
 use nurd_ml::{
     BinnedMatrix, GbtConfig, GradientBoosting, LogisticConfig, LogisticRegression, SquaredLoss,
 };
 
-fn roundtrip<T: Checkpointable>(value: &T) -> T {
+fn encoded<T: Checkpointable>(value: &T) -> Vec<u8> {
     let mut enc = Encoder::new();
     value.encode(&mut enc);
-    let bytes = enc.into_bytes();
+    enc.into_bytes()
+}
+
+fn roundtrip<T: Checkpointable>(value: &T) -> T {
+    let bytes = encoded(value);
     let mut dec = Decoder::new(&bytes);
     let out = T::decode(&mut dec).expect("decode");
     assert!(
@@ -75,12 +79,169 @@ fn binned_matrix_round_trips_structurally_equal() {
 fn corrupt_gbt_bytes_yield_typed_errors_not_panics() {
     let (x, y) = training_rows(40);
     let model = GradientBoosting::fit(&x, &y, SquaredLoss, &GbtConfig::default()).unwrap();
-    let mut enc = Encoder::new();
-    model.encode(&mut enc);
-    let bytes = enc.into_bytes();
+    let bytes = encoded(&model);
     // Truncation at every prefix length must error, never panic.
     for cut in 0..bytes.len() {
         let mut dec = Decoder::new(&bytes[..cut]);
         assert!(GradientBoosting::<SquaredLoss>::decode(&mut dec).is_err());
     }
+}
+
+/// The largest split feature of an ensemble blob, read off the snapshot-v4
+/// grammar by hand — independently of the decoder under test, and only
+/// ever called on bytes that decoder accepted.
+fn max_split_feature(blob: &[u8]) -> u64 {
+    let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+    let mut at = 16; // base score, learning rate
+    let trees = word(at);
+    at += 8;
+    let mut widest = 0;
+    for _ in 0..trees {
+        let nodes = word(at);
+        at += 8;
+        for _ in 0..nodes {
+            if blob[at] == 0 {
+                at += 1 + 8; // tag, weight
+            } else {
+                widest = widest.max(word(at + 1));
+                at += 1 + 4 * 8; // tag, feature, threshold, left, right
+            }
+        }
+        at += 8 + nodes as usize; // length-prefixed bin codes
+    }
+    widest
+}
+
+/// Every single-bit flip of a valid ensemble encoding (truncations are
+/// the test above) either fails to decode with a typed error, or decodes
+/// to a forest that every scoring path walks without panicking on rows as
+/// wide as its widest split feature asks for — the walkers index without
+/// bounds checks, so "decoded" has to mean "safe to walk".
+#[test]
+fn mutated_gbt_bytes_are_rejected_or_safe_to_score() {
+    let (x, y) = training_rows(60);
+    let cfg = GbtConfig {
+        n_rounds: 3,
+        ..GbtConfig::default()
+    };
+    let model = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
+    let bytes = encoded(&model);
+    assert_eq!(max_split_feature(&bytes), 1, "both features split on");
+
+    let pool = nurd_runtime::ThreadPool::new(2);
+    let (mut rejected, mut scored, mut too_wide) = (0, 0, 0);
+    for bit in 0..bytes.len() * 8 {
+        let mut mutated = bytes.clone();
+        mutated[bit / 8] ^= 1 << (bit % 8);
+        let mut dec = Decoder::new(&mutated);
+        let Ok(mut model) = GradientBoosting::<SquaredLoss>::decode(&mut dec) else {
+            rejected += 1;
+            continue;
+        };
+        // A flipped feature bit can ask for rows no test should allocate;
+        // the decoder is right to accept it (it fits the arrays), and a
+        // narrower row is refused by the kernels' width assert.
+        let width = max_split_feature(&mutated) as usize + 1;
+        if width > 1 << 16 {
+            too_wide += 1;
+            continue;
+        }
+        let rows: Vec<Vec<f64>> = (0..11).map(|i| vec![f64::from(i) - 5.0; width]).collect();
+        let view = MatrixView::Rows(&rows);
+        let reference = model.predict_view(view);
+        for lanes in nurd_ml::SUPPORTED_LANES {
+            model.set_lanes(lanes);
+            let mut out = Vec::new();
+            model.forest().predict_view_into(view, &mut out);
+            assert_eq!(out.len(), reference.len());
+            model
+                .forest()
+                .predict_view_into_pooled(view, &pool, 3, &mut out);
+            assert_eq!(out.len(), reference.len());
+        }
+        scored += 1;
+    }
+    // The property must have met all three outcomes to mean anything.
+    assert!(
+        rejected > 100 && scored > 100 && too_wide > 0,
+        "rejected {rejected}, scored {scored}, too wide to score {too_wide}"
+    );
+}
+
+/// Re-encodes `binned` with one field rewritten by hand: the matrix has no
+/// public constructor that would produce these.
+#[test]
+fn binned_matrix_decode_rejects_tables_the_grower_would_index_past() {
+    let (x, _) = training_rows(40);
+    let binned = BinnedMatrix::build(MatrixView::Rows(&x), 8);
+    let bytes = encoded(&binned);
+    let decode = |bytes: &[u8]| BinnedMatrix::decode(&mut Decoder::new(bytes));
+    assert_eq!(decode(&bytes).unwrap(), binned);
+
+    // Layout: length-prefixed codes (column-major, 40 rows × 2 features),
+    // rows, features, then the per-feature tables.
+    let codes = 8..8 + 80;
+    assert_eq!(bytes[..8], 80u64.to_le_bytes());
+    let n_bins = binned.feature_bins(0).n_bins();
+    assert!(n_bins < 255);
+
+    // A code that is not a bin of its column.
+    let mut bad = bytes.clone();
+    bad[codes.start + 3] = n_bins as u8;
+    assert!(matches!(
+        decode(&bad),
+        Err(CodecError::LengthOverrun { .. })
+    ));
+
+    // One feature's tables missing: 2 features declared, 1 table present.
+    let features_at = codes.end + 16;
+    assert_eq!(bytes[features_at..features_at + 8], 2u64.to_le_bytes());
+    let mut bad = bytes.clone();
+    bad[features_at] = 1;
+    assert!(decode(&bad).is_err());
+
+    // A cut point dropped from the first feature: `cuts` no longer has
+    // one entry fewer than the bins.
+    let cuts_at = features_at + 8;
+    let cuts = binned.feature_bins(0).n_bins() - 1;
+    assert_eq!(bytes[cuts_at..cuts_at + 8], (cuts as u64).to_le_bytes());
+    let mut bad = bytes[..cuts_at].to_vec();
+    bad.extend((cuts as u64 - 1).to_le_bytes());
+    bad.extend(&bytes[cuts_at + 16..]);
+    assert!(matches!(
+        decode(&bad),
+        Err(CodecError::LengthOverrun { .. })
+    ));
+
+    // No mutation of the blob may panic the decoder, and whatever it
+    // accepts must survive the paths that index through the tables.
+    let (mut accepted, mut rejected) = (0, 0);
+    for bit in 0..bytes.len() * 8 {
+        let mut mutated = bytes.clone();
+        mutated[bit / 8] ^= 1 << (bit % 8);
+        match decode(&mutated) {
+            Err(_) => rejected += 1,
+            Ok(mut restored) => {
+                accepted += 1;
+                let _ = restored.drift();
+                let mut grown = x.clone();
+                grown.push(vec![3.5, -1.0]);
+                let _ = restored.append_from(MatrixView::Rows(&grown));
+                let y = vec![1.0; restored.rows()];
+                let cfg = GbtConfig {
+                    n_rounds: 2,
+                    ..GbtConfig::default()
+                };
+                let fit = GradientBoosting::fit_binned_cached(
+                    &restored,
+                    &y,
+                    SquaredLoss,
+                    &cfg,
+                    &mut Vec::new(),
+                );
+                assert!(fit.is_ok());
+            }
+        }
+    }
+    assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
 }

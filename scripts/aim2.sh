@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-MAX_PRODUCT_LINES=9499
+MAX_PRODUCT_LINES=9296
 MAX_UNSAFE_SITES=7
 
 product_lines() {

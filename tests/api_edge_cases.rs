@@ -1,13 +1,19 @@
 //! Edge-case and failure-injection tests over the public API surface:
 //! the library must fail loudly and predictably, never silently wrong.
 
-use nurd::data::{DataError, JobTrace, TaskRecord};
+use nurd::core::{NurdConfig, NurdPredictor};
+use nurd::data::{
+    Checkpoint, DataError, FinishedTask, JobTrace, OnlinePredictor, RunningTask, StreamContext,
+    TaskRecord,
+};
+use nurd::linalg::MatrixView;
 use nurd::ml::{
     GbtConfig, GradientBoosting, KMeans, KMeansConfig, LinearSvm, LogisticConfig,
     LogisticRegression, MlError, NearestNeighbors, SquaredLoss, SvmConfig,
 };
 use nurd::outlier::{contamination_threshold, IsolationForest, OutlierDetector};
 use nurd::survival::{CoxConfig, CoxPh, Grabit, GrabitConfig, Tobit, TobitConfig};
+use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
 
 #[test]
 fn degenerate_training_sets_error_not_panic() {
@@ -144,4 +150,145 @@ fn quantile_thresholds_cover_the_full_range() {
     }
     // Monotone in q.
     assert!(job.straggler_threshold(0.9) > job.straggler_threshold(0.5));
+}
+
+/// An ensemble in snapshot format v4 holding one tree: a root split
+/// `(feature, left, right)` over two leaves.
+fn hostile_ensemble(feature: u64, left: u64, right: u64) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_f64(30.0); // base score
+    enc.put_f64(0.1); // learning rate
+    enc.put_usize(1); // trees
+    enc.put_usize(3); // nodes
+    enc.put_u8(1);
+    enc.put_u64(feature);
+    enc.put_f64(0.5);
+    enc.put_u64(left);
+    enc.put_u64(right);
+    for weight in [-2.0, 2.0] {
+        enc.put_u8(0);
+        enc.put_f64(weight);
+    }
+    enc.put_bytes(&[0, u8::MAX, u8::MAX]);
+    enc.into_bytes()
+}
+
+/// The two blobs that used to take the process down through safe public
+/// API, release builds included: a split feature of `u32::MAX` (its `+ 1`
+/// wrapped to a forest width of 0, so the unchecked lane walkers read 32 GB
+/// past a row: SIGSEGV), and a split that is its own child (the recursive
+/// depth computation never returned: stack overflow).
+fn hostile_ensembles() -> [(&'static str, Vec<u8>); 2] {
+    [
+        (
+            "feature = u32::MAX",
+            hostile_ensemble(u64::from(u32::MAX), 1, 2),
+        ),
+        ("left = right = 0", hostile_ensemble(0, 0, 0)),
+    ]
+}
+
+#[test]
+fn hostile_ensemble_bytes_are_rejected_at_decode() {
+    // The same record with sane indices is a model.
+    let sane = hostile_ensemble(0, 1, 2);
+    let model = GradientBoosting::<SquaredLoss>::decode(&mut Decoder::new(&sane)).unwrap();
+    assert_eq!(model.predict(&[0.0]), 30.0 + 0.1 * -2.0);
+    assert_eq!(model.predict(&[1.0]), 30.0 + 0.1 * 2.0);
+
+    let rows = vec![vec![0.25; 4]; 9];
+    // `flatten` has no caller left but the standalone benchmark: a copy of
+    // the forest the model already is.
+    assert_eq!(
+        model.flatten().predict_view(MatrixView::Rows(&rows)),
+        model.predict_view(MatrixView::Rows(&rows))
+    );
+    for (what, blob) in hostile_ensembles() {
+        match GradientBoosting::<SquaredLoss>::decode(&mut Decoder::new(&blob)) {
+            Err(err) => assert!(
+                matches!(err, CodecError::LengthOverrun { .. }),
+                "{what}: {err:?}"
+            ),
+            // What a caller does next with a model it was handed — where
+            // the process died while `decode` still answered `Ok`.
+            // (`flatten` so that this file also compiles against the
+            // commit it was written to convict.)
+            Ok(model) => {
+                let scores = model.flatten().predict_view(MatrixView::Rows(&rows));
+                panic!("{what}: decoded, then scored {scores:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn hostile_predictor_blobs_are_refused_at_restore() {
+    let tasks: Vec<(Vec<f64>, f64)> = (0..60)
+        .map(|i| {
+            let (a, b) = (((i * 29) % 17) as f64, ((i * 13) % 7) as f64);
+            (vec![a, b], 5.0 + 2.0 * a - b)
+        })
+        .collect();
+    let checkpoint = Checkpoint {
+        ordinal: 0,
+        time: 10.0,
+        finished: tasks[..40]
+            .iter()
+            .enumerate()
+            .map(|(id, (features, latency))| FinishedTask {
+                id,
+                features,
+                latency: *latency,
+            })
+            .collect(),
+        running: tasks[40..]
+            .iter()
+            .enumerate()
+            .map(|(i, (features, _))| RunningTask {
+                id: 40 + i,
+                features,
+            })
+            .collect(),
+    };
+    let ctx = StreamContext {
+        threshold: 25.0,
+        task_count: tasks.len(),
+        feature_dim: 2,
+    };
+    // Refit at every other checkpoint, so the barrier after a restore
+    // scores with the head the blob carried.
+    let config = NurdConfig {
+        refit_every: 2,
+        ..NurdConfig::default()
+    };
+    let mut live = NurdPredictor::new(config.clone());
+    live.begin_stream(&ctx);
+    assert_eq!(live.score_running(&checkpoint).len(), 20);
+    let blob = live.snapshot_state().expect("NURD snapshots its state");
+
+    // Find the head inside the blob by its own encoding, and swap it out.
+    let mut enc = Encoder::new();
+    live.latency_model().expect("just fit").encode(&mut enc);
+    let head = enc.into_bytes();
+    let at = blob
+        .windows(head.len())
+        .position(|window| window == head)
+        .expect("the latency head travels in the predictor blob");
+    let restored = |ensemble: &[u8]| {
+        let spliced = [&blob[..at], ensemble, &blob[at + head.len()..]].concat();
+        let mut predictor = NurdPredictor::new(config.clone());
+        predictor.begin_stream(&ctx);
+        predictor.restore_state(&spliced).then_some(predictor)
+    };
+    let mut intact = restored(&head).expect("its own bytes restore");
+    assert_eq!(
+        intact.score_running(&checkpoint),
+        live.score_running(&checkpoint)
+    );
+    for (what, ensemble) in hostile_ensembles() {
+        if let Some(mut predictor) = restored(&ensemble) {
+            let scores = predictor.score_running(&checkpoint);
+            panic!("{what}: restored, then scored {} tasks", scores.len());
+        }
+    }
 }

@@ -240,6 +240,63 @@ fn score_bits_match_the_pre_point_cache_constant() {
     );
 }
 
+/// FNV-1a over the bytes of `NurdPredictor::snapshot_state()` taken after
+/// every post-warmup `score_running` of the fleet under `policy`, with the
+/// number of blobs and bytes hashed. The blob holds the whole latency head
+/// — every node of every tree with its bin code, the training rows, the
+/// quantization, the score cache — so where the other constants see what
+/// the model *computes*, this one sees what it *is*: a grower that emitted
+/// one node differently, or a codec that wrote one byte differently, moves
+/// it even when no score changes.
+fn snapshot_bytes_hash(jobs: &[JobTrace], policy: &RefitPolicy) -> (u64, usize, usize) {
+    let mut hash = 0xCBF2_9CE4_8422_2325_u64;
+    let (mut blobs, mut bytes) = (0, 0);
+    for job in jobs {
+        let mut predictor =
+            NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
+        predictor.begin_job(&JobContext {
+            threshold: job.straggler_threshold(REPLAY.quantile),
+            task_count: job.task_count(),
+            feature_dim: job.feature_dim(),
+            oracle: job,
+        });
+        for k in job.warmup_checkpoint(REPLAY.warmup_fraction)..job.checkpoint_count() {
+            predictor.score_running(&full_checkpoint(job, k));
+            let blob = predictor
+                .snapshot_state()
+                .expect("NURD snapshots its state");
+            fold(&mut hash, blob.len() as u64);
+            for &byte in &blob {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            blobs += 1;
+            bytes += blob.len();
+        }
+    }
+    (hash, blobs, bytes)
+}
+
+#[test]
+fn predictor_blobs_match_the_pre_flat_ensemble_constants() {
+    let jobs = fleet();
+    let (cold, cold_blobs, cold_bytes) = snapshot_bytes_hash(&jobs, &RefitPolicy::AlwaysCold);
+    let (warm, warm_blobs, warm_bytes) =
+        snapshot_bytes_hash(&jobs, &RefitPolicy::Warm(WarmRefitConfig::default()));
+    // Blobs without a fitted ensemble in them would pin nothing.
+    assert_eq!((cold_blobs, warm_blobs), (98, 98));
+    assert!(
+        cold_bytes > 5_000_000 && warm_bytes > cold_bytes,
+        "bytes hashed: cold {cold_bytes}, warm {warm_bytes}"
+    );
+    assert_eq!(
+        (cold, warm),
+        (GOLDEN_BLOB_BYTES_ALWAYS_COLD, GOLDEN_BLOB_BYTES_WARM),
+        "predictor blob bytes moved: cold {cold:#018x} over {cold_bytes} B, \
+         warm {warm:#018x} over {warm_bytes} B"
+    );
+}
+
 const GOLDEN_ALWAYS_COLD: u64 = 0x94CC_1CAB_23F9_3B12;
 const GOLDEN_WARM: u64 = 0xD92D_0B82_1813_E4EC;
 /// Recorded on commit `bd5a359` (PR 14), the parent of the IRLS point
@@ -250,3 +307,9 @@ const GOLDEN_WARM_SCORE_BITS: u64 = 0x4960_5BE2_F508_F0B4;
 /// (`fit_view` over the checkpoint's rows) beside `WarmRefitState`.
 const GOLDEN_GBTR_ALWAYS_COLD: u64 = 0x9E84_179D_0BC6_348E;
 const GOLDEN_TRANSFER_ALWAYS_COLD: u64 = 0xA5D9_2F3C_2D0A_6B80;
+/// Recorded on commit `31b6fb8` (PR 16), while `GradientBoosting` still owned
+/// a `Vec<RegressionTree>` of pointer nodes and flattened it for every walk
+/// — the parent of the PR that made the flat forest the only representation.
+/// The snapshot format is version 4 on both sides.
+const GOLDEN_BLOB_BYTES_ALWAYS_COLD: u64 = 0xA67E_E27D_FD98_6EA2;
+const GOLDEN_BLOB_BYTES_WARM: u64 = 0xE3C6_55B6_43DF_1384;
