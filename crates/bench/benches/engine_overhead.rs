@@ -10,8 +10,9 @@
 //! What a served fleet costs with and without a model — this file's former
 //! `predictor/{noop,nurd_flat}` rows — is the fleet benchmark's
 //! `ingest_floor` and `fleet_google` workloads (`BENCHMARK.json`), served
-//! through `EngineService` rather than the caller-driven `Engine`; the
-//! group keeps its name so the surviving rows keep theirs.
+//! through `EngineService` (those rows drove a caller-driven `Engine`,
+//! deleted in PR 20); the group keeps its name so the surviving rows keep
+//! theirs.
 //!
 //! Determinism cover: `tests/hot_path_equivalence.rs` holds the served
 //! scores to the reference walk bit-for-bit at every lane width, so every
@@ -57,8 +58,6 @@ fn bench_engine_overhead(c: &mut Criterion) {
             min_child_weight: 2.0,
             ..TreeConfig::default()
         },
-        subsample: 1.0,
-        seed: 17,
     };
     let model = GradientBoosting::fit_view(MatrixView::RowSlices(&rows), &ys, SquaredLoss, &gbt)
         .expect("fit");

@@ -115,8 +115,6 @@ impl Default for NurdConfig {
                     min_child_weight: 2.0,
                     ..TreeConfig::default()
                 },
-                subsample: 1.0,
-                seed: 17,
             },
             // Balanced classes: the finished/running split is heavily
             // imbalanced right after warmup (4% vs 96%); without balancing,

@@ -344,6 +344,12 @@ impl OnlinePredictor for NurdPredictor {
         if !dec.is_empty() {
             return false;
         }
+        // `g_t` scores the rows `h_t` trains on: a propensity model of
+        // another width is not a state this predictor ever wrote.
+        let width = propensity_model.as_ref().map(|g| g.weights().len());
+        if warm.rows() > 0 && width.is_some_and(|w| w != warm.features().cols()) {
+            return false;
+        }
         self.delta = delta;
         self.propensity_model = propensity_model;
         self.checkpoints_seen = checkpoints_seen;

@@ -602,7 +602,10 @@ mod tests {
 
         state.absorb(&checkpoint(&ts, 60));
         let bad = GbtConfig {
-            subsample: 0.0,
+            tree: nurd_ml::TreeConfig {
+                max_depth: 0,
+                ..nurd_ml::TreeConfig::default()
+            },
             ..GbtConfig::default()
         };
         assert!(matches!(

@@ -195,7 +195,6 @@ impl AggState {
 }
 
 /// The fleet's node-health scoreboard: attach to an engine with
-/// [`nurd_serve::Engine::attach_observer`] /
 /// [`nurd_serve::EngineService::attach_observer`] (it implements
 /// [`HealthObserver`]), then read [`HealthAggregator::verdicts`] to
 /// drive placement or a quarantine policy.

@@ -13,9 +13,9 @@ use std::sync::Arc;
 use nurd_core::{NurdConfig, NurdPredictor};
 use nurd_data::{ActionRecord, JobSpec, JobTrace};
 use nurd_health::{HealthAggregator, HealthConfig, NodeVerdict};
-use nurd_runtime::ThreadPool;
 use nurd_serve::{
-    Engine, EngineConfig, HealthObserver, JobReport, MitigatorFactory, PredictorFactory,
+    EngineConfig, EngineService, HealthObserver, JobReport, MitigatorFactory, PredictorFactory,
+    ServiceConfig,
 };
 use nurd_sim::{
     execute_actions, summarize_mitigation, MitigationOutcome, MitigationSimConfig,
@@ -79,8 +79,9 @@ pub fn nurd_predictor_factory() -> PredictorFactory {
 }
 
 /// Runs the whole loop once: serves `jobs` as a staggered fleet stream
-/// through a caller-driven [`Engine`] with `mitigator` attached (`None` =
-/// the no-mitigation baseline — not even a [`crate::NoopPolicy`], so the
+/// through an [`EngineService`] (the engine operators deploy, drain
+/// workers and all) with `mitigator` attached (`None` = the
+/// no-mitigation baseline — not even a [`crate::NoopPolicy`], so the
 /// engine takes its zero-overhead `predict` path), then executes every
 /// job's committed action log in the simulator and aggregates.
 ///
@@ -108,19 +109,20 @@ fn run_fleet_observed(
     config: &FleetConfig,
 ) -> FleetRun {
     assert!(!jobs.is_empty(), "fleet needs at least one job");
-    let engine = Engine::new(
+    let service = EngineService::start(
         EngineConfig {
             shards: config.shards,
             warmup_fraction: config.warmup_fraction,
             ..EngineConfig::default()
         },
+        ServiceConfig::default(),
         nurd_predictor_factory(),
     );
     if let Some(mitigator) = mitigator {
-        assert!(engine.attach_mitigator(mitigator), "fresh engine");
+        assert!(service.attach_mitigator(mitigator), "fresh engine");
     }
     if let Some(observer) = observer {
-        assert!(engine.attach_observer(observer), "fresh engine");
+        assert!(service.attach_observer(observer), "fresh engine");
     }
     let events = nurd_trace::staggered_fleet_events(
         jobs,
@@ -128,9 +130,8 @@ fn run_fleet_observed(
         config.spread,
         config.stream_seed,
     );
-    engine.push_all_sync(events);
-    let pool = ThreadPool::new(2);
-    let report = engine.finish(&pool);
+    service.push_all(events);
+    let report = service.close();
 
     let mut sorted: Vec<&JobTrace> = jobs.iter().collect();
     sorted.sort_by_key(|job| job.job_id());

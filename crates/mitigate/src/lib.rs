@@ -17,9 +17,9 @@
 //!   truth; the structural upper bound), and [`NodeAwarePolicy`]
 //!   (quarantines tasks on machines a frozen
 //!   [`nurd_health::HealthAggregator`] verdict map convicted), each with
-//!   a factory helper for [`nurd_serve::Engine::attach_mitigator`];
-//! * **The fleet harness** — [`run_fleet`] drives traces through the
-//!   engine with a policy attached and sims the committed log, returning
+//!   a factory helper for [`nurd_serve::EngineService::attach_mitigator`];
+//! * **The fleet harness** — [`run_fleet`] drives traces through a
+//!   [`nurd_serve::EngineService`] with a policy attached and sims the committed log, returning
 //!   per-job [`nurd_sim::MitigationOutcome`]s, a fleet
 //!   [`nurd_sim::MitigationSummary`], and the canonical action log;
 //!   [`run_node_fleet`] is the two-pass node-health loop (observe with

@@ -377,7 +377,7 @@ impl MitigationPolicy for OraclePolicy {
 }
 
 /// Factory for [`NoopPolicy`] — the no-mitigation baseline in factory
-/// form, for wiring into [`nurd_serve::Engine::attach_mitigator`].
+/// form, for wiring into [`nurd_serve::EngineService::attach_mitigator`].
 #[must_use]
 pub fn noop_mitigator() -> MitigatorFactory {
     Box::new(|_spec| Box::new(NoopPolicy))

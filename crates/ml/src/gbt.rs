@@ -20,10 +20,7 @@
 //!   round's nodes to the forest's arrays, the round's score update walks
 //!   just that tree over `u8` bin codes — raw `f64` features are never
 //!   touched after quantization — and nothing is converted or copied
-//!   afterwards for scoring;
-//! * row subsampling selects *indices* into the shared binned matrix; the
-//!   `subsample == 1.0` case short-circuits to a precomputed identity
-//!   index list.
+//!   afterwards for scoring.
 //!
 //! There are two fit entries and one way to extend a fit.
 //! [`GradientBoosting::fit_view`] takes raw features and is literally
@@ -40,10 +37,6 @@
 //! ([`FlatForest::predict`]) mapped over rows: bounds-checked and
 //! lane-free, they serve the baselines that score a handful of rows and
 //! double as the reference the `unsafe` batch kernels are tested against.
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use nurd_linalg::MatrixView;
 
@@ -109,10 +102,6 @@ pub struct GbtConfig {
     pub learning_rate: f64,
     /// Per-tree structural parameters.
     pub tree: TreeConfig,
-    /// Row subsampling fraction per round (`(0, 1]`).
-    pub subsample: f64,
-    /// RNG seed for row subsampling.
-    pub seed: u64,
 }
 
 impl Default for GbtConfig {
@@ -121,8 +110,6 @@ impl Default for GbtConfig {
             n_rounds: 60,
             learning_rate: 0.15,
             tree: TreeConfig::default(),
-            subsample: 1.0,
-            seed: 17,
         }
     }
 }
@@ -211,8 +198,8 @@ impl<L: Loss> GradientBoosting<L> {
         scores.clear();
         scores.resize(binned.rows(), base_score);
         let mut forest = FlatForest::new(base_score, config.learning_rate);
-        let (rounds, seed) = (config.n_rounds, config.seed);
-        boost_rounds(binned, y, &loss, config, rounds, seed, scores, &mut forest);
+        let rounds = config.n_rounds;
+        boost_rounds(binned, y, &loss, config, rounds, scores, &mut forest);
         Ok(GradientBoosting { loss, forest })
     }
 
@@ -227,8 +214,8 @@ impl<L: Loss> GradientBoosting<L> {
     /// full rebuild breaks): its trees are replayed over `u8` codes to
     /// reconstruct the ensemble's scores, and stale edges would silently
     /// mis-route rows. `config` supplies the new trees' structural
-    /// parameters and subsampling; the learning rate stays the ensemble's
-    /// own so old and new trees share one scale.
+    /// parameters; the learning rate stays the ensemble's own so old and
+    /// new trees share one scale.
     ///
     /// On entry `scores[i]` must hold the ensemble's raw score for row `i`
     /// over however many leading rows the caller has cached (a vector left
@@ -283,13 +270,8 @@ impl<L: Loss> GradientBoosting<L> {
                 .predict_binned_extend(binned, cached..binned.rows(), scores);
         }
 
-        // Decorrelate warm-round subsampling from the cold fit's stream
-        // (and from earlier warm stages) while staying deterministic.
-        let seed = config
-            .seed
-            .wrapping_add((self.tree_count() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let (loss, forest) = (&self.loss, &mut self.forest);
-        boost_rounds(binned, y, loss, config, extra_rounds, seed, scores, forest);
+        boost_rounds(binned, y, loss, config, extra_rounds, scores, forest);
         Ok(())
     }
 
@@ -385,12 +367,6 @@ fn check_binned_fit(binned: &BinnedMatrix, y: &[f64], config: &GbtConfig) -> Res
             found: format!("{} targets", y.len()),
         });
     }
-    if !(config.subsample > 0.0 && config.subsample <= 1.0) {
-        return Err(MlError::InvalidConfig(format!(
-            "subsample must be in (0,1], got {}",
-            config.subsample
-        )));
-    }
     if config.learning_rate <= 0.0 {
         return Err(MlError::InvalidConfig(format!(
             "learning_rate must be positive, got {}",
@@ -410,41 +386,29 @@ fn check_binned_fit(binned: &BinnedMatrix, y: &[f64], config: &GbtConfig) -> Res
 /// updates traverse the new tree over `u8` bin codes. Inputs are validated
 /// by the callers (`scores`, `y` and the matrix agree on the row count,
 /// which is nonzero), so the loop cannot fail.
-#[allow(clippy::too_many_arguments)]
 fn boost_rounds<L: Loss>(
     binned: &BinnedMatrix,
     y: &[f64],
     loss: &L,
     config: &GbtConfig,
     rounds: usize,
-    seed: u64,
     scores: &mut [f64],
     forest: &mut FlatForest,
 ) {
     let n = scores.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut all_rows: Vec<usize> = (0..n).collect();
-    let sample_size = ((config.subsample * n as f64).round() as usize).clamp(1, n);
-
+    // Every round trains on every row: one identity index list, reused
+    // untouched round over round.
+    let rows: Vec<usize> = (0..n).collect();
     let mut grads = vec![0.0; n];
     let mut hess = vec![0.0; n];
     let mut grower = TreeGrower::new(binned, &config.tree);
     for _round in 0..rounds {
-        // Subsampling selects indices into the shared matrix — rows
-        // are never materialized. With subsample == 1.0 the identity
-        // index list is reused untouched round over round.
-        let rows: &[usize] = if sample_size < n {
-            all_rows.shuffle(&mut rng);
-            &all_rows[..sample_size]
-        } else {
-            &all_rows
-        };
-        for &i in rows {
+        for &i in &rows {
             let (g, h) = loss.gradient_hessian(y[i], scores[i]);
             grads[i] = g;
             hess[i] = h.max(1e-12);
         }
-        grower.grow(&grads, &hess, rows, forest);
+        grower.grow(&grads, &hess, &rows, forest);
         forest.accumulate_last_tree(binned, scores);
     }
 }
@@ -503,28 +467,6 @@ mod tests {
         let mse = crate::mean_squared_error(&y, &model.predict_batch(&x));
         let var = nurd_linalg::variance(&y);
         assert!(mse < 0.05 * var, "mse {mse} vs variance {var}");
-    }
-
-    #[test]
-    fn subsample_one_never_shuffles_and_matches_explicit_rounding() {
-        // subsample == 1.0 must short-circuit to the identity index list;
-        // a fractional subsample that rounds to n must behave identically.
-        let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (0..30).map(|i| (i % 4) as f64).collect();
-        let full = GradientBoosting::fit(&x, &y, SquaredLoss, &GbtConfig::default()).unwrap();
-        let rounded = GradientBoosting::fit(
-            &x,
-            &y,
-            SquaredLoss,
-            &GbtConfig {
-                subsample: 0.999,
-                ..GbtConfig::default()
-            },
-        )
-        .unwrap();
-        for row in &x {
-            assert_eq!(full.predict(row), rounded.predict(row));
-        }
     }
 
     #[test]
@@ -683,10 +625,7 @@ mod tests {
     #[test]
     fn rejected_warm_boost_touches_neither_model_nor_cache() {
         let (x, y) = growing_set(160);
-        let cfg = GbtConfig {
-            subsample: 0.8,
-            ..GbtConfig::default()
-        };
+        let cfg = GbtConfig::default();
         let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..120]), cfg.tree.max_bins);
         let mut cache = Vec::new();
         let mut model =
@@ -730,10 +669,7 @@ mod tests {
     #[test]
     fn warm_boost_is_deterministic() {
         let (x, y) = growing_set(90);
-        let cfg = GbtConfig {
-            subsample: 0.7,
-            ..GbtConfig::default()
-        };
+        let cfg = GbtConfig::default();
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
         let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let a = boosted(&prev, &binned, &y, 5, &cfg, &mut Vec::new()).unwrap();
@@ -804,34 +740,6 @@ mod tests {
         .unwrap();
         assert_eq!(model.tree_count(), 0);
         assert!((model.predict(&[0.0]) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn subsampling_is_deterministic_under_seed() {
-        let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (0..50).map(|i| (i % 5) as f64).collect();
-        let cfg = GbtConfig {
-            subsample: 0.6,
-            seed: 99,
-            ..GbtConfig::default()
-        };
-        let m1 = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
-        let m2 = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
-        for row in &x {
-            assert_eq!(m1.predict(row), m2.predict(row));
-        }
-    }
-
-    #[test]
-    fn rejects_bad_subsample() {
-        let cfg = GbtConfig {
-            subsample: 0.0,
-            ..GbtConfig::default()
-        };
-        assert!(matches!(
-            GradientBoosting::fit(&[vec![1.0]], &[1.0], SquaredLoss, &cfg),
-            Err(MlError::InvalidConfig(_))
-        ));
     }
 
     #[test]

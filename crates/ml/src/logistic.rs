@@ -511,13 +511,35 @@ impl nurd_codec::Checkpointable for LogisticRegression {
     }
 
     fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
-        Ok(LogisticRegression {
+        let model = LogisticRegression {
             weights: nurd_codec::Checkpointable::decode(dec)?,
             intercept: dec.take_f64()?,
             feature_means: nurd_codec::Checkpointable::decode(dec)?,
             feature_stds: nurd_codec::Checkpointable::decode(dec)?,
             iterations: dec.take_usize()?,
-        })
+        };
+        // Scoring zips the three tables and `remap_seed` indexes them by
+        // the weights' length: a ragged model would score every row as
+        // `σ(intercept)` and panic the next warm refit it seeds.
+        let d = model.weights.len();
+        for table in [&model.feature_means, &model.feature_stds] {
+            if table.len() != d {
+                return Err(nurd_codec::CodecError::LengthOverrun {
+                    declared: table.len() as u64,
+                    remaining: d,
+                });
+            }
+        }
+        // `standardize` floors every deviation at a positive value, and
+        // both scoring and seeding divide by it.
+        let usable = |s: &f64| s.is_finite() && *s > 0.0;
+        if !model.feature_stds.iter().all(usable) {
+            return Err(nurd_codec::CodecError::InvalidTag {
+                what: "LogisticRegression feature deviation (finite and positive)",
+                tag: 0,
+            });
+        }
+        Ok(model)
     }
 }
 

@@ -168,6 +168,47 @@ fn mutated_gbt_bytes_are_rejected_or_safe_to_score() {
     );
 }
 
+/// The same property for the propensity model: every truncation and every
+/// single-bit flip of a valid `LogisticRegression` encoding either fails
+/// to decode with a typed error, or decodes to a model that scores rows of
+/// its own width and seeds a warm refit without panicking — scoring zips
+/// the weight, mean and deviation tables, and `remap_seed` indexes all
+/// three by the weights' length.
+#[test]
+fn mutated_logistic_bytes_are_rejected_or_safe_to_score_and_seed() {
+    let (x, y) = training_rows(80);
+    let labels: Vec<f64> = y.iter().map(|&v| f64::from(v > 2.0)).collect();
+    let config = LogisticConfig::default();
+    let model = LogisticRegression::fit(&x, &labels, &config).unwrap();
+    let bytes = encoded(&model);
+    for cut in 0..bytes.len() {
+        assert!(LogisticRegression::decode(&mut Decoder::new(&bytes[..cut])).is_err());
+    }
+
+    let (mut rejected, mut used) = (0, 0);
+    for bit in 0..bytes.len() * 8 {
+        let mut mutated = bytes.clone();
+        mutated[bit / 8] ^= 1 << (bit % 8);
+        let Ok(restored) = LogisticRegression::decode(&mut Decoder::new(&mutated)) else {
+            rejected += 1;
+            continue;
+        };
+        let rows = vec![vec![0.25; restored.weights().len()]; 5];
+        assert_eq!(
+            restored.predict_proba_view(MatrixView::Rows(&rows)).len(),
+            5
+        );
+        // A seed the solver cannot use (another width, a non-finite remap)
+        // falls back to a cold fit; either way the refit returns.
+        let view = MatrixView::Rows(&x);
+        let _ = LogisticRegression::fit_view_warm(view, &labels, &config, Some(&restored));
+        used += 1;
+    }
+    // A flipped length prefix or deviation sign is rejected; a flipped
+    // mantissa bit is a different, equally usable model.
+    assert!(rejected > 50 && used > 100, "{rejected} / {used}");
+}
+
 /// Re-encodes `binned` with one field rewritten by hand: the matrix has no
 /// public constructor that would produce these.
 #[test]

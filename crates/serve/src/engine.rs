@@ -9,9 +9,9 @@
 //!   plus the [`nurd_runtime::Notifier`] idle drain workers park on.
 //! * [`EngineHandle`] — cloneable, `Send + Sync` producer handle;
 //!   [`EngineHandle::push`] takes `&self` and is safe from any thread.
-//! * [`Engine`] — the same core with a caller-driven
-//!   [`Engine::drain_sync`] instead of a background service, for tests
-//!   that must pick the drain points themselves.
+//! * [`EngineService`](crate::EngineService) — owns the core and runs
+//!   the background drain workers. Only this file's unit tests, which
+//!   must place their drain points by hand, drive the core directly.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use nurd_codec::Checkpointable;
 use nurd_data::{ActionRecord, JobSpec, MitigationPolicy, OnlinePredictor, TaskEvent};
-use nurd_runtime::{Channel, Notifier, ThreadPool, TrySendError};
+use nurd_runtime::{Channel, Notifier, TrySendError};
 use nurd_sim::ReplayOutcome;
 
 use crate::lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};
@@ -35,13 +35,12 @@ use crate::wal::WalWriter;
 /// the per-job factories in `nurd-baselines`' method registry. Invoked by
 /// a shard drain when it encounters the job's
 /// [`TaskEvent::JobStart`], so it must be `Sync` (drains run in
-/// parallel, on background service workers and producer threads alike).
+/// parallel on the service's background workers).
 pub type PredictorFactory = Box<dyn Fn(&JobSpec) -> Box<dyn OnlinePredictor + Send> + Send + Sync>;
 
 /// Builds a fresh [`MitigationPolicy`] for an admitted job — the
 /// mitigation twin of [`PredictorFactory`]. Registered once per engine
-/// via [`Engine::attach_mitigator`] /
-/// [`EngineService::attach_mitigator`](crate::EngineService::attach_mitigator);
+/// via [`EngineService::attach_mitigator`](crate::EngineService::attach_mitigator);
 /// invoked by shard drains, so it must be `Sync`.
 pub type MitigatorFactory = Box<dyn Fn(&JobSpec) -> Box<dyn MitigationPolicy + Send> + Send + Sync>;
 
@@ -71,9 +70,7 @@ pub struct BalanceConfig {
     /// ([`EngineConfig::queue_capacity`]) the backlog can never exceed
     /// the capacity, so the engine clamps this to half the capacity —
     /// otherwise a threshold above the bound would silently disable the
-    /// feature. Balancing engages from the background drain loop; the
-    /// [`Engine`] shim's caller-driven drains empty a shard in one pop
-    /// and so observe no backlog to react to.
+    /// feature.
     pub backlog_threshold: usize,
     /// Only jobs with at least this many tasks receive the grant — tiny
     /// jobs' refits are too small to amortize fan-out overhead.
@@ -181,8 +178,8 @@ impl Checkpointable for JobReport {
 /// operator sees that it happened).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
-    /// Reports of jobs still unreported at shutdown ([`Engine::finish`] /
-    /// [`EngineService::close`](crate::EngineService::close)) —
+    /// Reports of jobs still unreported at shutdown
+    /// ([`EngineService::close`](crate::EngineService::close)) —
     /// everything not already handed out by `take_finalized` — ascending
     /// job id.
     pub jobs: Vec<JobReport>,
@@ -262,10 +259,9 @@ pub struct EngineStats {
     /// barrier can re-score a closed checkpoint.
     pub rejected_events: usize,
     /// Pushes that found a full queue under [`OverloadPolicy::Block`].
-    /// In service mode the producer then *slept* until a drain made room
-    /// (a true blocking send); under the [`Engine`] shim it drained the
-    /// shard inline. Lossless either way, but scheduling-dependent,
-    /// hence here and not in [`EngineReport`].
+    /// The producer then *slept* until a drain made room (a true
+    /// blocking send). Lossless, but scheduling-dependent, hence here
+    /// and not in [`EngineReport`].
     pub blocked_pushes: usize,
     /// Times adaptive balancing switched within-job parallelism on for
     /// a backlogged shard (see [`BalanceConfig`]; zero when disabled).
@@ -302,16 +298,6 @@ pub struct EngineStats {
     pub overload: OverloadCounters,
 }
 
-/// How a push behaves when [`OverloadPolicy::Block`] meets a full queue:
-/// sleep on the channel (service mode — a background drain worker will
-/// make room) or drain the shard on the pushing thread (shim mode —
-/// there is no one else to do it).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BlockMode {
-    Sleep,
-    DrainInline,
-}
-
 /// One shard's triple: the MPSC ingress queue, the guarded state, and
 /// the live counters. Producers touch `ingress` and the push-side stats;
 /// whichever worker wins `state` applies events — popping and applying
@@ -337,9 +323,9 @@ pub(crate) struct PersistHandle {
     pub(crate) recovery_fallbacks: AtomicUsize,
 }
 
-/// The shared heart of the engine — everything [`EngineHandle`],
-/// [`Engine`], and [`EngineService`](crate::EngineService) operate on.
-/// Crate-private: users hold it only through those three types.
+/// The shared heart of the engine — everything [`EngineHandle`] and
+/// [`EngineService`](crate::EngineService) operate on. Crate-private:
+/// users hold it only through those two types.
 pub(crate) struct EngineCore {
     config: EngineConfig,
     factory: PredictorFactory,
@@ -494,9 +480,8 @@ impl EngineCore {
     /// have missed (workers snapshot the epoch *before* scanning, and
     /// drains/observers unpark when they release a shard) — so producers
     /// do not serialize on the notifier or thundering-herd the workers.
-    pub(crate) fn ingest(&self, event: TaskEvent, block: BlockMode) -> bool {
-        let idx = self.shard_of(event.job());
-        let cell = &self.cells[idx];
+    pub(crate) fn ingest(&self, event: TaskEvent) -> bool {
+        let cell = &self.cells[self.shard_of(event.job())];
         // `None` = rejected; `Some(wake)` = accepted, `wake` is the
         // channel's empty→non-empty transition report.
         let accepted: Option<bool> = if self.config.queue_capacity.is_none() {
@@ -508,31 +493,12 @@ impl EngineCore {
                     Ok(wake) => Some(wake),
                     Err(TrySendError::Closed(_)) => None,
                     Err(TrySendError::Full(event)) => {
+                        // Real back-pressure: sleep until a drain worker
+                        // pops; the channel wakes us. The defensive
+                        // unpark costs nothing on this already-slow path.
                         cell.stats.add(&cell.stats.blocked_pushes, 1);
-                        match block {
-                            // Real back-pressure: sleep until a drain
-                            // worker pops; the channel wakes us. The
-                            // defensive unpark costs nothing on this
-                            // already-slow path.
-                            BlockMode::Sleep => {
-                                self.notifier.unpark();
-                                cell.ingress.send(event).ok()
-                            }
-                            // Shim semantics (PR-4): the pushing thread
-                            // does the shard's drain work itself.
-                            BlockMode::DrainInline => {
-                                let mut event = event;
-                                let mut batch = Vec::new();
-                                loop {
-                                    self.drain_shard(idx, usize::MAX, true, &mut batch);
-                                    match cell.ingress.try_send(event) {
-                                        Ok(wake) => break Some(wake),
-                                        Err(TrySendError::Closed(_)) => break None,
-                                        Err(TrySendError::Full(back)) => event = back,
-                                    }
-                                }
-                            }
-                        }
+                        self.notifier.unpark();
+                        cell.ingress.send(event).ok()
                     }
                 },
                 OverloadPolicy::ShedOldest => match cell.ingress.send_evicting(event) {
@@ -562,32 +528,21 @@ impl EngineCore {
 
     /// Pops up to `max` events from shard `idx`'s ingress and applies
     /// them while holding the shard lock; returns how many were applied.
-    /// `wait` selects a blocking lock (caller-driven drains, which must
-    /// make progress) vs `try_lock` (service workers, which skip a shard
-    /// another worker already holds and move on). Also runs the adaptive
-    /// balancing decision against the backlog left behind.
+    /// The lock is a `try_lock`: a worker skips a shard another worker
+    /// (or an observer) already holds and moves on. Also runs the
+    /// adaptive balancing decision against the backlog left behind.
     /// `batch` is the caller's reusable pop buffer (always left empty on
     /// return) — drain loops hand the same one in for every visit, so
     /// the hot path does no per-batch allocation after warm-up.
-    pub(crate) fn drain_shard(
-        &self,
-        idx: usize,
-        max: usize,
-        wait: bool,
-        batch: &mut Vec<TaskEvent>,
-    ) -> usize {
+    pub(crate) fn drain_shard(&self, idx: usize, max: usize, batch: &mut Vec<TaskEvent>) -> usize {
         let cell = &self.cells[idx];
         if cell.ingress.is_empty() {
             return 0;
         }
-        let mut shard: MutexGuard<'_, Shard> = if wait {
-            cell.state.lock().expect("shard poisoned")
-        } else {
-            match cell.state.try_lock() {
-                Ok(guard) => guard,
-                Err(std::sync::TryLockError::WouldBlock) => return 0,
-                Err(std::sync::TryLockError::Poisoned(_)) => panic!("shard poisoned"),
-            }
+        let mut shard: MutexGuard<'_, Shard> = match cell.state.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::WouldBlock) => return 0,
+            Err(std::sync::TryLockError::Poisoned(_)) => panic!("shard poisoned"),
         };
         debug_assert!(batch.is_empty());
         let taken = cell.ingress.recv_batch(batch, max);
@@ -641,27 +596,6 @@ impl EngineCore {
         // epoch bump.
         self.notifier.unpark();
         taken
-    }
-
-    /// Caller-driven drain of every shard to empty — the shim path. Each
-    /// dirty shard becomes one pool task (the calling thread
-    /// participates); blocking locks guarantee the post-condition
-    /// `total_backlog() == 0` absent concurrent producers.
-    pub(crate) fn drain_all(&self, pool: &ThreadPool) {
-        let dirty: Vec<usize> = (0..self.cells.len())
-            .filter(|&i| !self.cells[i].ingress.is_empty())
-            .collect();
-        if dirty.is_empty() {
-            return;
-        }
-        pool.scope(|scope| {
-            for idx in dirty {
-                scope.spawn(move || {
-                    let mut batch = Vec::new();
-                    while self.drain_shard(idx, usize::MAX, true, &mut batch) > 0 {}
-                });
-            }
-        });
     }
 
     /// Events pushed but not yet popped by any drain, fleet-wide.
@@ -978,15 +912,10 @@ impl std::fmt::Debug for EngineCore {
 /// A cloneable, thread-safe handle onto a running engine — the producer
 /// side of the ingestion service. Every method takes `&self`; clone one
 /// handle per producer thread and push away. Obtained from
-/// [`Engine::handle`] or [`EngineService::handle`](crate::EngineService::handle)
-/// (the two differ only in what a full queue does under
-/// [`OverloadPolicy::Block`]: the service handle sleeps — a true
-/// blocking send — while the shim handle drains the shard inline,
-/// because a shim engine has no background workers to make room).
+/// [`EngineService::handle`](crate::EngineService::handle).
 #[derive(Clone)]
 pub struct EngineHandle {
     core: Arc<EngineCore>,
-    block: BlockMode,
 }
 
 impl std::fmt::Debug for EngineHandle {
@@ -996,8 +925,8 @@ impl std::fmt::Debug for EngineHandle {
 }
 
 impl EngineHandle {
-    pub(crate) fn new(core: Arc<EngineCore>, block: BlockMode) -> Self {
-        EngineHandle { core, block }
+    pub(crate) fn new(core: Arc<EngineCore>) -> Self {
+        EngineHandle { core }
     }
 
     /// Enqueues one event on its job's shard (cheap: a hash plus a queue
@@ -1015,7 +944,7 @@ impl EngineHandle {
     /// drain makes room — the lossless policy never returns `false` for
     /// capacity.
     pub fn push(&self, event: TaskEvent) -> bool {
-        self.core.ingest(event, self.block)
+        self.core.ingest(event)
     }
 
     /// Pushes a batch of events in order; returns how many were accepted.
@@ -1056,192 +985,6 @@ impl EngineHandle {
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         self.core.stats()
-    }
-
-    /// The shard a job id hashes to (stable across the engine's life).
-    #[must_use]
-    pub fn shard_of(&self, job: u64) -> usize {
-        self.core.shard_of(job)
-    }
-
-    /// Attaches the engine's mitigator (see [`Engine::attach_mitigator`];
-    /// write-once, `false` if one is already attached).
-    pub fn attach_mitigator(&self, mitigator: MitigatorFactory) -> bool {
-        self.core.set_mitigator(mitigator)
-    }
-
-    /// Attaches the engine's health observer (see
-    /// [`Engine::attach_observer`]; write-once, `false` if one is
-    /// already attached).
-    pub fn attach_observer(&self, observer: Arc<dyn HealthObserver>) -> bool {
-        self.core.set_observer(observer)
-    }
-}
-
-/// The caller-driven engine: the same `EngineCore` as
-/// [`EngineService`](crate::EngineService), drained only when the caller
-/// says so — which is what lets a test count `ShedOldest`/`RejectNew`
-/// losses exactly.
-///
-/// # Example
-///
-/// Admission → drain → finalization, all through the stream:
-///
-/// ```
-/// use nurd_runtime::ThreadPool;
-/// use nurd_serve::{Engine, EngineConfig, FinalizeReason, JobPhase};
-/// # use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
-/// # struct Never;
-/// # impl OnlinePredictor for Never {
-/// #     fn name(&self) -> &str { "NEVER" }
-/// #     fn predict(&mut self, _: &Checkpoint<'_>) -> Vec<usize> { Vec::new() }
-/// # }
-///
-/// let pool = ThreadPool::new(2);
-/// let engine = Engine::new(EngineConfig::default(), Box::new(|_| Box::new(Never)));
-///
-/// // 1. Admission travels in the stream — no up-front registry.
-/// engine.push_sync(TaskEvent::JobStart {
-///     spec: JobSpec { job: 1, threshold: 100.0, task_count: 2, feature_dim: 1, checkpoints: 1 },
-/// });
-/// engine.push_sync(TaskEvent::Barrier { job: 1, ordinal: 0, time: 50.0 });
-///
-/// // 2. Drain applies the queued events (admits, scores, finalizes).
-/// engine.drain_sync(&pool);
-/// assert_eq!(engine.job_phase(1), Some(JobPhase::Finalized));
-///
-/// // 3. The job's report is available mid-stream, long before finish.
-/// let done = engine.take_finalized();
-/// assert_eq!(done.len(), 1);
-/// assert_eq!(done[0].finalized, FinalizeReason::StreamComplete);
-///
-/// // finish() reports only jobs not already taken.
-/// assert!(engine.finish(&pool).jobs.is_empty());
-/// ```
-pub struct Engine {
-    core: Arc<EngineCore>,
-}
-
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine").field("core", &self.core).finish()
-    }
-}
-
-impl Engine {
-    /// Creates an engine in caller-driven mode; `factory` builds one
-    /// fresh predictor per admitted job (shard count is clamped to ≥ 1).
-    #[must_use]
-    pub fn new(config: EngineConfig, factory: PredictorFactory) -> Self {
-        Engine {
-            core: Arc::new(EngineCore::new(config, factory)),
-        }
-    }
-
-    /// A cloneable producer handle onto this engine. Even the shim is
-    /// multi-producer capable — handle pushes are `&self` and
-    /// thread-safe; under `Block` at capacity the *pushing* thread
-    /// drains the shard inline (there are no background workers here).
-    #[must_use]
-    pub fn handle(&self) -> EngineHandle {
-        EngineHandle::new(Arc::clone(&self.core), BlockMode::DrainInline)
-    }
-
-    /// The shard a job id hashes to.
-    #[must_use]
-    pub fn shard_of(&self, job: u64) -> usize {
-        self.core.shard_of(job)
-    }
-
-    /// Convenience admission: see [`EngineHandle::admit`].
-    pub fn admit(&self, spec: JobSpec) {
-        self.push_sync(TaskEvent::JobStart { spec });
-    }
-
-    /// Attaches a mitigator: `mitigator` builds one fresh
-    /// [`MitigationPolicy`] per admitted job, and from then on every
-    /// scored barrier runs scores → policy → committed
-    /// [`ActionRecord`]s (surfaced on each [`JobReport::actions`]).
-    /// Write-once — returns `false` (and changes nothing) if a mitigator
-    /// is already attached. Jobs admitted *before* the attach get a
-    /// policy too, but barriers they already scored decided nothing; for
-    /// the bit-identical action-log guarantee attach before pushing
-    /// events (or recover with
-    /// [`EngineService::recover_with_mitigator`](crate::EngineService::recover_with_mitigator)).
-    pub fn attach_mitigator(&self, mitigator: MitigatorFactory) -> bool {
-        self.core.set_mitigator(mitigator)
-    }
-
-    /// Attaches a fleet-level [`HealthObserver`]: from then on every
-    /// finalized job (report, node placement, per-task straggler truth)
-    /// and every scored barrier's scores are fed to it. Observation is
-    /// bit-invisible to predictions and reports — the scored path is
-    /// flag-identical by the predictor contract — and write-once:
-    /// returns `false` (and changes nothing) if an observer is already
-    /// attached. For parity with a never-restarted run, attach before
-    /// pushing events; the recovery counterpart is
-    /// [`EngineService::recover_with_observer`](crate::EngineService::recover_with_observer).
-    pub fn attach_observer(&self, observer: Arc<dyn HealthObserver>) -> bool {
-        self.core.set_observer(observer)
-    }
-
-    /// Enqueues one event (see [`EngineHandle::push`] for the stream
-    /// contract). If the shard's queue is at capacity, the configured
-    /// [`OverloadPolicy`] applies; `Block` drains the shard on this
-    /// thread and then enqueues (lossless back-pressure, shim-style).
-    pub fn push_sync(&self, event: TaskEvent) -> bool {
-        self.core.ingest(event, BlockMode::DrainInline)
-    }
-
-    /// Enqueues a batch of events; returns how many were accepted.
-    pub fn push_all_sync(&self, events: impl IntoIterator<Item = TaskEvent>) -> usize {
-        let mut accepted = 0;
-        for event in events {
-            accepted += usize::from(self.push_sync(event));
-        }
-        accepted
-    }
-
-    /// Applies every queued event: shards with pending work each become
-    /// one pool task (the calling thread participates). May be called any
-    /// number of times at any batching — per-job results are identical,
-    /// provided every event was pushed after its job's `JobStart` (an
-    /// early push only survives to a later admission while it sits
-    /// undrained; see [`EngineHandle::push`]).
-    pub fn drain_sync(&self, pool: &ThreadPool) {
-        self.core.drain_all(pool);
-    }
-
-    /// Takes the reports of jobs finalized since the last take (job-id
-    /// order) — the mid-stream observation channel. A report taken here
-    /// is *not* repeated by [`Engine::finish`].
-    pub fn take_finalized(&self) -> Vec<JobReport> {
-        self.core.take_finalized()
-    }
-
-    /// Where `job` sits in its lifecycle, judging by *drained* state
-    /// (`None` = never admitted, or its `JobStart` is still queued).
-    #[must_use]
-    pub fn job_phase(&self, job: u64) -> Option<JobPhase> {
-        self.core.job_phase(job)
-    }
-
-    /// Scheduling diagnostics (see [`EngineStats`]).
-    #[must_use]
-    pub fn stats(&self) -> EngineStats {
-        self.core.stats()
-    }
-
-    /// Drains outstanding events, finalizes every still-live job (reason
-    /// [`FinalizeReason::EngineFinish`]) and produces the final report:
-    /// all not-yet-taken per-job results in ascending job-id order.
-    /// Outstanding [`EngineHandle`]s see their pushes rejected from here
-    /// on (the ingress closes first).
-    #[must_use]
-    pub fn finish(self, pool: &ThreadPool) -> EngineReport {
-        self.core.close_ingress();
-        self.core.drain_all(pool);
-        self.core.finish_report()
     }
 }
 
@@ -1330,21 +1073,51 @@ mod tests {
         ]
     }
 
+    /// A job's whole stream: its `JobStart`, then [`tiny_events`].
+    fn stream(job: u64) -> Vec<TaskEvent> {
+        let mut stream = vec![TaskEvent::JobStart { spec: spec(job) }];
+        stream.extend(tiny_events(job));
+        stream
+    }
+
+    /// The caller-driven engine: a bare core with no workers, drained on
+    /// the test's own thread exactly where the test says — so what a full
+    /// queue shed or rejected is an exact count, not a race against a
+    /// background drain.
+    impl EngineCore {
+        fn push_all(&self, events: impl IntoIterator<Item = TaskEvent>) -> usize {
+            let accepted = |event| usize::from(self.ingest(event));
+            events.into_iter().map(accepted).sum()
+        }
+
+        fn drain(&self) {
+            let mut batch = Vec::new();
+            for idx in 0..self.shard_count() {
+                while self.drain_shard(idx, usize::MAX, &mut batch) > 0 {}
+            }
+        }
+
+        fn finish(&self) -> EngineReport {
+            self.close_ingress();
+            self.drain();
+            self.finish_report()
+        }
+    }
+
+    fn core(config: EngineConfig) -> EngineCore {
+        EngineCore::new(config, factory())
+    }
+
     #[test]
     fn flags_stick_and_reports_sort_by_job_id() {
-        let pool = ThreadPool::new(2);
-        let engine = Engine::new(
-            EngineConfig {
-                shards: 3,
-                ..EngineConfig::default()
-            },
-            factory(),
-        );
+        let engine = core(EngineConfig {
+            shards: 3,
+            ..EngineConfig::default()
+        });
         for job in [9u64, 2, 5] {
-            engine.admit(spec(job));
-            engine.push_all_sync(tiny_events(job));
+            engine.push_all(stream(job));
         }
-        let report = engine.finish(&pool);
+        let report = engine.finish();
         assert_eq!(
             report.jobs.iter().map(|r| r.job).collect::<Vec<_>>(),
             vec![2, 5, 9]
@@ -1370,37 +1143,32 @@ mod tests {
 
     #[test]
     fn orphan_events_are_counted_not_fatal() {
-        let pool = ThreadPool::new(1);
-        let engine = Engine::new(EngineConfig::default(), factory());
-        engine.admit(spec(1));
-        engine.push_all_sync(tiny_events(1));
-        engine.push_sync(TaskEvent::Barrier {
+        let engine = core(EngineConfig::default());
+        engine.push_all(stream(1));
+        engine.push_all([TaskEvent::Barrier {
             job: 999,
             ordinal: 0,
             time: 1.0,
-        });
-        engine.drain_sync(&pool);
+        }]);
+        engine.drain();
         assert_eq!(engine.stats().orphan_events, 1);
-        let report = engine.finish(&pool);
+        let report = engine.finish();
         assert_eq!(report.jobs.len(), 1);
     }
 
     #[test]
     fn malformed_events_are_rejected_not_fatal() {
-        let pool = ThreadPool::new(1);
         let clean = {
-            let engine = Engine::new(EngineConfig::default(), factory());
-            engine.admit(spec(1));
-            engine.push_all_sync(tiny_events(1));
-            engine.finish(&pool)
+            let engine = core(EngineConfig::default());
+            engine.push_all(stream(1));
+            engine.finish()
         };
-        let engine = Engine::new(EngineConfig::default(), factory());
-        engine.admit(spec(1));
-        let mut events = tiny_events(1);
+        let engine = core(EngineConfig::default());
+        let mut events = stream(1);
         // Ragged snapshot (spec says feature_dim = 1) and an unknown task
         // id, inserted before the first barrier...
         events.insert(
-            3,
+            4,
             TaskEvent::Progress {
                 job: 1,
                 task: 1,
@@ -1409,7 +1177,7 @@ mod tests {
                 features: vec![0.5, 0.5, 0.5],
             },
         );
-        events.insert(4, TaskEvent::Submitted { job: 1, task: 99 });
+        events.insert(5, TaskEvent::Submitted { job: 1, task: 99 });
         // ...plus a duplicate completion and a replayed barrier *before*
         // the final barrier, while the job is still live.
         let last = events.len() - 1;
@@ -1432,10 +1200,10 @@ mod tests {
                 time: 4.0,
             },
         );
-        engine.push_all_sync(events);
-        engine.drain_sync(&pool);
+        engine.push_all(events);
+        engine.drain();
         assert_eq!(engine.stats().rejected_events, 4);
-        let report = engine.finish(&pool);
+        let report = engine.finish();
         // The four bad events changed nothing: same outcome as a clean run.
         assert_eq!(report.jobs[0].outcome, clean.jobs[0].outcome);
         assert_eq!(
@@ -1446,13 +1214,10 @@ mod tests {
 
     #[test]
     fn shard_hash_is_stable_and_in_range() {
-        let engine = Engine::new(
-            EngineConfig {
-                shards: 8,
-                ..EngineConfig::default()
-            },
-            factory(),
-        );
+        let engine = core(EngineConfig {
+            shards: 8,
+            ..EngineConfig::default()
+        });
         for job in 0..100u64 {
             let s = engine.shard_of(job);
             assert!(s < 8);
@@ -1466,33 +1231,22 @@ mod tests {
 
     #[test]
     fn drain_batching_does_not_change_the_report() {
-        let pool = ThreadPool::new(2);
-        let build = || Engine::new(EngineConfig::default(), factory());
-        let one_shot = build();
-        let batched = build();
-        let events: Vec<TaskEvent> = [1u64, 2, 3, 4]
-            .iter()
-            .flat_map(|&j| {
-                let mut stream = vec![TaskEvent::JobStart { spec: spec(j) }];
-                stream.extend(tiny_events(j));
-                stream
-            })
-            .collect();
-        one_shot.push_all_sync(events.clone());
+        let one_shot = core(EngineConfig::default());
+        let batched = core(EngineConfig::default());
+        let events: Vec<TaskEvent> = [1u64, 2, 3, 4].into_iter().flat_map(stream).collect();
+        one_shot.push_all(events.clone());
         for chunk in events.chunks(7) {
-            batched.push_all_sync(chunk.to_vec());
-            batched.drain_sync(&pool);
+            batched.push_all(chunk.to_vec());
+            batched.drain();
         }
-        assert_eq!(one_shot.finish(&pool), batched.finish(&pool));
+        assert_eq!(one_shot.finish(), batched.finish());
     }
 
     #[test]
     fn finalization_frees_job_state_and_take_finalized_drains_reports() {
-        let pool = ThreadPool::new(1);
-        let engine = Engine::new(EngineConfig::default(), factory());
-        engine.admit(spec(1));
-        engine.push_all_sync(tiny_events(1));
-        engine.drain_sync(&pool);
+        let engine = core(EngineConfig::default());
+        engine.push_all(stream(1));
+        engine.drain();
         // The last barrier finalized the job: no live state remains.
         let stats = engine.stats();
         assert_eq!(stats.jobs_per_shard.iter().sum::<usize>(), 0);
@@ -1502,49 +1256,62 @@ mod tests {
         assert_eq!(taken.len(), 1);
         assert_eq!(taken[0].job, 1);
         assert!(engine.take_finalized().is_empty(), "take drains");
-        // finish() does not repeat a taken report.
-        assert!(engine.finish(&pool).jobs.is_empty());
+        // The final report does not repeat a taken report.
+        assert!(engine.finish().jobs.is_empty());
     }
 
     #[test]
-    fn shim_handle_pushes_from_other_threads() {
-        let pool = ThreadPool::new(2);
-        let engine = Engine::new(
-            EngineConfig {
-                shards: 2,
-                ..EngineConfig::default()
-            },
-            factory(),
-        );
-        let producers: Vec<_> = [1u64, 2, 3]
-            .into_iter()
-            .map(|job| {
-                let handle = engine.handle();
-                std::thread::spawn(move || {
-                    let mut stream = vec![TaskEvent::JobStart { spec: spec(job) }];
-                    stream.extend(tiny_events(job));
-                    handle.push_all(stream)
-                })
-            })
-            .collect();
-        let accepted: usize = producers.into_iter().map(|p| p.join().unwrap()).sum();
-        assert_eq!(accepted, 33);
-        let report = engine.finish(&pool);
-        assert_eq!(report.jobs.len(), 3);
-        assert_eq!(report.events, 33);
-    }
-
-    #[test]
-    fn handle_pushes_fail_after_finish_closed_the_ingress() {
-        let pool = ThreadPool::new(1);
-        let engine = Engine::new(EngineConfig::default(), factory());
-        let handle = engine.handle();
+    fn handle_pushes_fail_after_the_ingress_closed() {
+        let engine = Arc::new(core(EngineConfig::default()));
+        let handle = EngineHandle::new(Arc::clone(&engine));
         assert!(handle.admit(spec(1)));
-        let _ = engine.finish(&pool);
+        let _ = engine.finish();
         assert!(!handle.push(TaskEvent::Barrier {
             job: 1,
             ordinal: 0,
             time: 1.0,
         }));
+    }
+
+    #[test]
+    fn shed_oldest_counts_and_survives_a_saturated_shard() {
+        let engine = core(EngineConfig {
+            shards: 1,
+            queue_capacity: Some(4),
+            overload: OverloadPolicy::ShedOldest,
+            ..EngineConfig::default()
+        });
+        let pushed = stream(1).len();
+        assert_eq!(engine.push_all(stream(1)), pushed, "shedding accepts");
+        let report = engine.finish();
+        // Capacity 4: every push past the fourth shed the oldest event.
+        assert_eq!(report.overload.shed_events, pushed - 4);
+        assert_eq!(report.overload.rejected_ingress, 0);
+        assert_eq!(report.events, 4, "only the queue's worth was applied");
+        // The punctured stream degrades gracefully: the JobStart itself was
+        // shed, so the four survivors drained as orphans — nothing panicked
+        // and the report simply carries no job.
+        assert_eq!(engine.stats().orphan_events, 4);
+        assert!(report.jobs.is_empty());
+    }
+
+    #[test]
+    fn reject_new_counts_and_keeps_the_oldest_window() {
+        let engine = core(EngineConfig {
+            shards: 1,
+            queue_capacity: Some(6),
+            overload: OverloadPolicy::RejectNew,
+            ..EngineConfig::default()
+        });
+        let pushed = stream(1).len();
+        assert_eq!(engine.push_all(stream(1)), 6, "the queue's worth");
+        assert_eq!(engine.stats().overload.rejected_ingress, pushed - 6);
+        let report = engine.finish();
+        // The oldest window survived: JobStart + submissions + first events
+        // were kept, so the job was admitted and partially observed.
+        assert_eq!(report.events, 6);
+        assert_eq!(report.jobs.len(), 1);
+        assert_eq!(report.jobs[0].finalized, FinalizeReason::EngineFinish);
+        assert_eq!(report.overload.rejected_ingress, pushed - 6);
     }
 }

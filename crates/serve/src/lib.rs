@@ -5,7 +5,8 @@
 //! replayed checkpoint-by-checkpoint on one thread. The ROADMAP's north
 //! star is a *service*: many concurrent jobs streaming task events from
 //! many producer threads under heavy traffic, arriving and departing at
-//! any time. This crate is that layer, in three pieces:
+//! any time. This crate is that layer, in three pieces — core, handle,
+//! service:
 //!
 //! * a crate-private **`EngineCore`** — per-shard
 //!   [`nurd_runtime::Channel`] MPSC ingress queues, per-shard job state
@@ -18,9 +19,9 @@
 //!   service (a pool of drain workers parking on a
 //!   [`nurd_runtime::Notifier`] when idle), with
 //!   [`EngineService::take_finalized`] as the mid-stream report channel
-//!   and [`EngineService::close`] as drain-to-quiescence shutdown. The
-//!   caller-driven [`Engine`] (push → [`Engine::drain_sync`] → observe)
-//!   remains as the single-threaded shim over the same core.
+//!   and [`EngineService::close`] as drain-to-quiescence shutdown;
+//!   [`EngineService::quiesce`] is the settle-then-observe point for
+//!   callers that must look between pushes.
 //!
 //! Everything PR 4 established rides along unchanged: **mid-stream
 //! admission** ([`nurd_data::TaskEvent::JobStart`] carries the
@@ -58,10 +59,10 @@
 //! lives in exactly one shard, chosen by hashing the job id. Per-shard
 //! ingress channels are FIFO, and a drain pops and applies under that
 //! shard's lock, so per-shard application order **is** channel order no
-//! matter which worker (or how many workers, or which producer thread
-//! under the shim's inline-drain) does the draining. Admission and
-//! finalization ride *in* the stream as ordinary events, and no state is
-//! shared between jobs. Parallelism — shard count, drain-worker count,
+//! matter which worker (or how many workers) does the draining.
+//! Admission and finalization ride *in* the stream as ordinary events,
+//! and no state is shared between jobs. Parallelism — shard count,
+//! drain-worker count,
 //! producer count, within-job balancing threads — only decides *which
 //! thread* applies a job's events or fits its models, never their order
 //! or result, so every job's trajectory equals its sequential replay and
@@ -123,7 +124,7 @@ mod snapshot;
 mod wal;
 
 pub use engine::{
-    BalanceConfig, Engine, EngineConfig, EngineHandle, EngineReport, EngineStats, JobReport,
+    BalanceConfig, EngineConfig, EngineHandle, EngineReport, EngineStats, JobReport,
     MitigatorFactory, PredictorFactory,
 };
 pub use lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};

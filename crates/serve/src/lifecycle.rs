@@ -1,6 +1,7 @@
 //! Job lifecycle and overload-control vocabulary for the streaming engine.
 //!
-//! A job served by [`Engine`](crate::Engine) moves through four phases:
+//! A job served by [`EngineService`](crate::EngineService) moves through
+//! four phases:
 //!
 //! ```text
 //!            JobStart drained          first quorum barrier
@@ -8,7 +9,7 @@
 //!                                  │            │           │          ▲
 //!                                  └────────────┴───────────┴──────────┘
 //!                 JobEnd · stream complete (last barrier or all tasks
-//!                 finished at a barrier) · Engine::finish
+//!                 finished at a barrier) · EngineService::close
 //! ```
 //!
 //! Finalization emits the job's [`JobReport`](crate::JobReport) and drops
@@ -20,7 +21,7 @@
 // `JobPhase` (see the state machine above) is defined in `nurd-data` so
 // mitigation policies can receive it inside `nurd_data::BarrierView`
 // without depending on this crate; it is re-exported here, where it has
-// always lived, and returned by `Engine::job_phase`.
+// always lived, and returned by `EngineService::job_phase`.
 pub use nurd_data::JobPhase;
 
 /// Why a job was finalized. Deterministic for a given event stream — it
@@ -38,8 +39,9 @@ pub enum FinalizeReason {
     /// beyond `τ_stra`, so the revelation rule has already ended the
     /// prediction window).
     StreamComplete,
-    /// The operator called [`Engine::finish`](crate::Engine::finish)
-    /// while the job was still live.
+    /// The operator called
+    /// [`EngineService::close`](crate::EngineService::close) while the
+    /// job was still live.
     EngineFinish,
     /// The job's predictor panicked during event application. The job is
     /// *quarantined*: its state up to the panic is reported, every later

@@ -31,7 +31,7 @@ use crate::engine::JobReport;
 
 /// A fleet-level listener for finalized jobs and scored barriers — the
 /// engine-side contract `nurd-health`'s aggregator implements. Attach
-/// one via [`Engine::attach_observer`](crate::Engine::attach_observer) /
+/// one via
 /// [`EngineService::attach_observer`](crate::EngineService::attach_observer),
 /// or at recovery via
 /// [`EngineService::recover_with_observer`](crate::EngineService::recover_with_observer).

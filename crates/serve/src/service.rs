@@ -23,9 +23,8 @@
 //!
 //! A shard is drained by at most one worker at a time (popping and
 //! applying happen under the shard's lock), so per-shard application
-//! order is channel FIFO order and the determinism contract is the same
-//! as the caller-driven engine's — worker count, like shard count,
-//! changes wall-clock only.
+//! order is channel FIFO order: worker count, like shard count, changes
+//! wall-clock only, never a report.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,7 +34,7 @@ use std::time::Duration;
 
 use nurd_runtime::ThreadPool;
 
-use crate::engine::{BlockMode, EngineCore, EngineHandle, EngineReport};
+use crate::engine::{EngineCore, EngineHandle, EngineReport};
 use crate::persist::{
     scan_dir, snapshot_path, wal_path, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
 };
@@ -219,7 +218,7 @@ fn drain_worker(
         let epoch = core.notifier().epoch();
         let mut drained = 0;
         for offset in 0..shards {
-            drained += core.drain_shard((worker + offset) % shards, batch, false, &mut buffer);
+            drained += core.drain_shard((worker + offset) % shards, batch, &mut buffer);
         }
         if drained > 0 {
             continue;
@@ -258,9 +257,8 @@ fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool, fa
 /// A multi-job streaming engine run as a **concurrent service**:
 /// producers on any number of threads push through cloned
 /// [`EngineHandle`]s while the background `DrainService` continuously
-/// applies, scores, and finalizes. This is the deployment shape the
-/// ROADMAP's "heavy traffic" north star asks for; the caller-driven
-/// [`Engine`](crate::Engine) remains as the single-threaded shim.
+/// applies, scores, and finalizes. This is the one way to serve: tests,
+/// the mitigation harness and the fleet benchmark all run through it.
 ///
 /// Under [`OverloadPolicy::Block`](crate::OverloadPolicy::Block) a push
 /// to a full shard is a **true blocking send** — the producer sleeps
@@ -271,9 +269,11 @@ fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool, fa
 ///
 /// # Example
 ///
+/// Admission → drain → finalization, all through the stream:
+///
 /// ```
 /// use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
-/// use nurd_serve::{EngineConfig, EngineService, ServiceConfig};
+/// use nurd_serve::{EngineConfig, EngineService, FinalizeReason, JobPhase, ServiceConfig};
 /// # struct Never;
 /// # impl OnlinePredictor for Never {
 /// #     fn name(&self) -> &str { "NEVER" }
@@ -286,7 +286,8 @@ fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool, fa
 ///     Box::new(|_| Box::new(Never)),
 /// );
 ///
-/// // Producers push from their own threads through cloned handles.
+/// // 1. Producers push from their own threads through cloned handles,
+/// //    and admission travels in the stream — no up-front registry.
 /// let producer = {
 ///     let handle = service.handle();
 ///     std::thread::spawn(move || {
@@ -298,9 +299,20 @@ fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool, fa
 /// };
 /// assert!(producer.join().unwrap(), "push accepted");
 ///
-/// // close(): drain to quiescence, then the final report.
+/// // 2. The drain workers apply queued events (admit, score, finalize)
+/// //    in the background; quiesce() waits until they have.
+/// service.quiesce();
+/// assert_eq!(service.job_phase(7), Some(JobPhase::Finalized));
+///
+/// // 3. The job's report is available mid-stream, long before close.
+/// let done = service.take_finalized();
+/// assert_eq!(done.len(), 1);
+/// assert_eq!(done[0].finalized, FinalizeReason::StreamComplete);
+///
+/// // close(): drain to quiescence, then the final report — of the jobs
+/// // not already taken.
 /// let report = service.close();
-/// assert_eq!(report.jobs.len(), 1);
+/// assert!(report.jobs.is_empty());
 /// assert_eq!(report.events, 2);
 /// ```
 pub struct EngineService {
@@ -525,7 +537,7 @@ impl EngineService {
             (p.config.fsync == FsyncPolicy::OnIdle).then_some(p.config.flush_interval)
         });
         let service = DrainService::start(Arc::clone(&core), service, flush_every);
-        let handle = EngineHandle::new(Arc::clone(&core), BlockMode::Sleep);
+        let handle = EngineHandle::new(Arc::clone(&core));
         EngineService {
             core,
             handle,
@@ -571,25 +583,29 @@ impl EngineService {
         self.handle.stats()
     }
 
-    /// Installs a mitigation-policy factory (write-once; returns `false`
-    /// if one is already installed). Jobs admitted after this call get a
-    /// policy at `JobStart`; jobs already live get one at their next
-    /// barrier. For the bit-identical-action-log guarantee, attach before
-    /// pushing any events — see
-    /// [`Engine::attach_mitigator`](crate::Engine::attach_mitigator) for
-    /// the contract, and [`EngineService::recover_with_mitigator`] for
-    /// the recovery path.
+    /// Attaches a mitigator: `mitigator` builds one fresh
+    /// [`MitigationPolicy`](nurd_data::MitigationPolicy) per admitted
+    /// job, and from then on every scored barrier runs scores → policy →
+    /// committed [`ActionRecord`](nurd_data::ActionRecord)s (surfaced on
+    /// each [`JobReport::actions`]). Write-once — returns `false` (and
+    /// changes nothing) if a mitigator is already attached. Jobs admitted
+    /// *before* the attach get a policy too, but barriers they already
+    /// scored decided nothing; for the bit-identical action-log guarantee
+    /// attach before pushing events (or recover with
+    /// [`EngineService::recover_with_mitigator`]).
     pub fn attach_mitigator(&self, mitigator: MitigatorFactory) -> bool {
         self.core.set_mitigator(mitigator)
     }
 
-    /// Installs a node-health observer (write-once; returns `false` if
-    /// one is already attached). Bit-invisible to predictions, flags,
-    /// and action logs — see
-    /// [`Engine::attach_observer`](crate::Engine::attach_observer) for
-    /// the contract, and [`EngineService::recover_with_observer`] for the
-    /// recovery path. Attach before pushing events so the observer sees
-    /// every barrier and finalization.
+    /// Attaches a fleet-level [`HealthObserver`]: from then on every
+    /// finalized job (report, node placement, per-task straggler truth)
+    /// and every scored barrier's scores are fed to it. Observation is
+    /// bit-invisible to predictions and reports — the scored path is
+    /// flag-identical by the predictor contract — and write-once:
+    /// returns `false` (and changes nothing) if an observer is already
+    /// attached. For parity with a never-restarted run, attach before
+    /// pushing events; the recovery counterpart is
+    /// [`EngineService::recover_with_observer`].
     pub fn attach_observer(&self, observer: Arc<dyn HealthObserver>) -> bool {
         self.core.set_observer(observer)
     }

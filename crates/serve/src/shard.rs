@@ -659,12 +659,12 @@ impl JobState {
 /// a drain worker pops a batch from the channel and applies it here while
 /// holding the shard's lock, so per-shard application order is the
 /// channel's FIFO order no matter which worker drains. Shards share
-/// nothing, which is the whole determinism argument — see
-/// [`crate::Engine`].
+/// nothing, which is the whole determinism argument — see the
+/// [crate docs](crate).
 pub(crate) struct Shard {
     jobs: BTreeMap<u64, JobState>,
     /// Reports of finalized jobs not yet taken by
-    /// [`crate::EngineHandle::take_finalized`] or `finish`.
+    /// [`crate::EngineHandle::take_finalized`] or the final report.
     finalized: BTreeMap<u64, JobReport>,
     /// Every job id this shard ever finalized — distinguishes *stale*
     /// events (job known, stream already closed) from orphans (job never

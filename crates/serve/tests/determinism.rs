@@ -8,7 +8,8 @@
 //!    [`nurd_serve::EngineReport`]s.
 //! 3. **Interleaving invariance** — any random merge of the per-job
 //!    event streams (per-job order preserved) produces the identical
-//!    report, as does any drain batching.
+//!    report, as does any drain batching (`ServiceConfig::drain_batch`,
+//!    `drain_workers`, and where the producer stops to quiesce).
 //! 4. **Lifecycle invariance** — all of the above survive *streaming*
 //!    operation: jobs admitted mid-stream by their `JobStart`, finalized
 //!    individually by `JobEnd`/stream completion, reports taken
@@ -16,8 +17,9 @@
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::{job_events, job_stream, JobSpec, TaskEvent};
-use nurd_runtime::ThreadPool;
-use nurd_serve::{Engine, EngineConfig, EngineReport, JobReport, PredictorFactory};
+use nurd_serve::{
+    EngineConfig, EngineReport, EngineService, JobReport, PredictorFactory, ServiceConfig,
+};
 use nurd_sim::{replay_job, ReplayConfig};
 use nurd_trace::{SuiteConfig, TraceStyle};
 use proptest::prelude::*;
@@ -42,26 +44,30 @@ fn nurd_factory(policy: RefitPolicy) -> PredictorFactory {
     })
 }
 
-fn run_engine(
-    jobs: &[nurd_data::JobTrace],
-    events: Vec<TaskEvent>,
-    shards: usize,
-    pool: &ThreadPool,
-    policy: &RefitPolicy,
-) -> EngineReport {
-    let engine = Engine::new(
+fn start(shards: usize, service: ServiceConfig, policy: &RefitPolicy) -> EngineService {
+    EngineService::start(
         EngineConfig {
             shards,
             warmup_fraction: WARMUP,
             ..EngineConfig::default()
         },
+        service,
         nurd_factory(policy.clone()),
-    );
+    )
+}
+
+fn run_engine(
+    jobs: &[nurd_data::JobTrace],
+    events: Vec<TaskEvent>,
+    shards: usize,
+    policy: &RefitPolicy,
+) -> EngineReport {
+    let service = start(shards, ServiceConfig::default(), policy);
     for job in jobs {
-        engine.admit(JobSpec::of_trace(job, QUANTILE));
+        service.admit(JobSpec::of_trace(job, QUANTILE));
     }
-    engine.push_all_sync(events);
-    engine.finish(pool)
+    service.push_all(events);
+    service.close()
 }
 
 fn warm_policy() -> RefitPolicy {
@@ -71,14 +77,13 @@ fn warm_policy() -> RefitPolicy {
 #[test]
 fn engine_report_equals_sequential_replay_for_warm_and_cold_nurd() {
     let jobs = suite(0x5EED, 3);
-    let pool = ThreadPool::new(2);
     let replay_cfg = ReplayConfig {
         quantile: QUANTILE,
         warmup_fraction: WARMUP,
     };
     for policy in [RefitPolicy::AlwaysCold, warm_policy()] {
         let (_, events) = nurd_trace::fleet_events(&jobs, QUANTILE);
-        let report = run_engine(&jobs, events, 4, &pool, &policy);
+        let report = run_engine(&jobs, events, 4, &policy);
         assert_eq!(report.jobs.len(), jobs.len());
         for job in &jobs {
             let mut reference =
@@ -99,9 +104,8 @@ fn engine_report_equals_sequential_replay_for_warm_and_cold_nurd() {
 fn engine_actually_flags_stragglers() {
     // Guard against vacuous equality (both sides predicting nothing).
     let jobs = suite(0xACE, 4);
-    let pool = ThreadPool::new(2);
     let (_, events) = nurd_trace::fleet_events(&jobs, QUANTILE);
-    let report = run_engine(&jobs, events, 2, &pool, &warm_policy());
+    let report = run_engine(&jobs, events, 2, &warm_policy());
     let flagged: usize = report
         .jobs
         .iter()
@@ -122,18 +126,19 @@ proptest! {
     fn prop_report_invariant_to_shards_and_interleaving(
         seed in 0u64..500,
         shuffle_seed in 0u64..1000,
+        batch_pick in 0usize..3,
+        drain_workers in 1usize..3,
     ) {
         let jobs = suite(seed, 3);
         let policy = warm_policy();
-        let pool = ThreadPool::new(2);
 
         // Canonical time-ordered interleaving, 1 shard: the baseline.
         let (_, canonical) = nurd_trace::fleet_events(&jobs, QUANTILE);
-        let baseline = run_engine(&jobs, canonical.clone(), 1, &pool, &policy);
+        let baseline = run_engine(&jobs, canonical.clone(), 1, &policy);
 
         // Same events, more shards.
         for shards in [2usize, 8] {
-            let report = run_engine(&jobs, canonical.clone(), shards, &pool, &policy);
+            let report = run_engine(&jobs, canonical.clone(), shards, &policy);
             prop_assert_eq!(&report, &baseline, "shard count {} changed the report", shards);
         }
 
@@ -143,22 +148,21 @@ proptest! {
             .map(|j| job_events(j, QUANTILE).1)
             .collect();
         let shuffled = nurd_trace::interleave_events(streams, shuffle_seed);
-        let report = run_engine(&jobs, shuffled.clone(), 8, &pool, &policy);
+        let report = run_engine(&jobs, shuffled.clone(), 8, &policy);
         prop_assert_eq!(&report, &baseline, "interleaving changed the report");
 
-        // Incremental drains between small batches.
-        let engine = Engine::new(
-            EngineConfig { shards: 2, warmup_fraction: WARMUP, ..EngineConfig::default() },
-            nurd_factory(policy.clone()),
-        );
+        // Small drain batches, one or two workers, and a producer that
+        // stops to quiesce between small pushes.
+        let drain_batch = [1, 7, 256][batch_pick];
+        let service = start(2, ServiceConfig { drain_workers, drain_batch }, &policy);
         for job in &jobs {
-            engine.admit(JobSpec::of_trace(job, QUANTILE));
+            service.admit(JobSpec::of_trace(job, QUANTILE));
         }
         for chunk in shuffled.chunks(97) {
-            engine.push_all_sync(chunk.to_vec());
-            engine.drain_sync(&pool);
+            service.push_all(chunk.to_vec());
+            service.quiesce();
         }
-        prop_assert_eq!(&engine.finish(&pool), &baseline, "drain batching changed the report");
+        prop_assert_eq!(&service.close(), &baseline, "drain batching changed the report");
     }
 
     /// The determinism contract re-proven for the *streaming* lifecycle:
@@ -174,8 +178,7 @@ proptest! {
     ) {
         let jobs = suite(seed, 3);
         let policy = warm_policy();
-        let pool = ThreadPool::new(2);
-        let replay_cfg = ReplayConfig { quantile: QUANTILE, warmup_fraction: WARMUP };
+            let replay_cfg = ReplayConfig { quantile: QUANTILE, warmup_fraction: WARMUP };
 
         // Sequential reference, one isolated replay per job.
         let expected: Vec<(u64, nurd_sim::ReplayOutcome)> = jobs
@@ -204,19 +207,16 @@ proptest! {
             (&staggered, 8),
             (&shuffled, 8),
         ] {
-            let engine = Engine::new(
-                EngineConfig { shards, warmup_fraction: WARMUP, ..EngineConfig::default() },
-                nurd_factory(policy.clone()),
-            );
+            let service = start(shards, ServiceConfig::default(), &policy);
             // Chunked pushes with mid-stream report taking — the
             // long-lived-service usage pattern.
             let mut reports: Vec<JobReport> = Vec::new();
             for chunk in stream.chunks(137) {
-                engine.push_all_sync(chunk.to_vec());
-                engine.drain_sync(&pool);
-                reports.extend(engine.take_finalized());
+                service.push_all(chunk.to_vec());
+                service.quiesce();
+                reports.extend(service.take_finalized());
             }
-            reports.extend(engine.finish(&pool).jobs);
+            reports.extend(service.close().jobs);
             reports.sort_by_key(|r| r.job);
             prop_assert_eq!(reports.len(), jobs.len(), "every job reported exactly once");
 

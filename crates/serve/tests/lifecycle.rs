@@ -1,11 +1,13 @@
 //! Lifecycle edges of the streaming engine: mid-stream admission, events
-//! after finalization, `JobEnd` before the warmup quorum, phase
-//! transitions, and overload policies on a saturated shard.
+//! after finalization, `JobEnd` before the warmup quorum and phase
+//! transitions, observed through a running service at its
+//! [`EngineService::quiesce`] points. (The exact loss counts of the lossy
+//! overload policies need drain points no background worker can race;
+//! they are unit tests of the crate-private core, in `src/service.rs`.)
 
 use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
-use nurd_runtime::ThreadPool;
 use nurd_serve::{
-    Engine, EngineConfig, FinalizeReason, JobPhase, OverloadPolicy, PredictorFactory,
+    EngineConfig, EngineService, FinalizeReason, JobPhase, PredictorFactory, ServiceConfig,
 };
 
 /// Flags every running task at its first scored checkpoint.
@@ -21,6 +23,10 @@ impl OnlinePredictor for FlagAll {
 
 fn factory() -> PredictorFactory {
     Box::new(|_| Box::new(FlagAll))
+}
+
+fn start() -> EngineService {
+    EngineService::start(EngineConfig::default(), ServiceConfig::default(), factory())
 }
 
 fn spec(job: u64, checkpoints: usize) -> JobSpec {
@@ -84,41 +90,39 @@ fn full_stream(job: u64) -> Vec<TaskEvent> {
 
 #[test]
 fn events_for_a_finalized_job_are_stale_not_fatal() {
-    let pool = ThreadPool::new(1);
     let clean = {
-        let engine = Engine::new(EngineConfig::default(), factory());
-        engine.push_all_sync(full_stream(1));
-        engine.finish(&pool)
+        let service = start();
+        service.push_all(full_stream(1));
+        service.close()
     };
 
-    let engine = Engine::new(EngineConfig::default(), factory());
-    engine.push_all_sync(full_stream(1));
-    engine.drain_sync(&pool);
-    assert_eq!(engine.job_phase(1), Some(JobPhase::Finalized));
+    let service = start();
+    service.push_all(full_stream(1));
+    service.quiesce();
+    assert_eq!(service.job_phase(1), Some(JobPhase::Finalized));
     // A whole burst after finalization: progress, a barrier, a second
     // JobEnd, even a JobStart restart of the dead id.
-    engine.push_all_sync([
+    service.push_all([
         progress(1, 2, 1, 8.0),
         barrier(1, 1, 8.0),
         TaskEvent::JobEnd { job: 1, time: 9.0 },
         TaskEvent::JobStart { spec: spec(1, 2) },
     ]);
-    engine.drain_sync(&pool);
-    let stats = engine.stats();
+    service.quiesce();
+    let stats = service.stats();
     // The last barrier already finalized the job, so the stream's own
     // JobEnd is stale too: 1 (in-stream JobEnd) + 4 late events.
     assert_eq!(stats.stale_events, 5);
     assert_eq!(stats.orphan_events, 0);
     assert_eq!(stats.rejected_events, 0);
     assert_eq!(stats.finalized_jobs, 1);
-    let report = engine.finish(&pool);
+    let report = service.close();
     assert_eq!(report.jobs, clean.jobs, "stale events changed the report");
 }
 
 #[test]
 fn job_end_before_warmup_quorum_finalizes_cleanly() {
-    let pool = ThreadPool::new(1);
-    let engine = Engine::new(EngineConfig::default(), factory());
+    let service = start();
     let mut events = vec![TaskEvent::JobStart { spec: spec(7, 4) }];
     events.extend(submissions(7));
     // One checkpoint of pure progress — nothing finished, quorum
@@ -130,9 +134,9 @@ fn job_end_before_warmup_quorum_finalizes_cleanly() {
         barrier(7, 0, 2.0),
         TaskEvent::JobEnd { job: 7, time: 2.5 },
     ]);
-    engine.push_all_sync(events);
-    engine.drain_sync(&pool);
-    let reports = engine.take_finalized();
+    service.push_all(events);
+    service.quiesce();
+    let reports = service.take_finalized();
     assert_eq!(reports.len(), 1);
     let r = &reports[0];
     assert_eq!(r.finalized, FinalizeReason::JobEnd);
@@ -146,138 +150,55 @@ fn job_end_before_warmup_quorum_finalizes_cleanly() {
 
 #[test]
 fn jobs_walk_the_phase_state_machine() {
-    let pool = ThreadPool::new(1);
-    let engine = Engine::new(EngineConfig::default(), factory());
-    assert_eq!(engine.job_phase(5), None, "unknown before admission");
+    let service = start();
+    assert_eq!(service.job_phase(5), None, "unknown before admission");
 
-    engine.push_sync(TaskEvent::JobStart { spec: spec(5, 3) });
-    engine.push_all_sync(submissions(5));
-    engine.drain_sync(&pool);
-    assert_eq!(engine.job_phase(5), Some(JobPhase::Admitted));
+    service.push(TaskEvent::JobStart { spec: spec(5, 3) });
+    service.push_all(submissions(5));
+    service.quiesce();
+    assert_eq!(service.job_phase(5), Some(JobPhase::Admitted));
 
     // A closed checkpoint with no completions: warming, not scoring.
-    engine.push_all_sync([
+    service.push_all([
         progress(5, 0, 0, 1.0),
         progress(5, 1, 0, 1.0),
         progress(5, 2, 0, 1.0),
         barrier(5, 0, 1.0),
     ]);
-    engine.drain_sync(&pool);
-    assert_eq!(engine.job_phase(5), Some(JobPhase::Warming));
+    service.quiesce();
+    assert_eq!(service.job_phase(5), Some(JobPhase::Warming));
 
     // A completion satisfies the quorum at the next barrier: scoring.
-    engine.push_all_sync([
+    service.push_all([
         finished(5, 0, 1, 4.0, 2.0),
         progress(5, 1, 1, 4.0),
         progress(5, 2, 1, 4.0),
         barrier(5, 1, 4.0),
     ]);
-    engine.drain_sync(&pool);
-    assert_eq!(engine.job_phase(5), Some(JobPhase::Scoring));
+    service.quiesce();
+    assert_eq!(service.job_phase(5), Some(JobPhase::Scoring));
 
-    engine.push_sync(TaskEvent::JobEnd { job: 5, time: 5.0 });
-    engine.drain_sync(&pool);
-    assert_eq!(engine.job_phase(5), Some(JobPhase::Finalized));
-    assert_eq!(engine.take_finalized().len(), 1);
+    service.push(TaskEvent::JobEnd { job: 5, time: 5.0 });
+    service.quiesce();
+    assert_eq!(service.job_phase(5), Some(JobPhase::Finalized));
+    assert_eq!(service.take_finalized().len(), 1);
 }
 
 #[test]
 fn mid_stream_admission_after_another_job_finalized() {
-    let pool = ThreadPool::new(1);
-    let engine = Engine::new(EngineConfig::default(), factory());
+    let service = start();
     // Job 1 lives and dies...
-    engine.push_all_sync(full_stream(1));
-    engine.drain_sync(&pool);
-    assert_eq!(engine.job_phase(1), Some(JobPhase::Finalized));
+    service.push_all(full_stream(1));
+    service.quiesce();
+    assert_eq!(service.job_phase(1), Some(JobPhase::Finalized));
     // ...then job 2 arrives, long after, with no registry anywhere.
-    engine.push_all_sync(full_stream(2));
-    engine.drain_sync(&pool);
-    let reports = engine.take_finalized();
+    service.push_all(full_stream(2));
+    service.quiesce();
+    let reports = service.take_finalized();
     assert_eq!(
         reports.iter().map(|r| r.job).collect::<Vec<_>>(),
         vec![1, 2]
     );
     // Identical streams (modulo id) ⇒ identical outcomes.
     assert_eq!(reports[0].outcome.confusion, reports[1].outcome.confusion);
-}
-
-#[test]
-fn shed_oldest_counts_and_survives_a_saturated_shard() {
-    let pool = ThreadPool::new(1);
-    let engine = Engine::new(
-        EngineConfig {
-            shards: 1,
-            queue_capacity: Some(4),
-            overload: OverloadPolicy::ShedOldest,
-            ..EngineConfig::default()
-        },
-        factory(),
-    );
-    let stream = full_stream(1);
-    let pushed = stream.len();
-    engine.push_all_sync(stream);
-    let report = engine.finish(&pool);
-    // Capacity 4: every push past the fourth shed the oldest event.
-    assert_eq!(report.overload.shed_events, pushed - 4);
-    assert_eq!(report.overload.rejected_ingress, 0);
-    assert_eq!(report.events, 4, "only the queue's worth was applied");
-    // The punctured stream degrades gracefully: the JobStart itself was
-    // shed, so the four survivors drained as orphans — nothing panicked
-    // and the report simply carries no job.
-    assert!(report.jobs.is_empty());
-}
-
-#[test]
-fn reject_new_counts_and_keeps_the_oldest_window() {
-    let pool = ThreadPool::new(1);
-    let engine = Engine::new(
-        EngineConfig {
-            shards: 1,
-            queue_capacity: Some(6),
-            overload: OverloadPolicy::RejectNew,
-            ..EngineConfig::default()
-        },
-        factory(),
-    );
-    let stream = full_stream(1);
-    let pushed = stream.len();
-    engine.push_all_sync(stream);
-    let stats_mid = engine.stats();
-    assert_eq!(stats_mid.overload.rejected_ingress, pushed - 6);
-    let report = engine.finish(&pool);
-    // The oldest window survived: JobStart + submissions + first events
-    // were kept, so the job was admitted and partially observed.
-    assert_eq!(report.events, 6);
-    assert_eq!(report.jobs.len(), 1);
-    assert_eq!(report.jobs[0].finalized, FinalizeReason::EngineFinish);
-    assert_eq!(report.overload.rejected_ingress, pushed - 6);
-}
-
-#[test]
-fn block_policy_is_lossless_backpressure() {
-    let pool = ThreadPool::new(1);
-    let run = |capacity: Option<usize>| {
-        let engine = Engine::new(
-            EngineConfig {
-                shards: 1,
-                queue_capacity: capacity,
-                overload: OverloadPolicy::Block,
-                ..EngineConfig::default()
-            },
-            factory(),
-        );
-        engine.push_all_sync(full_stream(1));
-        let blocked = engine.stats().blocked_pushes;
-        (engine.finish(&pool), blocked)
-    };
-    let (unbounded, unbounded_blocked) = run(None);
-    let (tiny, tiny_blocked) = run(Some(2));
-    // Blocking drains inline instead of dropping: the *entire report*
-    // (not just per-job results) is bit-for-bit the unbounded engine's —
-    // the scheduling-dependent blocked-push count lives in EngineStats,
-    // outside the determinism-checked report.
-    assert_eq!(tiny, unbounded);
-    assert!(tiny_blocked > 0, "capacity 2 never hit?");
-    assert_eq!(tiny.overload.lost_events(), 0);
-    assert_eq!(unbounded_blocked, 0);
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # ROADMAP aim 2 ("the same behaviour from the least code") as a command.
-# Prints three counts and fails if (a) or (b) exceeds the value recorded
-# below — a ratchet: a later PR lowers a limit, or justifies raising it in
-# the same diff.
+# Prints three counts and fails if any exceeds the value recorded below —
+# a ratchet: a later PR lowers a limit, or justifies raising it in the
+# same diff.
 #
 #   (a) product lines of ml + core + serve: for every file under
 #       crates/{ml,core,serve}/src, the lines above its first `#[cfg(test)]`
@@ -13,8 +13,9 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-MAX_PRODUCT_LINES=9296
+MAX_PRODUCT_LINES=9048
 MAX_UNSAFE_SITES=7
+MAX_CONFIG_FIELDS=38
 
 product_lines() {
     awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' "$@"
@@ -42,7 +43,7 @@ for config in TreeConfig GbtConfig LogisticConfig NurdConfig WarmRefitConfig \
         END { print n + 0 }')
     config_fields=$((config_fields + fields))
 done
-printf 'config pub fields     %6d\n' "$config_fields"
+printf 'config pub fields     %6d   (limit %d)\n' "$config_fields" "$MAX_CONFIG_FIELDS"
 
 status=0
 if ((total > MAX_PRODUCT_LINES)); then
@@ -51,6 +52,10 @@ if ((total > MAX_PRODUCT_LINES)); then
 fi
 if ((unsafe_sites > MAX_UNSAFE_SITES)); then
     echo "aim2: unsafe sites $unsafe_sites exceed the recorded $MAX_UNSAFE_SITES" >&2
+    status=1
+fi
+if ((config_fields > MAX_CONFIG_FIELDS)); then
+    echo "aim2: config pub fields $config_fields exceed the recorded $MAX_CONFIG_FIELDS" >&2
     status=1
 fi
 exit $status

@@ -1,7 +1,7 @@
 //! Edge-case and failure-injection tests over the public API surface:
 //! the library must fail loudly and predictably, never silently wrong.
 
-use nurd::core::{NurdConfig, NurdPredictor};
+use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd::data::{
     Checkpoint, DataError, FinishedTask, JobTrace, OnlinePredictor, RunningTask, StreamContext,
     TaskRecord,
@@ -221,15 +221,19 @@ fn hostile_ensemble_bytes_are_rejected_at_decode() {
     }
 }
 
-#[test]
-fn hostile_predictor_blobs_are_refused_at_restore() {
-    let tasks: Vec<(Vec<f64>, f64)> = (0..60)
+/// Sixty two-feature tasks for the restore tests below.
+fn restore_tasks() -> Vec<(Vec<f64>, f64)> {
+    (0..60)
         .map(|i| {
             let (a, b) = (((i * 29) % 17) as f64, ((i * 13) % 7) as f64);
             (vec![a, b], 5.0 + 2.0 * a - b)
         })
-        .collect();
-    let checkpoint = Checkpoint {
+        .collect()
+}
+
+/// A checkpoint at which the first forty of `tasks` have finished.
+fn restore_checkpoint(tasks: &[(Vec<f64>, f64)]) -> Checkpoint<'_> {
+    Checkpoint {
         ordinal: 0,
         time: 10.0,
         finished: tasks[..40]
@@ -249,12 +253,20 @@ fn hostile_predictor_blobs_are_refused_at_restore() {
                 features,
             })
             .collect(),
-    };
-    let ctx = StreamContext {
-        threshold: 25.0,
-        task_count: tasks.len(),
-        feature_dim: 2,
-    };
+    }
+}
+
+const RESTORE_CTX: StreamContext = StreamContext {
+    threshold: 25.0,
+    task_count: 60,
+    feature_dim: 2,
+};
+
+#[test]
+fn hostile_predictor_blobs_are_refused_at_restore() {
+    let tasks = restore_tasks();
+    let checkpoint = restore_checkpoint(&tasks);
+    let ctx = RESTORE_CTX;
     // Refit at every other checkpoint, so the barrier after a restore
     // scores with the head the blob carried.
     let config = NurdConfig {
@@ -289,6 +301,128 @@ fn hostile_predictor_blobs_are_refused_at_restore() {
         if let Some(mut predictor) = restored(&ensemble) {
             let scores = predictor.score_running(&checkpoint);
             panic!("{what}: restored, then scored {} tasks", scores.len());
+        }
+    }
+}
+
+/// A `LogisticRegression` record: weights, intercept, feature means,
+/// feature deviations, iterations.
+fn propensity_bytes(weights: &[f64], means: &[f64], stds: &[f64]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    weights.to_vec().encode(&mut enc);
+    enc.put_f64(0.1); // intercept
+    means.to_vec().encode(&mut enc);
+    stds.to_vec().encode(&mut enc);
+    enc.put_usize(3); // iterations
+    enc.into_bytes()
+}
+
+/// Two weights and no standardization tables: the record that used to
+/// decode `Ok`, score every row as `σ(intercept)` (scoring zips to the
+/// shortest table) and panic the warm refit it seeded (`remap_seed`
+/// indexes the tables by the weights' length).
+fn ragged_propensity() -> Vec<u8> {
+    propensity_bytes(&[1.0, -1.0], &[], &[])
+}
+
+#[test]
+fn ragged_propensity_bytes_are_rejected_at_decode() {
+    let sane = propensity_bytes(&[1.0, -1.0], &[0.5, 0.5], &[2.0, 1.0]);
+    let model = LogisticRegression::decode(&mut Decoder::new(&sane)).unwrap();
+    assert!(model.predict_proba(&[4.5, 0.5]) > model.predict_proba(&[0.5, 0.5]));
+
+    let rows = vec![
+        vec![0.0, 0.0],
+        vec![1.0, 5.0],
+        vec![-3.0, 2.0],
+        vec![10.0, -10.0],
+    ];
+    let unequal = [
+        ("no tables", ragged_propensity()),
+        (
+            "short means",
+            propensity_bytes(&[1.0, -1.0], &[0.5], &[2.0, 1.0]),
+        ),
+        (
+            "long deviations",
+            propensity_bytes(&[1.0, -1.0], &[0.5, 0.5], &[2.0, 1.0, 1.0]),
+        ),
+    ];
+    for (what, blob) in unequal {
+        match LogisticRegression::decode(&mut Decoder::new(&blob)) {
+            Err(err) => assert!(
+                matches!(err, CodecError::LengthOverrun { .. }),
+                "{what}: {err:?}"
+            ),
+            Ok(model) => {
+                let scores = model.predict_proba_view(MatrixView::Rows(&rows));
+                panic!("{what}: decoded, then scored four different rows as {scores:?}");
+            }
+        }
+    }
+    // Scoring and seeding both divide by the deviations.
+    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let blob = propensity_bytes(&[1.0, -1.0], &[0.5, 0.5], &[2.0, bad]);
+        let got = LogisticRegression::decode(&mut Decoder::new(&blob));
+        assert!(
+            matches!(got, Err(CodecError::InvalidTag { .. })),
+            "deviation {bad}: {got:?}"
+        );
+    }
+}
+
+#[test]
+fn predictor_blobs_with_a_mismatched_propensity_model_are_refused_at_restore() {
+    let tasks = restore_tasks();
+    let checkpoint = restore_checkpoint(&tasks);
+    // A warm policy seeds each `g_t` refit from the previous model, every
+    // other checkpoint: after a restore the first barrier scores with the
+    // model the blob carried and the second seeds a refit with it.
+    let config = NurdConfig {
+        refit_every: 2,
+        ..NurdConfig::default().with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default()))
+    };
+    let mut live = NurdPredictor::new(config.clone());
+    live.begin_stream(&RESTORE_CTX);
+    assert_eq!(live.score_running(&checkpoint).len(), 20);
+    let blob = live.snapshot_state().expect("NURD snapshots its state");
+
+    // The blob opens with δ, then the propensity model.
+    let mut dec = Decoder::new(&blob);
+    Option::<f64>::decode(&mut dec).unwrap();
+    let at = blob.len() - dec.remaining();
+    let fitted = Option::<LogisticRegression>::decode(&mut dec).unwrap();
+    assert_eq!(fitted.expect("just fit").weights().len(), 2);
+    let end = blob.len() - dec.remaining();
+    let restored = |model: &[u8]| {
+        let spliced = [&blob[..at], &[1][..], model, &blob[end..]].concat();
+        let mut predictor = NurdPredictor::new(config.clone());
+        predictor.begin_stream(&RESTORE_CTX);
+        predictor.restore_state(&spliced).then_some(predictor)
+    };
+    let mut intact = restored(&blob[at + 1..end]).expect("its own bytes restore");
+    assert_eq!(
+        intact.score_running(&checkpoint),
+        live.score_running(&checkpoint)
+    );
+    let hostile = [
+        ("ragged", ragged_propensity()),
+        // Well-formed, but a feature wider than the rows `h_t` holds.
+        (
+            "three features wide",
+            propensity_bytes(&[1.0, -1.0, 1.0], &[0.5; 3], &[1.0; 3]),
+        ),
+    ];
+    for (what, model) in hostile {
+        if let Some(mut predictor) = restored(&model) {
+            let scored = predictor.score_running(&checkpoint);
+            let propensities: Vec<f64> = scored.iter().map(|s| s.propensity).collect();
+            let refit = predictor.score_running(&checkpoint);
+            panic!(
+                "{what}: restored, scored propensities {propensities:?}, \
+                 then refit and scored {} tasks",
+                refit.len()
+            );
         }
     }
 }

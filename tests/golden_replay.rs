@@ -16,6 +16,12 @@
 //! while each still fit its head through its own `fit_view` arm, before
 //! PR 16 folded both into `WarmRefitState`.
 //!
+//! The last constant pins the closed mitigation and node-health loops —
+//! `run_fleet` and `run_node_fleet`, reports to verdicts — to what they
+//! produced while the harness still served through the caller-driven
+//! `Engine` (`push_all_sync` + `finish`), before PR 20 deleted that type and
+//! moved the harness onto `EngineService`.
+//!
 //! The fleet covers both bin regimes of the histogram path: Google-style
 //! jobs (~100 tasks, node model on) keep every feature under 256 distinct
 //! values, so each value is its own bin; Alibaba-style jobs of ≥ 600 tasks
@@ -26,7 +32,13 @@ use nurd::baselines::GbtrPredictor;
 use nurd::core::{
     DonorModel, NurdConfig, NurdPredictor, RefitPolicy, TransferNurdPredictor, WarmRefitConfig,
 };
-use nurd::data::{Checkpoint, FinishedTask, JobContext, JobTrace, OnlinePredictor, RunningTask};
+use nurd::data::{
+    ActionRecord, Checkpoint, FinishedTask, JobContext, JobTrace, OnlinePredictor, RunningTask,
+};
+use nurd::mitigate::{
+    oracle_mitigator, run_fleet, run_node_fleet, threshold_mitigator, FleetConfig, FleetRun,
+    NodeFleetConfig,
+};
 use nurd::sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd::trace::{NodeModelConfig, SuiteConfig, TraceStyle};
 
@@ -297,6 +309,112 @@ fn predictor_blobs_match_the_pre_flat_ensemble_constants() {
     );
 }
 
+/// Folds everything one closed-loop pass hands its caller: the engine's
+/// reports, the canonical action log and the simulator's outcomes
+/// (`summary` is a pure function of the outcomes).
+fn hash_fleet_run(hash: &mut u64, run: &FleetRun) {
+    let hash_actions = |hash: &mut u64, actions: &[ActionRecord]| {
+        fold(hash, actions.len() as u64);
+        for a in actions {
+            for word in [
+                a.job,
+                a.ordinal as u64,
+                a.time.to_bits(),
+                a.task as u64,
+                a.action as u64,
+            ] {
+                fold(hash, word);
+            }
+        }
+    };
+    fold(hash, run.reports.len() as u64);
+    for report in &run.reports {
+        fold(hash, report.job);
+        fold(hash, report.checkpoints_scored as u64);
+        fold(hash, report.finalized as u64);
+        hash_outcome(hash, &report.outcome);
+        hash_actions(hash, &report.actions);
+    }
+    hash_actions(hash, &run.action_log);
+    fold(hash, run.outcomes.len() as u64);
+    for o in &run.outcomes {
+        fold(hash, o.job);
+        for time in [o.jct_baseline, o.jct_mitigated, o.wasted_work, o.total_work] {
+            fold(hash, time.to_bits());
+        }
+        fold(hash, o.completions.len() as u64);
+        for c in &o.completions {
+            fold(hash, c.task as u64);
+            fold(hash, c.time.to_bits());
+            fold(hash, u64::from(c.via_mitigation));
+        }
+        for count in [
+            o.clones_issued,
+            o.clones_won,
+            o.clones_wasted,
+            o.quarantines,
+            o.void_actions,
+            o.true_stragglers,
+            o.caught_stragglers,
+        ] {
+            fold(hash, count as u64);
+        }
+    }
+}
+
+/// Hash of the three mitigation passes and the two-pass node-health loop
+/// over `jobs` at `shards` shards, with the actions committed and the
+/// nodes judged.
+fn closed_loop_hash(jobs: &[JobTrace], shards: usize) -> (u64, usize, usize) {
+    let config = FleetConfig {
+        shards,
+        ..FleetConfig::default()
+    };
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut actions = 0;
+    for mitigator in [
+        None,
+        Some(threshold_mitigator(1.0, Some(8))),
+        Some(oracle_mitigator(jobs, REPLAY.quantile)),
+    ] {
+        let run = run_fleet(jobs, mitigator, &config);
+        actions += run.action_log.len();
+        hash_fleet_run(&mut hash, &run);
+    }
+    let mut node_config = NodeFleetConfig::default();
+    node_config.fleet.shards = shards;
+    let node_run = run_node_fleet(jobs, &node_config);
+    hash_fleet_run(&mut hash, &node_run.observed);
+    hash_fleet_run(&mut hash, &node_run.mitigated);
+    actions += node_run.mitigated.action_log.len();
+    fold(&mut hash, node_run.verdicts.len() as u64);
+    for (&node, &verdict) in &node_run.verdicts {
+        fold(&mut hash, u64::from(node));
+        fold(&mut hash, verdict as u64);
+    }
+    (hash, actions, node_run.verdicts.len())
+}
+
+#[test]
+fn closed_loops_match_the_pre_service_harness_constant_at_all_shard_counts() {
+    // The Google-style jobs of the fleet: they carry the node model.
+    let jobs = &fleet()[..6];
+    assert!(jobs.iter().all(|j| j.node_placement().is_some()));
+    for shards in [1, 2, 8] {
+        let (hash, actions, verdicts) = closed_loop_hash(jobs, shards);
+        // No committed action or no judged node would pin nothing.
+        assert!(
+            actions > 50 && verdicts > 0,
+            "{actions} actions, {verdicts} verdicts"
+        );
+        assert_eq!(
+            hash, GOLDEN_CLOSED_LOOP,
+            "closed-loop output moved at {shards} shards: {hash:#018x} \
+             over {actions} actions and {verdicts} verdicts"
+        );
+    }
+}
+
 const GOLDEN_ALWAYS_COLD: u64 = 0x94CC_1CAB_23F9_3B12;
 const GOLDEN_WARM: u64 = 0xD92D_0B82_1813_E4EC;
 /// Recorded on commit `bd5a359` (PR 14), the parent of the IRLS point
@@ -313,3 +431,8 @@ const GOLDEN_TRANSFER_ALWAYS_COLD: u64 = 0xA5D9_2F3C_2D0A_6B80;
 /// The snapshot format is version 4 on both sides.
 const GOLDEN_BLOB_BYTES_ALWAYS_COLD: u64 = 0xA67E_E27D_FD98_6EA2;
 const GOLDEN_BLOB_BYTES_WARM: u64 = 0xE3C6_55B6_43DF_1384;
+/// Recorded on commit `3e7e3b9` (PR 18), while `nurd_mitigate::run_fleet`
+/// still served through the caller-driven `Engine` shim (`push_all_sync` +
+/// `finish(&pool)`: no drain workers, no notifier) — the parent of the PR
+/// that deleted the shim and moved the harness onto `EngineService`.
+const GOLDEN_CLOSED_LOOP: u64 = 0x3152_5615_88B3_671E;

@@ -24,8 +24,9 @@ use nurd::data::{
     TaskEvent,
 };
 use nurd::linalg::MatrixView;
-use nurd::runtime::ThreadPool;
-use nurd::serve::{Engine, EngineConfig, EngineReport, FinalizeReason, PredictorFactory};
+use nurd::serve::{
+    EngineConfig, EngineReport, EngineService, FinalizeReason, PredictorFactory, ServiceConfig,
+};
 use nurd::sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
@@ -152,22 +153,22 @@ fn run_engine(
     jobs: &[JobTrace],
     events: Vec<TaskEvent>,
     shards: usize,
-    pool: &ThreadPool,
     factory: PredictorFactory,
 ) -> EngineReport {
-    let engine = Engine::new(
+    let service = EngineService::start(
         EngineConfig {
             shards,
             warmup_fraction: WARMUP,
             ..EngineConfig::default()
         },
+        ServiceConfig::default(),
         factory,
     );
     for job in jobs {
-        engine.admit(JobSpec::of_trace(job, QUANTILE));
+        service.admit(JobSpec::of_trace(job, QUANTILE));
     }
-    engine.push_all_sync(events);
-    let report = engine.finish(pool);
+    service.push_all(events);
+    let report = service.close();
     // The engine quarantines a panicking predictor instead of unwinding,
     // so a failed pointer check inside a shard surfaces here.
     assert!(
@@ -301,15 +302,14 @@ fn score_breakdowns_identical_at_every_checkpoint() {
 #[test]
 fn engine_reports_flat_equals_pointer_at_all_shard_counts() {
     let jobs = suite(TraceStyle::Google, 3, 0xF1A8);
-    let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
     let batch = Arc::new(AtomicUsize::new(0));
     for policy in policies() {
         let factory = || checked_factory(config(policy.clone()), &batch);
-        let single = run_engine(&jobs, events.clone(), 1, &pool, factory());
+        let single = run_engine(&jobs, events.clone(), 1, factory());
         assert_jobs_match_reference(&single, &jobs, &policy);
         for shards in [2usize, 8] {
-            let sharded = run_engine(&jobs, events.clone(), shards, &pool, factory());
+            let sharded = run_engine(&jobs, events.clone(), shards, factory());
             assert_eq!(
                 sharded, single,
                 "engine at {shards} shards diverged from one shard ({policy:?})"
@@ -326,7 +326,6 @@ fn engine_reports_flat_equals_pointer_at_all_shard_counts() {
 #[test]
 fn lane_width_sweep_matches_pointer_engine() {
     let jobs = suite(TraceStyle::Google, 3, 0xF1AC);
-    let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
     let batch = Arc::new(AtomicUsize::new(0));
     for policy in policies() {
@@ -334,13 +333,7 @@ fn lane_width_sweep_matches_pointer_engine() {
             .into_iter()
             .map(|lanes| {
                 let cfg = config(policy.clone()).with_scoring_lanes(lanes);
-                run_engine(
-                    &jobs,
-                    events.clone(),
-                    2,
-                    &pool,
-                    checked_factory(cfg, &batch),
-                )
+                run_engine(&jobs, events.clone(), 2, checked_factory(cfg, &batch))
             })
             .collect();
         assert_jobs_match_reference(&reports[0], &jobs, &policy);
@@ -368,7 +361,6 @@ fn pool_parallel_scoring_matches_pointer_engine_at_all_shard_counts() {
         .with_checkpoints(6)
         .with_seed(0xF1AD);
     let jobs = nurd::trace::generate_suite(&cfg);
-    let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
     let policy = RefitPolicy::AlwaysCold;
     for threads in [2usize, 4] {
@@ -380,7 +372,6 @@ fn pool_parallel_scoring_matches_pointer_engine_at_all_shard_counts() {
                 &jobs,
                 events.clone(),
                 shards,
-                &pool,
                 checked_factory(cfg.clone(), &batch),
             );
             assert_jobs_match_reference(&report, &jobs, &policy);
@@ -407,14 +398,12 @@ fn single_task_jobs_match_replay() {
         .with_seed(0xF1A9);
     let jobs = nurd::trace::generate_suite(&cfg);
     assert!(jobs.iter().any(|j| j.task_count() == 1));
-    let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
     let policy = RefitPolicy::AlwaysCold;
     let report = run_engine(
         &jobs,
         events,
         2,
-        &pool,
         checked_factory(config(policy.clone()), &Arc::default()),
     );
     assert_jobs_match_reference(&report, &jobs, &policy);
@@ -436,10 +425,9 @@ impl OnlinePredictor for FlagAll {
 #[test]
 fn all_flagged_barriers_match_replay() {
     let jobs = suite(TraceStyle::Google, 2, 0xF1AA);
-    let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
     let factory: PredictorFactory = Box::new(|_spec: &JobSpec| Box::new(FlagAll));
-    let report = run_engine(&jobs, events, 2, &pool, factory);
+    let report = run_engine(&jobs, events, 2, factory);
     let mut flagged = 0usize;
     for job in &jobs {
         let expected = replay_job(job, &mut FlagAll, &REPLAY);
@@ -457,7 +445,6 @@ fn all_flagged_barriers_match_replay() {
 #[test]
 fn truncated_stream_finalize_is_deterministic_and_prefix_consistent() {
     let jobs = suite(TraceStyle::Google, 2, 0xF1AB);
-    let pool = ThreadPool::new(2);
     let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
     let cut = events.len() * 2 / 3;
     let truncated: Vec<TaskEvent> = events[..cut].to_vec();
@@ -467,7 +454,6 @@ fn truncated_stream_finalize_is_deterministic_and_prefix_consistent() {
             &jobs,
             events,
             shards,
-            &pool,
             checked_factory(config(RefitPolicy::AlwaysCold), &Arc::default()),
         )
     };
