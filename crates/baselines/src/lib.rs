@@ -9,8 +9,8 @@
 //! warm refit policy so warm-vs-cold accuracy is tracked wherever Table 3
 //! is produced. Each entry builds fresh per-job predictor instances, as
 //! the paper trains one model per job. The PU learners themselves
-//! (PU-EN, PU-BG) live in [`pu`]; every other family adapts a crate of
-//! its own.
+//! (PU-EN, PU-BG) live in this crate's `pu` module; every other family
+//! adapts a crate of its own.
 //!
 //! # Example
 //!
@@ -25,16 +25,12 @@
 #![forbid(unsafe_code)]
 
 mod outlier_adapter;
-pub mod pu;
+mod pu;
 mod pu_adapter;
 mod registry;
 mod supervised;
 mod survival_adapter;
 mod wrangler;
 
-pub use outlier_adapter::{OutlierPredictor, XgbodPredictor};
-pub use pu_adapter::{PuBaggingPredictor, PuEnPredictor};
 pub use registry::{registry, registry_with_nurd_alpha, MethodFamily, MethodSpec};
 pub use supervised::GbtrPredictor;
-pub use survival_adapter::{CoxPredictor, GrabitPredictor, TobitPredictor};
-pub use wrangler::WranglerPredictor;

@@ -11,7 +11,7 @@ use nurd_outlier::{contamination_threshold, OutlierDetector, Xgbod};
 /// As §3.2 of the paper argues, these methods only see the feature space —
 /// the observed latencies of finished tasks are never used — which is
 /// exactly why feature-space decoys sink their precision.
-pub struct OutlierPredictor {
+pub(crate) struct OutlierPredictor {
     detector: Box<dyn OutlierDetector + Send>,
     /// Expected outlier share (PyOD-style contamination; 0.1 matches the
     /// p90 straggler definition).
@@ -21,7 +21,7 @@ pub struct OutlierPredictor {
 impl OutlierPredictor {
     /// Wraps a detector with the default 0.1 contamination.
     #[must_use]
-    pub fn new(detector: Box<dyn OutlierDetector + Send>) -> Self {
+    pub(crate) fn new(detector: Box<dyn OutlierDetector + Send>) -> Self {
         OutlierPredictor {
             detector,
             contamination: 0.1,
@@ -72,7 +72,7 @@ impl OnlinePredictor for OutlierPredictor {
 /// see `DESIGN.md` §3), and running tasks in the top contamination
 /// quantile of predicted running-ness are flagged.
 #[derive(Debug, Clone)]
-pub struct XgbodPredictor {
+pub(crate) struct XgbodPredictor {
     model: Xgbod,
     contamination: f64,
 }

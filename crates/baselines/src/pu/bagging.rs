@@ -8,7 +8,7 @@ use nurd_ml::{LinearSvm, MlError, SvmConfig};
 
 /// Configuration for the bagging-SVM PU learner.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PuBagging {
+pub(crate) struct PuBagging {
     /// Number of bootstrap rounds.
     pub rounds: usize,
     /// Random-negative sample size per round; `None` = the positive count
@@ -34,28 +34,21 @@ impl Default for PuBagging {
     }
 }
 
-/// A fitted bagging ensemble.
-#[derive(Debug, Clone)]
-pub struct FittedPuBagging {
-    models: Vec<LinearSvm>,
-    /// Out-of-bag aggregate score per unlabeled training row (higher =
-    /// more positive-like).
-    oob_scores: Vec<f64>,
-}
-
 impl PuBagging {
-    /// Fits the ensemble: each round treats a random subsample of the
-    /// unlabeled set as negatives and trains positives-vs-sample.
+    /// Fits the ensemble — each round treats a random subsample of the
+    /// unlabeled set as negatives and trains positives-vs-sample — and
+    /// returns the out-of-bag aggregate score of every unlabeled row
+    /// (aligned with `unlabeled`; higher = more positive-like).
     ///
     /// # Errors
     ///
     /// [`MlError::EmptyTrainingSet`] when either set is empty; otherwise
     /// propagates SVM errors.
-    pub fn fit(
+    pub(crate) fn oob_scores(
         &self,
         positives: &[Vec<f64>],
         unlabeled: &[Vec<f64>],
-    ) -> Result<FittedPuBagging, MlError> {
+    ) -> Result<Vec<f64>, MlError> {
         if positives.is_empty() || unlabeled.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
@@ -101,8 +94,8 @@ impl PuBagging {
         }
 
         // Rows that were in-bag every round fall back to the full-ensemble
-        // score at read time (count 0).
-        let oob_scores: Vec<f64> = (0..n_u)
+        // score (count 0).
+        Ok((0..n_u)
             .map(|i| {
                 if oob_count[i] > 0 {
                     oob_sum[i] / oob_count[i] as f64
@@ -114,29 +107,7 @@ impl PuBagging {
                         / models.len() as f64
                 }
             })
-            .collect();
-
-        Ok(FittedPuBagging { models, oob_scores })
-    }
-}
-
-impl FittedPuBagging {
-    /// Out-of-bag positive-class scores for the unlabeled training rows
-    /// (aligned with the `unlabeled` argument of [`PuBagging::fit`]).
-    #[must_use]
-    pub fn oob_scores(&self) -> &[f64] {
-        &self.oob_scores
-    }
-
-    /// Ensemble decision score for an arbitrary sample (mean of the round
-    /// SVMs' decision functions; higher = more positive-like).
-    #[must_use]
-    pub fn decision(&self, features: &[f64]) -> f64 {
-        self.models
-            .iter()
-            .map(|m| m.decision_function(features))
-            .sum::<f64>()
-            / self.models.len() as f64
+            .collect())
     }
 }
 
@@ -155,8 +126,9 @@ mod tests {
     #[test]
     fn oob_scores_separate_hidden_positives() {
         let (positives, unlabeled) = setup();
-        let model = PuBagging::default().fit(&positives, &unlabeled).unwrap();
-        let scores = model.oob_scores();
+        let scores = PuBagging::default()
+            .oob_scores(&positives, &unlabeled)
+            .unwrap();
         let mean_pos: f64 = scores[..20].iter().sum::<f64>() / 20.0;
         let mean_neg: f64 = scores[20..].iter().sum::<f64>() / 20.0;
         assert!(
@@ -166,23 +138,15 @@ mod tests {
     }
 
     #[test]
-    fn decision_generalizes_to_new_points() {
-        let (positives, unlabeled) = setup();
-        let model = PuBagging::default().fit(&positives, &unlabeled).unwrap();
-        assert!(model.decision(&[0.5, 0.0]) > model.decision(&[4.5, 3.0]));
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let (positives, unlabeled) = setup();
-        let a = PuBagging::default().fit(&positives, &unlabeled).unwrap();
-        let b = PuBagging::default().fit(&positives, &unlabeled).unwrap();
-        assert_eq!(a.oob_scores(), b.oob_scores());
+        let scores = || PuBagging::default().oob_scores(&positives, &unlabeled);
+        assert_eq!(scores().unwrap(), scores().unwrap());
     }
 
     #[test]
     fn rejects_empty_inputs() {
-        assert!(PuBagging::default().fit(&[], &[vec![1.0]]).is_err());
-        assert!(PuBagging::default().fit(&[vec![1.0]], &[]).is_err());
+        assert!(PuBagging::default().oob_scores(&[], &[vec![1.0]]).is_err());
+        assert!(PuBagging::default().oob_scores(&[vec![1.0]], &[]).is_err());
     }
 }

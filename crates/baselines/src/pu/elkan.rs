@@ -4,7 +4,7 @@ use nurd_ml::{LogisticConfig, LogisticRegression, MlError};
 
 /// Configuration for the Elkan–Noto PU learner.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PuEn {
+pub(crate) struct PuEn {
     /// Configuration of the non-traditional classifier `g(x) = P(s=1|x)`.
     pub logistic: LogisticConfig,
 }
@@ -22,7 +22,7 @@ impl Default for PuEn {
 
 /// A fitted PU-EN model.
 #[derive(Debug, Clone)]
-pub struct FittedPuEn {
+pub(crate) struct FittedPuEn {
     classifier: LogisticRegression,
     /// The label frequency `c = P(s=1 | y=1)`, estimated as the mean
     /// classifier output on the labeled set (Elkan & Noto, estimator e1).
@@ -37,7 +37,11 @@ impl PuEn {
     ///
     /// [`MlError::EmptyTrainingSet`] when either set is empty; otherwise
     /// propagates logistic-regression errors.
-    pub fn fit(&self, labeled: &[Vec<f64>], unlabeled: &[Vec<f64>]) -> Result<FittedPuEn, MlError> {
+    pub(crate) fn fit(
+        &self,
+        labeled: &[Vec<f64>],
+        unlabeled: &[Vec<f64>],
+    ) -> Result<FittedPuEn, MlError> {
         if labeled.is_empty() || unlabeled.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
@@ -60,23 +64,11 @@ impl PuEn {
 }
 
 impl FittedPuEn {
-    /// The estimated label frequency `c`.
-    #[must_use]
-    pub fn label_frequency(&self) -> f64 {
-        self.label_frequency
-    }
-
     /// Corrected positive-class probability `P(y=1|x) = g(x)/c`, clamped to
     /// `[0, 1]`.
     #[must_use]
-    pub fn positive_probability(&self, features: &[f64]) -> f64 {
+    pub(crate) fn positive_probability(&self, features: &[f64]) -> f64 {
         (self.classifier.predict_proba(features) / self.label_frequency).clamp(0.0, 1.0)
-    }
-
-    /// Batch version of [`FittedPuEn::positive_probability`].
-    #[must_use]
-    pub fn positive_probabilities(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|r| self.positive_probability(r)).collect()
     }
 }
 
@@ -99,7 +91,7 @@ mod tests {
         let model = PuEn::default().fit(&labeled, &unlabeled).unwrap();
         // c < 1 because unlabeled contains positives; correction divides by
         // it, pushing positive-like points toward 1.
-        assert!(model.label_frequency() < 1.0);
+        assert!(model.label_frequency < 1.0);
         let p_pos = model.positive_probability(&[0.45]);
         let p_neg = model.positive_probability(&[5.5]);
         assert!(p_pos > 0.8, "positive-like prob {p_pos}");

@@ -10,7 +10,7 @@ use nurd_data::{Checkpoint, OnlinePredictor};
 /// here (only *fast* non-stragglers get labeled), so the classifier is
 /// over-aggressive early — high TPR, high FPR.
 #[derive(Debug, Clone, Default)]
-pub struct PuEnPredictor {
+pub(crate) struct PuEnPredictor {
     learner: PuEn,
 }
 
@@ -41,7 +41,7 @@ impl OnlinePredictor for PuEnPredictor {
 /// running task with a negative out-of-bag decision score (not
 /// finished-like) is flagged.
 #[derive(Debug, Clone, Default)]
-pub struct PuBaggingPredictor {
+pub(crate) struct PuBaggingPredictor {
     learner: PuBagging,
 }
 
@@ -56,14 +56,14 @@ impl OnlinePredictor for PuBaggingPredictor {
         }
         let positives = checkpoint.finished_features();
         let unlabeled = checkpoint.running_features();
-        let Ok(model) = self.learner.fit(&positives, &unlabeled) else {
+        let Ok(scores) = self.learner.oob_scores(&positives, &unlabeled) else {
             return Vec::new();
         };
         checkpoint
             .running
             .iter()
-            .zip(model.oob_scores())
-            .filter(|(_, &score)| score < 0.0)
+            .zip(scores)
+            .filter(|&(_, score)| score < 0.0)
             .map(|(t, _)| t.id)
             .collect()
     }

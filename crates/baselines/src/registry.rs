@@ -7,10 +7,11 @@ use nurd_outlier::{
     Abod, Cblof, Cof, Hbos, IsolationForest, Knn, Lof, Lscp, Mcd, OcSvm, PcaDetector, Sod, Sos,
 };
 
-use crate::{
-    CoxPredictor, GbtrPredictor, GrabitPredictor, OutlierPredictor, PuBaggingPredictor,
-    PuEnPredictor, TobitPredictor, WranglerPredictor, XgbodPredictor,
-};
+use crate::outlier_adapter::{OutlierPredictor, XgbodPredictor};
+use crate::pu_adapter::{PuBaggingPredictor, PuEnPredictor};
+use crate::supervised::GbtrPredictor;
+use crate::survival_adapter::{CoxPredictor, GrabitPredictor, TobitPredictor};
+use crate::wrangler::WranglerPredictor;
 
 /// Method family, as grouped in Table 3's left column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

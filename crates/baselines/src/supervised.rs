@@ -1,6 +1,6 @@
 //! GBTR: the plain supervised baseline (§6 "Supervised learning").
 
-use nurd_core::{RefitPolicy, RefitStats, WarmRefitState};
+use nurd_core::{RefitPolicy, WarmRefitState};
 use nurd_data::{Checkpoint, OnlinePredictor, StreamContext};
 use nurd_linalg::MatrixView;
 use nurd_ml::GbtConfig;
@@ -26,25 +26,19 @@ impl GbtrPredictor {
     /// Creates the baseline with the given booster configuration and the
     /// paper's always-cold refit behaviour.
     #[must_use]
-    pub fn new(config: GbtConfig) -> Self {
+    fn new(config: GbtConfig) -> Self {
         GbtrPredictor::with_policy(config, RefitPolicy::AlwaysCold)
     }
 
     /// Creates the baseline with an explicit refit policy.
     #[must_use]
-    pub fn with_policy(config: GbtConfig, policy: RefitPolicy) -> Self {
+    fn with_policy(config: GbtConfig, policy: RefitPolicy) -> Self {
         GbtrPredictor {
             config,
             policy,
             threshold: f64::INFINITY,
             warm: WarmRefitState::new(),
         }
-    }
-
-    /// Warm/cold refit counters for the current job.
-    #[must_use]
-    pub fn refit_stats(&self) -> RefitStats {
-        self.warm.stats()
     }
 }
 
@@ -135,7 +129,7 @@ mod tests {
             nurd_core::RefitPolicy::Warm(nurd_core::WarmRefitConfig::default()),
         );
         let warm_out = replay_job(&job, &mut warm, &ReplayConfig::default());
-        let stats = warm.refit_stats();
+        let stats = warm.warm.stats();
         assert!(stats.warm_fits > 0, "{stats:?}");
         assert!(
             (warm_out.confusion.f1() - cold_out.confusion.f1()).abs() <= 0.25,

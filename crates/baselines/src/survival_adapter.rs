@@ -21,7 +21,7 @@ fn censored_triples(checkpoint: &Checkpoint<'_>) -> (Vec<Vec<f64>>, Vec<f64>, Ve
 /// Tobit online: linear censored-Gaussian regression refit per checkpoint;
 /// flags a running task when the predicted latent latency crosses `τ_stra`.
 #[derive(Debug, Clone)]
-pub struct TobitPredictor {
+pub(crate) struct TobitPredictor {
     config: TobitConfig,
     threshold: f64,
 }
@@ -70,7 +70,7 @@ impl OnlinePredictor for TobitPredictor {
 /// assumption §3.4 criticizes — it cannot match every job's latency
 /// spread, which is what separates Grabit from NURD in Table 3.
 #[derive(Debug, Clone)]
-pub struct GrabitPredictor {
+pub(crate) struct GrabitPredictor {
     config: GrabitConfig,
     threshold: f64,
 }
@@ -78,7 +78,7 @@ pub struct GrabitPredictor {
 impl GrabitPredictor {
     /// The globally tuned σ (seconds), found by sweeping on the six
     /// hyperparameter-tuning jobs as the paper does for every method.
-    pub const TUNED_SIGMA: f64 = 60.0;
+    const TUNED_SIGMA: f64 = 60.0;
 }
 
 impl Default for GrabitPredictor {
@@ -123,7 +123,7 @@ impl OnlinePredictor for GrabitPredictor {
 /// predicted to survive (stay running) past `τ_stra` with probability
 /// ≥ 0.5 is flagged.
 #[derive(Debug, Clone)]
-pub struct CoxPredictor {
+pub(crate) struct CoxPredictor {
     config: CoxConfig,
     threshold: f64,
 }

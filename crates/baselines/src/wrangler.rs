@@ -17,7 +17,7 @@ use nurd_ml::{LinearSvm, SvmConfig};
 /// labels (minority class upweighted, the deterministic equivalent of
 /// Wrangler's oversampling) and classifies running tasks online.
 #[derive(Debug, Clone)]
-pub struct WranglerPredictor {
+pub(crate) struct WranglerPredictor {
     svm_config: SvmConfig,
     /// Fraction of tasks sampled for offline training.
     train_fraction: f64,

@@ -2,11 +2,11 @@
 //!
 //! * `mitigation_sweep/none` — the no-mitigation baseline (no policy
 //!   attached; the engine takes its zero-overhead `predict` path).
-//! * `mitigation_sweep/threshold/{80,100,120}` — [`ThresholdClonePolicy`]
+//! * `mitigation_sweep/threshold/{80,100,120}` — [`threshold_mitigator`]
 //!   at score thresholds 0.8 / 1.0 / 1.2 (×100 in the id), budget 8
 //!   clones per job. Lower thresholds act earlier: more catches, more
 //!   wasted speculation.
-//! * `mitigation_sweep/banded/120_90` — [`BandedClonePolicy`] calibrated
+//! * `mitigation_sweep/banded/120_90` — [`banded_mitigator`] calibrated
 //!   at hi 1.2 / lo 0.9 / patience 2, same budget: instant clones above
 //!   the best single threshold plus patience-gated clones for the
 //!   slow-burn stragglers hovering in the dead band. The pricing table
@@ -24,7 +24,8 @@
 //! `oracle ≥ threshold ≥ none = 0` is asserted, not eyeballed; the same
 //! gate `examples/mitigation_smoke.rs` runs in CI).
 //!
-//! [`ThresholdClonePolicy`]: nurd_mitigate::ThresholdClonePolicy
+//! [`threshold_mitigator`]: nurd_mitigate::threshold_mitigator
+//! [`banded_mitigator`]: nurd_mitigate::banded_mitigator
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -3,7 +3,7 @@
 //! * `node_health_sweep/baseline` — the node fleet served with no
 //!   mitigator (pricing anchor; also one observation pass's cost).
 //! * `node_health_sweep/blind_threshold` — the best node-blind
-//!   [`ThresholdClonePolicy`] row: per-task scores only, no node axis.
+//!   [`threshold_mitigator`] row: per-task scores only, no node axis.
 //! * `node_health_sweep/node_aware` — the full two-pass loop
 //!   ([`run_node_fleet`]): observe with the [`HealthAggregator`]
 //!   attached, freeze verdicts, quarantine the convicted machine's tasks
@@ -18,7 +18,7 @@
 //! and the bench alike).
 //!
 //! [`HealthAggregator`]: nurd_health::HealthAggregator
-//! [`ThresholdClonePolicy`]: nurd_mitigate::ThresholdClonePolicy
+//! [`threshold_mitigator`]: nurd_mitigate::threshold_mitigator
 //! [`run_node_fleet`]: nurd_mitigate::run_node_fleet
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -162,7 +162,7 @@ pub struct MethodResult {
 ///
 /// Panics if a worker thread panics.
 #[must_use]
-pub fn evaluate_method(
+fn evaluate_method(
     spec: &MethodSpec,
     jobs: &[JobTrace],
     replay: &ReplayConfig,

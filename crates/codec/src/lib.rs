@@ -154,7 +154,7 @@ impl Encoder {
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
+    fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
 }
@@ -255,7 +255,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn take_str(&mut self) -> Result<&'a str, CodecError> {
+    fn take_str(&mut self) -> Result<&'a str, CodecError> {
         std::str::from_utf8(self.take_bytes()?).map_err(|_| CodecError::InvalidUtf8)
     }
 }
@@ -393,7 +393,7 @@ static CRC_TABLE: [u32; 256] = build_crc_table();
 
 /// CRC-32 (IEEE 802.3 polynomial, the `zlib`/`gzip` checksum) of `bytes`.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFF_u32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -435,7 +435,7 @@ impl From<std::io::Error> for FrameError {
 
 /// Upper bound on a single framed record (a length prefix beyond this is
 /// treated as corruption rather than honored with a giant allocation).
-pub const MAX_FRAME_LEN: u32 = 1 << 30;
+const MAX_FRAME_LEN: u32 = 1 << 30;
 
 /// Writes one `[len: u32][crc32: u32][payload]` record.
 ///

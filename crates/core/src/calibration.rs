@@ -39,7 +39,7 @@ pub fn centroid_ratio(finished: &[Vec<f64>], running: &[Vec<f64>]) -> f64 {
 ///
 /// Panics if either set is empty or widths disagree.
 #[must_use]
-pub fn centroid_ratio_rows(finished: &[&[f64]], running: &[&[f64]]) -> f64 {
+pub(crate) fn centroid_ratio_rows(finished: &[&[f64]], running: &[&[f64]]) -> f64 {
     assert!(
         !finished.is_empty() && !running.is_empty(),
         "need both finished and running tasks"

@@ -186,7 +186,7 @@ impl WarmRefitState {
     /// [`MlError::EmptyTrainingSet`] before any row is absorbed,
     /// [`MlError::DimensionMismatch`] when `y` does not cover every row;
     /// otherwise whatever the underlying fit propagates.
-    pub fn refit_against(
+    pub(crate) fn refit_against(
         &mut self,
         y: &[f64],
         gbt: &GbtConfig,

@@ -54,7 +54,7 @@ impl DonorModel {
 
     /// Relative-latency prediction (multiples of the donor job's median).
     #[must_use]
-    pub fn predict_relative(&self, features: &[f64]) -> f64 {
+    fn predict_relative(&self, features: &[f64]) -> f64 {
         self.model.predict(features)
     }
 }

@@ -103,20 +103,12 @@ impl<'a> Checkpoint<'a> {
 pub struct FinishedDelta {
     /// `seen[id]` once task `id` has been returned by `absorb`.
     seen: Vec<bool>,
-    absorbed: usize,
 }
 
 impl FinishedDelta {
-    /// An empty tracker (no task absorbed yet).
-    #[must_use]
-    pub fn new() -> Self {
-        FinishedDelta::default()
-    }
-
     /// Forgets everything — call between jobs. Keeps the allocation.
     pub fn clear(&mut self) {
         self.seen.clear();
-        self.absorbed = 0;
     }
 
     /// Returns the finished tasks of `checkpoint` that have not been
@@ -132,7 +124,6 @@ impl FinishedDelta {
             }
             if !self.seen[task.id] {
                 self.seen[task.id] = true;
-                self.absorbed += 1;
                 fresh.push(task);
             }
         }
@@ -140,35 +131,31 @@ impl FinishedDelta {
     }
 
     /// Number of distinct finished tasks absorbed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.absorbed
-    }
-
-    /// Whether no task has been absorbed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.absorbed == 0
-    }
-
-    /// Whether task `id` has been absorbed.
-    #[must_use]
-    pub fn contains(&self, id: usize) -> bool {
-        self.seen.get(id).copied().unwrap_or(false)
+    fn absorbed(&self) -> usize {
+        self.seen.iter().filter(|&&seen| seen).count()
     }
 }
 
 impl nurd_codec::Checkpointable for FinishedDelta {
+    /// `seen`, then how many of its entries are set — a count the decoder
+    /// recomputes and holds the bytes to.
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
         self.seen.encode(enc);
-        enc.put_usize(self.absorbed);
+        enc.put_usize(self.absorbed());
     }
 
     fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
-        Ok(FinishedDelta {
+        let delta = FinishedDelta {
             seen: nurd_codec::Checkpointable::decode(dec)?,
-            absorbed: dec.take_usize()?,
-        })
+        };
+        let (declared, absorbed) = (dec.take_usize()?, delta.absorbed());
+        if declared != absorbed {
+            return Err(nurd_codec::CodecError::LengthOverrun {
+                declared: declared as u64,
+                remaining: absorbed,
+            });
+        }
+        Ok(delta)
     }
 }
 
@@ -246,7 +233,7 @@ mod tests {
             finished: ids.iter().map(|&i| fin_task(i)).collect(),
             running: vec![],
         };
-        let mut delta = FinishedDelta::new();
+        let mut delta = FinishedDelta::default();
         // Checkpoint 1: tasks 1 and 3 finished.
         let c1 = ckpt(&[1, 3]);
         let d1 = delta.absorb(&c1);
@@ -256,12 +243,11 @@ mod tests {
         let c2 = ckpt(&[1, 2, 3]);
         let d2 = delta.absorb(&c2);
         assert_eq!(d2.iter().map(|t| t.id).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(delta.len(), 3);
-        assert!(delta.contains(3) && !delta.contains(0));
+        assert_eq!(delta.absorbed(), 3);
         // Re-feeding an old checkpoint yields nothing new.
         assert!(delta.absorb(&c1).is_empty());
         delta.clear();
-        assert!(delta.is_empty());
+        assert_eq!(delta.absorbed(), 0);
         assert_eq!(delta.absorb(&c1).len(), 2);
     }
 

@@ -29,7 +29,7 @@ use crate::{DataError, JobTrace, TaskRecord};
 /// # Errors
 ///
 /// Propagates I/O failures as [`DataError::Io`].
-pub fn write_job_csv<W: Write>(mut writer: W, job: &JobTrace) -> Result<(), DataError> {
+fn write_job_csv<W: Write>(mut writer: W, job: &JobTrace) -> Result<(), DataError> {
     writeln!(writer, "#job,{}", job.job_id())?;
     writeln!(writer, "#features,{}", job.feature_names().join(","))?;
     let times: Vec<String> = job

@@ -43,7 +43,7 @@ mod predictor;
 mod task;
 
 pub use checkpoint::{Checkpoint, FinishedDelta, FinishedTask, RunningTask};
-pub use csv::{read_job_csv, read_jobs_csv, write_job_csv, write_jobs_csv};
+pub use csv::{read_job_csv, read_jobs_csv, write_jobs_csv};
 pub use error::DataError;
 pub use event::{job_events, job_stream, JobSpec, TaskEvent};
 pub use job::{warmup_quorum, JobTrace};

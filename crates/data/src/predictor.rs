@@ -34,7 +34,7 @@ impl JobContext<'_> {
     /// [`OnlinePredictor::begin_stream`] once and works in both the
     /// replay simulator and `nurd-serve`.
     #[must_use]
-    pub fn stream(&self) -> StreamContext {
+    fn stream(&self) -> StreamContext {
         StreamContext {
             threshold: self.threshold,
             task_count: self.task_count,

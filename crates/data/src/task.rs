@@ -53,7 +53,7 @@ impl TaskRecord {
 
     /// Number of recorded snapshots.
     #[must_use]
-    pub fn snapshot_count(&self) -> usize {
+    pub(crate) fn snapshot_count(&self) -> usize {
         self.features.len()
     }
 
@@ -73,7 +73,7 @@ impl TaskRecord {
 
     /// Feature dimensionality.
     #[must_use]
-    pub fn feature_dim(&self) -> usize {
+    pub(crate) fn feature_dim(&self) -> usize {
         self.features[0].len()
     }
 }

@@ -226,7 +226,7 @@ impl AggState {
 /// #     actions: Vec::new(),
 /// # };
 /// agg.observe_finalized(&report, Some(&[0, 0, 1, 1]), &[false, false, true, true]);
-/// assert_eq!(agg.verdict(1), NodeVerdict::Healthy); // 2 tasks < min_tasks
+/// assert_eq!(agg.verdicts()[&1], NodeVerdict::Healthy); // 2 tasks < min_tasks
 /// ```
 pub struct HealthAggregator {
     config: HealthConfig,
@@ -249,12 +249,6 @@ impl HealthAggregator {
             config,
             state: Mutex::new(AggState::default()),
         }
-    }
-
-    /// The configuration the verdicts are rendered against.
-    #[must_use]
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, AggState> {
@@ -332,14 +326,6 @@ impl HealthAggregator {
             .into_iter()
             .map(|(node, stats)| (node, stats.verdict))
             .collect()
-    }
-
-    /// One node's verdict (`Healthy` when never observed).
-    #[must_use]
-    pub fn verdict(&self, node: u32) -> NodeVerdict {
-        self.rates()
-            .get(&node)
-            .map_or(NodeVerdict::Healthy, |s| s.verdict)
     }
 
     fn judge(&self, tasks: u64, rate: f64) -> NodeVerdict {
@@ -480,10 +466,10 @@ mod tests {
         let a = agg();
         // 2 tasks on node 7, both straggle — not enough evidence.
         a.observe_finalized(&report(1), Some(&[7, 7]), &[true, true]);
-        assert_eq!(a.verdict(7), NodeVerdict::Healthy);
+        assert_eq!(a.verdicts()[&7], NodeVerdict::Healthy);
         // Two more straggling tasks clear the gate.
         a.observe_finalized(&report(2), Some(&[7, 7]), &[true, true]);
-        assert_eq!(a.verdict(7), NodeVerdict::Quarantine);
+        assert_eq!(a.verdicts()[&7], NodeVerdict::Quarantine);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use crate::{LinalgError, Matrix};
 
 /// LU decomposition with partial pivoting: `P * A = L * U`.
 ///
-/// Used for determinants (MCD objective), linear solves (Newton steps in
-/// Tobit/CoxPH/logistic regression) and inverses (Mahalanobis distances).
+/// Used for log-determinants (the MCD objective) and inverses
+/// (Mahalanobis distances).
 ///
 /// # Example
 ///
@@ -13,11 +13,10 @@ use crate::{LinalgError, Matrix};
 /// use nurd_linalg::{Lu, Matrix};
 ///
 /// # fn main() -> Result<(), nurd_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]])?;
+/// let a = Matrix::identity(2).scaled(4.0);
 /// let lu = Lu::decompose(&a)?;
-/// let x = lu.solve(&[3.0, 5.0])?;
-/// assert!((x[0] - 0.8).abs() < 1e-12);
-/// assert!((x[1] - 1.4).abs() < 1e-12);
+/// assert!((lu.inverse()?.get(1, 1) - 0.25).abs() < 1e-12);
+/// assert!((lu.log_abs_determinant() - 16f64.ln()).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -27,8 +26,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation (`+1.0` or `-1.0`).
-    perm_sign: f64,
 }
 
 impl Lu {
@@ -48,7 +45,6 @@ impl Lu {
         }
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Partial pivoting: bring the largest |entry| in column k to the top.
@@ -71,7 +67,6 @@ impl Lu {
                     lu.set(pivot_row, c, tmp);
                 }
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
             let pivot = lu.get(k, k);
             for r in (k + 1)..n {
@@ -82,18 +77,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu {
-            lu,
-            perm,
-            perm_sign,
-        })
-    }
-
-    /// Determinant of the factored matrix.
-    #[must_use]
-    pub fn determinant(&self) -> f64 {
-        let n = self.lu.rows();
-        (0..n).fold(self.perm_sign, |acc, i| acc * self.lu.get(i, i))
+        Ok(Lu { lu, perm })
     }
 
     /// Log of the absolute determinant — robust for near-singular scatter
@@ -112,7 +96,7 @@ impl Lu {
     // Triangular substitution reads `y[j]`/`x[j]` against row `i` of the
     // factor; explicit indices mirror the textbook recurrences.
     #[allow(clippy::needless_range_loop)]
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let n = self.lu.rows();
         if b.len() != n {
             return Err(LinalgError::ShapeMismatch {
@@ -170,9 +154,9 @@ impl Lu {
 /// use nurd_linalg::{Cholesky, Matrix};
 ///
 /// # fn main() -> Result<(), nurd_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])?;
-/// let chol = Cholesky::decompose(&a)?;
-/// assert!((chol.factor().get(0, 0) - 2.0).abs() < 1e-12);
+/// let a = Matrix::identity(2).scaled(4.0);
+/// let x = Cholesky::decompose(&a)?.solve(&[2.0, 6.0])?;
+/// assert!((x[0] - 0.5).abs() < 1e-12 && (x[1] - 1.5).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -226,12 +210,6 @@ impl Cholesky {
         Ok(Cholesky { l })
     }
 
-    /// The lower-triangular factor `L`.
-    #[must_use]
-    pub fn factor(&self) -> &Matrix {
-        &self.l
-    }
-
     /// Solves `A x = b` using the factorization.
     ///
     /// # Errors
@@ -268,13 +246,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// Log-determinant of `A` (twice the log-determinant of `L`).
-    #[must_use]
-    pub fn log_determinant(&self) -> f64 {
-        let n = self.l.rows();
-        2.0 * (0..n).map(|i| self.l.get(i, i).ln()).sum::<f64>()
-    }
 }
 
 #[cfg(test)]
@@ -298,23 +269,22 @@ mod tests {
     }
 
     #[test]
-    fn lu_determinant_matches_cofactor_expansion() {
+    fn lu_log_abs_determinant_matches_cofactor_expansion() {
         let a =
             Matrix::from_rows(&[&[6.0, 1.0, 1.0], &[4.0, -2.0, 5.0], &[2.0, 8.0, 7.0]]).unwrap();
         let lu = Lu::decompose(&a).unwrap();
-        assert_close(lu.determinant(), -306.0, 1e-9);
         assert_close(lu.log_abs_determinant(), 306.0f64.ln(), 1e-9);
     }
 
     #[test]
     fn lu_inverse_roundtrip() {
         let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = a.inverse().unwrap();
-        let id = a.matmul(&inv).unwrap();
-        assert_close(id.get(0, 0), 1.0, 1e-12);
-        assert_close(id.get(0, 1), 0.0, 1e-12);
-        assert_close(id.get(1, 0), 0.0, 1e-12);
-        assert_close(id.get(1, 1), 1.0, 1e-12);
+        let inv = Lu::decompose(&a).unwrap().inverse().unwrap();
+        for c in 0..2 {
+            let unit = a.matvec(&inv.column(c)).unwrap();
+            assert_close(unit[c], 1.0, 1e-12);
+            assert_close(unit[1 - c], 0.0, 1e-12);
+        }
     }
 
     #[test]
@@ -336,7 +306,6 @@ mod tests {
     fn lu_pivots_on_zero_leading_entry() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
         let lu = Lu::decompose(&a).unwrap();
-        assert_close(lu.determinant(), -1.0, 1e-12);
         let x = lu.solve(&[2.0, 3.0]).unwrap();
         assert_close(x[0], 3.0, 1e-12);
         assert_close(x[1], 2.0, 1e-12);
@@ -347,7 +316,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[25.0, 15.0, -5.0], &[15.0, 18.0, 0.0], &[-5.0, 0.0, 11.0]])
             .unwrap();
         let chol = Cholesky::decompose(&a).unwrap();
-        let l = chol.factor();
+        let l = &chol.l;
         assert_close(l.get(0, 0), 5.0, 1e-12);
         assert_close(l.get(1, 0), 3.0, 1e-12);
         assert_close(l.get(1, 1), 3.0, 1e-12);
@@ -375,11 +344,16 @@ mod tests {
         assert_close(x1[1], x2[1], 1e-10);
     }
 
-    #[test]
-    fn cholesky_log_determinant() {
-        let a = Matrix::from_rows(&[&[4.0, 0.0], &[0.0, 9.0]]).unwrap();
-        let chol = Cholesky::decompose(&a).unwrap();
-        assert_close(chol.log_determinant(), 36.0f64.ln(), 1e-12);
+    /// `B · Bᵀ`: a symmetric positive semi-definite test input.
+    fn gram(b: &Matrix) -> Matrix {
+        let n = b.rows();
+        let mut g = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                g.set(i, j, crate::dot(b.row(i), b.row(j)));
+            }
+        }
+        g
     }
 
     /// `Cholesky::{decompose, solve}` as they were written through
@@ -437,12 +411,8 @@ mod tests {
         #[test]
         fn prop_spd_solve_roundtrip(seed_rows in proptest::collection::vec(
             proptest::collection::vec(-2.0..2.0f64, 4), 4)) {
-            let b = Matrix::from_vec_of_rows(seed_rows).unwrap();
-            let spd = b
-                .matmul(&b.transpose())
-                .unwrap()
-                .add(&Matrix::identity(4).scaled(4.0))
-                .unwrap();
+            let b = Matrix::from_flat(4, 4, seed_rows.concat()).unwrap();
+            let spd = gram(&b).add(&Matrix::identity(4).scaled(4.0)).unwrap();
             let rhs = [1.0, -2.0, 0.5, 3.0];
             let chol = Cholesky::decompose(&spd).unwrap();
             let x = chol.solve(&rhs).unwrap();
@@ -466,34 +436,20 @@ mod tests {
         ) {
             let rank = rank.min(n);
             let b = Matrix::from_flat(n, rank, cells[..n * rank].to_vec()).unwrap();
-            let mut a = b.matmul(&b.transpose()).unwrap();
+            let mut a = gram(&b);
             if ridge == 1 {
                 a = a.add(&Matrix::identity(n).scaled(n as f64)).unwrap();
             }
             match (Cholesky::decompose(&a), elementwise::decompose(&a)) {
                 (Ok(chol), Ok(expected)) => {
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    prop_assert_eq!(bits(chol.factor().as_slice()), bits(expected.as_slice()));
+                    prop_assert_eq!(bits(chol.l.as_slice()), bits(expected.as_slice()));
                     let x = chol.solve(&rhs[..n]).unwrap();
                     prop_assert_eq!(bits(&x), bits(&elementwise::solve(&expected, &rhs[..n])));
                 }
                 (Err(got), Err(expected)) => prop_assert_eq!(got, expected),
                 (got, expected) => panic!("{got:?} vs {expected:?}"),
             }
-        }
-
-        /// det(A·Aᵀ + I) via LU is strictly positive (matrix is SPD).
-        #[test]
-        fn prop_spd_determinant_positive(seed_rows in proptest::collection::vec(
-            proptest::collection::vec(-2.0..2.0f64, 3), 3)) {
-            let b = Matrix::from_vec_of_rows(seed_rows).unwrap();
-            let spd = b
-                .matmul(&b.transpose())
-                .unwrap()
-                .add(&Matrix::identity(3))
-                .unwrap();
-            let lu = Lu::decompose(&spd).unwrap();
-            prop_assert!(lu.determinant() > 0.0);
         }
     }
 }

@@ -10,11 +10,12 @@ use crate::{LinalgError, Matrix};
 /// # Example
 ///
 /// ```
-/// use nurd_linalg::{Matrix, SymmetricEigen};
+/// use nurd_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), nurd_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 1.0]])?;
-/// let eig = SymmetricEigen::decompose(&a)?;
+/// let mut a = Matrix::identity(2);
+/// a.set(0, 0, 2.0);
+/// let eig = a.symmetric_eigen()?;
 /// assert!((eig.eigenvalues()[0] - 2.0).abs() < 1e-10);
 /// # Ok(())
 /// # }
@@ -34,7 +35,7 @@ impl SymmetricEigen {
     ///
     /// [`LinalgError::NotSquare`] for rectangular input,
     /// [`LinalgError::Empty`] for a 0x0 matrix.
-    pub fn decompose(a: &Matrix) -> Result<Self, LinalgError> {
+    pub(crate) fn decompose(a: &Matrix) -> Result<Self, LinalgError> {
         let n = a.rows();
         if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare {
@@ -193,13 +194,24 @@ mod tests {
         }
     }
 
+    /// `(B + Bᵀ) / 2` for the square `B` whose rows are `seed`.
+    fn symmetrized(seed: &[Vec<f64>]) -> Matrix {
+        let mut sym = Matrix::zeros(seed.len(), seed.len());
+        for (i, row) in seed.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                sym.set(i, j, sym.get(i, j) + 0.5 * v);
+                sym.set(j, i, sym.get(j, i) + 0.5 * v);
+            }
+        }
+        sym
+    }
+
     proptest! {
         /// A·v = λ·v for every eigenpair of a random symmetric matrix.
         #[test]
         fn prop_reconstruction(seed in proptest::collection::vec(
             proptest::collection::vec(-3.0..3.0f64, 4), 4)) {
-            let b = Matrix::from_vec_of_rows(seed).unwrap();
-            let sym = b.add(&b.transpose()).unwrap().scaled(0.5);
+            let sym = symmetrized(&seed);
             let eig = SymmetricEigen::decompose(&sym).unwrap();
             for i in 0..eig.len() {
                 let v = eig.eigenvector(i);
@@ -215,8 +227,7 @@ mod tests {
         #[test]
         fn prop_trace_invariant(seed in proptest::collection::vec(
             proptest::collection::vec(-3.0..3.0f64, 3), 3)) {
-            let b = Matrix::from_vec_of_rows(seed).unwrap();
-            let sym = b.add(&b.transpose()).unwrap().scaled(0.5);
+            let sym = symmetrized(&seed);
             let trace: f64 = (0..3).map(|i| sym.get(i, i)).sum();
             let eig = SymmetricEigen::decompose(&sym).unwrap();
             let sum: f64 = eig.eigenvalues().iter().sum();

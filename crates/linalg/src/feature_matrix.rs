@@ -62,18 +62,6 @@ impl FeatureMatrix {
         Ok(m)
     }
 
-    /// Builds from borrowed row slices (e.g. checkpoint feature views).
-    /// No rows yields an empty matrix, not an error.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FeatureMatrix::from_rows`].
-    pub fn from_row_slices(rows: &[&[f64]]) -> Result<Self, LinalgError> {
-        let mut m = FeatureMatrix::new();
-        m.try_fill_from_rows(rows.iter().copied())?;
-        Ok(m)
-    }
-
     /// Refills the matrix in place from an iterator of rows, reusing the
     /// existing allocation. The matrix is left empty when `rows` is empty.
     ///
@@ -195,7 +183,7 @@ impl FeatureMatrix {
     /// Panics when out of bounds.
     #[inline]
     #[must_use]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    fn get(&self, r: usize, c: usize) -> f64 {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[c * self.rows + r]
     }
@@ -232,15 +220,6 @@ impl FeatureMatrix {
         for (c, slot) in buf.iter_mut().enumerate() {
             *slot = self.data[c * self.rows + r];
         }
-    }
-
-    /// Row `r` as a freshly allocated `Vec` (prefer
-    /// [`FeatureMatrix::row_into`] in hot paths).
-    #[must_use]
-    pub fn row(&self, r: usize) -> Vec<f64> {
-        let mut buf = vec![0.0; self.cols];
-        self.row_into(r, &mut buf);
-        buf
     }
 
     /// Read-only [`MatrixView`] over this matrix.
@@ -284,12 +263,6 @@ impl<'a> MatrixView<'a> {
             MatrixView::RowSlices(r) => r.first().map_or(0, |row| row.len()),
             MatrixView::Columns(m) => m.cols(),
         }
-    }
-
-    /// Whether the view holds no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows() == 0
     }
 
     /// Element at `(r, c)`.
@@ -428,8 +401,11 @@ mod tests {
         assert_eq!(m.cols(), 3);
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(1, 2), 6.0);
-        assert_eq!(m.row(0), rows[0]);
-        assert_eq!(m.row(1), rows[1]);
+        let mut row = [0.0; 3];
+        for (r, expected) in rows.iter().enumerate() {
+            m.row_into(r, &mut row);
+            assert_eq!(&row[..], &expected[..]);
+        }
     }
 
     #[test]

@@ -30,13 +30,14 @@
 //! # Example
 //!
 //! ```
-//! use nurd_linalg::Matrix;
+//! use nurd_linalg::{Lu, Matrix};
 //!
 //! # fn main() -> Result<(), nurd_linalg::LinalgError> {
-//! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
-//! let inv = a.inverse()?;
-//! let id = a.matmul(&inv)?;
-//! assert!((id.get(0, 0) - 1.0).abs() < 1e-12);
+//! let mut a = Matrix::identity(2).scaled(4.0);
+//! a.set(0, 1, 1.0);
+//! a.set(1, 0, 1.0);
+//! let inv = Lu::decompose(&a)?.inverse()?;
+//! assert!((inv.get(0, 0) - 4.0 / 15.0).abs() < 1e-12);
 //! # Ok(())
 //! # }
 //! ```

@@ -15,9 +15,10 @@ use crate::{LinalgError, SymmetricEigen};
 /// use nurd_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), nurd_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-/// let b = a.transpose();
-/// assert_eq!(b.get(0, 1), 3.0);
+/// let mut a = Matrix::identity(2);
+/// a.set(0, 1, 3.0);
+/// let b = a.add(&Matrix::identity(2))?.scaled(0.5);
+/// assert_eq!((b.get(0, 0), b.get(0, 1)), (1.0, 1.5));
 /// # Ok(())
 /// # }
 /// ```
@@ -49,48 +50,12 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from row slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Empty`] if `rows` is empty and
-    /// [`LinalgError::ShapeMismatch`] if rows have differing lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Result<Self, LinalgError> {
-        let first = rows.first().ok_or(LinalgError::Empty)?;
-        let cols = first.len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            if row.len() != cols {
-                return Err(LinalgError::ShapeMismatch {
-                    expected: format!("rows of length {cols}"),
-                    found: format!("row of length {}", row.len()),
-                });
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
-    /// Builds a matrix from owned row vectors.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Matrix::from_rows`].
-    pub fn from_vec_of_rows(rows: Vec<Vec<f64>>) -> Result<Self, LinalgError> {
-        let views: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        Matrix::from_rows(&views)
-    }
-
     /// Builds a matrix from a flat row-major buffer.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `data.len() != rows * cols`.
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
+    pub(crate) fn from_flat(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
         if data.len() != rows * cols {
             return Err(LinalgError::ShapeMismatch {
                 expected: format!("{} elements", rows * cols),
@@ -108,7 +73,7 @@ impl Matrix {
 
     /// Number of columns.
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -139,7 +104,7 @@ impl Matrix {
     ///
     /// Panics if `r` is out of bounds.
     #[must_use]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row index out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -150,54 +115,15 @@ impl Matrix {
     ///
     /// Panics if `c` is out of bounds.
     #[must_use]
-    pub fn column(&self, c: usize) -> Vec<f64> {
+    pub(crate) fn column(&self, c: usize) -> Vec<f64> {
         assert!(c < self.cols, "column index out of bounds");
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
     /// The underlying row-major buffer.
     #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Transposed copy.
-    #[must_use]
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{} rows", self.cols),
-                found: format!("{} rows", other.rows),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(r, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..other.cols {
-                    out.data[r * other.cols + c] += a * other.get(k, c);
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Matrix-vector product `self * v`.
@@ -205,7 +131,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    pub(crate) fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if v.len() != self.cols {
             return Err(LinalgError::ShapeMismatch {
                 expected: format!("vector of length {}", self.cols),
@@ -221,16 +147,23 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] on differing shapes.
     pub fn add(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(other, |a, b| a + b)
-    }
-
-    /// Element-wise difference `self - other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] on differing shapes.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        self.zip_with(other, |a, b| a - b)
+        if self.rows != other.rows || self.cols != other.cols {
+            return Err(LinalgError::ShapeMismatch {
+                expected: format!("{}x{}", self.rows, self.cols),
+                found: format!("{}x{}", other.rows, other.cols),
+            });
+        }
+        let data = self
+            .data
+            .iter()
+            .zip(&other.data)
+            .map(|(a, b)| a + b)
+            .collect();
+        Ok(Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        })
     }
 
     /// Copy scaled by `alpha`.
@@ -243,34 +176,6 @@ impl Matrix {
         out
     }
 
-    /// Inverse via LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] or [`LinalgError::Singular`].
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        crate::Lu::decompose(self)?.inverse()
-    }
-
-    /// Determinant via LU decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`]; a singular matrix yields `0.0`.
-    pub fn determinant(&self) -> Result<f64, LinalgError> {
-        if self.rows != self.cols {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        match crate::Lu::decompose(self) {
-            Ok(lu) => Ok(lu.determinant()),
-            Err(LinalgError::Singular) => Ok(0.0),
-            Err(e) => Err(e),
-        }
-    }
-
     /// Symmetric eigendecomposition (Jacobi); `self` must be symmetric.
     ///
     /// # Errors
@@ -279,67 +184,18 @@ impl Matrix {
     pub fn symmetric_eigen(&self) -> Result<SymmetricEigen, LinalgError> {
         SymmetricEigen::decompose(self)
     }
-
-    fn zip_with(&self, other: &Matrix, f: impl Fn(f64, f64) -> f64) -> Result<Matrix, LinalgError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("{}x{}", self.rows, self.cols),
-                found: format!("{}x{}", other.rows, other.cols),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn identity_times_anything_is_identity_map() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let i = Matrix::identity(2);
-        assert_eq!(i.matmul(&a).unwrap(), a);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0], &[11.0, 12.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.rows(), 2);
-        assert_eq!(c.cols(), 2);
-        assert_eq!(c.get(0, 0), 58.0);
-        assert_eq!(c.get(0, 1), 64.0);
-        assert_eq!(c.get(1, 0), 139.0);
-        assert_eq!(c.get(1, 1), 154.0);
-    }
-
-    #[test]
-    fn matmul_shape_mismatch_errors() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 2);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
+    impl Matrix {
+        /// Test fixture shared by this crate's unit tests: a matrix from
+        /// literal rows of equal length.
+        pub(crate) fn from_rows(rows: &[&[f64]]) -> Result<Self, LinalgError> {
+            Matrix::from_flat(rows.len(), rows[0].len(), rows.concat())
+        }
     }
 
     #[test]
@@ -349,45 +205,21 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_rejects_ragged() {
-        let r1: &[f64] = &[1.0, 2.0];
-        let r2: &[f64] = &[1.0];
-        assert!(matches!(
-            Matrix::from_rows(&[r1, r2]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn from_rows_rejects_empty() {
-        let rows: &[&[f64]] = &[];
-        assert!(matches!(Matrix::from_rows(rows), Err(LinalgError::Empty)));
-    }
-
-    #[test]
     fn from_flat_checks_size() {
         assert!(Matrix::from_flat(2, 2, vec![1.0; 3]).is_err());
         assert!(Matrix::from_flat(2, 2, vec![1.0; 4]).is_ok());
     }
 
     #[test]
-    fn add_sub_roundtrip() {
+    fn add_is_elementwise_and_checks_shape() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let sum = a.add(&b).unwrap();
-        assert_eq!(sum.sub(&b).unwrap(), a);
-    }
-
-    #[test]
-    fn determinant_2x2() {
-        let a = Matrix::from_rows(&[&[3.0, 8.0], &[4.0, 6.0]]).unwrap();
-        assert!((a.determinant().unwrap() - (-14.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_singular_is_zero() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert_eq!(a.determinant().unwrap(), 0.0);
+        let sum = Matrix::from_rows(&[&[6.0, 8.0], &[10.0, 12.0]]).unwrap();
+        assert_eq!(a.add(&b).unwrap(), sum);
+        assert!(matches!(
+            a.add(&Matrix::zeros(2, 3)),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

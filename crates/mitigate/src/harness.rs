@@ -22,7 +22,7 @@ use nurd_sim::{
     MitigationSummary,
 };
 
-use crate::node_aware_mitigator;
+use crate::policies::node_aware_mitigator;
 
 /// Knobs for one [`run_fleet`] pass.
 #[derive(Debug, Clone)]
@@ -81,7 +81,7 @@ pub fn nurd_predictor_factory() -> PredictorFactory {
 /// Runs the whole loop once: serves `jobs` as a staggered fleet stream
 /// through an [`EngineService`] (the engine operators deploy, drain
 /// workers and all) with `mitigator` attached (`None` = the
-/// no-mitigation baseline — not even a [`crate::NoopPolicy`], so the
+/// no-mitigation baseline — not even a no-op policy, so the
 /// engine takes its zero-overhead `predict` path), then executes every
 /// job's committed action log in the simulator and aggregates.
 ///
@@ -204,12 +204,12 @@ pub struct NodeFleetRun {
     /// [`HealthAggregator::rates`] for the full per-node statistics.
     pub aggregator: Arc<HealthAggregator>,
     /// The verdict map frozen between the passes (what the mitigation
-    /// pass's [`crate::NodeAwarePolicy`] consulted).
+    /// pass's node-aware policy consulted).
     pub verdicts: BTreeMap<u32, NodeVerdict>,
     /// Pass 1: observation only (no mitigator) — also the unmitigated
     /// baseline for pricing pass 2.
     pub observed: FleetRun,
-    /// Pass 2: [`crate::NodeAwarePolicy`] over the frozen verdicts.
+    /// Pass 2: the node-aware policy over the frozen verdicts.
     pub mitigated: FleetRun,
 }
 
@@ -219,14 +219,14 @@ pub struct NodeFleetRun {
 ///    attached as the engine's [`HealthObserver`] and no mitigator; every
 ///    finalized job feeds per-node straggler truth into the aggregator.
 /// 2. **Freeze & mitigate** — freeze [`HealthAggregator::verdicts`] into
-///    a [`crate::NodeAwarePolicy`] and serve the same fleet again,
+///    a node-aware policy and serve the same fleet again,
 ///    quarantining convicted machines' tasks and cloning the rest by
 ///    score; the committed log is priced by the simulator.
 ///
 /// Freezing between passes (rather than reading the live aggregator
 /// mid-run) is what keeps the mitigation pass's action log bit-identical
-/// across shard counts — see [`crate::NodeAwarePolicy`]. Both passes are
-/// seed-deterministic, so the whole `NodeFleetRun` is too.
+/// across shard counts — see `NodeAwarePolicy` in `policies.rs`. Both
+/// passes are seed-deterministic, so the whole `NodeFleetRun` is too.
 #[must_use]
 pub fn run_node_fleet(jobs: &[JobTrace], config: &NodeFleetConfig) -> NodeFleetRun {
     let aggregator = Arc::new(HealthAggregator::new(config.health.clone()));

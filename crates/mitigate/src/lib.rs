@@ -9,15 +9,16 @@
 //!
 //! The crate ships:
 //!
-//! * **Policies** — [`NoopPolicy`] (the no-mitigation anchor),
-//!   [`ThresholdClonePolicy`] (score threshold + per-job clone budget),
-//!   [`BandedClonePolicy`] (two-sided threshold: instant clones above
-//!   `hi`, patience-gated clones in the `[lo, hi)` dead band),
-//!   [`TopKPolicy`] (k clones per barrier), [`OraclePolicy`] (ground
-//!   truth; the structural upper bound), and [`NodeAwarePolicy`]
-//!   (quarantines tasks on machines a frozen
-//!   [`nurd_health::HealthAggregator`] verdict map convicted), each with
-//!   a factory helper for [`nurd_serve::EngineService::attach_mitigator`];
+//! * **Policies**, each behind a factory for
+//!   [`nurd_serve::EngineService::attach_mitigator`] — [`noop_mitigator`]
+//!   (the no-mitigation anchor), [`threshold_mitigator`] (score threshold
+//!   with a per-job clone budget), [`banded_mitigator`] (two-sided threshold:
+//!   instant clones above `hi`, patience-gated clones in the `[lo, hi)`
+//!   dead band), [`topk_mitigator`] (k clones per barrier),
+//!   [`oracle_mitigator`] (ground truth; the structural upper bound); the
+//!   node-aware policy (quarantines tasks on machines a frozen
+//!   [`nurd_health::HealthAggregator`] verdict map convicted) runs inside
+//!   [`run_node_fleet`];
 //! * **The fleet harness** — [`run_fleet`] drives traces through a
 //!   [`nurd_serve::EngineService`] with a policy attached and sims the committed log, returning
 //!   per-job [`nurd_sim::MitigationOutcome`]s, a fleet
@@ -41,7 +42,5 @@ pub use harness::{
     NodeFleetRun,
 };
 pub use policies::{
-    banded_mitigator, node_aware_mitigator, noop_mitigator, oracle_mitigator, threshold_mitigator,
-    topk_mitigator, BandedClonePolicy, NodeAwarePolicy, NoopPolicy, OraclePolicy,
-    ThresholdClonePolicy, TopKPolicy,
+    banded_mitigator, noop_mitigator, oracle_mitigator, threshold_mitigator, topk_mitigator,
 };

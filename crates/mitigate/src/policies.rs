@@ -10,15 +10,32 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nurd_data::{BarrierView, JobTrace, MitigationAction, MitigationPolicy};
+use nurd_data::{BarrierView, JobTrace, MitigationAction, MitigationPolicy, TaskScore};
 use nurd_health::NodeVerdict;
 use nurd_serve::MitigatorFactory;
+
+/// Clones up to `limit` of `candidates` best-first — highest score, then
+/// lowest task id, so ties break the same way everywhere — recording each
+/// in `proposed`.
+fn clone_best_first(
+    mut candidates: Vec<&TaskScore>,
+    limit: Option<usize>,
+    proposed: &mut BTreeSet<usize>,
+) -> Vec<(usize, MitigationAction)> {
+    candidates.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.task.cmp(&b.task)));
+    candidates.truncate(limit.unwrap_or(usize::MAX));
+    let clone = |candidate: &TaskScore| {
+        proposed.insert(candidate.task);
+        (candidate.task, MitigationAction::Clone)
+    };
+    candidates.into_iter().map(clone).collect()
+}
 
 /// The do-nothing baseline: sees every barrier, acts on none. The
 /// mitigated run is identical to the unmitigated one — the anchor the
 /// acceptance gates compare real policies against.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoopPolicy;
+struct NoopPolicy;
 
 impl MitigationPolicy for NoopPolicy {
     fn name(&self) -> &str {
@@ -36,7 +53,7 @@ impl MitigationPolicy for NoopPolicy {
 /// runs out. A threshold of `1.0` clones exactly the predictor-flagged
 /// tasks; lower values act earlier (more catches, more waste).
 #[derive(Debug, Clone)]
-pub struct ThresholdClonePolicy {
+struct ThresholdClonePolicy {
     score_threshold: f64,
     budget: Option<usize>,
     proposed: BTreeSet<usize>,
@@ -46,7 +63,7 @@ impl ThresholdClonePolicy {
     /// A policy cloning at `score_threshold` with an optional per-job
     /// clone budget (`None` = unlimited).
     #[must_use]
-    pub fn new(score_threshold: f64, budget: Option<usize>) -> Self {
+    fn new(score_threshold: f64, budget: Option<usize>) -> Self {
         ThresholdClonePolicy {
             score_threshold,
             budget,
@@ -65,27 +82,12 @@ impl MitigationPolicy for ThresholdClonePolicy {
     }
 
     fn decide(&mut self, view: &BarrierView<'_>) -> Vec<(usize, MitigationAction)> {
-        let mut candidates: Vec<_> = view
+        let candidates = view
             .scores
             .iter()
             .filter(|s| s.score >= self.score_threshold && !self.proposed.contains(&s.task))
             .collect();
-        // Budget is spent best-first: highest score, then lowest task id
-        // so ties break the same way everywhere.
-        candidates.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.task.cmp(&b.task)));
-        let mut remaining = view.clones_remaining;
-        let mut actions = Vec::new();
-        for candidate in candidates {
-            if remaining == Some(0) {
-                break;
-            }
-            if let Some(r) = remaining.as_mut() {
-                *r -= 1;
-            }
-            self.proposed.insert(candidate.task);
-            actions.push((candidate.task, MitigationAction::Clone));
-        }
-        actions
+        clone_best_first(candidates, view.clones_remaining, &mut self.proposed)
     }
 }
 
@@ -94,7 +96,7 @@ impl MitigationPolicy for ThresholdClonePolicy {
 /// fleets where clone capacity per scheduling round is the scarce
 /// resource rather than clones per job.
 #[derive(Debug, Clone)]
-pub struct TopKPolicy {
+struct TopKPolicy {
     k: usize,
     proposed: BTreeSet<usize>,
 }
@@ -102,7 +104,7 @@ pub struct TopKPolicy {
 impl TopKPolicy {
     /// A policy cloning at most `k` flagged tasks per barrier.
     #[must_use]
-    pub fn new(k: usize) -> Self {
+    fn new(k: usize) -> Self {
         TopKPolicy {
             k,
             proposed: BTreeSet::new(),
@@ -117,20 +119,12 @@ impl MitigationPolicy for TopKPolicy {
 
     fn decide(&mut self, view: &BarrierView<'_>) -> Vec<(usize, MitigationAction)> {
         let flagged: BTreeSet<usize> = view.flagged.iter().copied().collect();
-        let mut candidates: Vec<_> = view
+        let candidates = view
             .scores
             .iter()
             .filter(|s| flagged.contains(&s.task) && !self.proposed.contains(&s.task))
             .collect();
-        candidates.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.task.cmp(&b.task)));
-        candidates
-            .into_iter()
-            .take(self.k)
-            .map(|s| {
-                self.proposed.insert(s.task);
-                (s.task, MitigationAction::Clone)
-            })
-            .collect()
+        clone_best_first(candidates, Some(self.k), &mut self.proposed)
     }
 }
 
@@ -146,7 +140,7 @@ impl MitigationPolicy for TopKPolicy {
 /// calibrated band beats the best single threshold in the
 /// `mitigation_sweep` pricing table at comparable waste.
 #[derive(Debug, Clone)]
-pub struct BandedClonePolicy {
+struct BandedClonePolicy {
     hi: f64,
     lo: f64,
     patience: usize,
@@ -165,7 +159,7 @@ impl BandedClonePolicy {
     /// Panics if `lo > hi` — the band would be empty in a way that makes
     /// every knob a lie; use [`ThresholdClonePolicy`] instead.
     #[must_use]
-    pub fn new(hi: f64, lo: f64, patience: usize, budget: Option<usize>) -> Self {
+    fn new(hi: f64, lo: f64, patience: usize, budget: Option<usize>) -> Self {
         assert!(lo <= hi, "banded policy needs lo <= hi");
         BandedClonePolicy {
             hi,
@@ -205,22 +199,11 @@ impl MitigationPolicy for BandedClonePolicy {
                 self.streaks.remove(&s.task);
             }
         }
-        // Budget is spent best-first, ties to the lowest task id —
-        // identical to the single-threshold policy so the comparison is
-        // purely about the band.
-        candidates.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.task.cmp(&b.task)));
-        let mut remaining = view.clones_remaining;
-        let mut actions = Vec::new();
-        for candidate in candidates {
-            if remaining == Some(0) {
-                break;
-            }
-            if let Some(r) = remaining.as_mut() {
-                *r -= 1;
-            }
-            self.streaks.remove(&candidate.task);
-            self.proposed.insert(candidate.task);
-            actions.push((candidate.task, MitigationAction::Clone));
+        // The budget is spent exactly as the single-threshold policy
+        // spends it, so the comparison is purely about the band.
+        let actions = clone_best_first(candidates, view.clones_remaining, &mut self.proposed);
+        for (task, _) in &actions {
+            self.streaks.remove(task);
         }
         actions
     }
@@ -242,7 +225,7 @@ impl MitigationPolicy for BandedClonePolicy {
 /// log across shard counts. Jobs without a node placement fall back to
 /// pure threshold cloning.
 #[derive(Debug, Clone)]
-pub struct NodeAwarePolicy {
+struct NodeAwarePolicy {
     verdicts: BTreeMap<u32, NodeVerdict>,
     score_threshold: f64,
     watch_threshold: f64,
@@ -257,7 +240,7 @@ impl NodeAwarePolicy {
     /// optional per-job clone budget (quarantines are not clones and do
     /// not consume it).
     #[must_use]
-    pub fn new(
+    fn new(
         verdicts: BTreeMap<u32, NodeVerdict>,
         score_threshold: f64,
         watch_threshold: f64,
@@ -302,7 +285,7 @@ impl MitigationPolicy for NodeAwarePolicy {
             }
         }
         // Everyone else: threshold cloning, with the watch discount.
-        let mut candidates: Vec<_> = view
+        let candidates = view
             .scores
             .iter()
             .filter(|s| {
@@ -314,18 +297,11 @@ impl MitigationPolicy for NodeAwarePolicy {
                         }
             })
             .collect();
-        candidates.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.task.cmp(&b.task)));
-        let mut remaining = view.clones_remaining;
-        for candidate in candidates {
-            if remaining == Some(0) {
-                break;
-            }
-            if let Some(r) = remaining.as_mut() {
-                *r -= 1;
-            }
-            self.proposed.insert(candidate.task);
-            actions.push((candidate.task, MitigationAction::Clone));
-        }
+        actions.extend(clone_best_first(
+            candidates,
+            view.clones_remaining,
+            &mut self.proposed,
+        ));
         actions
     }
 }
@@ -337,7 +313,7 @@ impl MitigationPolicy for NodeAwarePolicy {
 /// rule) — the gap between the oracle and a learned policy is the room
 /// the predictor leaves on the table.
 #[derive(Debug, Clone)]
-pub struct OraclePolicy {
+struct OraclePolicy {
     stragglers: BTreeSet<usize>,
     proposed: BTreeSet<usize>,
 }
@@ -345,18 +321,11 @@ pub struct OraclePolicy {
 impl OraclePolicy {
     /// An oracle for a job whose true stragglers are `stragglers`.
     #[must_use]
-    pub fn new(stragglers: impl IntoIterator<Item = usize>) -> Self {
+    fn new(stragglers: impl IntoIterator<Item = usize>) -> Self {
         OraclePolicy {
             stragglers: stragglers.into_iter().collect(),
             proposed: BTreeSet::new(),
         }
-    }
-
-    /// Builds the oracle from a job's ground truth at `quantile` (the
-    /// paper's p90 labeling at `0.9`).
-    #[must_use]
-    pub fn for_job(job: &JobTrace, quantile: f64) -> Self {
-        OraclePolicy::new(job.true_stragglers(job.straggler_threshold(quantile)))
     }
 }
 
@@ -376,28 +345,39 @@ impl MitigationPolicy for OraclePolicy {
     }
 }
 
-/// Factory for [`NoopPolicy`] — the no-mitigation baseline in factory
-/// form, for wiring into [`nurd_serve::EngineService::attach_mitigator`].
+/// The do-nothing baseline in factory form, for wiring into
+/// [`nurd_serve::EngineService::attach_mitigator`]: every job's policy
+/// sees every barrier and acts on none.
 #[must_use]
 pub fn noop_mitigator() -> MitigatorFactory {
     Box::new(|_spec| Box::new(NoopPolicy))
 }
 
-/// Factory giving every job a [`ThresholdClonePolicy`] with the given
-/// knobs.
+/// Factory giving every job a score-threshold cloning policy: every
+/// running task whose normalized score reaches `score_threshold` gets one
+/// [`MitigationAction::Clone`], highest scores first, until the per-job
+/// `budget` (`None` = unlimited) runs out. A threshold of `1.0` clones
+/// exactly the predictor-flagged tasks.
 #[must_use]
 pub fn threshold_mitigator(score_threshold: f64, budget: Option<usize>) -> MitigatorFactory {
     Box::new(move |_spec| Box::new(ThresholdClonePolicy::new(score_threshold, budget)))
 }
 
-/// Factory giving every job a [`TopKPolicy`] cloning at most `k` flagged
-/// tasks per barrier.
+/// Factory giving every job a policy cloning at most `k` newly flagged
+/// tasks per barrier, highest scores first.
 #[must_use]
 pub fn topk_mitigator(k: usize) -> MitigatorFactory {
     Box::new(move |_spec| Box::new(TopKPolicy::new(k)))
 }
 
-/// Factory giving every job a [`BandedClonePolicy`] with the given band.
+/// Factory giving every job a two-sided threshold policy: clone
+/// immediately at `hi`, clone out of the dead band `[lo, hi)` only after
+/// `patience` consecutive scored barriers there (a score below `lo`
+/// resets the streak), never below `lo`, within the per-job `budget`.
+///
+/// # Panics
+///
+/// The policy panics at its first job if `lo > hi`.
 #[must_use]
 pub fn banded_mitigator(
     hi: f64,
@@ -411,7 +391,7 @@ pub fn banded_mitigator(
 /// Factory giving every job a [`NodeAwarePolicy`] over one shared frozen
 /// verdict map (cloned per job).
 #[must_use]
-pub fn node_aware_mitigator(
+pub(crate) fn node_aware_mitigator(
     verdicts: BTreeMap<u32, NodeVerdict>,
     score_threshold: f64,
     watch_threshold: f64,
@@ -427,9 +407,11 @@ pub fn node_aware_mitigator(
     })
 }
 
-/// Factory giving every job an [`OraclePolicy`] built from the fleet's
-/// ground truth at `quantile`. Jobs not in `jobs` (never the case in the
-/// harness) get an oracle with no stragglers, i.e. a no-op.
+/// Factory giving every job an oracle built from the fleet's ground
+/// truth at `quantile`: it clones exactly the job's true stragglers, each
+/// at the first barrier it appears in the scored view — the upper bound.
+/// Jobs not in `jobs` (never the case in the harness) get an oracle with
+/// no stragglers, i.e. a no-op.
 #[must_use]
 pub fn oracle_mitigator(jobs: &[JobTrace], quantile: f64) -> MitigatorFactory {
     let labels: BTreeMap<u64, Vec<usize>> = jobs

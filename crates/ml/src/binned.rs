@@ -58,7 +58,7 @@ impl FeatureBins {
     /// rides the right child in both phases, matching exact growth.
     #[inline]
     #[must_use]
-    pub fn code_of(&self, value: f64) -> u8 {
+    fn code_of(&self, value: f64) -> u8 {
         if value.is_nan() {
             return self.cuts.len() as u8;
         }
@@ -72,14 +72,14 @@ impl FeatureBins {
     /// Smallest training value in bin `b`.
     #[inline]
     #[must_use]
-    pub fn min_of(&self, b: usize) -> f64 {
+    pub(crate) fn min_of(&self, b: usize) -> f64 {
         self.bin_min[b]
     }
 
     /// Largest training value in bin `b`.
     #[inline]
     #[must_use]
-    pub fn max_of(&self, b: usize) -> f64 {
+    pub(crate) fn max_of(&self, b: usize) -> f64 {
         self.bin_max[b]
     }
 }
@@ -99,7 +99,7 @@ impl FeatureBins {
 /// past a tolerance. Reusing the edges also keeps bin codes comparable
 /// across checkpoints, which is what lets a warm-started booster keep
 /// predicting through `u8` codes (see
-/// [`crate::FlatForest::predict_binned_extend`]).
+/// `crate::FlatForest::predict_binned_extend`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
     /// Column-major codes: `codes[f * n_rows + i]` is row `i`'s bin for
@@ -124,7 +124,7 @@ pub struct BinnedMatrix {
 
 impl BinnedMatrix {
     /// Hard upper limit on bins per feature (codes are `u8`).
-    pub const MAX_BINS: usize = 256;
+    pub(crate) const MAX_BINS: usize = 256;
 
     /// Minimum matrix size (`rows × features`) before
     /// [`BinnedMatrix::build_with_pool`] fans feature quantization out to
@@ -182,7 +182,7 @@ impl BinnedMatrix {
     /// the knob behind [`crate::TreeConfig::n_threads`] — prefer
     /// [`BinnedMatrix::build_for`] unless you manage pools yourself.
     #[must_use]
-    pub fn build_with_pool(
+    fn build_with_pool(
         x: MatrixView<'_>,
         max_bins: usize,
         par: Option<(&nurd_runtime::ThreadPool, usize)>,
@@ -374,18 +374,8 @@ impl BinnedMatrix {
     /// The contiguous code column for feature `f` (one `u8` per row).
     #[inline]
     #[must_use]
-    pub fn codes(&self, f: usize) -> &[u8] {
+    pub(crate) fn codes(&self, f: usize) -> &[u8] {
         &self.codes[f * self.n_rows..(f + 1) * self.n_rows]
-    }
-
-    /// Largest bin count across features (histogram scratch sizing).
-    #[must_use]
-    pub fn max_bin_count(&self) -> usize {
-        self.features
-            .iter()
-            .map(FeatureBins::n_bins)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -527,7 +517,7 @@ impl nurd_codec::Checkpointable for FeatureBins {
 /// restore is identical to one computed by an uninterrupted process.
 /// Decoding checks what the grower, `append_from` and `drift` index by:
 /// one bin table per feature, every per-bin table of a feature the same
-/// length (at most [`BinnedMatrix::MAX_BINS`]), every code a bin of its
+/// length (at most `BinnedMatrix::MAX_BINS`), every code a bin of its
 /// column.
 impl nurd_codec::Checkpointable for BinnedMatrix {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {

@@ -63,7 +63,7 @@ use nurd_runtime::ThreadPool;
 use crate::binned::BinnedMatrix;
 
 /// Default number of rows the batch kernels walk per tree step
-/// ([`FlatForest::set_lanes`]).
+/// (`FlatForest::set_lanes`).
 pub const DEFAULT_LANES: usize = 4;
 
 /// The lane widths the batch kernels are compiled for.
@@ -76,7 +76,7 @@ pub const SUPPORTED_LANES: [usize; 4] = [1, 2, 4, 8];
 /// [`crate::GradientBoosting`] owns one and grows it in place
 /// ([`crate::GradientBoosting::forest`] lends it out); score batches
 /// through [`FlatForest::predict_view_into`] /
-/// [`FlatForest::predict_binned_extend`].
+/// `FlatForest::predict_binned_extend`.
 #[derive(Debug, Clone)]
 pub struct FlatForest {
     /// Split feature per node (`0` at leaves — never routed on, but kept a
@@ -122,7 +122,7 @@ impl FlatForest {
     /// An empty forest (predicts `base_score` everywhere) at the default
     /// lane width.
     #[must_use]
-    pub fn new(base_score: f64, learning_rate: f64) -> Self {
+    pub(crate) fn new(base_score: f64, learning_rate: f64) -> Self {
         FlatForest {
             feature: Vec::new(),
             threshold: Vec::new(),
@@ -218,34 +218,10 @@ impl FlatForest {
         self.roots.len()
     }
 
-    /// Total nodes across all trees.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.feature.len()
-    }
-
-    /// The constant initial score `f₀` applied by the prediction kernels.
-    #[must_use]
-    pub fn base_score(&self) -> f64 {
-        self.base_score
-    }
-
-    /// The shrinkage applied to the accumulated leaf sum.
-    #[must_use]
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-
     /// Whether rows (or a binned matrix) `width` features wide cover every
     /// split feature — what the kernels assert before walking.
     pub(crate) fn fits_width(&self, width: usize) -> bool {
         width >= self.min_width as usize
-    }
-
-    /// Rows the batch kernels walk per tree step.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes as usize
     }
 
     /// Sets the lane width: how many rows each batch kernel interleaves
@@ -257,7 +233,7 @@ impl FlatForest {
     /// # Panics
     ///
     /// Panics unless `lanes` is one of [`SUPPORTED_LANES`].
-    pub fn set_lanes(&mut self, lanes: usize) {
+    pub(crate) fn set_lanes(&mut self, lanes: usize) {
         assert!(
             SUPPORTED_LANES.contains(&lanes),
             "unsupported lane width {lanes}: the kernels are compiled for {SUPPORTED_LANES:?}"
@@ -265,7 +241,7 @@ impl FlatForest {
         self.lanes = lanes as u32;
     }
 
-    /// Builder-style [`FlatForest::set_lanes`].
+    /// Builder-style `FlatForest::set_lanes`.
     #[must_use]
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.set_lanes(lanes);
@@ -280,7 +256,7 @@ impl FlatForest {
     ///
     /// Panics if `features` is narrower than a split feature index.
     #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, features: &[f64]) -> f64 {
         let mut acc = 0.0;
         for (t, &root) in self.roots.iter().enumerate() {
             let mut idx = root as usize;
@@ -296,7 +272,7 @@ impl FlatForest {
 
     /// Scores every row of a matrix view into `out` (cleared and refilled
     /// — the reusable-buffer twin of `predict_view`). Bit-identical to
-    /// [`FlatForest::predict`] on every row.
+    /// `FlatForest::predict` on every row.
     ///
     /// # Panics
     ///
@@ -418,7 +394,7 @@ impl FlatForest {
     ///
     /// Panics when `rows` exceeds the matrix or the matrix is narrower
     /// than a split feature index.
-    pub fn predict_binned_extend(
+    pub(crate) fn predict_binned_extend(
         &self,
         binned: &BinnedMatrix,
         rows: Range<usize>,
@@ -818,7 +794,7 @@ impl FlatForest {
     }
 
     pub(crate) fn leaf_count(&self) -> usize {
-        self.node_count() - self.splits().len()
+        self.feature.len() - self.splits().len()
     }
 
     /// Depth of the deepest tree.
@@ -968,7 +944,7 @@ mod tests {
         let slices: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
         for lanes in SUPPORTED_LANES {
             let lf = forest.clone().with_lanes(lanes);
-            assert_eq!(lf.lanes(), lanes);
+            assert_eq!(lf.lanes as usize, lanes);
             assert_eq!(lf.predict_view(MatrixView::Rows(x)), raw, "{lanes} lanes");
             assert_eq!(
                 predict_binned_batch(&lf, binned, 0..x.len()),
@@ -1073,7 +1049,7 @@ mod tests {
         let forest = FlatForest::new(2.5, 0.3);
         assert_eq!(forest.predict(&[1.0, 2.0]), 2.5);
         assert_eq!(forest.tree_count(), 0);
-        assert_eq!(forest.lanes(), DEFAULT_LANES);
+        assert_eq!(forest.lanes as usize, DEFAULT_LANES);
         let x = rows(4, 2, 1);
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 16);
         assert_eq!(predict_binned_batch(&forest, &binned, 0..4), vec![2.5; 4]);
@@ -1094,7 +1070,7 @@ mod tests {
         };
         let (binned, model) = fit(&x, &cfg);
         let flat = model.forest();
-        assert_eq!((flat.node_count(), flat.max_depth()), (4, 0));
+        assert_eq!((flat.feature.len(), flat.max_depth()), (4, 0));
         assert_every_kernel_matches_the_oracle(&model, &binned, &x, x.len());
         // Features can be anything for a leaf-only ensemble — even empty.
         assert_eq!(flat.predict(&[]), oracle_raw(flat, &x[0]));
@@ -1180,7 +1156,7 @@ mod tests {
         // Depths and `min_width` are not on the wire: equality here means
         // the reverse pass and the feature scan recomputed them.
         back.assert_same_trees(forest, true, "round trip");
-        assert_eq!(back.lanes(), DEFAULT_LANES);
+        assert_eq!(back.lanes as usize, DEFAULT_LANES);
         assert_eq!(encoded(&back), encoded(forest));
     }
 

@@ -309,24 +309,6 @@ impl<L: Loss> GradientBoosting<L> {
         self.forest.tree_count()
     }
 
-    /// The loss the ensemble was trained with.
-    #[must_use]
-    pub fn loss(&self) -> &L {
-        &self.loss
-    }
-
-    /// The constant initial score `f₀`.
-    #[must_use]
-    pub fn base_score(&self) -> f64 {
-        self.forest.base_score()
-    }
-
-    /// The shrinkage each tree's output is scaled by.
-    #[must_use]
-    pub fn learning_rate(&self) -> f64 {
-        self.forest.learning_rate()
-    }
-
     /// The ensemble itself: score batches through its kernels
     /// ([`FlatForest::predict_view_into`]) by reference — there is no
     /// other copy to keep in sync.
@@ -336,7 +318,7 @@ impl<L: Loss> GradientBoosting<L> {
     }
 
     /// Sets the lane width of the forest's batch kernels
-    /// ([`FlatForest::set_lanes`]; scores are bit-identical at every
+    /// (`FlatForest::set_lanes`; scores are bit-identical at every
     /// width). A fit or a decode starts at [`crate::DEFAULT_LANES`].
     ///
     /// # Panics
@@ -435,12 +417,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn mean_squared_error(truth: &[f64], pred: &[f64]) -> f64 {
+        let squares = truth.iter().zip(pred).map(|(t, p)| (t - p) * (t - p));
+        squares.sum::<f64>() / truth.len() as f64
+    }
+
     #[test]
     fn regression_learns_linear_function() {
         let x: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 10.0]).collect();
         let y: Vec<f64> = x.iter().map(|r| 3.0 * r[0] + 1.0).collect();
         let model = GradientBoosting::fit(&x, &y, SquaredLoss, &GbtConfig::default()).unwrap();
-        let mse = crate::mean_squared_error(&y, &model.predict_batch(&x));
+        let mse = mean_squared_error(&y, &model.predict_batch(&x));
         assert!(mse < 0.1, "train mse {mse} too high");
     }
 
@@ -464,7 +451,7 @@ mod tests {
             ..GbtConfig::default()
         };
         let model = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
-        let mse = crate::mean_squared_error(&y, &model.predict_batch(&x));
+        let mse = mean_squared_error(&y, &model.predict_batch(&x));
         let var = nurd_linalg::variance(&y);
         assert!(mse < 0.05 * var, "mse {mse} vs variance {var}");
     }
@@ -570,8 +557,8 @@ mod tests {
 
         let warm = boosted(&prev, &binned, &y, 10, &cfg, &mut Vec::new()).unwrap();
         let cold = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
-        let mse_warm = crate::mean_squared_error(&y, &warm.predict_batch(&x));
-        let mse_cold = crate::mean_squared_error(&y, &cold.predict_batch(&x));
+        let mse_warm = mean_squared_error(&y, &warm.predict_batch(&x));
+        let mse_cold = mean_squared_error(&y, &cold.predict_batch(&x));
         let var = nurd_linalg::variance(&y);
         assert!(
             mse_warm <= mse_cold + 0.01 * var,

@@ -40,15 +40,14 @@ impl Default for KMeansConfig {
 /// # fn main() -> Result<(), nurd_ml::MlError> {
 /// let x = vec![vec![0.0], vec![0.1], vec![10.0], vec![10.1]];
 /// let km = KMeans::fit(&x, &KMeansConfig { k: 2, ..Default::default() })?;
-/// assert_eq!(km.assign(&[0.05]), km.assign(&[0.0]));
-/// assert_ne!(km.assign(&[0.05]), km.assign(&[10.05]));
+/// assert_eq!(km.cluster_sizes(), &[2, 2]);
+/// assert!(km.centroids().iter().any(|c| (c[0] - 10.05).abs() < 1e-9));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct KMeans {
     centroids: Vec<Vec<f64>>,
-    labels: Vec<usize>,
     cluster_sizes: Vec<usize>,
 }
 
@@ -140,7 +139,6 @@ impl KMeans {
         }
         Ok(KMeans {
             centroids,
-            labels,
             cluster_sizes,
         })
     }
@@ -151,28 +149,10 @@ impl KMeans {
         &self.centroids
     }
 
-    /// Training-sample cluster assignments, aligned with the input order.
-    #[must_use]
-    pub fn labels(&self) -> &[usize] {
-        &self.labels
-    }
-
     /// Number of training samples per cluster.
     #[must_use]
     pub fn cluster_sizes(&self) -> &[usize] {
         &self.cluster_sizes
-    }
-
-    /// Index of the nearest centroid to `point`.
-    #[must_use]
-    pub fn assign(&self, point: &[f64]) -> usize {
-        nearest(point, &self.centroids).0
-    }
-
-    /// Distance from `point` to its nearest centroid.
-    #[must_use]
-    pub fn distance_to_nearest(&self, point: &[f64]) -> f64 {
-        nearest(point, &self.centroids).1
     }
 }
 
@@ -212,8 +192,8 @@ mod tests {
             },
         )
         .unwrap();
-        let l0 = km.assign(&[0.0, 0.0]);
-        let l1 = km.assign(&[5.0, 5.0]);
+        let l0 = nearest(&[0.0, 0.0], km.centroids()).0;
+        let l1 = nearest(&[5.0, 5.0], km.centroids()).0;
         assert_ne!(l0, l1);
         assert_eq!(km.cluster_sizes().iter().sum::<usize>(), x.len());
         assert_eq!(km.cluster_sizes()[l0], 10);
@@ -245,7 +225,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(km.distance_to_nearest(&[3.0, 3.0]) < 1e-12);
+        assert!(nearest(&[3.0, 3.0], km.centroids()).1 < 1e-12);
     }
 
     #[test]
@@ -281,23 +261,22 @@ mod tests {
         };
         let a = KMeans::fit(&x, &cfg).unwrap();
         let b = KMeans::fit(&x, &cfg).unwrap();
-        assert_eq!(a.labels(), b.labels());
+        assert_eq!(a.centroids(), b.centroids());
+        assert_eq!(a.cluster_sizes(), b.cluster_sizes());
     }
 
     proptest! {
-        /// Every sample is assigned to its nearest centroid (Lloyd's
-        /// invariant at convergence of the final assignment pass).
+        /// Every sample is counted in the cluster of its nearest centroid
+        /// (Lloyd's invariant at the final assignment pass).
         #[test]
-        fn prop_assignments_are_nearest(points in proptest::collection::vec(
+        fn prop_sizes_count_nearest_assignments(points in proptest::collection::vec(
             proptest::collection::vec(-10.0..10.0f64, 2), 3..24), k in 1usize..4) {
             let km = KMeans::fit(&points, &KMeansConfig { k, ..Default::default() }).unwrap();
-            for (i, p) in points.iter().enumerate() {
-                let assigned = km.labels()[i];
-                let d_assigned = nurd_linalg::euclidean_distance(p, &km.centroids()[assigned]);
-                for c in km.centroids() {
-                    prop_assert!(d_assigned <= nurd_linalg::euclidean_distance(p, c) + 1e-9);
-                }
+            let mut sizes = vec![0usize; km.centroids().len()];
+            for p in &points {
+                sizes[nearest(p, km.centroids()).0] += 1;
             }
+            prop_assert_eq!(sizes.as_slice(), km.cluster_sizes());
         }
 
         /// Cluster sizes partition the sample count.

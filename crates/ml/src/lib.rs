@@ -45,7 +45,7 @@
 //! * [`GradientBoosting::warm_boost`] boosts a few new rounds onto a
 //!   fitted ensemble, in place, over such a grown matrix, replaying the
 //!   ensemble only over the rows its score cache does not cover;
-//! * [`FlatForest::predict_binned_extend`] replays trees over contiguous
+//! * `FlatForest::predict_binned_extend` replays trees over contiguous
 //!   `u8` bin codes — raw `f64` features are never touched after
 //!   quantization.
 //!
@@ -59,7 +59,7 @@
 //! [`FlatForest::predict_view_into`] on [`GradientBoosting::forest`] by
 //! reference, and the codec writes it; there is no other tree type and
 //! nothing is converted. [`GradientBoosting::predict_view`] is the forest's
-//! safe one-row walk ([`FlatForest::predict`]) mapped over rows: what the
+//! safe one-row walk (`FlatForest::predict`) mapped over rows: what the
 //! baselines score with, and the bounds-checked, lane-free reference the
 //! `unsafe` batch kernels are tested **bit-identical** to. One
 //! const-generic kernel per input kind (raw rows, bin codes) serves every
@@ -102,7 +102,7 @@ pub use flat::{FlatForest, DEFAULT_LANES, SUPPORTED_LANES};
 pub use gbt::{GbtConfig, GradientBoosting, LogisticLoss, Loss, SquaredLoss};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use logistic::{LogisticConfig, LogisticRegression};
-pub use metrics::{accuracy, f1_score, mean_absolute_error, mean_squared_error, sigmoid};
+pub(crate) use metrics::sigmoid;
 pub use neighbors::NearestNeighbors;
 pub use scaler::StandardScaler;
 pub use svm::{LinearSvm, SvmConfig};

@@ -45,8 +45,6 @@ pub struct LogisticConfig {
     pub l2: f64,
     /// Maximum Newton iterations.
     pub max_iter: usize,
-    /// Convergence tolerance on the max weight update.
-    pub tol: f64,
     /// Reweight samples so both classes contribute equally (each sample of
     /// class `c` gets weight `n / (2 n_c)`). Essential for propensity
     /// estimation on heavily imbalanced finished-vs-running splits, where
@@ -64,7 +62,6 @@ impl Default for LogisticConfig {
             // saturating every probability without it.
             l2: 1.0,
             max_iter: 50,
-            tol: 1e-8,
             balanced: false,
         }
     }
@@ -140,8 +137,8 @@ impl LogisticRegression {
     /// fit's before seeding, so the seeded objective starts at the old
     /// optimum evaluated on the new data. Because the penalized
     /// log-likelihood is strictly concave, warm and cold starts converge
-    /// to the same optimum (within `tol`); warm starts just take fewer
-    /// Newton iterations — see [`LogisticRegression::iterations`].
+    /// to the same optimum (within the solver's tolerance); warm starts
+    /// just take fewer Newton iterations.
     ///
     /// The warm path is best-effort: a seed with a different feature
     /// count, non-finite remapped coefficients, or a seeded solve that
@@ -301,6 +298,9 @@ impl Point {
     }
 }
 
+/// Convergence tolerance of [`irls`] on the largest coefficient update.
+const TOL: f64 = 1e-8;
+
 /// Damped, line-searched IRLS (Newton-Raphson) on the penalized
 /// log-likelihood, started from `beta`. Returns the solution and the
 /// number of Newton iterations taken.
@@ -417,7 +417,7 @@ fn irls(
             }
             alpha *= 0.5;
         }
-        if !accepted || max_update < config.tol {
+        if !accepted || max_update < TOL {
             break; // converged (no ascent direction improves the objective)
         }
     }
@@ -446,12 +446,6 @@ impl LogisticRegression {
             z += w * (f - m) / s;
         }
         crate::sigmoid(z)
-    }
-
-    /// Probabilities for a batch of samples.
-    #[must_use]
-    pub fn predict_proba_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict_proba(x)).collect()
     }
 
     /// Probabilities for every row of a matrix view (no row copies).
@@ -485,19 +479,6 @@ impl LogisticRegression {
     #[must_use]
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// Learned intercept in standardized feature space.
-    #[must_use]
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// Newton iterations the fit took — the quantity warm starts shrink
-    /// (see [`LogisticRegression::fit_view_warm`]).
-    #[must_use]
-    pub fn iterations(&self) -> usize {
-        self.iterations
     }
 }
 
@@ -553,7 +534,7 @@ impl nurd_codec::Checkpointable for LogisticRegression {
 /// [`irls`]: super::irls
 #[cfg(test)]
 mod reference {
-    use super::{LogisticConfig, MlError};
+    use super::{LogisticConfig, MlError, TOL};
     use nurd_linalg::{Cholesky, Matrix};
 
     /// What a run of the oracle met, so the property can show it covered
@@ -668,7 +649,7 @@ mod reference {
                 }
                 alpha *= 0.5;
             }
-            if !accepted || max_update < config.tol {
+            if !accepted || max_update < TOL {
                 break; // converged (no ascent direction improves the objective)
             }
         }
@@ -814,15 +795,12 @@ mod tests {
         // The warm start must not take more Newton iterations than cold
         // (on near-identical data it converges almost immediately).
         assert!(
-            warm.iterations() <= cold.iterations(),
+            warm.iterations <= cold.iterations,
             "warm {} vs cold {} iterations",
-            warm.iterations(),
-            cold.iterations()
+            warm.iterations,
+            cold.iterations
         );
-        assert!(
-            cold.iterations() >= 2,
-            "fixture too easy to measure savings"
-        );
+        assert!(cold.iterations >= 2, "fixture too easy to measure savings");
     }
 
     #[test]
@@ -830,8 +808,8 @@ mod tests {
         // Seeding across a pure shift/scale of the data distribution:
         // the remapped seed must reproduce the previous model's raw-space
         // probabilities exactly at iteration zero — verified indirectly
-        // by fitting with max_iter = 0-equivalent (tol huge) and checking
-        // probabilities match the seed model.
+        // by fitting with `max_iter = 0` and checking probabilities match
+        // the seed model.
         let (x, y) = drifting_set(200);
         let cfg = LogisticConfig::default();
         let prev = LogisticRegression::fit(&x[..150], &y[..150], &cfg).unwrap();
@@ -860,7 +838,7 @@ mod tests {
         let warm =
             LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &y, &cfg, Some(&seed)).unwrap();
         let cold = LogisticRegression::fit(&x, &y, &cfg).unwrap();
-        assert_eq!(warm.iterations(), cold.iterations());
+        assert_eq!(warm.iterations, cold.iterations);
         for row in &x {
             assert_eq!(warm.predict_proba(row), cold.predict_proba(row));
         }

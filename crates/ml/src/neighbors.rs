@@ -16,8 +16,8 @@ use crate::MlError;
 ///
 /// # fn main() -> Result<(), nurd_ml::MlError> {
 /// let nn = NearestNeighbors::new(vec![vec![0.0], vec![1.0], vec![5.0]])?;
-/// let hits = nn.query(&[0.9], 2);
-/// assert_eq!(hits[0].0, 1); // nearest is the point at 1.0
+/// let hits = nn.neighbors_of(0, 2);
+/// assert_eq!(hits[0], (1, 1.0)); // nearest to the point at 0.0 is the one at 1.0
 /// # Ok(())
 /// # }
 /// ```
@@ -39,29 +39,11 @@ impl NearestNeighbors {
         Ok(NearestNeighbors { points })
     }
 
-    /// Number of indexed points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index is empty (never true for a constructed index).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The indexed points.
-    #[must_use]
-    pub fn points(&self) -> &[Vec<f64>] {
-        &self.points
-    }
-
     /// The `k` nearest indexed points to `query`, as `(index, distance)`
     /// sorted by ascending distance. Returns fewer than `k` entries when the
     /// index is smaller than `k`.
     #[must_use]
-    pub fn query(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
+    fn query(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
         let mut dists: Vec<(usize, f64)> = self
             .points
             .iter()

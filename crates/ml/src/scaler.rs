@@ -67,18 +67,6 @@ impl StandardScaler {
     pub fn transform(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         rows.iter().map(|r| self.transform_row(r)).collect()
     }
-
-    /// Per-column means.
-    #[must_use]
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Per-column standard deviations (floored for constant columns).
-    #[must_use]
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
 }
 
 #[cfg(test)]

@@ -149,12 +149,6 @@ impl LinearSvm {
             -1.0
         }
     }
-
-    /// Learned weights in standardized feature space.
-    #[must_use]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +209,7 @@ mod tests {
         let cfg = SvmConfig::default();
         let a = LinearSvm::fit(&x, &y, &cfg).unwrap();
         let b = LinearSvm::fit(&x, &y, &cfg).unwrap();
-        assert_eq!(a.weights(), b.weights());
+        assert_eq!(a.weights, b.weights);
     }
 
     #[test]

@@ -43,15 +43,6 @@ pub enum TrySendError<T> {
     Closed(T),
 }
 
-impl<T> TrySendError<T> {
-    /// The item that was not enqueued.
-    pub fn into_inner(self) -> T {
-        match self {
-            TrySendError::Full(item) | TrySendError::Closed(item) => item,
-        }
-    }
-}
-
 struct State<T> {
     queue: VecDeque<T>,
     closed: bool,
@@ -77,7 +68,7 @@ impl<T> std::fmt::Debug for Channel<T> {
         f.debug_struct("Channel")
             .field("len", &self.len())
             .field("capacity", &self.capacity)
-            .field("closed", &self.is_closed())
+            .field("closed", &self.lock().closed)
             .finish()
     }
 }
@@ -112,12 +103,6 @@ impl<T> Channel<T> {
             queued: AtomicUsize::new(0),
             capacity: None,
         }
-    }
-
-    /// `Some(n)` for a bounded channel, `None` for unbounded.
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
@@ -192,19 +177,6 @@ impl<T> Channel<T> {
         Ok((was_empty, evicted))
     }
 
-    /// Pops one item, never blocking (receivers of this channel park on a
-    /// [`crate::Notifier`], not here).
-    pub fn try_recv(&self) -> Option<T> {
-        let mut state = self.lock();
-        let item = state.queue.pop_front();
-        self.queued.store(state.queue.len(), Ordering::Relaxed);
-        if item.is_some() {
-            drop(state);
-            self.not_full.notify_all();
-        }
-        item
-    }
-
     /// Moves up to `max` items (in FIFO order) into `out`, returning how
     /// many were taken, and wakes senders blocked on a full channel. One
     /// lock acquisition per batch — this is the receive primitive drain
@@ -246,12 +218,6 @@ impl<T> Channel<T> {
         self.not_full.notify_all();
     }
 
-    /// Whether [`Channel::close`] has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Quiescence test for shutdown: closed *and* empty, i.e. no send can
     /// add work and no queued work remains (taken under the lock — this
     /// one is exact, not a racy mirror read).
@@ -277,9 +243,8 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(ch.recv_batch(&mut out, 4), 4);
         assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(ch.try_recv(), Some(4));
-        assert_eq!(ch.recv_batch(&mut out, 100), 5);
-        assert_eq!(out.len(), 9);
+        assert_eq!(ch.recv_batch(&mut out, 100), 6);
+        assert_eq!(out.len(), 10);
         assert!(ch.is_empty());
     }
 
@@ -290,7 +255,7 @@ mod tests {
         ch.try_send(2).unwrap();
         assert_eq!(ch.try_send(3), Err(TrySendError::Full(3)));
         assert_eq!(ch.len(), 2);
-        ch.try_recv();
+        ch.recv_batch(&mut Vec::new(), 1);
         ch.try_send(3).unwrap();
     }
 
@@ -329,7 +294,9 @@ mod tests {
         assert_eq!(ch.try_send(3), Err(TrySendError::Closed(3)));
         assert_eq!(ch.send_evicting(4), Err(SendError(4)));
         assert!(!ch.is_drained(), "item still queued");
-        assert_eq!(ch.try_recv(), Some(1));
+        let mut out = Vec::new();
+        assert_eq!(ch.recv_batch(&mut out, 1), 1);
+        assert_eq!(out, vec![1]);
         assert!(ch.is_drained());
     }
 
@@ -390,7 +357,7 @@ mod tests {
     #[test]
     fn zero_capacity_clamps_to_one() {
         let ch = Channel::bounded(0);
-        assert_eq!(ch.capacity(), Some(1));
+        assert_eq!(ch.capacity, Some(1));
         ch.send(1).unwrap();
         assert_eq!(ch.try_send(2), Err(TrySendError::Full(2)));
     }

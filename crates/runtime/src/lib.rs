@@ -66,5 +66,4 @@ mod pool;
 
 pub use channel::{Channel, SendError, TrySendError};
 pub use notify::Notifier;
-pub use pool::Scope;
-pub use pool::{global, ThreadPool};
+pub use pool::{global, Scope, ThreadPool};

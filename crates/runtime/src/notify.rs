@@ -81,31 +81,6 @@ impl Notifier {
             epoch = self.wake.wait(epoch).expect("notifier condvar poisoned");
         }
     }
-
-    /// Like [`Notifier::park`], but gives up after `timeout` even if no
-    /// [`Notifier::unpark`] arrived. Returns `true` if woken by an unpark
-    /// (the epoch moved past `seen`) and `false` on timeout. Periodic
-    /// housekeeping workers — e.g. a background WAL flusher — use this to
-    /// wake on a cadence while still reacting promptly to shutdown.
-    pub fn park_timeout(&self, seen: u64, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut epoch = self.epoch.lock().expect("notifier poisoned");
-        while *epoch == seen {
-            let now = std::time::Instant::now();
-            let Some(left) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return false;
-            };
-            let (guard, _timed_out) = self
-                .wake
-                .wait_timeout(epoch, left)
-                .expect("notifier condvar poisoned");
-            epoch = guard;
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -140,23 +115,6 @@ mod tests {
         n.unpark();
         parked.join().unwrap();
         assert!(woke.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn park_timeout_expires_without_an_unpark() {
-        let n = Notifier::new();
-        let seen = n.epoch();
-        let woke = n.park_timeout(seen, std::time::Duration::from_millis(5));
-        assert!(!woke, "nothing unparked, so the wait must time out");
-    }
-
-    #[test]
-    fn park_timeout_reports_a_real_wakeup() {
-        let n = Notifier::new();
-        let seen = n.epoch();
-        n.unpark();
-        let woke = n.park_timeout(seen, std::time::Duration::from_secs(5));
-        assert!(woke, "epoch moved past the snapshot, so this is a wakeup");
     }
 
     #[test]

@@ -106,14 +106,6 @@ impl ThreadPool {
         }
     }
 
-    /// Creates a pool sized to the machine
-    /// ([`std::thread::available_parallelism`], falling back to 1).
-    #[must_use]
-    pub fn with_default_parallelism() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, usize::from);
-        ThreadPool::new(threads)
-    }
-
     /// Total parallelism of the pool (background workers + the helping
     /// caller thread).
     #[must_use]
@@ -328,12 +320,14 @@ impl std::fmt::Debug for Scope<'_, '_> {
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
 /// The process-wide shared pool, lazily created at machine parallelism
-/// ([`ThreadPool::with_default_parallelism`]). Compute layers that take a
+/// ([`std::thread::available_parallelism`]). Compute layers that take a
 /// thread-count knob rather than a pool handle (e.g.
 /// `nurd_ml::TreeConfig`) schedule their chunks here.
 #[must_use]
 pub fn global() -> &'static ThreadPool {
-    GLOBAL.get_or_init(ThreadPool::with_default_parallelism)
+    GLOBAL.get_or_init(|| {
+        ThreadPool::new(std::thread::available_parallelism().map_or(1, usize::from))
+    })
 }
 
 #[cfg(test)]

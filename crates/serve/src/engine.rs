@@ -956,29 +956,6 @@ impl EngineHandle {
         accepted
     }
 
-    /// Convenience admission for callers that hold specs out of band:
-    /// pushes a [`TaskEvent::JobStart`] carrying `spec`, so admission
-    /// stays FIFO-ordered with the job's other pushed events (and is
-    /// subject to the same overload policy).
-    pub fn admit(&self, spec: JobSpec) -> bool {
-        self.push(TaskEvent::JobStart { spec })
-    }
-
-    /// Takes the reports of jobs finalized since the last take (job-id
-    /// order) — the mid-stream observation channel. Concurrent takers
-    /// partition the reports: each report is handed out exactly once,
-    /// and none is repeated by the shutdown report.
-    pub fn take_finalized(&self) -> Vec<JobReport> {
-        self.core.take_finalized()
-    }
-
-    /// Where `job` sits in its lifecycle, judging by *drained* state
-    /// (`None` = never admitted, or its `JobStart` is still queued).
-    #[must_use]
-    pub fn job_phase(&self, job: u64) -> Option<JobPhase> {
-        self.core.job_phase(job)
-    }
-
     /// Live scheduling diagnostics (see [`EngineStats`]) — lock-free
     /// atomic reads, safe to poll from a monitor thread at any rate
     /// without stopping producers or drains.
@@ -1264,7 +1241,7 @@ mod tests {
     fn handle_pushes_fail_after_the_ingress_closed() {
         let engine = Arc::new(core(EngineConfig::default()));
         let handle = EngineHandle::new(Arc::clone(&engine));
-        assert!(handle.admit(spec(1)));
+        assert!(handle.push(TaskEvent::JobStart { spec: spec(1) }));
         let _ = engine.finish();
         assert!(!handle.push(TaskEvent::Barrier {
             job: 1,

@@ -123,7 +123,7 @@ pub struct OverloadCounters {
 impl OverloadCounters {
     /// Element-wise sum — used to aggregate shard counters fleet-wide.
     #[must_use]
-    pub fn merged(self, other: OverloadCounters) -> OverloadCounters {
+    pub(crate) fn merged(self, other: OverloadCounters) -> OverloadCounters {
         OverloadCounters {
             shed_events: self.shed_events + other.shed_events,
             rejected_ingress: self.rejected_ingress + other.rejected_ingress,

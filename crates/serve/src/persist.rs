@@ -130,13 +130,6 @@ impl FaultInjector {
         self
     }
 
-    /// Records the injector has allowed so far never exceed the
-    /// configured budget; this is how many remain (for test assertions).
-    #[must_use]
-    pub fn remaining(&self) -> i64 {
-        self.budget.load(Ordering::Relaxed).max(0)
-    }
-
     pub(crate) fn admit(&self) -> WalWrite {
         let before = self.budget.fetch_sub(1, Ordering::Relaxed);
         if before > 0 {

@@ -565,15 +565,20 @@ impl EngineService {
         self.handle.push_all(events)
     }
 
-    /// Convenience admission (see [`EngineHandle::admit`]).
+    /// Convenience admission for callers that hold specs out of band:
+    /// pushes a [`nurd_data::TaskEvent::JobStart`] carrying `spec`, so
+    /// admission stays FIFO-ordered with the job's other pushed events
+    /// (and is subject to the same overload policy).
     pub fn admit(&self, spec: nurd_data::JobSpec) -> bool {
-        self.handle.admit(spec)
+        self.handle.push(nurd_data::TaskEvent::JobStart { spec })
     }
 
-    /// Takes the reports of jobs finalized since the last take — safe
-    /// while the service is running (see [`EngineHandle::take_finalized`]).
+    /// Takes the reports of jobs finalized since the last take (job-id
+    /// order) — safe while the service is running. Concurrent takers
+    /// partition the reports: each report is handed out exactly once,
+    /// and none is repeated by the shutdown report.
     pub fn take_finalized(&self) -> Vec<JobReport> {
-        self.handle.take_finalized()
+        self.core.take_finalized()
     }
 
     /// Live scheduling diagnostics, polled without stopping the service
@@ -616,7 +621,7 @@ impl EngineService {
     /// first if the test or caller needs the settled answer.
     #[must_use]
     pub fn job_phase(&self, job: u64) -> Option<JobPhase> {
-        self.handle.job_phase(job)
+        self.core.job_phase(job)
     }
 
     /// Blocks until every event pushed *before this call* has been

@@ -664,7 +664,7 @@ impl JobState {
 pub(crate) struct Shard {
     jobs: BTreeMap<u64, JobState>,
     /// Reports of finalized jobs not yet taken by
-    /// [`crate::EngineHandle::take_finalized`] or the final report.
+    /// [`crate::EngineService::take_finalized`] or the final report.
     finalized: BTreeMap<u64, JobReport>,
     /// Every job id this shard ever finalized — distinguishes *stale*
     /// events (job known, stream already closed) from orphans (job never

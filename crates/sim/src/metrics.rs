@@ -59,7 +59,7 @@ impl Confusion {
 
     /// False negative rate; `0.0` when there are no positives.
     #[must_use]
-    pub fn fnr(&self) -> f64 {
+    pub(crate) fn fnr(&self) -> f64 {
         ratio(
             self.false_negatives,
             self.true_positives + self.false_negatives,
@@ -68,7 +68,7 @@ impl Confusion {
 
     /// Precision; `0.0` when nothing was flagged.
     #[must_use]
-    pub fn precision(&self) -> f64 {
+    fn precision(&self) -> f64 {
         ratio(
             self.true_positives,
             self.true_positives + self.false_positives,
@@ -85,14 +85,6 @@ impl Confusion {
         } else {
             2.0 * p * r / (p + r)
         }
-    }
-
-    /// Accumulates another job's counts (micro aggregation).
-    pub fn absorb(&mut self, other: &Confusion) {
-        self.true_positives += other.true_positives;
-        self.false_positives += other.false_positives;
-        self.false_negatives += other.false_negatives;
-        self.true_negatives += other.true_negatives;
     }
 }
 
@@ -188,19 +180,6 @@ mod tests {
         assert_eq!(c.fpr(), 0.0);
         assert_eq!(c.fnr(), 0.0);
         assert_eq!(c.f1(), 0.0);
-    }
-
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = Confusion {
-            true_positives: 1,
-            false_positives: 2,
-            false_negatives: 3,
-            true_negatives: 4,
-        };
-        a.absorb(&a.clone());
-        assert_eq!(a.true_positives, 2);
-        assert_eq!(a.total(), 20);
     }
 
     #[test]

@@ -96,35 +96,14 @@ pub struct MitigationOutcome {
 }
 
 impl MitigationOutcome {
-    /// Wasted machine time as a fraction of all machine time consumed.
-    #[must_use]
-    pub fn wasted_fraction(&self) -> f64 {
-        if self.total_work > 0.0 {
-            self.wasted_work / self.total_work
-        } else {
-            0.0
-        }
-    }
-
     /// JCT improvement over the unmitigated baseline, in percent
     /// (positive = mitigation helped).
     #[must_use]
-    pub fn jct_reduction_percent(&self) -> f64 {
+    fn jct_reduction_percent(&self) -> f64 {
         if self.jct_baseline > 0.0 {
             (self.jct_baseline - self.jct_mitigated) / self.jct_baseline * 100.0
         } else {
             0.0
-        }
-    }
-
-    /// Fraction of true stragglers that were actioned before finishing
-    /// (`1.0` when the job has none).
-    #[must_use]
-    pub fn catch_rate(&self) -> f64 {
-        if self.true_stragglers > 0 {
-            self.caught_stragglers as f64 / self.true_stragglers as f64
-        } else {
-            1.0
         }
     }
 }

@@ -226,7 +226,7 @@ impl FittedCoxPh {
     ///
     /// Panics if `features` has a different width than the training data.
     #[must_use]
-    pub fn relative_risk(&self, features: &[f64]) -> f64 {
+    fn relative_risk(&self, features: &[f64]) -> f64 {
         let z = self.scaler.transform_row(features);
         nurd_linalg::dot(&self.beta, &z).exp()
     }
@@ -243,12 +243,6 @@ impl FittedCoxPh {
             Err(i) => self.baseline[i - 1].1,
         };
         (-h0 * self.relative_risk(features)).exp()
-    }
-
-    /// Coefficients in standardized feature space.
-    #[must_use]
-    pub fn coefficients(&self) -> &[f64] {
-        &self.beta
     }
 }
 
@@ -268,11 +262,7 @@ mod tests {
             .collect();
         let event = vec![true; 60];
         let model = CoxPh::fit(&x, &time, &event, &CoxConfig::default()).unwrap();
-        assert!(
-            model.coefficients()[0] > 0.5,
-            "beta {:?}",
-            model.coefficients()
-        );
+        assert!(model.beta[0] > 0.5, "beta {:?}", model.beta);
         assert!(model.relative_risk(&[5.0]) > model.relative_risk(&[0.0]));
     }
 

@@ -18,7 +18,7 @@ use crate::normal::inverse_mills;
 /// censored at time `c` (latencies are strictly positive, so the encoding
 /// is unambiguous). [`Grabit::encode_target`] builds the encoding.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TobitLoss {
+struct TobitLoss {
     /// Fixed latent scale σ (estimated from observed latencies before
     /// fitting; Grabit treats it as a hyperparameter).
     pub sigma: f64,
@@ -86,7 +86,7 @@ pub struct Grabit {
 impl Grabit {
     /// Encodes an `(time, observed)` pair into the booster's scalar target.
     #[must_use]
-    pub fn encode_target(time: f64, observed: bool) -> f64 {
+    fn encode_target(time: f64, observed: bool) -> f64 {
         if observed {
             time
         } else {
@@ -156,12 +156,6 @@ impl Grabit {
         let standardized = self.model.predict(features) - 4.0;
         self.target_mean + self.target_scale * standardized
     }
-
-    /// The latent scale σ used during fitting, in original units.
-    #[must_use]
-    pub fn sigma(&self) -> f64 {
-        self.model.loss().sigma * self.target_scale
-    }
 }
 
 #[cfg(test)]
@@ -212,14 +206,5 @@ mod tests {
             Grabit::fit(&x, &[1.0, 2.0], &[false, false], &GrabitConfig::default()),
             Err(MlError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn sigma_estimated_from_observed() {
-        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let time: Vec<f64> = (0..20).map(|i| 10.0 + (i % 5) as f64).collect();
-        let observed = vec![true; 20];
-        let model = Grabit::fit(&x, &time, &observed, &GrabitConfig::default()).unwrap();
-        assert!(model.sigma() > 0.5 && model.sigma() < 3.0);
     }
 }

@@ -32,6 +32,5 @@ mod normal;
 mod tobit;
 
 pub use cox::{CoxConfig, CoxPh, FittedCoxPh};
-pub use grabit::{Grabit, GrabitConfig, TobitLoss};
-pub use normal::{log_normal_cdf, normal_cdf, normal_pdf};
+pub use grabit::{Grabit, GrabitConfig};
 pub use tobit::{FittedTobit, Tobit, TobitConfig};

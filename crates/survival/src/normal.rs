@@ -4,14 +4,14 @@ use std::f64::consts::PI;
 
 /// Standard normal density φ(z).
 #[must_use]
-pub fn normal_pdf(z: f64) -> f64 {
+pub(crate) fn normal_pdf(z: f64) -> f64 {
     (-0.5 * z * z).exp() / (2.0 * PI).sqrt()
 }
 
 /// Standard normal CDF Φ(z) via the Abramowitz–Stegun 7.1.26 rational
 /// approximation of `erf` (absolute error < 1.5e-7).
 #[must_use]
-pub fn normal_cdf(z: f64) -> f64 {
+fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
@@ -34,7 +34,7 @@ fn erf(x: f64) -> f64 {
 /// `λ(z) = −z / (1 − 1/z² + 3/z⁴ − 15/z⁶)` takes over (relative error
 /// < 0.2% at the switch, vanishing further out).
 #[must_use]
-pub fn inverse_mills(z: f64) -> f64 {
+pub(crate) fn inverse_mills(z: f64) -> f64 {
     if z < -4.0 {
         -z / tail_series(z)
     } else {
@@ -46,7 +46,7 @@ pub fn inverse_mills(z: f64) -> f64 {
 /// `ln Φ(z)`, stable in the left tail via
 /// `ln Φ(z) ≈ ln φ(z) − ln(−z) + ln(series)` for `z < −4`.
 #[must_use]
-pub fn log_normal_cdf(z: f64) -> f64 {
+pub(crate) fn log_normal_cdf(z: f64) -> f64 {
     if z < -4.0 {
         -0.5 * z * z - 0.5 * (2.0 * PI).ln() - (-z).ln() + tail_series(z).ln()
     } else {

@@ -2,7 +2,7 @@
 
 use nurd_ml::{MlError, StandardScaler};
 
-use crate::normal::{inverse_mills, normal_pdf};
+use crate::normal::{inverse_mills, log_normal_cdf, normal_pdf};
 
 /// Hyperparameters for [`Tobit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -34,13 +34,11 @@ pub struct Tobit;
 /// otherwise.
 ///
 /// Coefficients live in an internally standardized (features *and* target)
-/// space; [`FittedTobit::predict`] and [`FittedTobit::sigma`] report in
-/// original units.
+/// space; [`FittedTobit::predict`] reports in original units.
 #[derive(Debug, Clone)]
 pub struct FittedTobit {
     beta: Vec<f64>,
     intercept: f64,
-    sigma: f64,
     scaler: StandardScaler,
     /// Target location/scale used to de-standardize predictions.
     target_mean: f64,
@@ -110,7 +108,7 @@ impl Tobit {
                     ll += normal_pdf(z).max(1e-300).ln() - sigma.ln();
                 } else {
                     // P(y > c) = Φ((μ − c)/σ), evaluated in log space.
-                    ll += crate::log_normal_cdf(-z);
+                    ll += log_normal_cdf(-z);
                 }
             }
             ll - 0.5 * config.l2 * nurd_linalg::dot(beta, beta)
@@ -178,7 +176,6 @@ impl Tobit {
         Ok(FittedTobit {
             beta,
             intercept,
-            sigma,
             scaler,
             target_mean,
             target_scale,
@@ -215,18 +212,6 @@ impl FittedTobit {
         let z = self.scaler.transform_row(features);
         let standardized = self.intercept + nurd_linalg::dot(&self.beta, &z);
         self.target_mean + self.target_scale * standardized
-    }
-
-    /// Estimated latent scale σ, in original latency units.
-    #[must_use]
-    pub fn sigma(&self) -> f64 {
-        self.sigma * self.target_scale
-    }
-
-    /// Coefficients in standardized feature space.
-    #[must_use]
-    pub fn coefficients(&self) -> &[f64] {
-        &self.beta
     }
 }
 
@@ -266,7 +251,6 @@ mod tests {
         for (xi, yi) in x.iter().zip(&y) {
             assert!((model.predict(xi) - yi).abs() < 1.0);
         }
-        assert!(model.sigma() < 1.0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl CauseMix {
     ///
     /// Panics if all weights are zero or any is negative.
     #[must_use]
-    pub fn normalized(&self) -> [f64; 4] {
+    pub(crate) fn normalized(&self) -> [f64; 4] {
         let w = [
             self.interference,
             self.data_skew,
@@ -195,21 +195,6 @@ impl SuiteConfig {
     #[must_use]
     pub fn with_long_tail_fraction(mut self, fraction: f64) -> Self {
         self.long_tail_fraction = fraction;
-        self
-    }
-
-    /// Sets the straggler severity (latency-multiplier rescaling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `severity` is negative or not finite.
-    #[must_use]
-    pub fn with_straggler_severity(mut self, severity: f64) -> Self {
-        assert!(
-            severity.is_finite() && severity >= 0.0,
-            "severity must be finite and >= 0"
-        );
-        self.straggler_severity = severity;
         self
     }
 

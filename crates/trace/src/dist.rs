@@ -10,7 +10,7 @@ use rand::Rng;
 /// # Panics
 ///
 /// Panics if `sigma` is negative.
-pub fn normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+pub(crate) fn normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     assert!(sigma >= 0.0, "sigma must be non-negative");
     // Guard against ln(0).
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -24,24 +24,9 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `median` is non-positive or `sigma` negative.
-pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f64 {
+pub(crate) fn lognormal<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f64 {
     assert!(median > 0.0, "median must be positive");
     (normal(rng, median.ln(), sigma)).exp()
-}
-
-/// Sample from a Pareto distribution with minimum `scale` and shape `alpha`
-/// (smaller `alpha` = heavier tail).
-///
-/// # Panics
-///
-/// Panics if `scale` or `alpha` is non-positive.
-pub fn pareto<R: Rng + ?Sized>(rng: &mut R, scale: f64, alpha: f64) -> f64 {
-    assert!(
-        scale > 0.0 && alpha > 0.0,
-        "scale and alpha must be positive"
-    );
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    scale / u.powf(1.0 / alpha)
 }
 
 /// Uniform sample in `[lo, hi)` (degenerate `lo == hi` returns `lo`).
@@ -49,7 +34,7 @@ pub fn pareto<R: Rng + ?Sized>(rng: &mut R, scale: f64, alpha: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `lo > hi`.
-pub fn uniform<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
+pub(crate) fn uniform<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
     assert!(lo <= hi, "lo must not exceed hi");
     if lo == hi {
         lo
@@ -87,27 +72,6 @@ mod tests {
         let median = samples[samples.len() / 2];
         assert!((median - 10.0).abs() < 0.5, "median {median}");
         assert!(samples.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn pareto_respects_scale_floor() {
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(pareto(&mut r, 5.0, 2.0) >= 5.0);
-        }
-    }
-
-    #[test]
-    fn pareto_heavier_tail_with_smaller_alpha() {
-        let mut r = rng();
-        let p99 = |alpha: f64, r: &mut StdRng| {
-            let mut s: Vec<f64> = (0..10_000).map(|_| pareto(r, 1.0, alpha)).collect();
-            s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            s[9_900]
-        };
-        let heavy = p99(1.0, &mut r);
-        let light = p99(4.0, &mut r);
-        assert!(heavy > light, "heavy {heavy} <= light {light}");
     }
 
     #[test]

@@ -89,72 +89,6 @@ pub fn staggered_fleet_events(
     tagged.into_iter().map(|(_, _, _, ev)| ev).collect()
 }
 
-/// Like [`staggered_fleet_events`], but arrival offsets follow a
-/// **diurnal, bursty** intensity instead of a uniform one — the arrival
-/// shape of the Alibaba cluster traces, where submissions cluster around
-/// daily load peaks. The intensity over one `period` is
-/// `λ(t) ∝ 1 + burstiness · sin(2π t / period)`; each job's offset is
-/// drawn by inverse-transform sampling of that intensity (bisection on
-/// its closed-form CDF), so `burstiness = 0.0` is exactly the uniform
-/// stagger of [`staggered_fleet_events`] with `spread = period`, and
-/// higher values pile arrivals onto the peak — a burst of concurrent
-/// `JobStart`s followed by a quiet trough.
-///
-/// Offsets still shift only the merge order (per-job replay semantics
-/// untouched); same `seed` ⇒ same stream.
-///
-/// # Panics
-///
-/// Panics if `burstiness` is outside `[0, 1]` (the intensity must stay
-/// nonnegative) or `period` is negative.
-#[must_use]
-pub fn diurnal_fleet_events(
-    jobs: &[JobTrace],
-    threshold_quantile: f64,
-    period: f64,
-    burstiness: f64,
-    seed: u64,
-) -> Vec<TaskEvent> {
-    assert!(
-        (0.0..=1.0).contains(&burstiness),
-        "burstiness must be in [0, 1]"
-    );
-    assert!(period >= 0.0, "period must be nonnegative");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut tagged: Vec<(f64, u64, usize, TaskEvent)> = Vec::new();
-    for job in jobs {
-        let offset = if period > 0.0 {
-            diurnal_offset(rng.gen_range(0.0..1.0), period, burstiness)
-        } else {
-            0.0
-        };
-        for (seq, ev) in job_stream(job, threshold_quantile).into_iter().enumerate() {
-            tagged.push((offset + ev.time(), ev.job(), seq, ev));
-        }
-    }
-    tagged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    tagged.into_iter().map(|(_, _, _, ev)| ev).collect()
-}
-
-/// Inverse-transform sample of the diurnal intensity: solves
-/// `CDF(t) = u` by bisection, where the unnormalized CDF of
-/// `1 + b · sin(2π t / T)` is `t + b·T/(2π) · (1 − cos(2π t / T))`.
-fn diurnal_offset(u: f64, period: f64, burstiness: f64) -> f64 {
-    let tau = std::f64::consts::TAU;
-    let cdf = |t: f64| t + burstiness * period / tau * (1.0 - (tau * t / period).cos());
-    let target = u * cdf(period);
-    let (mut lo, mut hi) = (0.0f64, period);
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if cdf(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 /// Randomly merges per-job event streams while preserving each stream's
 /// internal order: at every step one nonempty stream is chosen uniformly
 /// and its next event is emitted. Same `seed` ⇒ same interleaving. This
@@ -366,43 +300,6 @@ mod tests {
         // carries every event.
         let simultaneous = staggered_fleet_events(&jobs, 0.9, 0.0, 7);
         assert_eq!(simultaneous.len(), staggered.len());
-    }
-
-    #[test]
-    fn diurnal_stream_is_deterministic_and_bursty() {
-        let jobs = suite();
-        let a = diurnal_fleet_events(&jobs, 0.9, 500.0, 0.9, 7);
-        assert_eq!(a, diurnal_fleet_events(&jobs, 0.9, 500.0, 0.9, 7));
-        // Per-job order still matches the canonical stream.
-        for job in &jobs {
-            let sub: Vec<&TaskEvent> = a.iter().filter(|e| e.job() == job.job_id()).collect();
-            let canonical = job_stream(job, 0.9);
-            assert_eq!(sub.len(), canonical.len());
-            for (x, y) in sub.iter().zip(&canonical) {
-                assert_eq!(**x, *y);
-            }
-        }
-        // Zero burstiness with the same seed reproduces the uniform
-        // stagger exactly (same draws, identity intensity).
-        assert_eq!(
-            diurnal_fleet_events(&jobs, 0.9, 500.0, 0.0, 7)
-                .iter()
-                .map(TaskEvent::job)
-                .collect::<Vec<_>>(),
-            staggered_fleet_events(&jobs, 0.9, 500.0, 7)
-                .iter()
-                .map(TaskEvent::job)
-                .collect::<Vec<_>>()
-        );
-        // High burstiness concentrates offsets near the intensity peak:
-        // with many jobs the spread of offsets shrinks vs uniform. Proxy
-        // check: the bisection inverse maps the median draw near the
-        // peak quarter of the period.
-        let t = super::diurnal_offset(0.5, 1000.0, 1.0);
-        assert!(
-            t < 400.0,
-            "median arrival should land before midperiod, got {t}"
-        );
     }
 
     #[test]

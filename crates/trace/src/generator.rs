@@ -14,7 +14,7 @@ use crate::node::NodeModel;
 /// Names of the feature columns the node-model overlay appends (in
 /// order): co-resident task count on the task's node, and the node's
 /// rolling straggler rate among its finished tasks.
-pub const NODE_FEATURES: [&str; 2] = ["node_coresident", "node_strag_rate"];
+const NODE_FEATURES: [&str; 2] = ["node_coresident", "node_strag_rate"];
 
 /// Generates one job deterministically from `(config, job_id)`.
 ///
@@ -335,7 +335,10 @@ mod tests {
     #[test]
     fn node_model_overlay_places_stretches_and_appends_columns() {
         use crate::node::{NodeModel, NodeModelConfig};
-        let nm = NodeModelConfig::new(6).with_unhealthy(1, 1).with_seed(0x11);
+        let nm = NodeModelConfig {
+            seed: 0x11,
+            ..NodeModelConfig::new(6).with_unhealthy(1, 1)
+        };
         let base_cfg = tiny(TraceStyle::Google);
         let node_cfg = base_cfg.clone().with_node_model(nm);
         let base = generate_job(&base_cfg, 0);

@@ -25,7 +25,7 @@ pub enum StragglerCause {
 
 /// The two latency shapes of Figure 1 in the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LatencyFamily {
+pub(crate) enum LatencyFamily {
     /// Stragglers land far above the body (threshold < half the maximum
     /// normalized latency — Figure 1 left). Strong feature signatures.
     LongTail {
@@ -46,21 +46,14 @@ pub enum LatencyFamily {
 
 impl LatencyFamily {
     /// Draws a family for a job: long-tailed with probability
-    /// `long_tail_fraction`.
-    pub fn sample<R: Rng + ?Sized>(rng: &mut R, long_tail_fraction: f64) -> Self {
-        Self::sample_with_severity(rng, long_tail_fraction, 1.0)
-    }
-
-    /// Like [`LatencyFamily::sample`], but rescales each family's
-    /// straggler multiplier range `(lo, hi)` to `1 + (x − 1) · severity`.
+    /// `long_tail_fraction`, each family's straggler multiplier range
+    /// `(lo, hi)` rescaled to `1 + (x − 1) · severity`.
     ///
     /// `severity = 1.0` is the identity **bit-for-bit**: `1 + (x − 1)` is
     /// exact in f64 for the ranges used here, and the rescaling draws no
-    /// extra random numbers, so the RNG stream — and therefore every
-    /// downstream trace — is unchanged from [`LatencyFamily::sample`].
-    /// `0.0` collapses stragglers into the body; `> 1.0` stretches the
-    /// tail.
-    pub fn sample_with_severity<R: Rng + ?Sized>(
+    /// extra random numbers. `0.0` collapses stragglers into the body;
+    /// `> 1.0` stretches the tail.
+    pub(crate) fn sample_with_severity<R: Rng + ?Sized>(
         rng: &mut R,
         long_tail_fraction: f64,
         severity: f64,
@@ -86,7 +79,7 @@ impl LatencyFamily {
     /// which is what makes their top decile a continuum rather than a
     /// separate population (Figure 1 right).
     #[must_use]
-    pub fn work_exponent(&self) -> f64 {
+    fn work_exponent(&self) -> f64 {
         match self {
             LatencyFamily::LongTail { .. } => 0.35,
             LatencyFamily::CloseTail { .. } => 0.55,
@@ -95,7 +88,7 @@ impl LatencyFamily {
 
     /// Log-space σ of the per-task work (input shard size) distribution.
     #[must_use]
-    pub fn work_sigma(&self) -> f64 {
+    fn work_sigma(&self) -> f64 {
         match self {
             LatencyFamily::LongTail { .. } => self.body_sigma() * 0.45,
             LatencyFamily::CloseTail { .. } => self.body_sigma() * 0.60,
@@ -104,22 +97,16 @@ impl LatencyFamily {
 
     /// Log-space σ of the idiosyncratic latency noise.
     #[must_use]
-    pub fn noise_sigma(&self) -> f64 {
+    fn noise_sigma(&self) -> f64 {
         match self {
             LatencyFamily::LongTail { .. } => self.body_sigma() * 0.70,
             LatencyFamily::CloseTail { .. } => self.body_sigma() * 0.65,
         }
     }
 
-    /// Whether this is the long-tailed family.
-    #[must_use]
-    pub fn is_long_tail(&self) -> bool {
-        matches!(self, LatencyFamily::LongTail { .. })
-    }
-
     /// Log-space σ of the body distribution.
     #[must_use]
-    pub fn body_sigma(&self) -> f64 {
+    fn body_sigma(&self) -> f64 {
         match self {
             LatencyFamily::LongTail { body_sigma, .. }
             | LatencyFamily::CloseTail { body_sigma, .. } => *body_sigma,
@@ -127,7 +114,7 @@ impl LatencyFamily {
     }
 
     /// Draws a straggler latency multiplier.
-    pub fn straggler_factor<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    fn straggler_factor<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let (lo, hi) = match self {
             LatencyFamily::LongTail { factor, .. } | LatencyFamily::CloseTail { factor, .. } => {
                 *factor
@@ -141,7 +128,7 @@ impl LatencyFamily {
     /// feature space; close-tail ones only mildly so. This is the coupling
     /// NURD's centroid calibration (ρ) exploits.
     #[must_use]
-    pub fn signature_strength(&self, factor: f64) -> f64 {
+    fn signature_strength(&self, factor: f64) -> f64 {
         match self {
             LatencyFamily::LongTail { .. } => ((factor - 1.0) / 1.5).clamp(0.8, 2.2),
             LatencyFamily::CloseTail { .. } => ((factor - 1.0) / 2.0).clamp(0.08, 0.45),
@@ -174,7 +161,7 @@ pub struct TaskPlan {
 /// `median` is the job's body median latency; `straggler_fraction` of tasks
 /// are planted as stragglers with causes drawn from `mix`; `decoy_fraction`
 /// of the remaining tasks get decoy features.
-pub fn plan_job<R: Rng + ?Sized>(
+pub(crate) fn plan_job<R: Rng + ?Sized>(
     rng: &mut R,
     n_tasks: usize,
     median: f64,
@@ -390,23 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn severity_one_is_bit_identical_to_plain_sample() {
-        for seed in 0..20 {
-            let mut a = StdRng::seed_from_u64(seed);
-            let mut b = StdRng::seed_from_u64(seed);
-            let plain = LatencyFamily::sample(&mut a, 0.5);
-            let scaled = LatencyFamily::sample_with_severity(&mut b, 0.5, 1.0);
-            assert_eq!(plain, scaled, "seed {seed}");
-            // The RNG streams stayed in lockstep too.
-            assert_eq!(
-                a.gen_range(0.0..1.0f64),
-                b.gen_range(0.0..1.0f64),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn severity_rescales_factor_ranges() {
         let mut r = rng();
         // severity 0 collapses every multiplier to exactly 1.0.
@@ -423,13 +393,11 @@ mod tests {
     #[test]
     fn family_sampling_respects_fraction() {
         let mut r = rng();
-        let all_long: Vec<bool> = (0..50)
-            .map(|_| LatencyFamily::sample(&mut r, 1.0).is_long_tail())
-            .collect();
-        assert!(all_long.iter().all(|&b| b));
-        let none_long: Vec<bool> = (0..50)
-            .map(|_| LatencyFamily::sample(&mut r, 0.0).is_long_tail())
-            .collect();
-        assert!(none_long.iter().all(|&b| !b));
+        let mut long_tailed = |fraction: f64| {
+            let family = LatencyFamily::sample_with_severity(&mut r, fraction, 1.0);
+            matches!(family, LatencyFamily::LongTail { .. })
+        };
+        assert!((0..50).all(|_| long_tailed(1.0)));
+        assert!((0..50).all(|_| !long_tailed(0.0)));
     }
 }

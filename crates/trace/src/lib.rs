@@ -40,11 +40,8 @@ mod latency;
 mod node;
 
 pub use config::{CauseMix, SuiteConfig, TraceStyle};
-pub use dist::{lognormal, normal, pareto, uniform};
 pub use features::{ALIBABA_FEATURES, GOOGLE_FEATURES};
-pub use fleet::{
-    diurnal_fleet_events, fleet_events, interleave_events, producer_streams, staggered_fleet_events,
-};
-pub use generator::{generate_job, generate_job_detailed, generate_suite, NODE_FEATURES};
-pub use latency::{LatencyFamily, StragglerCause, TaskPlan};
-pub use node::{NodeHealth, NodeModel, NodeModelConfig};
+pub use fleet::{fleet_events, interleave_events, producer_streams, staggered_fleet_events};
+pub use generator::{generate_job, generate_job_detailed, generate_suite};
+pub use latency::{StragglerCause, TaskPlan};
+pub use node::{NodeModel, NodeModelConfig};

@@ -27,7 +27,7 @@ const PLACEMENT_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One node's health state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NodeHealth {
+enum NodeHealth {
     /// Nominal: co-located tasks run at their planned latency.
     Healthy,
     /// Mildly impaired (contention, failing disk): co-located tasks are
@@ -103,13 +103,6 @@ impl NodeModelConfig {
         self.degraded_nodes = degraded;
         self
     }
-
-    /// Sets the node-model seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// The realized fleet: per-node health and latency multipliers, built
@@ -126,7 +119,7 @@ impl NodeModel {
     /// Realizes the fleet: a seeded permutation picks which node ids are
     /// sick/degraded, raw multipliers are drawn per unhealthy node, and
     /// `severity` rescales them via `1 + (x − 1) · severity` (the same
-    /// map [`crate::LatencyFamily`] uses, so severity means the same
+    /// map `crate::LatencyFamily` uses, so severity means the same
     /// thing on both axes). The raw draws are severity-independent, which
     /// is what makes rescaling order-preserving.
     #[must_use]
@@ -175,18 +168,8 @@ impl NodeModel {
 
     /// Number of nodes.
     #[must_use]
-    pub fn node_count(&self) -> u32 {
+    pub(crate) fn node_count(&self) -> u32 {
         self.config.nodes
-    }
-
-    /// Health state of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the fleet.
-    #[must_use]
-    pub fn health(&self, node: u32) -> NodeHealth {
-        self.health[node as usize]
     }
 
     /// Latency multiplier applied to tasks on `node` (1.0 for healthy).
@@ -195,14 +178,8 @@ impl NodeModel {
     ///
     /// Panics if `node` is outside the fleet.
     #[must_use]
-    pub fn factor(&self, node: u32) -> f64 {
+    pub(crate) fn factor(&self, node: u32) -> f64 {
         self.factors[node as usize]
-    }
-
-    /// All per-node factors, node-id order.
-    #[must_use]
-    pub fn factors(&self) -> &[f64] {
-        &self.factors
     }
 
     /// Ids of the sick nodes, ascending.
@@ -219,7 +196,7 @@ impl NodeModel {
     /// Uniform task placement for one job, from the node model's own
     /// per-job stream (independent of the base generator's per-job RNG).
     #[must_use]
-    pub fn placement(&self, job_id: u64, n_tasks: usize) -> Vec<u32> {
+    pub(crate) fn placement(&self, job_id: u64, n_tasks: usize) -> Vec<u32> {
         let mut rng = StdRng::seed_from_u64(
             self.config.seed ^ job_id.wrapping_mul(PLACEMENT_SALT) ^ 0x1ACE_D0DE,
         );
@@ -234,9 +211,10 @@ mod tests {
     use super::*;
 
     fn cfg() -> NodeModelConfig {
-        NodeModelConfig::new(8)
-            .with_unhealthy(1, 2)
-            .with_seed(0xBAD)
+        NodeModelConfig {
+            seed: 0xBAD,
+            ..NodeModelConfig::new(8).with_unhealthy(1, 2)
+        }
     }
 
     #[test]
@@ -246,11 +224,11 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.sick_nodes().len(), 1);
         let degraded = (0..8)
-            .filter(|&n| a.health(n) == NodeHealth::Degraded)
+            .filter(|&n| a.health[n as usize] == NodeHealth::Degraded)
             .count();
         assert_eq!(degraded, 2);
         for n in 0..8 {
-            match a.health(n) {
+            match a.health[n as usize] {
                 NodeHealth::Healthy => assert_eq!(a.factor(n), 1.0),
                 NodeHealth::Degraded => assert!(a.factor(n) > 1.0 && a.factor(n) < 2.0),
                 NodeHealth::Sick => assert!(a.factor(n) >= 3.0),
@@ -298,9 +276,10 @@ mod tests {
                 sev_a in 0.1f64..4.0,
                 sev_b in 0.1f64..4.0,
             ) {
-                let cfg = NodeModelConfig::new(12)
-                    .with_unhealthy(2, 4)
-                    .with_seed(seed);
+                let cfg = NodeModelConfig {
+                    seed,
+                    ..NodeModelConfig::new(12).with_unhealthy(2, 4)
+                };
                 let a = NodeModel::build(&cfg, sev_a);
                 let b = NodeModel::build(&cfg, sev_b);
                 prop_assert_eq!(a.sick_nodes(), b.sick_nodes());
@@ -315,7 +294,7 @@ mod tests {
                 // Unhealthy nodes stay strictly above healthy ones at any
                 // positive severity.
                 for n in 0..12 {
-                    if a.health(n) == NodeHealth::Healthy {
+                    if a.health[n as usize] == NodeHealth::Healthy {
                         prop_assert_eq!(a.factor(n), 1.0);
                     } else {
                         prop_assert!(a.factor(n) > 1.0);

@@ -1,7 +1,7 @@
 //! The node-health loop **as an end-to-end gate**: a seeded fleet with
 //! one planted sick machine is served twice — once to let the
 //! [`HealthAggregator`] observe, once with the frozen verdicts driving
-//! [`NodeAwarePolicy`] quarantines — and the run fails unless the
+//! node-aware policy's quarantines — and the run fails unless the
 //! detection and the economics both hold:
 //!
 //! 1. the aggregator's quarantine list is **exactly the planted sick
@@ -22,7 +22,6 @@
 //! ```
 //!
 //! [`HealthAggregator`]: nurd::health::HealthAggregator
-//! [`NodeAwarePolicy`]: nurd::mitigate::NodeAwarePolicy
 
 use nurd::data::MitigationAction;
 use nurd::health::NodeVerdict;

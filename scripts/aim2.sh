@@ -1,37 +1,43 @@
 #!/usr/bin/env bash
 # ROADMAP aim 2 ("the same behaviour from the least code") as a command.
-# Prints three counts and fails if any exceeds the value recorded below —
+# Prints four counts and fails if any exceeds the value recorded below —
 # a ratchet: a later PR lowers a limit, or justifies raising it in the
 # same diff.
 #
-#   (a) product lines of ml + core + serve: for every file under
-#       crates/{ml,core,serve}/src, the lines above its first `#[cfg(test)]`
-#       (comments and blanks included — the rule ROADMAP's figures use);
-#   (b) `unsafe` keyword sites in product and test sources of every crate
+#   (a) product lines of every crate: for every file under
+#       crates/*/src (bins included), the lines above its first
+#       `#[cfg(test)]` (comments and blanks included — the rule ROADMAP's
+#       figures use), printed per crate and gated on the workspace total,
+#       so a line moved from one crate to another is not a line removed;
+#   (b) the same count over ml + core + serve alone — the serving path,
+#       whose limit may only go down;
+#   (c) `unsafe` keyword sites in product and test sources of every crate
 #       and the root package (comment lines excluded);
-#   (c) `pub` fields across the nine configuration structs.
+#   (d) `pub` fields across the nine configuration structs.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-MAX_PRODUCT_LINES=9048
+MAX_WORKSPACE_LINES=20695
+MAX_PRODUCT_LINES=8821
 MAX_UNSAFE_SITES=7
-MAX_CONFIG_FIELDS=38
+MAX_CONFIG_FIELDS=37
 
-product_lines() {
-    awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }' "$@"
-}
-
+workspace=0
 total=0
-for crate in ml core serve; do
-    lines=$(product_lines crates/"$crate"/src/*.rs)
-    printf 'product lines  %-6s %6d\n' "$crate" "$lines"
-    total=$((total + lines))
+for dir in crates/*/; do
+    crate=$(basename "$dir")
+    lines=$(find "$dir"src -name '*.rs' -print0 | xargs -0 awk \
+        'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }')
+    printf 'product lines  %-13s %6d\n' "$crate" "$lines"
+    workspace=$((workspace + lines))
+    case $crate in ml | core | serve) total=$((total + lines)) ;; esac
 done
-printf 'product lines  %-6s %6d   (limit %d)\n' total "$total" "$MAX_PRODUCT_LINES"
+printf 'product lines  %-13s %6d   (limit %d)\n' workspace "$workspace" "$MAX_WORKSPACE_LINES"
+printf 'product lines  %-13s %6d   (limit %d)\n' ml+core+serve "$total" "$MAX_PRODUCT_LINES"
 
 unsafe_sites=$(grep -rnw unsafe --include='*.rs' crates/*/src crates/*/tests src tests examples |
     grep -vcE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-printf 'unsafe sites          %6d   (limit %d)\n' "$unsafe_sites" "$MAX_UNSAFE_SITES"
+printf 'unsafe sites                 %6d   (limit %d)\n' "$unsafe_sites" "$MAX_UNSAFE_SITES"
 
 config_fields=0
 for config in TreeConfig GbtConfig LogisticConfig NurdConfig WarmRefitConfig \
@@ -43,11 +49,15 @@ for config in TreeConfig GbtConfig LogisticConfig NurdConfig WarmRefitConfig \
         END { print n + 0 }')
     config_fields=$((config_fields + fields))
 done
-printf 'config pub fields     %6d   (limit %d)\n' "$config_fields" "$MAX_CONFIG_FIELDS"
+printf 'config pub fields            %6d   (limit %d)\n' "$config_fields" "$MAX_CONFIG_FIELDS"
 
 status=0
+if ((workspace > MAX_WORKSPACE_LINES)); then
+    echo "aim2: workspace product lines $workspace exceed the recorded $MAX_WORKSPACE_LINES" >&2
+    status=1
+fi
 if ((total > MAX_PRODUCT_LINES)); then
-    echo "aim2: product lines $total exceed the recorded $MAX_PRODUCT_LINES" >&2
+    echo "aim2: ml + core + serve product lines $total exceed the recorded $MAX_PRODUCT_LINES" >&2
     status=1
 fi
 if ((unsafe_sites > MAX_UNSAFE_SITES)); then

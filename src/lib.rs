@@ -11,17 +11,17 @@
 //! * [`sim`] — the online replay protocol, metrics, and the mitigation
 //!   schedulers of Algorithms 2 and 3.
 //! * [`mitigate`] — score-driven straggler mitigation on top of
-//!   [`serve`]: policies ([`mitigate::ThresholdClonePolicy`],
-//!   [`mitigate::OraclePolicy`], …) turn per-barrier scores into typed
+//!   [`serve`]: policies ([`mitigate::threshold_mitigator`],
+//!   [`mitigate::oracle_mitigator`], …) turn per-barrier scores into typed
 //!   actions, and the [`mitigate::run_fleet`] harness prices the
 //!   committed action log in JCT and wasted work via
 //!   [`sim::execute_actions`].
 //! * [`health`] — the Guard-style node-health manager:
 //!   [`health::HealthAggregator`] attaches to the engine as a
 //!   [`serve::HealthObserver`], folds per-node straggler truth into
-//!   rolling rates, and renders [`health::NodeVerdict`]s that
-//!   [`mitigate::NodeAwarePolicy`] turns into machine quarantines
-//!   (the two-pass loop is [`mitigate::run_node_fleet`]).
+//!   rolling rates, and renders [`health::NodeVerdict`]s that the
+//!   node-aware policy turns into machine quarantines (the two-pass
+//!   loop is [`mitigate::run_node_fleet`]).
 //! * [`serve`] — the concurrent streaming prediction service: producers
 //!   push from any thread through cloneable `EngineHandle`s into
 //!   per-shard MPSC ingress queues, a background drain service scores
@@ -34,7 +34,7 @@
 //! * [`trace`] — the synthetic Google/Alibaba-style trace substrate,
 //!   including interleaved multi-job event streams (`trace::fleet_events`,
 //!   `trace::staggered_fleet_events`).
-//! * [`data`], [`ml`], [`linalg`], [`outlier`], [`pu`], [`survival`] — the
+//! * [`data`], [`ml`], [`linalg`], [`outlier`], [`survival`] — the
 //!   substrates everything above is built from.
 //!
 //! `ARCHITECTURE.md` at the repository root maps paper sections to these
@@ -66,7 +66,6 @@
 #![forbid(unsafe_code)]
 
 pub use nurd_baselines as baselines;
-pub use nurd_baselines::pu;
 pub use nurd_core as core;
 pub use nurd_data as data;
 pub use nurd_health as health;

@@ -278,30 +278,46 @@ fn hostile_predictor_blobs_are_refused_at_restore() {
     assert_eq!(live.score_running(&checkpoint).len(), 20);
     let blob = live.snapshot_state().expect("NURD snapshots its state");
 
-    // Find the head inside the blob by its own encoding, and swap it out.
-    let mut enc = Encoder::new();
-    live.latency_model().expect("just fit").encode(&mut enc);
-    let head = enc.into_bytes();
-    let at = blob
-        .windows(head.len())
-        .position(|window| window == head)
-        .expect("the latency head travels in the predictor blob");
-    let restored = |ensemble: &[u8]| {
-        let spliced = [&blob[..at], ensemble, &blob[at + head.len()..]].concat();
+    // Find a record inside the blob by its own encoding, and swap it out.
+    let restored = |record: &[u8], hostile: &[u8]| {
+        let at = blob
+            .windows(record.len())
+            .position(|window| window == record)
+            .expect("the record travels in the predictor blob");
+        let spliced = [&blob[..at], hostile, &blob[at + record.len()..]].concat();
         let mut predictor = NurdPredictor::new(config.clone());
         predictor.begin_stream(&ctx);
         predictor.restore_state(&spliced).then_some(predictor)
     };
-    let mut intact = restored(&head).expect("its own bytes restore");
+    let mut enc = Encoder::new();
+    live.latency_model().expect("just fit").encode(&mut enc);
+    let head = enc.into_bytes();
+    let mut intact = restored(&head, &head).expect("its own bytes restore");
     assert_eq!(
         intact.score_running(&checkpoint),
         live.score_running(&checkpoint)
     );
     for (what, ensemble) in hostile_ensembles() {
-        if let Some(mut predictor) = restored(&ensemble) {
+        if let Some(mut predictor) = restored(&head, &ensemble) {
             let scores = predictor.score_running(&checkpoint);
             panic!("{what}: restored, then scored {} tasks", scores.len());
         }
+    }
+
+    // The absorbed-task tracker: forty `seen` flags, then their count. A
+    // count that disagrees with the flags is not a state it ever wrote.
+    let delta = |absorbed: usize| {
+        let mut enc = Encoder::new();
+        vec![true; 40].encode(&mut enc);
+        enc.put_usize(absorbed);
+        enc.into_bytes()
+    };
+    assert!(restored(&delta(40), &delta(40)).is_some());
+    for absorbed in [0, 39, 41, usize::MAX] {
+        assert!(
+            restored(&delta(40), &delta(absorbed)).is_none(),
+            "absorbed = {absorbed} against forty seen tasks restored"
+        );
     }
 }
 
