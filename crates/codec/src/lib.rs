@@ -116,6 +116,12 @@ impl Encoder {
         self.buf
     }
 
+    /// Empties the encoder, keeping its allocation, so one encoder can
+    /// serve record after record.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

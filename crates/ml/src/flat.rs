@@ -3,9 +3,10 @@
 //!
 //! There is no per-tree node type. A fitted ensemble *is* a
 //! [`FlatForest`]: the tree grower (`tree.rs`) appends leaves and splits
-//! straight into parallel primitive arrays, tree after tree, and each
-//! boosting round's score update, the warm-boost replay, barrier scoring
-//! in `nurd-core` and the reference walk all read those same arrays:
+//! straight into parallel primitive arrays, tree after tree, and the
+//! warm-boost replay, barrier scoring in `nurd-core` and the reference
+//! walk all read those same arrays (a boosting round's own score update
+//! needs no walk: the grower knows which rows each new leaf holds):
 //!
 //! ```text
 //!            node 0   node 1   node 2  …            (all trees, contiguous)
@@ -26,9 +27,10 @@
 //!
 //! # Where the walkers' invariant is established
 //!
-//! The lane kernels index without bounds checks, trusting that every
-//! `children` entry they can reach is a node of the same forest and every
-//! node's `feature` is below `min_width`. Nodes enter the arrays in two
+//! The raw-feature lane kernel indexes without bounds checks, trusting
+//! that every `children` entry it can reach is a node of the same forest
+//! and every node's `feature` is below `min_width` (the one-row walk and
+//! the bin-code walk are bounds-checked). Nodes enter the arrays in two
 //! places only, both inside this crate (the emission methods are
 //! `pub(crate)`): the grower, which emits children it has just pushed and
 //! features of the matrix it trains on, and [`FlatForest`]'s decoder,
@@ -218,6 +220,11 @@ impl FlatForest {
         self.roots.len()
     }
 
+    /// The shrinkage every tree's leaf values are summed under.
+    pub(crate) fn learning_rate(&self) -> f64 {
+        self.learning_rate
+    }
+
     /// Whether rows (or a binned matrix) `width` features wide cover every
     /// split feature — what the kernels assert before walking.
     pub(crate) fn fits_width(&self, width: usize) -> bool {
@@ -400,27 +407,24 @@ impl FlatForest {
         rows: Range<usize>,
         out: &mut Vec<f64>,
     ) {
-        let start = out.len();
-        out.resize(start + rows.len(), 0.0);
-        let acc = &mut out[start..];
-        self.accumulate_binned(binned, 0..self.roots.len(), rows.start, 1.0, acc);
-        for v in acc.iter_mut() {
-            *v = self.base_score + self.learning_rate * *v;
-        }
-    }
-
-    /// `scores[i] += learning_rate · leaf(row i)` of the **last** tree, over
-    /// rows `0..scores.len()` of the binned matrix — the boosting-round
-    /// score update for the tree just grown. `base_score` is **not**
-    /// applied.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`FlatForest::predict_binned_extend`]; also on an
-    /// empty forest.
-    pub(crate) fn accumulate_last_tree(&self, binned: &BinnedMatrix, scores: &mut [f64]) {
-        let trees = self.roots.len();
-        self.accumulate_binned(binned, trees - 1..trees, 0, self.learning_rate, scores);
+        assert!(
+            rows.end <= binned.rows(),
+            "row range {rows:?} out of bounds for {} matrix rows",
+            binned.rows()
+        );
+        out.extend(rows.map(|row| {
+            let mut acc = 0.0;
+            for (t, &root) in self.roots.iter().enumerate() {
+                let mut idx = root as usize;
+                for _ in 0..self.depths[t] {
+                    let code = binned.codes(self.feature[idx] as usize)[row];
+                    let go_right = code > self.split_bin[idx];
+                    idx = self.children[2 * idx + usize::from(go_right)] as usize;
+                }
+                acc += self.value[idx];
+            }
+            self.base_score + self.learning_rate * acc
+        }));
     }
 
     /// Raw-feature batch walker: dispatches to the lane kernel compiled
@@ -538,136 +542,6 @@ impl FlatForest {
             self.accumulate_rows_lanes::<1>(row, first_row + done, &mut scores[done..]);
         }
     }
-
-    /// The shared binned walker: `scores[j] += scale · leaf_t(first_row + j)`
-    /// for every tree `t` of `trees`, ensemble order.
-    fn accumulate_binned(
-        &self,
-        binned: &BinnedMatrix,
-        trees: Range<usize>,
-        first_row: usize,
-        scale: f64,
-        scores: &mut [f64],
-    ) {
-        assert!(
-            first_row + scores.len() <= binned.rows(),
-            "row range {}..{} out of bounds for {} matrix rows",
-            first_row,
-            first_row + scores.len(),
-            binned.rows()
-        );
-        if scores.is_empty() {
-            return;
-        }
-        // One slice per feature, hoisted out of the walk so the inner loop
-        // is pure indexed loads (the only allocation in this kernel, a few
-        // machine words per feature).
-        let cols: Vec<&[u8]> = (0..binned.features()).map(|f| binned.codes(f)).collect();
-        assert!(
-            cols.len() >= self.min_width as usize,
-            "binned matrix is narrower ({}) than the forest's split features ({})",
-            cols.len(),
-            self.min_width
-        );
-        assert!(
-            cols.iter().all(|c| c.len() == binned.rows()),
-            "every bin-code column must span all {} rows",
-            binned.rows()
-        );
-        // Safety preconditions for the kernel below are established by
-        // the asserts above: `cols.len() >= min_width`, every column
-        // spans all rows, and `first_row + scores.len() <= rows`.
-        match self.lanes {
-            8 => self.accumulate_binned_lanes::<8>(&cols, trees, first_row, scale, scores),
-            4 => self.accumulate_binned_lanes::<4>(&cols, trees, first_row, scale, scores),
-            2 => self.accumulate_binned_lanes::<2>(&cols, trees, first_row, scale, scores),
-            _ => self.accumulate_binned_lanes::<1>(&cols, trees, first_row, scale, scores),
-        }
-    }
-
-    /// Multi-row interleaved binned walker: the bin-code twin of
-    /// [`FlatForest::accumulate_rows_lanes`] — `L` consecutive rows
-    /// descend each tree together as independent cursor chains, each
-    /// lane accumulating in ensemble order (bit-identical at every lane
-    /// width), remainder rows re-entering at `L = 1`.
-    ///
-    /// Caller (`accumulate_binned`) has already validated `cols` against
-    /// `min_width` and the row range against the matrix.
-    #[allow(unsafe_code)]
-    fn accumulate_binned_lanes<const L: usize>(
-        &self,
-        cols: &[&[u8]],
-        trees: Range<usize>,
-        first_row: usize,
-        scale: f64,
-        scores: &mut [f64],
-    ) {
-        /// One fixed-depth descent of all `L` lanes (rows
-        /// `row0 .. row0 + L`), no per-step bounds checks.
-        ///
-        /// # Safety
-        ///
-        /// `cols.len() >= forest.min_width` with every column at least
-        /// `row0 + L` long, and every `idx[l]` must start at one of
-        /// `forest.roots` (then each step stays on nodes the grower
-        /// emitted or the decoder validated; see
-        /// [`FlatForest::accumulate_rows_lanes`]).
-        #[inline(always)]
-        unsafe fn walk<const L: usize>(
-            forest: &FlatForest,
-            cols: &[&[u8]],
-            row0: usize,
-            idx: &mut [usize; L],
-            depth: usize,
-        ) {
-            for _ in 0..depth {
-                for (l, ix) in idx.iter_mut().enumerate() {
-                    // SAFETY: the caller's contract above.
-                    unsafe {
-                        let i = *ix;
-                        let code = *cols
-                            .get_unchecked(*forest.feature.get_unchecked(i) as usize)
-                            .get_unchecked(row0 + l);
-                        let go_right = code > *forest.split_bin.get_unchecked(i);
-                        *ix =
-                            *forest.children.get_unchecked(2 * i + usize::from(go_right)) as usize;
-                    }
-                }
-            }
-        }
-        let value = self.value.as_slice();
-        let full = scores.len() / L;
-        for g in 0..full {
-            let base = g * L;
-            let row0 = first_row + base;
-            let mut acc: [f64; L] = std::array::from_fn(|l| scores[base + l]);
-            for t in trees.clone() {
-                let mut idx = [self.roots[t] as usize; L];
-                let depth = self.depths[t] as usize;
-                // SAFETY: the caller validated widths and the row range;
-                // `root`/`depth` come from this forest's tables.
-                unsafe {
-                    match depth {
-                        0 => {}
-                        1 => walk(self, cols, row0, &mut idx, 1),
-                        2 => walk(self, cols, row0, &mut idx, 2),
-                        3 => walk(self, cols, row0, &mut idx, 3),
-                        4 => walk(self, cols, row0, &mut idx, 4),
-                        d => walk(self, cols, row0, &mut idx, d),
-                    }
-                }
-                for l in 0..L {
-                    acc[l] += scale * value[idx[l]];
-                }
-            }
-            scores[base..base + L].copy_from_slice(&acc);
-        }
-        let done = full * L;
-        if done < scores.len() {
-            let rest = &mut scores[done..];
-            self.accumulate_binned_lanes::<1>(cols, trees, first_row + done, scale, rest);
-        }
-    }
 }
 
 /// The ensemble in snapshot format v4, unchanged from when trees were a
@@ -676,8 +550,8 @@ impl FlatForest {
 /// count, the nodes (`0` + weight for a leaf; `1` + feature, threshold and
 /// the two children as *tree-relative* indices for a split) and the
 /// length-prefixed bin codes. Decoding is the one place nodes enter from
-/// outside the grower, so it is where everything the `unsafe` lane walkers
-/// trust is checked — once, with a typed error — and where the derived
+/// outside the grower, so it is where everything the `unsafe` lane walker
+/// trusts is checked — once, with a typed error — and where the derived
 /// fields (`depths`, `min_width`) are recomputed rather than believed.
 impl nurd_codec::Checkpointable for FlatForest {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
@@ -802,14 +676,20 @@ impl FlatForest {
         self.depths.iter().max().map_or(0, |&d| d as usize)
     }
 
-    /// Array-for-array equality of every tree; the bin codes — a cache tied
-    /// to one training matrix, which the sort-based oracle does not have —
-    /// only when `bins` is set.
+    /// Array-for-array equality of every tree — leaf weights by their bits
+    /// (`-0.0` is not `0.0`), except that any NaN equals any NaN: which
+    /// operand's payload an addition of two NaNs keeps is the compiler's
+    /// choice. The bin codes — a cache tied to one training matrix, which
+    /// the sort-based oracle does not have — only when `bins` is set.
     pub(crate) fn assert_same_trees(&self, want: &FlatForest, bins: bool, what: &str) {
         assert_eq!(self.feature, want.feature, "features: {what}");
         assert_eq!(self.threshold, want.threshold, "thresholds: {what}");
         assert_eq!(self.children, want.children, "children: {what}");
-        assert_eq!(self.value, want.value, "values: {what}");
+        let bits = |values: &[f64]| -> Vec<u64> {
+            let canonical = |v: &f64| if v.is_nan() { f64::NAN } else { *v }.to_bits();
+            values.iter().map(canonical).collect()
+        };
+        assert_eq!(bits(&self.value), bits(&want.value), "values: {what}");
         assert_eq!(self.roots, want.roots, "roots: {what}");
         assert_eq!(self.depths, want.depths, "depths: {what}");
         assert_eq!(self.min_width, want.min_width, "min_width: {what}");
@@ -1107,10 +987,11 @@ mod tests {
     #[test]
     fn round_updates_walk_only_the_tree_just_grown() {
         // The score cache a fit leaves behind is `base`, then one
-        // `+= lr · leaf_t(row)` per round through `accumulate_last_tree`:
-        // replaying that sequence with the oracle, one tree at a time, must
-        // land on the same bits — a round that re-walked an earlier tree,
-        // or skipped its own, would not.
+        // `+= lr · leaf_t(row)` per round — which the grower adds over the
+        // buffer range of each leaf it just made, walking nothing. Routing
+        // every row through every tree with the oracle, one tree at a
+        // time, must land on the same bits: a round that credited a row to
+        // the wrong leaf, applied a tree twice or skipped its own would not.
         let x = rows(53, 3, 41);
         let cfg = rounds(9);
         let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg.tree);
@@ -1295,7 +1176,10 @@ mod tests {
         /// Differential property across a warm-boost append: the forest
         /// grown in place stays bit-identical to the oracle on the
         /// original prefix and the appended suffix, and decodes back to
-        /// the same arrays.
+        /// the same arrays. The score cache the boost leaves behind is the
+        /// replayed ensemble (`base + lr · Σ`) plus one `lr · leaf` per new
+        /// round, to the bit — the warm half of
+        /// `round_updates_walk_only_the_tree_just_grown`.
         #[test]
         fn prop_kernels_equal_the_oracle_across_a_warm_boost(
             n in 30usize..80,
@@ -1309,8 +1193,22 @@ mod tests {
             let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..split]), cfg.tree.max_bins);
             let mut grown = GradientBoosting::fit_binned(&binned, &y[..split], &cfg).unwrap();
             binned.append_from(MatrixView::Rows(&x));
-            grown.warm_boost(&binned, &y, extra, &cfg, &mut Vec::new()).unwrap();
-            prop_assert_eq!(grown.forest().tree_count(), 8 + extra);
+            let mut cache = Vec::new();
+            grown.warm_boost(&binned, &y, extra, &cfg, &mut cache).unwrap();
+            let f = grown.forest();
+            prop_assert_eq!(f.tree_count(), 8 + extra);
+            for (row, &cached) in cache.iter().enumerate() {
+                let coded = |at: usize| binned.codes(f.feature[at] as usize)[row] <= f.split_bin[at];
+                let leaves = |roots: &[u32]| -> Vec<f64> {
+                    roots.iter().map(|&root| oracle_leaf(f, root, &coded)).collect()
+                };
+                let replayed = f.base_score
+                    + f.learning_rate * leaves(&f.roots[..8]).iter().fold(0.0, |sum, leaf| sum + leaf);
+                let boosted = leaves(&f.roots[8..])
+                    .iter()
+                    .fold(replayed, |score, leaf| score + f.learning_rate * leaf);
+                prop_assert_eq!(boosted, cached, "row {}", row);
+            }
             // The first eight trees never saw the appended rows, so only
             // the prefix is pinned to raw routing.
             assert_every_kernel_matches_the_oracle(&grown, &binned, &x, split);

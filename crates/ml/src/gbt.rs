@@ -16,9 +16,15 @@
 //!   in-place row partition buffer are set up once (see the grower section
 //!   of `tree.rs`'s module docs). The trees are bit-for-bit those a fresh
 //!   grower per round would grow;
+//! * a round makes **one row pass per tree level** and keeps no
+//!   per-round vector of its own: the loss is evaluated straight into the
+//!   grower's row buffer, which carries `(g, h)` beside each row id; every
+//!   split's partition pass hands both children their totals; and the
+//!   rows end the round grouped by leaf, so the score update is
+//!   `scores[i] += learning_rate · weight` over each leaf's range — no
+//!   tree walk, the same multiply and add a walk would make;
 //! * the ensemble **is** its [`FlatForest`]: the grower appends each
-//!   round's nodes to the forest's arrays, the round's score update walks
-//!   just that tree over `u8` bin codes — raw `f64` features are never
+//!   round's nodes to the forest's arrays — raw `f64` features are never
 //!   touched after quantization — and nothing is converted or copied
 //!   afterwards for scoring.
 //!
@@ -364,10 +370,11 @@ fn check_binned_fit(binned: &BinnedMatrix, y: &[f64], config: &GbtConfig) -> Res
 /// The boosting round loop shared by cold fits and warm boosts: appends
 /// `rounds` trees to `forest` (at the forest's own learning rate), keeping
 /// `scores` (raw per-row ensemble scores) in sync. Raw features are never
-/// touched: one [`TreeGrower`] serves every round, and per-round score
-/// updates traverse the new tree over `u8` bin codes. Inputs are validated
-/// by the callers (`scores`, `y` and the matrix agree on the row count,
-/// which is nonzero), so the loop cannot fail.
+/// touched: one [`TreeGrower`] serves every round — it evaluates the loss
+/// as it lays out its row buffer and, the tree grown, adds each leaf's
+/// step to the rows its last partitions left in that leaf's range. Inputs
+/// are validated by the callers (`scores`, `y` and the matrix agree on the
+/// row count, which is nonzero), so the loop cannot fail.
 fn boost_rounds<L: Loss>(
     binned: &BinnedMatrix,
     y: &[f64],
@@ -377,21 +384,15 @@ fn boost_rounds<L: Loss>(
     scores: &mut [f64],
     forest: &mut FlatForest,
 ) {
-    let n = scores.len();
-    // Every round trains on every row: one identity index list, reused
-    // untouched round over round.
-    let rows: Vec<usize> = (0..n).collect();
-    let mut grads = vec![0.0; n];
-    let mut hess = vec![0.0; n];
+    debug_assert_eq!(scores.len(), binned.rows());
     let mut grower = TreeGrower::new(binned, &config.tree);
     for _round in 0..rounds {
-        for &i in &rows {
+        let stats = |i: usize| {
             let (g, h) = loss.gradient_hessian(y[i], scores[i]);
-            grads[i] = g;
-            hess[i] = h.max(1e-12);
-        }
-        grower.grow(&grads, &hess, &rows, forest);
-        forest.accumulate_last_tree(binned, scores);
+            (g, h.max(1e-12))
+        };
+        grower.grow(stats, forest);
+        grower.add_last_tree(forest.learning_rate(), scores);
     }
 }
 

@@ -37,9 +37,20 @@
 //! ([`crate::GradientBoosting`] keeps one across all boosting rounds):
 //!
 //! * **What is pooled.** The feature layout, the node histograms (at most
-//!   `depth + 1` live) and the row-index buffer that nodes partition
-//!   stably in place. Growing a tree allocates nothing of its own: its
-//!   nodes land on the end of the forest's arrays.
+//!   `depth + 1` live), the row buffer that nodes partition stably in
+//!   place, its staging twin and the leaf list. Growing a tree allocates
+//!   nothing of its own: its nodes land on the end of the forest's arrays.
+//! * **One row pass per tree level.** The row buffer carries each row's
+//!   `(g, h)` beside its id (LightGBM's ordered gradients): the caller's
+//!   loss is evaluated as the buffer is laid out, the root's totals fold
+//!   in that same loop, and fills stream the statistics in buffer order —
+//!   only the `u8` code is gathered through the row id. A split's one
+//!   branchless partition pass moves ids and statistics together and
+//!   hands each child its `(Σg, Σh)`, so no node ever re-walks its rows
+//!   for its totals. The last partitions leave every row inside the
+//!   buffer range of its leaf: the round's score update
+//!   (`TreeGrower::add_last_tree`) adds each leaf's step over its range
+//!   and never routes a row through the tree.
 //! * **Present-bin bitmaps.** Each node histogram carries one bit per
 //!   cell, set iff the cell holds a row. A fill sets bits; the sibling
 //!   subtraction walks the small child's set bits; the split scan walks
@@ -54,13 +65,15 @@
 //!   the spot and leaves the bitmap, which keeps "bit set ⇔ `n > 0`" true
 //!   for derived histograms as well.
 //! * **The order of accumulation is unchanged.** A cell still sums its
-//!   rows in the order the caller listed them (the in-place partition is
-//!   stable), the scan still folds present bins left to right and keeps
-//!   the first strictly best gain, and node totals are still summed in
-//!   row order. A zeroed cell is indistinguishable from a fresh one, so
-//!   every tree is bit-for-bit the tree that freshly zeroed dense
-//!   histograms grow — the dense algorithm lives on as the oracle of the
-//!   grower's property tests.
+//!   rows in ascending row order (the in-place partition is stable), the
+//!   scan still folds present bins left to right and keeps the first
+//!   strictly best gain, and a node's totals are still its rows summed in
+//!   that order from `+0.0` (the partition adds a *selected* `+0.0` for
+//!   the other side's rows, an exact identity — see
+//!   `TreeGrower::partition`). A zeroed cell is indistinguishable from a
+//!   fresh one, so every tree is bit-for-bit the tree that freshly zeroed
+//!   dense histograms and per-node row-order sums grow — that algorithm
+//!   lives on as the oracle of the grower's property tests.
 
 use crate::binned::BinnedMatrix;
 use crate::flat::FlatForest;
@@ -231,22 +244,16 @@ impl FeatureSlot {
     }
 }
 
-/// Per-row gradient/hessian statistics of the tree being grown, indexed by
-/// matrix row id.
-#[derive(Clone, Copy)]
-struct RowStats<'a> {
-    gradients: &'a [f64],
-    hessians: &'a [f64],
-}
+/// Gradient and hessian sums `(Σg, Σh)` over a node's rows, in row order.
+type Totals = (f64, f64);
 
-impl RowStats<'_> {
-    /// Node totals summed in row order (not from histogram cells), so leaf
-    /// weights stay bit-identical to the sort-based oracle's.
-    fn sums(&self, rows: &[usize]) -> (f64, f64) {
-        rows.iter().fold((0.0, 0.0), |(g, h), &i| {
-            (g + self.gradients[i], h + self.hessians[i])
-        })
-    }
+/// One entry of the grower's row buffer: a matrix row id with the
+/// statistics it carries this round (LightGBM's ordered gradients).
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    id: usize,
+    g: f64,
+    h: f64,
 }
 
 /// The tree grower: everything about growing trees over one
@@ -259,9 +266,8 @@ impl RowStats<'_> {
 /// **smaller** child of each split is accumulated and the sibling is
 /// derived as `parent − child` ([`NodeHist::subtract`]; sample counts
 /// exactly, gradient/hessian sums up to addition-reordering ulps). A node
-/// is the range `idx[lo..hi]` of the row buffer, its children
-/// `idx[lo..mid]` and `idx[mid..hi]`, each in the order the rows were
-/// handed in.
+/// is the range `lo..hi` of the row buffer, its children `lo..mid` and
+/// `mid..hi`, each in ascending row order.
 pub(crate) struct TreeGrower<'a> {
     binned: &'a BinnedMatrix,
     config: &'a TreeConfig,
@@ -274,10 +280,15 @@ pub(crate) struct TreeGrower<'a> {
     words: usize,
     /// Recycled node histograms (all-zero, empty bitmaps).
     pool: Vec<NodeHist>,
-    /// The rows of the tree being grown, partitioned in place.
-    idx: Vec<usize>,
+    /// Every matrix row with its statistics, partitioned in place as the
+    /// tree grows: fills and totals stream `(g, h)` in buffer order instead
+    /// of gathering them through the row id.
+    rows: Vec<Row>,
     /// Right-child rows parked during a partition.
-    staging: Vec<usize>,
+    staging: Vec<Row>,
+    /// `(lo, hi, weight)` of every leaf of the tree just grown: once the
+    /// last partition is done, `rows[lo..hi]` is exactly the leaf's rows.
+    leaves: Vec<(usize, usize, f64)>,
     /// Depth of the deepest leaf of the tree being grown.
     deepest: usize,
 }
@@ -301,6 +312,7 @@ impl<'a> TreeGrower<'a> {
                 words = end;
             }
         }
+        let rows = binned.rows();
         TreeGrower {
             binned,
             config,
@@ -308,36 +320,45 @@ impl<'a> TreeGrower<'a> {
             slots,
             words,
             pool: Vec::new(),
-            idx: Vec::new(),
-            staging: Vec::new(),
+            rows: vec![Row::default(); rows],
+            staging: vec![Row::default(); rows],
+            leaves: Vec::new(),
             deepest: 0,
         }
     }
 
-    /// Grows one tree over `rows` (matrix row ids, non-empty) against
-    /// per-row statistics of length `binned.rows()`, appending it to
-    /// `forest` as its new last tree.
-    pub(crate) fn grow(
-        &mut self,
-        gradients: &[f64],
-        hessians: &[f64],
-        rows: &[usize],
-        forest: &mut FlatForest,
-    ) {
-        debug_assert!(!rows.is_empty());
-        debug_assert_eq!(gradients.len(), self.binned.rows());
-        debug_assert_eq!(hessians.len(), self.binned.rows());
-        let stats = RowStats {
-            gradients,
-            hessians,
-        };
-        self.idx.clear();
-        self.idx.extend_from_slice(rows);
+    /// Grows one tree over every row of the matrix (which must have one),
+    /// `stats(i)` being row `i`'s `(gradient, hessian)`, and appends it to
+    /// `forest` as its new last tree. The root's totals fold in the loop
+    /// that lays the statistics out.
+    pub(crate) fn grow(&mut self, stats: impl Fn(usize) -> (f64, f64), forest: &mut FlatForest) {
+        debug_assert!(!self.rows.is_empty());
+        let mut totals = (0.0, 0.0);
+        for (id, row) in self.rows.iter_mut().enumerate() {
+            let (g, h) = stats(id);
+            *row = Row { id, g, h };
+            totals = (totals.0 + g, totals.1 + h);
+        }
+        self.leaves.clear();
         self.deepest = 0;
         let mut hist = self.acquire();
-        self.fill_hist(stats, &self.idx, &mut hist);
-        self.build(forest, stats, 0, rows.len(), 0, hist);
+        self.fill_hist(0, self.rows.len(), &mut hist);
+        self.build(forest, 0, self.rows.len(), 0, totals, hist);
         forest.finish_tree(self.deepest);
+    }
+
+    /// `scores[i] += learning_rate · leaf(i)` for the tree [`Self::grow`]
+    /// just grew — the boosting round's score update. Every row already
+    /// sits in the range of its leaf, so nothing walks the tree: one
+    /// multiply per leaf, one add per row, the same two operations on the
+    /// same operands as a routed walk.
+    pub(crate) fn add_last_tree(&self, learning_rate: f64, scores: &mut [f64]) {
+        for &(lo, hi, weight) in &self.leaves {
+            let step = learning_rate * weight;
+            for row in &self.rows[lo..hi] {
+                scores[row.id] += step;
+            }
+        }
     }
 
     fn acquire(&mut self) -> NodeHist {
@@ -357,22 +378,23 @@ impl<'a> TreeGrower<'a> {
         self.pool.push(hist);
     }
 
-    /// Accumulates `rows` into `hist` (which must be clear), one pass per
-    /// feature over contiguous `u8` codes. Features fill disjoint cell and
-    /// bitmap ranges, so the parallel fan-out (big nodes, `par` set)
-    /// produces bit-identical histograms to the sequential loop.
-    fn fill_hist(&self, stats: RowStats<'_>, rows: &[usize], hist: &mut NodeHist) {
+    /// Accumulates the rows at `lo..hi` of the buffer into `hist` (which
+    /// must be clear), one pass per feature over contiguous `u8` codes.
+    /// Features fill disjoint cell and bitmap ranges, so the parallel
+    /// fan-out (big nodes, `par` set) produces bit-identical histograms to
+    /// the sequential loop.
+    fn fill_hist(&self, lo: usize, hi: usize, hist: &mut NodeHist) {
         if let Some((pool, tasks)) = self.par {
-            if rows.len() >= Self::PAR_MIN_ROWS && self.slots.len() >= 2 {
-                self.fill_hist_parallel(pool, tasks, stats, rows, hist);
+            if hi - lo >= Self::PAR_MIN_ROWS && self.slots.len() >= 2 {
+                self.fill_hist_parallel(pool, tasks, lo, hi, hist);
                 return;
             }
         }
         for slot in &self.slots {
             self.fill_feature(
-                stats,
                 slot.feature,
-                rows,
+                lo,
+                hi,
                 &mut hist.cells[slot.cells()],
                 &mut hist.present[slot.words.clone()],
             );
@@ -380,12 +402,13 @@ impl<'a> TreeGrower<'a> {
     }
 
     /// One feature's accumulation pass into its own cells and bitmap
-    /// words. Each cell sums its rows in the order `rows` lists them.
+    /// words. Each cell sums its rows in buffer order; the statistics
+    /// stream in that order, only the code is gathered through the row id.
     fn fill_feature(
         &self,
-        stats: RowStats<'_>,
         feature: usize,
-        rows: &[usize],
+        lo: usize,
+        hi: usize,
         cells: &mut [HistBin],
         present: &mut [u64],
     ) {
@@ -393,11 +416,11 @@ impl<'a> TreeGrower<'a> {
         // Seen bins collect in a local array (codes are `u8`, so four
         // words cover them) and are merged into the bitmap once.
         let mut seen = [0u64; BinnedMatrix::MAX_BINS / WORD];
-        for &i in rows {
-            let code = codes[i];
+        for row in &self.rows[lo..hi] {
+            let code = codes[row.id];
             let cell = &mut cells[usize::from(code)];
-            cell.g += stats.gradients[i];
-            cell.h += stats.hessians[i];
+            cell.g += row.g;
+            cell.h += row.h;
             cell.n += 1;
             seen[usize::from(code) / WORD] |= 1 << (usize::from(code) % WORD);
         }
@@ -412,8 +435,8 @@ impl<'a> TreeGrower<'a> {
         &self,
         pool: &nurd_runtime::ThreadPool,
         tasks: usize,
-        stats: RowStats<'_>,
-        rows: &[usize],
+        lo: usize,
+        hi: usize,
         hist: &mut NodeHist,
     ) {
         let mut per_feature = Vec::with_capacity(self.slots.len());
@@ -432,60 +455,82 @@ impl<'a> TreeGrower<'a> {
                 let chunk: Vec<_> = remaining.drain(..per.min(remaining.len())).collect();
                 s.spawn(move || {
                     for (feature, cells, present) in chunk {
-                        self.fill_feature(stats, feature, rows, cells, present);
+                        self.fill_feature(feature, lo, hi, cells, present);
                     }
                 });
             }
         });
     }
 
-    /// Stably partitions `idx[lo..hi]` on `code <= left_bin`: left rows
-    /// compact to the front in order, right rows park in `staging` and
-    /// are copied back behind them in order. Returns the boundary.
-    fn partition(&mut self, lo: usize, hi: usize, feature: usize, left_bin: u8) -> usize {
+    /// Stably partitions the buffer's `lo..hi` on `code <= left_bin` in one
+    /// branchless pass that moves each row's id and statistics together:
+    /// every row is written both to the compacting front and to `staging`
+    /// and the predicate only advances one of the two cursors, so left
+    /// rows end up in order at the front and right rows, copied back behind
+    /// them, in order too. Returns the boundary and each side's totals.
+    ///
+    /// The totals are bit for bit a row-order sum over each child: a side's
+    /// accumulator adds the row's value when the row is its own and `+0.0`
+    /// otherwise — an exact identity, since an accumulator that starts at
+    /// `+0.0` can never hold `−0.0`. The value is *selected*; multiplying
+    /// by a 0/1 mask would leak a NaN or ∞ gradient into the other side.
+    fn partition(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        feature: usize,
+        left_bin: u8,
+    ) -> (usize, Totals, Totals) {
         let codes = self.binned.codes(feature);
-        self.staging.clear();
-        let mut mid = lo;
-        for at in lo..hi {
-            let i = self.idx[at];
-            if codes[i] <= left_bin {
-                self.idx[mid] = i;
-                mid += 1;
+        let rows = &mut self.rows[lo..hi];
+        let staging = &mut self.staging[..hi - lo];
+        let (mut left, mut right) = ((0.0, 0.0), (0.0, 0.0));
+        let mut l = 0;
+        for at in 0..rows.len() {
+            let row = rows[at];
+            let goes_left = codes[row.id] <= left_bin;
+            // `l <= at`: the front never overtakes the read cursor.
+            rows[l] = row;
+            staging[at - l] = row;
+            l += usize::from(goes_left);
+            let (lg, lh, rg, rh) = if goes_left {
+                (row.g, row.h, 0.0, 0.0)
             } else {
-                self.staging.push(i);
-            }
+                (0.0, 0.0, row.g, row.h)
+            };
+            left = (left.0 + lg, left.1 + lh);
+            right = (right.0 + rg, right.1 + rh);
         }
-        self.idx[mid..hi].copy_from_slice(&self.staging);
-        mid
+        let parked = rows.len() - l;
+        rows[l..].copy_from_slice(&staging[..parked]);
+        (lo + l, left, right)
     }
 
-    /// Builds the subtree over `idx[lo..hi]` (above the depth limit), whose
-    /// histogram has already been accumulated or derived into `hist`, onto
-    /// the end of `forest`; returns the node index. Consumes `hist` back
-    /// into the pool.
+    /// Builds the subtree over the buffer's `lo..hi` (above the depth
+    /// limit), whose totals are `totals` and whose histogram has already
+    /// been accumulated or derived into `hist`, onto the end of `forest`;
+    /// returns the node index. Consumes `hist` back into the pool.
     fn build(
         &mut self,
         forest: &mut FlatForest,
-        stats: RowStats<'_>,
         lo: usize,
         hi: usize,
         depth: usize,
+        totals: Totals,
         hist: NodeHist,
     ) -> usize {
         debug_assert!(depth < self.config.max_depth);
-        let (g_sum, h_sum) = stats.sums(&self.idx[lo..hi]);
         let split = if hi - lo < 2 {
             None
         } else {
-            self.best_split(&hist, g_sum, h_sum)
+            self.best_split(&hist, totals.0, totals.1)
         };
         let Some(split) = split else {
             self.release(hist);
-            self.deepest = self.deepest.max(depth);
-            return forest.push_leaf(-g_sum / (h_sum + self.config.lambda));
+            return self.leaf(forest, lo, hi, depth, totals);
         };
 
-        let mid = self.partition(lo, hi, split.feature, split.left_bin);
+        let (mid, left, right) = self.partition(lo, hi, split.feature, split.left_bin);
         // Pre-order: the parent takes its slot before its children and is
         // patched into a split once they exist.
         let at = forest.push_leaf(0.0);
@@ -493,16 +538,15 @@ impl<'a> TreeGrower<'a> {
             // Both children are leaves by depth: nothing would ever scan
             // their histograms, so none are built.
             self.release(hist);
-            self.deepest = self.deepest.max(depth + 1);
             (
-                self.leaf(forest, stats, lo, mid),
-                self.leaf(forest, stats, mid, hi),
+                self.leaf(forest, lo, mid, depth + 1, left),
+                self.leaf(forest, mid, hi, depth + 1, right),
             )
         } else {
-            let (left_hist, right_hist) = self.child_hists(stats, lo, mid, hi, hist);
+            let (left_hist, right_hist) = self.child_hists(lo, mid, hi, hist);
             (
-                self.build(forest, stats, lo, mid, depth + 1, left_hist),
-                self.build(forest, stats, mid, hi, depth + 1, right_hist),
+                self.build(forest, lo, mid, depth + 1, left, left_hist),
+                self.build(forest, mid, hi, depth + 1, right, right_hist),
             )
         };
         forest.set_split(
@@ -516,21 +560,20 @@ impl<'a> TreeGrower<'a> {
         at
     }
 
-    /// The histograms of the children `idx[lo..mid]` and `idx[mid..hi]` of
-    /// the node `parent` describes: the smaller child is accumulated, the
-    /// sibling derived from the parent buffer (which it then owns).
+    /// The histograms of the children `lo..mid` and `mid..hi` of the node
+    /// `parent` describes: the smaller child is accumulated, the sibling
+    /// derived from the parent buffer (which it then owns).
     fn child_hists(
         &mut self,
-        stats: RowStats<'_>,
         lo: usize,
         mid: usize,
         hi: usize,
         parent: NodeHist,
     ) -> (NodeHist, NodeHist) {
         let small_is_left = mid - lo <= hi - mid;
-        let small = if small_is_left { lo..mid } else { mid..hi };
+        let (small_lo, small_hi) = if small_is_left { (lo, mid) } else { (mid, hi) };
         let mut small_hist = self.acquire();
-        self.fill_hist(stats, &self.idx[small], &mut small_hist);
+        self.fill_hist(small_lo, small_hi, &mut small_hist);
         let mut large_hist = parent;
         large_hist.subtract(&small_hist);
         if small_is_left {
@@ -540,10 +583,19 @@ impl<'a> TreeGrower<'a> {
         }
     }
 
-    /// A leaf over `idx[lo..hi]`.
-    fn leaf(&self, forest: &mut FlatForest, stats: RowStats<'_>, lo: usize, hi: usize) -> usize {
-        let (g_sum, h_sum) = stats.sums(&self.idx[lo..hi]);
-        forest.push_leaf(-g_sum / (h_sum + self.config.lambda))
+    /// A leaf, `depth` steps down, over the buffer's `lo..hi`.
+    fn leaf(
+        &mut self,
+        forest: &mut FlatForest,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        (g_sum, h_sum): Totals,
+    ) -> usize {
+        let weight = -g_sum / (h_sum + self.config.lambda);
+        self.deepest = self.deepest.max(depth);
+        self.leaves.push((lo, hi, weight));
+        forest.push_leaf(weight)
     }
 
     /// Scans the boundaries between bins *present in this node*, feature
@@ -607,7 +659,6 @@ mod tests {
     use nurd_linalg::MatrixView;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     fn squared_loss_grads(y: &[f64]) -> (Vec<f64>, Vec<f64>) {
@@ -621,16 +672,28 @@ mod tests {
         FlatForest::new(0.0, 1.0)
     }
 
-    /// One tree grown by a fresh grower over `rows` of `binned`.
-    fn grow_rows(
-        binned: &BinnedMatrix,
-        g: &[f64],
-        h: &[f64],
-        rows: &[usize],
-        config: &TreeConfig,
-    ) -> FlatForest {
+    /// Per-row gradient/hessian statistics indexed by matrix row id, as
+    /// the oracles gather them.
+    #[derive(Clone, Copy)]
+    struct RowStats<'a> {
+        gradients: &'a [f64],
+        hessians: &'a [f64],
+    }
+
+    impl RowStats<'_> {
+        /// Node totals summed in row order, from `+0.0`: what the grower's
+        /// fused partition totals must reproduce bit for bit.
+        fn sums(&self, rows: &[usize]) -> (f64, f64) {
+            rows.iter().fold((0.0, 0.0), |(g, h), &i| {
+                (g + self.gradients[i], h + self.hessians[i])
+            })
+        }
+    }
+
+    /// One tree grown by a fresh grower over `binned`.
+    fn grow_binned(binned: &BinnedMatrix, g: &[f64], h: &[f64], config: &TreeConfig) -> FlatForest {
         let mut forest = unit_forest();
-        TreeGrower::new(binned, config).grow(g, h, rows, &mut forest);
+        TreeGrower::new(binned, config).grow(|i| (g[i], h[i]), &mut forest);
         assert_eq!(forest.tree_count(), 1);
         forest
     }
@@ -638,8 +701,7 @@ mod tests {
     /// One tree grown over all of `x`, quantized as `config` asks.
     fn grow(x: &[Vec<f64>], g: &[f64], h: &[f64], config: &TreeConfig) -> FlatForest {
         let binned = BinnedMatrix::build_for(MatrixView::Rows(x), config);
-        let rows: Vec<usize> = (0..x.len()).collect();
-        grow_rows(&binned, g, h, &rows, config)
+        grow_binned(&binned, g, h, config)
     }
 
     #[test]
@@ -731,27 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn grower_trains_on_row_subsets() {
-        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (0..20).map(|i| if i < 10 { 0.0 } else { 10.0 }).collect();
-        let (g, mut h) = squared_loss_grads(&y);
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
-        // Train on the even rows only: poisoned statistics on the odd ones
-        // must never be read.
-        let rows: Vec<usize> = (0..20).step_by(2).collect();
-        for i in (1..20).step_by(2) {
-            h[i] = f64::NAN;
-        }
-        let cfg = TreeConfig {
-            lambda: 0.0,
-            ..TreeConfig::default()
-        };
-        let tree = grow_rows(&binned, &g, &h, &rows, &cfg);
-        assert!((tree.predict(&[2.0]) - 0.0).abs() < 1e-9);
-        assert!((tree.predict(&[16.0]) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn nan_features_degrade_without_panicking_in_grower_and_oracle() {
         // Large enough that the stdlib sort detects a non-total-order
         // comparator (the seed's partial_cmp fallback panicked here).
@@ -787,8 +828,7 @@ mod tests {
         let y: Vec<f64> = (0..60).map(|i| ((i * 3) % 8) as f64).collect();
         let (g, h) = squared_loss_grads(&y);
         let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
-        let rows: Vec<usize> = (0..60).collect();
-        let tree = grow_rows(&binned, &g, &h, &rows, &TreeConfig::default());
+        let tree = grow_binned(&binned, &g, &h, &TreeConfig::default());
         let mut coded = Vec::new();
         tree.predict_binned_extend(&binned, 0..60, &mut coded);
         for (i, row) in x.iter().enumerate() {
@@ -982,12 +1022,10 @@ mod tests {
     }
 
     impl DenseReference<'_> {
-        #[allow(clippy::too_many_arguments)]
         fn grow(
             binned: &BinnedMatrix,
             gradients: &[f64],
             hessians: &[f64],
-            rows: &[usize],
             config: &TreeConfig,
             subtraction: bool,
             forest: &mut FlatForest,
@@ -1008,8 +1046,9 @@ mod tests {
                 forest,
                 deepest: 0,
             };
-            let hist = reference.fill(rows);
-            reference.build(rows.to_vec(), 0, hist);
+            let rows: Vec<usize> = (0..binned.rows()).collect();
+            let hist = reference.fill(&rows);
+            reference.build(rows, 0, hist);
             reference.forest.finish_tree(reference.deepest);
         }
 
@@ -1041,9 +1080,13 @@ mod tests {
             if depth >= self.config.max_depth || rows.len() < 2 {
                 return self.leaf(weight, depth);
             }
+            // As the grower phrases it: a NaN gain is not `<=` the floor.
             let split = match self.best_split(&hist, g_sum, h_sum) {
-                Some(split) if split.gain > self.config.min_split_gain => split,
-                _ => return self.leaf(weight, depth),
+                Some(split) if split.gain <= self.config.min_split_gain => None,
+                best => best,
+            };
+            let Some(split) = split else {
+                return self.leaf(weight, depth);
             };
             let codes = self.binned.codes(split.feature);
             let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
@@ -1146,34 +1189,31 @@ mod tests {
             .collect()
     }
 
-    /// Grows `trees` trees over random row subsets (random order, random
-    /// gradients and hessians) through **one** grower onto **one** forest,
-    /// and asserts that after each the forest equals, array for array and
-    /// bin codes included, the one a fresh grower per tree and the dense
-    /// oracle build up from the same inputs — so reusing the pool, and
-    /// emitting at a nonzero node offset, change nothing; afterwards every
-    /// pooled histogram must be clear.
+    /// Grows `trees` trees (statistics drawn row by row from `draw`)
+    /// through **one** grower onto **one** forest, and asserts that after
+    /// each the forest equals, array for array and bin codes included, the
+    /// one a fresh grower per tree and the dense oracle build up from the
+    /// same inputs — so reusing the pool, emitting at a nonzero node
+    /// offset, and taking node totals from the partition pass instead of a
+    /// row-order sum, change nothing; afterwards every pooled histogram
+    /// must be clear.
     fn assert_reused_grower_is_fresh_and_dense(
         rng: &mut StdRng,
         binned: &BinnedMatrix,
         config: &TreeConfig,
         trees: usize,
-        min_rows: usize,
+        draw: impl Fn(&mut StdRng) -> (f64, f64),
     ) {
         let n = binned.rows();
         let mut reused = TreeGrower::new(binned, config);
         let (mut got, mut fresh, mut dense) = (unit_forest(), unit_forest(), unit_forest());
-        let mut rows: Vec<usize> = (0..n).collect();
         for tree in 0..trees {
-            rows.shuffle(rng);
-            let take = rng.gen_range(min_rows..n + 1);
-            let g: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            let h: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..2.0)).collect();
-            let what = format!("tree {tree} over {take} of {n} rows, {config:?}");
-            reused.grow(&g, &h, &rows[..take], &mut got);
-            TreeGrower::new(binned, config).grow(&g, &h, &rows[..take], &mut fresh);
+            let (g, h): (Vec<f64>, Vec<f64>) = (0..n).map(|_| draw(rng)).unzip();
+            let what = format!("tree {tree} over {n} rows, {config:?}");
+            reused.grow(|i| (g[i], h[i]), &mut got);
+            TreeGrower::new(binned, config).grow(|i| (g[i], h[i]), &mut fresh);
             got.assert_same_trees(&fresh, true, &what);
-            DenseReference::grow(binned, &g, &h, &rows[..take], config, true, &mut dense);
+            DenseReference::grow(binned, &g, &h, config, true, &mut dense);
             got.assert_same_trees(&dense, true, &what);
         }
         assert_eq!(got.tree_count(), trees);
@@ -1182,6 +1222,72 @@ mod tests {
             reused.pool.iter().all(NodeHist::is_clear),
             "release must leave pooled histograms all-zero with empty bitmaps"
         );
+    }
+
+    fn finite_stats(rng: &mut StdRng) -> (f64, f64) {
+        (rng.gen_range(-10.0..10.0), rng.gen_range(0.1..2.0))
+    }
+
+    #[test]
+    fn partition_is_stable_and_totals_each_side_in_row_order() {
+        // Column 0 takes the values 0..5 (one bin each), scattered over the
+        // rows; the buffer starts in identity order.
+        let x: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from((i * 7) % 5)]).collect();
+        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+        let codes = binned.codes(0);
+        let g: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.37 - 5.0).collect();
+        let h: Vec<f64> = (0..40).map(|i| 0.5 + f64::from(i % 3)).collect();
+        let stats = RowStats {
+            gradients: &g,
+            hessians: &h,
+        };
+        let config = TreeConfig::default();
+        let fresh = || {
+            let mut grower = TreeGrower::new(&binned, &config);
+            for (id, row) in grower.rows.iter_mut().enumerate() {
+                *row = Row {
+                    id,
+                    g: g[id],
+                    h: h[id],
+                };
+            }
+            grower
+        };
+        let ids = |grower: &TreeGrower<'_>| -> Vec<usize> {
+            grower.rows.iter().map(|row| row.id).collect()
+        };
+        let identity: Vec<usize> = (0..40).collect();
+
+        // Everything left: every write lands on the slot it was read from
+        // and the staging copy is empty.
+        let mut grower = fresh();
+        let (mid, left, right) = grower.partition(5, 30, 0, u8::MAX);
+        assert_eq!((mid, right), (30, (0.0, 0.0)));
+        assert_eq!(left, stats.sums(&identity[5..30]));
+        assert_eq!(ids(&grower), identity);
+
+        // Everything right: the front cursor never moves and the whole
+        // range comes back from staging, in order. Rows 0..=2 hold codes
+        // {0, 2, 4}, so over 1..3 nothing is `<= 1`.
+        assert_eq!(codes[..3], [0, 2, 4]);
+        let mut grower = fresh();
+        let (mid, left, right) = grower.partition(1, 3, 0, 1);
+        assert_eq!((mid, left), (1, (0.0, 0.0)));
+        assert_eq!(right, stats.sums(&identity[1..3]));
+        assert_eq!(ids(&grower), identity);
+
+        // A real split of a sub-range: both sides keep ascending row order,
+        // the statistics travel with their ids, rows outside stay put.
+        let mut grower = fresh();
+        let (mid, left, right) = grower.partition(4, 36, 0, 1);
+        let (lefts, rights): (Vec<usize>, Vec<usize>) = (4..36).partition(|&i| codes[i] <= 1);
+        assert_eq!(mid, 4 + lefts.len());
+        assert_eq!((left, right), (stats.sums(&lefts), stats.sums(&rights)));
+        let want: Vec<usize> = (0..4).chain(lefts).chain(rights).chain(36..40).collect();
+        assert_eq!(ids(&grower), want);
+        for row in &grower.rows {
+            assert_eq!((row.g, row.h), (g[row.id], h[row.id]));
+        }
     }
 
     #[test]
@@ -1199,13 +1305,7 @@ mod tests {
                 n_threads,
                 ..TreeConfig::default()
             };
-            assert_reused_grower_is_fresh_and_dense(
-                &mut rng,
-                &binned,
-                &config,
-                20,
-                TreeGrower::PAR_MIN_ROWS,
-            );
+            assert_reused_grower_is_fresh_and_dense(&mut rng, &binned, &config, 20, finite_stats);
         }
     }
 
@@ -1273,8 +1373,7 @@ mod tests {
             let (mut exact, mut hist) = (unit_forest(), unit_forest());
             ExactBuilder::grow(&x, &g, &h, &cfg, &mut exact);
             let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg);
-            let rows: Vec<usize> = (0..n).collect();
-            DenseReference::grow(&binned, &g, &h, &rows, &cfg, false, &mut hist);
+            DenseReference::grow(&binned, &g, &h, &cfg, false, &mut hist);
             // The sort-based builder has no bin codes to compare.
             hist.assert_same_trees(&exact, false, "dense histograms vs sort-based");
         }
@@ -1300,10 +1399,9 @@ mod tests {
                 ..TreeConfig::default()
             };
             let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg);
-            let rows: Vec<usize> = (0..x.len()).collect();
             let mut direct = unit_forest();
-            DenseReference::grow(&binned, &g, &h, &rows, &cfg, false, &mut direct);
-            let sub = grow_rows(&binned, &g, &h, &rows, &cfg);
+            DenseReference::grow(&binned, &g, &h, &cfg, false, &mut direct);
+            let sub = grow_binned(&binned, &g, &h, &cfg);
             let scale = ys.iter().fold(1.0f64, |m, v| m.max(v.abs()));
             for row in &x {
                 let (a, b) = (direct.predict(row), sub.predict(row));
@@ -1339,7 +1437,46 @@ mod tests {
             let one_bin_per_value = binned.feature_bins(0).n_bins() == column.len();
             prop_assert_eq!(one_bin_per_value, quantile_regime == 0);
             let config = TreeConfig { max_depth: depth, ..TreeConfig::default() };
-            assert_reused_grower_is_fresh_and_dense(&mut rng, &binned, &config, 20, 1);
+            assert_reused_grower_is_fresh_and_dense(&mut rng, &binned, &config, 20, finite_stats);
+        }
+
+        /// **Fused partition totals ≡ row-order sums, whatever the
+        /// gradients hold**: with NaN of either sign, ±∞ and ±0.0 mixed
+        /// into the gradients, every split and every leaf weight is still
+        /// bit for bit the dense oracle's, which sums each node's rows from
+        /// `+0.0`. This is the test that fails if a side's total is ever
+        /// formed by multiplying with a 0/1 mask instead of selecting —
+        /// `NaN · 0` and `∞ · 0` are NaN and would poison the sibling.
+        /// (`assert_same_trees` holds leaf weights to their bits, any NaN
+        /// equal to any NaN.)
+        #[test]
+        fn prop_fused_totals_equal_row_order_sums(
+            seed in 0u64..1_000_000,
+            depth in 1usize..6) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(20..160);
+            let x = grower_fixture(&mut rng, n, 40);
+            let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+            let config = TreeConfig { max_depth: depth, ..TreeConfig::default() };
+            let specials = [
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                0.0,
+            ];
+            // One row in `rarity` is special: from mostly-poisoned nodes
+            // to trees where a single leaf holds the one NaN.
+            let rarity = rng.gen_range(2..40);
+            assert_reused_grower_is_fresh_and_dense(&mut rng, &binned, &config, 12, |rng| {
+                let (g, h) = finite_stats(rng);
+                if rng.gen_range(0..rarity) == 0 {
+                    (specials[rng.gen_range(0..specials.len())], h)
+                } else {
+                    (g, h)
+                }
+            });
         }
     }
 }

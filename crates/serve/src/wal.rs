@@ -32,6 +32,28 @@ pub(crate) struct WalWriter {
     dead: bool,
     /// Buffered bytes not yet fsynced (skips no-op sync calls).
     dirty: bool,
+    /// The record being appended: one buffer serves every event.
+    enc: Encoder,
+}
+
+/// Passes its first `left` bytes through and swallows the rest: cuts a
+/// frame short as it is written, without building it anywhere first.
+struct CutShort<'a, W> {
+    out: &'a mut W,
+    left: usize,
+}
+
+impl<W: Write> Write for CutShort<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let keep = buf.len().min(self.left);
+        self.out.write_all(&buf[..keep])?;
+        self.left -= keep;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -57,6 +79,7 @@ impl WalWriter {
             fault,
             dead: false,
             dirty: false,
+            enc: Encoder::new(),
         })
     }
 
@@ -66,19 +89,22 @@ impl WalWriter {
         if self.dead {
             return Ok(());
         }
-        let mut enc = Encoder::new();
-        event.encode(&mut enc);
+        self.enc.clear();
+        event.encode(&mut self.enc);
+        let payload = self.enc.as_slice();
         match self.fault.as_ref().map_or(WalWrite::Full, |f| f.admit()) {
             WalWrite::Full => {
-                write_frame(&mut self.out, enc.as_slice())?;
+                write_frame(&mut self.out, payload)?;
                 self.dirty = true;
             }
             WalWrite::Torn => {
                 // Half a frame, then silence — the shape a crash mid-write
                 // leaves. Flush it so the torn bytes actually land.
-                let mut frame = Vec::new();
-                write_frame(&mut frame, enc.as_slice()).expect("Vec write is infallible");
-                self.out.write_all(&frame[..frame.len() / 2])?;
+                let mut half = CutShort {
+                    out: &mut self.out,
+                    left: (FRAME_HEADER + payload.len()) / 2,
+                };
+                write_frame(&mut half, payload)?;
                 self.out.flush()?;
                 self.dead = true;
             }
@@ -115,6 +141,9 @@ impl WalWriter {
         Ok(())
     }
 }
+
+/// Bytes [`write_frame`] puts before the payload: `[len: u32][crc32: u32]`.
+const FRAME_HEADER: usize = 8;
 
 /// How a WAL segment ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +206,47 @@ mod tests {
         let (read, tail) = read_wal_segment(&path).unwrap();
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(read, written);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bytes `events` frame to through a fresh encoder each.
+    fn framed(events: &[TaskEvent]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for event in events {
+            let mut enc = Encoder::new();
+            event.encode(&mut enc);
+            write_frame(&mut bytes, enc.as_slice()).unwrap();
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_reused_encoder_writes_the_bytes_fresh_encoders_would() {
+        // Payloads that grow and shrink, so a record never leaks the tail
+        // of a longer one before it; then a torn record cut from the same
+        // buffer.
+        let dir = std::env::temp_dir().join("nurd-wal-test-reuse");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal-0-0.log");
+        let events: Vec<TaskEvent> = (0..40)
+            .map(|i| TaskEvent::Progress {
+                job: 3,
+                task: i,
+                ordinal: i,
+                time: i as f64 * 0.5,
+                features: vec![i as f64; (i * 7) % 11],
+            })
+            .collect();
+        let fault = FaultInjector::crash_after_wal_records(30).with_torn_tail();
+        let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never, Some(fault)).unwrap();
+        for e in &events {
+            wal.append(e).unwrap();
+        }
+        drop(wal);
+        let mut want = framed(&events[..30]);
+        let torn = framed(&events[30..31]);
+        want.extend_from_slice(&torn[..torn.len() / 2]);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,9 +17,9 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-MAX_WORKSPACE_LINES=20695
-MAX_PRODUCT_LINES=8821
-MAX_UNSAFE_SITES=7
+MAX_WORKSPACE_LINES=20657
+MAX_PRODUCT_LINES=8777
+MAX_UNSAFE_SITES=4
 MAX_CONFIG_FIELDS=37
 
 workspace=0
