@@ -74,7 +74,7 @@ fn bench_node_health_sweep(c: &mut Criterion) {
         Some(threshold_mitigator(BLIND_THRESHOLD, Some(CLONE_BUDGET))),
         &fleet(),
     );
-    let planted = NodeModel::build(&node_model(), cfg.straggler_severity).sick_nodes();
+    let planted = NodeModel::build(&node_model()).sick_nodes();
     let convicted: Vec<u32> = aware
         .verdicts
         .iter()

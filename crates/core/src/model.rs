@@ -39,6 +39,9 @@ pub struct AdjustedPrediction {
 pub struct NurdPredictor {
     config: NurdConfig,
     threshold: f64,
+    /// [`StreamContext::feature_dim`] of the stream begun, once one is:
+    /// the width a restored blob's rows must have.
+    feature_dim: Option<usize>,
     /// δ, fixed at the first prediction checkpoint (Algorithm 1 computes ρ
     /// "before starting prediction"). `None` until then.
     delta: Option<f64>,
@@ -77,6 +80,7 @@ impl NurdPredictor {
         NurdPredictor {
             config,
             threshold: f64::INFINITY,
+            feature_dim: None,
             delta: None,
             propensity_model: None,
             checkpoints_seen: 0,
@@ -254,6 +258,7 @@ impl OnlinePredictor for NurdPredictor {
 
     fn begin_stream(&mut self, ctx: &StreamContext) {
         self.threshold = ctx.threshold;
+        self.feature_dim = Some(ctx.feature_dim);
         self.delta = None;
         self.propensity_model = None;
         self.checkpoints_seen = 0;
@@ -344,10 +349,14 @@ impl OnlinePredictor for NurdPredictor {
         if !dec.is_empty() {
             return false;
         }
-        // `g_t` scores the rows `h_t` trains on: a propensity model of
-        // another width is not a state this predictor ever wrote.
+        // The rows are this stream's and `g_t` scores the rows `h_t` trains
+        // on: rows or a propensity model of another width are not a state
+        // this predictor ever wrote (and the next append would panic on
+        // the former).
         let width = propensity_model.as_ref().map(|g| g.weights().len());
-        if warm.rows() > 0 && width.is_some_and(|w| w != warm.features().cols()) {
+        let cols = warm.features().cols();
+        let widths = [self.feature_dim, width];
+        if warm.rows() > 0 && widths.into_iter().flatten().any(|w| w != cols) {
             return false;
         }
         self.delta = delta;

@@ -104,6 +104,9 @@ impl WarmRefitState {
             self.x.fill_from_rows(std::iter::empty());
             self.latencies.clear();
             self.delta.clear();
+            // Never read under this policy; dropped with the rows it
+            // quantized so that it always describes a prefix of `x`.
+            self.binned = None;
             self.fitted_rows = 0;
         }
         self.absorb(checkpoint)
@@ -317,7 +320,9 @@ pub(crate) fn decode_feature_matrix(
     let cols = dec.take_usize()?;
     let cells = rows.checked_mul(cols).unwrap_or(u64::MAX as usize);
     let need = cells.saturating_mul(8);
-    if need > dec.remaining() {
+    // Rows without a width hold no cell to count, and would take the next
+    // appended row's width check down with them.
+    if need > dec.remaining() || (rows > 0 && cols == 0) {
         return Err(nurd_codec::CodecError::LengthOverrun {
             declared: cells as u64,
             remaining: dec.remaining(),
@@ -352,15 +357,24 @@ impl nurd_codec::Checkpointable for RefitStats {
     }
 }
 
-/// The whole state travels — design matrix, quantization, ensemble, score
-/// cache, counters — so a restored predictor's next refit takes exactly
-/// the warm/cold branch an uninterrupted run would take.
+/// The whole state travels — design matrix, ensemble, score cache,
+/// counters — so a restored predictor's next refit takes exactly the
+/// warm/cold branch an uninterrupted run would take. Of the quantization
+/// only its [`BinnedMatrix::parts`] are written: the bin tables are a
+/// function of those and the rows, and [`BinnedMatrix::restore`] derives
+/// them again.
 impl nurd_codec::Checkpointable for WarmRefitState {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
         encode_feature_matrix(&self.x, enc);
         self.latencies.encode(enc);
         self.delta.encode(enc);
-        self.binned.encode(enc);
+        enc.put_bool(self.binned.is_some());
+        if let Some(binned) = &self.binned {
+            let (codes, built_rows, stale_constant) = binned.parts();
+            enc.put_bytes(codes);
+            enc.put_usize(built_rows);
+            enc.put_bool(stale_constant);
+        }
         self.model.encode(enc);
         self.scores.encode(enc);
         enc.put_usize(self.fitted_rows);
@@ -368,27 +382,37 @@ impl nurd_codec::Checkpointable for WarmRefitState {
     }
 
     fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
-        let state = WarmRefitState {
-            x: decode_feature_matrix(dec)?,
-            latencies: nurd_codec::Checkpointable::decode(dec)?,
-            delta: nurd_codec::Checkpointable::decode(dec)?,
-            binned: nurd_codec::Checkpointable::decode(dec)?,
+        let x = decode_feature_matrix(dec)?;
+        let latencies: Vec<f64> = nurd_codec::Checkpointable::decode(dec)?;
+        // One latency per row: `refit` lends them out as the targets.
+        if latencies.len() != x.rows() {
+            return Err(nurd_codec::CodecError::LengthOverrun {
+                declared: latencies.len() as u64,
+                remaining: x.rows(),
+            });
+        }
+        let delta = nurd_codec::Checkpointable::decode(dec)?;
+        let binned = if dec.take_bool()? {
+            let (codes, built_rows) = (dec.take_bytes()?.to_vec(), dec.take_usize()?);
+            Some(BinnedMatrix::restore(
+                codes,
+                built_rows,
+                dec.take_bool()?,
+                x.view(),
+            )?)
+        } else {
+            None
+        };
+        Ok(WarmRefitState {
+            x,
+            latencies,
+            delta,
+            binned,
             model: nurd_codec::Checkpointable::decode(dec)?,
             scores: nurd_codec::Checkpointable::decode(dec)?,
             fitted_rows: dec.take_usize()?,
             stats: nurd_codec::Checkpointable::decode(dec)?,
-        };
-        // The quantization was built from these rows: a different width is
-        // not a state this type ever wrote.
-        match &state.binned {
-            Some(b) if !state.x.is_empty() && b.features() != state.x.cols() => {
-                Err(nurd_codec::CodecError::LengthOverrun {
-                    declared: b.features() as u64,
-                    remaining: state.x.cols(),
-                })
-            }
-            _ => Ok(state),
-        }
+        })
     }
 }
 
@@ -666,16 +690,20 @@ mod tests {
             decode(&crossed),
             Err(CodecError::LengthOverrun { .. })
         ));
-        // With no rows yet there is no width to disagree with, so decode
-        // lets such a state through — and the refit, seeing the widths
-        // differ once rows arrive, fits cold instead of appending.
+        // Nor does a quantization travel without the rows it was made of.
         crossed.x.fill_from_rows(std::iter::empty());
         crossed.latencies.clear();
         crossed.delta.clear();
-        let mut restored = decode(&crossed).unwrap();
-        restored.absorb(&checkpoint(&three_wide, 35));
-        restored.refit(&gbt, &policy).unwrap();
-        let stats = restored.stats();
+        assert!(matches!(
+            decode(&crossed),
+            Err(CodecError::LengthOverrun { .. })
+        ));
+        // Should such a state exist in memory all the same, the refit sees
+        // the widths differ once rows arrive and fits cold instead of
+        // appending.
+        crossed.absorb(&checkpoint(&three_wide, 35));
+        crossed.refit(&gbt, &policy).unwrap();
+        let stats = crossed.stats();
         assert_eq!((stats.cold_fits, stats.warm_fits), (2, 0), "{stats:?}");
     }
 

@@ -70,6 +70,9 @@ pub struct TransferNurdPredictor {
     config: NurdConfig,
     donor: DonorModel,
     threshold: f64,
+    /// [`StreamContext::feature_dim`] of the stream begun, once one is:
+    /// the width a restored blob's rows must have.
+    feature_dim: Option<usize>,
     delta: Option<f64>,
     /// The residual head and its training rows. Its *targets* move with
     /// the running latency median, but its *rows* are the finished set
@@ -92,6 +95,7 @@ impl TransferNurdPredictor {
             config,
             donor,
             threshold: f64::INFINITY,
+            feature_dim: None,
             delta: None,
             warm: WarmRefitState::new(),
             donor_rel: Vec::new(),
@@ -107,6 +111,7 @@ impl OnlinePredictor for TransferNurdPredictor {
 
     fn begin_stream(&mut self, ctx: &StreamContext) {
         self.threshold = ctx.threshold;
+        self.feature_dim = Some(ctx.feature_dim);
         self.delta = None;
         self.warm.reset();
         self.donor_rel.clear();
@@ -233,7 +238,10 @@ impl OnlinePredictor for TransferNurdPredictor {
         let Ok(donor_rel) = Vec::<f64>::decode(&mut dec) else {
             return false;
         };
-        if !dec.is_empty() {
+        // Rows of another width than this stream's are not a state this
+        // predictor ever wrote; the next append would panic on them.
+        let alien = |d| warm.rows() > 0 && warm.features().cols() != d;
+        if !dec.is_empty() || self.feature_dim.is_some_and(alien) {
             return false;
         }
         self.delta = delta;
@@ -313,6 +321,32 @@ mod tests {
             p.warm.stats().cold_fits + p.warm.stats().warm_fits,
             fits_after_first
         );
+    }
+
+    #[test]
+    fn restore_refuses_rows_of_another_width_than_the_stream() {
+        let jobs = suite(7, 1);
+        let job = &jobs[0];
+        let donor = DonorModel::from_job(job, &NurdConfig::default()).unwrap();
+        let mut live = TransferNurdPredictor::new(NurdConfig::default(), donor.clone());
+        let mut ctx = StreamContext {
+            threshold: job.straggler_threshold(0.9),
+            task_count: job.task_count(),
+            feature_dim: job.feature_dim(),
+        };
+        live.begin_stream(&ctx);
+        let checkpoint = job.checkpoint_at(job.checkpoint_count() / 2);
+        let flagged = live.predict(&checkpoint);
+        let blob = live.snapshot_state().unwrap();
+
+        let mut restored = TransferNurdPredictor::new(NurdConfig::default(), donor);
+        restored.begin_stream(&ctx);
+        assert!(restored.restore_state(&blob));
+        assert_eq!(restored.predict(&checkpoint), flagged);
+        // The same rows in a narrower job: the next append would panic.
+        ctx.feature_dim -= 1;
+        restored.begin_stream(&ctx);
+        assert!(!restored.restore_state(&blob));
     }
 
     #[test]

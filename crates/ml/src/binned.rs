@@ -17,6 +17,20 @@
 //!   builder proposes, and the two growth modes produce identical trees.
 //! * Otherwise bins are (approximately) equal-mass quantile buckets of the
 //!   training distribution, the standard accuracy/speed tradeoff.
+//!
+//! # What is kept and what is derived
+//!
+//! A [`BinnedMatrix`] holds what is information — the codes, how many
+//! leading rows the last full build saw, and each bin's value range over
+//! those rows — and derives the rest on demand: a cut point is the
+//! midpoint `0.5 · (hi[b] + lo[b + 1])` between neighbouring ranges (the
+//! expression the build placed it with), the bin count is the ranges'
+//! length, and the per-bin row counts and build-time CDF behind
+//! [`BinnedMatrix::drift`] are histograms of the code columns. The ranges
+//! themselves are a function of the rows and the codes, which is why a
+//! persisted quantization is only its codes ([`BinnedMatrix::parts`] /
+//! [`BinnedMatrix::restore`]): no bin table travels, so none has to be
+//! checked against another when it comes back.
 
 use nurd_linalg::MatrixView;
 
@@ -30,57 +44,79 @@ pub(crate) fn nan_last_cmp(a: f64, b: f64) -> std::cmp::Ordering {
     a.is_nan().cmp(&b.is_nan()).then_with(|| a.total_cmp(&b))
 }
 
-/// Per-feature quantization: cut points plus per-bin value ranges.
-#[derive(Debug, Clone, PartialEq)]
+/// The bin code of `value` under ascending upper-boundary cut points: the
+/// first bin `b` with `value <= cuts[b]`, the last bin otherwise.
+///
+/// NaN maps to the *last* bin so that training-time partitioning
+/// (`code <= left_bin` → left) and prediction-time routing
+/// (`NaN <= threshold` is false → right) agree: a NaN row always rides the
+/// right child in both phases, matching exact growth.
+#[inline]
+fn code_under(cuts: &[f64], value: f64) -> u8 {
+    debug_assert!(cuts.len() < BinnedMatrix::MAX_BINS);
+    if value.is_nan() {
+        return cuts.len() as u8;
+    }
+    // partition_point returns the count of cuts strictly below value,
+    // i.e. the index of the first bin whose upper bound admits it.
+    cuts.partition_point(|&cut| cut < value) as u8
+}
+
+/// Per-feature quantization: the value range of each bin over the rows of
+/// the last full build (NaNs, which ride the last bin, excluded; `NaN` for
+/// a bin that held no number — the single bin of an all-NaN column).
+#[derive(Debug, Clone)]
 pub struct FeatureBins {
-    /// Upper-boundary cut points between bins, length `n_bins - 1`; a value
-    /// `v` lands in the first bin `b` with `v <= cuts[b]` (last bin
-    /// otherwise).
-    cuts: Vec<f64>,
-    /// Smallest training value assigned to each bin.
-    bin_min: Vec<f64>,
-    /// Largest training value assigned to each bin.
-    bin_max: Vec<f64>,
+    /// Smallest build-time value assigned to each bin.
+    lo: Vec<f64>,
+    /// Largest build-time value assigned to each bin.
+    hi: Vec<f64>,
+}
+
+/// Bit-for-bit, so that two quantizations of an all-NaN column compare
+/// equal and `-0.0` is not `0.0`.
+impl PartialEq for FeatureBins {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.iter()
+                .map(|v| v.to_bits())
+                .eq(b.iter().map(|v| v.to_bits()))
+        };
+        same(&self.lo, &other.lo) && same(&self.hi, &other.hi)
+    }
 }
 
 impl FeatureBins {
     /// Number of bins for this feature.
     #[must_use]
     pub fn n_bins(&self) -> usize {
-        self.bin_min.len()
+        self.lo.len()
     }
 
-    /// The bin code for a raw value (binary search over the cut points).
-    ///
-    /// NaN maps to the *last* bin so that training-time partitioning
-    /// (`code <= left_bin` → left) and prediction-time routing
-    /// (`NaN <= threshold` is false → right) agree: a NaN row always
-    /// rides the right child in both phases, matching exact growth.
-    #[inline]
-    #[must_use]
-    fn code_of(&self, value: f64) -> u8 {
-        if value.is_nan() {
-            return self.cuts.len() as u8;
+    /// The cut points between this feature's bins, written to the front of
+    /// `out`: each the midpoint between one bin's largest and the next
+    /// bin's smallest build-time value — the expression the build placed
+    /// it with, so a value codes under these as it would have then.
+    fn cuts_into<'a>(&self, out: &'a mut [f64; BinnedMatrix::MAX_BINS]) -> &'a [f64] {
+        let cuts = &mut out[..self.n_bins() - 1];
+        for (b, cut) in cuts.iter_mut().enumerate() {
+            *cut = 0.5 * (self.hi[b] + self.lo[b + 1]);
         }
-        // partition_point returns the count of cuts strictly below value,
-        // i.e. the index of the first bin whose upper bound admits it.
-        let idx = self.cuts.partition_point(|&cut| cut < value);
-        debug_assert!(idx <= u8::MAX as usize);
-        idx as u8
+        cuts
     }
 
     /// Smallest training value in bin `b`.
     #[inline]
     #[must_use]
     pub(crate) fn min_of(&self, b: usize) -> f64 {
-        self.bin_min[b]
+        self.lo[b]
     }
 
     /// Largest training value in bin `b`.
     #[inline]
     #[must_use]
     pub(crate) fn max_of(&self, b: usize) -> f64 {
-        self.bin_max[b]
+        self.hi[b]
     }
 }
 
@@ -108,14 +144,10 @@ pub struct BinnedMatrix {
     n_rows: usize,
     n_features: usize,
     features: Vec<FeatureBins>,
-    /// Current per-bin row counts for each feature (NaNs count toward the
-    /// last bin, mirroring [`FeatureBins::code_of`]); kept up to date by
-    /// [`BinnedMatrix::append_from`].
-    counts: Vec<Vec<u32>>,
-    /// Per-feature empirical CDF at each bin's upper boundary as of the
-    /// last **full** build — the reference the drift check compares
-    /// against. `build_cdf[f][b]` is the fraction of rows with code ≤ `b`.
-    build_cdf: Vec<Vec<f64>>,
+    /// Rows the last **full** build quantized: the bin ranges describe
+    /// rows `..built_rows`, and their codes are the reference distribution
+    /// the drift check compares the whole column against.
+    built_rows: usize,
     /// Set when an appended row carried a value a single-bin (constant or
     /// all-NaN) feature cannot represent; forces the drift statistic to
     /// `1.0` because the CDF comparison is blind to this case.
@@ -126,61 +158,27 @@ impl BinnedMatrix {
     /// Hard upper limit on bins per feature (codes are `u8`).
     pub(crate) const MAX_BINS: usize = 256;
 
-    /// Minimum matrix size (`rows × features`) before
-    /// [`BinnedMatrix::build_with_pool`] fans feature quantization out to
-    /// the pool; below this, task overhead beats the sort savings.
+    /// Minimum matrix size (`rows × features`) before the build fans
+    /// feature quantization out to the pool; below this, task overhead
+    /// beats the sort savings.
     const PAR_MIN_CELLS: usize = 8192;
 
     /// Quantizes `x` into at most `max_bins` bins per feature.
     ///
     /// `max_bins` is clamped to `[2, 256]`. The view must be non-ragged
-    /// and non-empty (callers validate via [`MatrixView::validated_dims`]).
+    /// (callers validate via [`MatrixView::validated_dims`]).
     #[must_use]
     pub fn build(x: MatrixView<'_>, max_bins: usize) -> Self {
-        let n = x.rows();
-        let d = x.cols();
-        let max_bins = max_bins.clamp(2, Self::MAX_BINS);
-        let mut codes = vec![0u8; n * d];
-        let mut features = Vec::with_capacity(d);
-        let mut counts = Vec::with_capacity(d);
-        let mut build_cdf = Vec::with_capacity(d);
-        let mut column: Vec<f64> = Vec::with_capacity(n);
-        let mut sorted: Vec<f64> = Vec::with_capacity(n);
-
-        for f in 0..d {
-            let (bins, bin_counts, cdf) = quantize_column(
-                x,
-                f,
-                max_bins,
-                &mut codes[f * n..(f + 1) * n],
-                &mut column,
-                &mut sorted,
-            );
-            build_cdf.push(cdf);
-            counts.push(bin_counts);
-            features.push(bins);
-        }
-
-        BinnedMatrix {
-            codes,
-            n_rows: n,
-            n_features: d,
-            features,
-            counts,
-            build_cdf,
-            stale_constant: false,
-        }
+        Self::build_with_pool(x, max_bins, None)
     }
 
-    /// As [`BinnedMatrix::build`], with the per-feature quantization
-    /// passes (column gather, sort, bin planning, coding) fanned out as at
-    /// most `tasks` chunks on `pool`. Every feature is processed
-    /// independently into its own code column, so the result is
-    /// **bit-for-bit identical** to the sequential build at any task
-    /// count; small matrices (under the internal `PAR_MIN_CELLS` floor of 8192
-    /// cells) and `par = None` fall back to the sequential path. This is
-    /// the knob behind [`crate::TreeConfig::n_threads`] — prefer
-    /// [`BinnedMatrix::build_for`] unless you manage pools yourself.
+    /// [`BinnedMatrix::build`] with the per-feature quantization passes
+    /// (column gather, sort, cut planning, coding, ranges) fanned out as at
+    /// most `tasks` chunks of features on `pool`. Every feature is
+    /// processed independently into its own code column, so the result is
+    /// **bit-for-bit identical** at any task count; small matrices (under
+    /// `PAR_MIN_CELLS`) and `par = None` run as one chunk on the caller's
+    /// thread. This is the knob behind [`crate::TreeConfig::n_threads`].
     #[must_use]
     fn build_with_pool(
         x: MatrixView<'_>,
@@ -189,61 +187,51 @@ impl BinnedMatrix {
     ) -> Self {
         let n = x.rows();
         let d = x.cols();
+        let max_bins = max_bins.clamp(2, Self::MAX_BINS);
         let par = par.filter(|&(_, tasks)| {
             tasks > 1 && d >= 2 && n.saturating_mul(d) >= Self::PAR_MIN_CELLS
         });
-        let Some((pool, max_tasks)) = par else {
-            return Self::build(x, max_bins);
-        };
-
-        let max_bins = max_bins.clamp(2, Self::MAX_BINS);
         let mut codes = vec![0u8; n * d];
-        let mut outs: Vec<Option<ColumnPlan>> = (0..d).map(|_| None).collect();
-        let per = d.div_ceil(max_tasks.min(d));
-        pool.scope(|s| {
-            for (ci, (code_chunk, out_chunk)) in codes
-                .chunks_mut(per * n)
-                .zip(outs.chunks_mut(per))
-                .enumerate()
-            {
-                let f0 = ci * per;
-                s.spawn(move || {
-                    let mut column: Vec<f64> = Vec::with_capacity(n);
-                    let mut sorted: Vec<f64> = Vec::with_capacity(n);
-                    for (j, (col_codes, slot)) in code_chunk
-                        .chunks_mut(n)
-                        .zip(out_chunk.iter_mut())
+        let empty = FeatureBins {
+            lo: Vec::new(),
+            hi: Vec::new(),
+        };
+        let mut features = vec![empty; d];
+        // Features `first..first + bins.len()` into their code columns.
+        let quantize = |first: usize, codes: &mut [u8], bins: &mut [FeatureBins]| {
+            let (mut column, mut sorted, mut cuts) = (Vec::new(), Vec::new(), Vec::new());
+            for (j, slot) in bins.iter_mut().enumerate() {
+                x.gather_column(first + j, &mut column);
+                let col_codes = &mut codes[j * n..(j + 1) * n];
+                plan_cuts(&column, max_bins, &mut sorted, &mut cuts);
+                for (code, &v) in col_codes.iter_mut().zip(&column) {
+                    *code = code_under(&cuts, v);
+                }
+                *slot = ranges_from_codes(&column, col_codes, n);
+            }
+        };
+        match par {
+            Some((pool, tasks)) => {
+                let per = d.div_ceil(tasks.min(d));
+                let quantize = &quantize;
+                pool.scope(|s| {
+                    for (ci, (code_chunk, bins_chunk)) in codes
+                        .chunks_mut(per * n)
+                        .zip(features.chunks_mut(per))
                         .enumerate()
                     {
-                        *slot = Some(quantize_column(
-                            x,
-                            f0 + j,
-                            max_bins,
-                            col_codes,
-                            &mut column,
-                            &mut sorted,
-                        ));
+                        s.spawn(move || quantize(ci * per, code_chunk, bins_chunk));
                     }
                 });
             }
-        });
-
-        let mut features = Vec::with_capacity(d);
-        let mut counts = Vec::with_capacity(d);
-        let mut build_cdf = Vec::with_capacity(d);
-        for out in outs {
-            let (bins, bin_counts, cdf) = out.expect("every feature chunk quantized");
-            features.push(bins);
-            counts.push(bin_counts);
-            build_cdf.push(cdf);
+            None => quantize(0, &mut codes, &mut features),
         }
         BinnedMatrix {
             codes,
             n_rows: n,
             n_features: d,
             features,
-            counts,
-            build_cdf,
+            built_rows: n,
             stale_constant: false,
         }
     }
@@ -257,17 +245,68 @@ impl BinnedMatrix {
         Self::build_with_pool(x, config.max_bins, config.parallelism())
     }
 
+    /// What a checkpoint has to carry of a quantization whose rows it
+    /// carries too: the column-major codes, the row count of the last full
+    /// build and the stale-constant flag — the arguments
+    /// [`BinnedMatrix::restore`] takes back.
+    #[must_use]
+    pub fn parts(&self) -> (&[u8], usize, bool) {
+        (&self.codes, self.built_rows, self.stale_constant)
+    }
+
+    /// Rebuilds a quantization from its [`BinnedMatrix::parts`] and the
+    /// rows it quantized (`x` may have grown since; only its leading rows
+    /// are read): the width is `x`'s, the row count follows from the
+    /// codes, and every bin table is derived — one min/max pass per
+    /// column, no sort — so a restored matrix equals the live one and no
+    /// table can disagree with another or with the codes.
+    ///
+    /// # Errors
+    ///
+    /// [`nurd_codec::CodecError::LengthOverrun`] unless the codes are a
+    /// positive whole number of rows of `x`'s width, at most `x.rows()` of
+    /// them, and `1 <= built_rows <=` that row count.
+    pub fn restore(
+        codes: Vec<u8>,
+        built_rows: usize,
+        stale_constant: bool,
+        x: MatrixView<'_>,
+    ) -> Result<Self, nurd_codec::CodecError> {
+        let d = x.cols();
+        let n = codes.len().checked_div(d).unwrap_or(0);
+        if n * d != codes.len() || n > x.rows() || !(1..=n).contains(&built_rows) {
+            return Err(nurd_codec::CodecError::LengthOverrun {
+                declared: codes.len() as u64,
+                remaining: x.rows() * d,
+            });
+        }
+        let mut column = Vec::new();
+        let features = (0..d)
+            .map(|f| {
+                x.gather_column(f, &mut column);
+                ranges_from_codes(&column, &codes[f * n..(f + 1) * n], built_rows)
+            })
+            .collect();
+        Ok(BinnedMatrix {
+            codes,
+            n_rows: n,
+            n_features: d,
+            features,
+            built_rows,
+            stale_constant,
+        })
+    }
+
     /// Incrementally absorbs the rows appended to `x` since this matrix was
     /// last built or appended to: rows `self.rows()..x.rows()` are
     /// quantized against the **existing** bin edges (the prefix is assumed
-    /// unchanged — the caller owns that invariant) and the per-bin counts
-    /// are updated. No sorting, no re-planning: cost is one binary search
-    /// per appended value.
+    /// unchanged — the caller owns that invariant). No sorting, no
+    /// re-planning: cost is one binary search per appended value.
     ///
     /// Returns the **drift** of the updated code distribution: the largest
     /// absolute difference, over all features and bin boundaries, between
-    /// the current empirical CDF and the CDF recorded at the last full
-    /// build (a Kolmogorov–Smirnov distance against the quantile sketch
+    /// the current empirical CDF and the CDF of the rows the last full
+    /// build saw (a Kolmogorov–Smirnov distance against the quantile sketch
     /// the bins encode). `0.0` means the old edges still cut the data at
     /// the same quantiles; a value above the caller's tolerance means the
     /// equal-mass property has degraded and a full [`BinnedMatrix::build`]
@@ -296,9 +335,10 @@ impl BinnedMatrix {
                 self.codes.copy_within(f * old..(f + 1) * old, f * new);
             }
             self.n_rows = new;
+            let mut cuts = [0.0; Self::MAX_BINS];
             for f in 0..self.n_features {
                 let bins = &self.features[f];
-                let counts = &mut self.counts[f];
+                let cuts = bins.cuts_into(&mut cuts);
                 // Single-bin feature: every value collapses to code 0, so
                 // record here — while the raw values are still visible —
                 // whether the constant stopped holding.
@@ -309,13 +349,11 @@ impl BinnedMatrix {
                 };
                 for i in old..new {
                     let v = x.get(i, f);
-                    let code = bins.code_of(v);
-                    self.codes[f * new + i] = code;
-                    counts[code as usize] += 1;
+                    self.codes[f * new + i] = code_under(cuts, v);
                     if let Some(c) = constant {
                         // A NaN arrival is never staleness: NaN rides the
                         // last bin under these edges exactly as a rebuild
-                        // would arrange (plan_feature excludes NaNs from
+                        // would arrange (plan_cuts excludes NaNs from
                         // planning), even when the build column was
                         // NaN-free. A non-NaN arrival is staleness unless
                         // it equals the finite build constant (`c` is NaN
@@ -331,23 +369,34 @@ impl BinnedMatrix {
         self.drift()
     }
 
-    /// The drift statistic of the current counts against the last full
+    /// The drift statistic of the current codes against the last full
     /// build (see [`BinnedMatrix::append_from`]); `0.0` right after a
-    /// build.
+    /// build. Both CDFs are read off the code columns: rows
+    /// `..built_rows` are the build's, all of them are today's (NaNs count
+    /// toward the last bin, where their code puts them).
     #[must_use]
     pub fn drift(&self) -> f64 {
         if self.stale_constant {
             return 1.0;
         }
-        let n = self.n_rows as f64;
+        let (built, n) = (self.built_rows, self.n_rows);
         let mut worst: f64 = 0.0;
-        for (f, counts) in self.counts.iter().enumerate() {
-            let mut cum = 0u64;
-            for (b, &c) in counts.iter().take(counts.len() - 1).enumerate() {
-                cum += u64::from(c);
-                let now = cum as f64 / n;
-                let was = self.build_cdf[f][b];
-                worst = worst.max((now - was).abs());
+        for (f, bins) in self.features.iter().enumerate() {
+            let codes = self.codes(f);
+            let mut then = [0u32; Self::MAX_BINS];
+            for &c in &codes[..built] {
+                then[usize::from(c)] += 1;
+            }
+            let mut today = then;
+            for &c in &codes[built..] {
+                today[usize::from(c)] += 1;
+            }
+            let (mut was, mut now) = (0u64, 0u64);
+            for b in 0..bins.n_bins() - 1 {
+                was += u64::from(then[b]);
+                now += u64::from(today[b]);
+                let moved = now as f64 / n as f64 - was as f64 / built as f64;
+                worst = worst.max(moved.abs());
             }
         }
         worst
@@ -379,83 +428,34 @@ impl BinnedMatrix {
     }
 }
 
-/// One quantized column's outputs: planned bins, per-bin counts, CDF.
-type ColumnPlan = (FeatureBins, Vec<u32>, Vec<f64>);
-
-/// Quantizes one feature column: gather, NaN-last sort, bin planning,
-/// coding. Writes the column's codes into `col_codes` (length = rows) and
-/// returns the planned bins with their counts and build-time CDF.
-/// `column`/`sorted` are caller scratch (cleared and refilled) so the
-/// sequential build reuses one allocation across features.
+/// Plans one feature's cut points — ascending upper bin boundaries, one
+/// fewer than bins — from its `column` into `cuts`; `sorted` is scratch
+/// (both are cleared and refilled, so one allocation serves every
+/// column).
 ///
 /// A NaN-tolerant total order keeps the pass panic-free (matching the
-/// exact builder): NaNs sort last, are excluded from bin planning, and
-/// `code_of` routes them to the last bin so they ride the right child in
-/// training and prediction alike. An all-NaN column collapses to a single
-/// inert, never-splittable bin.
-fn quantize_column(
-    x: MatrixView<'_>,
-    f: usize,
-    max_bins: usize,
-    col_codes: &mut [u8],
-    column: &mut Vec<f64>,
-    sorted: &mut Vec<f64>,
-) -> ColumnPlan {
-    x.gather_column(f, column);
+/// exact builder): NaNs sort last, are excluded from planning, and
+/// [`code_under`] routes them to the last bin so they ride the right child
+/// in training and prediction alike. An all-NaN column gets no cut: a
+/// single inert, never-splittable bin.
+fn plan_cuts(column: &[f64], max_bins: usize, sorted: &mut Vec<f64>, cuts: &mut Vec<f64>) {
     sorted.clear();
     sorted.extend_from_slice(column);
     sorted.sort_by(|a, b| nan_last_cmp(*a, *b));
-    let finite_end = sorted.partition_point(|v| !v.is_nan());
-    let bins = if finite_end == 0 {
-        FeatureBins {
-            cuts: Vec::new(),
-            bin_min: vec![f64::NAN],
-            bin_max: vec![f64::NAN],
-        }
-    } else {
-        plan_feature(&sorted[..finite_end], max_bins)
-    };
-    let mut bin_counts = vec![0u32; bins.n_bins()];
-    for (slot, &v) in col_codes.iter_mut().zip(column.iter()) {
-        *slot = bins.code_of(v);
-        bin_counts[*slot as usize] += 1;
-    }
-    let cdf = cdf_of(&bin_counts, col_codes.len());
-    (bins, bin_counts, cdf)
-}
-
-/// Cumulative distribution over bins from per-bin counts.
-fn cdf_of(counts: &[u32], n: usize) -> Vec<f64> {
-    let mut cum = 0u64;
-    counts
-        .iter()
-        .map(|&c| {
-            cum += u64::from(c);
-            cum as f64 / n as f64
-        })
-        .collect()
-}
-
-/// Plans the bins for one feature from its sorted training values.
-fn plan_feature(sorted: &[f64], max_bins: usize) -> FeatureBins {
-    debug_assert!(!sorted.is_empty());
-    let mut distinct: Vec<f64> = Vec::new();
-    for &v in sorted {
-        if distinct.last() != Some(&v) {
-            distinct.push(v);
-        }
-    }
-
-    if distinct.len() <= max_bins {
-        // One bin per distinct value: histogram growth is then *exact* —
-        // cut points are midpoints between adjacent distinct values, the
-        // same candidate thresholds the exact builder enumerates.
-        let cuts: Vec<f64> = distinct.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect();
-        return FeatureBins {
-            cuts,
-            bin_min: distinct.clone(),
-            bin_max: distinct,
-        };
+    sorted.truncate(sorted.partition_point(|v| !v.is_nan()));
+    cuts.clear();
+    // One bin per distinct value while they fit: histogram growth is then
+    // *exact* — cut points are midpoints between adjacent distinct values,
+    // the same candidate thresholds the exact builder enumerates.
+    let mut adjacent = sorted.windows(2).filter(|w| w[0] != w[1]);
+    cuts.extend(
+        adjacent
+            .by_ref()
+            .take(max_bins)
+            .map(|w| 0.5 * (w[0] + w[1])),
+    );
+    if cuts.len() < max_bins {
+        return;
     }
 
     // Equal-mass quantile cuts over the training distribution. A cut is
@@ -463,8 +463,8 @@ fn plan_feature(sorted: &[f64], max_bins: usize) -> FeatureBins {
     // *differ* — its midpoint then lies strictly inside a gap between
     // distinct data values, so heavy ties can neither duplicate cuts nor
     // produce empty bins (every inter-cut interval contains a data value).
+    cuts.clear();
     let n = sorted.len();
-    let mut cuts: Vec<f64> = Vec::with_capacity(max_bins - 1);
     for b in 1..max_bins {
         let idx = (b * n) / max_bins;
         if idx == 0 || sorted[idx - 1] == sorted[idx] {
@@ -475,116 +475,36 @@ fn plan_feature(sorted: &[f64], max_bins: usize) -> FeatureBins {
             cuts.push(cut);
         }
     }
-
-    let n_bins = cuts.len() + 1;
-    let mut bin_min = vec![f64::INFINITY; n_bins];
-    let mut bin_max = vec![f64::NEG_INFINITY; n_bins];
-    let probe = FeatureBins {
-        cuts,
-        bin_min: Vec::new(),
-        bin_max: Vec::new(),
-    };
-    for &v in sorted {
-        let b = probe.code_of(v) as usize;
-        bin_min[b] = bin_min[b].min(v);
-        bin_max[b] = bin_max[b].max(v);
-    }
-    FeatureBins {
-        cuts: probe.cuts,
-        bin_min,
-        bin_max,
-    }
 }
 
-impl nurd_codec::Checkpointable for FeatureBins {
-    fn encode(&self, enc: &mut nurd_codec::Encoder) {
-        self.cuts.encode(enc);
-        self.bin_min.encode(enc);
-        self.bin_max.encode(enc);
+/// One feature's bin table from its raw `column` and code column: as many
+/// bins as the highest code needs (one for a column without rows), each
+/// with the smallest and largest value among rows `..built_rows` that carry
+/// its code (`f64::min` / `f64::max` skip the NaNs riding the last bin).
+/// The one pass the build — in both regimes — and [`BinnedMatrix::restore`]
+/// fill the ranges with.
+fn ranges_from_codes(column: &[f64], codes: &[u8], built_rows: usize) -> FeatureBins {
+    let n_bins = codes.iter().max().map_or(1, |&c| usize::from(c) + 1);
+    let mut lo = vec![f64::NAN; n_bins];
+    let mut hi = vec![f64::NAN; n_bins];
+    for (&v, &c) in column[..built_rows].iter().zip(codes) {
+        lo[usize::from(c)] = lo[usize::from(c)].min(v);
+        hi[usize::from(c)] = hi[usize::from(c)].max(v);
     }
-
-    fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
-        Ok(FeatureBins {
-            cuts: nurd_codec::Checkpointable::decode(dec)?,
-            bin_min: nurd_codec::Checkpointable::decode(dec)?,
-            bin_max: nurd_codec::Checkpointable::decode(dec)?,
-        })
-    }
-}
-
-/// Every field travels — including the per-bin `counts` and the
-/// full-build CDF reference — so the drift statistic computed after a
-/// restore is identical to one computed by an uninterrupted process.
-/// Decoding checks what the grower, `append_from` and `drift` index by:
-/// one bin table per feature, every per-bin table of a feature the same
-/// length (at most `BinnedMatrix::MAX_BINS`), every code a bin of its
-/// column.
-impl nurd_codec::Checkpointable for BinnedMatrix {
-    fn encode(&self, enc: &mut nurd_codec::Encoder) {
-        enc.put_bytes(&self.codes);
-        enc.put_usize(self.n_rows);
-        enc.put_usize(self.n_features);
-        self.features.encode(enc);
-        self.counts.encode(enc);
-        self.build_cdf.encode(enc);
-        enc.put_bool(self.stale_constant);
-    }
-
-    fn decode(dec: &mut nurd_codec::Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
-        let codes = dec.take_bytes()?.to_vec();
-        let n_rows = dec.take_usize()?;
-        let n_features = dec.take_usize()?;
-        if n_rows.checked_mul(n_features) != Some(codes.len()) {
-            return Err(nurd_codec::CodecError::LengthOverrun {
-                declared: codes.len() as u64,
-                remaining: dec.remaining(),
-            });
-        }
-        let matrix = BinnedMatrix {
-            codes,
-            n_rows,
-            n_features,
-            features: nurd_codec::Checkpointable::decode(dec)?,
-            counts: nurd_codec::Checkpointable::decode(dec)?,
-            build_cdf: nurd_codec::Checkpointable::decode(dec)?,
-            stale_constant: dec.take_bool()?,
-        };
-        let overrun = |declared: usize, remaining: usize| nurd_codec::CodecError::LengthOverrun {
-            declared: declared as u64,
-            remaining,
-        };
-        let BinnedMatrix {
-            features,
-            counts,
-            build_cdf,
-            ..
-        } = &matrix;
-        if [features.len(), counts.len(), build_cdf.len()] != [n_features; 3] {
-            return Err(overrun(features.len(), n_features));
-        }
-        for (f, bins) in features.iter().enumerate() {
-            let n_bins = bins.n_bins();
-            let tables_agree = bins.cuts.len() + 1 == n_bins
-                && bins.bin_max.len() == n_bins
-                && counts[f].len() == n_bins
-                && build_cdf[f].len() == n_bins;
-            if !tables_agree || n_bins > Self::MAX_BINS {
-                return Err(overrun(n_bins, Self::MAX_BINS));
-            }
-            if let Some(&code) = matrix.codes(f).iter().find(|&&c| usize::from(c) >= n_bins) {
-                return Err(overrun(usize::from(code), n_bins));
-            }
-        }
-        Ok(matrix)
-    }
+    FeatureBins { lo, hi }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn view(rows: &[Vec<f64>]) -> MatrixView<'_> {
         MatrixView::Rows(rows)
+    }
+
+    fn derived_cuts(bins: &FeatureBins) -> Vec<f64> {
+        bins.cuts_into(&mut [0.0; BinnedMatrix::MAX_BINS]).to_vec()
     }
 
     #[test]
@@ -603,7 +523,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = vec![vec![0.0], vec![10.0], vec![1.0]];
         let binned = BinnedMatrix::build(view(&rows), 256);
         let bins = binned.feature_bins(0);
-        assert_eq!(bins.cuts, vec![0.5, 5.5]);
+        assert_eq!(derived_cuts(bins), vec![0.5, 5.5]);
     }
 
     #[test]
@@ -655,6 +575,15 @@ mod tests {
     }
 
     #[test]
+    fn a_column_without_rows_has_one_inert_bin() {
+        let wide = nurd_linalg::FeatureMatrix::zeros(0, 3);
+        let binned = BinnedMatrix::build(wide.view(), 16);
+        assert_eq!((binned.rows(), binned.features()), (0, 3));
+        assert_eq!(binned.feature_bins(2).n_bins(), 1);
+        assert_eq!(binned.drift(), 0.0);
+    }
+
+    #[test]
     fn nan_features_do_not_panic_and_route_to_last_bin() {
         // NaN tolerance must match the exact builder: degraded model,
         // never a panic. NaNs are excluded from planning and coded into
@@ -699,9 +628,9 @@ mod tests {
         // quantization; verify against coding rows by hand.
         let old_edges = BinnedMatrix::build(view(&rows[..300]), 32);
         for f in 0..2 {
-            let bins = old_edges.feature_bins(f);
+            let cuts = derived_cuts(old_edges.feature_bins(f));
             for (i, row) in rows.iter().enumerate() {
-                assert_eq!(incremental.codes(f)[i], bins.code_of(row[f]));
+                assert_eq!(incremental.codes(f)[i], code_under(&cuts, row[f]));
             }
         }
     }
@@ -845,5 +774,71 @@ mod tests {
         let a = BinnedMatrix::build(MatrixView::Rows(&rows), 256);
         let b = BinnedMatrix::build(m.view(), 256);
         assert_eq!(a, b);
+    }
+
+    proptest::proptest! {
+        /// **A quantization is its codes.** Along random lives — a build
+        /// on a prefix of the rows, then appends — `restore` from
+        /// [`BinnedMatrix::parts`] and the rows (even rows the matrix has
+        /// not absorbed yet) equals the live matrix, reports the same
+        /// drift to the bit, and goes on living identically; and the cut
+        /// points derived from the bin ranges are, to the bit, the ones
+        /// the build coded the rows with. Columns: a small value pool with
+        /// both NaN signs and both zeros, an all-NaN column, a constant
+        /// that turns variable at a random row, and a column distinct in
+        /// almost every row (over 256 values in the long cases).
+        #[test]
+        fn prop_restored_quantization_equals_live(
+            seeds in proptest::collection::vec(0u32..4000, 6..420),
+            built in 0usize..420,
+            turn in 0usize..500,
+            appends in proptest::collection::vec(1usize..60, 0..5),
+            bins_pick in 0usize..3) {
+            let neg_nan = f64::from_bits(0xFFF8_0000_0000_0000);
+            let pool = [f64::NAN, neg_nan, -0.0, 0.0, -3.5, 0.25, 1.0, 1.0, 8.0, 1e9, -1e-9];
+            let rows: Vec<Vec<f64>> = seeds
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| {
+                    let s = s as usize;
+                    vec![
+                        pool[s % pool.len()],
+                        if s.is_multiple_of(2) { f64::NAN } else { neg_nan },
+                        if i < turn { 7.0 } else { pool[2 + s % 7] },
+                        f64::from(s as u32) * 0.25 + i as f64 * 1e-3,
+                    ]
+                })
+                .collect();
+            let max_bins = [4, 16, 256][bins_pick];
+            let mut end = 1 + built % rows.len();
+            let mut live = BinnedMatrix::build(view(&rows[..end]), max_bins);
+
+            let (mut column, mut sorted, mut cuts) = (Vec::new(), Vec::new(), Vec::new());
+            for f in 0..4 {
+                view(&rows[..end]).gather_column(f, &mut column);
+                plan_cuts(&column, max_bins, &mut sorted, &mut cuts);
+                let derived = derived_cuts(live.feature_bins(f));
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&derived), bits(&cuts), "feature {}", f);
+            }
+
+            for step in std::iter::once(0).chain(appends) {
+                end = (end + step).min(rows.len());
+                let drift = live.append_from(view(&rows[..end]));
+                let (codes, built_rows, stale) = live.parts();
+                // The rows may be ahead of the quantization.
+                let ahead = view(&rows[..(end + 3).min(rows.len())]);
+                let mut restored =
+                    BinnedMatrix::restore(codes.to_vec(), built_rows, stale, ahead).unwrap();
+                prop_assert_eq!(&restored, &live);
+                prop_assert_eq!(restored.drift().to_bits(), drift.to_bits());
+                let mut twin = live.clone();
+                prop_assert_eq!(
+                    restored.append_from(ahead).to_bits(),
+                    twin.append_from(ahead).to_bits()
+                );
+                prop_assert_eq!(restored, twin);
+            }
+        }
     }
 }

@@ -69,10 +69,16 @@ fn logistic_regression_probabilities_survive_bit_for_bit() {
 
 #[test]
 fn binned_matrix_round_trips_structurally_equal() {
+    // A quantization travels as its codes; the rows travel beside it.
     let (x, _) = training_rows(200);
-    let binned = BinnedMatrix::build(MatrixView::Rows(&x), 16);
-    let restored = roundtrip(&binned);
+    let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..150]), 16);
+    binned.append_from(MatrixView::Rows(&x));
+    let (codes, built_rows, stale) = binned.parts();
+    assert_eq!((codes.len(), built_rows, stale), (400, 150, false));
+    let restored =
+        BinnedMatrix::restore(codes.to_vec(), built_rows, stale, MatrixView::Rows(&x)).unwrap();
     assert_eq!(binned, restored);
+    assert_eq!(binned.drift().to_bits(), restored.drift().to_bits());
 }
 
 #[test]
@@ -209,80 +215,51 @@ fn mutated_logistic_bytes_are_rejected_or_safe_to_score_and_seed() {
     assert!(rejected > 50 && used > 100, "{rejected} / {used}");
 }
 
-/// Re-encodes `binned` with one field rewritten by hand: the matrix has no
-/// public constructor that would produce these.
+/// Every bin table is derived from the codes and the rows, so no code can
+/// miss its column's bins and no table can disagree with another: what is
+/// left for `restore` to refuse is a shape.
 #[test]
-fn binned_matrix_decode_rejects_tables_the_grower_would_index_past() {
+fn binned_matrix_restore_refuses_shapes_and_survives_any_codes() {
     let (x, _) = training_rows(40);
     let binned = BinnedMatrix::build(MatrixView::Rows(&x), 8);
-    let bytes = encoded(&binned);
-    let decode = |bytes: &[u8]| BinnedMatrix::decode(&mut Decoder::new(bytes));
-    assert_eq!(decode(&bytes).unwrap(), binned);
+    let (codes, built_rows, stale) = binned.parts();
+    let rows = MatrixView::Rows(&x);
+    let restore =
+        |codes: &[u8], built: usize, x| BinnedMatrix::restore(codes.to_vec(), built, stale, x);
+    assert_eq!(restore(codes, built_rows, rows).unwrap(), binned);
+    let refused =
+        |r: Result<BinnedMatrix, CodecError>| matches!(r, Err(CodecError::LengthOverrun { .. }));
+    // Not a whole number of two-wide rows; no rows; no width to divide by.
+    assert!(refused(restore(&codes[..79], built_rows, rows)));
+    assert!(refused(restore(&[], 0, rows)));
+    assert!(refused(restore(codes, built_rows, MatrixView::Rows(&[]))));
+    // More rows quantized than rows present.
+    assert!(refused(restore(codes, 39, MatrixView::Rows(&x[..39]))));
+    // A build that saw no row, or more rows than the codes cover.
+    assert!(refused(restore(codes, 0, rows)));
+    assert!(refused(restore(codes, 41, rows)));
+    // Fewer rows quantized than present is the state between an absorb
+    // and the next refit.
+    assert_eq!(restore(&codes[..60], 30, rows).unwrap().rows(), 30);
 
-    // Layout: length-prefixed codes (column-major, 40 rows × 2 features),
-    // rows, features, then the per-feature tables.
-    let codes = 8..8 + 80;
-    assert_eq!(bytes[..8], 80u64.to_le_bytes());
-    let n_bins = binned.feature_bins(0).n_bins();
-    assert!(n_bins < 255);
-
-    // A code that is not a bin of its column.
-    let mut bad = bytes.clone();
-    bad[codes.start + 3] = n_bins as u8;
-    assert!(matches!(
-        decode(&bad),
-        Err(CodecError::LengthOverrun { .. })
-    ));
-
-    // One feature's tables missing: 2 features declared, 1 table present.
-    let features_at = codes.end + 16;
-    assert_eq!(bytes[features_at..features_at + 8], 2u64.to_le_bytes());
-    let mut bad = bytes.clone();
-    bad[features_at] = 1;
-    assert!(decode(&bad).is_err());
-
-    // A cut point dropped from the first feature: `cuts` no longer has
-    // one entry fewer than the bins.
-    let cuts_at = features_at + 8;
-    let cuts = binned.feature_bins(0).n_bins() - 1;
-    assert_eq!(bytes[cuts_at..cuts_at + 8], (cuts as u64).to_le_bytes());
-    let mut bad = bytes[..cuts_at].to_vec();
-    bad.extend((cuts as u64 - 1).to_le_bytes());
-    bad.extend(&bytes[cuts_at + 16..]);
-    assert!(matches!(
-        decode(&bad),
-        Err(CodecError::LengthOverrun { .. })
-    ));
-
-    // No mutation of the blob may panic the decoder, and whatever it
-    // accepts must survive the paths that index through the tables.
-    let (mut accepted, mut rejected) = (0, 0);
-    for bit in 0..bytes.len() * 8 {
-        let mut mutated = bytes.clone();
+    // Any code is a bin (the bin count follows the codes), so every
+    // mutation restores — bins no build row fell into have no range — and
+    // must survive the paths that index through the tables.
+    for bit in 0..codes.len() * 8 {
+        let mut mutated = codes.to_vec();
         mutated[bit / 8] ^= 1 << (bit % 8);
-        match decode(&mutated) {
-            Err(_) => rejected += 1,
-            Ok(mut restored) => {
-                accepted += 1;
-                let _ = restored.drift();
-                let mut grown = x.clone();
-                grown.push(vec![3.5, -1.0]);
-                let _ = restored.append_from(MatrixView::Rows(&grown));
-                let y = vec![1.0; restored.rows()];
-                let cfg = GbtConfig {
-                    n_rounds: 2,
-                    ..GbtConfig::default()
-                };
-                let fit = GradientBoosting::fit_binned_cached(
-                    &restored,
-                    &y,
-                    SquaredLoss,
-                    &cfg,
-                    &mut Vec::new(),
-                );
-                assert!(fit.is_ok());
-            }
-        }
+        let mut restored = restore(&mutated, 1 + bit % 40, rows).unwrap();
+        let _ = restored.drift();
+        let mut grown = x.clone();
+        grown.push(vec![3.5, -1.0]);
+        let _ = restored.append_from(MatrixView::Rows(&grown));
+        let y = vec![1.0; restored.rows()];
+        let cfg = GbtConfig {
+            n_rounds: 2,
+            ..GbtConfig::default()
+        };
+        let fit =
+            GradientBoosting::fit_binned_cached(&restored, &y, SquaredLoss, &cfg, &mut Vec::new());
+        assert!(fit.is_ok());
     }
-    assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
 }

@@ -43,8 +43,10 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NURDSNAP";
 /// [`HealthObserver`](crate::HealthObserver)'s state blob. Version 4
 /// dropped the header's donor-seed list (one predictor blob per job ever
 /// finalized, read by nothing) and the `NurdPredictor` blob's second
-/// latency-model slot.
-pub(crate) const SNAPSHOT_VERSION: u32 = 4;
+/// latency-model slot. Version 5 dropped the quantization's bin tables
+/// from every predictor blob: its codes travel, the tables are derived
+/// from them and the rows at restore.
+pub(crate) const SNAPSHOT_VERSION: u32 = 5;
 
 /// The deterministic fleet-wide counters a snapshot carries, so a
 /// recovered engine's accounting continues where the crashed one's
@@ -283,9 +285,9 @@ mod tests {
             Err(RecoverError::WrongMagic)
         ));
 
-        // A future format version, and the previous one (v3 carried the
-        // donor-seed list this build no longer reads).
-        for version in [99u32, 3] {
+        // A future format version, and the previous two (v3 carried the
+        // donor-seed list, v4 the bin tables this build no longer reads).
+        for version in [99u32, 3, 4] {
             let mut other = pristine.clone();
             other[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &other).unwrap();

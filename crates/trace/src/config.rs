@@ -97,14 +97,6 @@ pub struct SuiteConfig {
     /// Fraction of jobs drawn from the long-tailed latency family (the rest
     /// are close-tailed).
     pub long_tail_fraction: f64,
-    /// How far stragglers overshoot the body: each family's latency
-    /// multiplier range `(lo, hi)` is rescaled to
-    /// `1 + (x − 1) · severity`. `1.0` (the default) reproduces the
-    /// family's native ranges **bit-for-bit** — same RNG stream, same
-    /// traces; `0.0` collapses stragglers into the body (multiplier 1);
-    /// values above `1.0` exaggerate the tail. The mitigation experiments
-    /// sweep this knob to control how much a clone can possibly save.
-    pub straggler_severity: f64,
     /// Optional machine axis: a seeded fleet of nodes with per-node
     /// health, task placement, and correlated latency factors for
     /// co-located tasks (see [`NodeModelConfig`]). `None` (the default)
@@ -130,7 +122,6 @@ impl SuiteConfig {
             decoy_fraction: 0.12,
             cause_mix: CauseMix::default(),
             long_tail_fraction: 0.5,
-            straggler_severity: 1.0,
             node_model: None,
             seed: 0x5ed_c0de,
         }

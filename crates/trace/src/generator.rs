@@ -50,11 +50,7 @@ pub fn generate_job_detailed(
 
     let n_tasks = rng.gen_range(config.tasks_min..=config.tasks_max);
     let median = dist::uniform(&mut rng, 60.0, 600.0);
-    let family = LatencyFamily::sample_with_severity(
-        &mut rng,
-        config.long_tail_fraction,
-        config.straggler_severity,
-    );
+    let family = LatencyFamily::sample(&mut rng, config.long_tail_fraction);
     let mut plans = plan_job(
         &mut rng,
         n_tasks,
@@ -109,7 +105,7 @@ pub fn generate_job_detailed(
     // *new* finishing checkpoint, and two node feature columns are
     // appended (no extra RNG draws anywhere on this path).
     let placement = config.node_model.as_ref().map(|nm| {
-        let model = NodeModel::build(nm, config.straggler_severity);
+        let model = NodeModel::build(nm);
         (model.placement(job_id, n_tasks), model)
     });
     let (tasks, checkpoint_times, placement) = match placement {
@@ -356,7 +352,7 @@ mod tests {
 
         // Tasks on unhealthy nodes are stretched by exactly their node's
         // factor; healthy-node tasks keep their base latency.
-        let model = NodeModel::build(&nm, 1.0);
+        let model = NodeModel::build(&nm);
         for (t, task) in noded.tasks().iter().enumerate() {
             let factor = model.factor(placement[t]);
             let expect = base.tasks()[t].latency() * factor;

@@ -46,29 +46,17 @@ pub(crate) enum LatencyFamily {
 
 impl LatencyFamily {
     /// Draws a family for a job: long-tailed with probability
-    /// `long_tail_fraction`, each family's straggler multiplier range
-    /// `(lo, hi)` rescaled to `1 + (x − 1) · severity`.
-    ///
-    /// `severity = 1.0` is the identity **bit-for-bit**: `1 + (x − 1)` is
-    /// exact in f64 for the ranges used here, and the rescaling draws no
-    /// extra random numbers. `0.0` collapses stragglers into the body;
-    /// `> 1.0` stretches the tail.
-    pub(crate) fn sample_with_severity<R: Rng + ?Sized>(
-        rng: &mut R,
-        long_tail_fraction: f64,
-        severity: f64,
-    ) -> Self {
-        let scale =
-            |(lo, hi): (f64, f64)| (1.0 + (lo - 1.0) * severity, 1.0 + (hi - 1.0) * severity);
+    /// `long_tail_fraction`.
+    pub(crate) fn sample<R: Rng + ?Sized>(rng: &mut R, long_tail_fraction: f64) -> Self {
         if rng.gen_bool(long_tail_fraction.clamp(0.0, 1.0)) {
             LatencyFamily::LongTail {
                 body_sigma: dist::uniform(rng, 0.28, 0.42),
-                factor: scale((2.5, 6.0)),
+                factor: (2.5, 6.0),
             }
         } else {
             LatencyFamily::CloseTail {
                 body_sigma: dist::uniform(rng, 0.35, 0.50),
-                factor: scale((1.4, 1.9)),
+                factor: (1.4, 1.9),
             }
         }
     }
@@ -377,24 +365,10 @@ mod tests {
     }
 
     #[test]
-    fn severity_rescales_factor_ranges() {
-        let mut r = rng();
-        // severity 0 collapses every multiplier to exactly 1.0.
-        let flat = LatencyFamily::sample_with_severity(&mut r, 1.0, 0.0);
-        assert_eq!(flat.straggler_factor(&mut r), 1.0);
-        // severity 2 doubles the overshoot: LongTail (2.5, 6.0) → (4, 11).
-        let harsh = LatencyFamily::sample_with_severity(&mut r, 1.0, 2.0);
-        for _ in 0..50 {
-            let f = harsh.straggler_factor(&mut r);
-            assert!((4.0..11.0).contains(&f), "factor {f}");
-        }
-    }
-
-    #[test]
     fn family_sampling_respects_fraction() {
         let mut r = rng();
         let mut long_tailed = |fraction: f64| {
-            let family = LatencyFamily::sample_with_severity(&mut r, fraction, 1.0);
+            let family = LatencyFamily::sample(&mut r, fraction);
             matches!(family, LatencyFamily::LongTail { .. })
         };
         assert!((0..50).all(|_| long_tailed(1.0)));

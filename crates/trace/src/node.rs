@@ -12,11 +12,6 @@
 //! generator; when enabled, all node-model draws come from a separate
 //! seeded stream so the base job structure (task counts, causes, decoys,
 //! feature signatures) is *still* the same.
-//!
-//! Severity composition: per-node multipliers are rescaled by the suite's
-//! `straggler_severity` through the same monotone map the latency
-//! families use (`1 + (x − 1) · severity`), so rescaling never reorders
-//! nodes by sickness — property-tested in this module.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,8 +44,7 @@ pub struct NodeModelConfig {
     pub sick_nodes: u32,
     /// How many of them are degraded.
     pub degraded_nodes: u32,
-    /// Latency-multiplier range `(lo, hi)` for sick nodes (before
-    /// severity rescaling).
+    /// Latency-multiplier range `(lo, hi)` for sick nodes.
     pub sick_factor: (f64, f64),
     /// Latency-multiplier range `(lo, hi)` for degraded nodes.
     pub degraded_factor: (f64, f64),
@@ -106,8 +100,7 @@ impl NodeModelConfig {
 }
 
 /// The realized fleet: per-node health and latency multipliers, built
-/// deterministically from a [`NodeModelConfig`] and the suite's straggler
-/// severity.
+/// deterministically from a [`NodeModelConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeModel {
     health: Vec<NodeHealth>,
@@ -117,13 +110,9 @@ pub struct NodeModel {
 
 impl NodeModel {
     /// Realizes the fleet: a seeded permutation picks which node ids are
-    /// sick/degraded, raw multipliers are drawn per unhealthy node, and
-    /// `severity` rescales them via `1 + (x − 1) · severity` (the same
-    /// map `crate::LatencyFamily` uses, so severity means the same
-    /// thing on both axes). The raw draws are severity-independent, which
-    /// is what makes rescaling order-preserving.
+    /// sick/degraded and a multiplier is drawn per unhealthy node.
     #[must_use]
-    pub fn build(config: &NodeModelConfig, severity: f64) -> Self {
+    pub fn build(config: &NodeModelConfig) -> Self {
         let n = config.nodes as usize;
         let mut rng = StdRng::seed_from_u64(config.seed);
 
@@ -148,15 +137,12 @@ impl NodeModel {
 
         let factors = health
             .iter()
-            .map(|h| {
-                let raw = match h {
-                    NodeHealth::Healthy => 1.0,
-                    NodeHealth::Degraded => {
-                        rng.gen_range(config.degraded_factor.0..config.degraded_factor.1)
-                    }
-                    NodeHealth::Sick => rng.gen_range(config.sick_factor.0..config.sick_factor.1),
-                };
-                1.0 + (raw - 1.0) * severity
+            .map(|h| match h {
+                NodeHealth::Healthy => 1.0,
+                NodeHealth::Degraded => {
+                    rng.gen_range(config.degraded_factor.0..config.degraded_factor.1)
+                }
+                NodeHealth::Sick => rng.gen_range(config.sick_factor.0..config.sick_factor.1),
             })
             .collect();
         NodeModel {
@@ -219,8 +205,8 @@ mod tests {
 
     #[test]
     fn build_is_deterministic_and_counts_match() {
-        let a = NodeModel::build(&cfg(), 1.0);
-        let b = NodeModel::build(&cfg(), 1.0);
+        let a = NodeModel::build(&cfg());
+        let b = NodeModel::build(&cfg());
         assert_eq!(a, b);
         assert_eq!(a.sick_nodes().len(), 1);
         let degraded = (0..8)
@@ -238,69 +224,10 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic_per_job_and_in_range() {
-        let model = NodeModel::build(&cfg(), 1.0);
+        let model = NodeModel::build(&cfg());
         let p1 = model.placement(3, 100);
         assert_eq!(p1, model.placement(3, 100));
         assert_ne!(p1, model.placement(4, 100));
         assert!(p1.iter().all(|&n| n < 8));
-    }
-
-    #[test]
-    fn severity_rescaling_preserves_factor_ordering() {
-        let lo = NodeModel::build(&cfg(), 0.5);
-        let hi = NodeModel::build(&cfg(), 2.0);
-        let rank = |m: &NodeModel| {
-            let mut ids: Vec<u32> = (0..8).collect();
-            ids.sort_by(|&a, &b| m.factor(a).total_cmp(&m.factor(b)).then(a.cmp(&b)));
-            ids
-        };
-        assert_eq!(rank(&lo), rank(&hi));
-        assert_eq!(lo.sick_nodes(), hi.sick_nodes());
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            /// Severity rescaling on a node-correlated fleet never
-            /// reorders nodes by their straggler factor: the map
-            /// `1 + (x − 1)·s` is monotone in `x` for any `s > 0`, and
-            /// the raw draws are severity-independent. This is the
-            /// severity/node-model composition contract.
-            #[test]
-            fn prop_severity_preserves_per_node_factor_ordering(
-                seed in 0u64..10_000,
-                sev_a in 0.1f64..4.0,
-                sev_b in 0.1f64..4.0,
-            ) {
-                let cfg = NodeModelConfig {
-                    seed,
-                    ..NodeModelConfig::new(12).with_unhealthy(2, 4)
-                };
-                let a = NodeModel::build(&cfg, sev_a);
-                let b = NodeModel::build(&cfg, sev_b);
-                prop_assert_eq!(a.sick_nodes(), b.sick_nodes());
-                let rank = |m: &NodeModel| {
-                    let mut ids: Vec<u32> = (0..12).collect();
-                    ids.sort_by(|&x, &y| {
-                        m.factor(x).total_cmp(&m.factor(y)).then(x.cmp(&y))
-                    });
-                    ids
-                };
-                prop_assert_eq!(rank(&a), rank(&b));
-                // Unhealthy nodes stay strictly above healthy ones at any
-                // positive severity.
-                for n in 0..12 {
-                    if a.health[n as usize] == NodeHealth::Healthy {
-                        prop_assert_eq!(a.factor(n), 1.0);
-                    } else {
-                        prop_assert!(a.factor(n) > 1.0);
-                    }
-                }
-            }
-        }
     }
 }

@@ -71,7 +71,7 @@ fn node_config(shards: usize) -> NodeFleetConfig {
 fn main() {
     let cfg = suite();
     let jobs = nurd::trace::generate_suite(&cfg);
-    let model = NodeModel::build(&node_model(), cfg.straggler_severity);
+    let model = NodeModel::build(&node_model());
     println!(
         "node health smoke: {JOBS} jobs on {} nodes, planted sick {:?}",
         node_model().nodes,

@@ -17,8 +17,8 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-MAX_WORKSPACE_LINES=20657
-MAX_PRODUCT_LINES=8777
+MAX_WORKSPACE_LINES=20576
+MAX_PRODUCT_LINES=8735
 MAX_UNSAFE_SITES=4
 MAX_CONFIG_FIELDS=37
 

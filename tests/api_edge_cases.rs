@@ -233,10 +233,15 @@ fn restore_tasks() -> Vec<(Vec<f64>, f64)> {
 
 /// A checkpoint at which the first forty of `tasks` have finished.
 fn restore_checkpoint(tasks: &[(Vec<f64>, f64)]) -> Checkpoint<'_> {
+    checkpoint_after(tasks, 40)
+}
+
+/// A checkpoint at which the first `done` of `tasks` have finished.
+fn checkpoint_after(tasks: &[(Vec<f64>, f64)], done: usize) -> Checkpoint<'_> {
     Checkpoint {
         ordinal: 0,
         time: 10.0,
-        finished: tasks[..40]
+        finished: tasks[..done]
             .iter()
             .enumerate()
             .map(|(id, (features, latency))| FinishedTask {
@@ -245,11 +250,11 @@ fn restore_checkpoint(tasks: &[(Vec<f64>, f64)]) -> Checkpoint<'_> {
                 latency: *latency,
             })
             .collect(),
-        running: tasks[40..]
+        running: tasks[done..]
             .iter()
             .enumerate()
             .map(|(i, (features, _))| RunningTask {
-                id: 40 + i,
+                id: done + i,
                 features,
             })
             .collect(),
@@ -319,6 +324,105 @@ fn hostile_predictor_blobs_are_refused_at_restore() {
             "absorbed = {absorbed} against forty seen tasks restored"
         );
     }
+
+    // Rows of a width that is not the job's. A predictor that has fit
+    // nothing writes five zero words after its 18-byte preamble: an empty
+    // matrix (rows, columns), no latencies, an empty tracker (flags,
+    // count). Both blobs below used to restore — no `g_t` to disagree with
+    // — and panic the next warm `predict`, whose append found rows of
+    // another width already there.
+    let mut fresh = NurdPredictor::new(NurdConfig::default().with_refit_policy(warm_policy()));
+    fresh.begin_stream(&ctx);
+    let unfit = fresh.snapshot_state().expect("NURD snapshots its state");
+    assert_eq!(unfit[18..58], [0; 40]);
+    let five_rows = |cols: usize| {
+        let mut enc = Encoder::new();
+        enc.put_usize(5);
+        enc.put_usize(cols);
+        (0..5 * cols).for_each(|cell| enc.put_f64(cell as f64));
+        vec![1.0; 5].encode(&mut enc);
+        vec![true; 5].encode(&mut enc);
+        enc.put_usize(5);
+        [&unfit[..18], enc.as_slice(), &unfit[58..]].concat()
+    };
+    // Five rows and no column: zero cells, so nothing to run short of.
+    let mut no_width = unfit.clone();
+    no_width[18] = 5;
+    let hostile = [
+        ("5 × 0 rows", no_width),
+        ("5 × 3 rows in a two-feature job", five_rows(3)),
+    ];
+    for (what, blob) in hostile {
+        if fresh.restore_state(&blob) {
+            let flagged = fresh.predict(&checkpoint);
+            panic!("{what}: restored, then flagged {} tasks", flagged.len());
+        }
+    }
+    // Five rows of the job's own width are a state like any other.
+    assert!(fresh.restore_state(&five_rows(2)));
+    assert!(fresh.predict(&checkpoint).len() <= 20);
+}
+
+fn warm_policy() -> RefitPolicy {
+    RefitPolicy::Warm(WarmRefitConfig::default())
+}
+
+/// **`restore_state` answers `false`, or hands back a predictor that is
+/// safe to serve**: under every single-bit flip and every truncation of a
+/// mid-job warm blob — rows, latencies, tracker, quantization codes,
+/// ensemble, score cache, counters, `g_t` — a restore that succeeds is
+/// followed by the job's next two checkpoints (drift check, warm boost or
+/// cold fallback, propensity refit, scoring) without a panic. Small on
+/// purpose (24 two-feature tasks, three-round fits): it is a loop over
+/// every bit.
+#[test]
+fn prop_bit_flipped_predictor_blobs_are_refused_or_serve_on() {
+    let tasks: Vec<(Vec<f64>, f64)> = restore_tasks().into_iter().take(24).collect();
+    let mut config = NurdConfig::default().with_refit_policy(RefitPolicy::Warm(WarmRefitConfig {
+        warm_rounds: 2,
+        ..WarmRefitConfig::default()
+    }));
+    config.gbt.n_rounds = 3;
+    config.gbt.tree.max_depth = 2;
+    let ctx = StreamContext {
+        threshold: 25.0,
+        task_count: 24,
+        feature_dim: 2,
+    };
+    let mut live = NurdPredictor::new(config.clone());
+    live.begin_stream(&ctx);
+    live.predict(&checkpoint_after(&tasks, 12));
+    live.predict(&checkpoint_after(&tasks, 16));
+    assert_eq!(
+        (live.refit_stats().cold_fits, live.refit_stats().warm_fits),
+        (1, 1)
+    );
+    let blob = live.snapshot_state().expect("NURD snapshots its state");
+    let next = [checkpoint_after(&tasks, 19), checkpoint_after(&tasks, 22)];
+    let serve_on = |bytes: &[u8]| {
+        let mut predictor = NurdPredictor::new(config.clone());
+        predictor.begin_stream(&ctx);
+        let restored = predictor.restore_state(bytes);
+        restored.then(|| next.each_ref().map(|c| predictor.predict(c)))
+    };
+    let uninterrupted = next.each_ref().map(|c| live.predict(c));
+    assert_eq!(serve_on(&blob), Some(uninterrupted));
+
+    for cut in 0..blob.len() {
+        assert_eq!(serve_on(&blob[..cut]), None, "truncated to {cut} bytes");
+    }
+    let (mut accepted, mut refused) = (0, 0);
+    for bit in 0..blob.len() * 8 {
+        let mut mutated = blob.clone();
+        mutated[bit / 8] ^= 1 << (bit % 8);
+        match serve_on(&mutated) {
+            Some(_) => accepted += 1,
+            None => refused += 1,
+        }
+    }
+    // A flipped length or tag is refused; a flipped mantissa bit, code or
+    // counter is a different state, equally safe to serve.
+    assert!(accepted > 100 && refused > 100, "{accepted} / {refused}");
 }
 
 /// A `LogisticRegression` record: weights, intercept, feature means,
@@ -396,7 +500,7 @@ fn predictor_blobs_with_a_mismatched_propensity_model_are_refused_at_restore() {
     // model the blob carried and the second seeds a refit with it.
     let config = NurdConfig {
         refit_every: 2,
-        ..NurdConfig::default().with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default()))
+        ..NurdConfig::default().with_refit_policy(warm_policy())
     };
     let mut live = NurdPredictor::new(config.clone());
     live.begin_stream(&RESTORE_CTX);

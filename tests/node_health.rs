@@ -134,7 +134,7 @@ fn aggregator_convicts_the_planted_sick_node_and_the_verdict_pays() {
     );
 
     // The aggregator's quarantine list is exactly the planted sick node.
-    let model = NodeModel::build(&node_model(), suite.straggler_severity);
+    let model = NodeModel::build(&node_model());
     let quarantined: Vec<u32> = run
         .verdicts
         .iter()
@@ -175,7 +175,7 @@ fn quarantine_actions_flow_end_to_end() {
     // the clock: the full MitigationAction::Quarantine path.
     let suite = node_suite();
     let jobs = nurd::trace::generate_suite(&suite);
-    let model = NodeModel::build(&node_model(), suite.straggler_severity);
+    let model = NodeModel::build(&node_model());
     let sick = model.sick_nodes();
 
     let run = run_node_fleet(
