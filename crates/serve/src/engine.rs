@@ -671,6 +671,11 @@ impl EngineCore {
                 .map(|c| f(&c.stats).load(Ordering::Relaxed))
                 .sum()
         };
+        let durable = |f: fn(&PersistHandle) -> &AtomicUsize| -> usize {
+            self.persist
+                .as_ref()
+                .map_or(0, |p| f(p).load(Ordering::Relaxed))
+        };
         EngineStats {
             shards: self.cells.len(),
             jobs_per_shard: self
@@ -691,22 +696,10 @@ impl EngineCore {
             blocked_pushes: load(|s| &s.blocked_pushes),
             balance_boosts: load(|s| &s.balance_boosts),
             poisoned_jobs: load(|s| &s.poisoned_jobs),
-            wal_appended: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.wal_appended.load(Ordering::Relaxed)),
-            wal_replayed: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.wal_replayed.load(Ordering::Relaxed)),
-            snapshots_written: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.snapshots_written.load(Ordering::Relaxed)),
-            recovery_fallbacks: self
-                .persist
-                .as_ref()
-                .map_or(0, |p| p.recovery_fallbacks.load(Ordering::Relaxed)),
+            wal_appended: durable(|p| &p.wal_appended),
+            wal_replayed: durable(|p| &p.wal_replayed),
+            snapshots_written: durable(|p| &p.snapshots_written),
+            recovery_fallbacks: durable(|p| &p.recovery_fallbacks),
             clones_issued: load(|s| &s.clones_issued),
             quarantines_issued: load(|s| &s.quarantines_issued),
             mitigation_suppressed: load(|s| &s.mitigation_suppressed),

@@ -24,7 +24,6 @@ use crate::persist::{FaultInjector, FsyncPolicy, RecoverError, WalWrite};
 /// it logs for and therefore only ever touched under that shard's lock.
 pub(crate) struct WalWriter {
     out: BufWriter<File>,
-    path: PathBuf,
     policy: FsyncPolicy,
     fault: Option<Arc<FaultInjector>>,
     /// Set once the fault injector "crashed" this writer: every later
@@ -56,25 +55,15 @@ impl<W: Write> Write for CutShort<'_, W> {
     }
 }
 
-impl std::fmt::Debug for WalWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalWriter")
-            .field("path", &self.path)
-            .field("policy", &self.policy)
-            .finish()
-    }
-}
-
 impl WalWriter {
     pub(crate) fn create(
         path: PathBuf,
         policy: FsyncPolicy,
         fault: Option<Arc<FaultInjector>>,
     ) -> std::io::Result<Self> {
-        let file = File::create(&path)?;
+        let file = File::create(path)?;
         Ok(WalWriter {
             out: BufWriter::new(file),
-            path,
             policy,
             fault,
             dead: false,
@@ -134,9 +123,7 @@ impl WalWriter {
     /// shard lock so no append can slip between the old and new files.
     pub(crate) fn rotate(&mut self, path: PathBuf) -> std::io::Result<()> {
         self.flush_and_sync()?;
-        let file = File::create(&path)?;
-        self.out = BufWriter::new(file);
-        self.path = path;
+        self.out = BufWriter::new(File::create(path)?);
         self.dirty = false;
         Ok(())
     }

@@ -16,7 +16,7 @@ stamp="\"commit\": \"$commit\", \"nproc\": $(nproc), \"rustc\": \"$(rustc --vers
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 # The criterion shim writes one array per bench binary (overwriting).
-benches=(ml_primitives warm_vs_cold engine_overhead mitigation_sweep node_health_sweep)
+benches=(ml_primitives warm_vs_cold engine_overhead mitigation_sweep node_health_sweep codec_frames)
 for bench in "${benches[@]}"; do
     CRITERION_JSON="$tmp/$bench.json" cargo bench --offline -p nurd-bench --bench "$bench"
 done
