@@ -12,10 +12,7 @@ pub(crate) struct PuEn {
 impl Default for PuEn {
     fn default() -> Self {
         PuEn {
-            logistic: LogisticConfig {
-                balanced: true,
-                ..LogisticConfig::default()
-            },
+            logistic: LogisticConfig { balanced: true },
         }
     }
 }

@@ -76,10 +76,7 @@ fn bench_logistic_fit(c: &mut Criterion) {
     for &n in &[100usize, 300] {
         let (x, _) = training_set(n, 15);
         let labels: Vec<f64> = (0..n).map(|i| f64::from(u8::from(i % 3 == 0))).collect();
-        let config = LogisticConfig {
-            balanced: true,
-            ..LogisticConfig::default()
-        };
+        let config = LogisticConfig { balanced: true };
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| LogisticRegression::fit(&x, &labels, &config).unwrap());
         });
@@ -97,12 +94,25 @@ fn bench_logistic_fit(c: &mut Criterion) {
             .enumerate()
             .map(|(i, row)| f64::from((row[0] + 0.15 * row[d - 1] > 0.6) != (i % 37 == 0)))
             .collect();
-        let config = LogisticConfig {
-            balanced: true,
-            ..LogisticConfig::default()
-        };
+        let config = LogisticConfig { balanced: true };
         let prefix = n * 95 / 100;
         let previous = LogisticRegression::fit(&x[..prefix], &labels[..prefix], &config).unwrap();
+        // The contract of IRLS's resolution stop, checked before timing:
+        // the loop ends once a full Newton step predicts an ascent under
+        // 4·ε·|f|, far below what a sum of n rounded terms resolves
+        // (n·ε·|f|), so a seeded fit must end within that of the cold
+        // fit's objective. One that stopped early would not.
+        let objective = |seed| {
+            let fit =
+                LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &labels, &config, seed)
+                    .unwrap();
+            fit.objective(MatrixView::Rows(&x), &labels, &config)
+        };
+        let (cold, warm) = (objective(None), objective(Some(&previous)));
+        assert!(
+            (warm - cold).abs() <= n as f64 * f64::EPSILON * cold.abs(),
+            "logistic_fit/{n}x{d}: the seeded fit ends at {warm}, the cold one at {cold}"
+        );
         for (start, seed) in [("cold", None), ("warm", Some(&previous))] {
             group.bench_function(BenchmarkId::new(start, format!("{n}x{d}")), |b| {
                 b.iter(|| {

@@ -120,10 +120,7 @@ impl Default for NurdConfig {
             // imbalanced right after warmup (4% vs 96%); without balancing,
             // every propensity collapses toward the base rate and the
             // weighting function floods the job with false positives.
-            logistic: LogisticConfig {
-                balanced: true,
-                ..LogisticConfig::default()
-            },
+            logistic: LogisticConfig { balanced: true },
             refit_every: 1,
             refit_policy: RefitPolicy::AlwaysCold,
             scoring_lanes: nurd_ml::DEFAULT_LANES,

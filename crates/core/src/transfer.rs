@@ -187,10 +187,11 @@ impl OnlinePredictor for TransferNurdPredictor {
         let x_all: Vec<&[f64]> = x_fin.iter().chain(x_run.iter()).copied().collect();
         let mut labels = vec![1.0; x_fin.len()];
         labels.extend(std::iter::repeat_n(0.0, x_run.len()));
-        let Ok(propensity) = LogisticRegression::fit_view(
+        let Ok(propensity) = LogisticRegression::fit_view_warm(
             MatrixView::RowSlices(&x_all),
             &labels,
             &self.config.logistic,
+            None,
         ) else {
             return Vec::new();
         };

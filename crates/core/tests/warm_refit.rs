@@ -51,8 +51,13 @@ fn legacy_reference(
     let x_all: Vec<&[f64]> = x_fin.iter().chain(x_run.iter()).copied().collect();
     let mut labels = vec![1.0; x_fin.len()];
     labels.extend(std::iter::repeat_n(0.0, x_run.len()));
-    let g = LogisticRegression::fit_view(MatrixView::RowSlices(&x_all), &labels, &config.logistic)
-        .ok()?;
+    let g = LogisticRegression::fit_view_warm(
+        MatrixView::RowSlices(&x_all),
+        &labels,
+        &config.logistic,
+        None,
+    )
+    .ok()?;
     Some(
         x_run
             .iter()

@@ -305,7 +305,8 @@ impl nurd_codec::Checkpointable for TaskEvent {
             },
             6 => {
                 let job = dec.take_u64()?;
-                let len = dec.take_usize()?;
+                // Four bytes a node: a count the payload cannot hold errs.
+                let len = dec.take_len(4)?;
                 let mut nodes = Vec::with_capacity(len);
                 for _ in 0..len {
                     nodes.push(dec.take_u32()?);
@@ -532,6 +533,23 @@ mod tests {
         // A trace without placement emits no Placed event at all.
         let (_, bare) = job_events(&job(), 0.9);
         assert!(bare.iter().all(|e| !matches!(e, TaskEvent::Placed { .. })));
+    }
+
+    #[test]
+    fn placed_decode_refuses_a_node_count_its_payload_cannot_hold() {
+        use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
+        // Tag 6, job 9, then a count of 2⁴⁰ nodes and none of their bytes:
+        // seventeen bytes that used to ask the allocator for 4 TiB.
+        let mut enc = Encoder::new();
+        enc.put_u8(6);
+        enc.put_u64(9);
+        enc.put_usize(1 << 40);
+        let bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), 17);
+        assert!(matches!(
+            TaskEvent::decode(&mut Decoder::new(&bytes)),
+            Err(CodecError::LengthOverrun { declared, remaining: 0 }) if declared == 1 << 40
+        ));
     }
 
     #[test]

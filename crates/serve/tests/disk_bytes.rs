@@ -8,10 +8,15 @@
 //! written by one build recovers under another exactly while this passes
 //! on both.
 //!
-//! Re-record only in a PR that bumps `SNAPSHOT_VERSION` or changes a
-//! `Checkpointable` impl on purpose (the failure message prints the new
-//! list); the constants here were recorded on commit `8088e0d`, the
-//! parent of the PR that replaced the CRC-32 kernel.
+//! Re-record only in a PR that bumps `SNAPSHOT_VERSION`, changes a
+//! `Checkpointable` impl on purpose, or changes the model on purpose (the
+//! failure message prints the new list). A model change moves the
+//! `snap-*` rows only — a snapshot carries every live predictor's fitted
+//! state, a WAL carries the events alone — and re-records them under the
+//! protocol in the header of `tests/golden_replay.rs`. The constants here
+//! were recorded on commit `8088e0d`, the parent of the PR that replaced
+//! the CRC-32 kernel; `snap-1.bin` was re-recorded on `f105cfc` for the
+//! IRLS resolution stop (same length; its hash was `0xD743_8AD9_01C3_10B6`).
 //!
 //! The second test plants what a crash between `File::create(tmp)` and
 //! `rename` strands — a `snap-<G>.bin.tmp` no scan lists — and holds the
@@ -31,7 +36,7 @@ use nurd_trace::{SuiteConfig, TraceStyle};
 /// `(file name, length, FNV-1a 64 of its bytes)` for every artifact of
 /// the fleet below, in name order.
 const GOLDEN_DISK_BYTES: [(&str, usize, u64); 5] = [
-    ("snap-1.bin", 33_952, 0xD743_8AD9_01C3_10B6),
+    ("snap-1.bin", 33_952, 0x0C81_FAAA_9036_CC2B),
     ("wal-0-0.log", 9_692, 0x83D0_620C_784E_93FF),
     ("wal-0-1.log", 23_963, 0x043F_C6C8_72B9_C5C7),
     ("wal-1-0.log", 21_568, 0x5A44_12AD_BA31_B3E3),

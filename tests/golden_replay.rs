@@ -44,6 +44,20 @@
 //!   live one; and, untouched, `crates/core/tests/predictor_snapshot.rs`,
 //!   `crates/serve/tests/recovery.rs` and the restore leg of
 //!   `tests/hot_path_equivalence.rs`.
+//! * **IRLS resolution stop** (parent `f105cfc`): `GOLDEN_WARM_SCORE_BITS`,
+//!   `GOLDEN_BLOB_BYTES_ALWAYS_COLD` and `GOLDEN_BLOB_BYTES_WARM` moved —
+//!   `g_t`'s Newton loop returns before line-searching a step whose
+//!   predicted ascent is under `4·ε·|f|`, so its coefficients are an
+//!   earlier iterate of the same run (≤ 2.9e-7 apart in standardized
+//!   space) and every propensity, weight and `g_t` blob moves in its last
+//!   bits; blob lengths did not change (3,505,098 / 5,024,718 B).
+//!   Behaviour held by: the five verdict-bearing constants, unmodified;
+//!   `prop_irls_bit_identical_to_reference` and
+//!   `prop_resolution_stop_is_a_prefix_of_the_full_search` in
+//!   `crates/ml/src/logistic.rs`. Quality delta: none — `macro_f1` equal
+//!   on all four benchmark workloads and `table3_accuracy --jobs 30`
+//!   byte-identical to the parent's. The `snap-1.bin` row of
+//!   `crates/serve/tests/disk_bytes.rs` moved with them.
 //!
 //! The fleet covers both bin regimes of the histogram path: Google-style
 //! jobs (~100 tasks, node model on) keep every feature under 256 distinct
@@ -472,22 +486,25 @@ fn closed_loops_match_the_pre_service_harness_constant_at_all_shard_counts() {
 
 const GOLDEN_ALWAYS_COLD: u64 = 0x94CC_1CAB_23F9_3B12;
 const GOLDEN_WARM: u64 = 0xD92D_0B82_1813_E4EC;
-/// Recorded on commit `bd5a359` (PR 14), the parent of the IRLS point
-/// cache in `nurd-ml`'s `logistic.rs` (PR 15).
-const GOLDEN_WARM_SCORE_BITS: u64 = 0x4960_5BE2_F508_F0B4;
+/// Re-recorded for the IRLS resolution stop (see "Re-recording a constant"
+/// above; parent `f105cfc`). The value it replaces, `0x4960_5BE2_F508_F0B4`,
+/// was recorded on commit `bd5a359` (PR 14), the parent of the IRLS point
+/// cache in `nurd-ml`'s `logistic.rs` (PR 15), and held through PR 24.
+const GOLDEN_WARM_SCORE_BITS: u64 = 0xE417_CC0F_A179_15F6;
 /// Recorded on commit `c6fff91` (the parent of PR 16), while `GbtrPredictor`
 /// and `TransferNurdPredictor` still carried their own `AlwaysCold` arm
 /// (`fit_view` over the checkpoint's rows) beside `WarmRefitState`.
 const GOLDEN_GBTR_ALWAYS_COLD: u64 = 0x9E84_179D_0BC6_348E;
 const GOLDEN_TRANSFER_ALWAYS_COLD: u64 = 0xA5D9_2F3C_2D0A_6B80;
-/// Re-recorded for snapshot v5 (see "Re-recording a constant" above; parent
-/// `268d973`). The values they replace, `0xA67E_E27D_FD98_6EA2` and
-/// `0xE3C6_55B6_43DF_1384`, were recorded on commit `31b6fb8` (PR 16), while
-/// `GradientBoosting` still owned a `Vec<RegressionTree>` of pointer nodes,
-/// and held through the PR that made the flat forest the only
-/// representation.
-const GOLDEN_BLOB_BYTES_ALWAYS_COLD: u64 = 0x207F_A295_488F_9934;
-const GOLDEN_BLOB_BYTES_WARM: u64 = 0xC18F_998D_FC08_3BDD;
+/// Re-recorded for the IRLS resolution stop (parent `f105cfc`), replacing
+/// `0x207F_A295_488F_9934` and `0xC18F_998D_FC08_3BDD`, which were
+/// re-recorded for snapshot v5 (parent `268d973`). The values those
+/// replaced, `0xA67E_E27D_FD98_6EA2` and `0xE3C6_55B6_43DF_1384`, were
+/// recorded on commit `31b6fb8` (PR 16), while `GradientBoosting` still
+/// owned a `Vec<RegressionTree>` of pointer nodes, and held through the PR
+/// that made the flat forest the only representation.
+const GOLDEN_BLOB_BYTES_ALWAYS_COLD: u64 = 0x6D6C_B7A0_1D21_1F16;
+const GOLDEN_BLOB_BYTES_WARM: u64 = 0x4208_4EE0_604D_02D3;
 /// Recorded on commit `3e7e3b9` (PR 18), while `nurd_mitigate::run_fleet`
 /// still served through the caller-driven `Engine` shim (`push_all_sync` +
 /// `finish(&pool)`: no drain workers, no notifier) — the parent of the PR
