@@ -14,8 +14,8 @@
 //!   must place their drain points by hand, drive the core directly.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use std::sync::OnceLock;
 
@@ -26,7 +26,7 @@ use nurd_sim::ReplayOutcome;
 
 use crate::lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};
 use crate::observer::HealthObserver;
-use crate::persist::{snapshot_path, wal_path, PersistenceConfig, RecoverError};
+use crate::persist::{scan_dir, snapshot_path, wal_path, DirScan, PersistenceConfig, RecoverError};
 use crate::shard::{JobState, Shard, ShardStats};
 use crate::snapshot::{write_snapshot_file, SnapshotData};
 use crate::wal::WalWriter;
@@ -274,10 +274,12 @@ pub struct EngineStats {
     /// non-persistent engine).
     pub wal_appended: usize,
     /// Events replayed from WAL segments at the last recovery (zero on a
-    /// non-persistent engine or a fresh start).
+    /// non-persistent engine or a fresh start). Grows across restarts
+    /// until a checkpoint lands a newer snapshot.
     pub wal_replayed: usize,
-    /// Snapshots written since this process started (close, explicit
-    /// checkpoints, and the post-recovery snapshot all count).
+    /// Snapshots written since this process started: explicit
+    /// checkpoints and the shutdown snapshot. A recovery writes none, so
+    /// this is 0 straight after one.
     pub snapshots_written: usize,
     /// Invalid snapshot files skipped by the last recovery before a
     /// valid one was found. Nonzero means the newest snapshot was
@@ -309,14 +311,23 @@ struct ShardCell {
     stats: ShardStats,
 }
 
+/// Lock that shrugs off poisoning, for state a panicked holder cannot
+/// have left half-updated or that observers read anyway (see
+/// `EngineCore::lock_shard`).
+pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The persistence half of a durable engine: its configuration, the
 /// current snapshot/WAL generation, and the persistence counters
 /// surfaced through [`EngineStats`].
 pub(crate) struct PersistHandle {
     pub(crate) config: PersistenceConfig,
     /// Generation the live WAL segments write to; the next snapshot is
-    /// `generation + 1` and rotates the WALs there with it.
-    generation: AtomicU64,
+    /// `generation + 1` and rotates the WALs there with it. Also the
+    /// snapshot lock: a writer holds it from this read through its prune,
+    /// before any shard lock, so no two writers share a generation.
+    generation: Mutex<u64>,
     pub(crate) wal_appended: AtomicUsize,
     pub(crate) wal_replayed: AtomicUsize,
     pub(crate) snapshots_written: AtomicUsize,
@@ -412,16 +423,18 @@ impl EngineCore {
     }
 
     /// A core whose shards write-ahead-log every drained event into
-    /// `<dir>/wal-<generation>-<shard>.log` before applying it. The
-    /// caller picks `generation` past every artifact already on disk
-    /// (`File::create` truncates — a stale generation would eat history).
+    /// `<dir>/wal-<generation>-<shard>.log` before applying it, the
+    /// generation past every artifact already on disk (`File::create`
+    /// truncates — a stale generation would eat history). Also returns
+    /// the directory scan that generation was picked from.
     pub(crate) fn new_persistent(
         config: EngineConfig,
         factory: PredictorFactory,
         persistence: PersistenceConfig,
-        generation: u64,
-    ) -> std::io::Result<Self> {
+    ) -> std::io::Result<(Self, DirScan)> {
         std::fs::create_dir_all(&persistence.dir)?;
+        let scan = scan_dir(&persistence.dir)?;
+        let generation = scan.max_generation().map_or(0, |g| g + 1);
         let mut core = EngineCore::new(config, factory);
         for (idx, cell) in core.cells.iter().enumerate() {
             let writer = WalWriter::create(
@@ -436,13 +449,13 @@ impl EngineCore {
         }
         core.persist = Some(PersistHandle {
             config: persistence,
-            generation: AtomicU64::new(generation),
+            generation: Mutex::new(generation),
             wal_appended: AtomicUsize::new(0),
             wal_replayed: AtomicUsize::new(0),
             snapshots_written: AtomicUsize::new(0),
             recovery_fallbacks: AtomicUsize::new(0),
         });
-        Ok(core)
+        Ok((core, scan))
     }
 
     pub(crate) fn persist(&self) -> Option<&PersistHandle> {
@@ -627,10 +640,7 @@ impl EngineCore {
     /// half-mutated `JobState` could silently corrupt reports, and the
     /// resulting worker death is what makes the failure observable.
     fn lock_shard(&self, idx: usize) -> MutexGuard<'_, Shard> {
-        self.cells[idx]
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        relock(&self.cells[idx].state)
     }
 
     /// Waits on each shard's lock once, so any event batch popped before
@@ -758,13 +768,16 @@ impl EngineCore {
     /// so the snapshot holds exactly the events of generations ≤ G and
     /// the new segments hold exactly the events after it. Then prunes
     /// generations beyond the retention window (snapshot-then-truncate
-    /// compaction). Returns the new generation.
+    /// compaction). Returns the new generation. A failed attempt still
+    /// spends its generation: its WALs may already have rotated there.
     pub(crate) fn write_snapshot(&self) -> std::io::Result<u64> {
         let persist = self
             .persist
             .as_ref()
             .expect("write_snapshot on a non-persistent engine");
-        let new_gen = persist.generation.load(Ordering::Relaxed) + 1;
+        let mut generation = relock(&persist.generation);
+        *generation += 1;
+        let new_gen = *generation;
         let mut data = SnapshotData::default();
         for idx in 0..self.cells.len() {
             let cell = &self.cells[idx];
@@ -781,7 +794,6 @@ impl EngineCore {
             .get()
             .map_or_else(Vec::new, |o| o.snapshot_state());
         write_snapshot_file(&snapshot_path(&persist.config.dir, new_gen), &data)?;
-        persist.generation.store(new_gen, Ordering::Relaxed);
         persist.snapshots_written.fetch_add(1, Ordering::Relaxed);
         crate::persist::prune_dir(&persist.config.dir, persist.config.retain_generations)?;
         self.notifier.unpark();

@@ -8,7 +8,7 @@
 //! ```text
 //! <dir>/snap-<G>.bin      versioned snapshot, generation G
 //! <dir>/wal-<G>-<S>.log   WAL segment for shard S, generation G
-//! <dir>/snap-<G>.bin.tmp  snapshot G mid-write (never read; pruned if stranded)
+//! <dir>/snap-<G>.bin.tmp  snapshot G mid-write (never read; `recover` deletes it)
 //! ```
 //!
 //! A snapshot at generation `G` captures every event the engine applied
@@ -262,7 +262,7 @@ pub(crate) struct DirScan {
     /// WAL segments as `(generation, shard)`, generation-major ascending.
     pub(crate) wals: Vec<(u64, usize)>,
     /// Generations of `snap-<G>.bin.tmp`: snapshots cut off mid-write.
-    tmps: Vec<u64>,
+    pub(crate) tmps: Vec<u64>,
 }
 
 impl DirScan {
@@ -310,21 +310,21 @@ pub(crate) fn scan_dir(dir: &Path) -> std::io::Result<DirScan> {
     Ok(scan)
 }
 
+/// Fsyncs `dir` itself, making the names created, renamed or removed in
+/// it durable. Best-effort: some filesystems refuse directory handles.
+pub(crate) fn sync_dir(dir: &Path) {
+    if let Ok(handle) = std::fs::File::open(dir) {
+        let _ = handle.sync_all();
+    }
+}
+
 /// Deletes snapshots beyond the newest `retain` generations, plus every
 /// WAL segment older than the oldest snapshot kept. Nothing of those is
 /// pruned while fewer than two snapshots exist: the fallback target would
 /// then be the *empty* state, which needs every WAL generation to replay.
-/// A `.tmp` no newer than the newest snapshot goes first: its writer died
-/// before the rename, nothing reads it, and no later generation reuses
-/// its name.
 pub(crate) fn prune_dir(dir: &Path, retain: usize) -> std::io::Result<()> {
     let retain = retain.max(2);
     let scan = scan_dir(dir)?;
-    if let Some(&newest) = scan.snapshots.last() {
-        for &generation in scan.tmps.iter().filter(|&&g| g <= newest) {
-            std::fs::remove_file(snapshot_path(dir, generation).with_extension("bin.tmp"))?;
-        }
-    }
     if scan.snapshots.len() < 2 {
         return Ok(());
     }

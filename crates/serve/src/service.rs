@@ -26,6 +26,7 @@
 //! order is channel FIFO order: worker count, like shard count, changes
 //! wall-clock only, never a report.
 
+use std::fs::OpenOptions;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -34,9 +35,9 @@ use std::time::Duration;
 
 use nurd_runtime::ThreadPool;
 
-use crate::engine::{EngineCore, EngineHandle, EngineReport};
+use crate::engine::{relock, EngineCore, EngineHandle, EngineReport};
 use crate::persist::{
-    scan_dir, snapshot_path, wal_path, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
+    snapshot_path, sync_dir, wal_path, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
 };
 use crate::snapshot::read_snapshot_data;
 use crate::wal::{read_wal_segment, WalTail};
@@ -336,13 +337,6 @@ impl std::fmt::Debug for EngineService {
     }
 }
 
-/// Lock that shrugs off poisoning: the guarded state here (an `Option`
-/// being taken / a cached report) has no invariant a panicked peer can
-/// have broken halfway.
-fn relock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl EngineService {
     /// Builds the engine and starts its background drain loop; events
     /// pushed through [`EngineService::handle`]s are applied without any
@@ -365,29 +359,22 @@ impl EngineService {
         persistence: PersistenceConfig,
         factory: PredictorFactory,
     ) -> std::io::Result<Self> {
-        std::fs::create_dir_all(&persistence.dir)?;
-        let generation = scan_dir(&persistence.dir)?
-            .max_generation()
-            .map_or(0, |g| g + 1);
-        let core = Arc::new(EngineCore::new_persistent(
-            config,
-            factory,
-            persistence,
-            generation,
-        )?);
-        Ok(Self::launch(core, &service))
+        let (core, _) = EngineCore::new_persistent(config, factory, persistence)?;
+        Ok(Self::launch(Arc::new(core), &service))
     }
 
     /// Rebuilds a running service from a persistence directory: loads the
     /// newest snapshot that validates end to end (falling back past
     /// corrupt ones — counted in [`RecoverReport::recovery_fallbacks`]),
     /// replays every WAL segment at or past that snapshot's generation in
-    /// ascending generation order, writes a fresh post-recovery snapshot,
-    /// and only then starts the drain loop. The recovered engine's
-    /// per-job state is bit-for-bit the state of an engine that applied
-    /// the same durable prefix without ever crashing — the
-    /// restart-equals-uninterrupted property `tests/recovery.rs` proves
-    /// under random fault injection.
+    /// ascending generation order, fsyncs those segments and the
+    /// directory, and only then starts the drain loop on a fresh WAL
+    /// generation. It writes no snapshot: the next
+    /// [`EngineService::checkpoint`] or `close` compacts. The recovered
+    /// engine's per-job state is bit-for-bit the state of an engine that
+    /// applied the same durable prefix without ever crashing — the
+    /// restart-equals-uninterrupted properties of `tests/recovery.rs`
+    /// prove it under random fault injection, across chained crashes.
     ///
     /// Producers resume each job's stream from
     /// [`RecoverReport::events_seen`]: the count is how many of the job's
@@ -455,10 +442,8 @@ impl EngineService {
         mitigator: Option<MitigatorFactory>,
         observer: Option<Arc<dyn HealthObserver>>,
     ) -> Result<(Self, RecoverReport), RecoverError> {
-        std::fs::create_dir_all(&persistence.dir)?;
-        let scan = scan_dir(&persistence.dir)?;
-        let new_gen = scan.max_generation().map_or(0, |g| g + 1);
-        let core = EngineCore::new_persistent(config, factory, persistence.clone(), new_gen)?;
+        let dir = persistence.dir.clone();
+        let (core, scan) = EngineCore::new_persistent(config, factory, persistence)?;
         if let Some(mitigator) = mitigator {
             // Before any decode or replay: recovered jobs must carry
             // policies from the first replayed barrier onward.
@@ -479,7 +464,7 @@ impl EngineService {
         let mut fallbacks = 0usize;
         let mut loaded = None;
         for &generation in scan.snapshots.iter().rev() {
-            match read_snapshot_data(&snapshot_path(&persistence.dir, generation))
+            match read_snapshot_data(&snapshot_path(&dir, generation))
                 .and_then(|data| core.install_snapshot(data))
             {
                 Ok(counts) => {
@@ -504,21 +489,30 @@ impl EngineService {
             if generation < min_generation {
                 continue;
             }
-            let (events, tail) = read_wal_segment(&wal_path(&persistence.dir, generation, shard))?;
+            let path = wal_path(&dir, generation, shard);
+            let (events, tail) = read_wal_segment(&path)?;
             if tail != WalTail::Clean {
                 wal_truncated_tails += 1;
             }
             wal_events_replayed += core.replay_recovered(events);
+            // Under `OnIdle`/`Never` this may live in the page cache only,
+            // and the new generation's events follow it: it reaches the
+            // disk before they can. (Opened for writing: fsync through a
+            // read-only handle is not portable.)
+            OpenOptions::new().write(true).open(&path)?.sync_data()?;
         }
         if let Some(persist) = core.persist() {
             persist
                 .recovery_fallbacks
                 .store(fallbacks, Ordering::Relaxed);
         }
-
-        // Seal the recovery with a fresh snapshot (also rotates the WALs
-        // and prunes pre-retention generations), then start serving.
-        core.write_snapshot()?;
+        // No snapshot writer is alive, so every `.tmp` is stranded. One
+        // directory fsync covers these removals and the new `wal-*` names;
+        // compaction waits for the next checkpoint or close.
+        for &generation in &scan.tmps {
+            std::fs::remove_file(snapshot_path(&dir, generation).with_extension("bin.tmp"))?;
+        }
+        sync_dir(&dir);
         let events_seen = core.events_seen();
         let report = RecoverReport {
             snapshot_generation,

@@ -774,7 +774,7 @@ impl Shard {
         }
     }
 
-    /// Installs a recovered live job (routing already done by the caller).
+    /// Installs a live job, admitted or recovered (routing already done).
     pub(crate) fn adopt_job(&mut self, state: JobState, stats: &ShardStats) {
         if self.jobs.insert(state.job(), state).is_none() {
             stats.add(&stats.live_jobs, 1);
@@ -895,9 +895,7 @@ impl Shard {
                         }
                         let policy = mitigator.map(|m| m(&spec));
                         let state = JobState::new(spec, predictor, self.wal.is_some(), policy);
-                        if self.jobs.insert(state.job(), state).is_none() {
-                            stats.add(&stats.live_jobs, 1);
-                        }
+                        self.adopt_job(state, stats);
                     }
                 }
                 TaskEvent::JobEnd { job, .. } => {

@@ -31,7 +31,7 @@ use std::path::Path;
 use nurd_codec::{read_frame, write_frame, Checkpointable, Decoder, Encoder};
 
 use crate::engine::JobReport;
-use crate::persist::RecoverError;
+use crate::persist::{sync_dir, RecoverError};
 
 /// First 8 bytes of every snapshot file.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NURDSNAP";
@@ -146,11 +146,7 @@ pub(crate) fn write_snapshot_file(path: &Path, data: &SnapshotData) -> std::io::
     drop(out);
     std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
-        // Make the rename itself durable; best-effort (some filesystems
-        // refuse directory handles).
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(dir);
     }
     Ok(())
 }

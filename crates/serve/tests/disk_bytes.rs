@@ -19,8 +19,8 @@
 //! IRLS resolution stop (same length; its hash was `0xD743_8AD9_01C3_10B6`).
 //!
 //! The second test plants what a crash between `File::create(tmp)` and
-//! `rename` strands — a `snap-<G>.bin.tmp` no scan lists — and holds the
-//! next snapshot to removing it, whatever it contains.
+//! `rename` strands — a `snap-<G>.bin.tmp` no scan lists — and holds
+//! `recover` itself to removing it, whatever it contains.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -150,7 +150,8 @@ fn durable_artifacts_keep_their_bytes() {
 
 /// Recovers `dir`, resumes every job from the report's `events_seen`,
 /// takes one more snapshot and closes. Returns the recovery receipt (as
-/// its `Debug` text), the file names left behind and the final reports.
+/// its `Debug` text), the file names `recover` alone left behind and the
+/// final reports.
 fn recover_and_finish(dir: &Path, stream: &[TaskEvent]) -> (String, Vec<String>, Vec<JobReport>) {
     let (service, receipt) = EngineService::recover(
         PersistenceConfig::new(dir),
@@ -159,6 +160,7 @@ fn recover_and_finish(dir: &Path, stream: &[TaskEvent]) -> (String, Vec<String>,
         factory(),
     )
     .unwrap();
+    let names = file_names(dir);
     let mut position: BTreeMap<u64, u64> = BTreeMap::new();
     for event in stream {
         let slot = position.entry(event.job()).or_insert(0);
@@ -169,7 +171,6 @@ fn recover_and_finish(dir: &Path, stream: &[TaskEvent]) -> (String, Vec<String>,
     }
     service.quiesce();
     service.checkpoint().unwrap();
-    let names = file_names(dir);
     let mut reports = service.take_finalized();
     reports.extend(service.close().jobs);
     reports.sort_by_key(|r| r.job);
@@ -205,7 +206,7 @@ fn a_stale_snapshot_tmp_is_pruned_and_never_read() {
         let (receipt, names, reports) = recover_and_finish(&dir, &stream);
         assert!(
             names.iter().all(|name| !name.ends_with(".tmp")),
-            "case {case}: a stale tmp outlived recover + checkpoint: {names:?}"
+            "case {case}: a stale tmp outlived recover: {names:?}"
         );
         assert_eq!(reports.len(), 3, "case {case}");
         results.push((receipt, reports));

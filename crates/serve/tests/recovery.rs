@@ -7,15 +7,27 @@
 //! [`RecoverReport::events_seen`], and asserts every job's final
 //! [`nurd_sim::ReplayOutcome`] is **bit-for-bit** the never-crashed
 //! sequential `replay_job` result — at shard counts {1, 2, 8}, with zero
-//! accepted-event loss up to the last durable record.
+//! accepted-event loss up to the last durable record. Its chained twin
+//! crashes twice: `recover` writes no snapshot, so the second recovery
+//! must read the chain the first one left (a torn segment mid-chain, a
+//! checkpoint's prune between the crashes, a corrupted newest snapshot),
+//! under `FsyncPolicy::Always` and `OnIdle`.
 //!
-//! Around it: history-mode recovery (predictors without
-//! `snapshot_state`), typed corrupt-artifact rejection with fallback to
-//! the previous valid snapshot, idempotent double-close, the `Drop`
-//! guard's WAL flush, and a snapshot size that follows live jobs only.
+//! Not covered here: the fsync `recover` gives each segment it replayed.
+//! It guards against losing a crashed engine's unsynced WAL tail from the
+//! page cache after serving resumed, and the `FaultInjector` models no
+//! page-cache loss, so no test fails without it. It rests on the argument
+//! in `docs/OPERATIONS.md` ("What recovery does") until the fault model
+//! gains that crash (ROADMAP item 9).
+//!
+//! Around them: concurrent `checkpoint()` calls, history-mode recovery
+//! (predictors without `snapshot_state`), typed corrupt-artifact
+//! rejection with fallback to the previous valid snapshot, idempotent
+//! double-close, the `Drop` guard's WAL flush, and a snapshot size that
+//! follows live jobs only.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -60,6 +72,24 @@ fn nurd_factory(policy: RefitPolicy) -> PredictorFactory {
             NurdConfig::default().with_refit_policy(policy.clone()),
         ))
     })
+}
+
+/// Each job's never-crashed sequential `replay_job` outcome under `policy`.
+fn sequential_outcomes(
+    jobs: &[nurd_data::JobTrace],
+    policy: &RefitPolicy,
+) -> Vec<(u64, ReplayOutcome)> {
+    let replay_cfg = ReplayConfig {
+        quantile: QUANTILE,
+        warmup_fraction: WARMUP,
+    };
+    jobs.iter()
+        .map(|job| {
+            let mut reference =
+                NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
+            (job.job_id(), replay_job(job, &mut reference, &replay_cfg))
+        })
+        .collect()
 }
 
 /// Flags every running task at its first scored checkpoint, and has **no
@@ -125,6 +155,52 @@ fn run_producers(
     producers.into_iter().map(|p| p.join().unwrap()).sum()
 }
 
+/// Every producer stream cut to its first `num / den`.
+fn stream_prefixes(streams: &[Vec<TaskEvent>], num: usize, den: usize) -> Vec<Vec<TaskEvent>> {
+    streams
+        .iter()
+        .map(|s| s[..s.len() * num / den].to_vec())
+        .collect()
+}
+
+/// Per-job event counts of an engine that holds `held` and then every
+/// event of `pushed` (a job's events all ride one producer stream).
+fn held_after(pushed: &[Vec<TaskEvent>], held: &BTreeMap<u64, u64>) -> BTreeMap<u64, u64> {
+    let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
+    for event in pushed.iter().flatten() {
+        *counts.entry(event.job()).or_insert(0) += 1;
+    }
+    for (&job, &count) in held {
+        let slot = counts.entry(job).or_insert(0);
+        *slot = (*slot).max(count);
+    }
+    counts
+}
+
+/// Bit-flips the newest `snap-*.bin` in `dir`, if there is one: recovery
+/// must fall back past it, never half-load it.
+fn corrupt_newest_snapshot(dir: &Path) {
+    let newest = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().ok()?;
+            let generation: u64 = name
+                .strip_prefix("snap-")?
+                .strip_suffix(".bin")?
+                .parse()
+                .ok()?;
+            Some((generation, name))
+        })
+        .max();
+    if let Some((_, name)) = newest {
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+}
+
 /// Drains a service to its final per-job reports (mid-stream
 /// `take_finalized` plus the `close()` remainder), id-sorted.
 fn collect_reports(service: &EngineService) -> Vec<nurd_serve::JobReport> {
@@ -184,15 +260,7 @@ proptest! {
             (torn_flag == 1, mid_flag == 1, corrupt_flag == 1);
         let jobs = suite(seed, 3);
         let policy = RefitPolicy::Warm(WarmRefitConfig::default());
-        let replay_cfg = ReplayConfig { quantile: QUANTILE, warmup_fraction: WARMUP };
-        let expected: Vec<(u64, ReplayOutcome)> = jobs
-            .iter()
-            .map(|job| {
-                let mut reference =
-                    NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
-                (job.job_id(), replay_job(job, &mut reference, &replay_cfg))
-            })
-            .collect();
+        let expected = sequential_outcomes(&jobs, &policy);
 
         for shards in [1usize, 2, 8] {
             let dir = scratch_dir("prop");
@@ -216,65 +284,22 @@ proptest! {
             )
             .unwrap();
             let streams = nurd_trace::producer_streams(&jobs, 3, QUANTILE, interleave_seed);
+            let mut held = BTreeMap::new();
             if mid_checkpoint {
                 // First halves, settle, snapshot; second halves ride the
                 // WAL tail past the snapshot generation.
-                let firsts: Vec<Vec<TaskEvent>> = streams
-                    .iter()
-                    .map(|s| s[..s.len() / 2].to_vec())
-                    .collect();
-                run_producers(&doomed, firsts, &BTreeMap::new());
+                let firsts = stream_prefixes(&streams, 1, 2);
+                run_producers(&doomed, firsts.clone(), &held);
+                held = held_after(&firsts, &held);
                 doomed.quiesce();
                 doomed.checkpoint().unwrap();
-                let seconds: Vec<Vec<TaskEvent>> = streams
-                    .iter()
-                    .map(|s| {
-                        let mut skip: BTreeMap<u64, u64> = BTreeMap::new();
-                        for e in &s[..s.len() / 2] {
-                            *skip.entry(e.job()).or_insert(0) += 1;
-                        }
-                        let mut position: BTreeMap<u64, u64> = BTreeMap::new();
-                        s.iter()
-                            .filter(|e| {
-                                let slot = position.entry(e.job()).or_insert(0);
-                                let index = *slot;
-                                *slot += 1;
-                                index >= skip.get(&e.job()).copied().unwrap_or(0)
-                            })
-                            .cloned()
-                            .collect()
-                    })
-                    .collect();
-                run_producers(&doomed, seconds, &BTreeMap::new());
-            } else {
-                run_producers(&doomed, streams.clone(), &BTreeMap::new());
             }
+            run_producers(&doomed, streams.clone(), &held);
             doomed.quiesce();
             drop(doomed); // the crash: no close(), no shutdown snapshot
 
             if corrupt_latest {
-                // Bit-flip the newest snapshot (when one exists):
-                // recovery must fall back, never half-load.
-                let mut snaps: Vec<_> = std::fs::read_dir(&dir)
-                    .unwrap()
-                    .filter_map(|e| {
-                        let name = e.unwrap().file_name().into_string().ok()?;
-                        let generation: u64 = name
-                            .strip_prefix("snap-")?
-                            .strip_suffix(".bin")?
-                            .parse()
-                            .ok()?;
-                        Some((generation, name))
-                    })
-                    .collect();
-                snaps.sort();
-                if let Some((_, name)) = snaps.last() {
-                    let path = dir.join(name);
-                    let mut bytes = std::fs::read(&path).unwrap();
-                    let mid = bytes.len() / 2;
-                    bytes[mid] ^= 0x01;
-                    std::fs::write(&path, &bytes).unwrap();
-                }
+                corrupt_newest_snapshot(&dir);
             }
 
             // ----- recovery -----
@@ -318,6 +343,266 @@ proptest! {
     }
 }
 
+/// One directory shape of the chained-crash property: how both crashes
+/// end and what happens between them.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    shards: usize,
+    /// Where the first run's WAL dies, as a share of the events past its
+    /// checkpoint.
+    first_crash: f64,
+    /// WAL records the recovered engine may write before it dies.
+    second_budget: u64,
+    /// Both crashes tear the first record past their budget.
+    torn: bool,
+    /// The recovered engine checkpoints between the crashes (and prunes).
+    checkpoint_between: bool,
+    /// The newest snapshot is bit-flipped before the second recovery.
+    corrupt: bool,
+    /// How both crashed engines sync their WALs.
+    fsync: FsyncPolicy,
+}
+
+/// Crash, recover, resume, crash again, recover again, finish: the
+/// second recovery reads the directory the first one left, which holds
+/// no snapshot of its own. Generations are fixed by the shape: the first
+/// run logs to 0, checkpoints to 1 and dies there; the recovered engine
+/// logs to 2 and, with `checkpoint_between`, checkpoints to 3, whose
+/// prune deletes generation 0.
+fn crash_twice_and_finish(
+    chain: Chain,
+    streams: &[Vec<TaskEvent>],
+    expected: &[(u64, ReplayOutcome)],
+    policy: &RefitPolicy,
+) {
+    let context = format!("{chain:?}");
+    let dir = scratch_dir("chain");
+    let total: u64 = streams.iter().map(|s| s.len() as u64).sum();
+    // Under either policy "durable" ≥ "admitted by the injector": the
+    // injector loses no page cache, and the `Drop` guard flushes what
+    // `OnIdle` still buffers.
+    let persistence = |budget: u64| {
+        let fault = FaultInjector::crash_after_wal_records(budget);
+        let mut persistence = PersistenceConfig::new(&dir);
+        persistence.fsync = chain.fsync;
+        persistence.fault = Some(if chain.torn {
+            fault.with_torn_tail()
+        } else {
+            fault
+        });
+        persistence
+    };
+
+    // The first run: half of every stream, a checkpoint, the rest, and
+    // the WAL dies past the checkpoint. (Dying earlier would let the
+    // injector's engine snapshot events no WAL holds, a state no real
+    // crash leaves; the single-crash property covers early budgets.)
+    let firsts = stream_prefixes(streams, 1, 2);
+    let first_len: u64 = firsts.iter().map(|s| s.len() as u64).sum();
+    let first_budget = first_len + ((total - first_len) as f64 * chain.first_crash) as u64;
+    let doomed = EngineService::start_persistent(
+        engine_config(chain.shards),
+        service_config(),
+        persistence(first_budget),
+        nurd_factory(policy.clone()),
+    )
+    .unwrap();
+    run_producers(&doomed, firsts.clone(), &BTreeMap::new());
+    doomed.quiesce();
+    assert_eq!(doomed.checkpoint().unwrap(), 1);
+    run_producers(
+        &doomed,
+        streams.to_vec(),
+        &held_after(&firsts, &BTreeMap::new()),
+    );
+    doomed.quiesce();
+    drop(doomed);
+
+    // The first recovery serves on a WAL that dies after
+    // `second_budget` records: up to 7/8 of every stream, checkpointing
+    // at 3/4 when asked.
+    let (revived, first) = EngineService::recover(
+        persistence(chain.second_budget),
+        engine_config(chain.shards),
+        service_config(),
+        nurd_factory(policy.clone()),
+    )
+    .unwrap();
+    let first_durable: u64 = first.events_seen.values().sum();
+    assert!(
+        first_durable >= first_budget.min(total),
+        "{context}: {first_durable} durable < {first_budget} admitted"
+    );
+    assert_eq!(revived.stats().snapshots_written, 0, "{context}");
+    let mut held = first.events_seen.clone();
+    let mut pushed = 0;
+    if chain.checkpoint_between {
+        let part = stream_prefixes(streams, 3, 4);
+        pushed += run_producers(&revived, part.clone(), &held);
+        held = held_after(&part, &held);
+        revived.quiesce();
+        assert_eq!(revived.checkpoint().unwrap(), 3);
+    }
+    pushed += run_producers(&revived, stream_prefixes(streams, 7, 8), &held);
+    revived.quiesce();
+    drop(revived);
+
+    if chain.corrupt {
+        corrupt_newest_snapshot(&dir);
+    }
+    let (last, second) = EngineService::recover(
+        PersistenceConfig::new(&dir),
+        engine_config(chain.shards),
+        service_config(),
+        nurd_factory(policy.clone()),
+    )
+    .unwrap();
+    let loaded = match (chain.checkpoint_between, chain.corrupt) {
+        (true, false) => Some(3),
+        (false, true) => None,
+        _ => Some(1),
+    };
+    assert_eq!(second.snapshot_generation, loaded, "{context}");
+    assert_eq!(
+        second.recovery_fallbacks,
+        usize::from(chain.corrupt),
+        "{context}"
+    );
+    if chain.torn && loaded <= Some(1) {
+        // The first crash's torn segment now sits mid-chain, with the
+        // recovered engine's generation replayed after it.
+        assert!(second.wal_truncated_tails >= 1, "{context}");
+    }
+    let second_durable: u64 = second.events_seen.values().sum();
+    let admitted = chain.second_budget.min(pushed as u64);
+    assert!(
+        second_durable >= first_durable + admitted,
+        "{context}: {second_durable} durable < {first_durable} + {admitted} admitted"
+    );
+    assert!(second_durable <= total, "{context}");
+    run_producers(&last, streams.to_vec(), &second.events_seen);
+    last.quiesce();
+    let reports = collect_reports(&last);
+    assert_outcomes_match(&reports, expected, &context);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+proptest! {
+    // One case is 48 crash-twice runs; two would put the suite past ~10 s
+    // in debug.
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// **Restart equals uninterrupted across two crashes.** A recovery
+    /// writes no snapshot, so what it leaves for the next one is the
+    /// chain it recovered from plus a fresh WAL generation. Every case
+    /// runs all sixteen shapes at shards {1, 2, 8}: a torn or clean first
+    /// crash (torn, its segment ends up mid-chain), a checkpoint between
+    /// the crashes or none, a bit-flipped newest snapshot at the second
+    /// recovery or none, and WALs synced `Always` or `OnIdle`. Checkpoint
+    /// plus corruption is the shape that once lost data: the prune behind
+    /// the checkpoint must leave every WAL generation the fallback replays.
+    #[test]
+    fn prop_chained_crashes_equal_uninterrupted(
+        seed in 0u64..200,
+        interleave_seed in 0u64..1000,
+        first_crash in 0.0..1.0f64,
+        second_budget in 0u64..400,
+    ) {
+        let jobs = suite(seed, 3);
+        let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+        let expected = sequential_outcomes(&jobs, &policy);
+        let streams = nurd_trace::producer_streams(&jobs, 3, QUANTILE, interleave_seed);
+        for shape in 0..16u8 {
+            for shards in [1usize, 2, 8] {
+                let chain = Chain {
+                    shards,
+                    first_crash,
+                    second_budget,
+                    torn: shape & 1 != 0,
+                    checkpoint_between: shape & 2 != 0,
+                    corrupt: shape & 4 != 0,
+                    fsync: if shape & 8 != 0 {
+                        FsyncPolicy::OnIdle
+                    } else {
+                        FsyncPolicy::Always
+                    },
+                };
+                crash_twice_and_finish(chain, &streams, &expected, &policy);
+            }
+        }
+    }
+}
+
+/// Two threads call `checkpoint()` 15 times each while a producer
+/// streams. Every call must get a generation of its own: two writers that
+/// shared one rotated every WAL to the same path, so one `File::create`
+/// truncated the segment the other had just opened, and both wrote the
+/// same `.tmp`. No call may fail, and the directory they leave behind
+/// must recover to the uninterrupted outcome.
+#[test]
+fn concurrent_checkpoints_take_distinct_generations() {
+    let jobs = suite(17, 4);
+    let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+    let expected = sequential_outcomes(&jobs, &policy);
+    let dir = scratch_dir("concurrent");
+    let mut persistence = PersistenceConfig::new(&dir);
+    persistence.fsync = FsyncPolicy::Always;
+    let service = EngineService::start_persistent(
+        engine_config(2),
+        service_config(),
+        persistence,
+        nurd_factory(policy.clone()),
+    )
+    .unwrap();
+    let streams = nurd_trace::producer_streams(&jobs, 1, QUANTILE, 4);
+    let cut = stream_prefixes(&streams, 3, 4);
+    // The producer and both writers start together.
+    let start = std::sync::Barrier::new(3);
+    let results: Vec<Result<u64, String>> = std::thread::scope(|scope| {
+        let producer = scope.spawn(|| {
+            start.wait();
+            run_producers(&service, cut.clone(), &BTreeMap::new())
+        });
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..15)
+                        .map(|_| service.checkpoint().map_err(|e| e.to_string()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        producer.join().unwrap();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    let errors: Vec<&String> = results.iter().filter_map(|r| r.as_ref().err()).collect();
+    assert!(errors.is_empty(), "checkpoints failed: {errors:?}");
+    let generations: std::collections::BTreeSet<u64> =
+        results.iter().map(|r| *r.as_ref().unwrap()).collect();
+    assert_eq!(generations.len(), 30, "generations shared: {generations:?}");
+    service.quiesce();
+    drop(service); // the crash
+
+    let (revived, recover) = EngineService::recover(
+        PersistenceConfig::new(&dir),
+        engine_config(2),
+        service_config(),
+        nurd_factory(policy),
+    )
+    .unwrap();
+    assert_eq!(recover.recovery_fallbacks, 0);
+    assert_eq!(recover.snapshot_generation, generations.last().copied());
+    run_producers(&revived, streams, &recover.events_seen);
+    revived.quiesce();
+    let reports = collect_reports(&revived);
+    assert_outcomes_match(&reports, &expected, "concurrent checkpoints");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A job between its `JobStart` and its first checkpoint holds tasks with
 /// no feature snapshot yet, 11 bytes each on the wire. `JobState::decode`
 /// used to demand 16 per task, so a snapshot holding such a job failed
@@ -328,18 +613,7 @@ proptest! {
 fn snapshot_holding_a_just_admitted_job_recovers_every_job() {
     let jobs = suite(21, 2);
     let policy = RefitPolicy::Warm(WarmRefitConfig::default());
-    let replay_cfg = ReplayConfig {
-        quantile: QUANTILE,
-        warmup_fraction: WARMUP,
-    };
-    let expected: Vec<(u64, ReplayOutcome)> = jobs
-        .iter()
-        .map(|job| {
-            let mut reference =
-                NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
-            (job.job_id(), replay_job(job, &mut reference, &replay_cfg))
-        })
-        .collect();
+    let expected = sequential_outcomes(&jobs, &policy);
     let streams: Vec<Vec<TaskEvent>> = jobs
         .iter()
         .map(|job| nurd_data::job_stream(job, QUANTILE))

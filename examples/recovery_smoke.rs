@@ -3,9 +3,12 @@
 //! is killed mid-run by a fault injector (with a torn half-written tail
 //! record — what a real `kill -9` leaves), the service is dropped
 //! without `close()`, and a fresh service recovers from the directory.
-//! Producers resume each job's stream from the recovered per-job durable
-//! event counts, and every job's final outcome is asserted bit-for-bit
-//! equal to a never-crashed sequential replay.
+//! The recovered service resumes part of the fleet and crashes too; a
+//! third service recovers from what the first recovery left — no snapshot
+//! of its own, the torn segment now mid-chain — and finishes. Producers
+//! resume each job's stream from the recovered per-job durable event
+//! counts, and every job's final outcome is asserted bit-for-bit equal to
+//! a never-crashed sequential replay.
 //!
 //! CI runs this example as the gate on the persistence path: it exits
 //! nonzero on any panic, on any recovery error, or on any divergence
@@ -16,13 +19,13 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::path::Path;
 
 use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd::data::{JobSpec, TaskEvent};
 use nurd::serve::{
     EngineConfig, EngineService, FaultInjector, FsyncPolicy, OverloadPolicy, PersistenceConfig,
-    ServiceConfig,
+    RecoverReport, ServiceConfig,
 };
 use nurd::sim::{replay_job, ReplayConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
@@ -48,13 +51,24 @@ fn engine_config() -> EngineConfig {
     }
 }
 
+/// Always-fsync persistence under `dir` whose WAL dies after `budget`
+/// records.
+fn persistence(dir: &Path, budget: u64, torn: bool) -> PersistenceConfig {
+    let fault = FaultInjector::crash_after_wal_records(budget);
+    let mut persistence = PersistenceConfig::new(dir);
+    persistence.fsync = FsyncPolicy::Always;
+    persistence.fault = Some(if torn { fault.with_torn_tail() } else { fault });
+    persistence
+}
+
 /// Pushes each stream on its own thread, skipping the first
 /// `events_seen[job]` events of every job (the recovered durable prefix).
+/// Returns how many events were pushed.
 fn run_producers(
     service: &EngineService,
     streams: &[Vec<TaskEvent>],
     events_seen: &BTreeMap<u64, u64>,
-) {
+) -> u64 {
     let producers: Vec<_> = streams
         .iter()
         .map(|stream| {
@@ -63,6 +77,7 @@ fn run_producers(
             let seen = events_seen.clone();
             std::thread::spawn(move || {
                 let mut position: BTreeMap<u64, u64> = BTreeMap::new();
+                let mut pushed = 0;
                 for event in stream {
                     let slot = position.entry(event.job()).or_insert(0);
                     let index = *slot;
@@ -71,13 +86,50 @@ fn run_producers(
                         continue;
                     }
                     assert!(handle.push(event), "push rejected on a live service");
+                    pushed += 1;
                 }
+                pushed
             })
         })
         .collect();
-    for producer in producers {
-        producer.join().expect("producer panicked");
-    }
+    producers
+        .into_iter()
+        .map(|p| p.join().expect("producer panicked"))
+        .sum()
+}
+
+/// Recovers `persistence.dir`, prints the receipt, and checks it: at
+/// least `admitted` events durable, the first crash's torn record found.
+fn recover(persistence: PersistenceConfig, admitted: u64) -> (EngineService, RecoverReport) {
+    let (service, receipt) = EngineService::recover(
+        persistence,
+        engine_config(),
+        ServiceConfig::default(),
+        Box::new(|_spec: &JobSpec| Box::new(nurd_warm())),
+    )
+    .expect("recover");
+    let durable: u64 = receipt.events_seen.values().sum();
+    println!(
+        "recovered: snapshot generation {:?} · {} WAL events replayed · {} torn tails · \
+         {} jobs resumed mid-stream · {} finalized reports carried · {durable} durable events · \
+         {} snapshots written",
+        receipt.snapshot_generation,
+        receipt.wal_events_replayed,
+        receipt.wal_truncated_tails,
+        receipt.resumed_jobs,
+        receipt.finalized_jobs,
+        service.stats().snapshots_written,
+    );
+    assert!(
+        durable >= admitted,
+        "accepted-event loss up to the last fsync: {durable} < {admitted}"
+    );
+    assert!(
+        receipt.wal_truncated_tails >= 1,
+        "the torn tail record must be detected (and discarded)"
+    );
+    assert_eq!(service.stats().snapshots_written, 0, "recovery writes none");
+    (service, receipt)
 }
 
 fn main() {
@@ -96,21 +148,19 @@ fn main() {
     // Kill the WAL after ~40% of the fleet's events, tearing the record
     // in flight — the torn frame a crash mid-`write` leaves on disk.
     let crash_budget = (n_events as u64) * 2 / 5;
-    let fault = FaultInjector::crash_after_wal_records(crash_budget).with_torn_tail();
-    let mut persistence = PersistenceConfig::new(&dir);
-    persistence.fsync = FsyncPolicy::Always;
-    persistence.fault = Some(Arc::clone(&fault));
-
+    // The recovered service's WAL dies after another ~20%.
+    let second_budget = (n_events as u64) / 5;
     println!(
         "streaming {} jobs · {n_events} events · {PRODUCERS} producers → {SHARDS} shards; \
-         WAL dies after {crash_budget} records (torn tail), then the process \"crashes\"",
+         WAL dies after {crash_budget} records (torn tail), then the process \"crashes\"; \
+         the recovered one dies {second_budget} records later",
         jobs.len(),
     );
 
     let doomed = EngineService::start_persistent(
         engine_config(),
         ServiceConfig::default(),
-        persistence,
+        persistence(&dir, crash_budget, true),
         Box::new(|_spec: &JobSpec| Box::new(nurd_warm())),
     )
     .expect("start_persistent");
@@ -118,34 +168,23 @@ fn main() {
     doomed.quiesce();
     drop(doomed); // the crash: no close(), no shutdown snapshot
 
-    let (revived, recover) = EngineService::recover(
-        PersistenceConfig::new(&dir),
-        engine_config(),
-        ServiceConfig::default(),
-        Box::new(|_spec: &JobSpec| Box::new(nurd_warm())),
-    )
-    .expect("recover");
-    let durable: u64 = recover.events_seen.values().sum();
-    println!(
-        "recovered: snapshot generation {:?} · {} WAL events replayed · {} torn tails · \
-         {} jobs resumed mid-stream · {} finalized reports carried · {durable} durable events",
-        recover.snapshot_generation,
-        recover.wal_events_replayed,
-        recover.wal_truncated_tails,
-        recover.resumed_jobs,
-        recover.finalized_jobs,
-    );
-    assert!(
-        durable >= crash_budget.min(n_events as u64),
-        "accepted-event loss up to the last fsync: {durable} < {crash_budget}"
-    );
-    assert!(
-        recover.wal_truncated_tails >= 1,
-        "the torn tail record must be detected (and discarded)"
-    );
+    // Resume three quarters of every stream, then crash again.
+    let (revived, first) = recover(persistence(&dir, second_budget, false), crash_budget);
+    let part: Vec<Vec<TaskEvent>> = streams
+        .iter()
+        .map(|s| s[..s.len() * 3 / 4].to_vec())
+        .collect();
+    let pushed = run_producers(&revived, &part, &first.events_seen);
+    revived.quiesce();
+    drop(revived);
+
+    // The second recovery replays the torn segment again, mid-chain, and
+    // the first recovery's own WAL generation after it.
+    let admitted = first.events_seen.values().sum::<u64>() + second_budget.min(pushed);
+    let (revived, second) = recover(PersistenceConfig::new(&dir), admitted);
 
     // Resume every job from its durable prefix and finish the fleet.
-    run_producers(&revived, &streams, &recover.events_seen);
+    run_producers(&revived, &streams, &second.events_seen);
     revived.quiesce();
     let mut reports = revived.take_finalized();
     let stats = revived.stats();
@@ -180,7 +219,8 @@ fn main() {
         );
     }
     println!(
-        "restart-equals-uninterrupted: OK ({} jobs · {} WAL appends · {} snapshots written)",
+        "restart-equals-uninterrupted across two crashes: OK ({} jobs · {} WAL appends · \
+         {} snapshots written)",
         jobs.len(),
         stats.wal_appended,
         stats.snapshots_written,

@@ -33,6 +33,15 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # `LogisticConfig::{l2, max_iter}` becoming constants and deleting the
 # `fit_view` alias returned. Config fields 38 -> 36: the pattern below
 # skipped `l2` (a digit) until this PR, so the parent's "37" was 38.
+#
+# The restart without a post-recovery snapshot left both line limits
+# where they were: its net is 0 (all `serve`). Recovery without that
+# snapshot -- each replayed WAL segment and the directory fsynced,
+# stranded `.tmp`s deleted -- is +13, the snapshot lock +4, the counter
+# docs +2 and the shared `sync_dir` +4. Dropping `prune_dir`'s `.tmp`
+# branch returned 8, `EngineCore::new_persistent` taking over the
+# directory scan both constructors repeated 10, one shared
+# poison-tolerant `relock` 3, and admission through `Shard::adopt_job` 2.
 MAX_WORKSPACE_LINES=20604
 MAX_PRODUCT_LINES=8725
 MAX_UNSAFE_SITES=4
