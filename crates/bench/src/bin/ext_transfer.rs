@@ -4,7 +4,7 @@
 //! it helps in the early checkpoints, where the scratch model has almost
 //! no training data.
 
-use nurd_core::{DonorModel, NurdConfig, NurdPredictor, TransferNurdPredictor};
+use nurd_core::{DonorModel, NurdConfig, NurdPredictor};
 use nurd_sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd_trace::{SuiteConfig, TraceStyle};
 
@@ -37,7 +37,7 @@ fn main() {
     for job in targets {
         let mut a = NurdPredictor::new(NurdConfig::default());
         scratch.push(replay_job(job, &mut a, &replay));
-        let mut b = TransferNurdPredictor::new(NurdConfig::default(), donor.clone());
+        let mut b = NurdPredictor::with_prior(NurdConfig::default(), donor.clone());
         transfer.push(replay_job(job, &mut b, &replay));
     }
 

@@ -32,9 +32,11 @@
 //! and boosts a few new rounds via
 //! [`nurd_ml::GradientBoosting::warm_boost`] — falling back to a cold
 //! refit when measured quantile drift or the ensemble-size cap says so.
-//! [`TransferNurdPredictor`] and the GBTR baseline in `nurd-baselines`
-//! reuse the same state machine. See `ARCHITECTURE.md` (repo root) for the
-//! full data-flow picture.
+//! [`NurdPredictor::with_prior`] (NURD-TL, the paper's §8 cross-job
+//! transfer) refits the same head on the residual of a frozen
+//! [`DonorModel`], and the GBTR baseline in `nurd-baselines` reuses the
+//! same state machine. See `ARCHITECTURE.md` (repo root) for the full
+//! data-flow picture.
 //!
 //! # Scoring
 //!
@@ -70,5 +72,5 @@ pub use calibration::{calibration_delta, centroid_ratio};
 pub use config::{NurdConfig, RefitPolicy, WarmRefitConfig};
 pub use model::{AdjustedPrediction, NurdPredictor};
 pub use refit::{RefitStats, WarmRefitState};
-pub use transfer::{DonorModel, TransferNurdPredictor};
+pub use transfer::DonorModel;
 pub use weighting::{adjusted_latency, weight};

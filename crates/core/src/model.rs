@@ -5,7 +5,7 @@ use nurd_linalg::{FeatureMatrix, MatrixView};
 use nurd_ml::{GradientBoosting, LogisticRegression, SquaredLoss};
 
 use crate::refit::WarmRefitState;
-use crate::{calibration, weighting, NurdConfig, RefitPolicy, RefitStats};
+use crate::{calibration, weighting, DonorModel, NurdConfig, RefitPolicy, RefitStats};
 
 /// Minimum running-set size before a barrier's score batch is split into
 /// lane-aligned chunks and fanned onto the shared thread pool (only when
@@ -18,7 +18,8 @@ const PARALLEL_SCORE_MIN: usize = 64;
 pub struct AdjustedPrediction {
     /// Task id within the job.
     pub id: usize,
-    /// Raw latency prediction `ŷ` from the boosted trees.
+    /// Raw latency prediction `ŷ`: the head `h_t`'s output, or under a
+    /// prior ([`NurdPredictor::with_prior`]) `max(0, scale·donor + h_t)`.
     pub raw: f64,
     /// Propensity score `z = P(finished | x)`.
     pub propensity: f64,
@@ -62,6 +63,11 @@ pub struct NurdPredictor {
     /// The latency head `h_t` with its training rows and quantization;
     /// every refit, under either [`RefitPolicy`], happens in here.
     warm: WarmRefitState,
+    /// NURD-TL's frozen cross-job prior; `None` for every other variant.
+    prior: Option<DonorModel>,
+    /// The prior's scratch: a copy of the latencies for their median, then
+    /// its relative predictions (the residual targets at a refit).
+    scratch_prior: Vec<f64>,
 }
 
 impl NurdPredictor {
@@ -91,6 +97,22 @@ impl NurdPredictor {
             scratch_raw: Vec::new(),
             scratch_prop: Vec::new(),
             warm: WarmRefitState::new(),
+            prior: None,
+            scratch_prior: Vec::new(),
+        }
+    }
+
+    /// NURD-TL (the paper's §8 future work): the latency head learns only
+    /// what a frozen `donor` gets wrong on this job, and serves
+    /// `ŷ = max(0, scale·donor(x) + h_t(x))` with `scale` the median of the
+    /// head's own training latencies. A stream whose rows are not as wide
+    /// as the donor's is served exactly as by [`NurdPredictor::new`].
+    #[must_use]
+    pub fn with_prior(config: NurdConfig, donor: DonorModel) -> Self {
+        NurdPredictor {
+            name: "NURD-TL",
+            prior: Some(donor),
+            ..NurdPredictor::new(config)
         }
     }
 
@@ -118,7 +140,8 @@ impl NurdPredictor {
     /// fit. Barriers are scored through the batch kernels of its
     /// [`GradientBoosting::forest`], by reference; its safe one-row walk,
     /// [`GradientBoosting::predict_view`], is the reference the
-    /// differential tests hold [`AdjustedPrediction::raw`] against.
+    /// differential tests hold [`AdjustedPrediction::raw`] against. Under a
+    /// prior it is the residual head, and `raw` adds the scaled donor.
     #[must_use]
     pub fn latency_model(&self) -> Option<&GradientBoosting<SquaredLoss>> {
         self.warm.model()
@@ -136,6 +159,10 @@ impl NurdPredictor {
         // are gathered, no feature values are cloned.
         let x_fin = checkpoint.finished_feature_rows();
         let x_run = checkpoint.running_feature_rows();
+        let prior = self
+            .prior
+            .as_ref()
+            .filter(|donor| donor.feature_dim() == x_fin[0].len());
 
         // Calibration happens once, before the first prediction (Algorithm 1
         // lines 4–6). NURD-NC skips it and uses w = z.
@@ -158,7 +185,21 @@ impl NurdPredictor {
             // cap).
             let policy = &self.config.refit_policy;
             self.warm.ingest(checkpoint, policy);
-            if self.warm.refit(&self.config.gbt, policy).is_err() {
+            let fit = match prior {
+                // Residual targets: a function of the state's rows alone,
+                // so its no-new-rows reuse holds for them as well.
+                Some(donor) => {
+                    let (y, targets) = (self.warm.latencies(), &mut self.scratch_prior);
+                    let scale = median(y, targets);
+                    donor.predict_into(self.warm.features().view(), targets);
+                    for (target, &y) in targets.iter_mut().zip(y) {
+                        *target = y - scale * *target;
+                    }
+                    self.warm.refit_against(targets, &self.config.gbt, policy)
+                }
+                None => self.warm.refit(&self.config.gbt, policy),
+            };
+            if fit.is_err() {
                 self.fit_failures += 1;
                 return Vec::new();
             }
@@ -228,6 +269,13 @@ impl NurdPredictor {
         } else {
             forest.predict_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_raw);
         }
+        if let Some(donor) = prior {
+            let scale = median(self.warm.latencies(), &mut self.scratch_prior);
+            donor.predict_into(MatrixView::RowSlices(&x_run), &mut self.scratch_prior);
+            for (raw, &rel) in self.scratch_raw.iter_mut().zip(&self.scratch_prior) {
+                *raw = (scale * rel + *raw).max(0.0);
+            }
+        }
         g.predict_proba_view_into(MatrixView::RowSlices(&x_run), &mut self.scratch_prop);
         checkpoint
             .running
@@ -249,6 +297,21 @@ impl NurdPredictor {
             })
             .collect()
     }
+}
+
+/// NURD-TL's `scale`: the upper median of `latencies`, floored at 1e-9;
+/// `scratch` is clobbered.
+fn median(latencies: &[f64], scratch: &mut Vec<f64>) -> f64 {
+    scratch.clear();
+    scratch.extend_from_slice(latencies);
+    if scratch.is_empty() {
+        return 1e-9;
+    }
+    let mid = scratch.len() / 2;
+    scratch
+        .select_nth_unstable_by(mid, f64::total_cmp)
+        .1
+        .max(1e-9)
 }
 
 impl OnlinePredictor for NurdPredictor {

@@ -25,8 +25,8 @@
 //!      from scratch — falling back to the cold fit above on the first
 //!      refit, on drift, and at the tree cap.
 //!
-//! [`crate::NurdPredictor`], [`crate::TransferNurdPredictor`], and the GBTR
-//! baseline in `nurd-baselines` all drive this one state machine and carry
+//! [`crate::NurdPredictor`] (with or without a donor prior) and the GBTR
+//! baseline in `nurd-baselines` both drive this one state machine and carry
 //! no policy branch of their own.
 
 use nurd_data::{Checkpoint, FinishedDelta};
@@ -164,8 +164,8 @@ impl WarmRefitState {
     }
 
     /// Refits the latency model against the absorbed latencies under
-    /// `policy`. Because each row's target is immutable, a refit with no
-    /// new rows since the previous one reuses the current model for free.
+    /// `policy`. A refit with no new rows since the previous one reuses the
+    /// current model for free.
     ///
     /// # Errors
     ///
@@ -174,15 +174,16 @@ impl WarmRefitState {
     pub fn refit(&mut self, gbt: &GbtConfig, policy: &RefitPolicy) -> Result<(), MlError> {
         // The targets are the state's own latencies: lent out for the call.
         let y = std::mem::take(&mut self.latencies);
-        let fit = self.refit_on(&y, true, gbt, policy);
+        let fit = self.refit_against(&y, gbt, policy);
         self.latencies = y;
         fit
     }
 
     /// Refits against caller-supplied targets aligned with the absorbed
-    /// rows — the transfer predictor's residual head, whose targets move
-    /// with the running latency median. The no-new-data skip is disabled
-    /// (targets may have changed even when rows have not).
+    /// rows — NURD-TL's residual head. The targets must be a function of
+    /// the rows (as the residuals of a frozen prior scaled by the rows'
+    /// median latency are): a refit with no new row reuses the current
+    /// model, whatever `y` holds.
     ///
     /// # Errors
     ///
@@ -192,18 +193,6 @@ impl WarmRefitState {
     pub(crate) fn refit_against(
         &mut self,
         y: &[f64],
-        gbt: &GbtConfig,
-        policy: &RefitPolicy,
-    ) -> Result<(), MlError> {
-        self.refit_on(y, false, gbt, policy)
-    }
-
-    /// The policy state machine behind both target sources (owned
-    /// latencies / caller residuals).
-    fn refit_on(
-        &mut self,
-        y: &[f64],
-        targets_stable: bool,
         gbt: &GbtConfig,
         policy: &RefitPolicy,
     ) -> Result<(), MlError> {
@@ -236,9 +225,9 @@ impl WarmRefitState {
             }
         }
 
-        // Nothing new to learn: targets immutable and no appended row since
-        // the current model was fit.
-        if targets_stable && self.model.is_some() && self.fitted_rows == n {
+        // Nothing new to learn: no appended row since the current model was
+        // fit.
+        if self.model.is_some() && self.fitted_rows == n {
             self.stats.reuses += 1;
             return Ok(());
         }
@@ -732,16 +721,12 @@ mod tests {
         let gbt = GbtConfig::default();
         let policy = RefitPolicy::Warm(WarmRefitConfig::default());
         state.absorb(&checkpoint(&ts, 50));
-        let y1: Vec<f64> = state.latencies().iter().map(|l| l * 0.5).collect();
-        state.refit_against(&y1, &gbt, &policy).unwrap();
-        // Same rows, new targets: must refit (no reuse skip).
-        let y2: Vec<f64> = state.latencies().iter().map(|l| l * 0.6).collect();
-        state.refit_against(&y2, &gbt, &policy).unwrap();
-        assert_eq!(state.stats().reuses, 0);
-        assert_eq!(state.stats().cold_fits + state.stats().warm_fits, 2);
+        let y: Vec<f64> = state.latencies().iter().map(|l| l * 0.5).collect();
+        state.refit_against(&y, &gbt, &policy).unwrap();
+        assert_eq!(state.stats().cold_fits, 1);
         // Mismatched target length is rejected.
         assert!(matches!(
-            state.refit_against(&y2[..10], &gbt, &policy),
+            state.refit_against(&y[..10], &gbt, &policy),
             Err(MlError::DimensionMismatch { .. })
         ));
     }

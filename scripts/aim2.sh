@@ -42,8 +42,16 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # branch returned 8, `EngineCore::new_persistent` taking over the
 # directory scan both constructors repeated 10, one shared
 # poison-tolerant `relock` 3, and admission through `Shard::adopt_job` 2.
-MAX_WORKSPACE_LINES=20604
-MAX_PRODUCT_LINES=8725
+#
+# NURD-TL as a `NurdPredictor` with a donor prior lowered both line limits
+# by its net, -128 (all `core`; 20,604 -> 20,476 and 8,725 -> 8,597):
+# `transfer.rs` -182 (the second predictor, its `OnlinePredictor` impl and
+# snapshot format; `DonorModel` gained a width and a batch scorer),
+# `refit.rs` -11 (`refit_on` and its `targets_stable` flag), `lib.rs` +2
+# (module docs), `model.rs` +63 (`with_prior`, the residual refit, the
+# prior's scoring pass and `median`).
+MAX_WORKSPACE_LINES=20476
+MAX_PRODUCT_LINES=8597
 MAX_UNSAFE_SITES=4
 MAX_CONFIG_FIELDS=36
 

@@ -15,6 +15,8 @@
 //! and the transfer predictor under `AlwaysCold` — to what they computed
 //! while each still fit its head through its own `fit_view` arm, before
 //! PR 16 folded both into `WarmRefitState`.
+//! The transfer constant also held when NURD-TL stopped being a predictor
+//! of its own and became a `NurdPredictor` with a donor prior.
 //!
 //! The last constant pins the closed mitigation and node-health loops —
 //! `run_fleet` and `run_node_fleet`, reports to verdicts — to what they
@@ -67,8 +69,7 @@
 
 use nurd::baselines::GbtrPredictor;
 use nurd::core::{
-    AdjustedPrediction, DonorModel, NurdConfig, NurdPredictor, RefitPolicy, TransferNurdPredictor,
-    WarmRefitConfig,
+    AdjustedPrediction, DonorModel, NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig,
 };
 use nurd::data::{
     ActionRecord, Checkpoint, FinishedTask, JobContext, JobTrace, OnlinePredictor, RunningTask,
@@ -266,7 +267,7 @@ fn gbtr_and_transfer_always_cold_match_the_pre_fold_constants() {
     // its feature width.
     let donor = DonorModel::from_job(&jobs[0], &NurdConfig::default()).unwrap();
     let (transfer, transfer_flagged) = outcome_hash(&jobs[1..6], || {
-        TransferNurdPredictor::new(NurdConfig::default(), donor.clone())
+        NurdPredictor::with_prior(NurdConfig::default(), donor.clone())
     });
     assert!(
         gbtr_flagged > 100 && transfer_flagged > 0,

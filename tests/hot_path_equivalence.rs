@@ -18,7 +18,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use nurd::core::{AdjustedPrediction, NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
+use nurd::core::{
+    AdjustedPrediction, DonorModel, NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig,
+};
 use nurd::data::{
     Checkpoint, FinishedTask, JobSpec, JobTrace, OnlinePredictor, RunningTask, StreamContext,
     TaskEvent,
@@ -294,6 +296,61 @@ fn score_breakdowns_identical_at_every_checkpoint() {
             }
         }
     }
+}
+
+/// NURD-TL (`NurdPredictor::with_prior`): its raw score adds the scaled
+/// donor to the head, so it has no pointer walk to match, but the engine,
+/// which flags through `predict_scored`, must still equal sequential
+/// replay, which flags through `predict`, at shard counts {1, 2, 8} under
+/// both refit families — and the two calls flag the same tasks at every
+/// checkpoint.
+#[test]
+fn transfer_prior_engine_matches_replay_at_all_shard_counts() {
+    let suite = suite(TraceStyle::Google, 4, 0xF1AE);
+    let (donor_job, jobs) = suite.split_first().expect("a donor job");
+    let donor = DonorModel::from_job(donor_job, &NurdConfig::default()).unwrap();
+    let (_, events) = nurd::trace::fleet_events(jobs, QUANTILE);
+    let mut flagged = 0;
+    for policy in policies() {
+        let cfg = config(policy.clone());
+        let tl = || NurdPredictor::with_prior(cfg.clone(), donor.clone());
+        let replayed: Vec<ReplayOutcome> = jobs
+            .iter()
+            .map(|job| replay_job(job, &mut tl(), &REPLAY))
+            .collect();
+        for shards in [1usize, 2, 8] {
+            let (c, d) = (cfg.clone(), donor.clone());
+            let factory: PredictorFactory = Box::new(move |_spec: &JobSpec| {
+                Box::new(NurdPredictor::with_prior(c.clone(), d.clone()))
+            });
+            let report = run_engine(jobs, events.clone(), shards, factory);
+            for (job, expected) in jobs.iter().zip(&replayed) {
+                assert_eq!(
+                    &report.job(job.job_id()).expect("job reported").outcome,
+                    expected,
+                    "job {} at {shards} shards diverged from replay ({policy:?})",
+                    job.job_id()
+                );
+            }
+        }
+        for job in jobs {
+            let (mut scored, mut plain) = (tl(), tl());
+            let stream = StreamContext {
+                threshold: job.straggler_threshold(QUANTILE),
+                task_count: job.task_count(),
+                feature_dim: job.feature_dim(),
+            };
+            scored.begin_stream(&stream);
+            plain.begin_stream(&stream);
+            for k in job.warmup_checkpoint(WARMUP)..job.checkpoint_count() {
+                let checkpoint = job.checkpoint_at(k);
+                let flags = plain.predict(&checkpoint);
+                assert_eq!(scored.predict_scored(&checkpoint).flagged, flags);
+                flagged += flags.len();
+            }
+        }
+    }
+    assert!(flagged > 0, "nothing flagged: the comparison is vacuous");
 }
 
 /// End to end through the concurrent engine: shard counts {1, 2, 8} all
