@@ -24,6 +24,7 @@ use nurd_data::{ActionRecord, JobSpec, MitigationPolicy, OnlinePredictor, TaskEv
 use nurd_runtime::{Channel, Notifier, TrySendError};
 use nurd_sim::ReplayOutcome;
 
+use crate::disk::Disk;
 use crate::lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};
 use crate::observer::HealthObserver;
 use crate::persist::{scan_dir, snapshot_path, wal_path, DirScan, PersistenceConfig, RecoverError};
@@ -323,6 +324,8 @@ pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// surfaced through [`EngineStats`].
 pub(crate) struct PersistHandle {
     pub(crate) config: PersistenceConfig,
+    /// Where every file operation goes.
+    pub(crate) disk: Arc<dyn Disk>,
     /// Generation the live WAL segments write to; the next snapshot is
     /// `generation + 1` and rotates the WALs there with it. Also the
     /// snapshot lock: a writer holds it from this read through its prune,
@@ -353,6 +356,8 @@ pub(crate) struct EngineCore {
     notifier: Notifier,
     /// `Some` on durable engines (see [`PersistHandle`]).
     persist: Option<PersistHandle>,
+    /// Why the service failed, if it did (see [`EngineCore::fail`]).
+    failure: OnceLock<String>,
 }
 
 impl EngineCore {
@@ -382,7 +387,21 @@ impl EngineCore {
             cells,
             notifier: Notifier::new(),
             persist: None,
+            failure: OnceLock::new(),
         }
+    }
+
+    /// Fails the service: closes the ingress (blocked producers wake
+    /// with their push rejected), then records `why` (the first failure
+    /// wins) for drain workers to stop on and `quiesce`/`close` to raise.
+    pub(crate) fn fail(&self, why: String) {
+        self.close_ingress();
+        let _ = self.failure.set(why);
+        self.notifier.unpark();
+    }
+
+    pub(crate) fn failure(&self) -> Option<&str> {
+        self.failure.get().map(String::as_str)
     }
 
     /// Registers the engine's health observer (write-once; returns
@@ -424,24 +443,22 @@ impl EngineCore {
 
     /// A core whose shards write-ahead-log every drained event into
     /// `<dir>/wal-<generation>-<shard>.log` before applying it, the
-    /// generation past every artifact already on disk (`File::create`
+    /// generation past every artifact already on disk ([`Disk::create`]
     /// truncates — a stale generation would eat history). Also returns
     /// the directory scan that generation was picked from.
     pub(crate) fn new_persistent(
         config: EngineConfig,
         factory: PredictorFactory,
         persistence: PersistenceConfig,
+        disk: Arc<dyn Disk>,
     ) -> std::io::Result<(Self, DirScan)> {
-        std::fs::create_dir_all(&persistence.dir)?;
-        let scan = scan_dir(&persistence.dir)?;
+        disk.create_dir_all(&persistence.dir)?;
+        let scan = scan_dir(&*disk, &persistence.dir)?;
         let generation = scan.max_generation().map_or(0, |g| g + 1);
         let mut core = EngineCore::new(config, factory);
         for (idx, cell) in core.cells.iter().enumerate() {
-            let writer = WalWriter::create(
-                wal_path(&persistence.dir, generation, idx),
-                persistence.fsync,
-                persistence.fault.clone(),
-            )?;
+            let path = wal_path(&persistence.dir, generation, idx);
+            let writer = WalWriter::create(&*disk, &path, persistence.fsync)?;
             cell.state
                 .lock()
                 .expect("fresh shard lock")
@@ -449,6 +466,7 @@ impl EngineCore {
         }
         core.persist = Some(PersistHandle {
             config: persistence,
+            disk,
             generation: Mutex::new(generation),
             wal_appended: AtomicUsize::new(0),
             wal_replayed: AtomicUsize::new(0),
@@ -567,8 +585,8 @@ impl EngineCore {
             // is applied, under the same lock that orders application —
             // so WAL record order is exactly apply order. A failing disk
             // panics the drain worker on purpose: silently continuing
-            // would un-log accepted events, and worker death is the
-            // engine's observable-failure channel.
+            // would un-log accepted events, and worker death fails the
+            // service.
             let appended = shard
                 .append_wal(&batch[..])
                 .unwrap_or_else(|e| panic!("WAL append failed on shard {idx}: {e}"));
@@ -753,10 +771,12 @@ impl EngineCore {
     // ---- persistence operations (no-ops / errors on a non-persistent
     // core; see `crate::persist` for the on-disk layout) ----
 
-    /// Flushes + fsyncs every shard's WAL segment.
+    /// Flushes + fsyncs every shard's WAL segment; a failure fails the
+    /// service (the appends it covered may sit in the page cache only).
     pub(crate) fn flush_wals(&self) -> std::io::Result<()> {
         for idx in 0..self.cells.len() {
-            self.lock_shard(idx).flush_wal()?;
+            let flushed = self.lock_shard(idx).flush_wal();
+            flushed.inspect_err(|e| self.fail(format!("WAL fsync failed: {e}")))?;
         }
         self.notifier.unpark();
         Ok(())
@@ -769,7 +789,9 @@ impl EngineCore {
     /// the new segments hold exactly the events after it. Then prunes
     /// generations beyond the retention window (snapshot-then-truncate
     /// compaction). Returns the new generation. A failed attempt still
-    /// spends its generation: its WALs may already have rotated there.
+    /// spends its generation (its WALs may already have rotated there)
+    /// and fails the service: after a failed write or fsync, what the
+    /// disk holds is no longer known.
     pub(crate) fn write_snapshot(&self) -> std::io::Result<u64> {
         let persist = self
             .persist
@@ -778,11 +800,19 @@ impl EngineCore {
         let mut generation = relock(&persist.generation);
         *generation += 1;
         let new_gen = *generation;
+        self.snapshot_at(persist, new_gen)
+            .inspect_err(|e| self.fail(format!("snapshot {new_gen} failed: {e}")))?;
+        self.notifier.unpark();
+        Ok(new_gen)
+    }
+
+    fn snapshot_at(&self, persist: &PersistHandle, new_gen: u64) -> std::io::Result<()> {
+        let (disk, dir) = (&*persist.disk, &persist.config.dir);
         let mut data = SnapshotData::default();
         for idx in 0..self.cells.len() {
             let cell = &self.cells[idx];
             let mut shard = self.lock_shard(idx);
-            shard.rotate_wal(wal_path(&persist.config.dir, new_gen, idx))?;
+            shard.rotate_wal(disk, &wal_path(dir, new_gen, idx))?;
             shard.capture_into(&mut data, &cell.stats);
         }
         // The observer's state rides the snapshot header; captured after
@@ -793,11 +823,9 @@ impl EngineCore {
             .observer
             .get()
             .map_or_else(Vec::new, |o| o.snapshot_state());
-        write_snapshot_file(&snapshot_path(&persist.config.dir, new_gen), &data)?;
+        write_snapshot_file(disk, &snapshot_path(dir, new_gen), &data)?;
         persist.snapshots_written.fetch_add(1, Ordering::Relaxed);
-        crate::persist::prune_dir(&persist.config.dir, persist.config.retain_generations)?;
-        self.notifier.unpark();
-        Ok(new_gen)
+        crate::persist::prune_dir(disk, dir, persist.config.retain_generations)
     }
 
     /// Decodes a snapshot's job records and installs everything into the

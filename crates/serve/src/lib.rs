@@ -43,10 +43,10 @@
 //! [`EngineService::recover`] rebuilds a running service from the
 //! directory — newest valid snapshot plus the WAL tail — with per-job
 //! state bit-for-bit equal to a never-crashed run (`tests/recovery.rs`
-//! proves it under random fault injection: crash-before-fsync, torn
-//! records, bit flips, corrupted snapshots). [`PersistenceConfig`] holds
-//! the durability knobs ([`FsyncPolicy`]), [`FaultInjector`] the test
-//! harness, and every corrupt artifact surfaces as a typed
+//! proves it across torn WAL tails, bit flips and chained crashes; unit
+//! tests on a simulated disk kill, power off or fail every numbered
+//! file-system call of a run). [`PersistenceConfig`] holds the durability
+//! knobs ([`FsyncPolicy`]), and every corrupt artifact surfaces as a typed
 //! [`RecoverError`] — never a panic, never a silent partial load.
 //!
 //! `docs/OPERATIONS.md` at the repository root is the operator's guide
@@ -114,6 +114,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod disk;
 mod engine;
 mod lifecycle;
 mod observer;
@@ -129,6 +130,6 @@ pub use engine::{
 };
 pub use lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};
 pub use observer::HealthObserver;
-pub use persist::{FaultInjector, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport};
+pub use persist::{FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport};
 pub use service::{EngineService, ServiceConfig};
 pub use snapshot::{read_snapshot, SnapshotStats};

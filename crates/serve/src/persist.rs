@@ -1,7 +1,7 @@
 //! Persistence vocabulary for the crash-safe engine: durability tuning,
-//! fault injection, typed recovery errors, and the on-disk directory
-//! layout shared by the snapshot ([`crate::snapshot`]) and write-ahead
-//! log ([`crate::wal`]) machinery.
+//! typed recovery errors, and the on-disk directory layout shared by the
+//! snapshot ([`crate::snapshot`]) and write-ahead log ([`crate::wal`])
+//! machinery. Every file-system call goes through [`crate::disk::Disk`].
 //!
 //! On-disk layout (one directory per engine):
 //!
@@ -20,11 +20,11 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use nurd_codec::{CodecError, FrameError};
+
+use crate::disk::Disk;
 
 /// When WAL appends reach the disk (the durability/throughput dial; see
 /// the crash-recovery runbook in `docs/OPERATIONS.md`).
@@ -64,13 +64,11 @@ pub struct PersistenceConfig {
     /// [`FsyncPolicy::OnIdle`] — the bound on how much a hard kill can
     /// lose.
     pub flush_interval: Duration,
-    /// Fault injection for crash tests (`None` in production).
-    pub fault: Option<Arc<FaultInjector>>,
 }
 
 impl PersistenceConfig {
     /// Defaults rooted at `dir`: [`FsyncPolicy::OnIdle`] with a 2 ms
-    /// flush cadence, two retained snapshot generations, no faults.
+    /// flush cadence, two retained snapshot generations.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistenceConfig {
@@ -78,67 +76,6 @@ impl PersistenceConfig {
             fsync: FsyncPolicy::default(),
             retain_generations: 2,
             flush_interval: Duration::from_millis(2),
-            fault: None,
-        }
-    }
-}
-
-/// Deterministic crash/fault injection for the recovery property tests:
-/// a budget of WAL records that are allowed to reach the operating
-/// system, after which every write is silently discarded — exactly what
-/// a crash does to the unsynced tail. With
-/// [`FaultInjector::with_torn_tail`],
-/// the first record past the budget is half-written instead of dropped,
-/// leaving the torn frame a real crash mid-`write` leaves.
-///
-/// Dropping the [`EngineService`](crate::EngineService) *without*
-/// closing it then simulates the kill; the WAL holds precisely the
-/// budgeted prefix, and recovery must reconstruct exactly that much.
-#[derive(Debug)]
-pub struct FaultInjector {
-    /// Records still allowed to be written (negative = exhausted).
-    budget: AtomicI64,
-    /// Whether exhaustion tears the next record instead of dropping it.
-    torn: AtomicBool,
-}
-
-/// What the injector lets one WAL append do.
-pub(crate) enum WalWrite {
-    /// Write the whole record.
-    Full,
-    /// Write roughly half the record's bytes, then go dead.
-    Torn,
-    /// Write nothing (the crash already "happened").
-    Dropped,
-}
-
-impl FaultInjector {
-    /// An injector that crashes the WAL after `records` appends have
-    /// reached it (fleet-wide, across all shards).
-    #[must_use]
-    pub fn crash_after_wal_records(records: u64) -> Arc<Self> {
-        Arc::new(FaultInjector {
-            budget: AtomicI64::new(i64::try_from(records).unwrap_or(i64::MAX)),
-            torn: AtomicBool::new(false),
-        })
-    }
-
-    /// Tear the first record past the budget (a half-written frame)
-    /// instead of dropping it cleanly.
-    #[must_use]
-    pub fn with_torn_tail(self: Arc<Self>) -> Arc<Self> {
-        self.torn.store(true, Ordering::Relaxed);
-        self
-    }
-
-    pub(crate) fn admit(&self) -> WalWrite {
-        let before = self.budget.fetch_sub(1, Ordering::Relaxed);
-        if before > 0 {
-            WalWrite::Full
-        } else if before == 0 && self.torn.load(Ordering::Relaxed) {
-            WalWrite::Torn
-        } else {
-            WalWrite::Dropped
         }
     }
 }
@@ -290,13 +227,9 @@ fn parse_wal_name(name: &str) -> Option<(u64, usize)> {
     Some((generation.parse().ok()?, shard.parse().ok()?))
 }
 
-pub(crate) fn scan_dir(dir: &Path) -> std::io::Result<DirScan> {
+pub(crate) fn scan_dir(disk: &dyn Disk, dir: &Path) -> std::io::Result<DirScan> {
     let mut scan = DirScan::default();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let Ok(name) = entry.file_name().into_string() else {
-            continue;
-        };
+    for name in disk.list(dir)? {
         if let Some(generation) = parse_snapshot_name(&name) {
             scan.snapshots.push(generation);
         } else if let Some(segment) = parse_wal_name(&name) {
@@ -310,33 +243,25 @@ pub(crate) fn scan_dir(dir: &Path) -> std::io::Result<DirScan> {
     Ok(scan)
 }
 
-/// Fsyncs `dir` itself, making the names created, renamed or removed in
-/// it durable. Best-effort: some filesystems refuse directory handles.
-pub(crate) fn sync_dir(dir: &Path) {
-    if let Ok(handle) = std::fs::File::open(dir) {
-        let _ = handle.sync_all();
-    }
-}
-
 /// Deletes snapshots beyond the newest `retain` generations, plus every
 /// WAL segment older than the oldest snapshot kept. Nothing of those is
 /// pruned while fewer than two snapshots exist: the fallback target would
 /// then be the *empty* state, which needs every WAL generation to replay.
-pub(crate) fn prune_dir(dir: &Path, retain: usize) -> std::io::Result<()> {
+pub(crate) fn prune_dir(disk: &dyn Disk, dir: &Path, retain: usize) -> std::io::Result<()> {
     let retain = retain.max(2);
-    let scan = scan_dir(dir)?;
+    let scan = scan_dir(disk, dir)?;
     if scan.snapshots.len() < 2 {
         return Ok(());
     }
     let keep_from = scan.snapshots[scan.snapshots.len().saturating_sub(retain)];
     for &generation in &scan.snapshots {
         if generation < keep_from {
-            std::fs::remove_file(snapshot_path(dir, generation))?;
+            disk.remove(&snapshot_path(dir, generation))?;
         }
     }
     for &(generation, shard) in &scan.wals {
         if generation < keep_from {
-            std::fs::remove_file(wal_path(dir, generation, shard))?;
+            disk.remove(&wal_path(dir, generation, shard))?;
         }
     }
     Ok(())
@@ -354,18 +279,5 @@ mod tests {
         assert_eq!(parse_wal_name("wal-3-11.log"), Some((3, 11)));
         assert_eq!(parse_wal_name("wal-3.log"), None);
         assert_eq!(parse_wal_name("snap-3.bin"), None);
-    }
-
-    #[test]
-    fn fault_injector_budget_admits_then_drops() {
-        let fault = FaultInjector::crash_after_wal_records(2);
-        assert!(matches!(fault.admit(), WalWrite::Full));
-        assert!(matches!(fault.admit(), WalWrite::Full));
-        assert!(matches!(fault.admit(), WalWrite::Dropped));
-        assert!(matches!(fault.admit(), WalWrite::Dropped));
-        let torn = FaultInjector::crash_after_wal_records(1).with_torn_tail();
-        assert!(matches!(torn.admit(), WalWrite::Full));
-        assert!(matches!(torn.admit(), WalWrite::Torn));
-        assert!(matches!(torn.admit(), WalWrite::Dropped));
     }
 }

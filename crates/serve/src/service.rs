@@ -26,7 +26,6 @@
 //! order is channel FIFO order: worker count, like shard count, changes
 //! wall-clock only, never a report.
 
-use std::fs::OpenOptions;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -35,9 +34,10 @@ use std::time::Duration;
 
 use nurd_runtime::ThreadPool;
 
+use crate::disk::RealDisk;
 use crate::engine::{relock, EngineCore, EngineHandle, EngineReport};
 use crate::persist::{
-    snapshot_path, sync_dir, wal_path, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
+    snapshot_path, wal_path, DirScan, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
 };
 use crate::snapshot::read_snapshot_data;
 use crate::wal::{read_wal_segment, WalTail};
@@ -78,12 +78,6 @@ impl Default for ServiceConfig {
 struct DrainService {
     core: Arc<EngineCore>,
     shutdown: Arc<AtomicBool>,
-    /// Set by the coordinator if any drain worker panicked (a predictor
-    /// bug, a poisoned shard). The ingress is closed at the same moment
-    /// so blocked producers wake with their push rejected instead of
-    /// sleeping forever; [`EngineService::close`]/`quiesce` re-raise the
-    /// original panic payload rather than a generic poisoned-lock one.
-    failed: Arc<AtomicBool>,
     coordinator: Option<JoinHandle<()>>,
 }
 
@@ -99,14 +93,12 @@ impl DrainService {
         .max(1);
         let batch = config.drain_batch.max(1);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let failed = Arc::new(AtomicBool::new(false));
         // The background WAL flusher (FsyncPolicy::OnIdle) rides the same
         // pool as one extra scope task.
         let extra = usize::from(flush_every.is_some());
         let coordinator = {
             let core = Arc::clone(&core);
             let shutdown = Arc::clone(&shutdown);
-            let failed = Arc::clone(&failed);
             std::thread::Builder::new()
                 .name("nurd-serve-drain".into())
                 .spawn(move || {
@@ -118,16 +110,14 @@ impl DrainService {
                         if let Some(interval) = flush_every {
                             let core = &core;
                             let shutdown = &shutdown;
-                            let failed = &failed;
-                            scope.spawn(move || flush_worker(core, interval, shutdown, failed));
+                            scope.spawn(move || flush_worker(core, interval, shutdown));
                         }
                         for worker in 0..workers {
                             let core = &core;
                             let shutdown = &shutdown;
-                            let failed = &failed;
                             scope.spawn(move || {
                                 let run = catch_unwind(AssertUnwindSafe(|| {
-                                    drain_worker(core, worker, batch, shutdown, failed);
+                                    drain_worker(core, worker, batch, shutdown);
                                 }));
                                 if let Err(payload) = run {
                                     // This worker died (predictor panic,
@@ -143,8 +133,7 @@ impl DrainService {
                                     // propagates the first one to the
                                     // coordinator for close() to
                                     // surface.
-                                    failed.store(true, Ordering::Release);
-                                    core.close_ingress();
+                                    core.fail(WORKER_PANICKED.into());
                                     resume_unwind(payload);
                                 }
                             });
@@ -156,15 +145,13 @@ impl DrainService {
         DrainService {
             core,
             shutdown,
-            failed,
             coordinator: Some(coordinator),
         }
     }
-
-    fn failed(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
-    }
 }
+
+/// The failure a panicked drain worker records.
+const WORKER_PANICKED: &str = "a drain worker panicked (see the coordinator thread's panic output)";
 
 impl Drop for DrainService {
     /// Shutdown sequence: stop accepting (blocked producers wake with
@@ -173,11 +160,11 @@ impl Drop for DrainService {
     /// after the join every accepted event has been applied. Returns the
     /// coordinator's panic payload (if a worker died) via `join_panic`;
     /// `Drop` itself must not unwind, so a bare drop records the failure
-    /// in `failed` and discards the payload — `EngineService::close`
+    /// on the core and discards the payload — `EngineService::close`
     /// goes through [`DrainService::join_panic`] to re-raise it.
     fn drop(&mut self) {
         if self.join_panic().is_some() {
-            self.failed.store(true, Ordering::Release);
+            self.core.fail(WORKER_PANICKED.into());
         }
     }
 }
@@ -199,21 +186,15 @@ impl DrainService {
 /// epoch is snapshotted *before* the scan, so a push or a peer's drain
 /// that races the scan un-parks immediately — no lost wake-ups, no
 /// polling loops.
-fn drain_worker(
-    core: &EngineCore,
-    worker: usize,
-    batch: usize,
-    shutdown: &AtomicBool,
-    failed: &AtomicBool,
-) {
+fn drain_worker(core: &EngineCore, worker: usize, batch: usize, shutdown: &AtomicBool) {
     let shards = core.shard_count();
     // One pop buffer per worker, reused for every batch it ever drains.
     let mut buffer = Vec::with_capacity(batch);
     loop {
-        // A peer died: the service is broken (its shard may be poisoned
-        // mid-apply); stop serving rather than present a half-dead
-        // engine as healthy.
-        if failed.load(Ordering::Acquire) {
+        // The service failed (a peer died, its shard perhaps poisoned
+        // mid-apply, or the disk failed): stop serving rather than
+        // present a half-dead engine as healthy.
+        if core.failure().is_some() {
             return;
         }
         let epoch = core.notifier().epoch();
@@ -240,13 +221,12 @@ fn drain_worker(
 /// to one interval's tail. A plain timed sleep, *not* a notifier park —
 /// the notifier's epoch churns on every push and drain, so parking on it
 /// with a timeout would busy-spin exactly when the engine is busiest.
-/// Exits on shutdown (with one final flush) and on peer failure (the
-/// failed flag — a panicked drain worker must not leave the flusher
-/// keeping the coordinator scope alive forever). A flush I/O error stops
-/// the flusher; the next *append* surfaces the failing disk as a worker
-/// panic, which is the engine's observable-failure channel.
-fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool, failed: &AtomicBool) {
-    while !shutdown.load(Ordering::Acquire) && !failed.load(Ordering::Acquire) {
+/// Exits on shutdown (with one final flush) and on failure (a panicked
+/// drain worker must not leave the flusher keeping the coordinator scope
+/// alive forever). A failed flush fails the service, as a failed append
+/// does: serving on would promise durability the disk did not give.
+fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool) {
+    while !shutdown.load(Ordering::Acquire) && core.failure().is_none() {
         std::thread::sleep(interval);
         if core.flush_wals().is_err() {
             return;
@@ -359,7 +339,8 @@ impl EngineService {
         persistence: PersistenceConfig,
         factory: PredictorFactory,
     ) -> std::io::Result<Self> {
-        let (core, _) = EngineCore::new_persistent(config, factory, persistence)?;
+        let disk = Arc::new(RealDisk);
+        let (core, _) = EngineCore::new_persistent(config, factory, persistence, disk)?;
         Ok(Self::launch(Arc::new(core), &service))
     }
 
@@ -374,7 +355,8 @@ impl EngineService {
     /// engine's per-job state is bit-for-bit the state of an engine that
     /// applied the same durable prefix without ever crashing — the
     /// restart-equals-uninterrupted properties of `tests/recovery.rs`
-    /// prove it under random fault injection, across chained crashes.
+    /// prove it across chained crashes and torn WAL tails, and this
+    /// module's tests at every numbered disk operation of a run.
     ///
     /// Producers resume each job's stream from
     /// [`RecoverReport::events_seen`]: the count is how many of the job's
@@ -442,8 +424,8 @@ impl EngineService {
         mitigator: Option<MitigatorFactory>,
         observer: Option<Arc<dyn HealthObserver>>,
     ) -> Result<(Self, RecoverReport), RecoverError> {
-        let dir = persistence.dir.clone();
-        let (core, scan) = EngineCore::new_persistent(config, factory, persistence)?;
+        let disk = Arc::new(RealDisk);
+        let (core, scan) = EngineCore::new_persistent(config, factory, persistence, disk)?;
         if let Some(mitigator) = mitigator {
             // Before any decode or replay: recovered jobs must carry
             // policies from the first replayed barrier onward.
@@ -455,7 +437,18 @@ impl EngineService {
             // (which this observer re-observes live).
             core.set_observer(observer);
         }
+        Self::restore(core, &scan, &service)
+    }
 
+    /// The rest of a recovery, on a fresh persistent `core` whose
+    /// directory `scan` found: load, replay, fsync, start serving.
+    fn restore(
+        core: EngineCore,
+        scan: &DirScan,
+        service: &ServiceConfig,
+    ) -> Result<(Self, RecoverReport), RecoverError> {
+        let persist = core.persist().expect("restore on a persistent core");
+        let (disk, dir) = (Arc::clone(&persist.disk), persist.config.dir.clone());
         // Newest snapshot that both reads (framing, CRCs) and decodes
         // (every job record through the factory) wins; everything newer
         // is a fallback. `install_snapshot` mutates shard state, so a
@@ -464,7 +457,7 @@ impl EngineService {
         let mut fallbacks = 0usize;
         let mut loaded = None;
         for &generation in scan.snapshots.iter().rev() {
-            match read_snapshot_data(&snapshot_path(&dir, generation))
+            match read_snapshot_data(&*disk, &snapshot_path(&dir, generation))
                 .and_then(|data| core.install_snapshot(data))
             {
                 Ok(counts) => {
@@ -490,16 +483,15 @@ impl EngineService {
                 continue;
             }
             let path = wal_path(&dir, generation, shard);
-            let (events, tail) = read_wal_segment(&path)?;
+            let (events, tail) = read_wal_segment(&*disk, &path)?;
             if tail != WalTail::Clean {
                 wal_truncated_tails += 1;
             }
             wal_events_replayed += core.replay_recovered(events);
             // Under `OnIdle`/`Never` this may live in the page cache only,
             // and the new generation's events follow it: it reaches the
-            // disk before they can. (Opened for writing: fsync through a
-            // read-only handle is not portable.)
-            OpenOptions::new().write(true).open(&path)?.sync_data()?;
+            // disk before they can.
+            disk.sync_file(&path)?;
         }
         if let Some(persist) = core.persist() {
             persist
@@ -510,9 +502,9 @@ impl EngineService {
         // directory fsync covers these removals and the new `wal-*` names;
         // compaction waits for the next checkpoint or close.
         for &generation in &scan.tmps {
-            std::fs::remove_file(snapshot_path(&dir, generation).with_extension("bin.tmp"))?;
+            disk.remove(&snapshot_path(&dir, generation).with_extension("bin.tmp"))?;
         }
-        sync_dir(&dir);
+        disk.sync_dir(&dir)?;
         let events_seen = core.events_seen();
         let report = RecoverReport {
             snapshot_generation,
@@ -523,7 +515,7 @@ impl EngineService {
             finalized_jobs,
             events_seen,
         };
-        Ok((Self::launch(Arc::new(core), &service), report))
+        Ok((Self::launch(Arc::new(core), service), report))
     }
 
     fn launch(core: Arc<EngineCore>, service: &ServiceConfig) -> Self {
@@ -626,15 +618,9 @@ impl EngineService {
     pub fn quiesce(&self) {
         loop {
             let epoch = self.core.notifier().epoch();
-            let failed = relock(&self.service)
-                .as_ref()
-                .is_some_and(DrainService::failed);
-            assert!(
-                !failed,
-                "drain service died: a drain worker panicked (see the \
-                 coordinator thread's panic output); the backlog will \
-                 never settle"
-            );
+            if let Some(why) = self.core.failure() {
+                panic!("drain service died: {why}; the backlog will never settle");
+            }
             if self.core.total_backlog() == 0 {
                 // Channels are empty; popped-but-unapplied batches are
                 // finished by waiting on each shard's lock once.
@@ -658,8 +644,9 @@ impl EngineService {
     ///
     /// # Errors
     ///
-    /// Fails with the underlying I/O error; the engine keeps running and
-    /// the previous snapshot generation remains the recovery target.
+    /// Fails with the underlying I/O error, and fails the service with it
+    /// (what the disk holds is no longer known); the previous snapshot
+    /// generation remains the recovery target.
     ///
     /// # Panics
     ///
@@ -678,7 +665,7 @@ impl EngineService {
     /// [`EngineService::take_finalized`].
     ///
     /// **Idempotent**: the first call runs the shutdown; every later call
-    /// returns a clone of the first call's report — no panic, no hang.
+    /// returns a clone of its report (or, if it panicked, panics again).
     /// The shutdown snapshot is written *before* jobs are close-finalized,
     /// so the directory holds every live job in its suspended state and a
     /// later [`EngineService::recover`] resumes them mid-stream.
@@ -686,7 +673,8 @@ impl EngineService {
     /// # Panics
     ///
     /// Re-raises a drain worker's panic payload (the root cause) if one
-    /// died while the service ran.
+    /// died while the service ran, and panics with "drain service died"
+    /// and the I/O error if a WAL or snapshot operation failed.
     #[must_use]
     pub fn close(&self) -> EngineReport {
         let mut closed = relock(&self.closed);
@@ -706,14 +694,20 @@ impl EngineService {
                 resume_unwind(payload);
             }
         }
-        if self.core.is_persistent() {
+        if self.core.is_persistent() && self.core.failure().is_none() {
             // Durability before reporting: seal the WALs and write the
             // shutdown snapshot while every job is still in its live,
-            // resumable state. Best-effort by design — a failing disk at
-            // shutdown must not turn a clean close into a panic, and the
-            // flushed WAL already carries everything the snapshot would.
+            // resumable state. A failure of either fails the service.
+            if self.core.flush_wals().is_ok() {
+                let _ = self.core.write_snapshot();
+            }
+        }
+        if let Some(why) = self.core.failure() {
+            // Salvage what the WALs still buffer, then surface the cause.
             let _ = self.core.flush_wals();
-            let _ = self.core.write_snapshot();
+            let why = why.to_owned();
+            drop(closed);
+            panic!("drain service died: {why}");
         }
         let report = self.core.finish_report();
         *closed = Some(report.clone());
@@ -724,10 +718,9 @@ impl EngineService {
 impl Drop for EngineService {
     /// The unclosed-service guard: joins the drain loop (applying any
     /// backlog) and flushes the WALs, so dropping a persistent service
-    /// without closing it loses at most the tail past the last fsync —
-    /// and an explicit crash simulation (fault injection) still works,
-    /// because a budget-exhausted WAL writer is already dead and flushes
-    /// nothing. After a normal [`EngineService::close`] this is a no-op.
+    /// without closing it leaves on disk every event it drained, as a
+    /// process killed after a final flush would. After a normal
+    /// [`EngineService::close`] this is a no-op.
     fn drop(&mut self) {
         let closed = self
             .closed
@@ -748,5 +741,361 @@ impl Drop for EngineService {
         if self.core.is_persistent() {
             let _ = self.core.flush_wals();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The durable path on the simulated disk ([`crate::disk::sim`]):
+    //! a short persistent run is crashed and failed at every numbered
+    //! file-system operation, and every directory it leaves recovers to
+    //! the never-crashed outcome.
+
+    use std::collections::BTreeMap;
+    use std::time::Instant;
+
+    use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
+    use nurd_sim::{replay_job, ReplayConfig, ReplayOutcome};
+    use nurd_trace::{SuiteConfig, TraceStyle};
+
+    use super::*;
+    use crate::disk::sim::{Fault, Op, SimDisk};
+    use crate::OverloadPolicy;
+
+    const QUANTILE: f64 = 0.9;
+    const WARMUP: f64 = 0.04;
+    const DIR: &str = "/sim/engine";
+
+    /// A one-word predictor whose verdicts hang on every checkpoint it
+    /// has seen: it flags a running task when its id plus a running sum
+    /// over earlier checkpoints (one, plus the tasks each saw finished)
+    /// is a multiple of 7. A lost, repeated or reordered checkpoint moves
+    /// its flags.
+    struct Tally(u64);
+
+    impl OnlinePredictor for Tally {
+        fn name(&self) -> &str {
+            "TALLY"
+        }
+
+        fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+            let seen = self.0;
+            self.0 += checkpoint.finished.len() as u64 + 1;
+            checkpoint
+                .running
+                .iter()
+                .map(|task| task.id)
+                .filter(|&id| (id as u64 + seen).is_multiple_of(7))
+                .collect()
+        }
+
+        fn snapshot_state(&self) -> Option<Vec<u8>> {
+            Some(self.0.to_le_bytes().to_vec())
+        }
+
+        fn restore_state(&mut self, bytes: &[u8]) -> bool {
+            let Ok(word) = <[u8; 8]>::try_from(bytes) else {
+                return false;
+            };
+            self.0 = u64::from_le_bytes(word);
+            true
+        }
+    }
+
+    fn factory() -> PredictorFactory {
+        Box::new(|_: &JobSpec| Box::new(Tally(0)))
+    }
+
+    /// One producer's stream of a small fleet, and each job's outcome
+    /// under a never-crashed sequential replay.
+    struct Fleet {
+        stream: Vec<TaskEvent>,
+        expected: Vec<(u64, ReplayOutcome)>,
+    }
+
+    fn fleet(jobs: usize, tasks: usize, seed: u64) -> Fleet {
+        let cfg = SuiteConfig::new(TraceStyle::Google)
+            .with_jobs(jobs)
+            .with_task_range(tasks, tasks + 4)
+            .with_checkpoints(4)
+            .with_seed(seed);
+        let jobs = nurd_trace::generate_suite(&cfg);
+        let replay = ReplayConfig {
+            quantile: QUANTILE,
+            warmup_fraction: WARMUP,
+        };
+        Fleet {
+            stream: nurd_trace::producer_streams(&jobs, 1, QUANTILE, seed).remove(0),
+            expected: jobs
+                .iter()
+                .map(|job| (job.job_id(), replay_job(job, &mut Tally(0), &replay)))
+                .collect(),
+        }
+    }
+
+    fn engine_config(shards: usize) -> EngineConfig {
+        EngineConfig {
+            shards,
+            warmup_fraction: WARMUP,
+            queue_capacity: Some(4),
+            overload: OverloadPolicy::Block,
+            balance: None,
+        }
+    }
+
+    fn service_config() -> ServiceConfig {
+        ServiceConfig {
+            drain_workers: 1,
+            drain_batch: 4,
+        }
+    }
+
+    fn persistence(fsync: FsyncPolicy) -> PersistenceConfig {
+        let mut persistence = PersistenceConfig::new(DIR);
+        persistence.fsync = fsync;
+        persistence.flush_interval = Duration::from_millis(1);
+        persistence
+    }
+
+    fn start(disk: &SimDisk, shards: usize, fsync: FsyncPolicy) -> std::io::Result<EngineService> {
+        let config = engine_config(shards);
+        let disk = Arc::new(disk.clone());
+        let (core, _) = EngineCore::new_persistent(config, factory(), persistence(fsync), disk)?;
+        Ok(EngineService::launch(Arc::new(core), &service_config()))
+    }
+
+    fn recover(
+        disk: &SimDisk,
+        shards: usize,
+        fsync: FsyncPolicy,
+    ) -> (EngineService, RecoverReport) {
+        let config = engine_config(shards);
+        let disk = Arc::new(disk.clone());
+        let (core, scan) =
+            EngineCore::new_persistent(config, factory(), persistence(fsync), disk).unwrap();
+        let recovered = EngineService::restore(core, &scan, &service_config());
+        recovered.unwrap_or_else(|e| panic!("recover failed: {e}"))
+    }
+
+    /// Pushes `stream` from a producer thread, skipping each job's first
+    /// `seen[job]` events; `false` once a push is rejected.
+    fn feed(service: &EngineService, stream: &[TaskEvent], seen: &BTreeMap<u64, u64>) -> bool {
+        let handle = service.handle();
+        std::thread::scope(|scope| {
+            scope
+                .spawn(move || {
+                    let mut position: BTreeMap<u64, u64> = BTreeMap::new();
+                    stream.iter().all(|event| {
+                        let slot = position.entry(event.job()).or_insert(0);
+                        *slot += 1;
+                        *slot <= seen.get(&event.job()).copied().unwrap_or(0)
+                            || handle.push(event.clone())
+                    })
+                })
+                .join()
+                .unwrap()
+        })
+    }
+
+    /// The message of a panic `f` raised, or `None` if it returned.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+        let message = payload.downcast_ref::<String>().cloned();
+        Some(message.unwrap_or_else(|| payload.downcast_ref::<&str>().unwrap().to_string()))
+    }
+
+    /// The run every crash point is drawn from: admit the fleet and
+    /// serve a third of it, checkpoint (a segment roll), serve to two
+    /// thirds, checkpoint (a roll, and the prune of generation 0), serve
+    /// to five sixths, close (a flush, a snapshot, a prune). Returns how
+    /// a failure surfaced, if one did: after it, the service must reject
+    /// pushes and `close()` must raise it.
+    fn short_run(
+        disk: &SimDisk,
+        shards: usize,
+        fsync: FsyncPolicy,
+        stream: &[TaskEvent],
+    ) -> Option<String> {
+        let service = match start(disk, shards, fsync) {
+            Ok(service) => service,
+            Err(e) => return Some(e.to_string()),
+        };
+        let n = stream.len();
+        let cuts = [0, n / 3, 2 * n / 3, 5 * n / 6];
+        for phase in 0..3 {
+            let served = feed(
+                &service,
+                &stream[cuts[phase]..cuts[phase + 1]],
+                &BTreeMap::new(),
+            );
+            if !served || service.core.failure().is_some() {
+                break;
+            }
+            if phase < 2 {
+                let settled = panic_message(|| service.quiesce()).is_none();
+                if !settled || service.checkpoint().is_err() {
+                    break;
+                }
+            }
+        }
+        if service.core.failure().is_some() {
+            assert!(
+                !service.push(stream[0].clone()),
+                "a failed service took a push"
+            );
+        }
+        panic_message(|| drop(service.close()))
+    }
+
+    /// Recovers `disk`, resumes the fleet from the receipt's durable
+    /// counts, and holds every job's outcome to the sequential replay.
+    fn finish_on(disk: &SimDisk, shards: usize, fleet: &Fleet, context: &str) {
+        let (service, receipt) = recover(disk, shards, FsyncPolicy::Never);
+        assert!(
+            feed(&service, &fleet.stream, &receipt.events_seen),
+            "{context}"
+        );
+        let mut reports = service.take_finalized();
+        reports.extend(service.close().jobs);
+        reports.sort_by_key(|r| r.job);
+        let got: Vec<(u64, ReplayOutcome)> =
+            reports.into_iter().map(|r| (r.job, r.outcome)).collect();
+        assert_eq!(
+            got, fleet.expected,
+            "{context}: restart diverged from the uninterrupted run"
+        );
+    }
+
+    /// For every step `k` of [`short_run`]: a kill at `k` (the page cache
+    /// survives), a power loss at `k`, and a failure of `k`, each
+    /// recovered to the uninterrupted outcome.
+    fn every_step(shards: usize, fsync: FsyncPolicy) {
+        let fleet = fleet(2, 10, 3 + shards as u64);
+        let trace = SimDisk::default();
+        assert_eq!(short_run(&trace, shards, fsync, &fleet.stream), None);
+        let steps = trace.steps();
+        for op in [
+            Op::CreateDir,
+            Op::List,
+            Op::Create,
+            Op::Write,
+            Op::SyncData,
+            Op::Rename,
+            Op::Remove,
+            Op::SyncDir,
+        ] {
+            assert!(
+                steps.iter().any(|step| step.op == op),
+                "the run never reached {op:?}"
+            );
+        }
+        for (k, step) in steps.iter().enumerate() {
+            let context = format!("{shards} shards, {fsync:?}, step {k} {step:?}");
+
+            let disk = SimDisk::planned(Fault::Kill, None, k);
+            assert_eq!(
+                short_run(&disk, shards, fsync, &fleet.stream),
+                None,
+                "{context}"
+            );
+            let unplugged = disk.fork();
+            unplugged.lose_power();
+            disk.restart();
+            finish_on(&disk, shards, &fleet, &format!("kill at {context}"));
+            finish_on(
+                &unplugged,
+                shards,
+                &fleet,
+                &format!("power loss at {context}"),
+            );
+
+            let disk = SimDisk::planned(Fault::Fail, None, k);
+            let surfaced = short_run(&disk, shards, fsync, &fleet.stream);
+            let surfaced =
+                surfaced.unwrap_or_else(|| panic!("{context}: the failure was swallowed"));
+            assert!(
+                surfaced.contains("simulated failure"),
+                "{context}: surfaced as {surfaced:?}"
+            );
+            disk.restart();
+            finish_on(&disk, shards, &fleet, &format!("failure at {context}"));
+        }
+    }
+
+    #[test]
+    fn every_step_of_a_never_synced_run_crashes_and_fails_cleanly() {
+        for shards in [1, 2, 8] {
+            every_step(shards, FsyncPolicy::Never);
+        }
+    }
+
+    #[test]
+    fn every_step_of_an_always_synced_run_crashes_and_fails_cleanly() {
+        for shards in [1, 2, 8] {
+            every_step(shards, FsyncPolicy::Always);
+        }
+    }
+
+    /// Engine A runs under `Never` and is killed at its `Drop` guard's
+    /// first fsync, so its WAL tail sits in the page cache only. B
+    /// recovers that tail, serves a new generation under `Always`, and
+    /// loses power. C must still equal the uninterrupted run — which
+    /// holds only because B fsynced the segment it replayed before
+    /// logging anything after it.
+    #[test]
+    fn recover_fsyncs_the_page_cache_tail_it_replayed() {
+        let fleet = fleet(3, 30, 11);
+        let n = fleet.stream.len();
+        let disk = SimDisk::planned(Fault::Kill, Some(Op::SyncData), 0);
+        let a = start(&disk, 1, FsyncPolicy::Never).unwrap();
+        assert!(feed(&a, &fleet.stream[..n / 2], &BTreeMap::new()));
+        a.quiesce();
+        drop(a);
+        disk.restart();
+
+        let (b, receipt) = recover(&disk, 1, FsyncPolicy::Always);
+        assert!(receipt.wal_events_replayed > 0, "A left no page-cache tail");
+        assert!(feed(&b, &fleet.stream[..n * 3 / 4], &receipt.events_seen));
+        b.quiesce();
+        disk.kill();
+        drop(b);
+        disk.lose_power();
+
+        finish_on(&disk, 1, &fleet, "power loss after a page-cache recovery");
+    }
+
+    /// Under `OnIdle` the background flusher's second fsync fails: the
+    /// service must stop as it does for a failed append — a producer
+    /// blocked on the full queue gets its push rejected, and `close()`
+    /// raises the error.
+    #[test]
+    fn a_failed_background_fsync_fails_the_service() {
+        let disk = SimDisk::planned(Fault::Fail, Some(Op::SyncData), 1);
+        let service = start(&disk, 2, FsyncPolicy::OnIdle).unwrap();
+        let handle = service.handle();
+        let rejected = std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            (0..).any(|ordinal| {
+                let event = TaskEvent::Progress {
+                    job: 1,
+                    task: 0,
+                    ordinal,
+                    time: 1.0,
+                    features: vec![0.5],
+                };
+                !handle.push(event) || Instant::now() > deadline
+            })
+        });
+        rejected.join().unwrap();
+        assert!(
+            !service.push(TaskEvent::JobEnd { job: 1, time: 2.0 }),
+            "the failed fsync was swallowed"
+        );
+        let raised =
+            panic_message(|| drop(service.close())).expect("close() must raise the failure");
+        assert!(
+            raised.contains("drain service died: WAL fsync failed"),
+            "{raised}"
+        );
     }
 }

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nurd_codec::{Checkpointable, Decoder, Encoder};
@@ -12,6 +13,7 @@ use nurd_data::{
 };
 use nurd_sim::outcome_from_flags;
 
+use crate::disk::Disk;
 use crate::engine::{JobReport, MitigatorFactory, PredictorFactory};
 use crate::lifecycle::{FinalizeReason, JobPhase, OverloadCounters};
 use crate::observer::HealthObserver;
@@ -728,9 +730,9 @@ impl Shard {
 
     /// Seals the current WAL segment and starts a fresh one at `path`
     /// (the per-shard half of snapshot rotation).
-    pub(crate) fn rotate_wal(&mut self, path: std::path::PathBuf) -> std::io::Result<()> {
+    pub(crate) fn rotate_wal(&mut self, disk: &dyn Disk, path: &Path) -> std::io::Result<()> {
         match self.wal.as_mut() {
-            Some(wal) => wal.rotate(path),
+            Some(wal) => wal.rotate(disk, path),
             None => Ok(()),
         }
     }

@@ -24,14 +24,14 @@
 //! generation untouched.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use nurd_codec::{read_frame, write_frame, Checkpointable, Decoder, Encoder};
 
+use crate::disk::{Disk, RealDisk};
 use crate::engine::JobReport;
-use crate::persist::{sync_dir, RecoverError};
+use crate::persist::RecoverError;
 
 /// First 8 bytes of every snapshot file.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NURDSNAP";
@@ -125,9 +125,13 @@ pub(crate) struct SnapshotData {
 /// `snap-*.bin` at `path` (recovery falls back to the previous
 /// generation, which is why [`PersistenceConfig::retain_generations`](crate::PersistenceConfig::retain_generations)
 /// is clamped to ≥ 2).
-pub(crate) fn write_snapshot_file(path: &Path, data: &SnapshotData) -> std::io::Result<()> {
+pub(crate) fn write_snapshot_file(
+    disk: &dyn Disk,
+    path: &Path,
+    data: &SnapshotData,
+) -> std::io::Result<()> {
     let tmp = path.with_extension("bin.tmp");
-    let mut out = BufWriter::new(File::create(&tmp)?);
+    let mut out = BufWriter::new(disk.create(&tmp)?);
     out.write_all(&SNAPSHOT_MAGIC)?;
     out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
     let mut header = Encoder::new();
@@ -142,13 +146,10 @@ pub(crate) fn write_snapshot_file(path: &Path, data: &SnapshotData) -> std::io::
         write_frame(&mut out, job)?;
     }
     out.flush()?;
-    out.get_ref().sync_data()?;
+    out.get_mut().sync_data()?;
     drop(out);
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        sync_dir(dir);
-    }
-    Ok(())
+    disk.rename(&tmp, path)?;
+    path.parent().map_or(Ok(()), |dir| disk.sync_dir(dir))
 }
 
 fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), RecoverError> {
@@ -164,8 +165,11 @@ fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Reco
 /// Reads and fully validates a snapshot file's framing: magic, format
 /// version, and every record's length + CRC32. Job payloads stay
 /// encoded (see [`SnapshotData`]).
-pub(crate) fn read_snapshot_data(path: &Path) -> Result<SnapshotData, RecoverError> {
-    let mut reader = BufReader::new(File::open(path)?);
+pub(crate) fn read_snapshot_data(
+    disk: &dyn Disk,
+    path: &Path,
+) -> Result<SnapshotData, RecoverError> {
+    let mut reader = disk.open(path)?;
     let mut magic = [0u8; 8];
     read_exact_or_truncated(&mut reader, &mut magic)?;
     if magic != SNAPSHOT_MAGIC {
@@ -184,8 +188,10 @@ pub(crate) fn read_snapshot_data(path: &Path) -> Result<SnapshotData, RecoverErr
     let finalized_ids = Checkpointable::decode(&mut dec)?;
     let finalized = Checkpointable::decode(&mut dec)?;
     let observer = dec.take_bytes()?.to_vec();
+    // Checksummed, yet unchecked against the frames that follow: reserve
+    // nothing on it, grow with the frames read (each ≥ 8 bytes).
     let job_count = dec.take_usize()?;
-    let mut jobs = Vec::with_capacity(job_count.min(1 << 20));
+    let mut jobs = Vec::new();
     for _ in 0..job_count {
         jobs.push(read_frame(&mut reader)?.ok_or(RecoverError::Truncated)?);
     }
@@ -219,7 +225,7 @@ pub struct SnapshotStats {
 /// probe the corruption tests (and a `file`-style operator check) use
 /// without needing a predictor factory.
 pub fn read_snapshot(path: &Path) -> Result<SnapshotStats, RecoverError> {
-    let data = read_snapshot_data(path)?;
+    let data = read_snapshot_data(&RealDisk, path)?;
     Ok(SnapshotStats {
         live_jobs: data.jobs.len(),
         finalized_reports: data.finalized.len(),
@@ -255,8 +261,8 @@ mod tests {
         let dir = std::env::temp_dir().join("nurd-snap-test-roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap-1.bin");
-        write_snapshot_file(&path, &sample()).unwrap();
-        let back = read_snapshot_data(&path).unwrap();
+        write_snapshot_file(&RealDisk, &path, &sample()).unwrap();
+        let back = read_snapshot_data(&RealDisk, &path).unwrap();
         assert_eq!(back.counters, sample().counters);
         assert_eq!(back.events_seen, sample().events_seen);
         assert_eq!(back.jobs, sample().jobs);
@@ -271,7 +277,7 @@ mod tests {
         let dir = std::env::temp_dir().join("nurd-snap-test-corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap-1.bin");
-        write_snapshot_file(&path, &sample()).unwrap();
+        write_snapshot_file(&RealDisk, &path, &sample()).unwrap();
         let pristine = std::fs::read(&path).unwrap();
 
         // Wrong magic.
@@ -317,6 +323,30 @@ mod tests {
             Err(RecoverError::ChecksumMismatch)
         ));
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A header's job count passed its CRC but promises 2⁴⁰ frames where
+    /// one follows: `Truncated`. Nothing is reserved on the count's word —
+    /// it once reserved 2²⁰ slots (24 MiB) before reading a frame.
+    #[test]
+    fn a_job_count_past_the_frames_present_is_truncated() {
+        let dir = std::env::temp_dir().join("nurd-snap-test-count");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap-1.bin");
+        let mut header = Encoder::new();
+        PersistedCounters::default().encode(&mut header);
+        BTreeMap::<u64, u64>::new().encode(&mut header);
+        Vec::<u64>::new().encode(&mut header);
+        Vec::<JobReport>::new().encode(&mut header);
+        header.put_bytes(&[]);
+        header.put_usize(1 << 40);
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        write_frame(&mut bytes, header.as_slice()).unwrap();
+        write_frame(&mut bytes, &[7; 16]).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_snapshot(&path), Err(RecoverError::Truncated)));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

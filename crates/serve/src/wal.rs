@@ -10,63 +10,35 @@
 //! first torn or checksum-corrupt record: everything before it is the
 //! durable prefix, everything after is the crash's unsynced tail.
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::io::{BufWriter, Write};
+use std::path::Path;
 
 use nurd_codec::{read_frame, write_frame, Checkpointable, Decoder, Encoder, FrameError};
 use nurd_data::TaskEvent;
 
-use crate::persist::{FaultInjector, FsyncPolicy, RecoverError, WalWrite};
+use crate::disk::{Disk, DiskFile};
+use crate::persist::{FsyncPolicy, RecoverError};
 
 /// One shard's live WAL segment. Owned by the [`Shard`](crate::shard::Shard)
 /// it logs for and therefore only ever touched under that shard's lock.
 pub(crate) struct WalWriter {
-    out: BufWriter<File>,
+    out: BufWriter<Box<dyn DiskFile>>,
     policy: FsyncPolicy,
-    fault: Option<Arc<FaultInjector>>,
-    /// Set once the fault injector "crashed" this writer: every later
-    /// append (and flush) silently vanishes, as it would after a kill.
-    dead: bool,
     /// Buffered bytes not yet fsynced (skips no-op sync calls).
     dirty: bool,
     /// The record being appended: one buffer serves every event.
     enc: Encoder,
 }
 
-/// Passes its first `left` bytes through and swallows the rest: cuts a
-/// frame short as it is written, without building it anywhere first.
-struct CutShort<'a, W> {
-    out: &'a mut W,
-    left: usize,
-}
-
-impl<W: Write> Write for CutShort<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let keep = buf.len().min(self.left);
-        self.out.write_all(&buf[..keep])?;
-        self.left -= keep;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 impl WalWriter {
     pub(crate) fn create(
-        path: PathBuf,
+        disk: &dyn Disk,
+        path: &Path,
         policy: FsyncPolicy,
-        fault: Option<Arc<FaultInjector>>,
     ) -> std::io::Result<Self> {
-        let file = File::create(path)?;
         Ok(WalWriter {
-            out: BufWriter::new(file),
+            out: BufWriter::new(disk.create(path)?),
             policy,
-            fault,
-            dead: false,
             dirty: false,
             enc: Encoder::new(),
         })
@@ -75,32 +47,10 @@ impl WalWriter {
     /// Appends one event record. Under [`FsyncPolicy::Always`] the
     /// record is flushed and fsynced before this returns.
     pub(crate) fn append(&mut self, event: &TaskEvent) -> std::io::Result<()> {
-        if self.dead {
-            return Ok(());
-        }
         self.enc.clear();
         event.encode(&mut self.enc);
-        let payload = self.enc.as_slice();
-        match self.fault.as_ref().map_or(WalWrite::Full, |f| f.admit()) {
-            WalWrite::Full => {
-                write_frame(&mut self.out, payload)?;
-                self.dirty = true;
-            }
-            WalWrite::Torn => {
-                // Half a frame, then silence — the shape a crash mid-write
-                // leaves. Flush it so the torn bytes actually land.
-                let mut half = CutShort {
-                    out: &mut self.out,
-                    left: (FRAME_HEADER + payload.len()) / 2,
-                };
-                write_frame(&mut half, payload)?;
-                self.out.flush()?;
-                self.dead = true;
-            }
-            WalWrite::Dropped => {
-                self.dead = true;
-            }
-        }
+        write_frame(&mut self.out, self.enc.as_slice())?;
+        self.dirty = true;
         if self.policy == FsyncPolicy::Always {
             self.flush_and_sync()?;
         }
@@ -109,11 +59,11 @@ impl WalWriter {
 
     /// Pushes buffered records to the OS and fsyncs the segment.
     pub(crate) fn flush_and_sync(&mut self) -> std::io::Result<()> {
-        if self.dead || !self.dirty {
+        if !self.dirty {
             return Ok(());
         }
         self.out.flush()?;
-        self.out.get_ref().sync_data()?;
+        self.out.get_mut().sync_data()?;
         self.dirty = false;
         Ok(())
     }
@@ -121,16 +71,12 @@ impl WalWriter {
     /// Seals this segment (flush + fsync) and starts a fresh one at
     /// `path` — the WAL half of snapshot rotation, called under the
     /// shard lock so no append can slip between the old and new files.
-    pub(crate) fn rotate(&mut self, path: PathBuf) -> std::io::Result<()> {
+    pub(crate) fn rotate(&mut self, disk: &dyn Disk, path: &Path) -> std::io::Result<()> {
         self.flush_and_sync()?;
-        self.out = BufWriter::new(File::create(path)?);
-        self.dirty = false;
+        self.out = BufWriter::new(disk.create(path)?);
         Ok(())
     }
 }
-
-/// Bytes [`write_frame`] puts before the payload: `[len: u32][crc32: u32]`.
-const FRAME_HEADER: usize = 8;
 
 /// How a WAL segment ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,8 +94,11 @@ pub(crate) enum WalTail {
 /// or corrupt one. A record that passes its CRC but fails to decode as
 /// a [`TaskEvent`] is format drift, not crash damage — that surfaces as
 /// a typed [`RecoverError::Codec`] instead of silent truncation.
-pub(crate) fn read_wal_segment(path: &Path) -> Result<(Vec<TaskEvent>, WalTail), RecoverError> {
-    let mut reader = BufReader::new(File::open(path)?);
+pub(crate) fn read_wal_segment(
+    disk: &dyn Disk,
+    path: &Path,
+) -> Result<(Vec<TaskEvent>, WalTail), RecoverError> {
+    let mut reader = disk.open(path)?;
     let mut events = Vec::new();
     loop {
         match read_frame(&mut reader) {
@@ -168,6 +117,7 @@ pub(crate) fn read_wal_segment(path: &Path) -> Result<(Vec<TaskEvent>, WalTail),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::sim::{Fault, Op, SimDisk};
 
     fn event(job: u64, ordinal: usize) -> TaskEvent {
         TaskEvent::Progress {
@@ -179,21 +129,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn segment_round_trips_and_reports_a_clean_tail() {
-        let dir = std::env::temp_dir().join("nurd-wal-test-roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-0-0.log");
-        let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never, None).unwrap();
-        let written: Vec<TaskEvent> = (0..5).map(|i| event(7, i)).collect();
-        for e in &written {
+    /// Appends `events` to a fresh segment on `disk` under `policy`, then
+    /// drops the writer without a flush — a kill: what its buffer held
+    /// is gone, what reached the disk stays.
+    fn append_all(disk: &SimDisk, policy: FsyncPolicy, events: &[TaskEvent]) -> &'static Path {
+        let path = Path::new("/wal/wal-0-0.log");
+        let mut wal = WalWriter::create(disk, path, policy).unwrap();
+        for e in events {
             wal.append(e).unwrap();
         }
-        wal.flush_and_sync().unwrap();
-        let (read, tail) = read_wal_segment(&path).unwrap();
+        if policy != FsyncPolicy::Always {
+            wal.flush_and_sync().unwrap();
+        }
+        disk.kill();
+        drop(wal);
+        path
+    }
+
+    #[test]
+    fn segment_round_trips_and_reports_a_clean_tail() {
+        let disk = SimDisk::default();
+        let written: Vec<TaskEvent> = (0..5).map(|i| event(7, i)).collect();
+        let path = append_all(&disk, FsyncPolicy::Never, &written);
+        let (read, tail) = read_wal_segment(&disk, path).unwrap();
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(read, written);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The bytes `events` frame to through a fresh encoder each.
@@ -210,11 +170,7 @@ mod tests {
     #[test]
     fn a_reused_encoder_writes_the_bytes_fresh_encoders_would() {
         // Payloads that grow and shrink, so a record never leaks the tail
-        // of a longer one before it; then a torn record cut from the same
-        // buffer.
-        let dir = std::env::temp_dir().join("nurd-wal-test-reuse");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-0-0.log");
+        // of a longer one before it.
         let events: Vec<TaskEvent> = (0..40)
             .map(|i| TaskEvent::Progress {
                 job: 3,
@@ -224,50 +180,33 @@ mod tests {
                 features: vec![i as f64; (i * 7) % 11],
             })
             .collect();
-        let fault = FaultInjector::crash_after_wal_records(30).with_torn_tail();
-        let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never, Some(fault)).unwrap();
-        for e in &events {
-            wal.append(e).unwrap();
-        }
-        drop(wal);
-        let mut want = framed(&events[..30]);
-        let torn = framed(&events[30..31]);
-        want.extend_from_slice(&torn[..torn.len() / 2]);
-        assert_eq!(std::fs::read(&path).unwrap(), want);
-        std::fs::remove_dir_all(&dir).ok();
+        let disk = SimDisk::default();
+        let path = append_all(&disk, FsyncPolicy::Never, &events);
+        assert_eq!(disk.files()[path], framed(&events));
     }
 
     #[test]
     fn injected_crash_keeps_exactly_the_budgeted_prefix() {
-        let dir = std::env::temp_dir().join("nurd-wal-test-budget");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-0-0.log");
-        let fault = FaultInjector::crash_after_wal_records(3);
-        let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never, Some(fault)).unwrap();
-        for i in 0..10 {
-            wal.append(&event(7, i)).unwrap();
-        }
-        drop(wal); // BufWriter flushes what it was allowed to hold
-        let (read, tail) = read_wal_segment(&path).unwrap();
+        // Under `Always` each record is one write and one fsync: a kill
+        // at the fourth fsync leaves four whole records behind.
+        let disk = SimDisk::planned(Fault::Kill, Some(Op::SyncData), 3);
+        let events: Vec<TaskEvent> = (0..10).map(|i| event(7, i)).collect();
+        let path = append_all(&disk, FsyncPolicy::Always, &events);
+        let (read, tail) = read_wal_segment(&disk, path).unwrap();
         assert_eq!(tail, WalTail::Clean);
-        assert_eq!(read, (0..3).map(|i| event(7, i)).collect::<Vec<_>>());
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(read, events[..4]);
     }
 
     #[test]
     fn torn_tail_is_detected_and_the_prefix_survives() {
-        let dir = std::env::temp_dir().join("nurd-wal-test-torn");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-0-0.log");
-        let fault = FaultInjector::crash_after_wal_records(2).with_torn_tail();
-        let mut wal = WalWriter::create(path.clone(), FsyncPolicy::Never, Some(fault)).unwrap();
-        for i in 0..10 {
-            wal.append(&event(7, i)).unwrap();
-        }
-        drop(wal);
-        let (read, tail) = read_wal_segment(&path).unwrap();
+        // A kill inside the third record's write lands half of it.
+        let disk = SimDisk::planned(Fault::Kill, Some(Op::Write), 2);
+        let events: Vec<TaskEvent> = (0..10).map(|i| event(7, i)).collect();
+        let path = append_all(&disk, FsyncPolicy::Always, &events);
+        let (read, tail) = read_wal_segment(&disk, path).unwrap();
         assert_eq!(tail, WalTail::Torn);
-        assert_eq!(read, (0..2).map(|i| event(7, i)).collect::<Vec<_>>());
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(read, events[..2]);
+        let whole = framed(&events[..3]).len();
+        assert!(disk.files()[path].len() < whole);
     }
 }

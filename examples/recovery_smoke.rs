@@ -1,9 +1,9 @@
 //! Crash-recovery smoke test **as an end-to-end gate**: a persistent
-//! service streams a fleet from 3 producer threads, the write-ahead log
-//! is killed mid-run by a fault injector (with a torn half-written tail
-//! record — what a real `kill -9` leaves), the service is dropped
-//! without `close()`, and a fresh service recovers from the directory.
-//! The recovered service resumes part of the fleet and crashes too; a
+//! service streams ~40% of a fleet from 3 producer threads and is dropped
+//! without `close()`; its live WAL generation is then cut mid-record —
+//! the torn tail a crash under `OnIdle` can leave — and a fresh service
+//! recovers from the directory. The recovered service resumes part of
+//! the fleet and crashes too (its own tail cut at a record boundary); a
 //! third service recovers from what the first recovery left — no snapshot
 //! of its own, the torn segment now mid-chain — and finishes. Producers
 //! resume each job's stream from the recovered per-job durable event
@@ -24,8 +24,7 @@ use std::path::Path;
 use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd::data::{JobSpec, TaskEvent};
 use nurd::serve::{
-    EngineConfig, EngineService, FaultInjector, FsyncPolicy, OverloadPolicy, PersistenceConfig,
-    RecoverReport, ServiceConfig,
+    EngineConfig, EngineService, OverloadPolicy, PersistenceConfig, RecoverReport, ServiceConfig,
 };
 use nurd::sim::{replay_job, ReplayConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
@@ -51,14 +50,46 @@ fn engine_config() -> EngineConfig {
     }
 }
 
-/// Always-fsync persistence under `dir` whose WAL dies after `budget`
-/// records.
-fn persistence(dir: &Path, budget: u64, torn: bool) -> PersistenceConfig {
-    let fault = FaultInjector::crash_after_wal_records(budget);
-    let mut persistence = PersistenceConfig::new(dir);
-    persistence.fsync = FsyncPolicy::Always;
-    persistence.fault = Some(if torn { fault.with_torn_tail() } else { fault });
-    persistence
+/// Cuts every segment of the newest WAL generation in `dir` (the live one
+/// of the engine that just crashed) after its first `keep` records; with
+/// `torn`, half of the next record stays too. Returns how many records
+/// the cut removed.
+fn cut_live_wal(dir: &Path, keep: usize, torn: bool) -> u64 {
+    let segments: Vec<(u64, std::path::PathBuf)> = std::fs::read_dir(dir)
+        .expect("engine directory")
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            let body = name.strip_prefix("wal-")?.strip_suffix(".log")?;
+            Some((body.split_once('-')?.0.parse().ok()?, dir.join(name)))
+        })
+        .collect();
+    let live = segments.iter().map(|&(generation, _)| generation).max();
+    let mut removed = 0;
+    for (_, path) in segments.iter().filter(|&&(g, _)| Some(g) == live) {
+        let bytes = std::fs::read(path).expect("WAL segment");
+        // Record boundaries: `[len: u32][crc: u32][payload]` frames.
+        let (mut ends, mut at) = (vec![0], 0);
+        while let Some(header) = bytes.get(at..at + 4) {
+            at += 8 + u32::from_le_bytes(header.try_into().expect("4 bytes")) as usize;
+            ends.push(at);
+        }
+        let records = ends.len() - 1;
+        let kept = keep.min(records);
+        let mut cut = ends[kept];
+        if torn && kept < records {
+            cut += (ends[kept + 1] - cut) / 2;
+        }
+        std::fs::write(path, &bytes[..cut]).expect("cut WAL segment");
+        removed += (records - kept) as u64;
+    }
+    removed
+}
+
+fn prefixes(streams: &[Vec<TaskEvent>], num: usize, den: usize) -> Vec<Vec<TaskEvent>> {
+    streams
+        .iter()
+        .map(|s| s[..s.len() * num / den].to_vec())
+        .collect()
 }
 
 /// Pushes each stream on its own thread, skipping the first
@@ -98,20 +129,20 @@ fn run_producers(
         .sum()
 }
 
-/// Recovers `persistence.dir`, prints the receipt, and checks it: at
-/// least `admitted` events durable, the first crash's torn record found.
-fn recover(persistence: PersistenceConfig, admitted: u64) -> (EngineService, RecoverReport) {
+/// Recovers `dir`, prints the receipt, and checks it: exactly `durable`
+/// events durable, the first crash's torn record found.
+fn recover(dir: &Path, durable: u64) -> (EngineService, RecoverReport) {
     let (service, receipt) = EngineService::recover(
-        persistence,
+        PersistenceConfig::new(dir),
         engine_config(),
         ServiceConfig::default(),
         Box::new(|_spec: &JobSpec| Box::new(nurd_warm())),
     )
     .expect("recover");
-    let durable: u64 = receipt.events_seen.values().sum();
+    let recovered: u64 = receipt.events_seen.values().sum();
     println!(
         "recovered: snapshot generation {:?} · {} WAL events replayed · {} torn tails · \
-         {} jobs resumed mid-stream · {} finalized reports carried · {durable} durable events · \
+         {} jobs resumed mid-stream · {} finalized reports carried · {recovered} durable events · \
          {} snapshots written",
         receipt.snapshot_generation,
         receipt.wal_events_replayed,
@@ -120,9 +151,9 @@ fn recover(persistence: PersistenceConfig, admitted: u64) -> (EngineService, Rec
         receipt.finalized_jobs,
         service.stats().snapshots_written,
     );
-    assert!(
-        durable >= admitted,
-        "accepted-event loss up to the last fsync: {durable} < {admitted}"
+    assert_eq!(
+        recovered, durable,
+        "recovery must hold exactly the events the crash left"
     );
     assert!(
         receipt.wal_truncated_tails >= 1,
@@ -145,43 +176,39 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("nurd-recovery-smoke-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    // Kill the WAL after ~40% of the fleet's events, tearing the record
-    // in flight — the torn frame a crash mid-`write` leaves on disk.
-    let crash_budget = (n_events as u64) * 2 / 5;
-    // The recovered service's WAL dies after another ~20%.
-    let second_budget = (n_events as u64) / 5;
+    // Serve ~40% of the fleet, crash, and tear the live WAL's tail: each
+    // segment keeps its first 60% of records and half of the next one.
     println!(
         "streaming {} jobs · {n_events} events · {PRODUCERS} producers → {SHARDS} shards; \
-         WAL dies after {crash_budget} records (torn tail), then the process \"crashes\"; \
-         the recovered one dies {second_budget} records later",
+         the process \"crashes\" after 2/5 of every stream (its WAL tail torn), and the \
+         recovered one after 3/4",
         jobs.len(),
     );
-
+    let part = prefixes(&streams, 2, 5);
     let doomed = EngineService::start_persistent(
         engine_config(),
         ServiceConfig::default(),
-        persistence(&dir, crash_budget, true),
+        PersistenceConfig::new(&dir),
         Box::new(|_spec: &JobSpec| Box::new(nurd_warm())),
     )
     .expect("start_persistent");
-    run_producers(&doomed, &streams, &BTreeMap::new());
+    let pushed = run_producers(&doomed, &part, &BTreeMap::new());
     doomed.quiesce();
     drop(doomed); // the crash: no close(), no shutdown snapshot
+    let removed = cut_live_wal(&dir, (pushed as usize) * 3 / 5 / SHARDS, true);
 
-    // Resume three quarters of every stream, then crash again.
-    let (revived, first) = recover(persistence(&dir, second_budget, false), crash_budget);
-    let part: Vec<Vec<TaskEvent>> = streams
-        .iter()
-        .map(|s| s[..s.len() * 3 / 4].to_vec())
-        .collect();
-    let pushed = run_producers(&revived, &part, &first.events_seen);
+    // Resume three quarters of every stream, then crash again: the
+    // recovered engine's own tail loses its last records.
+    let (revived, first) = recover(&dir, pushed - removed);
+    let pushed = run_producers(&revived, &prefixes(&streams, 3, 4), &first.events_seen);
     revived.quiesce();
     drop(revived);
+    let removed = cut_live_wal(&dir, (pushed as usize) / 2 / SHARDS, false);
 
     // The second recovery replays the torn segment again, mid-chain, and
     // the first recovery's own WAL generation after it.
-    let admitted = first.events_seen.values().sum::<u64>() + second_budget.min(pushed);
-    let (revived, second) = recover(PersistenceConfig::new(&dir), admitted);
+    let admitted = first.events_seen.values().sum::<u64>() + pushed - removed;
+    let (revived, second) = recover(&dir, admitted);
 
     // Resume every job from its durable prefix and finish the fleet.
     run_producers(&revived, &streams, &second.events_seen);
