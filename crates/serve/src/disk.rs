@@ -76,11 +76,9 @@ impl Disk for RealDisk {
     }
 
     fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
-        // Best-effort: some filesystems refuse directory handles.
-        if let Ok(handle) = File::open(dir) {
-            let _ = handle.sync_all();
-        }
-        Ok(())
+        // Some filesystems refuse directory handles; a failed fsync is an
+        // error (its handling is held by `service.rs`'s `SimDisk` steps).
+        File::open(dir).map_or(Ok(()), |handle| handle.sync_all())
     }
 }
 

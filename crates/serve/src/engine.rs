@@ -14,6 +14,7 @@
 //!   must place their drain points by hand, drive the core directly.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -30,7 +31,7 @@ use crate::observer::HealthObserver;
 use crate::persist::{scan_dir, snapshot_path, wal_path, DirScan, PersistenceConfig, RecoverError};
 use crate::shard::{JobState, Shard, ShardStats};
 use crate::snapshot::{write_snapshot_file, SnapshotData};
-use crate::wal::WalWriter;
+use crate::wal::{read_wal_segment, WalTail, WalWriter};
 
 /// Builds a fresh predictor for an admitted job — the serving analogue of
 /// the per-job factories in `nurd-baselines`' method registry. Invoked by
@@ -894,11 +895,14 @@ impl EngineCore {
         Ok((resumed, finalized))
     }
 
-    /// Applies recovered WAL events in segment order (generation-major,
-    /// the order the crashed engine applied them). Per-job order is
-    /// preserved because each job's events land in exactly one shard's
-    /// segment per generation. Must run before drain workers start.
-    pub(crate) fn replay_recovered(&self, events: Vec<TaskEvent>) -> usize {
+    /// Reads a recovered WAL segment, applies its events in record order
+    /// (each under its job's shard lock) and fsyncs it: it may sit in the
+    /// page cache only, and the new generation must not reach the disk
+    /// first. One generation's segments may replay concurrently (a job's
+    /// events sit in one of them). Must run before drain workers start.
+    pub(crate) fn replay_segment(&self, path: &Path) -> Result<(usize, WalTail), RecoverError> {
+        let persist = self.persist.as_ref().expect("replay on a persistent core");
+        let (events, tail) = read_wal_segment(&*persist.disk, path)?;
         let replayed = events.len();
         for event in events {
             let idx = self.shard_of(event.job());
@@ -912,10 +916,9 @@ impl EngineCore {
                 &cell.stats,
             );
         }
-        if let Some(persist) = &self.persist {
-            persist.wal_replayed.fetch_add(replayed, Ordering::Relaxed);
-        }
-        replayed
+        persist.wal_replayed.fetch_add(replayed, Ordering::Relaxed);
+        persist.disk.sync_file(path)?;
+        Ok((replayed, tail))
     }
 
     /// Per-job durable-event counts, merged across shards — how much of

@@ -23,7 +23,8 @@
 //! [`HealthObserver::snapshot_state`] when writing a snapshot and
 //! [`HealthObserver::restore_state`] when installing one, so a recovered
 //! observer resumes with exactly the state it had at the snapshot point
-//! (the replayed WAL suffix is then re-observed live).
+//! (the replayed WAL suffix is then re-observed live, from several
+//! threads at once as drains do: recovery replays segments in parallel).
 
 use nurd_data::TaskScore;
 

@@ -156,7 +156,7 @@ impl From<FrameError> for RecoverError {
 
 /// What [`EngineService::recover`](crate::EngineService::recover)
 /// reconstructed — the operator's receipt for a restart.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoverReport {
     /// Generation of the snapshot actually loaded (`None` = no valid
     /// snapshot existed; recovery started empty and replayed every WAL).

@@ -40,7 +40,7 @@ use crate::persist::{
     snapshot_path, wal_path, DirScan, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
 };
 use crate::snapshot::read_snapshot_data;
-use crate::wal::{read_wal_segment, WalTail};
+use crate::wal::WalTail;
 use crate::{
     EngineConfig, EngineStats, HealthObserver, JobPhase, JobReport, MitigatorFactory,
     PredictorFactory,
@@ -49,10 +49,11 @@ use crate::{
 /// Tuning for the background drain loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Drain workers (total pool parallelism, coordinator included).
-    /// `0` resolves to the machine's parallelism; either way the count
-    /// is capped at the shard count (a shard is drained by one worker at
-    /// a time, so extra workers could only idle) and clamped to ≥ 1.
+    /// Drain workers (total pool parallelism, coordinator included;
+    /// [`EngineService::recover`] replays the WAL on them plus its
+    /// caller). `0` resolves to the machine's parallelism; either way the
+    /// count is capped at the shard count (a shard is drained by one
+    /// worker at a time, so extra workers could only idle) and ≥ 1.
     pub drain_workers: usize,
     /// Maximum events a worker pops from one shard per lock hold.
     /// Smaller batches bound the latency until a blocked producer wakes
@@ -81,16 +82,20 @@ struct DrainService {
     coordinator: Option<JoinHandle<()>>,
 }
 
+impl ServiceConfig {
+    /// The drain workers this config grants an engine of `shards` shards.
+    fn workers(&self, shards: usize) -> usize {
+        let asked = match self.drain_workers {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        };
+        asked.min(shards).max(1)
+    }
+}
+
 impl DrainService {
     fn start(core: Arc<EngineCore>, config: &ServiceConfig, flush_every: Option<Duration>) -> Self {
-        let machine = std::thread::available_parallelism().map_or(1, usize::from);
-        let workers = if config.drain_workers == 0 {
-            machine
-        } else {
-            config.drain_workers
-        }
-        .min(core.shard_count())
-        .max(1);
+        let workers = config.workers(core.shard_count());
         let batch = config.drain_batch.max(1);
         let shutdown = Arc::new(AtomicBool::new(false));
         // The background WAL flusher (FsyncPolicy::OnIdle) rides the same
@@ -347,16 +352,18 @@ impl EngineService {
     /// Rebuilds a running service from a persistence directory: loads the
     /// newest snapshot that validates end to end (falling back past
     /// corrupt ones — counted in [`RecoverReport::recovery_fallbacks`]),
-    /// replays every WAL segment at or past that snapshot's generation in
-    /// ascending generation order, fsyncs those segments and the
-    /// directory, and only then starts the drain loop on a fresh WAL
-    /// generation. It writes no snapshot: the next
-    /// [`EngineService::checkpoint`] or `close` compacts. The recovered
-    /// engine's per-job state is bit-for-bit the state of an engine that
-    /// applied the same durable prefix without ever crashing — the
-    /// restart-equals-uninterrupted properties of `tests/recovery.rs`
-    /// prove it across chained crashes and torn WAL tails, and this
-    /// module's tests at every numbered disk operation of a run.
+    /// replays every WAL segment at or past that snapshot's generation (a
+    /// generation at a time, its segments in parallel on the drain
+    /// workers plus the caller; the first error by (generation, shard)
+    /// wins), fsyncs those segments and the directory, and only then
+    /// starts the drain loop on a fresh WAL generation. It writes no
+    /// snapshot: the next [`EngineService::checkpoint`] or `close`
+    /// compacts. The recovered engine's per-job state is bit-for-bit the
+    /// state of an engine that applied the same durable prefix without
+    /// ever crashing — the restart-equals-uninterrupted properties of
+    /// `tests/recovery.rs` prove it across chained crashes, torn WAL
+    /// tails and changed shard counts, and this module's tests at every
+    /// numbered disk operation of a run.
     ///
     /// Producers resume each job's stream from
     /// [`RecoverReport::events_seen`]: the count is how many of the job's
@@ -448,7 +455,7 @@ impl EngineService {
         service: &ServiceConfig,
     ) -> Result<(Self, RecoverReport), RecoverError> {
         let persist = core.persist().expect("restore on a persistent core");
-        let (disk, dir) = (Arc::clone(&persist.disk), persist.config.dir.clone());
+        let (disk, dir) = (&*persist.disk, &persist.config.dir);
         // Newest snapshot that both reads (framing, CRCs) and decodes
         // (every job record through the factory) wins; everything newer
         // is a fallback. `install_snapshot` mutates shard state, so a
@@ -457,7 +464,7 @@ impl EngineService {
         let mut fallbacks = 0usize;
         let mut loaded = None;
         for &generation in scan.snapshots.iter().rev() {
-            match read_snapshot_data(&*disk, &snapshot_path(&dir, generation))
+            match read_snapshot_data(disk, &snapshot_path(dir, generation))
                 .and_then(|data| core.install_snapshot(data))
             {
                 Ok(counts) => {
@@ -470,41 +477,40 @@ impl EngineService {
         let snapshot_generation = loaded.map(|(generation, _)| generation);
         let (resumed_jobs, finalized_jobs) = loaded.map_or((0, 0), |(_, counts)| counts);
 
-        // Replay the WAL trail on top: all segments at or past the loaded
-        // snapshot's generation (all of them when starting empty),
-        // generation-major — the order the crashed engine applied them.
-        // Torn or corrupt tails are crash damage, not errors: the valid
-        // prefix replays and the tail is counted.
-        let min_generation = snapshot_generation.unwrap_or(0);
+        // Replay the WAL trail on top, from the loaded snapshot's
+        // generation (0 when starting empty), a generation at a time. A job
+        // sits in one segment per generation, so a generation's segments
+        // replay in parallel on the drain workers about to start plus this
+        // caller; the first error by (generation, shard) wins.
+        let threads = service.workers(core.shard_count()) + 1;
         let mut wal_events_replayed = 0;
         let mut wal_truncated_tails = 0;
-        for &(generation, shard) in &scan.wals {
-            if generation < min_generation {
-                continue;
+        let min_generation = snapshot_generation.unwrap_or(0);
+        let first = scan.wals.partition_point(|&(g, _)| g < min_generation);
+        for segments in scan.wals[first..].chunk_by(|a, b| a.0 == b.0) {
+            let mut replayed: Vec<_> = segments.iter().map(|_| None).collect();
+            ThreadPool::new(threads.min(segments.len())).scope(|scope| {
+                for (slot, &(generation, shard)) in replayed.iter_mut().zip(segments) {
+                    let (core, path) = (&core, wal_path(dir, generation, shard));
+                    scope.spawn(move || *slot = Some(core.replay_segment(&path)));
+                }
+            });
+            for result in replayed {
+                let (events, tail) = result.expect("every segment replayed")?;
+                wal_events_replayed += events;
+                wal_truncated_tails += usize::from(tail != WalTail::Clean);
             }
-            let path = wal_path(&dir, generation, shard);
-            let (events, tail) = read_wal_segment(&*disk, &path)?;
-            if tail != WalTail::Clean {
-                wal_truncated_tails += 1;
-            }
-            wal_events_replayed += core.replay_recovered(events);
-            // Under `OnIdle`/`Never` this may live in the page cache only,
-            // and the new generation's events follow it: it reaches the
-            // disk before they can.
-            disk.sync_file(&path)?;
         }
-        if let Some(persist) = core.persist() {
-            persist
-                .recovery_fallbacks
-                .store(fallbacks, Ordering::Relaxed);
-        }
+        persist
+            .recovery_fallbacks
+            .store(fallbacks, Ordering::Relaxed);
         // No snapshot writer is alive, so every `.tmp` is stranded. One
         // directory fsync covers these removals and the new `wal-*` names;
         // compaction waits for the next checkpoint or close.
         for &generation in &scan.tmps {
-            disk.remove(&snapshot_path(&dir, generation).with_extension("bin.tmp"))?;
+            disk.remove(&snapshot_path(dir, generation).with_extension("bin.tmp"))?;
         }
-        disk.sync_dir(&dir)?;
+        disk.sync_dir(dir)?;
         let events_seen = core.events_seen();
         let report = RecoverReport {
             snapshot_generation,

@@ -15,6 +15,8 @@
 //! snapshot, so the second recovery must read the chain the first one
 //! left (a torn segment mid-chain, a checkpoint's prune between the
 //! crashes, a corrupted newest snapshot), under `OnIdle` and `Never`.
+//! A recovery may also change the shard count (2 → 8, 8 → 3): every
+//! replayed segment then routes into other shards, several at once.
 //!
 //! Crashes *at* a file-system operation — inside a snapshot write, a
 //! rename, a roll or a prune, a lost page cache, a failed fsync — are the
@@ -574,6 +576,75 @@ proptest! {
                 };
                 crash_twice_and_finish(chain, &streams, &expected, &policy);
             }
+        }
+    }
+}
+
+/// Crashes a `from`-shard service that checkpointed at half of every
+/// stream and served four fifths, tears its live WAL generation, and
+/// recovers at `to` shards: the snapshot's jobs and every replayed event
+/// route by the new count, so a replayed segment feeds several shards
+/// and several segments feed one. With `corrupt`, the snapshot is
+/// bit-flipped and the whole two-generation chain replays that way.
+fn recover_into_another_shard_count(from: usize, to: usize, corrupt: bool) {
+    let context = format!("{from} -> {to} shards, corrupt={corrupt}");
+    let jobs = suite(31, 6);
+    let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+    let expected = sequential_outcomes(&jobs, &policy);
+    let streams = nurd_trace::producer_streams(&jobs, 3, QUANTILE, 5);
+    let dir = scratch_dir("reshard");
+    let doomed = EngineService::start_persistent(
+        engine_config(from),
+        service_config(),
+        PersistenceConfig::new(&dir),
+        nurd_factory(policy.clone()),
+    )
+    .unwrap();
+    let firsts = stream_prefixes(&streams, 1, 2);
+    run_producers(&doomed, firsts.clone(), &BTreeMap::new());
+    doomed.quiesce();
+    assert_eq!(doomed.checkpoint().unwrap(), 1, "{context}");
+    let pushed = stream_prefixes(&streams, 4, 5);
+    run_producers(
+        &doomed,
+        pushed.clone(),
+        &held_after(&firsts, &BTreeMap::new()),
+    );
+    doomed.quiesce();
+    drop(doomed);
+    let removed = cut_live_wal(&dir, 0.5, true);
+    assert!(removed > 0, "{context}: the cut removed nothing");
+    if corrupt {
+        corrupt_newest_snapshot(&dir);
+    }
+
+    let (revived, receipt) = EngineService::recover(
+        PersistenceConfig::new(&dir),
+        engine_config(to),
+        service_config(),
+        nurd_factory(policy),
+    )
+    .unwrap();
+    let loaded = (!corrupt).then_some(1);
+    assert_eq!(receipt.snapshot_generation, loaded, "{context}");
+    assert!(receipt.wal_truncated_tails >= 1, "{context}");
+    let durable: u64 = receipt.events_seen.values().sum();
+    assert_eq!(durable, event_count(&pushed) - removed, "{context}");
+    run_producers(&revived, streams, &receipt.events_seen);
+    revived.quiesce();
+    let reports = collect_reports(&revived);
+    assert_outcomes_match(&reports, &expected, &context);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A recovery may change the shard count: 2 shards recover at 8, and 8
+/// recover at 3, from the snapshot plus the torn tail and from the whole
+/// WAL chain, each to the never-crashed outcome.
+#[test]
+fn recovery_into_another_shard_count_equals_uninterrupted() {
+    for (from, to) in [(2, 8), (8, 3)] {
+        for corrupt in [false, true] {
+            recover_into_another_shard_count(from, to, corrupt);
         }
     }
 }

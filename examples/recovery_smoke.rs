@@ -5,7 +5,10 @@
 //! recovers from the directory. The recovered service resumes part of
 //! the fleet and crashes too (its own tail cut at a record boundary); a
 //! third service recovers from what the first recovery left — no snapshot
-//! of its own, the torn segment now mid-chain — and finishes. Producers
+//! of its own, the torn segment now mid-chain — at 3 shards with 2 drain
+//! workers, so the two-generation chain of 4-shard segments replays
+//! cross-routed, each generation's segments in parallel on 3 threads,
+//! and finishes. Producers
 //! resume each job's stream from the recovered per-job durable event
 //! counts, and every job's final outcome is asserted bit-for-bit equal to
 //! a never-crashed sequential replay.
@@ -40,9 +43,9 @@ fn nurd_warm() -> NurdPredictor {
     )
 }
 
-fn engine_config() -> EngineConfig {
+fn engine_config(shards: usize) -> EngineConfig {
     EngineConfig {
-        shards: SHARDS,
+        shards,
         warmup_fraction: WARMUP,
         queue_capacity: Some(256),
         overload: OverloadPolicy::Block,
@@ -129,21 +132,26 @@ fn run_producers(
         .sum()
 }
 
-/// Recovers `dir`, prints the receipt, and checks it: exactly `durable`
-/// events durable, the first crash's torn record found.
-fn recover(dir: &Path, durable: u64) -> (EngineService, RecoverReport) {
+/// Recovers `dir` at `shards` shards, prints the receipt, and checks it:
+/// exactly `durable` events durable, the first crash's torn record found.
+fn recover(
+    dir: &Path,
+    durable: u64,
+    shards: usize,
+    service: ServiceConfig,
+) -> (EngineService, RecoverReport) {
     let (service, receipt) = EngineService::recover(
         PersistenceConfig::new(dir),
-        engine_config(),
-        ServiceConfig::default(),
+        engine_config(shards),
+        service,
         Box::new(|_spec: &JobSpec| Box::new(nurd_warm())),
     )
     .expect("recover");
     let recovered: u64 = receipt.events_seen.values().sum();
     println!(
-        "recovered: snapshot generation {:?} · {} WAL events replayed · {} torn tails · \
-         {} jobs resumed mid-stream · {} finalized reports carried · {recovered} durable events · \
-         {} snapshots written",
+        "recovered at {shards} shards: snapshot generation {:?} · {} WAL events replayed · \
+         {} torn tails · {} jobs resumed mid-stream · {} finalized reports carried · \
+         {recovered} durable events · {} snapshots written",
         receipt.snapshot_generation,
         receipt.wal_events_replayed,
         receipt.wal_truncated_tails,
@@ -186,7 +194,7 @@ fn main() {
     );
     let part = prefixes(&streams, 2, 5);
     let doomed = EngineService::start_persistent(
-        engine_config(),
+        engine_config(SHARDS),
         ServiceConfig::default(),
         PersistenceConfig::new(&dir),
         Box::new(|_spec: &JobSpec| Box::new(nurd_warm())),
@@ -199,16 +207,22 @@ fn main() {
 
     // Resume three quarters of every stream, then crash again: the
     // recovered engine's own tail loses its last records.
-    let (revived, first) = recover(&dir, pushed - removed);
+    let (revived, first) = recover(&dir, pushed - removed, SHARDS, ServiceConfig::default());
     let pushed = run_producers(&revived, &prefixes(&streams, 3, 4), &first.events_seen);
     revived.quiesce();
     drop(revived);
     let removed = cut_live_wal(&dir, (pushed as usize) / 2 / SHARDS, false);
 
     // The second recovery replays the torn segment again, mid-chain, and
-    // the first recovery's own WAL generation after it.
+    // the first recovery's own WAL generation after it — both written by
+    // 4 shards, each routed into 3 here, a generation's segments on 3
+    // threads at once.
     let admitted = first.events_seen.values().sum::<u64>() + pushed - removed;
-    let (revived, second) = recover(&dir, admitted);
+    let service = ServiceConfig {
+        drain_workers: 2,
+        ..ServiceConfig::default()
+    };
+    let (revived, second) = recover(&dir, admitted, 3, service);
 
     // Resume every job from its durable prefix and finish the fleet.
     run_producers(&revived, &streams, &second.events_seen);

@@ -313,3 +313,92 @@ fn recovered_aggregator_decides_like_never_crashed() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every artifact in `from`, copied into a fresh `to`.
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// Recovery replays a generation's WAL segments on `drain_workers + 1`
+/// threads, so its thread count follows the service config. One crashed
+/// directory, recovered with one drain worker (two replay threads) and
+/// with four (one thread per segment of the 4-shard chain), must give
+/// the same receipt, write the same snapshot bytes and observer blob at
+/// the next checkpoint, and finish to the same report.
+#[test]
+fn recovery_is_thread_count_invariant() {
+    let jobs = nurd::trace::generate_suite(&node_suite());
+    let events: Vec<_> = nurd::trace::staggered_fleet_events(&jobs, 0.9, 120.0, 0xF1EE7);
+    let engine = || EngineConfig {
+        shards: 4,
+        ..EngineConfig::default()
+    };
+    let root = std::env::temp_dir().join(format!("nurd-health-threads-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let crashed = root.join("crashed");
+    let mut persistence = PersistenceConfig::new(&crashed);
+    persistence.fsync = FsyncPolicy::Never;
+    let split = events.len() * 2 / 3;
+    {
+        let service = EngineService::start_persistent(
+            engine(),
+            ServiceConfig::default(),
+            persistence,
+            nurd::mitigate::nurd_predictor_factory(),
+        )
+        .unwrap();
+        let observer = Arc::new(HealthAggregator::new(HealthConfig::default()));
+        assert!(service.attach_observer(observer as Arc<dyn HealthObserver>));
+        service.push_all(events[..split / 2].to_vec());
+        service.quiesce();
+        service.checkpoint().unwrap();
+        service.push_all(events[split / 2..split].to_vec());
+        // The crash: dropped without close().
+    }
+
+    let runs: Vec<_> = [1, 4]
+        .into_iter()
+        .map(|drain_workers| {
+            let dir = root.join(format!("workers-{drain_workers}"));
+            copy_dir(&crashed, &dir);
+            let observer = Arc::new(HealthAggregator::new(HealthConfig::default()));
+            let (service, receipt) = EngineService::recover_with_observer(
+                PersistenceConfig::new(&dir),
+                engine(),
+                ServiceConfig {
+                    drain_workers,
+                    ..ServiceConfig::default()
+                },
+                nurd::mitigate::nurd_predictor_factory(),
+                None,
+                Arc::clone(&observer) as Arc<dyn HealthObserver>,
+            )
+            .unwrap();
+            assert!(receipt.wal_events_replayed > 0, "crash lost the whole tail");
+            let generation = service.checkpoint().unwrap();
+            let snapshot = std::fs::read(dir.join(format!("snap-{generation}.bin"))).unwrap();
+            let blob = observer.snapshot_state();
+            service.push_all(events[split..].to_vec());
+            (
+                receipt,
+                snapshot,
+                blob,
+                service.close(),
+                observer.verdicts(),
+            )
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&root);
+
+    let (one, many) = (&runs[0], &runs[1]);
+    assert_eq!(one.0, many.0, "receipts differ");
+    assert!(one.1 == many.1, "snapshot bytes differ");
+    assert!(one.2 == many.2, "observer blobs differ");
+    assert_eq!(one.3, many.3, "final reports differ");
+    assert_eq!(one.4, many.4, "verdicts differ");
+}
