@@ -10,7 +10,10 @@
 //! is produced. Each entry builds fresh per-job predictor instances, as
 //! the paper trains one model per job. The PU learners themselves
 //! (PU-EN, PU-BG) live in this crate's `pu` module; every other family
-//! adapts a crate of its own.
+//! adapts a crate of its own. The seven baselines that refit from scratch
+//! at every checkpoint (Tobit, Grabit, CoxPH, the outlier detectors,
+//! XGBOD, PU-EN, PU-BG) share one online adapter, each contributing only
+//! its fit-and-flag body.
 //!
 //! # Example
 //!
@@ -24,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 
+mod adapter;
 mod outlier_adapter;
 mod pu;
 mod pu_adapter;

@@ -1,125 +1,77 @@
-//! Adapters exposing the fourteen outlier detectors as online predictors.
+//! Outlier detection: the fit-and-flag bodies of the thirteen transductive
+//! detectors and of XGBOD.
 
-use nurd_data::{Checkpoint, OnlinePredictor};
+use nurd_data::Checkpoint;
 use nurd_outlier::{contamination_threshold, OutlierDetector, Xgbod};
 
-/// Drives any transductive [`OutlierDetector`] through the online
-/// protocol: at each checkpoint the detector scores all visible tasks
-/// (finished ∪ running) and flags the running tasks whose score exceeds
-/// the contamination-quantile threshold.
+use crate::adapter::FitAndFlag;
+
+/// Expected outlier share (PyOD-style contamination; 0.1 matches the p90
+/// straggler definition).
+const CONTAMINATION: f64 = 0.1;
+
+/// Every visible task's features, finished rows first.
+fn visible_features(checkpoint: &Checkpoint<'_>) -> Vec<Vec<f64>> {
+    let mut x = checkpoint.finished_features();
+    x.extend(checkpoint.running_features());
+    x
+}
+
+/// The running tasks whose score (`scores` is aligned with
+/// [`visible_features`]) exceeds the contamination-quantile threshold.
+fn above_contamination(checkpoint: &Checkpoint<'_>, scores: &[f64]) -> Vec<usize> {
+    let threshold = contamination_threshold(scores, CONTAMINATION);
+    let running = &scores[checkpoint.finished.len()..];
+    checkpoint
+        .running
+        .iter()
+        .zip(running)
+        .filter(|&(_, &score)| score > threshold)
+        .map(|(t, _)| t.id)
+        .collect()
+}
+
+/// Any transductive [`OutlierDetector`] under the online protocol: at each
+/// checkpoint the detector scores all visible tasks (finished ∪ running)
+/// and the running tasks above the contamination quantile are flagged.
 ///
 /// As §3.2 of the paper argues, these methods only see the feature space —
 /// the observed latencies of finished tasks are never used — which is
 /// exactly why feature-space decoys sink their precision.
-pub(crate) struct OutlierPredictor {
-    detector: Box<dyn OutlierDetector + Send>,
-    /// Expected outlier share (PyOD-style contamination; 0.1 matches the
-    /// p90 straggler definition).
-    contamination: f64,
-}
+pub(crate) struct Detector<D>(pub(crate) D);
 
-impl OutlierPredictor {
-    /// Wraps a detector with the default 0.1 contamination.
-    #[must_use]
-    pub(crate) fn new(detector: Box<dyn OutlierDetector + Send>) -> Self {
-        OutlierPredictor {
-            detector,
-            contamination: 0.1,
-        }
-    }
-}
+impl<D: OutlierDetector> FitAndFlag for Detector<D> {
+    const MIN_FINISHED: usize = 0;
+    const MIN_VISIBLE: usize = 5;
 
-impl std::fmt::Debug for OutlierPredictor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutlierPredictor")
-            .field("detector", &self.detector.name())
-            .field("contamination", &self.contamination)
-            .finish()
-    }
-}
-
-impl OnlinePredictor for OutlierPredictor {
-    fn name(&self) -> &str {
-        self.detector.name()
-    }
-
-    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
-        if checkpoint.running.is_empty() || checkpoint.visible_count() < 5 {
-            return Vec::new();
-        }
-        let mut x = checkpoint.finished_features();
-        let n_finished = x.len();
-        x.extend(checkpoint.running_features());
-        let Ok(scores) = self.detector.score_all(&x) else {
-            return Vec::new();
-        };
+    fn flag(&self, checkpoint: &Checkpoint<'_>, _threshold: f64) -> Option<Vec<usize>> {
+        let scores = self.0.score_all(&visible_features(checkpoint)).ok()?;
         if scores.iter().any(|s| !s.is_finite()) {
-            return Vec::new();
+            return None;
         }
-        let threshold = contamination_threshold(&scores, self.contamination);
-        checkpoint
-            .running
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| scores[n_finished + i] > threshold)
-            .map(|(_, t)| t.id)
-            .collect()
+        Some(above_contamination(checkpoint, &scores))
     }
 }
 
 /// XGBOD under the online protocol: the supervised head is trained on
-/// finished-vs-running proxy labels (no straggler labels exist online —
-/// see `DESIGN.md` §3), and running tasks in the top contamination
-/// quantile of predicted running-ness are flagged.
-#[derive(Debug, Clone)]
-pub(crate) struct XgbodPredictor {
-    model: Xgbod,
-    contamination: f64,
-}
-
-impl Default for XgbodPredictor {
-    fn default() -> Self {
-        XgbodPredictor {
-            model: Xgbod::default(),
-            contamination: 0.1,
-        }
-    }
-}
-
-impl OnlinePredictor for XgbodPredictor {
-    fn name(&self) -> &str {
-        "XGBOD"
-    }
-
-    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
-        if checkpoint.finished.len() < 2 || checkpoint.running.is_empty() {
-            return Vec::new();
-        }
-        let mut x = checkpoint.finished_features();
-        let n_finished = x.len();
-        x.extend(checkpoint.running_features());
-        let mut labels = vec![0.0; n_finished];
+/// finished-vs-running proxy labels (no straggler labels exist online),
+/// and running tasks in the top contamination quantile of predicted
+/// running-ness are flagged.
+impl FitAndFlag for Xgbod {
+    fn flag(&self, checkpoint: &Checkpoint<'_>, _threshold: f64) -> Option<Vec<usize>> {
+        let x = visible_features(checkpoint);
+        let mut labels = vec![0.0; checkpoint.finished.len()];
         labels.extend(std::iter::repeat_n(1.0, checkpoint.running.len()));
-        let Ok(fitted) = self.model.fit(&x, &labels) else {
-            return Vec::new();
-        };
-        let Ok(scores) = fitted.score_all(&x) else {
-            return Vec::new();
-        };
-        let threshold = contamination_threshold(&scores, self.contamination);
-        checkpoint
-            .running
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| scores[n_finished + i] > threshold)
-            .map(|(_, t)| t.id)
-            .collect()
+        let scores = self.fit(&x, &labels).ok()?.score_all(&x).ok()?;
+        Some(above_contamination(checkpoint, &scores))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapter::Adapter;
+    use nurd_data::OnlinePredictor;
     use nurd_outlier::Knn;
     use nurd_sim::{replay_job, ReplayConfig};
     use nurd_trace::{SuiteConfig, TraceStyle};
@@ -136,7 +88,7 @@ mod tests {
     #[test]
     fn knn_adapter_runs_the_protocol() {
         let job = job();
-        let mut p = OutlierPredictor::new(Box::new(Knn::default()));
+        let mut p = Adapter::new("KNN", Detector(Knn::default()));
         let out = replay_job(&job, &mut p, &ReplayConfig::default());
         assert_eq!(out.confusion.total(), job.task_count());
         // An unsupervised detector flags *something* on these traces.
@@ -146,14 +98,14 @@ mod tests {
     #[test]
     fn xgbod_adapter_runs_the_protocol() {
         let job = job();
-        let mut p = XgbodPredictor::default();
+        let mut p = Adapter::new("XGBOD", Xgbod::default());
         let out = replay_job(&job, &mut p, &ReplayConfig::default());
         assert_eq!(out.confusion.total(), job.task_count());
     }
 
     #[test]
     fn no_flags_on_empty_checkpoints() {
-        let mut p = OutlierPredictor::new(Box::new(Knn::default()));
+        let mut p = Adapter::new("KNN", Detector(Knn::default()));
         let ckpt = Checkpoint {
             ordinal: 0,
             time: 1.0,

@@ -1,7 +1,9 @@
-//! PU-learning adapters: the labeled class is the finished tasks.
+//! PU learning: the fit-and-flag bodies of PU-EN and PU-BG, whose labeled
+//! class is the finished tasks.
 
+use crate::adapter::{running_where, FitAndFlag};
 use crate::pu::{PuBagging, PuEn};
-use nurd_data::{Checkpoint, OnlinePredictor};
+use nurd_data::Checkpoint;
 
 /// PU-EN online: labeled = finished, unlabeled = running; a running task
 /// whose corrected finished-class probability falls below 0.5 is flagged.
@@ -9,69 +11,40 @@ use nurd_data::{Checkpoint, OnlinePredictor};
 /// As §3.3 of the paper predicts, the "labeled at random" assumption fails
 /// here (only *fast* non-stragglers get labeled), so the classifier is
 /// over-aggressive early — high TPR, high FPR.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PuEnPredictor {
-    learner: PuEn,
-}
-
-impl OnlinePredictor for PuEnPredictor {
-    fn name(&self) -> &str {
-        "PU-EN"
-    }
-
-    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
-        if checkpoint.finished.len() < 2 || checkpoint.running.is_empty() {
-            return Vec::new();
-        }
+impl FitAndFlag for PuEn {
+    fn flag(&self, checkpoint: &Checkpoint<'_>, _threshold: f64) -> Option<Vec<usize>> {
         let labeled = checkpoint.finished_features();
-        let unlabeled = checkpoint.running_features();
-        let Ok(model) = self.learner.fit(&labeled, &unlabeled) else {
-            return Vec::new();
-        };
-        checkpoint
-            .running
-            .iter()
-            .filter(|t| model.positive_probability(t.features) < 0.5)
-            .map(|t| t.id)
-            .collect()
+        let model = self.fit(&labeled, &checkpoint.running_features()).ok()?;
+        Some(running_where(checkpoint, |f| {
+            model.positive_probability(f) < 0.5
+        }))
     }
 }
 
 /// PU-BG online: bagged SVMs trained finished-vs-random-unlabeled; a
 /// running task with a negative out-of-bag decision score (not
 /// finished-like) is flagged.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PuBaggingPredictor {
-    learner: PuBagging,
-}
-
-impl OnlinePredictor for PuBaggingPredictor {
-    fn name(&self) -> &str {
-        "PU-BG"
-    }
-
-    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
-        if checkpoint.finished.len() < 2 || checkpoint.running.is_empty() {
-            return Vec::new();
-        }
+impl FitAndFlag for PuBagging {
+    fn flag(&self, checkpoint: &Checkpoint<'_>, _threshold: f64) -> Option<Vec<usize>> {
         let positives = checkpoint.finished_features();
-        let unlabeled = checkpoint.running_features();
-        let Ok(scores) = self.learner.oob_scores(&positives, &unlabeled) else {
-            return Vec::new();
-        };
-        checkpoint
-            .running
-            .iter()
-            .zip(scores)
-            .filter(|&(_, score)| score < 0.0)
-            .map(|(t, _)| t.id)
-            .collect()
+        let scores = self
+            .oob_scores(&positives, &checkpoint.running_features())
+            .ok()?;
+        let flagged = checkpoint.running.iter().zip(scores);
+        Some(
+            flagged
+                .filter(|&(_, score)| score < 0.0)
+                .map(|(t, _)| t.id)
+                .collect(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapter::Adapter;
+    use nurd_data::OnlinePredictor;
     use nurd_sim::{replay_job, ReplayConfig};
     use nurd_trace::{SuiteConfig, TraceStyle};
 
@@ -87,11 +60,8 @@ mod tests {
     #[test]
     fn pu_en_is_aggressive_but_catches_stragglers() {
         let job = job();
-        let out = replay_job(
-            &job,
-            &mut PuEnPredictor::default(),
-            &ReplayConfig::default(),
-        );
+        let mut p = Adapter::new("PU-EN", PuEn::default());
+        let out = replay_job(&job, &mut p, &ReplayConfig::default());
         // The paper's observation: PU learners achieve high TPR at the cost
         // of many false positives.
         assert!(out.confusion.tpr() > 0.5, "tpr {}", out.confusion.tpr());
@@ -100,11 +70,8 @@ mod tests {
     #[test]
     fn pu_bg_runs_the_protocol() {
         let job = job();
-        let out = replay_job(
-            &job,
-            &mut PuBaggingPredictor::default(),
-            &ReplayConfig::default(),
-        );
+        let mut p = Adapter::new("PU-BG", PuBagging::default());
+        let out = replay_job(&job, &mut p, &ReplayConfig::default());
         assert_eq!(out.confusion.total(), job.task_count());
     }
 
@@ -116,7 +83,11 @@ mod tests {
             finished: vec![],
             running: vec![],
         };
-        assert!(PuEnPredictor::default().predict(&ckpt).is_empty());
-        assert!(PuBaggingPredictor::default().predict(&ckpt).is_empty());
+        assert!(Adapter::new("PU-EN", PuEn::default())
+            .predict(&ckpt)
+            .is_empty());
+        assert!(Adapter::new("PU-BG", PuBagging::default())
+            .predict(&ckpt)
+            .is_empty());
     }
 }

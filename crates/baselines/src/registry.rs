@@ -5,12 +5,15 @@ use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::OnlinePredictor;
 use nurd_outlier::{
     Abod, Cblof, Cof, Hbos, IsolationForest, Knn, Lof, Lscp, Mcd, OcSvm, PcaDetector, Sod, Sos,
+    Xgbod,
 };
+use nurd_survival::{CoxConfig, TobitConfig};
 
-use crate::outlier_adapter::{OutlierPredictor, XgbodPredictor};
-use crate::pu_adapter::{PuBaggingPredictor, PuEnPredictor};
+use crate::adapter::{Adapter, FitAndFlag};
+use crate::outlier_adapter::Detector;
+use crate::pu::{PuBagging, PuEn};
 use crate::supervised::GbtrPredictor;
-use crate::survival_adapter::{CoxPredictor, GrabitPredictor, TobitPredictor};
+use crate::survival_adapter::tuned_grabit;
 use crate::wrangler::WranglerPredictor;
 
 /// Method family, as grouped in Table 3's left column.
@@ -70,6 +73,16 @@ impl MethodSpec {
         }
     }
 
+    /// A per-checkpoint baseline: `method`'s fit-and-flag body behind the
+    /// one [`Adapter`].
+    fn adapted<M: FitAndFlag + Send + 'static>(
+        name: &'static str,
+        family: MethodFamily,
+        method: impl Fn() -> M + Send + Sync + 'static,
+    ) -> Self {
+        MethodSpec::new(name, family, move || Box::new(Adapter::new(name, method())))
+    }
+
     /// Builds a fresh predictor (one per job, per the paper's protocol).
     #[must_use]
     pub fn build(&self) -> Box<dyn OnlinePredictor + Send> {
@@ -109,63 +122,29 @@ pub fn registry_with_nurd_alpha(alpha: f64) -> Vec<MethodSpec> {
     use MethodFamily as F;
     vec![
         MethodSpec::new("GBTR", F::Supervised, || Box::new(GbtrPredictor::default())),
-        MethodSpec::new("ABOD", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Abod::default())))
+        MethodSpec::adapted("ABOD", F::OutlierDetection, || Detector(Abod::default())),
+        MethodSpec::adapted("CBLOF", F::OutlierDetection, || Detector(Cblof::default())),
+        MethodSpec::adapted("HBOS", F::OutlierDetection, || Detector(Hbos::default())),
+        MethodSpec::adapted("IFOREST", F::OutlierDetection, || {
+            Detector(IsolationForest::default())
         }),
-        MethodSpec::new("CBLOF", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Cblof::default())))
+        MethodSpec::adapted("KNN", F::OutlierDetection, || Detector(Knn::default())),
+        MethodSpec::adapted("LOF", F::OutlierDetection, || Detector(Lof::default())),
+        MethodSpec::adapted("MCD", F::OutlierDetection, || Detector(Mcd::default())),
+        MethodSpec::adapted("OCSVM", F::OutlierDetection, || Detector(OcSvm::default())),
+        MethodSpec::adapted("PCA", F::OutlierDetection, || {
+            Detector(PcaDetector::default())
         }),
-        MethodSpec::new("HBOS", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Hbos::default())))
-        }),
-        MethodSpec::new("IFOREST", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(IsolationForest::default())))
-        }),
-        MethodSpec::new("KNN", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Knn::default())))
-        }),
-        MethodSpec::new("LOF", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Lof::default())))
-        }),
-        MethodSpec::new("MCD", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Mcd::default())))
-        }),
-        MethodSpec::new("OCSVM", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(OcSvm::default())))
-        }),
-        MethodSpec::new("PCA", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(PcaDetector::default())))
-        }),
-        MethodSpec::new("SOS", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Sos::default())))
-        }),
-        MethodSpec::new("LSCP", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Lscp::default())))
-        }),
-        MethodSpec::new("COF", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Cof::default())))
-        }),
-        MethodSpec::new("SOD", F::OutlierDetection, || {
-            Box::new(OutlierPredictor::new(Box::new(Sod::default())))
-        }),
-        MethodSpec::new("XGBOD", F::OutlierDetection, || {
-            Box::new(XgbodPredictor::default())
-        }),
-        MethodSpec::new("PU-EN", F::PositiveUnlabeled, || {
-            Box::new(PuEnPredictor::default())
-        }),
-        MethodSpec::new("PU-BG", F::PositiveUnlabeled, || {
-            Box::new(PuBaggingPredictor::default())
-        }),
-        MethodSpec::new("Tobit", F::CensoredSurvival, || {
-            Box::new(TobitPredictor::default())
-        }),
-        MethodSpec::new("Grabit", F::CensoredSurvival, || {
-            Box::new(GrabitPredictor::default())
-        }),
-        MethodSpec::new("CoxPH", F::CensoredSurvival, || {
-            Box::new(CoxPredictor::default())
-        }),
+        MethodSpec::adapted("SOS", F::OutlierDetection, || Detector(Sos::default())),
+        MethodSpec::adapted("LSCP", F::OutlierDetection, || Detector(Lscp::default())),
+        MethodSpec::adapted("COF", F::OutlierDetection, || Detector(Cof::default())),
+        MethodSpec::adapted("SOD", F::OutlierDetection, || Detector(Sod::default())),
+        MethodSpec::adapted("XGBOD", F::OutlierDetection, Xgbod::default),
+        MethodSpec::adapted("PU-EN", F::PositiveUnlabeled, PuEn::default),
+        MethodSpec::adapted("PU-BG", F::PositiveUnlabeled, PuBagging::default),
+        MethodSpec::adapted("Tobit", F::CensoredSurvival, TobitConfig::default),
+        MethodSpec::adapted("Grabit", F::CensoredSurvival, tuned_grabit),
+        MethodSpec::adapted("CoxPH", F::CensoredSurvival, CoxConfig::default),
         MethodSpec::new("Wrangler", F::Systems, || {
             Box::new(WranglerPredictor::default())
         }),

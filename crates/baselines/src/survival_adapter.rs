@@ -1,7 +1,10 @@
-//! Censored/survival regression adapters.
+//! Censored/survival regression: the fit-and-flag bodies of Tobit, Grabit
+//! and CoxPH.
 
-use nurd_data::{Checkpoint, OnlinePredictor, StreamContext};
+use nurd_data::Checkpoint;
 use nurd_survival::{CoxConfig, CoxPh, Grabit, GrabitConfig, Tobit, TobitConfig};
+
+use crate::adapter::{running_where, FitAndFlag};
 
 /// Builds the censored training triples at a checkpoint: finished tasks are
 /// observed at their latency, running tasks are censored at the checkpoint
@@ -20,152 +23,57 @@ fn censored_triples(checkpoint: &Checkpoint<'_>) -> (Vec<Vec<f64>>, Vec<f64>, Ve
 
 /// Tobit online: linear censored-Gaussian regression refit per checkpoint;
 /// flags a running task when the predicted latent latency crosses `τ_stra`.
-#[derive(Debug, Clone)]
-pub(crate) struct TobitPredictor {
-    config: TobitConfig,
-    threshold: f64,
-}
-
-impl Default for TobitPredictor {
-    fn default() -> Self {
-        TobitPredictor {
-            config: TobitConfig::default(),
-            threshold: f64::INFINITY,
-        }
-    }
-}
-
-impl OnlinePredictor for TobitPredictor {
-    fn name(&self) -> &str {
-        "Tobit"
-    }
-
-    fn begin_stream(&mut self, ctx: &StreamContext) {
-        self.threshold = ctx.threshold;
-    }
-
-    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
-        if checkpoint.finished.len() < 2 || checkpoint.running.is_empty() {
-            return Vec::new();
-        }
+impl FitAndFlag for TobitConfig {
+    fn flag(&self, checkpoint: &Checkpoint<'_>, threshold: f64) -> Option<Vec<usize>> {
         let (x, time, observed) = censored_triples(checkpoint);
-        let Ok(model) = Tobit::fit(&x, &time, &observed, &self.config) else {
-            return Vec::new();
-        };
-        checkpoint
-            .running
-            .iter()
-            .filter(|t| model.predict(t.features) >= self.threshold)
-            .map(|t| t.id)
-            .collect()
+        let model = Tobit::fit(&x, &time, &observed, self).ok()?;
+        Some(running_where(checkpoint, |f| model.predict(f) >= threshold))
     }
 }
 
 /// Grabit online: boosted Tobit, the paper's strongest baseline on Google
 /// traces.
+impl FitAndFlag for GrabitConfig {
+    fn flag(&self, checkpoint: &Checkpoint<'_>, threshold: f64) -> Option<Vec<usize>> {
+        let (x, time, observed) = censored_triples(checkpoint);
+        let model = Grabit::fit(&x, &time, &observed, self).ok()?;
+        Some(running_where(checkpoint, |f| model.predict(f) >= threshold))
+    }
+}
+
+/// Grabit's configuration with σ at its globally tuned 60 s.
 ///
 /// σ is a KTBoost *hyperparameter*: per the paper's protocol (§6) it is
-/// tuned once on a handful of jobs and applied to every job unchanged.
-/// That single pre-specified scale is exactly the distributional
-/// assumption §3.4 criticizes — it cannot match every job's latency
-/// spread, which is what separates Grabit from NURD in Table 3.
-#[derive(Debug, Clone)]
-pub(crate) struct GrabitPredictor {
-    config: GrabitConfig,
-    threshold: f64,
-}
-
-impl GrabitPredictor {
-    /// The globally tuned σ (seconds), found by sweeping on the six
-    /// hyperparameter-tuning jobs as the paper does for every method.
-    const TUNED_SIGMA: f64 = 60.0;
-}
-
-impl Default for GrabitPredictor {
-    fn default() -> Self {
-        GrabitPredictor {
-            config: GrabitConfig {
-                sigma: Some(Self::TUNED_SIGMA),
-                ..GrabitConfig::default()
-            },
-            threshold: f64::INFINITY,
-        }
-    }
-}
-
-impl OnlinePredictor for GrabitPredictor {
-    fn name(&self) -> &str {
-        "Grabit"
-    }
-
-    fn begin_stream(&mut self, ctx: &StreamContext) {
-        self.threshold = ctx.threshold;
-    }
-
-    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
-        if checkpoint.finished.len() < 2 || checkpoint.running.is_empty() {
-            return Vec::new();
-        }
-        let (x, time, observed) = censored_triples(checkpoint);
-        let Ok(model) = Grabit::fit(&x, &time, &observed, &self.config) else {
-            return Vec::new();
-        };
-        checkpoint
-            .running
-            .iter()
-            .filter(|t| model.predict(t.features) >= self.threshold)
-            .map(|t| t.id)
-            .collect()
+/// tuned once on a handful of jobs — the six hyperparameter-tuning jobs,
+/// swept as for every method — and applied to every job unchanged. That
+/// single pre-specified scale is exactly the distributional assumption
+/// §3.4 criticizes — it cannot match every job's latency spread, which is
+/// what separates Grabit from NURD in Table 3.
+pub(crate) fn tuned_grabit() -> GrabitConfig {
+    GrabitConfig {
+        sigma: Some(60.0),
+        ..GrabitConfig::default()
     }
 }
 
 /// CoxPH online: proportional hazards of *completion*; a running task
 /// predicted to survive (stay running) past `τ_stra` with probability
 /// ≥ 0.5 is flagged.
-#[derive(Debug, Clone)]
-pub(crate) struct CoxPredictor {
-    config: CoxConfig,
-    threshold: f64,
-}
-
-impl Default for CoxPredictor {
-    fn default() -> Self {
-        CoxPredictor {
-            config: CoxConfig::default(),
-            threshold: f64::INFINITY,
-        }
-    }
-}
-
-impl OnlinePredictor for CoxPredictor {
-    fn name(&self) -> &str {
-        "CoxPH"
-    }
-
-    fn begin_stream(&mut self, ctx: &StreamContext) {
-        self.threshold = ctx.threshold;
-    }
-
-    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
-        if checkpoint.finished.len() < 2 || checkpoint.running.is_empty() {
-            return Vec::new();
-        }
+impl FitAndFlag for CoxConfig {
+    fn flag(&self, checkpoint: &Checkpoint<'_>, threshold: f64) -> Option<Vec<usize>> {
         let (x, time, observed) = censored_triples(checkpoint);
-        let Ok(model) = CoxPh::fit(&x, &time, &observed, &self.config) else {
-            return Vec::new();
-        };
-        checkpoint
-            .running
-            .iter()
-            .filter(|t| model.survival_at(t.features, self.threshold) >= 0.5)
-            .map(|t| t.id)
-            .collect()
+        let model = CoxPh::fit(&x, &time, &observed, self).ok()?;
+        Some(running_where(checkpoint, |f| {
+            model.survival_at(f, threshold) >= 0.5
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapter::Adapter;
+    use nurd_data::OnlinePredictor;
     use nurd_sim::{replay_job, ReplayConfig};
     use nurd_trace::{SuiteConfig, TraceStyle};
 
@@ -182,9 +90,9 @@ mod tests {
     fn all_three_run_the_protocol() {
         let job = job(13);
         for p in [
-            &mut TobitPredictor::default() as &mut dyn OnlinePredictor,
-            &mut GrabitPredictor::default(),
-            &mut CoxPredictor::default(),
+            &mut Adapter::new("Tobit", TobitConfig::default()) as &mut dyn OnlinePredictor,
+            &mut Adapter::new("Grabit", tuned_grabit()),
+            &mut Adapter::new("CoxPH", CoxConfig::default()),
         ] {
             let out = replay_job(&job, p, &ReplayConfig::default());
             assert_eq!(out.confusion.total(), job.task_count(), "{}", p.name());
@@ -201,22 +109,16 @@ mod tests {
         let mut grabit_f1 = 0.0;
         for seed in [1, 2, 3, 4, 5, 6] {
             let job = job(seed);
-            let t = replay_job(
-                &job,
-                &mut TobitPredictor::default(),
-                &ReplayConfig::default(),
-            );
-            let g = replay_job(
-                &job,
-                &mut GrabitPredictor::default(),
-                &ReplayConfig::default(),
-            );
+            let mut tobit = Adapter::new("Tobit", TobitConfig::default());
+            let mut grabit = Adapter::new("Grabit", tuned_grabit());
+            let t = replay_job(&job, &mut tobit, &ReplayConfig::default());
+            let g = replay_job(&job, &mut grabit, &ReplayConfig::default());
             tobit_f1 += t.confusion.f1();
             grabit_f1 += g.confusion.f1();
         }
         // Guard against wholesale breakage rather than asserting a strict
         // ordering: the fixed global σ penalizes Grabit on the fast, small
-        // jobs this fixture generates (see DESIGN.md protocol notes), while
+        // jobs this fixture generates (see `ARCHITECTURE.md`, "The online replay loop"), while
         // the full Table 3 suites have Grabit ahead of Tobit.
         assert!(
             grabit_f1 > 0.5 && grabit_f1 >= 0.3 * tobit_f1,

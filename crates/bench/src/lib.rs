@@ -1,30 +1,35 @@
 //! Experiment harness for the NURD reproduction.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §4 for the index); this library holds the shared
-//! machinery: a tiny CLI parser, suite construction, and parallel
-//! method-over-jobs evaluation.
+//! One binary, `repro`, regenerates every table and figure of the paper
+//! and the §7 ablations, one subcommand each (see `ARCHITECTURE.md`,
+//! "Paper section → code map"); this library holds what the subcommands
+//! share: the one flag parser, suite construction, and one evaluator that
+//! replays a predictor factory over a suite on a
+//! [`nurd_runtime::ThreadPool`].
 //!
-//! Criterion microbenchmarks live under `benches/` (ML primitives,
-//! detectors, end-to-end replays, and the `warm_vs_cold` refit A/B); the
-//! recorded baselines and the regeneration workflow for `BENCH_ml.json`
-//! are documented in this crate's `README.md`.
+//! Criterion microbenchmarks live under `benches/` (ML primitives, the
+//! `warm_vs_cold` refit A/B, the scoring kernel, the closed loops and the
+//! codec frames); the recorded baselines and the regeneration workflow for
+//! `BENCH_ml.json` are documented in this crate's `README.md`.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::str::FromStr;
 
 use nurd_baselines::MethodSpec;
-use nurd_data::JobTrace;
-use nurd_sim::{replay_job, MethodSummary, ReplayConfig, ReplayOutcome};
+use nurd_data::{JobTrace, OnlinePredictor};
+use nurd_runtime::ThreadPool;
+use nurd_sim::{
+    replay_job, simulate_jct, MethodSummary, ReplayConfig, ReplayOutcome, SchedulerConfig,
+};
 use nurd_trace::{SuiteConfig, TraceStyle};
 
 /// Harness-wide options parsed from the command line.
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
-    /// Which trace style to imitate.
-    pub style: TraceStyle,
+    /// Which trace style to imitate; `None` (no `--trace`) is Google, or
+    /// both styles for a subcommand that covers both (`table3_accuracy`).
+    pub trace: Option<TraceStyle>,
     /// Number of jobs in the evaluation suite.
     pub jobs: usize,
     /// Task-count range per job.
@@ -35,79 +40,99 @@ pub struct HarnessOptions {
     pub seed: u64,
     /// Optional method-name filter (comma-separated `--methods`).
     pub methods: Option<Vec<String>>,
-    /// Worker threads for per-job parallelism.
-    pub threads: usize,
+    /// Threads of the pool that replays the jobs of a suite; `None` (no
+    /// `--threads`) replays on [`nurd_runtime::global`], one per core.
+    pub threads: Option<usize>,
 }
 
 impl Default for HarnessOptions {
     fn default() -> Self {
         HarnessOptions {
-            style: TraceStyle::Google,
+            trace: None,
             jobs: 40,
             tasks: (120, 300),
             checkpoints: 24,
             seed: 0x6001,
             methods: None,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: None,
         }
     }
+}
+
+/// Parses `value`, the argument of `flag`.
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes an integer, not {value:?}"))
 }
 
 impl HarnessOptions {
     /// Parses `--trace google|alibaba`, `--jobs N`, `--tasks A:B`,
     /// `--checkpoints N`, `--seed N`, `--methods A,B,C`, `--threads N`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments (these are
-    /// developer-facing binaries).
-    #[must_use]
-    pub fn from_args() -> Self {
+    /// A usage message for an unknown flag, a flag without a value, a
+    /// malformed value, `--jobs 0` (every mean divides by the job count),
+    /// or a `--methods` name that no registry row has.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = HarnessOptions::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let value = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("flag {flag} needs a value"));
-            match flag {
+        for pair in args.chunks(2) {
+            let [flag, value] = pair else {
+                return Err(format!("flag {} needs a value", pair[0]));
+            };
+            match flag.as_str() {
                 "--trace" => {
-                    opts.style = match value.as_str() {
+                    opts.trace = Some(match value.as_str() {
                         "google" => TraceStyle::Google,
                         "alibaba" => TraceStyle::Alibaba,
-                        other => panic!("unknown trace style {other} (google|alibaba)"),
-                    };
+                        other => {
+                            return Err(format!("unknown trace style {other} (google|alibaba)"))
+                        }
+                    });
                 }
-                "--jobs" => opts.jobs = value.parse().expect("--jobs takes an integer"),
+                "--jobs" => opts.jobs = number(flag, value)?,
                 "--tasks" => {
-                    let (a, b) = value
-                        .split_once(':')
-                        .expect("--tasks takes a range like 120:300");
-                    opts.tasks = (
-                        a.parse().expect("task range lower bound"),
-                        b.parse().expect("task range upper bound"),
-                    );
+                    let (a, b) = value.split_once(':').ok_or_else(|| {
+                        format!("--tasks takes a range like 120:300, not {value:?}")
+                    })?;
+                    opts.tasks = (number(flag, a)?, number(flag, b)?);
                 }
-                "--checkpoints" => {
-                    opts.checkpoints = value.parse().expect("--checkpoints takes an integer");
-                }
-                "--seed" => opts.seed = value.parse().expect("--seed takes an integer"),
+                "--checkpoints" => opts.checkpoints = number(flag, value)?,
+                "--seed" => opts.seed = number(flag, value)?,
                 "--methods" => {
                     opts.methods = Some(value.split(',').map(|s| s.trim().to_string()).collect());
                 }
-                "--threads" => opts.threads = value.parse().expect("--threads takes an integer"),
-                other => panic!("unknown flag {other}"),
+                "--threads" => opts.threads = Some(number(flag, value)?),
+                other => return Err(format!("unknown flag {other}")),
             }
-            i += 2;
         }
-        opts
+        if opts.jobs == 0 {
+            return Err("--jobs must be at least 1".into());
+        }
+        let names: Vec<&str> = nurd_baselines::registry().iter().map(|m| m.name).collect();
+        for name in opts.methods.iter().flatten() {
+            if !names.iter().any(|n| n.eq_ignore_ascii_case(name)) {
+                return Err(format!(
+                    "unknown method {name:?} in --methods; the {} methods are {}",
+                    names.len(),
+                    names.join(", ")
+                ));
+            }
+        }
+        Ok(opts)
+    }
+
+    /// The trace style of the suite (Google unless `--trace` says otherwise).
+    #[must_use]
+    pub fn style(&self) -> TraceStyle {
+        self.trace.unwrap_or(TraceStyle::Google)
     }
 
     /// Human-readable trace label for output headers.
     #[must_use]
     pub fn style_label(&self) -> &'static str {
-        match self.style {
+        match self.style() {
             TraceStyle::Google => "Google",
             TraceStyle::Alibaba => "Alibaba",
         }
@@ -116,7 +141,7 @@ impl HarnessOptions {
     /// Builds the evaluation suite for these options.
     #[must_use]
     pub fn build_suite(&self) -> Vec<JobTrace> {
-        let cfg = SuiteConfig::new(self.style)
+        let cfg = SuiteConfig::new(self.style())
             .with_jobs(self.jobs)
             .with_task_range(self.tasks.0, self.tasks.1)
             .with_checkpoints(self.checkpoints)
@@ -128,18 +153,49 @@ impl HarnessOptions {
     /// tuned per trace style (the paper tunes per dataset, §6).
     #[must_use]
     pub fn selected_methods(&self) -> Vec<MethodSpec> {
-        let alpha = match self.style {
+        let alpha = match self.style() {
             TraceStyle::Google => 0.20,
             TraceStyle::Alibaba => 0.40,
         };
-        let all = nurd_baselines::registry_with_nurd_alpha(alpha);
-        match &self.methods {
-            None => all,
-            Some(filter) => all
-                .into_iter()
-                .filter(|m| filter.iter().any(|f| f.eq_ignore_ascii_case(m.name)))
-                .collect(),
+        let mut all = nurd_baselines::registry_with_nurd_alpha(alpha);
+        if let Some(filter) = &self.methods {
+            all.retain(|m| filter.iter().any(|f| f.eq_ignore_ascii_case(m.name)));
         }
+        all
+    }
+
+    /// Builds the suite and replays every selected method over it under
+    /// the default protocol, reporting each method's metrics on stderr.
+    #[must_use]
+    pub fn evaluate(&self, pool: &ThreadPool) -> (Vec<JobTrace>, Vec<MethodResult>) {
+        eprintln!(
+            "[repro] {} suite: {} jobs, tasks {}..{}, {} checkpoints",
+            self.style_label(),
+            self.jobs,
+            self.tasks.0,
+            self.tasks.1,
+            self.checkpoints
+        );
+        let jobs = self.build_suite();
+        let results = self
+            .selected_methods()
+            .iter()
+            .map(|spec| {
+                let outcomes = replay_suite(pool, &jobs, &ReplayConfig::default(), || spec.build());
+                let summary = summarize(&outcomes);
+                eprintln!(
+                    "  {:8} tpr={:.2} fpr={:.2} f1={:.3}",
+                    spec.name, summary.tpr, summary.fpr, summary.f1
+                );
+                MethodResult {
+                    name: spec.name,
+                    family: spec.family.label(),
+                    summary,
+                    outcomes,
+                }
+            })
+            .collect();
+        (jobs, results)
     }
 }
 
@@ -156,72 +212,68 @@ pub struct MethodResult {
     pub outcomes: Vec<ReplayOutcome>,
 }
 
-/// Replays every job against one method, in parallel over jobs.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-#[must_use]
-fn evaluate_method(
-    spec: &MethodSpec,
+/// Replays every job of `jobs` against a fresh predictor from `build` (one
+/// per job, as the paper trains one model per job), one pool task per job.
+/// The outcomes come back in job order, so a mean over them is summed in
+/// the same order, and is bit-identical, at every thread count.
+pub fn replay_suite(
+    pool: &ThreadPool,
     jobs: &[JobTrace],
     replay: &ReplayConfig,
-    threads: usize,
-) -> MethodResult {
-    let results: Mutex<BTreeMap<usize, ReplayOutcome>> = Mutex::new(BTreeMap::new());
-    let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let workers = threads.clamp(1, jobs.len().max(1));
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= jobs.len() {
-                    break;
-                }
-                let mut predictor = spec.build();
-                let outcome = replay_job(&jobs[idx], predictor.as_mut(), replay);
-                results
-                    .lock()
-                    .expect("evaluation worker panicked")
-                    .insert(idx, outcome);
-            });
+    build: impl Fn() -> Box<dyn OnlinePredictor> + Sync,
+) -> Vec<ReplayOutcome> {
+    let mut outcomes: Vec<Option<ReplayOutcome>> = jobs.iter().map(|_| None).collect();
+    pool.scope(|s| {
+        for (job, slot) in jobs.iter().zip(&mut outcomes) {
+            let build = &build;
+            s.spawn(move || *slot = Some(replay_job(job, build().as_mut(), replay)));
         }
     });
-
-    let outcomes: Vec<ReplayOutcome> = results
-        .into_inner()
-        .expect("evaluation worker panicked")
-        .into_values()
-        .collect();
-    let confusions: Vec<_> = outcomes.iter().map(|o| o.confusion).collect();
-    MethodResult {
-        name: spec.name,
-        family: spec.family.label(),
-        summary: MethodSummary::from_confusions(&confusions),
-        outcomes,
-    }
+    outcomes.into_iter().flatten().collect()
 }
 
-/// Evaluates every selected method over the suite.
+/// The Table 3 metrics of a suite's outcomes.
 #[must_use]
-pub fn evaluate_all(
-    methods: &[MethodSpec],
+pub fn summarize(outcomes: &[ReplayOutcome]) -> MethodSummary {
+    let confusions: Vec<_> = outcomes.iter().map(|o| o.confusion).collect();
+    MethodSummary::from_confusions(&confusions)
+}
+
+/// Mean F1 of the cumulative flagged set at ten normalized-time deciles
+/// (Figures 2–3).
+#[must_use]
+pub fn mean_deciles(outcomes: &[ReplayOutcome]) -> [f64; 10] {
+    let mut series = [0.0f64; 10];
+    for outcome in outcomes {
+        for (s, v) in series.iter_mut().zip(outcome.f1_at_normalized_times(10)) {
+            *s += v;
+        }
+    }
+    for s in &mut series {
+        *s /= outcomes.len() as f64;
+    }
+    series
+}
+
+/// Mean job-completion-time reduction (%) over every machine count of
+/// `machines` (`None`: unlimited machines) and every job (Figures 4–9).
+#[must_use]
+pub fn mean_jct_reduction(
     jobs: &[JobTrace],
-    replay: &ReplayConfig,
-    threads: usize,
-) -> Vec<MethodResult> {
-    methods
-        .iter()
-        .map(|spec| {
-            let result = evaluate_method(spec, jobs, replay, threads);
-            eprintln!(
-                "  {:8} tpr={:.2} fpr={:.2} f1={:.3}",
-                result.name, result.summary.tpr, result.summary.fpr, result.summary.f1
-            );
-            result
-        })
-        .collect()
+    outcomes: &[ReplayOutcome],
+    machines: &[Option<usize>],
+) -> f64 {
+    let mut total = 0.0;
+    for &machines in machines {
+        let scheduler = SchedulerConfig {
+            machines,
+            ..SchedulerConfig::default()
+        };
+        for (job, outcome) in jobs.iter().zip(outcomes) {
+            total += simulate_jct(job, outcome, &scheduler).reduction_percent();
+        }
+    }
+    total / (jobs.len() * machines.len()) as f64
 }
 
 /// Renders a simple fixed-width histogram (Figure 1 style) of normalized
@@ -248,6 +300,11 @@ pub fn ascii_histogram(latencies: &[f64], bins: usize, width: usize) -> String {
 mod tests {
     use super::*;
 
+    fn parse(args: &str) -> Result<HarnessOptions, String> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        HarnessOptions::parse(&args)
+    }
+
     #[test]
     fn default_options_build_a_suite() {
         let opts = HarnessOptions {
@@ -263,16 +320,66 @@ mod tests {
 
     #[test]
     fn method_filter_selects_subset() {
-        let opts = HarnessOptions {
-            methods: Some(vec!["nurd".into(), "GBTR".into()]),
-            ..HarnessOptions::default()
-        };
+        let opts = parse("--methods nurd,GBTR").unwrap();
         let methods = opts.selected_methods();
         assert_eq!(methods.len(), 2);
     }
 
     #[test]
+    fn parse_reads_every_flag() {
+        let opts =
+            parse("--trace alibaba --jobs 3 --tasks 40:60 --checkpoints 8 --seed 9 --threads 1")
+                .unwrap();
+        assert_eq!(opts.trace, Some(TraceStyle::Alibaba));
+        assert_eq!((opts.jobs, opts.tasks, opts.checkpoints), (3, (40, 60), 8));
+        assert_eq!((opts.seed, opts.threads), (9, Some(1)));
+        assert_eq!(parse("").unwrap().style(), TraceStyle::Google);
+    }
+
+    #[test]
+    fn an_unknown_method_name_is_a_usage_error_listing_the_registry() {
+        let err = parse("--trace google --jobs 3 --methods NRUD").unwrap_err();
+        assert!(err.contains("\"NRUD\""), "{err}");
+        for spec in nurd_baselines::registry() {
+            assert!(err.contains(spec.name), "{err} lacks {}", spec.name);
+        }
+        assert!(
+            parse("--methods NURD,").is_err(),
+            "an empty name matches no row"
+        );
+    }
+
+    #[test]
+    fn zero_jobs_is_a_usage_error() {
+        let err = parse("--jobs 0 --methods NURD").unwrap_err();
+        assert!(err.contains("--jobs"), "{err}");
+    }
+
+    #[test]
+    fn malformed_flags_are_usage_errors() {
+        for args in [
+            "--jobs",
+            "--jobs many",
+            "--tasks 40",
+            "--tasks 40:x",
+            "--trace azure",
+            "--verbose 1",
+        ] {
+            assert!(parse(args).is_err(), "{args} parsed");
+        }
+    }
+
+    #[test]
     fn evaluate_method_covers_every_job() {
+        let opts = parse("--jobs 3 --tasks 40:60 --checkpoints 8 --methods GBTR").unwrap();
+        let (jobs, results) = opts.evaluate(&ThreadPool::new(2));
+        assert_eq!((jobs.len(), results.len()), (3, 1));
+        assert_eq!(results[0].outcomes.len(), 3);
+        assert_eq!(results[0].summary.jobs, 3);
+    }
+
+    #[test]
+    fn replay_suite_keeps_job_order_at_every_thread_count() {
         let opts = HarnessOptions {
             jobs: 3,
             tasks: (40, 60),
@@ -281,10 +388,13 @@ mod tests {
         };
         let jobs = opts.build_suite();
         let methods = nurd_baselines::registry();
-        let gbtr = methods.iter().find(|m| m.name == "GBTR").unwrap();
-        let result = evaluate_method(gbtr, &jobs, &ReplayConfig::default(), 2);
-        assert_eq!(result.outcomes.len(), 3);
-        assert_eq!(result.summary.jobs, 3);
+        let nurd = methods.iter().find(|m| m.name == "NURD").unwrap();
+        let replay = ReplayConfig::default();
+        let one = replay_suite(&ThreadPool::new(1), &jobs, &replay, || nurd.build());
+        let two = replay_suite(&ThreadPool::new(2), &jobs, &replay, || nurd.build());
+        assert_eq!(one.len(), 3);
+        assert_eq!(one, two);
+        assert_eq!(summarize(&one).jobs, 3);
     }
 
     #[test]

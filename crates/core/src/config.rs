@@ -103,7 +103,7 @@ impl Default for NurdConfig {
             // paper leaves unspecified; following its own protocol (§6,
             // manual tuning on a handful of held-out jobs) on the synthetic
             // traces of this reproduction lands at α = 0.20. The ablation
-            // bench sweeps α; see EXPERIMENTS.md.
+            // command `repro ablation_calibration` sweeps α.
             alpha: 0.20,
             epsilon: 0.05,
             calibrate: true,

@@ -12,7 +12,7 @@ use crate::{Hbos, IsolationForest, Knn, Lof, OutlierDetector};
 /// XGBOD is the one *semi-supervised* member of the paper's outlier suite:
 /// it needs labels. The online protocol has no straggler labels, so the
 /// baseline adapter feeds it finished-vs-running proxy labels (see
-/// `DESIGN.md` §3).
+/// `nurd-baselines`' `outlier_adapter` and `ARCHITECTURE.md`'s paper map).
 #[derive(Debug, Clone)]
 pub struct Xgbod {
     /// Boosted-tree head configuration.

@@ -3,7 +3,7 @@
 //! The paper evaluates on the Google 2011 and Alibaba 2017/2018 cluster
 //! traces, which cannot ship with this repository. This crate generates
 //! synthetic traces that preserve the properties the paper's evaluation
-//! exercises (see `DESIGN.md` §3 for the substitution argument):
+//! exercises (see `ARCHITECTURE.md` for the paper section → code map):
 //!
 //! * **p90 stragglers** — the top latency decile per job, with a
 //!   controllable gap above the body;

@@ -1,5 +1,5 @@
 //! Head-to-head comparison of a few methods from the paper's Table 3 on a
-//! small suite — a miniature of the full `table3_accuracy` experiment.
+//! small suite — a miniature of the full `repro table3_accuracy` experiment.
 //!
 //! ```sh
 //! cargo run --release --example method_shootout
@@ -42,6 +42,6 @@ fn main() {
         );
     }
     println!(
-        "\n(run `cargo run --release -p nurd-bench --bin table3_accuracy` for all 24 methods)"
+        "\n(run `cargo run --release -p nurd-bench --bin repro -- table3_accuracy` for all 24 methods)"
     );
 }

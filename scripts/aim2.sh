@@ -71,7 +71,16 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # `engine.rs` +3 (`replay_segment` reads, applies and fsyncs one segment
 # in place of `replay_recovered`), `observer.rs` +1, `disk.rs` -2
 # (`sync_dir` returns the directory fsync's error).
-MAX_WORKSPACE_LINES=20475
+#
+# One reproduction command lowered the workspace limit by exactly its net,
+# -190 (20,475 -> 20,285; ml + core + serve unchanged at 8,596): `bench`
+# -77 (fourteen bins with their own parsing became one `repro` binary over
+# one parser and one pool evaluator; the hand-rolled thread queue, the
+# per-bin suite loops and three copies of the JCT and decile averages
+# went), `baselines` -113 (seven per-checkpoint `OnlinePredictor` impls
+# became one `Adapter` over a fit-and-flag body each, and the registry's
+# outlier rows one line each).
+MAX_WORKSPACE_LINES=20285
 MAX_PRODUCT_LINES=8596
 MAX_UNSAFE_SITES=4
 MAX_CONFIG_FIELDS=35

@@ -59,9 +59,9 @@
 //! assert_eq!(outcome.confusion.total(), job.task_count());
 //! ```
 //!
-//! See `README.md` for the experiment harness, `DESIGN.md` for the system
-//! inventory and substitution rationale, and `EXPERIMENTS.md` for
-//! paper-vs-measured results.
+//! See `ARCHITECTURE.md` for the system inventory and the paper section →
+//! code map, and `crates/bench/README.md` for the experiment harness (the
+//! `repro` command, one subcommand per table, figure and ablation).
 
 #![forbid(unsafe_code)]
 

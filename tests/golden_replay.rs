@@ -24,6 +24,11 @@
 //! `Engine` (`push_all_sync` + `finish`), before PR 20 deleted that type and
 //! moved the harness onto `EngineService`.
 //!
+//! `GOLDEN_REGISTRY` holds all 24 Table 3 rows — every baseline's fit and
+//! flag rule — to what they replayed while Tobit, Grabit, CoxPH,
+//! the outlier detectors, XGBOD, PU-EN and PU-BG were still seven
+//! `OnlinePredictor` impls, before they became one adapter.
+//!
 //! # Re-recording a constant
 //!
 //! A constant that moves means "explain", not "forbidden". A PR that
@@ -57,7 +62,7 @@
 //!   `prop_irls_bit_identical_to_reference` and
 //!   `prop_resolution_stop_is_a_prefix_of_the_full_search` in
 //!   `crates/ml/src/logistic.rs`. Quality delta: none — `macro_f1` equal
-//!   on all four benchmark workloads and `table3_accuracy --jobs 30`
+//!   on all four benchmark workloads and `repro table3_accuracy --jobs 30`
 //!   byte-identical to the parent's. The `snap-1.bin` row of
 //!   `crates/serve/tests/disk_bytes.rs` moved with them.
 //!
@@ -135,11 +140,11 @@ fn hash_outcome(hash: &mut u64, outcome: &ReplayOutcome) {
 
 /// Hash of every replay outcome of `jobs` under a predictor built per job
 /// by `make`, and how many tasks were flagged.
-fn outcome_hash<P: OnlinePredictor>(jobs: &[JobTrace], make: impl Fn() -> P) -> (u64, usize) {
+fn outcome_hash(jobs: &[JobTrace], make: impl Fn() -> Box<dyn OnlinePredictor>) -> (u64, usize) {
     let mut hash = 0xCBF2_9CE4_8422_2325;
     let mut flagged = 0;
     for job in jobs {
-        let outcome = replay_job(job, &mut make(), &REPLAY);
+        let outcome = replay_job(job, make().as_mut(), &REPLAY);
         flagged += outcome.flagged_ids().len();
         hash_outcome(&mut hash, &outcome);
     }
@@ -148,7 +153,9 @@ fn outcome_hash<P: OnlinePredictor>(jobs: &[JobTrace], make: impl Fn() -> P) -> 
 
 fn fleet_hash(jobs: &[JobTrace], policy: &RefitPolicy) -> (u64, usize) {
     outcome_hash(jobs, || {
-        NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()))
+        Box::new(NurdPredictor::new(
+            NurdConfig::default().with_refit_policy(policy.clone()),
+        ))
     })
 }
 
@@ -267,7 +274,10 @@ fn gbtr_and_transfer_always_cold_match_the_pre_fold_constants() {
     // its feature width.
     let donor = DonorModel::from_job(&jobs[0], &NurdConfig::default()).unwrap();
     let (transfer, transfer_flagged) = outcome_hash(&jobs[1..6], || {
-        NurdPredictor::with_prior(NurdConfig::default(), donor.clone())
+        Box::new(NurdPredictor::with_prior(
+            NurdConfig::default(),
+            donor.clone(),
+        ))
     });
     assert!(
         gbtr_flagged > 100 && transfer_flagged > 0,
@@ -376,6 +386,43 @@ fn predictor_blobs_match_the_pre_flat_ensemble_constants() {
         (GOLDEN_BLOB_BYTES_ALWAYS_COLD, GOLDEN_BLOB_BYTES_WARM),
         "predictor blob bytes moved: cold {cold:#018x} over {cold_bytes} B, \
          warm {warm:#018x} over {warm_bytes} B"
+    );
+}
+
+/// A Google-style and an Alibaba-style job, small enough that every
+/// registry row — the quadratic outlier detectors included — replays both
+/// in debug in a few seconds.
+fn registry_fleet() -> Vec<JobTrace> {
+    let google = SuiteConfig::new(TraceStyle::Google)
+        .with_jobs(1)
+        .with_task_range(60, 80)
+        .with_checkpoints(10)
+        .with_seed(0x6E61);
+    let alibaba = SuiteConfig::new(TraceStyle::Alibaba)
+        .with_jobs(1)
+        .with_task_range(60, 80)
+        .with_checkpoints(10)
+        .with_seed(0xA11C);
+    let mut jobs = nurd::trace::generate_suite(&google);
+    jobs.extend(nurd::trace::generate_suite(&alibaba));
+    jobs
+}
+
+#[test]
+fn every_registry_row_matches_the_pre_adapter_fold_constant() {
+    let jobs = registry_fleet();
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut flagging_rows = 0;
+    for spec in nurd::baselines::registry() {
+        let (row, flagged) = outcome_hash(&jobs, || spec.build());
+        fold(&mut hash, row);
+        flagging_rows += usize::from(flagged > 0);
+    }
+    // Rows that flag nothing pin nothing but their guard.
+    assert!(flagging_rows >= 20, "{flagging_rows} rows flagged a task");
+    assert_eq!(
+        hash, GOLDEN_REGISTRY,
+        "registry outcomes moved: {hash:#018x}"
     );
 }
 
@@ -511,3 +558,7 @@ const GOLDEN_BLOB_BYTES_WARM: u64 = 0x4208_4EE0_604D_02D3;
 /// `finish(&pool)`: no drain workers, no notifier) — the parent of the PR
 /// that deleted the shim and moved the harness onto `EngineService`.
 const GOLDEN_CLOSED_LOOP: u64 = 0x3152_5615_88B3_671E;
+/// Recorded on commit `c78f88f`, while Tobit, Grabit, CoxPH, the outlier
+/// and XGBOD adapters and PU-EN / PU-BG were still seven
+/// `OnlinePredictor` impls — the parent of the PR that folded them into one.
+const GOLDEN_REGISTRY: u64 = 0x1EB9_4903_B0FC_2310;

@@ -26,7 +26,7 @@ fn rho_and_delta_are_sane_across_both_families() {
     // resulting δ must stay inside Equation 3's range. (The *directional*
     // family claim — long-tailed jobs drawing systematically larger δ — is
     // weak on this substrate and is reported, not asserted; see
-    // EXPERIMENTS.md.)
+    // `repro ablation_calibration`.)
     for frac in [1.0, 0.0] {
         let cfg = SuiteConfig::new(TraceStyle::Google)
             .with_jobs(8)
