@@ -44,7 +44,7 @@ fn write_job_csv<W: Write>(mut writer: W, job: &JobTrace) -> Result<(), DataErro
         job.feature_names().join(",")
     )?;
     for task in job.tasks() {
-        for (k, snap) in task.snapshots().iter().enumerate() {
+        for (k, snap) in task.snapshots().enumerate() {
             let vals: Vec<String> = snap.iter().map(|v| format!("{v}")).collect();
             writeln!(
                 writer,
@@ -110,6 +110,10 @@ struct PendingJob {
 impl PendingJob {
     fn finish(self) -> Result<JobTrace, DataError> {
         let ckpts = self.checkpoint_times.len();
+        let width = self.feature_names.len();
+        if width == 0 {
+            return Err(DataError::Invalid("job declares no features".into()));
+        }
         let tasks: Vec<TaskRecord> = self
             .tasks
             .into_iter()
@@ -126,6 +130,14 @@ impl PendingJob {
                 if !(latency.is_finite() && latency > 0.0) {
                     return Err(DataError::Invalid(format!(
                         "task {id} has non-positive or non-finite latency {latency}"
+                    )));
+                }
+                // A `#features` line between a task's rows changes the
+                // width of the rows after it.
+                if let Some(k) = snaps.iter().position(|snap| snap.len() != width) {
+                    return Err(DataError::Invalid(format!(
+                        "task {id} snapshot {k} has {} features, job declares {width}",
+                        snaps[k].len()
                     )));
                 }
                 if snaps.iter().flatten().any(|v| !v.is_finite()) {
@@ -328,6 +340,26 @@ mod tests {
         assert!(read_job_csv(&input[..]).is_err());
         // Infinite feature.
         let input = b"#job,1\n#features,f\n#checkpoints,1\n0,1.0,0,inf\n";
+        assert!(matches!(
+            read_job_csv(&input[..]),
+            Err(DataError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn read_rejects_a_ragged_series_with_error_not_panic() {
+        // Task 0's second row is read under a two-name `#features` line,
+        // and the job's last `#features` line declares one name again.
+        let input = b"#job,1\n#features,f\n#checkpoints,1,2\n0,1.0,0,0.1\n\
+            #features,f,g\n0,1.0,1,0.2,9.9\n#features,f\n";
+        let err = read_job_csv(&input[..]).unwrap_err();
+        assert!(matches!(err, DataError::Invalid(_)), "got: {err}");
+        assert!(err.to_string().contains("snapshot 1"), "got: {err}");
+    }
+
+    #[test]
+    fn read_rejects_a_job_without_features() {
+        let input = b"#job,1\n#checkpoints,1\n0,1.0,0\n";
         assert!(matches!(
             read_job_csv(&input[..]),
             Err(DataError::Invalid(_))

@@ -5,37 +5,66 @@ pub type TaskId = usize;
 
 /// One task of a job: its true final latency and its feature time series.
 ///
-/// `features[k]` is the feature snapshot recorded at the job's `k`-th
+/// Snapshot `k` is the feature vector recorded at the job's `k`-th
 /// checkpoint *of task-local elapsed time*: index `k` corresponds to the
 /// task having run for `checkpoint_times[k]` time units. Once a task
 /// finishes, its snapshot freezes at the last recorded value; the trace
 /// generator materializes the frozen copies so lookups stay O(1).
+///
+/// The series lives in one snapshot-major buffer: every snapshot has the
+/// same nonzero `width`, and snapshot `k` is
+/// `values[k * width..(k + 1) * width]` — one allocation per task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
     id: TaskId,
     latency: f64,
-    features: Vec<Vec<f64>>,
+    width: usize,
+    values: Vec<f64>,
 }
 
 impl TaskRecord {
-    /// Creates a task record.
+    /// Creates a task record from one vector per snapshot.
     ///
     /// # Panics
     ///
-    /// Panics if `latency` is not finite and positive, or if `features` is
-    /// empty. Structural checks against the owning job (row widths, series
-    /// length) happen in [`crate::JobTrace::new`].
+    /// Panics if `latency` is not finite and positive, if `features` is
+    /// empty or its snapshots are, or if they differ in width (a ragged
+    /// series). Structural checks against the owning job (row widths,
+    /// series length) happen in [`crate::JobTrace::new`].
     #[must_use]
     pub fn new(id: TaskId, latency: f64, features: Vec<Vec<f64>>) -> Self {
+        let width = features.first().map_or(0, Vec::len);
+        assert!(
+            features.iter().all(|snap| snap.len() == width),
+            "task snapshots must all have the same width"
+        );
+        Self::from_flat(id, latency, width, features.concat())
+    }
+
+    /// Creates a task record from its series already laid out
+    /// snapshot-major, `width` values per snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `latency` is not finite and positive, or if `values` is
+    /// not a whole number, at least one, of `width`-wide snapshots with
+    /// `width > 0`.
+    #[must_use]
+    pub fn from_flat(id: TaskId, latency: f64, width: usize, values: Vec<f64>) -> Self {
         assert!(
             latency.is_finite() && latency > 0.0,
             "task latency must be finite and positive, got {latency}"
         );
-        assert!(!features.is_empty(), "task must have at least one snapshot");
+        assert!(
+            width > 0 && !values.is_empty() && values.len().is_multiple_of(width),
+            "task must have at least one snapshot of nonzero width, got {} values of width {width}",
+            values.len()
+        );
         TaskRecord {
             id,
             latency,
-            features,
+            width,
+            values,
         }
     }
 
@@ -54,27 +83,28 @@ impl TaskRecord {
     /// Number of recorded snapshots.
     #[must_use]
     pub(crate) fn snapshot_count(&self) -> usize {
-        self.features.len()
+        self.values.len() / self.width
     }
 
     /// Feature snapshot at checkpoint index `k`, clamped to the last
     /// available snapshot (a finished task's features stay frozen).
     #[must_use]
     pub fn snapshot(&self, k: usize) -> &[f64] {
-        let idx = k.min(self.features.len() - 1);
-        &self.features[idx]
+        let start = k
+            .saturating_mul(self.width)
+            .min(self.values.len() - self.width);
+        &self.values[start..start + self.width]
     }
 
-    /// All snapshots, in checkpoint order.
-    #[must_use]
-    pub fn snapshots(&self) -> &[Vec<f64>] {
-        &self.features
+    /// All snapshots, in checkpoint order, as slices of the task's buffer.
+    pub fn snapshots(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.values.chunks_exact(self.width)
     }
 
     /// Feature dimensionality.
     #[must_use]
     pub(crate) fn feature_dim(&self) -> usize {
-        self.features[0].len()
+        self.width
     }
 }
 
@@ -109,5 +139,33 @@ mod tests {
     #[should_panic(expected = "at least one snapshot")]
     fn rejects_empty_series() {
         let _ = TaskRecord::new(0, 1.0, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "same width")]
+    fn rejects_ragged_series() {
+        let _ = TaskRecord::new(0, 1.0, vec![vec![0.1], vec![0.2, 9.9]]);
+    }
+
+    #[test]
+    fn flat_and_nested_series_are_one_record() {
+        let nested = TaskRecord::new(2, 4.0, vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let flat = TaskRecord::from_flat(2, 4.0, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(nested, flat);
+        assert_eq!(flat.snapshot(1), &[3.0, 4.0]);
+        let snaps: Vec<&[f64]> = flat.snapshots().collect();
+        assert_eq!(snaps, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one snapshot of nonzero width")]
+    fn rejects_zero_width_snapshots() {
+        let _ = TaskRecord::new(0, 1.0, vec![vec![], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "got 3 values of width 2")]
+    fn from_flat_rejects_a_partial_snapshot() {
+        let _ = TaskRecord::from_flat(0, 1.0, 2, vec![1.0, 2.0, 3.0]);
     }
 }

@@ -136,7 +136,7 @@ fn draw_latents<R: Rng + ?Sized>(rng: &mut R, plan: &TaskPlan, base: &JobBaselin
     } else {
         (plan.slow - 1.0).min(0.3)
     };
-    let noise = |rng: &mut R, sigma: f64| dist::lognormal(rng, 1.0, sigma);
+    let noise = |rng: &mut R, sigma: f64| dist::lognormal(rng, sigma);
 
     let effective_work = plan.work * decoy_skew;
     let mcu = (base.cpu * (1.0 - 0.40 * interf.min(1.4) / 1.4) * noise(rng, 0.10)).max(0.01);
@@ -195,7 +195,16 @@ fn draw_latents<R: Rng + ?Sized>(rng: &mut R, plan: &TaskPlan, base: &JobBaselin
     }
 }
 
-/// Generates a task's feature snapshots at every checkpoint time.
+/// Feature columns a trace of `style` records per snapshot.
+pub(crate) fn width(style: TraceStyle) -> usize {
+    match style {
+        TraceStyle::Google => GOOGLE_FEATURES.len(),
+        TraceStyle::Alibaba => ALIBABA_FEATURES.len(),
+    }
+}
+
+/// Generates a task's feature snapshots at every checkpoint time, laid
+/// out snapshot-major in one buffer ([`width`] values per checkpoint).
 ///
 /// Snapshots freeze once the task finishes (`t >= plan.latency`), matching
 /// how a monitoring system stops updating a completed task's counters.
@@ -205,32 +214,31 @@ pub(crate) fn task_feature_series<R: Rng + ?Sized>(
     plan: &TaskPlan,
     base: &JobBaselines,
     checkpoint_times: &[f64],
-) -> Vec<Vec<f64>> {
+) -> Vec<f64> {
     let latents = draw_latents(rng, plan, base);
-    let mut snapshots = Vec::with_capacity(checkpoint_times.len());
-    let mut frozen: Option<Vec<f64>> = None;
-    for &t in checkpoint_times {
+    let mut series = Vec::with_capacity(checkpoint_times.len() * width(style));
+    for (k, &t) in checkpoint_times.iter().enumerate() {
         let progress = (t / plan.latency).min(1.0);
-        if let Some(done) = &frozen {
-            snapshots.push(done.clone());
-            continue;
+        let start = series.len();
+        match style {
+            TraceStyle::Google => series.extend(google_snapshot(rng, plan, &latents, progress)),
+            TraceStyle::Alibaba => series.extend(alibaba_snapshot(rng, plan, &latents, progress)),
         }
-        let snap = match style {
-            TraceStyle::Google => google_snapshot(rng, plan, &latents, progress),
-            TraceStyle::Alibaba => alibaba_snapshot(rng, plan, &latents, progress),
-        };
         if progress >= 1.0 {
-            frozen = Some(snap.clone());
+            let end = series.len();
+            for _ in k + 1..checkpoint_times.len() {
+                series.extend_from_within(start..end);
+            }
+            break;
         }
-        snapshots.push(snap);
     }
-    snapshots
+    series
 }
 
 /// Measurement noise that shrinks as a task accumulates samples.
 fn obs_noise<R: Rng + ?Sized>(rng: &mut R, progress: f64) -> f64 {
     let sigma = 0.06 - 0.03 * progress;
-    dist::lognormal(rng, 1.0, sigma.max(0.02))
+    dist::lognormal(rng, sigma.max(0.02))
 }
 
 fn google_snapshot<R: Rng + ?Sized>(
@@ -238,7 +246,7 @@ fn google_snapshot<R: Rng + ?Sized>(
     _plan: &TaskPlan,
     l: &TaskLatents,
     p: f64,
-) -> Vec<f64> {
+) -> [f64; GOOGLE_FEATURES.len()] {
     // CPU/CPI interference is visible from the start; memory and disk ramp
     // up as the input shard loads, saturating by ~30% of the task's
     // lifetime. The ramps are deliberately shallow: a mid-life running task
@@ -256,10 +264,10 @@ fn google_snapshot<R: Rng + ?Sized>(
     let ev = l.eviction_times.iter().filter(|&&e| e <= p).count() as f64;
     let fl = l.failure_times.iter().filter(|&&e| e <= p).count() as f64;
 
-    vec![
+    [
         mcu,
         l.mcu * (1.0 + l.burst_cpu * max_ramp),
-        mcu * dist::lognormal(rng, 1.0, 0.05),
+        mcu * dist::lognormal(rng, 0.05),
         cmu,
         cmu * l.amu_ratio,
         l.mem * (1.0 + l.burst_mem) * mem_ramp * max_ramp.max(0.5),
@@ -280,7 +288,7 @@ fn alibaba_snapshot<R: Rng + ?Sized>(
     plan: &TaskPlan,
     l: &TaskLatents,
     p: f64,
-) -> Vec<f64> {
+) -> [f64; ALIBABA_FEATURES.len()] {
     // Alibaba's 4 features hide CPI, counters and disk entirely; the
     // interference signal is diluted (cpu numbers, not shares) and skew only
     // shows in memory.
@@ -292,7 +300,7 @@ fn alibaba_snapshot<R: Rng + ?Sized>(
     let max_ramp = 1.0 - 0.35 * (-5.0 * p).exp();
     let cpu_avg = (l.mcu * (1.0 + 0.12 * interf) * obs_noise(rng, p)).max(0.01);
     let mem_avg = l.mem * mem_ramp * obs_noise(rng, p);
-    vec![
+    [
         cpu_avg,
         cpu_avg * (1.0 + l.burst_cpu * max_ramp),
         mem_avg,
@@ -300,15 +308,62 @@ fn alibaba_snapshot<R: Rng + ?Sized>(
     ]
 }
 
+/// The oracle of [`task_feature_series`]: the same draws in the same
+/// order, one vector per snapshot and a clone per frozen one — the layout
+/// the flat buffer replaced.
+#[cfg(test)]
+pub(crate) fn reference_series<R: Rng + ?Sized>(
+    rng: &mut R,
+    style: TraceStyle,
+    plan: &TaskPlan,
+    base: &JobBaselines,
+    checkpoint_times: &[f64],
+) -> Vec<Vec<f64>> {
+    let latents = draw_latents(rng, plan, base);
+    let mut snapshots = Vec::with_capacity(checkpoint_times.len());
+    let mut frozen: Option<Vec<f64>> = None;
+    for &t in checkpoint_times {
+        let progress = (t / plan.latency).min(1.0);
+        if let Some(done) = &frozen {
+            snapshots.push(done.clone());
+            continue;
+        }
+        let snap = match style {
+            TraceStyle::Google => google_snapshot(rng, plan, &latents, progress).to_vec(),
+            TraceStyle::Alibaba => alibaba_snapshot(rng, plan, &latents, progress).to_vec(),
+        };
+        if progress >= 1.0 {
+            frozen = Some(snap.clone());
+        }
+        snapshots.push(snap);
+    }
+    snapshots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::latency::TaskPlan;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    /// [`task_feature_series`] cut into one vector per snapshot.
+    fn snapshots<R: Rng + ?Sized>(
+        rng: &mut R,
+        style: TraceStyle,
+        plan: &TaskPlan,
+        base: &JobBaselines,
+        times: &[f64],
+    ) -> Vec<Vec<f64>> {
+        task_feature_series(rng, style, plan, base, times)
+            .chunks(width(style))
+            .map(<[f64]>::to_vec)
+            .collect()
     }
 
     fn nominal_plan(latency: f64) -> TaskPlan {
@@ -336,7 +391,7 @@ mod tests {
         let mut r = rng();
         let base = JobBaselines::sample(&mut r);
         let times = vec![10.0, 20.0, 30.0, 40.0];
-        let s = task_feature_series(
+        let s = snapshots(
             &mut r,
             TraceStyle::Google,
             &nominal_plan(25.0),
@@ -352,7 +407,7 @@ mod tests {
         let mut r = rng();
         let base = JobBaselines::sample(&mut r);
         let times = vec![10.0, 20.0, 30.0, 40.0];
-        let s = task_feature_series(
+        let s = snapshots(
             &mut r,
             TraceStyle::Google,
             &nominal_plan(15.0),
@@ -374,7 +429,7 @@ mod tests {
         let mut mcu_interf = 0.0;
         let mut cpi_interf = 0.0;
         for _ in 0..200 {
-            let s = task_feature_series(
+            let s = snapshots(
                 &mut r,
                 TraceStyle::Google,
                 &nominal_plan(50.0),
@@ -390,7 +445,7 @@ mod tests {
                 latency: 150.0,
                 ..nominal_plan(150.0)
             };
-            let s = task_feature_series(&mut r, TraceStyle::Google, &plan, &base, &times);
+            let s = snapshots(&mut r, TraceStyle::Google, &plan, &base, &times);
             mcu_interf += s[0][0];
             cpi_interf += s[0][11];
         }
@@ -408,7 +463,7 @@ mod tests {
         let mut cmu_s = 0.0;
         let mut mio_s = 0.0;
         for _ in 0..200 {
-            let s = task_feature_series(
+            let s = snapshots(
                 &mut r,
                 TraceStyle::Google,
                 &nominal_plan(50.0),
@@ -424,7 +479,7 @@ mod tests {
                 latency: 200.0,
                 ..nominal_plan(200.0)
             };
-            let s = task_feature_series(&mut r, TraceStyle::Google, &plan, &base, &times);
+            let s = snapshots(&mut r, TraceStyle::Google, &plan, &base, &times);
             cmu_s += s[0][3];
             mio_s += s[0][8];
         }
@@ -443,7 +498,7 @@ mod tests {
             ..nominal_plan(100.0)
         };
         let times = vec![5.0, 50.0, 95.0, 100.0];
-        let s = task_feature_series(&mut r, TraceStyle::Google, &plan, &base, &times);
+        let s = snapshots(&mut r, TraceStyle::Google, &plan, &base, &times);
         let ev: Vec<f64> = s.iter().map(|snap| snap[13]).collect();
         assert!(ev.windows(2).all(|w| w[0] <= w[1]), "EV must be monotone");
         assert_eq!(ev[3], 3.0);
@@ -457,7 +512,7 @@ mod tests {
         let mut ratio_normal = 0.0;
         let mut ratio_decoy = 0.0;
         for _ in 0..200 {
-            let s = task_feature_series(
+            let s = snapshots(
                 &mut r,
                 TraceStyle::Google,
                 &nominal_plan(50.0),
@@ -469,7 +524,7 @@ mod tests {
                 decoy: true,
                 ..nominal_plan(50.0)
             };
-            let s = task_feature_series(&mut r, TraceStyle::Google, &plan, &base, &times);
+            let s = snapshots(&mut r, TraceStyle::Google, &plan, &base, &times);
             ratio_decoy += s[0][1] / s[0][0];
         }
         assert!(ratio_decoy > 1.5 * ratio_normal);
@@ -483,7 +538,7 @@ mod tests {
         let mut cpi_n = 0.0;
         let mut cpi_o = 0.0;
         for _ in 0..300 {
-            let s = task_feature_series(
+            let s = snapshots(
                 &mut r,
                 TraceStyle::Google,
                 &nominal_plan(50.0),
@@ -497,7 +552,7 @@ mod tests {
                 latency: 300.0,
                 ..nominal_plan(300.0)
             };
-            let s = task_feature_series(&mut r, TraceStyle::Google, &plan, &base, &times);
+            let s = snapshots(&mut r, TraceStyle::Google, &plan, &base, &times);
             cpi_o += s[0][11];
         }
         let ratio = cpi_o / cpi_n;
@@ -509,7 +564,7 @@ mod tests {
         let mut r = rng();
         let base = JobBaselines::sample(&mut r);
         let times = vec![10.0, 60.0];
-        let s = task_feature_series(
+        let s = snapshots(
             &mut r,
             TraceStyle::Alibaba,
             &nominal_plan(40.0),
@@ -518,6 +573,38 @@ mod tests {
         );
         assert!(s.iter().all(|snap| snap.len() == 4));
         assert!(s.iter().flatten().all(|&v| v > 0.0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The flat series holds the oracle's snapshots in order, and both
+        /// leave the job's stream at the same draw.
+        #[test]
+        fn prop_flat_series_equals_reference(
+            seed in 0u64..u64::MAX,
+            google in 0u8..2,
+            latency in 1.0f64..200.0,
+            evictions in 0u32..4,
+            decoy in 0u8..2,
+            checkpoints in 1usize..16,
+        ) {
+            let style = if google == 1 { TraceStyle::Google } else { TraceStyle::Alibaba };
+            let plan = TaskPlan {
+                evictions,
+                decoy: decoy == 1,
+                ..nominal_plan(latency)
+            };
+            let times: Vec<f64> = (1..=checkpoints).map(|k| 12.0 * k as f64).collect();
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            let base = JobBaselines::sample(&mut a);
+            let _ = JobBaselines::sample(&mut b);
+            let flat = task_feature_series(&mut a, style, &plan, &base, &times);
+            let reference = reference_series(&mut b, style, &plan, &base, &times);
+            prop_assert_eq!(flat, reference.concat());
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

@@ -29,20 +29,12 @@ use nurd_data::{job_events, job_stream, JobSpec, JobTrace, TaskEvent};
 #[must_use]
 pub fn fleet_events(jobs: &[JobTrace], threshold_quantile: f64) -> (Vec<JobSpec>, Vec<TaskEvent>) {
     let mut specs = Vec::with_capacity(jobs.len());
-    let mut tagged: Vec<(f64, u64, usize, TaskEvent)> = Vec::new();
-    for job in jobs {
+    let events = merge_by_time(jobs.iter().map(|job| {
         let (spec, events) = job_events(job, threshold_quantile);
         specs.push(spec);
-        for (seq, ev) in events.into_iter().enumerate() {
-            tagged.push((ev.time(), ev.job(), seq, ev));
-        }
-    }
-    // Stable key: time, then job id, then the job's own sequence — the
-    // last component keeps per-job order even among equal-time events
-    // (a checkpoint's Progress/Finished batch and its Barrier all carry
-    // the checkpoint time).
-    tagged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    (specs, tagged.into_iter().map(|(_, _, _, ev)| ev).collect())
+        (0.0, events)
+    }));
+    (specs, events)
 }
 
 /// Lowers every job into its *streaming* form ([`job_stream`]: events
@@ -74,19 +66,50 @@ pub fn staggered_fleet_events(
     seed: u64,
 ) -> Vec<TaskEvent> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut tagged: Vec<(f64, u64, usize, TaskEvent)> = Vec::new();
-    for job in jobs {
+    merge_by_time(jobs.iter().map(|job| {
         let offset = if spread > 0.0 {
             rng.gen_range(0.0..spread)
         } else {
             0.0
         };
-        for (seq, ev) in job_stream(job, threshold_quantile).into_iter().enumerate() {
-            tagged.push((offset + ev.time(), ev.job(), seq, ev));
+        (offset, job_stream(job, threshold_quantile))
+    }))
+}
+
+/// Merges per-job streams, each shifted by its arrival offset, by
+/// `(offset + event time, job id, per-job sequence)`, a full tie going to
+/// the earlier stream. The sequence keeps a job's order among its
+/// equal-time events (a checkpoint's Progress/Finished batch and its
+/// Barrier all carry the checkpoint time). Each stream's events move into
+/// one buffer as it arrives; only 32-byte keys are sorted, and each event
+/// then moves once more, from the buffer to its place in the merge.
+fn merge_by_time(streams: impl Iterator<Item = (f64, Vec<TaskEvent>)>) -> Vec<TaskEvent> {
+    let mut events = Vec::new();
+    let mut keys = Vec::new();
+    for (offset, stream) in streams {
+        for (seq, ev) in stream.into_iter().enumerate() {
+            // Offsets and event times are never negative, so their bits
+            // order them; the buffer index orders a full tie by stream.
+            keys.push(((offset + ev.time()).to_bits(), ev.job(), seq, events.len()));
+            events.push(ev);
         }
     }
-    tagged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    tagged.into_iter().map(|(_, _, _, ev)| ev).collect()
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|(.., i)| take(&mut events[i]))
+        .collect()
+}
+
+/// Moves an event out of a buffer, leaving a placeholder behind.
+fn take(event: &mut TaskEvent) -> TaskEvent {
+    std::mem::replace(
+        event,
+        TaskEvent::Barrier {
+            job: 0,
+            ordinal: 0,
+            time: 0.0,
+        },
+    )
 }
 
 /// Randomly merges per-job event streams while preserving each stream's
@@ -106,14 +129,7 @@ pub fn interleave_events(mut streams: Vec<Vec<TaskEvent>>, seed: u64) -> Vec<Tas
     while !live.is_empty() {
         let pick = rng.gen_range(0..live.len());
         let s = live[pick];
-        merged.push(std::mem::replace(
-            &mut streams[s][cursors[s]],
-            TaskEvent::Barrier {
-                job: 0,
-                ordinal: 0,
-                time: 0.0,
-            },
-        ));
+        merged.push(take(&mut streams[s][cursors[s]]));
         cursors[s] += 1;
         if cursors[s] == streams[s].len() {
             live.swap_remove(pick);
@@ -153,10 +169,57 @@ pub fn producer_streams(
         .collect()
 }
 
+/// The oracle of [`fleet_events`]: every event tagged with its sort key
+/// and the whole tagged list stable-sorted.
+#[cfg(test)]
+pub(crate) fn reference_fleet_events(
+    jobs: &[JobTrace],
+    threshold_quantile: f64,
+) -> (Vec<JobSpec>, Vec<TaskEvent>) {
+    let mut specs = Vec::with_capacity(jobs.len());
+    let mut tagged: Vec<(f64, u64, usize, TaskEvent)> = Vec::new();
+    for job in jobs {
+        let (spec, events) = job_events(job, threshold_quantile);
+        specs.push(spec);
+        for (seq, ev) in events.into_iter().enumerate() {
+            tagged.push((ev.time(), ev.job(), seq, ev));
+        }
+    }
+    tagged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    (specs, tagged.into_iter().map(|(_, _, _, ev)| ev).collect())
+}
+
+/// The oracle of [`staggered_fleet_events`], sorting whole events the
+/// same way.
+#[cfg(test)]
+pub(crate) fn reference_staggered_fleet_events(
+    jobs: &[JobTrace],
+    threshold_quantile: f64,
+    spread: f64,
+    seed: u64,
+) -> Vec<TaskEvent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tagged: Vec<(f64, u64, usize, TaskEvent)> = Vec::new();
+    for job in jobs {
+        let offset = if spread > 0.0 {
+            rng.gen_range(0.0..spread)
+        } else {
+            0.0
+        };
+        for (seq, ev) in job_stream(job, threshold_quantile).into_iter().enumerate() {
+            tagged.push((offset + ev.time(), ev.job(), seq, ev));
+        }
+    }
+    tagged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    tagged.into_iter().map(|(_, _, _, ev)| ev).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SuiteConfig, TraceStyle};
+    use crate::generator::reference_job_detailed;
+    use crate::{NodeModelConfig, SuiteConfig, TraceStyle};
+    use proptest::prelude::*;
 
     fn suite() -> Vec<JobTrace> {
         let cfg = SuiteConfig::new(TraceStyle::Google)
@@ -300,6 +363,62 @@ mod tests {
         // carries every event.
         let simultaneous = staggered_fleet_events(&jobs, 0.9, 0.0, 7);
         assert_eq!(simultaneous.len(), staggered.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Suites and both lowerings equal their oracles for either style,
+        /// with and without the node model, at zero spread (every job's
+        /// `JobStart` and submissions tie at time 0) and at a positive one.
+        #[test]
+        fn prop_suites_and_streams_equal_the_oracles(
+            seed in 0u64..u64::MAX,
+            google in 0u8..2,
+            node_model in 0u8..2,
+            staggered in 0u8..2,
+            spread in 1.0f64..2_000.0,
+            checkpoints in 1usize..10,
+        ) {
+            let style = if google == 1 { TraceStyle::Google } else { TraceStyle::Alibaba };
+            let spread = if staggered == 1 { spread } else { 0.0 };
+            let mut cfg = SuiteConfig::new(style)
+                .with_jobs(4)
+                .with_task_range(5, 40)
+                .with_checkpoints(checkpoints)
+                .with_seed(seed);
+            if node_model == 1 {
+                cfg = cfg.with_node_model(NodeModelConfig {
+                    seed: seed.rotate_left(17),
+                    ..NodeModelConfig::new(6).with_unhealthy(1, 2)
+                });
+            }
+            let mut jobs = Vec::new();
+            for id in 0..cfg.jobs as u64 {
+                let job = crate::generate_job_detailed(&cfg, id);
+                prop_assert_eq!(&job, &reference_job_detailed(&cfg, id));
+                jobs.push(job.0);
+            }
+            prop_assert_eq!(fleet_events(&jobs, 0.9), reference_fleet_events(&jobs, 0.9));
+            prop_assert_eq!(
+                staggered_fleet_events(&jobs, 0.9, spread, seed),
+                reference_staggered_fleet_events(&jobs, 0.9, spread, seed)
+            );
+        }
+    }
+
+    #[test]
+    fn full_key_ties_keep_stream_order() {
+        // Two copies of one job tie on (time, job id, sequence) at every
+        // event; the merge keeps the earlier stream's first, as the stable
+        // sort it replaced did.
+        let job = suite().remove(0);
+        let jobs = [job.clone(), job];
+        assert_eq!(fleet_events(&jobs, 0.9), reference_fleet_events(&jobs, 0.9));
+        assert_eq!(
+            staggered_fleet_events(&jobs, 0.9, 0.0, 1),
+            reference_staggered_fleet_events(&jobs, 0.9, 0.0, 1)
+        );
     }
 
     #[test]

@@ -67,6 +67,193 @@ pub fn generate_job_detailed(
     // observes every completion. Regular spacing matters behaviorally: the
     // first prediction then lands after a sizeable share of the body has
     // finished, giving the per-job models real training support.
+    let checkpoint_times = schedule(&plans, config.checkpoints);
+
+    let baselines = JobBaselines::sample(&mut rng);
+    let width = features::width(config.style);
+    let tasks: Vec<TaskRecord> = plans
+        .iter()
+        .enumerate()
+        .map(|(id, plan)| {
+            let series = features::task_feature_series(
+                &mut rng,
+                config.style,
+                plan,
+                &baselines,
+                &checkpoint_times,
+            );
+            TaskRecord::from_flat(id, plan.latency, width, series)
+        })
+        .collect();
+
+    let mut feature_names: Vec<String> = match config.style {
+        TraceStyle::Google => GOOGLE_FEATURES.iter().map(|(n, _)| (*n).into()).collect(),
+        TraceStyle::Alibaba => ALIBABA_FEATURES.iter().map(|(n, _)| (*n).into()).collect(),
+    };
+
+    // The node model is a pure overlay: the base stream above never saw
+    // it, so a `None` model is bit-identical to the pre-node-model
+    // generator. When enabled, co-located tasks are stretched by their
+    // node's factor, the checkpoint schedule is re-derived (same formula
+    // over the new max latency), snapshots are re-frozen at each task's
+    // *new* finishing checkpoint, and two node feature columns are
+    // appended (no extra RNG draws anywhere on this path).
+    let (tasks, checkpoint_times, placement) = match &config.node_model {
+        None => (tasks, checkpoint_times, None),
+        Some(nm) => {
+            let model = NodeModel::build(nm);
+            let placement = model.placement(job_id, n_tasks);
+            for (plan, &node) in plans.iter_mut().zip(&placement) {
+                plan.latency *= model.factor(node);
+            }
+            let times = schedule(&plans, config.checkpoints);
+            let tasks = node_overlay(&tasks, &plans, &placement, model.node_count(), &times);
+            feature_names.extend(NODE_FEATURES.iter().map(|n| (*n).to_string()));
+            (tasks, times, Some(placement))
+        }
+    };
+
+    let trace = JobTrace::new(job_id, feature_names, checkpoint_times, tasks)
+        .expect("generator produces structurally valid jobs");
+    let trace = match placement {
+        Some(nodes) => trace
+            .with_nodes(nodes)
+            .expect("placement covers every task"),
+        None => trace,
+    };
+    (trace, plans)
+}
+
+/// `checkpoints` regular checkpoint times up to 2 % past the slowest plan.
+fn schedule(plans: &[crate::TaskPlan], checkpoints: usize) -> Vec<f64> {
+    let max_latency = plans
+        .iter()
+        .map(|p| p.latency)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let horizon = max_latency * 1.02;
+    (1..=checkpoints)
+        .map(|k| horizon * k as f64 / checkpoints as f64)
+        .collect()
+}
+
+/// Rebuilds every task's series under the node model: `plans` carry the
+/// stretched latencies, `times` the schedule derived from them. Each
+/// snapshot gains the task's node's co-resident count and that node's
+/// straggler share among its tasks finished by the checkpoint (0 while
+/// none have), and freezes at the task's new finishing checkpoint.
+///
+/// One pass over the tasks: co-residents are counted per node, and
+/// finishes and stragglers per (finishing checkpoint, node), then summed
+/// over checkpoints.
+fn node_overlay(
+    tasks: &[TaskRecord],
+    plans: &[crate::TaskPlan],
+    placement: &[u32],
+    node_count: u32,
+    times: &[f64],
+) -> Vec<TaskRecord> {
+    let (nodes, checkpoints) = (node_count as usize, times.len());
+    let threshold = quantile(plans.iter().map(|p| p.latency).collect(), 0.9);
+    let fin_at: Vec<usize> = plans
+        .iter()
+        .map(|p| times.partition_point(|&t| t < p.latency))
+        .collect();
+    let mut coresident = vec![0u32; nodes];
+    // (finished, stragglers) per node by checkpoint, at [k * nodes + node].
+    let mut counts = vec![(0u32, 0u32); checkpoints * nodes];
+    for (t, plan) in plans.iter().enumerate() {
+        let node = placement[t] as usize;
+        coresident[node] += 1;
+        // A task that no checkpoint covers lands past the end.
+        if let Some(slot) = counts.get_mut(fin_at[t] * nodes + node) {
+            slot.0 += 1;
+            slot.1 += u32::from(plan.latency >= threshold);
+        }
+    }
+    for i in nodes..counts.len() {
+        counts[i].0 += counts[i - nodes].0;
+        counts[i].1 += counts[i - nodes].1;
+    }
+
+    tasks
+        .iter()
+        .enumerate()
+        .map(|(t, task)| {
+            let wide = task.snapshot(0).len() + NODE_FEATURES.len();
+            let kstar = fin_at[t].min(checkpoints - 1);
+            let node = placement[t] as usize;
+            let mut values = Vec::with_capacity(checkpoints * wide);
+            for k in 0..=kstar {
+                let (fin, strag) = counts[k * nodes + node];
+                values.extend_from_slice(task.snapshot(k));
+                values.push(f64::from(coresident[node]));
+                // No straggler has finished while no task has: 0 / 1.
+                values.push(f64::from(strag) / f64::from(fin.max(1)));
+            }
+            let frozen = kstar * wide;
+            for _ in kstar + 1..checkpoints {
+                values.extend_from_within(frozen..frozen + wide);
+            }
+            TaskRecord::from_flat(t, plans[t].latency, wide, values)
+        })
+        .collect()
+}
+
+/// Interpolated latency quantile (the same order-statistic interpolation
+/// [`JobTrace::straggler_threshold`] uses, applied before the trace
+/// object exists).
+fn quantile(mut values: Vec<f64>, q: f64) -> f64 {
+    values.sort_by(|a, b| a.total_cmp(b));
+    let pos = q * (values.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    if lo == hi {
+        values[lo]
+    } else {
+        let frac = pos - lo as f64;
+        values[lo] * (1.0 - frac) + values[hi] * frac
+    }
+}
+
+/// Generates the whole suite.
+#[must_use]
+pub fn generate_suite(config: &SuiteConfig) -> Vec<JobTrace> {
+    (0..config.jobs as u64)
+        .map(|job_id| generate_job(config, job_id))
+        .collect()
+}
+
+/// The oracle of [`generate_job_detailed`]: the generator as it was
+/// before series became flat buffers — one vector per snapshot, and a node
+/// overlay that scans every task for every task and for every
+/// (checkpoint, node) pair.
+#[cfg(test)]
+pub(crate) fn reference_job_detailed(
+    config: &SuiteConfig,
+    job_id: u64,
+) -> (JobTrace, Vec<crate::TaskPlan>) {
+    assert!(config.checkpoints > 0, "need at least one checkpoint");
+    let mut rng = StdRng::seed_from_u64(config.seed ^ job_id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+
+    let n_tasks = rng.gen_range(config.tasks_min..=config.tasks_max);
+    let median = dist::uniform(&mut rng, 60.0, 600.0);
+    let family = LatencyFamily::sample(&mut rng, config.long_tail_fraction);
+    let mut plans = plan_job(
+        &mut rng,
+        n_tasks,
+        median,
+        &family,
+        &config.cause_mix,
+        config.straggler_fraction,
+        config.decoy_fraction,
+    );
+
+    // Checkpoint schedule: regular time intervals over the job's lifetime
+    // (the paper's traces record task metrics "at regular time
+    // checkpoints"), padded slightly past the slowest task so the replay
+    // observes every completion. Regular spacing matters behaviorally: the
+    // first prediction then lands after a sizeable share of the body has
+    // finished, giving the per-job models real training support.
     let max_latency = plans
         .iter()
         .map(|p| p.latency)
@@ -81,7 +268,7 @@ pub fn generate_job_detailed(
         .iter()
         .enumerate()
         .map(|(id, plan)| {
-            let series = features::task_feature_series(
+            let series = features::reference_series(
                 &mut rng,
                 config.style,
                 plan,
@@ -188,30 +375,6 @@ pub fn generate_job_detailed(
         None => trace,
     };
     (trace, plans)
-}
-
-/// Interpolated latency quantile (the same order-statistic interpolation
-/// [`JobTrace::straggler_threshold`] uses, applied before the trace
-/// object exists).
-fn quantile(mut values: Vec<f64>, q: f64) -> f64 {
-    values.sort_by(|a, b| a.total_cmp(b));
-    let pos = q * (values.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        values[lo]
-    } else {
-        let frac = pos - lo as f64;
-        values[lo] * (1.0 - frac) + values[hi] * frac
-    }
-}
-
-/// Generates the whole suite.
-#[must_use]
-pub fn generate_suite(config: &SuiteConfig) -> Vec<JobTrace> {
-    (0..config.jobs as u64)
-        .map(|job_id| generate_job(config, job_id))
-        .collect()
 }
 
 #[cfg(test)]

@@ -165,9 +165,9 @@ pub(crate) fn plan_job<R: Rng + ?Sized>(
         // The family controls how strongly the input shard drives latency
         // (see [`LatencyFamily::work_exponent`]); the remainder is
         // idiosyncratic noise invisible to monitoring.
-        let work = dist::lognormal(rng, 1.0, family.work_sigma());
+        let work = dist::lognormal(rng, family.work_sigma());
         let slow = 1.0 + dist::normal(rng, 0.0, 0.04).abs();
-        let noise = dist::lognormal(rng, 1.0, family.noise_sigma());
+        let noise = dist::lognormal(rng, family.noise_sigma());
         let mut latency = median * work.powf(family.work_exponent()) * slow * noise;
         let mut evictions = 0u32;
         let mut cause = None;

@@ -154,9 +154,9 @@ fn feature_snapshots_never_regress_for_counters() {
         .with_seed(6);
     for job in nurd::trace::generate_suite(&cfg) {
         for task in job.tasks() {
-            for pair in task.snapshots().windows(2) {
-                assert!(pair[1][13] >= pair[0][13], "EV regressed");
-                assert!(pair[1][14] >= pair[0][14], "FL regressed");
+            for (prev, next) in task.snapshots().zip(task.snapshots().skip(1)) {
+                assert!(next[13] >= prev[13], "EV regressed");
+                assert!(next[14] >= prev[14], "FL regressed");
             }
         }
     }
