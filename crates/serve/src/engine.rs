@@ -5,7 +5,7 @@
 //!
 //! * [`EngineCore`] *(crate-private)* — the shared state: one
 //!   [`nurd_runtime::Channel`] ingress queue, one `Mutex<Shard>`, and one
-//!   atomic [`ShardStats`](crate::shard::ShardStats) block per shard,
+//!   atomic [`ShardStats`](crate::shard::ShardStats) counter table per shard,
 //!   plus the [`nurd_runtime::Notifier`] idle drain workers park on.
 //! * [`EngineHandle`] — cloneable, `Send + Sync` producer handle;
 //!   [`EngineHandle::push`] takes `&self` and is safe from any thread.
@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use std::sync::OnceLock;
@@ -29,7 +28,7 @@ use crate::disk::Disk;
 use crate::lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};
 use crate::observer::HealthObserver;
 use crate::persist::{scan_dir, snapshot_path, wal_path, DirScan, PersistenceConfig, RecoverError};
-use crate::shard::{JobState, Shard, ShardStats};
+use crate::shard::{Counter, JobState, Shard, ShardStats};
 use crate::snapshot::{write_snapshot_file, SnapshotData};
 use crate::wal::{read_wal_segment, WalTail, WalWriter};
 
@@ -320,9 +319,8 @@ pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The persistence half of a durable engine: its configuration, the
-/// current snapshot/WAL generation, and the persistence counters
-/// surfaced through [`EngineStats`].
+/// The persistence half of a durable engine: its configuration and the
+/// current snapshot/WAL generation.
 pub(crate) struct PersistHandle {
     pub(crate) config: PersistenceConfig,
     /// Where every file operation goes.
@@ -332,10 +330,6 @@ pub(crate) struct PersistHandle {
     /// snapshot lock: a writer holds it from this read through its prune,
     /// before any shard lock, so no two writers share a generation.
     generation: Mutex<u64>,
-    pub(crate) wal_appended: AtomicUsize,
-    pub(crate) wal_replayed: AtomicUsize,
-    pub(crate) snapshots_written: AtomicUsize,
-    pub(crate) recovery_fallbacks: AtomicUsize,
 }
 
 /// The shared heart of the engine — everything [`EngineHandle`] and
@@ -469,10 +463,6 @@ impl EngineCore {
             config: persistence,
             disk,
             generation: Mutex::new(generation),
-            wal_appended: AtomicUsize::new(0),
-            wal_replayed: AtomicUsize::new(0),
-            snapshots_written: AtomicUsize::new(0),
-            recovery_fallbacks: AtomicUsize::new(0),
         });
         Ok((core, scan))
     }
@@ -528,7 +518,7 @@ impl EngineCore {
                         // Real back-pressure: sleep until a drain worker
                         // pops; the channel wakes us. The defensive
                         // unpark costs nothing on this already-slow path.
-                        cell.stats.add(&cell.stats.blocked_pushes, 1);
+                        cell.stats.add(Counter::BlockedPushes, 1);
                         self.notifier.unpark();
                         cell.ingress.send(event).ok()
                     }
@@ -536,7 +526,7 @@ impl EngineCore {
                 OverloadPolicy::ShedOldest => match cell.ingress.send_evicting(event) {
                     Ok((wake, evicted)) => {
                         if evicted.is_some() {
-                            cell.stats.add(&cell.stats.shed_events, 1);
+                            cell.stats.add(Counter::ShedEvents, 1);
                         }
                         Some(wake)
                     }
@@ -545,7 +535,7 @@ impl EngineCore {
                 OverloadPolicy::RejectNew => match cell.ingress.try_send(event) {
                     Ok(wake) => Some(wake),
                     Err(TrySendError::Full(_)) => {
-                        cell.stats.add(&cell.stats.rejected_ingress, 1);
+                        cell.stats.add(Counter::RejectedIngress, 1);
                         None
                     }
                     Err(TrySendError::Closed(_)) => None,
@@ -581,7 +571,7 @@ impl EngineCore {
         if taken == 0 {
             return 0;
         }
-        if let Some(persist) = &self.persist {
+        if self.persist.is_some() {
             // Write-ahead: the batch reaches the log *before* any of it
             // is applied, under the same lock that orders application —
             // so WAL record order is exactly apply order. A failing disk
@@ -591,7 +581,7 @@ impl EngineCore {
             let appended = shard
                 .append_wal(&batch[..])
                 .unwrap_or_else(|e| panic!("WAL append failed on shard {idx}: {e}"));
-            persist.wal_appended.fetch_add(appended, Ordering::Relaxed);
+            cell.stats.add(Counter::WalAppended, appended);
         }
         // The backlog *left behind* after this pop: the adaptive-balance
         // signal, and the advisory load hint mitigation policies see.
@@ -693,55 +683,46 @@ impl EngineCore {
         phase
     }
 
+    /// Adds `n` to a fleet-wide counter (kept on shard 0).
+    pub(crate) fn count(&self, counter: Counter, n: usize) {
+        self.cells[0].stats.add(counter, n);
+    }
+
+    /// `counter` summed over every shard.
+    fn total(&self, counter: Counter) -> usize {
+        self.cells.iter().map(|c| c.stats.get(counter)).sum()
+    }
+
     pub(crate) fn stats(&self) -> EngineStats {
-        let load = |f: fn(&ShardStats) -> &std::sync::atomic::AtomicUsize| -> usize {
-            self.cells
-                .iter()
-                .map(|c| f(&c.stats).load(Ordering::Relaxed))
-                .sum()
-        };
-        let durable = |f: fn(&PersistHandle) -> &AtomicUsize| -> usize {
-            self.persist
-                .as_ref()
-                .map_or(0, |p| f(p).load(Ordering::Relaxed))
-        };
+        let per_shard = |counter| self.cells.iter().map(|c| c.stats.get(counter)).collect();
         EngineStats {
             shards: self.cells.len(),
-            jobs_per_shard: self
-                .cells
-                .iter()
-                .map(|c| c.stats.live_jobs.load(Ordering::Relaxed))
-                .collect(),
-            events_per_shard: self
-                .cells
-                .iter()
-                .map(|c| c.stats.events_processed.load(Ordering::Relaxed))
-                .collect(),
+            jobs_per_shard: per_shard(Counter::LiveJobs),
+            events_per_shard: per_shard(Counter::EventsProcessed),
             backlog_per_shard: self.cells.iter().map(|c| c.ingress.len()).collect(),
-            finalized_jobs: load(|s| &s.finalized_jobs),
-            orphan_events: load(|s| &s.orphan_events),
-            stale_events: load(|s| &s.stale_events),
-            rejected_events: load(|s| &s.rejected_events),
-            blocked_pushes: load(|s| &s.blocked_pushes),
-            balance_boosts: load(|s| &s.balance_boosts),
-            poisoned_jobs: load(|s| &s.poisoned_jobs),
-            wal_appended: durable(|p| &p.wal_appended),
-            wal_replayed: durable(|p| &p.wal_replayed),
-            snapshots_written: durable(|p| &p.snapshots_written),
-            recovery_fallbacks: durable(|p| &p.recovery_fallbacks),
-            clones_issued: load(|s| &s.clones_issued),
-            quarantines_issued: load(|s| &s.quarantines_issued),
-            mitigation_suppressed: load(|s| &s.mitigation_suppressed),
+            finalized_jobs: self.total(Counter::FinalizedJobs),
+            orphan_events: self.total(Counter::OrphanEvents),
+            stale_events: self.total(Counter::StaleEvents),
+            rejected_events: self.total(Counter::RejectedEvents),
+            blocked_pushes: self.total(Counter::BlockedPushes),
+            balance_boosts: self.total(Counter::BalanceBoosts),
+            poisoned_jobs: self.total(Counter::PoisonedJobs),
+            wal_appended: self.total(Counter::WalAppended),
+            wal_replayed: self.total(Counter::WalReplayed),
+            snapshots_written: self.total(Counter::SnapshotsWritten),
+            recovery_fallbacks: self.total(Counter::RecoveryFallbacks),
+            clones_issued: self.total(Counter::ClonesIssued),
+            quarantines_issued: self.total(Counter::QuarantinesIssued),
+            mitigation_suppressed: self.total(Counter::MitigationSuppressed),
             overload: self.overload(),
         }
     }
 
     fn overload(&self) -> OverloadCounters {
-        self.cells
-            .iter()
-            .fold(OverloadCounters::default(), |acc, c| {
-                acc.merged(c.stats.overload())
-            })
+        OverloadCounters {
+            shed_events: self.total(Counter::ShedEvents),
+            rejected_ingress: self.total(Counter::RejectedIngress),
+        }
     }
 
     /// Finalizes every still-live job ([`FinalizeReason::EngineFinish`])
@@ -757,14 +738,9 @@ impl EngineCore {
             })
             .collect();
         jobs.sort_by_key(|r| r.job);
-        let events = self
-            .cells
-            .iter()
-            .map(|c| c.stats.events_processed.load(Ordering::Relaxed))
-            .sum();
         EngineReport {
             jobs,
-            events,
+            events: self.total(Counter::EventsProcessed),
             overload,
         }
     }
@@ -825,7 +801,7 @@ impl EngineCore {
             .get()
             .map_or_else(Vec::new, |o| o.snapshot_state());
         write_snapshot_file(disk, &snapshot_path(dir, new_gen), &data)?;
-        persist.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        self.count(Counter::SnapshotsWritten, 1);
         crate::persist::prune_dir(disk, dir, persist.config.retain_generations)
     }
 
@@ -876,22 +852,9 @@ impl EngineCore {
                 }
             }
         }
-        let stats = &self.cells[0].stats;
-        let c = data.counters;
-        let put = |counter: &AtomicUsize, v: u64| {
-            counter.fetch_add(v as usize, Ordering::Relaxed);
-        };
-        put(&stats.events_processed, c.events_processed);
-        put(&stats.orphan_events, c.orphan_events);
-        put(&stats.rejected_events, c.rejected_events);
-        put(&stats.stale_events, c.stale_events);
-        put(&stats.finalized_jobs, c.finalized_jobs);
-        put(&stats.poisoned_jobs, c.poisoned_jobs);
-        put(&stats.shed_events, c.shed_events);
-        put(&stats.rejected_ingress, c.rejected_ingress);
-        put(&stats.clones_issued, c.clones_issued);
-        put(&stats.quarantines_issued, c.quarantines_issued);
-        put(&stats.mitigation_suppressed, c.mitigation_suppressed);
+        for (counter, value) in Counter::PERSISTED.into_iter().zip(data.counters) {
+            self.count(counter, value as usize);
+        }
         Ok((resumed, finalized))
     }
 
@@ -916,7 +879,7 @@ impl EngineCore {
                 &cell.stats,
             );
         }
-        persist.wal_replayed.fetch_add(replayed, Ordering::Relaxed);
+        self.count(Counter::WalReplayed, replayed);
         persist.disk.sync_file(path)?;
         Ok((replayed, tail))
     }

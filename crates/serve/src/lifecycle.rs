@@ -101,7 +101,7 @@ pub enum OverloadPolicy {
     RejectNew,
 }
 
-/// Overload *loss* accounting, per shard and summed fleet-wide in
+/// Overload *loss* accounting, summed over the shards' counters in
 /// [`EngineReport`](crate::EngineReport) /
 /// [`EngineStats`](crate::EngineStats). Both counters stay zero while
 /// the configured capacity is never hit (the unbounded default) and
@@ -121,15 +121,6 @@ pub struct OverloadCounters {
 }
 
 impl OverloadCounters {
-    /// Element-wise sum — used to aggregate shard counters fleet-wide.
-    #[must_use]
-    pub(crate) fn merged(self, other: OverloadCounters) -> OverloadCounters {
-        OverloadCounters {
-            shed_events: self.shed_events + other.shed_events,
-            rejected_ingress: self.rejected_ingress + other.rejected_ingress,
-        }
-    }
-
     /// Total events *lost* to overload (shed + rejected ingress).
     #[must_use]
     pub fn lost_events(&self) -> usize {
@@ -142,19 +133,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_merge_elementwise_and_report_losses() {
-        let a = OverloadCounters {
-            shed_events: 2,
-            rejected_ingress: 3,
+    fn lost_events_are_shed_plus_rejected_ingress() {
+        let counters = OverloadCounters {
+            shed_events: 22,
+            rejected_ingress: 33,
         };
-        let b = OverloadCounters {
-            shed_events: 20,
-            rejected_ingress: 30,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.shed_events, 22);
-        assert_eq!(m.rejected_ingress, 33);
-        assert_eq!(m.lost_events(), 55);
+        assert_eq!(counters.lost_events(), 55);
     }
 
     #[test]

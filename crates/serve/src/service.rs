@@ -39,6 +39,7 @@ use crate::engine::{relock, EngineCore, EngineHandle, EngineReport};
 use crate::persist::{
     snapshot_path, wal_path, DirScan, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
 };
+use crate::shard::Counter;
 use crate::snapshot::read_snapshot_data;
 use crate::wal::WalTail;
 use crate::{
@@ -501,9 +502,7 @@ impl EngineService {
                 wal_truncated_tails += usize::from(tail != WalTail::Clean);
             }
         }
-        persist
-            .recovery_fallbacks
-            .store(fallbacks, Ordering::Relaxed);
+        core.count(Counter::RecoveryFallbacks, fallbacks);
         // No snapshot writer is alive, so every `.tmp` is stranded. One
         // directory fsync covers these removals and the new `wal-*` names;
         // compaction waits for the next checkpoint or close.

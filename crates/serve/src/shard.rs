@@ -15,13 +15,89 @@ use nurd_sim::outcome_from_flags;
 
 use crate::disk::Disk;
 use crate::engine::{JobReport, MitigatorFactory, PredictorFactory};
-use crate::lifecycle::{FinalizeReason, JobPhase, OverloadCounters};
+use crate::lifecycle::{FinalizeReason, JobPhase};
 use crate::observer::HealthObserver;
 use crate::persist::RecoverError;
 use crate::snapshot::SnapshotData;
 use crate::wal::WalWriter;
 
-/// One shard's live counters, published as atomics so
+/// Every counter the engine keeps, declared once. Each indexes a slot of
+/// a shard's [`ShardStats`] table; [`EngineStats`](crate::EngineStats),
+/// [`OverloadCounters`](crate::OverloadCounters) and the snapshot header
+/// are all read from that table. A recovered snapshot's totals and the
+/// fleet-wide persistence counters (WAL replay, snapshots, fallbacks)
+/// are added on shard 0.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Counter {
+    /// Events applied by drains (lifecycle events included).
+    EventsProcessed,
+    /// Events whose job was never admitted.
+    OrphanEvents,
+    /// Structurally invalid events rejected during application.
+    RejectedEvents,
+    /// Events that arrived after their job finalized.
+    StaleEvents,
+    /// Jobs this shard has finalized over its lifetime.
+    FinalizedJobs,
+    /// Jobs quarantined because their predictor panicked during apply
+    /// (see [`FinalizeReason::Poisoned`]).
+    PoisonedJobs,
+    /// Queued events evicted under
+    /// [`OverloadPolicy::ShedOldest`](crate::OverloadPolicy::ShedOldest).
+    ShedEvents,
+    /// Incoming events dropped under
+    /// [`OverloadPolicy::RejectNew`](crate::OverloadPolicy::RejectNew).
+    RejectedIngress,
+    /// `Clone` mitigation actions committed to job action logs.
+    ClonesIssued,
+    /// `Quarantine` mitigation actions committed to job action logs.
+    QuarantinesIssued,
+    /// Policy decisions the engine refused: target not running, already
+    /// actioned, or the per-job clone budget was exhausted.
+    MitigationSuppressed,
+    /// Pushes that found this shard's ingress full under
+    /// [`OverloadPolicy::Block`](crate::OverloadPolicy::Block).
+    BlockedPushes,
+    /// Live (admitted, not yet finalized) jobs resident in this shard.
+    LiveJobs,
+    /// Times adaptive balancing switched within-job parallelism **on**
+    /// for this shard (see [`BalanceConfig`](crate::BalanceConfig)).
+    BalanceBoosts,
+    /// Events appended to this shard's write-ahead log.
+    WalAppended,
+    /// Events replayed from WAL segments at the last recovery.
+    WalReplayed,
+    /// Snapshots written since this process started.
+    SnapshotsWritten,
+    /// Invalid snapshot files the last recovery skipped.
+    RecoveryFallbacks,
+}
+
+impl Counter {
+    const COUNT: usize = Counter::RecoveryFallbacks as usize + 1;
+
+    /// The deterministic counters a snapshot carries, in their on-disk
+    /// order, so a recovered engine's accounting continues where the
+    /// crashed one's stopped. The rest depend on scheduling or on this
+    /// process (blocked pushes, balance boosts, live jobs, the
+    /// persistence counters) and restart at zero, live jobs re-counted
+    /// as the snapshot's jobs are adopted.
+    pub(crate) const PERSISTED: [Counter; 11] = [
+        Counter::EventsProcessed,
+        Counter::OrphanEvents,
+        Counter::RejectedEvents,
+        Counter::StaleEvents,
+        Counter::FinalizedJobs,
+        Counter::PoisonedJobs,
+        Counter::ShedEvents,
+        Counter::RejectedIngress,
+        Counter::ClonesIssued,
+        Counter::QuarantinesIssued,
+        Counter::MitigationSuppressed,
+    ];
+}
+
+/// One shard's live counters, one atomic per [`Counter`], so
 /// [`EngineStats`](crate::EngineStats) can be snapshotted from any thread
 /// *while drains are running* — no lock is taken, no drain is paused.
 /// Push-side counters (blocked/shed/rejected ingress) are bumped by
@@ -30,53 +106,15 @@ use crate::wal::WalWriter;
 /// monotone tally, and a snapshot only promises per-counter atomicity,
 /// not a cross-counter consistent cut.
 #[derive(Debug, Default)]
-pub(crate) struct ShardStats {
-    /// Events applied by drains (lifecycle events included).
-    pub(crate) events_processed: AtomicUsize,
-    /// Events whose job was never admitted.
-    pub(crate) orphan_events: AtomicUsize,
-    /// Structurally invalid events rejected during application.
-    pub(crate) rejected_events: AtomicUsize,
-    /// Events that arrived after their job finalized.
-    pub(crate) stale_events: AtomicUsize,
-    /// Pushes that found this shard's ingress full under
-    /// [`OverloadPolicy::Block`](crate::OverloadPolicy::Block).
-    pub(crate) blocked_pushes: AtomicUsize,
-    /// Queued events evicted under
-    /// [`OverloadPolicy::ShedOldest`](crate::OverloadPolicy::ShedOldest).
-    pub(crate) shed_events: AtomicUsize,
-    /// Incoming events dropped under
-    /// [`OverloadPolicy::RejectNew`](crate::OverloadPolicy::RejectNew).
-    pub(crate) rejected_ingress: AtomicUsize,
-    /// Live (admitted, not yet finalized) jobs resident in this shard.
-    pub(crate) live_jobs: AtomicUsize,
-    /// Jobs this shard has finalized over its lifetime.
-    pub(crate) finalized_jobs: AtomicUsize,
-    /// Times adaptive balancing switched within-job parallelism **on**
-    /// for this shard (see [`BalanceConfig`](crate::BalanceConfig)).
-    pub(crate) balance_boosts: AtomicUsize,
-    /// Jobs quarantined because their predictor panicked during apply
-    /// (see [`FinalizeReason::Poisoned`]).
-    pub(crate) poisoned_jobs: AtomicUsize,
-    /// `Clone` mitigation actions committed to job action logs.
-    pub(crate) clones_issued: AtomicUsize,
-    /// `Quarantine` mitigation actions committed to job action logs.
-    pub(crate) quarantines_issued: AtomicUsize,
-    /// Policy decisions the engine refused: target not running, already
-    /// actioned, or the per-job clone budget was exhausted.
-    pub(crate) mitigation_suppressed: AtomicUsize,
-}
+pub(crate) struct ShardStats([AtomicUsize; Counter::COUNT]);
 
 impl ShardStats {
-    pub(crate) fn add(&self, counter: &AtomicUsize, n: usize) {
-        counter.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add(&self, counter: Counter, n: usize) {
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn overload(&self) -> OverloadCounters {
-        OverloadCounters {
-            shed_events: self.shed_events.load(Ordering::Relaxed),
-            rejected_ingress: self.rejected_ingress.load(Ordering::Relaxed),
-        }
+    pub(crate) fn get(&self, counter: Counter) -> usize {
+        self.0[counter as usize].load(Ordering::Relaxed)
     }
 }
 
@@ -457,15 +495,15 @@ impl JobState {
             let within_budget = !matches!(action, MitigationAction::Clone)
                 || budget.is_none_or(|b| self.clones_used < b);
             if !actionable || !within_budget {
-                stats.add(&stats.mitigation_suppressed, 1);
+                stats.add(Counter::MitigationSuppressed, 1);
                 continue;
             }
             match action {
                 MitigationAction::Clone => {
                     self.clones_used += 1;
-                    stats.add(&stats.clones_issued, 1);
+                    stats.add(Counter::ClonesIssued, 1);
                 }
-                MitigationAction::Quarantine => stats.add(&stats.quarantines_issued, 1),
+                MitigationAction::Quarantine => stats.add(Counter::QuarantinesIssued, 1),
                 MitigationAction::Ignore => unreachable!("filtered above"),
             }
             self.actioned[task] = true;
@@ -752,19 +790,9 @@ impl Shard {
         for (&job, &count) in &self.events_seen {
             *data.events_seen.entry(job).or_insert(0) += count;
         }
-        let load = |c: &AtomicUsize| c.load(Ordering::Relaxed) as u64;
-        let counters = &mut data.counters;
-        counters.events_processed += load(&stats.events_processed);
-        counters.orphan_events += load(&stats.orphan_events);
-        counters.rejected_events += load(&stats.rejected_events);
-        counters.stale_events += load(&stats.stale_events);
-        counters.finalized_jobs += load(&stats.finalized_jobs);
-        counters.poisoned_jobs += load(&stats.poisoned_jobs);
-        counters.shed_events += load(&stats.shed_events);
-        counters.rejected_ingress += load(&stats.rejected_ingress);
-        counters.clones_issued += load(&stats.clones_issued);
-        counters.quarantines_issued += load(&stats.quarantines_issued);
-        counters.mitigation_suppressed += load(&stats.mitigation_suppressed);
+        for (sum, counter) in data.counters.iter_mut().zip(Counter::PERSISTED) {
+            *sum += stats.get(counter) as u64;
+        }
     }
 
     /// Attaches policies (via `mitigator`) to live jobs that lack one —
@@ -779,7 +807,7 @@ impl Shard {
     /// Installs a live job, admitted or recovered (routing already done).
     pub(crate) fn adopt_job(&mut self, state: JobState, stats: &ShardStats) {
         if self.jobs.insert(state.job(), state).is_none() {
-            stats.add(&stats.live_jobs, 1);
+            stats.add(Counter::LiveJobs, 1);
         }
     }
 
@@ -816,7 +844,7 @@ impl Shard {
     /// Adjusts the within-job parallelism grant (adaptive balancing).
     /// Propagates to every live job at or above `min_tasks` tasks and is
     /// remembered for jobs admitted while the grant holds. Counted in
-    /// [`ShardStats::balance_boosts`] on each off→on transition. Safe at
+    /// [`Counter::BalanceBoosts`] on each off→on transition. Safe at
     /// any moment: [`OnlinePredictor::set_parallelism`] is contractually
     /// bit-identical across thread counts, so flipping it mid-job changes
     /// wall-clock only.
@@ -826,7 +854,7 @@ impl Shard {
             return;
         }
         if self.granted_threads == 1 && threads > 1 {
-            stats.add(&stats.balance_boosts, 1);
+            stats.add(Counter::BalanceBoosts, 1);
         }
         self.granted_threads = threads;
         self.grant_min_tasks = if threads == 1 { usize::MAX } else { min_tasks };
@@ -856,10 +884,8 @@ impl Shard {
             }
             self.finalized_ids.insert(job);
             self.finalized.insert(job, report);
-            stats
-                .live_jobs
-                .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-            stats.add(&stats.finalized_jobs, 1);
+            stats.0[Counter::LiveJobs as usize].fetch_sub(1, Ordering::Relaxed);
+            stats.add(Counter::FinalizedJobs, 1);
         }
     }
 
@@ -884,12 +910,12 @@ impl Shard {
         stats: &ShardStats,
     ) {
         for event in events {
-            stats.add(&stats.events_processed, 1);
+            stats.add(Counter::EventsProcessed, 1);
             *self.events_seen.entry(event.job()).or_insert(0) += 1;
             match event {
                 TaskEvent::JobStart { spec } => {
                     if self.finalized_ids.contains(&spec.job) {
-                        stats.add(&stats.stale_events, 1);
+                        stats.add(Counter::StaleEvents, 1);
                     } else {
                         let mut predictor = factory(&spec);
                         if spec.task_count >= self.grant_min_tasks {
@@ -904,9 +930,9 @@ impl Shard {
                     if self.jobs.contains_key(&job) {
                         self.finalize(job, FinalizeReason::JobEnd, observer, stats);
                     } else if self.finalized_ids.contains(&job) {
-                        stats.add(&stats.stale_events, 1);
+                        stats.add(Counter::StaleEvents, 1);
                     } else {
-                        stats.add(&stats.orphan_events, 1);
+                        stats.add(Counter::OrphanEvents, 1);
                     }
                 }
                 event => {
@@ -925,7 +951,7 @@ impl Shard {
                                     // Predictor panic: quarantine *this*
                                     // job; every other job on the shard —
                                     // and the drain worker — lives on.
-                                    stats.add(&stats.poisoned_jobs, 1);
+                                    stats.add(Counter::PoisonedJobs, 1);
                                     self.finalize(
                                         job_id,
                                         FinalizeReason::Poisoned,
@@ -933,7 +959,7 @@ impl Shard {
                                         stats,
                                     );
                                 }
-                                Ok(false) => stats.add(&stats.rejected_events, 1),
+                                Ok(false) => stats.add(Counter::RejectedEvents, 1),
                                 Ok(true) => {
                                     if let (Some(history), Some(event)) =
                                         (job.history.as_mut(), retained)
@@ -955,9 +981,9 @@ impl Shard {
                             }
                         }
                         None if self.finalized_ids.contains(&job_id) => {
-                            stats.add(&stats.stale_events, 1);
+                            stats.add(Counter::StaleEvents, 1);
                         }
-                        None => stats.add(&stats.orphan_events, 1),
+                        None => stats.add(Counter::OrphanEvents, 1),
                     }
                 }
             }
@@ -1080,7 +1106,7 @@ mod tests {
     fn apply(shard: &mut Shard, events: &[TaskEvent], factory: &PredictorFactory) {
         let stats = ShardStats::default();
         // `live_jobs` is decremented at finalization; start it above zero.
-        stats.add(&stats.live_jobs, 1);
+        stats.add(Counter::LiveJobs, 1);
         shard.apply_batch(events.iter().cloned(), factory, None, None, 0, &stats);
     }
 

@@ -32,6 +32,7 @@ use nurd_codec::{read_frame, write_frame, Checkpointable, Decoder, Encoder};
 use crate::disk::{Disk, RealDisk};
 use crate::engine::JobReport;
 use crate::persist::RecoverError;
+use crate::shard::Counter;
 
 /// First 8 bytes of every snapshot file.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NURDSNAP";
@@ -48,64 +49,14 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NURDSNAP";
 /// from them and the rows at restore.
 pub(crate) const SNAPSHOT_VERSION: u32 = 5;
 
-/// The deterministic fleet-wide counters a snapshot carries, so a
-/// recovered engine's accounting continues where the crashed one's
-/// stopped (scheduling-dependent counters — blocked pushes, balance
-/// boosts, backlogs — deliberately reset on restart).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct PersistedCounters {
-    pub(crate) events_processed: u64,
-    pub(crate) orphan_events: u64,
-    pub(crate) rejected_events: u64,
-    pub(crate) stale_events: u64,
-    pub(crate) finalized_jobs: u64,
-    pub(crate) poisoned_jobs: u64,
-    pub(crate) shed_events: u64,
-    pub(crate) rejected_ingress: u64,
-    pub(crate) clones_issued: u64,
-    pub(crate) quarantines_issued: u64,
-    pub(crate) mitigation_suppressed: u64,
-}
-
-impl Checkpointable for PersistedCounters {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.events_processed);
-        enc.put_u64(self.orphan_events);
-        enc.put_u64(self.rejected_events);
-        enc.put_u64(self.stale_events);
-        enc.put_u64(self.finalized_jobs);
-        enc.put_u64(self.poisoned_jobs);
-        enc.put_u64(self.shed_events);
-        enc.put_u64(self.rejected_ingress);
-        enc.put_u64(self.clones_issued);
-        enc.put_u64(self.quarantines_issued);
-        enc.put_u64(self.mitigation_suppressed);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, nurd_codec::CodecError> {
-        Ok(PersistedCounters {
-            events_processed: dec.take_u64()?,
-            orphan_events: dec.take_u64()?,
-            rejected_events: dec.take_u64()?,
-            stale_events: dec.take_u64()?,
-            finalized_jobs: dec.take_u64()?,
-            poisoned_jobs: dec.take_u64()?,
-            shed_events: dec.take_u64()?,
-            rejected_ingress: dec.take_u64()?,
-            clones_issued: dec.take_u64()?,
-            quarantines_issued: dec.take_u64()?,
-            mitigation_suppressed: dec.take_u64()?,
-        })
-    }
-}
-
 /// A snapshot file's content with live jobs still in their encoded form
 /// (decoding a job needs the [`PredictorFactory`](crate::PredictorFactory)
 /// and the engine's warmup fraction, which the file-level reader does
 /// not have). Frame CRCs have already been verified for every field.
 #[derive(Debug, Default)]
 pub(crate) struct SnapshotData {
-    pub(crate) counters: PersistedCounters,
+    /// The persisted counters, in [`Counter::PERSISTED`] order.
+    pub(crate) counters: [u64; Counter::PERSISTED.len()],
     /// Per-job count of events durably applied (snapshot point).
     pub(crate) events_seen: BTreeMap<u64, u64>,
     /// Every job id ever finalized (stale-event detection survives).
@@ -135,7 +86,9 @@ pub(crate) fn write_snapshot_file(
     out.write_all(&SNAPSHOT_MAGIC)?;
     out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
     let mut header = Encoder::new();
-    data.counters.encode(&mut header);
+    for &value in &data.counters {
+        header.put_u64(value);
+    }
     data.events_seen.encode(&mut header);
     data.finalized_ids.encode(&mut header);
     data.finalized.encode(&mut header);
@@ -183,7 +136,10 @@ pub(crate) fn read_snapshot_data(
     }
     let header = read_frame(&mut reader)?.ok_or(RecoverError::Truncated)?;
     let mut dec = Decoder::new(&header);
-    let counters = PersistedCounters::decode(&mut dec)?;
+    let mut counters = [0; Counter::PERSISTED.len()];
+    for value in &mut counters {
+        *value = dec.take_u64()?;
+    }
     let events_seen = Checkpointable::decode(&mut dec)?;
     let finalized_ids = Checkpointable::decode(&mut dec)?;
     let finalized = Checkpointable::decode(&mut dec)?;
@@ -243,11 +199,11 @@ mod tests {
         events_seen.insert(7u64, 12u64);
         events_seen.insert(9u64, 3u64);
         SnapshotData {
-            counters: PersistedCounters {
-                events_processed: 15,
-                finalized_jobs: 1,
-                ..PersistedCounters::default()
-            },
+            counters: Counter::PERSISTED.map(|counter| match counter {
+                Counter::EventsProcessed => 15,
+                Counter::FinalizedJobs => 1,
+                _ => 0,
+            }),
             events_seen,
             finalized_ids: vec![9],
             finalized: Vec::new(),
@@ -326,6 +282,73 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The header opens with the eleven persisted counters, one
+    /// little-endian `u64` each, in their on-disk order. A recovered
+    /// service reads each into its own `EngineStats` field, and its next
+    /// checkpoint writes them back at the same offsets: a swapped or a
+    /// dropped counter fails one side or the other.
+    #[test]
+    fn the_header_opens_with_the_persisted_counters_in_order() {
+        use crate::{EngineConfig, EngineService, PersistenceConfig, ServiceConfig};
+        let dir =
+            std::env::temp_dir().join(format!("nurd-snap-test-layout-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        // events_processed, orphan_events, rejected_events, stale_events,
+        // finalized_jobs, poisoned_jobs, shed_events, rejected_ingress,
+        // clones_issued, quarantines_issued, mitigation_suppressed.
+        let values: Vec<u64> = (1..=11).map(|i| (i << 32) | (i * 3)).collect();
+        let layout: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut header = Encoder::new();
+        for &value in &values {
+            header.put_u64(value);
+        }
+        BTreeMap::<u64, u64>::new().encode(&mut header);
+        Vec::<u64>::new().encode(&mut header);
+        Vec::<JobReport>::new().encode(&mut header);
+        header.put_bytes(&[]);
+        header.put_usize(0);
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        write_frame(&mut bytes, header.as_slice()).unwrap();
+        std::fs::write(dir.join("snap-1.bin"), &bytes).unwrap();
+
+        let (service, report) = EngineService::recover(
+            PersistenceConfig::new(&dir),
+            EngineConfig::default(),
+            ServiceConfig::default(),
+            Box::new(|_| unreachable!("the snapshot holds no job")),
+        )
+        .unwrap();
+        assert_eq!(report.snapshot_generation, Some(1));
+        let s = service.stats();
+        let read = [
+            s.events_per_shard.iter().sum(),
+            s.orphan_events,
+            s.rejected_events,
+            s.stale_events,
+            s.finalized_jobs,
+            s.poisoned_jobs,
+            s.overload.shed_events,
+            s.overload.rejected_ingress,
+            s.clones_issued,
+            s.quarantines_issued,
+            s.mitigation_suppressed,
+        ];
+        let read: Vec<u64> = read.iter().map(|&n| n as u64).collect();
+        assert_eq!(
+            read, values,
+            "each persisted counter lands in its own field"
+        );
+
+        let generation = service.checkpoint().unwrap();
+        let written = std::fs::read(dir.join(format!("snap-{generation}.bin"))).unwrap();
+        let payload = read_frame(&mut &written[12..]).unwrap().unwrap();
+        assert_eq!(&payload[..88], &layout[..], "the first 88 header bytes");
+        let _ = service.close();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A header's job count passed its CRC but promises 2⁴⁰ frames where
     /// one follows: `Truncated`. Nothing is reserved on the count's word —
     /// it once reserved 2²⁰ slots (24 MiB) before reading a frame.
@@ -335,7 +358,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap-1.bin");
         let mut header = Encoder::new();
-        PersistedCounters::default().encode(&mut header);
+        for _ in Counter::PERSISTED {
+            header.put_u64(0);
+        }
         BTreeMap::<u64, u64>::new().encode(&mut header);
         Vec::<u64>::new().encode(&mut header);
         Vec::<JobReport>::new().encode(&mut header);

@@ -35,10 +35,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
-use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
+use nurd_data::{
+    BarrierView, Checkpoint, JobSpec, MitigationAction, MitigationPolicy, OnlinePredictor,
+    TaskEvent,
+};
 use nurd_serve::{
-    read_snapshot, EngineConfig, EngineService, FsyncPolicy, OverloadPolicy, PersistenceConfig,
-    PredictorFactory, RecoverError, ServiceConfig,
+    read_snapshot, BalanceConfig, EngineConfig, EngineService, EngineStats, FsyncPolicy,
+    MitigatorFactory, OverloadPolicy, PersistenceConfig, PredictorFactory, RecoverError,
+    ServiceConfig,
 };
 use nurd_sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -1076,4 +1080,255 @@ fn idle_snapshot_size_does_not_grow_with_jobs_served() {
         many < few + 12 * 64,
         "snapshot with no live job grew from {few} B after 4 jobs to {many} B after 16"
     );
+}
+
+/// A three-task, one-feature job scored at its first barrier: task 0
+/// finishing there is the warmup quorum, tasks 1 and 2 run. `JobEnd`
+/// is left to the caller.
+fn scored_prefix(job: u64) -> Vec<TaskEvent> {
+    let spec = JobSpec {
+        job,
+        threshold: 10.0,
+        task_count: 3,
+        feature_dim: 1,
+        checkpoints: 2,
+    };
+    let progress = |task| TaskEvent::Progress {
+        job,
+        task,
+        ordinal: 0,
+        time: 4.0,
+        features: vec![0.5],
+    };
+    let mut events = vec![TaskEvent::JobStart { spec }];
+    events.extend((0..3).map(|task| TaskEvent::Submitted { job, task }));
+    events.extend([
+        TaskEvent::Finished {
+            job,
+            task: 0,
+            ordinal: 0,
+            time: 4.0,
+            features: vec![0.5],
+            latency: 2.0,
+        },
+        progress(1),
+        progress(2),
+        TaskEvent::Barrier {
+            job,
+            ordinal: 0,
+            time: 4.0,
+        },
+    ]);
+    events
+}
+
+/// A predictor that panics when it scores: its job is poisoned.
+struct Panics;
+impl OnlinePredictor for Panics {
+    fn name(&self) -> &str {
+        "PANICS"
+    }
+    fn predict(&mut self, _checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+        panic!("predictor bug");
+    }
+}
+
+/// Asks to clone and to quarantine every scored task under a budget of
+/// one clone: at a barrier scoring tasks 1 and 2 the engine commits the
+/// clone of 1 and the quarantine of 2, and refuses the quarantine of 1
+/// (already actioned) and the clone of 2 (over budget).
+struct CloneAndQuarantineAll;
+impl MitigationPolicy for CloneAndQuarantineAll {
+    fn name(&self) -> &str {
+        "clone-and-quarantine-all"
+    }
+    fn clone_budget(&self) -> Option<usize> {
+        Some(1)
+    }
+    fn decide(&mut self, view: &BarrierView<'_>) -> Vec<(usize, MitigationAction)> {
+        view.scores
+            .iter()
+            .flat_map(|s| {
+                [
+                    (s.task, MitigationAction::Clone),
+                    (s.task, MitigationAction::Quarantine),
+                ]
+            })
+            .collect()
+    }
+}
+
+fn greedy_mitigator() -> MitigatorFactory {
+    Box::new(|_| Box::new(CloneAndQuarantineAll))
+}
+
+/// The counters a snapshot carries, in their on-disk order.
+fn persisted_counters(stats: &EngineStats) -> [usize; 11] {
+    [
+        stats.events_per_shard.iter().sum(),
+        stats.orphan_events,
+        stats.rejected_events,
+        stats.stale_events,
+        stats.finalized_jobs,
+        stats.poisoned_jobs,
+        stats.overload.shed_events,
+        stats.overload.rejected_ingress,
+        stats.clones_issued,
+        stats.quarantines_issued,
+        stats.mitigation_suppressed,
+    ]
+}
+
+/// A restart carries every persisted counter forward — each made nonzero
+/// first (but `shed_events`: one lossy policy runs at a time) — and
+/// restarts the scheduling-dependent ones at zero. The run: an orphan, a
+/// stale and a rejected event, a poisoned job, clones, quarantines and
+/// refusals of a budgeted mitigator, pushes `RejectNew` dropped while a
+/// job's admission held its shard, and a balance boost; then a
+/// checkpoint, a WAL tail past it (a live job's end, more of each kind),
+/// a drop, a corrupt newer snapshot, and recovery into two shards.
+#[test]
+fn a_restart_carries_the_persisted_counters_forward() {
+    const POISONED: u64 = 2;
+    const GATED: u64 = 3;
+    const CAPACITY: usize = 4;
+    let dir = scratch_dir("counters");
+    let config = EngineConfig {
+        shards: 1,
+        warmup_fraction: WARMUP,
+        queue_capacity: Some(CAPACITY),
+        overload: OverloadPolicy::RejectNew,
+        balance: Some(BalanceConfig {
+            backlog_threshold: 1,
+            min_tasks: 0,
+            threads: 2,
+        }),
+    };
+    // One event per drain batch, so the gated job's queue is drained a
+    // step at a time and its backlog boosts the shard.
+    let service_config = ServiceConfig {
+        drain_workers: 2,
+        drain_batch: 1,
+    };
+    // Met twice by the gated job's admission and this thread: once when
+    // the admission holds the shard, once to let it go.
+    let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let admission = std::sync::Arc::clone(&gate);
+    let factory: PredictorFactory = Box::new(move |spec: &JobSpec| match spec.job {
+        POISONED => Box::new(Panics),
+        GATED => {
+            admission.wait();
+            admission.wait();
+            Box::new(FlagAll)
+        }
+        _ => Box::new(FlagAll),
+    });
+    let service = EngineService::start_persistent(
+        config.clone(),
+        service_config.clone(),
+        PersistenceConfig::new(&dir),
+        factory,
+    )
+    .unwrap();
+    assert!(service.attach_mitigator(greedy_mitigator()));
+    // Pushed at most a queue's worth at a time, each run drained before
+    // the next: nothing here is dropped.
+    let push_drained = |events: Vec<TaskEvent>| {
+        for run in events.chunks(CAPACITY) {
+            for event in run {
+                assert!(service.push(event.clone()), "lost {event:?}");
+            }
+            service.quiesce();
+        }
+    };
+    let end = |job| TaskEvent::JobEnd { job, time: 8.0 };
+    let orphan = TaskEvent::Submitted { job: 99, task: 0 };
+    let stale = TaskEvent::Submitted { job: 1, task: 0 };
+
+    let mut job_1 = scored_prefix(1);
+    // Not the next checkpoint: rejected.
+    job_1.push(TaskEvent::Barrier {
+        job: 1,
+        ordinal: 5,
+        time: 5.0,
+    });
+    job_1.push(end(1));
+    push_drained(job_1);
+    push_drained(vec![stale.clone(), orphan.clone()]);
+    push_drained(scored_prefix(POISONED));
+    push_drained(scored_prefix(4)); // still live at the checkpoint
+
+    // The gated job's admission holds the only shard: a queue's worth
+    // of its events is accepted, the next two are dropped.
+    assert!(service.push(TaskEvent::JobStart {
+        spec: JobSpec {
+            job: GATED,
+            threshold: 10.0,
+            task_count: 3,
+            feature_dim: 1,
+            checkpoints: 2,
+        },
+    }));
+    gate.wait();
+    let submitted: Vec<TaskEvent> = (0..CAPACITY + 2)
+        .map(|task| TaskEvent::Submitted {
+            job: GATED,
+            task: task % 3,
+        })
+        .collect();
+    let accepted: Vec<bool> = submitted.into_iter().map(|e| service.push(e)).collect();
+    assert_eq!(accepted, [true, true, true, true, false, false]);
+    gate.wait();
+    service.quiesce();
+    push_drained(vec![end(GATED)]);
+    service.checkpoint().unwrap();
+
+    // The WAL tail past the checkpoint, replayed at recovery.
+    let mut tail = vec![end(4), stale, orphan];
+    tail.extend(scored_prefix(5));
+    push_drained(tail);
+    let before = service.stats();
+    drop(service);
+
+    let counters = persisted_counters(&before);
+    for (i, &n) in counters.iter().enumerate() {
+        assert_eq!(n > 0, i != 6, "persisted counter {i} is {n}");
+    }
+    assert_eq!(before.overload.rejected_ingress, 2);
+    assert!(before.balance_boosts > 0);
+
+    let newest = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().ok()?;
+            name.strip_prefix("snap-")?
+                .strip_suffix(".bin")?
+                .parse::<u64>()
+                .ok()
+        })
+        .max()
+        .unwrap();
+    std::fs::write(dir.join(format!("snap-{}.bin", newest + 1)), b"garbage").unwrap();
+
+    let (revived, report) = EngineService::recover_with_mitigator(
+        PersistenceConfig::new(&dir),
+        EngineConfig {
+            shards: 2,
+            ..config
+        },
+        service_config,
+        Box::new(|_| Box::new(FlagAll)),
+        greedy_mitigator(),
+    )
+    .unwrap();
+    let after = revived.stats();
+    assert_eq!(persisted_counters(&after), counters);
+    assert_eq!((after.blocked_pushes, after.balance_boosts), (0, 0));
+    assert_eq!(report.recovery_fallbacks, 1);
+    assert_eq!(after.recovery_fallbacks, report.recovery_fallbacks);
+    assert!(report.wal_events_replayed > 0);
+    assert_eq!(after.wal_replayed, report.wal_events_replayed);
+    assert_eq!((after.wal_appended, after.snapshots_written), (0, 0));
+    let _ = revived.close();
+    std::fs::remove_dir_all(&dir).ok();
 }

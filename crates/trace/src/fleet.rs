@@ -146,8 +146,8 @@ pub fn interleave_events(mut streams: Vec<Vec<TaskEvent>>, seed: u64) -> Vec<Tas
 /// `nurd-serve`'s concurrent ingestion expects: one producer owns each
 /// job's stream (per-job order is the engine's contract), while
 /// cross-producer interleaving is left to the thread scheduler. Used by
-/// the service-mode property tests, the `serve_throughput` producers
-/// sweep, and `examples/fleet_monitor`.
+/// `nurd-serve`'s service, recovery and disk-bytes tests and by
+/// `examples/fleet_monitor` and `examples/recovery_smoke`.
 #[must_use]
 pub fn producer_streams(
     jobs: &[JobTrace],
