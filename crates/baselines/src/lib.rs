@@ -7,8 +7,8 @@
 //! Wrangler system baseline, and NURD with its NURD-NC ablation) plus
 //! this reproduction's `NURD-WS` row, which runs NURD under the default
 //! warm refit policy so warm-vs-cold accuracy is tracked wherever Table 3
-//! is produced. Each entry builds fresh per-job predictor instances, as
-//! the paper trains one model per job. The PU learners themselves
+//! is produced. Each entry builds a fresh predictor for each job it is
+//! handed, as the paper trains one model per job. The PU learners themselves
 //! (PU-EN, PU-BG) live in this crate's `pu` module; every other family
 //! adapts a crate of its own. The seven baselines that refit from scratch
 //! at every checkpoint (Tobit, Grabit, CoxPH, the outlier detectors,
@@ -18,10 +18,14 @@
 //! # Example
 //!
 //! ```
+//! use nurd_trace::{SuiteConfig, TraceStyle};
+//!
+//! let suite = SuiteConfig::new(TraceStyle::Google).with_task_range(20, 30);
+//! let job = nurd_trace::generate_job(&suite, 0);
 //! let methods = nurd_baselines::registry();
 //! assert_eq!(methods.len(), 24);
 //! let nurd = methods.iter().find(|m| m.name == "NURD").unwrap();
-//! let mut predictor = nurd.build();
+//! let predictor = nurd.build(&job);
 //! assert_eq!(predictor.name(), "NURD");
 //! ```
 

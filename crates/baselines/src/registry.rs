@@ -2,7 +2,7 @@
 //! warm-refit row this reproduction adds).
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
-use nurd_data::OnlinePredictor;
+use nurd_data::{JobTrace, OnlinePredictor};
 use nurd_outlier::{
     Abod, Cblof, Cof, Hbos, IsolationForest, Knn, Lof, Lscp, Mcd, OcSvm, PcaDetector, Sod, Sos,
     Xgbod,
@@ -48,10 +48,11 @@ impl MethodFamily {
     }
 }
 
-type Factory = Box<dyn Fn() -> Box<dyn OnlinePredictor + Send> + Send + Sync>;
+type Factory = Box<dyn Fn(&JobTrace) -> Box<dyn OnlinePredictor + Send> + Send + Sync>;
 
 /// One evaluable method: a display name, its Table 3 family, and a factory
-/// producing fresh per-job predictor instances.
+/// producing a fresh predictor for each job. Only Wrangler's factory reads
+/// the job it is handed: it takes the labelled sample the paper grants it.
 pub struct MethodSpec {
     /// Name as printed in the paper's tables.
     pub name: &'static str,
@@ -64,7 +65,7 @@ impl MethodSpec {
     fn new(
         name: &'static str,
         family: MethodFamily,
-        factory: impl Fn() -> Box<dyn OnlinePredictor + Send> + Send + Sync + 'static,
+        factory: impl Fn(&JobTrace) -> Box<dyn OnlinePredictor + Send> + Send + Sync + 'static,
     ) -> Self {
         MethodSpec {
             name,
@@ -80,13 +81,15 @@ impl MethodSpec {
         family: MethodFamily,
         method: impl Fn() -> M + Send + Sync + 'static,
     ) -> Self {
-        MethodSpec::new(name, family, move || Box::new(Adapter::new(name, method())))
+        MethodSpec::new(name, family, move |_| {
+            Box::new(Adapter::new(name, method()))
+        })
     }
 
-    /// Builds a fresh predictor (one per job, per the paper's protocol).
+    /// Builds a fresh predictor for `job`, as the paper trains one per job.
     #[must_use]
-    pub fn build(&self) -> Box<dyn OnlinePredictor + Send> {
-        (self.factory)()
+    pub fn build(&self, job: &JobTrace) -> Box<dyn OnlinePredictor + Send> {
+        (self.factory)(job)
     }
 }
 
@@ -121,7 +124,7 @@ pub fn registry() -> Vec<MethodSpec> {
 pub fn registry_with_nurd_alpha(alpha: f64) -> Vec<MethodSpec> {
     use MethodFamily as F;
     vec![
-        MethodSpec::new("GBTR", F::Supervised, || Box::new(GbtrPredictor::default())),
+        MethodSpec::new("GBTR", F::Supervised, |_| Box::<GbtrPredictor>::default()),
         MethodSpec::adapted("ABOD", F::OutlierDetection, || Detector(Abod::default())),
         MethodSpec::adapted("CBLOF", F::OutlierDetection, || Detector(Cblof::default())),
         MethodSpec::adapted("HBOS", F::OutlierDetection, || Detector(Hbos::default())),
@@ -145,20 +148,20 @@ pub fn registry_with_nurd_alpha(alpha: f64) -> Vec<MethodSpec> {
         MethodSpec::adapted("Tobit", F::CensoredSurvival, TobitConfig::default),
         MethodSpec::adapted("Grabit", F::CensoredSurvival, tuned_grabit),
         MethodSpec::adapted("CoxPH", F::CensoredSurvival, CoxConfig::default),
-        MethodSpec::new("Wrangler", F::Systems, || {
-            Box::new(WranglerPredictor::default())
+        MethodSpec::new("Wrangler", F::Systems, |job| {
+            Box::new(WranglerPredictor::new(job))
         }),
-        MethodSpec::new("NURD-NC", F::Ours, || {
+        MethodSpec::new("NURD-NC", F::Ours, |_| {
             Box::new(NurdPredictor::new(NurdConfig::without_calibration()))
         }),
-        MethodSpec::new("NURD-WS", F::Ours, move || {
+        MethodSpec::new("NURD-WS", F::Ours, move |_| {
             Box::new(NurdPredictor::new(
                 NurdConfig::default()
                     .with_alpha(alpha)
                     .with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default())),
             ))
         }),
-        MethodSpec::new("NURD", F::Ours, move || {
+        MethodSpec::new("NURD", F::Ours, move |_| {
             Box::new(NurdPredictor::new(NurdConfig::default().with_alpha(alpha)))
         }),
     ]
@@ -167,6 +170,14 @@ pub fn registry_with_nurd_alpha(alpha: f64) -> Vec<MethodSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn job() -> JobTrace {
+        let cfg = nurd_trace::SuiteConfig::new(nurd_trace::TraceStyle::Google)
+            .with_jobs(1)
+            .with_task_range(20, 30)
+            .with_checkpoints(6);
+        nurd_trace::generate_job(&cfg, 0)
+    }
 
     #[test]
     fn registry_has_24_methods_in_table3_order() {
@@ -189,8 +200,9 @@ mod tests {
 
     #[test]
     fn factories_produce_matching_names() {
+        let job = job();
         for spec in registry() {
-            let predictor = spec.build();
+            let predictor = spec.build(&job);
             assert_eq!(predictor.name(), spec.name);
         }
     }
@@ -206,8 +218,9 @@ mod tests {
     fn fresh_instances_are_independent() {
         let methods = registry();
         let nurd = methods.iter().find(|m| m.name == "NURD").unwrap();
-        let a = nurd.build();
-        let b = nurd.build();
+        let job = job();
+        let a = nurd.build(&job);
+        let b = nurd.build(&job);
         // Two instances; names equal but they are distinct allocations.
         assert_eq!(a.name(), b.name());
     }

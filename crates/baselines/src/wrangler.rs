@@ -4,33 +4,50 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use nurd_data::{Checkpoint, JobContext, OnlinePredictor};
+use nurd_data::{Checkpoint, JobTrace, OnlinePredictor, StreamContext};
 use nurd_ml::{LinearSvm, SvmConfig};
+
+/// Fraction of a job's tasks sampled for offline training.
+const TRAIN_FRACTION: f64 = 2.0 / 3.0;
+/// Seed of the training sample's shuffle, xored with the job id.
+const SAMPLE_SEED: u64 = 0x3A7A;
 
 /// Wrangler: a linear SVM straggler classifier.
 ///
 /// Per the paper's protocol (§6), Wrangler is granted what no online
 /// method has — labeled stragglers: "we randomly sample 2/3 non-stragglers
 /// and stragglers from each job as training to mimic the same situation in
-/// the original paper". The adapter trains offline in
-/// [`OnlinePredictor::begin_job`] on final-snapshot features with oracle
-/// labels (minority class upweighted, the deterministic equivalent of
-/// Wrangler's oversampling) and classifies running tasks online.
+/// the original paper". The registry's factory hands it the job's trace:
+/// [`WranglerPredictor::new`] draws the sample's final-snapshot features
+/// and latencies there, and [`OnlinePredictor::begin_stream`] labels them
+/// at the replay's threshold and trains (minority class upweighted, the
+/// deterministic equivalent of Wrangler's oversampling). Running tasks
+/// are then classified online.
 #[derive(Debug, Clone)]
 pub(crate) struct WranglerPredictor {
-    svm_config: SvmConfig,
-    /// Fraction of tasks sampled for offline training.
-    train_fraction: f64,
-    seed: u64,
+    job_id: u64,
+    /// Final-snapshot features of the sampled tasks.
+    x: Vec<Vec<f64>>,
+    /// Their latencies, in the order of `x`.
+    latencies: Vec<f64>,
     model: Option<LinearSvm>,
 }
 
-impl Default for WranglerPredictor {
-    fn default() -> Self {
+impl WranglerPredictor {
+    /// Draws the labelled sample from `job`: at least two tasks (all of
+    /// them when the job has fewer).
+    pub(crate) fn new(job: &JobTrace) -> Self {
+        let n = job.task_count();
+        let mut rng = StdRng::seed_from_u64(SAMPLE_SEED ^ job.job_id());
+        let mut ids: Vec<usize> = (0..n).collect();
+        ids.shuffle(&mut rng);
+        let take = ((TRAIN_FRACTION * n as f64).round() as usize).max(2).min(n);
+        let last = job.checkpoint_count() - 1;
+        let sample = ids[..take].iter().map(|&id| &job.tasks()[id]);
         WranglerPredictor {
-            svm_config: SvmConfig::default(),
-            train_fraction: 2.0 / 3.0,
-            seed: 0x3A7A,
+            job_id: job.job_id(),
+            x: sample.clone().map(|t| t.snapshot(last).to_vec()).collect(),
+            latencies: sample.map(|t| t.latency()).collect(),
             model: None,
         }
     }
@@ -41,38 +58,26 @@ impl OnlinePredictor for WranglerPredictor {
         "Wrangler"
     }
 
-    fn begin_job(&mut self, ctx: &JobContext<'_>) {
+    fn begin_stream(&mut self, ctx: &StreamContext) {
         self.model = None;
-        let job = ctx.oracle;
-        let threshold = ctx.threshold;
-        let n = job.task_count();
-        let mut rng = StdRng::seed_from_u64(self.seed ^ job.job_id());
-        let mut ids: Vec<usize> = (0..n).collect();
-        ids.shuffle(&mut rng);
-        let take = ((self.train_fraction * n as f64).round() as usize).clamp(2, n);
-
-        let last = job.checkpoint_count() - 1;
-        let mut x = Vec::with_capacity(take);
-        let mut y = Vec::with_capacity(take);
-        let mut positives = 0usize;
-        for &id in &ids[..take] {
-            let task = &job.tasks()[id];
-            x.push(task.snapshot(last).to_vec());
-            let is_straggler = task.latency() >= threshold;
-            positives += usize::from(is_straggler);
-            y.push(if is_straggler { 1.0 } else { -1.0 });
-        }
-        if positives == 0 || positives == take {
+        let y: Vec<f64> = self
+            .latencies
+            .iter()
+            .map(|&l| if l >= ctx.threshold { 1.0 } else { -1.0 })
+            .collect();
+        let positives = y.iter().filter(|&&label| label > 0.0).count();
+        if positives == 0 || positives == y.len() {
             return; // degenerate sample; predict nothing
         }
         // Oversampling-equivalent: weight classes inversely to frequency.
-        let negatives = take - positives;
+        let negatives = y.len() - positives;
+        let defaults = SvmConfig::default();
         let config = SvmConfig {
             class_weights: (1.0, negatives as f64 / positives as f64),
-            seed: self.svm_config.seed ^ job.job_id(),
-            ..self.svm_config.clone()
+            seed: defaults.seed ^ self.job_id,
+            ..defaults
         };
-        self.model = LinearSvm::fit(&x, &y, &config).ok();
+        self.model = LinearSvm::fit(&self.x, &y, &config).ok();
     }
 
     fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
@@ -94,7 +99,7 @@ mod tests {
     use nurd_sim::{replay_job, ReplayConfig};
     use nurd_trace::{SuiteConfig, TraceStyle};
 
-    fn job() -> nurd_data::JobTrace {
+    fn job() -> JobTrace {
         let cfg = SuiteConfig::new(TraceStyle::Google)
             .with_jobs(1)
             .with_task_range(150, 180)
@@ -108,7 +113,7 @@ mod tests {
         let job = job();
         let out = replay_job(
             &job,
-            &mut WranglerPredictor::default(),
+            &mut WranglerPredictor::new(&job),
             &ReplayConfig::default(),
         );
         // With labeled stragglers and oversampling, Wrangler catches most
@@ -119,8 +124,27 @@ mod tests {
     }
 
     #[test]
-    fn predicts_nothing_before_begin_job() {
-        let mut p = WranglerPredictor::default();
+    fn each_job_draws_its_own_sample() {
+        let job = job();
+        let renamed = JobTrace::new(
+            job.job_id() + 1,
+            job.feature_names().to_vec(),
+            job.checkpoint_times().to_vec(),
+            job.tasks().to_vec(),
+        )
+        .unwrap();
+        // Same tasks, another id: the shuffle is seeded by the job id, so
+        // the 2/3 sample differs (a seed without it draws one permutation
+        // for every job of a given size).
+        assert_ne!(
+            WranglerPredictor::new(&job).latencies,
+            WranglerPredictor::new(&renamed).latencies
+        );
+    }
+
+    #[test]
+    fn predicts_nothing_before_begin_stream() {
+        let mut p = WranglerPredictor::new(&job());
         let ckpt = Checkpoint {
             ordinal: 0,
             time: 1.0,

@@ -97,16 +97,16 @@ fn bench_logistic_fit(c: &mut Criterion) {
         let config = LogisticConfig { balanced: true };
         let prefix = n * 95 / 100;
         let previous = LogisticRegression::fit(&x[..prefix], &labels[..prefix], &config).unwrap();
+        let rows: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
+        let view = MatrixView::RowSlices(&rows);
         // The contract of IRLS's resolution stop, checked before timing:
         // the loop ends once a full Newton step predicts an ascent under
         // 4·ε·|f|, far below what a sum of n rounded terms resolves
         // (n·ε·|f|), so a seeded fit must end within that of the cold
         // fit's objective. One that stopped early would not.
         let objective = |seed| {
-            let fit =
-                LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &labels, &config, seed)
-                    .unwrap();
-            fit.objective(MatrixView::Rows(&x), &labels, &config)
+            let fit = LogisticRegression::fit_view_warm(view, &labels, &config, seed).unwrap();
+            fit.objective(view, &labels, &config)
         };
         let (cold, warm) = (objective(None), objective(Some(&previous)));
         assert!(
@@ -115,10 +115,7 @@ fn bench_logistic_fit(c: &mut Criterion) {
         );
         for (start, seed) in [("cold", None), ("warm", Some(&previous))] {
             group.bench_function(BenchmarkId::new(start, format!("{n}x{d}")), |b| {
-                b.iter(|| {
-                    LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &labels, &config, seed)
-                        .unwrap()
-                });
+                b.iter(|| LogisticRegression::fit_view_warm(view, &labels, &config, seed).unwrap());
             });
         }
     }

@@ -324,10 +324,10 @@ fn ext_transfer(pool: &ThreadPool) {
     let donor = DonorModel::from_job(&jobs[0], &NurdConfig::default()).expect("donor job distills");
     let targets = &jobs[1..];
     let replay = ReplayConfig::default();
-    let scratch = replay_suite(pool, targets, &replay, || {
+    let scratch = replay_suite(pool, targets, &replay, |_| {
         Box::new(NurdPredictor::new(NurdConfig::default()))
     });
-    let transfer = replay_suite(pool, targets, &replay, || {
+    let transfer = replay_suite(pool, targets, &replay, |_| {
         Box::new(NurdPredictor::with_prior(
             NurdConfig::default(),
             donor.clone(),
@@ -377,7 +377,7 @@ fn sweep(
 ) {
     println!("{column} {:>6} {:>6} {:>6}", "TPR", "FPR", "F1");
     for (label, config, replay) in rows {
-        let outcomes = replay_suite(pool, jobs, &replay, || {
+        let outcomes = replay_suite(pool, jobs, &replay, |_| {
             Box::new(NurdPredictor::new(config.clone()))
         });
         let s = summarize(&outcomes);
@@ -492,7 +492,7 @@ fn ablation_causes(pool: &ThreadPool) {
         if !picks.contains(&spec.name) {
             continue;
         }
-        let outcomes = replay_suite(pool, &jobs, &ReplayConfig::default(), || spec.build());
+        let outcomes = replay_suite(pool, &jobs, &ReplayConfig::default(), |job| spec.build(job));
         // (caught, true stragglers) per cause, in `StragglerCause` order.
         let mut caught = [(0usize, 0usize); 4];
         for ((job, plans), out) in jobs.iter().zip(&plans).zip(&outcomes) {

@@ -181,7 +181,8 @@ impl HarnessOptions {
             .selected_methods()
             .iter()
             .map(|spec| {
-                let outcomes = replay_suite(pool, &jobs, &ReplayConfig::default(), || spec.build());
+                let outcomes =
+                    replay_suite(pool, &jobs, &ReplayConfig::default(), |job| spec.build(job));
                 let summary = summarize(&outcomes);
                 eprintln!(
                     "  {:8} tpr={:.2} fpr={:.2} f1={:.3}",
@@ -212,21 +213,22 @@ pub struct MethodResult {
     pub outcomes: Vec<ReplayOutcome>,
 }
 
-/// Replays every job of `jobs` against a fresh predictor from `build` (one
-/// per job, as the paper trains one model per job), one pool task per job.
+/// Replays every job of `jobs` against a fresh predictor `build` makes for
+/// it (one per job, as the paper trains one model per job), one pool task
+/// per job.
 /// The outcomes come back in job order, so a mean over them is summed in
 /// the same order, and is bit-identical, at every thread count.
 pub fn replay_suite(
     pool: &ThreadPool,
     jobs: &[JobTrace],
     replay: &ReplayConfig,
-    build: impl Fn() -> Box<dyn OnlinePredictor> + Sync,
+    build: impl Fn(&JobTrace) -> Box<dyn OnlinePredictor> + Sync,
 ) -> Vec<ReplayOutcome> {
     let mut outcomes: Vec<Option<ReplayOutcome>> = jobs.iter().map(|_| None).collect();
     pool.scope(|s| {
         for (job, slot) in jobs.iter().zip(&mut outcomes) {
             let build = &build;
-            s.spawn(move || *slot = Some(replay_job(job, build().as_mut(), replay)));
+            s.spawn(move || *slot = Some(replay_job(job, build(job).as_mut(), replay)));
         }
     });
     outcomes.into_iter().flatten().collect()
@@ -390,8 +392,8 @@ mod tests {
         let methods = nurd_baselines::registry();
         let nurd = methods.iter().find(|m| m.name == "NURD").unwrap();
         let replay = ReplayConfig::default();
-        let one = replay_suite(&ThreadPool::new(1), &jobs, &replay, || nurd.build());
-        let two = replay_suite(&ThreadPool::new(2), &jobs, &replay, || nurd.build());
+        let one = replay_suite(&ThreadPool::new(1), &jobs, &replay, |job| nurd.build(job));
+        let two = replay_suite(&ThreadPool::new(2), &jobs, &replay, |job| nurd.build(job));
         assert_eq!(one.len(), 3);
         assert_eq!(one, two);
         assert_eq!(summarize(&one).jobs, 3);

@@ -434,7 +434,7 @@ impl OnlinePredictor for NurdPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nurd_data::{FinishedTask, JobContext, RunningTask};
+    use nurd_data::{FinishedTask, RunningTask};
 
     /// Builds a checkpoint where finished tasks have latency ≈ features and
     /// running tasks have either similar or alien features.
@@ -554,20 +554,11 @@ mod tests {
         let mut nurd = NurdPredictor::new(config);
         nurd.score_running(&checkpoint(&fin, &run));
         assert_eq!(nurd.refit_stats().cold_fits, 1);
-        let job = nurd_trace::generate_job(
-            &nurd_trace::SuiteConfig::new(nurd_trace::TraceStyle::Google)
-                .with_jobs(1)
-                .with_task_range(10, 12)
-                .with_checkpoints(3),
-            0,
-        );
-        let ctx = JobContext {
+        nurd.begin_stream(&StreamContext {
             threshold: 1.0,
-            task_count: job.task_count(),
-            feature_dim: job.feature_dim(),
-            oracle: &job,
-        };
-        nurd.begin_job(&ctx);
+            task_count: 11,
+            feature_dim: 2,
+        });
         assert_eq!(nurd.refit_stats(), crate::RefitStats::default());
     }
 
@@ -583,26 +574,17 @@ mod tests {
     }
 
     #[test]
-    fn begin_job_resets_state() {
+    fn begin_stream_resets_state() {
         let fin = linear_finished(30);
         let run = vec![vec![0.5, 0.5]];
         let mut nurd = NurdPredictor::new(NurdConfig::default());
         nurd.score_running(&checkpoint(&fin, &run));
         assert!(nurd.delta().is_some());
-        let job = nurd_trace::generate_job(
-            &nurd_trace::SuiteConfig::new(nurd_trace::TraceStyle::Google)
-                .with_jobs(1)
-                .with_task_range(10, 12)
-                .with_checkpoints(3),
-            0,
-        );
-        let ctx = JobContext {
+        nurd.begin_stream(&StreamContext {
             threshold: 1.0,
-            task_count: job.task_count(),
-            feature_dim: job.feature_dim(),
-            oracle: &job,
-        };
-        nurd.begin_job(&ctx);
+            task_count: 11,
+            feature_dim: 2,
+        });
         assert!(nurd.delta().is_none());
         assert_eq!(nurd.fit_failures(), 0);
     }
@@ -613,30 +595,19 @@ mod tests {
         // One task that looks typical (prediction ~35), one alien.
         let run = vec![vec![0.5, 0.5], vec![9.0, -9.0]];
         let mut nurd = NurdPredictor::new(NurdConfig::default());
-        let job = nurd_trace::generate_job(
-            &nurd_trace::SuiteConfig::new(nurd_trace::TraceStyle::Google)
-                .with_jobs(1)
-                .with_task_range(10, 12)
-                .with_checkpoints(3),
-            0,
-        );
         // Threshold far above anything the model can produce: no flags.
-        let ctx = JobContext {
+        nurd.begin_stream(&StreamContext {
             threshold: 1e12,
             task_count: 42,
             feature_dim: 2,
-            oracle: &job,
-        };
-        nurd.begin_job(&ctx);
+        });
         assert!(nurd.predict(&checkpoint(&fin, &run)).is_empty());
         // Threshold of zero: everything flags.
-        let ctx = JobContext {
+        nurd.begin_stream(&StreamContext {
             threshold: 0.0,
             task_count: 42,
             feature_dim: 2,
-            oracle: &job,
-        };
-        nurd.begin_job(&ctx);
+        });
         assert_eq!(nurd.predict(&checkpoint(&fin, &run)).len(), 2);
     }
 }

@@ -13,7 +13,7 @@
 //!    cache, or warm boosting path surfaces as one cell drifting.
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig, WarmRefitState};
-use nurd_data::{Checkpoint, JobContext, JobTrace, OnlinePredictor};
+use nurd_data::{Checkpoint, JobTrace, OnlinePredictor, StreamContext};
 use nurd_linalg::MatrixView;
 use nurd_ml::{GradientBoosting, LogisticRegression, SquaredLoss};
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -78,11 +78,10 @@ fn assert_always_cold_matches_legacy(seed: u64) {
     let job = job_from_seed(seed);
     let config = NurdConfig::default(); // refit_policy: AlwaysCold
     let mut nurd = NurdPredictor::new(config.clone());
-    nurd.begin_job(&JobContext {
+    nurd.begin_stream(&StreamContext {
         threshold: job.straggler_threshold(0.9),
         task_count: job.task_count(),
         feature_dim: job.feature_dim(),
-        oracle: &job,
     });
     let warmup = job.warmup_checkpoint(0.04);
     let mut compared = 0;

@@ -17,9 +17,8 @@
 use crate::{JobTrace, TaskId};
 
 /// Static, per-job metadata an operator supplies when a job enters the
-/// serving engine — the stream-side analogue of
-/// [`JobContext`](crate::JobContext), minus the oracle trace (an online
-/// service has none).
+/// serving engine: the [`StreamContext`](crate::StreamContext) its
+/// predictor starts from, plus the job's id and checkpoint count.
 ///
 /// `threshold` is the straggler latency bound `τ_stra`. The paper treats
 /// threshold selection as out of scope (§4.2) and derives it from the

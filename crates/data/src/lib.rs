@@ -51,5 +51,5 @@ pub use mitigation::{
     ActionRecord, BarrierView, JobPhase, MitigationAction, MitigationPolicy, ScoredPrediction,
     TaskScore,
 };
-pub use predictor::{JobContext, OnlinePredictor, StreamContext};
+pub use predictor::{OnlinePredictor, StreamContext};
 pub use task::{TaskId, TaskRecord};

@@ -1,51 +1,18 @@
-//! The trait every evaluated method implements.
+//! The trait every evaluated method implements, and the one context it
+//! starts from. Neither carries a label: through this trait a predictor
+//! sees only what its checkpoints reveal.
 
-use crate::{Checkpoint, JobTrace, ScoredPrediction, TaskScore};
+use crate::{Checkpoint, ScoredPrediction, TaskScore};
 
-/// Job-level context available to a predictor before replay starts.
+/// Job-level context a predictor receives before its first checkpoint:
+/// what an *online* system can know up front, and no label. The serving
+/// engine hands it over when a job is admitted, and `nurd_sim::replay_job`
+/// hands the same fields over before replay starts.
 ///
 /// `threshold` is the straggler latency threshold `τ_stra`. The paper treats
 /// threshold selection as out of scope (§4.2) and evaluates all methods at
 /// the true p90, so the simulator computes it from the trace and passes it
 /// to every method equally.
-///
-/// `oracle` exposes the full trace *including unfinished tasks' latencies*.
-/// Honest online methods must not read labels from it; it exists for the
-/// Wrangler baseline, which the paper explicitly grants offline access to
-/// labeled stragglers ("we randomly sample 2/3 non-stragglers and stragglers
-/// from each job as training").
-#[derive(Debug, Clone, Copy)]
-pub struct JobContext<'a> {
-    /// The straggler latency threshold `τ_stra` (p90 by default).
-    pub threshold: f64,
-    /// Number of tasks in the job.
-    pub task_count: usize,
-    /// Feature dimensionality.
-    pub feature_dim: usize,
-    /// Full trace for oracle baselines (see type-level docs).
-    pub oracle: &'a JobTrace,
-}
-
-impl JobContext<'_> {
-    /// The oracle-free projection of this context — what an online
-    /// serving engine (which has no trace) can provide. The default
-    /// [`OnlinePredictor::begin_job`] forwards here, so a predictor that
-    /// does not need the oracle implements
-    /// [`OnlinePredictor::begin_stream`] once and works in both the
-    /// replay simulator and `nurd-serve`.
-    #[must_use]
-    fn stream(&self) -> StreamContext {
-        StreamContext {
-            threshold: self.threshold,
-            task_count: self.task_count,
-            feature_dim: self.feature_dim,
-        }
-    }
-}
-
-/// Job-level context available without an oracle trace: everything in
-/// [`JobContext`] an *online* system can actually know up front. This is
-/// what `nurd-serve` hands to predictors when a job is admitted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamContext {
     /// The straggler latency threshold `τ_stra`.
@@ -69,23 +36,13 @@ pub trait OnlinePredictor {
     /// "GBTR", "LOF", ...).
     fn name(&self) -> &str;
 
-    /// Called once before the first checkpoint, with the oracle-free
-    /// context an online serving engine can supply. This is the method
-    /// most predictors should implement: it makes them drivable both by
-    /// `nurd_sim::replay_job` (via the [`OnlinePredictor::begin_job`]
-    /// default, which forwards here) and by the `nurd-serve` engine,
-    /// which calls it directly. Only oracle baselines the paper grants
-    /// offline label access (Wrangler) need [`OnlinePredictor::begin_job`]
-    /// itself.
+    /// Called once before the first checkpoint. This is the only start
+    /// hook: `nurd_sim::replay_job` and the `nurd-serve` engine both call
+    /// it, with the same [`StreamContext`], so a predictor written against
+    /// it is drivable by either. A baseline the paper grants offline
+    /// labels (Wrangler) takes them when its factory builds it, never
+    /// through this trait.
     fn begin_stream(&mut self, _ctx: &StreamContext) {}
-
-    /// Called once before the first checkpoint during a simulator replay.
-    /// Defaults to forwarding the oracle-free projection to
-    /// [`OnlinePredictor::begin_stream`]; override only when the oracle
-    /// trace itself is needed.
-    fn begin_job(&mut self, ctx: &JobContext<'_>) {
-        self.begin_stream(&ctx.stream());
-    }
 
     /// Returns the ids of running tasks predicted to straggle at this
     /// checkpoint. Ids not present in `checkpoint.running` are ignored by
@@ -160,7 +117,6 @@ pub trait OnlinePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TaskRecord;
 
     /// A trivial predictor that flags every running task.
     struct FlagAll;
@@ -175,21 +131,13 @@ mod tests {
 
     #[test]
     fn trait_object_is_usable() {
-        let job = JobTrace::new(
-            1,
-            vec!["f".into()],
-            vec![1.0],
-            vec![TaskRecord::new(0, 0.5, vec![vec![0.0]])],
-        )
-        .unwrap();
-        let ctx = JobContext {
+        let ctx = StreamContext {
             threshold: 1.0,
             task_count: 1,
             feature_dim: 1,
-            oracle: &job,
         };
         let mut p: Box<dyn OnlinePredictor> = Box::new(FlagAll);
-        p.begin_job(&ctx);
+        p.begin_stream(&ctx);
         let features = [0.0];
         let ckpt = Checkpoint {
             ordinal: 0,

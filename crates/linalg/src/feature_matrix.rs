@@ -10,7 +10,7 @@
 //! those passes a single linear sweep over contiguous `f64`s instead of a
 //! pointer chase through `Vec<Vec<f64>>` rows. Row-oriented consumers
 //! (tree traversal, IRLS) go through [`MatrixView`], which also accepts
-//! borrowed row-major data so call sites can stay zero-copy.
+//! borrowed row slices so call sites can stay zero-copy.
 //!
 //! [`FeatureMatrix`] is an owned buffer designed for *reuse*: call
 //! [`FeatureMatrix::fill_from_rows`] with fresh checkpoint data and the
@@ -232,12 +232,11 @@ impl FeatureMatrix {
 /// A borrowed, layout-polymorphic view of a samples-by-features matrix.
 ///
 /// The ML fitting routines take this type so the same code path serves
-/// legacy row-major `&[Vec<f64>]` data, zero-copy checkpoint row slices,
-/// and the column-major [`FeatureMatrix`] without materializing a copy.
+/// borrowed row slices (checkpoint task views, or `&[Vec<f64>]` rows
+/// borrowed one slice each) and the column-major [`FeatureMatrix`]
+/// without materializing a copy.
 #[derive(Debug, Clone, Copy)]
 pub enum MatrixView<'a> {
-    /// Borrowed row-major rows (`x[i]` is sample `i`).
-    Rows(&'a [Vec<f64>]),
     /// Borrowed row slices, e.g. straight out of checkpoint task views.
     RowSlices(&'a [&'a [f64]]),
     /// Borrowed column-major storage.
@@ -249,7 +248,6 @@ impl<'a> MatrixView<'a> {
     #[must_use]
     pub fn rows(&self) -> usize {
         match self {
-            MatrixView::Rows(r) => r.len(),
             MatrixView::RowSlices(r) => r.len(),
             MatrixView::Columns(m) => m.rows(),
         }
@@ -259,7 +257,6 @@ impl<'a> MatrixView<'a> {
     #[must_use]
     pub fn cols(&self) -> usize {
         match self {
-            MatrixView::Rows(r) => r.first().map_or(0, Vec::len),
             MatrixView::RowSlices(r) => r.first().map_or(0, |row| row.len()),
             MatrixView::Columns(m) => m.cols(),
         }
@@ -274,18 +271,16 @@ impl<'a> MatrixView<'a> {
     #[must_use]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         match self {
-            MatrixView::Rows(rows) => rows[r][c],
             MatrixView::RowSlices(rows) => rows[r][c],
             MatrixView::Columns(m) => m.get(r, c),
         }
     }
 
     /// Row `r` as a contiguous slice when the underlying layout has one
-    /// (`Rows` / `RowSlices`); `None` for column-major storage.
+    /// (`RowSlices`); `None` for column-major storage.
     #[must_use]
     pub fn row_slice(&self, r: usize) -> Option<&'a [f64]> {
         match self {
-            MatrixView::Rows(rows) => Some(&rows[r]),
             MatrixView::RowSlices(rows) => Some(rows[r]),
             MatrixView::Columns(_) => None,
         }
@@ -298,7 +293,6 @@ impl<'a> MatrixView<'a> {
     /// Panics when out of bounds or on width mismatch.
     pub fn row_into(&self, r: usize, buf: &mut [f64]) {
         match self {
-            MatrixView::Rows(rows) => buf.copy_from_slice(&rows[r]),
             MatrixView::RowSlices(rows) => buf.copy_from_slice(rows[r]),
             MatrixView::Columns(m) => m.row_into(r, buf),
         }
@@ -313,7 +307,6 @@ impl<'a> MatrixView<'a> {
     pub fn gather_column(&self, c: usize, out: &mut Vec<f64>) {
         out.clear();
         match self {
-            MatrixView::Rows(rows) => out.extend(rows.iter().map(|row| row[c])),
             MatrixView::RowSlices(rows) => out.extend(rows.iter().map(|row| row[c])),
             MatrixView::Columns(m) => out.extend_from_slice(m.column(c)),
         }
@@ -345,7 +338,6 @@ impl<'a> MatrixView<'a> {
             });
         }
         let ragged = match self {
-            MatrixView::Rows(rows) => rows.iter().find(|row| row.len() != d).map(|row| row.len()),
             MatrixView::RowSlices(rows) => {
                 rows.iter().find(|row| row.len() != d).map(|row| row.len())
             }
@@ -358,18 +350,6 @@ impl<'a> MatrixView<'a> {
             });
         }
         Ok(d)
-    }
-}
-
-impl<'a> From<&'a [Vec<f64>]> for MatrixView<'a> {
-    fn from(rows: &'a [Vec<f64>]) -> Self {
-        MatrixView::Rows(rows)
-    }
-}
-
-impl<'a> From<&'a Vec<Vec<f64>>> for MatrixView<'a> {
-    fn from(rows: &'a Vec<Vec<f64>>) -> Self {
-        MatrixView::Rows(rows)
     }
 }
 
@@ -495,11 +475,7 @@ mod tests {
         let rows = sample();
         let slices: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         let m = FeatureMatrix::from_rows(&rows).unwrap();
-        let views = [
-            MatrixView::Rows(&rows),
-            MatrixView::RowSlices(&slices),
-            m.view(),
-        ];
+        let views = [MatrixView::RowSlices(&slices), m.view()];
         for v in &views {
             assert_eq!(v.rows(), 2);
             assert_eq!(v.cols(), 3);
@@ -517,25 +493,25 @@ mod tests {
             assert_eq!(v.validated_dims(2).unwrap(), 3);
         }
         assert!(views[0].row_slice(0).is_some());
-        assert!(views[2].row_slice(0).is_none());
+        assert!(views[1].row_slice(0).is_none());
     }
 
     #[test]
     fn validated_dims_catches_mismatches() {
         let rows = sample();
-        let v = MatrixView::Rows(&rows);
+        let slices: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let v = MatrixView::RowSlices(&slices);
         assert!(matches!(
             v.validated_dims(3),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-        let empty: Vec<Vec<f64>> = Vec::new();
         assert!(matches!(
-            MatrixView::Rows(&empty).validated_dims(0),
+            MatrixView::RowSlices(&[]).validated_dims(0),
             Err(LinalgError::Empty)
         ));
-        let ragged = vec![vec![1.0, 2.0], vec![3.0]];
+        let ragged: [&[f64]; 2] = [&[1.0, 2.0], &[3.0]];
         assert!(matches!(
-            MatrixView::Rows(&ragged).validated_dims(2),
+            MatrixView::RowSlices(&ragged).validated_dims(2),
             Err(LinalgError::ShapeMismatch { .. })
         ));
     }

@@ -17,9 +17,9 @@
 //!   features storage. `column(j)` is a plain `&[f64]` slice, and
 //!   [`FeatureMatrix::fill_from_rows`] refills the buffer in place so
 //!   per-checkpoint scratch reuse allocates nothing in steady state.
-//! * [`MatrixView`] — a borrowed, layout-polymorphic view (`&[Vec<f64>]`
-//!   rows, zero-copy `&[&[f64]]` row slices, or a `FeatureMatrix`), so
-//!   the ML fitting routines accept any of the three without copying.
+//! * [`MatrixView`] — a borrowed, layout-polymorphic view (zero-copy
+//!   `&[&[f64]]` row slices or a `FeatureMatrix`), so the ML fitting
+//!   routines accept either without copying.
 //!
 //! For the warm-start refit path, [`FeatureMatrix::append_rows`] grows
 //! the matrix in place (one `memmove` per column, no re-gather of old

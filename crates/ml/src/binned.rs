@@ -497,11 +497,8 @@ fn ranges_from_codes(column: &[f64], codes: &[u8], built_rows: usize) -> Feature
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row_slices;
     use proptest::prelude::*;
-
-    fn view(rows: &[Vec<f64>]) -> MatrixView<'_> {
-        MatrixView::Rows(rows)
-    }
 
     fn derived_cuts(bins: &FeatureBins) -> Vec<f64> {
         bins.cuts_into(&mut [0.0; BinnedMatrix::MAX_BINS]).to_vec()
@@ -510,7 +507,7 @@ mod tests {
     #[test]
     fn small_distinct_sets_get_one_bin_per_value() {
         let rows: Vec<Vec<f64>> = vec![vec![3.0], vec![1.0], vec![2.0], vec![1.0], vec![3.0]];
-        let binned = BinnedMatrix::build(view(&rows), 256);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 256);
         let bins = binned.feature_bins(0);
         assert_eq!(bins.n_bins(), 3);
         assert_eq!(binned.codes(0), &[2, 0, 1, 0, 2]);
@@ -521,7 +518,7 @@ mod tests {
     #[test]
     fn cut_points_are_midpoints_in_exact_regime() {
         let rows: Vec<Vec<f64>> = vec![vec![0.0], vec![10.0], vec![1.0]];
-        let binned = BinnedMatrix::build(view(&rows), 256);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 256);
         let bins = binned.feature_bins(0);
         assert_eq!(derived_cuts(bins), vec![0.5, 5.5]);
     }
@@ -529,7 +526,7 @@ mod tests {
     #[test]
     fn many_distinct_values_collapse_to_max_bins() {
         let rows: Vec<Vec<f64>> = (0..1000).map(|i| vec![f64::from(i)]).collect();
-        let binned = BinnedMatrix::build(view(&rows), 64);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 64);
         let bins = binned.feature_bins(0);
         assert!(bins.n_bins() <= 64);
         assert!(bins.n_bins() >= 60, "quantile cuts should not collapse");
@@ -556,7 +553,7 @@ mod tests {
         for i in 0..300 {
             rows.push(vec![1.0 + f64::from(i)]);
         }
-        let binned = BinnedMatrix::build(view(&rows), 16);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 16);
         let bins = binned.feature_bins(0);
         assert!(bins.n_bins() >= 2);
         let mut counts = vec![0usize; bins.n_bins()];
@@ -569,7 +566,7 @@ mod tests {
     #[test]
     fn constant_feature_yields_single_bin() {
         let rows: Vec<Vec<f64>> = vec![vec![7.0]; 10];
-        let binned = BinnedMatrix::build(view(&rows), 256);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 256);
         assert_eq!(binned.feature_bins(0).n_bins(), 1);
         assert!(binned.codes(0).iter().all(|&c| c == 0));
     }
@@ -600,7 +597,7 @@ mod tests {
             vec![3.0, neg_nan],
             vec![2.0, f64::NAN],
         ];
-        let binned = BinnedMatrix::build(view(&rows), 256);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 256);
         let bins0 = binned.feature_bins(0);
         assert_eq!(bins0.n_bins(), 3);
         assert_eq!(binned.codes(0), &[0, 2, 2, 1]);
@@ -619,14 +616,15 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..400)
             .map(|i| vec![f64::from(i % 97), f64::from((i * 13) % 31)])
             .collect();
-        let mut incremental = BinnedMatrix::build(view(&rows[..300]), 32);
-        let drift = incremental.append_from(view(&rows));
+        let mut incremental =
+            BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows[..300])), 32);
+        let drift = incremental.append_from(MatrixView::RowSlices(&row_slices(&rows)));
         assert!(drift < 0.05, "stationary drift {drift}");
         assert_eq!(incremental.rows(), 400);
 
         // Edges were kept, so codes for appended rows follow the *old*
         // quantization; verify against coding rows by hand.
-        let old_edges = BinnedMatrix::build(view(&rows[..300]), 32);
+        let old_edges = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows[..300])), 32);
         for f in 0..2 {
             let cuts = derived_cuts(old_edges.feature_bins(f));
             for (i, row) in rows.iter().enumerate() {
@@ -638,9 +636,9 @@ mod tests {
     #[test]
     fn append_from_zero_rows_is_identity() {
         let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![f64::from(i)]).collect();
-        let mut binned = BinnedMatrix::build(view(&rows), 16);
+        let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 16);
         let before = binned.clone();
-        let drift = binned.append_from(view(&rows));
+        let drift = binned.append_from(MatrixView::RowSlices(&row_slices(&rows)));
         assert_eq!(binned, before);
         assert!(drift < 1e-12);
     }
@@ -650,14 +648,14 @@ mod tests {
         // Build on values in [0, 100); append a flood of values far above
         // — the old quantile edges pile everything into the last bin.
         let mut rows: Vec<Vec<f64>> = (0..200).map(|i| vec![f64::from(i % 100)]).collect();
-        let mut binned = BinnedMatrix::build(view(&rows), 16);
+        let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 16);
         for i in 0..200 {
             rows.push(vec![1000.0 + f64::from(i)]);
         }
-        let drift = binned.append_from(view(&rows));
+        let drift = binned.append_from(MatrixView::RowSlices(&row_slices(&rows)));
         assert!(drift > 0.3, "shift must register, got {drift}");
         // A fresh build resets the reference.
-        let rebuilt = BinnedMatrix::build(view(&rows), 16);
+        let rebuilt = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 16);
         assert!(rebuilt.drift() < 1e-12);
     }
 
@@ -667,10 +665,10 @@ mod tests {
         for (i, row) in rows.iter_mut().enumerate() {
             row[1] = i as f64; // keep feature 1 multi-bin
         }
-        let mut binned = BinnedMatrix::build(view(&rows), 16);
+        let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 16);
         assert_eq!(binned.feature_bins(0).n_bins(), 1);
         rows.push(vec![9.0, 3.0]);
-        let drift = binned.append_from(view(&rows));
+        let drift = binned.append_from(MatrixView::RowSlices(&row_slices(&rows)));
         assert_eq!(drift, 1.0, "constant bin cannot represent 9.0");
     }
 
@@ -682,33 +680,39 @@ mod tests {
         // build column and for one that already mixed NaNs in.
         let mut rows: Vec<Vec<f64>> = (0..20).map(|i| vec![7.0, f64::from(i)]).collect();
         rows[3][0] = f64::NAN;
-        let mut binned = BinnedMatrix::build(view(&rows), 16);
+        let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 16);
         assert_eq!(binned.feature_bins(0).n_bins(), 1);
         rows.push(vec![f64::NAN, 5.0]);
         rows.push(vec![7.0, 9.0]);
-        let drift = binned.append_from(view(&rows));
+        let drift = binned.append_from(MatrixView::RowSlices(&row_slices(&rows)));
         assert!(drift < 0.2, "NaN append misread as staleness: {drift}");
         // A genuinely new finite value still registers.
         rows.push(vec![8.0, 4.0]);
-        assert_eq!(binned.append_from(view(&rows)), 1.0);
+        assert_eq!(
+            binned.append_from(MatrixView::RowSlices(&row_slices(&rows))),
+            1.0
+        );
         // All-NaN build column: a real value is new information.
         let nan_rows: Vec<Vec<f64>> = (0..10).map(|i| vec![f64::NAN, f64::from(i)]).collect();
-        let mut all_nan = BinnedMatrix::build(view(&nan_rows), 16);
+        let mut all_nan = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&nan_rows)), 16);
         let mut grown = nan_rows.clone();
         grown.push(vec![1.0, 3.0]);
-        assert_eq!(all_nan.append_from(view(&grown)), 1.0);
+        assert_eq!(
+            all_nan.append_from(MatrixView::RowSlices(&row_slices(&grown))),
+            1.0
+        );
     }
 
     #[test]
     fn incremental_append_accumulates_drift_across_calls() {
         let mut rows: Vec<Vec<f64>> = (0..100).map(|i| vec![f64::from(i)]).collect();
-        let mut binned = BinnedMatrix::build(view(&rows), 8);
+        let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 8);
         let mut last = 0.0;
         for step in 0..4 {
             for i in 0..50 {
                 rows.push(vec![200.0 + f64::from(step * 50 + i)]);
             }
-            last = binned.append_from(view(&rows));
+            last = binned.append_from(MatrixView::RowSlices(&row_slices(&rows)));
         }
         assert!(last > 0.4, "monotone out-of-range growth, drift {last}");
         assert_eq!(binned.rows(), 300);
@@ -732,19 +736,27 @@ mod tests {
                 ]
             })
             .collect();
-        let sequential = BinnedMatrix::build(view(&rows), 32);
+        let sequential = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 32);
         let pool = nurd_runtime::ThreadPool::new(4);
         for tasks in [2, 3, 8] {
-            let parallel = BinnedMatrix::build_with_pool(view(&rows), 32, Some((&pool, tasks)));
+            let parallel = BinnedMatrix::build_with_pool(
+                MatrixView::RowSlices(&row_slices(&rows)),
+                32,
+                Some((&pool, tasks)),
+            );
             assert_eq!(parallel, sequential, "tasks = {tasks}");
         }
         // Degenerate fan-outs fall back to the sequential path.
         assert_eq!(
-            BinnedMatrix::build_with_pool(view(&rows), 32, Some((&pool, 1))),
+            BinnedMatrix::build_with_pool(
+                MatrixView::RowSlices(&row_slices(&rows)),
+                32,
+                Some((&pool, 1))
+            ),
             sequential
         );
         assert_eq!(
-            BinnedMatrix::build_with_pool(view(&rows), 32, None),
+            BinnedMatrix::build_with_pool(MatrixView::RowSlices(&row_slices(&rows)), 32, None),
             sequential
         );
     }
@@ -760,8 +772,8 @@ mod tests {
             ..crate::TreeConfig::default()
         };
         assert_eq!(
-            BinnedMatrix::build_for(view(&rows), &cfg_seq),
-            BinnedMatrix::build_for(view(&rows), &cfg_par)
+            BinnedMatrix::build_for(MatrixView::RowSlices(&row_slices(&rows)), &cfg_seq),
+            BinnedMatrix::build_for(MatrixView::RowSlices(&row_slices(&rows)), &cfg_par)
         );
     }
 
@@ -771,7 +783,7 @@ mod tests {
             .map(|i| vec![f64::from(i % 7), f64::from((i * 13) % 5)])
             .collect();
         let m = nurd_linalg::FeatureMatrix::from_rows(&rows).unwrap();
-        let a = BinnedMatrix::build(MatrixView::Rows(&rows), 256);
+        let a = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows)), 256);
         let b = BinnedMatrix::build(m.view(), 256);
         assert_eq!(a, b);
     }
@@ -811,11 +823,11 @@ mod tests {
                 .collect();
             let max_bins = [4, 16, 256][bins_pick];
             let mut end = 1 + built % rows.len();
-            let mut live = BinnedMatrix::build(view(&rows[..end]), max_bins);
+            let mut live = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&rows[..end])), max_bins);
 
             let (mut column, mut sorted, mut cuts) = (Vec::new(), Vec::new(), Vec::new());
             for f in 0..4 {
-                view(&rows[..end]).gather_column(f, &mut column);
+                MatrixView::RowSlices(&row_slices(&rows[..end])).gather_column(f, &mut column);
                 plan_cuts(&column, max_bins, &mut sorted, &mut cuts);
                 let derived = derived_cuts(live.feature_bins(f));
                 let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
@@ -824,10 +836,10 @@ mod tests {
 
             for step in std::iter::once(0).chain(appends) {
                 end = (end + step).min(rows.len());
-                let drift = live.append_from(view(&rows[..end]));
+                let drift = live.append_from(MatrixView::RowSlices(&row_slices(&rows[..end])));
                 let (codes, built_rows, stale) = live.parts();
                 // The rows may be ahead of the quantization.
-                let ahead = view(&rows[..(end + 3).min(rows.len())]);
+                let ahead = MatrixView::RowSlices(&row_slices(&rows[..(end + 3).min(rows.len())]));
                 let mut restored =
                     BinnedMatrix::restore(codes.to_vec(), built_rows, stale, ahead).unwrap();
                 prop_assert_eq!(&restored, &live);

@@ -340,12 +340,6 @@ impl FlatForest {
             return;
         }
         match xs {
-            MatrixView::Rows(r) => pool.scope(|s| {
-                for (ci, chunk) in out.chunks_mut(per).enumerate() {
-                    let sub = &r[ci * per..ci * per + chunk.len()];
-                    s.spawn(move || self.score_chunk(MatrixView::Rows(sub), chunk));
-                }
-            }),
             MatrixView::RowSlices(r) => pool.scope(|s| {
                 for (ci, chunk) in out.chunks_mut(per).enumerate() {
                     let sub = &r[ci * per..ci * per + chunk.len()];
@@ -364,7 +358,6 @@ impl FlatForest {
     /// path) has no row slices to lend and takes the one-row walk.
     fn score_chunk(&self, xs: MatrixView<'_>, out: &mut [f64]) {
         match xs {
-            MatrixView::Rows(rows) => self.accumulate_rows(|i| rows[i].as_slice(), out),
             MatrixView::RowSlices(rows) => self.accumulate_rows(|i| rows[i], out),
             columns => return self.predict_each(columns, out),
         }
@@ -702,6 +695,7 @@ impl FlatForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row_slices;
     use crate::{GbtConfig, GradientBoosting, SquaredLoss, TreeConfig};
     use nurd_codec::{Checkpointable, Decoder, Encoder};
     use proptest::prelude::*;
@@ -765,7 +759,7 @@ mod tests {
 
     /// A model fit over `x` quantized at the config's bin budget.
     fn fit(x: &[Vec<f64>], cfg: &GbtConfig) -> (BinnedMatrix, GradientBoosting<SquaredLoss>) {
-        let binned = BinnedMatrix::build_for(MatrixView::Rows(x), &cfg.tree);
+        let binned = BinnedMatrix::build_for(MatrixView::RowSlices(&row_slices(x)), &cfg.tree);
         let model = GradientBoosting::fit_binned(&binned, &targets(x), cfg).unwrap();
         (binned, model)
     }
@@ -817,7 +811,10 @@ mod tests {
             assert_eq!(forest.predict(row), raw[i], "one-row walk, row {i}");
             assert_eq!(model.predict(row), raw[i], "model one-row walk, row {i}");
         }
-        assert_eq!(model.predict_view(MatrixView::Rows(x)), raw);
+        assert_eq!(
+            model.predict_view(MatrixView::RowSlices(&row_slices(x))),
+            raw
+        );
         let columns = nurd_linalg::FeatureMatrix::from_rows(x).unwrap();
         assert_eq!(model.predict_view(columns.view()), raw, "gathered rows");
         assert_eq!(forest.predict_view(columns.view()), raw, "column walk");
@@ -825,7 +822,11 @@ mod tests {
         for lanes in SUPPORTED_LANES {
             let lf = forest.clone().with_lanes(lanes);
             assert_eq!(lf.lanes as usize, lanes);
-            assert_eq!(lf.predict_view(MatrixView::Rows(x)), raw, "{lanes} lanes");
+            assert_eq!(
+                lf.predict_view(MatrixView::RowSlices(&row_slices(x))),
+                raw,
+                "{lanes} lanes"
+            );
             assert_eq!(
                 predict_binned_batch(&lf, binned, 0..x.len()),
                 coded,
@@ -833,7 +834,12 @@ mod tests {
             );
             for max_chunks in [1usize, 3, 64] {
                 let mut out = vec![-7.0; 3]; // dirty buffer must be replaced
-                lf.predict_view_into_pooled(MatrixView::Rows(x), test_pool(), max_chunks, &mut out);
+                lf.predict_view_into_pooled(
+                    MatrixView::RowSlices(&row_slices(x)),
+                    test_pool(),
+                    max_chunks,
+                    &mut out,
+                );
                 assert_eq!(out, raw, "pooled, {lanes} lanes, {max_chunks} chunks");
                 let view = MatrixView::RowSlices(&slices);
                 lf.predict_view_into_pooled(view, test_pool(), max_chunks, &mut out);
@@ -864,7 +870,7 @@ mod tests {
         for n in 0..8usize {
             let want: Vec<f64> = x[..n].iter().map(|r| oracle_raw(&flat, r)).collect();
             assert_eq!(
-                flat.predict_view(MatrixView::Rows(&x[..n])),
+                flat.predict_view(MatrixView::RowSlices(&row_slices(&x[..n]))),
                 want,
                 "batch of {n} rows"
             );
@@ -905,11 +911,16 @@ mod tests {
         let x = rows(101, 3, 31);
         let (_, model) = fit(&x, &rounds(15));
         let flat = model.forest();
-        let sequential = flat.predict_view(MatrixView::Rows(&x));
+        let sequential = flat.predict_view(MatrixView::RowSlices(&row_slices(&x)));
         for pool in [&ThreadPool::new(1), test_pool()] {
             for max_chunks in [0usize, 1, 2, 5, 64, 1000] {
                 let mut out = Vec::new();
-                flat.predict_view_into_pooled(MatrixView::Rows(&x), pool, max_chunks, &mut out);
+                flat.predict_view_into_pooled(
+                    MatrixView::RowSlices(&row_slices(&x)),
+                    pool,
+                    max_chunks,
+                    &mut out,
+                );
                 assert_eq!(
                     out,
                     sequential,
@@ -920,7 +931,12 @@ mod tests {
         }
         // Empty batches are fine too.
         let mut out = vec![1.0];
-        flat.predict_view_into_pooled(MatrixView::Rows(&x[..0]), test_pool(), 4, &mut out);
+        flat.predict_view_into_pooled(
+            MatrixView::RowSlices(&row_slices(&x[..0])),
+            test_pool(),
+            4,
+            &mut out,
+        );
         assert!(out.is_empty());
     }
 
@@ -931,7 +947,7 @@ mod tests {
         assert_eq!(forest.tree_count(), 0);
         assert_eq!(forest.lanes as usize, DEFAULT_LANES);
         let x = rows(4, 2, 1);
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 16);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 16);
         assert_eq!(predict_binned_batch(&forest, &binned, 0..4), vec![2.5; 4]);
     }
 
@@ -954,7 +970,7 @@ mod tests {
         assert_every_kernel_matches_the_oracle(&model, &binned, &x, x.len());
         // Features can be anything for a leaf-only ensemble — even empty.
         assert_eq!(flat.predict(&[]), oracle_raw(flat, &x[0]));
-        assert_eq!(flat.predict_view(MatrixView::Rows(&[vec![]])).len(), 1);
+        assert_eq!(flat.predict_view(MatrixView::RowSlices(&[&[]])).len(), 1);
     }
 
     #[test]
@@ -994,7 +1010,7 @@ mod tests {
         // the wrong leaf, applied a tree twice or skipped its own would not.
         let x = rows(53, 3, 41);
         let cfg = rounds(9);
-        let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg.tree);
+        let binned = BinnedMatrix::build_for(MatrixView::RowSlices(&row_slices(&x)), &cfg.tree);
         let mut cache = Vec::new();
         let y = targets(&x);
         let model = GradientBoosting::fit_binned_cached(&binned, &y, SquaredLoss, &cfg, &mut cache)
@@ -1136,7 +1152,7 @@ mod tests {
         for row in [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]] {
             assert_eq!(forest.predict(&row), oracle_raw(&forest, &row));
             assert_eq!(
-                forest.predict_view(MatrixView::Rows(&[row.to_vec()])),
+                forest.predict_view(MatrixView::RowSlices(&[&row])),
                 [oracle_raw(&forest, &row)]
             );
         }
@@ -1190,9 +1206,9 @@ mod tests {
             let y = targets(&x);
             let split = n * 2 / 3;
             let cfg = rounds(8);
-            let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..split]), cfg.tree.max_bins);
+            let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x[..split])), cfg.tree.max_bins);
             let mut grown = GradientBoosting::fit_binned(&binned, &y[..split], &cfg).unwrap();
-            binned.append_from(MatrixView::Rows(&x));
+            binned.append_from(MatrixView::RowSlices(&row_slices(&x)));
             let mut cache = Vec::new();
             grown.warm_boost(&binned, &y, extra, &cfg, &mut cache).unwrap();
             let f = grown.forest();

@@ -156,7 +156,8 @@ impl<L: Loss> GradientBoosting<L> {
     /// [`MlError::EmptyTrainingSet`] / [`MlError::DimensionMismatch`] on bad
     /// input, [`MlError::InvalidConfig`] on out-of-range hyperparameters.
     pub fn fit(x: &[Vec<f64>], y: &[f64], loss: L, config: &GbtConfig) -> Result<Self, MlError> {
-        Self::fit_view(MatrixView::Rows(x), y, loss, config)
+        let rows: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
+        Self::fit_view(MatrixView::RowSlices(&rows), y, loss, config)
     }
 
     /// Fits the ensemble over any matrix layout without copying rows: pass
@@ -416,6 +417,7 @@ impl<L: Loss + Default> nurd_codec::Checkpointable for GradientBoosting<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row_slices;
     use proptest::prelude::*;
 
     fn mean_squared_error(truth: &[f64], pred: &[f64]) -> f64 {
@@ -528,7 +530,7 @@ mod tests {
         let (x, y) = growing_set(80);
         let cfg = GbtConfig::default();
         let by_view = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), cfg.tree.max_bins);
         let by_binned = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         assert_eq!(by_view.predict_batch(&x), by_binned.predict_batch(&x));
     }
@@ -537,7 +539,7 @@ mod tests {
     fn warm_boost_zero_rounds_is_identity() {
         let (x, y) = growing_set(60);
         let cfg = GbtConfig::default();
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), cfg.tree.max_bins);
         let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let same = boosted(&prev, &binned, &y, 0, &cfg, &mut Vec::new()).unwrap();
         assert_eq!(same.tree_count(), prev.tree_count());
@@ -551,9 +553,12 @@ mod tests {
         // — the claim the warm-refit subsystem rests on.
         let (x, y) = growing_set(200);
         let cfg = GbtConfig::default();
-        let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..150]), cfg.tree.max_bins);
+        let mut binned = BinnedMatrix::build(
+            MatrixView::RowSlices(&row_slices(&x[..150])),
+            cfg.tree.max_bins,
+        );
         let prev = GradientBoosting::fit_binned(&binned, &y[..150], &cfg).unwrap();
-        let drift = binned.append_from(MatrixView::Rows(&x));
+        let drift = binned.append_from(MatrixView::RowSlices(&row_slices(&x)));
         assert!(drift < 0.2, "mild drift expected, got {drift}");
 
         let warm = boosted(&prev, &binned, &y, 10, &cfg, &mut Vec::new()).unwrap();
@@ -572,13 +577,16 @@ mod tests {
     fn warm_boost_from_a_score_cache_matches_full_replay() {
         let (x, y) = growing_set(160);
         let cfg = GbtConfig::default();
-        let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..120]), cfg.tree.max_bins);
+        let mut binned = BinnedMatrix::build(
+            MatrixView::RowSlices(&row_slices(&x[..120])),
+            cfg.tree.max_bins,
+        );
         let mut cache = Vec::new();
         let prev =
             GradientBoosting::fit_binned_cached(&binned, &y[..120], SquaredLoss, &cfg, &mut cache)
                 .unwrap();
         assert_eq!(cache.len(), 120);
-        binned.append_from(MatrixView::Rows(&x));
+        binned.append_from(MatrixView::RowSlices(&row_slices(&x)));
 
         let uncached = boosted(&prev, &binned, &y, 6, &cfg, &mut Vec::new()).unwrap();
         let cached = boosted(&prev, &binned, &y, 6, &cfg, &mut cache).unwrap();
@@ -614,12 +622,15 @@ mod tests {
     fn rejected_warm_boost_touches_neither_model_nor_cache() {
         let (x, y) = growing_set(160);
         let cfg = GbtConfig::default();
-        let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..120]), cfg.tree.max_bins);
+        let mut binned = BinnedMatrix::build(
+            MatrixView::RowSlices(&row_slices(&x[..120])),
+            cfg.tree.max_bins,
+        );
         let mut cache = Vec::new();
         let mut model =
             GradientBoosting::fit_binned_cached(&binned, &y[..120], SquaredLoss, &cfg, &mut cache)
                 .unwrap();
-        binned.append_from(MatrixView::Rows(&x));
+        binned.append_from(MatrixView::RowSlices(&row_slices(&x)));
         model.warm_boost(&binned, &y, 6, &cfg, &mut cache).unwrap();
         let (forest, scores) = (model.forest.clone(), cache.clone());
 
@@ -639,7 +650,10 @@ mod tests {
         // So is a matrix narrower than the features the ensemble splits on
         // (where the bin-code replay would otherwise panic).
         let narrow: Vec<Vec<f64>> = x.iter().map(|row| row[..1].to_vec()).collect();
-        let narrow = BinnedMatrix::build(MatrixView::Rows(&narrow), cfg.tree.max_bins);
+        let narrow = BinnedMatrix::build(
+            MatrixView::RowSlices(&row_slices(&narrow)),
+            cfg.tree.max_bins,
+        );
         assert!(model
             .forest
             .splits()
@@ -658,7 +672,7 @@ mod tests {
     fn warm_boost_is_deterministic() {
         let (x, y) = growing_set(90);
         let cfg = GbtConfig::default();
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), cfg.tree.max_bins);
         let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let a = boosted(&prev, &binned, &y, 5, &cfg, &mut Vec::new()).unwrap();
         let b = boosted(&prev, &binned, &y, 5, &cfg, &mut Vec::new()).unwrap();
@@ -670,13 +684,13 @@ mod tests {
         // An empty binned matrix is constructible; the fit entry points
         // must error, not panic, as their docs promise.
         let empty_rows: Vec<Vec<f64>> = Vec::new();
-        let empty = BinnedMatrix::build(MatrixView::Rows(&empty_rows), 256);
+        let empty = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&empty_rows)), 256);
         assert!(matches!(
             GradientBoosting::fit_binned(&empty, &[], &GbtConfig::default()),
             Err(MlError::EmptyTrainingSet)
         ));
         let (x, y) = growing_set(20);
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
         let prev = GradientBoosting::fit_binned(&binned, &y, &GbtConfig::default()).unwrap();
         assert!(matches!(
             boosted(
@@ -695,7 +709,7 @@ mod tests {
     fn warm_boost_rejects_target_length_mismatch() {
         let (x, y) = growing_set(40);
         let cfg = GbtConfig::default();
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), cfg.tree.max_bins);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), cfg.tree.max_bins);
         let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         assert!(matches!(
             boosted(&prev, &binned, &y[..20], 4, &cfg, &mut Vec::new()),

@@ -107,3 +107,10 @@ pub use neighbors::NearestNeighbors;
 pub use scaler::StandardScaler;
 pub use svm::{LinearSvm, SvmConfig};
 pub use tree::TreeConfig;
+
+#[cfg(test)]
+/// Borrows row-major rows one slice each, the layout a
+/// [`nurd_linalg::MatrixView::RowSlices`] view wraps.
+pub(crate) fn row_slices(x: &[Vec<f64>]) -> Vec<&[f64]> {
+    x.iter().map(Vec::as_slice).collect()
+}

@@ -94,7 +94,8 @@ impl LogisticRegression {
     /// [`MlError::OptimizationFailed`] if the damped Newton system stays
     /// singular.
     pub fn fit(x: &[Vec<f64>], y: &[f64], config: &LogisticConfig) -> Result<Self, MlError> {
-        Self::fit_view_warm(MatrixView::Rows(x), y, config, None)
+        let rows: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
+        Self::fit_view_warm(MatrixView::RowSlices(&rows), y, config, None)
     }
 
     /// Fits the model over any matrix layout without cloning caller rows
@@ -694,6 +695,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row_slices;
     use proptest::prelude::*;
     use rand::Rng;
 
@@ -795,8 +797,13 @@ mod tests {
         let prev = LogisticRegression::fit(&x[..200], &y[..200], &cfg).unwrap();
         // Checkpoint 2: 40 new rows arrive; refit cold and warm.
         let cold = LogisticRegression::fit(&x, &y, &cfg).unwrap();
-        let warm =
-            LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &y, &cfg, Some(&prev)).unwrap();
+        let warm = LogisticRegression::fit_view_warm(
+            MatrixView::RowSlices(&row_slices(&x)),
+            &y,
+            &cfg,
+            Some(&prev),
+        )
+        .unwrap();
         // Strictly concave objective: both converge to the same optimum.
         for row in &x {
             assert!(
@@ -824,7 +831,7 @@ mod tests {
         let (x, y) = drifting_set(200);
         let prev =
             LogisticRegression::fit(&x[..150], &y[..150], &LogisticConfig::default()).unwrap();
-        let (_, means, stds) = standardize(MatrixView::Rows(&x), 2);
+        let (_, means, stds) = standardize(MatrixView::RowSlices(&row_slices(&x)), 2);
         let beta = remap_seed(&prev, &means, &stds, 2).unwrap();
         let seeded = LogisticRegression {
             weights: beta[..2].to_vec(),
@@ -848,8 +855,13 @@ mod tests {
         // Seed trained on a different feature width.
         let narrow: Vec<Vec<f64>> = x.iter().map(|r| vec![r[0]]).collect();
         let seed = LogisticRegression::fit(&narrow, &y, &cfg).unwrap();
-        let warm =
-            LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &y, &cfg, Some(&seed)).unwrap();
+        let warm = LogisticRegression::fit_view_warm(
+            MatrixView::RowSlices(&row_slices(&x)),
+            &y,
+            &cfg,
+            Some(&seed),
+        )
+        .unwrap();
         let cold = LogisticRegression::fit(&x, &y, &cfg).unwrap();
         assert_eq!(warm.iterations, cold.iterations);
         for row in &x {
@@ -882,7 +894,7 @@ mod tests {
         witness: &mut reference::Witness,
     ) -> Result<LogisticRegression, MlError> {
         let d = x[0].len();
-        let (xs, means, stds) = standardize(MatrixView::Rows(x), d);
+        let (xs, means, stds) = standardize(MatrixView::RowSlices(&row_slices(x)), d);
         let sw = sample_weights(y, config.balanced);
         let mut solve = |beta| reference::irls(&xs, d, y, &sw, beta, true, witness);
         let cold_start = || vec![0.0; d + 1];
@@ -988,13 +1000,17 @@ mod tests {
                 }
             };
             if let Some(seed) = &seed {
-                let (_, means, stds) = standardize(MatrixView::Rows(&x), d);
+                let (_, means, stds) = standardize(MatrixView::RowSlices(&row_slices(&x)), d);
                 fell_back_cold |= remap_seed(seed, &means, &stds, d).is_none();
             }
             let expected = reference_fit(&x, &y, &config, seed.as_ref(), &mut witness).unwrap();
-            let got =
-                LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &y, &config, seed.as_ref())
-                    .unwrap();
+            let got = LogisticRegression::fit_view_warm(
+                MatrixView::RowSlices(&row_slices(&x)),
+                &y,
+                &config,
+                seed.as_ref(),
+            )
+            .unwrap();
             let bits = |m: &LogisticRegression| -> Vec<u64> {
                 [
                     &m.weights[..],
@@ -1059,7 +1075,7 @@ mod tests {
                 .iter()
                 .map(|row| f64::from((row[0] + 0.15 * row[d - 1] > 0.6) != rng.gen_bool(0.03)))
                 .collect();
-            let (xs, means, stds) = standardize(MatrixView::Rows(&x), d);
+            let (xs, means, stds) = standardize(MatrixView::RowSlices(&row_slices(&x)), d);
             let sw = sample_weights(&y, true);
             let start = if case % 4 < 2 {
                 vec![0.0; d + 1]
@@ -1124,8 +1140,13 @@ mod tests {
         let config = LogisticConfig::default();
         let mut witness = reference::Witness::default();
         let expected = reference_fit(&x, &y, &config, Some(&seed), &mut witness).unwrap();
-        let got = LogisticRegression::fit_view_warm(MatrixView::Rows(&x), &y, &config, Some(&seed))
-            .unwrap();
+        let got = LogisticRegression::fit_view_warm(
+            MatrixView::RowSlices(&row_slices(&x)),
+            &y,
+            &config,
+            Some(&seed),
+        )
+        .unwrap();
         assert!(witness.stalled && !witness.resolved, "{witness:?}");
         assert_eq!(
             (got.intercept.to_bits(), got.iterations),
@@ -1147,7 +1168,7 @@ mod tests {
             vec![3.5, 0.0],
         ];
         let y = [0.0, 0.0, 1.0, 1.0];
-        let (xs, _, _) = standardize(MatrixView::Rows(&x), 2);
+        let (xs, _, _) = standardize(MatrixView::RowSlices(&row_slices(&x)), 2);
         let sw = sample_weights(&y, true);
         let seed = vec![0.25, -0.5, 0.125];
         let bits = |beta: &[f64]| -> Vec<u64> { beta.iter().map(|v| v.to_bits()).collect() };

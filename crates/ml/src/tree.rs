@@ -656,6 +656,7 @@ impl<'a> TreeGrower<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row_slices;
     use nurd_linalg::MatrixView;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -700,7 +701,7 @@ mod tests {
 
     /// One tree grown over all of `x`, quantized as `config` asks.
     fn grow(x: &[Vec<f64>], g: &[f64], h: &[f64], config: &TreeConfig) -> FlatForest {
-        let binned = BinnedMatrix::build_for(MatrixView::Rows(x), config);
+        let binned = BinnedMatrix::build_for(MatrixView::RowSlices(&row_slices(x)), config);
         grow_binned(&binned, g, h, config)
     }
 
@@ -827,7 +828,7 @@ mod tests {
             .collect();
         let y: Vec<f64> = (0..60).map(|i| ((i * 3) % 8) as f64).collect();
         let (g, h) = squared_loss_grads(&y);
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
         let tree = grow_binned(&binned, &g, &h, &TreeConfig::default());
         let mut coded = Vec::new();
         tree.predict_binned_extend(&binned, 0..60, &mut coded);
@@ -838,7 +839,7 @@ mod tests {
         let mut grown = binned.clone();
         let mut more = x.clone();
         more.push(vec![6.0, 3.0]);
-        grown.append_from(MatrixView::Rows(&more));
+        grown.append_from(MatrixView::RowSlices(&row_slices(&more)));
         tree.predict_binned_extend(&grown, 60..61, &mut coded);
         assert_eq!(tree.predict(&[6.0, 3.0]), coded[60]);
     }
@@ -899,7 +900,7 @@ mod tests {
             forest: &mut FlatForest,
         ) {
             let mut builder = ExactBuilder {
-                x: MatrixView::Rows(x),
+                x: MatrixView::RowSlices(&row_slices(x)),
                 gradients,
                 hessians,
                 config,
@@ -1233,7 +1234,7 @@ mod tests {
         // Column 0 takes the values 0..5 (one bin each), scattered over the
         // rows; the buffer starts in identity order.
         let x: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from((i * 7) % 5)]).collect();
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
         let codes = binned.codes(0);
         let g: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.37 - 5.0).collect();
         let h: Vec<f64> = (0..40).map(|i| 0.5 + f64::from(i % 3)).collect();
@@ -1298,7 +1299,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x9120);
         let n = TreeGrower::PAR_MIN_ROWS + 1500;
         let x = grower_fixture(&mut rng, n, 900);
-        let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
         for n_threads in [1, 4] {
             let config = TreeConfig {
                 max_depth: 4,
@@ -1372,7 +1373,7 @@ mod tests {
             let cfg = TreeConfig { max_depth: depth, ..TreeConfig::default() };
             let (mut exact, mut hist) = (unit_forest(), unit_forest());
             ExactBuilder::grow(&x, &g, &h, &cfg, &mut exact);
-            let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg);
+            let binned = BinnedMatrix::build_for(MatrixView::RowSlices(&row_slices(&x)), &cfg);
             DenseReference::grow(&binned, &g, &h, &cfg, false, &mut hist);
             // The sort-based builder has no bin codes to compare.
             hist.assert_same_trees(&exact, false, "dense histograms vs sort-based");
@@ -1398,7 +1399,7 @@ mod tests {
                 max_bins: 16, // force real quantization, not one-bin-per-value
                 ..TreeConfig::default()
             };
-            let binned = BinnedMatrix::build_for(MatrixView::Rows(&x), &cfg);
+            let binned = BinnedMatrix::build_for(MatrixView::RowSlices(&row_slices(&x)), &cfg);
             let mut direct = unit_forest();
             DenseReference::grow(&binned, &g, &h, &cfg, false, &mut direct);
             let sub = grow_binned(&binned, &g, &h, &cfg);
@@ -1430,7 +1431,7 @@ mod tests {
                 (rng.gen_range(20..160), 40)
             };
             let x = grower_fixture(&mut rng, n, distinct);
-            let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+            let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
             let mut column: Vec<f64> = x.iter().map(|row| row[0]).collect();
             column.sort_by(f64::total_cmp);
             column.dedup();
@@ -1456,7 +1457,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(20..160);
             let x = grower_fixture(&mut rng, n, 40);
-            let binned = BinnedMatrix::build(MatrixView::Rows(&x), 256);
+            let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
             let config = TreeConfig { max_depth: depth, ..TreeConfig::default() };
             let specials = [
                 f64::NAN,

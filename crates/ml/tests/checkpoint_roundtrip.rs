@@ -10,6 +10,12 @@ use nurd_ml::{
     BinnedMatrix, GbtConfig, GradientBoosting, LogisticConfig, LogisticRegression, SquaredLoss,
 };
 
+/// Borrows row-major rows one slice each, as a `MatrixView::RowSlices`
+/// view wraps them.
+fn row_slices(x: &[Vec<f64>]) -> Vec<&[f64]> {
+    x.iter().map(Vec::as_slice).collect()
+}
+
 fn encoded<T: Checkpointable>(value: &T) -> Vec<u8> {
     let mut enc = Encoder::new();
     value.encode(&mut enc);
@@ -71,12 +77,17 @@ fn logistic_regression_probabilities_survive_bit_for_bit() {
 fn binned_matrix_round_trips_structurally_equal() {
     // A quantization travels as its codes; the rows travel beside it.
     let (x, _) = training_rows(200);
-    let mut binned = BinnedMatrix::build(MatrixView::Rows(&x[..150]), 16);
-    binned.append_from(MatrixView::Rows(&x));
+    let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x[..150])), 16);
+    binned.append_from(MatrixView::RowSlices(&row_slices(&x)));
     let (codes, built_rows, stale) = binned.parts();
     assert_eq!((codes.len(), built_rows, stale), (400, 150, false));
-    let restored =
-        BinnedMatrix::restore(codes.to_vec(), built_rows, stale, MatrixView::Rows(&x)).unwrap();
+    let restored = BinnedMatrix::restore(
+        codes.to_vec(),
+        built_rows,
+        stale,
+        MatrixView::RowSlices(&row_slices(&x)),
+    )
+    .unwrap();
     assert_eq!(binned, restored);
     assert_eq!(binned.drift().to_bits(), restored.drift().to_bits());
 }
@@ -153,7 +164,7 @@ fn mutated_gbt_bytes_are_rejected_or_safe_to_score() {
             continue;
         }
         let rows: Vec<Vec<f64>> = (0..11).map(|i| vec![f64::from(i) - 5.0; width]).collect();
-        let view = MatrixView::Rows(&rows);
+        let view = MatrixView::RowSlices(&row_slices(&rows));
         let reference = model.predict_view(view);
         for lanes in nurd_ml::SUPPORTED_LANES {
             model.set_lanes(lanes);
@@ -201,12 +212,14 @@ fn mutated_logistic_bytes_are_rejected_or_safe_to_score_and_seed() {
         };
         let rows = vec![vec![0.25; restored.weights().len()]; 5];
         assert_eq!(
-            restored.predict_proba_view(MatrixView::Rows(&rows)).len(),
+            restored
+                .predict_proba_view(MatrixView::RowSlices(&row_slices(&rows)))
+                .len(),
             5
         );
         // A seed the solver cannot use (another width, a non-finite remap)
         // falls back to a cold fit; either way the refit returns.
-        let view = MatrixView::Rows(&x);
+        let view = MatrixView::RowSlices(&row_slices(&x));
         let _ = LogisticRegression::fit_view_warm(view, &labels, &config, Some(&restored));
         used += 1;
     }
@@ -221,9 +234,10 @@ fn mutated_logistic_bytes_are_rejected_or_safe_to_score_and_seed() {
 #[test]
 fn binned_matrix_restore_refuses_shapes_and_survives_any_codes() {
     let (x, _) = training_rows(40);
-    let binned = BinnedMatrix::build(MatrixView::Rows(&x), 8);
+    let slices = row_slices(&x);
+    let rows = MatrixView::RowSlices(&slices);
+    let binned = BinnedMatrix::build(rows, 8);
     let (codes, built_rows, stale) = binned.parts();
-    let rows = MatrixView::Rows(&x);
     let restore =
         |codes: &[u8], built: usize, x| BinnedMatrix::restore(codes.to_vec(), built, stale, x);
     assert_eq!(restore(codes, built_rows, rows).unwrap(), binned);
@@ -232,9 +246,17 @@ fn binned_matrix_restore_refuses_shapes_and_survives_any_codes() {
     // Not a whole number of two-wide rows; no rows; no width to divide by.
     assert!(refused(restore(&codes[..79], built_rows, rows)));
     assert!(refused(restore(&[], 0, rows)));
-    assert!(refused(restore(codes, built_rows, MatrixView::Rows(&[]))));
+    assert!(refused(restore(
+        codes,
+        built_rows,
+        MatrixView::RowSlices(&[])
+    )));
     // More rows quantized than rows present.
-    assert!(refused(restore(codes, 39, MatrixView::Rows(&x[..39]))));
+    assert!(refused(restore(
+        codes,
+        39,
+        MatrixView::RowSlices(&slices[..39])
+    )));
     // A build that saw no row, or more rows than the codes cover.
     assert!(refused(restore(codes, 0, rows)));
     assert!(refused(restore(codes, 41, rows)));
@@ -252,7 +274,7 @@ fn binned_matrix_restore_refuses_shapes_and_survives_any_codes() {
         let _ = restored.drift();
         let mut grown = x.clone();
         grown.push(vec![3.5, -1.0]);
-        let _ = restored.append_from(MatrixView::Rows(&grown));
+        let _ = restored.append_from(MatrixView::RowSlices(&row_slices(&grown)));
         let y = vec![1.0; restored.rows()];
         let cfg = GbtConfig {
             n_rounds: 2,

@@ -17,9 +17,6 @@
 //!   thread **helps execute** pool tasks, so a pool with `threads == 1`
 //!   degenerates to plain sequential execution with no deadlock and no
 //!   idle spinning;
-//! * [`ThreadPool::par_for_chunks`] is the embarrassingly-parallel loop
-//!   primitive built on `scope`: it splits an index range into contiguous
-//!   chunks and runs them concurrently;
 //! * [`Channel`] is a bounded MPSC ingress queue with **blocking**,
 //!   **non-blocking**, and **evicting** sends (the three overload
 //!   policies a service boundary needs), and [`Notifier`] is the
@@ -28,7 +25,7 @@
 //!   concurrent ingestion service.
 //!
 //! Determinism note for ML callers: parallelism here is across *disjoint
-//! outputs* (each chunk or spawned closure writes its own region), so the
+//! outputs* (each spawned closure writes its own region), so the
 //! results of a parallel loop are bit-for-bit those of the sequential
 //! loop — scheduling order affects only wall-clock time. The histogram
 //! training paths in `nurd-ml` and the shard dispatcher in `nurd-serve`
@@ -47,15 +44,6 @@
 //!     }
 //! });
 //! assert_eq!(partial.iter().sum::<u64>(), 100);
-//!
-//! // Chunked parallel-for over a shared slice.
-//! let data: Vec<f64> = (0..1000).map(f64::from).collect();
-//! let sums = std::sync::Mutex::new(0.0);
-//! pool.par_for_chunks(data.len(), 4, |range| {
-//!     let s: f64 = data[range].iter().sum();
-//!     *sums.lock().unwrap() += s;
-//! });
-//! assert_eq!(*sums.lock().unwrap(), 499.5 * 1000.0);
 //! ```
 
 #![deny(unsafe_code)]

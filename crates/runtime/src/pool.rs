@@ -3,7 +3,6 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
@@ -54,11 +53,11 @@ impl Shared {
 /// A fixed-size fork-join thread pool.
 ///
 /// `threads` counts **total** concurrency including the thread that calls
-/// [`ThreadPool::scope`] / [`ThreadPool::par_for_chunks`]: the pool spawns
-/// `threads - 1` background workers and the calling thread helps execute
-/// tasks while it waits for a scope to finish. `ThreadPool::new(1)` spawns
-/// no threads at all and runs every task inline — callers can therefore
-/// thread a pool through unconditionally and let size 1 mean "sequential".
+/// [`ThreadPool::scope`]: the pool spawns `threads - 1` background workers
+/// and the calling thread helps execute tasks while it waits for a scope
+/// to finish. `ThreadPool::new(1)` spawns no threads at all and runs every
+/// task inline — callers can therefore thread a pool through
+/// unconditionally and let size 1 mean "sequential".
 ///
 /// Dropping the pool joins all workers. Scopes never leave tasks behind,
 /// so shutdown cannot strand queued work.
@@ -148,48 +147,6 @@ impl ThreadPool {
             (Ok(_), Some(payload)) => resume_unwind(payload),
             (Ok(value), None) => value,
         }
-    }
-
-    /// Splits `0..len` into at most `max_chunks` contiguous, near-equal
-    /// ranges and runs `f` on each concurrently (the calling thread
-    /// participates). Chunk boundaries depend only on `(len, max_chunks)`,
-    /// never on scheduling **or pool size** — a single-thread pool runs
-    /// the identical chunk sequence inline — so a loop whose chunks write
-    /// disjoint outputs (or whose per-chunk results are combined in chunk
-    /// order) is deterministic across pool sizes. With `max_chunks <= 1`
-    /// or an empty range, `f` runs once over `0..len` on the caller.
-    pub fn par_for_chunks<F>(&self, len: usize, max_chunks: usize, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        if len == 0 {
-            return;
-        }
-        let chunks = max_chunks.min(len);
-        if chunks <= 1 {
-            f(0..len);
-            return;
-        }
-        let base = len / chunks;
-        let extra = len % chunks;
-        let bounds = (0..chunks).scan(0usize, |start, i| {
-            let end = *start + base + usize::from(i < extra);
-            let range = *start..end;
-            *start = end;
-            Some(range)
-        });
-        if self.threads == 1 {
-            for range in bounds {
-                f(range);
-            }
-            return;
-        }
-        self.scope(|s| {
-            let f = &f;
-            for range in bounds {
-                s.spawn(move || f(range));
-            }
-        });
     }
 }
 
@@ -384,44 +341,6 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn par_for_chunks_covers_range_exactly_once() {
-        let pool = ThreadPool::new(4);
-        for (len, chunks) in [(0usize, 3usize), (1, 4), (7, 3), (100, 4), (10, 100)] {
-            let seen: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            pool.par_for_chunks(len, chunks, |range| {
-                for i in range {
-                    seen[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                seen.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                "len {len} chunks {chunks}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_for_chunks_matches_sequential_sum() {
-        let pool = ThreadPool::new(4);
-        let data: Vec<f64> = (0..10_000).map(|i| f64::from(i) * 0.25).collect();
-        let partials = Mutex::new(Vec::new());
-        pool.par_for_chunks(data.len(), 8, |range| {
-            let sum: f64 = data[range.clone()].iter().sum();
-            partials.lock().unwrap().push((range.start, sum));
-        });
-        let mut partials = partials.into_inner().unwrap();
-        partials.sort_by_key(|(start, _)| *start);
-        // Chunk boundaries are deterministic, so summing per-chunk in
-        // chunk order reproduces the sequential chunked sum exactly.
-        let par: f64 = partials.iter().map(|(_, s)| s).sum();
-        let seq: f64 = data
-            .chunks(data.len() / 8)
-            .map(|c| c.iter().sum::<f64>())
-            .sum();
-        assert!((par - seq).abs() < 1e-9);
     }
 
     #[test]

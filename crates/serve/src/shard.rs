@@ -276,7 +276,8 @@ impl JobState {
 
     /// Applies one event; returns `false` for a structurally invalid
     /// event (unknown task id, wrong feature width, duplicate completion,
-    /// out-of-order barrier), which is **rejected** — counted by the
+    /// out-of-order barrier, a lifecycle event the shard drain handles
+    /// before this), which is **rejected** — counted by the
     /// shard, applied to nothing. Rejection is what keeps one malformed
     /// event of one job from panicking a drain that holds every job's
     /// state: a ragged snapshot would otherwise surface as a ragged
@@ -290,9 +291,7 @@ impl JobState {
         stats: &ShardStats,
     ) -> bool {
         match event {
-            TaskEvent::JobStart { .. } | TaskEvent::JobEnd { .. } => {
-                unreachable!("lifecycle events are handled by the shard drain")
-            }
+            TaskEvent::JobStart { .. } | TaskEvent::JobEnd { .. } => return false,
             TaskEvent::Submitted { task, .. } => {
                 let Some(state) = self.tasks.get_mut(task) else {
                     return false;
@@ -608,10 +607,10 @@ impl JobState {
     }
 
     /// Rebuilds a job from its snapshot record: blob mode restores the
-    /// predictor bit-for-bit via `restore_state` (rejection is the typed
-    /// [`RecoverError::PredictorRestore`], never a half-restored job);
-    /// history mode replays the retained events through a fresh factory
-    /// predictor — deterministic, so it lands in the identical state.
+    /// predictor bit-for-bit via `restore_state`; history mode replays the
+    /// retained events through a fresh factory predictor — deterministic,
+    /// so it lands in the identical state. A refused blob or history event
+    /// is the typed [`RecoverError::PredictorRestore`], never a half-restored job.
     pub(crate) fn decode(
         dec: &mut Decoder<'_>,
         factory: &PredictorFactory,
@@ -661,9 +660,11 @@ impl JobState {
                 // already contains these barriers' observations.
                 let replay_stats = ShardStats::default();
                 for event in &history {
-                    let applied =
-                        state.apply(event.clone(), warmup_fraction, 0, None, &replay_stats);
-                    debug_assert!(applied, "history events were accepted when retained");
+                    // Only accepted events were retained: one the job
+                    // refuses means the record does not describe it.
+                    if !state.apply(event.clone(), warmup_fraction, 0, None, &replay_stats) {
+                        return Err(RecoverError::PredictorRestore(state.job()));
+                    }
                 }
                 state.history = Some(history);
                 state
@@ -1161,6 +1162,42 @@ mod tests {
             );
         }
         phases
+    }
+
+    /// A CRC-valid history-mode record whose one retained event is
+    /// `event`, for the 4-task job of [`spec`].
+    fn history_record(event: TaskEvent) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_u8(1);
+        spec(4).encode(&mut enc);
+        vec![event].encode(&mut enc);
+        Vec::<ActionRecord>::new().encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn a_history_record_the_job_refuses_is_a_restore_error_not_a_panic() {
+        let factory = factory(true);
+        let job = spec(4).job;
+        for event in [
+            TaskEvent::JobEnd { job, time: 60.0 },
+            TaskEvent::Submitted { job, task: 99 },
+        ] {
+            let record = history_record(event.clone());
+            let decoded = catch_unwind(AssertUnwindSafe(|| {
+                JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP)
+            }));
+            match decoded {
+                Ok(Err(RecoverError::PredictorRestore(id))) => assert_eq!(id, job),
+                Ok(Err(e)) => panic!("{event:?}: wrong error {e:?}"),
+                Ok(Ok(_)) => panic!("{event:?}: decoded a diverged job"),
+                Err(_) => panic!("{event:?}: decode panicked"),
+            }
+        }
+        // The same record around an event the job accepts decodes.
+        let record = history_record(TaskEvent::Submitted { job, task: 3 });
+        let state = JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP);
+        assert!(state.is_ok_and(|s| s.history.is_some_and(|h| h.len() == 1)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Online replay of a job trace under the paper's evaluation protocol.
 
-use nurd_data::{Checkpoint, FinishedTask, JobContext, JobTrace, OnlinePredictor, RunningTask};
+use nurd_data::{Checkpoint, FinishedTask, JobTrace, OnlinePredictor, RunningTask, StreamContext};
 
 use crate::Confusion;
 
@@ -125,13 +125,11 @@ pub fn replay_job(
     let warmup = job.warmup_checkpoint(config.warmup_fraction);
     let n = job.task_count();
 
-    let ctx = JobContext {
+    predictor.begin_stream(&StreamContext {
         threshold,
         task_count: n,
         feature_dim: job.feature_dim(),
-        oracle: job,
-    };
-    predictor.begin_job(&ctx);
+    });
 
     let mut flagged_at: Vec<Option<usize>> = vec![None; n];
     let truth: Vec<bool> = job
@@ -251,18 +249,18 @@ mod tests {
     use super::*;
     use nurd_trace::{SuiteConfig, TraceStyle};
 
-    /// Oracle predictor that reads true latencies from the context — used
-    /// only to validate the protocol accounting.
+    /// Oracle predictor handed the job's true latencies when it is built —
+    /// used only to validate the protocol accounting.
     struct Oracle {
         threshold: f64,
         latencies: Vec<f64>,
     }
 
     impl Oracle {
-        fn new() -> Self {
+        fn new(job: &JobTrace) -> Self {
             Oracle {
                 threshold: 0.0,
-                latencies: Vec::new(),
+                latencies: job.latencies(),
             }
         }
     }
@@ -271,9 +269,8 @@ mod tests {
         fn name(&self) -> &str {
             "ORACLE"
         }
-        fn begin_job(&mut self, ctx: &JobContext<'_>) {
+        fn begin_stream(&mut self, ctx: &StreamContext) {
             self.threshold = ctx.threshold;
-            self.latencies = ctx.oracle.latencies();
         }
         fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
             checkpoint
@@ -317,7 +314,7 @@ mod tests {
     #[test]
     fn oracle_catches_every_straggler_it_can_see() {
         let job = job();
-        let out = replay_job(&job, &mut Oracle::new(), &ReplayConfig::default());
+        let out = replay_job(&job, &mut Oracle::new(&job), &ReplayConfig::default());
         // Stragglers run long, so all of them are still running at warmup
         // and the oracle flags them all; no false positives by construction.
         assert_eq!(out.confusion.false_positives, 0);
@@ -376,7 +373,7 @@ mod tests {
     #[test]
     fn timeline_is_monotone_for_oracle() {
         let job = job();
-        let out = replay_job(&job, &mut Oracle::new(), &ReplayConfig::default());
+        let out = replay_job(&job, &mut Oracle::new(&job), &ReplayConfig::default());
         for w in out.f1_timeline.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "oracle F1 should only improve");
         }
@@ -385,7 +382,7 @@ mod tests {
     #[test]
     fn decile_sampling_has_ten_points() {
         let job = job();
-        let out = replay_job(&job, &mut Oracle::new(), &ReplayConfig::default());
+        let out = replay_job(&job, &mut Oracle::new(&job), &ReplayConfig::default());
         let deciles = out.f1_at_normalized_times(10);
         assert_eq!(deciles.len(), 10);
         assert_eq!(*deciles.last().unwrap(), *out.f1_timeline.last().unwrap());
@@ -394,10 +391,10 @@ mod tests {
     #[test]
     fn higher_warmup_fraction_delays_prediction() {
         let job = job();
-        let early = replay_job(&job, &mut Oracle::new(), &ReplayConfig::default());
+        let early = replay_job(&job, &mut Oracle::new(&job), &ReplayConfig::default());
         let late = replay_job(
             &job,
-            &mut Oracle::new(),
+            &mut Oracle::new(&job),
             &ReplayConfig {
                 warmup_fraction: 0.5,
                 ..ReplayConfig::default()

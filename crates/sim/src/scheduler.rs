@@ -234,7 +234,7 @@ impl Ord for OrderedF64 {
 mod tests {
     use super::*;
     use crate::{replay_job, ReplayConfig};
-    use nurd_data::{Checkpoint, JobContext, OnlinePredictor};
+    use nurd_data::{Checkpoint, OnlinePredictor, StreamContext};
     use nurd_trace::{SuiteConfig, TraceStyle};
     use proptest::prelude::*;
 
@@ -251,13 +251,20 @@ mod tests {
         threshold: f64,
         latencies: Vec<f64>,
     }
+    impl Oracle {
+        fn new(job: &JobTrace) -> Self {
+            Oracle {
+                threshold: 0.0,
+                latencies: job.latencies(),
+            }
+        }
+    }
     impl OnlinePredictor for Oracle {
         fn name(&self) -> &str {
             "ORACLE"
         }
-        fn begin_job(&mut self, ctx: &JobContext<'_>) {
+        fn begin_stream(&mut self, ctx: &StreamContext) {
             self.threshold = ctx.threshold;
-            self.latencies = ctx.oracle.latencies();
         }
         fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
             checkpoint
@@ -292,14 +299,7 @@ mod tests {
     #[test]
     fn oracle_mitigation_reduces_jct_with_unlimited_machines() {
         let job = job();
-        let out = replay_job(
-            &job,
-            &mut Oracle {
-                threshold: 0.0,
-                latencies: vec![],
-            },
-            &ReplayConfig::default(),
-        );
+        let out = replay_job(&job, &mut Oracle::new(&job), &ReplayConfig::default());
         let jct = simulate_jct(&job, &out, &SchedulerConfig::default());
         assert!(
             jct.mitigated < jct.baseline,
@@ -344,14 +344,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let job = job();
-        let out = replay_job(
-            &job,
-            &mut Oracle {
-                threshold: 0.0,
-                latencies: vec![],
-            },
-            &ReplayConfig::default(),
-        );
+        let out = replay_job(&job, &mut Oracle::new(&job), &ReplayConfig::default());
         let a = simulate_jct(&job, &out, &SchedulerConfig::default());
         let b = simulate_jct(&job, &out, &SchedulerConfig::default());
         assert_eq!(a, b);
@@ -396,7 +389,7 @@ mod tests {
         #[test]
         fn prop_reduction_bounded(m in 10usize..200) {
             let job = job();
-            let out = replay_job(&job, &mut Oracle { threshold: 0.0, latencies: vec![] },
+            let out = replay_job(&job, &mut Oracle::new(&job),
                 &ReplayConfig::default());
             let jct = simulate_jct(&job, &out, &SchedulerConfig {
                 machines: Some(m), ..SchedulerConfig::default()

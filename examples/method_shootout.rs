@@ -31,7 +31,7 @@ fn main() {
         let confusions: Vec<_> = jobs
             .iter()
             .map(|job| {
-                let mut predictor = spec.build();
+                let mut predictor = spec.build(job);
                 replay_job(job, predictor.as_mut(), &ReplayConfig::default()).confusion
             })
             .collect();

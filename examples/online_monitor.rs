@@ -7,7 +7,7 @@
 //! ```
 
 use nurd::core::{NurdConfig, NurdPredictor};
-use nurd::data::{Checkpoint, FinishedTask, JobContext, OnlinePredictor, RunningTask};
+use nurd::data::{Checkpoint, FinishedTask, OnlinePredictor, RunningTask, StreamContext};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
 fn main() {
@@ -21,11 +21,10 @@ fn main() {
     let warmup = job.warmup_checkpoint(0.04);
 
     let mut nurd = NurdPredictor::new(NurdConfig::default());
-    nurd.begin_job(&JobContext {
+    nurd.begin_stream(&StreamContext {
         threshold,
         task_count: job.task_count(),
         feature_dim: job.feature_dim(),
-        oracle: &job,
     });
 
     // Watch the slowest task (a straggler) and the median task.

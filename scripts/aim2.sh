@@ -102,8 +102,22 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # (`OverloadCounters::merged`), `service.rs` -1, `shard.rs` +26 (the
 # eighteen named atomics became the `Counter` enum, its `PERSISTED`
 # order and a two-method table).
-MAX_WORKSPACE_LINES=20303
-MAX_PRODUCT_LINES=8531
+#
+# One start hook lowered both line limits by its net, -110 (20,303 ->
+# 20,193; ml + core + serve -3, 8,531 -> 8,528): `data` -44 (`JobContext`,
+# `JobContext::stream` and `OnlinePredictor::begin_job` gone; the one
+# `StreamContext` carries the threshold docs), `runtime` -55
+# (`ThreadPool::par_for_chunks` and its docs), `linalg` -20
+# (`MatrixView::Rows`, its match arms and two `From` impls), `ml` -4
+# (`predict_view_into_pooled`'s and `score_chunk`'s `Rows` arms; the two
+# `&[Vec<f64>]` fits borrow their rows as slices, +1 each), `sim` -2
+# (`replay_job` calls `begin_stream`), `serve` +1 (a history record that
+# holds an event the job refuses is a restore error, not a panic; a
+# lifecycle event is refused by `apply`), `baselines` +12 (Wrangler draws
+# its sample in `new(&job)` and fits in `begin_stream`, +5; the factory
+# takes the job, +3; the crate example builds a job, +4), `bench` +2.
+MAX_WORKSPACE_LINES=20193
+MAX_PRODUCT_LINES=8528
 MAX_UNSAFE_SITES=4
 MAX_CONFIG_FIELDS=35
 

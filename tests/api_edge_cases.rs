@@ -15,6 +15,12 @@ use nurd::outlier::{contamination_threshold, IsolationForest, OutlierDetector};
 use nurd::survival::{CoxConfig, CoxPh, Grabit, GrabitConfig, Tobit, TobitConfig};
 use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
 
+/// Borrows row-major rows one slice each, as a `MatrixView::RowSlices`
+/// view wraps them.
+fn row_slices(x: &[Vec<f64>]) -> Vec<&[f64]> {
+    x.iter().map(Vec::as_slice).collect()
+}
+
 #[test]
 fn degenerate_training_sets_error_not_panic() {
     // Empty everything.
@@ -132,7 +138,7 @@ fn replay_handles_trivial_jobs() {
     ];
     let job = JobTrace::new(9, vec!["a".into(), "b".into()], vec![10.0], tasks).unwrap();
     for spec in nurd::baselines::registry() {
-        let mut p = spec.build();
+        let mut p = spec.build(&job);
         let out = nurd::sim::replay_job(&job, p.as_mut(), &nurd::sim::ReplayConfig::default());
         assert_eq!(out.confusion.total(), 2, "{}", spec.name);
     }
@@ -200,8 +206,10 @@ fn hostile_ensemble_bytes_are_rejected_at_decode() {
     // `flatten` has no caller left but the standalone benchmark: a copy of
     // the forest the model already is.
     assert_eq!(
-        model.flatten().predict_view(MatrixView::Rows(&rows)),
-        model.predict_view(MatrixView::Rows(&rows))
+        model
+            .flatten()
+            .predict_view(MatrixView::RowSlices(&row_slices(&rows))),
+        model.predict_view(MatrixView::RowSlices(&row_slices(&rows)))
     );
     for (what, blob) in hostile_ensembles() {
         match GradientBoosting::<SquaredLoss>::decode(&mut Decoder::new(&blob)) {
@@ -214,7 +222,9 @@ fn hostile_ensemble_bytes_are_rejected_at_decode() {
             // (`flatten` so that this file also compiles against the
             // commit it was written to convict.)
             Ok(model) => {
-                let scores = model.flatten().predict_view(MatrixView::Rows(&rows));
+                let scores = model
+                    .flatten()
+                    .predict_view(MatrixView::RowSlices(&row_slices(&rows)));
                 panic!("{what}: decoded, then scored {scores:?}");
             }
         }
@@ -475,7 +485,7 @@ fn ragged_propensity_bytes_are_rejected_at_decode() {
                 "{what}: {err:?}"
             ),
             Ok(model) => {
-                let scores = model.predict_proba_view(MatrixView::Rows(&rows));
+                let scores = model.predict_proba_view(MatrixView::RowSlices(&row_slices(&rows)));
                 panic!("{what}: decoded, then scored four different rows as {scores:?}");
             }
         }

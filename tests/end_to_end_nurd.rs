@@ -2,7 +2,7 @@
 //! traces, compared with an uncorrected supervised baseline.
 
 use nurd::core::{NurdConfig, NurdPredictor};
-use nurd::data::{Checkpoint, JobContext, OnlinePredictor};
+use nurd::data::{Checkpoint, OnlinePredictor, StreamContext};
 use nurd::ml::{GbtConfig, GradientBoosting, SquaredLoss};
 use nurd::sim::{replay_job, MethodSummary, ReplayConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
@@ -17,7 +17,7 @@ impl OnlinePredictor for PlainGbtr {
     fn name(&self) -> &str {
         "GBTR"
     }
-    fn begin_job(&mut self, ctx: &JobContext<'_>) {
+    fn begin_stream(&mut self, ctx: &StreamContext) {
         self.threshold = ctx.threshold;
     }
     fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {

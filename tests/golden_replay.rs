@@ -77,7 +77,7 @@ use nurd::core::{
     AdjustedPrediction, DonorModel, NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig,
 };
 use nurd::data::{
-    ActionRecord, Checkpoint, FinishedTask, JobContext, JobTrace, OnlinePredictor, RunningTask,
+    ActionRecord, Checkpoint, FinishedTask, JobTrace, OnlinePredictor, RunningTask, StreamContext,
 };
 use nurd::mitigate::{
     oracle_mitigator, run_fleet, run_node_fleet, threshold_mitigator, FleetConfig, FleetRun,
@@ -140,11 +140,14 @@ fn hash_outcome(hash: &mut u64, outcome: &ReplayOutcome) {
 
 /// Hash of every replay outcome of `jobs` under a predictor built per job
 /// by `make`, and how many tasks were flagged.
-fn outcome_hash(jobs: &[JobTrace], make: impl Fn() -> Box<dyn OnlinePredictor>) -> (u64, usize) {
+fn outcome_hash(
+    jobs: &[JobTrace],
+    make: impl Fn(&JobTrace) -> Box<dyn OnlinePredictor>,
+) -> (u64, usize) {
     let mut hash = 0xCBF2_9CE4_8422_2325;
     let mut flagged = 0;
     for job in jobs {
-        let outcome = replay_job(job, make().as_mut(), &REPLAY);
+        let outcome = replay_job(job, make(job).as_mut(), &REPLAY);
         flagged += outcome.flagged_ids().len();
         hash_outcome(&mut hash, &outcome);
     }
@@ -152,7 +155,7 @@ fn outcome_hash(jobs: &[JobTrace], make: impl Fn() -> Box<dyn OnlinePredictor>) 
 }
 
 fn fleet_hash(jobs: &[JobTrace], policy: &RefitPolicy) -> (u64, usize) {
-    outcome_hash(jobs, || {
+    outcome_hash(jobs, |_| {
         Box::new(NurdPredictor::new(
             NurdConfig::default().with_refit_policy(policy.clone()),
         ))
@@ -215,11 +218,10 @@ fn score_bits_hash(jobs: &[JobTrace]) -> (u64, usize) {
     for job in jobs {
         let policy = RefitPolicy::Warm(WarmRefitConfig::default());
         let mut predictor = NurdPredictor::new(NurdConfig::default().with_refit_policy(policy));
-        predictor.begin_job(&JobContext {
+        predictor.begin_stream(&StreamContext {
             threshold: job.straggler_threshold(REPLAY.quantile),
             task_count: job.task_count(),
             feature_dim: job.feature_dim(),
-            oracle: job,
         });
         for k in job.warmup_checkpoint(REPLAY.warmup_fraction)..job.checkpoint_count() {
             let scores = predictor.score_running(&full_checkpoint(job, k));
@@ -247,11 +249,10 @@ fn gbtr_flag_hash(jobs: &[JobTrace]) -> (u64, usize) {
     for job in jobs {
         for quantile in [0.25, 0.5, 0.75] {
             let mut predictor = GbtrPredictor::default();
-            predictor.begin_job(&JobContext {
+            predictor.begin_stream(&StreamContext {
                 threshold: job.straggler_threshold(quantile),
                 task_count: job.task_count(),
                 feature_dim: job.feature_dim(),
-                oracle: job,
             });
             for k in job.warmup_checkpoint(REPLAY.warmup_fraction)..job.checkpoint_count() {
                 let ids = predictor.predict(&full_checkpoint(job, k));
@@ -273,7 +274,7 @@ fn gbtr_and_transfer_always_cold_match_the_pre_fold_constants() {
     // The donor is a Google-style job, so only Google-style targets share
     // its feature width.
     let donor = DonorModel::from_job(&jobs[0], &NurdConfig::default()).unwrap();
-    let (transfer, transfer_flagged) = outcome_hash(&jobs[1..6], || {
+    let (transfer, transfer_flagged) = outcome_hash(&jobs[1..6], |_| {
         Box::new(NurdPredictor::with_prior(
             NurdConfig::default(),
             donor.clone(),
@@ -329,11 +330,10 @@ fn snapshot_bytes_hash(jobs: &[JobTrace], policy: &RefitPolicy) -> (u64, usize, 
         let begin = || {
             let config = NurdConfig::default().with_refit_policy(policy.clone());
             let mut predictor = NurdPredictor::new(config);
-            predictor.begin_job(&JobContext {
+            predictor.begin_stream(&StreamContext {
                 threshold: job.straggler_threshold(REPLAY.quantile),
                 task_count: job.task_count(),
                 feature_dim: job.feature_dim(),
-                oracle: job,
             });
             predictor
         };
@@ -414,7 +414,7 @@ fn every_registry_row_matches_the_pre_adapter_fold_constant() {
     let mut hash = 0xCBF2_9CE4_8422_2325;
     let mut flagging_rows = 0;
     for spec in nurd::baselines::registry() {
-        let (row, flagged) = outcome_hash(&jobs, || spec.build());
+        let (row, flagged) = outcome_hash(&jobs, |job| spec.build(job));
         fold(&mut hash, row);
         flagging_rows += usize::from(flagged > 0);
     }

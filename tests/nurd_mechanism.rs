@@ -2,7 +2,7 @@
 //! of Algorithm 1, checked end to end rather than on fixtures.
 
 use nurd::core::{calibration_delta, centroid_ratio, NurdConfig, NurdPredictor};
-use nurd::data::{Checkpoint, FinishedTask, JobContext, OnlinePredictor, RunningTask};
+use nurd::data::{Checkpoint, FinishedTask, OnlinePredictor, RunningTask, StreamContext};
 use nurd::sim::{replay_job, ReplayConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
@@ -58,11 +58,10 @@ fn weights_stay_in_epsilon_one_on_real_checkpoints() {
         .with_seed(0x111);
     for job in nurd::trace::generate_suite(&cfg) {
         let mut nurd = NurdPredictor::new(NurdConfig::default());
-        nurd.begin_job(&JobContext {
+        nurd.begin_stream(&StreamContext {
             threshold: job.straggler_threshold(0.9),
             task_count: job.task_count(),
             feature_dim: job.feature_dim(),
-            oracle: &job,
         });
         for k in job.warmup_checkpoint(0.04)..job.checkpoint_count() {
             let t = job.checkpoint_times()[k];

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: invariants of the evaluation protocol
 //! that every method and every trace must satisfy.
 
-use nurd::data::{Checkpoint, JobContext, OnlinePredictor};
+use nurd::data::{Checkpoint, OnlinePredictor, StreamContext};
 use nurd::sim::{replay_job, simulate_jct, ReplayConfig, SchedulerConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
@@ -25,12 +25,29 @@ impl OnlinePredictor for FlagAll {
     }
 }
 
+/// One job each of 1, 2, 3 and 4 tasks: a method's sample, fit or
+/// quorum sized from the task count must degrade to predicting nothing,
+/// not panic.
+fn tiny_jobs(seed: u64) -> Vec<nurd::data::JobTrace> {
+    (1..=4)
+        .map(|tasks| {
+            let cfg = SuiteConfig::new(TraceStyle::Google)
+                .with_jobs(1)
+                .with_task_range(tasks, tasks)
+                .with_checkpoints(6)
+                .with_seed(seed);
+            nurd::trace::generate_job(&cfg, 0)
+        })
+        .collect()
+}
+
 #[test]
 fn every_registry_method_satisfies_conservation() {
-    let jobs = small_suite(TraceStyle::Google, 2, 0xC0);
+    let mut jobs = small_suite(TraceStyle::Google, 2, 0xC0);
+    jobs.extend(tiny_jobs(0xC0));
     for spec in nurd::baselines::registry() {
         for job in &jobs {
-            let mut p = spec.build();
+            let mut p = spec.build(job);
             let out = replay_job(job, p.as_mut(), &ReplayConfig::default());
             assert_eq!(
                 out.confusion.total(),
@@ -51,8 +68,8 @@ fn every_registry_method_satisfies_conservation() {
 fn every_registry_method_is_deterministic() {
     let jobs = small_suite(TraceStyle::Alibaba, 1, 0xC1);
     for spec in nurd::baselines::registry() {
-        let mut a = spec.build();
-        let mut b = spec.build();
+        let mut a = spec.build(&jobs[0]);
+        let mut b = spec.build(&jobs[0]);
         let out_a = replay_job(&jobs[0], a.as_mut(), &ReplayConfig::default());
         let out_b = replay_job(&jobs[0], b.as_mut(), &ReplayConfig::default());
         assert_eq!(
@@ -147,7 +164,7 @@ fn oracle_wrangler_outperforms_oracle_free_gbtr() {
         let spec = registry.iter().find(|m| m.name == name).unwrap();
         jobs.iter()
             .map(|job| {
-                let mut p = spec.build();
+                let mut p = spec.build(job);
                 replay_job(job, p.as_mut(), &ReplayConfig::default())
                     .confusion
                     .f1()
@@ -192,7 +209,7 @@ fn job_context_threshold_matches_replay_threshold() {
         fn name(&self) -> &str {
             "CAP"
         }
-        fn begin_job(&mut self, ctx: &JobContext<'_>) {
+        fn begin_stream(&mut self, ctx: &StreamContext) {
             self.seen = ctx.threshold;
         }
         fn predict(&mut self, _c: &Checkpoint<'_>) -> Vec<usize> {

@@ -21,8 +21,12 @@ fn tasks_reenter_their_own_pool_at_every_depth() {
                     pool.scope(|inner| {
                         for _ in 0..8 {
                             inner.spawn(|| {
-                                pool.par_for_chunks(6, 3, |range| {
-                                    total.fetch_add(range.len(), Ordering::Relaxed);
+                                pool.scope(|innermost| {
+                                    for _ in 0..3 {
+                                        innermost.spawn(|| {
+                                            total.fetch_add(2, Ordering::Relaxed);
+                                        });
+                                    }
                                 });
                             });
                         }

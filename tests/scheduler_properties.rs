@@ -2,7 +2,7 @@
 //! capacity, monotonicity and accounting properties under real predictions.
 
 use nurd::core::{NurdConfig, NurdPredictor};
-use nurd::data::{Checkpoint, JobContext, OnlinePredictor};
+use nurd::data::{Checkpoint, OnlinePredictor, StreamContext};
 use nurd::sim::{replay_job, simulate_jct, ReplayConfig, ReplayOutcome, SchedulerConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
@@ -19,7 +19,8 @@ fn job_and_outcome(seed: u64) -> (nurd::data::JobTrace, ReplayOutcome) {
 }
 
 /// An oracle that flags every true straggler at the first prediction
-/// checkpoint — the best possible mitigation input.
+/// checkpoint — the best possible mitigation input. It is handed the job's
+/// latencies when it is built.
 struct Oracle {
     threshold: f64,
     latencies: Vec<f64>,
@@ -28,9 +29,8 @@ impl OnlinePredictor for Oracle {
     fn name(&self) -> &str {
         "ORACLE"
     }
-    fn begin_job(&mut self, ctx: &JobContext<'_>) {
+    fn begin_stream(&mut self, ctx: &StreamContext) {
         self.threshold = ctx.threshold;
-        self.latencies = ctx.oracle.latencies();
     }
     fn predict(&mut self, c: &Checkpoint<'_>) -> Vec<usize> {
         c.running
@@ -90,7 +90,7 @@ fn oracle_flags_give_positive_reduction_on_long_tailed_jobs() {
     for job in nurd::trace::generate_suite(&cfg) {
         let mut oracle = Oracle {
             threshold: 0.0,
-            latencies: vec![],
+            latencies: job.latencies(),
         };
         let outcome = replay_job(&job, &mut oracle, &ReplayConfig::default());
         let jct = simulate_jct(&job, &outcome, &SchedulerConfig::default());

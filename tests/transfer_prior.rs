@@ -6,7 +6,7 @@
 //! another width than its donor exactly as plain NURD does.
 
 use nurd::core::{DonorModel, NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
-use nurd::data::{JobContext, JobTrace, OnlinePredictor, StreamContext};
+use nurd::data::{JobTrace, OnlinePredictor, StreamContext};
 use nurd::sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
@@ -44,11 +44,10 @@ fn transfer_predictor_runs_the_protocol() {
 fn transfer_warm_path_reuses_model_when_nothing_new_finished() {
     let job = &suite(TraceStyle::Google, 7, 1)[0];
     let mut p = NurdPredictor::with_prior(warm(), donor(job));
-    p.begin_job(&JobContext {
+    p.begin_stream(&StreamContext {
         threshold: job.straggler_threshold(0.9),
         task_count: job.task_count(),
         feature_dim: job.feature_dim(),
-        oracle: job,
     });
     let checkpoint = job.checkpoint_at(job.checkpoint_count() / 2);
     p.predict(&checkpoint);
