@@ -287,14 +287,14 @@ impl nurd_codec::Checkpointable for TaskEvent {
                 task: dec.take_usize()?,
                 ordinal: dec.take_usize()?,
                 time: dec.take_f64()?,
-                features: nurd_codec::Checkpointable::decode(dec)?,
+                features: take_vec(dec, 8, nurd_codec::Decoder::take_f64)?,
             },
             4 => TaskEvent::Finished {
                 job: dec.take_u64()?,
                 task: dec.take_usize()?,
                 ordinal: dec.take_usize()?,
                 time: dec.take_f64()?,
-                features: nurd_codec::Checkpointable::decode(dec)?,
+                features: take_vec(dec, 8, nurd_codec::Decoder::take_f64)?,
                 latency: dec.take_f64()?,
             },
             5 => TaskEvent::Barrier {
@@ -302,16 +302,10 @@ impl nurd_codec::Checkpointable for TaskEvent {
                 ordinal: dec.take_usize()?,
                 time: dec.take_f64()?,
             },
-            6 => {
-                let job = dec.take_u64()?;
-                // Four bytes a node: a count the payload cannot hold errs.
-                let len = dec.take_len(4)?;
-                let mut nodes = Vec::with_capacity(len);
-                for _ in 0..len {
-                    nodes.push(dec.take_u32()?);
-                }
-                TaskEvent::Placed { job, nodes }
-            }
+            6 => TaskEvent::Placed {
+                job: dec.take_u64()?,
+                nodes: take_vec(dec, 4, nurd_codec::Decoder::take_u32)?,
+            },
             tag => {
                 return Err(nurd_codec::CodecError::InvalidTag {
                     what: "TaskEvent",
@@ -320,6 +314,22 @@ impl nurd_codec::Checkpointable for TaskEvent {
             }
         })
     }
+}
+
+/// A length-prefixed vector of `width`-byte values. A count whose values
+/// the payload cannot hold errs before anything is reserved, so a hostile
+/// length reserves no more than the bytes present.
+fn take_vec<'a, T>(
+    dec: &mut nurd_codec::Decoder<'a>,
+    width: usize,
+    take: impl Fn(&mut nurd_codec::Decoder<'a>) -> Result<T, nurd_codec::CodecError>,
+) -> Result<Vec<T>, nurd_codec::CodecError> {
+    let len = dec.take_len(width)?;
+    let mut values = Vec::with_capacity(len);
+    for _ in 0..len {
+        values.push(take(dec)?);
+    }
+    Ok(values)
 }
 
 /// Lowers one job trace into its canonical event stream: all submissions,
@@ -341,50 +351,8 @@ impl nurd_codec::Checkpointable for TaskEvent {
 #[must_use]
 pub fn job_events(job: &JobTrace, threshold_quantile: f64) -> (JobSpec, Vec<TaskEvent>) {
     let spec = JobSpec::of_trace(job, threshold_quantile);
-    let mut events = Vec::new();
-    for task in job.tasks() {
-        events.push(TaskEvent::Submitted {
-            job: spec.job,
-            task: task.id(),
-        });
-    }
-    if let Some(nodes) = job.node_placement() {
-        events.push(TaskEvent::Placed {
-            job: spec.job,
-            nodes: nodes.to_vec(),
-        });
-    }
-    let mut finished = vec![false; job.task_count()];
-    for (k, &time) in job.checkpoint_times().iter().enumerate() {
-        for task in job.tasks() {
-            if task.latency() <= time {
-                if !finished[task.id()] {
-                    finished[task.id()] = true;
-                    events.push(TaskEvent::Finished {
-                        job: spec.job,
-                        task: task.id(),
-                        ordinal: k,
-                        time,
-                        features: task.snapshot(k).to_vec(),
-                        latency: task.latency(),
-                    });
-                }
-            } else {
-                events.push(TaskEvent::Progress {
-                    job: spec.job,
-                    task: task.id(),
-                    ordinal: k,
-                    time,
-                    features: task.snapshot(k).to_vec(),
-                });
-            }
-        }
-        events.push(TaskEvent::Barrier {
-            job: spec.job,
-            ordinal: k,
-            time,
-        });
-    }
+    let mut events = Vec::with_capacity(event_bound(job));
+    push_events(job, &mut events);
     (spec, events)
 }
 
@@ -397,16 +365,71 @@ pub fn job_events(job: &JobTrace, threshold_quantile: f64) -> (JobSpec, Vec<Task
 /// staggered arrivals.
 #[must_use]
 pub fn job_stream(job: &JobTrace, threshold_quantile: f64) -> Vec<TaskEvent> {
-    let (spec, events) = job_events(job, threshold_quantile);
-    let end_time = job.checkpoint_times().last().copied().unwrap_or(0.0);
-    let mut stream = Vec::with_capacity(events.len() + 2);
-    stream.push(TaskEvent::JobStart { spec });
-    stream.extend(events);
+    let mut stream = Vec::with_capacity(event_bound(job) + 2);
+    stream.push(TaskEvent::JobStart {
+        spec: JobSpec::of_trace(job, threshold_quantile),
+    });
+    push_events(job, &mut stream);
     stream.push(TaskEvent::JobEnd {
         job: job.job_id(),
-        time: end_time,
+        time: job.checkpoint_times().last().copied().unwrap_or(0.0),
     });
     stream
+}
+
+/// The most events [`job_events`] can emit for `job`: every submission,
+/// the placement, and per checkpoint one event a task plus its barrier.
+fn event_bound(job: &JobTrace) -> usize {
+    let tasks = job.task_count();
+    tasks + usize::from(job.node_placement().is_some()) + job.checkpoint_count() * (tasks + 1)
+}
+
+/// Appends [`job_events`]' stream of `job` to `events`.
+fn push_events(job: &JobTrace, events: &mut Vec<TaskEvent>) {
+    let id = job.job_id();
+    for task in job.tasks() {
+        events.push(TaskEvent::Submitted {
+            job: id,
+            task: task.id(),
+        });
+    }
+    if let Some(nodes) = job.node_placement() {
+        events.push(TaskEvent::Placed {
+            job: id,
+            nodes: nodes.to_vec(),
+        });
+    }
+    let mut finished = vec![false; job.task_count()];
+    for (k, &time) in job.checkpoint_times().iter().enumerate() {
+        for task in job.tasks() {
+            if task.latency() <= time {
+                if !finished[task.id()] {
+                    finished[task.id()] = true;
+                    events.push(TaskEvent::Finished {
+                        job: id,
+                        task: task.id(),
+                        ordinal: k,
+                        time,
+                        features: task.snapshot(k).to_vec(),
+                        latency: task.latency(),
+                    });
+                }
+            } else {
+                events.push(TaskEvent::Progress {
+                    job: id,
+                    task: task.id(),
+                    ordinal: k,
+                    time,
+                    features: task.snapshot(k).to_vec(),
+                });
+            }
+        }
+        events.push(TaskEvent::Barrier {
+            job: id,
+            ordinal: k,
+            time,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -549,6 +572,101 @@ mod tests {
             TaskEvent::decode(&mut Decoder::new(&bytes)),
             Err(CodecError::LengthOverrun { declared, remaining: 0 }) if declared == 1 << 40
         ));
+    }
+
+    #[test]
+    fn every_tag_refuses_truncation_and_counts_its_payload_cannot_hold() {
+        use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
+        let features = vec![0.5, -1.0, 2.0];
+        // Each tag's event, with the byte offset and value width of every
+        // length field in its encoding.
+        let table: [(TaskEvent, &[(usize, u64)]); 7] = [
+            (
+                TaskEvent::JobStart {
+                    spec: JobSpec::of_trace(&job(), 0.9),
+                },
+                &[],
+            ),
+            (TaskEvent::JobEnd { job: 3, time: 10.0 }, &[]),
+            (TaskEvent::Submitted { job: 3, task: 1 }, &[]),
+            (
+                TaskEvent::Progress {
+                    job: 3,
+                    task: 1,
+                    ordinal: 0,
+                    time: 2.0,
+                    features: features.clone(),
+                },
+                &[(33, 8)],
+            ),
+            (
+                TaskEvent::Finished {
+                    job: 3,
+                    task: 0,
+                    ordinal: 0,
+                    time: 2.0,
+                    features,
+                    latency: 1.0,
+                },
+                &[(33, 8)],
+            ),
+            (
+                TaskEvent::Barrier {
+                    job: 3,
+                    ordinal: 0,
+                    time: 2.0,
+                },
+                &[],
+            ),
+            (
+                TaskEvent::Placed {
+                    job: 3,
+                    nodes: vec![0, 1, 0],
+                },
+                &[(9, 4)],
+            ),
+        ];
+        for (tag, (event, lengths)) in table.iter().enumerate() {
+            let mut enc = Encoder::new();
+            event.encode(&mut enc);
+            let bytes = enc.into_bytes();
+            assert_eq!(usize::from(bytes[0]), tag);
+            assert_eq!(
+                TaskEvent::decode(&mut Decoder::new(&bytes)).as_ref(),
+                Ok(event)
+            );
+            for cut in 0..bytes.len() {
+                assert!(
+                    TaskEvent::decode(&mut Decoder::new(&bytes[..cut])).is_err(),
+                    "tag {tag} decoded from {cut} of its {} bytes",
+                    bytes.len()
+                );
+            }
+            for &(at, width) in *lengths {
+                // 2⁴⁰, and the smallest count the remaining bytes cannot
+                // hold: both err before a value is reserved.
+                let remaining = (bytes.len() - at - 8) as u64;
+                for declared in [1 << 40, remaining / width + 1] {
+                    let mut hostile = bytes.clone();
+                    hostile[at..at + 8].copy_from_slice(&declared.to_le_bytes());
+                    assert_eq!(
+                        TaskEvent::decode(&mut Decoder::new(&hostile)),
+                        Err(CodecError::LengthOverrun {
+                            declared,
+                            remaining: remaining as usize,
+                        }),
+                        "tag {tag}, length at byte {at}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            TaskEvent::decode(&mut Decoder::new(&[7])),
+            Err(CodecError::InvalidTag {
+                what: "TaskEvent",
+                tag: 7
+            })
+        );
     }
 
     #[test]

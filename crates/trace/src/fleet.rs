@@ -14,6 +14,10 @@
 //! ([`staggered_fleet_events`]), and a seeded random merge for
 //! adversarial shuffling in tests ([`interleave_events`]).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::vec::IntoIter;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,24 +84,53 @@ pub fn staggered_fleet_events(
 /// `(offset + event time, job id, per-job sequence)`, a full tie going to
 /// the earlier stream. The sequence keeps a job's order among its
 /// equal-time events (a checkpoint's Progress/Finished batch and its
-/// Barrier all carry the checkpoint time). Each stream's events move into
-/// one buffer as it arrives; only 32-byte keys are sorted, and each event
-/// then moves once more, from the buffer to its place in the merge.
+/// Barrier all carry the checkpoint time).
+///
+/// Each stream is one job's, and its times never decrease (checkpoint
+/// times are positive and strictly increasing, offsets are never
+/// negative), so it is already in that order. A heap of stream heads
+/// therefore moves a stream's whole run of equal-time events at once.
+/// Only a duplicated job id makes two heads tie on (time, job); the tied
+/// streams then take turns event by event, by (sequence, stream).
 fn merge_by_time(streams: impl Iterator<Item = (f64, Vec<TaskEvent>)>) -> Vec<TaskEvent> {
-    let mut events = Vec::new();
-    let mut keys = Vec::new();
-    for (offset, stream) in streams {
-        for (seq, ev) in stream.into_iter().enumerate() {
-            // Offsets and event times are never negative, so their bits
-            // order them; the buffer index orders a full tie by stream.
-            keys.push(((offset + ev.time()).to_bits(), ev.job(), seq, events.len()));
-            events.push(ev);
-        }
+    let mut streams: Vec<(f64, usize, IntoIter<TaskEvent>)> = streams
+        .map(|(offset, events)| (offset, events.len(), events.into_iter()))
+        .collect();
+    let mut merged = Vec::with_capacity(streams.iter().map(|(_, len, _)| len).sum());
+    let mut heap: BinaryHeap<_> = streams.iter().enumerate().filter_map(head).collect();
+    while let Some(Reverse((time, job, _, i))) = heap.pop() {
+        let (offset, _, events) = &mut streams[i];
+        let tied = heap
+            .peek()
+            .is_some_and(|Reverse((t, j, ..))| (*t, *j) == (time, job));
+        let run = if tied {
+            1
+        } else {
+            events
+                .as_slice()
+                .iter()
+                .take_while(|ev| (*offset + ev.time()).to_bits() == time)
+                .count()
+        };
+        merged.extend(events.by_ref().take(run));
+        heap.extend(head((i, &streams[i])));
     }
-    keys.sort_unstable();
-    keys.into_iter()
-        .map(|(.., i)| take(&mut events[i]))
-        .collect()
+    merged
+}
+
+/// The heap key of stream `i`'s next event, if any: (time bits, job id,
+/// sequence, stream). Offsets and event times are never negative, so
+/// their bits order them.
+fn head(
+    (i, (offset, len, events)): (usize, &(f64, usize, IntoIter<TaskEvent>)),
+) -> Option<Reverse<(u64, u64, usize, usize)>> {
+    let ev = events.as_slice().first()?;
+    Some(Reverse((
+        (offset + ev.time()).to_bits(),
+        ev.job(),
+        len - events.len(),
+        i,
+    )))
 }
 
 /// Moves an event out of a buffer, leaving a placeholder behind.
@@ -368,9 +401,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Suites and both lowerings equal their oracles for either style,
-        /// with and without the node model, at zero spread (every job's
-        /// `JobStart` and submissions tie at time 0) and at a positive one.
+        /// Suites and both lowerings of the whole fleet and of its first
+        /// job equal their oracles for either style, with and without the
+        /// node model, at zero spread (every job's `JobStart` and
+        /// submissions tie at time 0) and at a positive one.
         #[test]
         fn prop_suites_and_streams_equal_the_oracles(
             seed in 0u64..u64::MAX,
@@ -399,11 +433,14 @@ mod tests {
                 prop_assert_eq!(&job, &reference_job_detailed(&cfg, id));
                 jobs.push(job.0);
             }
-            prop_assert_eq!(fleet_events(&jobs, 0.9), reference_fleet_events(&jobs, 0.9));
-            prop_assert_eq!(
-                staggered_fleet_events(&jobs, 0.9, spread, seed),
-                reference_staggered_fleet_events(&jobs, 0.9, spread, seed)
-            );
+            prop_assert_eq!(&crate::generate_suite(&cfg), &jobs);
+            for fleet in [&jobs[..1], &jobs[..]] {
+                prop_assert_eq!(fleet_events(fleet, 0.9), reference_fleet_events(fleet, 0.9));
+                prop_assert_eq!(
+                    staggered_fleet_events(fleet, 0.9, spread, seed),
+                    reference_staggered_fleet_events(fleet, 0.9, spread, seed)
+                );
+            }
         }
     }
 

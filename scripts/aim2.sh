@@ -116,7 +116,18 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # lifecycle event is refused by `apply`), `baselines` +12 (Wrangler draws
 # its sample in `new(&job)` and fits in `begin_stream`, +5; the factory
 # takes the job, +3; the crate example builds a job, +4), `bench` +2.
-MAX_WORKSPACE_LINES=20193
+#
+# The block-by-block fleet lowering raised the workspace limit by exactly
+# its net, +56 (20,193 -> 20,249; ml + core + serve unchanged at 8,528),
+# for `giant_alibaba` `setup_s` 0.77x: `trace` +33 (a heap of stream heads
+# that moves each stream's run of equal-time events at once, its key
+# function and docs, in place of the 32-byte key sort and gather), `data`
+# +23 (`job_stream` fills one buffer reserved to its bound, through
+# `push_events` and `event_bound` shared with `job_events`, +13;
+# `take_vec`, through which feature vectors and node lists decode and
+# which refuses a count its payload cannot hold before reserving, +16,
+# less the `Placed` arm's own loop, -6).
+MAX_WORKSPACE_LINES=20249
 MAX_PRODUCT_LINES=8528
 MAX_UNSAFE_SITES=4
 MAX_CONFIG_FIELDS=35
