@@ -52,7 +52,6 @@ fn bench_engine_overhead(c: &mut Criterion) {
     let rows: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
     let gbt = GbtConfig {
         n_rounds: 50,
-        learning_rate: 0.15,
         tree: TreeConfig {
             max_depth: 3,
             min_child_weight: 2.0,

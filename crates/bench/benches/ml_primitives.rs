@@ -35,7 +35,6 @@ fn bench_tree_fit(c: &mut Criterion) {
             max_depth: 6,
             ..TreeConfig::default()
         },
-        ..GbtConfig::default()
     };
     for &n in &[100usize, 1000, 3000] {
         let (x, y) = training_set(n, 15);

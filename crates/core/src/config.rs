@@ -55,8 +55,9 @@ pub enum RefitPolicy {
     AlwaysCold,
     /// Warm-start every refit, falling back to a cold refit (with a full
     /// rebin) when quantile drift exceeds
-    /// [`WarmRefitConfig::drift_tolerance`] or the ensemble outgrows
-    /// [`WarmRefitConfig::max_trees`].
+    /// [`WarmRefitConfig::drift_tolerance`] or a warm refit would grow the
+    /// ensemble past 350 trees (which keeps prediction cost bounded over
+    /// arbitrarily long jobs).
     Warm(WarmRefitConfig),
 }
 
@@ -73,10 +74,6 @@ pub struct WarmRefitConfig {
     /// ([`nurd_ml::BinnedMatrix::append_from`]) before a full rebin +
     /// cold refit is forced.
     pub drift_tolerance: f64,
-    /// Ensemble-size cap: when a warm refit would push the tree count
-    /// past this, a cold refit resets the ensemble instead. Keeps
-    /// prediction cost bounded over arbitrarily long jobs.
-    pub max_trees: usize,
 }
 
 /// Defaults tuned on 200-task Google-style replays (see the
@@ -90,7 +87,6 @@ impl Default for WarmRefitConfig {
         WarmRefitConfig {
             warm_rounds: 24,
             drift_tolerance: 0.12,
-            max_trees: 350,
         }
     }
 }
@@ -109,7 +105,6 @@ impl Default for NurdConfig {
             calibrate: true,
             gbt: GbtConfig {
                 n_rounds: 50,
-                learning_rate: 0.15,
                 tree: TreeConfig {
                     max_depth: 3,
                     min_child_weight: 2.0,
@@ -168,8 +163,7 @@ impl NurdConfig {
     /// # Panics
     ///
     /// Panics when the warm policy's parameters are degenerate: zero
-    /// `warm_rounds`, a `drift_tolerance` outside `(0, 1]`, or `max_trees`
-    /// below the cold fit's `n_rounds`.
+    /// `warm_rounds` or a `drift_tolerance` outside `(0, 1]`.
     #[must_use]
     pub fn with_refit_policy(mut self, policy: RefitPolicy) -> Self {
         if let RefitPolicy::Warm(w) = &policy {
@@ -177,10 +171,6 @@ impl NurdConfig {
             assert!(
                 w.drift_tolerance > 0.0 && w.drift_tolerance <= 1.0,
                 "drift_tolerance must be in (0, 1]"
-            );
-            assert!(
-                w.max_trees >= self.gbt.n_rounds,
-                "max_trees must cover at least one cold fit"
             );
         }
         self.refit_policy = policy;
@@ -244,7 +234,6 @@ mod tests {
         let cfg = NurdConfig::default().with_refit_policy(RefitPolicy::Warm(WarmRefitConfig {
             warm_rounds: 4,
             drift_tolerance: 0.2,
-            max_trees: 200,
         }));
         assert!(matches!(cfg.refit_policy, RefitPolicy::Warm(_)));
     }
@@ -254,15 +243,6 @@ mod tests {
     fn warm_policy_rejects_zero_rounds() {
         let _ = NurdConfig::default().with_refit_policy(RefitPolicy::Warm(WarmRefitConfig {
             warm_rounds: 0,
-            ..WarmRefitConfig::default()
-        }));
-    }
-
-    #[test]
-    #[should_panic(expected = "max_trees must cover at least one cold fit")]
-    fn warm_policy_rejects_tiny_tree_cap() {
-        let _ = NurdConfig::default().with_refit_policy(RefitPolicy::Warm(WarmRefitConfig {
-            max_trees: 10,
             ..WarmRefitConfig::default()
         }));
     }

@@ -35,6 +35,11 @@ use nurd_ml::{BinnedMatrix, GbtConfig, GradientBoosting, MlError, SquaredLoss};
 
 use crate::config::RefitPolicy;
 
+/// The warm policy's ensemble-size cap: a warm refit that would grow the
+/// ensemble past this many trees is a cold refit instead, which keeps
+/// prediction cost bounded over arbitrarily long jobs.
+const MAX_TREES: usize = 350;
+
 /// Counters describing how a [`WarmRefitState`] has been refitting (under
 /// either policy); useful for benches, tests, and observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,7 +52,7 @@ pub struct RefitStats {
     pub reuses: usize,
     /// Cold fallbacks forced by quantile drift past tolerance.
     pub drift_rebins: usize,
-    /// Cold fallbacks forced by the `max_trees` ensemble cap.
+    /// Cold fallbacks forced by the 350-tree ensemble cap.
     pub cap_resets: usize,
 }
 
@@ -252,7 +257,7 @@ impl WarmRefitState {
             if drift > w.drift_tolerance {
                 self.stats.drift_rebins += 1;
                 warm = None;
-            } else if prev.tree_count() + w.warm_rounds > w.max_trees {
+            } else if prev.tree_count() + w.warm_rounds > MAX_TREES {
                 self.stats.cap_resets += 1;
                 warm = None;
             }
@@ -487,15 +492,14 @@ mod tests {
             ..GbtConfig::default()
         };
         let policy = RefitPolicy::Warm(WarmRefitConfig {
-            warm_rounds: 10,
+            warm_rounds: 110,
             drift_tolerance: 1.0,
-            max_trees: 40,
         });
-        // 20 → 30 → 40 → cap (would be 50) → cold reset to 20 → 30 ...
+        // 20 → 130 → 240 → 350 → cap (would be 460) → cold reset to 20 …
         for k in (20..=200).step_by(20) {
             state.absorb(&checkpoint(&ts, k));
             state.refit(&gbt, &policy).unwrap();
-            assert!(state.model().unwrap().tree_count() <= 40);
+            assert!(state.model().unwrap().tree_count() <= MAX_TREES);
         }
         assert!(state.stats().cap_resets >= 2, "{:?}", state.stats());
     }

@@ -180,7 +180,6 @@ fn warm_ablation_grid_stays_within_cold_tolerance() {
                     WarmRefitConfig {
                         warm_rounds,
                         drift_tolerance,
-                        ..WarmRefitConfig::default()
                     },
                 );
                 assert!(
@@ -206,7 +205,6 @@ fn warm_ablation_more_rounds_never_worse() {
             WarmRefitConfig {
                 warm_rounds,
                 drift_tolerance: 1.0, // isolate the rounds axis
-                ..WarmRefitConfig::default()
             },
         )
     };

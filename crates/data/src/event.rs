@@ -9,9 +9,10 @@
 //! > **Events of the same job arrive in checkpoint order; events of
 //! > different jobs may interleave arbitrarily.**
 //!
-//! [`job_events`] lowers a [`JobTrace`] into its canonical per-job stream
+//! [`job_stream`] lowers a [`JobTrace`] into its canonical per-job stream
 //! (the exact information the replay protocol reveals at each checkpoint,
-//! nothing more); `nurd_trace::fleet_events` merges many jobs into one
+//! nothing more, between the job's lifecycle markers);
+//! `nurd_trace::staggered_fleet_events` merges many jobs into one
 //! time-ordered fleet stream.
 
 use crate::{JobTrace, TaskId};
@@ -66,9 +67,7 @@ impl JobSpec {
 /// carries the [`JobSpec`] so a streaming engine can admit the job on first
 /// sight (no up-front registry), and [`TaskEvent::JobEnd`] announces that no
 /// further events of the job will arrive, letting the engine finalize it and
-/// release its state. [`job_stream`] emits both; [`job_events`] emits
-/// neither (the pre-streaming shape, kept for callers that admit
-/// explicitly).
+/// release its state. [`job_stream`] emits both.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskEvent {
     /// A new job's stream begins; carries everything an engine needs to
@@ -332,11 +331,16 @@ fn take_vec<'a, T>(
     Ok(values)
 }
 
-/// Lowers one job trace into its canonical event stream: all submissions,
-/// then per checkpoint the `Progress`/`Finished` events (task-id order)
-/// closed by a `Barrier`. The stream reveals exactly what the replay
+/// Lowers one job trace into its event stream: a leading
+/// [`TaskEvent::JobStart`] carrying the [`JobSpec`] (`τ_stra` at latency
+/// quantile `threshold_quantile`), all submissions, then per checkpoint
+/// the `Progress`/`Finished` events (task-id order) closed by a
+/// `Barrier`, and a trailing [`TaskEvent::JobEnd`] at the last
+/// checkpoint's time. The stream reveals exactly what the replay
 /// protocol reveals — a running task's latency is never visible before
-/// the checkpoint that observes its completion.
+/// the checkpoint that observes its completion. This is the per-job unit
+/// `nurd_trace::staggered_fleet_events` merges into a fleet stream, and
+/// the one shape in which a job enters the serving engine.
 ///
 /// A task's features travel in its `Finished` event exactly once, frozen
 /// at the completion checkpoint. The engine-equals-replay determinism
@@ -348,21 +352,6 @@ fn take_vec<'a, T>(
 /// CSV-loaded trace whose features keep mutating after completion is
 /// outside both subsystems' contracts (sequential `replay_job` would
 /// re-read the drifting snapshot, this stream cannot).
-#[must_use]
-pub fn job_events(job: &JobTrace, threshold_quantile: f64) -> (JobSpec, Vec<TaskEvent>) {
-    let spec = JobSpec::of_trace(job, threshold_quantile);
-    let mut events = Vec::with_capacity(event_bound(job));
-    push_events(job, &mut events);
-    (spec, events)
-}
-
-/// Lowers one job trace into its *streaming* event stream: the
-/// [`job_events`] stream bracketed by the lifecycle markers a streaming
-/// engine admits and finalizes on — a leading [`TaskEvent::JobStart`]
-/// carrying the [`JobSpec`] and a trailing [`TaskEvent::JobEnd`] at the
-/// last checkpoint's time. This is the per-job unit
-/// `nurd_trace::staggered_fleet_events` merges into a fleet stream with
-/// staggered arrivals.
 #[must_use]
 pub fn job_stream(job: &JobTrace, threshold_quantile: f64) -> Vec<TaskEvent> {
     let mut stream = Vec::with_capacity(event_bound(job) + 2);
@@ -377,14 +366,15 @@ pub fn job_stream(job: &JobTrace, threshold_quantile: f64) -> Vec<TaskEvent> {
     stream
 }
 
-/// The most events [`job_events`] can emit for `job`: every submission,
-/// the placement, and per checkpoint one event a task plus its barrier.
+/// The most events [`job_stream`] emits for `job` between its lifecycle
+/// markers: every submission, the placement, and per checkpoint one event
+/// a task plus its barrier.
 fn event_bound(job: &JobTrace) -> usize {
     let tasks = job.task_count();
     tasks + usize::from(job.node_placement().is_some()) + job.checkpoint_count() * (tasks + 1)
 }
 
-/// Appends [`job_events`]' stream of `job` to `events`.
+/// Appends `job`'s events between its lifecycle markers to `events`.
 fn push_events(job: &JobTrace, events: &mut Vec<TaskEvent>) {
     let id = job.job_id();
     for task in job.tasks() {
@@ -448,7 +438,10 @@ mod tests {
 
     #[test]
     fn stream_reveals_latency_only_after_completion() {
-        let (spec, events) = job_events(&job(), 0.9);
+        let events = job_stream(&job(), 0.9);
+        let TaskEvent::JobStart { spec } = &events[0] else {
+            panic!("the stream opens with its JobStart")
+        };
         assert_eq!(spec.task_count, 3);
         assert_eq!(spec.checkpoints, 3);
         let mut finished_seen = std::collections::HashSet::new();
@@ -475,7 +468,7 @@ mod tests {
 
     #[test]
     fn barriers_close_each_checkpoint_in_order() {
-        let (_, events) = job_events(&job(), 0.9);
+        let events = job_stream(&job(), 0.9);
         let barriers: Vec<usize> = events
             .iter()
             .filter_map(|e| match e {
@@ -492,36 +485,42 @@ mod tests {
                 TaskEvent::Progress { ordinal, .. } | TaskEvent::Finished { ordinal, .. } => {
                     assert!(*ordinal >= closed, "event after its barrier");
                 }
-                TaskEvent::Submitted { .. } | TaskEvent::Placed { .. } => assert_eq!(closed, 0),
-                TaskEvent::JobStart { .. } | TaskEvent::JobEnd { .. } => {
-                    panic!("job_events must not emit lifecycle markers")
-                }
+                TaskEvent::JobStart { .. }
+                | TaskEvent::Submitted { .. }
+                | TaskEvent::Placed { .. } => assert_eq!(closed, 0),
+                TaskEvent::JobEnd { .. } => assert_eq!(closed, 3, "JobEnd before the last barrier"),
             }
         }
     }
 
     #[test]
     fn event_accessors_cover_all_variants() {
-        let (_, events) = job_events(&job(), 0.9);
+        let events = job_stream(&job(), 0.9);
         for ev in &events {
             assert_eq!(ev.job(), 3);
             assert!(ev.time() >= 0.0);
         }
-        assert_eq!(events[0].time(), 0.0, "submissions sort at time zero");
+        assert_eq!(events[1].time(), 0.0, "submissions sort at time zero");
     }
 
     #[test]
     fn job_stream_brackets_events_with_lifecycle_markers() {
         let j = job();
         let stream = job_stream(&j, 0.9);
-        let (spec, inner) = job_events(&j, 0.9);
-        assert_eq!(stream.len(), inner.len() + 2);
+        // Three submissions; checkpoint 0 finishes task 0 and sees two
+        // running, checkpoint 1 finishes task 1 and sees one, checkpoint 2
+        // finishes task 2; a barrier each.
+        assert_eq!(stream.len(), 2 + 3 + 4 + 3 + 2);
+        let spec = JobSpec::of_trace(&j, 0.9);
         assert_eq!(stream[0], TaskEvent::JobStart { spec });
         assert_eq!(
             *stream.last().unwrap(),
             TaskEvent::JobEnd { job: 3, time: 10.0 }
         );
-        assert_eq!(&stream[1..stream.len() - 1], &inner[..]);
+        let inner = &stream[1..stream.len() - 1];
+        assert!(inner
+            .iter()
+            .all(|e| !matches!(e, TaskEvent::JobStart { .. } | TaskEvent::JobEnd { .. })));
         // Lifecycle accessors participate in the merge keys.
         assert_eq!(stream[0].job(), 3);
         assert_eq!(stream[0].time(), 0.0);
@@ -531,7 +530,7 @@ mod tests {
     #[test]
     fn placed_event_emitted_once_before_first_barrier() {
         let j = job().with_nodes(vec![0, 1, 0]).unwrap();
-        let (_, events) = job_events(&j, 0.9);
+        let events = job_stream(&j, 0.9);
         let placed: Vec<usize> = events
             .iter()
             .enumerate()
@@ -553,7 +552,7 @@ mod tests {
         assert_eq!(back, events[placed[0]]);
 
         // A trace without placement emits no Placed event at all.
-        let (_, bare) = job_events(&job(), 0.9);
+        let bare = job_stream(&job(), 0.9);
         assert!(bare.iter().all(|e| !matches!(e, TaskEvent::Placed { .. })));
     }
 

@@ -45,7 +45,7 @@ mod task;
 pub use checkpoint::{Checkpoint, FinishedDelta, FinishedTask, RunningTask};
 pub use csv::{read_job_csv, read_jobs_csv, write_jobs_csv};
 pub use error::DataError;
-pub use event::{job_events, job_stream, JobSpec, TaskEvent};
+pub use event::{job_stream, JobSpec, TaskEvent};
 pub use job::{warmup_quorum, JobTrace};
 pub use mitigation::{
     ActionRecord, BarrierView, JobPhase, MitigationAction, MitigationPolicy, ScoredPrediction,

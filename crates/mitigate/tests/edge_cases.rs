@@ -55,10 +55,7 @@ fn engine_config() -> EngineConfig {
 }
 
 fn service_config() -> ServiceConfig {
-    ServiceConfig {
-        drain_workers: 2,
-        drain_batch: 8,
-    }
+    ServiceConfig { drain_workers: 2 }
 }
 
 fn nurd_factory() -> nurd_serve::PredictorFactory {

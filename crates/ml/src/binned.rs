@@ -242,7 +242,7 @@ impl BinnedMatrix {
     /// otherwise). Identical output at every setting.
     #[must_use]
     pub fn build_for(x: MatrixView<'_>, config: &crate::TreeConfig) -> Self {
-        Self::build_with_pool(x, config.max_bins, config.parallelism())
+        Self::build_with_pool(x, Self::MAX_BINS, config.parallelism())
     }
 
     /// What a checkpoint has to carry of a quantization whose rows it

@@ -45,7 +45,7 @@
 //! # One accumulation order
 //!
 //! Every kernel accumulates leaf values *tree by tree, in ensemble order*
-//! from `0.0` and applies `base_score + learning_rate · Σ` as the final
+//! from `0.0` and applies `base_score + shrinkage · Σ` as the final
 //! step; routing compares are the same expressions everywhere
 //! (`x <= threshold` on raw features, `code <= split_bin` on bin codes —
 //! NaN routes right). The batch kernels are therefore **bit-identical** at
@@ -103,7 +103,7 @@ pub struct FlatForest {
     /// the rest are the tree being emitted, which no walk can reach yet.
     sealed: usize,
     base_score: f64,
-    learning_rate: f64,
+    shrinkage: f64,
     /// `1 + max split feature index` over all nodes (0 with no splits).
     /// Checked once per row/matrix so the walk itself can elide per-step
     /// bounds checks: every node's `feature` — including the `0` stored at
@@ -124,7 +124,7 @@ impl FlatForest {
     /// An empty forest (predicts `base_score` everywhere) at the default
     /// lane width.
     #[must_use]
-    pub(crate) fn new(base_score: f64, learning_rate: f64) -> Self {
+    pub(crate) fn new(base_score: f64, shrinkage: f64) -> Self {
         FlatForest {
             feature: Vec::new(),
             threshold: Vec::new(),
@@ -135,7 +135,7 @@ impl FlatForest {
             depths: Vec::new(),
             sealed: 0,
             base_score,
-            learning_rate,
+            shrinkage,
             min_width: 0,
             lanes: DEFAULT_LANES as u32,
         }
@@ -221,8 +221,8 @@ impl FlatForest {
     }
 
     /// The shrinkage every tree's leaf values are summed under.
-    pub(crate) fn learning_rate(&self) -> f64 {
-        self.learning_rate
+    pub(crate) fn shrinkage(&self) -> f64 {
+        self.shrinkage
     }
 
     /// Whether rows (or a binned matrix) `width` features wide cover every
@@ -274,7 +274,7 @@ impl FlatForest {
             }
             acc += self.value[idx];
         }
-        self.base_score + self.learning_rate * acc
+        self.base_score + self.shrinkage * acc
     }
 
     /// Scores every row of a matrix view into `out` (cleared and refilled
@@ -362,7 +362,7 @@ impl FlatForest {
             columns => return self.predict_each(columns, out),
         }
         for v in out.iter_mut() {
-            *v = self.base_score + self.learning_rate * *v;
+            *v = self.base_score + self.shrinkage * *v;
         }
     }
 
@@ -416,7 +416,7 @@ impl FlatForest {
                 }
                 acc += self.value[idx];
             }
-            self.base_score + self.learning_rate * acc
+            self.base_score + self.shrinkage * acc
         }));
     }
 
@@ -539,7 +539,7 @@ impl FlatForest {
 
 /// The ensemble in snapshot format v4, unchanged from when trees were a
 /// `Vec` of tagged nodes and written straight from the arrays:
-/// `base_score`, `learning_rate`, the tree count, and per tree its node
+/// `base_score`, `shrinkage`, the tree count, and per tree its node
 /// count, the nodes (`0` + weight for a leaf; `1` + feature, threshold and
 /// the two children as *tree-relative* indices for a split) and the
 /// length-prefixed bin codes. Decoding is the one place nodes enter from
@@ -549,7 +549,7 @@ impl FlatForest {
 impl nurd_codec::Checkpointable for FlatForest {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
         enc.put_f64(self.base_score);
-        enc.put_f64(self.learning_rate);
+        enc.put_f64(self.shrinkage);
         enc.put_usize(self.roots.len());
         for t in 0..self.roots.len() {
             let nodes = self.tree_nodes(t);
@@ -714,7 +714,7 @@ mod tests {
 
     fn oracle(f: &FlatForest, go_left: impl Fn(usize) -> bool) -> f64 {
         let leaves = f.roots.iter().map(|&root| oracle_leaf(f, root, &go_left));
-        f.base_score + f.learning_rate * leaves.fold(0.0, |sum, leaf| sum + leaf)
+        f.base_score + f.shrinkage * leaves.fold(0.0, |sum, leaf| sum + leaf)
     }
 
     fn oracle_raw(f: &FlatForest, row: &[f64]) -> f64 {
@@ -953,13 +953,13 @@ mod tests {
 
     #[test]
     fn leaf_only_trees_walk_zero_steps() {
-        // min_split_gain so high no split survives: every tree is a single
-        // leaf (the "max-depth leaf-only" edge case — depth 0, the fixed
-        // walk must not touch features at all).
+        // min_child_weight so high no child qualifies: every tree is a
+        // single leaf (the "max-depth leaf-only" edge case — depth 0, the
+        // fixed walk must not touch features at all).
         let x = rows(25, 2, 11);
         let cfg = GbtConfig {
             tree: TreeConfig {
-                min_split_gain: f64::INFINITY,
+                min_child_weight: f64::INFINITY,
                 ..TreeConfig::default()
             },
             ..rounds(4)
@@ -1019,7 +1019,7 @@ mod tests {
         for (row, &cached) in cache.iter().enumerate() {
             let coded = |at: usize| binned.codes(f.feature[at] as usize)[row] <= f.split_bin[at];
             let replayed = f.roots.iter().fold(f.base_score, |score, &root| {
-                score + f.learning_rate * oracle_leaf(f, root, &coded)
+                score + f.shrinkage * oracle_leaf(f, root, &coded)
             });
             assert_eq!(replayed, cached, "row {row}");
         }
@@ -1178,13 +1178,13 @@ mod tests {
             let cfg = GbtConfig {
                 tree: TreeConfig {
                     max_depth: depth,
-                    max_bins,
                     n_threads: threads,
                     ..TreeConfig::default()
                 },
                 ..rounds(n_rounds)
             };
-            let (binned, model) = fit(&x, &cfg);
+            let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), max_bins);
+            let model = GradientBoosting::fit_binned(&binned, &targets(&x), &cfg).unwrap();
             prop_assert!(model.forest().max_depth() <= depth);
             assert_every_kernel_matches_the_oracle(&model, &binned, &x, n);
         }
@@ -1206,7 +1206,7 @@ mod tests {
             let y = targets(&x);
             let split = n * 2 / 3;
             let cfg = rounds(8);
-            let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x[..split])), cfg.tree.max_bins);
+            let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x[..split])), 256);
             let mut grown = GradientBoosting::fit_binned(&binned, &y[..split], &cfg).unwrap();
             binned.append_from(MatrixView::RowSlices(&row_slices(&x)));
             let mut cache = Vec::new();
@@ -1219,10 +1219,10 @@ mod tests {
                     roots.iter().map(|&root| oracle_leaf(f, root, &coded)).collect()
                 };
                 let replayed = f.base_score
-                    + f.learning_rate * leaves(&f.roots[..8]).iter().fold(0.0, |sum, leaf| sum + leaf);
+                    + f.shrinkage * leaves(&f.roots[..8]).iter().fold(0.0, |sum, leaf| sum + leaf);
                 let boosted = leaves(&f.roots[8..])
                     .iter()
-                    .fold(replayed, |score, leaf| score + f.learning_rate * leaf);
+                    .fold(replayed, |score, leaf| score + f.shrinkage * leaf);
                 prop_assert_eq!(boosted, cached, "row {}", row);
             }
             // The first eight trees never saw the appended rows, so only

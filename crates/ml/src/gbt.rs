@@ -99,13 +99,15 @@ impl Loss for LogisticLoss {
     }
 }
 
-/// Hyperparameters for [`GradientBoosting`].
+/// Shrinkage applied to each new tree's output.
+const LEARNING_RATE: f64 = 0.15;
+
+/// Hyperparameters for [`GradientBoosting`]. Every fit shrinks each
+/// tree's output by the same learning rate, 0.15.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GbtConfig {
     /// Number of boosting rounds (trees).
     pub n_rounds: usize,
-    /// Shrinkage applied to each tree's output.
-    pub learning_rate: f64,
     /// Per-tree structural parameters.
     pub tree: TreeConfig,
 }
@@ -114,7 +116,6 @@ impl Default for GbtConfig {
     fn default() -> Self {
         GbtConfig {
             n_rounds: 60,
-            learning_rate: 0.15,
             tree: TreeConfig::default(),
         }
     }
@@ -204,7 +205,7 @@ impl<L: Loss> GradientBoosting<L> {
         let base_score = loss.base_score(y);
         scores.clear();
         scores.resize(binned.rows(), base_score);
-        let mut forest = FlatForest::new(base_score, config.learning_rate);
+        let mut forest = FlatForest::new(base_score, LEARNING_RATE);
         let rounds = config.n_rounds;
         boost_rounds(binned, y, &loss, config, rounds, scores, &mut forest);
         Ok(GradientBoosting { loss, forest })
@@ -356,12 +357,6 @@ fn check_binned_fit(binned: &BinnedMatrix, y: &[f64], config: &GbtConfig) -> Res
             found: format!("{} targets", y.len()),
         });
     }
-    if config.learning_rate <= 0.0 {
-        return Err(MlError::InvalidConfig(format!(
-            "learning_rate must be positive, got {}",
-            config.learning_rate
-        )));
-    }
     if config.tree.max_depth == 0 {
         return Err(MlError::InvalidConfig("max_depth must be >= 1".into()));
     }
@@ -393,7 +388,7 @@ fn boost_rounds<L: Loss>(
             (g, h.max(1e-12))
         };
         grower.grow(stats, forest);
-        grower.add_last_tree(forest.learning_rate(), scores);
+        grower.add_last_tree(forest.shrinkage(), scores);
     }
 }
 
@@ -451,7 +446,6 @@ mod tests {
                 max_depth: 4,
                 ..TreeConfig::default()
             },
-            ..GbtConfig::default()
         };
         let model = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
         let mse = mean_squared_error(&y, &model.predict_batch(&x));
@@ -530,7 +524,7 @@ mod tests {
         let (x, y) = growing_set(80);
         let cfg = GbtConfig::default();
         let by_view = GradientBoosting::fit(&x, &y, SquaredLoss, &cfg).unwrap();
-        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), cfg.tree.max_bins);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
         let by_binned = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         assert_eq!(by_view.predict_batch(&x), by_binned.predict_batch(&x));
     }
@@ -539,7 +533,7 @@ mod tests {
     fn warm_boost_zero_rounds_is_identity() {
         let (x, y) = growing_set(60);
         let cfg = GbtConfig::default();
-        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), cfg.tree.max_bins);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
         let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let same = boosted(&prev, &binned, &y, 0, &cfg, &mut Vec::new()).unwrap();
         assert_eq!(same.tree_count(), prev.tree_count());
@@ -553,10 +547,7 @@ mod tests {
         // — the claim the warm-refit subsystem rests on.
         let (x, y) = growing_set(200);
         let cfg = GbtConfig::default();
-        let mut binned = BinnedMatrix::build(
-            MatrixView::RowSlices(&row_slices(&x[..150])),
-            cfg.tree.max_bins,
-        );
+        let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x[..150])), 256);
         let prev = GradientBoosting::fit_binned(&binned, &y[..150], &cfg).unwrap();
         let drift = binned.append_from(MatrixView::RowSlices(&row_slices(&x)));
         assert!(drift < 0.2, "mild drift expected, got {drift}");
@@ -577,10 +568,7 @@ mod tests {
     fn warm_boost_from_a_score_cache_matches_full_replay() {
         let (x, y) = growing_set(160);
         let cfg = GbtConfig::default();
-        let mut binned = BinnedMatrix::build(
-            MatrixView::RowSlices(&row_slices(&x[..120])),
-            cfg.tree.max_bins,
-        );
+        let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x[..120])), 256);
         let mut cache = Vec::new();
         let prev =
             GradientBoosting::fit_binned_cached(&binned, &y[..120], SquaredLoss, &cfg, &mut cache)
@@ -622,10 +610,7 @@ mod tests {
     fn rejected_warm_boost_touches_neither_model_nor_cache() {
         let (x, y) = growing_set(160);
         let cfg = GbtConfig::default();
-        let mut binned = BinnedMatrix::build(
-            MatrixView::RowSlices(&row_slices(&x[..120])),
-            cfg.tree.max_bins,
-        );
+        let mut binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x[..120])), 256);
         let mut cache = Vec::new();
         let mut model =
             GradientBoosting::fit_binned_cached(&binned, &y[..120], SquaredLoss, &cfg, &mut cache)
@@ -634,10 +619,8 @@ mod tests {
         model.warm_boost(&binned, &y, 6, &cfg, &mut cache).unwrap();
         let (forest, scores) = (model.forest.clone(), cache.clone());
 
-        let bad = GbtConfig {
-            learning_rate: 0.0,
-            ..cfg.clone()
-        };
+        let mut bad = cfg.clone();
+        bad.tree.max_depth = 0;
         assert!(matches!(
             model.warm_boost(&binned, &y, 6, &bad, &mut cache),
             Err(MlError::InvalidConfig(_))
@@ -650,10 +633,7 @@ mod tests {
         // So is a matrix narrower than the features the ensemble splits on
         // (where the bin-code replay would otherwise panic).
         let narrow: Vec<Vec<f64>> = x.iter().map(|row| row[..1].to_vec()).collect();
-        let narrow = BinnedMatrix::build(
-            MatrixView::RowSlices(&row_slices(&narrow)),
-            cfg.tree.max_bins,
-        );
+        let narrow = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&narrow)), 256);
         assert!(model
             .forest
             .splits()
@@ -672,7 +652,7 @@ mod tests {
     fn warm_boost_is_deterministic() {
         let (x, y) = growing_set(90);
         let cfg = GbtConfig::default();
-        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), cfg.tree.max_bins);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
         let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         let a = boosted(&prev, &binned, &y, 5, &cfg, &mut Vec::new()).unwrap();
         let b = boosted(&prev, &binned, &y, 5, &cfg, &mut Vec::new()).unwrap();
@@ -709,7 +689,7 @@ mod tests {
     fn warm_boost_rejects_target_length_mismatch() {
         let (x, y) = growing_set(40);
         let cfg = GbtConfig::default();
-        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), cfg.tree.max_bins);
+        let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 256);
         let prev = GradientBoosting::fit_binned(&binned, &y, &cfg).unwrap();
         assert!(matches!(
             boosted(&prev, &binned, &y[..20], 4, &cfg, &mut Vec::new()),

@@ -16,12 +16,12 @@
 //! Because NURD refits the booster at *every checkpoint of every job*,
 //! tree construction dominates end-to-end replay cost. There is one tree
 //! builder: each feature is quantized into at most
-//! [`TreeConfig::max_bins`] ≤ 256 bins once per fit ([`BinnedMatrix`]);
+//! 256 bins once per fit ([`BinnedMatrix`]);
 //! nodes accumulate per-bin gradient/hessian statistics in one linear pass
 //! over contiguous `u8` codes (the larger child of every split is derived
 //! as `parent − sibling`, LightGBM-style) and scan bin boundaries for the
 //! split — `O(n·d)` split finding per level. When every feature has at
-//! most `max_bins` distinct values the candidate thresholds are exactly
+//! most 256 distinct values the candidate thresholds are exactly
 //! the midpoints a sort-based CART enumeration would try; beyond that,
 //! thresholds are restricted to quantile bin boundaries. The sort-based
 //! builder is kept only as a `cfg(test)` oracle of `tree.rs`.

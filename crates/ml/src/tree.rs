@@ -12,13 +12,13 @@
 //!
 //! # Histogram growth
 //!
-//! Each feature is quantized into at most [`TreeConfig::max_bins`] bins
+//! Each feature is quantized into at most `BinnedMatrix::MAX_BINS` (256) bins
 //! once per fit (see [`BinnedMatrix`]); the grower then finds splits by
 //! accumulating per-bin gradient/hessian sums in one linear pass per node
 //! over contiguous `u8` codes and scanning the boundaries between bins. Only the smaller child of each split is
 //! accumulated; the sibling's histogram is derived as `parent − child`,
 //! LightGBM-style, cutting per-level accumulation to
-//! `O(min(n_l, n_r) · d)`. When every feature has at most `max_bins`
+//! `O(min(n_l, n_r) · d)`. When every feature has at most `MAX_BINS`
 //! distinct values the candidate thresholds are exactly the midpoints a
 //! sort-based CART enumeration would try; otherwise they are restricted to
 //! quantile bin boundaries — the standard histogram tradeoff. The
@@ -78,19 +78,21 @@
 use crate::binned::BinnedMatrix;
 use crate::flat::FlatForest;
 
-/// Hyperparameters for a single regression tree.
+/// L2 regularization on leaf weights (λ in the XGBoost objective).
+const LAMBDA: f64 = 1.0;
+
+/// Minimum gain required to keep a split (γ).
+const MIN_SPLIT_GAIN: f64 = 1e-9;
+
+/// Hyperparameters for a single regression tree. Every tree is grown
+/// with λ = 1 on its leaf weights, keeps a split only above a gain of
+/// 1e-9, and quantizes each feature into at most 256 bins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeConfig {
     /// Maximum tree depth (root = depth 0). Must be ≥ 1.
     pub max_depth: usize,
     /// Minimum hessian mass per child (≈ sample count for unit hessians).
     pub min_child_weight: f64,
-    /// L2 regularization on leaf weights (λ in the XGBoost objective).
-    pub lambda: f64,
-    /// Minimum gain required to keep a split (γ).
-    pub min_split_gain: f64,
-    /// Maximum bins per feature (clamped to `[2, 256]`).
-    pub max_bins: usize,
     /// Threads used for the embarrassingly parallel per-feature passes
     /// (feature quantization in [`BinnedMatrix::build`] and per-node
     /// histogram fills): `1` (the default) is strictly sequential, `0`
@@ -107,9 +109,6 @@ impl Default for TreeConfig {
         TreeConfig {
             max_depth: 3,
             min_child_weight: 1.0,
-            lambda: 1.0,
-            min_split_gain: 1e-9,
-            max_bins: BinnedMatrix::MAX_BINS,
             n_threads: 1,
         }
     }
@@ -347,14 +346,14 @@ impl<'a> TreeGrower<'a> {
         forest.finish_tree(self.deepest);
     }
 
-    /// `scores[i] += learning_rate · leaf(i)` for the tree [`Self::grow`]
+    /// `scores[i] += shrinkage · leaf(i)` for the tree [`Self::grow`]
     /// just grew — the boosting round's score update. Every row already
     /// sits in the range of its leaf, so nothing walks the tree: one
     /// multiply per leaf, one add per row, the same two operations on the
     /// same operands as a routed walk.
-    pub(crate) fn add_last_tree(&self, learning_rate: f64, scores: &mut [f64]) {
+    pub(crate) fn add_last_tree(&self, shrinkage: f64, scores: &mut [f64]) {
         for &(lo, hi, weight) in &self.leaves {
-            let step = learning_rate * weight;
+            let step = shrinkage * weight;
             for row in &self.rows[lo..hi] {
                 scores[row.id] += step;
             }
@@ -592,7 +591,7 @@ impl<'a> TreeGrower<'a> {
         depth: usize,
         (g_sum, h_sum): Totals,
     ) -> usize {
-        let weight = -g_sum / (h_sum + self.config.lambda);
+        let weight = -g_sum / (h_sum + LAMBDA);
         self.deepest = self.deepest.max(depth);
         self.leaves.push((lo, hi, weight));
         forest.push_leaf(weight)
@@ -602,10 +601,9 @@ impl<'a> TreeGrower<'a> {
     /// by feature in ascending bin order: the candidate set (and, in the
     /// one-bin-per-value regime, the thresholds) then matches a sort-based
     /// enumeration sample-for-sample. The first strictly best gain wins, if it
-    /// clears [`TreeConfig::min_split_gain`].
+    /// clears `MIN_SPLIT_GAIN`.
     fn best_split(&self, hist: &NodeHist, g_sum: f64, h_sum: f64) -> Option<BestSplit> {
-        let lambda = self.config.lambda;
-        let parent_score = g_sum * g_sum / (h_sum + lambda);
+        let parent_score = g_sum * g_sum / (h_sum + LAMBDA);
         let mut best: Option<BestSplit> = None;
 
         for slot in &self.slots {
@@ -626,8 +624,8 @@ impl<'a> TreeGrower<'a> {
                         {
                             let g_right = g_sum - g_left;
                             let gain = 0.5
-                                * (g_left * g_left / (h_left + lambda)
-                                    + g_right * g_right / (h_right + lambda)
+                                * (g_left * g_left / (h_left + LAMBDA)
+                                    + g_right * g_right / (h_right + LAMBDA)
                                     - parent_score);
                             if best.as_ref().is_none_or(|cur| gain > cur.gain) {
                                 best = Some(BestSplit {
@@ -647,7 +645,7 @@ impl<'a> TreeGrower<'a> {
             }
         }
         match best {
-            Some(split) if split.gain <= self.config.min_split_gain => None,
+            Some(split) if split.gain <= MIN_SPLIT_GAIN => None,
             best => best,
         }
     }
@@ -710,13 +708,11 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..20).map(|i| if i < 10 { 0.0 } else { 10.0 }).collect();
         let (g, h) = squared_loss_grads(&y);
-        let cfg = TreeConfig {
-            lambda: 0.0,
-            ..TreeConfig::default()
-        };
-        let tree = grow(&x, &g, &h, &cfg);
+        let tree = grow(&x, &g, &h, &TreeConfig::default());
+        // Each half is one leaf, `-G / (H + λ)` with λ = 1: the right
+        // half's ten rows of 10 shrink to 100 / 11.
         assert!((tree.predict(&[2.0]) - 0.0).abs() < 1e-9);
-        assert!((tree.predict(&[15.0]) - 10.0).abs() < 1e-9);
+        assert!((tree.predict(&[15.0]) - 100.0 / 11.0).abs() < 1e-9);
     }
 
     #[test]
@@ -724,13 +720,10 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64]).collect();
         let y = vec![3.0; 5];
         let (g, h) = squared_loss_grads(&y);
-        let cfg = TreeConfig {
-            lambda: 0.0,
-            ..TreeConfig::default()
-        };
-        let tree = grow(&x, &g, &h, &cfg);
+        let tree = grow(&x, &g, &h, &TreeConfig::default());
         assert_eq!((tree.leaf_count(), tree.max_depth()), (1, 0));
-        assert!((tree.predict(&[0.0]) - 3.0).abs() < 1e-9);
+        // 15 / (5 + λ).
+        assert!((tree.predict(&[0.0]) - 2.5).abs() < 1e-9);
     }
 
     #[test]
@@ -754,7 +747,6 @@ mod tests {
         let (g, h) = squared_loss_grads(&y);
         let cfg = TreeConfig {
             min_child_weight: 2.0,
-            lambda: 0.0,
             ..TreeConfig::default()
         };
         let tree = grow(&x, &g, &h, &cfg);
@@ -784,10 +776,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..20).map(|i| if i < 10 { 0.0 } else { 10.0 }).collect();
         let (g, h) = squared_loss_grads(&y);
-        let cfg = TreeConfig {
-            lambda: 0.0,
-            ..TreeConfig::default()
-        };
+        let cfg = TreeConfig::default();
         let mut exact = unit_forest();
         ExactBuilder::grow(&x, &g, &h, &cfg, &mut exact);
         grow(&x, &g, &h, &cfg).assert_same_trees(&exact, false, "step function");
@@ -864,7 +853,6 @@ mod tests {
         let (g, h) = squared_loss_grads(&y);
         let seq_cfg = TreeConfig {
             max_depth: 5,
-            max_bins: 64,
             ..TreeConfig::default()
         };
         let par_cfg = TreeConfig {
@@ -918,7 +906,7 @@ mod tests {
                 hessians: self.hessians,
             };
             let (g_sum, h_sum) = stats.sums(&indices);
-            let leaf_weight = -g_sum / (h_sum + self.config.lambda);
+            let leaf_weight = -g_sum / (h_sum + LAMBDA);
 
             if depth >= self.config.max_depth || indices.len() < 2 {
                 return self.leaf(leaf_weight, depth);
@@ -926,7 +914,7 @@ mod tests {
             let Some(split) = self.best_split(&indices, g_sum, h_sum) else {
                 return self.leaf(leaf_weight, depth);
             };
-            if split.gain <= self.config.min_split_gain {
+            if split.gain <= MIN_SPLIT_GAIN {
                 return self.leaf(leaf_weight, depth);
             }
 
@@ -950,8 +938,7 @@ mod tests {
 
         fn best_split(&self, indices: &[usize], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
             let d = self.x.cols();
-            let lambda = self.config.lambda;
-            let parent_score = g_sum * g_sum / (h_sum + lambda);
+            let parent_score = g_sum * g_sum / (h_sum + LAMBDA);
             let mut best: Option<BestSplit> = None;
 
             let mut order: Vec<usize> = indices.to_vec();
@@ -988,8 +975,8 @@ mod tests {
                     }
                     let g_right = g_sum - g_left;
                     let gain = 0.5
-                        * (g_left * g_left / (h_left + lambda)
-                            + g_right * g_right / (h_right + lambda)
+                        * (g_left * g_left / (h_left + LAMBDA)
+                            + g_right * g_right / (h_right + LAMBDA)
                             - parent_score);
                     if best.as_ref().is_none_or(|b| gain > b.gain) {
                         best = Some(BestSplit {
@@ -1077,13 +1064,13 @@ mod tests {
 
         fn build(&mut self, rows: Vec<usize>, depth: usize, hist: Vec<HistBin>) -> usize {
             let (g_sum, h_sum) = self.stats.sums(&rows);
-            let weight = -g_sum / (h_sum + self.config.lambda);
+            let weight = -g_sum / (h_sum + LAMBDA);
             if depth >= self.config.max_depth || rows.len() < 2 {
                 return self.leaf(weight, depth);
             }
             // As the grower phrases it: a NaN gain is not `<=` the floor.
             let split = match self.best_split(&hist, g_sum, h_sum) {
-                Some(split) if split.gain <= self.config.min_split_gain => None,
+                Some(split) if split.gain <= MIN_SPLIT_GAIN => None,
                 best => best,
             };
             let Some(split) = split else {
@@ -1130,8 +1117,7 @@ mod tests {
         }
 
         fn best_split(&self, hist: &[HistBin], g_sum: f64, h_sum: f64) -> Option<BestSplit> {
-            let lambda = self.config.lambda;
-            let parent_score = g_sum * g_sum / (h_sum + lambda);
+            let parent_score = g_sum * g_sum / (h_sum + LAMBDA);
             let mut best: Option<BestSplit> = None;
             for feature in 0..self.binned.features() {
                 let bins = self.binned.feature_bins(feature);
@@ -1149,8 +1135,8 @@ mod tests {
                         {
                             let g_right = g_sum - g_left;
                             let gain = 0.5
-                                * (g_left * g_left / (h_left + lambda)
-                                    + g_right * g_right / (h_right + lambda)
+                                * (g_left * g_left / (h_left + LAMBDA)
+                                    + g_right * g_right / (h_right + LAMBDA)
                                     - parent_score);
                             if best.as_ref().is_none_or(|cur| gain > cur.gain) {
                                 best = Some(BestSplit {
@@ -1173,7 +1159,7 @@ mod tests {
 
     /// Three informative columns plus a constant and an all-NaN one (both
     /// single-bin: no cells, never split). `distinct` bounds the values a
-    /// column can take: at most `max_bins` puts every value in its own
+    /// column can take: at most `MAX_BINS` puts every value in its own
     /// bin, more forces quantile bins. A few NaNs ride the last bin.
     fn grower_fixture(rng: &mut StdRng, n: usize, distinct: usize) -> Vec<Vec<f64>> {
         (0..n)
@@ -1312,16 +1298,16 @@ mod tests {
 
     proptest! {
         /// Leaf predictions stay within the hull of the Newton-optimal
-        /// per-sample weights (for unit hessians, within [-max|g|, max|g|]).
+        /// per-sample weights and zero, toward which λ shrinks every leaf
+        /// (for unit hessians, within [-max|g|, max|g|]).
         #[test]
         fn prop_predictions_bounded_by_gradient_hull(
             ys in proptest::collection::vec(-100.0..100.0f64, 2..40)) {
             let x: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64]).collect();
             let (g, h) = squared_loss_grads(&ys);
-            let cfg = TreeConfig { lambda: 0.0, ..TreeConfig::default() };
-            let tree = grow(&x, &g, &h, &cfg);
-            let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let tree = grow(&x, &g, &h, &TreeConfig::default());
+            let lo = ys.iter().cloned().fold(0.0, f64::min);
+            let hi = ys.iter().cloned().fold(0.0, f64::max);
             for i in 0..ys.len() {
                 let p = tree.predict(&[i as f64]);
                 prop_assert!(p >= lo - 1e-9 && p <= hi + 1e-9);
@@ -1341,7 +1327,7 @@ mod tests {
         }
 
         /// **Exact ≡ histogram**: whenever every feature has at most
-        /// `max_bins` distinct values, sort-based enumeration and dense
+        /// `MAX_BINS` distinct values, sort-based enumeration and dense
         /// histograms must produce *identical* trees — same structure,
         /// same features, bit-for-bit the same thresholds and leaf
         /// weights. Features are drawn from a small value pool to force
@@ -1362,7 +1348,7 @@ mod tests {
                 proptest::collection::vec(0usize..12, 3), 4..48),
             ys in proptest::collection::vec(-50.0..50.0f64, 48),
             depth in 1usize..5) {
-            // 12 possible values per feature << max_bins = 256.
+            // 12 possible values per feature << MAX_BINS = 256.
             let values = [-3.0, -1.5, -0.75, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
             let x: Vec<Vec<f64>> = pool_picks
                 .iter()
@@ -1394,12 +1380,9 @@ mod tests {
             let x: Vec<Vec<f64>> = cols;
             let ys: Vec<f64> = x.iter().map(|r| r[0] * 0.5 - r[1] + r[2] * r[2] * 0.01).collect();
             let (g, h) = squared_loss_grads(&ys);
-            let cfg = TreeConfig {
-                max_depth: depth,
-                max_bins: 16, // force real quantization, not one-bin-per-value
-                ..TreeConfig::default()
-            };
-            let binned = BinnedMatrix::build_for(MatrixView::RowSlices(&row_slices(&x)), &cfg);
+            let cfg = TreeConfig { max_depth: depth, ..TreeConfig::default() };
+            // 16 bins force real quantization, not one bin per value.
+            let binned = BinnedMatrix::build(MatrixView::RowSlices(&row_slices(&x)), 16);
             let mut direct = unit_forest();
             DenseReference::grow(&binned, &g, &h, &cfg, false, &mut direct);
             let sub = grow_binned(&binned, &g, &h, &cfg);

@@ -90,7 +90,9 @@ pub(crate) mod sim {
     //! durable. One planned fault strikes the `n`-th operation (of one
     //! kind, or of any): [`Fault::Kill`] ends the process there,
     //! [`Fault::Fail`] makes that one operation return `Err`.
-    //! [`SimDisk::lose_power`] then yields what survives a power cut.
+    //! [`SimDisk::lose_power`] then yields what survives a power cut, and
+    //! [`SimDisk::probe_kill`] reads a test's probe at the instant of the
+    //! kill.
 
     use std::collections::BTreeMap;
     use std::io::{Cursor, Read, Write};
@@ -142,6 +144,9 @@ pub(crate) mod sim {
         synced: Vec<u8>,
     }
 
+    /// What a test reads when the planned kill strikes.
+    type Probe = Arc<dyn Fn() -> usize + Send + Sync>;
+
     #[derive(Clone, Default)]
     struct State {
         steps: Vec<Step>,
@@ -149,6 +154,9 @@ pub(crate) mod sim {
         /// and how many of those to let through first.
         plan: Option<(Fault, Option<Op>, usize)>,
         killed: bool,
+        probe: Option<Probe>,
+        /// The probe's reading at the kill.
+        probed: Option<usize>,
         inodes: Vec<Inode>,
         live: BTreeMap<PathBuf, usize>,
         durable: BTreeMap<PathBuf, usize>,
@@ -179,6 +187,7 @@ pub(crate) mod sim {
                         self.plan = None;
                         if fault == Fault::Kill {
                             self.killed = true;
+                            self.probed = self.probe.as_ref().map(|probe| probe());
                             return Ok(Verdict::Vanish(true));
                         }
                         let step = self.steps.len() - 1;
@@ -230,6 +239,20 @@ pub(crate) mod sim {
         /// Every operation so far, in order.
         pub(crate) fn steps(&self) -> Vec<Step> {
             self.lock().steps.clone()
+        }
+
+        /// Reads `probe` when the planned kill strikes, before the killing
+        /// operation does anything; [`SimDisk::probed`] returns the
+        /// reading. The probe runs under the disk's lock, so it must not
+        /// wait on anything that waits on the disk.
+        pub(crate) fn probe_kill(&self, probe: impl Fn() -> usize + Send + Sync + 'static) {
+            self.lock().probe = Some(Arc::new(probe));
+        }
+
+        /// The probe's reading at the planned kill, if the kill struck
+        /// after [`SimDisk::probe_kill`].
+        pub(crate) fn probed(&self) -> Option<usize> {
+            self.lock().probed
         }
 
         /// Kills the process now: every later operation vanishes.

@@ -1078,6 +1078,14 @@ mod tests {
             self.drain();
             self.finish_report()
         }
+
+        /// Every shard's lock: while the guards live, no drain worker can
+        /// pop, so what is pushed meanwhile is drained in whole batches.
+        pub(crate) fn hold_shards(&self) -> Vec<MutexGuard<'_, Shard>> {
+            (0..self.shard_count())
+                .map(|idx| self.lock_shard(idx))
+                .collect()
+        }
     }
 
     fn core(config: EngineConfig) -> EngineCore {
@@ -1206,7 +1214,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_batching_does_not_change_the_report() {
+    fn chunked_drains_do_not_change_the_report() {
         let one_shot = core(EngineConfig::default());
         let batched = core(EngineConfig::default());
         let events: Vec<TaskEvent> = [1u64, 2, 3, 4].into_iter().flat_map(stream).collect();

@@ -82,15 +82,15 @@ impl nurd_codec::Checkpointable for FinalizeReason {
 /// shard's ingress queue is at [`EngineConfig::queue_capacity`](crate::EngineConfig::queue_capacity).
 ///
 /// Only [`OverloadPolicy::Block`] preserves the engine's determinism
-/// contract (it loses no events — the producer pays by draining the
-/// shard inline). The shedding policies trade events for bounded memory
+/// contract (it loses no events — the producer pays by waiting until a
+/// drain worker makes room). The shedding policies trade events for bounded memory
 /// and are accounted in [`OverloadCounters`]; any per-job stream they
 /// puncture degrades gracefully (later events of that job may be
 /// rejected by structural validation, never panic a drain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
-    /// Apply back-pressure: the pushing thread drains the full shard
-    /// in-line, then enqueues. No events are lost; determinism holds.
+    /// Apply back-pressure: a push to a full shard sleeps until a drain
+    /// worker pops, then enqueues. No events are lost; determinism holds.
     #[default]
     Block,
     /// Drop the *oldest* queued event to make room for the new one —

@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use nurd_runtime::ThreadPool;
 
-use crate::disk::RealDisk;
+use crate::disk::{Disk, RealDisk};
 use crate::engine::{relock, EngineCore, EngineHandle, EngineReport};
 use crate::persist::{
     snapshot_path, wal_path, DirScan, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
@@ -48,7 +48,7 @@ use crate::{
 };
 
 /// Tuning for the background drain loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServiceConfig {
     /// Drain workers (total pool parallelism, coordinator included;
     /// [`EngineService::recover`] replays the WAL on them plus its
@@ -56,21 +56,12 @@ pub struct ServiceConfig {
     /// count is capped at the shard count (a shard is drained by one
     /// worker at a time, so extra workers could only idle) and ≥ 1.
     pub drain_workers: usize,
-    /// Maximum events a worker pops from one shard per lock hold.
-    /// Smaller batches bound the latency until a blocked producer wakes
-    /// and until another worker can win the shard; larger batches
-    /// amortize locking. The report is identical at any value.
-    pub drain_batch: usize,
 }
 
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            drain_workers: 0,
-            drain_batch: 256,
-        }
-    }
-}
+/// The most events a worker pops from one shard per lock hold (and, on a
+/// persistent engine, logs with one WAL write). A bounded queue caps a
+/// batch at its capacity. The report is identical at any batch size.
+const DRAIN_BATCH: usize = 256;
 
 /// The background drain loop: a coordinator thread running
 /// `drain_workers` worker loops on a dedicated [`ThreadPool`] scope.
@@ -97,7 +88,6 @@ impl ServiceConfig {
 impl DrainService {
     fn start(core: Arc<EngineCore>, config: &ServiceConfig, flush_every: Option<Duration>) -> Self {
         let workers = config.workers(core.shard_count());
-        let batch = config.drain_batch.max(1);
         let shutdown = Arc::new(AtomicBool::new(false));
         // The background WAL flusher (FsyncPolicy::OnIdle) rides the same
         // pool as one extra scope task.
@@ -123,7 +113,7 @@ impl DrainService {
                             let shutdown = &shutdown;
                             scope.spawn(move || {
                                 let run = catch_unwind(AssertUnwindSafe(|| {
-                                    drain_worker(core, worker, batch, shutdown);
+                                    drain_worker(core, worker, shutdown);
                                 }));
                                 if let Err(payload) = run {
                                     // This worker died (predictor panic,
@@ -192,10 +182,10 @@ impl DrainService {
 /// epoch is snapshotted *before* the scan, so a push or a peer's drain
 /// that races the scan un-parks immediately — no lost wake-ups, no
 /// polling loops.
-fn drain_worker(core: &EngineCore, worker: usize, batch: usize, shutdown: &AtomicBool) {
+fn drain_worker(core: &EngineCore, worker: usize, shutdown: &AtomicBool) {
     let shards = core.shard_count();
     // One pop buffer per worker, reused for every batch it ever drains.
-    let mut buffer = Vec::with_capacity(batch);
+    let mut buffer = Vec::with_capacity(DRAIN_BATCH);
     loop {
         // The service failed (a peer died, its shard perhaps poisoned
         // mid-apply, or the disk failed): stop serving rather than
@@ -206,7 +196,7 @@ fn drain_worker(core: &EngineCore, worker: usize, batch: usize, shutdown: &Atomi
         let epoch = core.notifier().epoch();
         let mut drained = 0;
         for offset in 0..shards {
-            drained += core.drain_shard((worker + offset) % shards, batch, &mut buffer);
+            drained += core.drain_shard((worker + offset) % shards, DRAIN_BATCH, &mut buffer);
         }
         if drained > 0 {
             continue;
@@ -304,7 +294,7 @@ fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool) {
 /// ```
 pub struct EngineService {
     core: Arc<EngineCore>,
-    /// The service's own producer handle — the convenience `push`/`admit`
+    /// The service's own producer handle — the convenience `push`/`push_all`
     /// methods below delegate here, so the accept/wake logic exists once.
     handle: EngineHandle,
     /// `Some` while the drain loop runs; [`EngineService::close`] takes
@@ -345,9 +335,24 @@ impl EngineService {
         persistence: PersistenceConfig,
         factory: PredictorFactory,
     ) -> std::io::Result<Self> {
-        let disk = Arc::new(RealDisk);
-        let (core, _) = EngineCore::new_persistent(config, factory, persistence, disk)?;
-        Ok(Self::launch(Arc::new(core), &service))
+        Self::start_on(Arc::new(RealDisk), config, &service, persistence, factory)
+    }
+
+    /// [`EngineService::start_persistent`] on `disk`. The new segments'
+    /// names are durable before the first append (as `recover`'s final
+    /// directory fsync makes its new generation's).
+    fn start_on(
+        disk: Arc<dyn Disk>,
+        config: EngineConfig,
+        service: &ServiceConfig,
+        persistence: PersistenceConfig,
+        factory: PredictorFactory,
+    ) -> std::io::Result<Self> {
+        let dir = persistence.dir.clone();
+        let (core, _) =
+            EngineCore::new_persistent(config, factory, persistence, Arc::clone(&disk))?;
+        disk.sync_dir(&dir)?;
+        Ok(Self::launch(Arc::new(core), service))
     }
 
     /// Rebuilds a running service from a persistence directory: loads the
@@ -554,14 +559,6 @@ impl EngineService {
     /// Pushes a batch of events in order; returns how many were accepted.
     pub fn push_all(&self, events: impl IntoIterator<Item = nurd_data::TaskEvent>) -> usize {
         self.handle.push_all(events)
-    }
-
-    /// Convenience admission for callers that hold specs out of band:
-    /// pushes a [`nurd_data::TaskEvent::JobStart`] carrying `spec`, so
-    /// admission stays FIFO-ordered with the job's other pushed events
-    /// (and is subject to the same overload policy).
-    pub fn admit(&self, spec: nurd_data::JobSpec) -> bool {
-        self.handle.push(nurd_data::TaskEvent::JobStart { spec })
     }
 
     /// Takes the reports of jobs finalized since the last take (job-id
@@ -838,21 +835,18 @@ mod tests {
         }
     }
 
-    fn engine_config(shards: usize) -> EngineConfig {
+    fn engine_config(shards: usize, queue_capacity: Option<usize>) -> EngineConfig {
         EngineConfig {
             shards,
             warmup_fraction: WARMUP,
-            queue_capacity: Some(4),
+            queue_capacity,
             overload: OverloadPolicy::Block,
             balance: None,
         }
     }
 
     fn service_config() -> ServiceConfig {
-        ServiceConfig {
-            drain_workers: 1,
-            drain_batch: 4,
-        }
+        ServiceConfig { drain_workers: 1 }
     }
 
     fn persistence(fsync: FsyncPolicy) -> PersistenceConfig {
@@ -862,11 +856,21 @@ mod tests {
         persistence
     }
 
-    fn start(disk: &SimDisk, shards: usize, fsync: FsyncPolicy) -> std::io::Result<EngineService> {
-        let config = engine_config(shards);
+    fn start(
+        disk: &SimDisk,
+        shards: usize,
+        fsync: FsyncPolicy,
+        queue_capacity: Option<usize>,
+    ) -> std::io::Result<EngineService> {
+        let config = engine_config(shards, queue_capacity);
         let disk = Arc::new(disk.clone());
-        let (core, _) = EngineCore::new_persistent(config, factory(), persistence(fsync), disk)?;
-        Ok(EngineService::launch(Arc::new(core), &service_config()))
+        EngineService::start_on(
+            disk,
+            config,
+            &service_config(),
+            persistence(fsync),
+            factory(),
+        )
     }
 
     fn recover(
@@ -874,7 +878,7 @@ mod tests {
         shards: usize,
         fsync: FsyncPolicy,
     ) -> (EngineService, RecoverReport) {
-        let config = engine_config(shards);
+        let config = engine_config(shards, Some(4));
         let disk = Arc::new(disk.clone());
         let (core, scan) =
             EngineCore::new_persistent(config, factory(), persistence(fsync), disk).unwrap();
@@ -902,6 +906,18 @@ mod tests {
         })
     }
 
+    /// [`feed`] with every shard locked, then the drain let go: each
+    /// shard's share of `stream` waits whole in its queue and is popped
+    /// in full batches, so the run's disk operations do not hang on
+    /// thread timing.
+    fn feed_held(service: &EngineService, stream: &[TaskEvent]) -> bool {
+        let held = service.core.hold_shards();
+        let served = feed(service, stream, &BTreeMap::new());
+        drop(held);
+        service.core.notifier().unpark();
+        served
+    }
+
     /// The message of a panic `f` raised, or `None` if it returned.
     fn panic_message(f: impl FnOnce()) -> Option<String> {
         let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
@@ -912,27 +928,31 @@ mod tests {
     /// The run every crash point is drawn from: admit the fleet and
     /// serve a third of it, checkpoint (a segment roll), serve to two
     /// thirds, checkpoint (a roll, and the prune of generation 0), serve
-    /// to five sixths, close (a flush, a snapshot, a prune). Returns how
-    /// a failure surfaced, if one did: after it, the service must reject
-    /// pushes and `close()` must raise it.
+    /// to five sixths, close (a flush, a snapshot, a prune). Each part is
+    /// pushed whole and drained in full batches ([`feed_held`]). Returns
+    /// how a failure surfaced, if one did: after it, the service must
+    /// reject pushes and `close()` must raise it. A kill planned on
+    /// `disk` reads how many events the engine had applied.
     fn short_run(
         disk: &SimDisk,
         shards: usize,
         fsync: FsyncPolicy,
         stream: &[TaskEvent],
     ) -> Option<String> {
-        let service = match start(disk, shards, fsync) {
+        let service = match start(disk, shards, fsync, None) {
             Ok(service) => service,
             Err(e) => return Some(e.to_string()),
         };
+        let core = Arc::downgrade(&service.core);
+        disk.probe_kill(move || {
+            // `stats` takes no shard lock: the kill may strike under one.
+            core.upgrade()
+                .map_or(0, |core| core.stats().events_per_shard.iter().sum())
+        });
         let n = stream.len();
         let cuts = [0, n / 3, 2 * n / 3, 5 * n / 6];
         for phase in 0..3 {
-            let served = feed(
-                &service,
-                &stream[cuts[phase]..cuts[phase + 1]],
-                &BTreeMap::new(),
-            );
+            let served = feed_held(&service, &stream[cuts[phase]..cuts[phase + 1]]);
             if !served || service.core.failure().is_some() {
                 break;
             }
@@ -954,7 +974,8 @@ mod tests {
 
     /// Recovers `disk`, resumes the fleet from the receipt's durable
     /// counts, and holds every job's outcome to the sequential replay.
-    fn finish_on(disk: &SimDisk, shards: usize, fleet: &Fleet, context: &str) {
+    /// Returns how many events the recovered state already held.
+    fn finish_on(disk: &SimDisk, shards: usize, fleet: &Fleet, context: &str) -> u64 {
         let (service, receipt) = recover(disk, shards, FsyncPolicy::Never);
         assert!(
             feed(&service, &fleet.stream, &receipt.events_seen),
@@ -969,11 +990,13 @@ mod tests {
             got, fleet.expected,
             "{context}: restart diverged from the uninterrupted run"
         );
+        receipt.events_seen.values().sum()
     }
 
     /// For every step `k` of [`short_run`]: a kill at `k` (the page cache
     /// survives), a power loss at `k`, and a failure of `k`, each
-    /// recovered to the uninterrupted outcome.
+    /// recovered to the uninterrupted outcome. Under `Always` a power
+    /// loss at `k` also keeps every event the engine applied before `k`.
     fn every_step(shards: usize, fsync: FsyncPolicy) {
         let fleet = fleet(2, 10, 3 + shards as u64);
         let trace = SimDisk::default();
@@ -1007,11 +1030,16 @@ mod tests {
             unplugged.lose_power();
             disk.restart();
             finish_on(&disk, shards, &fleet, &format!("kill at {context}"));
-            finish_on(
+            let kept = finish_on(
                 &unplugged,
                 shards,
                 &fleet,
                 &format!("power loss at {context}"),
+            );
+            let applied = disk.probed().unwrap_or(0) as u64;
+            assert!(
+                fsync != FsyncPolicy::Always || kept >= applied,
+                "power loss at {context}: {applied} events applied, {kept} recovered"
             );
 
             let disk = SimDisk::planned(Fault::Fail, None, k);
@@ -1052,7 +1080,7 @@ mod tests {
         let fleet = fleet(3, 30, 11);
         let n = fleet.stream.len();
         let disk = SimDisk::planned(Fault::Kill, Some(Op::SyncData), 0);
-        let a = start(&disk, 1, FsyncPolicy::Never).unwrap();
+        let a = start(&disk, 1, FsyncPolicy::Never, Some(4)).unwrap();
         assert!(feed(&a, &fleet.stream[..n / 2], &BTreeMap::new()));
         a.quiesce();
         drop(a);
@@ -1076,7 +1104,7 @@ mod tests {
     #[test]
     fn a_failed_background_fsync_fails_the_service() {
         let disk = SimDisk::planned(Fault::Fail, Some(Op::SyncData), 1);
-        let service = start(&disk, 2, FsyncPolicy::OnIdle).unwrap();
+        let service = start(&disk, 2, FsyncPolicy::OnIdle, Some(4)).unwrap();
         let handle = service.handle();
         let rejected = std::thread::spawn(move || {
             let deadline = Instant::now() + Duration::from_secs(20);

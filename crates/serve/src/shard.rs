@@ -398,9 +398,7 @@ impl JobState {
             finished_total,
             ..
         } = self;
-        // `finished_total` can be restored from a snapshot: never trust it
-        // past the task table it counts into.
-        let done = (*finished_total).min(tasks.len());
+        let done = *finished_total;
         let mut finished: Vec<FinishedTask<'_>> = Vec::with_capacity(done);
         let mut running: Vec<RunningTask<'_>> = Vec::with_capacity(tasks.len() - done);
         for (id, state) in tasks.iter().enumerate() {
@@ -648,6 +646,23 @@ impl JobState {
                 state.barriers_seen = dec.take_usize()?;
                 state.checkpoints_scored = dec.take_usize()?;
                 state.nodes = Checkpointable::decode(dec)?;
+                // Refuse bookkeeping the job's own events could not have
+                // left (warmup is set at a barrier already closed).
+                let finished = state.tasks.iter().filter(|t| t.latency.is_some()).count();
+                let sized = |n: usize| n == state.spec.task_count;
+                let width = |t: &TaskState| {
+                    t.features.is_empty() || t.features.len() == state.spec.feature_dim
+                };
+                if !(sized(state.tasks.len())
+                    && state.tasks.iter().all(width)
+                    && state.nodes.as_ref().is_none_or(|n| sized(n.len()))
+                    && state.finished_total == finished
+                    && state.barriers_seen <= state.spec.checkpoints
+                    && state.warmup_at.is_none_or(|w| w < state.barriers_seen)
+                    && state.checkpoints_scored <= state.barriers_seen)
+                {
+                    return Err(RecoverError::PredictorRestore(job));
+                }
                 state
             }
             1 => {
@@ -750,30 +765,21 @@ impl Shard {
     /// Appends a batch to the WAL ahead of application; returns how many
     /// records were appended (0 on non-persistent shards).
     pub(crate) fn append_wal(&mut self, events: &[TaskEvent]) -> std::io::Result<usize> {
-        let Some(wal) = self.wal.as_mut() else {
-            return Ok(0);
-        };
-        for event in events {
-            wal.append(event)?;
-        }
-        Ok(events.len())
+        let appended = |wal: &mut WalWriter| wal.append_batch(events).map(|()| events.len());
+        self.wal.as_mut().map_or(Ok(0), appended)
     }
 
     /// Flushes + fsyncs this shard's WAL segment (no-op when absent).
     pub(crate) fn flush_wal(&mut self) -> std::io::Result<()> {
-        match self.wal.as_mut() {
-            Some(wal) => wal.flush_and_sync(),
-            None => Ok(()),
-        }
+        self.wal.as_mut().map_or(Ok(()), WalWriter::flush_and_sync)
     }
 
     /// Seals the current WAL segment and starts a fresh one at `path`
     /// (the per-shard half of snapshot rotation).
     pub(crate) fn rotate_wal(&mut self, disk: &dyn Disk, path: &Path) -> std::io::Result<()> {
-        match self.wal.as_mut() {
-            Some(wal) => wal.rotate(disk, path),
-            None => Ok(()),
-        }
+        self.wal
+            .as_mut()
+            .map_or(Ok(()), |wal| wal.rotate(disk, path))
     }
 
     /// Serializes this shard's checkpointable state into `data` (live
@@ -1198,6 +1204,62 @@ mod tests {
         let record = history_record(TaskEvent::Submitted { job, task: 3 });
         let state = JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP);
         assert!(state.is_ok_and(|s| s.history.is_some_and(|h| h.len() == 1)));
+    }
+
+    #[test]
+    fn a_blob_record_that_disagrees_with_its_spec_is_a_restore_error() {
+        let factory = factory(false);
+        let spec = spec(2);
+        let stats = ShardStats::default();
+        // Served through checkpoint 1: task 0 finished, warmup at 1, two
+        // barriers seen, one scored.
+        let served = || {
+            let mut state = JobState::new(spec.clone(), factory(&spec), true, None);
+            for event in steps(2)[..3].concat() {
+                assert!(state.apply(event, WARMUP, 0, None, &stats));
+            }
+            state
+        };
+        let decode = |state: &JobState| {
+            let mut enc = Encoder::new();
+            state.encode(&mut enc);
+            let record = enc.into_bytes();
+            JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP)
+        };
+        let state = served();
+        assert_eq!(
+            (
+                state.finished_total,
+                state.warmup_at,
+                state.barriers_seen,
+                state.checkpoints_scored
+            ),
+            (1, Some(1), 2, 1)
+        );
+        assert!(decode(&state).is_ok());
+        type Spoil = fn(&mut JobState);
+        let hostile: [(&str, Spoil); 7] = [
+            ("a third task entry", |s| s.tasks.push(TaskState::default())),
+            ("a finished task three wide", |s| {
+                s.tasks[0].features = vec![0.0; 3]
+            }),
+            ("a placement of three", |s| s.nodes = Some(vec![0; 3])),
+            ("two finished, one latency", |s| s.finished_total = 2),
+            ("seven barriers of six", |s| {
+                s.barriers_seen = CHECKPOINTS + 1
+            }),
+            ("warmup at a barrier not seen", |s| s.warmup_at = Some(2)),
+            ("three scored of two", |s| s.checkpoints_scored = 3),
+        ];
+        for (what, spoil) in hostile {
+            let mut state = served();
+            spoil(&mut state);
+            match decode(&state) {
+                Err(RecoverError::PredictorRestore(id)) => assert_eq!(id, spec.job, "{what}"),
+                Err(e) => panic!("{what}: wrong error {e:?}"),
+                Ok(_) => panic!("{what}: decoded a job its spec cannot hold"),
+            }
+        }
     }
 
     #[test]

@@ -44,13 +44,16 @@ impl WalWriter {
         })
     }
 
-    /// Appends one event record. Under [`FsyncPolicy::Always`] the
-    /// record is flushed and fsynced before this returns.
-    pub(crate) fn append(&mut self, event: &TaskEvent) -> std::io::Result<()> {
-        self.enc.clear();
-        event.encode(&mut self.enc);
-        write_frame(&mut self.out, self.enc.as_slice())?;
-        self.dirty = true;
+    /// Appends a drained batch, one record per event. Under
+    /// [`FsyncPolicy::Always`] the batch is flushed and fsynced once
+    /// before this returns.
+    pub(crate) fn append_batch(&mut self, events: &[TaskEvent]) -> std::io::Result<()> {
+        for event in events {
+            self.enc.clear();
+            event.encode(&mut self.enc);
+            write_frame(&mut self.out, self.enc.as_slice())?;
+            self.dirty = true;
+        }
         if self.policy == FsyncPolicy::Always {
             self.flush_and_sync()?;
         }
@@ -71,9 +74,14 @@ impl WalWriter {
     /// Seals this segment (flush + fsync) and starts a fresh one at
     /// `path` — the WAL half of snapshot rotation, called under the
     /// shard lock so no append can slip between the old and new files.
+    /// Under [`FsyncPolicy::Always`] a directory fsync makes the new name
+    /// durable before the segment takes an append (else the snapshot's).
     pub(crate) fn rotate(&mut self, disk: &dyn Disk, path: &Path) -> std::io::Result<()> {
         self.flush_and_sync()?;
         self.out = BufWriter::new(disk.create(path)?);
+        if self.policy == FsyncPolicy::Always {
+            disk.sync_dir(path.parent().expect("a segment path names its directory"))?;
+        }
         Ok(())
     }
 }
@@ -136,7 +144,7 @@ mod tests {
         let path = Path::new("/wal/wal-0-0.log");
         let mut wal = WalWriter::create(disk, path, policy).unwrap();
         for e in events {
-            wal.append(e).unwrap();
+            wal.append_batch(std::slice::from_ref(e)).unwrap();
         }
         if policy != FsyncPolicy::Always {
             wal.flush_and_sync().unwrap();
@@ -187,14 +195,40 @@ mod tests {
 
     #[test]
     fn injected_crash_keeps_exactly_the_budgeted_prefix() {
-        // Under `Always` each record is one write and one fsync: a kill
-        // at the fourth fsync leaves four whole records behind.
+        // Under `Always` each one-record batch is one write and one
+        // fsync: a kill at the fourth fsync leaves four whole records
+        // behind.
         let disk = SimDisk::planned(Fault::Kill, Some(Op::SyncData), 3);
         let events: Vec<TaskEvent> = (0..10).map(|i| event(7, i)).collect();
         let path = append_all(&disk, FsyncPolicy::Always, &events);
         let (read, tail) = read_wal_segment(&disk, path).unwrap();
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(read, events[..4]);
+    }
+
+    #[test]
+    fn an_always_batch_is_one_fsync() {
+        let disk = SimDisk::default();
+        let path = Path::new("/wal/wal-0-0.log");
+        let mut wal = WalWriter::create(&disk, path, FsyncPolicy::Always).unwrap();
+        let events: Vec<TaskEvent> = (0..10).map(|i| event(7, i)).collect();
+        wal.append_batch(&events).unwrap();
+        let syncs = disk.steps().iter().filter(|s| s.op == Op::SyncData).count();
+        assert_eq!(syncs, 1);
+        assert_eq!(disk.files()[path], framed(&events));
+    }
+
+    #[test]
+    fn an_always_rotation_survives_a_power_cut_before_any_other_dir_fsync() {
+        let disk = SimDisk::default();
+        let (first, second) = (Path::new("/wal/wal-0-0.log"), Path::new("/wal/wal-1-0.log"));
+        let mut wal = WalWriter::create(&disk, first, FsyncPolicy::Always).unwrap();
+        wal.rotate(&disk, second).unwrap();
+        let events: Vec<TaskEvent> = (0..3).map(|i| event(7, i)).collect();
+        wal.append_batch(&events).unwrap();
+        disk.lose_power();
+        let (read, tail) = read_wal_segment(&disk, second).unwrap();
+        assert_eq!((read, tail), (events, WalTail::Clean));
     }
 
     #[test]

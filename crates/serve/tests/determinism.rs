@@ -8,15 +8,16 @@
 //!    [`nurd_serve::EngineReport`]s.
 //! 3. **Interleaving invariance** — any random merge of the per-job
 //!    event streams (per-job order preserved) produces the identical
-//!    report, as does any drain batching (`ServiceConfig::drain_batch`,
-//!    `drain_workers`, and where the producer stops to quiesce).
+//!    report, as does any drain batching (a worker pops at most what a
+//!    shard's queue holds, so `EngineConfig::queue_capacity` bounds the
+//!    batch; `drain_workers`; where the producer stops to quiesce).
 //! 4. **Lifecycle invariance** — all of the above survive *streaming*
 //!    operation: jobs admitted mid-stream by their `JobStart`, finalized
 //!    individually by `JobEnd`/stream completion, reports taken
 //!    mid-stream — at staggered, seeded arrival/departure orders.
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
-use nurd_data::{job_events, job_stream, JobSpec, TaskEvent};
+use nurd_data::{job_stream, JobSpec, TaskEvent};
 use nurd_serve::{
     EngineConfig, EngineReport, EngineService, JobReport, PredictorFactory, ServiceConfig,
 };
@@ -44,11 +45,17 @@ fn nurd_factory(policy: RefitPolicy) -> PredictorFactory {
     })
 }
 
-fn start(shards: usize, service: ServiceConfig, policy: &RefitPolicy) -> EngineService {
+fn start(
+    shards: usize,
+    queue_capacity: Option<usize>,
+    service: ServiceConfig,
+    policy: &RefitPolicy,
+) -> EngineService {
     EngineService::start(
         EngineConfig {
             shards,
             warmup_fraction: WARMUP,
+            queue_capacity,
             ..EngineConfig::default()
         },
         service,
@@ -56,18 +63,16 @@ fn start(shards: usize, service: ServiceConfig, policy: &RefitPolicy) -> EngineS
     )
 }
 
-fn run_engine(
-    jobs: &[nurd_data::JobTrace],
-    events: Vec<TaskEvent>,
-    shards: usize,
-    policy: &RefitPolicy,
-) -> EngineReport {
-    let service = start(shards, ServiceConfig::default(), policy);
-    for job in jobs {
-        service.admit(JobSpec::of_trace(job, QUANTILE));
-    }
+fn run_engine(events: Vec<TaskEvent>, shards: usize, policy: &RefitPolicy) -> EngineReport {
+    let service = start(shards, None, ServiceConfig::default(), policy);
     service.push_all(events);
     service.close()
+}
+
+/// The fleet's canonical stream: every job arriving at once, ordered by
+/// (time, job, sequence).
+fn canonical(jobs: &[nurd_data::JobTrace]) -> Vec<TaskEvent> {
+    nurd_trace::staggered_fleet_events(jobs, QUANTILE, 0.0, 0)
 }
 
 fn warm_policy() -> RefitPolicy {
@@ -82,8 +87,7 @@ fn engine_report_equals_sequential_replay_for_warm_and_cold_nurd() {
         warmup_fraction: WARMUP,
     };
     for policy in [RefitPolicy::AlwaysCold, warm_policy()] {
-        let (_, events) = nurd_trace::fleet_events(&jobs, QUANTILE);
-        let report = run_engine(&jobs, events, 4, &policy);
+        let report = run_engine(canonical(&jobs), 4, &policy);
         assert_eq!(report.jobs.len(), jobs.len());
         for job in &jobs {
             let mut reference =
@@ -104,8 +108,7 @@ fn engine_report_equals_sequential_replay_for_warm_and_cold_nurd() {
 fn engine_actually_flags_stragglers() {
     // Guard against vacuous equality (both sides predicting nothing).
     let jobs = suite(0xACE, 4);
-    let (_, events) = nurd_trace::fleet_events(&jobs, QUANTILE);
-    let report = run_engine(&jobs, events, 2, &warm_policy());
+    let report = run_engine(canonical(&jobs), 2, &warm_policy());
     let flagged: usize = report
         .jobs
         .iter()
@@ -133,31 +136,26 @@ proptest! {
         let policy = warm_policy();
 
         // Canonical time-ordered interleaving, 1 shard: the baseline.
-        let (_, canonical) = nurd_trace::fleet_events(&jobs, QUANTILE);
-        let baseline = run_engine(&jobs, canonical.clone(), 1, &policy);
+        let canonical = canonical(&jobs);
+        let baseline = run_engine(canonical.clone(), 1, &policy);
 
         // Same events, more shards.
         for shards in [2usize, 8] {
-            let report = run_engine(&jobs, canonical.clone(), shards, &policy);
+            let report = run_engine(canonical.clone(), shards, &policy);
             prop_assert_eq!(&report, &baseline, "shard count {} changed the report", shards);
         }
 
-        // Random interleaving of the raw per-job streams.
-        let streams: Vec<Vec<TaskEvent>> = jobs
-            .iter()
-            .map(|j| job_events(j, QUANTILE).1)
-            .collect();
+        // Random interleaving of the per-job streams.
+        let streams: Vec<Vec<TaskEvent>> = jobs.iter().map(|j| job_stream(j, QUANTILE)).collect();
         let shuffled = nurd_trace::interleave_events(streams, shuffle_seed);
-        let report = run_engine(&jobs, shuffled.clone(), 8, &policy);
+        let report = run_engine(shuffled.clone(), 8, &policy);
         prop_assert_eq!(&report, &baseline, "interleaving changed the report");
 
-        // Small drain batches, one or two workers, and a producer that
-        // stops to quiesce between small pushes.
-        let drain_batch = [1, 7, 256][batch_pick];
-        let service = start(2, ServiceConfig { drain_workers, drain_batch }, &policy);
-        for job in &jobs {
-            service.admit(JobSpec::of_trace(job, QUANTILE));
-        }
+        // Small drain batches (a worker pops at most what the queue
+        // holds), one or two workers, and a producer that stops to
+        // quiesce between small pushes.
+        let queue_capacity = [Some(1), Some(7), None][batch_pick];
+        let service = start(2, queue_capacity, ServiceConfig { drain_workers }, &policy);
         for chunk in shuffled.chunks(97) {
             service.push_all(chunk.to_vec());
             service.quiesce();
@@ -207,7 +205,7 @@ proptest! {
             (&staggered, 8),
             (&shuffled, 8),
         ] {
-            let service = start(shards, ServiceConfig::default(), &policy);
+            let service = start(shards, None, ServiceConfig::default(), &policy);
             // Chunked pushes with mid-stream report taking — the
             // long-lived-service usage pattern.
             let mut reports: Vec<JobReport> = Vec::new();

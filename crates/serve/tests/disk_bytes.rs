@@ -84,10 +84,7 @@ fn engine_config() -> EngineConfig {
 }
 
 fn service_config() -> ServiceConfig {
-    ServiceConfig {
-        drain_workers: 2,
-        drain_batch: 8,
-    }
+    ServiceConfig { drain_workers: 2 }
 }
 
 /// Serves a fixed 3-job fleet into `dir` and "crashes": half the stream,

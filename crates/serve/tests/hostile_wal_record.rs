@@ -45,10 +45,7 @@ fn engine_config(shards: usize) -> EngineConfig {
 }
 
 fn service_config(drain_workers: usize) -> ServiceConfig {
-    ServiceConfig {
-        drain_workers,
-        drain_batch: 8,
-    }
+    ServiceConfig { drain_workers }
 }
 
 /// A fresh engine directory holding an empty generation 0 and a

@@ -54,10 +54,7 @@ fn engine_config() -> EngineConfig {
 }
 
 fn service_config() -> ServiceConfig {
-    ServiceConfig {
-        drain_workers: 1,
-        drain_batch: 8,
-    }
+    ServiceConfig { drain_workers: 1 }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {

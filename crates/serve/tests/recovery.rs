@@ -123,10 +123,7 @@ fn engine_config(shards: usize) -> EngineConfig {
 }
 
 fn service_config() -> ServiceConfig {
-    ServiceConfig {
-        drain_workers: 2,
-        drain_batch: 8,
-    }
+    ServiceConfig { drain_workers: 2 }
 }
 
 /// Pushes each producer stream on its own thread, skipping the first
@@ -1191,7 +1188,9 @@ fn persisted_counters(stats: &EngineStats) -> [usize; 11] {
 fn a_restart_carries_the_persisted_counters_forward() {
     const POISONED: u64 = 2;
     const GATED: u64 = 3;
-    const CAPACITY: usize = 4;
+    // Deeper than one drain batch (256 events), so the gated job's queue
+    // outlives the first pop and its backlog boosts the shard.
+    const CAPACITY: usize = 300;
     let dir = scratch_dir("counters");
     let config = EngineConfig {
         shards: 1,
@@ -1204,12 +1203,7 @@ fn a_restart_carries_the_persisted_counters_forward() {
             threads: 2,
         }),
     };
-    // One event per drain batch, so the gated job's queue is drained a
-    // step at a time and its backlog boosts the shard.
-    let service_config = ServiceConfig {
-        drain_workers: 2,
-        drain_batch: 1,
-    };
+    let service_config = ServiceConfig { drain_workers: 2 };
     // Met twice by the gated job's admission and this thread: once when
     // the admission holds the shard, once to let it go.
     let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
@@ -1277,7 +1271,8 @@ fn a_restart_carries_the_persisted_counters_forward() {
         })
         .collect();
     let accepted: Vec<bool> = submitted.into_iter().map(|e| service.push(e)).collect();
-    assert_eq!(accepted, [true, true, true, true, false, false]);
+    assert!(accepted[..CAPACITY].iter().all(|&a| a));
+    assert_eq!(accepted[CAPACITY..], [false, false]);
     gate.wait();
     service.quiesce();
     push_drained(vec![end(GATED)]);

@@ -15,7 +15,8 @@
 //!    withdraws) within-job parallelism without changing any report.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
@@ -114,7 +115,7 @@ proptest! {
                     overload: OverloadPolicy::Block,
                     balance: None,
                 },
-                ServiceConfig { drain_workers: 2, drain_batch: 8 },
+                ServiceConfig { drain_workers: 2 },
                 nurd_factory(policy.clone()),
             );
             let producers: Vec<_> = producer_streams(&jobs, 3, interleave_seed)
@@ -163,10 +164,7 @@ fn job_lifecycles_race_across_producers_without_loss() {
             overload: OverloadPolicy::Block,
             ..EngineConfig::default()
         },
-        ServiceConfig {
-            drain_workers: 2,
-            drain_batch: 4,
-        },
+        ServiceConfig { drain_workers: 2 },
         flag_all_factory(),
     );
     // Two declared checkpoints but only one barrier in the stream, so
@@ -245,10 +243,7 @@ fn blocked_producers_wake_and_lose_nothing_on_a_saturated_shard() {
             overload: OverloadPolicy::Block,
             ..EngineConfig::default()
         },
-        ServiceConfig {
-            drain_workers: 1,
-            drain_batch: 1,
-        },
+        ServiceConfig { drain_workers: 1 },
         flag_all_factory(),
     );
     // Jobs with long event streams: 3 producers × 1 job × ~1200 events.
@@ -297,10 +292,7 @@ fn close_during_in_flight_pushes_loses_no_accepted_event() {
                 overload: OverloadPolicy::Block,
                 ..EngineConfig::default()
             },
-            ServiceConfig {
-                drain_workers: 1,
-                drain_batch: 2,
-            },
+            ServiceConfig { drain_workers: 1 },
             flag_all_factory(),
         );
         let producers: Vec<_> = (0..3u64)
@@ -413,10 +405,7 @@ fn predictor_panic_scenario(shards: usize, drain_workers: usize) {
             overload: OverloadPolicy::Block,
             ..EngineConfig::default()
         },
-        ServiceConfig {
-            drain_workers,
-            drain_batch: 4,
-        },
+        ServiceConfig { drain_workers },
         // Job 1 gets the bomb; every other job a healthy predictor.
         Box::new(|spec: &JobSpec| {
             if spec.job == 1 {
@@ -503,10 +492,7 @@ fn factory_panic_scenario(shards: usize, drain_workers: usize) {
             overload: OverloadPolicy::Block,
             ..EngineConfig::default()
         },
-        ServiceConfig {
-            drain_workers,
-            drain_batch: 4,
-        },
+        ServiceConfig { drain_workers },
         Box::new(|_| -> Box<dyn OnlinePredictor + Send> { panic!("factory exploded") }),
     );
     // The producer's first event (the admission) detonates the factory;
@@ -586,11 +572,31 @@ impl OnlinePredictor for SlowProbe {
     }
 }
 
+/// [`SlowProbe`]s whose first admission waits for the returned sender: the
+/// drain worker holds the shard while the test queues events, so the next
+/// pop leaves a backlog behind it whatever the thread timing.
+fn gated_slow_probes(grants: Arc<AtomicUsize>) -> (PredictorFactory, Sender<()>) {
+    let (release, gate) = channel::<()>();
+    let gate = Mutex::new(Some(gate));
+    let factory: PredictorFactory = Box::new(move |_spec: &JobSpec| {
+        let first = gate.lock().unwrap().take();
+        if let Some(gate) = first {
+            gate.recv().ok();
+        }
+        Box::new(SlowProbe {
+            grants: Arc::clone(&grants),
+            threads: 1,
+        })
+    });
+    (factory, release)
+}
+
 #[test]
 fn adaptive_balancing_boosts_backlogged_shards_and_changes_no_report() {
     let jobs = suite(0xBA1A, 3);
     let streams = producer_streams(&jobs, 1, 7);
     let run = |balance: Option<BalanceConfig>, grants: Arc<AtomicUsize>| {
+        let (factory, release) = gated_slow_probes(grants);
         let service = EngineService::start(
             EngineConfig {
                 shards: 1,
@@ -598,21 +604,14 @@ fn adaptive_balancing_boosts_backlogged_shards_and_changes_no_report() {
                 balance,
                 ..EngineConfig::default()
             },
-            ServiceConfig {
-                drain_workers: 1,
-                drain_batch: 16,
-            },
-            Box::new(move |_spec: &JobSpec| {
-                Box::new(SlowProbe {
-                    grants: Arc::clone(&grants),
-                    threads: 1,
-                })
-            }),
+            ServiceConfig { drain_workers: 1 },
+            factory,
         );
-        // One fast producer, one slow-scoring shard: the unbounded
-        // ingress backlogs far past the threshold.
+        // The whole stream queues behind the first admission: the
+        // unbounded ingress backlogs far past the threshold.
         let handle = service.handle();
         handle.push_all(streams[0].clone());
+        release.send(()).unwrap();
         service.quiesce();
         let boosts = service.stats().balance_boosts;
         (service.close(), boosts)
@@ -647,15 +646,15 @@ fn adaptive_balancing_boosts_backlogged_shards_and_changes_no_report() {
 
 #[test]
 fn balance_threshold_clamps_to_bounded_queue_capacity() {
-    // BalanceConfig::default() (threshold 4096) with a capacity-32 queue
-    // would be unsatisfiable un-clamped; the engine clamps to half the
-    // capacity so the feature still engages under saturation.
-    let grants = Arc::new(AtomicUsize::new(0));
-    let factory_grants = Arc::clone(&grants);
+    // BalanceConfig::default() (threshold 4096) with a capacity-600
+    // queue would be unsatisfiable un-clamped; the engine clamps to half
+    // the capacity so the feature still engages under saturation (a
+    // full queue keeps 344 events past a 256-event drain batch).
+    let (factory, release) = gated_slow_probes(Arc::new(AtomicUsize::new(0)));
     let service = EngineService::start(
         EngineConfig {
             shards: 1,
-            queue_capacity: Some(32),
+            queue_capacity: Some(600),
             overload: OverloadPolicy::Block,
             balance: Some(BalanceConfig {
                 min_tasks: 1,
@@ -664,29 +663,30 @@ fn balance_threshold_clamps_to_bounded_queue_capacity() {
             }),
             ..EngineConfig::default()
         },
-        ServiceConfig {
-            drain_workers: 1,
-            drain_batch: 8,
-        },
-        Box::new(move |_spec: &JobSpec| {
-            Box::new(SlowProbe {
-                grants: Arc::clone(&factory_grants),
-                threads: 1,
-            })
-        }),
+        ServiceConfig { drain_workers: 1 },
+        factory,
     );
-    let jobs = suite(0xC1A, 2);
+    // Longer than the queue: the producer fills it behind the first
+    // admission and blocks; then the shard is let go.
+    let jobs = suite(0xC1A, 4);
     let handle = service.handle();
-    for stream in nurd_trace::producer_streams(&jobs, 1, 0.9, 3) {
-        handle.push_all(stream);
+    let producer = std::thread::spawn(move || {
+        for stream in nurd_trace::producer_streams(&jobs, 1, 0.9, 3) {
+            handle.push_all(stream);
+        }
+    });
+    while service.stats().blocked_pushes == 0 {
+        std::thread::yield_now();
     }
+    release.send(()).unwrap();
+    producer.join().unwrap();
     service.quiesce();
     assert!(
         service.stats().balance_boosts >= 1,
         "default threshold must clamp to the bounded queue and fire"
     );
     let report = service.close();
-    assert_eq!(report.jobs.len(), 2);
+    assert_eq!(report.jobs.len(), 4);
 }
 
 #[test]
@@ -706,7 +706,7 @@ fn quiesce_settles_the_backlog_for_mid_stream_observation() {
         feature_dim: 1,
         checkpoints: 2,
     };
-    assert!(service.admit(spec));
+    assert!(service.push(TaskEvent::JobStart { spec }));
     assert!(service.push(TaskEvent::Submitted { job: 42, task: 0 }));
     service.quiesce();
     let stats = service.stats();

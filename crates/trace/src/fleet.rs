@@ -6,13 +6,14 @@
 //! [`TaskEvent`]s whose jobs interleave the way concurrent jobs do on a
 //! shared cluster, while preserving the one ordering guarantee the
 //! serving engine needs: **per-job event order is checkpoint order**.
-//! Cross-job order is irrelevant to the engine's output (that is its
-//! determinism contract, property-tested in `nurd-serve`), so three
-//! interleavings are provided: the canonical time-ordered merge
-//! ([`fleet_events`]), a streaming merge with staggered job arrivals and
-//! departures carrying `JobStart`/`JobEnd` lifecycle markers
-//! ([`staggered_fleet_events`]), and a seeded random merge for
-//! adversarial shuffling in tests ([`interleave_events`]).
+//! Every job enters the stream as its [`job_stream`], bracketed by its
+//! `JobStart`/`JobEnd` lifecycle markers. Cross-job order is irrelevant
+//! to the engine's output (that is its determinism contract,
+//! property-tested in `nurd-serve`), so two interleavings are provided: a
+//! time-ordered merge with staggered job arrivals and departures
+//! ([`staggered_fleet_events`]; a spread of `0.0` gives the canonical
+//! simultaneous-arrival order) and a seeded random merge for adversarial
+//! shuffling in tests ([`interleave_events`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,25 +22,7 @@ use std::vec::IntoIter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use nurd_data::{job_events, job_stream, JobSpec, JobTrace, TaskEvent};
-
-/// Lowers every job into events and merges them into one stream ordered
-/// by `(event time, job id, per-job sequence)` — the interleaving a
-/// shared cluster clock would produce, deterministically tie-broken.
-/// Returns the per-job [`JobSpec`]s (admission metadata) alongside.
-///
-/// `threshold_quantile` sets each job's `τ_stra` from its own latency
-/// distribution (the paper's p90 protocol at `0.9`).
-#[must_use]
-pub fn fleet_events(jobs: &[JobTrace], threshold_quantile: f64) -> (Vec<JobSpec>, Vec<TaskEvent>) {
-    let mut specs = Vec::with_capacity(jobs.len());
-    let events = merge_by_time(jobs.iter().map(|job| {
-        let (spec, events) = job_events(job, threshold_quantile);
-        specs.push(spec);
-        (0.0, events)
-    }));
-    (specs, events)
-}
+use nurd_data::{job_stream, JobTrace, TaskEvent};
 
 /// Lowers every job into its *streaming* form ([`job_stream`]: events
 /// bracketed by `JobStart` / `JobEnd`) and merges them into one fleet
@@ -55,13 +38,15 @@ pub fn fleet_events(jobs: &[JobTrace], threshold_quantile: f64) -> (Vec<JobSpec>
 /// every event keeps its job-relative `τ_run` time, so per-job replay
 /// semantics (thresholds, warmup, revelation) are untouched and the
 /// engine's determinism contract applies verbatim. Same `seed` ⇒ same
-/// stream; `spread = 0.0` degenerates to simultaneous arrivals.
+/// stream; `spread = 0.0` degenerates to simultaneous arrivals, ordered
+/// by `(event time, job id, per-job sequence)` — the interleaving a
+/// shared cluster clock would produce, deterministically tie-broken.
 ///
 /// `threshold_quantile` sets each job's `τ_stra` from its own latency
 /// distribution (the paper's p90 protocol at `0.9`). Admission metadata
-/// travels in the stream's `JobStart` events, so unlike [`fleet_events`]
-/// no spec list is returned — a consumer that needs specs out of band
-/// can build them with [`JobSpec::of_trace`].
+/// travels in the stream's `JobStart` events; a consumer that needs
+/// specs out of band can build them with
+/// [`JobSpec::of_trace`](nurd_data::JobSpec::of_trace).
 #[must_use]
 pub fn staggered_fleet_events(
     jobs: &[JobTrace],
@@ -148,8 +133,8 @@ fn take(event: &mut TaskEvent) -> TaskEvent {
 /// Randomly merges per-job event streams while preserving each stream's
 /// internal order: at every step one nonempty stream is chosen uniformly
 /// and its next event is emitted. Same `seed` ⇒ same interleaving. This
-/// is the adversarial counterpart to [`fleet_events`] — any such merge
-/// must produce the identical `EngineReport`.
+/// is the adversarial counterpart to [`staggered_fleet_events`] — any
+/// merge of [`job_stream`]s must produce the identical `EngineReport`.
 #[must_use]
 pub fn interleave_events(mut streams: Vec<Vec<TaskEvent>>, seed: u64) -> Vec<TaskEvent> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -202,28 +187,8 @@ pub fn producer_streams(
         .collect()
 }
 
-/// The oracle of [`fleet_events`]: every event tagged with its sort key
-/// and the whole tagged list stable-sorted.
-#[cfg(test)]
-pub(crate) fn reference_fleet_events(
-    jobs: &[JobTrace],
-    threshold_quantile: f64,
-) -> (Vec<JobSpec>, Vec<TaskEvent>) {
-    let mut specs = Vec::with_capacity(jobs.len());
-    let mut tagged: Vec<(f64, u64, usize, TaskEvent)> = Vec::new();
-    for job in jobs {
-        let (spec, events) = job_events(job, threshold_quantile);
-        specs.push(spec);
-        for (seq, ev) in events.into_iter().enumerate() {
-            tagged.push((ev.time(), ev.job(), seq, ev));
-        }
-    }
-    tagged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    (specs, tagged.into_iter().map(|(_, _, _, ev)| ev).collect())
-}
-
-/// The oracle of [`staggered_fleet_events`], sorting whole events the
-/// same way.
+/// The oracle of [`staggered_fleet_events`]: every event tagged with its
+/// sort key and the whole tagged list stable-sorted.
 #[cfg(test)]
 pub(crate) fn reference_staggered_fleet_events(
     jobs: &[JobTrace],
@@ -278,35 +243,24 @@ mod tests {
     #[test]
     fn fleet_merge_preserves_per_job_order_and_time_order() {
         let jobs = suite();
-        let (specs, events) = fleet_events(&jobs, 0.9);
-        assert_eq!(specs.len(), 3);
+        let events = staggered_fleet_events(&jobs, 0.9, 0.0, 0);
         for w in events.windows(2) {
             assert!(w[0].time() <= w[1].time(), "stream not time-ordered");
         }
-        for spec in &specs {
+        for job in &jobs {
             assert_eq!(
-                per_job_ordinals(&events, spec.job),
-                (0..spec.checkpoints).collect::<Vec<_>>()
+                per_job_ordinals(&events, job.job_id()),
+                (0..job.checkpoint_count()).collect::<Vec<_>>()
             );
         }
-        let total: usize = jobs
-            .iter()
-            .map(|j| {
-                // submissions + barriers + one Progress-or-Finished per
-                // task per checkpoint, minus post-completion silence.
-                nurd_data::job_events(j, 0.9).1.len()
-            })
-            .sum();
+        let total: usize = jobs.iter().map(|j| job_stream(j, 0.9).len()).sum();
         assert_eq!(events.len(), total);
     }
 
     #[test]
     fn random_interleave_preserves_each_stream_order() {
         let jobs = suite();
-        let streams: Vec<Vec<TaskEvent>> = jobs
-            .iter()
-            .map(|j| nurd_data::job_events(j, 0.9).1)
-            .collect();
+        let streams: Vec<Vec<TaskEvent>> = jobs.iter().map(|j| job_stream(j, 0.9)).collect();
         let originals: Vec<Vec<TaskEvent>> = streams.clone();
         let merged = interleave_events(streams, 0xFEED);
         for (i, job) in jobs.iter().enumerate() {
@@ -401,7 +355,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Suites and both lowerings of the whole fleet and of its first
+        /// Suites and the lowering of the whole fleet and of its first
         /// job equal their oracles for either style, with and without the
         /// node model, at zero spread (every job's `JobStart` and
         /// submissions tie at time 0) and at a positive one.
@@ -435,7 +389,6 @@ mod tests {
             }
             prop_assert_eq!(&crate::generate_suite(&cfg), &jobs);
             for fleet in [&jobs[..1], &jobs[..]] {
-                prop_assert_eq!(fleet_events(fleet, 0.9), reference_fleet_events(fleet, 0.9));
                 prop_assert_eq!(
                     staggered_fleet_events(fleet, 0.9, spread, seed),
                     reference_staggered_fleet_events(fleet, 0.9, spread, seed)
@@ -451,7 +404,6 @@ mod tests {
         // sort it replaced did.
         let job = suite().remove(0);
         let jobs = [job.clone(), job];
-        assert_eq!(fleet_events(&jobs, 0.9), reference_fleet_events(&jobs, 0.9));
         assert_eq!(
             staggered_fleet_events(&jobs, 0.9, 0.0, 1),
             reference_staggered_fleet_events(&jobs, 0.9, 0.0, 1)
@@ -461,11 +413,7 @@ mod tests {
     #[test]
     fn interleave_is_deterministic_per_seed() {
         let jobs = suite();
-        let streams = || {
-            jobs.iter()
-                .map(|j| nurd_data::job_events(j, 0.9).1)
-                .collect::<Vec<_>>()
-        };
+        let streams = || jobs.iter().map(|j| job_stream(j, 0.9)).collect::<Vec<_>>();
         assert_eq!(
             interleave_events(streams(), 7),
             interleave_events(streams(), 7)

@@ -41,7 +41,7 @@ mod node;
 
 pub use config::{CauseMix, SuiteConfig, TraceStyle};
 pub use features::{ALIBABA_FEATURES, GOOGLE_FEATURES};
-pub use fleet::{fleet_events, interleave_events, producer_streams, staggered_fleet_events};
+pub use fleet::{interleave_events, producer_streams, staggered_fleet_events};
 pub use generator::{generate_job, generate_job_detailed, generate_suite};
 pub use latency::{StragglerCause, TaskPlan};
 pub use node::{NodeModel, NodeModelConfig};

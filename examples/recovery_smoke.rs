@@ -218,10 +218,7 @@ fn main() {
     // 4 shards, each routed into 3 here, a generation's segments on 3
     // threads at once.
     let admitted = first.events_seen.values().sum::<u64>() + pushed - removed;
-    let service = ServiceConfig {
-        drain_workers: 2,
-        ..ServiceConfig::default()
-    };
+    let service = ServiceConfig { drain_workers: 2 };
     let (revived, second) = recover(&dir, admitted, 3, service);
 
     // Resume every job from its durable prefix and finish the fleet.

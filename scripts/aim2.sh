@@ -127,10 +127,25 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # `take_vec`, through which feature vectors and node lists decode and
 # which refuses a count its payload cannot hold before reserving, +16,
 # less the `Placed` arm's own loop, -6).
-MAX_WORKSPACE_LINES=20249
-MAX_PRODUCT_LINES=8528
+#
+# Config fields no caller set, and one way in, lowered both line limits by
+# their net, -26 (20,249 -> 20,223) and -1 (8,528 -> 8,527), and config
+# fields 35 -> 29: `TreeConfig::{lambda, min_split_gain, max_bins}`,
+# `GbtConfig::learning_rate`, `WarmRefitConfig::max_trees` and
+# `ServiceConfig::drain_batch` became private constants, their guards
+# gone (`ml` -7, `core` -5: the cap check reads `MAX_TREES`); `trace` -15
+# (`fleet_events`) and `data` -10 (`job_events`; its frozen-after-completion
+# contract now heads `job_stream`'s docs); `serve` +11: `service.rs` -3
+# (`admit` and the batch field gone, `start_on`'s directory fsync added),
+# `wal.rs` +8 (a drained batch is one append and one fsync under
+# `Always`, and an `Always` roll fsyncs the directory), `shard.rs` +6 (the
+# blob-mode job record checked against its spec and its feature width,
+# less three `match`es on the WAL slot and the `min` guard the check makes
+# redundant).
+MAX_WORKSPACE_LINES=20223
+MAX_PRODUCT_LINES=8527
 MAX_UNSAFE_SITES=4
-MAX_CONFIG_FIELDS=35
+MAX_CONFIG_FIELDS=29
 
 workspace=0
 total=0

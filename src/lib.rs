@@ -32,8 +32,8 @@
 //!   [`serve`] and the parallel ML loops: fork-join thread pool,
 //!   bounded MPSC `Channel`, park/unpark `Notifier`.
 //! * [`trace`] — the synthetic Google/Alibaba-style trace substrate,
-//!   including interleaved multi-job event streams (`trace::fleet_events`,
-//!   `trace::staggered_fleet_events`).
+//!   including interleaved multi-job event streams
+//!   (`trace::staggered_fleet_events`, `trace::interleave_events`).
 //! * [`data`], [`ml`], [`linalg`], [`outlier`], [`survival`] — the
 //!   substrates everything above is built from.
 //!

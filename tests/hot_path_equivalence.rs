@@ -151,12 +151,7 @@ fn checked_factory(config: NurdConfig, largest_batch: &Arc<AtomicUsize>) -> Pred
     })
 }
 
-fn run_engine(
-    jobs: &[JobTrace],
-    events: Vec<TaskEvent>,
-    shards: usize,
-    factory: PredictorFactory,
-) -> EngineReport {
+fn run_engine(events: Vec<TaskEvent>, shards: usize, factory: PredictorFactory) -> EngineReport {
     let service = EngineService::start(
         EngineConfig {
             shards,
@@ -166,9 +161,6 @@ fn run_engine(
         ServiceConfig::default(),
         factory,
     );
-    for job in jobs {
-        service.admit(JobSpec::of_trace(job, QUANTILE));
-    }
     service.push_all(events);
     let report = service.close();
     // The engine quarantines a panicking predictor instead of unwinding,
@@ -309,7 +301,7 @@ fn transfer_prior_engine_matches_replay_at_all_shard_counts() {
     let suite = suite(TraceStyle::Google, 4, 0xF1AE);
     let (donor_job, jobs) = suite.split_first().expect("a donor job");
     let donor = DonorModel::from_job(donor_job, &NurdConfig::default()).unwrap();
-    let (_, events) = nurd::trace::fleet_events(jobs, QUANTILE);
+    let events = nurd::trace::staggered_fleet_events(jobs, QUANTILE, 0.0, 0);
     let mut flagged = 0;
     for policy in policies() {
         let cfg = config(policy.clone());
@@ -323,7 +315,7 @@ fn transfer_prior_engine_matches_replay_at_all_shard_counts() {
             let factory: PredictorFactory = Box::new(move |_spec: &JobSpec| {
                 Box::new(NurdPredictor::with_prior(c.clone(), d.clone()))
             });
-            let report = run_engine(jobs, events.clone(), shards, factory);
+            let report = run_engine(events.clone(), shards, factory);
             for (job, expected) in jobs.iter().zip(&replayed) {
                 assert_eq!(
                     &report.job(job.job_id()).expect("job reported").outcome,
@@ -359,14 +351,14 @@ fn transfer_prior_engine_matches_replay_at_all_shard_counts() {
 #[test]
 fn engine_reports_flat_equals_pointer_at_all_shard_counts() {
     let jobs = suite(TraceStyle::Google, 3, 0xF1A8);
-    let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
+    let events = nurd::trace::staggered_fleet_events(&jobs, QUANTILE, 0.0, 0);
     let batch = Arc::new(AtomicUsize::new(0));
     for policy in policies() {
         let factory = || checked_factory(config(policy.clone()), &batch);
-        let single = run_engine(&jobs, events.clone(), 1, factory());
+        let single = run_engine(events.clone(), 1, factory());
         assert_jobs_match_reference(&single, &jobs, &policy);
         for shards in [2usize, 8] {
-            let sharded = run_engine(&jobs, events.clone(), shards, factory());
+            let sharded = run_engine(events.clone(), shards, factory());
             assert_eq!(
                 sharded, single,
                 "engine at {shards} shards diverged from one shard ({policy:?})"
@@ -383,14 +375,14 @@ fn engine_reports_flat_equals_pointer_at_all_shard_counts() {
 #[test]
 fn lane_width_sweep_matches_pointer_engine() {
     let jobs = suite(TraceStyle::Google, 3, 0xF1AC);
-    let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
+    let events = nurd::trace::staggered_fleet_events(&jobs, QUANTILE, 0.0, 0);
     let batch = Arc::new(AtomicUsize::new(0));
     for policy in policies() {
         let reports: Vec<EngineReport> = nurd::ml::SUPPORTED_LANES
             .into_iter()
             .map(|lanes| {
                 let cfg = config(policy.clone()).with_scoring_lanes(lanes);
-                run_engine(&jobs, events.clone(), 2, checked_factory(cfg, &batch))
+                run_engine(events.clone(), 2, checked_factory(cfg, &batch))
             })
             .collect();
         assert_jobs_match_reference(&reports[0], &jobs, &policy);
@@ -418,19 +410,14 @@ fn pool_parallel_scoring_matches_pointer_engine_at_all_shard_counts() {
         .with_checkpoints(6)
         .with_seed(0xF1AD);
     let jobs = nurd::trace::generate_suite(&cfg);
-    let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
+    let events = nurd::trace::staggered_fleet_events(&jobs, QUANTILE, 0.0, 0);
     let policy = RefitPolicy::AlwaysCold;
     for threads in [2usize, 4] {
         let batch = Arc::new(AtomicUsize::new(0));
         let mut cfg = config(policy.clone());
         cfg.gbt.tree.n_threads = threads;
         for shards in [1usize, 2, 8] {
-            let report = run_engine(
-                &jobs,
-                events.clone(),
-                shards,
-                checked_factory(cfg.clone(), &batch),
-            );
+            let report = run_engine(events.clone(), shards, checked_factory(cfg.clone(), &batch));
             assert_jobs_match_reference(&report, &jobs, &policy);
         }
         // Not vacuous: the pooled path is chosen from the batch size and
@@ -455,10 +442,9 @@ fn single_task_jobs_match_replay() {
         .with_seed(0xF1A9);
     let jobs = nurd::trace::generate_suite(&cfg);
     assert!(jobs.iter().any(|j| j.task_count() == 1));
-    let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
+    let events = nurd::trace::staggered_fleet_events(&jobs, QUANTILE, 0.0, 0);
     let policy = RefitPolicy::AlwaysCold;
     let report = run_engine(
-        &jobs,
         events,
         2,
         checked_factory(config(policy.clone()), &Arc::default()),
@@ -482,9 +468,9 @@ impl OnlinePredictor for FlagAll {
 #[test]
 fn all_flagged_barriers_match_replay() {
     let jobs = suite(TraceStyle::Google, 2, 0xF1AA);
-    let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
+    let events = nurd::trace::staggered_fleet_events(&jobs, QUANTILE, 0.0, 0);
     let factory: PredictorFactory = Box::new(|_spec: &JobSpec| Box::new(FlagAll));
-    let report = run_engine(&jobs, events, 2, factory);
+    let report = run_engine(events, 2, factory);
     let mut flagged = 0usize;
     for job in &jobs {
         let expected = replay_job(job, &mut FlagAll, &REPLAY);
@@ -502,13 +488,12 @@ fn all_flagged_barriers_match_replay() {
 #[test]
 fn truncated_stream_finalize_is_deterministic_and_prefix_consistent() {
     let jobs = suite(TraceStyle::Google, 2, 0xF1AB);
-    let (_, events) = nurd::trace::fleet_events(&jobs, QUANTILE);
+    let events = nurd::trace::staggered_fleet_events(&jobs, QUANTILE, 0.0, 0);
     let cut = events.len() * 2 / 3;
     let truncated: Vec<TaskEvent> = events[..cut].to_vec();
 
     let run = |events: Vec<TaskEvent>, shards: usize| {
         run_engine(
-            &jobs,
             events,
             shards,
             checked_factory(config(RefitPolicy::AlwaysCold), &Arc::default()),

@@ -370,10 +370,7 @@ fn recovery_is_thread_count_invariant() {
             let (service, receipt) = EngineService::recover_with_observer(
                 PersistenceConfig::new(&dir),
                 engine(),
-                ServiceConfig {
-                    drain_workers,
-                    ..ServiceConfig::default()
-                },
+                ServiceConfig { drain_workers },
                 nurd::mitigate::nurd_predictor_factory(),
                 None,
                 Arc::clone(&observer) as Arc<dyn HealthObserver>,
