@@ -344,15 +344,22 @@ impl<T: Checkpointable> Checkpointable for Vec<T> {
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        // Every element costs at least one byte, which bounds the
-        // pre-allocation a corrupt length can demand.
+        // Every element costs at least one byte, so a corrupt length errs
+        // unless that many bytes follow; the reservation is bounded by
+        // those bytes, not by `size_of::<T>()` times them.
         let len = dec.take_len(1)?;
-        let mut out = Vec::with_capacity(len.min(dec.remaining()));
+        let mut out = Vec::with_capacity(capacity_for::<T>(len, dec.remaining()));
         for _ in 0..len {
             out.push(T::decode(dec)?);
         }
         Ok(out)
     }
+}
+
+/// The elements to reserve for `len` decoded `T`s with `remaining` bytes
+/// behind their count: no more than those bytes hold as `T`s in memory.
+fn capacity_for<T>(len: usize, remaining: usize) -> usize {
+    len.min(remaining / std::mem::size_of::<T>().max(1))
 }
 
 impl<K: Checkpointable + Ord, V: Checkpointable> Checkpointable for BTreeMap<K, V> {
@@ -699,6 +706,23 @@ mod tests {
             self.pos += n;
             Ok(n)
         }
+    }
+
+    #[test]
+    fn a_vec_count_reserves_no_more_than_the_bytes_behind_it() {
+        // Counts equal to the bytes behind them, as a hostile one that
+        // passes `take_len(1)` is.
+        for n in [0, 1, 7, 8, 1000, 1 << 20] {
+            assert_eq!(capacity_for::<u8>(n, n), n);
+            assert!(capacity_for::<f64>(n, n) * 8 <= n, "{n} f64s");
+            assert!(
+                capacity_for::<[u64; 16]>(n, n) * 128 <= n,
+                "{n} wide values"
+            );
+            assert_eq!(capacity_for::<()>(n, n), n);
+        }
+        // A count the bytes can hold is reserved whole.
+        assert_eq!(capacity_for::<f64>(3, 1000), 3);
     }
 
     #[test]

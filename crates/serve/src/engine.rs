@@ -65,9 +65,9 @@ pub type MitigatorFactory = Box<dyn Fn(&JobSpec) -> Box<dyn MitigationPolicy + S
 /// healthy fleet pays nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BalanceConfig {
-    /// Ingress backlog (queued, undrained events on the shard) at or
-    /// above which the grant switches on. Switches back off when the
-    /// backlog falls to half this value. With a bounded queue
+    /// Ingress backlog a drain finds (undrained events, its own batch
+    /// included) at or above which the grant switches on. Switches back
+    /// off when the backlog falls to half this value. With a bounded queue
     /// ([`EngineConfig::queue_capacity`]) the backlog can never exceed
     /// the capacity, so the engine clamps this to half the capacity —
     /// otherwise a threshold above the bound would silently disable the
@@ -583,14 +583,14 @@ impl EngineCore {
                 .unwrap_or_else(|e| panic!("WAL append failed on shard {idx}: {e}"));
             cell.stats.add(Counter::WalAppended, appended);
         }
-        // The backlog *left behind* after this pop: the adaptive-balance
-        // signal, and the advisory load hint mitigation policies see.
+        // The backlog *left behind* after this pop: the advisory load hint
+        // mitigation policies see.
         let backlog = cell.ingress.len();
         if let Some(balance) = &self.config.balance {
-            // Decide on the leftover backlog: a queue that refills faster
-            // than a whole batch drains is the sustained-overload signal
-            // worth spending threads on.
-            if backlog >= balance.backlog_threshold.max(1) {
+            // Decide on the depth this pop found: a pop takes up to a batch,
+            // so a small bounded queue's leftover is empty after every pop.
+            let depth = taken + backlog;
+            if depth >= balance.backlog_threshold.max(1) {
                 shard.set_parallelism(
                     if balance.threads == 0 {
                         nurd_runtime::global().threads()
@@ -600,7 +600,7 @@ impl EngineCore {
                     balance.min_tasks,
                     &cell.stats,
                 );
-            } else if backlog <= balance.backlog_threshold / 2 {
+            } else if depth <= balance.backlog_threshold / 2 {
                 shard.set_parallelism(1, balance.min_tasks, &cell.stats);
             }
         }

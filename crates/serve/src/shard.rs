@@ -1207,6 +1207,21 @@ mod tests {
     }
 
     #[test]
+    fn a_history_count_as_large_as_its_record_is_a_typed_error() {
+        // The count passes its one-byte-per-event guard; the first event
+        // behind it does not decode.
+        let padding = 1 << 16;
+        let mut enc = Encoder::new();
+        enc.put_u8(1);
+        spec(4).encode(&mut enc);
+        enc.put_usize(padding);
+        let mut record = enc.into_bytes();
+        record.resize(record.len() + padding, 0xFF);
+        let decoded = JobState::decode(&mut Decoder::new(&record), &factory(true), None, WARMUP);
+        assert!(matches!(decoded, Err(RecoverError::Codec(_))));
+    }
+
+    #[test]
     fn a_blob_record_that_disagrees_with_its_spec_is_a_restore_error() {
         let factory = factory(false);
         let spec = spec(2);

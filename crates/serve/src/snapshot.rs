@@ -282,6 +282,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A checksummed header whose finalized-report count equals the bytes
+    /// behind it passes the count's one-byte-per-report guard; it must
+    /// then fail on its first report, as a typed error, having reserved
+    /// no more than those bytes.
+    #[test]
+    fn a_finalized_count_as_large_as_the_header_is_a_typed_error() {
+        let dir = std::env::temp_dir().join("nurd-snap-test-hostile-count");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap-1.bin");
+        let padding = 1 << 16;
+        let mut header = Encoder::new();
+        for _ in Counter::PERSISTED {
+            header.put_u64(0);
+        }
+        BTreeMap::<u64, u64>::new().encode(&mut header);
+        Vec::<u64>::new().encode(&mut header);
+        header.put_usize(padding);
+        let mut header = header.into_bytes();
+        header.resize(header.len() + padding, 0xFF);
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        write_frame(&mut bytes, &header).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let read = read_snapshot(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            matches!(read, Err(RecoverError::Codec(_))),
+            "unexpected {read:?}"
+        );
+    }
+
     /// The header opens with the eleven persisted counters, one
     /// little-endian `u64` each, in their on-disk order. A recovered
     /// service reads each into its own `EngineStats` field, and its next

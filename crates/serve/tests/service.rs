@@ -646,15 +646,15 @@ fn adaptive_balancing_boosts_backlogged_shards_and_changes_no_report() {
 
 #[test]
 fn balance_threshold_clamps_to_bounded_queue_capacity() {
-    // BalanceConfig::default() (threshold 4096) with a capacity-600
+    // BalanceConfig::default() (threshold 4096) with a capacity-32
     // queue would be unsatisfiable un-clamped; the engine clamps to half
     // the capacity so the feature still engages under saturation (a
-    // full queue keeps 344 events past a 256-event drain batch).
+    // drain that finds the queue full pops all of it in one batch).
     let (factory, release) = gated_slow_probes(Arc::new(AtomicUsize::new(0)));
     let service = EngineService::start(
         EngineConfig {
             shards: 1,
-            queue_capacity: Some(600),
+            queue_capacity: Some(32),
             overload: OverloadPolicy::Block,
             balance: Some(BalanceConfig {
                 min_tasks: 1,

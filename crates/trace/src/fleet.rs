@@ -24,6 +24,8 @@ use rand::{Rng, SeedableRng};
 
 use nurd_data::{job_stream, JobTrace, TaskEvent};
 
+use crate::parallel::{cores, per_job};
+
 /// Lowers every job into its *streaming* form ([`job_stream`]: events
 /// bracketed by `JobStart` / `JobEnd`) and merges them into one fleet
 /// stream with **staggered arrivals and departures**: each job is given
@@ -47,6 +49,11 @@ use nurd_data::{job_stream, JobTrace, TaskEvent};
 /// travels in the stream's `JobStart` events; a consumer that needs
 /// specs out of band can build them with
 /// [`JobSpec::of_trace`](nurd_data::JobSpec::of_trace).
+///
+/// The jobs' streams are built in parallel, one job per thread, on the
+/// machine's cores (capped at the job count). The offsets are drawn in
+/// job order first and the merge runs on the caller, so the stream is the
+/// same at any thread count.
 #[must_use]
 pub fn staggered_fleet_events(
     jobs: &[JobTrace],
@@ -54,15 +61,30 @@ pub fn staggered_fleet_events(
     spread: f64,
     seed: u64,
 ) -> Vec<TaskEvent> {
+    staggered_fleet_events_on(jobs, threshold_quantile, spread, seed, cores())
+}
+
+/// [`staggered_fleet_events`] on `threads` threads.
+pub(crate) fn staggered_fleet_events_on(
+    jobs: &[JobTrace],
+    threshold_quantile: f64,
+    spread: f64,
+    seed: u64,
+    threads: usize,
+) -> Vec<TaskEvent> {
     let mut rng = StdRng::seed_from_u64(seed);
-    merge_by_time(jobs.iter().map(|job| {
-        let offset = if spread > 0.0 {
-            rng.gen_range(0.0..spread)
-        } else {
-            0.0
-        };
-        (offset, job_stream(job, threshold_quantile))
-    }))
+    let offsets: Vec<f64> = jobs
+        .iter()
+        .map(|_| {
+            if spread > 0.0 {
+                rng.gen_range(0.0..spread)
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let streams = per_job(jobs, threads, |job| job_stream(job, threshold_quantile));
+    merge_by_time(offsets.into_iter().zip(streams))
 }
 
 /// Merges per-job streams, each shifted by its arrival offset, by

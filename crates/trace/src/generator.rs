@@ -10,6 +10,7 @@ use crate::dist;
 use crate::features::{self, JobBaselines, ALIBABA_FEATURES, GOOGLE_FEATURES};
 use crate::latency::{plan_job, LatencyFamily};
 use crate::node::NodeModel;
+use crate::parallel::{cores, per_job};
 
 /// Names of the feature columns the node-model overlay appends (in
 /// order): co-resident task count on the task's node, and the node's
@@ -215,12 +216,25 @@ fn quantile(mut values: Vec<f64>, q: f64) -> f64 {
     }
 }
 
-/// Generates the whole suite.
+/// Generates the whole suite: job `i` is [`generate_job`]`(config, i)`.
+///
+/// Jobs are generated in parallel, one per thread, on the machine's cores
+/// (capped at the job count). Each job is a pure function of `(config,
+/// job id)` and the suite is returned in job order, so it is the same at
+/// any thread count.
+///
+/// # Panics
+///
+/// Same conditions as [`generate_job`], with its message.
 #[must_use]
 pub fn generate_suite(config: &SuiteConfig) -> Vec<JobTrace> {
-    (0..config.jobs as u64)
-        .map(|job_id| generate_job(config, job_id))
-        .collect()
+    generate_suite_on(config, cores())
+}
+
+/// [`generate_suite`] on `threads` threads.
+pub(crate) fn generate_suite_on(config: &SuiteConfig, threads: usize) -> Vec<JobTrace> {
+    let ids: Vec<u64> = (0..config.jobs as u64).collect();
+    per_job(&ids, threads, |&job_id| generate_job(config, job_id))
 }
 
 /// The oracle of [`generate_job_detailed`]: the generator as it was

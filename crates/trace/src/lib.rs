@@ -38,6 +38,7 @@ mod fleet;
 mod generator;
 mod latency;
 mod node;
+mod parallel;
 
 pub use config::{CauseMix, SuiteConfig, TraceStyle};
 pub use features::{ALIBABA_FEATURES, GOOGLE_FEATURES};

@@ -142,7 +142,18 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # blob-mode job record checked against its spec and its feature width,
 # less three `match`es on the WAL slot and the `min` guard the check makes
 # redundant).
-MAX_WORKSPACE_LINES=20223
+#
+# Set-up on every core raised the workspace limit by exactly its net,
+# +101 (20,223 -> 20,324; ml + core + serve unchanged at 8,527), for
+# `ingest_floor` `setup_s` 0.60x: `trace` +94 (`parallel.rs` +57, the
+# scoped-thread fan-out that hands out jobs one index at a time, returns
+# results in job order and re-raises a worker's panic, with its docs;
+# `fleet.rs` +22, the arrival offsets drawn in job order before the
+# fan-out and an entry point the tests pick thread counts through;
+# `generator.rs` +14, the same for suites; `lib.rs` +1), `codec` +7 (a
+# decoded `Vec<T>` reserves no more `T`s than the bytes behind its count
+# hold). The balancing fix left `serve` where it was.
+MAX_WORKSPACE_LINES=20324
 MAX_PRODUCT_LINES=8527
 MAX_UNSAFE_SITES=4
 MAX_CONFIG_FIELDS=29
