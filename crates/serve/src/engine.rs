@@ -13,7 +13,9 @@
 //!   the background drain workers. Only this file's unit tests, which
 //!   must place their drain points by hand, drive the core directly.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -260,10 +262,17 @@ pub struct EngineStats {
     /// barrier can re-score a closed checkpoint.
     pub rejected_events: usize,
     /// Pushes that found a full queue under [`OverloadPolicy::Block`].
-    /// The producer then *slept* until a drain made room (a true
+    /// The producer then drained shards itself while a predictor call was
+    /// in flight, and otherwise *slept* until a drain made room (a true
     /// blocking send). Lossless, but scheduling-dependent, hence here
     /// and not in [`EngineReport`].
     pub blocked_pushes: usize,
+    /// Events applied on a thread that would otherwise have waited on
+    /// the engine — a blocked push, [`quiesce`](crate::EngineService::quiesce)
+    /// or [`close`](crate::EngineService::close) — instead of on a drain
+    /// worker. Such a thread drains only while some predictor call is in
+    /// flight. Scheduling-dependent and not persisted.
+    pub caller_drained: usize,
     /// Times adaptive balancing switched within-job parallelism on for
     /// a backlogged shard (see [`BalanceConfig`]; zero when disabled).
     pub balance_boosts: usize,
@@ -353,7 +362,18 @@ pub(crate) struct EngineCore {
     persist: Option<PersistHandle>,
     /// Why the service failed, if it did (see [`EngineCore::fail`]).
     failure: OnceLock<String>,
+    /// The panic payload of a waiting caller's drain, kept when that
+    /// panic failed the service first, for `close` to re-raise.
+    caller_panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
+
+/// The most events one drain pops from one shard per lock hold (and, on a
+/// persistent engine, logs with one WAL write). A bounded queue caps a
+/// batch at its capacity. The report is identical at any batch size.
+pub(crate) const DRAIN_BATCH: usize = 256;
+
+/// The failure a panicked drain on a waiting caller's thread records.
+const CALLER_PANICKED: &str = "a waiting caller's drain panicked (see that thread's panic output)";
 
 impl EngineCore {
     pub(crate) fn new(mut config: EngineConfig, factory: PredictorFactory) -> Self {
@@ -383,6 +403,7 @@ impl EngineCore {
             notifier: Notifier::new(),
             persist: None,
             failure: OnceLock::new(),
+            caller_panic: Mutex::new(None),
         }
     }
 
@@ -390,13 +411,24 @@ impl EngineCore {
     /// with their push rejected), then records `why` (the first failure
     /// wins) for drain workers to stop on and `quiesce`/`close` to raise.
     pub(crate) fn fail(&self, why: String) {
+        self.fail_first(why);
+    }
+
+    /// [`EngineCore::fail`], returning whether `why` was the one recorded.
+    fn fail_first(&self, why: String) -> bool {
         self.close_ingress();
-        let _ = self.failure.set(why);
+        let first = self.failure.set(why).is_ok();
         self.notifier.unpark();
+        first
     }
 
     pub(crate) fn failure(&self) -> Option<&str> {
         self.failure.get().map(String::as_str)
+    }
+
+    /// The payload of a caller's drain panic that failed the service.
+    pub(crate) fn take_caller_panic(&self) -> Option<Box<dyn Any + Send>> {
+        relock(&self.caller_panic).take()
     }
 
     /// Registers the engine's health observer (write-once; returns
@@ -503,7 +535,8 @@ impl EngineCore {
     /// drains/observers unpark when they release a shard) — so producers
     /// do not serialize on the notifier or thundering-herd the workers.
     pub(crate) fn ingest(&self, event: TaskEvent) -> bool {
-        let cell = &self.cells[self.shard_of(event.job())];
+        let idx = self.shard_of(event.job());
+        let cell = &self.cells[idx];
         // `None` = rejected; `Some(wake)` = accepted, `wake` is the
         // channel's empty→non-empty transition report.
         let accepted: Option<bool> = if self.config.queue_capacity.is_none() {
@@ -514,14 +547,7 @@ impl EngineCore {
                 OverloadPolicy::Block => match cell.ingress.try_send(event) {
                     Ok(wake) => Some(wake),
                     Err(TrySendError::Closed(_)) => None,
-                    Err(TrySendError::Full(event)) => {
-                        // Real back-pressure: sleep until a drain worker
-                        // pops; the channel wakes us. The defensive
-                        // unpark costs nothing on this already-slow path.
-                        cell.stats.add(Counter::BlockedPushes, 1);
-                        self.notifier.unpark();
-                        cell.ingress.send(event).ok()
-                    }
+                    Err(TrySendError::Full(event)) => self.ingest_full(idx, event),
                 },
                 OverloadPolicy::ShedOldest => match cell.ingress.send_evicting(event) {
                     Ok((wake, evicted)) => {
@@ -548,14 +574,109 @@ impl EngineCore {
         accepted.is_some()
     }
 
+    /// A `Block` push that found shard `idx` full: real back-pressure.
+    /// While a predictor call is in flight the producer drains shards
+    /// itself and retries; otherwise it sleeps until a drain pops (the
+    /// channel wakes it). Out of line, so the hot push path stays small.
+    #[cold]
+    #[inline(never)]
+    fn ingest_full(&self, idx: usize, mut event: TaskEvent) -> Option<bool> {
+        let cell = &self.cells[idx];
+        cell.stats.add(Counter::BlockedPushes, 1);
+        // The defensive unpark costs nothing on this already-slow path.
+        self.notifier.unpark();
+        let mut batch = Vec::new();
+        while self.help(idx, &mut batch) > 0 {
+            match cell.ingress.try_send(event) {
+                Ok(wake) => return Some(wake),
+                Err(TrySendError::Closed(_)) => return None,
+                Err(TrySendError::Full(back)) => event = back,
+            }
+        }
+        cell.ingress.send(event).ok()
+    }
+
+    /// One drain on the calling thread, from shard `first` on, through
+    /// [`EngineCore::drain_shard`] — only while some drain is inside a
+    /// predictor call (model work leaves a core to lend; helping through
+    /// cheap applies would only contend with the workers) and the service
+    /// has not failed. Returns the events applied (0: not invited, or no
+    /// shard won). A panic fails the service like a worker's, its payload
+    /// kept for `close` when it failed the service first.
+    fn help(&self, first: usize, batch: &mut Vec<TaskEvent>) -> usize {
+        let predicting = self
+            .cells
+            .iter()
+            .any(|c| c.stats.get(Counter::PredictsInFlight) > 0);
+        if self.failure().is_some() || !predicting {
+            return 0;
+        }
+        let shards = self.cells.len();
+        for offset in 0..shards {
+            let idx = (first + offset) % shards;
+            match catch_unwind(AssertUnwindSafe(|| {
+                self.drain_shard(idx, DRAIN_BATCH, batch)
+            })) {
+                Ok(0) => {}
+                Ok(drained) => {
+                    self.cells[idx].stats.add(Counter::CallerDrained, drained);
+                    return drained;
+                }
+                Err(payload) => {
+                    let mut kept = relock(&self.caller_panic);
+                    if self.fail_first(CALLER_PANICKED.into()) {
+                        *kept = Some(payload);
+                    }
+                    return 0;
+                }
+            }
+        }
+        0
+    }
+
+    /// Blocks until the ingress is empty and no popped batch is still
+    /// applying — `quiesce` and `close`'s one waiting loop — helping drain
+    /// while a predictor call is in flight and parking on the
+    /// [`Notifier`] otherwise. `Err` carries the failure that stopped the
+    /// service, as soon as one is recorded.
+    pub(crate) fn settle(&self) -> Result<(), &str> {
+        let mut batch = Vec::new();
+        loop {
+            let epoch = self.notifier.epoch();
+            if let Some(why) = self.failure() {
+                return Err(why);
+            }
+            if self.total_backlog() > 0 {
+                if self.help(0, &mut batch) == 0 {
+                    // Progress signal: drains unpark after every batch.
+                    self.notifier.park(epoch);
+                }
+                continue;
+            }
+            // Channels are empty; popped-but-unapplied batches are
+            // finished by waiting on each shard's lock once.
+            for idx in 0..self.cells.len() {
+                drop(self.lock_shard(idx));
+            }
+            // Same re-open as `take_finalized`.
+            self.notifier.unpark();
+            if self.total_backlog() == 0 {
+                return Ok(());
+            }
+        }
+    }
+
     /// Pops up to `max` events from shard `idx`'s ingress and applies
     /// them while holding the shard lock; returns how many were applied.
-    /// The lock is a `try_lock`: a worker skips a shard another worker
+    /// The lock is a `try_lock`: a drain skips a shard another drain
     /// (or an observer) already holds and moves on. Also runs the
-    /// adaptive balancing decision against the backlog left behind.
-    /// `batch` is the caller's reusable pop buffer (always left empty on
-    /// return) — drain loops hand the same one in for every visit, so
-    /// the hot path does no per-batch allocation after warm-up.
+    /// adaptive balancing decision against the depth the pop found — the
+    /// events it took plus those left behind (see
+    /// [`BalanceConfig::backlog_threshold`]); a waiting caller's drain
+    /// ([`EngineCore::help`]) is this same call and runs the same
+    /// decision. `batch` is the caller's reusable pop buffer (always
+    /// left empty on return) — drain loops hand the same one in for every
+    /// visit, so the hot path does no per-batch allocation after warm-up.
     pub(crate) fn drain_shard(&self, idx: usize, max: usize, batch: &mut Vec<TaskEvent>) -> usize {
         let cell = &self.cells[idx];
         if cell.ingress.is_empty() {
@@ -652,17 +773,6 @@ impl EngineCore {
         relock(&self.cells[idx].state)
     }
 
-    /// Waits on each shard's lock once, so any event batch popped before
-    /// this call has finished applying by the time it returns (used by
-    /// quiescence checks after the channels report empty).
-    pub(crate) fn settle_shards(&self) {
-        for idx in 0..self.cells.len() {
-            drop(self.lock_shard(idx));
-        }
-        // Same re-open as `take_finalized`.
-        self.notifier.unpark();
-    }
-
     pub(crate) fn take_finalized(&self) -> Vec<JobReport> {
         let mut reports: Vec<JobReport> = (0..self.cells.len())
             .flat_map(|i| self.lock_shard(i).take_finalized())
@@ -705,6 +815,7 @@ impl EngineCore {
             stale_events: self.total(Counter::StaleEvents),
             rejected_events: self.total(Counter::RejectedEvents),
             blocked_pushes: self.total(Counter::BlockedPushes),
+            caller_drained: self.total(Counter::CallerDrained),
             balance_boosts: self.total(Counter::BalanceBoosts),
             poisoned_jobs: self.total(Counter::PoisonedJobs),
             wal_appended: self.total(Counter::WalAppended),
@@ -941,7 +1052,11 @@ impl EngineHandle {
     /// full queue (also counted in [`EngineStats`]). Under
     /// [`OverloadPolicy::Block`] a push to a full shard *blocks* until a
     /// drain makes room — the lossless policy never returns `false` for
-    /// capacity.
+    /// capacity. While it waits and some predictor call is in flight, the
+    /// pushing thread drains shards itself (predictor, mitigator and
+    /// observer callbacks then run on it, so they must never wait on this
+    /// thread); a panic in that drain fails the service and the push
+    /// returns `false`.
     pub fn push(&self, event: TaskEvent) -> bool {
         self.core.ingest(event)
     }

@@ -14,7 +14,8 @@
 //! * a cloneable **[`EngineHandle`]** whose [`EngineHandle::push`] takes
 //!   `&self` — producers live on any thread, and under the lossless
 //!   [`OverloadPolicy::Block`] a push to a full shard is a *true
-//!   blocking send* (the producer sleeps until a drain makes room);
+//!   blocking send* (the producer sleeps until a drain makes room, and
+//!   drains shards itself meanwhile while a predictor call is in flight);
 //! * an **[`EngineService`]** that runs the drain loop as a background
 //!   service (a pool of drain workers parking on a
 //!   [`nurd_runtime::Notifier`] when idle), with

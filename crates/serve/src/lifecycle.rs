@@ -90,7 +90,9 @@ impl nurd_codec::Checkpointable for FinalizeReason {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
     /// Apply back-pressure: a push to a full shard sleeps until a drain
-    /// worker pops, then enqueues. No events are lost; determinism holds.
+    /// pops, then enqueues — draining shards itself meanwhile whenever a
+    /// predictor call is in flight, so callbacks may run on the pushing
+    /// thread. No events are lost; determinism holds.
     #[default]
     Block,
     /// Drop the *oldest* queued event to make room for the new one —

@@ -10,7 +10,9 @@
 //!  EngineHandle::push(&self) ──hash──► per-shard Channel (bounded:
 //!    Block = true blocking send          OverloadPolicy on full)
 //!    • sleeps on the channel                 │
-//!    • woken by the next drain pop           ▼
+//!    • woken by the next drain pop           │
+//!    • drains shards itself while a          │
+//!      predictor call is in flight           ▼
 //!                                    DrainService (coordinator thread
 //!                                      + ThreadPool of drain workers):
 //!                                      scan shards, try_lock, pop a
@@ -19,6 +21,7 @@
 //!                                          │
 //!  take_finalized(&self) ◄───────── finalized JobReports
 //!  close(self) ─► close ingress, drain to quiescence, join, finalize
+//!  (quiesce and close help drain while a predictor call is in flight)
 //! ```
 //!
 //! A shard is drained by at most one worker at a time (popping and
@@ -35,7 +38,7 @@ use std::time::Duration;
 use nurd_runtime::ThreadPool;
 
 use crate::disk::{Disk, RealDisk};
-use crate::engine::{relock, EngineCore, EngineHandle, EngineReport};
+use crate::engine::{relock, EngineCore, EngineHandle, EngineReport, DRAIN_BATCH};
 use crate::persist::{
     snapshot_path, wal_path, DirScan, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
 };
@@ -55,13 +58,12 @@ pub struct ServiceConfig {
     /// caller). `0` resolves to the machine's parallelism; either way the
     /// count is capped at the shard count (a shard is drained by one
     /// worker at a time, so extra workers could only idle) and ≥ 1.
+    /// A thread that would wait on the engine — a blocked push,
+    /// [`EngineService::quiesce`], [`EngineService::close`] — drains
+    /// beside them while a predictor call is in flight, so a producer's
+    /// core is lent to model work when its push cannot proceed anyway.
     pub drain_workers: usize,
 }
-
-/// The most events a worker pops from one shard per lock hold (and, on a
-/// persistent engine, logs with one WAL write). A bounded queue caps a
-/// batch at its capacity. The report is identical at any batch size.
-const DRAIN_BATCH: usize = 256;
 
 /// The background drain loop: a coordinator thread running
 /// `drain_workers` worker loops on a dedicated [`ThreadPool`] scope.
@@ -239,7 +241,8 @@ fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool) {
 ///
 /// Under [`OverloadPolicy::Block`](crate::OverloadPolicy::Block) a push
 /// to a full shard is a **true blocking send** — the producer sleeps
-/// until a drain worker makes room — so saturation costs latency, never
+/// until a drain makes room, lending its core to the drains while a
+/// predictor call is in flight — so saturation costs latency, never
 /// events; the service-mode property test in `tests/service.rs` proves
 /// per-job outcomes stay bit-for-bit equal to sequential replay with
 /// real producer threads hammering a saturated engine.
@@ -616,24 +619,18 @@ impl EngineService {
     /// applied (ingress empty and no drain in flight). With producers
     /// still pushing concurrently this is a moving target — the method
     /// promises only that the pre-call backlog is gone; it is the
-    /// settle-then-observe primitive for monitors and tests.
+    /// settle-then-observe primitive for monitors and tests. While some
+    /// drain is inside a predictor call, the calling thread drains shards
+    /// itself instead of sleeping (so predictor, mitigator and observer
+    /// callbacks may run on it).
+    ///
+    /// # Panics
+    ///
+    /// Panics with "drain service died" and the cause if the service
+    /// failed, before or while waiting.
     pub fn quiesce(&self) {
-        loop {
-            let epoch = self.core.notifier().epoch();
-            if let Some(why) = self.core.failure() {
-                panic!("drain service died: {why}; the backlog will never settle");
-            }
-            if self.core.total_backlog() == 0 {
-                // Channels are empty; popped-but-unapplied batches are
-                // finished by waiting on each shard's lock once.
-                self.core.settle_shards();
-                if self.core.total_backlog() == 0 {
-                    return;
-                }
-            } else {
-                // Progress signal: workers unpark after every batch.
-                self.core.notifier().park(epoch);
-            }
+        if let Err(why) = self.core.settle() {
+            panic!("drain service died: {why}; the backlog will never settle");
         }
     }
 
@@ -659,12 +656,13 @@ impl EngineService {
 
     /// Shuts the service down and returns the final report: closes the
     /// ingress (later pushes fail; producers blocked in a send wake with
-    /// their push rejected), lets the drain workers run the backlog down
-    /// to quiescence, joins them, persists (flushes every WAL and writes
-    /// a shutdown snapshot, on a persistent service), finalizes every
-    /// still-live job ([`crate::FinalizeReason::EngineFinish`]), and
-    /// reports everything not already handed out by
-    /// [`EngineService::take_finalized`].
+    /// their push rejected), runs the backlog down to quiescence — on the
+    /// drain workers, and on the calling thread too while some drain is
+    /// inside a predictor call (so callbacks may run on it) — joins the
+    /// workers, persists (flushes every WAL and writes a shutdown
+    /// snapshot, on a persistent service), finalizes every still-live
+    /// job ([`crate::FinalizeReason::EngineFinish`]), and reports
+    /// everything not already handed out by [`EngineService::take_finalized`].
     ///
     /// **Idempotent**: the first call runs the shutdown; every later call
     /// returns a clone of its report (or, if it panicked, panics again).
@@ -674,9 +672,10 @@ impl EngineService {
     ///
     /// # Panics
     ///
-    /// Re-raises a drain worker's panic payload (the root cause) if one
-    /// died while the service ran, and panics with "drain service died"
-    /// and the I/O error if a WAL or snapshot operation failed.
+    /// Re-raises the panic payload of the drain that failed the service
+    /// (the root cause) — a worker's, or a waiting caller's — if one
+    /// panicked while the service ran, and panics with "drain service
+    /// died" and the I/O error if a WAL or snapshot operation failed.
     #[must_use]
     pub fn close(&self) -> EngineReport {
         let mut closed = relock(&self.closed);
@@ -684,7 +683,11 @@ impl EngineService {
             return report.clone();
         }
         if let Some(mut service) = relock(&self.service).take() {
-            if let Some(payload) = service.join_panic() {
+            self.core.close_ingress();
+            // A failure surfaces below, after the join.
+            let _ = self.core.settle();
+            let worker_panic = service.join_panic();
+            if let Some(payload) = self.core.take_caller_panic().or(worker_panic) {
                 // The workers are joined and the engine is broken: salvage
                 // the durable trail (the WAL holds everything accepted up
                 // to the poison), then re-raise the *original* payload —

@@ -31,6 +31,16 @@ use crate::wal::WalWriter;
 pub(crate) enum Counter {
     /// Events applied by drains (lifecycle events included).
     EventsProcessed,
+    /// Events applied on a thread that was about to wait on the engine
+    /// (a blocked push, `quiesce`, `close`) rather than on a drain worker.
+    CallerDrained,
+    /// A gauge, not a tally: predictor calls running on this shard right
+    /// now (raised by [`ShardStats::predicting`]). Waiting threads help
+    /// drain only while some shard's is above zero. Declared beside the
+    /// per-event tally the draining thread already writes, away from the
+    /// table's end, which can share a cache line with the next shard's
+    /// ingress queue that producers write.
+    PredictsInFlight,
     /// Events whose job was never admitted.
     OrphanEvents,
     /// Structurally invalid events rejected during application.
@@ -79,8 +89,8 @@ impl Counter {
     /// The deterministic counters a snapshot carries, in their on-disk
     /// order, so a recovered engine's accounting continues where the
     /// crashed one's stopped. The rest depend on scheduling or on this
-    /// process (blocked pushes, balance boosts, live jobs, the
-    /// persistence counters) and restart at zero, live jobs re-counted
+    /// process (blocked pushes, balance boosts, caller drains, live jobs,
+    /// the persistence counters) and restart at zero, live jobs re-counted
     /// as the snapshot's jobs are adopted.
     pub(crate) const PERSISTED: [Counter; 11] = [
         Counter::EventsProcessed,
@@ -115,6 +125,23 @@ impl ShardStats {
 
     pub(crate) fn get(&self, counter: Counter) -> usize {
         self.0[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// Raises [`Counter::PredictsInFlight`] until the guard drops — also
+    /// when the predictor call it covers panics.
+    fn predicting(&self) -> InFlight<'_> {
+        let gauge = &self.0[Counter::PredictsInFlight as usize];
+        gauge.fetch_add(1, Ordering::Relaxed);
+        InFlight(gauge)
+    }
+}
+
+/// See [`ShardStats::predicting`].
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -428,7 +455,10 @@ impl JobState {
         };
         self.checkpoints_scored += 1;
         if self.policy.is_none() && observer.is_none() {
-            let flagged = predictor.predict(&checkpoint);
+            let flagged = {
+                let _busy = stats.predicting();
+                predictor.predict(&checkpoint)
+            };
             for id in flagged {
                 // Same guard as the simulator: only actually-running tasks
                 // can be flagged.
@@ -445,7 +475,10 @@ impl JobState {
         // transition are bit-identical to `predict`, so attaching a
         // mitigator or observer never changes what gets flagged, only
         // what gets *done* (or learned) about it.
-        let scored = predictor.predict_scored(&checkpoint);
+        let scored = {
+            let _busy = stats.predicting();
+            predictor.predict_scored(&checkpoint)
+        };
         let mut newly_flagged = std::mem::take(&mut scratch.newly_flagged);
         newly_flagged.clear();
         for id in scored.flagged {

@@ -1318,7 +1318,14 @@ fn a_restart_carries_the_persisted_counters_forward() {
     .unwrap();
     let after = revived.stats();
     assert_eq!(persisted_counters(&after), counters);
-    assert_eq!((after.blocked_pushes, after.balance_boosts), (0, 0));
+    assert_eq!(
+        (
+            after.blocked_pushes,
+            after.balance_boosts,
+            after.caller_drained
+        ),
+        (0, 0, 0)
+    );
     assert_eq!(report.recovery_fallbacks, 1);
     assert_eq!(after.recovery_fallbacks, report.recovery_fallbacks);
     assert!(report.wal_events_replayed > 0);

@@ -13,16 +13,20 @@
 //!    lost/malformed events under `Block`.
 //! 3. Adaptive shard balancing: a backlogged shard grants (and
 //!    withdraws) within-job parallelism without changing any report.
+//! 4. Waiting callers lend their core: a blocked push, `quiesce` and
+//!    `close` drain shards themselves exactly while a predictor call is
+//!    in flight — and only then.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
-use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
+use nurd_data::{Checkpoint, JobSpec, JobTrace, OnlinePredictor, TaskEvent, TaskScore};
 use nurd_serve::{
-    BalanceConfig, EngineConfig, EngineService, FinalizeReason, OverloadPolicy, PredictorFactory,
-    ServiceConfig,
+    BalanceConfig, EngineConfig, EngineHandle, EngineReport, EngineService, FinalizeReason,
+    HealthObserver, JobReport, OverloadPolicy, PredictorFactory, ServiceConfig,
 };
 use nurd_sim::{replay_job, ReplayConfig};
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -74,6 +78,22 @@ fn producer_streams(
     nurd_trace::producer_streams(jobs, producers, QUANTILE, interleave_seed)
 }
 
+/// A NURD predictor that sleeps before every call, so a drain spends
+/// most of its time inside `predict` and waiting callers are invited.
+struct Slow(NurdPredictor);
+impl OnlinePredictor for Slow {
+    fn name(&self) -> &str {
+        "SLOW-NURD"
+    }
+    fn begin_stream(&mut self, ctx: &nurd_data::StreamContext) {
+        self.0.begin_stream(ctx);
+    }
+    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+        std::thread::sleep(Duration::from_micros(200));
+        self.0.predict(checkpoint)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -88,66 +108,105 @@ proptest! {
         seed in 0u64..500,
         interleave_seed in 0u64..1000,
     ) {
-        let jobs = suite(seed, 3);
         let policy = RefitPolicy::Warm(WarmRefitConfig::default());
-        let replay_cfg = ReplayConfig { quantile: QUANTILE, warmup_fraction: WARMUP };
+        saturated_runs_match_replay(seed, interleave_seed, 2, &|| nurd_factory(policy.clone()));
+    }
 
-        // Sequential reference, one isolated replay per job.
-        let expected: Vec<(u64, nurd_sim::ReplayOutcome)> = jobs
-            .iter()
-            .map(|job| {
-                let mut reference =
-                    NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
-                (job.job_id(), replay_job(job, &mut reference, &replay_cfg))
+    /// The same property with one drain worker and a slow predictor: the
+    /// saturated producers find their shards full while the worker sits
+    /// in a model call, so they drain shards themselves — and whoever
+    /// holds a shard's lock applies its events in FIFO order, so the
+    /// reports cannot tell.
+    #[test]
+    fn prop_helping_producers_match_sequential_replay(
+        seed in 0u64..500,
+        interleave_seed in 0u64..1000,
+    ) {
+        let factory = || -> PredictorFactory {
+            Box::new(|_: &JobSpec| {
+                let config = NurdConfig::default()
+                    .with_refit_policy(RefitPolicy::Warm(WarmRefitConfig::default()));
+                Box::new(Slow(NurdPredictor::new(config)))
+            })
+        };
+        saturated_runs_match_replay(seed, interleave_seed, 1, &factory);
+    }
+}
+
+/// The body of the saturation properties: three producers push a 3-job
+/// fleet into capacity-16 queues under `Block`, at shard counts {1, 2, 8}
+/// with `drain_workers` workers; every job's outcome must equal its
+/// sequential replay under warm-refit NURD (which `factory`'s predictors
+/// must reproduce), and no event may be lost.
+fn saturated_runs_match_replay(
+    seed: u64,
+    interleave_seed: u64,
+    drain_workers: usize,
+    factory: &dyn Fn() -> PredictorFactory,
+) {
+    let jobs = suite(seed, 3);
+    let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+    let replay_cfg = ReplayConfig {
+        quantile: QUANTILE,
+        warmup_fraction: WARMUP,
+    };
+
+    // Sequential reference, one isolated replay per job.
+    let expected: Vec<(u64, nurd_sim::ReplayOutcome)> = jobs
+        .iter()
+        .map(|job| {
+            let mut reference =
+                NurdPredictor::new(NurdConfig::default().with_refit_policy(policy.clone()));
+            (job.job_id(), replay_job(job, &mut reference, &replay_cfg))
+        })
+        .collect();
+    let total_events: usize = producer_streams(&jobs, 3, interleave_seed)
+        .iter()
+        .map(Vec::len)
+        .sum();
+
+    for shards in [1usize, 2, 8] {
+        let service = EngineService::start(
+            EngineConfig {
+                shards,
+                warmup_fraction: WARMUP,
+                queue_capacity: Some(16),
+                overload: OverloadPolicy::Block,
+                balance: None,
+            },
+            ServiceConfig { drain_workers },
+            factory(),
+        );
+        let producers: Vec<_> = producer_streams(&jobs, 3, interleave_seed)
+            .into_iter()
+            .map(|stream| {
+                let handle = service.handle();
+                std::thread::spawn(move || handle.push_all(stream))
             })
             .collect();
-        let total_events: usize = producer_streams(&jobs, 3, interleave_seed)
-            .iter()
-            .map(Vec::len)
-            .sum();
+        let accepted: usize = producers.into_iter().map(|p| p.join().unwrap()).sum();
+        assert_eq!(accepted, total_events, "Block rejected an event");
 
-        for shards in [1usize, 2, 8] {
-            let service = EngineService::start(
-                EngineConfig {
-                    shards,
-                    warmup_fraction: WARMUP,
-                    queue_capacity: Some(16),
-                    overload: OverloadPolicy::Block,
-                    balance: None,
-                },
-                ServiceConfig { drain_workers: 2 },
-                nurd_factory(policy.clone()),
+        // Mid-stream reports plus the close() remainder cover every
+        // job exactly once.
+        let mut reports = service.take_finalized();
+        let report = service.close();
+        assert_eq!(report.overload.lost_events(), 0, "Block lost events");
+        assert_eq!(report.events, total_events, "event accounting broke");
+        reports.extend(report.jobs);
+        reports.sort_by_key(|r| r.job);
+        assert_eq!(reports.len(), jobs.len(), "every job reported exactly once");
+
+        for (job_id, outcome) in &expected {
+            let got = reports
+                .iter()
+                .find(|r| r.job == *job_id)
+                .expect("job reported");
+            assert_eq!(
+                &got.outcome, outcome,
+                "service mode diverged from sequential replay on job {} at {} shards",
+                job_id, shards
             );
-            let producers: Vec<_> = producer_streams(&jobs, 3, interleave_seed)
-                .into_iter()
-                .map(|stream| {
-                    let handle = service.handle();
-                    std::thread::spawn(move || handle.push_all(stream))
-                })
-                .collect();
-            let accepted: usize = producers.into_iter().map(|p| p.join().unwrap()).sum();
-            prop_assert_eq!(accepted, total_events, "Block rejected an event");
-
-            // Mid-stream reports plus the close() remainder cover every
-            // job exactly once.
-            let mut reports = service.take_finalized();
-            let report = service.close();
-            prop_assert_eq!(report.overload.lost_events(), 0, "Block lost events");
-            prop_assert_eq!(report.events, total_events, "event accounting broke");
-            reports.extend(report.jobs);
-            reports.sort_by_key(|r| r.job);
-            prop_assert_eq!(reports.len(), jobs.len(), "every job reported exactly once");
-
-            for (job_id, outcome) in &expected {
-                let got = reports.iter().find(|r| r.job == *job_id).expect("job reported");
-                prop_assert_eq!(
-                    &got.outcome,
-                    outcome,
-                    "service mode diverged from sequential replay on job {} at {} shards",
-                    job_id,
-                    shards
-                );
-            }
         }
     }
 }
@@ -482,6 +541,42 @@ fn factory_panic_unblocks_producers_and_resurfaces_at_close() {
     // on the failed flag).
     factory_panic_scenario(1, 1);
     factory_panic_scenario(2, 2);
+    factory_panic_on_a_helping_producer();
+}
+
+/// Pushes job `job`'s `JobStart` and then up to 10,000 progress events;
+/// `true` once a push is rejected.
+fn push_until_rejected(handle: &EngineHandle, job: u64) -> bool {
+    handle.push(TaskEvent::JobStart {
+        spec: JobSpec {
+            job,
+            threshold: 1e9,
+            task_count: 1,
+            feature_dim: 1,
+            checkpoints: 2,
+        },
+    });
+    (0..10_000usize).any(|ordinal| {
+        !handle.push(TaskEvent::Progress {
+            job,
+            task: 0,
+            ordinal,
+            time: 2.0,
+            features: vec![0.1],
+        })
+    })
+}
+
+/// The message of the panic `close()` raises; fails if it returns.
+fn close_panic_message(service: &EngineService) -> String {
+    let closed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.close()));
+    let payload = closed.expect_err("close must surface the drain panic");
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .map(String::from)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
 }
 
 fn factory_panic_scenario(shards: usize, drain_workers: usize) {
@@ -502,31 +597,7 @@ fn factory_panic_scenario(shards: usize, drain_workers: usize) {
     // sleeping forever.
     let producer = {
         let handle = service.handle();
-        std::thread::spawn(move || {
-            handle.push(TaskEvent::JobStart {
-                spec: JobSpec {
-                    job: 1,
-                    threshold: 1e9,
-                    task_count: 1,
-                    feature_dim: 1,
-                    checkpoints: 2,
-                },
-            });
-            let mut rejected = false;
-            for ordinal in 0..10_000usize {
-                if !handle.push(TaskEvent::Progress {
-                    job: 1,
-                    task: 0,
-                    ordinal,
-                    time: 2.0,
-                    features: vec![0.1],
-                }) {
-                    rejected = true;
-                    break;
-                }
-            }
-            rejected
-        })
+        std::thread::spawn(move || push_until_rejected(&handle, 1))
     };
     assert!(
         producer.join().unwrap(),
@@ -538,17 +609,53 @@ fn factory_panic_scenario(shards: usize, drain_workers: usize) {
     let _ = service.take_finalized();
     let _ = service.job_phase(1);
     // close() re-raises the drain worker's original panic payload.
-    let closed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.close()));
-    let payload = closed.expect_err("close must surface the worker panic");
-    let message = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .map(String::from)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_default();
+    let message = close_panic_message(&service);
     assert!(
         message.contains("factory exploded"),
         "root cause lost at {shards} shards / {drain_workers} workers: {message:?}"
+    );
+}
+
+/// The factory panics on the producer's own drain: the one worker is
+/// held in job `a`'s predict, so the producer whose push finds job `b`'s
+/// queue full drains it and admits `b` itself. The push comes back
+/// rejected while the worker is still held, and `close()` re-raises the
+/// factory's payload — not the worker's later "shard poisoned", nor the
+/// generic failure message.
+fn factory_panic_on_a_helping_producer() {
+    let (a, b) = jobs_on_two_shards(&[1, 2, 3, 4, 5, 6, 7, 8]);
+    let (hold, holder) = hold();
+    let service = two_shard_service(
+        Some(4),
+        Box::new(move |spec: &JobSpec| -> Box<dyn OnlinePredictor + Send> {
+            if spec.job == a {
+                Box::new(HeldFlagAll(Arc::clone(&hold)))
+            } else {
+                panic!("factory exploded")
+            }
+        }),
+    );
+    // Four events: the fourth, a barrier, is the predict the worker
+    // waits in; none can block on the capacity-4 queue.
+    for event in four_event_stream(a) {
+        assert!(service.push(event));
+    }
+    holder.entered();
+    let producer = {
+        let handle = service.handle();
+        std::thread::spawn(move || push_until_rejected(&handle, b))
+    };
+    let returned = eventually(|| producer.is_finished());
+    holder.release();
+    assert!(
+        returned,
+        "the producer did not drain while the worker was held"
+    );
+    assert!(producer.join().unwrap(), "the failed push was not rejected");
+    let message = close_panic_message(&service);
+    assert!(
+        message.contains("factory exploded"),
+        "root cause lost on a helping producer: {message:?}"
     );
 }
 
@@ -720,4 +827,313 @@ fn quiesce_settles_the_backlog_for_mid_stream_observation() {
     let report = service.close();
     assert_eq!(report.jobs.len(), 1);
     assert_eq!(report.jobs[0].finalized, FinalizeReason::EngineFinish);
+}
+
+/// How long a test waits for a thread it expects to act.
+const PATIENCE: Duration = Duration::from_secs(20);
+
+/// Polls `condition` until it holds (`true`) or [`PATIENCE`] runs out.
+fn eventually(condition: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + PATIENCE;
+    while Instant::now() < deadline {
+        if condition() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    condition()
+}
+
+/// A one-shot hold on a drain: the first [`Hold::wait`] announces itself
+/// and blocks until the test's [`Holder`] lets it go; later calls pass.
+struct Hold {
+    entered: Mutex<Option<Sender<()>>>,
+    release: Mutex<Option<Receiver<()>>>,
+}
+
+/// The test's side of a [`Hold`].
+struct Holder {
+    entered: Receiver<()>,
+    release: Sender<()>,
+}
+
+fn hold() -> (Arc<Hold>, Holder) {
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    let hold = Hold {
+        entered: Mutex::new(Some(entered_tx)),
+        release: Mutex::new(Some(release_rx)),
+    };
+    (Arc::new(hold), Holder { entered, release })
+}
+
+impl Hold {
+    fn wait(&self) {
+        let first = self.entered.lock().unwrap().take();
+        if let Some(entered) = first {
+            entered.send(()).unwrap();
+            let release = self.release.lock().unwrap().take().unwrap();
+            release.recv().ok();
+        }
+    }
+}
+
+impl Holder {
+    /// Returns once the drain is held.
+    fn entered(&self) {
+        self.entered
+            .recv_timeout(PATIENCE)
+            .expect("no drain reached the hold");
+    }
+
+    fn release(&self) {
+        self.release.send(()).ok();
+    }
+}
+
+/// [`FlagAll`] that waits in its first `predict` call on a [`Hold`].
+struct HeldFlagAll(Arc<Hold>);
+impl OnlinePredictor for HeldFlagAll {
+    fn name(&self) -> &str {
+        "HELD"
+    }
+    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+        self.0.wait();
+        FlagAll.predict(checkpoint)
+    }
+}
+
+/// An observer that waits in its first `observe_barrier` on a [`Hold`].
+struct HeldObserver(Arc<Hold>);
+impl HealthObserver for HeldObserver {
+    fn observe_barrier(&self, _: u64, _: usize, _: f64, _: Option<&[u32]>, _: &[TaskScore]) {
+        self.0.wait();
+    }
+    fn observe_finalized(&self, _: &JobReport, _: Option<&[u32]>, _: &[bool]) {}
+}
+
+/// Two shards, one drain worker, `Block` at `queue_capacity`.
+fn two_shard_service(queue_capacity: Option<usize>, factory: PredictorFactory) -> EngineService {
+    EngineService::start(
+        EngineConfig {
+            shards: 2,
+            warmup_fraction: WARMUP,
+            queue_capacity,
+            overload: OverloadPolicy::Block,
+            balance: None,
+        },
+        ServiceConfig { drain_workers: 1 },
+        factory,
+    )
+}
+
+/// The shard `job`'s events land on in a two-shard engine, read off a
+/// probe service's per-shard event counts.
+fn shard_of(job: u64) -> usize {
+    let probe = two_shard_service(None, flag_all_factory());
+    assert!(probe.push(TaskEvent::JobEnd { job, time: 0.0 }));
+    probe.quiesce();
+    let at = probe.stats().events_per_shard.iter().position(|&n| n == 1);
+    drop(probe.close());
+    at.expect("the event landed on a shard")
+}
+
+/// The first of `ids` and the first later one on the other shard of a
+/// two-shard engine.
+fn jobs_on_two_shards(ids: &[u64]) -> (u64, u64) {
+    let first = shard_of(ids[0]);
+    let other = ids[1..].iter().find(|&&id| shard_of(id) != first);
+    (ids[0], *other.expect("the ids span both shards"))
+}
+
+/// Two jobs of a small suite on different shards, `(held, other)`, and
+/// each job's outcome under sequential replay with [`FlagAll`].
+fn held_pair() -> (JobTrace, JobTrace, Vec<(u64, nurd_sim::ReplayOutcome)>) {
+    let jobs = suite(0x4E1D, 8);
+    let ids: Vec<u64> = jobs.iter().map(JobTrace::job_id).collect();
+    let (a, b) = jobs_on_two_shards(&ids);
+    let replay_cfg = ReplayConfig {
+        quantile: QUANTILE,
+        warmup_fraction: WARMUP,
+    };
+    let pick = |id: u64| jobs.iter().find(|j| j.job_id() == id).unwrap().clone();
+    let (a, b) = (pick(a), pick(b));
+    let expected = [&a, &b]
+        .iter()
+        .map(|job| (job.job_id(), replay_job(job, &mut FlagAll, &replay_cfg)))
+        .collect();
+    (a, b, expected)
+}
+
+/// Every report of the service, mid-stream takes and the close report.
+fn all_reports(
+    service: &EngineService,
+    closed: EngineReport,
+) -> Vec<(u64, nurd_sim::ReplayOutcome)> {
+    let mut reports = service.take_finalized();
+    reports.extend(closed.jobs);
+    reports.sort_by_key(|r| r.job);
+    reports.into_iter().map(|r| (r.job, r.outcome)).collect()
+}
+
+/// Job `held` gets a [`HeldFlagAll`] on `hold`; every other job a
+/// [`SlowProbe`], which flags as [`FlagAll`] does.
+fn held_factory(held: u64, hold: Arc<Hold>) -> PredictorFactory {
+    Box::new(move |spec: &JobSpec| -> Box<dyn OnlinePredictor + Send> {
+        if spec.job == held {
+            Box::new(HeldFlagAll(Arc::clone(&hold)))
+        } else {
+            Box::new(SlowProbe {
+                grants: Arc::new(AtomicUsize::new(0)),
+                threads: 1,
+            })
+        }
+    })
+}
+
+/// Gate (a): the one worker waits inside job `a`'s predict, so the
+/// producer whose push finds job `b`'s capacity-4 queue full drains `b`
+/// itself and its pushes return while the worker is still held. The
+/// reports still equal sequential replay.
+#[test]
+fn a_blocked_push_drains_while_a_predict_is_in_flight() {
+    let (a, b, expected) = held_pair();
+    let (hold, holder) = hold();
+    let service = two_shard_service(Some(4), held_factory(a.job_id(), hold));
+    let stream_a = nurd_data::job_stream(&a, QUANTILE);
+    let stream_b = nurd_data::job_stream(&b, QUANTILE);
+    let (pushed_a, pushed_b) = (stream_a.len(), stream_b.len());
+    std::thread::scope(|scope| {
+        let handle = service.handle();
+        // The rest of `a` waits in its queue behind the held predict.
+        let producer_a = scope.spawn(move || handle.push_all(stream_a));
+        holder.entered();
+        let handle = service.handle();
+        let producer_b = scope.spawn(move || handle.push_all(stream_b));
+        let returned = eventually(|| producer_b.is_finished());
+        let drained = service.stats().caller_drained;
+        holder.release();
+        assert!(
+            returned,
+            "the push never returned while the worker was held"
+        );
+        assert!(drained > 0, "no event was applied on a waiting caller");
+        assert_eq!(producer_b.join().unwrap(), pushed_b);
+        assert_eq!(producer_a.join().unwrap(), pushed_a);
+    });
+    let closed = service.close();
+    assert_eq!(all_reports(&service, closed), expected);
+}
+
+/// Gate (b): with the one worker held where no predictor call runs —
+/// in the factory, or in an observer callback — the producer blocked on
+/// job `b`'s full queue waits and drains nothing until the hold lifts.
+#[test]
+fn a_blocked_push_waits_while_no_predict_is_in_flight() {
+    let (a, b, expected) = held_pair();
+    let stream_a = nurd_data::job_stream(&a, QUANTILE);
+    let stream_b = nurd_data::job_stream(&b, QUANTILE);
+    let shard_b = shard_of(b.job_id());
+
+    // Held in the factory: `a`'s admission is the first.
+    let (factory, release) = gated_slow_probes(Arc::new(AtomicUsize::new(0)));
+    let service = two_shard_service(Some(4), factory);
+    assert!(service.push(stream_a[0].clone()));
+    assert!(eventually(|| service
+        .stats()
+        .events_per_shard
+        .iter()
+        .sum::<usize>()
+        == 1));
+    let unheld = || {
+        release.send(()).ok();
+    };
+    blocked_producer_waits(&service, &stream_b, shard_b, unheld, "factory");
+    assert_eq!(service.push_all(stream_a[1..].to_vec()), stream_a.len() - 1);
+    let closed = service.close();
+    assert_eq!(all_reports(&service, closed), expected);
+
+    // Held in the observer, at `a`'s first scored barrier.
+    let (hold, holder) = hold();
+    let service = two_shard_service(Some(4), flag_all_factory());
+    assert!(service.attach_observer(Arc::new(HeldObserver(hold))));
+    std::thread::scope(|scope| {
+        let handle = service.handle();
+        let producer_a = scope.spawn(move || handle.push_all(stream_a));
+        holder.entered();
+        blocked_producer_waits(
+            &service,
+            &stream_b,
+            shard_b,
+            || holder.release(),
+            "observer",
+        );
+        producer_a.join().unwrap();
+    });
+    let closed = service.close();
+    assert_eq!(all_reports(&service, closed), expected);
+}
+
+/// Pushes `stream` (longer than its capacity-4 queue on `shard`) from a
+/// producer thread while the engine's one worker is held, checks that the
+/// producer stays blocked and no caller drains, then `unhold`s and joins.
+fn blocked_producer_waits(
+    service: &EngineService,
+    stream: &[TaskEvent],
+    shard: usize,
+    unhold: impl FnOnce(),
+    held_in: &str,
+) {
+    std::thread::scope(|scope| {
+        let handle = service.handle();
+        let producer = scope.spawn(move || handle.push_all(stream.iter().cloned()));
+        let full = eventually(|| service.stats().backlog_per_shard[shard] == 4);
+        // Time for a wrongly invited producer to drain.
+        std::thread::sleep(Duration::from_millis(50));
+        let (blocked, drained) = (!producer.is_finished(), service.stats().caller_drained);
+        unhold();
+        assert!(full, "held in the {held_in}: the queue never filled");
+        assert!(blocked, "held in the {held_in}: the push returned");
+        assert_eq!(
+            drained, 0,
+            "held in the {held_in}: a waiting caller drained"
+        );
+        assert_eq!(producer.join().unwrap(), stream.len());
+    });
+}
+
+/// Gate (c): `quiesce()` and `close()` drain under the same gate. The
+/// worker waits in job `a`'s predict; job `b`'s events queue unbounded
+/// (no push blocks), and the waiting call applies them itself.
+#[test]
+fn quiesce_and_close_drain_while_a_predict_is_in_flight() {
+    let (a, b, expected) = held_pair();
+    let shard_b = shard_of(b.job_id());
+    for closing in [false, true] {
+        let (hold, holder) = hold();
+        let service = two_shard_service(None, held_factory(a.job_id(), hold));
+        service.push_all(nurd_data::job_stream(&a, QUANTILE));
+        holder.entered();
+        service.push_all(nurd_data::job_stream(&b, QUANTILE));
+        let closed = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                if closing {
+                    Some(service.close())
+                } else {
+                    service.quiesce();
+                    None
+                }
+            });
+            let helped = eventually(|| {
+                let stats = service.stats();
+                stats.caller_drained > 0 && stats.backlog_per_shard[shard_b] == 0
+            });
+            holder.release();
+            let call = if closing { "close" } else { "quiesce" };
+            assert!(helped, "{call} did not drain while the worker was held");
+            waiter.join().unwrap()
+        });
+        let closed = closed.unwrap_or_else(|| service.close());
+        assert_eq!(all_reports(&service, closed), expected);
+    }
 }

@@ -153,8 +153,21 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # `generator.rs` +14, the same for suites; `lib.rs` +1), `codec` +7 (a
 # decoded `Vec<T>` reserves no more `T`s than the bytes behind its count
 # hold). The balancing fix left `serve` where it was.
-MAX_WORKSPACE_LINES=20324
-MAX_PRODUCT_LINES=8527
+#
+# A waiting thread lending its core to model work raised both line limits
+# by exactly its net, +154 (all `serve`; 20,324 -> 20,478 and 8,527 ->
+# 8,681), for `fleet_google` `events_per_s`: `engine.rs` +115 (the
+# blocked push's cold path, `help` -- one gated drain on the caller, its
+# panic kept for `close` -- and `settle`, the one waiting loop of
+# `quiesce` and `close`, with their docs; `EngineStats::caller_drained`;
+# `fail_first`, a `fail` that reports whether it recorded the failure;
+# `DRAIN_BATCH` moved in from `service.rs`), `shard.rs` +33 (the `CallerDrained` counter, the
+# `PredictsInFlight` gauge beside the per-event tally, and the drop guard
+# that raises it around the two predictor calls), `service.rs` +3
+# (`quiesce` and `close` call `settle`; their docs), `lifecycle.rs` +2,
+# `lib.rs` +1.
+MAX_WORKSPACE_LINES=20478
+MAX_PRODUCT_LINES=8681
 MAX_UNSAFE_SITES=4
 MAX_CONFIG_FIELDS=29
 
