@@ -27,11 +27,11 @@
 //!
 //! # Where the walkers' invariant is established
 //!
-//! The raw-feature lane kernel indexes without bounds checks, trusting
-//! that every `children` entry it can reach is a node of the same forest
-//! and every node's `feature` is below `min_width` (the one-row walk and
-//! the bin-code walk are bounds-checked). Nodes enter the arrays in two
-//! places only, both inside this crate (the emission methods are
+//! Every walker indexes with bounds checks. What keeps them from ever
+//! failing is that every `children` entry a walk can reach is a node of
+//! the same forest and every node's `feature` is below `min_width`, which
+//! the raw-feature lane kernel asserts once per row. Nodes enter the
+//! arrays in two places only, both inside this crate (the emission methods are
 //! `pub(crate)`): the grower, which emits children it has just pushed and
 //! features of the matrix it trains on, and [`FlatForest`]'s decoder,
 //! which rejects — with a typed error, before emitting — any child outside
@@ -105,9 +105,10 @@ pub struct FlatForest {
     base_score: f64,
     shrinkage: f64,
     /// `1 + max split feature index` over all nodes (0 with no splits).
-    /// Checked once per row/matrix so the walk itself can elide per-step
-    /// bounds checks: every node's `feature` — including the `0` stored at
-    /// leaves — indexes below this.
+    /// Checked once per row by the lane kernel, so a row too narrow for
+    /// the forest fails with a message rather than a bare index panic:
+    /// every node's `feature` — including the `0` stored at leaves —
+    /// indexes below this.
     min_width: u32,
     /// Rows the batch kernels walk per tree step (one of
     /// [`SUPPORTED_LANES`]; see [`FlatForest::set_lanes`]).
@@ -447,29 +448,20 @@ impl FlatForest {
     /// closure is monomorphized per view variant; `first_row` is an
     /// explicit offset because wrapping the closure for the remainder
     /// call would nest closure types without bound.
-    #[allow(unsafe_code)]
     fn accumulate_rows_lanes<'a, const L: usize>(
         &self,
         row: &impl Fn(usize) -> &'a [f64],
         first_row: usize,
         scores: &mut [f64],
     ) {
-        /// One fixed-depth descent of all `L` lanes, no per-step bounds
-        /// checks. The per-step loop over lanes is a compile-time-sized
-        /// array walk the compiler unrolls (and, on the branchless
-        /// child-select, can auto-vectorize).
-        ///
-        /// # Safety
-        ///
-        /// Every `feats[l].len() >= forest.min_width`, and every
-        /// `idx[l]` must be one of `forest.roots`. Each step then stays
-        /// on what the grower emitted or the decoder validated (the only
-        /// two writers of the node arrays; see the module docs):
-        /// `children` entries and roots are valid node indices, and
-        /// every node's `feature` — `0` at self-looping leaves — is
-        /// below `min_width`.
+        /// One fixed-depth descent of all `L` lanes. The per-step loop
+        /// over lanes is a compile-time-sized array walk the compiler
+        /// unrolls (and, on the branchless child-select, can
+        /// auto-vectorize). Every index stays on what the grower emitted
+        /// or the decoder validated (see the module docs), so the bounds
+        /// checks never fail.
         #[inline(always)]
-        unsafe fn walk<const L: usize>(
+        fn walk<const L: usize>(
             forest: &FlatForest,
             feats: &[&[f64]; L],
             idx: &mut [usize; L],
@@ -477,16 +469,9 @@ impl FlatForest {
         ) {
             for _ in 0..depth {
                 for l in 0..L {
-                    // SAFETY: the caller's contract above.
-                    unsafe {
-                        let i = idx[l];
-                        let x = *feats[l].get_unchecked(*forest.feature.get_unchecked(i) as usize);
-                        let go_left = x <= *forest.threshold.get_unchecked(i);
-                        idx[l] = *forest
-                            .children
-                            .get_unchecked(2 * i + 1 - usize::from(go_left))
-                            as usize;
-                    }
+                    let i = idx[l];
+                    let go_left = feats[l][forest.feature[i] as usize] <= forest.threshold[i];
+                    idx[l] = forest.children[2 * i + 1 - usize::from(go_left)] as usize;
                 }
             }
         }
@@ -510,17 +495,13 @@ impl FlatForest {
                 let depth = self.depths[t] as usize;
                 // The depth match makes the common shallow walks fully
                 // unrolled fixed-trip sequences.
-                // SAFETY: row widths were checked against `min_width`
-                // above; `root`/`depth` come from this forest's tables.
-                unsafe {
-                    match depth {
-                        0 => {}
-                        1 => walk(self, &feats, &mut idx, 1),
-                        2 => walk(self, &feats, &mut idx, 2),
-                        3 => walk(self, &feats, &mut idx, 3),
-                        4 => walk(self, &feats, &mut idx, 4),
-                        d => walk(self, &feats, &mut idx, d),
-                    }
+                match depth {
+                    0 => {}
+                    1 => walk(self, &feats, &mut idx, 1),
+                    2 => walk(self, &feats, &mut idx, 2),
+                    3 => walk(self, &feats, &mut idx, 3),
+                    4 => walk(self, &feats, &mut idx, 4),
+                    d => walk(self, &feats, &mut idx, d),
                 }
                 // Per lane: one addition per tree, ensemble order — the
                 // identical FP sequence at every lane width.
@@ -543,8 +524,8 @@ impl FlatForest {
 /// count, the nodes (`0` + weight for a leaf; `1` + feature, threshold and
 /// the two children as *tree-relative* indices for a split) and the
 /// length-prefixed bin codes. Decoding is the one place nodes enter from
-/// outside the grower, so it is where everything the `unsafe` lane walker
-/// trusts is checked — once, with a typed error — and where the derived
+/// outside the grower, so it is where everything the lane walker
+/// indexes by is checked — once, with a typed error — and where the derived
 /// fields (`depths`, `min_width`) are recomputed rather than believed.
 impl nurd_codec::Checkpointable for FlatForest {
     fn encode(&self, enc: &mut nurd_codec::Encoder) {
@@ -702,7 +683,7 @@ mod tests {
 
     /// The oracle every kernel is held to. It follows `children` from a
     /// root until a node self-loops, and sums the leaves in ensemble order:
-    /// no `depths`, no lanes, no `unsafe` — nothing shared with the walks
+    /// no `depths`, no lanes — nothing shared with the walks
     /// under test but the arrays themselves.
     fn oracle_leaf(f: &FlatForest, root: u32, go_left: &impl Fn(usize) -> bool) -> f64 {
         let mut at = root as usize;

@@ -42,7 +42,8 @@
 //! [`GradientBoosting::predict_view`] are the forest's safe one-row walk
 //! ([`FlatForest::predict`]) mapped over rows: bounds-checked and
 //! lane-free, they serve the baselines that score a handful of rows and
-//! double as the reference the `unsafe` batch kernels are tested against.
+//! double as the reference the lane-interleaved batch kernels are tested
+//! against.
 
 use nurd_linalg::MatrixView;
 

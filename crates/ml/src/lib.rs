@@ -60,8 +60,8 @@
 //! reference, and the codec writes it; there is no other tree type and
 //! nothing is converted. [`GradientBoosting::predict_view`] is the forest's
 //! safe one-row walk (`FlatForest::predict`) mapped over rows: what the
-//! baselines score with, and the bounds-checked, lane-free reference the
-//! `unsafe` batch kernels are tested **bit-identical** to. One
+//! baselines score with, and the lane-free reference the batch kernels
+//! are tested **bit-identical** to. One
 //! const-generic kernel per input kind (raw rows, bin codes) serves every
 //! lane width, `L = 1` included. The forest's decoder is where the
 //! kernels' index invariant is checked for bytes from outside (see
@@ -82,7 +82,7 @@
 //! # }
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod binned;
 mod error;

@@ -132,8 +132,8 @@ fn max_split_feature(blob: &[u8]) -> u64 {
 /// Every single-bit flip of a valid ensemble encoding (truncations are
 /// the test above) either fails to decode with a typed error, or decodes
 /// to a forest that every scoring path walks without panicking on rows as
-/// wide as its widest split feature asks for — the walkers index without
-/// bounds checks, so "decoded" has to mean "safe to walk".
+/// wide as its widest split feature asks for — a walker that indexes past
+/// its arrays panics, so "decoded" has to mean "safe to walk".
 #[test]
 fn mutated_gbt_bytes_are_rejected_or_safe_to_score() {
     let (x, y) = training_rows(60);

@@ -7,9 +7,9 @@
 //! * a pool has **one run queue** — a mutexed FIFO that idle workers
 //!   sleep on. There are no per-worker queues and no work stealing,
 //!   because every spawn in this workspace comes from a thread outside
-//!   the pool it targets (the drain coordinator onto its private pool,
-//!   a drain worker's fit and scoring chunks onto [`global`]); stealing
-//!   would schedule traffic that does not exist;
+//!   the pool it targets (a drain worker's fit and scoring chunks onto
+//!   [`global`], a recovery's WAL segments onto a pool per generation);
+//!   stealing would schedule traffic that does not exist;
 //! * [`ThreadPool::scope`] provides *scoped* fork-join: closures spawned
 //!   inside a scope may borrow from the caller's stack, and the scope
 //!   does not return until every spawned task has finished (panics are

@@ -23,12 +23,12 @@ struct RunQueue {
 ///
 /// There are deliberately no per-worker queues and no stealing. Every
 /// spawn the workspace makes comes from a thread *outside* the pool it
-/// targets — the drain coordinator spawns onto its private pool, a drain
-/// worker's fit or scoring chunks go to [`global`] — so a per-worker
+/// targets — a drain worker's fit or scoring chunks go to [`global`], a
+/// recovery's WAL segments to a pool per generation — so a per-worker
 /// queue would never be pushed to and never stolen from (counted: zero
 /// own-queue pushes and zero steals over all four `BENCHMARK.json`
-/// workloads). Tasks are whole drain loops or whole chunks, so the lock
-/// is taken per chunk, not per row.
+/// workloads). Tasks are whole segments or whole chunks, so the lock is
+/// taken per chunk, not per row.
 struct Shared {
     queue: Mutex<RunQueue>,
     /// Signalled once per pushed task, and broadcast on shutdown.

@@ -362,9 +362,9 @@ pub(crate) struct EngineCore {
     persist: Option<PersistHandle>,
     /// Why the service failed, if it did (see [`EngineCore::fail`]).
     failure: OnceLock<String>,
-    /// The panic payload of a waiting caller's drain, kept when that
-    /// panic failed the service first, for `close` to re-raise.
-    caller_panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The payload of the panic that failed the service, if one did
+    /// first (see [`EngineCore::guarded`]), for `close` to re-raise.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 /// The most events one drain pops from one shard per lock hold (and, on a
@@ -372,8 +372,8 @@ pub(crate) struct EngineCore {
 /// batch at its capacity. The report is identical at any batch size.
 pub(crate) const DRAIN_BATCH: usize = 256;
 
-/// The failure a panicked drain on a waiting caller's thread records.
-const CALLER_PANICKED: &str = "a waiting caller's drain panicked (see that thread's panic output)";
+/// The failure a panic under [`EngineCore::guarded`] records.
+const PANICKED: &str = "a drain panicked (see that thread's panic output)";
 
 impl EngineCore {
     pub(crate) fn new(mut config: EngineConfig, factory: PredictorFactory) -> Self {
@@ -403,7 +403,7 @@ impl EngineCore {
             notifier: Notifier::new(),
             persist: None,
             failure: OnceLock::new(),
-            caller_panic: Mutex::new(None),
+            panic: Mutex::new(None),
         }
     }
 
@@ -426,9 +426,23 @@ impl EngineCore {
         self.failure.get().map(String::as_str)
     }
 
-    /// The payload of a caller's drain panic that failed the service.
-    pub(crate) fn take_caller_panic(&self) -> Option<Box<dyn Any + Send>> {
-        relock(&self.caller_panic).take()
+    /// Runs `f` — a whole drain or flush thread, or one drain on a
+    /// waiting caller — so that it cannot unwind: a panic fails the
+    /// service, its payload kept for `close` to re-raise when that was
+    /// the first failure, and `f` yields `R::default()`.
+    pub(crate) fn guarded<R: Default>(&self, f: impl FnOnce() -> R) -> R {
+        catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+            let mut kept = relock(&self.panic);
+            if self.fail_first(PANICKED.into()) {
+                *kept = Some(payload);
+            }
+            R::default()
+        })
+    }
+
+    /// The payload of the panic that failed the service, if one did.
+    pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
+        relock(&self.panic).take()
     }
 
     /// Registers the engine's health observer (write-once; returns
@@ -601,8 +615,7 @@ impl EngineCore {
     /// predictor call (model work leaves a core to lend; helping through
     /// cheap applies would only contend with the workers) and the service
     /// has not failed. Returns the events applied (0: not invited, or no
-    /// shard won). A panic fails the service like a worker's, its payload
-    /// kept for `close` when it failed the service first.
+    /// shard won). The drain is [`EngineCore::guarded`], as a worker is.
     fn help(&self, first: usize, batch: &mut Vec<TaskEvent>) -> usize {
         let predicting = self
             .cells
@@ -612,26 +625,17 @@ impl EngineCore {
             return 0;
         }
         let shards = self.cells.len();
-        for offset in 0..shards {
-            let idx = (first + offset) % shards;
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.drain_shard(idx, DRAIN_BATCH, batch)
-            })) {
-                Ok(0) => {}
-                Ok(drained) => {
+        self.guarded(|| {
+            for offset in 0..shards {
+                let idx = (first + offset) % shards;
+                let drained = self.drain_shard(idx, DRAIN_BATCH, batch);
+                if drained > 0 {
                     self.cells[idx].stats.add(Counter::CallerDrained, drained);
                     return drained;
                 }
-                Err(payload) => {
-                    let mut kept = relock(&self.caller_panic);
-                    if self.fail_first(CALLER_PANICKED.into()) {
-                        *kept = Some(payload);
-                    }
-                    return 0;
-                }
             }
-        }
-        0
+            0
+        })
     }
 
     /// Blocks until the ingress is empty and no popped batch is still
@@ -696,9 +700,9 @@ impl EngineCore {
             // Write-ahead: the batch reaches the log *before* any of it
             // is applied, under the same lock that orders application —
             // so WAL record order is exactly apply order. A failing disk
-            // panics the drain worker on purpose: silently continuing
-            // would un-log accepted events, and worker death fails the
-            // service.
+            // panics the drain on purpose: silently continuing would
+            // un-log accepted events, and a panicked drain fails the
+            // service (`guarded`).
             let appended = shard
                 .append_wal(&batch[..])
                 .unwrap_or_else(|e| panic!("WAL append failed on shard {idx}: {e}"));
@@ -746,6 +750,13 @@ impl EngineCore {
         self.cells.iter().map(|c| c.ingress.len()).sum()
     }
 
+    /// Whether every ingress is closed and empty: no event can still
+    /// arrive or wait to be popped. The lock-free backlog is read first,
+    /// so a drain that finds work queued takes no channel lock.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.total_backlog() == 0 && self.cells.iter().all(|c| c.ingress.is_drained())
+    }
+
     /// Closes every ingress channel: all later pushes fail, producers
     /// blocked in a send wake immediately, and queued events remain
     /// drainable. First step of every shutdown.
@@ -768,7 +779,7 @@ impl EngineCore {
     /// poisoned-lock panic. The *drain* paths in [`EngineCore::drain_shard`]
     /// deliberately stay poison-fatal: applying further events to a
     /// half-mutated `JobState` could silently corrupt reports, and the
-    /// resulting worker death is what makes the failure observable.
+    /// resulting panic is what fails the service observably.
     fn lock_shard(&self, idx: usize) -> MutexGuard<'_, Shard> {
         relock(&self.cells[idx].state)
     }
@@ -1392,6 +1403,28 @@ mod tests {
         // and the report simply carries no job.
         assert_eq!(engine.stats().orphan_events, 4);
         assert!(report.jobs.is_empty());
+    }
+
+    /// Balancing decides on the depth a pop found, its own batch
+    /// included: one pop of a full capacity-32 queue (threshold clamped
+    /// to 16) leaves nothing behind, and still boosts the shard.
+    #[test]
+    fn one_pop_of_a_full_bounded_queue_counts_a_boost() {
+        let engine = core(EngineConfig {
+            shards: 1,
+            queue_capacity: Some(32),
+            balance: Some(BalanceConfig {
+                min_tasks: 1,
+                threads: 2,
+                ..BalanceConfig::default()
+            }),
+            ..EngineConfig::default()
+        });
+        let events: Vec<TaskEvent> = [1, 2, 3].into_iter().flat_map(stream).take(32).collect();
+        assert_eq!(engine.push_all(events), 32);
+        let mut batch = Vec::new();
+        assert_eq!(engine.drain_shard(0, DRAIN_BATCH, &mut batch), 32);
+        assert_eq!(engine.stats().balance_boosts, 1);
     }
 
     #[test]

@@ -212,6 +212,13 @@ impl DirScan {
             .chain(self.wals.iter().map(|&(g, _)| g))
             .max()
     }
+
+    /// The WAL segments of generation `from` and later, one generation
+    /// per slice, ascending — the order recovery replays them in.
+    pub(crate) fn wal_generations(&self, from: u64) -> impl Iterator<Item = &[(u64, usize)]> {
+        let first = self.wals.partition_point(|&(g, _)| g < from);
+        self.wals[first..].chunk_by(|a, b| a.0 == b.0)
+    }
 }
 
 fn parse_snapshot_name(name: &str) -> Option<u64> {
@@ -279,5 +286,29 @@ mod tests {
         assert_eq!(parse_wal_name("wal-3-11.log"), Some((3, 11)));
         assert_eq!(parse_wal_name("wal-3.log"), None);
         assert_eq!(parse_wal_name("snap-3.bin"), None);
+    }
+
+    #[test]
+    fn wal_generations_are_one_generation_a_chunk_ascending() {
+        let scan = DirScan {
+            wals: vec![(0, 0), (0, 1), (2, 0), (3, 0), (3, 1), (3, 2), (7, 1)],
+            ..DirScan::default()
+        };
+        let chunks = |from| scan.wal_generations(from).collect::<Vec<_>>();
+        assert_eq!(
+            chunks(0),
+            [
+                &[(0, 0), (0, 1)][..],
+                &[(2, 0)],
+                &[(3, 0), (3, 1), (3, 2)],
+                &[(7, 1)]
+            ]
+        );
+        assert_eq!(
+            chunks(1),
+            [&[(2, 0)][..], &[(3, 0), (3, 1), (3, 2)], &[(7, 1)]]
+        );
+        assert_eq!(chunks(3)[0], [(3, 0), (3, 1), (3, 2)]);
+        assert!(chunks(8).is_empty());
     }
 }

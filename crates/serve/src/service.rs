@@ -1,6 +1,5 @@
-//! The background ingestion service: a [`DrainService`] of workers on a
-//! dedicated [`nurd_runtime::ThreadPool`] that continuously drains the
-//! engine's shards, so producers only ever push.
+//! The background ingestion service: named drain threads that
+//! continuously drain the engine's shards, so producers only ever push.
 //!
 //! Thread topology (see `docs/OPERATIONS.md` for sizing guidance):
 //!
@@ -13,24 +12,25 @@
 //!    • woken by the next drain pop           │
 //!    • drains shards itself while a          │
 //!      predictor call is in flight           ▼
-//!                                    DrainService (coordinator thread
-//!                                      + ThreadPool of drain workers):
+//!                                    nurd-serve-drain-{i} threads:
 //!                                      scan shards, try_lock, pop a
 //!                                      batch, apply; park on the
 //!                                      engine's Notifier when idle
+//!                                    (+ nurd-serve-flush under OnIdle)
 //!                                          │
 //!  take_finalized(&self) ◄───────── finalized JobReports
 //!  close(self) ─► close ingress, drain to quiescence, join, finalize
 //!  (quiesce and close help drain while a predictor call is in flight)
 //! ```
 //!
-//! A shard is drained by at most one worker at a time (popping and
+//! A shard is drained by at most one thread at a time (popping and
 //! applying happen under the shard's lock), so per-shard application
 //! order is channel FIFO order: worker count, like shard count, changes
-//! wall-clock only, never a report.
+//! wall-clock only, never a report. Every drain — a whole service thread,
+//! or one on a waiting caller — runs under [`EngineCore::guarded`]: a
+//! panic fails the service and `close` re-raises it; no thread unwinds.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::resume_unwind;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -53,27 +53,17 @@ use crate::{
 /// Tuning for the background drain loop.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServiceConfig {
-    /// Drain workers (total pool parallelism, coordinator included;
-    /// [`EngineService::recover`] replays the WAL on them plus its
-    /// caller). `0` resolves to the machine's parallelism; either way the
-    /// count is capped at the shard count (a shard is drained by one
-    /// worker at a time, so extra workers could only idle) and ≥ 1.
-    /// A thread that would wait on the engine — a blocked push,
-    /// [`EngineService::quiesce`], [`EngineService::close`] — drains
-    /// beside them while a predictor call is in flight, so a producer's
-    /// core is lent to model work when its push cannot proceed anyway.
+    /// Drain worker threads. `0` resolves to the machine's parallelism;
+    /// either way the count is capped at the shard count (a shard is
+    /// drained by one thread at a time, so extra workers could only
+    /// idle) and ≥ 1. [`EngineService::recover`] replays each WAL
+    /// generation on a pool of this many threads plus one before the
+    /// workers start. A thread that would wait on the engine — a blocked
+    /// push, [`EngineService::quiesce`], [`EngineService::close`] —
+    /// drains beside them while a predictor call is in flight, so a
+    /// producer's core is lent to model work when its push cannot
+    /// proceed anyway.
     pub drain_workers: usize,
-}
-
-/// The background drain loop: a coordinator thread running
-/// `drain_workers` worker loops on a dedicated [`ThreadPool`] scope.
-/// Dropping it performs the full shutdown sequence (close ingress, let
-/// the workers drain to quiescence, join them) — [`EngineService::close`]
-/// is that plus the final report.
-struct DrainService {
-    core: Arc<EngineCore>,
-    shutdown: Arc<AtomicBool>,
-    coordinator: Option<JoinHandle<()>>,
 }
 
 impl ServiceConfig {
@@ -87,94 +77,41 @@ impl ServiceConfig {
     }
 }
 
-impl DrainService {
-    fn start(core: Arc<EngineCore>, config: &ServiceConfig, flush_every: Option<Duration>) -> Self {
-        let workers = config.workers(core.shard_count());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // The background WAL flusher (FsyncPolicy::OnIdle) rides the same
-        // pool as one extra scope task.
-        let extra = usize::from(flush_every.is_some());
-        let coordinator = {
-            let core = Arc::clone(&core);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("nurd-serve-drain".into())
-                .spawn(move || {
-                    // `workers` (+ flusher) total parallelism: pool
-                    // threads plus this coordinator helping inside the
-                    // scope — every spawned loop runs concurrently.
-                    let pool = ThreadPool::new(workers + extra);
-                    pool.scope(|scope| {
-                        if let Some(interval) = flush_every {
-                            let core = &core;
-                            let shutdown = &shutdown;
-                            scope.spawn(move || flush_worker(core, interval, shutdown));
-                        }
-                        for worker in 0..workers {
-                            let core = &core;
-                            let shutdown = &shutdown;
-                            scope.spawn(move || {
-                                let run = catch_unwind(AssertUnwindSafe(|| {
-                                    drain_worker(core, worker, shutdown);
-                                }));
-                                if let Err(payload) = run {
-                                    // This worker died (predictor panic,
-                                    // poisoned shard). Break the whole
-                                    // service *immediately and
-                                    // observably* — peers exit on the
-                                    // flag, blocked producers wake with
-                                    // a clean rejection, quiesce()
-                                    // trips — rather than letting the
-                                    // survivors serve a half-dead
-                                    // engine. The re-raise hands the
-                                    // payload to the scope, which
-                                    // propagates the first one to the
-                                    // coordinator for close() to
-                                    // surface.
-                                    core.fail(WORKER_PANICKED.into());
-                                    resume_unwind(payload);
-                                }
-                            });
-                        }
-                    });
-                })
-                .expect("spawning drain coordinator")
-        };
-        DrainService {
-            core,
-            shutdown,
-            coordinator: Some(coordinator),
-        }
-    }
+/// Where an [`EngineService`] is in its life; `close` and `Drop` move it on.
+enum Lifecycle {
+    /// The drain threads (and the `OnIdle` flusher) run.
+    Serving(Vec<JoinHandle<()>>),
+    /// The threads are joined without a report: the service failed (every
+    /// `close` raises it), or is being dropped.
+    Stopped,
+    /// `close` returned this report; later calls return clones of it.
+    Closed(EngineReport),
 }
 
-/// The failure a panicked drain worker records.
-const WORKER_PANICKED: &str = "a drain worker panicked (see the coordinator thread's panic output)";
-
-impl Drop for DrainService {
-    /// Shutdown sequence: stop accepting (blocked producers wake with
-    /// their push rejected), tell the workers, wake everyone, wait.
-    /// Workers exit only at quiescence (ingress closed *and* empty), so
-    /// after the join every accepted event has been applied. Returns the
-    /// coordinator's panic payload (if a worker died) via `join_panic`;
-    /// `Drop` itself must not unwind, so a bare drop records the failure
-    /// on the core and discards the payload — `EngineService::close`
-    /// goes through [`DrainService::join_panic`] to re-raise it.
-    fn drop(&mut self) {
-        if self.join_panic().is_some() {
-            self.core.fail(WORKER_PANICKED.into());
-        }
-    }
+/// Spawns service thread `name` running `run` whole under
+/// [`EngineCore::guarded`], so a panic fails the service instead of
+/// unwinding the thread.
+fn spawn(
+    core: &Arc<EngineCore>,
+    name: String,
+    run: impl FnOnce(&EngineCore) + Send + 'static,
+) -> JoinHandle<()> {
+    let core = Arc::clone(core);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || core.guarded(|| run(&core)))
+        .expect("spawning a drain service thread")
 }
 
-impl DrainService {
-    /// Runs the shutdown sequence (idempotent) and hands back the
-    /// coordinator's panic payload, if any worker panicked.
-    fn join_panic(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
-        self.core.close_ingress();
-        self.shutdown.store(true, Ordering::Release);
-        self.core.notifier().unpark();
-        self.coordinator.take().and_then(|c| c.join().err())
+/// The shutdown sequence: stop accepting (blocked producers wake with
+/// their push rejected), then join `threads`. They exit at once on a
+/// failure and otherwise only once every ingress is empty, so after the
+/// join every accepted event has been applied.
+fn join(core: &EngineCore, threads: Vec<JoinHandle<()>>) {
+    core.close_ingress();
+    for thread in threads {
+        // `guarded` keeps every service thread from unwinding.
+        let _ = thread.join();
     }
 }
 
@@ -183,18 +120,15 @@ impl DrainService {
 /// and park on the engine's notifier when a full scan finds nothing. The
 /// epoch is snapshotted *before* the scan, so a push or a peer's drain
 /// that races the scan un-parks immediately — no lost wake-ups, no
-/// polling loops.
-fn drain_worker(core: &EngineCore, worker: usize, shutdown: &AtomicBool) {
+/// polling loops. Closing the ingress and failing both unpark.
+fn drain_worker(core: &EngineCore, worker: usize) {
     let shards = core.shard_count();
     // One pop buffer per worker, reused for every batch it ever drains.
     let mut buffer = Vec::with_capacity(DRAIN_BATCH);
-    loop {
-        // The service failed (a peer died, its shard perhaps poisoned
-        // mid-apply, or the disk failed): stop serving rather than
-        // present a half-dead engine as healthy.
-        if core.failure().is_some() {
-            return;
-        }
+    // A failed service (a drain panicked, its shard perhaps poisoned
+    // mid-apply, or the disk failed) stops serving rather than present a
+    // half-dead engine as healthy.
+    while core.failure().is_none() {
         let epoch = core.notifier().epoch();
         let mut drained = 0;
         for offset in 0..shards {
@@ -203,11 +137,10 @@ fn drain_worker(core: &EngineCore, worker: usize, shutdown: &AtomicBool) {
         if drained > 0 {
             continue;
         }
-        // Nothing won this scan. Quiescent shutdown: the ingress is
-        // closed (no new work can arrive) and every channel is empty
-        // (in-flight batches are someone else's, and that worker exits
-        // after applying them).
-        if shutdown.load(Ordering::Acquire) && core.total_backlog() == 0 {
+        // Nothing won this scan. Quiescent shutdown: no new work can
+        // arrive and none is queued (in-flight batches are someone
+        // else's, and that thread exits after applying them).
+        if core.is_drained() {
             return;
         }
         core.notifier().park(epoch);
@@ -219,23 +152,20 @@ fn drain_worker(core: &EngineCore, worker: usize, shutdown: &AtomicBool) {
 /// to one interval's tail. A plain timed sleep, *not* a notifier park —
 /// the notifier's epoch churns on every push and drain, so parking on it
 /// with a timeout would busy-spin exactly when the engine is busiest.
-/// Exits on shutdown (with one final flush) and on failure (a panicked
-/// drain worker must not leave the flusher keeping the coordinator scope
-/// alive forever). A failed flush fails the service, as a failed append
-/// does: serving on would promise durability the disk did not give.
-fn flush_worker(core: &EngineCore, interval: Duration, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::Acquire) && core.failure().is_none() {
+/// Exits on failure and once the ingress is drained; `close` and the
+/// drop guard flush after the join. A failed flush fails the service, as
+/// a failed append does: serving on would promise durability the disk
+/// did not give.
+fn flush_worker(core: &EngineCore, interval: Duration) {
+    while core.failure().is_none() && !core.is_drained() {
         std::thread::sleep(interval);
-        if core.flush_wals().is_err() {
-            return;
-        }
+        let _ = core.flush_wals();
     }
-    let _ = core.flush_wals();
 }
 
 /// A multi-job streaming engine run as a **concurrent service**:
 /// producers on any number of threads push through cloned
-/// [`EngineHandle`]s while the background `DrainService` continuously
+/// [`EngineHandle`]s while the background drain threads continuously
 /// applies, scores, and finalizes. This is the one way to serve: tests,
 /// the mitigation harness and the fleet benchmark all run through it.
 ///
@@ -300,12 +230,9 @@ pub struct EngineService {
     /// The service's own producer handle — the convenience `push`/`push_all`
     /// methods below delegate here, so the accept/wake logic exists once.
     handle: EngineHandle,
-    /// `Some` while the drain loop runs; [`EngineService::close`] takes
-    /// it (joining the workers) exactly once.
-    service: Mutex<Option<DrainService>>,
-    /// The first close's report — later closes return a clone instead of
-    /// re-running shutdown (idempotence).
-    closed: Mutex<Option<EngineReport>>,
+    /// The threads while serving; the first close's report after it, for
+    /// later closes to return (idempotence).
+    lifecycle: Mutex<Lifecycle>,
 }
 
 impl std::fmt::Debug for EngineService {
@@ -362,12 +289,12 @@ impl EngineService {
     /// newest snapshot that validates end to end (falling back past
     /// corrupt ones — counted in [`RecoverReport::recovery_fallbacks`]),
     /// replays every WAL segment at or past that snapshot's generation (a
-    /// generation at a time, its segments in parallel on the drain
-    /// workers plus the caller; the first error by (generation, shard)
-    /// wins), fsyncs those segments and the directory, and only then
-    /// starts the drain loop on a fresh WAL generation. It writes no
-    /// snapshot: the next [`EngineService::checkpoint`] or `close`
-    /// compacts. The recovered engine's per-job state is bit-for-bit the
+    /// generation at a time, its segments in parallel on a pool of
+    /// [`ServiceConfig::drain_workers`] threads plus one; the first error
+    /// by (generation, shard) wins), fsyncs those segments and the
+    /// directory, and only then starts the drain threads on a fresh WAL
+    /// generation. It writes no snapshot: the next
+    /// [`EngineService::checkpoint`] or `close` compacts. The recovered engine's per-job state is bit-for-bit the
     /// state of an engine that applied the same durable prefix without
     /// ever crashing — the restart-equals-uninterrupted properties of
     /// `tests/recovery.rs` prove it across chained crashes, torn WAL
@@ -489,14 +416,13 @@ impl EngineService {
         // Replay the WAL trail on top, from the loaded snapshot's
         // generation (0 when starting empty), a generation at a time. A job
         // sits in one segment per generation, so a generation's segments
-        // replay in parallel on the drain workers about to start plus this
-        // caller; the first error by (generation, shard) wins.
+        // replay in parallel on a pool of its own, as many threads as drain
+        // workers plus this caller; the first error by (generation, shard)
+        // wins.
         let threads = service.workers(core.shard_count()) + 1;
         let mut wal_events_replayed = 0;
         let mut wal_truncated_tails = 0;
-        let min_generation = snapshot_generation.unwrap_or(0);
-        let first = scan.wals.partition_point(|&(g, _)| g < min_generation);
-        for segments in scan.wals[first..].chunk_by(|a, b| a.0 == b.0) {
+        for segments in scan.wal_generations(snapshot_generation.unwrap_or(0)) {
             let mut replayed: Vec<_> = segments.iter().map(|_| None).collect();
             ThreadPool::new(threads.min(segments.len())).scope(|scope| {
                 for (slot, &(generation, shard)) in replayed.iter_mut().zip(segments) {
@@ -535,13 +461,23 @@ impl EngineService {
         let flush_every = core.persist().and_then(|p| {
             (p.config.fsync == FsyncPolicy::OnIdle).then_some(p.config.flush_interval)
         });
-        let service = DrainService::start(Arc::clone(&core), service, flush_every);
+        let drain = |i| {
+            spawn(&core, format!("nurd-serve-drain-{i}"), move |c| {
+                drain_worker(c, i)
+            })
+        };
+        let mut threads: Vec<_> = (0..service.workers(core.shard_count()))
+            .map(drain)
+            .collect();
+        if let Some(interval) = flush_every {
+            let flush = move |c: &EngineCore| flush_worker(c, interval);
+            threads.push(spawn(&core, "nurd-serve-flush".into(), flush));
+        }
         let handle = EngineHandle::new(Arc::clone(&core));
         EngineService {
             core,
             handle,
-            service: Mutex::new(Some(service)),
-            closed: Mutex::new(None),
+            lifecycle: Mutex::new(Lifecycle::Serving(threads)),
         }
     }
 
@@ -678,26 +614,15 @@ impl EngineService {
     /// died" and the I/O error if a WAL or snapshot operation failed.
     #[must_use]
     pub fn close(&self) -> EngineReport {
-        let mut closed = relock(&self.closed);
-        if let Some(report) = closed.as_ref() {
+        let mut state = relock(&self.lifecycle);
+        if let Lifecycle::Closed(report) = &*state {
             return report.clone();
         }
-        if let Some(mut service) = relock(&self.service).take() {
+        if let Lifecycle::Serving(threads) = std::mem::replace(&mut *state, Lifecycle::Stopped) {
             self.core.close_ingress();
             // A failure surfaces below, after the join.
             let _ = self.core.settle();
-            let worker_panic = service.join_panic();
-            if let Some(payload) = self.core.take_caller_panic().or(worker_panic) {
-                // The workers are joined and the engine is broken: salvage
-                // the durable trail (the WAL holds everything accepted up
-                // to the poison), then re-raise the *original* payload —
-                // the root cause — instead of tripping over a poisoned
-                // shard lock inside finish_report with a generic message.
-                let _ = self.core.flush_wals();
-                drop(service);
-                drop(closed);
-                resume_unwind(payload);
-            }
+            join(&self.core, threads);
         }
         if self.core.is_persistent() && self.core.failure().is_none() {
             // Durability before reporting: seal the WALs and write the
@@ -708,43 +633,40 @@ impl EngineService {
             }
         }
         if let Some(why) = self.core.failure() {
-            // Salvage what the WALs still buffer, then surface the cause.
+            // Salvage what the WALs still buffer (the WAL holds everything
+            // accepted up to the failure), then raise the root cause: the
+            // original panic payload rather than a poisoned shard lock
+            // inside finish_report, or the recorded failure.
             let _ = self.core.flush_wals();
             let why = why.to_owned();
-            drop(closed);
-            panic!("drain service died: {why}");
+            drop(state);
+            match self.core.take_panic() {
+                Some(payload) => resume_unwind(payload),
+                None => panic!("drain service died: {why}"),
+            }
         }
         let report = self.core.finish_report();
-        *closed = Some(report.clone());
+        *state = Lifecycle::Closed(report.clone());
         report
     }
 }
 
 impl Drop for EngineService {
-    /// The unclosed-service guard: joins the drain loop (applying any
+    /// The unclosed-service guard: joins the threads (applying any
     /// backlog) and flushes the WALs, so dropping a persistent service
     /// without closing it leaves on disk every event it drained, as a
-    /// process killed after a final flush would. After a normal
+    /// process killed after a final flush would. After
     /// [`EngineService::close`] this is a no-op.
     fn drop(&mut self) {
-        let closed = self
-            .closed
+        let lifecycle = self
+            .lifecycle
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some();
-        if closed {
-            return;
-        }
-        // Joining DrainService (its own Drop) applies the backlog and
-        // swallows any worker panic payload — Drop must not unwind.
-        drop(
-            self.service
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take(),
-        );
-        if self.core.is_persistent() {
-            let _ = self.core.flush_wals();
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Lifecycle::Serving(threads) = std::mem::replace(lifecycle, Lifecycle::Stopped) {
+            join(&self.core, threads);
+            if self.core.is_persistent() {
+                let _ = self.core.flush_wals();
+            }
         }
     }
 }
@@ -757,6 +679,7 @@ mod tests {
     //! the never-crashed outcome.
 
     use std::collections::BTreeMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Instant;
 
     use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};

@@ -541,7 +541,43 @@ fn factory_panic_unblocks_producers_and_resurfaces_at_close() {
     // on the failed flag).
     factory_panic_scenario(1, 1);
     factory_panic_scenario(2, 2);
+    factory_panic_scenario(4, 3);
     factory_panic_on_a_helping_producer();
+}
+
+/// Drops `service` and asserts that nothing it ran still holds `witness`,
+/// an `Arc` its factory captured: the factory lives as long as the
+/// engine, and every service thread holds the engine until it exits.
+fn drop_outlived_by_no_thread<T>(service: EngineService, witness: &Arc<T>) {
+    assert!(
+        Arc::strong_count(witness) > 1,
+        "the factory holds no witness"
+    );
+    drop(service);
+    assert_eq!(
+        Arc::strong_count(witness),
+        1,
+        "a service thread outlived the service"
+    );
+}
+
+#[test]
+fn no_thread_outlives_a_closed_service() {
+    let witness = Arc::new(());
+    let held = Arc::clone(&witness);
+    let service = EngineService::start(
+        EngineConfig::default(),
+        ServiceConfig { drain_workers: 3 },
+        Box::new(move |_| -> Box<dyn OnlinePredictor + Send> {
+            let _held = &held;
+            Box::new(FlagAll)
+        }),
+    );
+    for job in 0..8 {
+        assert_eq!(service.push_all(four_event_stream(job)), 4);
+    }
+    assert_eq!(service.close().jobs.len(), 8);
+    drop_outlived_by_no_thread(service, &witness);
 }
 
 /// Pushes job `job`'s `JobStart` and then up to 10,000 progress events;
@@ -580,6 +616,8 @@ fn close_panic_message(service: &EngineService) -> String {
 }
 
 fn factory_panic_scenario(shards: usize, drain_workers: usize) {
+    let witness = Arc::new(());
+    let held = Arc::clone(&witness);
     let service = EngineService::start(
         EngineConfig {
             shards,
@@ -588,7 +626,10 @@ fn factory_panic_scenario(shards: usize, drain_workers: usize) {
             ..EngineConfig::default()
         },
         ServiceConfig { drain_workers },
-        Box::new(|_| -> Box<dyn OnlinePredictor + Send> { panic!("factory exploded") }),
+        Box::new(move |_| -> Box<dyn OnlinePredictor + Send> {
+            let _held = &held;
+            panic!("factory exploded")
+        }),
     );
     // The producer's first event (the admission) detonates the factory;
     // the producer then keeps pushing into a capacity-4 queue that no
@@ -614,6 +655,7 @@ fn factory_panic_scenario(shards: usize, drain_workers: usize) {
         message.contains("factory exploded"),
         "root cause lost at {shards} shards / {drain_workers} workers: {message:?}"
     );
+    drop_outlived_by_no_thread(service, &witness);
 }
 
 /// The factory panics on the producer's own drain: the one worker is
@@ -625,6 +667,7 @@ fn factory_panic_scenario(shards: usize, drain_workers: usize) {
 fn factory_panic_on_a_helping_producer() {
     let (a, b) = jobs_on_two_shards(&[1, 2, 3, 4, 5, 6, 7, 8]);
     let (hold, holder) = hold();
+    let witness = Arc::clone(&hold);
     let service = two_shard_service(
         Some(4),
         Box::new(move |spec: &JobSpec| -> Box<dyn OnlinePredictor + Send> {
@@ -657,6 +700,7 @@ fn factory_panic_on_a_helping_producer() {
         message.contains("factory exploded"),
         "root cause lost on a helping producer: {message:?}"
     );
+    drop_outlived_by_no_thread(service, &witness);
 }
 
 /// A predictor that records the parallelism grants it receives and makes

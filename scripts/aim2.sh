@@ -166,9 +166,21 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # that raises it around the two predictor calls), `service.rs` +3
 # (`quiesce` and `close` call `settle`; their docs), `lifecycle.rs` +2,
 # `lib.rs` +1.
-MAX_WORKSPACE_LINES=20478
-MAX_PRODUCT_LINES=8681
-MAX_UNSAFE_SITES=4
+#
+# The drain service on plain threads, and a lane walker without
+# `unsafe`, lowered both line limits by their net, -78 (20,478 -> 20,400
+# and 8,681 -> 8,603), and `unsafe` sites 4 -> 1 (`Scope::spawn`'s
+# transmute is the one left): `service.rs` -78 (the coordinator thread,
+# its private pool, `DrainService` with its `Drop` and `join_panic`, the
+# shutdown flag and `WORKER_PANICKED` gone; one lifecycle mutex in place
+# of two), `engine.rs` +11 (`guarded`, `take_panic` and `is_drained` in
+# place of `caller_panic`, `take_caller_panic`, `CALLER_PANICKED` and
+# `help`'s own `catch_unwind`), `persist.rs` +7
+# (`DirScan::wal_generations`), `ml` -18 (the walker's three `unsafe`
+# sites and their safety contract became plain indexing).
+MAX_WORKSPACE_LINES=20400
+MAX_PRODUCT_LINES=8603
+MAX_UNSAFE_SITES=1
 MAX_CONFIG_FIELDS=29
 
 workspace=0
