@@ -148,14 +148,15 @@ impl Drop for InFlight<'_> {
 /// What the shard knows about one task of one job.
 #[derive(Debug, Default)]
 struct TaskState {
-    /// Latest feature snapshot (frozen once finished).
-    features: Vec<f64>,
+    /// Start of the task's row in [`JobState::rows`], its latest feature
+    /// snapshot (frozen once finished); `None` until an event describes it.
+    row: Option<usize>,
     /// `Some` once the task's `Finished` event arrived.
     latency: Option<f64>,
     /// Checkpoint ordinal at which the task was flagged a straggler.
     flagged_at: Option<usize>,
-    /// Whether any snapshot has arrived (guards scoring a task the
-    /// stream never described).
+    /// Whether any event (`Submitted` included) has arrived: a seen task
+    /// never described is scored with no features, an unseen one not at all.
     seen: bool,
 }
 
@@ -168,6 +169,11 @@ pub(crate) struct JobState {
     spec: JobSpec,
     predictor: Box<dyn OnlinePredictor + Send>,
     tasks: Vec<TaskState>,
+    /// The job's feature table: one `feature_dim`-wide row per described
+    /// task, appended at its first description (arrival order, not task-id
+    /// order) and overwritten by later ones. Never sized from the spec, it
+    /// holds only the floats the stream or a snapshot record delivered.
+    rows: Vec<f64>,
     /// Tasks whose `Finished` event has arrived (including flagged ones —
     /// the warmup quorum counts every completion, as the replay does).
     finished_total: usize,
@@ -208,7 +214,7 @@ pub(crate) struct JobState {
 
 /// Reusable allocation capacity for [`JobState::barrier`]'s two id lists.
 /// The checkpoint's own view vectors borrow feature slices from the job's
-/// task table, so their element types carry that borrow's lifetime and
+/// feature table, so their element types carry that borrow's lifetime and
 /// cannot be parked here; a scored barrier allocates those two afresh.
 #[derive(Default)]
 struct BarrierScratch {
@@ -252,6 +258,7 @@ impl JobState {
             spec,
             predictor,
             tasks,
+            rows: Vec::new(),
             finished_total: 0,
             warmup_at: None,
             barriers_seen: 0,
@@ -344,7 +351,7 @@ impl JobState {
                 // Progress for a flagged or finished task is stale
                 // stream noise; the protocol ignores it.
                 if state.flagged_at.is_none() && state.latency.is_none() {
-                    state.features = features;
+                    describe(&mut self.rows, &mut state.row, &features);
                     state.seen = true;
                 }
             }
@@ -369,7 +376,7 @@ impl JobState {
                 // warmup quorum, but its features never (re-)enter the
                 // training view.
                 if state.flagged_at.is_none() {
-                    state.features = features;
+                    describe(&mut self.rows, &mut state.row, &features);
                     state.seen = true;
                 }
             }
@@ -418,8 +425,10 @@ impl JobState {
         // order, flagged tasks in neither list, finished features frozen.
         // Sized by what can land in each view (completions so far; the
         // tasks still out), so neither ever regrows.
+        let dim = self.spec.feature_dim;
         let JobState {
             tasks,
+            rows,
             predictor,
             scratch,
             finished_total,
@@ -432,16 +441,14 @@ impl JobState {
             if state.flagged_at.is_some() || !state.seen {
                 continue;
             }
+            let features = row(rows, dim, state.row);
             match state.latency {
                 Some(latency) => finished.push(FinishedTask {
                     id,
-                    features: &state.features,
+                    features,
                     latency,
                 }),
-                None => running.push(RunningTask {
-                    id,
-                    features: &state.features,
-                }),
+                None => running.push(RunningTask { id, features }),
             }
         }
         let mut running_ids = std::mem::take(&mut scratch.running_ids);
@@ -561,12 +568,11 @@ impl JobState {
             .collect()
     }
 
-    /// Post-hoc scoring once the stream is exhausted. A task whose
-    /// completion never arrived outlived the stream and is counted as a
-    /// straggler (it certainly outlived `τ_stra` if the stream covered
-    /// the job's horizon).
-    fn report(&self, finalized: FinalizeReason) -> JobReport {
-        let truth: Vec<bool> = self.straggled();
+    /// Post-hoc scoring once the stream is exhausted, against `truth`
+    /// ([`JobState::straggled`]). A task whose completion never arrived
+    /// outlived the stream and is counted as a straggler (it certainly
+    /// outlived `τ_stra` if the stream covered the job's horizon).
+    fn report(&self, finalized: FinalizeReason, truth: &[bool]) -> JobReport {
         let flagged_at: Vec<Option<usize>> = self.tasks.iter().map(|t| t.flagged_at).collect();
         let outcome = outcome_from_flags(
             self.spec.threshold,
@@ -574,7 +580,7 @@ impl JobState {
                 .unwrap_or_else(|| self.spec.checkpoints.saturating_sub(1)),
             self.spec.checkpoints,
             flagged_at,
-            &truth,
+            truth,
         );
         JobReport {
             job: self.spec.job,
@@ -601,9 +607,12 @@ impl JobState {
                 self.spec.encode(enc);
                 let blob = self.predictor.snapshot_state().unwrap_or_default();
                 enc.put_bytes(&blob);
+                // Each row as a `Vec<f64>`: length, floats (none if undescribed).
                 enc.put_usize(self.tasks.len());
                 for task in &self.tasks {
-                    task.features.encode(enc);
+                    let features = row(&self.rows, self.spec.feature_dim, task.row);
+                    enc.put_usize(features.len());
+                    features.iter().for_each(|&x| enc.put_f64(x));
                     task.latency.encode(enc);
                     task.flagged_at.encode(enc);
                     enc.put_bool(task.seen);
@@ -665,9 +674,18 @@ impl JobState {
                 // guard rejects a job admitted but not yet described.
                 let task_count = dec.take_len(8 + 1 + 1 + 1)?;
                 let mut tasks = Vec::with_capacity(task_count);
+                // Rows are appended as they decode, so the table grows with
+                // the floats the record holds; a ragged one is refused below.
+                let mut ragged = false;
                 for _ in 0..task_count {
+                    let width = dec.take_len(1)?;
+                    ragged |= width > 0 && width != state.spec.feature_dim;
+                    let row = (width > 0).then_some(state.rows.len());
+                    for _ in 0..width {
+                        state.rows.push(dec.take_f64()?);
+                    }
                     tasks.push(TaskState {
-                        features: Checkpointable::decode(dec)?,
+                        row,
                         latency: Checkpointable::decode(dec)?,
                         flagged_at: Checkpointable::decode(dec)?,
                         seen: dec.take_bool()?,
@@ -683,11 +701,8 @@ impl JobState {
                 // left (warmup is set at a barrier already closed).
                 let finished = state.tasks.iter().filter(|t| t.latency.is_some()).count();
                 let sized = |n: usize| n == state.spec.task_count;
-                let width = |t: &TaskState| {
-                    t.features.is_empty() || t.features.len() == state.spec.feature_dim
-                };
                 if !(sized(state.tasks.len())
-                    && state.tasks.iter().all(width)
+                    && !ragged
                     && state.nodes.as_ref().is_none_or(|n| sized(n.len()))
                     && state.finished_total == finished
                     && state.barriers_seen <= state.spec.checkpoints
@@ -740,6 +755,23 @@ impl JobState {
             self.policy = Some(mitigator(&self.spec));
         }
     }
+}
+
+/// Writes `features` into the row at `slot`, or appends a row and points
+/// `slot` at it if the task has none yet.
+fn describe(rows: &mut Vec<f64>, slot: &mut Option<usize>, features: &[f64]) {
+    match *slot {
+        Some(at) => rows[at..at + features.len()].copy_from_slice(features),
+        None => {
+            *slot = Some(rows.len());
+            rows.extend_from_slice(features);
+        }
+    }
+}
+
+/// The `dim`-wide row at `slot`, or no features for an undescribed task.
+fn row(rows: &[f64], dim: usize, slot: Option<usize>) -> &[f64] {
+    slot.map_or(&[], |at| &rows[at..at + dim])
 }
 
 /// One shard of the engine: a disjoint set of *live* jobs and the reports
@@ -918,9 +950,10 @@ impl Shard {
         stats: &ShardStats,
     ) {
         if let Some(state) = self.jobs.remove(&job) {
-            let report = state.report(reason);
+            let truth = state.straggled();
+            let report = state.report(reason, &truth);
             if let Some(observer) = observer {
-                observer.observe_finalized(&report, state.nodes.as_deref(), &state.straggled());
+                observer.observe_finalized(&report, state.nodes.as_deref(), &truth);
             }
             self.finalized_ids.insert(job);
             self.finalized.insert(job, report);
@@ -1059,6 +1092,9 @@ mod tests {
 
     const WARMUP: f64 = 0.04;
     const CHECKPOINTS: usize = 6;
+    /// See `describing_out_of_id_order_round_trips_to_the_same_bytes`.
+    const DESCRIBED_OUT_OF_ORDER_RECORDS: usize = 64;
+    const DESCRIBED_OUT_OF_ORDER_HASH: u64 = 0xA40D_F11D_02E7_9D3F;
 
     /// Flags every running task and has no `snapshot_state`, which puts
     /// its job in history-mode persistence.
@@ -1150,25 +1186,43 @@ mod tests {
         shard.apply_batch(events.iter().cloned(), factory, None, None, 0, &stats);
     }
 
-    /// Serves a `task_count`-task job step by step and, after admission
-    /// and after every step the job is still live at, round-trips its
-    /// `JobState` through the snapshot record: the decoded job must
-    /// re-encode to the same bytes and, served the rest of the stream,
-    /// end in the same report. Returns the phases the job was seen in.
+    /// Serves a `task_count`-task job step by step and round-trips it
+    /// after each (see [`round_trip_at_every_cut`]). Returns the phases
+    /// the job was seen in.
     fn round_trip_every_step(task_count: usize, history_mode: bool) -> Vec<JobPhase> {
-        let factory = factory(history_mode);
-        let spec = spec(task_count);
-        let steps = steps(task_count);
+        round_trip_at_every_cut(
+            &spec(task_count),
+            &steps(task_count),
+            &factory(history_mode),
+            history_mode,
+        )
+        .0
+    }
+
+    /// Serves `spec`'s job step by step and, after admission and after
+    /// every step the job is still live at, round-trips its `JobState`
+    /// through the snapshot record: the decoded job must re-encode to the
+    /// same bytes and, served the rest of the stream, end in the same
+    /// report. Returns the phases the job was seen in and the record
+    /// written at each cut.
+    fn round_trip_at_every_cut(
+        spec: &JobSpec,
+        steps: &[Vec<TaskEvent>],
+        factory: &PredictorFactory,
+        history_mode: bool,
+    ) -> (Vec<JobPhase>, Vec<Vec<u8>>) {
+        let task_count = spec.task_count;
         let mut phases = Vec::new();
+        let mut written = Vec::new();
         for cut in 0..=steps.len() {
             let stats = ShardStats::default();
             let mut shard = Shard::new(WARMUP);
             shard.adopt_job(
-                JobState::new(spec.clone(), factory(&spec), true, None),
+                JobState::new(spec.clone(), factory(spec), true, None),
                 &stats,
             );
             for step in &steps[..cut] {
-                apply(&mut shard, step, &factory);
+                apply(&mut shard, step, factory);
             }
             let phase = shard.phase_of(spec.job).expect("admitted above");
             if phase == JobPhase::Finalized {
@@ -1182,7 +1236,7 @@ mod tests {
             let records = encoded_jobs(&shard);
             assert_eq!(records.len(), 1, "{what}");
             let mut dec = Decoder::new(&records[0]);
-            let state = JobState::decode(&mut dec, &factory, None, WARMUP)
+            let state = JobState::decode(&mut dec, factory, None, WARMUP)
                 .unwrap_or_else(|e| panic!("{what}: {e:?}"));
             assert!(dec.is_empty(), "{what}: trailing bytes");
             assert_eq!(state.history.is_some(), history_mode, "{what}");
@@ -1191,16 +1245,17 @@ mod tests {
             assert_eq!(encoded_jobs(&twin), records, "{what}");
 
             for step in &steps[cut..] {
-                apply(&mut shard, step, &factory);
-                apply(&mut twin, step, &factory);
+                apply(&mut shard, step, factory);
+                apply(&mut twin, step, factory);
             }
             assert_eq!(
                 twin.finish_reports(None, &stats),
                 shard.finish_reports(None, &stats),
                 "{what}"
             );
+            written.extend(records);
         }
-        phases
+        (phases, written)
     }
 
     /// A CRC-valid history-mode record whose one retained event is
@@ -1268,11 +1323,18 @@ mod tests {
             }
             state
         };
-        let decode = |state: &JobState| {
+        let record = |state: &JobState| {
             let mut enc = Encoder::new();
             state.encode(&mut enc);
-            let record = enc.into_bytes();
-            JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP)
+            enc.into_bytes()
+        };
+        let decode = |record: &[u8]| {
+            JobState::decode(&mut Decoder::new(record), &factory, None, WARMUP).map(|_| ())
+        };
+        let refused = |what: &str, decoded: Result<(), RecoverError>| match decoded {
+            Err(RecoverError::PredictorRestore(id)) => assert_eq!(id, spec.job, "{what}"),
+            Err(e) => panic!("{what}: wrong error {e:?}"),
+            Ok(()) => panic!("{what}: decoded a job its spec cannot hold"),
         };
         let state = served();
         assert_eq!(
@@ -1284,13 +1346,10 @@ mod tests {
             ),
             (1, Some(1), 2, 1)
         );
-        assert!(decode(&state).is_ok());
+        assert!(decode(&record(&state)).is_ok());
         type Spoil = fn(&mut JobState);
-        let hostile: [(&str, Spoil); 7] = [
+        let hostile: [(&str, Spoil); 6] = [
             ("a third task entry", |s| s.tasks.push(TaskState::default())),
-            ("a finished task three wide", |s| {
-                s.tasks[0].features = vec![0.0; 3]
-            }),
             ("a placement of three", |s| s.nodes = Some(vec![0; 3])),
             ("two finished, one latency", |s| s.finished_total = 2),
             ("seven barriers of six", |s| {
@@ -1302,10 +1361,248 @@ mod tests {
         for (what, spoil) in hostile {
             let mut state = served();
             spoil(&mut state);
-            match decode(&state) {
-                Err(RecoverError::PredictorRestore(id)) => assert_eq!(id, spec.job, "{what}"),
-                Err(e) => panic!("{what}: wrong error {e:?}"),
-                Ok(_) => panic!("{what}: decoded a job its spec cannot hold"),
+            refused(what, decode(&record(&state)));
+        }
+
+        // Every row in memory is `feature_dim` wide, so a ragged one exists
+        // only in a record: widen finished task 0's row to three floats.
+        let state = served();
+        let mut ragged = record(&state);
+        let mut head = Encoder::new();
+        head.put_u8(0);
+        spec.encode(&mut head);
+        head.put_bytes(&state.predictor.snapshot_state().expect("blob mode"));
+        head.put_usize(spec.task_count);
+        let at = head.as_slice().len();
+        assert_eq!(ragged[..at], *head.as_slice());
+        assert_eq!(
+            ragged[at..at + 8],
+            2u64.to_le_bytes(),
+            "task 0 is described"
+        );
+        ragged[at..at + 8].copy_from_slice(&3u64.to_le_bytes());
+        let end = at + 8 + 2 * 8;
+        ragged.splice(end..end, 1.5f64.to_le_bytes());
+        refused("a finished task three wide", decode(&ragged));
+    }
+
+    /// Blob-capable and stateless: flags each running task whose last
+    /// feature is above the finished tasks' mean last feature (a task
+    /// with no features never), so what it flags hangs on which row each
+    /// task is lent.
+    struct AboveFinishedMean;
+    impl OnlinePredictor for AboveFinishedMean {
+        fn name(&self) -> &str {
+            "ABOVE"
+        }
+        fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+            let lasts = checkpoint.finished.iter().filter_map(|f| f.features.last());
+            let (sum, n) = lasts.fold((0.0, 0.0), |(sum, n), x| (sum + x, n + 1.0));
+            let mean = if n > 0.0 { sum / n } else { 0.0 };
+            let above = |r: &&RunningTask<'_>| r.features.last().is_some_and(|&x| x > mean);
+            checkpoint
+                .running
+                .iter()
+                .filter(above)
+                .map(|r| r.id)
+                .collect()
+        }
+        fn snapshot_state(&self) -> Option<Vec<u8>> {
+            Some(Vec::new())
+        }
+        fn restore_state(&mut self, bytes: &[u8]) -> bool {
+            bytes.is_empty()
+        }
+    }
+
+    /// [`steps`] with each checkpoint's events in falling task-id order
+    /// (task 0 is described last), and with the last task only submitted
+    /// until checkpoint 2: it is running and undescribed at barrier 1, the
+    /// first scored one.
+    fn described_out_of_order(task_count: usize) -> Vec<Vec<TaskEvent>> {
+        let late = task_count - 1;
+        let mut steps = steps(task_count);
+        for step in &mut steps[1..] {
+            let barrier = step.pop().expect("each checkpoint ends in its barrier");
+            let withheld = |e: &TaskEvent| match e {
+                TaskEvent::Progress { task, ordinal, .. } => *task == late && *ordinal < 2,
+                _ => false,
+            };
+            step.retain(|e| !withheld(e));
+            step.reverse();
+            step.push(barrier);
+        }
+        steps
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn the_feature_table_holds_one_row_per_described_task() {
+        let spec = spec(12);
+        let stats = ShardStats::default();
+        let mut state = JobState::new(spec.clone(), Box::new(AboveFinishedMean), true, None);
+        for event in described_out_of_order(12).concat() {
+            // What a describing event must leave in its task's row: its
+            // features, unless the task was flagged (or had finished).
+            let described = match &event {
+                TaskEvent::Progress { task, features, .. }
+                | TaskEvent::Finished { task, features, .. } => {
+                    let t = &state.tasks[*task];
+                    let live = t.flagged_at.is_none()
+                        && (t.latency.is_none() || matches!(event, TaskEvent::Finished { .. }));
+                    live.then(|| (*task, features.clone()))
+                }
+                _ => None,
+            };
+            assert!(state.apply(event, WARMUP, 0, None, &stats));
+            if let Some((task, features)) = described {
+                assert_eq!(row(&state.rows, 2, state.tasks[task].row), features);
+            }
+            let rows = state.tasks.iter().filter(|t| t.row.is_some()).count();
+            assert_eq!(state.rows.len(), rows * spec.feature_dim);
+        }
+        // Rows went in by first description: checkpoint 0 described
+        // tasks 10 down to 0, checkpoint 2 the last task.
+        let starts = [10, 0, 11].map(|task| state.tasks[task].row);
+        assert_eq!(starts, [Some(0), Some(10 * 2), Some(11 * 2)]);
+        assert!(state.checkpoints_scored > 0);
+    }
+
+    #[test]
+    fn describing_out_of_id_order_round_trips_to_the_same_bytes() {
+        let spec = spec(12);
+        let factory: PredictorFactory = Box::new(|_| Box::new(AboveFinishedMean));
+        // Every event a step of its own, so a record is cut at each.
+        let steps: Vec<Vec<TaskEvent>> = described_out_of_order(12)
+            .concat()
+            .into_iter()
+            .map(|e| vec![e])
+            .collect();
+        let (phases, records) = round_trip_at_every_cut(&spec, &steps, &factory, false);
+        assert_eq!(phases.last(), Some(&JobPhase::Scoring));
+        // The records the per-task-vector table wrote for this stream
+        // (recorded on `e2d89f2`, before the shared table).
+        let hash = fnv1a(&records.concat());
+        assert_eq!(
+            (records.len(), hash),
+            (DESCRIBED_OUT_OF_ORDER_RECORDS, DESCRIBED_OUT_OF_ORDER_HASH),
+            "found {:#X}",
+            hash
+        );
+    }
+
+    #[test]
+    fn a_job_start_wider_than_memory_allocates_only_what_its_events_carry() {
+        let spec = JobSpec {
+            feature_dim: usize::MAX / 8,
+            checkpoints: 1,
+            ..spec(2)
+        };
+        let job = spec.job;
+        let events = [
+            TaskEvent::Submitted { job, task: 0 },
+            TaskEvent::Progress {
+                job,
+                task: 0,
+                ordinal: 0,
+                time: 10.0,
+                features: vec![1.0, 2.0],
+            },
+            TaskEvent::Progress {
+                job,
+                task: 1,
+                ordinal: 0,
+                time: 10.0,
+                features: Vec::new(),
+            },
+            TaskEvent::Barrier {
+                job,
+                ordinal: 0,
+                time: 10.0,
+            },
+        ];
+        let stats = ShardStats::default();
+        let mut state = JobState::new(spec.clone(), Box::new(AboveFinishedMean), true, None);
+        let applied: Vec<bool> = events
+            .iter()
+            .map(|e| state.apply(e.clone(), WARMUP, 0, None, &stats))
+            .collect();
+        // Neither vector is a row that wide; the barrier scores task 0,
+        // seen but undescribed, with no features.
+        assert_eq!(applied, [true, false, false, true]);
+        assert_eq!((state.checkpoints_scored, state.rows.capacity()), (1, 0));
+
+        // Through a shard: admitted, the two vectors rejected, the job
+        // finalized at its one barrier, nothing poisoned.
+        let mut shard = Shard::new(WARMUP);
+        let factory: PredictorFactory = Box::new(|_| Box::new(AboveFinishedMean));
+        let stats = ShardStats::default();
+        let stream = std::iter::once(TaskEvent::JobStart { spec }).chain(events);
+        shard.apply_batch(stream, &factory, None, None, 0, &stats);
+        let counts = [
+            Counter::RejectedEvents,
+            Counter::PoisonedJobs,
+            Counter::FinalizedJobs,
+        ];
+        assert_eq!(counts.map(|c| stats.get(c)), [2, 0, 1]);
+    }
+
+    #[test]
+    fn a_record_of_undescribed_tasks_allocates_only_the_rows_it_holds() {
+        let factory = factory(false);
+        let tasks = 4096;
+        // One row at the last task, three wide, behind `tasks - 1` tasks
+        // that were only submitted; decoded under a spec of width 3 and
+        // one no memory could hold.
+        for (feature_dim, decodes) in [(3, true), (usize::MAX / 8, false)] {
+            let spec = JobSpec {
+                feature_dim,
+                ..spec(tasks)
+            };
+            let blob = JobState::new(spec.clone(), factory(&spec), true, None)
+                .predictor
+                .snapshot_state()
+                .expect("blob mode");
+            let mut enc = Encoder::new();
+            enc.put_u8(0);
+            spec.encode(&mut enc);
+            enc.put_bytes(&blob);
+            enc.put_usize(tasks);
+            for task in 0..tasks {
+                if task == tasks - 1 {
+                    vec![0.5, 1.5, 2.5].encode(&mut enc);
+                } else {
+                    enc.put_usize(0);
+                }
+                None::<f64>.encode(&mut enc);
+                None::<usize>.encode(&mut enc);
+                enc.put_bool(true);
+            }
+            enc.put_usize(0);
+            None::<usize>.encode(&mut enc);
+            enc.put_usize(0);
+            enc.put_usize(0);
+            None::<Vec<u32>>.encode(&mut enc);
+            Vec::<ActionRecord>::new().encode(&mut enc);
+            let record = enc.into_bytes();
+
+            let decoded = JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP);
+            match decoded {
+                Ok(state) => {
+                    assert!(decodes, "width {feature_dim}: decoded a ragged row");
+                    assert_eq!(state.tasks[tasks - 1].row, Some(0));
+                    assert_eq!(state.rows, [0.5, 1.5, 2.5]);
+                    assert!(state.rows.capacity() * 8 <= record.len());
+                }
+                Err(RecoverError::PredictorRestore(_)) => {
+                    assert!(!decodes, "width {feature_dim}: refused")
+                }
+                Err(e) => panic!("width {feature_dim}: wrong error {e:?}"),
             }
         }
     }

@@ -205,10 +205,9 @@ pub fn outcome_from_flags(
     truth: &[bool],
 ) -> ReplayOutcome {
     assert_eq!(flagged_at.len(), truth.len(), "flags/truth length mismatch");
-    let f1_timeline: Vec<f64> = (0..checkpoint_count)
-        .map(|k| cumulative_f1_at(&flagged_at, truth, k))
-        .collect();
-
+    // Flags first raised at each checkpoint, as [true, false] positives;
+    // a flag at or past `checkpoint_count` never enters the timeline.
+    let mut raised = vec![[0, 0]; checkpoint_count];
     let mut confusion = Confusion::default();
     for (flag, &is_straggler) in flagged_at.iter().zip(truth) {
         match (flag.is_some(), is_straggler) {
@@ -217,7 +216,27 @@ pub fn outcome_from_flags(
             (false, true) => confusion.false_negatives += 1,
             (false, false) => confusion.true_negatives += 1,
         }
+        if let Some(at) = flag.and_then(|k| raised.get_mut(k)) {
+            at[usize::from(!is_straggler)] += 1;
+        }
     }
+
+    // Flags are never unset, so the flag set at checkpoint `k` is the
+    // running sum of those raised up to `k`: the same integer counts a
+    // rescan of every task finds, hence the same F1 bits.
+    let positives = confusion.true_positives + confusion.false_negatives;
+    let negatives = confusion.false_positives + confusion.true_negatives;
+    let mut so_far = Confusion::default();
+    let f1_timeline = raised
+        .into_iter()
+        .map(|[tp, fp]| {
+            so_far.true_positives += tp;
+            so_far.false_positives += fp;
+            so_far.false_negatives = positives - so_far.true_positives;
+            so_far.true_negatives = negatives - so_far.false_positives;
+            so_far.f1()
+        })
+        .collect();
 
     ReplayOutcome {
         threshold,
@@ -228,26 +247,33 @@ pub fn outcome_from_flags(
     }
 }
 
-/// F1 of the flag set as it stood at checkpoint `k` (flags are never
-/// unset, so that is exactly the flags with ordinal `<= k`).
-fn cumulative_f1_at(flagged_at: &[Option<usize>], truth: &[bool], k: usize) -> f64 {
-    let mut c = Confusion::default();
-    for (flag, &is_straggler) in flagged_at.iter().zip(truth) {
-        let flagged = flag.is_some_and(|o| o <= k);
-        match (flagged, is_straggler) {
-            (true, true) => c.true_positives += 1,
-            (true, false) => c.false_positives += 1,
-            (false, true) => c.false_negatives += 1,
-            (false, false) => c.true_negatives += 1,
-        }
-    }
-    c.f1()
+/// The timeline as [`outcome_from_flags`] once built it, one rescan of
+/// every task per checkpoint: the oracle of
+/// `prop_prefix_sum_timeline_is_bit_identical_to_the_rescan`.
+#[cfg(test)]
+fn rescanned_f1_timeline(flagged_at: &[Option<usize>], truth: &[bool], count: usize) -> Vec<f64> {
+    (0..count)
+        .map(|k| {
+            let mut c = Confusion::default();
+            for (flag, &is_straggler) in flagged_at.iter().zip(truth) {
+                let flagged = flag.is_some_and(|o| o <= k);
+                match (flagged, is_straggler) {
+                    (true, true) => c.true_positives += 1,
+                    (true, false) => c.false_positives += 1,
+                    (false, true) => c.false_negatives += 1,
+                    (false, false) => c.true_negatives += 1,
+                }
+            }
+            c.f1()
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nurd_trace::{SuiteConfig, TraceStyle};
+    use proptest::prelude::*;
 
     /// Oracle predictor handed the job's true latencies when it is built —
     /// used only to validate the protocol accounting.
@@ -423,5 +449,28 @@ mod tests {
         let job = job();
         let out = replay_job(&job, &mut Wild, &ReplayConfig::default());
         assert!(out.flagged_ids().is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each task is `[flag, truth]`: flag `0` is unflagged, `f` is
+        /// flagged at ordinal `f - 1`, up to three past the last
+        /// checkpoint; truth below 8 is a straggler.
+        #[test]
+        fn prop_prefix_sum_timeline_is_bit_identical_to_the_rescan(
+            count in 0usize..12,
+            tasks in collection::vec(collection::vec(0usize..16, 2), 0..80),
+        ) {
+            let flagged_at: Vec<Option<usize>> = tasks
+                .iter()
+                .map(|t| t[0].checked_sub(1).filter(|&k| k < count + 3))
+                .collect();
+            let truth: Vec<bool> = tasks.iter().map(|t| t[1] < 8).collect();
+            let oracle = rescanned_f1_timeline(&flagged_at, &truth, count);
+            let outcome = outcome_from_flags(55.0, 0, count, flagged_at, &truth);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&outcome.f1_timeline), bits(&oracle));
+        }
     }
 }
