@@ -91,9 +91,9 @@ pub trait OnlinePredictor {
 
     /// Serializes the predictor's fitted state for a crash-recovery
     /// snapshot, or `None` if the predictor does not support state
-    /// snapshots (the default). A serving engine falls back to retaining
-    /// the job's accepted events and replaying them through a fresh
-    /// predictor when this returns `None`.
+    /// snapshots (the default). A durable serving engine admits only
+    /// predictors that return `Some` (a stateless one may return an empty
+    /// blob); it refuses the job of any other.
     ///
     /// **Contract:** a fresh instance from the same factory, taken through
     /// [`OnlinePredictor::begin_stream`] with the same context and then
@@ -107,8 +107,8 @@ pub trait OnlinePredictor {
     /// Restores state captured by [`OnlinePredictor::snapshot_state`].
     /// Called after [`OnlinePredictor::begin_stream`] on a fresh instance.
     /// Returns `false` (the default) when the predictor does not support
-    /// restoration or the bytes are malformed — the caller then treats the
-    /// predictor as unrecoverable from a blob.
+    /// restoration or the bytes are malformed — a recovering engine then
+    /// refuses the snapshot holding the blob and falls back to an older one.
     fn restore_state(&mut self, _bytes: &[u8]) -> bool {
         false
     }

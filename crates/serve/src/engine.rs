@@ -259,7 +259,10 @@ pub struct EngineStats {
     /// is not the job's next expected ordinal (e.g. a duplicate from
     /// at-least-once delivery). Rejection protects the contract both
     /// ways: no malformed event can panic a drain, and no replayed
-    /// barrier can re-score a closed checkpoint.
+    /// barrier can re-score a closed checkpoint. Also counts refused
+    /// admissions: a `JobStart` whose task table the allocator will not
+    /// hold, or, on a durable engine, whose predictor's `snapshot_state`
+    /// is `None`; that job's later events count as orphans.
     pub rejected_events: usize,
     /// Pushes that found a full queue under [`OverloadPolicy::Block`].
     /// The producer then drained shards itself while a predictor call was
@@ -943,7 +946,6 @@ impl EngineCore {
                 &mut dec,
                 &self.factory,
                 self.mitigator.get(),
-                self.config.warmup_fraction,
             )?);
         }
         let resumed = jobs.len();

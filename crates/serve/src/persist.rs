@@ -101,8 +101,8 @@ pub enum RecoverError {
     /// The snapshot payload passed its checksum but did not decode —
     /// format drift or an internal bug, surfaced rather than half-loaded.
     Codec(CodecError),
-    /// A job's persisted predictor state — blob or history — was refused
-    /// on restore (carries the job id).
+    /// A job's persisted predictor blob was refused on restore, or its
+    /// task bookkeeping disagrees with its spec (carries the job id).
     PredictorRestore(u64),
     /// The snapshot's health-observer blob was rejected by the attached
     /// observer's `restore_state`.

@@ -43,7 +43,8 @@ pub(crate) enum Counter {
     PredictsInFlight,
     /// Events whose job was never admitted.
     OrphanEvents,
-    /// Structurally invalid events rejected during application.
+    /// Structurally invalid events rejected during application, and
+    /// `JobStart`s refused at admission.
     RejectedEvents,
     /// Events that arrived after their job finalized.
     StaleEvents,
@@ -158,6 +159,9 @@ struct TaskState {
     /// Whether any event (`Submitted` included) has arrived: a seen task
     /// never described is scored with no features, an unseen one not at all.
     seen: bool,
+    /// Whether a mitigation action was committed for the task (one action
+    /// per task, ever). Derived from the action log, never serialized.
+    actioned: bool,
 }
 
 /// One job's online state inside a shard: the predictor plus exactly the
@@ -183,21 +187,12 @@ pub(crate) struct JobState {
     barriers_seen: usize,
     /// Checkpoints at which the predictor was actually invoked.
     pub(crate) checkpoints_scored: usize,
-    /// `Some` iff this job persists in *history mode*: its predictor
-    /// cannot serialize itself (`snapshot_state()` probed `None` at
-    /// admission), so the shard retains every accepted event and a
-    /// snapshot re-derives the predictor by replaying them through a
-    /// fresh factory instance. `None` on non-persistent engines and for
-    /// blob-capable predictors — the zero-overhead common case.
-    history: Option<Vec<TaskEvent>>,
     /// Mitigation policy deciding actions at this job's scored barriers
     /// (`None` when no mitigator is attached — the scorer-only mode).
     policy: Option<Box<dyn MitigationPolicy + Send>>,
     /// Actions committed for this job so far, decision order. Rides the
     /// job's snapshot record and, at finalization, its [`JobReport`].
     actions: Vec<ActionRecord>,
-    /// Per-task "already actioned" marks (one action per task, ever).
-    actioned: Vec<bool>,
     /// `Clone` actions committed, checked against the policy's budget.
     clones_used: usize,
     /// Task → node placement, set by the job's
@@ -236,14 +231,12 @@ impl std::fmt::Debug for Shard {
 }
 
 impl JobState {
-    /// Admits a job. `persistent` engines probe the predictor's
-    /// serialization support here, once, at admission: a predictor whose
-    /// `snapshot_state()` is `None` switches this job to history-mode
-    /// persistence (see [`JobState::history`]).
+    /// A job over `tasks` (its admission's table of unseen tasks, or the
+    /// table a snapshot record is decoded into), its predictor begun.
     fn new(
         spec: JobSpec,
         mut predictor: Box<dyn OnlinePredictor + Send>,
-        persistent: bool,
+        tasks: Vec<TaskState>,
         policy: Option<Box<dyn MitigationPolicy + Send>>,
     ) -> Self {
         predictor.begin_stream(&StreamContext {
@@ -251,9 +244,6 @@ impl JobState {
             task_count: spec.task_count,
             feature_dim: spec.feature_dim,
         });
-        let history = (persistent && predictor.snapshot_state().is_none()).then(Vec::new);
-        let tasks = (0..spec.task_count).map(|_| TaskState::default()).collect();
-        let actioned = vec![false; spec.task_count];
         JobState {
             spec,
             predictor,
@@ -263,10 +253,8 @@ impl JobState {
             warmup_at: None,
             barriers_seen: 0,
             checkpoints_scored: 0,
-            history,
             policy,
             actions: Vec::new(),
-            actioned,
             clones_used: 0,
             nodes: None,
             scratch: BarrierScratch::default(),
@@ -528,7 +516,7 @@ impl JobState {
             }
             // `running_ids` is task-id sorted by construction, so the
             // membership probe (which also bounds `task`) can bisect.
-            let actionable = running_ids.binary_search(&task).is_ok() && !self.actioned[task];
+            let actionable = running_ids.binary_search(&task).is_ok() && !tasks[task].actioned;
             let within_budget = !matches!(action, MitigationAction::Clone)
                 || budget.is_none_or(|b| self.clones_used < b);
             if !actionable || !within_budget {
@@ -543,7 +531,7 @@ impl JobState {
                 MitigationAction::Quarantine => stats.add(Counter::QuarantinesIssued, 1),
                 MitigationAction::Ignore => unreachable!("filtered above"),
             }
-            self.actioned[task] = true;
+            tasks[task].actioned = true;
             self.actions.push(ActionRecord {
                 job: self.spec.job,
                 ordinal,
@@ -591,53 +579,42 @@ impl JobState {
         }
     }
 
-    /// Serializes the job for a snapshot. Mode tag 0 = *blob*: the
-    /// predictor's own `snapshot_state` plus the shard-side task
-    /// bookkeeping. Mode tag 1 = *history*: the job's accepted event
-    /// stream (the bookkeeping is re-derived by replaying it).
+    /// Serializes the job for a snapshot: mode tag 0 (the only one), the
+    /// predictor's own `snapshot_state` (a durable engine admits no job
+    /// whose predictor has none), the shard-side task bookkeeping and the
+    /// committed action log (the `actioned` marks and clone-budget
+    /// consumption are derived from it at decode), so budget enforcement
+    /// survives a crash even when the policy object itself is rebuilt
+    /// from the factory.
     fn encode(&self, enc: &mut Encoder) {
-        match &self.history {
-            Some(history) => {
-                enc.put_u8(1);
-                self.spec.encode(enc);
-                history.encode(enc);
-            }
-            None => {
-                enc.put_u8(0);
-                self.spec.encode(enc);
-                let blob = self.predictor.snapshot_state().unwrap_or_default();
-                enc.put_bytes(&blob);
-                // Each row as a `Vec<f64>`: length, floats (none if undescribed).
-                enc.put_usize(self.tasks.len());
-                for task in &self.tasks {
-                    let features = row(&self.rows, self.spec.feature_dim, task.row);
-                    enc.put_usize(features.len());
-                    features.iter().for_each(|&x| enc.put_f64(x));
-                    task.latency.encode(enc);
-                    task.flagged_at.encode(enc);
-                    enc.put_bool(task.seen);
-                }
-                enc.put_usize(self.finished_total);
-                self.warmup_at.encode(enc);
-                enc.put_usize(self.barriers_seen);
-                enc.put_usize(self.checkpoints_scored);
-                self.nodes.encode(enc);
-            }
+        enc.put_u8(0);
+        self.spec.encode(enc);
+        let blob = self.predictor.snapshot_state().unwrap_or_default();
+        enc.put_bytes(&blob);
+        // Each row as a `Vec<f64>`: length, floats (none if undescribed).
+        enc.put_usize(self.tasks.len());
+        for task in &self.tasks {
+            let features = row(&self.rows, self.spec.feature_dim, task.row);
+            enc.put_usize(features.len());
+            features.iter().for_each(|&x| enc.put_f64(x));
+            task.latency.encode(enc);
+            task.flagged_at.encode(enc);
+            enc.put_bool(task.seen);
         }
-        // Both modes persist the committed action log (the `actioned`
-        // marks and clone-budget consumption are derived from it at
-        // decode), so budget enforcement survives a crash even when the
-        // policy object itself is rebuilt from the factory.
+        enc.put_usize(self.finished_total);
+        self.warmup_at.encode(enc);
+        enc.put_usize(self.barriers_seen);
+        enc.put_usize(self.checkpoints_scored);
+        self.nodes.encode(enc);
         self.actions.encode(enc);
     }
 
     /// Restores the action log and the bookkeeping derived from it.
     fn adopt_actions(&mut self, actions: Vec<ActionRecord>) {
-        self.actioned = vec![false; self.spec.task_count];
         self.clones_used = 0;
         for record in &actions {
-            if let Some(mark) = self.actioned.get_mut(record.task) {
-                *mark = true;
+            if let Some(task) = self.tasks.get_mut(record.task) {
+                task.actioned = true;
             }
             if record.action == MitigationAction::Clone {
                 self.clones_used += 1;
@@ -646,103 +623,74 @@ impl JobState {
         self.actions = actions;
     }
 
-    /// Rebuilds a job from its snapshot record: blob mode restores the
-    /// predictor bit-for-bit via `restore_state`; history mode replays the
-    /// retained events through a fresh factory predictor — deterministic,
-    /// so it lands in the identical state. A refused blob or history event
-    /// is the typed [`RecoverError::PredictorRestore`], never a half-restored job.
+    /// Rebuilds a job from its snapshot record, restoring the predictor
+    /// bit-for-bit via `restore_state`. A refused blob, or bookkeeping
+    /// that disagrees with the job's spec, is the typed
+    /// [`RecoverError::PredictorRestore`]; any mode tag but 0 (tag 1 was
+    /// the retired event-history record) is a codec error. Never a
+    /// half-restored job.
     pub(crate) fn decode(
         dec: &mut Decoder<'_>,
         factory: &PredictorFactory,
         mitigator: Option<&MitigatorFactory>,
-        warmup_fraction: f64,
     ) -> Result<Self, RecoverError> {
-        let mode = dec.take_u8()?;
+        let tag = dec.take_u8()?;
+        if tag != 0 {
+            let what = "JobState mode";
+            return Err(nurd_codec::CodecError::InvalidTag { what, tag }.into());
+        }
         let spec = JobSpec::decode(dec)?;
+        let job = spec.job;
         let policy = mitigator.map(|m| m(&spec));
-        let mut state = match mode {
-            0 => {
-                let blob = dec.take_bytes()?.to_vec();
-                let predictor = factory(&spec);
-                let job = spec.job;
-                let mut state = JobState::new(spec, predictor, true, policy);
-                if !state.predictor.restore_state(&blob) {
-                    return Err(RecoverError::PredictorRestore(job));
-                }
-                // The smallest task — no feature snapshot yet — is an empty
-                // `Vec` length, two `Option` tags and one `bool`: a larger
-                // guard rejects a job admitted but not yet described.
-                let task_count = dec.take_len(8 + 1 + 1 + 1)?;
-                let mut tasks = Vec::with_capacity(task_count);
-                // Rows are appended as they decode, so the table grows with
-                // the floats the record holds; a ragged one is refused below.
-                let mut ragged = false;
-                for _ in 0..task_count {
-                    let width = dec.take_len(1)?;
-                    ragged |= width > 0 && width != state.spec.feature_dim;
-                    let row = (width > 0).then_some(state.rows.len());
-                    for _ in 0..width {
-                        state.rows.push(dec.take_f64()?);
-                    }
-                    tasks.push(TaskState {
-                        row,
-                        latency: Checkpointable::decode(dec)?,
-                        flagged_at: Checkpointable::decode(dec)?,
-                        seen: dec.take_bool()?,
-                    });
-                }
-                state.tasks = tasks;
-                state.finished_total = dec.take_usize()?;
-                state.warmup_at = Checkpointable::decode(dec)?;
-                state.barriers_seen = dec.take_usize()?;
-                state.checkpoints_scored = dec.take_usize()?;
-                state.nodes = Checkpointable::decode(dec)?;
-                // Refuse bookkeeping the job's own events could not have
-                // left (warmup is set at a barrier already closed).
-                let finished = state.tasks.iter().filter(|t| t.latency.is_some()).count();
-                let sized = |n: usize| n == state.spec.task_count;
-                if !(sized(state.tasks.len())
-                    && !ragged
-                    && state.nodes.as_ref().is_none_or(|n| sized(n.len()))
-                    && state.finished_total == finished
-                    && state.barriers_seen <= state.spec.checkpoints
-                    && state.warmup_at.is_none_or(|w| w < state.barriers_seen)
-                    && state.checkpoints_scored <= state.barriers_seen)
-                {
-                    return Err(RecoverError::PredictorRestore(job));
-                }
-                state
+        let blob = dec.take_bytes()?;
+        // The smallest task — no feature snapshot yet — is an empty `Vec`
+        // length, two `Option` tags and one `bool`: a larger guard rejects
+        // a job admitted but not yet described. The count is checked
+        // against the spec before anything is sized.
+        let task_count = dec.take_len(8 + 1 + 1 + 1)?;
+        if task_count != spec.task_count {
+            return Err(RecoverError::PredictorRestore(job));
+        }
+        let predictor = factory(&spec);
+        let mut state = JobState::new(spec, predictor, Vec::with_capacity(task_count), policy);
+        if !state.predictor.restore_state(blob) {
+            return Err(RecoverError::PredictorRestore(job));
+        }
+        // Rows are appended as they decode, so the table grows with the
+        // floats the record holds; a ragged one is refused below.
+        let mut ragged = false;
+        for _ in 0..task_count {
+            let width = dec.take_len(1)?;
+            ragged |= width > 0 && width != state.spec.feature_dim;
+            let row = (width > 0).then_some(state.rows.len());
+            for _ in 0..width {
+                state.rows.push(dec.take_f64()?);
             }
-            1 => {
-                let history: Vec<TaskEvent> = Checkpointable::decode(dec)?;
-                let predictor = factory(&spec);
-                let mut state = JobState::new(spec, predictor, true, policy);
-                // Replay counter bumps land in a throwaway: the pre-crash
-                // bumps are already in the snapshot's persisted counters.
-                // No observer either — the observer's own snapshot blob
-                // already contains these barriers' observations.
-                let replay_stats = ShardStats::default();
-                for event in &history {
-                    // Only accepted events were retained: one the job
-                    // refuses means the record does not describe it.
-                    if !state.apply(event.clone(), warmup_fraction, 0, None, &replay_stats) {
-                        return Err(RecoverError::PredictorRestore(state.job()));
-                    }
-                }
-                state.history = Some(history);
-                state
-            }
-            tag => {
-                return Err(nurd_codec::CodecError::InvalidTag {
-                    what: "JobState mode",
-                    tag,
-                }
-                .into())
-            }
-        };
-        // The persisted log is authoritative (a history replay with the
-        // mitigator attached re-derives the identical log; without one it
-        // derives none) — restore it and the bookkeeping it implies.
+            state.tasks.push(TaskState {
+                row,
+                latency: Checkpointable::decode(dec)?,
+                flagged_at: Checkpointable::decode(dec)?,
+                seen: dec.take_bool()?,
+                actioned: false,
+            });
+        }
+        state.finished_total = dec.take_usize()?;
+        state.warmup_at = Checkpointable::decode(dec)?;
+        state.barriers_seen = dec.take_usize()?;
+        state.checkpoints_scored = dec.take_usize()?;
+        state.nodes = Checkpointable::decode(dec)?;
+        // Refuse bookkeeping the job's own events could not have left
+        // (warmup is set at a barrier already closed).
+        let finished = state.tasks.iter().filter(|t| t.latency.is_some()).count();
+        if ragged
+            || !(state.nodes.as_ref().is_none_or(|n| n.len() == task_count)
+                && state.finished_total == finished
+                && state.barriers_seen <= state.spec.checkpoints
+                && state.warmup_at.is_none_or(|w| w < state.barriers_seen)
+                && state.checkpoints_scored <= state.barriers_seen)
+        {
+            return Err(RecoverError::PredictorRestore(job));
+        }
         let actions: Vec<ActionRecord> = Checkpointable::decode(dec)?;
         state.adopt_actions(actions);
         Ok(state)
@@ -968,7 +916,10 @@ impl Shard {
     ///
     /// * `JobStart` admits an unseen job through `factory` (a restart of a
     ///   *live* job resets it to a fresh predictor; a restart of a
-    ///   finalized job id is stale — ids are fleet-unique).
+    ///   finalized job id is stale — ids are fleet-unique). It is refused
+    ///   (counted rejected, nothing admitted, so the job's events are
+    ///   orphans) if the allocator will not hold its task table, or if the
+    ///   shard is durable and the predictor cannot snapshot itself.
     /// * `JobEnd` (or a barrier completing the stream) finalizes the job.
     /// * Events for unknown jobs count as orphans; events for finalized
     ///   jobs count as stale; structurally invalid events (see
@@ -989,15 +940,28 @@ impl Shard {
                 TaskEvent::JobStart { spec } => {
                     if self.finalized_ids.contains(&spec.job) {
                         stats.add(Counter::StaleEvents, 1);
-                    } else {
-                        let mut predictor = factory(&spec);
-                        if spec.task_count >= self.grant_min_tasks {
-                            predictor.set_parallelism(self.granted_threads);
-                        }
-                        let policy = mitigator.map(|m| m(&spec));
-                        let state = JobState::new(spec, predictor, self.wal.is_some(), policy);
-                        self.adopt_job(state, stats);
+                        continue;
                     }
+                    let mut tasks = Vec::new();
+                    if tasks.try_reserve_exact(spec.task_count).is_err() {
+                        stats.add(Counter::RejectedEvents, 1);
+                        continue;
+                    }
+                    tasks.resize_with(spec.task_count, TaskState::default);
+                    let mut predictor = factory(&spec);
+                    if spec.task_count >= self.grant_min_tasks {
+                        predictor.set_parallelism(self.granted_threads);
+                    }
+                    let policy = mitigator.map(|m| m(&spec));
+                    let state = JobState::new(spec, predictor, tasks, policy);
+                    // A durable shard persists a job only as its predictor's
+                    // blob: one without `snapshot_state` is refused here,
+                    // identically when the WAL replays this event.
+                    if self.wal.is_some() && state.predictor.snapshot_state().is_none() {
+                        stats.add(Counter::RejectedEvents, 1);
+                        continue;
+                    }
+                    self.adopt_job(state, stats);
                 }
                 TaskEvent::JobEnd { job, .. } => {
                     if self.jobs.contains_key(&job) {
@@ -1013,9 +977,6 @@ impl Shard {
                     let at_barrier = matches!(event, TaskEvent::Barrier { .. });
                     match self.jobs.get_mut(&job_id) {
                         Some(job) => {
-                            // History-mode jobs retain accepted events;
-                            // clone before apply consumes the event.
-                            let retained = job.history.is_some().then(|| event.clone());
                             let warmup_fraction = self.warmup_fraction;
                             match catch_unwind(AssertUnwindSafe(|| {
                                 job.apply(event, warmup_fraction, backlog, observer, stats)
@@ -1034,11 +995,6 @@ impl Shard {
                                 }
                                 Ok(false) => stats.add(Counter::RejectedEvents, 1),
                                 Ok(true) => {
-                                    if let (Some(history), Some(event)) =
-                                        (job.history.as_mut(), retained)
-                                    {
-                                        history.push(event);
-                                    }
                                     if at_barrier && job.stream_complete() {
                                         // Only a *closed barrier* may trigger
                                         // all-tasks-finished finalization — see
@@ -1096,8 +1052,8 @@ mod tests {
     const DESCRIBED_OUT_OF_ORDER_RECORDS: usize = 64;
     const DESCRIBED_OUT_OF_ORDER_HASH: u64 = 0xA40D_F11D_02E7_9D3F;
 
-    /// Flags every running task and has no `snapshot_state`, which puts
-    /// its job in history-mode persistence.
+    /// Flags every running task; stateless, so its snapshot is an empty
+    /// blob.
     struct FlagAll;
     impl OnlinePredictor for FlagAll {
         fn name(&self) -> &str {
@@ -1106,11 +1062,29 @@ mod tests {
         fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
             checkpoint.running.iter().map(|r| r.id).collect()
         }
+        fn snapshot_state(&self) -> Option<Vec<u8>> {
+            Some(Vec::new())
+        }
+        fn restore_state(&mut self, bytes: &[u8]) -> bool {
+            bytes.is_empty()
+        }
     }
 
-    fn factory(history_mode: bool) -> PredictorFactory {
+    /// [`FlagAll`] without a snapshot: a durable shard refuses its job.
+    struct Unsnapshotted;
+    impl OnlinePredictor for Unsnapshotted {
+        fn name(&self) -> &str {
+            "ALL-NO-SNAPSHOT"
+        }
+        fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+            checkpoint.running.iter().map(|r| r.id).collect()
+        }
+    }
+
+    /// NURD under warm refits, or [`FlagAll`].
+    fn factory(flag_all: bool) -> PredictorFactory {
         Box::new(move |_spec| {
-            if history_mode {
+            if flag_all {
                 Box::new(FlagAll)
             } else {
                 let policy = RefitPolicy::Warm(WarmRefitConfig::default());
@@ -1119,6 +1093,12 @@ mod tests {
                 ))
             }
         })
+    }
+
+    /// `spec`'s job admitted with a table of unseen tasks.
+    fn admitted(spec: &JobSpec, predictor: Box<dyn OnlinePredictor + Send>) -> JobState {
+        let tasks = (0..spec.task_count).map(|_| TaskState::default()).collect();
+        JobState::new(spec.clone(), predictor, tasks, None)
     }
 
     fn spec(task_count: usize) -> JobSpec {
@@ -1189,14 +1169,8 @@ mod tests {
     /// Serves a `task_count`-task job step by step and round-trips it
     /// after each (see [`round_trip_at_every_cut`]). Returns the phases
     /// the job was seen in.
-    fn round_trip_every_step(task_count: usize, history_mode: bool) -> Vec<JobPhase> {
-        round_trip_at_every_cut(
-            &spec(task_count),
-            &steps(task_count),
-            &factory(history_mode),
-            history_mode,
-        )
-        .0
+    fn round_trip_every_step(task_count: usize, flag_all: bool) -> Vec<JobPhase> {
+        round_trip_at_every_cut(&spec(task_count), &steps(task_count), &factory(flag_all)).0
     }
 
     /// Serves `spec`'s job step by step and, after admission and after
@@ -1209,7 +1183,6 @@ mod tests {
         spec: &JobSpec,
         steps: &[Vec<TaskEvent>],
         factory: &PredictorFactory,
-        history_mode: bool,
     ) -> (Vec<JobPhase>, Vec<Vec<u8>>) {
         let task_count = spec.task_count;
         let mut phases = Vec::new();
@@ -1217,10 +1190,7 @@ mod tests {
         for cut in 0..=steps.len() {
             let stats = ShardStats::default();
             let mut shard = Shard::new(WARMUP);
-            shard.adopt_job(
-                JobState::new(spec.clone(), factory(spec), true, None),
-                &stats,
-            );
+            shard.adopt_job(admitted(spec, factory(spec)), &stats);
             for step in &steps[..cut] {
                 apply(&mut shard, step, factory);
             }
@@ -1231,15 +1201,14 @@ mod tests {
             if !phases.contains(&phase) {
                 phases.push(phase);
             }
-            let what = format!("{task_count} tasks, history {history_mode}, cut {cut}");
+            let what = format!("{task_count} tasks, cut {cut}");
 
             let records = encoded_jobs(&shard);
             assert_eq!(records.len(), 1, "{what}");
             let mut dec = Decoder::new(&records[0]);
-            let state = JobState::decode(&mut dec, factory, None, WARMUP)
+            let state = JobState::decode(&mut dec, factory, None)
                 .unwrap_or_else(|e| panic!("{what}: {e:?}"));
             assert!(dec.is_empty(), "{what}: trailing bytes");
-            assert_eq!(state.history.is_some(), history_mode, "{what}");
             let mut twin = Shard::new(WARMUP);
             twin.adopt_job(state, &stats);
             assert_eq!(encoded_jobs(&twin), records, "{what}");
@@ -1258,57 +1227,6 @@ mod tests {
         (phases, written)
     }
 
-    /// A CRC-valid history-mode record whose one retained event is
-    /// `event`, for the 4-task job of [`spec`].
-    fn history_record(event: TaskEvent) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u8(1);
-        spec(4).encode(&mut enc);
-        vec![event].encode(&mut enc);
-        Vec::<ActionRecord>::new().encode(&mut enc);
-        enc.into_bytes()
-    }
-
-    #[test]
-    fn a_history_record_the_job_refuses_is_a_restore_error_not_a_panic() {
-        let factory = factory(true);
-        let job = spec(4).job;
-        for event in [
-            TaskEvent::JobEnd { job, time: 60.0 },
-            TaskEvent::Submitted { job, task: 99 },
-        ] {
-            let record = history_record(event.clone());
-            let decoded = catch_unwind(AssertUnwindSafe(|| {
-                JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP)
-            }));
-            match decoded {
-                Ok(Err(RecoverError::PredictorRestore(id))) => assert_eq!(id, job),
-                Ok(Err(e)) => panic!("{event:?}: wrong error {e:?}"),
-                Ok(Ok(_)) => panic!("{event:?}: decoded a diverged job"),
-                Err(_) => panic!("{event:?}: decode panicked"),
-            }
-        }
-        // The same record around an event the job accepts decodes.
-        let record = history_record(TaskEvent::Submitted { job, task: 3 });
-        let state = JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP);
-        assert!(state.is_ok_and(|s| s.history.is_some_and(|h| h.len() == 1)));
-    }
-
-    #[test]
-    fn a_history_count_as_large_as_its_record_is_a_typed_error() {
-        // The count passes its one-byte-per-event guard; the first event
-        // behind it does not decode.
-        let padding = 1 << 16;
-        let mut enc = Encoder::new();
-        enc.put_u8(1);
-        spec(4).encode(&mut enc);
-        enc.put_usize(padding);
-        let mut record = enc.into_bytes();
-        record.resize(record.len() + padding, 0xFF);
-        let decoded = JobState::decode(&mut Decoder::new(&record), &factory(true), None, WARMUP);
-        assert!(matches!(decoded, Err(RecoverError::Codec(_))));
-    }
-
     #[test]
     fn a_blob_record_that_disagrees_with_its_spec_is_a_restore_error() {
         let factory = factory(false);
@@ -1317,7 +1235,7 @@ mod tests {
         // Served through checkpoint 1: task 0 finished, warmup at 1, two
         // barriers seen, one scored.
         let served = || {
-            let mut state = JobState::new(spec.clone(), factory(&spec), true, None);
+            let mut state = admitted(&spec, factory(&spec));
             for event in steps(2)[..3].concat() {
                 assert!(state.apply(event, WARMUP, 0, None, &stats));
             }
@@ -1328,9 +1246,8 @@ mod tests {
             state.encode(&mut enc);
             enc.into_bytes()
         };
-        let decode = |record: &[u8]| {
-            JobState::decode(&mut Decoder::new(record), &factory, None, WARMUP).map(|_| ())
-        };
+        let decode =
+            |record: &[u8]| JobState::decode(&mut Decoder::new(record), &factory, None).map(|_| ());
         let refused = |what: &str, decoded: Result<(), RecoverError>| match decoded {
             Err(RecoverError::PredictorRestore(id)) => assert_eq!(id, spec.job, "{what}"),
             Err(e) => panic!("{what}: wrong error {e:?}"),
@@ -1445,7 +1362,7 @@ mod tests {
     fn the_feature_table_holds_one_row_per_described_task() {
         let spec = spec(12);
         let stats = ShardStats::default();
-        let mut state = JobState::new(spec.clone(), Box::new(AboveFinishedMean), true, None);
+        let mut state = admitted(&spec, Box::new(AboveFinishedMean));
         for event in described_out_of_order(12).concat() {
             // What a describing event must leave in its task's row: its
             // features, unless the task was flagged (or had finished).
@@ -1483,7 +1400,7 @@ mod tests {
             .into_iter()
             .map(|e| vec![e])
             .collect();
-        let (phases, records) = round_trip_at_every_cut(&spec, &steps, &factory, false);
+        let (phases, records) = round_trip_at_every_cut(&spec, &steps, &factory);
         assert_eq!(phases.last(), Some(&JobPhase::Scoring));
         // The records the per-task-vector table wrote for this stream
         // (recorded on `e2d89f2`, before the shared table).
@@ -1527,7 +1444,7 @@ mod tests {
             },
         ];
         let stats = ShardStats::default();
-        let mut state = JobState::new(spec.clone(), Box::new(AboveFinishedMean), true, None);
+        let mut state = admitted(&spec, Box::new(AboveFinishedMean));
         let applied: Vec<bool> = events
             .iter()
             .map(|e| state.apply(e.clone(), WARMUP, 0, None, &stats))
@@ -1564,7 +1481,7 @@ mod tests {
                 feature_dim,
                 ..spec(tasks)
             };
-            let blob = JobState::new(spec.clone(), factory(&spec), true, None)
+            let blob = admitted(&spec, factory(&spec))
                 .predictor
                 .snapshot_state()
                 .expect("blob mode");
@@ -1591,7 +1508,7 @@ mod tests {
             Vec::<ActionRecord>::new().encode(&mut enc);
             let record = enc.into_bytes();
 
-            let decoded = JobState::decode(&mut Decoder::new(&record), &factory, None, WARMUP);
+            let decoded = JobState::decode(&mut Decoder::new(&record), &factory, None);
             match decoded {
                 Ok(state) => {
                     assert!(decodes, "width {feature_dim}: decoded a ragged row");
@@ -1607,17 +1524,155 @@ mod tests {
         }
     }
 
+    /// A shard whose WAL segment lives on a simulated disk: durable.
+    fn durable_shard() -> Shard {
+        let disk = crate::disk::sim::SimDisk::default();
+        let policy = crate::persist::FsyncPolicy::Never;
+        let mut shard = Shard::new(WARMUP);
+        shard.install_wal(WalWriter::create(&disk, Path::new("wal-0-0.log"), policy).unwrap());
+        shard
+    }
+
+    /// One generated job's stream and its sequential `replay_job`
+    /// outcome under [`FlagAll`].
+    fn neighbour() -> (Vec<TaskEvent>, nurd_sim::ReplayOutcome) {
+        let config = nurd_trace::SuiteConfig::new(nurd_trace::TraceStyle::Google)
+            .with_jobs(1)
+            .with_task_range(30, 40)
+            .with_checkpoints(CHECKPOINTS)
+            .with_seed(3);
+        let job = &nurd_trace::generate_suite(&config)[0];
+        let replay = nurd_sim::ReplayConfig {
+            quantile: 0.9,
+            warmup_fraction: WARMUP,
+        };
+        let expected = nurd_sim::replay_job(job, &mut FlagAll, &replay);
+        (nurd_data::job_stream(job, 0.9), expected)
+    }
+
+    /// `spec`'s job: its `JobStart`, the events of [`steps`] (job 7's) and
+    /// its `JobEnd`.
+    fn stream_of(spec: JobSpec) -> Vec<TaskEvent> {
+        let job = spec.job;
+        let mut events = vec![TaskEvent::JobStart { spec }];
+        events.extend(steps(4).concat());
+        events.push(TaskEvent::JobEnd { job, time: 70.0 });
+        events
+    }
+
+    /// Serves job 7's `stream` interleaved event by event with
+    /// [`neighbour`]'s on one shard, and holds the neighbour to its
+    /// `replay_job` outcome. Returns the rejected and orphan counts and
+    /// the ids of the jobs reported.
+    fn serve_beside_neighbour(
+        mut shard: Shard,
+        stream: &[TaskEvent],
+        factory: &PredictorFactory,
+    ) -> ([usize; 2], Vec<u64>) {
+        let (neighbour, expected) = neighbour();
+        let stats = ShardStats::default();
+        let mut events = Vec::new();
+        for i in 0..neighbour.len().max(stream.len()) {
+            events.extend(neighbour.get(i).cloned());
+            events.extend(stream.get(i).cloned());
+        }
+        shard.apply_batch(events, factory, None, None, 0, &stats);
+        let reports = shard.finish_reports(None, &stats);
+        let served = reports
+            .iter()
+            .find(|r| r.job != 7)
+            .expect("neighbour served");
+        assert_eq!(
+            served.outcome, expected,
+            "the neighbour diverged from replay_job"
+        );
+        let counts = [Counter::RejectedEvents, Counter::OrphanEvents].map(|c| stats.get(c));
+        (counts, reports.iter().map(|r| r.job).collect())
+    }
+
+    #[test]
+    fn a_job_start_larger_than_memory_is_refused_not_a_panic() {
+        let stream = stream_of(JobSpec {
+            task_count: usize::MAX / 8,
+            ..spec(4)
+        });
+        let (counts, jobs) = catch_unwind(AssertUnwindSafe(|| {
+            serve_beside_neighbour(Shard::new(WARMUP), &stream, &factory(true))
+        }))
+        .expect("admission panicked");
+        // The `JobStart` refused, every later event of the job an orphan.
+        assert_eq!(counts, [1, stream.len() - 1]);
+        assert!(!jobs.contains(&7), "the refused job was served");
+    }
+
+    #[test]
+    fn a_durable_shard_refuses_a_predictor_that_cannot_snapshot() {
+        let factory: PredictorFactory = Box::new(|spec: &JobSpec| {
+            if spec.job == 7 {
+                Box::new(Unsnapshotted)
+            } else {
+                Box::new(FlagAll)
+            }
+        });
+        let stream = stream_of(spec(4));
+        let (counts, jobs) = serve_beside_neighbour(durable_shard(), &stream, &factory);
+        assert_eq!(counts, [1, stream.len() - 1]);
+        assert!(!jobs.contains(&7), "the refused job was served");
+        // A shard without a WAL serves the same job.
+        let (counts, jobs) = serve_beside_neighbour(Shard::new(WARMUP), &stream, &factory);
+        assert_eq!(counts, [0, 0]);
+        assert!(jobs.contains(&7));
+    }
+
+    #[test]
+    fn a_blob_record_whose_spec_outsizes_memory_is_a_typed_error() {
+        let factory = factory(true);
+        let mut state = admitted(&spec(2), factory(&spec(2)));
+        state.spec.task_count = usize::MAX / 8;
+        let mut enc = Encoder::new();
+        state.encode(&mut enc);
+        let record = enc.into_bytes();
+        let decoded = catch_unwind(AssertUnwindSafe(|| {
+            JobState::decode(&mut Decoder::new(&record), &factory, None).map(|_| ())
+        }));
+        match decoded {
+            Ok(Err(RecoverError::PredictorRestore(job))) => assert_eq!(job, spec(2).job),
+            Ok(Err(e)) => panic!("wrong error {e:?}"),
+            Ok(Ok(())) => panic!("decoded a job its spec cannot hold"),
+            Err(_) => panic!("decode panicked"),
+        }
+    }
+
+    #[test]
+    fn a_history_record_is_an_invalid_tag() {
+        // Tag 1 once held the job's retained events; no engine writes it.
+        let mut enc = Encoder::new();
+        enc.put_u8(1);
+        spec(4).encode(&mut enc);
+        Vec::<TaskEvent>::new().encode(&mut enc);
+        Vec::<ActionRecord>::new().encode(&mut enc);
+        let record = enc.into_bytes();
+        let decoded = JobState::decode(&mut Decoder::new(&record), &factory(true), None);
+        assert!(matches!(
+            decoded,
+            Err(RecoverError::Codec(nurd_codec::CodecError::InvalidTag {
+                tag: 1,
+                ..
+            }))
+        ));
+    }
+
     #[test]
     fn job_state_round_trips_at_every_lifecycle_phase_and_size() {
         use JobPhase::{Admitted, Scoring, Warming};
-        for history_mode in [false, true] {
+        for flag_all in [false, true] {
             // A job without tasks, or whose only task has finished, is
             // complete at that barrier and finalizes there — the phases
             // below are all a snapshot can catch such a job in.
-            assert_eq!(round_trip_every_step(0, history_mode), [Admitted]);
-            assert_eq!(round_trip_every_step(1, history_mode), [Admitted, Warming]);
+            assert_eq!(round_trip_every_step(0, flag_all), [Admitted]);
+            assert_eq!(round_trip_every_step(1, flag_all), [Admitted, Warming]);
             assert_eq!(
-                round_trip_every_step(40, history_mode),
+                round_trip_every_step(40, flag_all),
                 [Admitted, Warming, Scoring]
             );
         }

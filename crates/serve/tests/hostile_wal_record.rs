@@ -20,6 +20,7 @@ use nurd_serve::{
     ServiceConfig,
 };
 
+/// Flags nothing; stateless, so its snapshot is an empty blob.
 struct FlagNone;
 impl OnlinePredictor for FlagNone {
     fn name(&self) -> &str {
@@ -27,6 +28,12 @@ impl OnlinePredictor for FlagNone {
     }
     fn predict(&mut self, _checkpoint: &Checkpoint<'_>) -> Vec<usize> {
         Vec::new()
+    }
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+    fn restore_state(&mut self, bytes: &[u8]) -> bool {
+        bytes.is_empty()
     }
 }
 

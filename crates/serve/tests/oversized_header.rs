@@ -29,6 +29,7 @@ const HOSTILE_TAIL: [u8; 12] = [0xFF, 0xFF, 0xFF, 0x3F, 0xDE, 0xAD, 0xBE, 0xEF, 
 /// arenas), far below the 1 GiB the header declares.
 const MAX_PEAK_GROWTH_KB: u64 = 256 << 10;
 
+/// Flags nothing; stateless, so its snapshot is an empty blob.
 struct FlagNone;
 impl OnlinePredictor for FlagNone {
     fn name(&self) -> &str {
@@ -36,6 +37,12 @@ impl OnlinePredictor for FlagNone {
     }
     fn predict(&mut self, _checkpoint: &Checkpoint<'_>) -> Vec<usize> {
         Vec::new()
+    }
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+    fn restore_state(&mut self, bytes: &[u8]) -> bool {
+        bytes.is_empty()
     }
 }
 

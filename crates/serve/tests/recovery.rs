@@ -24,8 +24,9 @@
 //! `recover` gives each segment it replayed is held there by
 //! `recover_fsyncs_the_page_cache_tail_it_replayed`.
 //!
-//! Around them: concurrent `checkpoint()` calls, history-mode recovery
-//! (predictors without `snapshot_state`), typed corrupt-artifact
+//! Around them: concurrent `checkpoint()` calls, recovery of a non-NURD
+//! predictor through its empty blob, admission refused to a predictor
+//! without `snapshot_state`, a retired history record, typed corrupt-artifact
 //! rejection with fallback to the previous valid snapshot, idempotent
 //! double-close, the `Drop` guard's WAL flush, and a snapshot size that
 //! follows live jobs only.
@@ -34,10 +35,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use nurd_codec::{write_frame, Checkpointable, Decoder, Encoder};
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::{
-    BarrierView, Checkpoint, JobSpec, MitigationAction, MitigationPolicy, OnlinePredictor,
-    TaskEvent,
+    ActionRecord, BarrierView, Checkpoint, JobSpec, MitigationAction, MitigationPolicy,
+    OnlinePredictor, TaskEvent,
 };
 use nurd_serve::{
     read_snapshot, BalanceConfig, EngineConfig, EngineService, EngineStats, FsyncPolicy,
@@ -99,9 +101,9 @@ fn sequential_outcomes(
         .collect()
 }
 
-/// Flags every running task at its first scored checkpoint, and has **no
-/// `snapshot_state`** — forcing the engine's history-mode persistence
-/// (retain + replay the job's accepted events through a fresh predictor).
+/// Flags every running task at its first scored checkpoint. Stateless,
+/// so its snapshot is an empty blob: a durable engine admits only
+/// predictors that snapshot themselves.
 struct FlagAll;
 impl OnlinePredictor for FlagAll {
     fn name(&self) -> &str {
@@ -109,6 +111,12 @@ impl OnlinePredictor for FlagAll {
     }
     fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
         checkpoint.running.iter().map(|r| r.id).collect()
+    }
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+    fn restore_state(&mut self, bytes: &[u8]) -> bool {
+        bytes.is_empty()
     }
 }
 
@@ -777,12 +785,12 @@ fn snapshot_holding_a_just_admitted_job_recovers_every_job() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// History-mode recovery: `FlagAll` has no `snapshot_state`, so the
-/// engine persists each live job's accepted events and replays them
-/// through a factory-fresh predictor at decode time. Crash mid-stream,
-/// recover, resume — outcomes still equal sequential replay.
+/// A predictor other than NURD recovers through its own blob: `FlagAll`'s
+/// is empty, so a live job's record carries the shard-side bookkeeping
+/// alone. Crash mid-stream, recover, resume — outcomes still equal
+/// sequential replay.
 #[test]
-fn history_mode_predictor_recovers_by_replaying_events() {
+fn a_non_nurd_predictor_recovers_through_its_empty_blob() {
     let jobs = suite(11, 3);
     let replay_cfg = ReplayConfig {
         quantile: QUANTILE,
@@ -795,7 +803,7 @@ fn history_mode_predictor_recovers_by_replaying_events() {
     let factory = || -> PredictorFactory { Box::new(|_| Box::new(FlagAll)) };
 
     for crash_at in [0.0, 0.25, 0.75] {
-        let dir = scratch_dir("history");
+        let dir = scratch_dir("empty-blob");
         let mut persistence = PersistenceConfig::new(&dir);
         persistence.fsync = FsyncPolicy::Always;
         let doomed = EngineService::start_persistent(
@@ -809,7 +817,7 @@ fn history_mode_predictor_recovers_by_replaying_events() {
         let pushed = stream_shares(&streams, crash_at, &[]);
         run_producers(&doomed, pushed, &BTreeMap::new());
         doomed.quiesce();
-        doomed.checkpoint().unwrap(); // live jobs enter the snapshot as history
+        doomed.checkpoint().unwrap(); // live jobs enter the snapshot
         drop(doomed);
 
         let (revived, recover) = EngineService::recover(
@@ -825,6 +833,168 @@ fn history_mode_predictor_recovers_by_replaying_events() {
         assert_outcomes_match(&reports, &expected, &format!("crash_at={crash_at}"));
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// [`FlagAll`] without `snapshot_state`: a durable engine refuses its job.
+struct Unsnapshotted;
+impl OnlinePredictor for Unsnapshotted {
+    fn name(&self) -> &str {
+        "ALL-NO-SNAPSHOT"
+    }
+    fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+        checkpoint.running.iter().map(|r| r.id).collect()
+    }
+}
+
+/// One job of a NURD fleet is served by a predictor that cannot snapshot
+/// itself. A durable engine refuses its `JobStart` — one rejected event,
+/// the rest of its stream orphans — identically at every shard count,
+/// and serves every other job like sequential replay; a volatile engine
+/// serves all of them.
+#[test]
+fn a_durable_engine_refuses_only_the_job_that_cannot_snapshot() {
+    let jobs = suite(17, 3);
+    let policy = RefitPolicy::Warm(WarmRefitConfig::default());
+    let refused = jobs[1].job_id();
+    let factory = || -> PredictorFactory {
+        let nurd = nurd_factory(policy.clone());
+        Box::new(move |spec: &JobSpec| {
+            if spec.job == refused {
+                Box::new(Unsnapshotted)
+            } else {
+                nurd(spec)
+            }
+        })
+    };
+    let streams = nurd_trace::producer_streams(&jobs, 3, QUANTILE, 7);
+    let refused_events = streams
+        .iter()
+        .flatten()
+        .filter(|e| e.job() == refused)
+        .count();
+    let mut expected = sequential_outcomes(&jobs, &policy);
+    let served: Vec<(u64, ReplayOutcome)> = expected
+        .iter()
+        .filter(|(job, _)| *job != refused)
+        .cloned()
+        .collect();
+
+    let mut first: Option<Vec<nurd_serve::JobReport>> = None;
+    for shards in [1usize, 2, 8] {
+        let dir = scratch_dir("refused");
+        let service = EngineService::start_persistent(
+            engine_config(shards),
+            service_config(),
+            PersistenceConfig::new(&dir),
+            factory(),
+        )
+        .unwrap();
+        run_producers(&service, streams.clone(), &BTreeMap::new());
+        service.quiesce();
+        let stats = service.stats();
+        assert_eq!(
+            (stats.rejected_events, stats.orphan_events),
+            (1, refused_events - 1),
+            "shards={shards}"
+        );
+        let reports = collect_reports(&service);
+        assert_outcomes_match(&reports, &served, &format!("durable, shards={shards}"));
+        match &first {
+            Some(first) => assert_eq!(&reports, first, "shards={shards}"),
+            None => first = Some(reports),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    let replay_cfg = ReplayConfig {
+        quantile: QUANTILE,
+        warmup_fraction: WARMUP,
+    };
+    expected[1].1 = replay_job(&jobs[1], &mut Unsnapshotted, &replay_cfg);
+    let service = EngineService::start(engine_config(2), service_config(), factory());
+    run_producers(&service, streams, &BTreeMap::new());
+    service.quiesce();
+    assert_eq!(service.stats().rejected_events, 0);
+    assert_outcomes_match(&collect_reports(&service), &expected, "volatile");
+}
+
+/// Tag 1 was the retired history record (a job's accepted events, for a
+/// predictor without `snapshot_state`). A snapshot holding one, its
+/// framing and checksums intact, no longer loads: recovery falls back
+/// past it to the previous snapshot and replays the WAL from there.
+#[test]
+fn a_snapshot_holding_a_history_record_falls_back_to_the_one_before() {
+    let jobs = suite(13, 2);
+    let dir = scratch_dir("history-record");
+    let mut persistence = PersistenceConfig::new(&dir);
+    persistence.fsync = FsyncPolicy::Always;
+    persistence.retain_generations = 4;
+    let doomed = EngineService::start_persistent(
+        engine_config(2),
+        service_config(),
+        persistence,
+        Box::new(|_| Box::new(FlagAll)),
+    )
+    .unwrap();
+    let streams = nurd_trace::producer_streams(&jobs, 2, QUANTILE, 3);
+    let thirds = stream_prefixes(&streams, 1, 3);
+    run_producers(&doomed, thirds.clone(), &BTreeMap::new());
+    doomed.quiesce();
+    let older = doomed.checkpoint().unwrap();
+    let rest = stream_prefixes(&streams, 2, 3);
+    let second: Vec<Vec<TaskEvent>> = rest
+        .iter()
+        .zip(&thirds)
+        .map(|(r, t)| r[t.len()..].to_vec())
+        .collect();
+    run_producers(&doomed, second, &BTreeMap::new());
+    doomed.quiesce();
+    let newer = doomed.checkpoint().unwrap();
+    drop(doomed);
+
+    // The newest snapshot's first job record, re-framed as a history
+    // record of the same job: tag 1, its spec, its events, its actions.
+    let path = dir.join(format!("snap-{newer}.bin"));
+    assert!(read_snapshot(&path).unwrap().live_jobs > 0);
+    let bytes = std::fs::read(&path).unwrap();
+    let frame_end =
+        |at: usize| at + 8 + u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let job_at = frame_end(12);
+    let job_end = frame_end(job_at);
+    let spec = JobSpec::decode(&mut Decoder::new(&bytes[job_at + 9..job_end])).unwrap();
+    let mut record = Encoder::new();
+    record.put_u8(1);
+    spec.encode(&mut record);
+    Vec::<TaskEvent>::new().encode(&mut record);
+    Vec::<ActionRecord>::new().encode(&mut record);
+    let mut rewritten = bytes[..job_at].to_vec();
+    write_frame(&mut rewritten, record.as_slice()).unwrap();
+    rewritten.extend_from_slice(&bytes[job_end..]);
+    std::fs::write(&path, &rewritten).unwrap();
+    assert!(read_snapshot(&path).is_ok(), "the framing is intact");
+
+    let (revived, recover) = EngineService::recover(
+        PersistenceConfig::new(&dir),
+        engine_config(2),
+        service_config(),
+        Box::new(|_| Box::new(FlagAll)),
+    )
+    .unwrap();
+    assert_eq!(recover.recovery_fallbacks, 1);
+    assert_eq!(recover.snapshot_generation, Some(older));
+    assert!(recover.wal_events_replayed > 0);
+    let replay_cfg = ReplayConfig {
+        quantile: QUANTILE,
+        warmup_fraction: WARMUP,
+    };
+    let expected: Vec<(u64, ReplayOutcome)> = jobs
+        .iter()
+        .map(|job| (job.job_id(), replay_job(job, &mut FlagAll, &replay_cfg)))
+        .collect();
+    run_producers(&revived, streams, &recover.events_seen);
+    revived.quiesce();
+    assert_outcomes_match(&collect_reports(&revived), &expected, "history record");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Satellite (c): every corrupt-artifact shape is a typed
@@ -1127,6 +1297,12 @@ impl OnlinePredictor for Panics {
     }
     fn predict(&mut self, _checkpoint: &Checkpoint<'_>) -> Vec<usize> {
         panic!("predictor bug");
+    }
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+    fn restore_state(&mut self, bytes: &[u8]) -> bool {
+        bytes.is_empty()
     }
 }
 

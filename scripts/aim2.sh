@@ -189,8 +189,19 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # prefix sums of per-checkpoint flag counts; the per-checkpoint rescan it
 # replaces moved under `cfg(test)` as the oracle of
 # `prop_prefix_sum_timeline_is_bit_identical_to_the_rescan`).
-MAX_WORKSPACE_LINES=20439
-MAX_PRODUCT_LINES=8636
+#
+# One way to persist a job lowered both line limits by its net, -42 (all
+# `serve`; 20,439 -> 20,397 and 8,636 -> 8,594): `shard.rs` -44 (history
+# mode -- the retained events, their clone on every accepted event, the
+# tag-1 encode and the decode that replayed them -- gone; a durable
+# shard's admission probe moved from `JobState::new` into the `JobStart`
+# arm, which also reserves the task table fallibly and refuses what it
+# cannot hold; the per-task `actioned` marks folded into `TaskState`; the
+# decoder checks a record's task count against its spec before sizing
+# anything), `engine.rs` +2 (`rejected_events` documents the refused
+# admission; `decode` takes no warmup fraction).
+MAX_WORKSPACE_LINES=20397
+MAX_PRODUCT_LINES=8594
 MAX_UNSAFE_SITES=1
 MAX_CONFIG_FIELDS=29
 
