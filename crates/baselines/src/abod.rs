@@ -1,8 +1,9 @@
 //! Angle-based outlier detection (Kriegel et al., 2008), fast variant.
 
-use nurd_ml::{MlError, NearestNeighbors, StandardScaler};
+use nurd_ml::{MlError, NearestNeighbors};
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// FastABOD: the variance of distance-weighted angles between pairs of a
 /// point's k nearest neighbors. Inliers, surrounded on all sides, see a
@@ -10,9 +11,9 @@ use crate::OutlierDetector;
 /// angles, giving low variance. The reported score is the *negated* ABOF so
 /// that higher = more anomalous, matching [`OutlierDetector`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Abod {
+pub(crate) struct Abod {
     /// Neighborhood size for the fast approximation.
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 impl Default for Abod {
@@ -22,10 +23,6 @@ impl Default for Abod {
 }
 
 impl OutlierDetector for Abod {
-    fn name(&self) -> &'static str {
-        "ABOD"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x);

@@ -1,22 +1,23 @@
 //! Cluster-based local outlier factor (He, Xu & Deng, 2003).
 
-use nurd_ml::{KMeans, KMeansConfig, MlError, StandardScaler};
+use nurd_ml::{KMeans, KMeansConfig, MlError};
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// CBLOF: cluster the data, split clusters into "large" and "small" by the
 /// α/β rule, and score each point by its distance to the nearest *large*
 /// cluster centroid (unweighted variant, PyOD's default).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Cblof {
+pub(crate) struct Cblof {
     /// Number of k-means clusters.
-    pub clusters: usize,
+    pub(crate) clusters: usize,
     /// Fraction of points that must live in large clusters (α).
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Minimum size ratio between consecutive large/small clusters (β).
-    pub beta: f64,
+    pub(crate) beta: f64,
     /// RNG seed for k-means.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for Cblof {
@@ -31,10 +32,6 @@ impl Default for Cblof {
 }
 
 impl OutlierDetector for Cblof {
-    fn name(&self) -> &'static str {
-        "CBLOF"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x);

@@ -5,17 +5,19 @@
 //! running) past the straggler threshold with high probability is flagged.
 
 use nurd_linalg::{Cholesky, Matrix};
-use nurd_ml::{MlError, StandardScaler};
+use nurd_ml::MlError;
+
+use crate::scaler::StandardScaler;
 
 /// Hyperparameters for [`CoxPh`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct CoxConfig {
+pub(crate) struct CoxConfig {
     /// Newton iterations.
-    pub max_iter: usize,
+    pub(crate) max_iter: usize,
     /// Convergence tolerance on the step max-norm.
-    pub tol: f64,
+    pub(crate) tol: f64,
     /// Ridge penalty on the coefficients.
-    pub l2: f64,
+    pub(crate) l2: f64,
 }
 
 impl Default for CoxConfig {
@@ -30,11 +32,11 @@ impl Default for CoxConfig {
 
 /// Marker type: fit with [`CoxPh::fit`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CoxPh;
+pub(crate) struct CoxPh;
 
 /// A fitted proportional-hazards model with a Breslow baseline.
 #[derive(Debug, Clone)]
-pub struct FittedCoxPh {
+pub(crate) struct FittedCoxPh {
     beta: Vec<f64>,
     /// Breslow cumulative baseline hazard, as `(time, H0(time))` steps in
     /// ascending time order.
@@ -53,7 +55,7 @@ impl CoxPh {
     /// Shape errors as usual; [`MlError::InvalidConfig`] when no events are
     /// observed; [`MlError::OptimizationFailed`] if the Newton system is
     /// singular beyond ridge repair.
-    pub fn fit(
+    pub(crate) fn fit(
         x: &[Vec<f64>],
         time: &[f64],
         event: &[bool],
@@ -233,7 +235,7 @@ impl FittedCoxPh {
 
     /// Survival probability `S(t | x) = exp(−H0(t) · exp(xᵀβ))`.
     #[must_use]
-    pub fn survival_at(&self, features: &[f64], t: f64) -> f64 {
+    pub(crate) fn survival_at(&self, features: &[f64], t: f64) -> f64 {
         let h0 = match self
             .baseline
             .binary_search_by(|(bt, _)| bt.partial_cmp(&t).expect("finite times"))

@@ -21,7 +21,7 @@ use crate::normal::inverse_mills;
 struct TobitLoss {
     /// Fixed latent scale σ (estimated from observed latencies before
     /// fitting; Grabit treats it as a hyperparameter).
-    pub sigma: f64,
+    pub(crate) sigma: f64,
 }
 
 impl Loss for TobitLoss {
@@ -51,12 +51,12 @@ impl Loss for TobitLoss {
 
 /// Hyperparameters for [`Grabit`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct GrabitConfig {
+pub(crate) struct GrabitConfig {
     /// Booster configuration.
-    pub gbt: GbtConfig,
+    pub(crate) gbt: GbtConfig,
     /// Latent σ override; `None` = standard deviation of the observed
     /// latencies (floored at 1e-3).
-    pub sigma: Option<f64>,
+    pub(crate) sigma: Option<f64>,
 }
 
 impl Default for GrabitConfig {
@@ -77,7 +77,7 @@ impl Default for GrabitConfig {
 /// against the booster's unit leaf regularization; predictions are
 /// de-standardized.
 #[derive(Debug, Clone)]
-pub struct Grabit {
+pub(crate) struct Grabit {
     model: GradientBoosting<TobitLoss>,
     target_mean: f64,
     target_scale: f64,
@@ -95,13 +95,13 @@ impl Grabit {
     }
 
     /// Fits on censored data (same convention as
-    /// [`crate::Tobit::fit`]).
+    /// [`crate::tobit::Tobit::fit`]).
     ///
     /// # Errors
     ///
     /// [`MlError::InvalidConfig`] when every sample is censored; otherwise
     /// propagates booster errors.
-    pub fn fit(
+    pub(crate) fn fit(
         x: &[Vec<f64>],
         time: &[f64],
         observed: &[bool],
@@ -152,7 +152,7 @@ impl Grabit {
 
     /// Predicted latent latency, in original units.
     #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, features: &[f64]) -> f64 {
         let standardized = self.model.predict(features) - 4.0;
         self.target_mean + self.target_scale * standardized
     }

@@ -2,14 +2,14 @@
 
 use nurd_ml::MlError;
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
 
 /// HBOS: per-feature equal-width histograms; a point's score is the sum of
 /// negative log densities of its bins (features treated independently).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hbos {
+pub(crate) struct Hbos {
     /// Number of equal-width bins per feature.
-    pub bins: usize,
+    pub(crate) bins: usize,
 }
 
 impl Default for Hbos {
@@ -19,10 +19,6 @@ impl Default for Hbos {
 }
 
 impl OutlierDetector for Hbos {
-    fn name(&self) -> &'static str {
-        "HBOS"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let first = x.first().ok_or(MlError::EmptyTrainingSet)?;
         let d = first.len();

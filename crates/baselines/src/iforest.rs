@@ -7,19 +7,19 @@ use rand::SeedableRng;
 
 use nurd_ml::MlError;
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
 
 /// Isolation forest: random axis-parallel splits isolate outliers in fewer
 /// steps. Score = `2^(-E[path length] / c(n))` (∈ (0, 1]; > 0.5 is
 /// anomalous).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IsolationForest {
+pub(crate) struct IsolationForest {
     /// Number of isolation trees.
-    pub trees: usize,
+    pub(crate) trees: usize,
     /// Subsample size per tree (ψ in the paper; 256 is the canonical value).
-    pub subsample: usize,
+    pub(crate) subsample: usize,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for IsolationForest {
@@ -153,10 +153,6 @@ fn average_path_length(n: usize) -> f64 {
 }
 
 impl OutlierDetector for IsolationForest {
-    fn name(&self) -> &'static str {
-        "IFOREST"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let first = x.first().ok_or(MlError::EmptyTrainingSet)?;
         let d = first.len();

@@ -1,14 +1,15 @@
 //! kNN outlier detection (Ramaswamy et al., 2000).
 
-use nurd_ml::{MlError, NearestNeighbors, StandardScaler};
+use nurd_ml::{MlError, NearestNeighbors};
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// Scores each point by the distance to its `k`-th nearest neighbor.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Knn {
+pub(crate) struct Knn {
     /// Neighborhood size.
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 impl Default for Knn {
@@ -18,10 +19,6 @@ impl Default for Knn {
 }
 
 impl OutlierDetector for Knn {
-    fn name(&self) -> &'static str {
-        "KNN"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x);
@@ -38,6 +35,18 @@ impl OutlierDetector for Knn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_planted_outlier_scores_highest() -> Result<(), MlError> {
+        let mut rows: Vec<Vec<f64>> = (0..30).map(|i| vec![(i % 5) as f64, 0.0]).collect();
+        rows.push(vec![100.0, 100.0]); // planted outlier
+        let scores = Knn::default().score_all(&rows)?;
+        let max_idx = (0..rows.len())
+            .max_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap())
+            .unwrap();
+        assert_eq!(max_idx, 30);
+        Ok(())
+    }
 
     #[test]
     fn isolated_point_scores_highest() {

@@ -1,16 +1,17 @@
 //! Density-based detectors: LOF (Breunig et al., 2000) and COF (Tang et
 //! al., 2002).
 
-use nurd_ml::{MlError, NearestNeighbors, StandardScaler};
+use nurd_ml::{MlError, NearestNeighbors};
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// Local Outlier Factor: the ratio of a point's local reachability density
 /// to that of its neighbors. LOF ≈ 1 for inliers, ≫ 1 for outliers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lof {
+pub(crate) struct Lof {
     /// Neighborhood size.
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 impl Default for Lof {
@@ -20,10 +21,6 @@ impl Default for Lof {
 }
 
 impl OutlierDetector for Lof {
-    fn name(&self) -> &'static str {
-        "LOF"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x);
@@ -75,9 +72,9 @@ impl OutlierDetector for Lof {
 /// distance to that of its neighbors, catching outliers adjacent to
 /// low-density patterns that LOF misses.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cof {
+pub(crate) struct Cof {
     /// Neighborhood size.
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 impl Default for Cof {
@@ -126,10 +123,6 @@ fn nurd_linalg_distance(a: &[f64], b: &[f64]) -> f64 {
 }
 
 impl OutlierDetector for Cof {
-    fn name(&self) -> &'static str {
-        "COF"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x);

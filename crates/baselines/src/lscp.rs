@@ -1,21 +1,22 @@
 //! Locally selective combination in parallel outlier ensembles (Zhao et
 //! al., 2019).
 
-use nurd_ml::{MlError, NearestNeighbors, StandardScaler};
+use nurd_ml::{MlError, NearestNeighbors};
 
 use crate::lof::Lof;
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// LSCP over a LOF ensemble: for each test point, build a local region via
 /// kNN, form a pseudo ground truth (the ensemble-maximum score on the
 /// region), and emit the score of the base detector whose regional scores
 /// correlate best with that pseudo target.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lscp {
+pub(crate) struct Lscp {
     /// Neighborhood sizes of the LOF base detectors.
-    pub detector_ks: Vec<usize>,
+    pub(crate) detector_ks: Vec<usize>,
     /// Local region size.
-    pub region_size: usize,
+    pub(crate) region_size: usize,
 }
 
 impl Default for Lscp {
@@ -61,10 +62,6 @@ fn zscore(scores: &[f64]) -> Vec<f64> {
 }
 
 impl OutlierDetector for Lscp {
-    fn name(&self) -> &'static str {
-        "LSCP"
-    }
-
     /// # Errors
     ///
     /// [`MlError::InvalidConfig`] when the detector pool is empty, plus the

@@ -5,21 +5,22 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nurd_linalg::{covariance_matrix, mahalanobis_squared, Lu, Matrix};
-use nurd_ml::{MlError, StandardScaler};
+use nurd_ml::MlError;
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// MCD: finds the `h`-subset with the smallest covariance determinant via
 /// random restarts + C-steps, then scores each point by its Mahalanobis
 /// distance under the robust location/scatter estimates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Mcd {
+pub(crate) struct Mcd {
     /// Number of random initial subsets.
-    pub restarts: usize,
+    pub(crate) restarts: usize,
     /// Maximum C-steps per restart.
-    pub max_c_steps: usize,
+    pub(crate) max_c_steps: usize,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for Mcd {
@@ -57,10 +58,6 @@ fn estimate_from_subset(xs: &[Vec<f64>], subset: &[usize]) -> Option<Estimate> {
 }
 
 impl OutlierDetector for Mcd {
-    fn name(&self) -> &'static str {
-        "MCD"
-    }
-
     /// # Errors
     ///
     /// In addition to the shape errors, returns

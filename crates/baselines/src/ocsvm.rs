@@ -6,21 +6,22 @@
 //! online protocol are a few hundred points, where the dense solver is
 //! fast and dependable.
 
-use nurd_ml::{MlError, StandardScaler};
+use nurd_ml::MlError;
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// RBF-kernel one-class SVM; scores are the negated decision function
 /// (`ρ − Σ αᵢ k(xᵢ, x)`), so higher = more anomalous.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OcSvm {
+pub(crate) struct OcSvm {
     /// Expected outlier fraction ν ∈ (0, 1).
-    pub nu: f64,
+    pub(crate) nu: f64,
     /// RBF width γ; `None` = the scikit-learn "scale" heuristic
     /// `1 / (d · var)`.
-    pub gamma: Option<f64>,
+    pub(crate) gamma: Option<f64>,
     /// Projected-gradient iterations.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
 }
 
 impl Default for OcSvm {
@@ -56,10 +57,6 @@ fn project_capped_simplex(v: &mut [f64], cap: f64) {
 }
 
 impl OutlierDetector for OcSvm {
-    fn name(&self) -> &'static str {
-        "OCSVM"
-    }
-
     /// # Errors
     ///
     /// [`MlError::InvalidConfig`] when ν is outside `(0, 1)`, plus the

@@ -1,10 +1,55 @@
-//! Outlier detection: the fit-and-flag bodies of the thirteen transductive
-//! detectors and of XGBOD.
+//! Outlier detection: the detector interface and the fit-and-flag bodies
+//! of the thirteen transductive detectors and of XGBOD.
+//!
+//! The paper evaluates ABOD, CBLOF, HBOS, IFOREST, KNN, LOF, MCD, OCSVM,
+//! PCA, SOS, LSCP, COF, SOD and XGBOD (via PyOD) as unsupervised baselines
+//! for online straggler prediction (§6, "Comparisons"); each is
+//! implemented from its original paper in a module of its own. All but
+//! XGBOD implement [`OutlierDetector`]: they score a full sample set
+//! transductively (the online protocol fits on all currently visible tasks
+//! and reads off the scores of the running ones). XGBOD is semi-supervised (it trains a boosted classifier on
+//! unsupervised score features) and takes labels through its own API.
 
 use nurd_data::Checkpoint;
-use nurd_outlier::{contamination_threshold, OutlierDetector, Xgbod};
+use nurd_ml::MlError;
 
 use crate::adapter::FitAndFlag;
+use crate::xgbod::Xgbod;
+
+/// A transductive outlier detector: fits on a sample set and scores every
+/// row of it. Higher scores are more anomalous.
+///
+/// This trait is object-safe; the tests hold detectors as
+/// `Box<dyn OutlierDetector>`.
+pub(crate) trait OutlierDetector {
+    /// Scores every row of `x` (aligned with the input order).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MlError::EmptyTrainingSet`] / [`MlError::DimensionMismatch`]
+    /// on degenerate input; individual detectors may reject more (documented
+    /// on their `score_all`).
+    fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError>;
+}
+
+/// Selects the decision threshold for a contamination rate: the
+/// `(1 - contamination)` quantile of the training scores, PyOD-style.
+///
+/// # Panics
+///
+/// Panics if `scores` is empty or `contamination` is outside `(0, 1)`.
+#[must_use]
+pub(crate) fn contamination_threshold(scores: &[f64], contamination: f64) -> f64 {
+    assert!(!scores.is_empty(), "no scores to threshold");
+    assert!(
+        contamination > 0.0 && contamination < 1.0,
+        "contamination must be in (0, 1)"
+    );
+    let mut sorted = scores.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("scores are finite"));
+    let idx = ((1.0 - contamination) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
 
 /// Expected outlier share (PyOD-style contamination; 0.1 matches the p90
 /// straggler definition).
@@ -38,14 +83,12 @@ fn above_contamination(checkpoint: &Checkpoint<'_>, scores: &[f64]) -> Vec<usize
 /// As §3.2 of the paper argues, these methods only see the feature space —
 /// the observed latencies of finished tasks are never used — which is
 /// exactly why feature-space decoys sink their precision.
-pub(crate) struct Detector<D>(pub(crate) D);
-
-impl<D: OutlierDetector> FitAndFlag for Detector<D> {
+impl<D: OutlierDetector> FitAndFlag for D {
     const MIN_FINISHED: usize = 0;
     const MIN_VISIBLE: usize = 5;
 
     fn flag(&self, checkpoint: &Checkpoint<'_>, _threshold: f64) -> Option<Vec<usize>> {
-        let scores = self.0.score_all(&visible_features(checkpoint)).ok()?;
+        let scores = self.score_all(&visible_features(checkpoint)).ok()?;
         if scores.iter().any(|s| !s.is_finite()) {
             return None;
         }
@@ -71,8 +114,8 @@ impl FitAndFlag for Xgbod {
 mod tests {
     use super::*;
     use crate::adapter::Adapter;
+    use crate::knn::Knn;
     use nurd_data::OnlinePredictor;
-    use nurd_outlier::Knn;
     use nurd_sim::{replay_job, ReplayConfig};
     use nurd_trace::{SuiteConfig, TraceStyle};
 
@@ -88,7 +131,7 @@ mod tests {
     #[test]
     fn knn_adapter_runs_the_protocol() {
         let job = job();
-        let mut p = Adapter::new("KNN", Detector(Knn::default()));
+        let mut p = Adapter::new("KNN", Knn::default());
         let out = replay_job(&job, &mut p, &ReplayConfig::default());
         assert_eq!(out.confusion.total(), job.task_count());
         // An unsupervised detector flags *something* on these traces.
@@ -105,7 +148,7 @@ mod tests {
 
     #[test]
     fn no_flags_on_empty_checkpoints() {
-        let mut p = Adapter::new("KNN", Detector(Knn::default()));
+        let mut p = Adapter::new("KNN", Knn::default());
         let ckpt = Checkpoint {
             ordinal: 0,
             time: 1.0,

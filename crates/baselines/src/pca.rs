@@ -1,19 +1,20 @@
 //! PCA-based anomaly detection (Shyu et al., 2003).
 
 use nurd_linalg::covariance_matrix;
-use nurd_ml::{MlError, StandardScaler};
+use nurd_ml::MlError;
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// Principal-component classifier: the score is the Mahalanobis-style sum
 /// `Σᵢ (xᵀvᵢ)² / λᵢ` over the principal components of the standardized
 /// data — large deviations along minor components (which capture the
 /// correlation structure) dominate for structured outliers.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PcaDetector {
+pub(crate) struct PcaDetector {
     /// Discard components whose eigenvalue is below this fraction of the
     /// largest (guards the division).
-    pub eigenvalue_floor: f64,
+    pub(crate) eigenvalue_floor: f64,
 }
 
 impl Default for PcaDetector {
@@ -25,10 +26,6 @@ impl Default for PcaDetector {
 }
 
 impl OutlierDetector for PcaDetector {
-    fn name(&self) -> &'static str {
-        "PCA"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x);

@@ -3,18 +3,27 @@
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::{JobTrace, OnlinePredictor};
-use nurd_outlier::{
-    Abod, Cblof, Cof, Hbos, IsolationForest, Knn, Lof, Lscp, Mcd, OcSvm, PcaDetector, Sod, Sos,
-    Xgbod,
-};
-use nurd_survival::{CoxConfig, TobitConfig};
 
+use crate::abod::Abod;
 use crate::adapter::{Adapter, FitAndFlag};
-use crate::outlier_adapter::Detector;
+use crate::cblof::Cblof;
+use crate::cox::CoxConfig;
+use crate::hbos::Hbos;
+use crate::iforest::IsolationForest;
+use crate::knn::Knn;
+use crate::lof::{Cof, Lof};
+use crate::lscp::Lscp;
+use crate::mcd::Mcd;
+use crate::ocsvm::OcSvm;
+use crate::pca::PcaDetector;
 use crate::pu::{PuBagging, PuEn};
+use crate::sod::Sod;
+use crate::sos::Sos;
 use crate::supervised::GbtrPredictor;
 use crate::survival_adapter::tuned_grabit;
+use crate::tobit::TobitConfig;
 use crate::wrangler::WranglerPredictor;
+use crate::xgbod::Xgbod;
 
 /// Method family, as grouped in Table 3's left column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,23 +134,19 @@ pub fn registry_with_nurd_alpha(alpha: f64) -> Vec<MethodSpec> {
     use MethodFamily as F;
     vec![
         MethodSpec::new("GBTR", F::Supervised, |_| Box::<GbtrPredictor>::default()),
-        MethodSpec::adapted("ABOD", F::OutlierDetection, || Detector(Abod::default())),
-        MethodSpec::adapted("CBLOF", F::OutlierDetection, || Detector(Cblof::default())),
-        MethodSpec::adapted("HBOS", F::OutlierDetection, || Detector(Hbos::default())),
-        MethodSpec::adapted("IFOREST", F::OutlierDetection, || {
-            Detector(IsolationForest::default())
-        }),
-        MethodSpec::adapted("KNN", F::OutlierDetection, || Detector(Knn::default())),
-        MethodSpec::adapted("LOF", F::OutlierDetection, || Detector(Lof::default())),
-        MethodSpec::adapted("MCD", F::OutlierDetection, || Detector(Mcd::default())),
-        MethodSpec::adapted("OCSVM", F::OutlierDetection, || Detector(OcSvm::default())),
-        MethodSpec::adapted("PCA", F::OutlierDetection, || {
-            Detector(PcaDetector::default())
-        }),
-        MethodSpec::adapted("SOS", F::OutlierDetection, || Detector(Sos::default())),
-        MethodSpec::adapted("LSCP", F::OutlierDetection, || Detector(Lscp::default())),
-        MethodSpec::adapted("COF", F::OutlierDetection, || Detector(Cof::default())),
-        MethodSpec::adapted("SOD", F::OutlierDetection, || Detector(Sod::default())),
+        MethodSpec::adapted("ABOD", F::OutlierDetection, Abod::default),
+        MethodSpec::adapted("CBLOF", F::OutlierDetection, Cblof::default),
+        MethodSpec::adapted("HBOS", F::OutlierDetection, Hbos::default),
+        MethodSpec::adapted("IFOREST", F::OutlierDetection, IsolationForest::default),
+        MethodSpec::adapted("KNN", F::OutlierDetection, Knn::default),
+        MethodSpec::adapted("LOF", F::OutlierDetection, Lof::default),
+        MethodSpec::adapted("MCD", F::OutlierDetection, Mcd::default),
+        MethodSpec::adapted("OCSVM", F::OutlierDetection, OcSvm::default),
+        MethodSpec::adapted("PCA", F::OutlierDetection, PcaDetector::default),
+        MethodSpec::adapted("SOS", F::OutlierDetection, Sos::default),
+        MethodSpec::adapted("LSCP", F::OutlierDetection, Lscp::default),
+        MethodSpec::adapted("COF", F::OutlierDetection, Cof::default),
+        MethodSpec::adapted("SOD", F::OutlierDetection, Sod::default),
         MethodSpec::adapted("XGBOD", F::OutlierDetection, Xgbod::default),
         MethodSpec::adapted("PU-EN", F::PositiveUnlabeled, PuEn::default),
         MethodSpec::adapted("PU-BG", F::PositiveUnlabeled, PuBagging::default),

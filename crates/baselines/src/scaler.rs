@@ -1,25 +1,12 @@
-//! Reusable feature standardization.
+//! Feature standardization, shared by the outlier detectors and the
+//! censored regressions.
 
 use nurd_linalg::LinalgError;
-
-use crate::MlError;
+use nurd_ml::MlError;
 
 /// Zero-mean / unit-variance feature scaler with a fit/transform API.
-///
-/// # Example
-///
-/// ```
-/// use nurd_ml::StandardScaler;
-///
-/// # fn main() -> Result<(), nurd_ml::MlError> {
-/// let scaler = StandardScaler::fit(&[vec![0.0], vec![10.0]])?;
-/// let z = scaler.transform_row(&[5.0]);
-/// assert!(z[0].abs() < 1e-12); // 5.0 is the mean
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct StandardScaler {
+pub(crate) struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,
 }
@@ -33,7 +20,7 @@ impl StandardScaler {
     ///
     /// [`MlError::EmptyTrainingSet`] on empty input,
     /// [`MlError::DimensionMismatch`] on ragged rows.
-    pub fn fit(x: &[Vec<f64>]) -> Result<Self, MlError> {
+    pub(crate) fn fit(x: &[Vec<f64>]) -> Result<Self, MlError> {
         let mut copy = x.to_vec();
         let params = nurd_linalg::standardize_columns(&mut copy).map_err(|e| match e {
             LinalgError::Empty => MlError::EmptyTrainingSet,
@@ -54,7 +41,7 @@ impl StandardScaler {
     ///
     /// Panics if `row` has a different width than the fitted data.
     #[must_use]
-    pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform_row(&self, row: &[f64]) -> Vec<f64> {
         assert_eq!(row.len(), self.means.len(), "feature width mismatch");
         row.iter()
             .zip(self.means.iter().zip(&self.stds))
@@ -64,7 +51,7 @@ impl StandardScaler {
 
     /// Standardizes a batch of rows.
     #[must_use]
-    pub fn transform(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn transform(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         rows.iter().map(|r| self.transform_row(r)).collect()
     }
 }
@@ -72,6 +59,14 @@ impl StandardScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_mean_maps_to_zero() -> Result<(), MlError> {
+        let scaler = StandardScaler::fit(&[vec![0.0], vec![10.0]])?;
+        let z = scaler.transform_row(&[5.0]);
+        assert!(z[0].abs() < 1e-12); // 5.0 is the mean
+        Ok(())
+    }
 
     #[test]
     fn fit_transform_zero_mean() {

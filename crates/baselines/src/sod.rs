@@ -1,22 +1,23 @@
 //! Subspace outlier detection (Kriegel et al., 2009).
 
-use nurd_ml::{MlError, NearestNeighbors, StandardScaler};
+use nurd_ml::{MlError, NearestNeighbors};
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// SOD: for each point, find a reference set via shared-nearest-neighbor
 /// similarity, identify the attributes in which the reference set has low
 /// variance, and measure the point's deviation from the reference mean in
 /// that axis-parallel subspace.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sod {
+pub(crate) struct Sod {
     /// Candidate neighbors for SNN similarity.
-    pub k: usize,
+    pub(crate) k: usize,
     /// Reference set size (ℓ ≤ k).
-    pub reference_size: usize,
+    pub(crate) reference_size: usize,
     /// Variance threshold: an attribute is "relevant" when the reference
     /// variance is below `alpha` times the mean per-attribute variance.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
 }
 
 impl Default for Sod {
@@ -30,10 +31,6 @@ impl Default for Sod {
 }
 
 impl OutlierDetector for Sod {
-    fn name(&self) -> &'static str {
-        "SOD"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x);

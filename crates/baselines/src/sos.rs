@@ -1,17 +1,18 @@
 //! Stochastic outlier selection (Janssens et al., 2012).
 
-use nurd_ml::{MlError, StandardScaler};
+use nurd_ml::MlError;
 
-use crate::OutlierDetector;
+use crate::outlier_adapter::OutlierDetector;
+use crate::scaler::StandardScaler;
 
 /// SOS: builds affinity distributions with per-point variances matched to
 /// a target perplexity, converts them to binding probabilities, and scores
 /// each point by the probability that *no* other point binds to it:
 /// `score(i) = Π_{j≠i} (1 − b_{ji})`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sos {
+pub(crate) struct Sos {
     /// Target perplexity (effective neighborhood size).
-    pub perplexity: f64,
+    pub(crate) perplexity: f64,
 }
 
 impl Default for Sos {
@@ -74,10 +75,6 @@ fn affinity_row(dist2: &[f64], i: usize, perplexity: f64) -> Vec<f64> {
 }
 
 impl OutlierDetector for Sos {
-    fn name(&self) -> &'static str {
-        "SOS"
-    }
-
     fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let scaler = StandardScaler::fit(x)?;
         let xs = scaler.transform(x);

@@ -1,10 +1,20 @@
-//! Censored/survival regression: the fit-and-flag bodies of Tobit, Grabit
-//! and CoxPH.
+//! Censored/survival regression: the fit-and-flag bodies of Tobit (Tobin,
+//! 1958), Grabit (Sigrist & Hirnschall, 2019) and CoxPH (Cox, 1972), the
+//! baselines of the paper's §3.4 and §6, whose models live in `tobit`,
+//! `grabit` and `cox`.
+//!
+//! The online straggler problem right-censors latency: a task still running
+//! at checkpoint time `t` is only known to satisfy `y > t`. Tobit and
+//! Grabit model the latent latency as Gaussian (in the paper's telling,
+//! their weakness); CoxPH assumes proportional hazards. All three consume
+//! `(features, observed-or-censoring-time, finished?)` triples.
 
 use nurd_data::Checkpoint;
-use nurd_survival::{CoxConfig, CoxPh, Grabit, GrabitConfig, Tobit, TobitConfig};
 
 use crate::adapter::{running_where, FitAndFlag};
+use crate::cox::{CoxConfig, CoxPh};
+use crate::grabit::{Grabit, GrabitConfig};
+use crate::tobit::{Tobit, TobitConfig};
 
 /// Builds the censored training triples at a checkpoint: finished tasks are
 /// observed at their latency, running tasks are censored at the checkpoint

@@ -1,18 +1,19 @@
 //! Tobit (censored Gaussian) regression, right-censored variant.
 
-use nurd_ml::{MlError, StandardScaler};
+use nurd_ml::MlError;
 
 use crate::normal::{inverse_mills, log_normal_cdf, normal_pdf};
+use crate::scaler::StandardScaler;
 
 /// Hyperparameters for [`Tobit`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct TobitConfig {
+pub(crate) struct TobitConfig {
     /// Gradient-ascent iterations.
-    pub max_iter: usize,
+    pub(crate) max_iter: usize,
     /// Convergence tolerance on the gradient max-norm.
-    pub tol: f64,
+    pub(crate) tol: f64,
     /// L2 penalty on the coefficients (not intercept or scale).
-    pub l2: f64,
+    pub(crate) l2: f64,
 }
 
 impl Default for TobitConfig {
@@ -27,7 +28,7 @@ impl Default for TobitConfig {
 
 /// Marker type: fit with [`Tobit::fit`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Tobit;
+pub(crate) struct Tobit;
 
 /// A fitted right-censored Tobit model: latent `y* ~ N(xᵀβ + b, σ²)`,
 /// observed when the task finished, censored below at the checkpoint time
@@ -36,7 +37,7 @@ pub struct Tobit;
 /// Coefficients live in an internally standardized (features *and* target)
 /// space; [`FittedTobit::predict`] reports in original units.
 #[derive(Debug, Clone)]
-pub struct FittedTobit {
+pub(crate) struct FittedTobit {
     beta: Vec<f64>,
     intercept: f64,
     scaler: StandardScaler,
@@ -56,7 +57,7 @@ impl Tobit {
     /// [`MlError::EmptyTrainingSet`] / [`MlError::DimensionMismatch`] on
     /// shape problems, [`MlError::InvalidConfig`] when no observation is
     /// uncensored (σ is unidentifiable).
-    pub fn fit(
+    pub(crate) fn fit(
         x: &[Vec<f64>],
         time: &[f64],
         observed: &[bool],
@@ -208,7 +209,7 @@ impl FittedTobit {
     ///
     /// Panics if `features` has a different width than the training data.
     #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, features: &[f64]) -> f64 {
         let z = self.scaler.transform_row(features);
         let standardized = self.intercept + nurd_linalg::dot(&self.beta, &z);
         self.target_mean + self.target_scale * standardized
@@ -218,6 +219,17 @@ impl FittedTobit {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_censored_fit_ranks_by_its_feature() -> Result<(), MlError> {
+        // y = 2x, with the larger half censored at 10.
+        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
+        let time: Vec<f64> = (0..20).map(|i| (2 * i) as f64).collect();
+        let observed: Vec<bool> = time.iter().map(|&t| t < 10.0).collect();
+        let model = Tobit::fit(&x, &time, &observed, &TobitConfig::default())?;
+        assert!(model.predict(&[15.0]) > model.predict(&[2.0]));
+        Ok(())
+    }
 
     #[test]
     fn recovers_slope_under_censoring() {

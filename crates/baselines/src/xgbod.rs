@@ -3,7 +3,11 @@
 
 use nurd_ml::{GbtConfig, GradientBoosting, LogisticLoss, MlError};
 
-use crate::{Hbos, IsolationForest, Knn, Lof, OutlierDetector};
+use crate::hbos::Hbos;
+use crate::iforest::IsolationForest;
+use crate::knn::Knn;
+use crate::lof::Lof;
+use crate::outlier_adapter::OutlierDetector;
 
 /// XGBOD: augments the raw features with the score columns of a battery of
 /// unsupervised detectors, then trains a boosted-tree classifier on the
@@ -14,9 +18,9 @@ use crate::{Hbos, IsolationForest, Knn, Lof, OutlierDetector};
 /// baseline adapter feeds it finished-vs-running proxy labels (see
 /// `nurd-baselines`' `outlier_adapter` and `ARCHITECTURE.md`'s paper map).
 #[derive(Debug, Clone)]
-pub struct Xgbod {
+pub(crate) struct Xgbod {
     /// Boosted-tree head configuration.
-    pub gbt: GbtConfig,
+    pub(crate) gbt: GbtConfig,
 }
 
 impl Default for Xgbod {
@@ -32,7 +36,7 @@ impl Default for Xgbod {
 
 /// A fitted XGBOD model.
 #[derive(Debug, Clone)]
-pub struct FittedXgbod {
+pub(crate) struct FittedXgbod {
     classifier: GradientBoosting<LogisticLoss>,
     battery: Battery,
 }
@@ -78,7 +82,7 @@ impl Xgbod {
     ///
     /// Propagates shape and configuration errors from the battery and the
     /// boosted-tree head.
-    pub fn fit(&self, x: &[Vec<f64>], labels: &[f64]) -> Result<FittedXgbod, MlError> {
+    pub(crate) fn fit(&self, x: &[Vec<f64>], labels: &[f64]) -> Result<FittedXgbod, MlError> {
         let augmented = Battery::augment(x)?;
         let classifier = GradientBoosting::fit(&augmented, labels, LogisticLoss, &self.gbt)?;
         Ok(FittedXgbod {
@@ -96,7 +100,7 @@ impl FittedXgbod {
     /// # Errors
     ///
     /// Propagates shape errors from the battery.
-    pub fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
+    pub(crate) fn score_all(&self, x: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
         let _ = &self.battery;
         let augmented = Battery::augment(x)?;
         Ok(augmented

@@ -13,23 +13,19 @@
 //!
 //! # Determinism contract
 //!
-//! A policy's decisions must be a deterministic function of the
-//! [`BarrierView`] **excluding** [`BarrierView::backlog`] (and of the
-//! policy's own per-job state, which then evolves deterministically too).
-//! A job's barriers are applied in stream order regardless of shard count
-//! or drain scheduling, so such a policy produces a bit-identical action
-//! log at any shard count — the same replay-determinism argument the
-//! engine's reports rely on. `backlog` is a scheduling-dependent hint
-//! (the shard's instantaneous ingress queue depth); a policy that reads
-//! it trades the determinism guarantee for load awareness, and must say
-//! so in its docs.
+//! Every field of a [`BarrierView`] is a deterministic function of the
+//! job's own event stream, and a job's barriers are applied in stream
+//! order regardless of shard count or drain scheduling. A policy whose
+//! decisions depend only on the views it has seen (through its per-job
+//! state, which then evolves deterministically too) therefore produces a
+//! bit-identical action log at any shard count — the same
+//! replay-determinism argument the engine's reports rely on.
 
 use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
 
 /// Where a job currently sits in its serving lifecycle. Produced by the
 /// serving engine (`nurd-serve` re-exports it and documents the state
-/// machine); carried in [`BarrierView`] so mitigation policies can phase
-/// their behavior.
+/// machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobPhase {
     /// Admitted (its `JobStart` was drained) but no checkpoint activity
@@ -155,9 +151,8 @@ pub struct ScoredPrediction {
 
 /// Everything a mitigation policy sees at one scored barrier of one job.
 ///
-/// All fields except [`BarrierView::backlog`] are deterministic functions
-/// of the job's own event stream — see the module docs for the
-/// determinism contract.
+/// Every field is a deterministic function of the job's own event
+/// stream — see the module docs for the determinism contract.
 #[derive(Debug, Clone, Copy)]
 pub struct BarrierView<'a> {
     /// The job being decided about.
@@ -168,10 +163,6 @@ pub struct BarrierView<'a> {
     pub time: f64,
     /// The job's straggler threshold `τ_stra`.
     pub threshold: f64,
-    /// The job's lifecycle phase (always [`JobPhase::Scoring`] today —
-    /// policies run only at scored barriers — but carried so phased
-    /// policies survive future callback points).
-    pub phase: JobPhase,
     /// Normalized straggler scores for the running tasks evaluated at
     /// this barrier (newly-flagged tasks included), task-id order.
     pub scores: &'a [TaskScore],
@@ -186,10 +177,6 @@ pub struct BarrierView<'a> {
     /// is part of the job's own event stream, so node-aware policies keep
     /// the bit-identical action-log guarantee.
     pub nodes: Option<&'a [u32]>,
-    /// Scheduling-dependent hint: events queued on the job's shard when
-    /// this barrier was drained. **Reading it forfeits the bit-identical
-    /// action-log guarantee** — see the module docs.
-    pub backlog: usize,
 }
 
 /// A straggler-mitigation policy: scores in, typed actions out.

@@ -2,9 +2,8 @@
 //!
 //! Every policy here honors the determinism contract of
 //! [`nurd_data::mitigation`](nurd_data::BarrierView): decisions are pure
-//! functions of the barrier views seen so far (none reads
-//! [`BarrierView::backlog`]), so each produces a bit-identical action log
-//! at any shard count. Per-job state is a set of already-proposed tasks —
+//! functions of the barrier views seen so far, so each produces a
+//! bit-identical action log at any shard count. Per-job state is a set of already-proposed tasks —
 //! the engine would suppress repeats anyway, but proposing them would
 //! inflate its `mitigation_suppressed` counter and hide real policy bugs.
 
@@ -433,7 +432,7 @@ pub fn oracle_mitigator(jobs: &[JobTrace], quantile: f64) -> MitigatorFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nurd_data::{JobPhase, TaskScore};
+    use nurd_data::TaskScore;
 
     fn view<'a>(
         scores: &'a [TaskScore],
@@ -445,12 +444,10 @@ mod tests {
             ordinal: 0,
             time: 10.0,
             threshold: 100.0,
-            phase: JobPhase::Scoring,
             scores,
             flagged,
             clones_remaining,
             nodes: None,
-            backlog: 0,
         }
     }
 

@@ -56,7 +56,7 @@ use crate::MlError;
 ///
 /// Implementors supply the gradient and hessian of the per-sample loss with
 /// respect to the raw model score `f`. The trait is deliberately *not*
-/// sealed: `nurd-survival` implements a Tobit loss on top of it to build
+/// sealed: `nurd-baselines` implements a Tobit loss on top of it to build
 /// Grabit exactly as Sigrist & Hirnschall describe.
 pub trait Loss {
     /// `(∂ℓ/∂f, ∂²ℓ/∂f²)` evaluated at raw score `f` for target `y`.
@@ -127,7 +127,7 @@ impl Default for GbtConfig {
 /// This is the workhorse model of the reproduction: with [`SquaredLoss`] it
 /// is the paper's GBTR baseline and NURD's latency head `h_t`; with
 /// [`LogisticLoss`] it is a boosted classifier (XGBOD's supervised head);
-/// `nurd-survival` plugs in a Tobit loss to obtain Grabit.
+/// `nurd-baselines` plugs in a Tobit loss to obtain Grabit.
 ///
 /// # Example
 ///

@@ -5,11 +5,12 @@
 //! * [`GradientBoosting`] — Newton-boosted regression trees (XGBoost-style)
 //!   with a pluggable [`Loss`]; NURD's latency predictor `h_t`, the GBTR
 //!   baseline, XGBOD's supervised head and Grabit (via a Tobit loss defined
-//!   in `nurd-survival`) all reuse it.
+//!   in `nurd-baselines`) all reuse it.
 //! * [`LogisticRegression`] — IRLS-fit; NURD's propensity-score model `g_t`
 //!   and the PU-EN non-traditional classifier.
 //! * [`LinearSvm`] — Pegasos-trained linear SVM; Wrangler and PU-BG.
-//! * [`KMeans`], [`NearestNeighbors`] — substrates for the outlier detectors.
+//! * [`KMeans`], [`NearestNeighbors`] — substrates for the outlier
+//!   detectors of `nurd-baselines`.
 //!
 //! # Histogram tree growth
 //!
@@ -92,7 +93,6 @@ mod kmeans;
 mod logistic;
 mod metrics;
 mod neighbors;
-mod scaler;
 mod svm;
 mod tree;
 
@@ -104,7 +104,6 @@ pub use kmeans::{KMeans, KMeansConfig};
 pub use logistic::{LogisticConfig, LogisticRegression};
 pub(crate) use metrics::sigmoid;
 pub use neighbors::NearestNeighbors;
-pub use scaler::StandardScaler;
 pub use svm::{LinearSvm, SvmConfig};
 pub use tree::TreeConfig;
 

@@ -555,35 +555,31 @@ impl EngineCore {
         let idx = self.shard_of(event.job());
         let cell = &self.cells[idx];
         // `None` = rejected; `Some(wake)` = accepted, `wake` is the
-        // channel's empty→non-empty transition report.
-        let accepted: Option<bool> = if self.config.queue_capacity.is_none() {
-            // Unbounded: a send only fails once the ingress is closed.
-            cell.ingress.send(event).ok()
-        } else {
-            match self.config.overload {
-                OverloadPolicy::Block => match cell.ingress.try_send(event) {
-                    Ok(wake) => Some(wake),
-                    Err(TrySendError::Closed(_)) => None,
-                    Err(TrySendError::Full(event)) => self.ingest_full(idx, event),
-                },
-                OverloadPolicy::ShedOldest => match cell.ingress.send_evicting(event) {
-                    Ok((wake, evicted)) => {
-                        if evicted.is_some() {
-                            cell.stats.add(Counter::ShedEvents, 1);
-                        }
-                        Some(wake)
+        // channel's empty→non-empty transition report. An unbounded queue
+        // is never full, so there every policy fails only a closed push.
+        let accepted: Option<bool> = match self.config.overload {
+            OverloadPolicy::Block => match cell.ingress.try_send(event) {
+                Ok(wake) => Some(wake),
+                Err(TrySendError::Closed(_)) => None,
+                Err(TrySendError::Full(event)) => self.ingest_full(idx, event),
+            },
+            OverloadPolicy::ShedOldest => match cell.ingress.send_evicting(event) {
+                Ok((wake, evicted)) => {
+                    if evicted.is_some() {
+                        cell.stats.add(Counter::ShedEvents, 1);
                     }
-                    Err(_) => None,
-                },
-                OverloadPolicy::RejectNew => match cell.ingress.try_send(event) {
-                    Ok(wake) => Some(wake),
-                    Err(TrySendError::Full(_)) => {
-                        cell.stats.add(Counter::RejectedIngress, 1);
-                        None
-                    }
-                    Err(TrySendError::Closed(_)) => None,
-                },
-            }
+                    Some(wake)
+                }
+                Err(_) => None,
+            },
+            OverloadPolicy::RejectNew => match cell.ingress.try_send(event) {
+                Ok(wake) => Some(wake),
+                Err(TrySendError::Full(_)) => {
+                    cell.stats.add(Counter::RejectedIngress, 1);
+                    None
+                }
+                Err(TrySendError::Closed(_)) => None,
+            },
         };
         if accepted == Some(true) {
             self.notifier.unpark();
@@ -711,12 +707,11 @@ impl EngineCore {
                 .unwrap_or_else(|e| panic!("WAL append failed on shard {idx}: {e}"));
             cell.stats.add(Counter::WalAppended, appended);
         }
-        // The backlog *left behind* after this pop: the advisory load hint
-        // mitigation policies see.
-        let backlog = cell.ingress.len();
         if let Some(balance) = &self.config.balance {
-            // Decide on the depth this pop found: a pop takes up to a batch,
-            // so a small bounded queue's leftover is empty after every pop.
+            // Decide on the depth this pop found, not on the backlog it left
+            // behind: a pop takes up to a batch, so a small bounded queue's
+            // leftover is empty after every pop.
+            let backlog = cell.ingress.len();
             let depth = taken + backlog;
             if depth >= balance.backlog_threshold.max(1) {
                 shard.set_parallelism(
@@ -737,7 +732,6 @@ impl EngineCore {
             &self.factory,
             self.mitigator.get(),
             self.observer(),
-            backlog,
             &cell.stats,
         );
         drop(shard);
@@ -999,7 +993,6 @@ impl EngineCore {
                 &self.factory,
                 self.mitigator.get(),
                 self.observer(),
-                0,
                 &cell.stats,
             );
         }
@@ -1447,5 +1440,30 @@ mod tests {
         assert_eq!(report.jobs.len(), 1);
         assert_eq!(report.jobs[0].finalized, FinalizeReason::EngineFinish);
         assert_eq!(report.overload.rejected_ingress, pushed - 6);
+    }
+
+    /// An unbounded queue is never full: the lossy policies accept every
+    /// push, lose nothing and report exactly what `Block` reports.
+    #[test]
+    fn an_unbounded_queue_loses_nothing_under_any_policy() {
+        let events: Vec<TaskEvent> = [1, 2, 3].into_iter().flat_map(stream).collect();
+        let report = |overload| {
+            let engine = core(EngineConfig {
+                shards: 2,
+                queue_capacity: None,
+                overload,
+                ..EngineConfig::default()
+            });
+            assert_eq!(engine.push_all(events.clone()), events.len());
+            engine.finish()
+        };
+        let blocked = report(OverloadPolicy::Block);
+        assert_eq!(blocked.jobs.len(), 3);
+        for overload in [OverloadPolicy::ShedOldest, OverloadPolicy::RejectNew] {
+            let lossy = report(overload);
+            assert_eq!(lossy.overload.shed_events, 0);
+            assert_eq!(lossy.overload.rejected_ingress, 0);
+            assert_eq!(lossy, blocked, "{overload:?}");
+        }
     }
 }

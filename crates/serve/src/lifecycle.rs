@@ -18,10 +18,9 @@
 //! than every job ever seen. `docs/OPERATIONS.md` walks the state
 //! machine from an operator's perspective.
 
-// `JobPhase` (see the state machine above) is defined in `nurd-data` so
-// mitigation policies can receive it inside `nurd_data::BarrierView`
-// without depending on this crate; it is re-exported here, where it has
-// always lived, and returned by `EngineService::job_phase`.
+// `JobPhase` (see the state machine above) is defined in `nurd-data`;
+// it is re-exported here, where it has always lived, and returned by
+// `EngineService::job_phase`.
 pub use nurd_data::JobPhase;
 
 /// Why a job was finalized. Deterministic for a given event stream — it

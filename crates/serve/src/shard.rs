@@ -308,7 +308,6 @@ impl JobState {
         &mut self,
         event: TaskEvent,
         warmup_fraction: f64,
-        backlog: usize,
         observer: Option<&dyn HealthObserver>,
         stats: &ShardStats,
     ) -> bool {
@@ -369,7 +368,7 @@ impl JobState {
                 }
             }
             TaskEvent::Barrier { ordinal, time, .. } => {
-                return self.barrier(ordinal, time, warmup_fraction, backlog, observer, stats);
+                return self.barrier(ordinal, time, warmup_fraction, observer, stats);
             }
         }
         true
@@ -386,7 +385,6 @@ impl JobState {
         ordinal: usize,
         time: f64,
         warmup_fraction: f64,
-        backlog: usize,
         observer: Option<&dyn HealthObserver>,
         stats: &ShardStats,
     ) -> bool {
@@ -502,12 +500,10 @@ impl JobState {
             ordinal,
             time,
             threshold: self.spec.threshold,
-            phase: nurd_data::JobPhase::Scoring,
             scores: &scored.scores,
             flagged: &newly_flagged,
             clones_remaining: budget.map(|b| b.saturating_sub(self.clones_used)),
             nodes: self.nodes.as_deref(),
-            backlog,
         };
         let decisions = policy.decide(&view);
         for (task, action) in decisions {
@@ -930,7 +926,6 @@ impl Shard {
         factory: &PredictorFactory,
         mitigator: Option<&MitigatorFactory>,
         observer: Option<&dyn HealthObserver>,
-        backlog: usize,
         stats: &ShardStats,
     ) {
         for event in events {
@@ -979,7 +974,7 @@ impl Shard {
                         Some(job) => {
                             let warmup_fraction = self.warmup_fraction;
                             match catch_unwind(AssertUnwindSafe(|| {
-                                job.apply(event, warmup_fraction, backlog, observer, stats)
+                                job.apply(event, warmup_fraction, observer, stats)
                             })) {
                                 Err(_) => {
                                     // Predictor panic: quarantine *this*
@@ -1163,7 +1158,7 @@ mod tests {
         let stats = ShardStats::default();
         // `live_jobs` is decremented at finalization; start it above zero.
         stats.add(Counter::LiveJobs, 1);
-        shard.apply_batch(events.iter().cloned(), factory, None, None, 0, &stats);
+        shard.apply_batch(events.iter().cloned(), factory, None, None, &stats);
     }
 
     /// Serves a `task_count`-task job step by step and round-trips it
@@ -1237,7 +1232,7 @@ mod tests {
         let served = || {
             let mut state = admitted(&spec, factory(&spec));
             for event in steps(2)[..3].concat() {
-                assert!(state.apply(event, WARMUP, 0, None, &stats));
+                assert!(state.apply(event, WARMUP, None, &stats));
             }
             state
         };
@@ -1376,7 +1371,7 @@ mod tests {
                 }
                 _ => None,
             };
-            assert!(state.apply(event, WARMUP, 0, None, &stats));
+            assert!(state.apply(event, WARMUP, None, &stats));
             if let Some((task, features)) = described {
                 assert_eq!(row(&state.rows, 2, state.tasks[task].row), features);
             }
@@ -1447,7 +1442,7 @@ mod tests {
         let mut state = admitted(&spec, Box::new(AboveFinishedMean));
         let applied: Vec<bool> = events
             .iter()
-            .map(|e| state.apply(e.clone(), WARMUP, 0, None, &stats))
+            .map(|e| state.apply(e.clone(), WARMUP, None, &stats))
             .collect();
         // Neither vector is a row that wide; the barrier scores task 0,
         // seen but undescribed, with no features.
@@ -1460,7 +1455,7 @@ mod tests {
         let factory: PredictorFactory = Box::new(|_| Box::new(AboveFinishedMean));
         let stats = ShardStats::default();
         let stream = std::iter::once(TaskEvent::JobStart { spec }).chain(events);
-        shard.apply_batch(stream, &factory, None, None, 0, &stats);
+        shard.apply_batch(stream, &factory, None, None, &stats);
         let counts = [
             Counter::RejectedEvents,
             Counter::PoisonedJobs,
@@ -1576,7 +1571,7 @@ mod tests {
             events.extend(neighbour.get(i).cloned());
             events.extend(stream.get(i).cloned());
         }
-        shard.apply_batch(events, factory, None, None, 0, &stats);
+        shard.apply_batch(events, factory, None, None, &stats);
         let reports = shard.finish_reports(None, &stats);
         let served = reports
             .iter()

@@ -200,8 +200,23 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # decoder checks a record's task count against its spec before sizing
 # anything), `engine.rs` +2 (`rejected_events` documents the refused
 # admission; `decode` takes no warmup fraction).
-MAX_WORKSPACE_LINES=20397
-MAX_PRODUCT_LINES=8594
+#
+# The Table 3 roster as one crate lowered both line limits by their net,
+# -125 (20,397 -> 20,272) and -85 (8,594 -> 8,509): `nurd-outlier` and
+# `nurd-survival` folded into `baselines` as crate-private modules with
+# `StandardScaler` out of `ml` (`ml` -72: the scaler's 71 lines and its
+# two declarations, one doc line added; `baselines` +2,215 for the 2,312
+# lines it took in, -97: the crates' roots, the thirteen
+# `OutlierDetector::name` impls, the `Detector` wrapper and three doc
+# examples that became unit tests),
+# and `BarrierView` lost `phase` and `backlog` (`serve` -13: the
+# parameter `apply_batch`, `apply` and `barrier` passed down and the
+# view's two fields; `ingest`'s unbounded branch, which the overload
+# match already covered; `data` -13 with the determinism contract's
+# exception, `mitigate` -1). The count now also stops at an inner
+# `#![cfg(test)]`, so a test file that opens with one counts as test code.
+MAX_WORKSPACE_LINES=20272
+MAX_PRODUCT_LINES=8509
 MAX_UNSAFE_SITES=1
 MAX_CONFIG_FIELDS=29
 
@@ -210,7 +225,7 @@ total=0
 for dir in crates/*/; do
     crate=$(basename "$dir")
     lines=$(find "$dir"src -name '*.rs' -print0 | xargs -0 awk \
-        'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }')
+        'FNR == 1 { test = 0 } /#!?\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }')
     printf 'product lines  %-13s %6d\n' "$crate" "$lines"
     workspace=$((workspace + lines))
     case $crate in ml | core | serve) total=$((total + lines)) ;; esac

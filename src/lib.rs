@@ -7,7 +7,7 @@
 //! * [`core`] — the NURD algorithm (Algorithm 1): propensity reweighting
 //!   and distribution compensation.
 //! * [`baselines`] — the full Table 3 roster (the paper's 23 methods plus
-//!   the `NURD-WS` warm-refit row).
+//!   the `NURD-WS` warm-refit row), every baseline model included.
 //! * [`sim`] — the online replay protocol, metrics, and the mitigation
 //!   schedulers of Algorithms 2 and 3.
 //! * [`mitigate`] — score-driven straggler mitigation on top of
@@ -34,8 +34,8 @@
 //! * [`trace`] — the synthetic Google/Alibaba-style trace substrate,
 //!   including interleaved multi-job event streams
 //!   (`trace::staggered_fleet_events`, `trace::interleave_events`).
-//! * [`data`], [`ml`], [`linalg`], [`outlier`], [`survival`] — the
-//!   substrates everything above is built from.
+//! * [`data`], [`ml`], [`linalg`] — the substrates everything above is
+//!   built from.
 //!
 //! `ARCHITECTURE.md` at the repository root maps paper sections to these
 //! crates, diagrams the online replay loop, and documents the warm-start
@@ -72,9 +72,7 @@ pub use nurd_health as health;
 pub use nurd_linalg as linalg;
 pub use nurd_mitigate as mitigate;
 pub use nurd_ml as ml;
-pub use nurd_outlier as outlier;
 pub use nurd_runtime as runtime;
 pub use nurd_serve as serve;
 pub use nurd_sim as sim;
-pub use nurd_survival as survival;
 pub use nurd_trace as trace;
