@@ -48,8 +48,7 @@ pub use error::DataError;
 pub use event::{job_stream, JobSpec, TaskEvent};
 pub use job::{warmup_quorum, JobTrace};
 pub use mitigation::{
-    ActionRecord, BarrierView, JobPhase, MitigationAction, MitigationPolicy, ScoredPrediction,
-    TaskScore,
+    ActionRecord, BarrierView, MitigationAction, MitigationPolicy, ScoredPrediction, TaskScore,
 };
 pub use predictor::{OnlinePredictor, StreamContext};
 pub use task::{TaskId, TaskRecord};

@@ -23,25 +23,6 @@
 
 use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
 
-/// Where a job currently sits in its serving lifecycle. Produced by the
-/// serving engine (`nurd-serve` re-exports it and documents the state
-/// machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobPhase {
-    /// Admitted (its `JobStart` was drained) but no checkpoint activity
-    /// has been applied yet.
-    Admitted,
-    /// Events are flowing but the warmup quorum has not yet held at a
-    /// barrier — the predictor exists but has never been invoked.
-    Warming,
-    /// The warmup quorum held; the predictor is scored at each barrier
-    /// inside the prediction window.
-    Scoring,
-    /// The job's stream ended; its report is (or was) available and its
-    /// state has been dropped.
-    Finalized,
-}
-
 /// What a mitigation policy decided to do about one running task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MitigationAction {

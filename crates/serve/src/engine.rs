@@ -977,19 +977,22 @@ impl EngineCore {
     }
 
     /// Reads a recovered WAL segment, applies its events in record order
-    /// (each under its job's shard lock) and fsyncs it: it may sit in the
-    /// page cache only, and the new generation must not reach the disk
-    /// first. One generation's segments may replay concurrently (a job's
-    /// events sit in one of them). Must run before drain workers start.
+    /// (each stretch of records that route to one shard as one batch,
+    /// under that shard's lock) and fsyncs it: it may sit in the page
+    /// cache only, and the new generation must not reach the disk first.
+    /// One generation's segments may replay concurrently (a job's events
+    /// sit in one of them). Must run before drain workers start.
     pub(crate) fn replay_segment(&self, path: &Path) -> Result<(usize, WalTail), RecoverError> {
         let persist = self.persist.as_ref().expect("replay on a persistent core");
         let (events, tail) = read_wal_segment(&*persist.disk, path)?;
         let replayed = events.len();
-        for event in events {
-            let idx = self.shard_of(event.job());
+        let mut events = events.into_iter().peekable();
+        while let Some(first) = events.peek() {
+            let idx = self.shard_of(first.job());
             let cell = &self.cells[idx];
+            let stretch = std::iter::from_fn(|| events.next_if(|e| self.shard_of(e.job()) == idx));
             self.lock_shard(idx).apply_batch(
-                std::iter::once(event),
+                stretch,
                 &self.factory,
                 self.mitigator.get(),
                 self.observer(),

@@ -60,7 +60,10 @@
 //! lives in exactly one shard, chosen by hashing the job id. Per-shard
 //! ingress channels are FIFO, and a drain pops and applies under that
 //! shard's lock, so per-shard application order **is** channel order no
-//! matter which worker (or how many workers) does the draining.
+//! matter which worker (or how many workers) does the draining. A batch
+//! is applied as runs of one job (consecutive events of one job, each
+//! run's state looked up once), in FIFO order, under the shard lock: how
+//! a stream is cut into batches changes no state.
 //! Admission and finalization ride *in* the stream as ordinary events,
 //! and no state is shared between jobs. Parallelism — shard count,
 //! drain-worker count,

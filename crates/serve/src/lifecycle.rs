@@ -18,10 +18,24 @@
 //! than every job ever seen. `docs/OPERATIONS.md` walks the state
 //! machine from an operator's perspective.
 
-// `JobPhase` (see the state machine above) is defined in `nurd-data`;
-// it is re-exported here, where it has always lived, and returned by
-// `EngineService::job_phase`.
-pub use nurd_data::JobPhase;
+/// Where a job currently sits in its serving lifecycle (the state
+/// machine above), as [`EngineService::job_phase`](crate::EngineService::job_phase)
+/// reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobPhase {
+    /// Admitted (its `JobStart` was drained) but no checkpoint activity
+    /// has been applied yet.
+    Admitted,
+    /// Events are flowing but the warmup quorum has not yet held at a
+    /// barrier — the predictor exists but has never been invoked.
+    Warming,
+    /// The warmup quorum held; the predictor is scored at each barrier
+    /// inside the prediction window.
+    Scoring,
+    /// The job's stream ended; its report is (or was) available and its
+    /// state has been dropped.
+    Finalized,
+}
 
 /// Why a job was finalized. Deterministic for a given event stream — it
 /// depends only on the job's own event prefix, never on shard count or

@@ -910,6 +910,14 @@ impl Shard {
     /// FIFO from the shard's ingress channel while holding this shard's
     /// lock, so batch order **is** stream order).
     ///
+    /// The batch is walked as *runs*: a run is a maximal stretch of
+    /// consecutive events of one job, so its job's state and its
+    /// `events_seen` entry are looked up once, not per event, and its
+    /// events are applied one by one in FIFO order. `JobStart` and
+    /// `JobEnd` are runs of one. A run ends where its job finalizes (a
+    /// barrier that completes the stream, a predictor panic); the job's
+    /// later events in the batch then count as stale, one by one.
+    ///
     /// * `JobStart` admits an unseen job through `factory` (a restart of a
     ///   *live* job resets it to a fresh predictor; a restart of a
     ///   finalized job id is stale — ids are fleet-unique). It is refused
@@ -928,9 +936,12 @@ impl Shard {
         observer: Option<&dyn HealthObserver>,
         stats: &ShardStats,
     ) {
-        for event in events {
+        let mut events = events.into_iter().peekable();
+        while let Some(event) = events.next() {
             stats.add(Counter::EventsProcessed, 1);
-            *self.events_seen.entry(event.job()).or_insert(0) += 1;
+            let job_id = event.job();
+            let seen = self.events_seen.entry(job_id).or_insert(0);
+            *seen += 1;
             match event {
                 TaskEvent::JobStart { spec } => {
                     if self.finalized_ids.contains(&spec.job) {
@@ -967,47 +978,53 @@ impl Shard {
                         stats.add(Counter::OrphanEvents, 1);
                     }
                 }
-                event => {
-                    let job_id = event.job();
-                    let at_barrier = matches!(event, TaskEvent::Barrier { .. });
-                    match self.jobs.get_mut(&job_id) {
-                        Some(job) => {
-                            let warmup_fraction = self.warmup_fraction;
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                job.apply(event, warmup_fraction, observer, stats)
-                            })) {
-                                Err(_) => {
-                                    // Predictor panic: quarantine *this*
-                                    // job; every other job on the shard —
-                                    // and the drain worker — lives on.
-                                    stats.add(Counter::PoisonedJobs, 1);
-                                    self.finalize(
-                                        job_id,
-                                        FinalizeReason::Poisoned,
-                                        observer,
-                                        stats,
-                                    );
-                                }
-                                Ok(false) => stats.add(Counter::RejectedEvents, 1),
-                                Ok(true) => {
-                                    if at_barrier && job.stream_complete() {
-                                        // Only a *closed barrier* may trigger
-                                        // all-tasks-finished finalization — see
-                                        // `JobState::stream_complete`.
-                                        self.finalize(
-                                            job_id,
-                                            FinalizeReason::StreamComplete,
-                                            observer,
-                                            stats,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        None if self.finalized_ids.contains(&job_id) => {
+                mut event => {
+                    let Some(job) = self.jobs.get_mut(&job_id) else {
+                        if self.finalized_ids.contains(&job_id) {
                             stats.add(Counter::StaleEvents, 1);
+                        } else {
+                            stats.add(Counter::OrphanEvents, 1);
                         }
-                        None => stats.add(Counter::OrphanEvents, 1),
+                        continue;
+                    };
+                    let warmup_fraction = self.warmup_fraction;
+                    let ended = loop {
+                        let at_barrier = matches!(event, TaskEvent::Barrier { .. });
+                        match catch_unwind(AssertUnwindSafe(|| {
+                            job.apply(event, warmup_fraction, observer, stats)
+                        })) {
+                            // Predictor panic: quarantine *this* job; every
+                            // other job on the shard — and the drain worker —
+                            // lives on.
+                            Err(_) => {
+                                stats.add(Counter::PoisonedJobs, 1);
+                                break Some(FinalizeReason::Poisoned);
+                            }
+                            Ok(false) => stats.add(Counter::RejectedEvents, 1),
+                            // Only a *closed barrier* may trigger
+                            // all-tasks-finished finalization — see
+                            // `JobState::stream_complete`.
+                            Ok(true) if at_barrier && job.stream_complete() => {
+                                break Some(FinalizeReason::StreamComplete);
+                            }
+                            Ok(true) => {}
+                        }
+                        // The run goes on while the next event is its job's
+                        // and not a lifecycle event (each a run of one).
+                        let next = events.next_if(|e| {
+                            e.job() == job_id
+                                && !matches!(
+                                    e,
+                                    TaskEvent::JobStart { .. } | TaskEvent::JobEnd { .. }
+                                )
+                        });
+                        let Some(next) = next else { break None };
+                        stats.add(Counter::EventsProcessed, 1);
+                        *seen += 1;
+                        event = next;
+                    };
+                    if let Some(reason) = ended {
+                        self.finalize(job_id, reason, observer, stats);
                     }
                 }
             }
@@ -1113,7 +1130,11 @@ mod tests {
     /// warm-up quorum holds from checkpoint 1 and the slowest tasks
     /// outlive the threshold.
     fn steps(task_count: usize) -> Vec<Vec<TaskEvent>> {
-        let job = spec(task_count).job;
+        job_steps(spec(task_count).job, task_count)
+    }
+
+    /// [`steps`] for job `job`.
+    fn job_steps(job: u64, task_count: usize) -> Vec<Vec<TaskEvent>> {
         let latency = |task: usize| 15.0 + 45.0 * task as f64 / task_count as f64;
         let mut steps = vec![(0..task_count)
             .map(|task| TaskEvent::Submitted { job, task })
@@ -1670,6 +1691,203 @@ mod tests {
                 round_trip_every_step(40, flag_all),
                 [Admitted, Warming, Scoring]
             );
+        }
+    }
+
+    /// Panics at its first scored barrier: a predictor bug mid-run.
+    struct PanicsAtFirstPredict;
+    impl OnlinePredictor for PanicsAtFirstPredict {
+        fn name(&self) -> &str {
+            "PANICS"
+        }
+        fn predict(&mut self, _: &Checkpoint<'_>) -> Vec<usize> {
+            panic!("predictor bug")
+        }
+        fn snapshot_state(&self) -> Option<Vec<u8>> {
+            Some(Vec::new())
+        }
+    }
+
+    /// A splitmix64 step: the chunking tests' only source of randomness.
+    fn next(rng: &mut u64) -> u64 {
+        *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One stream per job, each holding what ends or breaks a run: job 1
+    /// ends with a `JobEnd` while live, after three of its six
+    /// checkpoints, and then sends one more event (stale); job 2
+    /// declares three checkpoints and sends six, so the barrier that
+    /// completes it is followed by its own events (stale); job 3's
+    /// predictor panics at its first scored barrier (see
+    /// [`breaker_factory`]); job 4 restarts while live; job 99 never
+    /// starts (orphans). Every barrier may be followed by its duplicate or
+    /// by an out-of-order one, every `Progress` by one of the wrong width
+    /// or a `Submitted` for an unknown task (all rejected).
+    fn breaker_streams(rng: &mut u64) -> Vec<Vec<TaskEvent>> {
+        let mut streams = Vec::new();
+        for job in [1, 2, 3, 4, 99] {
+            let task_count = 2 + (next(rng) % 5) as usize;
+            let spec = JobSpec {
+                job,
+                checkpoints: if job == 2 { 3 } else { CHECKPOINTS },
+                ..spec(task_count)
+            };
+            let steps = job_steps(job, task_count);
+            let mut stream = Vec::new();
+            if job != 99 {
+                stream.push(TaskEvent::JobStart { spec: spec.clone() });
+            }
+            if job == 4 {
+                stream.extend(steps[..3].concat());
+                stream.push(TaskEvent::JobStart { spec });
+            }
+            let sent = if job == 1 { &steps[..3] } else { &steps[..] };
+            for event in sent.concat() {
+                let roll = next(rng) % 8;
+                let noise = match &event {
+                    TaskEvent::Barrier { ordinal, time, .. } if roll < 2 => {
+                        let ordinal = ordinal + if roll == 0 { 0 } else { 2 };
+                        Some(TaskEvent::Barrier {
+                            job,
+                            ordinal,
+                            time: *time,
+                        })
+                    }
+                    TaskEvent::Progress {
+                        task,
+                        ordinal,
+                        time,
+                        ..
+                    } if roll == 0 => Some(TaskEvent::Progress {
+                        job,
+                        task: *task,
+                        ordinal: *ordinal,
+                        time: *time,
+                        features: vec![0.0],
+                    }),
+                    TaskEvent::Progress { .. } if roll == 1 => {
+                        Some(TaskEvent::Submitted { job, task: 1000 })
+                    }
+                    _ => None,
+                };
+                stream.push(event);
+                stream.extend(noise);
+            }
+            if job != 99 {
+                stream.push(TaskEvent::JobEnd { job, time: 70.0 });
+            }
+            if job == 1 {
+                stream.push(TaskEvent::Submitted { job, task: 0 });
+            }
+            streams.push(stream);
+        }
+        streams
+    }
+
+    /// [`FlagAll`] for every job but job 3, whose predictor panics.
+    fn breaker_factory() -> PredictorFactory {
+        Box::new(|spec: &JobSpec| -> Box<dyn OnlinePredictor + Send> {
+            if spec.job == 3 {
+                Box::new(PanicsAtFirstPredict)
+            } else {
+                Box::new(FlagAll)
+            }
+        })
+    }
+
+    /// What one shard shows after applying `batches` in order: its
+    /// per-job events seen, every counter, each job's phase, the bytes it
+    /// captures into a snapshot, and its reports at the end.
+    type Applied = (
+        BTreeMap<u64, u64>,
+        Vec<usize>,
+        Vec<Option<JobPhase>>,
+        Vec<u8>,
+        Vec<JobReport>,
+    );
+
+    fn applied_in(batches: impl IntoIterator<Item = Vec<TaskEvent>>) -> Applied {
+        let factory = breaker_factory();
+        let stats = ShardStats::default();
+        let mut shard = Shard::new(WARMUP);
+        for batch in batches {
+            shard.apply_batch(batch, &factory, None, None, &stats);
+        }
+        let counters = (0..Counter::COUNT).map(|i| stats.0[i].load(Ordering::Relaxed));
+        let counters = counters.collect();
+        let phases = [1, 2, 3, 4, 99].map(|job| shard.phase_of(job)).to_vec();
+        let mut data = SnapshotData::default();
+        shard.capture_into(&mut data, &stats);
+        let mut enc = Encoder::new();
+        data.counters.iter().for_each(|&value| enc.put_u64(value));
+        data.events_seen.encode(&mut enc);
+        data.finalized_ids.encode(&mut enc);
+        data.finalized.encode(&mut enc);
+        data.jobs.iter().for_each(|job| enc.put_bytes(job));
+        let reports = shard.finish_reports(None, &stats);
+        (
+            shard.events_seen,
+            counters,
+            phases,
+            enc.into_bytes(),
+            reports,
+        )
+    }
+
+    /// Applies `events` as one batch, one event per call and in chunks of
+    /// 1–24 drawn from `rng`, and holds the three shards to each other.
+    fn assert_chunking_is_invisible(events: &[TaskEvent], rng: &mut u64) {
+        let whole = applied_in([events.to_vec()]);
+        let single = applied_in(events.iter().map(|e| vec![e.clone()]));
+        let mut chunks = Vec::new();
+        let mut rest = events;
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(rest.len().min(1 + (next(rng) % 24) as usize));
+            chunks.push(chunk.to_vec());
+            rest = tail;
+        }
+        let chunked = applied_in(chunks);
+        assert_eq!(whole, single, "one batch vs one event per call");
+        assert_eq!(whole, chunked, "one batch vs random chunks");
+    }
+
+    #[test]
+    fn every_run_breaker_mid_batch_applies_as_event_by_event() {
+        // Streams back to back: each job's events are one long run, so
+        // every breaker is followed by its own job's events in the batch.
+        let mut rng = 11;
+        let events = breaker_streams(&mut rng).concat();
+        let whole = applied_in([events.clone()]);
+        let counter = |c: Counter| whole.1[c as usize];
+        assert_eq!(counter(Counter::PoisonedJobs), 1);
+        assert!(counter(Counter::StaleEvents) > 2, "job 2's tail is stale");
+        assert!(counter(Counter::OrphanEvents) > 0);
+        assert!(counter(Counter::RejectedEvents) > 0);
+        assert_eq!(whole.0.values().sum::<u64>(), events.len() as u64);
+        assert_chunking_is_invisible(&events, &mut rng);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn prop_any_chunking_of_interleaved_jobs_applies_identically(seed in 0u64..u64::MAX) {
+            let mut rng = seed;
+            let mut streams: Vec<std::collections::VecDeque<TaskEvent>> =
+                breaker_streams(&mut rng).into_iter().map(Into::into).collect();
+            // Interleave the jobs in runs of 1–8 events, each job's order kept.
+            let mut events = Vec::new();
+            while let Some(live) = streams.iter().filter(|s| !s.is_empty()).count().checked_sub(1) {
+                let pick = (next(&mut rng) % (live as u64 + 1)) as usize;
+                let stream = streams.iter_mut().filter(|s| !s.is_empty()).nth(pick).unwrap();
+                let run = 1 + (next(&mut rng) % 8) as usize;
+                events.extend(stream.drain(..run.min(stream.len())));
+            }
+            assert_chunking_is_invisible(&events, &mut rng);
         }
     }
 }

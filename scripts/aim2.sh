@@ -215,8 +215,20 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # match already covered; `data` -13 with the determinism contract's
 # exception, `mitigate` -1). The count now also stops at an inner
 # `#![cfg(test)]`, so a test file that opens with one counts as test code.
-MAX_WORKSPACE_LINES=20272
-MAX_PRODUCT_LINES=8509
+#
+# A batch applied as runs of one job raised both line limits by exactly
+# its net, +17 (20,272 -> 20,289) and +37 (8,509 -> 8,546), for
+# `ingest_floor` `events_per_s`: `shard.rs` +17 (the run loop -- one
+# `jobs` and one `events_seen` lookup per run, a run that ends at its
+# job's finalization or before a lifecycle event -- +9, and its docs in
+# `apply_batch` +8), `engine.rs` +3 (WAL replay applies each stretch of
+# records routed to one shard as one batch), `lib.rs` +3 (the run walk in
+# the determinism docs). `JobPhase` moved from `data` (-20: the enum and
+# its export) into `lifecycle.rs` (+14: the enum in place of the
+# four-line re-export), so the move alone adds 14 lines to ml + core +
+# serve and takes 6 off the workspace.
+MAX_WORKSPACE_LINES=20289
+MAX_PRODUCT_LINES=8546
 MAX_UNSAFE_SITES=1
 MAX_CONFIG_FIELDS=29
 
