@@ -7,10 +7,9 @@
 //! replays a predictor factory over a suite on a
 //! [`nurd_runtime::ThreadPool`].
 //!
-//! Criterion microbenchmarks live under `benches/` (ML primitives, the
-//! `warm_vs_cold` refit A/B, the scoring kernel, the closed loops and the
-//! codec frames); the recorded baselines and the regeneration workflow for
-//! `BENCH_ml.json` are documented in this crate's `README.md`.
+//! Two criterion microbenchmarks live under `benches/` (the ML
+//! primitives and the scoring kernel); this crate's `README.md` documents
+//! them.
 
 #![forbid(unsafe_code)]
 

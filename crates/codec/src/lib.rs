@@ -751,6 +751,22 @@ mod tests {
         ));
     }
 
+    /// A frame reads back whole at the two sizes the serving engine
+    /// frames: a WAL record (a `Progress` event of a 17-feature job) and
+    /// a live job's snapshot frame (a late-life warm predictor blob).
+    #[test]
+    fn frames_read_back_at_a_wal_record_and_a_snapshot_frame_size() {
+        for len in [167usize, 56_000] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + i / 7) as u8).collect();
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &payload).expect("Vec never fails a write");
+            assert_eq!(
+                read_frame(&mut &framed[..]).expect("frame just written"),
+                Some(payload.clone())
+            );
+        }
+    }
+
     #[test]
     fn frames_round_trip_and_detect_torn_and_corrupt_tails() {
         let mut file = Vec::new();

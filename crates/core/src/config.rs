@@ -76,8 +76,8 @@ pub struct WarmRefitConfig {
     pub drift_tolerance: f64,
 }
 
-/// Defaults tuned on 200-task Google-style replays (see the
-/// `warm_vs_cold` bench group): 24 warm rounds keep out-of-sample latency
+/// Defaults tuned on 200-task Google-style replays (the ablation grid of
+/// `tests/warm_refit.rs`): 24 warm rounds keep out-of-sample latency
 /// MSE within ±1% of a cold refit while cutting per-checkpoint refit time
 /// well over 2×; the 0.12 KS tolerance lets the early-job distribution
 /// shift (short tasks finish first) trigger a couple of full rebins and

@@ -7,10 +7,10 @@
 //!    exactly;
 //! 2. warm-started refits stay within a small accuracy tolerance of cold
 //!    refits on drifting data, across whole replays;
-//! 3. the `warm_rounds × drift_tolerance` ablation grid (the sweep the
-//!    `warm_vs_cold` bench runs informally) is pinned cell-by-cell to its
-//!    accuracy envelope, so a regression in the drift fallback, score
-//!    cache, or warm boosting path surfaces as one cell drifting.
+//! 3. the `warm_rounds × drift_tolerance` ablation grid is pinned
+//!    cell-by-cell to its accuracy envelope, so a regression in the drift
+//!    fallback, score cache, or warm boosting path surfaces as one cell
+//!    drifting.
 
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig, WarmRefitState};
 use nurd_data::{Checkpoint, JobTrace, OnlinePredictor, StreamContext};

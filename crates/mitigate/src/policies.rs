@@ -136,8 +136,8 @@ impl MitigationPolicy for TopKPolicy {
 /// spike. The dead band splits the difference — spikes above `hi` still
 /// get instant clones, hoverers get caught after `patience` barriers of
 /// sustained evidence, and noise below `lo` is ignored — which is why a
-/// calibrated band beats the best single threshold in the
-/// `mitigation_sweep` pricing table at comparable waste.
+/// calibrated band can beat the best single threshold at comparable
+/// waste.
 #[derive(Debug, Clone)]
 struct BandedClonePolicy {
     hi: f64,

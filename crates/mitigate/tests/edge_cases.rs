@@ -19,8 +19,7 @@ use nurd_data::{
 };
 use nurd_mitigate::{oracle_mitigator, run_fleet, threshold_mitigator, FleetConfig};
 use nurd_serve::{
-    EngineConfig, EngineService, FsyncPolicy, JobReport, MitigatorFactory, PersistenceConfig,
-    ServiceConfig,
+    EngineConfig, EngineService, JobReport, MitigatorFactory, PersistenceConfig, ServiceConfig,
 };
 use nurd_sim::{execute_actions, MitigationSimConfig};
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -216,7 +215,7 @@ fn recovered_service_decides_exactly_like_a_never_crashed_one() {
     // *with* the mitigator and push the rest.
     let dir = scratch_dir("recover");
     let persistence = PersistenceConfig {
-        fsync: FsyncPolicy::Always,
+        max_unsynced_events: 0,
         ..PersistenceConfig::new(&dir)
     };
     let service = EngineService::start_persistent(

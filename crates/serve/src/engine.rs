@@ -429,8 +429,8 @@ impl EngineCore {
         self.failure.get().map(String::as_str)
     }
 
-    /// Runs `f` — a whole drain or flush thread, or one drain on a
-    /// waiting caller — so that it cannot unwind: a panic fails the
+    /// Runs `f` — a whole drain thread, or one drain on a waiting
+    /// caller — so that it cannot unwind: a panic fails the
     /// service, its payload kept for `close` to re-raise when that was
     /// the first failure, and `f` yields `R::default()`.
     pub(crate) fn guarded<R: Default>(&self, f: impl FnOnce() -> R) -> R {
@@ -502,7 +502,7 @@ impl EngineCore {
         let mut core = EngineCore::new(config, factory);
         for (idx, cell) in core.cells.iter().enumerate() {
             let path = wal_path(&persistence.dir, generation, idx);
-            let writer = WalWriter::create(&*disk, &path, persistence.fsync)?;
+            let writer = WalWriter::create(&*disk, &path, persistence.max_unsynced_events)?;
             cell.state
                 .lock()
                 .expect("fresh shard lock")

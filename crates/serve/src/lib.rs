@@ -46,8 +46,10 @@
 //! state bit-for-bit equal to a never-crashed run (`tests/recovery.rs`
 //! proves it across torn WAL tails, bit flips and chained crashes; unit
 //! tests on a simulated disk kill, power off or fail every numbered
-//! file-system call of a run). [`PersistenceConfig`] holds the durability
-//! knobs ([`FsyncPolicy`]), and every corrupt artifact surfaces as a typed
+//! file-system call of a run). [`PersistenceConfig`] bounds in events
+//! what a power loss can cost a shard
+//! ([`PersistenceConfig::max_unsynced_events`]; nothing fsyncs on a
+//! timer), and every corrupt artifact surfaces as a typed
 //! [`RecoverError`] — never a panic, never a silent partial load.
 //!
 //! `docs/OPERATIONS.md` at the repository root is the operator's guide
@@ -134,6 +136,6 @@ pub use engine::{
 };
 pub use lifecycle::{FinalizeReason, JobPhase, OverloadCounters, OverloadPolicy};
 pub use observer::HealthObserver;
-pub use persist::{FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport};
+pub use persist::{PersistenceConfig, RecoverError, RecoverReport};
 pub use service::{EngineService, ServiceConfig};
 pub use snapshot::{read_snapshot, SnapshotStats};

@@ -1,7 +1,8 @@
-//! Persistence vocabulary for the crash-safe engine: durability tuning,
-//! typed recovery errors, and the on-disk directory layout shared by the
-//! snapshot ([`crate::snapshot`]) and write-ahead log ([`crate::wal`])
-//! machinery. Every file-system call goes through [`crate::disk::Disk`].
+//! Persistence vocabulary for the crash-safe engine: the durability
+//! bound, typed recovery errors, and the on-disk directory layout shared
+//! by the snapshot ([`crate::snapshot`]) and write-ahead log
+//! ([`crate::wal`]) machinery. Every file-system call goes through
+//! [`crate::disk::Disk`].
 //!
 //! On-disk layout (one directory per engine):
 //!
@@ -17,34 +18,20 @@
 //! the newest *valid* `snap-G.bin`, then replay every `wal-G'-S.log`
 //! with `G' ≥ G` in ascending generation order. `docs/OPERATIONS.md`
 //! has the operator runbook.
+//!
+//! Durability is stated in events, not time: a shard fsyncs its segment
+//! on the drain path once more than
+//! [`PersistenceConfig::max_unsynced_events`] appended events lack one,
+//! so a power loss costs each shard at most that many applied events.
+//! Nothing fsyncs on a timer: an idle service keeps up to the bound
+//! unsynced until the next checkpoint or `close`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use nurd_codec::{CodecError, FrameError};
 
 use crate::disk::Disk;
-
-/// When WAL appends reach the disk (the durability/throughput dial; see
-/// the crash-recovery runbook in `docs/OPERATIONS.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// Flush + fsync after every drained batch. Maximum durability: an
-    /// accepted-and-drained event survives any crash. Pays one fsync per
-    /// batch on the drain path.
-    Always,
-    /// A background flush worker fsyncs every
-    /// [`PersistenceConfig::flush_interval`] (and at shutdown). A crash
-    /// loses at most the last interval's tail — the default trade.
-    #[default]
-    OnIdle,
-    /// Flush + fsync only at snapshots,
-    /// [`EngineService::close`](crate::EngineService::close), and the
-    /// `Drop` guard. A hard kill can lose everything since the last
-    /// snapshot.
-    Never,
-}
 
 /// Where and how the engine persists (see the module docs for the
 /// directory layout). Passed to
@@ -54,28 +41,31 @@ pub enum FsyncPolicy {
 pub struct PersistenceConfig {
     /// Directory holding snapshots and WAL segments (created if absent).
     pub dir: PathBuf,
-    /// Durability of WAL appends.
-    pub fsync: FsyncPolicy,
     /// Snapshot generations kept on disk (clamped to ≥ 2 so recovery can
     /// always fall back past a corrupted newest snapshot; WAL segments
     /// older than the oldest retained snapshot are pruned with it).
     pub retain_generations: usize,
-    /// Cadence of the background flush worker under
-    /// [`FsyncPolicy::OnIdle`] — the bound on how much a hard kill can
-    /// lose.
-    pub flush_interval: Duration,
+    /// The most WAL events a shard may have applied without an fsync
+    /// behind them — what a power loss can cost, per shard. A drain
+    /// appends its batch and, when the events appended since the last
+    /// fsync then exceed this bound, fsyncs the segment before applying
+    /// the batch. `0` fsyncs every batch; `usize::MAX` only
+    /// at a checkpoint's segment roll,
+    /// [`EngineService::close`](crate::EngineService::close) and the
+    /// `Drop` guard. An idle service keeps up to the bound unsynced until
+    /// the next checkpoint or `close`.
+    pub max_unsynced_events: usize,
 }
 
 impl PersistenceConfig {
-    /// Defaults rooted at `dir`: [`FsyncPolicy::OnIdle`] with a 2 ms
-    /// flush cadence, two retained snapshot generations.
+    /// Defaults rooted at `dir`: at most 1024 unsynced events a shard,
+    /// two retained snapshot generations.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         PersistenceConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::default(),
             retain_generations: 2,
-            flush_interval: Duration::from_millis(2),
+            max_unsynced_events: 1024,
         }
     }
 }

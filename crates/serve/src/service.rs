@@ -16,7 +16,6 @@
 //!                                      scan shards, try_lock, pop a
 //!                                      batch, apply; park on the
 //!                                      engine's Notifier when idle
-//!                                    (+ nurd-serve-flush under OnIdle)
 //!                                          │
 //!  take_finalized(&self) ◄───────── finalized JobReports
 //!  close(self) ─► close ingress, drain to quiescence, join, finalize
@@ -33,14 +32,13 @@
 use std::panic::resume_unwind;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use nurd_runtime::ThreadPool;
 
 use crate::disk::{Disk, RealDisk};
 use crate::engine::{relock, EngineCore, EngineHandle, EngineReport, DRAIN_BATCH};
 use crate::persist::{
-    snapshot_path, wal_path, DirScan, FsyncPolicy, PersistenceConfig, RecoverError, RecoverReport,
+    snapshot_path, wal_path, DirScan, PersistenceConfig, RecoverError, RecoverReport,
 };
 use crate::shard::Counter;
 use crate::snapshot::read_snapshot_data;
@@ -79,7 +77,7 @@ impl ServiceConfig {
 
 /// Where an [`EngineService`] is in its life; `close` and `Drop` move it on.
 enum Lifecycle {
-    /// The drain threads (and the `OnIdle` flusher) run.
+    /// The drain threads run.
     Serving(Vec<JoinHandle<()>>),
     /// The threads are joined without a report: the service failed (every
     /// `close` raises it), or is being dropped.
@@ -88,18 +86,14 @@ enum Lifecycle {
     Closed(EngineReport),
 }
 
-/// Spawns service thread `name` running `run` whole under
+/// Spawns drain thread `worker` running [`drain_worker`] whole under
 /// [`EngineCore::guarded`], so a panic fails the service instead of
 /// unwinding the thread.
-fn spawn(
-    core: &Arc<EngineCore>,
-    name: String,
-    run: impl FnOnce(&EngineCore) + Send + 'static,
-) -> JoinHandle<()> {
+fn spawn_drain(core: &Arc<EngineCore>, worker: usize) -> JoinHandle<()> {
     let core = Arc::clone(core);
     std::thread::Builder::new()
-        .name(name)
-        .spawn(move || core.guarded(|| run(&core)))
+        .name(format!("nurd-serve-drain-{worker}"))
+        .spawn(move || core.guarded(|| drain_worker(&core, worker)))
         .expect("spawning a drain service thread")
 }
 
@@ -144,22 +138,6 @@ fn drain_worker(core: &EngineCore, worker: usize) {
             return;
         }
         core.notifier().park(epoch);
-    }
-}
-
-/// The background WAL flusher ([`FsyncPolicy::OnIdle`]): fsyncs every
-/// shard's segment each `interval`, bounding what a hard kill can lose
-/// to one interval's tail. A plain timed sleep, *not* a notifier park —
-/// the notifier's epoch churns on every push and drain, so parking on it
-/// with a timeout would busy-spin exactly when the engine is busiest.
-/// Exits on failure and once the ingress is drained; `close` and the
-/// drop guard flush after the join. A failed flush fails the service, as
-/// a failed append does: serving on would promise durability the disk
-/// did not give.
-fn flush_worker(core: &EngineCore, interval: Duration) {
-    while core.failure().is_none() && !core.is_drained() {
-        std::thread::sleep(interval);
-        let _ = core.flush_wals();
     }
 }
 
@@ -458,21 +436,9 @@ impl EngineService {
     }
 
     fn launch(core: Arc<EngineCore>, service: &ServiceConfig) -> Self {
-        let flush_every = core.persist().and_then(|p| {
-            (p.config.fsync == FsyncPolicy::OnIdle).then_some(p.config.flush_interval)
-        });
-        let drain = |i| {
-            spawn(&core, format!("nurd-serve-drain-{i}"), move |c| {
-                drain_worker(c, i)
-            })
-        };
-        let mut threads: Vec<_> = (0..service.workers(core.shard_count()))
-            .map(drain)
+        let threads = (0..service.workers(core.shard_count()))
+            .map(|worker| spawn_drain(&core, worker))
             .collect();
-        if let Some(interval) = flush_every {
-            let flush = move |c: &EngineCore| flush_worker(c, interval);
-            threads.push(spawn(&core, "nurd-serve-flush".into(), flush));
-        }
         let handle = EngineHandle::new(Arc::clone(&core));
         EngineService {
             core,
@@ -680,7 +646,6 @@ mod tests {
 
     use std::collections::BTreeMap;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::time::Instant;
 
     use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
     use nurd_sim::{replay_job, ReplayConfig, ReplayOutcome};
@@ -693,6 +658,11 @@ mod tests {
     const QUANTILE: f64 = 0.9;
     const WARMUP: f64 = 0.04;
     const DIR: &str = "/sim/engine";
+    /// The finite bound [`every_step`] runs at besides 0 and `usize::MAX`:
+    /// at every shard count tested, some shard's share of a part of
+    /// [`short_run`] (drained as one batch) passes it and fsyncs on the
+    /// drain path, and some other share (7 to 18 events) stays unsynced.
+    const BOUND: usize = 18;
 
     /// A one-word predictor whose verdicts hang on every checkpoint it
     /// has seen: it flags a running task when its id plus a running sum
@@ -775,17 +745,17 @@ mod tests {
         ServiceConfig { drain_workers: 1 }
     }
 
-    fn persistence(fsync: FsyncPolicy) -> PersistenceConfig {
-        let mut persistence = PersistenceConfig::new(DIR);
-        persistence.fsync = fsync;
-        persistence.flush_interval = Duration::from_millis(1);
-        persistence
+    fn persistence(max_unsynced_events: usize) -> PersistenceConfig {
+        PersistenceConfig {
+            max_unsynced_events,
+            ..PersistenceConfig::new(DIR)
+        }
     }
 
     fn start(
         disk: &SimDisk,
         shards: usize,
-        fsync: FsyncPolicy,
+        max_unsynced: usize,
         queue_capacity: Option<usize>,
     ) -> std::io::Result<EngineService> {
         let config = engine_config(shards, queue_capacity);
@@ -794,7 +764,7 @@ mod tests {
             disk,
             config,
             &service_config(),
-            persistence(fsync),
+            persistence(max_unsynced),
             factory(),
         )
     }
@@ -802,12 +772,12 @@ mod tests {
     fn recover(
         disk: &SimDisk,
         shards: usize,
-        fsync: FsyncPolicy,
+        max_unsynced: usize,
     ) -> (EngineService, RecoverReport) {
         let config = engine_config(shards, Some(4));
         let disk = Arc::new(disk.clone());
         let (core, scan) =
-            EngineCore::new_persistent(config, factory(), persistence(fsync), disk).unwrap();
+            EngineCore::new_persistent(config, factory(), persistence(max_unsynced), disk).unwrap();
         let recovered = EngineService::restore(core, &scan, &service_config());
         recovered.unwrap_or_else(|e| panic!("recover failed: {e}"))
     }
@@ -862,10 +832,10 @@ mod tests {
     fn short_run(
         disk: &SimDisk,
         shards: usize,
-        fsync: FsyncPolicy,
+        max_unsynced: usize,
         stream: &[TaskEvent],
     ) -> Option<String> {
-        let service = match start(disk, shards, fsync, None) {
+        let service = match start(disk, shards, max_unsynced, None) {
             Ok(service) => service,
             Err(e) => return Some(e.to_string()),
         };
@@ -902,7 +872,7 @@ mod tests {
     /// counts, and holds every job's outcome to the sequential replay.
     /// Returns how many events the recovered state already held.
     fn finish_on(disk: &SimDisk, shards: usize, fleet: &Fleet, context: &str) -> u64 {
-        let (service, receipt) = recover(disk, shards, FsyncPolicy::Never);
+        let (service, receipt) = recover(disk, shards, usize::MAX);
         assert!(
             feed(&service, &fleet.stream, &receipt.events_seen),
             "{context}"
@@ -919,14 +889,17 @@ mod tests {
         receipt.events_seen.values().sum()
     }
 
-    /// For every step `k` of [`short_run`]: a kill at `k` (the page cache
-    /// survives), a power loss at `k`, and a failure of `k`, each
-    /// recovered to the uninterrupted outcome. Under `Always` a power
-    /// loss at `k` also keeps every event the engine applied before `k`.
-    fn every_step(shards: usize, fsync: FsyncPolicy) {
+    /// For every step `k` of [`short_run`] at bound `max_unsynced`: a
+    /// kill at `k` (the page cache survives), a power loss at `k`, and a
+    /// failure of `k`, each recovered to the uninterrupted outcome. A
+    /// power loss at `k` also keeps all but at most `max_unsynced` of
+    /// each shard's events applied before `k` — and, under any bound
+    /// above 0, loses some at some step, so the bound is not a silent
+    /// fsync of every batch.
+    fn every_step(shards: usize, max_unsynced: usize) {
         let fleet = fleet(2, 10, 3 + shards as u64);
         let trace = SimDisk::default();
-        assert_eq!(short_run(&trace, shards, fsync, &fleet.stream), None);
+        assert_eq!(short_run(&trace, shards, max_unsynced, &fleet.stream), None);
         let steps = trace.steps();
         for op in [
             Op::CreateDir,
@@ -943,12 +916,14 @@ mod tests {
                 "the run never reached {op:?}"
             );
         }
+        let slack = (shards as u64).saturating_mul(max_unsynced as u64);
+        let mut lost_some = false;
         for (k, step) in steps.iter().enumerate() {
-            let context = format!("{shards} shards, {fsync:?}, step {k} {step:?}");
+            let context = format!("{shards} shards, bound {max_unsynced}, step {k} {step:?}");
 
             let disk = SimDisk::planned(Fault::Kill, None, k);
             assert_eq!(
-                short_run(&disk, shards, fsync, &fleet.stream),
+                short_run(&disk, shards, max_unsynced, &fleet.stream),
                 None,
                 "{context}"
             );
@@ -964,12 +939,13 @@ mod tests {
             );
             let applied = disk.probed().unwrap_or(0) as u64;
             assert!(
-                fsync != FsyncPolicy::Always || kept >= applied,
+                kept.saturating_add(slack) >= applied,
                 "power loss at {context}: {applied} events applied, {kept} recovered"
             );
+            lost_some |= applied > kept;
 
             let disk = SimDisk::planned(Fault::Fail, None, k);
-            let surfaced = short_run(&disk, shards, fsync, &fleet.stream);
+            let surfaced = short_run(&disk, shards, max_unsynced, &fleet.stream);
             let surfaced =
                 surfaced.unwrap_or_else(|| panic!("{context}: the failure was swallowed"));
             assert!(
@@ -979,40 +955,54 @@ mod tests {
             disk.restart();
             finish_on(&disk, shards, &fleet, &format!("failure at {context}"));
         }
+        assert_eq!(
+            lost_some,
+            max_unsynced > 0,
+            "{shards} shards, bound {max_unsynced}: no power loss lost an applied event"
+        );
     }
 
     #[test]
     fn every_step_of_a_never_synced_run_crashes_and_fails_cleanly() {
         for shards in [1, 2, 8] {
-            every_step(shards, FsyncPolicy::Never);
+            every_step(shards, usize::MAX);
         }
     }
 
     #[test]
     fn every_step_of_an_always_synced_run_crashes_and_fails_cleanly() {
         for shards in [1, 2, 8] {
-            every_step(shards, FsyncPolicy::Always);
+            every_step(shards, 0);
         }
     }
 
-    /// Engine A runs under `Never` and is killed at its `Drop` guard's
-    /// first fsync, so its WAL tail sits in the page cache only. B
-    /// recovers that tail, serves a new generation under `Always`, and
-    /// loses power. C must still equal the uninterrupted run — which
-    /// holds only because B fsynced the segment it replayed before
+    /// At [`BOUND`]: count-triggered fsyncs strike mid-run, and unsynced
+    /// tails remain beside them.
+    #[test]
+    fn every_step_of_a_bounded_run_crashes_and_fails_cleanly() {
+        for shards in [1, 2, 8] {
+            every_step(shards, BOUND);
+        }
+    }
+
+    /// Engine A never fsyncs on its drain path and is killed at its
+    /// `Drop` guard's first fsync, so its WAL tail sits in the page cache
+    /// only. B recovers that tail, serves a new generation fsyncing every
+    /// batch, and loses power. C must still equal the uninterrupted run —
+    /// which holds only because B fsynced the segment it replayed before
     /// logging anything after it.
     #[test]
     fn recover_fsyncs_the_page_cache_tail_it_replayed() {
         let fleet = fleet(3, 30, 11);
         let n = fleet.stream.len();
         let disk = SimDisk::planned(Fault::Kill, Some(Op::SyncData), 0);
-        let a = start(&disk, 1, FsyncPolicy::Never, Some(4)).unwrap();
+        let a = start(&disk, 1, usize::MAX, Some(4)).unwrap();
         assert!(feed(&a, &fleet.stream[..n / 2], &BTreeMap::new()));
         a.quiesce();
         drop(a);
         disk.restart();
 
-        let (b, receipt) = recover(&disk, 1, FsyncPolicy::Always);
+        let (b, receipt) = recover(&disk, 1, 0);
         assert!(receipt.wal_events_replayed > 0, "A left no page-cache tail");
         assert!(feed(&b, &fleet.stream[..n * 3 / 4], &receipt.events_seen));
         b.quiesce();
@@ -1023,37 +1013,33 @@ mod tests {
         finish_on(&disk, 1, &fleet, "power loss after a page-cache recovery");
     }
 
-    /// Under `OnIdle` the background flusher's second fsync fails: the
-    /// service must stop as it does for a failed append — a producer
-    /// blocked on the full queue gets its push rejected, and `close()`
-    /// raises the error.
+    /// A count-triggered fsync fails: the drain that appended the batch
+    /// panics before applying it, and the service stops as for any failed
+    /// append — a producer blocked on the full queue gets its push
+    /// rejected, and `close()` raises the drain's message.
     #[test]
-    fn a_failed_background_fsync_fails_the_service() {
-        let disk = SimDisk::planned(Fault::Fail, Some(Op::SyncData), 1);
-        let service = start(&disk, 2, FsyncPolicy::OnIdle, Some(4)).unwrap();
+    fn a_failed_bounded_fsync_fails_the_service() {
+        let disk = SimDisk::planned(Fault::Fail, Some(Op::SyncData), 0);
+        let service = start(&disk, 2, 4, Some(4)).unwrap();
         let handle = service.handle();
         let rejected = std::thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(20);
-            (0..).any(|ordinal| {
-                let event = TaskEvent::Progress {
+            (0..100_000).any(|ordinal| {
+                !handle.push(TaskEvent::Progress {
                     job: 1,
                     task: 0,
                     ordinal,
                     time: 1.0,
                     features: vec![0.5],
-                };
-                !handle.push(event) || Instant::now() > deadline
+                })
             })
         });
-        rejected.join().unwrap();
-        assert!(
-            !service.push(TaskEvent::JobEnd { job: 1, time: 2.0 }),
-            "the failed fsync was swallowed"
-        );
+        assert!(rejected.join().unwrap(), "the failed fsync was swallowed");
+        assert!(!service.push(TaskEvent::JobEnd { job: 1, time: 2.0 }));
         let raised =
             panic_message(|| drop(service.close())).expect("close() must raise the failure");
         assert!(
-            raised.contains("drain service died: WAL fsync failed"),
+            raised.contains("WAL append failed on shard")
+                && raised.contains("simulated failure of SyncData"),
             "{raised}"
         );
     }

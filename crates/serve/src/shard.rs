@@ -1543,9 +1543,8 @@ mod tests {
     /// A shard whose WAL segment lives on a simulated disk: durable.
     fn durable_shard() -> Shard {
         let disk = crate::disk::sim::SimDisk::default();
-        let policy = crate::persist::FsyncPolicy::Never;
         let mut shard = Shard::new(WARMUP);
-        shard.install_wal(WalWriter::create(&disk, Path::new("wal-0-0.log"), policy).unwrap());
+        shard.install_wal(WalWriter::create(&disk, Path::new("wal-0-0.log"), usize::MAX).unwrap());
         shard
     }
 

@@ -17,15 +17,16 @@ use nurd_codec::{read_frame, write_frame, Checkpointable, Decoder, Encoder, Fram
 use nurd_data::TaskEvent;
 
 use crate::disk::{Disk, DiskFile};
-use crate::persist::{FsyncPolicy, RecoverError};
+use crate::persist::RecoverError;
 
 /// One shard's live WAL segment. Owned by the [`Shard`](crate::shard::Shard)
 /// it logs for and therefore only ever touched under that shard's lock.
 pub(crate) struct WalWriter {
     out: BufWriter<Box<dyn DiskFile>>,
-    policy: FsyncPolicy,
-    /// Buffered bytes not yet fsynced (skips no-op sync calls).
-    dirty: bool,
+    /// [`PersistenceConfig::max_unsynced_events`](crate::PersistenceConfig::max_unsynced_events).
+    max_unsynced: usize,
+    /// Events appended since the last fsync.
+    unsynced: usize,
     /// The record being appended: one buffer serves every event.
     enc: Encoder,
 }
@@ -34,27 +35,28 @@ impl WalWriter {
     pub(crate) fn create(
         disk: &dyn Disk,
         path: &Path,
-        policy: FsyncPolicy,
+        max_unsynced: usize,
     ) -> std::io::Result<Self> {
         Ok(WalWriter {
             out: BufWriter::new(disk.create(path)?),
-            policy,
-            dirty: false,
+            max_unsynced,
+            unsynced: 0,
             enc: Encoder::new(),
         })
     }
 
-    /// Appends a drained batch, one record per event. Under
-    /// [`FsyncPolicy::Always`] the batch is flushed and fsynced once
-    /// before this returns.
+    /// Appends a drained batch, one record per event, and flushes and
+    /// fsyncs the segment once before this returns if that leaves more
+    /// than `max_unsynced` events without an fsync — so the batch is
+    /// applied with at most that many of the shard's events unsynced.
     pub(crate) fn append_batch(&mut self, events: &[TaskEvent]) -> std::io::Result<()> {
         for event in events {
             self.enc.clear();
             event.encode(&mut self.enc);
             write_frame(&mut self.out, self.enc.as_slice())?;
-            self.dirty = true;
         }
-        if self.policy == FsyncPolicy::Always {
+        self.unsynced += events.len();
+        if self.unsynced > self.max_unsynced {
             self.flush_and_sync()?;
         }
         Ok(())
@@ -62,27 +64,25 @@ impl WalWriter {
 
     /// Pushes buffered records to the OS and fsyncs the segment.
     pub(crate) fn flush_and_sync(&mut self) -> std::io::Result<()> {
-        if !self.dirty {
+        if self.unsynced == 0 {
             return Ok(());
         }
         self.out.flush()?;
         self.out.get_mut().sync_data()?;
-        self.dirty = false;
+        self.unsynced = 0;
         Ok(())
     }
 
     /// Seals this segment (flush + fsync) and starts a fresh one at
     /// `path` — the WAL half of snapshot rotation, called under the
     /// shard lock so no append can slip between the old and new files.
-    /// Under [`FsyncPolicy::Always`] a directory fsync makes the new name
-    /// durable before the segment takes an append (else the snapshot's).
+    /// A directory fsync makes the new name durable before the segment
+    /// takes an append: a power loss must not drop a segment whose
+    /// events the bound counts as kept.
     pub(crate) fn rotate(&mut self, disk: &dyn Disk, path: &Path) -> std::io::Result<()> {
         self.flush_and_sync()?;
         self.out = BufWriter::new(disk.create(path)?);
-        if self.policy == FsyncPolicy::Always {
-            disk.sync_dir(path.parent().expect("a segment path names its directory"))?;
-        }
-        Ok(())
+        disk.sync_dir(path.parent().expect("a segment path names its directory"))
     }
 }
 
@@ -137,18 +137,16 @@ mod tests {
         }
     }
 
-    /// Appends `events` to a fresh segment on `disk` under `policy`, then
-    /// drops the writer without a flush — a kill: what its buffer held
-    /// is gone, what reached the disk stays.
-    fn append_all(disk: &SimDisk, policy: FsyncPolicy, events: &[TaskEvent]) -> &'static Path {
+    /// Appends `events` one a batch to a fresh segment on `disk` at bound
+    /// `max_unsynced`, fsyncs what is left unsynced, then drops the
+    /// writer after a kill: what reached the disk stays.
+    fn append_all(disk: &SimDisk, max_unsynced: usize, events: &[TaskEvent]) -> &'static Path {
         let path = Path::new("/wal/wal-0-0.log");
-        let mut wal = WalWriter::create(disk, path, policy).unwrap();
+        let mut wal = WalWriter::create(disk, path, max_unsynced).unwrap();
         for e in events {
             wal.append_batch(std::slice::from_ref(e)).unwrap();
         }
-        if policy != FsyncPolicy::Always {
-            wal.flush_and_sync().unwrap();
-        }
+        wal.flush_and_sync().unwrap();
         disk.kill();
         drop(wal);
         path
@@ -158,7 +156,7 @@ mod tests {
     fn segment_round_trips_and_reports_a_clean_tail() {
         let disk = SimDisk::default();
         let written: Vec<TaskEvent> = (0..5).map(|i| event(7, i)).collect();
-        let path = append_all(&disk, FsyncPolicy::Never, &written);
+        let path = append_all(&disk, usize::MAX, &written);
         let (read, tail) = read_wal_segment(&disk, path).unwrap();
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(read, written);
@@ -189,18 +187,17 @@ mod tests {
             })
             .collect();
         let disk = SimDisk::default();
-        let path = append_all(&disk, FsyncPolicy::Never, &events);
+        let path = append_all(&disk, usize::MAX, &events);
         assert_eq!(disk.files()[path], framed(&events));
     }
 
     #[test]
     fn injected_crash_keeps_exactly_the_budgeted_prefix() {
-        // Under `Always` each one-record batch is one write and one
-        // fsync: a kill at the fourth fsync leaves four whole records
-        // behind.
+        // At bound 0 each one-record batch is one write and one fsync: a
+        // kill at the fourth fsync leaves four whole records behind.
         let disk = SimDisk::planned(Fault::Kill, Some(Op::SyncData), 3);
         let events: Vec<TaskEvent> = (0..10).map(|i| event(7, i)).collect();
-        let path = append_all(&disk, FsyncPolicy::Always, &events);
+        let path = append_all(&disk, 0, &events);
         let (read, tail) = read_wal_segment(&disk, path).unwrap();
         assert_eq!(tail, WalTail::Clean);
         assert_eq!(read, events[..4]);
@@ -210,22 +207,48 @@ mod tests {
     fn an_always_batch_is_one_fsync() {
         let disk = SimDisk::default();
         let path = Path::new("/wal/wal-0-0.log");
-        let mut wal = WalWriter::create(&disk, path, FsyncPolicy::Always).unwrap();
+        let mut wal = WalWriter::create(&disk, path, 0).unwrap();
         let events: Vec<TaskEvent> = (0..10).map(|i| event(7, i)).collect();
         wal.append_batch(&events).unwrap();
-        let syncs = disk.steps().iter().filter(|s| s.op == Op::SyncData).count();
-        assert_eq!(syncs, 1);
+        assert_eq!(syncs(&disk), 1);
         assert_eq!(disk.files()[path], framed(&events));
     }
 
+    /// How many segment fsyncs `disk` has seen.
+    fn syncs(disk: &SimDisk) -> usize {
+        disk.steps().iter().filter(|s| s.op == Op::SyncData).count()
+    }
+
     #[test]
-    fn an_always_rotation_survives_a_power_cut_before_any_other_dir_fsync() {
+    fn a_bounded_segment_fsyncs_only_past_its_bound() {
+        let disk = SimDisk::default();
+        let path = Path::new("/wal/wal-0-0.log");
+        let mut wal = WalWriter::create(&disk, path, 4).unwrap();
+        disk.sync_dir(Path::new("/wal")).unwrap();
+        let events: Vec<TaskEvent> = (0..5).map(|i| event(7, i)).collect();
+        // After each batch: the fsyncs so far, and the records a power
+        // loss then keeps. Four unsynced events are within the bound of
+        // 4; the fifth passes it.
+        let mut seen = Vec::new();
+        for batch in [&events[..3], &events[3..4], &events[4..]] {
+            wal.append_batch(batch).unwrap();
+            let unplugged = disk.fork();
+            unplugged.lose_power();
+            let (kept, _) = read_wal_segment(&unplugged, path).unwrap();
+            seen.push((syncs(&disk), kept.len()));
+        }
+        assert_eq!(seen, [(0, 0), (0, 0), (1, 5)]);
+    }
+
+    #[test]
+    fn a_rotation_survives_a_power_cut_before_any_other_dir_fsync() {
         let disk = SimDisk::default();
         let (first, second) = (Path::new("/wal/wal-0-0.log"), Path::new("/wal/wal-1-0.log"));
-        let mut wal = WalWriter::create(&disk, first, FsyncPolicy::Always).unwrap();
+        let mut wal = WalWriter::create(&disk, first, usize::MAX).unwrap();
         wal.rotate(&disk, second).unwrap();
         let events: Vec<TaskEvent> = (0..3).map(|i| event(7, i)).collect();
         wal.append_batch(&events).unwrap();
+        wal.flush_and_sync().unwrap();
         disk.lose_power();
         let (read, tail) = read_wal_segment(&disk, second).unwrap();
         assert_eq!((read, tail), (events, WalTail::Clean));
@@ -236,7 +259,7 @@ mod tests {
         // A kill inside the third record's write lands half of it.
         let disk = SimDisk::planned(Fault::Kill, Some(Op::Write), 2);
         let events: Vec<TaskEvent> = (0..10).map(|i| event(7, i)).collect();
-        let path = append_all(&disk, FsyncPolicy::Always, &events);
+        let path = append_all(&disk, 0, &events);
         let (read, tail) = read_wal_segment(&disk, path).unwrap();
         assert_eq!(tail, WalTail::Torn);
         assert_eq!(read, events[..2]);

@@ -2,7 +2,7 @@
 //!
 //! A crash here is what a process leaves behind: a persistent 3-producer
 //! service serves a random prefix of its streams, settles, and is dropped
-//! without `close()`. The tail a crash under `OnIdle`/`Never` can lose is
+//! without `close()`. The tail a crash can lose past the last fsync is
 //! then cut off the crashed engine's live WAL generation — at a record
 //! boundary, or inside a record (a torn write). The centerpiece property
 //! recovers from the directory (sometimes past a corrupted newest
@@ -14,7 +14,8 @@
 //! twice, before or after the first run's checkpoint: `recover` writes no
 //! snapshot, so the second recovery must read the chain the first one
 //! left (a torn segment mid-chain, a checkpoint's prune between the
-//! crashes, a corrupted newest snapshot), under `OnIdle` and `Never`.
+//! crashes, a corrupted newest snapshot), with WALs fsynced every 16
+//! events or only at rolls and shutdown.
 //! A recovery may also change the shard count (2 → 8, 8 → 3): every
 //! replayed segment then routes into other shards, several at once.
 //!
@@ -42,9 +43,8 @@ use nurd_data::{
     OnlinePredictor, TaskEvent,
 };
 use nurd_serve::{
-    read_snapshot, BalanceConfig, EngineConfig, EngineService, EngineStats, FsyncPolicy,
-    MitigatorFactory, OverloadPolicy, PersistenceConfig, PredictorFactory, RecoverError,
-    ServiceConfig,
+    read_snapshot, BalanceConfig, EngineConfig, EngineService, EngineStats, MitigatorFactory,
+    OverloadPolicy, PersistenceConfig, PredictorFactory, RecoverError, ServiceConfig,
 };
 use nurd_sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -199,8 +199,8 @@ fn event_count(streams: &[Vec<TaskEvent>]) -> u64 {
 /// Cuts every segment of the newest WAL generation in `dir` — the live
 /// one of the engine that just crashed — to its first `keep` share of
 /// records; with `torn`, the first half of the next record stays too.
-/// That is what a crash under `OnIdle`/`Never` can leave: the tail past
-/// the last fsync gone, perhaps mid-record. Returns how many records the
+/// That is what a crash under a nonzero `max_unsynced_events` can leave:
+/// the tail past the last fsync gone, perhaps mid-record. Returns how many records the
 /// cut removed (a torn one included).
 fn cut_live_wal(dir: &Path, keep: f64, torn: bool) -> u64 {
     let segments: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
@@ -425,8 +425,8 @@ struct Chain {
     checkpoint_between: bool,
     /// The newest snapshot is bit-flipped before the second recovery.
     corrupt: bool,
-    /// How both crashed engines sync their WALs.
-    fsync: FsyncPolicy,
+    /// How many unsynced events both crashed engines allow a shard.
+    max_unsynced_events: usize,
 }
 
 /// Crash, recover, resume, crash again, recover again, finish: the
@@ -444,10 +444,9 @@ fn crash_twice_and_finish(
 ) {
     let context = format!("{chain:?}");
     let dir = scratch_dir("chain");
-    let persistence = || {
-        let mut persistence = PersistenceConfig::new(&dir);
-        persistence.fsync = chain.fsync;
-        persistence
+    let persistence = || PersistenceConfig {
+        max_unsynced_events: chain.max_unsynced_events,
+        ..PersistenceConfig::new(&dir)
     };
 
     // The first run: a share of every stream, with a checkpoint at the
@@ -554,7 +553,8 @@ proptest! {
     /// runs all sixteen shapes at shards {1, 2, 8}: torn or clean cuts
     /// (torn, the first one ends up mid-chain), a checkpoint between the
     /// crashes or none, a bit-flipped newest snapshot at the second
-    /// recovery or none, and WALs synced `OnIdle` or `Never`. Checkpoint
+    /// recovery or none, and WALs fsynced past 16 unsynced events or only
+    /// at rolls and shutdown. Checkpoint
     /// plus corruption is the shape that once lost data: the prune behind
     /// the checkpoint must leave every WAL generation the fallback replays.
     #[test]
@@ -577,11 +577,7 @@ proptest! {
                     torn: shape & 1 != 0,
                     checkpoint_between: shape & 2 != 0,
                     corrupt: shape & 4 != 0,
-                    fsync: if shape & 8 != 0 {
-                        FsyncPolicy::Never
-                    } else {
-                        FsyncPolicy::OnIdle
-                    },
+                    max_unsynced_events: if shape & 8 != 0 { usize::MAX } else { 16 },
                 };
                 crash_twice_and_finish(chain, &streams, &expected, &policy);
             }
@@ -671,7 +667,7 @@ fn concurrent_checkpoints_take_distinct_generations() {
     let expected = sequential_outcomes(&jobs, &policy);
     let dir = scratch_dir("concurrent");
     let mut persistence = PersistenceConfig::new(&dir);
-    persistence.fsync = FsyncPolicy::Always;
+    persistence.max_unsynced_events = 0;
     let service = EngineService::start_persistent(
         engine_config(2),
         service_config(),
@@ -747,7 +743,7 @@ fn snapshot_holding_a_just_admitted_job_recovers_every_job() {
 
     let dir = scratch_dir("admitted");
     let mut persistence = PersistenceConfig::new(&dir);
-    persistence.fsync = FsyncPolicy::Always;
+    persistence.max_unsynced_events = 0;
     let doomed = EngineService::start_persistent(
         engine_config(2),
         service_config(),
@@ -805,7 +801,7 @@ fn a_non_nurd_predictor_recovers_through_its_empty_blob() {
     for crash_at in [0.0, 0.25, 0.75] {
         let dir = scratch_dir("empty-blob");
         let mut persistence = PersistenceConfig::new(&dir);
-        persistence.fsync = FsyncPolicy::Always;
+        persistence.max_unsynced_events = 0;
         let doomed = EngineService::start_persistent(
             engine_config(2),
             service_config(),
@@ -927,7 +923,7 @@ fn a_snapshot_holding_a_history_record_falls_back_to_the_one_before() {
     let jobs = suite(13, 2);
     let dir = scratch_dir("history-record");
     let mut persistence = PersistenceConfig::new(&dir);
-    persistence.fsync = FsyncPolicy::Always;
+    persistence.max_unsynced_events = 0;
     persistence.retain_generations = 4;
     let doomed = EngineService::start_persistent(
         engine_config(2),
@@ -1005,7 +1001,7 @@ fn corrupt_artifacts_are_rejected_typed_and_recovery_falls_back() {
     let jobs = suite(3, 2);
     let dir = scratch_dir("corrupt");
     let mut persistence = PersistenceConfig::new(&dir);
-    persistence.fsync = FsyncPolicy::Always;
+    persistence.max_unsynced_events = 0;
     persistence.retain_generations = 4;
     let service = EngineService::start_persistent(
         engine_config(2),
@@ -1167,7 +1163,7 @@ fn drop_guard_flushes_wal_buffers() {
     let mut persistence = PersistenceConfig::new(&dir);
     // Never fsync on the drain path: everything accepted sits in user-
     // space WAL buffers, so durability here is the Drop guard's doing.
-    persistence.fsync = FsyncPolicy::Never;
+    persistence.max_unsynced_events = usize::MAX;
     let service = EngineService::start_persistent(
         engine_config(2),
         service_config(),

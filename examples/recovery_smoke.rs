@@ -1,7 +1,7 @@
 //! Crash-recovery smoke test **as an end-to-end gate**: a persistent
 //! service streams ~40% of a fleet from 3 producer threads and is dropped
 //! without `close()`; its live WAL generation is then cut mid-record —
-//! the torn tail a crash under `OnIdle` can leave — and a fresh service
+//! the torn tail a crash past the last fsync can leave — and a fresh service
 //! recovers from the directory. The recovered service resumes part of
 //! the fleet and crashes too (its own tail cut at a record boundary); a
 //! third service recovers from what the first recovery left — no snapshot

@@ -20,9 +20,7 @@ use nurd::health::{HealthAggregator, HealthConfig, NodeVerdict};
 use nurd::mitigate::{
     run_fleet, run_node_fleet, threshold_mitigator, FleetConfig, NodeFleetConfig,
 };
-use nurd::serve::{
-    EngineConfig, EngineService, FsyncPolicy, HealthObserver, PersistenceConfig, ServiceConfig,
-};
+use nurd::serve::{EngineConfig, EngineService, HealthObserver, PersistenceConfig, ServiceConfig};
 use nurd::sim::MitigationSimConfig;
 use nurd::trace::{NodeModel, NodeModelConfig, SuiteConfig, TraceStyle};
 
@@ -265,7 +263,7 @@ fn recovered_aggregator_decides_like_never_crashed() {
     let dir = std::env::temp_dir().join(format!("nurd-health-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut persistence = PersistenceConfig::new(&dir);
-    persistence.fsync = FsyncPolicy::Never;
+    persistence.max_unsynced_events = usize::MAX;
     let split = events.len() * 2 / 3;
     {
         let service = EngineService::start_persistent(
@@ -342,7 +340,7 @@ fn recovery_is_thread_count_invariant() {
     let _ = std::fs::remove_dir_all(&root);
     let crashed = root.join("crashed");
     let mut persistence = PersistenceConfig::new(&crashed);
-    persistence.fsync = FsyncPolicy::Never;
+    persistence.max_unsynced_events = usize::MAX;
     let split = events.len() * 2 / 3;
     {
         let service = EngineService::start_persistent(
