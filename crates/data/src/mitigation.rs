@@ -74,7 +74,9 @@ pub struct ActionRecord {
     pub job: u64,
     /// Barrier ordinal (checkpoint index) at which the decision was made.
     pub ordinal: usize,
-    /// The barrier's wall-clock time — when the action takes effect.
+    /// The barrier's time — when the action takes effect. Every task of a
+    /// trace starts at 0, so this is also the task's elapsed time, which is
+    /// how the simulator places the action on a bounded machine pool.
     pub time: f64,
     /// The targeted task id.
     pub task: usize,

@@ -1,4 +1,5 @@
-//! Trace-replay simulator and schedulers for the NURD reproduction.
+//! Trace-replay simulator and mitigation executor for the NURD
+//! reproduction.
 //!
 //! This crate implements the paper's evaluation machinery:
 //!
@@ -8,13 +9,14 @@
 //!   is never evaluated again) and scores the result;
 //! * [`Confusion`] / [`MethodSummary`] — TPR/FPR/FNR/F1 accounting,
 //!   macro-averaged over jobs as in Table 3;
-//! * [`simulate_jct`] — the straggler-mitigation schedulers of §5
-//!   (Algorithm 2 for unlimited machines, Algorithm 3 for a bounded pool)
-//!   with relaunch durations resampled from the job's empirical latencies,
-//!   yielding the job-completion-time reductions of Figures 4–9;
-//! * [`execute_actions`] — deterministic execution of a serving engine's
-//!   committed [`nurd_data::ActionRecord`] log (clone races, quarantine
-//!   relaunches, wasted-work ledger), closing the predict→mitigate loop.
+//! * [`execute_actions`] — deterministic execution of an
+//!   [`nurd_data::ActionRecord`] log on a list-scheduled machine pool
+//!   (clone races, quarantine relaunches, wasted-work ledger). It closes
+//!   the serving engine's predict→mitigate loop, and, fed a replay's flags
+//!   as relaunches ([`ReplayOutcome::relaunches`]), runs the
+//!   straggler-mitigation schedulers of §5 (Algorithm 2 on unlimited
+//!   machines, Algorithm 3 on a bounded pool) behind the job-completion-time
+//!   reductions of Figures 4–9.
 //!
 //! # Example
 //!
@@ -41,7 +43,6 @@
 mod metrics;
 mod mitigation;
 mod replay;
-mod scheduler;
 
 pub use metrics::{Confusion, MethodSummary};
 pub use mitigation::{
@@ -49,4 +50,3 @@ pub use mitigation::{
     MitigationSummary, TaskCompletion,
 };
 pub use replay::{outcome_from_flags, replay_job, ReplayConfig, ReplayOutcome};
-pub use scheduler::{simulate_jct, JctOutcome, SchedulerConfig};

@@ -10,16 +10,36 @@
 //! completion time versus the unmitigated baseline, and catch-rate
 //! accounting.
 //!
+//! Fed a replay's flags as relaunches
+//! ([`crate::ReplayOutcome::relaunches`]), the same executor runs the
+//! paper's §7.3 experiments behind Figures 4–9.
+//!
+//! # Machine pool
+//!
+//! One list scheduler places every run on
+//! [`MitigationSimConfig::machines`] machines. Initial runs start in
+//! task-id order on the first free machine. An action's `time` is the
+//! task's own elapsed time, so a copy (clone or relaunch) is ready at its
+//! original's start plus that time, and a ready copy takes the first free
+//! machine ahead of any initial run not yet started. A quarantine frees
+//! its original's machine when the copy is ready. A clone and its
+//! original both stop at the race's finish, which frees both machines; a
+//! clone that gets no machine before its original finishes never runs.
+//!
 //! # Determinism
 //!
-//! Relaunch/clone durations are sampled the same way the rescue scheduler
-//! samples them — uniformly from the latencies already *observed finished*
-//! at the action's barrier time — but indexed by a [SplitMix64] hash of
-//! `(seed, job, task)` instead of a sequential RNG, so the result is
-//! independent of action-log ordering and of how many other jobs the fleet
-//! ran. Same seed + same log ⇒ bit-identical outcome.
+//! Relaunch/clone durations are sampled uniformly from the latencies
+//! already *observed finished* at the copy's ready time (§7.3 samples a
+//! relaunch from the existing execution times), indexed by a [SplitMix64]
+//! hash of `(seed, job, task)` instead of a sequential RNG, so the result
+//! is independent of action-log ordering, of dispatch order and of how
+//! many other jobs the fleet ran. Same seed + same log ⇒ bit-identical
+//! outcome.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use nurd_data::{ActionRecord, JobTrace, MitigationAction};
 
@@ -39,6 +59,11 @@ pub struct MitigationSimConfig {
     /// bit-identical to the pre-node-model simulator; jobs without
     /// placement always use the fleet-wide pool.
     pub node_resample: bool,
+    /// Size of the machine pool (the module docs give the schedule).
+    /// `None` (the default) is one machine per task and per copy, the
+    /// paper's Algorithm 2; `Some(k)` is Algorithm 3 on `k` machines, and
+    /// equals `None` bit for bit once `k` covers every task and copy.
+    pub machines: Option<usize>,
 }
 
 impl Default for MitigationSimConfig {
@@ -46,6 +71,7 @@ impl Default for MitigationSimConfig {
         MitigationSimConfig {
             seed: 0x4d17_16a7,
             node_resample: false,
+            machines: None,
         }
     }
 }
@@ -99,7 +125,7 @@ impl MitigationOutcome {
     /// JCT improvement over the unmitigated baseline, in percent
     /// (positive = mitigation helped).
     #[must_use]
-    fn jct_reduction_percent(&self) -> f64 {
+    pub fn jct_reduction_percent(&self) -> f64 {
         if self.jct_baseline > 0.0 {
             (self.jct_baseline - self.jct_mitigated) / self.jct_baseline * 100.0
         } else {
@@ -173,10 +199,10 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Samples a replacement-copy duration for `task` actioned at time `now`:
-/// uniform over the latencies already observed finished (the scheduler's
-/// relaunch idiom), indexed by hash so the draw is independent of action
-/// ordering. Falls back to the fastest task when nothing has finished yet.
+/// Samples a replacement-copy duration for `task` whose copy is ready at
+/// time `now`: uniform over the latencies already observed finished,
+/// indexed by hash so the draw is independent of action and dispatch
+/// order. Falls back to the fastest task when nothing has finished yet.
 fn sample_copy_duration(
     sorted_latencies: &[f64],
     now: f64,
@@ -194,14 +220,17 @@ fn sample_copy_duration(
 }
 
 /// Executes a job's committed action log against its ground-truth
-/// latencies. See the module docs for the cost model; `threshold` is the
-/// job's `τ_stra`, used only for catch-rate accounting. Multiple actions
-/// on one task keep the first and void the rest, matching the engine's
-/// one-action-per-task dedup.
+/// latencies. See the module docs for the cost model and the schedule;
+/// `threshold` is the job's `τ_stra`, used only for catch-rate accounting.
+/// An action is void unless its task exists, has not been actioned, and
+/// is still running at the action's elapsed time, so multiple actions on
+/// one task keep the first and void the rest, matching the engine's
+/// one-action-per-task dedup. The baseline is the same schedule with an
+/// empty log.
 ///
 /// # Panics
 ///
-/// Panics if the job has no tasks.
+/// Panics if the job has no tasks, or if `config.machines` is `Some(0)`.
 #[must_use]
 pub fn execute_actions(
     job: &JobTrace,
@@ -211,6 +240,7 @@ pub fn execute_actions(
 ) -> MitigationOutcome {
     let latencies = job.latencies();
     assert!(!latencies.is_empty(), "job must have at least one task");
+    assert!(config.machines != Some(0), "machine pool must be non-empty");
     let mut sorted = latencies.clone();
     sorted.sort_by(f64::total_cmp);
 
@@ -247,104 +277,199 @@ pub fn execute_actions(
             .map_or(&sorted[..], Vec::as_slice)
     };
 
-    let mut completions: Vec<TaskCompletion> = latencies
-        .iter()
-        .enumerate()
-        .map(|(task, &time)| TaskCompletion {
-            task,
-            time,
-            via_mitigation: false,
-        })
-        .collect();
-    // Machine time per task in the mitigated run; starts as "original runs
-    // to its natural latency" and is adjusted as actions execute.
-    let mut work: Vec<f64> = latencies.clone();
-    let mut wasted_work = 0.0;
-    let mut actioned = vec![false; latencies.len()];
-    let mut caught = vec![false; latencies.len()];
-    let (mut clones_issued, mut clones_won, mut clones_wasted) = (0usize, 0usize, 0usize);
-    let (mut quarantines, mut void_actions) = (0usize, 0usize);
-
+    // Each task's one effective action, the actioned tasks in log order
+    // and the relaunches among them; every other record is a no-op at
+    // zero cost.
+    let n = latencies.len();
+    let mut effective: Vec<Option<ActionRecord>> = vec![None; n];
+    let (mut order, mut quarantines) = (Vec::new(), 0);
     for record in actions {
         let t = record.task;
-        let now = record.time;
-        if t >= latencies.len() || actioned[t] || latencies[t] <= now {
-            // Out of range, already actioned, or the original finished
-            // before the copy could start: a no-op at zero cost.
-            void_actions += 1;
-            continue;
+        if t < n
+            && effective[t].is_none()
+            && (0.0..latencies[t]).contains(&record.time)
+            && record.action != MitigationAction::Ignore
+        {
+            effective[t] = Some(*record);
+            order.push(t);
+            quarantines += usize::from(record.action == MitigationAction::Quarantine);
         }
-        let original = latencies[t];
-        match record.action {
-            MitigationAction::Ignore => {
-                void_actions += 1;
-                continue;
+    }
+    let draw = |r: &ActionRecord, now: f64| {
+        sample_copy_duration(pool_for(r.task), now, config.seed, r.job, r.task)
+    };
+    // Unlimited machines are one per task and per copy.
+    let machines = |copies| config.machines.unwrap_or(n + copies);
+    let runs = schedule(&latencies, &effective, machines(order.len()), draw);
+    let baseline = schedule(&latencies, &vec![None; n], machines(0), draw);
+    let jct = |runs: &[Run]| {
+        runs.iter()
+            .map(|r| r.completion.time)
+            .fold(f64::MIN, f64::max)
+    };
+    // Every relaunch completes through its copy, a clone only if it won.
+    let clones_won = runs.iter().filter(|r| r.completion.via_mitigation).count() - quarantines;
+    MitigationOutcome {
+        job: job.job_id(),
+        jct_baseline: jct(&baseline),
+        jct_mitigated: jct(&runs),
+        // Summed in log order, not dispatch order: the sum's last bits are
+        // part of the outcome.
+        wasted_work: order.iter().fold(0.0, |sum, &t| sum + runs[t].wasted),
+        total_work: runs.iter().map(|r| r.work).sum(),
+        completions: runs.iter().map(|r| r.completion).collect(),
+        clones_issued: order.len() - quarantines,
+        clones_won,
+        clones_wasted: order.len() - quarantines - clones_won,
+        quarantines,
+        void_actions: actions.len() - order.len(),
+        true_stragglers: latencies.iter().filter(|&&l| l >= threshold).count(),
+        caught_stragglers: order.iter().filter(|&&t| latencies[t] >= threshold).count(),
+    }
+}
+
+/// One task's part of a schedule: its completion, the machine time its
+/// runs used, and the part of that time charged to the wasted-work ledger.
+struct Run {
+    completion: TaskCompletion,
+    work: f64,
+    wasted: f64,
+}
+
+/// Identical machines keyed by the time each one frees up. Times are
+/// never negative, so their bits order as they do.
+struct Pool {
+    /// `(free at, machine, stamp)`, earliest first, lowest machine on ties.
+    free: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    /// Each machine's latest stamp; an entry with an older one was
+    /// superseded by a later release of the machine.
+    stamps: Vec<u64>,
+}
+
+impl Pool {
+    /// When the first free machine frees up, and which machine it is.
+    fn first_free(&mut self) -> (f64, usize) {
+        loop {
+            let Reverse((at, machine, stamp)) =
+                *self.free.peek().expect("the machine pool is never empty");
+            if stamp == self.stamps[machine] {
+                return (f64::from_bits(at), machine);
             }
-            MitigationAction::Clone => {
-                actioned[t] = true;
-                clones_issued += 1;
-                let duration = sample_copy_duration(pool_for(t), now, config.seed, record.job, t);
-                let finish = (now + duration).min(original);
-                // Winner and loser both stop at `finish`; the clone's full
-                // runtime is the speculative cost, win or lose.
-                let clone_runtime = finish - now;
-                wasted_work += clone_runtime;
-                work[t] = finish + clone_runtime;
-                if finish < original {
-                    clones_won += 1;
-                } else {
-                    clones_wasted += 1;
-                }
-                completions[t] = TaskCompletion {
-                    task: t,
-                    time: finish,
-                    via_mitigation: finish < original,
-                };
-            }
-            MitigationAction::Quarantine => {
-                actioned[t] = true;
-                quarantines += 1;
-                let duration = sample_copy_duration(pool_for(t), now, config.seed, record.job, t);
-                // The original is killed at `now` — everything it ran is
-                // wasted — and the relaunch restarts the clock.
-                wasted_work += now;
-                work[t] = now + duration;
-                completions[t] = TaskCompletion {
-                    task: t,
-                    time: now + duration,
-                    via_mitigation: true,
-                };
-            }
-        }
-        if original >= threshold {
-            caught[t] = true;
+            self.free.pop();
         }
     }
 
-    let jct_baseline = latencies.iter().copied().fold(f64::MIN, f64::max);
-    let jct_mitigated = completions.iter().map(|c| c.time).fold(f64::MIN, f64::max);
-    let true_stragglers = latencies.iter().filter(|&&l| l >= threshold).count();
-    MitigationOutcome {
-        job: job.job_id(),
-        jct_baseline,
-        jct_mitigated,
-        wasted_work,
-        total_work: work.iter().sum(),
-        completions,
-        clones_issued,
-        clones_won,
-        clones_wasted,
-        quarantines,
-        void_actions,
-        true_stragglers,
-        caught_stragglers: caught.iter().filter(|&&c| c).count(),
+    /// Frees `machine` at `at`, superseding its earlier release.
+    fn release(&mut self, machine: usize, at: f64) {
+        self.stamps[machine] += 1;
+        let stamp = self.stamps[machine];
+        self.free.push(Reverse((at.to_bits(), machine, stamp)));
     }
+}
+
+/// List-schedules a job on `machines` identical machines under the rules
+/// of the module docs. `effective` holds each task's one effective action;
+/// `draw` samples a copy's duration at the time the copy is ready.
+fn schedule(
+    latencies: &[f64],
+    effective: &[Option<ActionRecord>],
+    machines: usize,
+    draw: impl Fn(&ActionRecord, f64) -> f64,
+) -> Vec<Run> {
+    let mut pool = Pool {
+        free: (0..machines).map(|m| Reverse((0, m, 0))).collect(),
+        stamps: vec![0; machines],
+    };
+    // Copies waiting for a machine, as (ready, task).
+    let mut copies: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    // Each original's start and machine.
+    let mut placed = vec![(0.0, 0); latencies.len()];
+    // Initial runs start in task-id order, so `runs.len()` is the next.
+    let mut runs: Vec<Run> = Vec::with_capacity(latencies.len());
+    loop {
+        let (free_at, machine) = pool.first_free();
+        let pending = runs.len() < latencies.len();
+        let next_copy = copies
+            .peek()
+            .map(|&Reverse((ready, task))| (f64::from_bits(ready), task));
+        let copy = match next_copy {
+            Some((ready, _)) if ready <= free_at || !pending => next_copy,
+            _ if pending => None,
+            _ => break,
+        };
+        pool.free.pop();
+        let Some((ready, task)) = copy else {
+            let (task, start) = (runs.len(), free_at);
+            placed[task] = (start, machine);
+            let end = start + latencies[task];
+            let mut busy_until = end;
+            if let Some(record) = effective[task] {
+                let ready = start + record.time;
+                copies.push(Reverse((ready.to_bits(), task)));
+                if record.action == MitigationAction::Quarantine {
+                    busy_until = ready;
+                }
+            }
+            pool.release(machine, busy_until);
+            let completion = TaskCompletion {
+                task,
+                time: end,
+                via_mitigation: false,
+            };
+            runs.push(Run {
+                completion,
+                work: latencies[task],
+                wasted: 0.0,
+            });
+            continue;
+        };
+        copies.pop();
+        let record = effective[task].expect("only an actioned task has a copy");
+        let (start, duration) = (free_at.max(ready), draw(&record, ready));
+        let (original_start, original_machine) = placed[task];
+        let (time, via_mitigation, work, wasted) = match record.action {
+            MitigationAction::Quarantine => {
+                // The original was killed at `ready`: everything it ran is
+                // wasted, and the relaunch restarts the clock.
+                pool.release(machine, start + duration);
+                (start + duration, true, record.time + duration, record.time)
+            }
+            _ => {
+                // Winner and loser both stop at `finish`; the clone's runtime
+                // is the speculative cost, win or lose. A clone that found no
+                // machine before its original finished never ran.
+                let original_end = original_start + latencies[task];
+                let finish = original_end.min(start + duration);
+                let clone_runtime = (finish - start).max(0.0);
+                pool.release(machine, finish.max(start));
+                if finish < original_end {
+                    pool.release(original_machine, finish);
+                }
+                let work = (finish - original_start) + clone_runtime;
+                (finish, finish < original_end, work, clone_runtime)
+            }
+        };
+        let completion = TaskCompletion {
+            task,
+            time,
+            via_mitigation,
+        };
+        runs[task] = Run {
+            completion,
+            work,
+            wasted,
+        };
+    }
+    runs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nurd_data::TaskRecord;
+    use crate::{replay_job, ReplayConfig, ReplayOutcome};
+    use nurd_data::{Checkpoint, OnlinePredictor, StreamContext, TaskRecord};
+    use nurd_trace::{SuiteConfig, TraceStyle};
+    use proptest::prelude::*;
 
     fn job(latencies: &[f64]) -> JobTrace {
         let tasks = latencies
@@ -490,7 +615,7 @@ mod tests {
                 &actions,
                 &MitigationSimConfig {
                     seed,
-                    node_resample: false,
+                    ..MitigationSimConfig::default()
                 },
             );
             assert!(out.jct_mitigated <= out.jct_baseline);
@@ -578,5 +703,239 @@ mod tests {
         assert!(summary.wasted_fraction > 0.0 && summary.wasted_fraction < 1.0);
         assert!((summary.catch_rate - 0.5).abs() < 1e-12);
         assert!(summarize_mitigation(&[]).jobs == 0);
+    }
+
+    /// A 120–150-task Google-style job for the replayed-flag tests.
+    fn replayed_job() -> JobTrace {
+        let cfg = SuiteConfig::new(TraceStyle::Google)
+            .with_jobs(1)
+            .with_task_range(120, 150)
+            .with_checkpoints(15)
+            .with_seed(33);
+        nurd_trace::generate_job(&cfg, 0)
+    }
+
+    struct Oracle {
+        threshold: f64,
+        latencies: Vec<f64>,
+    }
+    impl Oracle {
+        fn new(job: &JobTrace) -> Self {
+            Oracle {
+                threshold: 0.0,
+                latencies: job.latencies(),
+            }
+        }
+    }
+    impl OnlinePredictor for Oracle {
+        fn name(&self) -> &str {
+            "ORACLE"
+        }
+        fn begin_stream(&mut self, ctx: &StreamContext) {
+            self.threshold = ctx.threshold;
+        }
+        fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+            checkpoint
+                .running
+                .iter()
+                .map(|r| r.id)
+                .filter(|&id| self.latencies[id] >= self.threshold)
+                .collect()
+        }
+    }
+
+    struct FlagNothing;
+    impl OnlinePredictor for FlagNothing {
+        fn name(&self) -> &str {
+            "NONE"
+        }
+        fn predict(&mut self, _c: &Checkpoint<'_>) -> Vec<usize> {
+            Vec::new()
+        }
+    }
+
+    /// Kills and relaunches every flagged task of `out` on `machines`.
+    fn relaunch(job: &JobTrace, out: &ReplayOutcome, machines: Option<usize>) -> MitigationOutcome {
+        let sim = MitigationSimConfig {
+            machines,
+            ..MitigationSimConfig::default()
+        };
+        execute_actions(job, out.threshold, &out.relaunches(job), &sim)
+    }
+
+    #[test]
+    fn unlimited_baseline_is_max_latency() {
+        let job = replayed_job();
+        let out = replay_job(&job, &mut FlagNothing, &ReplayConfig::default());
+        let jct = relaunch(&job, &out, None);
+        assert!((jct.jct_baseline - job.max_latency()).abs() < 1e-9);
+        assert_eq!(jct.jct_baseline, jct.jct_mitigated);
+        assert_eq!(jct.jct_reduction_percent(), 0.0);
+    }
+
+    #[test]
+    fn oracle_mitigation_reduces_jct_with_unlimited_machines() {
+        let job = replayed_job();
+        let out = replay_job(&job, &mut Oracle::new(&job), &ReplayConfig::default());
+        let jct = relaunch(&job, &out, None);
+        assert!(
+            jct.jct_mitigated < jct.jct_baseline,
+            "oracle mitigation should shorten the job: {jct:?}"
+        );
+        assert!(jct.jct_reduction_percent() > 0.0);
+    }
+
+    #[test]
+    fn fewer_machines_increase_baseline() {
+        let job = replayed_job();
+        let out = replay_job(&job, &mut FlagNothing, &ReplayConfig::default());
+        let unlimited = relaunch(&job, &out, None);
+        let constrained = relaunch(&job, &out, Some(20));
+        assert!(constrained.jct_baseline > unlimited.jct_baseline);
+    }
+
+    #[test]
+    fn machine_pool_capacity_is_respected() {
+        // With 1 machine, baseline = sum of latencies.
+        let job = replayed_job();
+        let out = replay_job(&job, &mut FlagNothing, &ReplayConfig::default());
+        let jct = relaunch(&job, &out, Some(1));
+        let total: f64 = job.latencies().iter().sum();
+        assert!((jct.jct_baseline - total).abs() < 1e-6);
+    }
+
+    #[test]
+    fn deterministic_under_seed() {
+        let job = replayed_job();
+        let out = replay_job(&job, &mut Oracle::new(&job), &ReplayConfig::default());
+        let a = relaunch(&job, &out, None);
+        let b = relaunch(&job, &out, None);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "machine pool must be non-empty")]
+    fn zero_machines_rejected() {
+        let job = replayed_job();
+        let out = replay_job(&job, &mut FlagNothing, &ReplayConfig::default());
+        let _ = relaunch(&job, &out, Some(0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// More machines never lengthen the baseline (list scheduling on
+        /// identical machines is monotone in pool size here because tasks
+        /// are dispatched FCFS from a fixed queue).
+        #[test]
+        fn prop_baseline_monotone_in_machines(m in 1usize..60) {
+            let job = replayed_job();
+            let out = replay_job(&job, &mut FlagNothing, &ReplayConfig::default());
+            let small = relaunch(&job, &out, Some(m));
+            let big = relaunch(&job, &out, Some(m + 30));
+            prop_assert!(big.jct_baseline <= small.jct_baseline + 1e-9);
+        }
+
+        /// Mitigated makespan is bounded below by the kill times plus zero
+        /// work — sanity: reduction can never reach 100%.
+        #[test]
+        fn prop_reduction_bounded(m in 10usize..200) {
+            let job = replayed_job();
+            let out = replay_job(&job, &mut Oracle::new(&job),
+                &ReplayConfig::default());
+            let jct = relaunch(&job, &out, Some(m));
+            prop_assert!(jct.jct_reduction_percent() < 100.0);
+            prop_assert!(jct.jct_mitigated > 0.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// A pool with a machine for every task and every copy is the
+        /// unlimited executor, bit for bit, over logs that mix clones,
+        /// quarantines and ignores with duplicates, out-of-range tasks and
+        /// actions that land after their task finished.
+        #[test]
+        fn prop_large_pool_is_unlimited_bit_for_bit(
+            latencies in collection::vec(0.5..50.0f64, 1..12),
+            raw in collection::vec(collection::vec(0.0..1.0f64, 3), 0..16),
+            extra in 0usize..4,
+            seed in 0u64..1_000,
+        ) {
+            let j = job(&latencies);
+            let longest = latencies.iter().copied().fold(0.0, f64::max);
+            let kinds = [
+                MitigationAction::Clone,
+                MitigationAction::Quarantine,
+                MitigationAction::Ignore,
+            ];
+            let log: Vec<ActionRecord> = raw
+                .iter()
+                .map(|r| {
+                    let task = (r[0] * (latencies.len() + 2) as f64) as usize;
+                    record(task, r[1] * longest * 1.2, kinds[(r[2] * 3.0) as usize])
+                })
+                .collect();
+            let unlimited = MitigationSimConfig { seed, ..MitigationSimConfig::default() };
+            let pooled = MitigationSimConfig {
+                machines: Some(latencies.len() + log.len() + extra),
+                ..unlimited
+            };
+            let a = execute_actions(&j, 25.0, &log, &unlimited);
+            let b = execute_actions(&j, 25.0, &log, &pooled);
+            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+    }
+
+    #[test]
+    fn algorithm_3_on_two_machines_matches_a_hand_schedule() {
+        // Task 0 is quarantined 4 units in. At t = 4 every finished
+        // latency is 3, so its relaunch takes exactly 3.
+        //   m0: task 0 [0, 4) killed, relaunch [4, 7)
+        //   m1: task 1 [0, 3), task 2 [3, 6), task 3 [6, 9)
+        // At t = 4 the ready relaunch takes m0 ahead of task 3.
+        let j = job(&[10.0, 3.0, 3.0, 3.0]);
+        let sim = MitigationSimConfig {
+            machines: Some(2),
+            ..MitigationSimConfig::default()
+        };
+        let out = execute_actions(
+            &j,
+            5.0,
+            &[record(0, 4.0, MitigationAction::Quarantine)],
+            &sim,
+        );
+        let times: Vec<f64> = out.completions.iter().map(|c| c.time).collect();
+        assert_eq!(times, [7.0, 3.0, 6.0, 9.0]);
+        assert!(out.completions[0].via_mitigation);
+        // Unmitigated: m0 runs task 0 to 10, m1 the other three to 9.
+        assert_eq!(out.jct_baseline, 10.0);
+        assert_eq!(out.jct_mitigated, 9.0);
+        assert_eq!(out.wasted_work, 4.0);
+        assert_eq!(out.total_work, 4.0 + 3.0 + 9.0);
+        assert_eq!((out.quarantines, out.caught_stragglers), (1, 1));
+    }
+
+    #[test]
+    fn winning_clone_frees_its_original_machine_at_the_race_finish() {
+        // Task 0 is cloned 1 unit in. Nothing has finished at t = 1, so
+        // the clone takes the fastest latency, 2. It gets m1 at t = 2 and
+        // wins at 4, which frees m0 at 4 rather than at 6.
+        //   m0: task 0 [0, 4), task 2 [4, 6), task 4 [6, 8), task 6 [8, 10)
+        //   m1: task 1 [0, 2), clone [2, 4), task 3 [4, 6), task 5 [6, 8)
+        // Only two machines exist: m0's superseded release at 6 must not
+        // hand task 6 a third.
+        let j = job(&[6.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]);
+        let sim = MitigationSimConfig {
+            machines: Some(2),
+            ..MitigationSimConfig::default()
+        };
+        let out = execute_actions(&j, 5.0, &[record(0, 1.0, MitigationAction::Clone)], &sim);
+        let times: Vec<f64> = out.completions.iter().map(|c| c.time).collect();
+        assert_eq!(times, [4.0, 2.0, 6.0, 6.0, 8.0, 8.0, 10.0]);
+        assert_eq!((out.clones_won, out.clones_wasted), (1, 0));
+        assert_eq!(out.wasted_work, 2.0);
+        assert_eq!(out.jct_baseline, 10.0);
     }
 }

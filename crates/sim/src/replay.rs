@@ -1,6 +1,9 @@
 //! Online replay of a job trace under the paper's evaluation protocol.
 
-use nurd_data::{Checkpoint, FinishedTask, JobTrace, OnlinePredictor, RunningTask, StreamContext};
+use nurd_data::{
+    ActionRecord, Checkpoint, FinishedTask, JobTrace, MitigationAction, OnlinePredictor,
+    RunningTask, StreamContext,
+};
 
 use crate::Confusion;
 
@@ -69,6 +72,38 @@ impl ReplayOutcome {
             .iter()
             .enumerate()
             .filter_map(|(i, f)| f.map(|_| i))
+            .collect()
+    }
+
+    /// The paper's mitigation of these flags (§7.3) as an action log for
+    /// [`crate::execute_actions`]: one [`MitigationAction::Quarantine`]
+    /// (kill and relaunch) per flagged task, in task-id order, at the time
+    /// of the checkpoint that flagged it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the outcome does not belong to `job` (length mismatch), or
+    /// if a flag's ordinal is past the job's last checkpoint.
+    #[must_use]
+    pub fn relaunches(&self, job: &JobTrace) -> Vec<ActionRecord> {
+        assert_eq!(
+            self.flagged_at.len(),
+            job.task_count(),
+            "replay outcome does not match job"
+        );
+        let times = job.checkpoint_times();
+        self.flagged_at
+            .iter()
+            .enumerate()
+            .filter_map(|(task, flag)| {
+                flag.map(|ordinal| ActionRecord {
+                    job: job.job_id(),
+                    ordinal,
+                    time: times[ordinal],
+                    task,
+                    action: MitigationAction::Quarantine,
+                })
+            })
             .collect()
     }
 
@@ -376,6 +411,22 @@ mod tests {
         ] {
             let out = replay_job(&job, predictor, &ReplayConfig::default());
             assert_eq!(out.confusion.total(), job.task_count());
+        }
+    }
+
+    #[test]
+    fn relaunches_quarantine_each_flag_at_its_checkpoint_time() {
+        let job = job();
+        let out = replay_job(&job, &mut FlagEverything, &ReplayConfig::default());
+        let log = out.relaunches(&job);
+        assert_eq!(log.len(), out.flagged_ids().len());
+        for (record, task) in log.iter().zip(out.flagged_ids()) {
+            let ordinal = out.flagged_at[task].unwrap();
+            assert_eq!(record.task, task);
+            assert_eq!(record.job, job.job_id());
+            assert_eq!(record.ordinal, ordinal);
+            assert_eq!(record.time, job.checkpoint_times()[ordinal]);
+            assert_eq!(record.action, MitigationAction::Quarantine);
         }
     }
 

@@ -1,13 +1,15 @@
 //! Straggler mitigation end to end: predict with NURD, relaunch flagged
 //! tasks (Algorithms 2 and 3 of the paper), measure the completion-time
-//! savings.
+//! savings. Each flag becomes a quarantine action at its checkpoint
+//! (`ReplayOutcome::relaunches`), and `execute_actions` schedules the
+//! kills and relaunches on unlimited machines or on a bounded pool.
 //!
 //! ```sh
 //! cargo run --release --example scheduler_rescue
 //! ```
 
 use nurd::core::{NurdConfig, NurdPredictor};
-use nurd::sim::{replay_job, simulate_jct, ReplayConfig, SchedulerConfig};
+use nurd::sim::{execute_actions, replay_job, MitigationSimConfig, ReplayConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
 fn main() {
@@ -28,15 +30,20 @@ fn main() {
     for job in &jobs {
         let mut nurd = NurdPredictor::new(NurdConfig::default());
         let outcome = replay_job(job, &mut nurd, &ReplayConfig::default());
-        let jct = simulate_jct(job, &outcome, &SchedulerConfig::default());
-        total += jct.reduction_percent();
+        let jct = execute_actions(
+            job,
+            outcome.threshold,
+            &outcome.relaunches(job),
+            &MitigationSimConfig::default(),
+        );
+        total += jct.jct_reduction_percent();
         println!(
             "{:>5} {:>6} {:>12.0} {:>12.0} {:>10.1}",
             job.job_id(),
             job.task_count(),
-            jct.baseline,
-            jct.mitigated,
-            jct.reduction_percent()
+            jct.jct_baseline,
+            jct.jct_mitigated,
+            jct.jct_reduction_percent()
         );
     }
     println!(
@@ -49,20 +56,18 @@ fn main() {
     let job = &jobs[0];
     let mut nurd = NurdPredictor::new(NurdConfig::default());
     let outcome = replay_job(job, &mut nurd, &ReplayConfig::default());
+    let relaunches = outcome.relaunches(job);
     for machines in [50, 100, 200, 400] {
-        let jct = simulate_jct(
-            job,
-            &outcome,
-            &SchedulerConfig {
-                machines: Some(machines),
-                ..SchedulerConfig::default()
-            },
-        );
+        let sim = MitigationSimConfig {
+            machines: Some(machines),
+            ..MitigationSimConfig::default()
+        };
+        let jct = execute_actions(job, outcome.threshold, &relaunches, &sim);
         println!(
             "  {machines:>4} machines: baseline {:>7.0}s → mitigated {:>7.0}s ({:+.1}%)",
-            jct.baseline,
-            jct.mitigated,
-            jct.reduction_percent()
+            jct.jct_baseline,
+            jct.jct_mitigated,
+            jct.jct_reduction_percent()
         );
     }
 }

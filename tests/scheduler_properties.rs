@@ -1,12 +1,16 @@
-//! Integration tests for the mitigation schedulers (Algorithms 2 and 3):
+//! Integration tests for the mitigation schedulers (Algorithms 2 and 3),
+//! run as `execute_actions` over the relaunches a replay's flags lower to:
 //! capacity, monotonicity and accounting properties under real predictions.
 
 use nurd::core::{NurdConfig, NurdPredictor};
-use nurd::data::{Checkpoint, OnlinePredictor, StreamContext};
-use nurd::sim::{replay_job, simulate_jct, ReplayConfig, ReplayOutcome, SchedulerConfig};
+use nurd::data::{Checkpoint, JobTrace, OnlinePredictor, StreamContext};
+use nurd::sim::{
+    execute_actions, replay_job, MitigationOutcome, MitigationSimConfig, ReplayConfig,
+    ReplayOutcome,
+};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
-fn job_and_outcome(seed: u64) -> (nurd::data::JobTrace, ReplayOutcome) {
+fn job_and_outcome(seed: u64) -> (JobTrace, ReplayOutcome) {
     let cfg = SuiteConfig::new(TraceStyle::Google)
         .with_jobs(1)
         .with_task_range(120, 160)
@@ -16,6 +20,15 @@ fn job_and_outcome(seed: u64) -> (nurd::data::JobTrace, ReplayOutcome) {
     let mut p = NurdPredictor::new(NurdConfig::default());
     let outcome = replay_job(&job, &mut p, &ReplayConfig::default());
     (job, outcome)
+}
+
+/// Kills and relaunches every flagged task of `outcome` under `sim`.
+fn relaunch(
+    job: &JobTrace,
+    outcome: &ReplayOutcome,
+    sim: &MitigationSimConfig,
+) -> MitigationOutcome {
+    execute_actions(job, outcome.threshold, &outcome.relaunches(job), sim)
 }
 
 /// An oracle that flags every true straggler at the first prediction
@@ -46,36 +59,36 @@ fn more_machines_never_hurt_the_baseline() {
     let (job, outcome) = job_and_outcome(1);
     let mut prev = f64::INFINITY;
     for machines in [10usize, 40, 80, 160, 400] {
-        let jct = simulate_jct(
+        let jct = relaunch(
             &job,
             &outcome,
-            &SchedulerConfig {
+            &MitigationSimConfig {
                 machines: Some(machines),
-                ..SchedulerConfig::default()
+                ..MitigationSimConfig::default()
             },
         );
         assert!(
-            jct.baseline <= prev + 1e-9,
+            jct.jct_baseline <= prev + 1e-9,
             "baseline worsened going to {machines} machines"
         );
-        prev = jct.baseline;
+        prev = jct.jct_baseline;
     }
 }
 
 #[test]
 fn unlimited_equals_large_pool() {
     let (job, outcome) = job_and_outcome(2);
-    let unlimited = simulate_jct(&job, &outcome, &SchedulerConfig::default());
-    let large = simulate_jct(
+    let unlimited = relaunch(&job, &outcome, &MitigationSimConfig::default());
+    let large = relaunch(
         &job,
         &outcome,
-        &SchedulerConfig {
+        &MitigationSimConfig {
             machines: Some(job.task_count() * 4),
-            ..SchedulerConfig::default()
+            ..MitigationSimConfig::default()
         },
     );
-    assert!((unlimited.baseline - large.baseline).abs() < 1e-9);
-    assert!((unlimited.mitigated - large.mitigated).abs() < 1e-9);
+    assert!((unlimited.jct_baseline - large.jct_baseline).abs() < 1e-9);
+    assert!((unlimited.jct_mitigated - large.jct_mitigated).abs() < 1e-9);
 }
 
 #[test]
@@ -93,8 +106,8 @@ fn oracle_flags_give_positive_reduction_on_long_tailed_jobs() {
             latencies: job.latencies(),
         };
         let outcome = replay_job(&job, &mut oracle, &ReplayConfig::default());
-        let jct = simulate_jct(&job, &outcome, &SchedulerConfig::default());
-        total += jct.reduction_percent();
+        let jct = relaunch(&job, &outcome, &MitigationSimConfig::default());
+        total += jct.jct_reduction_percent();
     }
     assert!(
         total / 4.0 > 20.0,
@@ -106,53 +119,53 @@ fn oracle_flags_give_positive_reduction_on_long_tailed_jobs() {
 #[test]
 fn single_machine_serializes_everything() {
     let (job, outcome) = job_and_outcome(4);
-    let jct = simulate_jct(
+    let jct = relaunch(
         &job,
         &outcome,
-        &SchedulerConfig {
+        &MitigationSimConfig {
             machines: Some(1),
-            ..SchedulerConfig::default()
+            ..MitigationSimConfig::default()
         },
     );
     let sum: f64 = job.latencies().iter().sum();
-    assert!((jct.baseline - sum).abs() < 1e-6);
+    assert!((jct.jct_baseline - sum).abs() < 1e-6);
     // Mitigation on one machine: killed work is partially redone, so the
     // makespan stays within [fastest possible, baseline + relaunch work].
-    assert!(jct.mitigated > 0.0 && jct.mitigated.is_finite());
+    assert!(jct.jct_mitigated > 0.0 && jct.jct_mitigated.is_finite());
 }
 
 #[test]
 fn reduction_is_reported_against_matching_baseline() {
     let (job, outcome) = job_and_outcome(5);
     for machines in [None, Some(50), Some(200)] {
-        let jct = simulate_jct(
+        let jct = relaunch(
             &job,
             &outcome,
-            &SchedulerConfig {
+            &MitigationSimConfig {
                 machines,
-                ..SchedulerConfig::default()
+                ..MitigationSimConfig::default()
             },
         );
-        let expected = 100.0 * (jct.baseline - jct.mitigated) / jct.baseline;
-        assert!((jct.reduction_percent() - expected).abs() < 1e-9);
+        let expected = 100.0 * (jct.jct_baseline - jct.jct_mitigated) / jct.jct_baseline;
+        assert!((jct.jct_reduction_percent() - expected).abs() < 1e-9);
     }
 }
 
 #[test]
 fn scheduler_is_deterministic_per_seed_and_varies_across_seeds() {
     let (job, outcome) = job_and_outcome(6);
-    let a = simulate_jct(&job, &outcome, &SchedulerConfig::default());
-    let b = simulate_jct(&job, &outcome, &SchedulerConfig::default());
+    let a = relaunch(&job, &outcome, &MitigationSimConfig::default());
+    let b = relaunch(&job, &outcome, &MitigationSimConfig::default());
     assert_eq!(a, b);
-    let c = simulate_jct(
+    let c = relaunch(
         &job,
         &outcome,
-        &SchedulerConfig {
+        &MitigationSimConfig {
             seed: 999,
-            ..SchedulerConfig::default()
+            ..MitigationSimConfig::default()
         },
     );
     // Different resampling seed may change the mitigated time (not the
     // baseline).
-    assert_eq!(a.baseline, c.baseline);
+    assert_eq!(a.jct_baseline, c.jct_baseline);
 }
