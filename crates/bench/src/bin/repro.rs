@@ -12,6 +12,7 @@
 
 use nurd_bench::{
     ascii_histogram, mean_deciles, mean_jct_reduction, replay_suite, summarize, HarnessOptions,
+    MethodResult,
 };
 use nurd_core::{DonorModel, NurdConfig, NurdPredictor};
 use nurd_data::JobTrace;
@@ -60,8 +61,14 @@ const COMMANDS: [(&str, Body); 14] = [
     ("ablation_warmup", Body::Fixed(ablation_warmup)),
 ];
 
-/// The paper sweeps 100..=1000 machines in steps of 100 (Figures 6–9).
-const MACHINE_COUNTS: [usize; 10] = [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000];
+/// The ten machine counts of Figures 6–9. The paper sweeps 100..=1000
+/// machines against jobs of thousands of tasks; here the counts are spaced
+/// evenly up to the suite's largest job, so at most the last one gives
+/// every task of every job a machine of its own.
+fn machine_counts(jobs: &[JobTrace]) -> [usize; 10] {
+    let largest = jobs.iter().map(JobTrace::task_count).max().unwrap_or(1);
+    std::array::from_fn(|k| ((k + 1) * largest / 10).max(1))
+}
 
 /// Resolves `<subcommand> [flags]` to the subcommand's body and options.
 fn command(args: &[String]) -> Result<(Body, HarnessOptions), String> {
@@ -251,12 +258,11 @@ fn fig2_f1_timeline(opts: &HarnessOptions, pool: &ThreadPool) {
 /// machine counts `machines`.
 fn jct_table(
     opts: &HarnessOptions,
-    pool: &ThreadPool,
     google: u32,
     what: &str,
+    (jobs, results): (Vec<JobTrace>, Vec<MethodResult>),
     machines: &[Option<usize>],
 ) {
-    let (jobs, results) = opts.evaluate(pool);
     println!("\n{}: {what} ({} jobs).", figure(opts, google), jobs.len());
     println!("{:8} {:>12}", "Method", "Reduction(%)");
     println!("{:-^22}", "");
@@ -270,16 +276,15 @@ fn jct_table(
 /// (Algorithm 2).
 fn fig4_jct_unlimited(opts: &HarnessOptions, pool: &ThreadPool) {
     let what = "reduction in job completion time, unlimited machines";
-    jct_table(opts, pool, 4, what, &[None]);
+    jct_table(opts, 4, what, opts.evaluate(pool), &[None]);
 }
 
 /// Figures 8 and 9: JCT reduction averaged over the Figure 6/7 sweep.
 fn fig8_jct_avg(opts: &HarnessOptions, pool: &ThreadPool) {
-    let what = format!(
-        "JCT reduction averaged over {} machine counts",
-        MACHINE_COUNTS.len()
-    );
-    jct_table(opts, pool, 8, &what, &MACHINE_COUNTS.map(Some));
+    let evaluated = opts.evaluate(pool);
+    let counts = machine_counts(&evaluated.0);
+    let what = format!("JCT reduction averaged over machine counts {counts:?}");
+    jct_table(opts, 8, &what, evaluated, &counts.map(Some));
 }
 
 /// Figures 6 and 7: JCT reduction as a function of the machine-pool size
@@ -291,15 +296,16 @@ fn fig6_jct_machines(opts: &HarnessOptions, pool: &ThreadPool) {
         figure(opts, 6),
         jobs.len()
     );
+    let counts = machine_counts(&jobs);
     print!("{:8}", "Method");
-    for m in MACHINE_COUNTS {
+    for m in counts {
         print!(" {m:>6}");
     }
     println!();
     println!("{:-^78}", "");
     for r in &results {
         print!("{:8}", r.name);
-        for m in MACHINE_COUNTS {
+        for m in counts {
             print!(
                 " {:6.1}",
                 mean_jct_reduction(&jobs, &r.outcomes, &[Some(m)])

@@ -23,37 +23,30 @@
 
 use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
 
-/// What a mitigation policy decided to do about one running task.
+/// What a mitigation policy decided to do about one running task. The
+/// discriminants are the wire tags; tag 1, a no-decision no log ever
+/// held, is retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MitigationAction {
     /// Speculatively re-execute the task on another machine: the task
     /// finishes at `min(original, clone)` latency, with the clone's run
     /// time charged to the wasted-work ledger (whether it wins or not).
-    Clone,
-    /// Explicitly do nothing. A typed no-decision lets a policy say "I
-    /// looked at this task and declined" without the engine recording an
-    /// action for it.
-    Ignore,
+    Clone = 0,
     /// Kill the task and relaunch it from scratch elsewhere: everything
     /// the original ran is wasted, and the relaunch restarts the clock.
     /// Aggressive — a wrong quarantine can *lengthen* the job, unlike a
     /// wrong clone.
-    Quarantine,
+    Quarantine = 2,
 }
 
 impl Checkpointable for MitigationAction {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            MitigationAction::Clone => 0,
-            MitigationAction::Ignore => 1,
-            MitigationAction::Quarantine => 2,
-        });
+        enc.put_u8(*self as u8);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
         match dec.take_u8()? {
             0 => Ok(MitigationAction::Clone),
-            1 => Ok(MitigationAction::Ignore),
             2 => Ok(MitigationAction::Quarantine),
             tag => Err(CodecError::InvalidTag {
                 what: "MitigationAction",
@@ -80,7 +73,7 @@ pub struct ActionRecord {
     pub time: f64,
     /// The targeted task id.
     pub task: usize,
-    /// What was done ([`MitigationAction::Ignore`] is never recorded).
+    /// What was done.
     pub action: MitigationAction,
 }
 
@@ -149,9 +142,6 @@ pub struct BarrierView<'a> {
     /// Normalized straggler scores for the running tasks evaluated at
     /// this barrier (newly-flagged tasks included), task-id order.
     pub scores: &'a [TaskScore],
-    /// Tasks newly flagged as stragglers *at this barrier* (a subset of
-    /// the ids in `scores` with score at/above the boundary).
-    pub flagged: &'a [usize],
     /// Remaining clone budget the engine will honor for this job, if the
     /// policy declared one ([`MitigationPolicy::clone_budget`]).
     pub clones_remaining: Option<usize>,
@@ -174,7 +164,7 @@ pub struct BarrierView<'a> {
 /// recovery beyond what their decisions imply.
 pub trait MitigationPolicy {
     /// Short policy name for reports and logs ("noop", "threshold-clone",
-    /// "top-k", "oracle", ...).
+    /// "node-aware", "oracle").
     fn name(&self) -> &str;
 
     /// Per-job cap on [`MitigationAction::Clone`] actions, enforced by
@@ -187,9 +177,8 @@ pub trait MitigationPolicy {
     /// Decides actions for one scored barrier. Returns `(task, action)`
     /// pairs; the engine validates each (task running at this barrier,
     /// not already actioned, clone budget not exhausted — violations are
-    /// suppressed and counted, never errors) and records everything but
-    /// [`MitigationAction::Ignore`] in the job's action log, in the
-    /// order returned.
+    /// suppressed and counted, never errors) and records the rest in the
+    /// job's action log, in the order returned.
     fn decide(&mut self, view: &BarrierView<'_>) -> Vec<(usize, MitigationAction)>;
 }
 
@@ -199,11 +188,7 @@ mod tests {
 
     #[test]
     fn action_record_round_trips() {
-        for action in [
-            MitigationAction::Clone,
-            MitigationAction::Ignore,
-            MitigationAction::Quarantine,
-        ] {
+        for action in [MitigationAction::Clone, MitigationAction::Quarantine] {
             let record = ActionRecord {
                 job: 42,
                 ordinal: 7,
@@ -248,7 +233,9 @@ mod tests {
 
     #[test]
     fn invalid_action_tag_is_a_typed_error() {
-        let mut dec = Decoder::new(&[9u8]);
-        assert!(MitigationAction::decode(&mut dec).is_err());
+        // Tag 1 was a never-recorded no-decision; no log holds it.
+        for tag in [[1u8], [9]] {
+            assert!(MitigationAction::decode(&mut Decoder::new(&tag)).is_err());
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! `nurd_trace::NodeModel` generates). This crate closes the node axis
 //! of the loop: a [`HealthAggregator`] attaches to a running engine as a
 //! [`nurd_serve::HealthObserver`], folds every finalized job's per-node
-//! straggler truth (and every scored barrier's per-node scores) into
-//! rolling per-node rates, and renders a typed [`NodeVerdict`] per node
-//! — `Healthy`, `Watch`, or `Quarantine` — that quarantine-capable
-//! mitigation policies (`nurd_mitigate::NodeAwarePolicy`) consume.
+//! straggler truth into rolling per-node rates, and renders a typed
+//! [`NodeVerdict`] per node — `Healthy`, `Watch`, or `Quarantine` — that
+//! `nurd_mitigate::run_node_fleet` freezes into its quarantine-capable
+//! policy.
 //!
 //! # Determinism
 //!
@@ -17,11 +17,12 @@
 //! so observations from different jobs interleave in scheduling order.
 //! The aggregator's state is nevertheless deterministic because every
 //! update is **keyed and idempotent**: finalization tallies key by job
-//! id, barrier suspicion keys by (job, ordinal), and both are
-//! insert-if-absent into `BTreeMap`s. Any arrival order — including the
+//! id, insert-if-absent into a `BTreeMap`. Scored barriers are not
+//! observed (the trait's no-op default), so the state grows by one entry
+//! per finalized job and never per barrier. Any arrival order — including the
 //! partial re-observation a crash recovery's WAL replay can produce on
 //! top of a restored snapshot blob — converges to the same maps, and
-//! [`HealthAggregator::rates`] folds them in sorted key order, so the
+//! [`HealthAggregator::rates`] folds it in sorted key order, so the
 //! derived rates and verdicts are bit-identical across shard counts,
 //! worker counts, and crash/recover boundaries (the recovery-equivalence
 //! property test in the root crate pins this).
@@ -43,13 +44,13 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use nurd_codec::{Checkpointable, CodecError, Decoder, Encoder};
-use nurd_data::TaskScore;
 use nurd_serve::{HealthObserver, JobReport};
 
 /// Format version of the aggregator's snapshot blob
 /// ([`HealthObserver::snapshot_state`]); bumped on layout change,
 /// mismatches reject the blob rather than misread it.
-const BLOB_VERSION: u32 = 1;
+/// Version 1 also carried per-barrier score sums.
+const BLOB_VERSION: u32 = 2;
 
 /// Tuning for the [`HealthAggregator`]'s rate folding and verdict
 /// boundaries. The defaults suit the vendored trace generators (p90
@@ -106,10 +107,6 @@ pub struct NodeStats {
     pub stragglers: u64,
     /// The EWMA-folded straggler rate (see [`HealthConfig::decay`]).
     pub rate: f64,
-    /// Mean per-barrier predictor score of the node's tasks — the
-    /// *early-warning* signal, available before any job finalizes
-    /// (`0.0` when the engine is not scoring).
-    pub suspicion: f64,
     /// The verdict the rate and [`HealthConfig`] boundaries render.
     pub verdict: NodeVerdict,
 }
@@ -135,64 +132,10 @@ impl Checkpointable for NodeTally {
     }
 }
 
-/// Per-node `(score sum, task count)` accumulators for one barrier.
-type BarrierScores = BTreeMap<u32, (f64, u64)>;
-
-/// The keyed observation maps (see the crate docs for why keyed +
-/// insert-if-absent is the determinism mechanism).
-#[derive(Debug, Default, Clone, PartialEq)]
-struct AggState {
-    /// job → node → tally, inserted once per job at finalization.
-    finalized: BTreeMap<u64, BTreeMap<u32, NodeTally>>,
-    /// job → barrier ordinal → per-node score sums, inserted once per
-    /// scored barrier.
-    barriers: BTreeMap<u64, BTreeMap<u64, BarrierScores>>,
-}
-
-impl AggState {
-    fn encode(&self, enc: &mut Encoder) {
-        self.finalized.encode(enc);
-        enc.put_usize(self.barriers.len());
-        for (job, ordinals) in &self.barriers {
-            enc.put_u64(*job);
-            enc.put_usize(ordinals.len());
-            for (ordinal, nodes) in ordinals {
-                enc.put_u64(*ordinal);
-                enc.put_usize(nodes.len());
-                for (node, (sum, count)) in nodes {
-                    enc.put_u32(*node);
-                    enc.put_f64(*sum);
-                    enc.put_u64(*count);
-                }
-            }
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let finalized = Checkpointable::decode(dec)?;
-        let mut barriers = BTreeMap::new();
-        for _ in 0..dec.take_len(8)? {
-            let job = dec.take_u64()?;
-            let mut ordinals = BTreeMap::new();
-            for _ in 0..dec.take_len(8)? {
-                let ordinal = dec.take_u64()?;
-                let mut nodes = BTreeMap::new();
-                for _ in 0..dec.take_len(20)? {
-                    let node = dec.take_u32()?;
-                    let sum = dec.take_f64()?;
-                    let count = dec.take_u64()?;
-                    nodes.insert(node, (sum, count));
-                }
-                ordinals.insert(ordinal, nodes);
-            }
-            barriers.insert(job, ordinals);
-        }
-        Ok(AggState {
-            finalized,
-            barriers,
-        })
-    }
-}
+/// The keyed observation map, job → node → tally, inserted once per job
+/// at finalization (see the crate docs for why keyed + insert-if-absent
+/// is the determinism mechanism).
+type AggState = BTreeMap<u64, BTreeMap<u32, NodeTally>>;
 
 /// The fleet's node-health scoreboard: attach to an engine with
 /// [`nurd_serve::EngineService::attach_observer`] (it implements
@@ -268,7 +211,7 @@ impl HealthAggregator {
         let mut out: BTreeMap<u32, NodeStats> = BTreeMap::new();
         // Fold finalization tallies job-id-ascending: the EWMA weights
         // later (newer) jobs highest.
-        for tallies in state.finalized.values() {
+        for tallies in state.values() {
             for (&node, tally) in tallies {
                 let job_rate = if tally.tasks == 0 {
                     0.0
@@ -279,7 +222,6 @@ impl HealthAggregator {
                     tasks: 0,
                     stragglers: 0,
                     rate: job_rate,
-                    suspicion: 0.0,
                     verdict: NodeVerdict::Healthy,
                 });
                 if entry.tasks > 0 {
@@ -289,29 +231,6 @@ impl HealthAggregator {
                 entry.tasks += tally.tasks;
                 entry.stragglers += tally.stragglers;
             }
-        }
-        // Suspicion: plain mean of the node's per-barrier mean scores.
-        let mut suspicion: BTreeMap<u32, (f64, u64)> = BTreeMap::new();
-        for ordinals in state.barriers.values() {
-            for nodes in ordinals.values() {
-                for (&node, &(sum, count)) in nodes {
-                    if count > 0 {
-                        let cell = suspicion.entry(node).or_insert((0.0, 0));
-                        cell.0 += sum / count as f64;
-                        cell.1 += 1;
-                    }
-                }
-            }
-        }
-        for (node, (sum, barriers)) in suspicion {
-            let entry = out.entry(node).or_insert(NodeStats {
-                tasks: 0,
-                stragglers: 0,
-                rate: 0.0,
-                suspicion: 0.0,
-                verdict: NodeVerdict::Healthy,
-            });
-            entry.suspicion = sum / barriers as f64;
         }
         for stats in out.values_mut() {
             stats.verdict = self.judge(stats.tasks, stats.rate);
@@ -342,35 +261,10 @@ impl HealthAggregator {
 }
 
 impl HealthObserver for HealthAggregator {
-    fn observe_barrier(
-        &self,
-        job: u64,
-        ordinal: usize,
-        _time: f64,
-        nodes: Option<&[u32]>,
-        scores: &[TaskScore],
-    ) {
-        let Some(nodes) = nodes else { return };
-        let mut state = self.lock();
-        let slot = state.barriers.entry(job).or_default().entry(ordinal as u64);
-        let std::collections::btree_map::Entry::Vacant(slot) = slot else {
-            return; // already observed (idempotence under re-observation)
-        };
-        let mut per_node: BTreeMap<u32, (f64, u64)> = BTreeMap::new();
-        for s in scores {
-            if let Some(&node) = nodes.get(s.task) {
-                let cell = per_node.entry(node).or_insert((0.0, 0));
-                cell.0 += s.score;
-                cell.1 += 1;
-            }
-        }
-        slot.insert(per_node);
-    }
-
     fn observe_finalized(&self, report: &JobReport, nodes: Option<&[u32]>, straggled: &[bool]) {
         let Some(nodes) = nodes else { return };
         let mut state = self.lock();
-        let slot = state.finalized.entry(report.job);
+        let slot = state.entry(report.job);
         let std::collections::btree_map::Entry::Vacant(slot) = slot else {
             return; // already observed (idempotence under re-observation)
         };
@@ -397,7 +291,8 @@ impl HealthObserver for HealthAggregator {
             .take_u32()
             .ok()
             .filter(|&v| v == BLOB_VERSION)
-            .and_then(|_| AggState::decode(&mut dec).ok());
+            .and_then(|_| AggState::decode(&mut dec).ok())
+            .filter(|_| dec.is_empty());
         match ok {
             Some(restored) => {
                 *self.lock() = restored;
@@ -411,6 +306,8 @@ impl HealthObserver for HealthAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use nurd_data::TaskScore;
 
     fn report(job: u64) -> JobReport {
         JobReport {
@@ -502,50 +399,9 @@ mod tests {
     }
 
     #[test]
-    fn barrier_scores_feed_suspicion() {
-        let a = agg();
-        let scores = [
-            TaskScore {
-                task: 0,
-                score: 0.2,
-            },
-            TaskScore {
-                task: 1,
-                score: 1.6,
-            },
-            TaskScore {
-                task: 2,
-                score: 0.4,
-            },
-            TaskScore {
-                task: 3,
-                score: 1.8,
-            },
-        ];
-        a.observe_barrier(1, 0, 10.0, Some(&[0, 1, 0, 1]), &scores);
-        // Duplicate delivery of the same barrier is dropped.
-        a.observe_barrier(1, 0, 10.0, Some(&[0, 1, 0, 1]), &[]);
-        let rates = a.rates();
-        assert!((rates[&0].suspicion - 0.3).abs() < 1e-12);
-        assert!((rates[&1].suspicion - 1.7).abs() < 1e-12);
-        // Scores alone never convict: no finalized tasks yet.
-        assert_eq!(rates[&1].verdict, NodeVerdict::Healthy);
-    }
-
-    #[test]
     fn snapshot_round_trips_and_rejects_garbage() {
         let a = agg();
         a.observe_finalized(&report(1), Some(&[0, 1, 1]), &[false, true, true]);
-        a.observe_barrier(
-            1,
-            2,
-            30.0,
-            Some(&[0, 1, 1]),
-            &[TaskScore {
-                task: 1,
-                score: 1.2,
-            }],
-        );
         let blob = a.snapshot_state();
 
         let fresh = agg();
@@ -557,5 +413,64 @@ mod tests {
             !agg().restore_state(&blob[..blob.len() - 1]),
             "truncation rejected"
         );
+    }
+
+    #[test]
+    fn scored_barriers_leave_the_state_unchanged() {
+        let a = agg();
+        a.observe_finalized(&report(1), Some(&[0, 1, 1]), &[false, true, true]);
+        let before = a.snapshot_state();
+        let nodes = [0u32, 1, 1];
+        for ordinal in 0..64 {
+            let scores: Vec<TaskScore> = (0..3)
+                .map(|task| TaskScore {
+                    task,
+                    score: 0.1 * (ordinal + task) as f64,
+                })
+                .collect();
+            a.observe_barrier(2, ordinal, ordinal as f64, Some(&nodes), &scores);
+        }
+        assert_eq!(a.snapshot_state(), before);
+    }
+
+    #[test]
+    fn a_version_1_blob_is_refused_and_never_misread() {
+        // Version 1: the finalized tallies, then one job's one barrier of
+        // per-node score sums.
+        let mut finalized = BTreeMap::new();
+        finalized.insert(
+            7u64,
+            BTreeMap::from([(
+                3u32,
+                NodeTally {
+                    tasks: 4,
+                    stragglers: 4,
+                },
+            )]),
+        );
+        let mut enc = Encoder::new();
+        enc.put_u32(1);
+        finalized.encode(&mut enc);
+        enc.put_usize(1); // jobs
+        enc.put_u64(7);
+        enc.put_usize(1); // barriers of job 7
+        enc.put_u64(0);
+        enc.put_usize(1); // nodes of barrier 0
+        enc.put_u32(3);
+        enc.put_f64(1.5);
+        enc.put_u64(2);
+        let v1 = enc.into_bytes();
+
+        let a = agg();
+        a.observe_finalized(&report(1), Some(&[0, 0, 0, 0]), &[false; 4]);
+        let before = a.snapshot_state();
+        assert!(!a.restore_state(&v1));
+        assert_eq!(a.snapshot_state(), before, "a refused blob changes nothing");
+        // Relabelled as the current version it is still refused: the
+        // barrier section is not part of the format.
+        let mut relabelled = v1.clone();
+        relabelled[..4].copy_from_slice(&BLOB_VERSION.to_le_bytes());
+        assert!(!a.restore_state(&relabelled));
+        assert_eq!(a.snapshot_state(), before);
     }
 }

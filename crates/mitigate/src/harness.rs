@@ -24,21 +24,23 @@ use nurd_sim::{
 
 use crate::policies::node_aware_mitigator;
 
+/// Per-job straggler-threshold quantile (the paper's p90).
+const THRESHOLD_QUANTILE: f64 = 0.9;
+/// Warmup quorum fraction before predictions start (the paper's 4%).
+const WARMUP_FRACTION: f64 = 0.04;
+/// Arrival spread of the staggered fleet stream.
+const SPREAD: f64 = 120.0;
+/// Seed of the fleet stream's arrival stagger.
+const STREAM_SEED: u64 = 0xF1EE7;
+/// Per-job clone budget of [`run_node_fleet`]'s mitigation pass.
+const NODE_CLONE_BUDGET: Option<usize> = Some(8);
+
 /// Knobs for one [`run_fleet`] pass.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Engine shard count. Changes wall-clock only — the run's outputs,
     /// action log included, are identical at any value.
     pub shards: usize,
-    /// Per-job straggler-threshold quantile (the paper's p90 at `0.9`).
-    pub threshold_quantile: f64,
-    /// Warmup quorum fraction before predictions start (the paper's 4%).
-    pub warmup_fraction: f64,
-    /// Arrival spread for the staggered fleet stream (`0.0` =
-    /// simultaneous arrivals).
-    pub spread: f64,
-    /// Seed for the fleet stream's arrival stagger.
-    pub stream_seed: u64,
     /// Simulator seed (clone/relaunch duration sampling).
     pub sim: MitigationSimConfig,
 }
@@ -47,10 +49,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             shards: 4,
-            threshold_quantile: 0.9,
-            warmup_fraction: 0.04,
-            spread: 120.0,
-            stream_seed: 0xF1EE7,
             sim: MitigationSimConfig::default(),
         }
     }
@@ -112,7 +110,7 @@ fn run_fleet_observed(
     let service = EngineService::start(
         EngineConfig {
             shards: config.shards,
-            warmup_fraction: config.warmup_fraction,
+            warmup_fraction: WARMUP_FRACTION,
             ..EngineConfig::default()
         },
         ServiceConfig::default(),
@@ -124,12 +122,7 @@ fn run_fleet_observed(
     if let Some(observer) = observer {
         assert!(service.attach_observer(observer), "fresh engine");
     }
-    let events = nurd_trace::staggered_fleet_events(
-        jobs,
-        config.threshold_quantile,
-        config.spread,
-        config.stream_seed,
-    );
+    let events = nurd_trace::staggered_fleet_events(jobs, THRESHOLD_QUANTILE, SPREAD, STREAM_SEED);
     service.push_all(events);
     let report = service.close();
 
@@ -141,7 +134,7 @@ fn run_fleet_observed(
             let reported = report.job(job.job_id()).expect("served job reported");
             execute_actions(
                 job,
-                job.straggler_threshold(config.threshold_quantile),
+                job.straggler_threshold(THRESHOLD_QUANTILE),
                 &reported.actions,
                 &config.sim,
             )
@@ -169,14 +162,10 @@ pub struct NodeFleetConfig {
     /// with node-correlated resampling (both passes use the same sim
     /// config, so comparisons stay apples-to-apples).
     pub fleet: FleetConfig,
-    /// The aggregator's rate folding and verdict boundaries.
-    pub health: HealthConfig,
     /// Clone threshold for healthy-node (and placement-less) tasks.
     pub score_threshold: f64,
     /// Lowered clone threshold for [`NodeVerdict::Watch`]-node tasks.
     pub watch_threshold: f64,
-    /// Per-job clone budget for the mitigation pass.
-    pub clone_budget: Option<usize>,
 }
 
 impl Default for NodeFleetConfig {
@@ -189,10 +178,8 @@ impl Default for NodeFleetConfig {
                 },
                 ..FleetConfig::default()
             },
-            health: HealthConfig::default(),
             score_threshold: 1.0,
             watch_threshold: 0.6,
-            clone_budget: Some(8),
         }
     }
 }
@@ -229,7 +216,7 @@ pub struct NodeFleetRun {
 /// passes are seed-deterministic, so the whole `NodeFleetRun` is too.
 #[must_use]
 pub fn run_node_fleet(jobs: &[JobTrace], config: &NodeFleetConfig) -> NodeFleetRun {
-    let aggregator = Arc::new(HealthAggregator::new(config.health.clone()));
+    let aggregator = Arc::new(HealthAggregator::new(HealthConfig::default()));
     let observed = run_fleet_observed(
         jobs,
         None,
@@ -243,7 +230,7 @@ pub fn run_node_fleet(jobs: &[JobTrace], config: &NodeFleetConfig) -> NodeFleetR
             verdicts.clone(),
             config.score_threshold,
             config.watch_threshold,
-            config.clone_budget,
+            NODE_CLONE_BUDGET,
         )),
         &config.fleet,
     );

@@ -12,13 +12,10 @@
 //! * **Policies**, each behind a factory for
 //!   [`nurd_serve::EngineService::attach_mitigator`] — [`noop_mitigator`]
 //!   (the no-mitigation anchor), [`threshold_mitigator`] (score threshold
-//!   with a per-job clone budget), [`banded_mitigator`] (two-sided threshold:
-//!   instant clones above `hi`, patience-gated clones in the `[lo, hi)`
-//!   dead band), [`topk_mitigator`] (k clones per barrier),
-//!   [`oracle_mitigator`] (ground truth; the structural upper bound); the
-//!   node-aware policy (quarantines tasks on machines a frozen
-//!   [`nurd_health::HealthAggregator`] verdict map convicted) runs inside
-//!   [`run_node_fleet`];
+//!   with a per-job clone budget), [`oracle_mitigator`] (ground truth; the
+//!   structural upper bound); the node-aware policy (quarantines tasks on
+//!   machines a frozen [`nurd_health::HealthAggregator`] verdict map
+//!   convicted) runs inside [`run_node_fleet`];
 //! * **The fleet harness** — [`run_fleet`] drives traces through a
 //!   [`nurd_serve::EngineService`] with a policy attached and sims the committed log, returning
 //!   per-job [`nurd_sim::MitigationOutcome`]s, a fleet
@@ -41,6 +38,4 @@ pub use harness::{
     nurd_predictor_factory, run_fleet, run_node_fleet, FleetConfig, FleetRun, NodeFleetConfig,
     NodeFleetRun,
 };
-pub use policies::{
-    banded_mitigator, noop_mitigator, oracle_mitigator, threshold_mitigator, topk_mitigator,
-};
+pub use policies::{noop_mitigator, oracle_mitigator, threshold_mitigator};

@@ -90,124 +90,6 @@ impl MitigationPolicy for ThresholdClonePolicy {
     }
 }
 
-/// Clones the `k` highest-scoring **newly flagged** tasks at each
-/// barrier: a rate-limited alternative to the threshold policy for
-/// fleets where clone capacity per scheduling round is the scarce
-/// resource rather than clones per job.
-#[derive(Debug, Clone)]
-struct TopKPolicy {
-    k: usize,
-    proposed: BTreeSet<usize>,
-}
-
-impl TopKPolicy {
-    /// A policy cloning at most `k` flagged tasks per barrier.
-    #[must_use]
-    fn new(k: usize) -> Self {
-        TopKPolicy {
-            k,
-            proposed: BTreeSet::new(),
-        }
-    }
-}
-
-impl MitigationPolicy for TopKPolicy {
-    fn name(&self) -> &str {
-        "top-k"
-    }
-
-    fn decide(&mut self, view: &BarrierView<'_>) -> Vec<(usize, MitigationAction)> {
-        let flagged: BTreeSet<usize> = view.flagged.iter().copied().collect();
-        let candidates = view
-            .scores
-            .iter()
-            .filter(|s| flagged.contains(&s.task) && !self.proposed.contains(&s.task))
-            .collect();
-        clone_best_first(candidates, Some(self.k), &mut self.proposed)
-    }
-}
-
-/// Two-sided threshold cloning: clone **immediately** at `hi`, and clone
-/// out of the dead band `[lo, hi)` only after a task has *lingered* there
-/// for `patience` consecutive scored barriers (a score below `lo` resets
-/// the streak). The single-threshold policy faces a bad trade: a high
-/// threshold misses the slow-burn stragglers whose scores hover just
-/// below it until far too late, while lowering it clones every transient
-/// spike. The dead band splits the difference — spikes above `hi` still
-/// get instant clones, hoverers get caught after `patience` barriers of
-/// sustained evidence, and noise below `lo` is ignored — which is why a
-/// calibrated band can beat the best single threshold at comparable
-/// waste.
-#[derive(Debug, Clone)]
-struct BandedClonePolicy {
-    hi: f64,
-    lo: f64,
-    patience: usize,
-    budget: Option<usize>,
-    streaks: BTreeMap<usize, usize>,
-    proposed: BTreeSet<usize>,
-}
-
-impl BandedClonePolicy {
-    /// A banded policy cloning instantly at `hi`, after `patience`
-    /// consecutive in-band barriers for scores in `[lo, hi)`, never below
-    /// `lo`, with an optional per-job clone budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` — the band would be empty in a way that makes
-    /// every knob a lie; use [`ThresholdClonePolicy`] instead.
-    #[must_use]
-    fn new(hi: f64, lo: f64, patience: usize, budget: Option<usize>) -> Self {
-        assert!(lo <= hi, "banded policy needs lo <= hi");
-        BandedClonePolicy {
-            hi,
-            lo,
-            patience: patience.max(1),
-            budget,
-            streaks: BTreeMap::new(),
-            proposed: BTreeSet::new(),
-        }
-    }
-}
-
-impl MitigationPolicy for BandedClonePolicy {
-    fn name(&self) -> &str {
-        "banded-clone"
-    }
-
-    fn clone_budget(&self) -> Option<usize> {
-        self.budget
-    }
-
-    fn decide(&mut self, view: &BarrierView<'_>) -> Vec<(usize, MitigationAction)> {
-        let mut candidates = Vec::new();
-        for s in view.scores {
-            if self.proposed.contains(&s.task) {
-                continue;
-            }
-            if s.score >= self.hi {
-                candidates.push(s);
-            } else if s.score >= self.lo {
-                let streak = self.streaks.entry(s.task).or_insert(0);
-                *streak += 1;
-                if *streak >= self.patience {
-                    candidates.push(s);
-                }
-            } else {
-                self.streaks.remove(&s.task);
-            }
-        }
-        // The budget is spent exactly as the single-threshold policy
-        // spends it, so the comparison is purely about the band.
-        let actions = clone_best_first(candidates, view.clones_remaining, &mut self.proposed);
-        for (task, _) in &actions {
-            self.streaks.remove(task);
-        }
-        actions
-    }
-}
-
 /// Node-health-aware mitigation: tasks placed on a
 /// [`NodeVerdict::Quarantine`] node are **quarantined** (evicted and
 /// restarted on a healthy machine — the simulator's clock restart) at
@@ -362,31 +244,6 @@ pub fn threshold_mitigator(score_threshold: f64, budget: Option<usize>) -> Mitig
     Box::new(move |_spec| Box::new(ThresholdClonePolicy::new(score_threshold, budget)))
 }
 
-/// Factory giving every job a policy cloning at most `k` newly flagged
-/// tasks per barrier, highest scores first.
-#[must_use]
-pub fn topk_mitigator(k: usize) -> MitigatorFactory {
-    Box::new(move |_spec| Box::new(TopKPolicy::new(k)))
-}
-
-/// Factory giving every job a two-sided threshold policy: clone
-/// immediately at `hi`, clone out of the dead band `[lo, hi)` only after
-/// `patience` consecutive scored barriers there (a score below `lo`
-/// resets the streak), never below `lo`, within the per-job `budget`.
-///
-/// # Panics
-///
-/// The policy panics at its first job if `lo > hi`.
-#[must_use]
-pub fn banded_mitigator(
-    hi: f64,
-    lo: f64,
-    patience: usize,
-    budget: Option<usize>,
-) -> MitigatorFactory {
-    Box::new(move |_spec| Box::new(BandedClonePolicy::new(hi, lo, patience, budget)))
-}
-
 /// Factory giving every job a [`NodeAwarePolicy`] over one shared frozen
 /// verdict map (cloned per job).
 #[must_use]
@@ -434,18 +291,13 @@ mod tests {
     use super::*;
     use nurd_data::TaskScore;
 
-    fn view<'a>(
-        scores: &'a [TaskScore],
-        flagged: &'a [usize],
-        clones_remaining: Option<usize>,
-    ) -> BarrierView<'a> {
+    fn view(scores: &[TaskScore], clones_remaining: Option<usize>) -> BarrierView<'_> {
         BarrierView {
             job: 1,
             ordinal: 0,
             time: 10.0,
             threshold: 100.0,
             scores,
-            flagged,
             clones_remaining,
             nodes: None,
         }
@@ -457,7 +309,7 @@ mod tests {
             task: 0,
             score: 99.0,
         }];
-        assert!(NoopPolicy.decide(&view(&scores, &[0], None)).is_empty());
+        assert!(NoopPolicy.decide(&view(&scores, None)).is_empty());
     }
 
     #[test]
@@ -477,11 +329,32 @@ mod tests {
             },
         ];
         let mut policy = ThresholdClonePolicy::new(1.0, Some(1));
-        let actions = policy.decide(&view(&scores, &[0, 1], Some(1)));
+        let actions = policy.decide(&view(&scores, Some(1)));
         // Budget 1 goes to the highest score (task 1), not task 0.
         assert_eq!(actions, vec![(1, MitigationAction::Clone)]);
         // Next barrier: budget exhausted, nothing proposed.
-        assert!(policy.decide(&view(&scores, &[], Some(0))).is_empty());
+        assert!(policy.decide(&view(&scores, Some(0))).is_empty());
+    }
+
+    #[test]
+    fn threshold_one_clones_a_score_exactly_at_the_flag_boundary() {
+        // A flagged task whose adjusted prediction equals `τ_stra` scores
+        // exactly 1.0, so a threshold of 1.0 must clone it.
+        let scores = [
+            TaskScore {
+                task: 0,
+                score: 1.0,
+            },
+            TaskScore {
+                task: 1,
+                score: 1.0 - f64::EPSILON,
+            },
+        ];
+        let mut policy = ThresholdClonePolicy::new(1.0, None);
+        assert_eq!(
+            policy.decide(&view(&scores, None)),
+            vec![(0, MitigationAction::Clone)]
+        );
     }
 
     #[test]
@@ -491,99 +364,15 @@ mod tests {
             score: 2.0,
         }];
         let mut policy = ThresholdClonePolicy::new(1.0, None);
-        assert_eq!(policy.decide(&view(&scores, &[5], None)).len(), 1);
-        assert!(policy.decide(&view(&scores, &[5], None)).is_empty());
-    }
-
-    #[test]
-    fn topk_takes_k_newly_flagged_by_score() {
-        let scores = [
-            TaskScore {
-                task: 0,
-                score: 1.1,
-            },
-            TaskScore {
-                task: 1,
-                score: 1.5,
-            },
-            TaskScore {
-                task: 2,
-                score: 1.3,
-            },
-            TaskScore {
-                task: 3,
-                score: 9.0, // not flagged this barrier → not a candidate
-            },
-        ];
-        let mut policy = TopKPolicy::new(2);
-        let actions = policy.decide(&view(&scores, &[0, 1, 2], None));
-        assert_eq!(
-            actions,
-            vec![(1, MitigationAction::Clone), (2, MitigationAction::Clone),]
-        );
+        assert_eq!(policy.decide(&view(&scores, None)).len(), 1);
+        assert!(policy.decide(&view(&scores, None)).is_empty());
     }
 
     fn view_on_nodes<'a>(scores: &'a [TaskScore], nodes: &'a [u32]) -> BarrierView<'a> {
         BarrierView {
             nodes: Some(nodes),
-            ..view(scores, &[], None)
+            ..view(scores, None)
         }
-    }
-
-    #[test]
-    fn banded_clones_instantly_above_hi_and_never_below_lo() {
-        let scores = [
-            TaskScore {
-                task: 0,
-                score: 1.3,
-            }, // above hi → instant
-            TaskScore {
-                task: 1,
-                score: 0.3,
-            }, // below lo → never
-        ];
-        let mut policy = BandedClonePolicy::new(1.0, 0.5, 2, None);
-        assert_eq!(
-            policy.decide(&view(&scores, &[], None)),
-            vec![(0, MitigationAction::Clone)]
-        );
-        // Task 1 stays below lo forever: no streak, no clone.
-        for _ in 0..5 {
-            assert!(policy.decide(&view(&scores, &[], None)).is_empty());
-        }
-    }
-
-    #[test]
-    fn banded_catches_hoverers_after_patience() {
-        let hover = [TaskScore {
-            task: 4,
-            score: 0.7,
-        }];
-        let mut policy = BandedClonePolicy::new(1.0, 0.5, 3, None);
-        assert!(policy.decide(&view(&hover, &[], None)).is_empty());
-        assert!(policy.decide(&view(&hover, &[], None)).is_empty());
-        // Third consecutive in-band barrier: patience reached.
-        assert_eq!(
-            policy.decide(&view(&hover, &[], None)),
-            vec![(4, MitigationAction::Clone)]
-        );
-    }
-
-    #[test]
-    fn banded_streak_resets_below_lo() {
-        let hover = [TaskScore {
-            task: 9,
-            score: 0.8,
-        }];
-        let dip = [TaskScore {
-            task: 9,
-            score: 0.1,
-        }];
-        let mut policy = BandedClonePolicy::new(1.0, 0.5, 2, None);
-        assert!(policy.decide(&view(&hover, &[], None)).is_empty());
-        assert!(policy.decide(&view(&dip, &[], None)).is_empty()); // reset
-        assert!(policy.decide(&view(&hover, &[], None)).is_empty()); // streak 1 again
-        assert_eq!(policy.decide(&view(&hover, &[], None)).len(), 1);
     }
 
     #[test]
@@ -648,7 +437,7 @@ mod tests {
         let mut policy = NodeAwarePolicy::new(verdicts, 1.0, 0.6, None);
         // No `nodes` in the view: the verdict map cannot apply.
         assert_eq!(
-            policy.decide(&view(&scores, &[], None)),
+            policy.decide(&view(&scores, None)),
             vec![(0, MitigationAction::Clone)]
         );
     }
@@ -666,9 +455,9 @@ mod tests {
             },
         ];
         let mut policy = OraclePolicy::new([7, 9]);
-        let actions = policy.decide(&view(&scores, &[], None));
+        let actions = policy.decide(&view(&scores, None));
         assert_eq!(actions, vec![(7, MitigationAction::Clone)]);
         // Task 9 never appeared in a view; task 7 is never re-proposed.
-        assert!(policy.decide(&view(&scores, &[], None)).is_empty());
+        assert!(policy.decide(&view(&scores, None)).is_empty());
     }
 }

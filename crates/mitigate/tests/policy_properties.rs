@@ -11,7 +11,7 @@
 
 use nurd_data::JobTrace;
 use nurd_mitigate::{
-    noop_mitigator, oracle_mitigator, run_fleet, threshold_mitigator, topk_mitigator, FleetConfig,
+    noop_mitigator, oracle_mitigator, run_fleet, threshold_mitigator, FleetConfig,
 };
 use nurd_serve::MitigatorFactory;
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -35,7 +35,6 @@ fn mitigators(jobs: &[JobTrace]) -> Vec<(&'static str, Option<MitigatorFactory>)
         ("none", None),
         ("noop", Some(noop_mitigator())),
         ("threshold", Some(threshold_mitigator(1.0, Some(4)))),
-        ("top-k", Some(topk_mitigator(2))),
         ("oracle", Some(oracle_mitigator(jobs, QUANTILE))),
     ]
 }

@@ -201,23 +201,20 @@ pub(crate) struct JobState {
     /// stream, so exposing it to policies and observers preserves the
     /// bit-identical-across-shard-counts guarantee.
     nodes: Option<Vec<u32>>,
-    /// Pooled capacity for the per-barrier id lists (see
+    /// Pooled capacity for the per-barrier running-id list (see
     /// [`BarrierScratch`]). Never serialized: it holds no state, only
     /// reusable allocations.
     scratch: BarrierScratch,
 }
 
-/// Reusable allocation capacity for [`JobState::barrier`]'s two id lists.
-/// The checkpoint's own view vectors borrow feature slices from the job's
+/// Reusable allocation capacity for [`JobState::barrier`]'s id list. The
+/// checkpoint's own view vectors borrow feature slices from the job's
 /// feature table, so their element types carry that borrow's lifetime and
 /// cannot be parked here; a scored barrier allocates those two afresh.
 #[derive(Default)]
 struct BarrierScratch {
     /// Sorted running-task ids, rebuilt in place each barrier.
     running_ids: Vec<usize>,
-    /// Tasks first flagged at this barrier (the finished-set delta fed to
-    /// observers and mitigation policies), rebuilt in place each barrier.
-    newly_flagged: Vec<usize>,
 }
 
 impl std::fmt::Debug for Shard {
@@ -472,12 +469,9 @@ impl JobState {
             let _busy = stats.predicting();
             predictor.predict_scored(&checkpoint)
         };
-        let mut newly_flagged = std::mem::take(&mut scratch.newly_flagged);
-        newly_flagged.clear();
         for id in scored.flagged {
             if running_ids.contains(&id) {
                 tasks[id].flagged_at = Some(ordinal);
-                newly_flagged.push(id);
             }
         }
         if let Some(observer) = observer {
@@ -491,7 +485,6 @@ impl JobState {
         }
         let Some(policy) = self.policy.as_mut() else {
             scratch.running_ids = running_ids;
-            scratch.newly_flagged = newly_flagged;
             return true;
         };
         let budget = policy.clone_budget();
@@ -501,15 +494,11 @@ impl JobState {
             time,
             threshold: self.spec.threshold,
             scores: &scored.scores,
-            flagged: &newly_flagged,
             clones_remaining: budget.map(|b| b.saturating_sub(self.clones_used)),
             nodes: self.nodes.as_deref(),
         };
         let decisions = policy.decide(&view);
         for (task, action) in decisions {
-            if matches!(action, MitigationAction::Ignore) {
-                continue;
-            }
             // `running_ids` is task-id sorted by construction, so the
             // membership probe (which also bounds `task`) can bisect.
             let actionable = running_ids.binary_search(&task).is_ok() && !tasks[task].actioned;
@@ -525,7 +514,6 @@ impl JobState {
                     stats.add(Counter::ClonesIssued, 1);
                 }
                 MitigationAction::Quarantine => stats.add(Counter::QuarantinesIssued, 1),
-                MitigationAction::Ignore => unreachable!("filtered above"),
             }
             tasks[task].actioned = true;
             self.actions.push(ActionRecord {
@@ -537,7 +525,6 @@ impl JobState {
             });
         }
         scratch.running_ids = running_ids;
-        scratch.newly_flagged = newly_flagged;
         true
     }
 

@@ -30,11 +30,12 @@
 //!
 //! Relaunch/clone durations are sampled uniformly from the latencies
 //! already *observed finished* at the copy's ready time (§7.3 samples a
-//! relaunch from the existing execution times), indexed by a [SplitMix64]
-//! hash of `(seed, job, task)` instead of a sequential RNG, so the result
-//! is independent of action-log ordering, of dispatch order and of how
-//! many other jobs the fleet ran. Same seed + same log ⇒ bit-identical
-//! outcome.
+//! relaunch from the existing execution times): those of the tasks whose
+//! original run, as this schedule placed it, reached its latency by then.
+//! The draw is indexed by a [SplitMix64] hash of `(seed, job, task)`
+//! instead of a sequential RNG, so the result is independent of
+//! action-log ordering, of dispatch order and of how many other jobs the
+//! fleet ran. Same seed + same log ⇒ bit-identical outcome.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
@@ -199,24 +200,23 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Samples a replacement-copy duration for `task` whose copy is ready at
-/// time `now`: uniform over the latencies already observed finished,
-/// indexed by hash so the draw is independent of action and dispatch
-/// order. Falls back to the fastest task when nothing has finished yet.
+/// Samples a replacement-copy duration for `task`: uniform over the
+/// `observed` latencies (those finished by the copy's ready time), indexed
+/// by hash into their sorted order so the draw is independent of action
+/// and dispatch order. Falls back to `fastest` when nothing has finished.
 fn sample_copy_duration(
-    sorted_latencies: &[f64],
-    now: f64,
+    mut observed: Vec<f64>,
+    fastest: f64,
     seed: u64,
     job: u64,
     task: usize,
 ) -> f64 {
-    let observed = sorted_latencies.partition_point(|&l| l <= now);
-    if observed == 0 {
-        sorted_latencies[0]
-    } else {
-        let h = splitmix64(seed ^ splitmix64(job) ^ splitmix64(task as u64 + 1));
-        sorted_latencies[(h % observed as u64) as usize]
+    if observed.is_empty() {
+        return fastest;
     }
+    observed.sort_by(f64::total_cmp);
+    let h = splitmix64(seed ^ splitmix64(job) ^ splitmix64(task as u64 + 1));
+    observed[(h % observed.len() as u64) as usize]
 }
 
 /// Executes a job's committed action log against its ground-truth
@@ -241,40 +241,18 @@ pub fn execute_actions(
     let latencies = job.latencies();
     assert!(!latencies.is_empty(), "job must have at least one task");
     assert!(config.machines != Some(0), "machine pool must be non-empty");
-    let mut sorted = latencies.clone();
-    sorted.sort_by(f64::total_cmp);
 
-    // Node-correlated donor pools: per node, the sorted latencies of all
-    // *other* nodes' tasks. Empty pools (single-node jobs) fall back to
-    // the fleet-wide pool so sampling never panics.
+    // Node-correlated donors: a copy draws only from *other* nodes' tasks.
+    // A single-node job has none, so it keeps the fleet-wide pool and
+    // sampling never runs dry.
     let placement = if config.node_resample {
         job.node_placement()
+            .filter(|nodes| nodes.iter().any(|&m| m != nodes[0]))
     } else {
         None
     };
-    let node_pools: std::collections::BTreeMap<u32, Vec<f64>> = placement
-        .map(|nodes| {
-            let mut pools = std::collections::BTreeMap::new();
-            for &node in nodes {
-                pools.entry(node).or_insert_with(|| {
-                    let mut pool: Vec<f64> = latencies
-                        .iter()
-                        .zip(nodes)
-                        .filter(|(_, &m)| m != node)
-                        .map(|(&l, _)| l)
-                        .collect();
-                    pool.sort_by(f64::total_cmp);
-                    pool
-                });
-            }
-            pools
-        })
-        .unwrap_or_default();
-    let pool_for = |task: usize| -> &[f64] {
-        placement
-            .and_then(|nodes| node_pools.get(&nodes[task]))
-            .filter(|pool| !pool.is_empty())
-            .map_or(&sorted[..], Vec::as_slice)
+    let donors = |task: usize| {
+        (0..latencies.len()).filter(move |&d| placement.is_none_or(|nodes| nodes[d] != nodes[task]))
     };
 
     // Each task's one effective action, the actioned tasks in log order
@@ -285,18 +263,23 @@ pub fn execute_actions(
     let (mut order, mut quarantines) = (Vec::new(), 0);
     for record in actions {
         let t = record.task;
-        if t < n
-            && effective[t].is_none()
-            && (0.0..latencies[t]).contains(&record.time)
-            && record.action != MitigationAction::Ignore
-        {
+        if t < n && effective[t].is_none() && (0.0..latencies[t]).contains(&record.time) {
             effective[t] = Some(*record);
             order.push(t);
             quarantines += usize::from(record.action == MitigationAction::Quarantine);
         }
     }
-    let draw = |r: &ActionRecord, now: f64| {
-        sample_copy_duration(pool_for(r.task), now, config.seed, r.job, r.task)
+    // `ends[d]` is when task `d`'s original run reaches its latency.
+    let draw = |r: &ActionRecord, ready: f64, ends: &[f64]| {
+        let observed = donors(r.task).filter(|&d| ends[d] <= ready);
+        let fastest = donors(r.task).map(|d| latencies[d]).min_by(f64::total_cmp);
+        sample_copy_duration(
+            observed.map(|d| latencies[d]).collect(),
+            fastest.expect("every job has a donor"),
+            config.seed,
+            r.job,
+            r.task,
+        )
     };
     // Unlimited machines are one per task and per copy.
     let machines = |copies| config.machines.unwrap_or(n + copies);
@@ -369,12 +352,15 @@ impl Pool {
 
 /// List-schedules a job on `machines` identical machines under the rules
 /// of the module docs. `effective` holds each task's one effective action;
-/// `draw` samples a copy's duration at the time the copy is ready.
+/// `draw` samples a copy's duration at the time the copy is ready, given
+/// when each original run reaches its latency (infinity for a run not yet
+/// started: a copy takes a machine no later than any initial run that
+/// starts after it is ready, so every run that ends by then is placed).
 fn schedule(
     latencies: &[f64],
     effective: &[Option<ActionRecord>],
     machines: usize,
-    draw: impl Fn(&ActionRecord, f64) -> f64,
+    draw: impl Fn(&ActionRecord, f64, &[f64]) -> f64,
 ) -> Vec<Run> {
     let mut pool = Pool {
         free: (0..machines).map(|m| Reverse((0, m, 0))).collect(),
@@ -382,8 +368,9 @@ fn schedule(
     };
     // Copies waiting for a machine, as (ready, task).
     let mut copies: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    // Each original's start and machine.
+    // Each original's start and machine, and when it reaches its latency.
     let mut placed = vec![(0.0, 0); latencies.len()];
+    let mut ends = vec![f64::INFINITY; latencies.len()];
     // Initial runs start in task-id order, so `runs.len()` is the next.
     let mut runs: Vec<Run> = Vec::with_capacity(latencies.len());
     loop {
@@ -402,6 +389,7 @@ fn schedule(
             let (task, start) = (runs.len(), free_at);
             placed[task] = (start, machine);
             let end = start + latencies[task];
+            ends[task] = end;
             let mut busy_until = end;
             if let Some(record) = effective[task] {
                 let ready = start + record.time;
@@ -425,7 +413,7 @@ fn schedule(
         };
         copies.pop();
         let record = effective[task].expect("only an actioned task has a copy");
-        let (start, duration) = (free_at.max(ready), draw(&record, ready));
+        let (start, duration) = (free_at.max(ready), draw(&record, ready, &ends));
         let (original_start, original_machine) = placed[task];
         let (time, via_mitigation, work, wasted) = match record.action {
             MitigationAction::Quarantine => {
@@ -853,9 +841,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
         /// A pool with a machine for every task and every copy is the
-        /// unlimited executor, bit for bit, over logs that mix clones,
-        /// quarantines and ignores with duplicates, out-of-range tasks and
-        /// actions that land after their task finished.
+        /// unlimited executor, bit for bit, over logs that mix clones and
+        /// quarantines with duplicates, out-of-range tasks and actions
+        /// that land after their task finished.
         #[test]
         fn prop_large_pool_is_unlimited_bit_for_bit(
             latencies in collection::vec(0.5..50.0f64, 1..12),
@@ -865,16 +853,12 @@ mod tests {
         ) {
             let j = job(&latencies);
             let longest = latencies.iter().copied().fold(0.0, f64::max);
-            let kinds = [
-                MitigationAction::Clone,
-                MitigationAction::Quarantine,
-                MitigationAction::Ignore,
-            ];
+            let kinds = [MitigationAction::Clone, MitigationAction::Quarantine];
             let log: Vec<ActionRecord> = raw
                 .iter()
                 .map(|r| {
                     let task = (r[0] * (latencies.len() + 2) as f64) as usize;
-                    record(task, r[1] * longest * 1.2, kinds[(r[2] * 3.0) as usize])
+                    record(task, r[1] * longest * 1.2, kinds[(r[2] * 2.0) as usize])
                 })
                 .collect();
             let unlimited = MitigationSimConfig { seed, ..MitigationSimConfig::default() };
@@ -915,6 +899,29 @@ mod tests {
         assert_eq!(out.wasted_work, 4.0);
         assert_eq!(out.total_work, 4.0 + 3.0 + 9.0);
         assert_eq!((out.quarantines, out.caught_stragglers), (1, 1));
+    }
+
+    #[test]
+    fn a_pooled_copy_draws_only_from_runs_finished_by_its_ready_time() {
+        // Task 0 is quarantined 4 units in. Of the other tasks only task 1
+        // has finished by t = 4: task 2 runs [3, 4.5) and tasks 3 and 4
+        // have not started, though all three are shorter than 4. So the
+        // relaunch takes exactly task 1's 3.
+        //   m0: task 0 [0, 4) killed, relaunch [4, 7), task 4 [7, 10.5)
+        //   m1: task 1 [0, 3), task 2 [3, 4.5), task 3 [4.5, 7)
+        let j = job(&[10.0, 3.0, 1.5, 2.5, 3.5]);
+        let quarantine = [record(0, 4.0, MitigationAction::Quarantine)];
+        for seed in 0..32 {
+            let sim = MitigationSimConfig {
+                seed,
+                machines: Some(2),
+                ..MitigationSimConfig::default()
+            };
+            let out = execute_actions(&j, 5.0, &quarantine, &sim);
+            let times: Vec<f64> = out.completions.iter().map(|c| c.time).collect();
+            assert_eq!(times, [7.0, 3.0, 4.5, 7.0, 10.5], "seed {seed}");
+            assert_eq!(out.total_work, 4.0 + 3.0 + 3.0 + 1.5 + 2.5 + 3.5);
+        }
     }
 
     #[test]

@@ -55,7 +55,6 @@ fn fleet(shards: usize) -> FleetConfig {
             node_resample: true,
             ..MitigationSimConfig::default()
         },
-        ..FleetConfig::default()
     }
 }
 
@@ -64,7 +63,6 @@ fn node_config(shards: usize) -> NodeFleetConfig {
         fleet: fleet(shards),
         score_threshold: 1.2,
         watch_threshold: 1.2,
-        ..NodeFleetConfig::default()
     }
 }
 

@@ -13,7 +13,7 @@
 #       whose limit may only go down;
 #   (c) `unsafe` keyword sites in product and test sources of every crate
 #       and the root package (comment lines excluded);
-#   (d) `pub` fields across the nine configuration structs.
+#   (d) `pub` fields across the thirteen configuration structs.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -254,10 +254,27 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # `ReplayOutcome::relaunches`; `lib.rs` 0), `bench` +2 (`mean_jct_reduction`
 # calls `execute_actions` on the relaunches), `data` +2 (`ActionRecord::time`
 # documented as the task's elapsed time).
-MAX_WORKSPACE_LINES=20175
-MAX_PRODUCT_LINES=8504
+#
+# The closed loop keeping only what a caller reads lowered both line
+# limits by its net, -296 (20,175 -> 19,879) and -13 (8,504 -> 8,491):
+# `mitigate` -161 (`TopKPolicy`, `BandedClonePolicy` and their factories;
+# six harness fields no caller set became private constants), `health`
+# -105 (the per-barrier suspicion: the `observe_barrier` override, the
+# barrier map and its blob section, `NodeStats::suspicion` and its fold),
+# `serve` -13 (`BarrierScratch::newly_flagged` and its per-barrier
+# rebuild, the `Ignore` filter and arm), `sim` -12 (one donor filter on
+# the schedule's finish times in place of the per-node sorted pools),
+# `data` -11 (`MitigationAction::Ignore`, `BarrierView::flagged`; the
+# discriminants are the wire tags, so `encode` is one cast),
+# `bench` +6 (`repro`'s machine counts derived from the suite). The
+# config census widened to the closed loop's four structs
+# (`FleetConfig`, `NodeFleetConfig`, `HealthConfig`,
+# `MitigationSimConfig`), so a knob added there shows: 46 at the parent
+# by the wider count, 40 after the six fields went.
+MAX_WORKSPACE_LINES=19879
+MAX_PRODUCT_LINES=8491
 MAX_UNSAFE_SITES=1
-MAX_CONFIG_FIELDS=28
+MAX_CONFIG_FIELDS=40
 
 workspace=0
 total=0
@@ -278,7 +295,8 @@ printf 'unsafe sites                 %6d   (limit %d)\n' "$unsafe_sites" "$MAX_U
 
 config_fields=0
 for config in TreeConfig GbtConfig LogisticConfig NurdConfig WarmRefitConfig \
-    EngineConfig BalanceConfig ServiceConfig PersistenceConfig; do
+    EngineConfig BalanceConfig ServiceConfig PersistenceConfig \
+    FleetConfig NodeFleetConfig HealthConfig MitigationSimConfig; do
     fields=$(cat crates/*/src/*.rs | awk -v name="$config" '
         $0 ~ "^pub struct " name " \\{" { inside = 1; next }
         inside && /^}/ { inside = 0 }

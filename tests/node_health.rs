@@ -47,7 +47,6 @@ fn fleet(shards: usize, node_resample: bool) -> FleetConfig {
             node_resample,
             ..MitigationSimConfig::default()
         },
-        ..FleetConfig::default()
     }
 }
 
@@ -127,7 +126,6 @@ fn aggregator_convicts_the_planted_sick_node_and_the_verdict_pays() {
             // node axis is the only difference.
             score_threshold: 1.2,
             watch_threshold: 1.2,
-            ..NodeFleetConfig::default()
         },
     );
 
