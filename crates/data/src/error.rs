@@ -1,70 +1,29 @@
 use std::error::Error;
 use std::fmt;
-use std::io;
 
-/// Errors produced by the data layer.
+/// Errors produced by the data layer: a trace built in memory that breaks
+/// one of [`JobTrace`](crate::JobTrace)'s structural rules.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum DataError {
-    /// An underlying I/O failure while reading or writing a trace file.
-    Io(io::Error),
-    /// A malformed line in a trace file.
-    Parse {
-        /// 1-based line number of the offending input.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-    /// A structurally invalid trace (e.g. ragged feature rows).
+    /// A structurally invalid job (e.g. ragged feature rows, or a node list
+    /// whose length is not the task count), with what is wrong with it.
     Invalid(String),
 }
 
 impl fmt::Display for DataError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DataError::Io(e) => write!(f, "i/o error: {e}"),
-            DataError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
-            }
             DataError::Invalid(msg) => write!(f, "invalid trace: {msg}"),
         }
     }
 }
 
-impl Error for DataError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            DataError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for DataError {
-    fn from(e: io::Error) -> Self {
-        DataError::Io(e)
-    }
-}
+impl Error for DataError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_mentions_line_number() {
-        let e = DataError::Parse {
-            line: 42,
-            message: "bad float".into(),
-        };
-        assert!(e.to_string().contains("42"));
-    }
-
-    #[test]
-    fn io_error_roundtrips_through_from() {
-        let e: DataError = io::Error::new(io::ErrorKind::NotFound, "gone").into();
-        assert!(matches!(e, DataError::Io(_)));
-        assert!(std::error::Error::source(&e).is_some());
-    }
 
     #[test]
     fn error_is_send_sync() {

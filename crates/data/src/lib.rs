@@ -13,6 +13,9 @@
 //! a delta against the previous checkpoint — the accessor behind the
 //! incremental (warm-start) refit path in `nurd-core`.
 //!
+//! The crate performs no I/O: traces are built in memory (by `nurd-trace`'s
+//! generator) and validated by [`JobTrace::new`].
+//!
 //! # Example
 //!
 //! ```
@@ -34,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod checkpoint;
-mod csv;
 mod error;
 mod event;
 mod job;
@@ -43,7 +45,6 @@ mod predictor;
 mod task;
 
 pub use checkpoint::{Checkpoint, FinishedDelta, FinishedTask, RunningTask};
-pub use csv::{read_job_csv, read_jobs_csv, write_jobs_csv};
 pub use error::DataError;
 pub use event::{job_stream, JobSpec, TaskEvent};
 pub use job::{warmup_quorum, JobTrace};

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use nurd_codec::{Checkpointable, Decoder, Encoder};
 use nurd_data::{
     ActionRecord, BarrierView, Checkpoint, FinishedTask, JobSpec, MitigationAction,
-    MitigationPolicy, OnlinePredictor, RunningTask, StreamContext, TaskEvent,
+    MitigationPolicy, OnlinePredictor, RunningTask, ScoredPrediction, StreamContext, TaskEvent,
 };
 use nurd_sim::outcome_from_flags;
 
@@ -444,33 +444,27 @@ impl JobState {
             running,
         };
         self.checkpoints_scored += 1;
-        if self.policy.is_none() && observer.is_none() {
-            let flagged = {
-                let _busy = stats.predicting();
-                predictor.predict(&checkpoint)
-            };
-            for id in flagged {
-                // Same guard as the simulator: only actually-running tasks
-                // can be flagged.
-                if running_ids.contains(&id) {
-                    tasks[id].flagged_at = Some(ordinal);
-                }
-            }
-            scratch.running_ids = running_ids;
-            return true;
-        }
-
-        // Mitigation/observation path: one `predict_scored` call per
-        // barrier — by the predictor contract its flag set and state
-        // transition are bit-identical to `predict`, so attaching a
-        // mitigator or observer never changes what gets flagged, only
-        // what gets *done* (or learned) about it.
+        // One `predict_scored` call when a mitigator or observer reads the
+        // scores; by the predictor contract its flag set and state
+        // transition are bit-identical to `predict`'s, so attaching one
+        // never changes what gets flagged, only what gets done about it.
         let scored = {
             let _busy = stats.predicting();
-            predictor.predict_scored(&checkpoint)
+            if self.policy.is_none() && observer.is_none() {
+                let flagged = predictor.predict(&checkpoint);
+                ScoredPrediction {
+                    flagged,
+                    scores: Vec::new(),
+                }
+            } else {
+                predictor.predict_scored(&checkpoint)
+            }
         };
+        // Same guard as the simulator: only running tasks can be flagged.
+        // `running_ids` is task-id sorted by construction, so the probe
+        // (which also bounds `id`) bisects.
         for id in scored.flagged {
-            if running_ids.contains(&id) {
+            if running_ids.binary_search(&id).is_ok() {
                 tasks[id].flagged_at = Some(ordinal);
             }
         }
@@ -499,8 +493,6 @@ impl JobState {
         };
         let decisions = policy.decide(&view);
         for (task, action) in decisions {
-            // `running_ids` is task-id sorted by construction, so the
-            // membership probe (which also bounds `task`) can bisect.
             let actionable = running_ids.binary_search(&task).is_ok() && !tasks[task].actioned;
             let within_budget = !matches!(action, MitigationAction::Clone)
                 || budget.is_none_or(|b| self.clones_used < b);
@@ -592,13 +584,12 @@ impl JobState {
         self.actions.encode(enc);
     }
 
-    /// Restores the action log and the bookkeeping derived from it.
+    /// Restores the action log and the bookkeeping derived from it; every
+    /// record names one of the job's tasks (`decode` checks).
     fn adopt_actions(&mut self, actions: Vec<ActionRecord>) {
         self.clones_used = 0;
         for record in &actions {
-            if let Some(task) = self.tasks.get_mut(record.task) {
-                task.actioned = true;
-            }
+            self.tasks[record.task].actioned = true;
             if record.action == MitigationAction::Clone {
                 self.clones_used += 1;
             }
@@ -662,19 +653,21 @@ impl JobState {
         state.barriers_seen = dec.take_usize()?;
         state.checkpoints_scored = dec.take_usize()?;
         state.nodes = Checkpointable::decode(dec)?;
+        let actions: Vec<ActionRecord> = Checkpointable::decode(dec)?;
         // Refuse bookkeeping the job's own events could not have left
-        // (warmup is set at a barrier already closed).
+        // (warmup is set at a barrier already closed; an action names
+        // this job and one of its tasks).
         let finished = state.tasks.iter().filter(|t| t.latency.is_some()).count();
         if ragged
             || !(state.nodes.as_ref().is_none_or(|n| n.len() == task_count)
                 && state.finished_total == finished
                 && state.barriers_seen <= state.spec.checkpoints
                 && state.warmup_at.is_none_or(|w| w < state.barriers_seen)
-                && state.checkpoints_scored <= state.barriers_seen)
+                && state.checkpoints_scored <= state.barriers_seen
+                && actions.iter().all(|a| a.job == job && a.task < task_count))
         {
             return Err(RecoverError::PredictorRestore(job));
         }
-        let actions: Vec<ActionRecord> = Checkpointable::decode(dec)?;
         state.adopt_actions(actions);
         Ok(state)
     }
@@ -1268,7 +1261,18 @@ mod tests {
         );
         assert!(decode(&record(&state)).is_ok());
         type Spoil = fn(&mut JobState);
-        let hostile: [(&str, Spoil); 6] = [
+        fn action(job: u64, task: usize) -> ActionRecord {
+            ActionRecord {
+                job,
+                ordinal: 1,
+                time: 20.0,
+                task,
+                action: MitigationAction::Quarantine,
+            }
+        }
+        let hostile: [(&str, Spoil); 8] = [
+            ("an action of another job", |s| s.actions.push(action(8, 1))),
+            ("an action on task 2 of 2", |s| s.actions.push(action(7, 2))),
             ("a third task entry", |s| s.tasks.push(TaskState::default())),
             ("a placement of three", |s| s.nodes = Some(vec![0; 3])),
             ("two finished, one latency", |s| s.finished_total = 2),
@@ -1304,6 +1308,34 @@ mod tests {
         let end = at + 8 + 2 * 8;
         ragged.splice(end..end, 1.5f64.to_le_bytes());
         refused("a finished task three wide", decode(&ragged));
+    }
+
+    /// Flags every finished task and the first id past the job's last
+    /// task: neither is running, so a barrier must mark neither.
+    struct FlagsNotRunning;
+    impl OnlinePredictor for FlagsNotRunning {
+        fn name(&self) -> &str {
+            "NOT-RUNNING"
+        }
+        fn predict(&mut self, checkpoint: &Checkpoint<'_>) -> Vec<usize> {
+            let past_end = checkpoint.finished.len() + checkpoint.running.len();
+            let finished = checkpoint.finished.iter().map(|f| f.id);
+            finished.chain([past_end]).collect()
+        }
+    }
+
+    #[test]
+    fn a_flag_on_a_task_not_running_marks_nothing() {
+        let spec = spec(4);
+        let stats = ShardStats::default();
+        let mut state = admitted(&spec, Box::new(FlagsNotRunning));
+        for event in steps(4).concat() {
+            assert!(state.apply(event, WARMUP, None, &stats));
+        }
+        // Scored at every barrier from the first completion (time 20) to
+        // the threshold (55), each with a task finished.
+        assert_eq!((state.checkpoints_scored, state.finished_total), (4, 4));
+        assert!(state.tasks.iter().all(|t| t.flagged_at.is_none()));
     }
 
     /// Blob-capable and stateless: flags each running task whose last

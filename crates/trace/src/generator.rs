@@ -480,22 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn suite_round_trips_through_csv() {
-        let cfg = tiny(TraceStyle::Alibaba);
-        let jobs = generate_suite(&cfg);
-        let dir = std::env::temp_dir().join("nurd-trace-roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("suite.csv");
-        nurd_data::write_jobs_csv(&path, &jobs).unwrap();
-        let parsed = nurd_data::read_jobs_csv(&path).unwrap();
-        assert_eq!(parsed.len(), jobs.len());
-        // Latencies and shapes survive the text round-trip exactly enough
-        // for replay (floats print with full precision).
-        assert_eq!(parsed[0].task_count(), jobs[0].task_count());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn all_features_are_finite() {
         let job = generate_job(&tiny(TraceStyle::Google), 7);
         for task in job.tasks() {

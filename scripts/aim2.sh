@@ -271,8 +271,19 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 # (`FleetConfig`, `NodeFleetConfig`, `HealthConfig`,
 # `MitigationSimConfig`), so a knob added there shows: 46 at the parent
 # by the wider count, 40 after the six fields went.
-MAX_WORKSPACE_LINES=19879
-MAX_PRODUCT_LINES=8491
+#
+# One way in for a trace lowered both line limits by its net, -288
+# (19,879 -> 19,591) and -7 (8,491 -> 8,484): `data` -281 (`csv.rs`'s 257
+# product lines -- `read_jobs_csv`, `read_job_csv`, `write_jobs_csv` and
+# the parser behind them -- gone; `error.rs` -25, `DataError::{Io, Parse}`,
+# their `Display` arms, the `source` match and `From<io::Error>`;
+# `lib.rs` +1, the module and its export out, two doc lines in saying
+# the crate performs no I/O), `serve` -7 (`shard.rs`: the barrier's two
+# flag loops are one bisected guard after one predict call; decode's
+# bookkeeping check also refuses an action log naming another job or a
+# task past the job, so `adopt_actions` indexes).
+MAX_WORKSPACE_LINES=19591
+MAX_PRODUCT_LINES=8484
 MAX_UNSAFE_SITES=1
 MAX_CONFIG_FIELDS=40
 

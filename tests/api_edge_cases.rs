@@ -91,22 +91,6 @@ fn trace_validation_rejects_malformed_jobs() {
 }
 
 #[test]
-fn csv_reader_survives_hostile_input() {
-    for garbage in [
-        &b"\xff\xfe invalid utf8 later: \xc3\x28"[..],
-        b"#job,notanumber\n",
-        b"#features,a,b\n0,1,0,2,3\n",
-        b"#job,1\n#features,a\n#checkpoints,abc\n",
-        b"#job,1\n#features,f\n#checkpoints,1\n0,nan,0,0.5\n",
-        b"#job,1\n#features,f\n#checkpoints,1\n0,1.0,0,inf\n",
-        b"#job,1\n#features,f\n#checkpoints,1\n0,-3.0,0,0.5\n",
-    ] {
-        // Must error, never panic.
-        assert!(nurd::data::read_job_csv(garbage).is_err());
-    }
-}
-
-#[test]
 fn replay_handles_trivial_jobs() {
     // A 2-task job with 1 checkpoint must replay without panicking for
     // every registry method.

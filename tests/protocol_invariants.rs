@@ -115,23 +115,6 @@ fn flag_everything_has_perfect_recall_on_predictable_stragglers() {
 }
 
 #[test]
-fn csv_roundtrip_preserves_replay_outcomes() {
-    let jobs = small_suite(TraceStyle::Google, 2, 0xC4);
-    let path = std::env::temp_dir().join("nurd_test_roundtrip.csv");
-    nurd::data::write_jobs_csv(&path, &jobs).unwrap();
-    let reloaded = nurd::data::read_jobs_csv(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(jobs.len(), reloaded.len());
-    for (a, b) in jobs.iter().zip(&reloaded) {
-        let mut pa = nurd::core::NurdPredictor::new(nurd::core::NurdConfig::default());
-        let mut pb = nurd::core::NurdPredictor::new(nurd::core::NurdConfig::default());
-        let out_a = replay_job(a, &mut pa, &ReplayConfig::default());
-        let out_b = replay_job(b, &mut pb, &ReplayConfig::default());
-        assert_eq!(out_a.flagged_at, out_b.flagged_at);
-    }
-}
-
-#[test]
 fn scheduler_never_beats_perfect_information_bound() {
     // Mitigated JCT can never undercut the baseline JCT of a job whose
     // stragglers were replaced by instantaneous tasks — a loose lower
