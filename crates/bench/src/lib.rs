@@ -6,10 +6,6 @@
 //! share: the one flag parser, suite construction, and one evaluator that
 //! replays a predictor factory over a suite on a
 //! [`nurd_runtime::ThreadPool`].
-//!
-//! Two criterion microbenchmarks live under `benches/` (the ML
-//! primitives and the scoring kernel); this crate's `README.md` documents
-//! them.
 
 #![forbid(unsafe_code)]
 

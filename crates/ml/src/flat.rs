@@ -832,8 +832,9 @@ mod tests {
     #[test]
     fn every_kernel_matches_the_oracle_walk() {
         // 37 and 101 rows: indivisible by every lane width, so each kernel
-        // runs full groups *and* a one-row remainder.
-        for (n, d, n_rounds) in [(37, 3, 12), (101, 3, 15), (120, 3, 25)] {
+        // runs full groups *and* a one-row remainder. 256 × 8 at 50 rounds
+        // is a serving-size head over a plausible running-set batch.
+        for (n, d, n_rounds) in [(37, 3, 12), (101, 3, 15), (120, 3, 25), (256, 8, 50)] {
             let x = rows(n, d, 23);
             let (binned, model) = fit(&x, &rounds(n_rounds));
             assert_eq!(model.forest().tree_count(), n_rounds);

@@ -464,21 +464,6 @@ impl LogisticRegression {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
-
-    /// The objective IRLS maximizes, at this model over `x`, `y` standardized
-    /// as its fit was — on its own rows, bit for bit the value it stopped at.
-    #[must_use]
-    pub fn objective(&self, x: MatrixView<'_>, y: &[f64], config: &LogisticConfig) -> f64 {
-        let d = self.weights.len();
-        let mut xs = Vec::with_capacity(x.rows() * d);
-        for i in 0..x.rows() {
-            let scale = self.feature_means.iter().zip(&self.feature_stds);
-            xs.extend(scale.enumerate().map(|(j, (m, s))| (x.get(i, j) - m) / s));
-        }
-        let mut point = Point::at([&self.weights[..], &[self.intercept]].concat(), y.len());
-        point.evaluate(&xs, d, y, &sample_weights(y, config.balanced));
-        point.objective
-    }
 }
 
 impl nurd_codec::Checkpointable for LogisticRegression {
@@ -820,6 +805,69 @@ mod tests {
             cold.iterations
         );
         assert!(cold.iterations >= 2, "fixture too easy to measure savings");
+    }
+
+    /// The objective IRLS maximizes, at `model` over `x`, `y` standardized
+    /// as its fit was — on its own rows, bit for bit the value it stopped at.
+    fn objective(
+        model: &LogisticRegression,
+        x: MatrixView<'_>,
+        y: &[f64],
+        config: &LogisticConfig,
+    ) -> f64 {
+        let d = model.weights.len();
+        let mut xs = Vec::with_capacity(x.rows() * d);
+        for i in 0..x.rows() {
+            let scale = model.feature_means.iter().zip(&model.feature_stds);
+            xs.extend(scale.enumerate().map(|(j, (m, s))| (x.get(i, j) - m) / s));
+        }
+        let mut point = Point::at([&model.weights[..], &[model.intercept]].concat(), y.len());
+        point.evaluate(&xs, d, y, &sample_weights(y, config.balanced));
+        point.objective
+    }
+
+    /// The contract of the resolution stop (module docs, "When the loop
+    /// stops"): the loop ends once a full Newton step predicts an ascent
+    /// under 4·ε·|f|, far below what a sum of n rounded terms resolves
+    /// (n·ε·|f|), so a seeded fit must end within that of the cold fit's
+    /// objective. One that stopped early would not. The shapes are the two
+    /// `g_t` serves — a giant Alibaba-style job (thousands of tasks, 4
+    /// features) and a Google-style one (~120 tasks, 17 features) — seeded
+    /// from a fit on the first 95 % of rows, as each checkpoint's refit is
+    /// seeded from the last.
+    #[test]
+    fn a_seeded_fit_ends_where_the_cold_fit_does_within_rounding() {
+        let config = LogisticConfig { balanced: true };
+        for (n, d) in [(2000usize, 4usize), (120, 17)] {
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..d)
+                        .map(|j| ((i * 31 + j * 17) % 97) as f64 / 97.0)
+                        .collect()
+                })
+                .collect();
+            // Finished vs running: near-separable on a progress-like
+            // feature, a few rows on the wrong side.
+            let labels: Vec<f64> = x
+                .iter()
+                .enumerate()
+                .map(|(i, row)| f64::from((row[0] + 0.15 * row[d - 1] > 0.6) != (i % 37 == 0)))
+                .collect();
+            let prefix = n * 95 / 100;
+            let previous =
+                LogisticRegression::fit(&x[..prefix], &labels[..prefix], &config).unwrap();
+            let rows = row_slices(&x);
+            let view = MatrixView::RowSlices(&rows);
+            let ends_at = |seed| {
+                let fit = LogisticRegression::fit_view_warm(view, &labels, &config, seed).unwrap();
+                objective(&fit, view, &labels, &config)
+            };
+            let (cold, warm) = (ends_at(None), ends_at(Some(&previous)));
+            assert!(
+                (warm - cold).abs() <= n as f64 * f64::EPSILON * cold.abs(),
+                "{n}x{d}: the seeded fit ends at {warm}, the cold one at {cold}"
+            );
+        }
     }
 
     #[test]

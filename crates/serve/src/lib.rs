@@ -24,19 +24,19 @@
 //!   [`EngineService::quiesce`] is the settle-then-observe point for
 //!   callers that must look between pushes.
 //!
-//! Everything PR 4 established rides along unchanged: **mid-stream
-//! admission** ([`nurd_data::TaskEvent::JobStart`] carries the
+//! The engine provides **mid-stream admission**
+//! ([`nurd_data::TaskEvent::JobStart`] carries the
 //! [`nurd_data::JobSpec`]; the [`PredictorFactory`] builds the predictor
 //! on the spot — no up-front registry), **per-job finalization**
 //! (`JobEnd` / last barrier / all-tasks-finished ⇒ [`JobReport`], state
 //! dropped, memory bounded to *live* jobs), **back-pressure**
 //! ([`EngineConfig::queue_capacity`] + [`OverloadPolicy`], losses
 //! counted in [`OverloadCounters`]), and **adaptive shard balancing**
-//! (new — [`BalanceConfig`]: a backlogged shard's oversized jobs get
+//! ([`BalanceConfig`]: a backlogged shard's oversized jobs get
 //! within-job parallelism via [`nurd_data::OnlinePredictor::set_parallelism`],
 //! attacking the one-giant-job skew that shard counts cannot).
 //!
-//! New in this layer: **crash safety**. A service started with
+//! It also provides **crash safety**. A service started with
 //! [`EngineService::start_persistent`] write-ahead-logs every drained
 //! event (per shard, under the same lock that orders application) and
 //! writes versioned, CRC-framed snapshots

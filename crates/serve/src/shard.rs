@@ -585,16 +585,20 @@ impl JobState {
     }
 
     /// Restores the action log and the bookkeeping derived from it; every
-    /// record names one of the job's tasks (`decode` checks).
-    fn adopt_actions(&mut self, actions: Vec<ActionRecord>) {
+    /// record names one of the job's tasks (`decode` checks). `false` if
+    /// two records action one task, which a barrier never does.
+    fn adopt_actions(&mut self, actions: Vec<ActionRecord>) -> bool {
         self.clones_used = 0;
         for record in &actions {
-            self.tasks[record.task].actioned = true;
+            if std::mem::replace(&mut self.tasks[record.task].actioned, true) {
+                return false;
+            }
             if record.action == MitigationAction::Clone {
                 self.clones_used += 1;
             }
         }
         self.actions = actions;
+        true
     }
 
     /// Rebuilds a job from its snapshot record, restoring the predictor
@@ -656,19 +660,23 @@ impl JobState {
         let actions: Vec<ActionRecord> = Checkpointable::decode(dec)?;
         // Refuse bookkeeping the job's own events could not have left
         // (warmup is set at a barrier already closed; an action names
-        // this job and one of its tasks).
+        // this job, one of its tasks and a barrier already closed, and
+        // no task twice).
         let finished = state.tasks.iter().filter(|t| t.latency.is_some()).count();
+        let seen = state.barriers_seen;
         if ragged
             || !(state.nodes.as_ref().is_none_or(|n| n.len() == task_count)
                 && state.finished_total == finished
-                && state.barriers_seen <= state.spec.checkpoints
-                && state.warmup_at.is_none_or(|w| w < state.barriers_seen)
-                && state.checkpoints_scored <= state.barriers_seen
-                && actions.iter().all(|a| a.job == job && a.task < task_count))
+                && seen <= state.spec.checkpoints
+                && state.warmup_at.is_none_or(|w| w < seen)
+                && state.checkpoints_scored <= seen
+                && actions
+                    .iter()
+                    .all(|a| a.job == job && a.task < task_count && a.ordinal < seen))
+            || !state.adopt_actions(actions)
         {
             return Err(RecoverError::PredictorRestore(job));
         }
-        state.adopt_actions(actions);
         Ok(state)
     }
 
@@ -1270,9 +1278,18 @@ mod tests {
                 action: MitigationAction::Quarantine,
             }
         }
-        let hostile: [(&str, Spoil); 8] = [
+        let hostile: [(&str, Spoil); 10] = [
             ("an action of another job", |s| s.actions.push(action(8, 1))),
             ("an action on task 2 of 2", |s| s.actions.push(action(7, 2))),
+            ("task 1 actioned twice", |s| {
+                s.actions.extend([action(7, 1), action(7, 1)])
+            }),
+            ("an action at barrier 2 of 2 seen", |s| {
+                s.actions.push(ActionRecord {
+                    ordinal: 2,
+                    ..action(7, 1)
+                })
+            }),
             ("a third task entry", |s| s.tasks.push(TaskState::default())),
             ("a placement of three", |s| s.nodes = Some(vec![0; 3])),
             ("two finished, one latency", |s| s.finished_total = 2),
