@@ -348,9 +348,9 @@ fn take_vec<'a, T>(
 /// completion** — `task.snapshot(k)` constant for every `k` at or past
 /// the finishing checkpoint. That is the same invariant the warm-start
 /// refit subsystem already leans on (see [`crate::FinishedDelta`]), and
-/// every `nurd-trace`-generated trace guarantees it; a hand-built or
-/// CSV-loaded trace whose features keep mutating after completion is
-/// outside both subsystems' contracts (sequential `replay_job` would
+/// every `nurd-trace`-generated trace guarantees it; a hand-built trace
+/// whose features keep mutating after completion is outside both
+/// subsystems' contracts (sequential `replay_job` would
 /// re-read the drifting snapshot, this stream cannot).
 #[must_use]
 pub fn job_stream(job: &JobTrace, threshold_quantile: f64) -> Vec<TaskEvent> {

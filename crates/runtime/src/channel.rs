@@ -6,18 +6,15 @@
 //! non-blocking* ([`Channel::recv_batch`]): the intended consumer is a
 //! drain worker that watches many channels at once and parks on a shared
 //! [`crate::Notifier`] rather than on any single channel. The send side
-//! is where the interesting policy lives:
+//! offers back-pressure two ways:
 //!
 //! * [`Channel::send`] — **blocking** send: waits while the channel is at
 //!   capacity (true back-pressure; the producer thread sleeps until a
 //!   consumer makes room) and fails only once the channel is
 //!   [closed](Channel::close);
 //! * [`Channel::try_send`] — **non-blocking** send: returns
-//!   [`TrySendError::Full`] instead of waiting, handing the item back to
-//!   the caller so a different overload policy can be applied;
-//! * [`Channel::send_evicting`] — never blocks: a full channel evicts its
-//!   *oldest* item to make room and returns it (the shed-oldest overload
-//!   policy as one atomic operation).
+//!   [`TrySendError::Full`] instead of waiting, handing the item back so
+//!   the caller can do useful work (drain, say) before it blocks.
 //!
 //! Closing wakes every blocked sender with its item returned intact, so
 //! no event is silently dropped at shutdown — the caller decides what a
@@ -36,8 +33,7 @@ pub struct SendError<T>(pub T);
 /// Why a [`Channel::try_send`] did not enqueue; the item is handed back.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySendError<T> {
-    /// The channel is at capacity — retry, block ([`Channel::send`]),
-    /// evict ([`Channel::send_evicting`]), or drop, per policy.
+    /// The channel is at capacity — retry, or block ([`Channel::send`]).
     Full(T),
     /// The channel is closed; no send can ever succeed again.
     Closed(T),
@@ -48,8 +44,8 @@ struct State<T> {
     closed: bool,
 }
 
-/// A bounded (or unbounded) MPSC queue with blocking, non-blocking, and
-/// evicting sends — see the module docs for the design.
+/// A bounded (or unbounded) MPSC queue with blocking and non-blocking
+/// sends — see the module docs for the design.
 pub struct Channel<T> {
     state: Mutex<State<T>>,
     /// Senders blocked in [`Channel::send`] wait here; every pop and
@@ -157,26 +153,6 @@ impl<T> Channel<T> {
         Ok(was_empty)
     }
 
-    /// Never-blocking send that sheds from the *front*: if the channel is
-    /// full, the oldest queued item is evicted to make room and returned
-    /// in the `Ok` pair's second slot. The first slot reports the
-    /// empty→non-empty transition (see [`Channel::send`]); an eviction
-    /// implies the channel was full, so the two are never both set.
-    pub fn send_evicting(&self, item: T) -> Result<(bool, Option<T>), SendError<T>> {
-        let mut state = self.lock();
-        if state.closed {
-            return Err(SendError(item));
-        }
-        let was_empty = state.queue.is_empty();
-        let evicted = match self.capacity {
-            Some(cap) if state.queue.len() >= cap => state.queue.pop_front(),
-            _ => None,
-        };
-        state.queue.push_back(item);
-        self.queued.store(state.queue.len(), Ordering::Relaxed);
-        Ok((was_empty, evicted))
-    }
-
     /// Moves up to `max` items (in FIFO order) into `out`, returning how
     /// many were taken, and wakes senders blocked on a full channel. One
     /// lock acquisition per batch — this is the receive primitive drain
@@ -260,21 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn send_evicting_sheds_the_oldest() {
-        let ch = Channel::bounded(2);
-        assert_eq!(ch.send_evicting(1).unwrap(), (true, None));
-        assert_eq!(ch.send_evicting(2).unwrap(), (false, None));
-        assert_eq!(
-            ch.send_evicting(3).unwrap(),
-            (false, Some(1)),
-            "oldest evicted"
-        );
-        let mut out = Vec::new();
-        ch.recv_batch(&mut out, 10);
-        assert_eq!(out, vec![2, 3]);
-    }
-
-    #[test]
     fn sends_report_the_empty_to_nonempty_transition() {
         let ch = Channel::bounded(4);
         assert!(ch.send(1).unwrap(), "first send transitions");
@@ -292,7 +253,6 @@ mod tests {
         ch.close();
         assert_eq!(ch.send(2), Err(SendError(2)));
         assert_eq!(ch.try_send(3), Err(TrySendError::Closed(3)));
-        assert_eq!(ch.send_evicting(4), Err(SendError(4)));
         assert!(!ch.is_drained(), "item still queued");
         let mut out = Vec::new();
         assert_eq!(ch.recv_batch(&mut out, 1), 1);

@@ -17,9 +17,9 @@
 //!   thread **helps execute** pool tasks, so a pool with `threads == 1`
 //!   degenerates to plain sequential execution with no deadlock and no
 //!   idle spinning;
-//! * [`Channel`] is a bounded MPSC ingress queue with **blocking**,
-//!   **non-blocking**, and **evicting** sends (the three overload
-//!   policies a service boundary needs), and [`Notifier`] is the
+//! * [`Channel`] is a bounded MPSC ingress queue with **blocking** and
+//!   **non-blocking** sends (back-pressure, the one overload discipline
+//!   a service boundary needs), and [`Notifier`] is the
 //!   epoch-counting park/unpark primitive for workers that watch many
 //!   such channels — together they are the substrate of `nurd-serve`'s
 //!   concurrent ingestion service.

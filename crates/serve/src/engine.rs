@@ -105,11 +105,11 @@ pub struct EngineConfig {
     /// comparing reports against `nurd_sim::replay_job`).
     pub warmup_fraction: f64,
     /// Per-shard ingress queue bound. `None` (the default) is unbounded;
-    /// `Some(n)` makes pushes apply the [`OverloadPolicy`] once a shard
-    /// holds `n` undrained events (clamped to ≥ 1).
+    /// `Some(n)` makes a push block once its shard holds `n` undrained
+    /// events (clamped to ≥ 1).
     pub queue_capacity: Option<usize>,
-    /// What to do with a push to a full shard queue (see
-    /// [`OverloadPolicy`]; only the default `Block` is lossless).
+    /// Always [`OverloadPolicy::Block`], its one value. Kept only for
+    /// `benchmark/`, which sets it.
     pub overload: OverloadPolicy,
     /// Adaptive within-job parallelism for oversized jobs on backlogged
     /// shards. `None` (the default) never grants extra threads.
@@ -173,12 +173,9 @@ impl Checkpointable for JobReport {
 
 /// The engine's final output: per-job reports in job-id order. Equal
 /// (`PartialEq`) across *any* shard count, *any* drain-worker count, and
-/// *any* cross-job interleaving of the same per-job streams — the
-/// determinism property tests in `tests/determinism.rs` and
-/// `tests/service.rs` enforce exactly this (the overload counters stay
-/// zero under the lossless default config; a lossy overload policy is
-/// the one way to forfeit the property, and the counters are how an
-/// operator sees that it happened).
+/// *any* cross-job interleaving of the same per-job streams, at any
+/// queue bound — the determinism property tests in
+/// `tests/determinism.rs` and `tests/service.rs` enforce exactly this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
     /// Reports of jobs still unreported at shutdown
@@ -186,19 +183,11 @@ pub struct EngineReport {
     /// everything not already handed out by `take_finalized` — ascending
     /// job id.
     pub jobs: Vec<JobReport>,
-    /// Total events *applied* by drains, lifecycle events included.
-    /// Orphans (events for never-admitted jobs) and stale events (events
-    /// arriving after their job finalized) are counted here and in
-    /// [`EngineStats`] but applied to no job; events a lossy overload
-    /// policy dropped before any drain are **not** counted here — they
-    /// are exactly [`OverloadCounters::lost_events`].
+    /// Total events *applied* by drains, lifecycle events included:
+    /// every accepted push. Orphans (events for never-admitted jobs) and
+    /// stale events (events arriving after their job finalized) are
+    /// counted here and in [`EngineStats`] but applied to no job.
     pub events: usize,
-    /// Fleet-wide overload *losses* (zero under the unbounded default
-    /// and under the lossless `Block` policy; nonzero exactly when a
-    /// lossy policy dropped events and forfeited determinism for the
-    /// affected jobs). Blocked-push counts are scheduling-dependent and
-    /// therefore live in [`EngineStats::blocked_pushes`], not here.
-    pub overload: OverloadCounters,
 }
 
 impl EngineReport {
@@ -264,11 +253,10 @@ pub struct EngineStats {
     /// hold, or, on a durable engine, whose predictor's `snapshot_state`
     /// is `None`; that job's later events count as orphans.
     pub rejected_events: usize,
-    /// Pushes that found a full queue under [`OverloadPolicy::Block`].
-    /// The producer then drained shards itself while a predictor call was
-    /// in flight, and otherwise *slept* until a drain made room (a true
-    /// blocking send). Lossless, but scheduling-dependent, hence here
-    /// and not in [`EngineReport`].
+    /// Pushes that found a full queue. The producer then drained shards
+    /// itself while a predictor call was in flight, and otherwise *slept*
+    /// until a drain made room (a true blocking send). Lossless, but
+    /// scheduling-dependent, hence here and not in [`EngineReport`].
     pub blocked_pushes: usize,
     /// Events applied on a thread that would otherwise have waited on
     /// the engine — a blocked push, [`quiesce`](crate::EngineService::quiesce)
@@ -309,7 +297,8 @@ pub struct EngineStats {
     /// actioned, or clone budget exhausted). A high rate means the
     /// policy is over-asking — tune its threshold or budget.
     pub mitigation_suppressed: usize,
-    /// Overload loss accounting (see [`OverloadCounters`]).
+    /// Always empty: back-pressure loses no event. Kept only for
+    /// `benchmark/`, which reads [`OverloadCounters::lost_events`].
     pub overload: OverloadCounters,
 }
 
@@ -539,10 +528,9 @@ impl EngineCore {
         (z % self.cells.len() as u64) as usize
     }
 
-    /// Enqueues one event on its job's shard, applying the configured
-    /// overload policy when the queue is bounded and full. Returns
-    /// whether the event was accepted (`false`: the ingress is closed,
-    /// or `RejectNew` dropped it — which is also counted).
+    /// Enqueues one event on its job's shard, blocking while the queue
+    /// is bounded and full. Returns whether the event was accepted
+    /// (`false`: the ingress is closed).
     ///
     /// Wake-up discipline: the steady-state push touches only its target
     /// shard's channel mutex. The global [`Notifier`] is bumped only on
@@ -554,32 +542,12 @@ impl EngineCore {
     pub(crate) fn ingest(&self, event: TaskEvent) -> bool {
         let idx = self.shard_of(event.job());
         let cell = &self.cells[idx];
-        // `None` = rejected; `Some(wake)` = accepted, `wake` is the
-        // channel's empty→non-empty transition report. An unbounded queue
-        // is never full, so there every policy fails only a closed push.
-        let accepted: Option<bool> = match self.config.overload {
-            OverloadPolicy::Block => match cell.ingress.try_send(event) {
-                Ok(wake) => Some(wake),
-                Err(TrySendError::Closed(_)) => None,
-                Err(TrySendError::Full(event)) => self.ingest_full(idx, event),
-            },
-            OverloadPolicy::ShedOldest => match cell.ingress.send_evicting(event) {
-                Ok((wake, evicted)) => {
-                    if evicted.is_some() {
-                        cell.stats.add(Counter::ShedEvents, 1);
-                    }
-                    Some(wake)
-                }
-                Err(_) => None,
-            },
-            OverloadPolicy::RejectNew => match cell.ingress.try_send(event) {
-                Ok(wake) => Some(wake),
-                Err(TrySendError::Full(_)) => {
-                    cell.stats.add(Counter::RejectedIngress, 1);
-                    None
-                }
-                Err(TrySendError::Closed(_)) => None,
-            },
+        // `None` = closed; `Some(wake)` = accepted, `wake` is the
+        // channel's empty→non-empty transition report.
+        let accepted = match cell.ingress.try_send(event) {
+            Ok(wake) => Some(wake),
+            Err(TrySendError::Closed(_)) => None,
+            Err(TrySendError::Full(event)) => self.ingest_full(idx, event),
         };
         if accepted == Some(true) {
             self.notifier.unpark();
@@ -587,7 +555,7 @@ impl EngineCore {
         accepted.is_some()
     }
 
-    /// A `Block` push that found shard `idx` full: real back-pressure.
+    /// A push that found shard `idx` full: real back-pressure.
     /// While a predictor call is in flight the producer drains shards
     /// itself and retries; otherwise it sleeps until a drain pops (the
     /// channel wakes it). Out of line, so the hot push path stays small.
@@ -833,14 +801,7 @@ impl EngineCore {
             clones_issued: self.total(Counter::ClonesIssued),
             quarantines_issued: self.total(Counter::QuarantinesIssued),
             mitigation_suppressed: self.total(Counter::MitigationSuppressed),
-            overload: self.overload(),
-        }
-    }
-
-    fn overload(&self) -> OverloadCounters {
-        OverloadCounters {
-            shed_events: self.total(Counter::ShedEvents),
-            rejected_ingress: self.total(Counter::RejectedIngress),
+            overload: OverloadCounters,
         }
     }
 
@@ -849,7 +810,6 @@ impl EngineCore {
     /// quiescence first (no queued events, no drain in flight) — both
     /// shutdown paths guarantee it.
     pub(crate) fn finish_report(&self) -> EngineReport {
-        let overload = self.overload();
         let mut jobs: Vec<JobReport> = (0..self.cells.len())
             .flat_map(|i| {
                 let stats = &self.cells[i].stats;
@@ -860,7 +820,6 @@ impl EngineCore {
         EngineReport {
             jobs,
             events: self.total(Counter::EventsProcessed),
-            overload,
         }
     }
 
@@ -1056,16 +1015,13 @@ impl EngineHandle {
     /// interleaving across producers is unrestricted and cannot affect
     /// reports.
     ///
-    /// Returns whether the event was accepted: `false` once the engine
-    /// is closing, or when [`OverloadPolicy::RejectNew`] drops it at a
-    /// full queue (also counted in [`EngineStats`]). Under
-    /// [`OverloadPolicy::Block`] a push to a full shard *blocks* until a
-    /// drain makes room — the lossless policy never returns `false` for
-    /// capacity. While it waits and some predictor call is in flight, the
-    /// pushing thread drains shards itself (predictor, mitigator and
-    /// observer callbacks then run on it, so they must never wait on this
-    /// thread); a panic in that drain fails the service and the push
-    /// returns `false`.
+    /// Returns whether the event was accepted: `false` only once the
+    /// engine is closing. A push to a full shard *blocks* until a drain
+    /// makes room, so capacity never costs an event. While it waits and
+    /// some predictor call is in flight, the pushing thread drains shards
+    /// itself (predictor, mitigator and observer callbacks then run on
+    /// it, so they must never wait on this thread); a panic in that drain
+    /// fails the service and the push returns `false`.
     pub fn push(&self, event: TaskEvent) -> bool {
         self.core.ingest(event)
     }
@@ -1181,9 +1137,8 @@ mod tests {
     }
 
     /// The caller-driven engine: a bare core with no workers, drained on
-    /// the test's own thread exactly where the test says — so what a full
-    /// queue shed or rejected is an exact count, not a race against a
-    /// background drain.
+    /// the test's own thread exactly where the test says — so what one
+    /// pop decides is exact, not a race against a background drain.
     impl EngineCore {
         fn push_all(&self, events: impl IntoIterator<Item = TaskEvent>) -> usize {
             let accepted = |event| usize::from(self.ingest(event));
@@ -1246,7 +1201,6 @@ mod tests {
         }
         // 10 task events + 1 JobStart per job.
         assert_eq!(report.events, 33);
-        assert_eq!(report.overload, OverloadCounters::default());
     }
 
     #[test]
@@ -1381,28 +1335,6 @@ mod tests {
         }));
     }
 
-    #[test]
-    fn shed_oldest_counts_and_survives_a_saturated_shard() {
-        let engine = core(EngineConfig {
-            shards: 1,
-            queue_capacity: Some(4),
-            overload: OverloadPolicy::ShedOldest,
-            ..EngineConfig::default()
-        });
-        let pushed = stream(1).len();
-        assert_eq!(engine.push_all(stream(1)), pushed, "shedding accepts");
-        let report = engine.finish();
-        // Capacity 4: every push past the fourth shed the oldest event.
-        assert_eq!(report.overload.shed_events, pushed - 4);
-        assert_eq!(report.overload.rejected_ingress, 0);
-        assert_eq!(report.events, 4, "only the queue's worth was applied");
-        // The punctured stream degrades gracefully: the JobStart itself was
-        // shed, so the four survivors drained as orphans — nothing panicked
-        // and the report simply carries no job.
-        assert_eq!(engine.stats().orphan_events, 4);
-        assert!(report.jobs.is_empty());
-    }
-
     /// Balancing decides on the depth a pop found, its own batch
     /// included: one pop of a full capacity-32 queue (threshold clamped
     /// to 16) leaves nothing behind, and still boosts the shard.
@@ -1425,48 +1357,55 @@ mod tests {
         assert_eq!(engine.stats().balance_boosts, 1);
     }
 
-    #[test]
-    fn reject_new_counts_and_keeps_the_oldest_window() {
-        let engine = core(EngineConfig {
-            shards: 1,
-            queue_capacity: Some(6),
-            overload: OverloadPolicy::RejectNew,
-            ..EngineConfig::default()
-        });
-        let pushed = stream(1).len();
-        assert_eq!(engine.push_all(stream(1)), 6, "the queue's worth");
-        assert_eq!(engine.stats().overload.rejected_ingress, pushed - 6);
-        let report = engine.finish();
-        // The oldest window survived: JobStart + submissions + first events
-        // were kept, so the job was admitted and partially observed.
-        assert_eq!(report.events, 6);
-        assert_eq!(report.jobs.len(), 1);
-        assert_eq!(report.jobs[0].finalized, FinalizeReason::EngineFinish);
-        assert_eq!(report.overload.rejected_ingress, pushed - 6);
-    }
-
-    /// An unbounded queue is never full: the lossy policies accept every
-    /// push, lose nothing and report exactly what `Block` reports.
+    /// An unbounded queue is never full: every push is accepted and
+    /// applied.
     #[test]
     fn an_unbounded_queue_loses_nothing_under_any_policy() {
         let events: Vec<TaskEvent> = [1, 2, 3].into_iter().flat_map(stream).collect();
-        let report = |overload| {
-            let engine = core(EngineConfig {
-                shards: 2,
-                queue_capacity: None,
-                overload,
-                ..EngineConfig::default()
-            });
-            assert_eq!(engine.push_all(events.clone()), events.len());
-            engine.finish()
+        let engine = core(EngineConfig {
+            shards: 2,
+            queue_capacity: None,
+            ..EngineConfig::default()
+        });
+        assert_eq!(engine.push_all(events.clone()), events.len());
+        let report = engine.finish();
+        assert_eq!(report.jobs.len(), 3);
+        assert_eq!(report.events, events.len());
+    }
+
+    /// A push to a full queue waits for a drain, then enqueues. The
+    /// producer here pushes three streams through a capacity-4 queue that
+    /// this thread drains only once the producer has blocked (or
+    /// returned, as a push that dropped its event would): every event is
+    /// accepted and applied, and the report equals an unbounded run's.
+    #[test]
+    fn a_push_to_a_full_queue_waits_for_a_drain_and_loses_nothing() {
+        let events: Vec<TaskEvent> = [1, 2, 3].into_iter().flat_map(stream).collect();
+        let unbounded = core(EngineConfig {
+            shards: 1,
+            ..EngineConfig::default()
+        });
+        unbounded.push_all(events.clone());
+        let engine = Arc::new(core(EngineConfig {
+            shards: 1,
+            queue_capacity: Some(4),
+            ..EngineConfig::default()
+        }));
+        let producer = {
+            let (engine, events) = (Arc::clone(&engine), events.clone());
+            std::thread::spawn(move || engine.push_all(events))
         };
-        let blocked = report(OverloadPolicy::Block);
-        assert_eq!(blocked.jobs.len(), 3);
-        for overload in [OverloadPolicy::ShedOldest, OverloadPolicy::RejectNew] {
-            let lossy = report(overload);
-            assert_eq!(lossy.overload.shed_events, 0);
-            assert_eq!(lossy.overload.rejected_ingress, 0);
-            assert_eq!(lossy, blocked, "{overload:?}");
+        while engine.stats().blocked_pushes == 0 && !producer.is_finished() {
+            std::thread::yield_now();
         }
+        while !producer.is_finished() {
+            engine.drain();
+            std::thread::yield_now();
+        }
+        assert_eq!(producer.join().unwrap(), events.len());
+        assert!(engine.stats().blocked_pushes > 0);
+        let report = engine.finish();
+        assert_eq!(report.events, events.len());
+        assert_eq!(report, unbounded.finish());
     }
 }

@@ -12,10 +12,10 @@
 //!   [`nurd_runtime::Channel`] MPSC ingress queues, per-shard job state
 //!   behind per-shard locks, and live counters as atomics;
 //! * a cloneable **[`EngineHandle`]** whose [`EngineHandle::push`] takes
-//!   `&self` — producers live on any thread, and under the lossless
-//!   [`OverloadPolicy::Block`] a push to a full shard is a *true
-//!   blocking send* (the producer sleeps until a drain makes room, and
-//!   drains shards itself meanwhile while a predictor call is in flight);
+//!   `&self` — producers live on any thread, and a push to a full shard
+//!   is a *true blocking send* (the producer sleeps until a drain makes
+//!   room, and drains shards itself meanwhile while a predictor call is
+//!   in flight);
 //! * an **[`EngineService`]** that runs the drain loop as a background
 //!   service (a pool of drain workers parking on a
 //!   [`nurd_runtime::Notifier`] when idle), with
@@ -30,9 +30,9 @@
 //! on the spot — no up-front registry), **per-job finalization**
 //! (`JobEnd` / last barrier / all-tasks-finished ⇒ [`JobReport`], state
 //! dropped, memory bounded to *live* jobs), **back-pressure**
-//! ([`EngineConfig::queue_capacity`] + [`OverloadPolicy`], losses
-//! counted in [`OverloadCounters`]), and **adaptive shard balancing**
-//! ([`BalanceConfig`]: a backlogged shard's oversized jobs get
+//! ([`EngineConfig::queue_capacity`]: a full shard blocks the push, and
+//! no event is ever dropped for capacity), and **adaptive shard
+//! balancing** ([`BalanceConfig`]: a backlogged shard's oversized jobs get
 //! within-job parallelism via [`nurd_data::OnlinePredictor::set_parallelism`],
 //! attacking the one-giant-job skew that shard counts cannot).
 //!
@@ -72,13 +72,13 @@
 //! producer count, within-job balancing threads — only decides *which
 //! thread* applies a job's events or fits its models, never their order
 //! or result, so every job's trajectory equals its sequential replay and
-//! the merged, id-sorted report is invariant. The one exception is
-//! deliberate: a lossy [`OverloadPolicy`] under saturation drops events,
-//! which the overload counters make visible. The property tests pin all
-//! of this: `tests/determinism.rs` across shard counts {1, 2, 8}, random
-//! interleavings, drain batchings, and staggered mid-stream
-//! arrivals/departures; `tests/service.rs` with *real producer threads*
-//! against the background drain service on a saturated, blocking engine.
+//! the merged, id-sorted report is invariant. Saturation is no exception:
+//! a full queue blocks its producer, so it costs latency, never an
+//! event. The property tests pin all of this: `tests/determinism.rs`
+//! across shard counts {1, 2, 8}, random interleavings, drain batchings,
+//! and staggered mid-stream arrivals/departures; `tests/service.rs` with
+//! *real producer threads* against the background drain service on a
+//! saturated, blocking engine.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Job lifecycle and overload-control vocabulary for the streaming engine.
+//! Job lifecycle vocabulary for the streaming engine.
 //!
 //! A job served by [`EngineService`](crate::EngineService) moves through
 //! four phases:
@@ -91,15 +91,10 @@ impl nurd_codec::Checkpointable for FinalizeReason {
     }
 }
 
-/// What [`EngineHandle::push`](crate::EngineHandle::push) does when the target
-/// shard's ingress queue is at [`EngineConfig::queue_capacity`](crate::EngineConfig::queue_capacity).
-///
-/// Only [`OverloadPolicy::Block`] preserves the engine's determinism
-/// contract (it loses no events — the producer pays by waiting until a
-/// drain worker makes room). The shedding policies trade events for bounded memory
-/// and are accounted in [`OverloadCounters`]; any per-job stream they
-/// puncture degrades gracefully (later events of that job may be
-/// rejected by structural validation, never panic a drain).
+/// What a push does when the target shard's ingress queue is at
+/// [`EngineConfig::queue_capacity`](crate::EngineConfig::queue_capacity):
+/// it blocks. Kept only for `benchmark/`, which sets
+/// [`EngineConfig::overload`](crate::EngineConfig::overload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
     /// Apply back-pressure: a push to a full shard sleeps until a drain
@@ -108,57 +103,19 @@ pub enum OverloadPolicy {
     /// thread. No events are lost; determinism holds.
     #[default]
     Block,
-    /// Drop the *oldest* queued event to make room for the new one —
-    /// favors fresh signal under sustained overload.
-    ShedOldest,
-    /// Drop the *incoming* event — favors completing what is already
-    /// queued.
-    RejectNew,
 }
 
-/// Overload *loss* accounting, summed over the shards' counters in
-/// [`EngineReport`](crate::EngineReport) /
-/// [`EngineStats`](crate::EngineStats). Both counters stay zero while
-/// the configured capacity is never hit (the unbounded default) and
-/// under the lossless [`OverloadPolicy::Block`] — nonzero values are
-/// exactly the cases where determinism was forfeited, so carrying them
-/// in the determinism-checked report is sound. The lossless-but-
-/// scheduling-dependent count of blocked pushes lives in
-/// [`EngineStats::blocked_pushes`](crate::EngineStats::blocked_pushes)
-/// instead (like `events_per_shard`, it varies with shard count and
-/// drain timing while the report must not).
+/// Overload loss accounting, which back-pressure keeps empty. Kept only
+/// for `benchmark/`, which reads
+/// [`EngineStats::overload`](crate::EngineStats::overload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OverloadCounters {
-    /// Queued events dropped under [`OverloadPolicy::ShedOldest`].
-    pub shed_events: usize,
-    /// Incoming events dropped under [`OverloadPolicy::RejectNew`].
-    pub rejected_ingress: usize,
-}
+pub struct OverloadCounters;
 
 impl OverloadCounters {
-    /// Total events *lost* to overload (shed + rejected ingress).
+    /// Events lost to overload: always 0, since a full queue blocks the
+    /// push. Kept only for `benchmark/`.
     #[must_use]
     pub fn lost_events(&self) -> usize {
-        self.shed_events + self.rejected_ingress
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lost_events_are_shed_plus_rejected_ingress() {
-        let counters = OverloadCounters {
-            shed_events: 22,
-            rejected_ingress: 33,
-        };
-        assert_eq!(counters.lost_events(), 55);
-    }
-
-    #[test]
-    fn default_policy_is_the_lossless_one() {
-        assert_eq!(OverloadPolicy::default(), OverloadPolicy::Block);
-        assert_eq!(OverloadCounters::default().lost_events(), 0);
+        0
     }
 }

@@ -32,6 +32,7 @@ use std::path::{Path, PathBuf};
 use nurd_codec::{CodecError, FrameError};
 
 use crate::disk::Disk;
+use crate::snapshot::SNAPSHOT_VERSION;
 
 /// Where and how the engine persists (see the module docs for the
 /// directory layout). Passed to
@@ -80,8 +81,8 @@ pub enum RecoverError {
     /// A snapshot file does not begin with the snapshot magic — it is
     /// not a snapshot at all (or its header was overwritten).
     WrongMagic,
-    /// The snapshot declares a format version this build does not know
-    /// (carries the declared version).
+    /// The snapshot declares a format version other than the one this
+    /// build reads (carries the declared version).
     UnsupportedVersion(u32),
     /// A snapshot ended mid-record (torn write / truncation).
     Truncated,
@@ -105,7 +106,10 @@ impl std::fmt::Display for RecoverError {
             RecoverError::Io(e) => write!(f, "recovery I/O error: {e}"),
             RecoverError::WrongMagic => write!(f, "snapshot has wrong magic bytes"),
             RecoverError::UnsupportedVersion(v) => {
-                write!(f, "snapshot format version {v} is newer than this build")
+                write!(
+                    f,
+                    "snapshot format version {v} is not version {SNAPSHOT_VERSION}, the one this build reads"
+                )
             }
             RecoverError::Truncated => write!(f, "snapshot is truncated (torn write)"),
             RecoverError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),

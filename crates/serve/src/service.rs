@@ -6,8 +6,8 @@
 //! ```text
 //!  producer threads (yours, any number)          EngineService
 //!  ───────────────────────────────────          ─────────────
-//!  EngineHandle::push(&self) ──hash──► per-shard Channel (bounded:
-//!    Block = true blocking send          OverloadPolicy on full)
+//!  EngineHandle::push(&self) ──hash──► per-shard Channel (optionally
+//!    true blocking send on a full shard      bounded)
 //!    • sleeps on the channel                 │
 //!    • woken by the next drain pop           │
 //!    • drains shards itself while a          │
@@ -147,10 +147,9 @@ fn drain_worker(core: &EngineCore, worker: usize) {
 /// applies, scores, and finalizes. This is the one way to serve: tests,
 /// the mitigation harness and the fleet benchmark all run through it.
 ///
-/// Under [`OverloadPolicy::Block`](crate::OverloadPolicy::Block) a push
-/// to a full shard is a **true blocking send** — the producer sleeps
-/// until a drain makes room, lending its core to the drains while a
-/// predictor call is in flight — so saturation costs latency, never
+/// A push to a full shard is a **true blocking send** — the producer
+/// sleeps until a drain makes room, lending its core to the drains while
+/// a predictor call is in flight — so saturation costs latency, never
 /// events; the service-mode property test in `tests/service.rs` proves
 /// per-job outcomes stay bit-for-bit equal to sequential replay with
 /// real producer threads hammering a saturated engine.
@@ -282,6 +281,13 @@ impl EngineService {
     /// Producers resume each job's stream from
     /// [`RecoverReport::events_seen`]: the count is how many of the job's
     /// events are already inside the recovered state.
+    ///
+    /// When every snapshot is refused, the WAL is replayed onto an empty
+    /// engine only while its generation 0 is on disk; once a checkpoint's
+    /// prune has deleted it, the newest snapshot's error is returned (for
+    /// a directory an older build wrote,
+    /// [`RecoverError::UnsupportedVersion`]) rather than an engine that
+    /// knows only the jobs the surviving segments admitted.
     pub fn recover(
         persistence: PersistenceConfig,
         config: EngineConfig,
@@ -377,6 +383,7 @@ impl EngineService {
         // read + decode errors both just advance to the next candidate.
         let mut fallbacks = 0usize;
         let mut loaded = None;
+        let mut newest_refusal = None;
         for &generation in scan.snapshots.iter().rev() {
             match read_snapshot_data(disk, &snapshot_path(dir, generation))
                 .and_then(|data| core.install_snapshot(data))
@@ -385,7 +392,19 @@ impl EngineService {
                     loaded = Some((generation, counts));
                     break;
                 }
-                Err(_) => fallbacks += 1,
+                Err(e) => {
+                    fallbacks += 1;
+                    newest_refusal.get_or_insert(e);
+                }
+            }
+        }
+        if let (None, Some(refusal)) = (loaded, newest_refusal) {
+            // Every snapshot was refused, so only the WAL trail from
+            // generation 0 rebuilds the state. Once a prune has deleted
+            // its start, replaying the rest onto an empty engine would
+            // serve a partial one (earlier jobs' events as orphans).
+            if !scan.wals.iter().any(|&(generation, _)| generation == 0) {
+                return Err(refusal);
             }
         }
         let snapshot_generation = loaded.map(|(generation, _)| generation);
@@ -447,8 +466,7 @@ impl EngineService {
         }
     }
 
-    /// A cloneable producer handle; make one per producer thread. Under
-    /// [`OverloadPolicy::Block`](crate::OverloadPolicy::Block) its
+    /// A cloneable producer handle; make one per producer thread. Its
     /// [`push`](EngineHandle::push) is a true blocking send.
     #[must_use]
     pub fn handle(&self) -> EngineHandle {
@@ -653,7 +671,6 @@ mod tests {
 
     use super::*;
     use crate::disk::sim::{Fault, Op, SimDisk};
-    use crate::OverloadPolicy;
 
     const QUANTILE: f64 = 0.9;
     const WARMUP: f64 = 0.04;
@@ -736,8 +753,7 @@ mod tests {
             shards,
             warmup_fraction: WARMUP,
             queue_capacity,
-            overload: OverloadPolicy::Block,
-            balance: None,
+            ..EngineConfig::default()
         }
     }
 

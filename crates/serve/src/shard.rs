@@ -22,9 +22,8 @@ use crate::snapshot::SnapshotData;
 use crate::wal::WalWriter;
 
 /// Every counter the engine keeps, declared once. Each indexes a slot of
-/// a shard's [`ShardStats`] table; [`EngineStats`](crate::EngineStats),
-/// [`OverloadCounters`](crate::OverloadCounters) and the snapshot header
-/// are all read from that table. A recovered snapshot's totals and the
+/// a shard's [`ShardStats`] table; [`EngineStats`](crate::EngineStats)
+/// and the snapshot header are both read from that table. A recovered snapshot's totals and the
 /// fleet-wide persistence counters (WAL replay, snapshots, fallbacks)
 /// are added on shard 0.
 #[derive(Debug, Clone, Copy)]
@@ -53,12 +52,6 @@ pub(crate) enum Counter {
     /// Jobs quarantined because their predictor panicked during apply
     /// (see [`FinalizeReason::Poisoned`]).
     PoisonedJobs,
-    /// Queued events evicted under
-    /// [`OverloadPolicy::ShedOldest`](crate::OverloadPolicy::ShedOldest).
-    ShedEvents,
-    /// Incoming events dropped under
-    /// [`OverloadPolicy::RejectNew`](crate::OverloadPolicy::RejectNew).
-    RejectedIngress,
     /// `Clone` mitigation actions committed to job action logs.
     ClonesIssued,
     /// `Quarantine` mitigation actions committed to job action logs.
@@ -66,8 +59,7 @@ pub(crate) enum Counter {
     /// Policy decisions the engine refused: target not running, already
     /// actioned, or the per-job clone budget was exhausted.
     MitigationSuppressed,
-    /// Pushes that found this shard's ingress full under
-    /// [`OverloadPolicy::Block`](crate::OverloadPolicy::Block).
+    /// Pushes that found this shard's ingress full.
     BlockedPushes,
     /// Live (admitted, not yet finalized) jobs resident in this shard.
     LiveJobs,
@@ -93,15 +85,13 @@ impl Counter {
     /// process (blocked pushes, balance boosts, caller drains, live jobs,
     /// the persistence counters) and restart at zero, live jobs re-counted
     /// as the snapshot's jobs are adopted.
-    pub(crate) const PERSISTED: [Counter; 11] = [
+    pub(crate) const PERSISTED: [Counter; 9] = [
         Counter::EventsProcessed,
         Counter::OrphanEvents,
         Counter::RejectedEvents,
         Counter::StaleEvents,
         Counter::FinalizedJobs,
         Counter::PoisonedJobs,
-        Counter::ShedEvents,
-        Counter::RejectedIngress,
         Counter::ClonesIssued,
         Counter::QuarantinesIssued,
         Counter::MitigationSuppressed,
@@ -111,7 +101,7 @@ impl Counter {
 /// One shard's live counters, one atomic per [`Counter`], so
 /// [`EngineStats`](crate::EngineStats) can be snapshotted from any thread
 /// *while drains are running* — no lock is taken, no drain is paused.
-/// Push-side counters (blocked/shed/rejected ingress) are bumped by
+/// The push-side counter (blocked pushes) is bumped by
 /// producer threads; drain-side counters by whichever worker holds the
 /// shard. All loads/stores are `Relaxed`: each counter is an independent
 /// monotone tally, and a snapshot only promises per-counter atomicity,

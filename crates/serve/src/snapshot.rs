@@ -46,8 +46,9 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"NURDSNAP";
 /// finalized, read by nothing) and the `NurdPredictor` blob's second
 /// latency-model slot. Version 5 dropped the quantization's bin tables
 /// from every predictor blob: its codes travel, the tables are derived
-/// from them and the rows at restore.
-pub(crate) const SNAPSHOT_VERSION: u32 = 5;
+/// from them and the rows at restore. Version 6 dropped the header's two
+/// overload-loss counters with the lossy overload policies that counted.
+pub(crate) const SNAPSHOT_VERSION: u32 = 6;
 
 /// A snapshot file's content with live jobs still in their encoded form
 /// (decoding a job needs the [`PredictorFactory`](crate::PredictorFactory)
@@ -243,9 +244,10 @@ mod tests {
             Err(RecoverError::WrongMagic)
         ));
 
-        // A future format version, and the previous two (v3 carried the
-        // donor-seed list, v4 the bin tables this build no longer reads).
-        for version in [99u32, 3, 4] {
+        // A future format version, and the previous two (v4 carried the
+        // bin tables, v5 the overload-loss counters this build no longer
+        // reads).
+        for version in [99u32, 4, 5] {
             let mut other = pristine.clone();
             other[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &other).unwrap();
@@ -313,7 +315,7 @@ mod tests {
         );
     }
 
-    /// The header opens with the eleven persisted counters, one
+    /// The header opens with the nine persisted counters, one
     /// little-endian `u64` each, in their on-disk order. A recovered
     /// service reads each into its own `EngineStats` field, and its next
     /// checkpoint writes them back at the same offsets: a swapped or a
@@ -326,9 +328,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         // events_processed, orphan_events, rejected_events, stale_events,
-        // finalized_jobs, poisoned_jobs, shed_events, rejected_ingress,
-        // clones_issued, quarantines_issued, mitigation_suppressed.
-        let values: Vec<u64> = (1..=11).map(|i| (i << 32) | (i * 3)).collect();
+        // finalized_jobs, poisoned_jobs, clones_issued, quarantines_issued,
+        // mitigation_suppressed.
+        let values: Vec<u64> = (1..=9).map(|i| (i << 32) | (i * 3)).collect();
         let layout: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let mut header = Encoder::new();
         for &value in &values {
@@ -360,8 +362,6 @@ mod tests {
             s.stale_events,
             s.finalized_jobs,
             s.poisoned_jobs,
-            s.overload.shed_events,
-            s.overload.rejected_ingress,
             s.clones_issued,
             s.quarantines_issued,
             s.mitigation_suppressed,
@@ -375,7 +375,7 @@ mod tests {
         let generation = service.checkpoint().unwrap();
         let written = std::fs::read(dir.join(format!("snap-{generation}.bin"))).unwrap();
         let payload = read_frame(&mut &written[12..]).unwrap().unwrap();
-        assert_eq!(&payload[..88], &layout[..], "the first 88 header bytes");
+        assert_eq!(&payload[..72], &layout[..], "the first 72 header bytes");
         let _ = service.close();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -16,7 +16,11 @@
 //! protocol in the header of `tests/golden_replay.rs`. The constants here
 //! were recorded on commit `8088e0d`, the parent of the PR that replaced
 //! the CRC-32 kernel; `snap-1.bin` was re-recorded on `f105cfc` for the
-//! IRLS resolution stop (same length; its hash was `0xD743_8AD9_01C3_10B6`).
+//! IRLS resolution stop (same length; its hash was `0xD743_8AD9_01C3_10B6`)
+//! and on `c24e4dd` for snapshot v6 (it was `33_952` bytes,
+//! `0x0C81_FAAA_9036_CC2B`): the header lost its two overload-loss
+//! counters, and past the header frame not a byte moved. The `wal-*` rows
+//! held.
 //!
 //! The second test plants what a crash between `File::create(tmp)` and
 //! `rename` strands — a `snap-<G>.bin.tmp` no scan lists — and holds
@@ -28,15 +32,14 @@ use std::path::{Path, PathBuf};
 use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::{JobSpec, TaskEvent};
 use nurd_serve::{
-    EngineConfig, EngineService, JobReport, OverloadPolicy, PersistenceConfig, PredictorFactory,
-    ServiceConfig,
+    EngineConfig, EngineService, JobReport, PersistenceConfig, PredictorFactory, ServiceConfig,
 };
 use nurd_trace::{SuiteConfig, TraceStyle};
 
 /// `(file name, length, FNV-1a 64 of its bytes)` for every artifact of
 /// the fleet below, in name order.
 const GOLDEN_DISK_BYTES: [(&str, usize, u64); 5] = [
-    ("snap-1.bin", 33_952, 0x0C81_FAAA_9036_CC2B),
+    ("snap-1.bin", 33_936, 0x8607_8977_3EA4_38CC),
     ("wal-0-0.log", 9_692, 0x83D0_620C_784E_93FF),
     ("wal-0-1.log", 23_963, 0x043F_C6C8_72B9_C5C7),
     ("wal-1-0.log", 21_568, 0x5A44_12AD_BA31_B3E3),
@@ -78,8 +81,7 @@ fn engine_config() -> EngineConfig {
         shards: 2,
         warmup_fraction: 0.04,
         queue_capacity: Some(16),
-        overload: OverloadPolicy::Block,
-        balance: None,
+        ..EngineConfig::default()
     }
 }
 

@@ -16,8 +16,7 @@ use std::path::{Path, PathBuf};
 use nurd_codec::{Checkpointable, CodecError, Encoder};
 use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
 use nurd_serve::{
-    EngineConfig, EngineService, OverloadPolicy, PersistenceConfig, PredictorFactory, RecoverError,
-    ServiceConfig,
+    EngineConfig, EngineService, PersistenceConfig, PredictorFactory, RecoverError, ServiceConfig,
 };
 
 /// Flags nothing; stateless, so its snapshot is an empty blob.
@@ -46,8 +45,7 @@ fn engine_config(shards: usize) -> EngineConfig {
         shards,
         warmup_fraction: 0.04,
         queue_capacity: Some(16),
-        overload: OverloadPolicy::Block,
-        balance: None,
+        ..EngineConfig::default()
     }
 }
 

@@ -1,9 +1,10 @@
 //! Lifecycle edges of the streaming engine: mid-stream admission, events
 //! after finalization, `JobEnd` before the warmup quorum and phase
 //! transitions, observed through a running service at its
-//! [`EngineService::quiesce`] points. (The exact loss counts of the lossy
-//! overload policies need drain points no background worker can race;
-//! they are unit tests of the crate-private core, in `src/service.rs`.)
+//! [`EngineService::quiesce`] points. (What needs drain points no
+//! background worker can race, such as one pop's balancing decision or a
+//! push blocked on a full queue, is a unit test of the crate-private
+//! core, in `src/engine.rs`.)
 
 use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
 use nurd_serve::{

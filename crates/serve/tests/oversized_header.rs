@@ -18,8 +18,8 @@ use std::path::{Path, PathBuf};
 
 use nurd_data::{Checkpoint, JobSpec, OnlinePredictor, TaskEvent};
 use nurd_serve::{
-    read_snapshot, EngineConfig, EngineService, OverloadPolicy, PersistenceConfig,
-    PredictorFactory, RecoverError, RecoverReport, ServiceConfig,
+    read_snapshot, EngineConfig, EngineService, PersistenceConfig, PredictorFactory, RecoverError,
+    RecoverReport, ServiceConfig,
 };
 
 /// `[len = 0x3FFF_FFFF][crc][4 payload bytes]`.
@@ -55,8 +55,7 @@ fn engine_config() -> EngineConfig {
         shards: 1,
         warmup_fraction: 0.04,
         queue_capacity: Some(16),
-        overload: OverloadPolicy::Block,
-        balance: None,
+        ..EngineConfig::default()
     }
 }
 

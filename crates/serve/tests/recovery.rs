@@ -44,7 +44,7 @@ use nurd_data::{
 };
 use nurd_serve::{
     read_snapshot, BalanceConfig, EngineConfig, EngineService, EngineStats, MitigatorFactory,
-    OverloadPolicy, PersistenceConfig, PredictorFactory, RecoverError, ServiceConfig,
+    PersistenceConfig, PredictorFactory, RecoverError, ServiceConfig,
 };
 use nurd_sim::{replay_job, ReplayConfig, ReplayOutcome};
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -125,8 +125,7 @@ fn engine_config(shards: usize) -> EngineConfig {
         shards,
         warmup_fraction: WARMUP,
         queue_capacity: Some(16),
-        overload: OverloadPolicy::Block,
-        balance: None,
+        ..EngineConfig::default()
     }
 }
 
@@ -273,11 +272,13 @@ fn corrupt_newest_snapshot(dir: &Path) {
 }
 
 /// Drains a service to its final per-job reports (mid-stream
-/// `take_finalized` plus the `close()` remainder), id-sorted.
-fn collect_reports(service: &EngineService) -> Vec<nurd_serve::JobReport> {
+/// `take_finalized` plus the `close()` remainder), id-sorted. `pushed`
+/// is every event the service's history was pushed, across its crashes:
+/// each must have been applied exactly once.
+fn collect_reports(service: &EngineService, pushed: u64) -> Vec<nurd_serve::JobReport> {
     let mut reports = service.take_finalized();
     let report = service.close();
-    assert_eq!(report.overload.lost_events(), 0, "Block must be lossless");
+    assert_eq!(report.events as u64, pushed, "an event was lost or doubled");
     reports.extend(report.jobs);
     reports.sort_by_key(|r| r.job);
     reports
@@ -390,11 +391,11 @@ proptest! {
             // everything the snapshot captured, is in the recovered state.
             let durable: u64 = recover.events_seen.values().sum();
             prop_assert_eq!(durable, event_count(&pushed) - removed);
-            run_producers(&revived, streams, &recover.events_seen);
+            run_producers(&revived, streams.clone(), &recover.events_seen);
             revived.quiesce();
             let stats = revived.stats();
             prop_assert_eq!(stats.recovery_fallbacks, recover.recovery_fallbacks);
-            let reports = collect_reports(&revived);
+            let reports = collect_reports(&revived, event_count(&streams));
             assert_outcomes_match(
                 &reports,
                 &expected,
@@ -537,7 +538,7 @@ fn crash_twice_and_finish(
     );
     run_producers(&last, streams.to_vec(), &second.events_seen);
     last.quiesce();
-    let reports = collect_reports(&last);
+    let reports = collect_reports(&last, event_count(streams));
     assert_outcomes_match(&reports, expected, &context);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -635,9 +636,9 @@ fn recover_into_another_shard_count(from: usize, to: usize, corrupt: bool) {
     assert!(receipt.wal_truncated_tails >= 1, "{context}");
     let durable: u64 = receipt.events_seen.values().sum();
     assert_eq!(durable, event_count(&pushed) - removed, "{context}");
-    run_producers(&revived, streams, &receipt.events_seen);
+    run_producers(&revived, streams.clone(), &receipt.events_seen);
     revived.quiesce();
-    let reports = collect_reports(&revived);
+    let reports = collect_reports(&revived, event_count(&streams));
     assert_outcomes_match(&reports, &expected, &context);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -717,9 +718,9 @@ fn concurrent_checkpoints_take_distinct_generations() {
     .unwrap();
     assert_eq!(recover.recovery_fallbacks, 0);
     assert_eq!(recover.snapshot_generation, generations.last().copied());
-    run_producers(&revived, streams, &recover.events_seen);
+    run_producers(&revived, streams.clone(), &recover.events_seen);
     revived.quiesce();
-    let reports = collect_reports(&revived);
+    let reports = collect_reports(&revived, event_count(&streams));
     assert_outcomes_match(&reports, &expected, "concurrent checkpoints");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -774,9 +775,9 @@ fn snapshot_holding_a_just_admitted_job_recovers_every_job() {
     assert_eq!(recover.resumed_jobs, 2);
     assert_eq!(recover.events_seen[&jobs[1].job_id()], 1);
 
-    run_producers(&revived, streams, &recover.events_seen);
+    run_producers(&revived, streams.clone(), &recover.events_seen);
     revived.quiesce();
-    let reports = collect_reports(&revived);
+    let reports = collect_reports(&revived, event_count(&streams));
     assert_outcomes_match(&reports, &expected, "just-admitted job in the snapshot");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -823,9 +824,9 @@ fn a_non_nurd_predictor_recovers_through_its_empty_blob() {
             factory(),
         )
         .unwrap();
-        run_producers(&revived, streams, &recover.events_seen);
+        run_producers(&revived, streams.clone(), &recover.events_seen);
         revived.quiesce();
-        let reports = collect_reports(&revived);
+        let reports = collect_reports(&revived, event_count(&streams));
         assert_outcomes_match(&reports, &expected, &format!("crash_at={crash_at}"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -893,7 +894,7 @@ fn a_durable_engine_refuses_only_the_job_that_cannot_snapshot() {
             (1, refused_events - 1),
             "shards={shards}"
         );
-        let reports = collect_reports(&service);
+        let reports = collect_reports(&service, event_count(&streams));
         assert_outcomes_match(&reports, &served, &format!("durable, shards={shards}"));
         match &first {
             Some(first) => assert_eq!(&reports, first, "shards={shards}"),
@@ -908,10 +909,11 @@ fn a_durable_engine_refuses_only_the_job_that_cannot_snapshot() {
     };
     expected[1].1 = replay_job(&jobs[1], &mut Unsnapshotted, &replay_cfg);
     let service = EngineService::start(engine_config(2), service_config(), factory());
-    run_producers(&service, streams, &BTreeMap::new());
+    run_producers(&service, streams.clone(), &BTreeMap::new());
     service.quiesce();
     assert_eq!(service.stats().rejected_events, 0);
-    assert_outcomes_match(&collect_reports(&service), &expected, "volatile");
+    let reports = collect_reports(&service, event_count(&streams));
+    assert_outcomes_match(&reports, &expected, "volatile");
 }
 
 /// Tag 1 was the retired history record (a job's accepted events, for a
@@ -987,9 +989,10 @@ fn a_snapshot_holding_a_history_record_falls_back_to_the_one_before() {
         .iter()
         .map(|job| (job.job_id(), replay_job(job, &mut FlagAll, &replay_cfg)))
         .collect();
-    run_producers(&revived, streams, &recover.events_seen);
+    run_producers(&revived, streams.clone(), &recover.events_seen);
     revived.quiesce();
-    assert_outcomes_match(&collect_reports(&revived), &expected, "history record");
+    let reports = collect_reports(&revived, event_count(&streams));
+    assert_outcomes_match(&reports, &expected, "history record");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1119,9 +1122,9 @@ fn corrupt_artifacts_are_rejected_typed_and_recovery_falls_back() {
         .iter()
         .map(|job| (job.job_id(), replay_job(job, &mut FlagAll, &replay_cfg)))
         .collect();
-    run_producers(&revived, streams, &recover.events_seen);
+    run_producers(&revived, streams.clone(), &recover.events_seen);
     revived.quiesce();
-    let reports = collect_reports(&revived);
+    let reports = collect_reports(&revived, event_count(&streams));
     assert_outcomes_match(&reports, &expected, "fallback recovery");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1197,9 +1200,9 @@ fn drop_guard_flushes_wal_buffers() {
         .iter()
         .map(|job| (job.job_id(), replay_job(job, &mut FlagAll, &replay_cfg)))
         .collect();
-    run_producers(&revived, streams, &recover.events_seen);
+    run_producers(&revived, streams.clone(), &recover.events_seen);
     revived.quiesce();
-    let reports = collect_reports(&revived);
+    let reports = collect_reports(&revived, event_count(&streams));
     assert_outcomes_match(&reports, &expected, "drop-guard recovery");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -1332,7 +1335,7 @@ fn greedy_mitigator() -> MitigatorFactory {
 }
 
 /// The counters a snapshot carries, in their on-disk order.
-fn persisted_counters(stats: &EngineStats) -> [usize; 11] {
+fn persisted_counters(stats: &EngineStats) -> [usize; 9] {
     [
         stats.events_per_shard.iter().sum(),
         stats.orphan_events,
@@ -1340,8 +1343,6 @@ fn persisted_counters(stats: &EngineStats) -> [usize; 11] {
         stats.stale_events,
         stats.finalized_jobs,
         stats.poisoned_jobs,
-        stats.overload.shed_events,
-        stats.overload.rejected_ingress,
         stats.clones_issued,
         stats.quarantines_issued,
         stats.mitigation_suppressed,
@@ -1349,13 +1350,13 @@ fn persisted_counters(stats: &EngineStats) -> [usize; 11] {
 }
 
 /// A restart carries every persisted counter forward — each made nonzero
-/// first (but `shed_events`: one lossy policy runs at a time) — and
-/// restarts the scheduling-dependent ones at zero. The run: an orphan, a
-/// stale and a rejected event, a poisoned job, clones, quarantines and
-/// refusals of a budgeted mitigator, pushes `RejectNew` dropped while a
-/// job's admission held its shard, and a balance boost; then a
-/// checkpoint, a WAL tail past it (a live job's end, more of each kind),
-/// a drop, a corrupt newer snapshot, and recovery into two shards.
+/// first — and restarts the scheduling-dependent ones at zero. The run:
+/// an orphan, a stale and a rejected event, a poisoned job, clones,
+/// quarantines and refusals of a budgeted mitigator, a push that blocked
+/// on the full queue while a job's admission held its shard, and a
+/// balance boost; then a checkpoint, a WAL tail past it (a live job's
+/// end, more of each kind), a drop, a corrupt newer snapshot, and
+/// recovery into two shards.
 #[test]
 fn a_restart_carries_the_persisted_counters_forward() {
     const POISONED: u64 = 2;
@@ -1368,12 +1369,12 @@ fn a_restart_carries_the_persisted_counters_forward() {
         shards: 1,
         warmup_fraction: WARMUP,
         queue_capacity: Some(CAPACITY),
-        overload: OverloadPolicy::RejectNew,
         balance: Some(BalanceConfig {
             backlog_threshold: 1,
             min_tasks: 0,
             threads: 2,
         }),
+        ..EngineConfig::default()
     };
     let service_config = ServiceConfig { drain_workers: 2 };
     // Met twice by the gated job's admission and this thread: once when
@@ -1398,7 +1399,7 @@ fn a_restart_carries_the_persisted_counters_forward() {
     .unwrap();
     assert!(service.attach_mitigator(greedy_mitigator()));
     // Pushed at most a queue's worth at a time, each run drained before
-    // the next: nothing here is dropped.
+    // the next: nothing here blocks.
     let push_drained = |events: Vec<TaskEvent>| {
         for run in events.chunks(CAPACITY) {
             for event in run {
@@ -1424,8 +1425,9 @@ fn a_restart_carries_the_persisted_counters_forward() {
     push_drained(scored_prefix(POISONED));
     push_drained(scored_prefix(4)); // still live at the checkpoint
 
-    // The gated job's admission holds the only shard: a queue's worth
-    // of its events is accepted, the next two are dropped.
+    // The gated job's admission holds the only shard: a producer fills
+    // the queue with its events, and its next push blocks until the
+    // admission lets the shard go.
     assert!(service.push(TaskEvent::JobStart {
         spec: JobSpec {
             job: GATED,
@@ -1436,16 +1438,22 @@ fn a_restart_carries_the_persisted_counters_forward() {
         },
     }));
     gate.wait();
-    let submitted: Vec<TaskEvent> = (0..CAPACITY + 2)
-        .map(|task| TaskEvent::Submitted {
-            job: GATED,
-            task: task % 3,
+    let producer = {
+        let handle = service.handle();
+        std::thread::spawn(move || {
+            let submitted = (0..=CAPACITY).map(|task| TaskEvent::Submitted {
+                job: GATED,
+                task: task % 3,
+            });
+            handle.push_all(submitted)
         })
-        .collect();
-    let accepted: Vec<bool> = submitted.into_iter().map(|e| service.push(e)).collect();
-    assert!(accepted[..CAPACITY].iter().all(|&a| a));
-    assert_eq!(accepted[CAPACITY..], [false, false]);
+    };
+    // A push that did not block would let the producer finish instead.
+    while service.stats().blocked_pushes == 0 && !producer.is_finished() {
+        std::thread::yield_now();
+    }
     gate.wait();
+    assert_eq!(producer.join().unwrap(), CAPACITY + 1);
     service.quiesce();
     push_drained(vec![end(GATED)]);
     service.checkpoint().unwrap();
@@ -1459,9 +1467,9 @@ fn a_restart_carries_the_persisted_counters_forward() {
 
     let counters = persisted_counters(&before);
     for (i, &n) in counters.iter().enumerate() {
-        assert_eq!(n > 0, i != 6, "persisted counter {i} is {n}");
+        assert!(n > 0, "persisted counter {i} is {n}");
     }
-    assert_eq!(before.overload.rejected_ingress, 2);
+    assert_eq!(before.blocked_pushes, 1);
     assert!(before.balance_boosts > 0);
 
     let newest = std::fs::read_dir(&dir)
@@ -1504,5 +1512,71 @@ fn a_restart_carries_the_persisted_counters_forward() {
     assert_eq!(after.wal_replayed, report.wal_events_replayed);
     assert_eq!((after.wal_appended, after.snapshots_written), (0, 0));
     let _ = revived.close();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory in the previous snapshot format: two checkpoints, so the
+/// second one's prune deleted WAL generation 0, then both snapshots'
+/// version words set to 5. Every snapshot is refused, and the WAL left
+/// cannot rebuild the state from empty. `recover` must return the newest
+/// snapshot's error having replayed nothing, rather than serve the jobs
+/// admitted after the oldest snapshot alone.
+#[test]
+fn refused_snapshots_over_a_pruned_wal_fail_the_recovery() {
+    let dir = scratch_dir("refused-all");
+    let admitted = std::sync::Arc::new(AtomicUsize::new(0));
+    let factory = || -> PredictorFactory {
+        let admitted = std::sync::Arc::clone(&admitted);
+        Box::new(move |_| {
+            admitted.fetch_add(1, Ordering::Relaxed);
+            Box::new(FlagAll)
+        })
+    };
+    let doomed = EngineService::start_persistent(
+        engine_config(2),
+        service_config(),
+        PersistenceConfig::new(&dir),
+        factory(),
+    )
+    .unwrap();
+    for job in [1, 2] {
+        let events = scored_prefix(job);
+        assert_eq!(doomed.push_all(events.clone()), events.len());
+        doomed.quiesce();
+        assert_eq!(doomed.checkpoint().unwrap(), job);
+    }
+    drop(doomed);
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert!(
+        names.iter().all(|name| !name.starts_with("wal-0-")),
+        "the second checkpoint prunes generation 0: {names:?}"
+    );
+    for generation in [1, 2] {
+        let path = dir.join(format!("snap-{generation}.bin"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    admitted.store(0, Ordering::Relaxed);
+
+    let err = EngineService::recover(
+        PersistenceConfig::new(&dir),
+        engine_config(2),
+        service_config(),
+        factory(),
+    )
+    .expect_err("a v5 directory must not recover");
+    assert!(
+        matches!(err, RecoverError::UnsupportedVersion(5)),
+        "{err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        "snapshot format version 5 is not version 6, the one this build reads"
+    );
+    assert_eq!(admitted.load(Ordering::Relaxed), 0, "a WAL was replayed");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -26,7 +26,7 @@ use nurd_core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd_data::{Checkpoint, JobSpec, JobTrace, OnlinePredictor, TaskEvent, TaskScore};
 use nurd_serve::{
     BalanceConfig, EngineConfig, EngineHandle, EngineReport, EngineService, FinalizeReason,
-    HealthObserver, JobReport, OverloadPolicy, PredictorFactory, ServiceConfig,
+    HealthObserver, JobReport, PredictorFactory, ServiceConfig,
 };
 use nurd_sim::{replay_job, ReplayConfig};
 use nurd_trace::{SuiteConfig, TraceStyle};
@@ -171,8 +171,7 @@ fn saturated_runs_match_replay(
                 shards,
                 warmup_fraction: WARMUP,
                 queue_capacity: Some(16),
-                overload: OverloadPolicy::Block,
-                balance: None,
+                ..EngineConfig::default()
             },
             ServiceConfig { drain_workers },
             factory(),
@@ -191,7 +190,6 @@ fn saturated_runs_match_replay(
         // job exactly once.
         let mut reports = service.take_finalized();
         let report = service.close();
-        assert_eq!(report.overload.lost_events(), 0, "Block lost events");
         assert_eq!(report.events, total_events, "event accounting broke");
         reports.extend(report.jobs);
         reports.sort_by_key(|r| r.job);
@@ -220,7 +218,6 @@ fn job_lifecycles_race_across_producers_without_loss() {
         EngineConfig {
             shards: 4,
             queue_capacity: Some(8),
-            overload: OverloadPolicy::Block,
             ..EngineConfig::default()
         },
         ServiceConfig { drain_workers: 2 },
@@ -284,7 +281,6 @@ fn job_lifecycles_race_across_producers_without_loss() {
     // reported) does not complete the stream, so JobEnd finalizes.
     let report = service.close();
     assert_eq!(report.events, pushed.load(Ordering::Relaxed));
-    assert_eq!(report.overload.lost_events(), 0);
     assert_eq!(report.jobs.len(), 16);
     for r in &report.jobs {
         assert_eq!(r.finalized, FinalizeReason::JobEnd);
@@ -299,7 +295,6 @@ fn blocked_producers_wake_and_lose_nothing_on_a_saturated_shard() {
         EngineConfig {
             shards: 1,
             queue_capacity: Some(2),
-            overload: OverloadPolicy::Block,
             ..EngineConfig::default()
         },
         ServiceConfig { drain_workers: 1 },
@@ -337,7 +332,6 @@ fn blocked_producers_wake_and_lose_nothing_on_a_saturated_shard() {
     assert_eq!(accepted, 3 * events_per_job, "a blocking send failed");
     let report = service.close();
     assert_eq!(report.events, 3 * events_per_job, "events vanished");
-    assert_eq!(report.overload.lost_events(), 0);
     assert_eq!(report.jobs.len(), 3, "all jobs reported at close");
 }
 
@@ -348,7 +342,6 @@ fn close_during_in_flight_pushes_loses_no_accepted_event() {
             EngineConfig {
                 shards: 2,
                 queue_capacity: Some(4),
-                overload: OverloadPolicy::Block,
                 ..EngineConfig::default()
             },
             ServiceConfig { drain_workers: 1 },
@@ -401,7 +394,6 @@ fn close_during_in_flight_pushes_loses_no_accepted_event() {
             report.events, accepted,
             "accepted events and applied events disagree after close"
         );
-        assert_eq!(report.overload.lost_events(), 0);
     }
 }
 
@@ -461,7 +453,6 @@ fn predictor_panic_scenario(shards: usize, drain_workers: usize) {
         EngineConfig {
             shards,
             queue_capacity: Some(4),
-            overload: OverloadPolicy::Block,
             ..EngineConfig::default()
         },
         ServiceConfig { drain_workers },
@@ -622,7 +613,6 @@ fn factory_panic_scenario(shards: usize, drain_workers: usize) {
         EngineConfig {
             shards,
             queue_capacity: Some(4),
-            overload: OverloadPolicy::Block,
             ..EngineConfig::default()
         },
         ServiceConfig { drain_workers },
@@ -806,7 +796,6 @@ fn balance_threshold_clamps_to_bounded_queue_capacity() {
         EngineConfig {
             shards: 1,
             queue_capacity: Some(32),
-            overload: OverloadPolicy::Block,
             balance: Some(BalanceConfig {
                 min_tasks: 1,
                 threads: 2,
@@ -963,8 +952,7 @@ fn two_shard_service(queue_capacity: Option<usize>, factory: PredictorFactory) -
             shards: 2,
             warmup_fraction: WARMUP,
             queue_capacity,
-            overload: OverloadPolicy::Block,
-            balance: None,
+            ..EngineConfig::default()
         },
         ServiceConfig { drain_workers: 1 },
         factory,

@@ -7,8 +7,8 @@
 //!
 //! CI runs this example as the end-to-end gate on the service-mode
 //! path: it exits nonzero on any panic, on nonzero malformed-event
-//! counts (orphans, rejections, overload losses), or on any event lost
-//! under the `Block` policy.
+//! counts (orphans, rejections), or on any event lost under
+//! back-pressure.
 //!
 //! ```sh
 //! cargo run --release --example fleet_monitor
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd::data::{JobSpec, TaskEvent};
-use nurd::serve::{BalanceConfig, EngineConfig, EngineService, OverloadPolicy, ServiceConfig};
+use nurd::serve::{BalanceConfig, EngineConfig, EngineService, ServiceConfig};
 use nurd::sim::{replay_job, ReplayConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
@@ -60,7 +60,6 @@ fn main() {
             shards: SHARDS,
             warmup_fraction: 0.04,
             queue_capacity: Some(QUEUE_CAPACITY),
-            overload: OverloadPolicy::Block,
             // One oversized job pinning a shard gets its refits fanned
             // out once that shard's backlog crosses the threshold (the
             // engine clamps the threshold to half the queue capacity).
@@ -68,6 +67,7 @@ fn main() {
                 min_tasks: 64,
                 ..BalanceConfig::default()
             }),
+            ..EngineConfig::default()
         },
         ServiceConfig::default(),
         Box::new(|_spec: &JobSpec| Box::new(nurd_warm())),
@@ -156,18 +156,15 @@ fn main() {
         stats.finalized_jobs, stats.stale_events, stats.orphan_events, stats.rejected_events,
     );
     println!(
-        "back-pressure: {} blocked (sleeping) pushes · {} balance boosts · {} shed · {} rejected ingress",
-        stats.blocked_pushes,
-        stats.balance_boosts,
-        final_report.overload.shed_events,
-        final_report.overload.rejected_ingress,
+        "back-pressure: {} blocked (sleeping) pushes · {} balance boosts",
+        stats.blocked_pushes, stats.balance_boosts,
     );
 
     // ---- CI gates: a clean canonical stream must stay clean. ----
     assert_eq!(
         accepted.load(Ordering::Relaxed),
         n_events,
-        "Block policy rejected a push"
+        "a blocking push was rejected"
     );
     assert_eq!(
         final_report.events, n_events,
@@ -176,11 +173,6 @@ fn main() {
     assert_eq!(reports.len(), jobs.len(), "every job must finalize");
     assert_eq!(stats.orphan_events, 0, "canonical stream produced orphans");
     assert_eq!(stats.rejected_events, 0, "canonical stream was rejected");
-    assert_eq!(
-        final_report.overload.lost_events(),
-        0,
-        "Block policy must not lose events"
-    );
 
     // The engine's contract: per-job results are bit-for-bit those of a
     // sequential replay, even though events were pushed by racing

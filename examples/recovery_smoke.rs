@@ -26,9 +26,7 @@ use std::path::Path;
 
 use nurd::core::{NurdConfig, NurdPredictor, RefitPolicy, WarmRefitConfig};
 use nurd::data::{JobSpec, TaskEvent};
-use nurd::serve::{
-    EngineConfig, EngineService, OverloadPolicy, PersistenceConfig, RecoverReport, ServiceConfig,
-};
+use nurd::serve::{EngineConfig, EngineService, PersistenceConfig, RecoverReport, ServiceConfig};
 use nurd::sim::{replay_job, ReplayConfig};
 use nurd::trace::{SuiteConfig, TraceStyle};
 
@@ -48,8 +46,7 @@ fn engine_config(shards: usize) -> EngineConfig {
         shards,
         warmup_fraction: WARMUP,
         queue_capacity: Some(256),
-        overload: OverloadPolicy::Block,
-        balance: None,
+        ..EngineConfig::default()
     }
 }
 
@@ -231,9 +228,8 @@ fn main() {
 
     assert_eq!(reports.len(), jobs.len(), "every job must finalize");
     assert_eq!(
-        final_report.overload.lost_events(),
-        0,
-        "Block policy must not lose events"
+        final_report.events, n_events,
+        "every event of the fleet must be applied exactly once, crashes included"
     );
 
     // The contract: restart equals uninterrupted — every recovered job's
